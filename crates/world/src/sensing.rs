@@ -164,9 +164,20 @@ impl Environment {
             if !target.active_at(t) {
                 continue;
             }
-            let d = pos.distance_to(target.position_at(t));
+            // Exact cull (see `Target::reach`): most targets are nowhere
+            // near most sensors, and cost nothing past this comparison.
+            let offset = pos - target.position_at(t);
+            let reach = target.reach();
+            if offset.x.abs() > reach || offset.y.abs() > reach {
+                continue;
+            }
+            let d = offset.length();
+            let elapsed = target.active_secs(t);
             for ch in Channel::ALL {
-                let sig = target.signal(ch, d, t);
+                if !target.emits_on(ch) {
+                    continue;
+                }
+                let sig = target.signal_after(ch, d, elapsed);
                 if sig != 0.0 {
                     out.add(ch, sig);
                 }

@@ -42,6 +42,12 @@ pub struct Trajectory {
     speed: f64,
     start_time: Timestamp,
     looped: bool,
+    /// Length of every segment in visit order (the closing segment last,
+    /// when looped), so `position_at` neither allocates nor takes a square
+    /// root. Derived from `waypoints` and `looped`; see `rebuild_segments`.
+    seg_lengths: Vec<f64>,
+    /// `seg_lengths` summed left to right: one lap of the path.
+    path_length: f64,
 }
 
 impl Trajectory {
@@ -49,12 +55,36 @@ impl Trajectory {
     /// non-moving phenomena).
     #[must_use]
     pub fn stationary(p: Point) -> Self {
-        Trajectory {
-            waypoints: vec![p],
-            speed: 0.0,
+        Trajectory::build(vec![p], 0.0)
+    }
+
+    fn build(waypoints: Vec<Point>, speed: f64) -> Self {
+        let mut t = Trajectory {
+            waypoints,
+            speed,
             start_time: Timestamp::ZERO,
             looped: false,
+            seg_lengths: Vec::new(),
+            path_length: 0.0,
+        };
+        t.rebuild_segments();
+        t
+    }
+
+    /// Recomputes the segment table; called whenever `waypoints` or
+    /// `looped` changes.
+    fn rebuild_segments(&mut self) {
+        let n = self.waypoints.len();
+        self.seg_lengths = self
+            .waypoints
+            .windows(2)
+            .map(|w| w[0].distance_to(w[1]))
+            .collect();
+        if self.looped && n > 1 {
+            self.seg_lengths
+                .push(self.waypoints[n - 1].distance_to(self.waypoints[0]));
         }
+        self.path_length = self.seg_lengths.iter().sum();
     }
 
     /// A straight line from `from` to `to` at `speed` grid units/second,
@@ -84,12 +114,7 @@ impl Trajectory {
             points.len() == 1 || speed > 0.0,
             "a moving trajectory needs a positive speed, got {speed}"
         );
-        Trajectory {
-            waypoints: points,
-            speed,
-            start_time: Timestamp::ZERO,
-            looped: false,
-        }
+        Trajectory::build(points, speed)
     }
 
     /// Delays departure until `at` (the target sits at the first waypoint
@@ -105,6 +130,7 @@ impl Trajectory {
     #[must_use]
     pub fn looped(mut self) -> Self {
         self.looped = true;
+        self.rebuild_segments();
         self
     }
 
@@ -123,16 +149,7 @@ impl Trajectory {
     /// Total path length of one pass over the waypoints, in grid units.
     #[must_use]
     pub fn path_length(&self) -> f64 {
-        let segs = self
-            .waypoints
-            .windows(2)
-            .map(|w| w[0].distance_to(w[1]))
-            .sum::<f64>();
-        if self.looped && self.waypoints.len() > 1 {
-            segs + self.waypoints[self.waypoints.len() - 1].distance_to(self.waypoints[0])
-        } else {
-            segs
-        }
+        self.path_length
     }
 
     /// Virtual time needed to traverse the path once (`None` for stationary
@@ -155,26 +172,25 @@ impl Trajectory {
         }
         let elapsed = t.saturating_since(self.start_time).as_secs_f64();
         let mut remaining = elapsed * self.speed;
-        let total = self.path_length();
         if self.looped {
-            remaining %= total;
+            remaining %= self.path_length;
         }
-        let mut segment_iter: Vec<(Point, Point)> =
-            self.waypoints.windows(2).map(|w| (w[0], w[1])).collect();
-        if self.looped {
-            segment_iter.push((self.waypoints[self.waypoints.len() - 1], self.waypoints[0]));
-        }
-        for (a, b) in segment_iter {
-            let seg = a.distance_to(b);
+        let n = self.waypoints.len();
+        // A sequential walk, not a search over prefix sums: `remaining`
+        // must shed each length in turn to round the way it always has.
+        for (i, &seg) in self.seg_lengths.iter().enumerate() {
             if remaining <= seg {
+                let a = self.waypoints[i];
                 if seg < 1e-12 {
                     return a;
                 }
+                // The closing segment of a loop heads back to the start.
+                let b = self.waypoints[if i + 1 == n { 0 } else { i + 1 }];
                 return a.lerp(b, remaining / seg);
             }
             remaining -= seg;
         }
-        self.waypoints[self.waypoints.len() - 1]
+        self.waypoints[n - 1]
     }
 
     /// Whether the target has reached the end of a non-looped path by `t`.
@@ -425,6 +441,24 @@ pub struct Emission {
     pub falloff: Falloff,
 }
 
+impl Emission {
+    /// The largest distance at which this emission can be non-zero, at any
+    /// time: `+∞` for the inverse laws, and for any strength or radius that
+    /// is not an ordinary number (`∞ · 0` and `1 − d / NaN` are not zero).
+    fn reach(&self) -> f64 {
+        let r = match self.falloff {
+            Falloff::Disk { radius } | Falloff::Linear { radius } => radius,
+            Falloff::GrowingDisk { max_radius, .. } => max_radius,
+            Falloff::InverseCube { .. } | Falloff::InverseSquare { .. } => f64::INFINITY,
+        };
+        if self.strength.is_finite() && !r.is_nan() {
+            r
+        } else {
+            f64::INFINITY
+        }
+    }
+}
+
 /// A physical entity moving through the field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Target {
@@ -435,6 +469,11 @@ pub struct Target {
     active_from: Timestamp,
     /// Time the target disappears (`Timestamp::MAX` = never).
     active_until: Timestamp,
+    /// The largest per-axis offset at which any emission can be non-zero;
+    /// see `Target::reach`.
+    reach: f64,
+    /// Bit `Channel::index()` is set when some emission drives that channel.
+    channel_mask: u8,
 }
 
 impl Target {
@@ -442,12 +481,18 @@ impl Target {
     /// the whole simulation.
     #[must_use]
     pub fn new(id: TargetId, trajectory: Trajectory, emissions: Vec<Emission>) -> Self {
+        // Floored well above the square root of the smallest normal f64,
+        // so an offset that exceeds the reach never underflows when squared.
+        let reach = emissions.iter().map(Emission::reach).fold(1e-150, f64::max);
+        let channel_mask = emissions.iter().fold(0, |m, e| m | 1 << e.channel.index());
         Target {
             id,
             trajectory,
             emissions,
             active_from: Timestamp::ZERO,
             active_until: Timestamp::MAX,
+            reach,
+            channel_mask,
         }
     }
 
@@ -489,6 +534,25 @@ impl Target {
         self.trajectory.position_at(t)
     }
 
+    /// A sensor further than this from the target along either axis reads
+    /// exactly zero from it on every channel, at any time. Because
+    /// `sqrt(dx² + dy²) ≥ max(|dx|, |dy|)` holds in IEEE arithmetic (absent
+    /// underflow, which the construction-time floor rules out), skipping
+    /// the target on `|dx| > reach || |dy| > reach` changes no sample bit.
+    pub(crate) fn reach(&self) -> f64 {
+        self.reach
+    }
+
+    /// Whether any emission drives `channel`.
+    pub(crate) fn emits_on(&self, channel: Channel) -> bool {
+        self.channel_mask & (1 << channel.index()) != 0
+    }
+
+    /// Seconds the target has existed at `t` (zero before it appears).
+    pub(crate) fn active_secs(&self, t: Timestamp) -> f64 {
+        t.saturating_since(self.active_from).as_secs_f64()
+    }
+
     /// The contribution of this target to `channel` at a sensor located
     /// `distance` away, at time `t`. Zero while inactive.
     #[must_use]
@@ -496,7 +560,13 @@ impl Target {
         if !self.active_at(t) {
             return 0.0;
         }
-        let elapsed = t.saturating_since(self.active_from).as_secs_f64();
+        self.signal_after(channel, distance, self.active_secs(t))
+    }
+
+    /// [`Target::signal`] for a target known to be active, `elapsed`
+    /// seconds after it appeared: the channel's emissions summed in
+    /// declaration order.
+    pub(crate) fn signal_after(&self, channel: Channel, distance: f64, elapsed: f64) -> f64 {
         self.emissions
             .iter()
             .filter(|e| e.channel == channel)
@@ -528,7 +598,7 @@ impl Target {
         if !self.active_at(t) {
             return None;
         }
-        let elapsed = t.saturating_since(self.active_from).as_secs_f64();
+        let elapsed = self.active_secs(t);
         self.emissions
             .iter()
             .filter(|e| e.channel == channel)
@@ -725,6 +795,53 @@ mod tests {
             fire.detection_radius_at(Channel::Temperature, 180.0, Timestamp::ZERO),
             None
         );
+    }
+
+    #[test]
+    fn reach_is_the_widest_emission_or_unbounded() {
+        let reach = |emissions: Vec<(f64, Falloff)>| {
+            let emissions = emissions
+                .into_iter()
+                .map(|(strength, falloff)| Emission {
+                    channel: Channel::Magnetic,
+                    strength,
+                    falloff,
+                })
+                .collect();
+            Target::new(
+                TargetId(0),
+                Trajectory::stationary(Point::ORIGIN),
+                emissions,
+            )
+            .reach()
+        };
+        let grow = Falloff::GrowingDisk {
+            initial_radius: 1.0,
+            growth_per_sec: 0.5,
+            max_radius: 3.0,
+        };
+        assert_eq!(
+            reach(vec![(1.0, Falloff::Disk { radius: 2.0 }), (1.0, grow)]),
+            3.0
+        );
+        assert_eq!(reach(vec![(1.0, Falloff::Linear { radius: 4.0 })]), 4.0);
+        // Nothing to hear: floored, not zero, so squared offsets stay normal.
+        assert_eq!(reach(vec![]), 1e-150);
+        assert_eq!(reach(vec![(1.0, Falloff::Disk { radius: -1.0 })]), 1e-150);
+        // Anything that can be non-zero arbitrarily far away is unbounded.
+        for (strength, falloff) in [
+            (1.0, Falloff::InverseCube { floor: 0.1 }),
+            (1.0, Falloff::InverseSquare { floor: 0.1 }),
+            (f64::INFINITY, Falloff::Disk { radius: 2.0 }),
+            (f64::NAN, Falloff::Disk { radius: 2.0 }),
+            (1.0, Falloff::Linear { radius: f64::NAN }),
+        ] {
+            assert_eq!(
+                reach(vec![(strength, falloff)]),
+                f64::INFINITY,
+                "{falloff:?}"
+            );
+        }
     }
 
     #[test]

@@ -7,11 +7,103 @@ use envirotrack_world::geometry::{Aabb, Point};
 use envirotrack_world::grid::{
     neighbor_lists_with, shard_assignment, shard_interest_ranges, NeighborStrategy,
 };
-use envirotrack_world::target::{Falloff, Trajectory};
+use envirotrack_world::sensing::{Environment, SensorSample};
+use envirotrack_world::target::{Channel, Emission, Falloff, Target, TargetId, Trajectory};
 use testkit::prelude::*;
 
 fn arb_point() -> impl Strategy<Value = Point> {
     (-100.0..100.0f64, -100.0..100.0f64).prop_map(|(x, y)| Point::new(x, y))
+}
+
+/// Points on a coarse lattice, so tours revisit and repeat waypoints.
+fn arb_lattice_point() -> impl Strategy<Value = Point> {
+    (0u32..4, 0u32..4).prop_map(|(x, y)| Point::new(f64::from(x) * 2.5, f64::from(y) * 2.5))
+}
+
+/// Reference oracle: `Trajectory::position_at` as it stood before the
+/// segment table — the segments rebuilt and re-measured on every call.
+fn reference_position_at(
+    waypoints: &[Point],
+    speed: f64,
+    start: Timestamp,
+    looped: bool,
+    t: Timestamp,
+) -> Point {
+    if waypoints.len() == 1 || speed <= 0.0 {
+        return waypoints[0];
+    }
+    let last = waypoints[waypoints.len() - 1];
+    let elapsed = t.saturating_since(start).as_secs_f64();
+    let mut remaining = elapsed * speed;
+    let segs = waypoints
+        .windows(2)
+        .map(|w| w[0].distance_to(w[1]))
+        .sum::<f64>();
+    let total = if looped {
+        segs + last.distance_to(waypoints[0])
+    } else {
+        segs
+    };
+    if looped {
+        remaining %= total;
+    }
+    let mut segments: Vec<(Point, Point)> = waypoints.windows(2).map(|w| (w[0], w[1])).collect();
+    if looped {
+        segments.push((last, waypoints[0]));
+    }
+    for (a, b) in segments {
+        let seg = a.distance_to(b);
+        if remaining <= seg {
+            if seg < 1e-12 {
+                return a;
+            }
+            return a.lerp(b, remaining / seg);
+        }
+        remaining -= seg;
+    }
+    last
+}
+
+/// Reference oracle: `Environment::sample` as it stood before the reach
+/// cull — every active target, every channel, no distance cut-off.
+fn reference_sample(
+    ambient: SensorSample,
+    targets: &[Target],
+    pos: Point,
+    t: Timestamp,
+) -> SensorSample {
+    let mut out = ambient;
+    for target in targets {
+        if !target.active_at(t) {
+            continue;
+        }
+        let d = pos.distance_to(target.position_at(t));
+        for ch in Channel::ALL {
+            let sig = target.signal(ch, d, t);
+            if sig != 0.0 {
+                out.add(ch, sig);
+            }
+        }
+    }
+    out
+}
+
+/// One random falloff of each of the five kinds, radii drawn from a short
+/// menu so several emissions share a boundary.
+fn random_falloff(rng: &mut SimRng) -> Falloff {
+    const RADII: [f64; 4] = [0.0, 1.0, 2.5, 6.0];
+    let radius = RADII[rng.below(4) as usize];
+    match rng.below(5) {
+        0 => Falloff::Disk { radius },
+        1 => Falloff::Linear { radius },
+        2 => Falloff::InverseCube { floor: 0.1 },
+        3 => Falloff::InverseSquare { floor: 0.1 },
+        _ => Falloff::GrowingDisk {
+            initial_radius: radius / 2.0,
+            growth_per_sec: rng.uniform_range(-0.1, 0.5),
+            max_radius: radius,
+        },
+    }
 }
 
 prop_test! {
@@ -63,6 +155,107 @@ prop_test! {
         let a = traj.position_at(Timestamp::from_micros(t));
         let b = traj.position_at(Timestamp::from_micros(t + period_us));
         prop_assert!(a.distance_to(b) < 1e-3, "{a} vs {b} one period later");
+    }
+
+    /// The segment-table walk is bit-identical to the reference walk:
+    /// 1–6 waypoints with repeats, looped or not, delayed departures, and
+    /// probe times before the start, past the end and many laps in.
+    #[test]
+    fn position_at_is_bit_identical_to_the_reference_walk(
+        pts in prop::collection::vec(prop_oneof![arb_lattice_point(), arb_point()], 1..7),
+        speed in 0.05..20.0f64,
+        looped: bool,
+        start_us in prop_oneof![Just(0u64), 0u64..60_000_000],
+        probes in prop::collection::vec(
+            prop_oneof![0u64..120_000_000, 0u64..100_000_000_000],
+            1..8,
+        ),
+    ) {
+        let start = Timestamp::from_micros(start_us);
+        let mut traj = Trajectory::waypoints(pts.clone(), speed).starting_at(start);
+        if looped {
+            traj = traj.looped();
+        }
+        for t in probes.into_iter().chain([0, start_us]) {
+            let t = Timestamp::from_micros(t);
+            let got = traj.position_at(t);
+            let want = reference_position_at(&pts, speed, start, looped, t);
+            prop_assert_eq!(
+                (got.x.to_bits(), got.y.to_bits()),
+                (want.x.to_bits(), want.y.to_bits()),
+                "{} vs {} at {:?}", got, want, t
+            );
+        }
+    }
+
+    /// The culled, channel-masked sample is bit-identical to the full
+    /// walk on all five channels: every falloff kind, several emissions
+    /// per channel, ambient levels, activity windows, and sensors placed
+    /// exactly on an emission's radius as well as far outside it.
+    #[test]
+    fn sample_is_bit_identical_to_the_uncut_walk(seed: u64, n_targets in 0usize..7) {
+        let mut rng = SimRng::seed_from(seed);
+        let mut ambient = SensorSample::zero();
+        let mut env = Environment::new();
+        for ch in Channel::ALL {
+            if rng.chance(0.4) {
+                let level = rng.uniform_range(-5.0, 25.0);
+                ambient.set(ch, level);
+                env = env.with_ambient(ch, level);
+            }
+        }
+        let mut targets = Vec::new();
+        for id in 0..n_targets {
+            let at = Point::new(rng.uniform_range(-10.0, 10.0), rng.uniform_range(-10.0, 10.0));
+            let trajectory = if rng.chance(0.5) {
+                Trajectory::stationary(at)
+            } else {
+                Trajectory::line(at, Point::new(-at.x, at.y + 3.0), rng.uniform_range(0.1, 2.0))
+            };
+            let emissions = (0..rng.below(5))
+                .map(|_| Emission {
+                    channel: Channel::ALL[rng.below(5) as usize],
+                    strength: rng.uniform_range(-2.0, 50.0),
+                    falloff: random_falloff(&mut rng),
+                })
+                .collect();
+            let mut target = Target::new(TargetId(id as u32), trajectory, emissions);
+            if rng.chance(0.5) {
+                let from = rng.below(20);
+                target = target.active_between(
+                    Timestamp::from_secs(from),
+                    Timestamp::from_secs(from + rng.below(30)),
+                );
+            }
+            env.add_target(target.clone());
+            targets.push(target);
+        }
+        for _ in 0..24 {
+            let t = Timestamp::from_micros(rng.below(40_000_000));
+            // Half the probes sit exactly one menu radius from a target
+            // along an axis; the rest roam a field wider than any radius.
+            let pos = match rng.choose(&targets) {
+                Some(target) if rng.chance(0.5) => {
+                    let r = [0.0, 1.0, 2.5, 6.0][rng.below(4) as usize];
+                    let c = target.position_at(t);
+                    if rng.chance(0.5) {
+                        Point::new(c.x + r, c.y)
+                    } else {
+                        Point::new(c.x, c.y - r)
+                    }
+                }
+                _ => Point::new(rng.uniform_range(-40.0, 40.0), rng.uniform_range(-40.0, 40.0)),
+            };
+            let got = env.sample(pos, t);
+            let want = reference_sample(ambient, &targets, pos, t);
+            for ch in Channel::ALL {
+                prop_assert_eq!(
+                    got.get(ch).to_bits(),
+                    want.get(ch).to_bits(),
+                    "{} at {} t={:?}: {} vs {}", ch, pos, t, got.get(ch), want.get(ch)
+                );
+            }
+        }
     }
 
     /// Every falloff is non-increasing with distance.
