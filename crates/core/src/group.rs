@@ -38,7 +38,7 @@ use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::NodeId;
 use envirotrack_world::geometry::Point;
-use envirotrack_world::sensing::SensorSample;
+use envirotrack_world::sensing::{Environment, SensorSample};
 
 use crate::aggregate::{AggValue, ReadingValue, ReadingWindow};
 use crate::config::MiddlewareConfig;
@@ -140,6 +140,21 @@ pub enum GroupAction {
     AppLog(String),
 }
 
+/// What a node's sensors read: the ground truth behind
+/// [`GroupCtx::sample`]. The simulation's source is the [`Environment`];
+/// handler tests substitute fixed, counting or forbidden ones.
+pub trait SampleSource {
+    /// The (noisy) reading at `pos` and time `now`; any noise is drawn
+    /// from `rng`, the sampling node's own stream.
+    fn sample_at(&self, pos: Point, now: Timestamp, rng: &mut SimRng) -> SensorSample;
+}
+
+impl SampleSource for Environment {
+    fn sample_at(&self, pos: Point, now: Timestamp, rng: &mut SimRng) -> SensorSample {
+        self.sample_noisy(pos, now, rng)
+    }
+}
+
 /// Per-call context handed to the machine by the hosting layer.
 pub struct GroupCtx<'a> {
     /// Current virtual time.
@@ -150,8 +165,13 @@ pub struct GroupCtx<'a> {
     pub spec: &'a ContextSpec,
     /// Directory subscriptions of this context type.
     pub subscriptions: &'a [ContextTypeId],
-    /// The node's current local sensor sample.
-    pub sample: &'a SensorSample,
+    /// What the node's sensors would read. Consulted by the first
+    /// [`GroupCtx::sample`] call of this input and never otherwise: most
+    /// radio-side inputs (heartbeats, reports) do not look at the sensors,
+    /// and a ground-truth evaluation is the dearest thing an input can buy.
+    pub sensors: &'a dyn SampleSource,
+    /// The reading that first call took (`None` until then).
+    pub reading: Option<SensorSample>,
     /// The node's position.
     pub position: Point,
     /// The node's randomness stream.
@@ -163,6 +183,19 @@ pub struct GroupCtx<'a> {
     /// per-heartbeat traces reuse one `Rc<str>` per label instead of
     /// formatting the label every time.
     pub labels: LabelIntern,
+}
+
+impl GroupCtx<'_> {
+    /// The node's local sensor sample for this input: taken (and its noise
+    /// drawn from `rng`) on the first call, the same reading thereafter.
+    pub fn sample(&mut self) -> SensorSample {
+        if let Some(reading) = self.reading {
+            return reading;
+        }
+        let reading = self.sensors.sample_at(self.position, self.now, self.rng);
+        self.reading = Some(reading);
+        reading
+    }
 }
 
 /// Non-member memory of a nearby label (the paper's wait timer).
@@ -366,7 +399,7 @@ impl GroupMachine {
             return out;
         }
         let member_now = !matches!(self.role, Role::Idle);
-        let senses = ctx.spec.senses(ctx.sample, member_now);
+        let senses = ctx.spec.senses(&ctx.sample(), member_now);
 
         match (self.role_kind(), senses) {
             (RoleKind::Idle, true) => {
@@ -420,11 +453,11 @@ impl GroupMachine {
         out
     }
 
-    fn insert_own_readings(leader: &mut LeaderState, ctx: &GroupCtx<'_>, node: NodeId) {
+    fn insert_own_readings(leader: &mut LeaderState, ctx: &mut GroupCtx<'_>, node: NodeId) {
         for (idx, agg) in ctx.spec.aggregates.iter().enumerate() {
             let value = match agg.input {
                 crate::aggregate::AggregateInput::Channel(ch) => {
-                    ReadingValue::Scalar(ctx.sample.get(ch))
+                    ReadingValue::Scalar(ctx.sample().get(ch))
                 }
                 crate::aggregate::AggregateInput::Position => ReadingValue::Position(ctx.position),
             };
@@ -634,7 +667,7 @@ impl GroupMachine {
         if m.label != r.label {
             return out;
         }
-        let senses = ctx.spec.senses(ctx.sample, true);
+        let senses = ctx.spec.senses(&ctx.sample(), true);
         if r.successor == Some(self.node) && senses {
             let label = m.label;
             let state = r.state.clone().or_else(|| m.last_state.clone());
@@ -676,7 +709,7 @@ impl GroupMachine {
                     return out;
                 }
                 // Still idle, still sensing, still no nearby label?
-                let senses = ctx.spec.senses(ctx.sample, false);
+                let senses = ctx.spec.senses(&ctx.sample(), false);
                 let has_memory = self.wait.is_some_and(|w| w.until > ctx.now);
                 if matches!(self.role, Role::Idle) && senses && !has_memory {
                     self.mint_label(ctx, &mut out);
@@ -728,7 +761,7 @@ impl GroupMachine {
                 }
                 // Leader presumed failed. If we still sense the entity we
                 // take over, carrying the last-heard weight.
-                let senses = ctx.spec.senses(ctx.sample, true);
+                let senses = ctx.spec.senses(&ctx.sample(), true);
                 if senses {
                     let label = m.label;
                     let weight = m.leader_weight;
@@ -752,13 +785,13 @@ impl GroupMachine {
                 if !m.report.fires(token) {
                     return out;
                 }
-                let senses = ctx.spec.senses(ctx.sample, true);
+                let senses = ctx.spec.senses(&ctx.sample(), true);
                 if senses {
                     let mut values = Vec::with_capacity(ctx.spec.aggregates.len());
                     for (idx, agg) in ctx.spec.aggregates.iter().enumerate() {
                         let v = match agg.input {
                             crate::aggregate::AggregateInput::Channel(ch) => {
-                                ReadingValue::Scalar(ctx.sample.get(ch))
+                                ReadingValue::Scalar(ctx.sample().get(ch))
                             }
                             crate::aggregate::AggregateInput::Position => {
                                 ReadingValue::Position(ctx.position)
@@ -1294,8 +1327,54 @@ mod tests {
     use crate::aggregate::{AggregateFn, AggregateInput};
     use crate::context::{AggregateSpec, SensePredicate};
     use envirotrack_world::target::Channel;
+    use std::cell::Cell;
     use std::sync::Arc;
     use std::sync::Mutex;
+
+    /// A fixed reading is its own source: the harness's sensors.
+    impl SampleSource for SensorSample {
+        fn sample_at(&self, _: Point, _: Timestamp, _: &mut SimRng) -> SensorSample {
+            *self
+        }
+    }
+
+    /// Sensors no handler may read.
+    struct Forbidden;
+
+    impl SampleSource for Forbidden {
+        fn sample_at(&self, _: Point, _: Timestamp, _: &mut SimRng) -> SensorSample {
+            panic!("this input must not read the sensors");
+        }
+    }
+
+    /// A fixed reading that counts how often it is taken.
+    struct Counting {
+        reading: SensorSample,
+        reads: Cell<u32>,
+    }
+
+    impl Counting {
+        fn sensing() -> Self {
+            let mut reading = SensorSample::zero();
+            reading.set(Channel::Magnetic, 1.0);
+            Counting {
+                reading,
+                reads: Cell::new(0),
+            }
+        }
+
+        /// Reads since the last call.
+        fn take(&self) -> u32 {
+            self.reads.replace(0)
+        }
+    }
+
+    impl SampleSource for Counting {
+        fn sample_at(&self, _: Point, _: Timestamp, _: &mut SimRng) -> SensorSample {
+            self.reads.set(self.reads.get() + 1);
+            self.reading
+        }
+    }
 
     fn spec_with_tracker() -> ContextSpec {
         ContextSpec {
@@ -1350,11 +1429,23 @@ mod tests {
                 cfg: &self.cfg,
                 spec: &self.spec,
                 subscriptions: &[],
-                sample: &self.sample,
+                sensors: &self.sample,
+                reading: None,
                 position: self.position,
                 rng: &mut self.rng,
                 telemetry: self.telemetry.clone(),
                 labels: self.labels.clone(),
+            }
+        }
+    }
+
+    impl Harness {
+        /// Like [`Harness::ctx`], reading `sensors` instead of the
+        /// harness's own fixed sample.
+        fn ctx_reading<'a>(&'a mut self, sensors: &'a dyn SampleSource) -> GroupCtx<'a> {
+            GroupCtx {
+                sensors,
+                ..self.ctx()
             }
         }
     }
@@ -2039,6 +2130,115 @@ mod tests {
         assert!(
             find_timer(&actions, GroupTimer::Formation).is_some(),
             "a fresh stimulus far from known groups must mint its own label"
+        );
+    }
+
+    #[test]
+    fn heartbeats_and_reports_never_read_the_sensors() {
+        let mut h = Harness::new().sensing();
+        let lbl = label(9, 0);
+        let report = |member: u32| Report {
+            label: lbl,
+            member: NodeId(member),
+            taken_at: Timestamp::from_secs(1),
+            values: vec![(0, ReadingValue::Position(Point::new(3.0, 1.0)))],
+        };
+        // Idle: remembers the label. Member: re-arms its receive timer.
+        let mut m = machine(1, &spec_with_tracker());
+        let _ = m.on_heartbeat(&mut h.ctx_reading(&Forbidden), &hb(lbl, 9, 5, 1));
+        let _ = m.on_report(&mut h.ctx_reading(&Forbidden), &report(2));
+        let _ = m.on_sense_tick(&mut h.ctx());
+        assert_eq!(m.role_kind(), RoleKind::Member(lbl));
+        let actions = m.on_heartbeat(&mut h.ctx_reading(&Forbidden), &hb(lbl, 9, 6, 2));
+        assert!(find_timer(&actions, GroupTimer::Receive).is_some());
+        let _ = m.on_report(&mut h.ctx_reading(&Forbidden), &report(2));
+        // Leader: weighs reports, yields to a heavier duplicate.
+        let mut l = machine(2, &spec_with_tracker());
+        let own = make_leader(&mut h, &mut l);
+        let mine = Report {
+            label: own,
+            ..report(3)
+        };
+        let _ = l.on_report(&mut h.ctx_reading(&Forbidden), &mine);
+        assert_eq!(l.leader_weight(), Some(1));
+        let _ = l.on_heartbeat(&mut h.ctx_reading(&Forbidden), &far_hb(lbl, 9, 50, 3));
+        let _ = l.on_heartbeat(&mut h.ctx_reading(&Forbidden), &hb(own, 7, 50, 1));
+        assert!(!l.is_leader(), "the heavier duplicate wins");
+    }
+
+    #[test]
+    fn sensing_inputs_read_the_sensors_once() {
+        // A channel-fed aggregate makes reports and the leader's own
+        // readings look at the sample a second time within one input.
+        let mut h = Harness::new();
+        h.spec.aggregates.push(AggregateSpec {
+            name: "field".into(),
+            function: AggregateFn::Average,
+            input: AggregateInput::Channel(Channel::Magnetic),
+            freshness: SimDuration::from_secs(1),
+            critical_mass: 1,
+        });
+        let spec = spec_with_tracker();
+        let sensors = Counting::sensing();
+
+        // Idle sense tick → formation timer → leader sense tick.
+        let mut l = machine(1, &spec);
+        let actions = l.on_sense_tick(&mut h.ctx_reading(&sensors));
+        assert_eq!(sensors.take(), 1);
+        let (at, token) = find_timer(&actions, GroupTimer::Formation).unwrap();
+        h.now = at;
+        let _ = l.on_timer(&mut h.ctx_reading(&sensors), GroupTimer::Formation, token);
+        assert_eq!(sensors.take(), 1);
+        assert!(l.is_leader());
+        let _ = l.on_sense_tick(&mut h.ctx_reading(&sensors));
+        assert_eq!(
+            sensors.take(),
+            1,
+            "senses() and own readings share one sample"
+        );
+
+        // Member: report timer, receive timer, relinquish.
+        let lbl = label(9, 0);
+        let mut m = machine(2, &spec);
+        let _ = m.on_heartbeat(&mut h.ctx_reading(&sensors), &hb(lbl, 9, 5, 1));
+        assert_eq!(sensors.take(), 0);
+        let actions = m.on_sense_tick(&mut h.ctx_reading(&sensors));
+        assert_eq!(sensors.take(), 1);
+        let (report_at, report_tok) = find_timer(&actions, GroupTimer::Report).unwrap();
+        let (receive_at, receive_tok) = find_timer(&actions, GroupTimer::Receive).unwrap();
+        h.now = report_at;
+        let actions = m.on_timer(&mut h.ctx_reading(&sensors), GroupTimer::Report, report_tok);
+        assert_eq!(
+            sensors.take(),
+            1,
+            "senses() and the report values share one sample"
+        );
+        assert_eq!(broadcasts(&actions).len(), 1);
+        let r = Relinquish {
+            label: lbl,
+            from: NodeId(9),
+            weight: 5,
+            successor: Some(NodeId(4)),
+            state: None,
+        };
+        let actions = m.on_relinquish(&mut h.ctx_reading(&sensors), &r);
+        assert_eq!(sensors.take(), 1);
+        // The relinquish re-armed the receive timer; the old token is
+        // stale and must not cost a sample, the new one takes exactly one.
+        h.now = receive_at;
+        let _ = m.on_timer(
+            &mut h.ctx_reading(&sensors),
+            GroupTimer::Receive,
+            receive_tok,
+        );
+        assert_eq!(sensors.take(), 0);
+        let (at, token) = find_timer(&actions, GroupTimer::Receive).unwrap();
+        h.now = at;
+        let _ = m.on_timer(&mut h.ctx_reading(&sensors), GroupTimer::Receive, token);
+        assert_eq!(sensors.take(), 1);
+        assert!(
+            m.is_leader(),
+            "a sensing member takes over on receive timeout"
         );
     }
 

@@ -227,12 +227,14 @@ struct PendingAck {
 
 /// The simulation world. See the [module docs](self).
 /// Decode state shared across one broadcast's delivery walk: the payload
-/// is decoded at most once no matter how many receivers heard the frame.
+/// is decoded — and hashed against its shadow — at most once no matter
+/// how many receivers heard the frame.
 enum BroadcastDecode {
     /// No receiver has needed the payload yet.
     Pending,
     /// Decoded once; all receivers dispatch off this shared value.
-    Ok(Message),
+    /// `pristine` is [`Frame::payload_is_pristine`] for the same bytes.
+    Ok { msg: Message, pristine: bool },
     /// The payload failed to decode; every receiver drops it.
     Corrupt,
 }
@@ -1172,14 +1174,15 @@ impl SensorNetwork {
         self.telemetry.incr(&format!("net.k{}.corrupt", kind.0));
     }
 
-    /// Audits an *accepted* frame against its shadow hash: if the payload
-    /// no longer matches what the sender built, the CRC let garbled bytes
+    /// Audits an *accepted* frame against its shadow hash (`pristine` is
+    /// its [`Frame::payload_is_pristine`]): if the payload no longer
+    /// matches what the sender built, the CRC let garbled bytes
     /// through — the accepted-corrupt invariant the chaos monitor checks
     /// must stay at zero. (With CRC-32 this fires with probability ~2⁻³²
     /// per garbled frame; the counter exists so that if it ever *does*
     /// fire, the run fails loudly instead of silently mis-tracking.)
-    fn audit_accepted(&mut self, frame: &Frame) {
-        if !frame.payload_is_pristine() {
+    fn audit_accepted(&mut self, pristine: bool) {
+        if !pristine {
             self.telemetry.incr("net.corrupt_accepted");
         }
     }
@@ -1213,21 +1216,26 @@ impl SensorNetwork {
         // bookkeeping applies to a broadcast.
         if matches!(decoded, BroadcastDecode::Pending) {
             *decoded = match Message::decode_with(self.config.radio.codec, &frame.payload) {
-                Ok(m) => BroadcastDecode::Ok(m),
+                Ok(msg) => BroadcastDecode::Ok {
+                    msg,
+                    pristine: frame.payload_is_pristine(),
+                },
                 Err(_) => BroadcastDecode::Corrupt,
             };
         }
-        if matches!(decoded, BroadcastDecode::Corrupt) {
-            // The CRC (or structural decode) rejected the payload: drop it
-            // without touching protocol state, and count the drop per kind
-            // and per receiver.
-            self.note_corrupt_drop(frame.kind);
-            return;
-        }
-        self.audit_accepted(frame);
-        let BroadcastDecode::Ok(msg) = &*decoded else {
-            unreachable!("decode cache is resolved above");
+        let (msg, pristine) = match &*decoded {
+            BroadcastDecode::Ok { msg, pristine } => (msg, *pristine),
+            BroadcastDecode::Corrupt => {
+                // The CRC (or structural decode) rejected the payload: drop
+                // it without touching protocol state, and count the drop
+                // per kind and per receiver.
+                self.note_corrupt_drop(frame.kind);
+                return;
+            }
+            BroadcastDecode::Pending => unreachable!("decode cache is resolved above"),
         };
+        // Counted per accepting receiver, hashed once per walk.
+        self.audit_accepted(pristine);
         match msg {
             Message::Heartbeat(hb) => self.handle_heartbeat(k, node, hb),
             Message::Report(report) => self.handle_report(k, node, report),
@@ -1265,7 +1273,7 @@ impl SensorNetwork {
         if frame.kind == crate::wire::kinds::LINK_ACK {
             match link_ack_seq(&frame.payload) {
                 Some(seq) => {
-                    self.audit_accepted(&frame);
+                    self.audit_accepted(frame.payload_is_pristine());
                     self.nodes[node.index()]
                         .pending_acks
                         .retain(|p| p.seq != seq);
@@ -1286,7 +1294,7 @@ impl SensorNetwork {
                 return;
             }
         };
-        self.audit_accepted(&frame);
+        self.audit_accepted(frame.payload_is_pristine());
         // Acknowledge reliable unicast frames, and deduplicate retransmits.
         if self.config.link.enabled
             && frame.link_dst == LinkDest::Node(node)
@@ -1686,7 +1694,8 @@ impl SensorNetwork {
     // Machine driving and action application
     // ------------------------------------------------------------------
 
-    /// Runs one machine input with a freshly sampled [`GroupCtx`].
+    /// Runs one machine input with a fresh [`GroupCtx`]; the environment is
+    /// sampled only if the handler reads [`GroupCtx::sample`].
     fn drive_machine(
         &mut self,
         now: Timestamp,
@@ -1696,13 +1705,13 @@ impl SensorNetwork {
     ) -> Vec<GroupAction> {
         let telemetry = self.telemetry.clone();
         let rt = &mut self.nodes[node.index()];
-        let sample = self.environment.sample_noisy(rt.pos, now, &mut rt.rng);
         let mut ctx = GroupCtx {
             now,
             cfg: &self.config.middleware,
             spec: self.program.spec(tid),
             subscriptions: self.program.subscriptions(tid),
-            sample: &sample,
+            sensors: &self.environment,
+            reading: None,
             position: rt.pos,
             rng: &mut rt.rng,
             telemetry,

@@ -10,8 +10,10 @@ use envirotrack::core::aggregate::{AggValue, AggregateFn, AggregateInput};
 use envirotrack::core::context::ContextTypeId;
 use envirotrack::core::events::SystemEvent;
 use envirotrack::core::prelude::*;
+use envirotrack::core::report::telemetry_to_jsonl;
 use envirotrack::sim::time::{SimDuration, Timestamp};
 use envirotrack::world::scenario::{MultiTargetScenario, TankScenario};
+use envirotrack::world::sensing::NoiseModel;
 use envirotrack::world::target::Channel;
 
 /// The paper's Figure-2 tracker program.
@@ -223,6 +225,36 @@ fn same_seed_reproduces_the_event_history() {
     );
     assert!(!a.is_empty());
     assert_ne!(a, c, "different seeds should differ somewhere");
+}
+
+/// Sensor noise is drawn from the sampling node's own stream at the
+/// moment a handler first reads its sample, so a noisy run is as
+/// seed-stable as a clean one — and the noise does reach the protocol.
+#[test]
+fn noisy_sensors_keep_runs_seed_deterministic() {
+    fn run(seed: u64, stddev: f64) -> (String, String) {
+        let scenario = TankScenario::default().build();
+        let noise = NoiseModel::none().with_channel(Channel::Magnetic, stddev);
+        let mut engine = SensorNetwork::build_engine(
+            tracker_program(),
+            scenario.deployment,
+            scenario.environment.with_noise(noise),
+            NetworkConfig::default(),
+            seed,
+        );
+        engine.run_until(Timestamp::from_secs(80));
+        let world = engine.world();
+        (
+            world
+                .run_record(seed, SimDuration::from_secs(80), 0)
+                .to_json(),
+            telemetry_to_jsonl(world.telemetry()),
+        )
+    }
+    let noisy = run(11, 0.3);
+    assert_eq!(noisy, run(11, 0.3), "same seed, same noise, same bytes");
+    assert!(noisy.1.contains("group.form"), "the noisy run still tracks");
+    assert_ne!(noisy, run(11, 0.0), "the noise must be observable");
 }
 
 #[test]
