@@ -91,10 +91,7 @@ fn apply_fault(
         .note_fault(k.now(), event.describe());
     match event {
         FaultEvent::Crash(node) => w.kill_node(node),
-        FaultEvent::Reboot(node) => {
-            w.revive_node(node);
-            w.sense_tick(k, node);
-        }
+        FaultEvent::Reboot(node) => w.revive_node(node),
         FaultEvent::BatteryBudget { node, millijoules } => {
             budgets.borrow_mut().push((node, millijoules));
         }

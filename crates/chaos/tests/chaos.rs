@@ -274,6 +274,46 @@ prop_test! {
     }
 }
 
+/// A node has one sensing loop for life. It idles through a crash and
+/// resumes on reboot, so *k* crash/reboot cycles can only lose sense tasks
+/// to downtime — a reboot that started a second loop would double the
+/// node's sampling rate (and its CPU load) each time.
+#[test]
+fn reboots_never_add_a_sensing_loop() {
+    fn admitted_after(reboots: u64) -> u64 {
+        let (program, _, _) = small_world();
+        let mut engine = SensorNetwork::build_engine(
+            program,
+            Deployment::grid(1, 1, 1.0),
+            Environment::new(),
+            NetworkConfig::default(),
+            3,
+        );
+        let node = engine.world().deployment().ids().next().unwrap();
+        let plan = (0..reboots).fold(FaultPlan::new(), |plan, i| {
+            plan.at(Timestamp::from_secs(2 + 4 * i), FaultEvent::Crash(node))
+                .at(Timestamp::from_secs(3 + 4 * i), FaultEvent::Reboot(node))
+        });
+        let _monitor = harness::install(&mut engine, plan, 3, MonitorConfig::default());
+        engine.run_until(Timestamp::from_secs(20));
+        engine.world().cpu_totals().0
+    }
+    let fault_free = admitted_after(0);
+    assert!(fault_free > 0, "an idle node still runs its sense tasks");
+    for reboots in [1, 3] {
+        let admitted = admitted_after(reboots);
+        assert!(
+            admitted <= fault_free,
+            "{reboots} reboots admitted {admitted} sense tasks, {fault_free} without faults"
+        );
+        // One second down per cycle: most of the loop's ticks remain.
+        assert!(
+            admitted >= fault_free * (20 - 2 * reboots) / 20,
+            "{reboots} reboots left only {admitted} of {fault_free} sense tasks"
+        );
+    }
+}
+
 /// A chaos cell is a pure function of its spec: running the same cell
 /// twice — as two sweep workers would — yields byte-identical records.
 #[test]

@@ -640,8 +640,9 @@ impl SensorNetwork {
     /// directory entries, and every in-flight query or ack are gone. Only
     /// the link/transport sequence bases survive, as a nonvolatile boot
     /// counter — reusing sequence numbers would trip peers' dedup windows.
-    /// Its sensing loop must be restarted by scheduling
-    /// [`SensorNetwork::sense_tick`].
+    /// Its sensing loop needs no restart: a dead node's loop keeps ticking
+    /// (doing nothing) and resumes work on the first tick after revival,
+    /// on the phase it always had.
     pub fn revive_node(&mut self, node: NodeId) {
         let rt = &mut self.nodes[node.index()];
         rt.alive = true;
@@ -791,7 +792,7 @@ impl SensorNetwork {
     /// central scheduler (transmit side) *and* on every shard's executor
     /// (delivery masking, burst chains — installing is draw-free); node
     /// faults act only on the owning shard, which alone drives the node.
-    pub fn apply_shard_fault(&mut self, k: &mut Kernel<SensorNetwork>, fault: &ShardFault) {
+    pub fn apply_shard_fault(&mut self, fault: &ShardFault) {
         match fault {
             ShardFault::Partition(groups) => self.set_partition(Some(groups.clone())),
             ShardFault::ClearPartition => self.set_partition(None),
@@ -807,10 +808,6 @@ impl SensorNetwork {
             ShardFault::Revive(node) => {
                 if self.owns(*node) {
                     self.revive_node(*node);
-                    // Restart the sensing loop at the barrier itself: the
-                    // tick draws nothing from the kernel, so reviving is as
-                    // deterministic as the crash.
-                    self.sense_tick(k, *node);
                 }
             }
         }
@@ -1045,10 +1042,11 @@ impl SensorNetwork {
     // Event handlers
     // ------------------------------------------------------------------
 
-    /// One sensing tick on `node`: sample the environment, drive every
-    /// context-type machine, reschedule. Public so harnesses can restart a
-    /// revived node's loop.
-    pub fn sense_tick(&mut self, k: &mut Kernel<SensorNetwork>, node: NodeId) {
+    /// One sensing tick on `node`: reschedule, then drive every
+    /// context-type machine. Each owned node has exactly one such loop,
+    /// started by `bootstrap`; it outlives crashes (a dead node's tick
+    /// only reschedules), so nothing may start a second one.
+    fn sense_tick(&mut self, k: &mut Kernel<SensorNetwork>, node: NodeId) {
         // The sensing period elapses on the node's *local* clock: skewed
         // clocks sample faster or slower than global time.
         let period = self.nodes[node.index()]

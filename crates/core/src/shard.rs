@@ -476,7 +476,7 @@ pub fn run_sharded(
                                 barrier,
                                 move |w: &mut SensorNetwork, k| {
                                     for f in &faults {
-                                        w.apply_shard_fault(k, f);
+                                        w.apply_shard_fault(f);
                                     }
                                     w.inject_shard_resolved(k, resolved);
                                 },

@@ -130,13 +130,8 @@ fn revived_node_rejoins_cleanly() {
     let (leader, label) = engine.world().leaders_of_type(TRACKER)[0];
     engine.world_mut().kill_node(leader);
     engine.run_until(Timestamp::from_secs(55));
-    // Revive with amnesia and restart its sensing loop.
+    // Revive with amnesia; its sensing loop resumes on its own.
     engine.world_mut().revive_node(leader);
-    engine
-        .kernel_mut()
-        .schedule_at(Timestamp::from_secs(55), move |w: &mut SensorNetwork, k| {
-            w.sense_tick(k, leader);
-        });
     engine.run_until(Timestamp::from_secs(90));
     let world = engine.world();
     let leaders = world.leaders_of_type(TRACKER);
