@@ -189,12 +189,9 @@ impl GroupCtx<'_> {
     /// The node's local sensor sample for this input: taken (and its noise
     /// drawn from `rng`) on the first call, the same reading thereafter.
     pub fn sample(&mut self) -> SensorSample {
-        if let Some(reading) = self.reading {
-            return reading;
-        }
-        let reading = self.sensors.sample_at(self.position, self.now, self.rng);
-        self.reading = Some(reading);
-        reading
+        *self
+            .reading
+            .get_or_insert_with(|| self.sensors.sample_at(self.position, self.now, self.rng))
     }
 }
 

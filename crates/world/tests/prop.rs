@@ -88,10 +88,12 @@ fn reference_sample(
     out
 }
 
-/// One random falloff of each of the five kinds, radii drawn from a short
-/// menu so several emissions share a boundary.
+/// The short menu emission radii are drawn from, so several emissions
+/// share a boundary and probes can sit exactly on one.
+const RADII: [f64; 4] = [0.0, 1.0, 2.5, 6.0];
+
+/// One random falloff of any of the five kinds.
 fn random_falloff(rng: &mut SimRng) -> Falloff {
-    const RADII: [f64; 4] = [0.0, 1.0, 2.5, 6.0];
     let radius = RADII[rng.below(4) as usize];
     match rng.below(5) {
         0 => Falloff::Disk { radius },
@@ -236,7 +238,7 @@ prop_test! {
             // along an axis; the rest roam a field wider than any radius.
             let pos = match rng.choose(&targets) {
                 Some(target) if rng.chance(0.5) => {
-                    let r = [0.0, 1.0, 2.5, 6.0][rng.below(4) as usize];
+                    let r = RADII[rng.below(4) as usize];
                     let c = target.position_at(t);
                     if rng.chance(0.5) {
                         Point::new(c.x + r, c.y)

@@ -9,10 +9,12 @@
 # builds both sides, then runs the BENCHMARK.json command on the parent
 # and on this working tree <pairs> times, alternating which side goes
 # first. For every end-to-end metric it prints each side's median and
-# quartiles, how many pairs the change won, and whether that meets the
-# rule for claiming a gain: at least nine tenths of the pairs won (ties
-# count for neither side) and medians further apart than the parent's own
-# interquartile range. Exits 1 if any run reports failed operations.
+# quartiles, how many pairs the change won, and a verdict: "gain" when
+# at least nine tenths of the pairs were won (ties count for neither side)
+# and the medians lie further apart than the parent's own interquartile
+# range; otherwise whether the change's median stays within the bound
+# BENCHMARK.json fixes for that metric. Exits 1 if any run reports failed
+# operations.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,7 +27,7 @@ seed="${SEED:-1}"
 # The command, run length and metric directions come from BENCHMARK.json.
 read -r -a cmd <<< "$(sed -n 's/^ *"command": *\[\(.*\)\],*$/\1/p' BENCHMARK.json | tr -d '",')"
 seconds="$(sed -n 's/^ *"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)"
-metrics="$(sed -n 's/.*"name": *"\([^"]*\)".*"better": *"\([^"]*\)".*"bound".*/\1 \2/p' BENCHMARK.json)"
+metrics="$(sed -n 's/.*"name": *"\([^"]*\)".*"better": *"\([^"]*\)".*"bound": *\([0-9.]*\).*/\1 \2 \3/p' BENCHMARK.json)"
 [ "${#cmd[@]}" -gt 0 ] && [ -n "$seconds" ] && [ -n "$metrics" ] \
   || { echo "bench_pairs: could not read BENCHMARK.json" >&2; exit 2; }
 grep -q "\"name\": *\"$workload\"" BENCHMARK.json \
@@ -69,7 +71,7 @@ for i in $(seq 1 "$pairs"); do
     | awk '{ printf "%s %s -> %s   ", $1, $2, $4 }')" >&2
 done
 
-while read -r metric better; do
+while read -r metric better bound; do
   awk -v m="$metric" '$1 == m { print $2, $3 }' "$out/pairs" > "$out/m"
   cut -d ' ' -f 1 "$out/m" | sort -g > "$out/p.sorted"
   cut -d ' ' -f 2 "$out/m" | sort -g > "$out/c.sorted"
@@ -80,13 +82,16 @@ while read -r metric better; do
     print q[1], q[2], q[3] }' "$1"; }
   read -r p1 p2 p3 <<< "$(quart "$out/p.sorted")"
   read -r c1 c2 c3 <<< "$(quart "$out/c.sorted")"
-  awk -v m="$metric" -v w="$workload" -v better="$better" \
+  awk -v m="$metric" -v w="$workload" -v better="$better" -v bound="$bound" \
       -v p1="$p1" -v p2="$p2" -v p3="$p3" -v c1="$c1" -v c2="$c2" -v c3="$c3" '
     { if ($1 == $2) ties++; else if ((better == "higher") == ($2 > $1)) wins++; n++ }
     END {
       iqr = p3 - p1; gap = (better == "higher") ? c2 - p2 : p2 - c2
+      worse = (p2 != 0) ? -gap / p2 : 0
       verdict = (wins * 10 >= n * 9 && gap > iqr) ? "gain" \
-              : (gap >= 0 || -gap <= iqr) ? "no resolved change" : "WORSE"
+              : (worse > bound) ? sprintf("REGRESSION beyond the %g%% bound", bound * 100) \
+              : (p2 != 0 && iqr / p2 > bound) ? "unresolved, parent spread exceeds the bound" \
+              : sprintf("within the %g%% bound", bound * 100)
       printf "%s %s (%s is better)\n", w, m, better
       printf "  parent  median %-12.6g quartiles [%.6g, %.6g]\n", p2, p1, p3
       printf "  change  median %-12.6g quartiles [%.6g, %.6g]\n", c2, c1, c3
