@@ -43,9 +43,9 @@
 //! byte-for-byte. With `--shards N`, the crosscheck dump runs the sharded
 //! kernel at N shards instead — verify.sh diffs N=1 against N=4, and
 //! `--medium replicated` against `--medium partitioned`, the same way
-//! (sharded runs are their own golden family: every frame carries the
-//! uniform epoch pipeline latency, so they are compared across shard
-//! counts and medium modes, never against the monolithic dump).
+//! (sharded frames carry the uniform epoch latency, so these dumps are
+//! byte-compared across shard counts and medium modes only;
+//! `tests/shard_determinism.rs` relates them to the monolithic dump).
 //!
 //! [`ScaleScenario`]: envirotrack_world::scenario::ScaleScenario
 

@@ -46,8 +46,6 @@ pub struct ScaleRun {
     /// Virtual time to simulate. Fixed across node counts so events/sec
     /// compares apples to apples.
     pub horizon: SimDuration,
-    /// Neighbor-table construction strategy.
-    pub topology: NeighborStrategy,
     /// Wire codec serialising every frame. The radio charges the
     /// canonical binary length either way, so this toggle must not move a
     /// single event — it exists to cross-check the codecs against each
@@ -66,7 +64,6 @@ impl Default for ScaleRun {
             speed_hops_per_s: 1.0,
             comm_radius: 2.5,
             horizon: SimDuration::from_secs(10),
-            topology: NeighborStrategy::Grid,
             codec: WireCodec::Binary,
             seed: 1,
         }
@@ -115,7 +112,6 @@ pub fn run_scale(cfg: &ScaleRun) -> ScalePoint {
     .build();
     let mut net_cfg = NetworkConfig::default();
     net_cfg.radio = net_cfg.radio.with_comm_radius(cfg.comm_radius);
-    net_cfg.radio.topology = cfg.topology;
     net_cfg.radio.codec = cfg.codec;
     // Same footprint coupling as the tracking harness: cross-label
     // proximity only matters within one stimulus's reach.
@@ -229,7 +225,6 @@ pub fn crosscheck_dump(cfg: &ScaleRun) -> (String, String, u64, u64) {
     .build();
     let mut net_cfg = NetworkConfig::default();
     net_cfg.radio = net_cfg.radio.with_comm_radius(cfg.comm_radius);
-    net_cfg.radio.topology = cfg.topology;
     net_cfg.radio.codec = cfg.codec;
     net_cfg.middleware.proximity_radius = 3.0;
     let mut engine = SensorNetwork::build_engine(
@@ -298,7 +293,6 @@ pub fn run_scale_sharded(cfg: &ScaleRun, shards: usize, medium: MediumMode) -> S
     .build();
     let mut net_cfg = NetworkConfig::default();
     net_cfg.radio = net_cfg.radio.with_comm_radius(cfg.comm_radius);
-    net_cfg.radio.topology = cfg.topology;
     net_cfg.radio.codec = cfg.codec;
     net_cfg.middleware.proximity_radius = 3.0;
 
@@ -447,18 +441,6 @@ mod tests {
         assert_eq!(a.handovers, b.handovers);
         assert!(a.events > 0, "a 200-node field must execute events");
         assert!(a.labels_created >= 1, "targets should be detected: {a:?}");
-    }
-
-    #[test]
-    fn topology_toggle_does_not_change_the_audit() {
-        let grid = run_scale(&small());
-        let brute = run_scale(&ScaleRun {
-            topology: NeighborStrategy::BruteForce,
-            ..small()
-        });
-        assert_eq!(grid.events, brute.events);
-        assert_eq!(grid.labels_created, brute.labels_created);
-        assert_eq!(grid.handovers, brute.handovers);
     }
 
     #[test]

@@ -1,17 +1,22 @@
-//! Determinism pins for the observably-equivalent implementation pairs:
-//! a fixed-seed 2k-node tracking run must be *byte-identical* — telemetry
-//! JSONL and the run record — whether the neighbor table is built by the
-//! grid or by the all-pairs scan, and whether frames carry the binary or
-//! the JSON wire codec. Both knobs feed every downstream stream (delivery
-//! order, RNG draws, timers), so any ordering difference would show up
-//! here long before it corrupted a golden digest.
+//! Determinism pin for the observably-equivalent codec pair: a fixed-seed
+//! 2k-node tracking run must be *byte-identical* — telemetry JSONL and the
+//! run record — whether frames carry the binary or the JSON wire codec.
+//! The codec feeds every downstream stream (delivery order, RNG draws,
+//! timers), so any ordering difference would show up here long before it
+//! corrupted a golden digest.
+//!
+//! The grid-vs-brute-force run pin that used to live here went with the
+//! `RadioConfig.topology` knob: the medium always builds its table with
+//! the spatial grid, and what that pin checked (identical tables ⇒
+//! identical runs) rests on the list-equality property suites in
+//! `world/tests/prop.rs` (`grid_neighbor_tables_equal_brute_force*`),
+//! which compare the two constructions directly.
 
 use envirotrack_bench::harness::tracker_program;
 use envirotrack_core::network::{NetworkConfig, SensorNetwork};
 use envirotrack_core::report::telemetry_to_jsonl;
 use envirotrack_core::wire::WireCodec;
 use envirotrack_sim::time::{SimDuration, Timestamp};
-use envirotrack_world::grid::NeighborStrategy;
 use envirotrack_world::scenario::ScaleScenario;
 
 /// Bounded horizon: the pin runs in the debug profile under
@@ -20,11 +25,7 @@ use envirotrack_world::scenario::ScaleScenario;
 const HORIZON: SimDuration = SimDuration::from_secs(3);
 const SEED: u64 = 7;
 
-fn run(strategy: NeighborStrategy) -> (String, String) {
-    run_with_codec(strategy, WireCodec::Binary)
-}
-
-fn run_with_codec(strategy: NeighborStrategy, codec: WireCodec) -> (String, String) {
+fn run_with_codec(codec: WireCodec) -> (String, String) {
     let scenario = ScaleScenario {
         nodes: 2_000,
         targets: 2,
@@ -35,7 +36,6 @@ fn run_with_codec(strategy: NeighborStrategy, codec: WireCodec) -> (String, Stri
     .build();
     let mut net_cfg = NetworkConfig::default();
     net_cfg.radio = net_cfg.radio.with_comm_radius(2.5);
-    net_cfg.radio.topology = strategy;
     net_cfg.radio.codec = codec;
     let mut engine = SensorNetwork::build_engine(
         tracker_program(),
@@ -50,24 +50,6 @@ fn run_with_codec(strategy: NeighborStrategy, codec: WireCodec) -> (String, Stri
         telemetry_to_jsonl(world.telemetry()),
         world.run_record(SEED, HORIZON, 0).to_json(),
     )
-}
-
-#[test]
-fn fixed_seed_2k_node_run_is_byte_identical_under_grid_and_brute_force() {
-    let (grid_telemetry, grid_record) = run(NeighborStrategy::Grid);
-    let (brute_telemetry, brute_record) = run(NeighborStrategy::BruteForce);
-    assert!(
-        grid_telemetry.contains("group.hb"),
-        "the pin must cover live protocol traffic, not an idle field"
-    );
-    assert_eq!(
-        grid_telemetry, brute_telemetry,
-        "telemetry JSONL diverged between grid and brute-force topologies"
-    );
-    assert_eq!(
-        grid_record, brute_record,
-        "run record diverged between grid and brute-force topologies"
-    );
 }
 
 /// The CRC trailer rides inside the canonical binary frame, so it is part
@@ -115,8 +97,8 @@ fn airtime_charges_include_the_crc_trailer_under_either_codec() {
 
 #[test]
 fn fixed_seed_2k_node_run_is_byte_identical_under_binary_and_json_codecs() {
-    let (bin_telemetry, bin_record) = run_with_codec(NeighborStrategy::Grid, WireCodec::Binary);
-    let (json_telemetry, json_record) = run_with_codec(NeighborStrategy::Grid, WireCodec::Json);
+    let (bin_telemetry, bin_record) = run_with_codec(WireCodec::Binary);
+    let (json_telemetry, json_record) = run_with_codec(WireCodec::Json);
     assert!(
         bin_telemetry.contains("group.hb"),
         "the pin must cover live protocol traffic, not an idle field"

@@ -3,18 +3,26 @@
 //! scheduling, barrier batching, and interest routing must never show
 //! through. This extends the byte-identical contract of
 //! `sweep_determinism.rs` (worker count) and `scale_determinism.rs`
-//! (topology/codec toggles) to the lock-step sharded kernel in
+//! (codec toggle) to the lock-step sharded kernel in
 //! `envirotrack_core::shard`, including under a chaos plan that partitions
 //! the field, injects link faults and burst loss, and crashes a node
 //! mid-run. The replicated medium (every resolved transmission routed to
 //! every shard) is the full-replay reference; the partitioned medium
 //! (interest-routed delivery) must match it byte-for-byte at 1/2/4/8
 //! shards while replaying strictly less.
+//!
+//! The last test relates the sharded family to the monolithic engine. Both
+//! run the one channel pipeline of `envirotrack_net::medium` — the
+//! monolithic engine inline with zero added latency, a sharded run through
+//! the central scheduler at `request + L` — so their bytes legitimately
+//! differ; what the `+L` must not move is pinned there.
 
 use envirotrack_bench::harness::tracker_program;
-use envirotrack_core::network::NetworkConfig;
+use envirotrack_core::network::{NetworkConfig, SensorNetwork};
+use envirotrack_core::report::telemetry_to_jsonl;
 use envirotrack_core::shard::{run_sharded, IntentStats, MediumMode, ShardFault};
-use envirotrack_net::medium::{GilbertElliott, LinkFaults};
+use envirotrack_core::wire::kinds;
+use envirotrack_net::medium::{GilbertElliott, KindStats, LinkFaults};
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::NodeId;
 use envirotrack_world::scenario::ScaleScenario;
@@ -187,6 +195,144 @@ fn interest_routing_reduces_replay_work_and_reuses_buffers() {
         assert!(
             stats.resolved_buf_allocs <= 2 * shards as u64,
             "route buffers must be reused: {stats:?}"
+        );
+    }
+}
+
+/// Reads one counter out of a `telemetry_to_jsonl`-format stream (0 when
+/// the counter never fired).
+fn counter(jsonl: &str, name: &str) -> u64 {
+    let prefix = format!("{{\"t\":\"counter\",\"name\":\"{name}\",\"value\":");
+    jsonl
+        .lines()
+        .find_map(|l| l.strip_prefix(prefix.as_str()))
+        .map_or(0, |rest| {
+            rest.trim_end_matches('}')
+                .parse()
+                .expect("counter value is an integer")
+        })
+}
+
+/// (transmission, in-range receiver) pairs a kind's loss ratio is over.
+fn pairs(ks: &KindStats) -> u64 {
+    ks.rx + ks.faded + ks.collided + ks.half_duplex + ks.burst_faded + ks.partition_dropped
+}
+
+/// The monolithic engine is the zero-latency case of the pipeline a
+/// sharded run drives at `request + L` (`epoch_latency`, 6 ms here), so the
+/// two are different sample paths of the same protocol over the same
+/// channel process. On the 2k-node field (2 targets at 1 hop/s, 20 s) the
+/// paper-level metrics must agree within these bounds, each derived from
+/// the model rather than fitted to the runs:
+///
+/// * **`labels_created`** — one label per target, plus one per formation
+///   race; every race ends with the lighter label suppressed
+///   (`tests/tracking_coherence.rs`), so a run mints `targets +
+///   labels_suppressed` labels and two runs differ by at most the sum of
+///   their `labels_suppressed`.
+/// * **`handovers`** — nominally one per target per hop travelled, the
+///   same in both runs up to one handover per target in flight at the
+///   horizon. The count leaves the nominal only where a relinquish fails
+///   and the leader dissolves: the receive timer (2.1 × the 0.5 s heartbeat
+///   period, plus ≤ 50 ms takeover jitter ≈ 1.1 s) then lets the target
+///   advance ≤ 1.1 hops, so the takeover replaces at most two nominal
+///   handovers — one short per `group.dissolve`. Hence `|Δ| ≤ targets +
+///   dissolves(mono) + dissolves(sharded)`.
+/// * **per-kind `pair_loss_ratio`** — each pair is lost with some
+///   probability `p`; the test asserts `p ≤ 0.2` (5 % fade plus the
+///   collisions of a two-target field), which caps the per-pair variance
+///   at 0.16, so the difference of the two ratios over `Na` and `Nb` pairs
+///   has σ ≤ sqrt(0.16·(1/Na + 1/Nb)). The bound is 4σ (≈ 0.045 for the
+///   ~2.5k heartbeat pairs of a run; 12 comparisons ⇒ a false alarm under
+///   1 in 1000), applied to every kind with ≥ 200 pairs on both sides —
+///   heartbeats and reports must be among them. Collisions lose a
+///   transmission's pairs together rather than independently; the cap
+///   leaves room for that (observed loss is ≈ 0.05, variance ≈ 0.05).
+#[test]
+fn monolithic_and_one_shard_runs_agree_on_paper_level_metrics() {
+    const TARGETS: u32 = 2;
+    let horizon = SimDuration::from_secs(20);
+    for seed in [7u64, 8, 9, 10] {
+        let scenario = ScaleScenario {
+            nodes: NODES,
+            targets: TARGETS,
+            speed_hops_per_s: 1.0,
+            seed,
+            ..ScaleScenario::default()
+        }
+        .build();
+        let mut net_cfg = NetworkConfig::default();
+        net_cfg.radio = net_cfg.radio.with_comm_radius(2.5);
+
+        let mut engine = SensorNetwork::build_engine(
+            tracker_program(),
+            scenario.deployment.clone(),
+            scenario.environment.clone(),
+            net_cfg.clone(),
+            seed,
+        );
+        engine.run_until(Timestamp::ZERO + horizon);
+        let mono = engine.world();
+        let mono_rec = mono.run_record(seed, horizon, 0);
+        let mono_tel = telemetry_to_jsonl(mono.telemetry());
+        let sharded = run_sharded(
+            &tracker_program(),
+            &scenario.deployment,
+            &scenario.environment,
+            &net_cfg,
+            seed,
+            1,
+            Timestamp::ZERO + horizon,
+            &[],
+            MediumMode::Partitioned,
+        );
+
+        let label_tol = mono_rec.labels_suppressed + sharded.record.labels_suppressed;
+        assert!(
+            mono_rec.labels_created.abs_diff(sharded.record.labels_created) <= label_tol,
+            "seed {seed}: labels {} (monolithic) vs {} (sharded), tolerance {label_tol}",
+            mono_rec.labels_created,
+            sharded.record.labels_created
+        );
+        assert!(
+            mono_rec.labels_created >= u64::from(TARGETS),
+            "seed {seed}: both targets must be tracked"
+        );
+
+        let handover_tol = u64::from(TARGETS)
+            + counter(&mono_tel, "group.dissolve")
+            + counter(&sharded.telemetry_jsonl, "group.dissolve");
+        assert!(
+            mono_rec.handovers.abs_diff(sharded.record.handovers) <= handover_tol,
+            "seed {seed}: handovers {} (monolithic) vs {} (sharded), tolerance {handover_tol}",
+            mono_rec.handovers,
+            sharded.record.handovers
+        );
+        assert!(
+            mono_rec.handovers.min(sharded.record.handovers) > 2 * handover_tol,
+            "seed {seed}: too few handovers for the tolerance to mean anything"
+        );
+
+        let mut checked = Vec::new();
+        for (&kind, a) in &mono.net_stats().per_kind {
+            let b = sharded.net.per_kind.get(&kind).copied().unwrap_or_default();
+            let (na, nb) = (pairs(a), pairs(&b));
+            if na.min(nb) < 200 {
+                continue;
+            }
+            let (pa, pb) = (a.pair_loss_ratio(), b.pair_loss_ratio());
+            assert!(pa <= 0.2 && pb <= 0.2, "seed {seed} kind {kind}: loss {pa} / {pb}");
+            let bound = 4.0 * (0.16 * (1.0 / na as f64 + 1.0 / nb as f64)).sqrt();
+            assert!(
+                (pa - pb).abs() <= bound,
+                "seed {seed} kind {kind}: pair loss {pa:.4} over {na} pairs (monolithic) vs \
+                 {pb:.4} over {nb} (sharded), bound {bound:.4}"
+            );
+            checked.push(kind);
+        }
+        assert!(
+            checked.contains(&kinds::HEARTBEAT.0) && checked.contains(&kinds::REPORT.0),
+            "seed {seed}: heartbeats and reports must carry enough pairs, checked {checked:?}"
         );
     }
 }

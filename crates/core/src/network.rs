@@ -50,8 +50,8 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use envirotrack_net::medium::{
-    DeliveryOutcome, DeliveryReport, GilbertElliott, LinkFaults, Medium, NetStats, RadioConfig,
-    ResolvedTx, TxId, TxKey,
+    DeliveryOutcome, GilbertElliott, LinkFaults, Medium, NetStats, RadioConfig, ResolvedTx, TxId,
+    TxKey,
 };
 use envirotrack_net::packet::{Frame, FrameKind, LinkDest, WireCodec};
 use envirotrack_net::routing::GeoRouter;
@@ -74,7 +74,7 @@ use crate::events::{EventLog, HandoverReason, SystemEvent};
 use crate::group::{AggregateHealth, GroupAction, GroupCtx, GroupMachine, GroupTimer, RoleKind};
 use crate::object::IncomingMessage;
 use crate::report::{BaseStationLog, ReportEntry, RunRecord};
-use crate::shard::{OutIntent, ShardFault, ShardState};
+use crate::shard::{ShardFault, ShardState};
 use crate::transport::{LeaderLoc, MtpState, Outstanding, Port, RetxPolicy};
 use crate::wire::{
     BaseReport, DirQuery, DirRegister, DirResponse, DirSync, GeoForward, Heartbeat, Message,
@@ -368,32 +368,17 @@ impl SensorNetwork {
         config: NetworkConfig,
         seed: u64,
     ) -> Engine<SensorNetwork> {
-        let world = SensorNetwork::new(program, deployment, environment, config, seed);
-        let telemetry = world.telemetry().clone();
-        let mut engine = Engine::new(world, seed);
-        engine.kernel_mut().attach_telemetry(telemetry);
-        engine
-            .kernel_mut()
-            .schedule_at(Timestamp::ZERO, |w: &mut SensorNetwork, k| {
-                w.bootstrap(k);
-            });
-        engine
+        SensorNetwork::new(program, deployment, environment, config, seed).into_engine(seed)
     }
 
     /// Builds one shard's replica of a sharded run: a complete world whose
     /// handlers drive only the nodes `shard_assignment` maps to
     /// `shard_idx`, with transmit requests diverted to the epoch outbox and
-    /// the medium switched to executor mode — it never resolves a transmit
-    /// side itself, only ingests the [`ResolvedTx`]es the orchestrator's
-    /// central `ChannelScheduler` routes here and resolves outcomes for
-    /// owned receivers. Drive the result through
-    /// [`crate::shard::run_sharded`], which owns the barrier protocol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_idx >= shards` or `shards` is zero.
-    #[must_use]
-    pub fn build_engine_sharded(
+    /// the medium narrowed to the receiver side of those nodes — it only
+    /// ingests the [`ResolvedTx`]es the orchestrator's central
+    /// `ChannelScheduler` routes here. [`crate::shard::run_sharded`] owns
+    /// the barrier protocol that drives the result.
+    pub(crate) fn build_engine_sharded(
         program: Arc<Program>,
         deployment: Deployment,
         environment: Environment,
@@ -402,7 +387,6 @@ impl SensorNetwork {
         shards: usize,
         shard_idx: usize,
     ) -> Engine<SensorNetwork> {
-        assert!(shards >= 1, "at least one shard is required");
         assert!(shard_idx < shards, "shard index {shard_idx} out of {shards}");
         let mut world = SensorNetwork::new(program, deployment, environment, config, seed);
         let owners = envirotrack_world::grid::shard_assignment(
@@ -411,11 +395,16 @@ impl SensorNetwork {
             shards,
         );
         let owned: Vec<bool> = owners.iter().map(|&s| s == shard_idx).collect();
-        let latency = world.config.radio.epoch_latency();
         world.medium.enable_shard_exec(owned.clone());
-        world.shard = Some(ShardState::new(shard_idx, shards, owned, latency));
-        let telemetry = world.telemetry().clone();
-        let mut engine = Engine::new(world, seed);
+        world.shard = Some(ShardState::new(owned));
+        world.into_engine(seed)
+    }
+
+    /// Wraps the world in an engine with telemetry attached and the
+    /// bootstrap scheduled at time zero.
+    fn into_engine(self, seed: u64) -> Engine<SensorNetwork> {
+        let telemetry = self.telemetry.clone();
+        let mut engine = Engine::new(self, seed);
         engine.kernel_mut().attach_telemetry(telemetry);
         engine
             .kernel_mut()
@@ -519,11 +508,6 @@ impl SensorNetwork {
     #[must_use]
     pub fn net_stats(&self) -> &NetStats {
         self.medium.stats()
-    }
-
-    /// Resets channel statistics (e.g. after warm-up).
-    pub fn reset_net_stats(&mut self) {
-        self.medium.reset_stats();
     }
 
     /// The ground-truth environment.
@@ -694,12 +678,6 @@ impl SensorNetwork {
         self.medium.set_link_faults(faults);
     }
 
-    /// Whether link-level fault injection is currently active.
-    #[must_use]
-    pub fn link_faults_active(&self) -> bool {
-        self.medium.link_faults_active()
-    }
-
     /// Delivers a frame straight into one node's receive path, exactly as
     /// the medium does after airtime. A corruption-corpus hook: tests
     /// build a frame (stamping [`Frame::shadow`] from the pristine
@@ -713,18 +691,15 @@ impl SensorNetwork {
     // Sharded execution (driven by `shard::run_sharded`)
     // ------------------------------------------------------------------
 
-    /// Takes the transmit requests captured since the last epoch barrier.
-    /// Empty for monolithic worlds.
-    pub fn drain_shard_outbox(&mut self) -> Vec<OutIntent> {
-        self.shard.as_mut().map_or_else(Vec::new, ShardState::drain)
-    }
-
-    /// Hands a drained outbox buffer back for capacity reuse. A no-op on
-    /// monolithic worlds.
-    pub fn restore_shard_outbox(&mut self, buf: Vec<OutIntent>) {
-        if let Some(shard) = &mut self.shard {
-            shard.restore(buf);
-        }
+    /// This replica's sharding state (outbox, buffer pools).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a monolithic world.
+    pub(crate) fn shard_mut(&mut self) -> &mut ShardState {
+        self.shard
+            .as_mut()
+            .expect("not a shard replica built by run_sharded")
     }
 
     /// Takes the keys of transmissions that delivered to at least one owned
@@ -732,19 +707,6 @@ impl SensorNetwork {
     /// `tx_lost` settlement. Empty for monolithic worlds.
     pub fn drain_shard_delivered(&mut self) -> Vec<TxKey> {
         self.medium.drain_delivered_keys()
-    }
-
-    /// Pops one emptied resolved-batch buffer for the ride back to the
-    /// orchestrator. `None` for monolithic worlds.
-    pub fn take_shard_spare(&mut self) -> Option<Vec<ResolvedTx>> {
-        self.shard.as_mut().and_then(ShardState::take_spare_resolved)
-    }
-
-    /// Outbox buffer allocations so far (the buffer-reuse pin); 0 for
-    /// monolithic worlds.
-    #[must_use]
-    pub fn shard_outbox_allocs(&self) -> u64 {
-        self.shard.as_ref().map_or(0, ShardState::outbox_allocs)
     }
 
     /// Ingests the routed slice of one globally-resolved batch, in batch
@@ -758,17 +720,12 @@ impl SensorNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if the world was not built with
-    /// [`SensorNetwork::build_engine_sharded`].
+    /// Panics on a monolithic world.
     pub fn inject_shard_resolved(
         &mut self,
         k: &mut Kernel<SensorNetwork>,
         mut batch: Vec<ResolvedTx>,
     ) {
-        assert!(
-            self.shard.is_some(),
-            "inject_shard_resolved requires a sharded world"
-        );
         for rtx in batch.drain(..) {
             let src = rtx.frame.src;
             if self.owns(src) {
@@ -780,12 +737,10 @@ impl SensorNetwork {
             }
             let (local, completes_at) = self.medium.ingest_resolved(rtx);
             k.schedule_at(completes_at, move |w: &mut SensorNetwork, k| {
-                w.shard_transmission_complete(k, local);
+                w.transmission_complete(k, TxId(local));
             });
         }
-        if let Some(shard) = &mut self.shard {
-            shard.stash_resolved(batch);
-        }
+        self.shard_mut().stash_resolved(batch);
     }
 
     /// Applies one barrier-quantized fault. Channel faults install on the
@@ -997,8 +952,7 @@ impl SensorNetwork {
     /// comes from the caller's invariant monitor (0 without one).
     #[must_use]
     pub fn run_record(&self, seed: u64, elapsed: SimDuration, violations: u64) -> RunRecord {
-        let stats = self.medium.stats();
-        RunRecord {
+        let mut record = RunRecord {
             seed,
             elapsed,
             labels_created: self.events.count(|e| {
@@ -1011,23 +965,6 @@ impl SensorNetwork {
                 matches!(e, SystemEvent::LeaderHandover { .. })
             }) as u64,
             base_reports: self.base_log.len() as u64,
-            hb_loss: stats.kind(crate::wire::kinds::HEARTBEAT).tx_loss_ratio(),
-            report_loss: stats.kind(crate::wire::kinds::REPORT).tx_loss_ratio(),
-            pair_loss: {
-                let mut agg = envirotrack_net::medium::KindStats::default();
-                for ks in stats.per_kind.values() {
-                    agg.rx += ks.rx;
-                    agg.faded += ks.faded;
-                    agg.collided += ks.collided;
-                    agg.half_duplex += ks.half_duplex;
-                    agg.burst_faded += ks.burst_faded;
-                    agg.partition_dropped += ks.partition_dropped;
-                }
-                agg.pair_loss_ratio()
-            },
-            burst_faded: stats.sum(|k| k.burst_faded),
-            partition_dropped: stats.sum(|k| k.partition_dropped),
-            mac_dropped: stats.sum(|k| k.mac_dropped),
             mtp_delivered: self.events.count(|e| {
                 matches!(e, SystemEvent::MtpDelivered { .. })
             }) as u64,
@@ -1035,7 +972,10 @@ impl SensorNetwork {
                 matches!(e, SystemEvent::MtpDropped { .. })
             }) as u64,
             violations,
-        }
+            ..RunRecord::default()
+        };
+        record.set_channel(self.medium.stats());
+        record
     }
 
     // ------------------------------------------------------------------
@@ -1117,20 +1057,6 @@ impl SensorNetwork {
     /// before touching any state, so skipping them is behaviour-identical.
     fn transmission_complete(&mut self, k: &mut Kernel<SensorNetwork>, id: TxId) {
         let report = self.medium.deliveries(id);
-        self.dispatch_report(k, report);
-    }
-
-    /// Executor-mode completion for sharded worlds: resolves owned-receiver
-    /// outcomes for the ingested transmission `local` and dispatches them
-    /// through the same path as the monolithic completion.
-    fn shard_transmission_complete(&mut self, k: &mut Kernel<SensorNetwork>, local: u64) {
-        let report = self.medium.exec_deliveries(local);
-        self.dispatch_report(k, report);
-    }
-
-    /// Walks one delivery report and hands intact frames to their
-    /// receivers' protocol handlers.
-    fn dispatch_report(&mut self, k: &mut Kernel<SensorNetwork>, report: DeliveryReport) {
         // A link-duplicated frame is processed twice end to end — that is
         // precisely what the dedup layers (link_seq, MTP seq, hb_seq) are
         // under test against. The broadcast decode cache spans both passes,
@@ -2357,8 +2283,9 @@ impl SensorNetwork {
             return;
         }
         // Sharded runs never touch the medium mid-epoch: the request is
-        // captured and replayed on every shard at the next barrier (see
-        // `inject_shard_batch`), where it is also energy-charged.
+        // captured, resolved centrally at the next barrier and ingested by
+        // the interested shards (see `inject_shard_resolved`), where it is
+        // also energy-charged.
         if let Some(shard) = &mut self.shard {
             debug_assert!(
                 shard.owns(node),

@@ -14,12 +14,14 @@
 //! this module instead of `serde` derives.
 
 use bytes::Bytes;
+use envirotrack_net::medium::{KindStats, NetStats};
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::Telemetry;
 use envirotrack_world::geometry::Point;
 
 use crate::context::{ContextLabel, ContextTypeId};
 use crate::object::payload;
+use crate::wire::kinds;
 
 /// A minimal JSON emitter: just enough to stream flat records as JSON
 /// lines. Strings are escaped per RFC 8259; non-finite floats become
@@ -249,7 +251,7 @@ impl ReportEntry {
 /// violation count from a chaos monitor. With a fixed seed and fault plan
 /// the record is byte-identical across runs — the determinism contract the
 /// chaos tests assert.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunRecord {
     /// The simulation seed.
     pub seed: u64,
@@ -284,6 +286,22 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
+    /// Fills the channel fields from whole-run channel statistics: an
+    /// inline medium's own, or a sharded run's scheduler and shards
+    /// combined.
+    pub fn set_channel(&mut self, net: &NetStats) {
+        let mut all = KindStats::default();
+        for ks in net.per_kind.values() {
+            all.absorb(ks);
+        }
+        self.hb_loss = net.kind(kinds::HEARTBEAT).tx_loss_ratio();
+        self.report_loss = net.kind(kinds::REPORT).tx_loss_ratio();
+        self.pair_loss = all.pair_loss_ratio();
+        self.burst_faded = all.burst_faded;
+        self.partition_dropped = all.partition_dropped;
+        self.mac_dropped = all.mac_dropped;
+    }
+
     /// Encodes the record as one flat JSON object (no trailing newline).
     #[must_use]
     pub fn to_json(&self) -> String {

@@ -11,8 +11,9 @@
 //! dispatch are filtered to owned nodes, so each node's protocol state
 //! machine runs on exactly one shard.
 //!
-//! The only coupling between shards is the radio channel, and it is split
-//! in two (see `envirotrack_net::medium`'s module docs):
+//! The only coupling between shards is the radio channel, whose two-stage
+//! pipeline (see `envirotrack_net::medium`'s module docs) is deployed
+//! split in two:
 //!
 //! * **Transmit side, centralised.** During an epoch no shard touches the
 //!   channel: every transmit request an owned node makes is captured as an
@@ -26,9 +27,10 @@
 //!   length ([`envirotrack_net::medium::RadioConfig::epoch_latency`]): the
 //!   minimum frame airtime plus the receive processing delay, a lower
 //!   bound on how soon *any* frame could reach *any* receiver's handler.
-//! * **Receiver side, partitioned.** Each shard's medium runs in executor
-//!   mode: it ingests the [`ResolvedTx`]es the orchestrator routes to it
-//!   and resolves outcomes for its **owned** receivers only, using keyed
+//! * **Receiver side, partitioned.** Each shard's medium has dropped its
+//!   inline transmit side: it ingests the [`ResolvedTx`]es the
+//!   orchestrator routes to it and resolves outcomes for its **owned**
+//!   receivers only, using keyed
 //!   per-pair fade draws and per-receiver burst streams so that skipping a
 //!   receiver — or never ingesting an irrelevant transmission — consumes
 //!   zero randomness.
@@ -68,9 +70,11 @@
 //! are derived at merge time from the combined scheduler + shard
 //! statistics.
 //!
-//! The uniform `+L` pipeline latency and the central scheduler make a
-//! sharded run its *own* golden family: byte-identical across shard counts
-//! and medium modes, not to the monolithic (`build_engine`) golden.
+//! A sharded run is byte-identical across shard counts and medium modes.
+//! The monolithic (`build_engine`) engine runs the same channel pipeline
+//! inline with zero added latency, so its bytes differ by the uniform
+//! `+L`; `bench/tests/shard_determinism.rs` pins what the `+L` must not
+//! move (labels, handovers, per-kind loss ratios).
 //! `kernel.events` is stripped from the merged telemetry (event counts are
 //! not partition-additive), and trace events are excluded entirely.
 
@@ -82,7 +86,7 @@ use envirotrack_net::medium::{
 };
 use envirotrack_net::packet::Frame;
 use envirotrack_sim::rng::SimRng;
-use envirotrack_sim::time::{SimDuration, Timestamp};
+use envirotrack_sim::time::Timestamp;
 use envirotrack_telemetry::Telemetry;
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::grid::shard_interest_ranges;
@@ -196,18 +200,12 @@ impl IntentStats {
     }
 }
 
-/// Per-world sharding state, attached to a `SensorNetwork` built with
-/// [`SensorNetwork::build_engine_sharded`].
+/// Per-world sharding state, attached to each `SensorNetwork` replica
+/// [`run_sharded`] builds.
 #[derive(Debug)]
 pub struct ShardState {
-    /// This shard's index in `0..shards`.
-    pub shard_idx: usize,
-    /// Total shard count.
-    pub shards: usize,
     /// `owned[node]`: whether this shard drives the node.
     pub owned: Vec<bool>,
-    /// The epoch length `L` (also the uniform transmit pipeline latency).
-    pub latency: SimDuration,
     outbox: Vec<OutIntent>,
     next_seq: Vec<u64>,
     /// Emptied resolved-batch buffers waiting to ride back to the
@@ -219,13 +217,10 @@ pub struct ShardState {
 impl ShardState {
     /// Fresh state for one shard of a run.
     #[must_use]
-    pub fn new(shard_idx: usize, shards: usize, owned: Vec<bool>, latency: SimDuration) -> Self {
+    pub fn new(owned: Vec<bool>) -> Self {
         let n = owned.len();
         ShardState {
-            shard_idx,
-            shards,
             owned,
-            latency,
             outbox: Vec::new(),
             next_seq: vec![0; n],
             resolved_pool: Vec::new(),
@@ -330,6 +325,10 @@ pub struct ShardedRun {
     /// Replay-work and buffer-reuse accounting (not byte-compared; the
     /// perf story of the partitioned medium).
     pub intents: IntentStats,
+    /// The whole-run channel statistics the record and the `net.k*`
+    /// counters were derived from: the scheduler's transmit side plus
+    /// every shard's receiver side.
+    pub net: NetStats,
 }
 
 /// One shard's contribution to the merge.
@@ -449,9 +448,10 @@ pub fn run_sharded(
                     match cmd {
                         Cmd::Advance(barrier) => {
                             engine.run_until(barrier);
-                            let outbox = engine.world_mut().drain_shard_outbox();
-                            let delivered = engine.world_mut().drain_shard_delivered();
-                            let spare = engine.world_mut().take_shard_spare();
+                            let world = engine.world_mut();
+                            let outbox = world.shard_mut().drain();
+                            let delivered = world.drain_shard_delivered();
+                            let spare = world.shard_mut().take_spare_resolved();
                             resp.send(Resp::Epoch {
                                 idx,
                                 outbox,
@@ -466,7 +466,7 @@ pub fn run_sharded(
                             faults,
                             outbox,
                         } => {
-                            engine.world_mut().restore_shard_outbox(outbox);
+                            engine.world_mut().shard_mut().restore(outbox);
                             // `run_until(barrier)` already consumed every
                             // event at or before the barrier, so this event
                             // is strictly the next to execute: the faults
@@ -492,7 +492,7 @@ pub fn run_sharded(
                             // shard count. Count them, and assert each one
                             // genuinely postdates the last exchange so a
                             // barrier off-by-one cannot silently eat sends.
-                            let tail = engine.world_mut().drain_shard_outbox();
+                            let tail = engine.world_mut().shard_mut().drain();
                             if let Some(lb) = last_barrier {
                                 for intent in &tail {
                                     assert!(
@@ -505,6 +505,7 @@ pub fn run_sharded(
                                 }
                             }
                             let delivered = engine.world_mut().drain_shard_delivered();
+                            let outbox_allocs = engine.world_mut().shard_mut().outbox_allocs();
                             let world = engine.world();
                             let record =
                                 world.run_record(seed, horizon - Timestamp::ZERO, 0);
@@ -517,7 +518,7 @@ pub fn run_sharded(
                                 net: world.net_stats().clone(),
                                 delivered,
                                 tail_dropped: tail.len() as u64,
-                                outbox_allocs: world.shard_outbox_allocs(),
+                                outbox_allocs,
                             };
                             resp.send(Resp::Done(idx, Box::new(out)))
                                 .expect("the orchestrator outlives its shards");
@@ -669,7 +670,7 @@ pub fn run_sharded(
             intents.tail_dropped += out.tail_dropped;
             intents.outbox_allocs += out.outbox_allocs;
         }
-        merge_outputs(outputs, &net, intents)
+        merge_outputs(outputs, net, intents)
     })
 }
 
@@ -698,7 +699,7 @@ fn snapshot_metrics(telemetry: &Telemetry) -> (Vec<(String, u64)>, Vec<HistSnaps
 /// partitions node activity), channel counters and the run record's
 /// channel fields are derived from the combined scheduler + shard
 /// statistics, and the run record sums its event-log counts.
-fn merge_outputs(outputs: Vec<ShardOutput>, net: &NetStats, intents: IntentStats) -> ShardedRun {
+fn merge_outputs(outputs: Vec<ShardOutput>, net: NetStats, intents: IntentStats) -> ShardedRun {
     let mut counters: BTreeMap<String, u64> = BTreeMap::new();
     let mut hists: BTreeMap<String, (u64, u128, u64, BTreeMap<u64, u64>)> = BTreeMap::new();
     let mut events = 0u64;
@@ -774,27 +775,12 @@ fn merge_outputs(outputs: Vec<ShardOutput>, net: &NetStats, intents: IntentStats
         record.violations += out.record.violations;
     }
     // Channel fields come from the combined view, not any single replica.
-    record.hb_loss = net.kind(crate::wire::kinds::HEARTBEAT).tx_loss_ratio();
-    record.report_loss = net.kind(crate::wire::kinds::REPORT).tx_loss_ratio();
-    record.pair_loss = {
-        let mut agg = envirotrack_net::medium::KindStats::default();
-        for ks in net.per_kind.values() {
-            agg.rx += ks.rx;
-            agg.faded += ks.faded;
-            agg.collided += ks.collided;
-            agg.half_duplex += ks.half_duplex;
-            agg.burst_faded += ks.burst_faded;
-            agg.partition_dropped += ks.partition_dropped;
-        }
-        agg.pair_loss_ratio()
-    };
-    record.burst_faded = net.sum(|k| k.burst_faded);
-    record.partition_dropped = net.sum(|k| k.partition_dropped);
-    record.mac_dropped = net.sum(|k| k.mac_dropped);
+    record.set_channel(&net);
     ShardedRun {
         record,
         telemetry_jsonl: jsonl,
         events_processed: events,
         intents,
+        net,
     }
 }

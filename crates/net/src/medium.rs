@@ -21,34 +21,50 @@
 //! * **Partitions** (optional) — a node-group mask that severs every link
 //!   between groups, modelling an RF barrier or a split field; enforced at
 //!   carrier sensing, collision resolution and delivery alike.
+//! * **Link faults** (optional) — garbling, duplication and bounded
+//!   reordering of whole transmissions ([`LinkFaults`]).
 //!
-//! The medium is passive: an event handler calls [`Medium::transmit`], then
-//! schedules one engine event at the returned completion instant and calls
-//! [`Medium::deliveries`] from it, dispatching the per-receiver outcomes to
-//! the node runtimes. All randomness comes from the medium's own forked RNG,
-//! keeping runs reproducible.
+//! ## One pipeline
 //!
-//! ## Sharded (partitioned-medium) execution
+//! Every transmission goes through the same two stages:
 //!
-//! Sharded runs split the channel in two, because a shard that replays only
-//! a routed *subset* of the global traffic could never reproduce the
-//! monolithic sequential RNG stream:
+//! 1. **Transmit side** — resolves an intent exactly once: CSMA deferral
+//!    with a sequential backoff stream, MAC admission, link-fault garbling /
+//!    duplication / reorder slip, and the transmit-side statistics. The
+//!    result is a [`ResolvedTx`]: the channel window, the bytes as they left
+//!    the antenna, and the completion instant.
+//! 2. **Receiver side** — [`Medium::ingest_resolved`] records the window,
+//!    and at the completion instant [`Medium::deliveries`] walks the
+//!    receivers this medium **owns**: partition mask, collisions and
+//!    half-duplex against the ingested windows, fade, burst chain.
 //!
-//! * **Transmit side** — one [`ChannelScheduler`], owned by the sharded
-//!   orchestrator, resolves every merged intent exactly once: CSMA deferral
-//!   and sequential backoff draws, MAC drops, link-fault garbling /
-//!   duplication / reorder slip, and the tx-side statistics. The result is
-//!   a [`ResolvedTx`] the orchestrator routes to interested shards.
-//! * **Receiver side** — each shard's medium runs in *executor* mode
-//!   ([`Medium::enable_shard_exec`]): it ingests resolved transmissions,
-//!   resolves collisions/half-duplex from its locally ingested windows, and
-//!   walks only **owned** receivers. The draw discipline that makes routed
-//!   subsets byte-identical: skipping a receiver consumes zero randomness —
-//!   fades are *keyed* draws (a pure function of `(source, seq, receiver)`
-//!   via [`SimRng::fork_indexed`]), and Gilbert–Elliott burst chains use a
-//!   dedicated per-receiver stream advanced only by that receiver's owner.
-//!   [`Medium::transmit`] refuses to run in executor mode, so the
-//!   monolithic sequential streams cannot be touched by accident.
+//! The draw discipline makes the receiver side a pure function of what was
+//! ingested: fades are *keyed* draws (a function of `(source, seq,
+//! receiver)` alone) and each receiver's Gilbert–Elliott chain is its own
+//! stream advanced only at that receiver's arrivals, so skipping a receiver
+//! — or never ingesting a transmission nobody owned can hear — consumes no
+//! randomness.
+//!
+//! ## Two deployments of it
+//!
+//! * **Inline** ([`Medium::new`]) — the medium holds its own transmit side
+//!   and owns every node. An event handler calls [`Medium::transmit`]
+//!   (resolve at `now` + ingest, zero added latency), schedules one engine
+//!   event at the returned completion instant and calls
+//!   [`Medium::deliveries`] from it. Seeing every receiver, the medium
+//!   settles `tx_lost` itself.
+//! * **Sharded** ([`Medium::enable_shard_exec`]) — the inline transmit side
+//!   is dropped and ownership narrowed to one shard's nodes. One
+//!   [`ChannelScheduler`] — the same transmit side, owned by the sharded
+//!   orchestrator — resolves the merged intents of all shards and routes
+//!   each [`ResolvedTx`] to the shards that can hear it; `tx_lost` is
+//!   settled centrally from the delivered keys the shards report
+//!   ([`ChannelScheduler::finalize_lost`]).
+//!
+//! An inline medium and a scheduler feeding any ownership partition of
+//! executor media produce identical outcomes for the same intent sequence
+//! (pinned by `tests/prop.rs`). All randomness comes from streams forked
+//! off the generator given at construction, keeping runs reproducible.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -57,8 +73,7 @@ use envirotrack_sim::rng::{splitmix64, SimRng};
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::{CounterHandle, Telemetry};
 use envirotrack_world::field::{Deployment, NodeId};
-use envirotrack_world::grid::neighbor_lists_with;
-pub use envirotrack_world::grid::NeighborStrategy;
+use envirotrack_world::grid::neighbor_lists;
 
 use crate::packet::{Frame, FrameKind, WireCodec};
 
@@ -79,12 +94,6 @@ pub struct RadioConfig {
     pub backoff_max: SimDuration,
     /// Fixed receive-path processing delay added after the last bit.
     pub proc_delay: SimDuration,
-    /// How the neighbor table is built. [`NeighborStrategy::Grid`] (the
-    /// default) buckets nodes into a uniform spatial grid — O(n·deg);
-    /// [`NeighborStrategy::BruteForce`] keeps the all-pairs scan as a
-    /// determinism cross-check. Both yield bit-identical tables, so runs
-    /// are byte-identical either way.
-    pub topology: NeighborStrategy,
     /// Which codec serialises protocol payloads. [`WireCodec::Binary`]
     /// (the default) is the canonical on-air format; [`WireCodec::Json`]
     /// keeps a textual debug path whose runs must stay byte-identical to
@@ -105,7 +114,6 @@ impl Default for RadioConfig {
             max_defer: SimDuration::from_millis(250),
             backoff_max: SimDuration::from_millis(4),
             proc_delay: SimDuration::from_millis(2),
-            topology: NeighborStrategy::Grid,
             codec: WireCodec::Binary,
         }
     }
@@ -276,9 +284,10 @@ impl LinkFaults {
     }
 }
 
-/// Identifies one in-flight transmission.
+/// Identifies one in-flight transmission on the [`Medium`] that ingested it
+/// (the handle [`Medium::ingest_resolved`] returns, wrapped).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TxId(u64);
+pub struct TxId(pub u64);
 
 /// What happened to one (transmission, receiver) pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -347,18 +356,6 @@ impl DeliveryReport {
             .filter(|(_, o)| *o == DeliveryOutcome::Delivered)
             .map(|(n, _)| *n)
     }
-}
-
-#[derive(Debug, Clone)]
-struct TxRecord {
-    id: TxId,
-    src: NodeId,
-    start: Timestamp,
-    end: Timestamp,
-    frame: Frame,
-    /// Set once `deliveries` has resolved this transmission; only resolved
-    /// records may be pruned.
-    resolved: bool,
 }
 
 /// Per-frame-kind delivery statistics.
@@ -476,6 +473,10 @@ impl NetStats {
         self.per_kind.get(&kind.0).copied().unwrap_or_default()
     }
 
+    fn kind_mut(&mut self, kind: FrameKind) -> &mut KindStats {
+        self.per_kind.entry(kind.0).or_default()
+    }
+
     /// Sum of a per-kind counter over every kind — e.g.
     /// `stats.sum(|k| k.burst_faded)` for the whole-run burst-loss count.
     #[must_use]
@@ -568,9 +569,8 @@ fn garble_payload(frame: &mut Frame, f: &LinkFaults, rng: &mut SimRng) -> bool {
 
 /// Deterministic 64-bit key for one `(transmission, receiver)` fade draw:
 /// a double-[`splitmix64`] mix of `(source, seq, receiver)`. A pure
-/// function of the pair, so every shard — in either medium mode — derives
-/// the same fade stream for the same pair, and skipping a pair consumes
-/// nothing.
+/// function of the pair, so every executor derives the same fade stream
+/// for the same pair, and skipping a pair consumes nothing.
 fn fade_mix(key: TxKey, v: NodeId) -> u64 {
     let mut s = (u64::from(key.0) << 32) ^ u64::from(v.0);
     let a = splitmix64(&mut s);
@@ -578,65 +578,292 @@ fn fade_mix(key: TxKey, v: NodeId) -> u64 {
     splitmix64(&mut s2)
 }
 
-/// One transmission ingested by a shard executor: the resolved channel
-/// window plus a local handle for the completion event.
+/// How long a finished channel window is kept before pruning: past this it
+/// can neither defer a sender nor collide with anything still in flight.
+fn window_horizon(config: &RadioConfig) -> SimDuration {
+    config.max_defer + config.proc_delay + SimDuration::from_secs(1)
+}
+
+/// Who can hear whom: the unit-disk neighbour table plus the optional
+/// partition mask. Both halves of the pipeline ask it the same question —
+/// the transmit side for carrier sensing, the receiver side for collisions
+/// and delivery.
+#[derive(Debug)]
+struct Links {
+    /// Per-node neighbour lists, strictly ascending by id.
+    neighbors: Vec<Vec<NodeId>>,
+    /// Partition group per node; links between different groups are severed.
+    partition: Option<Vec<u8>>,
+}
+
+impl Links {
+    fn new(deployment: &Deployment, comm_radius: f64) -> Self {
+        let neighbors = neighbor_lists(deployment, comm_radius);
+        debug_assert!(
+            neighbors
+                .iter()
+                .all(|list| list.windows(2).all(|w| w[0] < w[1])),
+            "neighbor lists must be strictly ascending by node id"
+        );
+        Links {
+            neighbors,
+            partition: None,
+        }
+    }
+
+    fn set_partition(&mut self, groups: Option<Vec<u8>>) {
+        if let Some(g) = &groups {
+            assert_eq!(
+                g.len(),
+                self.neighbors.len(),
+                "partition mask must cover every node"
+            );
+        }
+        self.partition = groups;
+    }
+
+    fn partitioned(&self, a: NodeId, b: NodeId) -> bool {
+        match &self.partition {
+            Some(g) => g[a.index()] != g[b.index()],
+            None => false,
+        }
+    }
+
+    /// In range and not cut off by the partition.
+    fn audible(&self, a: NodeId, b: NodeId) -> bool {
+        self.neighbors[a.index()].binary_search(&b).is_ok() && !self.partitioned(a, b)
+    }
+}
+
+/// Globally unique identity of one transmission:
+/// `(source node id, per-source intent sequence)`.
+pub type TxKey = (u32, u64);
+
+/// One transmit intent after the transmit side resolved it: the channel
+/// window plus every transmit-side random decision, computed exactly once
+/// so any set of executors can replay the receiver side identically.
 #[derive(Debug, Clone)]
-struct ExecWindow {
-    local: u64,
+pub struct ResolvedTx {
+    /// Per-source intent sequence (second half of [`ResolvedTx::key`]).
+    pub seq: u64,
+    /// The frame as it left the transmit side — payload possibly garbled
+    /// by the link-fault injector (every executor shares the same garbled
+    /// bytes), the charged [`Frame::wire_len`] always pristine.
+    pub frame: Frame,
+    /// When the first bit hits the channel (after CSMA defer + backoff).
+    pub start: Timestamp,
+    /// When the last bit leaves the channel.
+    pub end: Timestamp,
+    /// When receivers finish decoding (processing delay plus any reorder
+    /// slip); schedule the delivery event here.
+    pub completes_at: Timestamp,
+    /// The link duplicated this transmission: receivers process the
+    /// outcome set twice.
+    pub duplicated: bool,
+}
+
+impl ResolvedTx {
+    /// The transmission's global identity.
+    #[must_use]
+    pub fn key(&self) -> TxKey {
+        (self.frame.src.0, self.seq)
+    }
+}
+
+/// The transmit side of the pipeline (see the [module docs](self)): CSMA
+/// deferral with the sequential backoff stream, MAC admission, link-fault
+/// garbling / duplication / reorder slip, and the transmit-side tally.
+/// Intents must arrive in `(time, src, seq)` order, so both sequential
+/// streams are a function of the intent sequence alone.
+#[derive(Debug)]
+struct TxSide {
+    /// Channel windows that may still defer a sender: `(source, end)`.
+    busy: Vec<(NodeId, Timestamp)>,
+    backoff_rng: SimRng,
+    /// Optional link-level fault injector. It draws from its own forked
+    /// stream, so installing it never disturbs the backoff sequence.
+    faults: Option<LinkFaults>,
+    fault_rng: SimRng,
+}
+
+impl TxSide {
+    fn new(rng: &SimRng) -> Self {
+        TxSide {
+            busy: Vec::new(),
+            backoff_rng: rng.fork("radio-medium"),
+            faults: None,
+            fault_rng: rng.fork("link-faults"),
+        }
+    }
+
+    fn set_faults(&mut self, faults: Option<LinkFaults>) {
+        if let Some(f) = &faults {
+            f.validate();
+        }
+        self.faults = faults;
+    }
+
+    /// Resolves one intent requested at `now`, tallying into `stats`; a
+    /// MAC drop is counted there and returned as the error.
+    fn resolve(
+        &mut self,
+        config: &RadioConfig,
+        links: &Links,
+        stats: &mut NetStats,
+        now: Timestamp,
+        seq: u64,
+        mut frame: Frame,
+    ) -> Result<ResolvedTx, ChannelSaturatedError> {
+        let horizon = window_horizon(config);
+        self.busy.retain(|&(_, end)| end + horizon > now);
+        let mut start = now;
+        if config.csma {
+            // Sense every in-progress or deferred transmission audible at
+            // the sender, and start after the latest of them.
+            let mut busy_until = now;
+            for &(src, end) in &self.busy {
+                if end > busy_until && (src == frame.src || links.audible(src, frame.src)) {
+                    busy_until = end;
+                }
+            }
+            if busy_until > now {
+                let backoff = SimDuration::from_micros(
+                    self.backoff_rng
+                        .below(config.backoff_max.as_micros().max(1)),
+                );
+                start = busy_until + backoff;
+            }
+            let defer = start.saturating_since(now);
+            if defer > config.max_defer {
+                stats.kind_mut(frame.kind).mac_dropped += 1;
+                return Err(ChannelSaturatedError {
+                    needed_defer: defer,
+                });
+            }
+        }
+        let tx_time = config.tx_time(&frame);
+        let end = start + tx_time;
+        stats.total_tx += 1;
+        stats.total_bits += frame.on_air_bits();
+        stats.busy_time += tx_time;
+        // Charged bytes come from the canonical wire length (identical under
+        // both codecs); payload_bytes is the in-memory buffer (larger under
+        // the JSON debug codec), kept out of telemetry so fixed-seed runs
+        // stay byte-identical across codecs.
+        let ks = stats.kind_mut(frame.kind);
+        ks.tx += 1;
+        ks.bytes_on_air += frame.on_air_bits() / 8;
+        ks.payload_bytes += frame.payload.len() as u64;
+        // Fault draws in a fixed order (reorder slip, garbling,
+        // duplication). Reordering leaves the channel window alone —
+        // collisions and CSMA see the truth — and only slips the
+        // receiver-side *processing* instant, letting frames sent later
+        // complete first. Garbling hits the transmission, not a receiver:
+        // everyone shares the garbled copy, `frame.shadow` keeps the
+        // sender's pristine hash so acceptance is detectable downstream,
+        // and airtime stays charged from the pristine `wire_len`.
+        let mut extra = SimDuration::ZERO;
+        let mut duplicated = false;
+        if let Some(f) = self.faults {
+            if f.reorder > 0.0 && self.fault_rng.chance(f.reorder) {
+                extra = SimDuration::from_micros(
+                    self.fault_rng.below(f.reorder_max_delay.as_micros().max(1)),
+                );
+                ks.reordered += 1;
+            }
+            if garble_payload(&mut frame, &f, &mut self.fault_rng) {
+                ks.corrupted += 1;
+            }
+            if f.duplicate > 0.0 && self.fault_rng.chance(f.duplicate) {
+                duplicated = true;
+                ks.duplicated += 1;
+            }
+        }
+        self.busy.push((frame.src, end));
+        Ok(ResolvedTx {
+            seq,
+            frame,
+            start,
+            end,
+            completes_at: end + config.proc_delay + extra,
+            duplicated,
+        })
+    }
+}
+
+/// One ingested transmission on the receiver side: the resolved channel
+/// window plus the local handle of its completion event.
+#[derive(Debug)]
+struct RxWindow {
+    id: u64,
     key: TxKey,
     start: Timestamp,
     end: Timestamp,
     frame: Frame,
     duplicated: bool,
+    /// Set once `deliveries` has walked this transmission; only resolved
+    /// windows may be pruned.
     resolved: bool,
 }
 
-/// Per-shard executor state (see the [module docs](self)): the medium
-/// stops being a transmit-side channel — the orchestrator's
-/// [`ChannelScheduler`] resolved that once, globally — and becomes a
-/// receiver-side executor over this shard's owned nodes only.
+/// An installed Gilbert–Elliott model with its per-receiver chains.
 #[derive(Debug)]
-struct ExecState {
-    /// Which nodes this shard resolves receptions for.
-    owned: Vec<bool>,
-    /// Base stream for keyed per-`(transmission, receiver)` fade draws.
-    fade_base: SimRng,
-    /// Base stream the per-receiver burst chains fork from.
-    burst_base: SimRng,
-    /// Per-receiver Gilbert–Elliott streams, rebuilt on every burst-model
-    /// install so the chain is a deterministic function of the install
-    /// point — identical on every shard in every mode.
-    burst_rngs: Vec<SimRng>,
-    windows: Vec<ExecWindow>,
-    next_local: u64,
-    /// Keys of ingested transmissions at least one owned receiver heard
-    /// intact; drained each epoch so the scheduler can finalise `tx_lost`
-    /// globally.
-    delivered_keys: Vec<TxKey>,
+struct BurstChains {
+    model: GilbertElliott,
+    /// Per-receiver state, `true` = Bad.
+    bad: Vec<bool>,
+    /// Per-receiver streams, rebuilt on every install so a chain is a
+    /// function of the install point and that receiver's arrivals only.
+    rngs: Vec<SimRng>,
+}
+
+impl BurstChains {
+    /// Advances `v`'s chain by one arrival opportunity; returns whether an
+    /// otherwise `intact` frame is lost to the burst.
+    fn loses(&mut self, v: NodeId, intact: bool) -> bool {
+        let bad = &mut self.bad[v.index()];
+        let chain = &mut self.rngs[v.index()];
+        let flip = if *bad {
+            self.model.p_bad_to_good
+        } else {
+            self.model.p_good_to_bad
+        };
+        if chain.chance(flip) {
+            *bad = !*bad;
+        }
+        let loss = if *bad {
+            self.model.loss_bad
+        } else {
+            self.model.loss_good
+        };
+        intact && chain.chance(loss)
+    }
 }
 
 /// The shared broadcast radio channel. See the [module docs](self).
 pub struct Medium {
     config: RadioConfig,
-    neighbors: Vec<Vec<NodeId>>,
-    active: Vec<TxRecord>,
-    next_tx: u64,
-    rng: SimRng,
+    links: Links,
+    /// The inline transmit side; `None` once [`Medium::enable_shard_exec`]
+    /// hands that job to a central [`ChannelScheduler`].
+    tx: Option<TxSide>,
+    /// Per-source intent counters for the inline transmit side (the second
+    /// half of each [`TxKey`]).
+    next_seq: Vec<u64>,
     stats: NetStats,
-    /// Records older than this horizon can no longer affect any delivery.
-    prune_horizon: SimDuration,
-    /// Partition group per node; links between different groups are severed.
-    partition: Option<Vec<u8>>,
-    /// Optional burst-loss model with per-receiver Good/Bad state
-    /// (`true` = Bad). The chain uses its own forked RNG so installing or
-    /// removing it never perturbs the baseline fading stream.
-    burst: Option<(GilbertElliott, Vec<bool>)>,
-    burst_rng: SimRng,
-    /// Optional link-level fault injector (corruption, duplication,
-    /// reordering). Like the burst chain it draws from its own forked RNG,
-    /// so installing it never disturbs the baseline streams.
-    faults: Option<LinkFaults>,
-    fault_rng: SimRng,
+    /// Which nodes this medium resolves receptions for (all of them until
+    /// [`Medium::enable_shard_exec`] narrows it).
+    owned: Vec<bool>,
+    windows: Vec<RxWindow>,
+    next_id: u64,
+    /// Parent of the keyed per-`(transmission, receiver)` fade streams.
+    fade_pairs: SimRng,
+    /// Parent of the per-receiver burst chains.
+    burst_base: SimRng,
+    burst: Option<BurstChains>,
+    /// Keys of ingested transmissions at least one owned receiver heard
+    /// intact, kept only while a central scheduler settles `tx_lost`.
+    delivered_keys: Vec<TxKey>,
     /// When enabled, every intact (src, dst) delivery is appended here for
     /// the invariant monitor to audit (e.g. "nothing crosses a partition").
     delivery_log: Option<Vec<(Timestamp, NodeId, NodeId)>>,
@@ -651,55 +878,45 @@ pub struct Medium {
     /// Fresh outcome-buffer allocations made by `deliveries`; stays flat in
     /// steady state when callers recycle their reports.
     outcome_allocs: u64,
-    /// Base stream the shard-executor keyed draws fork from. Forked
-    /// unconditionally in [`Medium::new`] so enabling executor mode never
-    /// perturbs the monolithic streams and is identical on every shard.
-    exec_base: SimRng,
-    /// Shard-executor state; `Some` switches the medium into receiver-side
-    /// executor mode (see the [module docs](self)).
-    exec: Option<ExecState>,
 }
 
 impl Medium {
     /// Builds a medium over `deployment` with the given parameters, deriving
-    /// its randomness stream from `rng`.
+    /// its randomness streams from `rng`. It starts as the whole pipeline
+    /// inline: its own transmit side, and every node's reception.
     #[must_use]
     pub fn new(deployment: &Deployment, config: RadioConfig, rng: &SimRng) -> Self {
-        let neighbors = neighbor_lists_with(deployment, config.comm_radius, config.topology);
-        debug_assert!(
-            neighbors
-                .iter()
-                .all(|list| list.windows(2).all(|w| w[0] < w[1])),
-            "neighbor lists must be strictly ascending by node id"
-        );
-        let prune_horizon = config.max_defer + config.proc_delay + SimDuration::from_secs(1);
+        let links = Links::new(deployment, config.comm_radius);
+        let n = links.neighbors.len();
+        // The receiver-side labels predate the merge of the two channel
+        // paths; they are kept so sharded runs replay byte-for-byte.
+        let exec = rng.fork("shard-exec");
         Medium {
             config,
-            neighbors,
-            active: Vec::new(),
-            next_tx: 0,
-            rng: rng.fork("radio-medium"),
+            links,
+            tx: Some(TxSide::new(rng)),
+            next_seq: vec![0; n],
             stats: NetStats::default(),
-            prune_horizon,
-            partition: None,
+            owned: vec![true; n],
+            windows: Vec::new(),
+            next_id: 0,
+            fade_pairs: exec.fork("fade").fork("pair"),
+            burst_base: exec.fork("burst"),
             burst: None,
-            burst_rng: rng.fork("radio-burst"),
-            faults: None,
-            fault_rng: rng.fork("link-faults"),
+            delivered_keys: Vec::new(),
             delivery_log: None,
             telemetry: Telemetry::new(),
             kind_counters: Vec::new(),
             outcome_pool: Vec::new(),
             outcome_allocs: 0,
-            exec_base: rng.fork("shard-exec"),
-            exec: None,
         }
     }
 
     /// Replaces the detached default registry with the run-wide one. The
-    /// medium records per-frame-kind transmission and whole-broadcast-loss
-    /// counters (`net.k<kind>.tx`, `net.k<kind>.lost`, `net.k<kind>.mac_drop`,
-    /// `net.k<kind>.bytes`).
+    /// inline medium records per-frame-kind transmission and
+    /// whole-broadcast-loss counters (`net.k<kind>.tx`, `net.k<kind>.lost`,
+    /// `net.k<kind>.mac_drop`, `net.k<kind>.bytes`); sharded runs derive the
+    /// same counters from the combined statistics at merge time.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
         // Handles resolved against the old registry are stale; re-resolve
@@ -714,17 +931,15 @@ impl Medium {
             self.kind_counters.resize(i + 1, None);
         }
         if self.kind_counters[i].is_none() {
+            let handle = |what: &str| {
+                self.telemetry
+                    .counter_handle(&format!("net.k{}.{what}", kind.0))
+            };
             self.kind_counters[i] = Some(KindCounters {
-                tx: self.telemetry.counter_handle(&format!("net.k{}.tx", kind.0)),
-                lost: self
-                    .telemetry
-                    .counter_handle(&format!("net.k{}.lost", kind.0)),
-                mac_drop: self
-                    .telemetry
-                    .counter_handle(&format!("net.k{}.mac_drop", kind.0)),
-                bytes: self
-                    .telemetry
-                    .counter_handle(&format!("net.k{}.bytes", kind.0)),
+                tx: handle("tx"),
+                lost: handle("lost"),
+                mac_drop: handle("mac_drop"),
+                bytes: handle("bytes"),
             });
         }
         self.kind_counters[i].as_ref().expect("just filled")
@@ -736,19 +951,6 @@ impl Medium {
         &self.config
     }
 
-    /// The neighbours of `node` (nodes within communication radius).
-    #[must_use]
-    pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.neighbors[node.index()]
-    }
-
-    /// Whether `a` and `b` are within communication range.
-    #[must_use]
-    pub fn in_range(&self, a: NodeId, b: NodeId) -> bool {
-        // Neighbor lists are built ascending by id (asserted in `new`).
-        self.neighbors[a.index()].binary_search(&b).is_ok()
-    }
-
     /// Installs (or clears) a partition mask: `groups[i]` is node `i`'s
     /// group, and links between different groups are severed — no carrier
     /// sensing, no collisions, no delivery across the cut.
@@ -757,81 +959,43 @@ impl Medium {
     ///
     /// Panics when the mask length does not match the deployment size.
     pub fn set_partition(&mut self, groups: Option<Vec<u8>>) {
-        if let Some(g) = &groups {
-            assert_eq!(
-                g.len(),
-                self.neighbors.len(),
-                "partition mask must cover every node"
-            );
-        }
-        self.partition = groups;
+        self.links.set_partition(groups);
     }
 
     /// The currently active partition mask, if any.
     #[must_use]
     pub fn partition(&self) -> Option<&[u8]> {
-        self.partition.as_deref()
-    }
-
-    /// Whether the link `a`↔`b` is severed by the active partition.
-    #[must_use]
-    pub fn partitioned(&self, a: NodeId, b: NodeId) -> bool {
-        match &self.partition {
-            Some(g) => g[a.index()] != g[b.index()],
-            None => false,
-        }
+        self.links.partition.as_deref()
     }
 
     /// Installs (or clears) the Gilbert–Elliott burst-loss model. Receiver
-    /// states start Good; the chain draws from a dedicated RNG stream, so
-    /// the baseline fading sequence is unaffected either way.
-    ///
-    /// In shard-executor mode the chains are per-receiver streams rebuilt
-    /// from scratch at every install (a deterministic function of the
-    /// install point, identical on every shard in every medium mode), and
-    /// each chain advances only when that receiver's owner processes an
-    /// arrival opportunity.
+    /// states start Good, and every receiver's chain is a dedicated stream
+    /// rebuilt from scratch at each install (a deterministic function of
+    /// the install point, identical on every executor) that advances only
+    /// when that receiver's owner processes an arrival opportunity — so
+    /// the fade and backoff sequences are unaffected either way.
     pub fn set_burst_loss(&mut self, model: Option<GilbertElliott>) {
-        self.burst = model.map(|m| {
-            m.validate();
-            (m, vec![false; self.neighbors.len()])
+        let n = self.owned.len();
+        self.burst = model.map(|model| {
+            model.validate();
+            BurstChains {
+                model,
+                bad: vec![false; n],
+                rngs: (0..n)
+                    .map(|v| self.burst_base.fork_indexed("rx", v as u64))
+                    .collect(),
+            }
         });
-        self.rebuild_exec_burst();
     }
 
-    /// (Re)derives the per-receiver burst streams for executor mode.
-    fn rebuild_exec_burst(&mut self) {
-        let n = self.neighbors.len();
-        let burst_on = self.burst.is_some();
-        if let Some(exec) = &mut self.exec {
-            exec.burst_rngs = if burst_on {
-                (0..n)
-                    .map(|v| exec.burst_base.fork_indexed("rx", v as u64))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-        }
-    }
-
-    /// Whether a burst-loss model is currently installed.
-    #[must_use]
-    pub fn burst_loss_active(&self) -> bool {
-        self.burst.is_some()
-    }
-
-    /// Installs (or clears) the link-level fault injector.
+    /// Installs (or clears) the link-level fault injector on the inline
+    /// transmit side. After [`Medium::enable_shard_exec`] there is none:
+    /// faults then act where the transmit side lives
+    /// ([`ChannelScheduler::set_link_faults`]).
     pub fn set_link_faults(&mut self, faults: Option<LinkFaults>) {
-        if let Some(f) = &faults {
-            f.validate();
+        if let Some(tx) = &mut self.tx {
+            tx.set_faults(faults);
         }
-        self.faults = faults;
-    }
-
-    /// Whether the link-fault injector is currently installed.
-    #[must_use]
-    pub fn link_faults_active(&self) -> bool {
-        self.faults.is_some()
     }
 
     /// Enables or disables the delivery audit log (disabled by default; the
@@ -854,7 +1018,8 @@ impl Medium {
         }
     }
 
-    /// Starts transmitting `frame` at `now`.
+    /// Starts transmitting `frame` at `now`: resolves it on the inline
+    /// transmit side with zero added latency and ingests the result.
     ///
     /// Returns the transmission handle and completion instant; the caller
     /// must schedule an event there and call [`Medium::deliveries`].
@@ -863,137 +1028,130 @@ impl Medium {
     ///
     /// Returns [`ChannelSaturatedError`] when CSMA deferral would exceed the
     /// configured bound; the frame is dropped and counted in the stats.
+    ///
+    /// # Panics
+    ///
+    /// Panics after [`Medium::enable_shard_exec`]: intents must then be
+    /// resolved by the central [`ChannelScheduler`] and ingested.
     pub fn transmit(
         &mut self,
         now: Timestamp,
         frame: Frame,
     ) -> Result<Transmission, ChannelSaturatedError> {
-        assert!(
-            self.exec.is_none(),
-            "transmit bypassed the ChannelScheduler in shard-executor mode; \
-             sharded intents must be resolved centrally and ingested"
+        let tx = self.tx.as_mut().expect(
+            "transmit needs the inline transmit side; after enable_shard_exec \
+             intents go through the central ChannelScheduler",
         );
-        self.prune(now);
-        let mut start = now;
-        if self.config.csma {
-            // Sense every in-progress or deferred transmission audible at
-            // the sender, and start after the latest of them.
-            let mut busy_until = now;
-            for rec in &self.active {
-                let audible = rec.src == frame.src
-                    || (self.in_range(rec.src, frame.src)
-                        && !self.partitioned(rec.src, frame.src));
-                if audible && rec.end > busy_until {
-                    busy_until = rec.end;
-                }
+        let kind = frame.kind;
+        // Numbered per source exactly as a shard's outbox numbers intents,
+        // MAC-dropped ones included.
+        let seq = &mut self.next_seq[frame.src.index()];
+        let resolved = tx.resolve(&self.config, &self.links, &mut self.stats, now, *seq, frame);
+        *seq += 1;
+        match resolved {
+            Ok(rtx) => {
+                let charged = rtx.frame.on_air_bits() / 8;
+                let kc = self.kind_counters(kind);
+                kc.tx.incr();
+                kc.bytes.add(charged);
+                let (id, completes_at) = self.ingest_resolved(rtx);
+                Ok(Transmission {
+                    id: TxId(id),
+                    completes_at,
+                })
             }
-            if busy_until > now {
-                let backoff = SimDuration::from_micros(
-                    self.rng.below(self.config.backoff_max.as_micros().max(1)),
-                );
-                start = busy_until + backoff;
-            }
-            let defer = start.saturating_since(now);
-            if defer > self.config.max_defer {
-                self.kind_stats_mut(frame.kind).mac_dropped += 1;
-                self.kind_counters(frame.kind).mac_drop.incr();
-                return Err(ChannelSaturatedError {
-                    needed_defer: defer,
-                });
+            Err(saturated) => {
+                self.kind_counters(kind).mac_drop.incr();
+                Err(saturated)
             }
         }
-        let tx_time = self.config.tx_time(&frame);
-        let end = start + tx_time;
-        let id = TxId(self.next_tx);
-        self.next_tx += 1;
-
-        self.stats.total_tx += 1;
-        self.stats.total_bits += frame.on_air_bits();
-        self.stats.busy_time += tx_time;
-        // Charged bytes come from the canonical wire length (identical under
-        // both codecs); payload_bytes is the in-memory buffer (larger under
-        // the JSON debug codec), kept out of telemetry so fixed-seed runs
-        // stay byte-identical across codecs.
-        let charged = frame.on_air_bits() / 8;
-        {
-            let ks = self.kind_stats_mut(frame.kind);
-            ks.tx += 1;
-            ks.bytes_on_air += charged;
-            ks.payload_bytes += frame.payload.len() as u64;
-        }
-        let kc = self.kind_counters(frame.kind);
-        kc.tx.incr();
-        kc.bytes.add(charged);
-
-        // Bounded reordering: the frame still occupies the channel over
-        // [start, end] (collisions and CSMA see the truth), but the
-        // receiver-side *processing* instant slips by a bounded random
-        // extra, letting frames sent later complete first.
-        let mut extra = SimDuration::ZERO;
-        if let Some(f) = self.faults {
-            if f.reorder > 0.0 && self.fault_rng.chance(f.reorder) {
-                extra = SimDuration::from_micros(
-                    self.fault_rng.below(f.reorder_max_delay.as_micros().max(1)),
-                );
-                self.kind_stats_mut(frame.kind).reordered += 1;
-            }
-        }
-
-        self.active.push(TxRecord {
-            id,
-            src: frame.src,
-            start,
-            end,
-            frame,
-            resolved: false,
-        });
-        Ok(Transmission {
-            id,
-            completes_at: end + self.config.proc_delay + extra,
-        })
     }
 
-    /// Resolves the per-receiver outcomes of a completed transmission.
+    /// Narrows this medium to the receiver side of a sharded run (see the
+    /// [module docs](self)): the inline transmit side is dropped, so
+    /// [`Medium::transmit`] is gone, and receptions are resolved for
+    /// `owned` nodes only, from the [`ResolvedTx`]es the orchestrator's
+    /// [`ChannelScheduler`] routes here.
     ///
-    /// Must be called exactly once per successful [`Medium::transmit`], at
-    /// (or after) the returned completion instant.
+    /// # Panics
+    ///
+    /// Panics when `owned` does not cover every node.
+    pub fn enable_shard_exec(&mut self, owned: Vec<bool>) {
+        assert_eq!(
+            owned.len(),
+            self.owned.len(),
+            "ownership mask must cover every node"
+        );
+        self.owned = owned;
+        self.tx = None;
+        self.next_seq = Vec::new();
+    }
+
+    /// Ingests one resolved transmission; returns the local handle to pass
+    /// to [`Medium::exec_deliveries`] and the completion instant to
+    /// schedule it at.
+    pub fn ingest_resolved(&mut self, rtx: ResolvedTx) -> (u64, Timestamp) {
+        let horizon = window_horizon(&self.config);
+        let now = rtx.start;
+        // Unresolved windows must survive until their deliveries are
+        // collected, however late that happens.
+        self.windows
+            .retain(|w| !w.resolved || w.end + horizon > now);
+        let id = self.next_id;
+        self.next_id += 1;
+        let completes_at = rtx.completes_at;
+        self.windows.push(RxWindow {
+            id,
+            key: rtx.key(),
+            start: rtx.start,
+            end: rtx.end,
+            frame: rtx.frame,
+            duplicated: rtx.duplicated,
+            resolved: false,
+        });
+        (id, completes_at)
+    }
+
+    /// Resolves the per-receiver outcomes of a completed transmission for
+    /// this medium's **owned** receivers.
+    ///
+    /// Must be called exactly once per ingested transmission, at (or
+    /// after) its completion instant. The pinned draw discipline: a
+    /// skipped (non-owned) receiver consumes zero randomness — fades are
+    /// keyed per-pair draws and burst chains are per-receiver streams — so
+    /// the outcome at an owned receiver is identical whatever subset of
+    /// the global traffic this medium was routed, as long as every window
+    /// audible at that receiver was ingested (the interest-routing
+    /// soundness guarantee).
+    ///
+    /// The inline medium owns every receiver and settles `tx_lost` on the
+    /// spot; under a central scheduler the verdict needs every shard, so
+    /// the key is queued for [`Medium::drain_delivered_keys`] instead.
     ///
     /// # Panics
     ///
     /// Panics if `id` is unknown or already resolved.
     pub fn deliveries(&mut self, id: TxId) -> DeliveryReport {
-        let idx = self
-            .active
+        let Medium {
+            config,
+            links,
+            windows,
+            owned,
+            fade_pairs,
+            burst,
+            delivery_log,
+            ..
+        } = self;
+        let idx = windows
             .iter()
-            .position(|r| r.id == id)
+            .position(|w| w.id == id.0 && !w.resolved)
             .expect("unknown or already-resolved transmission id");
-        let (src, start, end, mut frame) = {
-            let r = &self.active[idx];
-            (r.src, r.start, r.end, r.frame.clone())
-        };
-
-        // Link-fault injection: garble the transmission (all receivers of a
-        // broadcast share the garbled copy — the radio signal itself is what
-        // degrades) and/or mark it for duplicate processing. `frame.shadow`
-        // keeps the sender's pristine hash, so acceptance of a garbled frame
-        // is detectable downstream. Airtime was already charged at transmit
-        // from the pristine `wire_len`, which truncation must not rewrite.
-        let mut duplicated = false;
-        if let Some(f) = self.faults {
-            if garble_payload(&mut frame, &f, &mut self.fault_rng) {
-                self.kind_stats_mut(frame.kind).corrupted += 1;
-            }
-            if f.duplicate > 0.0 && self.fault_rng.chance(f.duplicate) {
-                duplicated = true;
-                self.kind_stats_mut(frame.kind).duplicated += 1;
-            }
-        }
-
-        // Walk the neighbour list by index instead of cloning it: the loop
-        // body needs `&mut self` (RNG, burst chain, stats), so an iterator
-        // borrow would conflict, but a fresh `Vec` per broadcast — even an
-        // empty one for isolated transmitters — is pure heap churn on the
-        // hottest path in the simulator.
+        let w = &mut windows[idx];
+        w.resolved = true;
+        let (key, start, end, frame, duplicated) =
+            (w.key, w.start, w.end, w.frame.clone(), w.duplicated);
+        let src = frame.src;
+        let receivers = &links.neighbors[src.index()];
         let mut outcomes = match self.outcome_pool.pop() {
             Some(buf) => buf,
             None => {
@@ -1001,53 +1159,59 @@ impl Medium {
                 Vec::new()
             }
         };
-        let receiver_count = self.neighbors[src.index()].len();
-        outcomes.reserve(receiver_count);
+        outcomes.reserve(receivers.len());
         // Tally per-kind stats locally and fold them into the BTreeMap once
         // at the end, rather than one map lookup per receiver.
         let mut tally = KindStats::default();
-        let mut any_delivered = false;
-        for i in 0..receiver_count {
-            let v = self.neighbors[src.index()][i];
-            let outcome = if self.partitioned(src, v) {
-                DeliveryOutcome::PartitionDrop
+        for &v in receivers {
+            if !owned[v.index()] {
+                // Someone else's share of the receiver walk; skipping it
+                // draws nothing (the discipline everything rests on).
+                continue;
+            }
+            let mut outcome = DeliveryOutcome::Delivered;
+            if links.partitioned(src, v) {
+                outcome = DeliveryOutcome::PartitionDrop;
             } else {
-                self.receiver_outcome(src, v, start, end)
-            };
-            let outcome = match outcome {
-                DeliveryOutcome::Delivered if self.rng.chance(self.config.base_loss) => {
-                    DeliveryOutcome::Faded
+                // Collision / half-duplex resolution over the ingested
+                // windows, in resolve order (routing preserves it).
+                for other in windows.iter() {
+                    let osrc = other.frame.src;
+                    if osrc == src || !(other.start < end && start < other.end) {
+                        continue;
+                    }
+                    if osrc == v {
+                        outcome = DeliveryOutcome::HalfDuplex;
+                        break;
+                    }
+                    if links.audible(osrc, v) {
+                        outcome = DeliveryOutcome::Collided;
+                        break;
+                    }
                 }
-                o => o,
-            };
+            }
+            if outcome == DeliveryOutcome::Delivered
+                && config.base_loss > 0.0
+                && fade_pairs
+                    .indexed(fade_mix(key, v))
+                    .chance(config.base_loss)
+            {
+                outcome = DeliveryOutcome::Faded;
+            }
             // The Gilbert–Elliott chain (when installed) advances once per
             // arrival opportunity and can turn a surviving delivery into a
-            // burst loss; it draws from its own RNG stream.
-            let outcome = match (&mut self.burst, outcome) {
-                (Some((model, states)), o) if o != DeliveryOutcome::PartitionDrop => {
-                    let bad = &mut states[v.index()];
-                    let flip = if *bad {
-                        model.p_bad_to_good
-                    } else {
-                        model.p_good_to_bad
-                    };
-                    if self.burst_rng.chance(flip) {
-                        *bad = !*bad;
-                    }
-                    let loss = if *bad { model.loss_bad } else { model.loss_good };
-                    if o == DeliveryOutcome::Delivered && self.burst_rng.chance(loss) {
-                        DeliveryOutcome::BurstFaded
-                    } else {
-                        o
-                    }
+            // burst loss.
+            if let Some(chains) = burst {
+                if outcome != DeliveryOutcome::PartitionDrop
+                    && chains.loses(v, outcome == DeliveryOutcome::Delivered)
+                {
+                    outcome = DeliveryOutcome::BurstFaded;
                 }
-                (_, o) => o,
-            };
+            }
             match outcome {
                 DeliveryOutcome::Delivered => {
-                    any_delivered = true;
                     tally.rx += 1;
-                    if let Some(log) = &mut self.delivery_log {
+                    if let Some(log) = delivery_log {
                         log.push((end, src, v));
                     }
                 }
@@ -1059,26 +1223,26 @@ impl Medium {
             }
             outcomes.push((v, outcome));
         }
-        if !any_delivered {
+        if tally.rx > 0 {
+            if self.tx.is_none() {
+                self.delivered_keys.push(key);
+            }
+        } else if self.tx.is_some() {
             tally.tx_lost = 1;
-        }
-        let ks = self.kind_stats_mut(frame.kind);
-        ks.rx += tally.rx;
-        ks.collided += tally.collided;
-        ks.half_duplex += tally.half_duplex;
-        ks.faded += tally.faded;
-        ks.burst_faded += tally.burst_faded;
-        ks.partition_dropped += tally.partition_dropped;
-        ks.tx_lost += tally.tx_lost;
-        if !any_delivered {
             self.kind_counters(frame.kind).lost.incr();
         }
-        self.active[idx].resolved = true;
+        self.stats.kind_mut(frame.kind).absorb(&tally);
         DeliveryReport {
             frame,
             outcomes,
             duplicated,
         }
+    }
+
+    /// [`Medium::deliveries`] by the raw handle [`Medium::ingest_resolved`]
+    /// returned.
+    pub fn exec_deliveries(&mut self, local: u64) -> DeliveryReport {
+        self.deliveries(TxId(local))
     }
 
     /// Hands a delivery report's outcome buffer back for reuse, so the next
@@ -1100,338 +1264,39 @@ impl Medium {
         self.outcome_allocs
     }
 
-    /// Switches this medium into shard-executor mode (see the
-    /// [module docs](self)): [`Medium::transmit`] is disabled, and the
-    /// medium instead ingests [`ResolvedTx`]es from the orchestrator's
-    /// [`ChannelScheduler`] and resolves receptions for `owned` nodes only.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `owned` does not cover every node.
-    pub fn enable_shard_exec(&mut self, owned: Vec<bool>) {
-        assert_eq!(
-            owned.len(),
-            self.neighbors.len(),
-            "ownership mask must cover every node"
-        );
-        self.exec = Some(ExecState {
-            owned,
-            fade_base: self.exec_base.fork("fade"),
-            burst_base: self.exec_base.fork("burst"),
-            burst_rngs: Vec::new(),
-            windows: Vec::new(),
-            next_local: 0,
-            delivered_keys: Vec::new(),
-        });
-        self.rebuild_exec_burst();
-    }
-
-    /// Whether this medium runs in shard-executor mode.
-    #[must_use]
-    pub fn shard_exec_active(&self) -> bool {
-        self.exec.is_some()
-    }
-
-    /// Ingests one centrally resolved transmission; returns the local
-    /// handle to pass to [`Medium::exec_deliveries`] and the completion
-    /// instant to schedule it at.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the medium is not in shard-executor mode.
-    pub fn ingest_resolved(&mut self, rtx: ResolvedTx) -> (u64, Timestamp) {
-        let horizon = self.prune_horizon;
-        let exec = self
-            .exec
-            .as_mut()
-            .expect("ingest_resolved requires shard-executor mode");
-        let now = rtx.start;
-        exec.windows.retain(|w| !w.resolved || w.end + horizon > now);
-        let local = exec.next_local;
-        exec.next_local += 1;
-        let completes_at = rtx.completes_at;
-        exec.windows.push(ExecWindow {
-            local,
-            key: rtx.key(),
-            start: rtx.start,
-            end: rtx.end,
-            frame: rtx.frame,
-            duplicated: rtx.duplicated,
-            resolved: false,
-        });
-        (local, completes_at)
-    }
-
-    /// Resolves the per-receiver outcomes of an ingested transmission for
-    /// this shard's **owned** receivers only. The pinned draw discipline:
-    /// a skipped (non-owned) receiver consumes zero randomness — fades are
-    /// keyed per-pair draws and burst chains are per-receiver streams — so
-    /// the outcome at an owned receiver is identical whatever subset of
-    /// the global traffic this shard was routed, as long as every window
-    /// audible at that receiver was ingested (the interest-routing
-    /// soundness guarantee).
-    ///
-    /// Transmit-side outcomes (`tx_lost` among them) are *not* tallied
-    /// here: the scheduler finalises those globally from the delivered
-    /// keys drained via [`Medium::drain_delivered_keys`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the medium is not in shard-executor mode, or when
-    /// `local` is unknown or already resolved.
-    pub fn exec_deliveries(&mut self, local: u64) -> DeliveryReport {
-        let Medium {
-            config,
-            neighbors,
-            stats,
-            partition,
-            burst,
-            delivery_log,
-            exec,
-            outcome_pool,
-            outcome_allocs,
-            ..
-        } = self;
-        let exec = exec
-            .as_mut()
-            .expect("exec_deliveries requires shard-executor mode");
-        let neighbors = &*neighbors;
-        let partition = &*partition;
-        let idx = exec
-            .windows
-            .iter()
-            .position(|w| w.local == local && !w.resolved)
-            .expect("unknown or already-resolved sharded transmission");
-        let (key, start, end, frame, duplicated) = {
-            let w = &exec.windows[idx];
-            (w.key, w.start, w.end, w.frame.clone(), w.duplicated)
-        };
-        let src = frame.src;
-        let partitioned = |a: NodeId, b: NodeId| match partition {
-            Some(g) => g[a.index()] != g[b.index()],
-            None => false,
-        };
-        let in_range = |a: NodeId, b: NodeId| neighbors[a.index()].binary_search(&b).is_ok();
-        let mut outcomes = match outcome_pool.pop() {
-            Some(buf) => buf,
-            None => {
-                *outcome_allocs += 1;
-                Vec::new()
-            }
-        };
-        let mut tally = KindStats::default();
-        let mut any_delivered = false;
-        for &v in &neighbors[src.index()] {
-            if !exec.owned[v.index()] {
-                // Someone else's partition of the receiver walk; skipping
-                // it draws nothing (the discipline everything rests on).
-                continue;
-            }
-            let mut outcome = if partitioned(src, v) {
-                DeliveryOutcome::PartitionDrop
-            } else {
-                // Collision / half-duplex resolution over the locally
-                // ingested windows, in global resolve order (routing
-                // preserves it), mirroring `receiver_outcome`.
-                let mut o = DeliveryOutcome::Delivered;
-                for other in &exec.windows {
-                    let osrc = other.frame.src;
-                    if osrc == src {
-                        continue;
-                    }
-                    if !(other.start < end && start < other.end) {
-                        continue;
-                    }
-                    if osrc == v {
-                        o = DeliveryOutcome::HalfDuplex;
-                        break;
-                    }
-                    if in_range(osrc, v) && !partitioned(osrc, v) {
-                        o = DeliveryOutcome::Collided;
-                        break;
-                    }
-                }
-                o
-            };
-            if outcome == DeliveryOutcome::Delivered
-                && exec
-                    .fade_base
-                    .fork_indexed("pair", fade_mix(key, v))
-                    .chance(config.base_loss)
-            {
-                outcome = DeliveryOutcome::Faded;
-            }
-            if let Some((model, states)) = burst.as_mut() {
-                if outcome != DeliveryOutcome::PartitionDrop {
-                    let chain = &mut exec.burst_rngs[v.index()];
-                    let bad = &mut states[v.index()];
-                    let flip = if *bad {
-                        model.p_bad_to_good
-                    } else {
-                        model.p_good_to_bad
-                    };
-                    if chain.chance(flip) {
-                        *bad = !*bad;
-                    }
-                    let loss = if *bad { model.loss_bad } else { model.loss_good };
-                    if outcome == DeliveryOutcome::Delivered && chain.chance(loss) {
-                        outcome = DeliveryOutcome::BurstFaded;
-                    }
-                }
-            }
-            match outcome {
-                DeliveryOutcome::Delivered => {
-                    any_delivered = true;
-                    tally.rx += 1;
-                    if let Some(log) = delivery_log.as_mut() {
-                        log.push((end, src, v));
-                    }
-                }
-                DeliveryOutcome::Collided => tally.collided += 1,
-                DeliveryOutcome::HalfDuplex => tally.half_duplex += 1,
-                DeliveryOutcome::Faded => tally.faded += 1,
-                DeliveryOutcome::BurstFaded => tally.burst_faded += 1,
-                DeliveryOutcome::PartitionDrop => tally.partition_dropped += 1,
-            }
-            outcomes.push((v, outcome));
-        }
-        if any_delivered {
-            exec.delivered_keys.push(key);
-        }
-        let ks = stats.per_kind.entry(frame.kind.0).or_default();
-        ks.rx += tally.rx;
-        ks.collided += tally.collided;
-        ks.half_duplex += tally.half_duplex;
-        ks.faded += tally.faded;
-        ks.burst_faded += tally.burst_faded;
-        ks.partition_dropped += tally.partition_dropped;
-        exec.windows[idx].resolved = true;
-        DeliveryReport {
-            frame,
-            outcomes,
-            duplicated,
-        }
-    }
-
     /// Drains the keys of ingested transmissions at least one owned
-    /// receiver heard intact since the last drain. Empty outside
-    /// shard-executor mode.
+    /// receiver heard intact since the last drain, for the central
+    /// scheduler's `tx_lost` settlement. Always empty on an inline medium,
+    /// which settles its own.
     pub fn drain_delivered_keys(&mut self) -> Vec<TxKey> {
-        self.exec
-            .as_mut()
-            .map_or_else(Vec::new, |e| std::mem::take(&mut e.delivered_keys))
+        std::mem::take(&mut self.delivered_keys)
     }
 
-    fn receiver_outcome(
-        &self,
-        src: NodeId,
-        v: NodeId,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> DeliveryOutcome {
-        for other in &self.active {
-            if other.src == src {
-                continue;
-            }
-            let overlaps = other.start < end && start < other.end;
-            if !overlaps {
-                continue;
-            }
-            if other.src == v {
-                return DeliveryOutcome::HalfDuplex;
-            }
-            if self.in_range(other.src, v) && !self.partitioned(other.src, v) {
-                return DeliveryOutcome::Collided;
-            }
-        }
-        DeliveryOutcome::Delivered
-    }
-
-    /// A snapshot of the channel statistics so far.
+    /// A snapshot of the channel statistics so far: both sides of the
+    /// pipeline on an inline medium, the receiver side of the owned nodes
+    /// after [`Medium::enable_shard_exec`].
     #[must_use]
     pub fn stats(&self) -> &NetStats {
         &self.stats
-    }
-
-    /// Resets the statistics (e.g. after a warm-up phase).
-    pub fn reset_stats(&mut self) {
-        self.stats = NetStats::default();
-    }
-
-    fn kind_stats_mut(&mut self, kind: FrameKind) -> &mut KindStats {
-        self.stats.per_kind.entry(kind.0).or_default()
-    }
-
-    fn prune(&mut self, now: Timestamp) {
-        let horizon = self.prune_horizon;
-        // Unresolved transmissions must survive until their deliveries are
-        // collected, however late that happens.
-        self.active.retain(|r| !r.resolved || r.end + horizon > now);
     }
 }
 
 impl std::fmt::Debug for Medium {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Medium")
-            .field("nodes", &self.neighbors.len())
+            .field("nodes", &self.owned.len())
             .field("comm_radius", &self.config.comm_radius)
-            .field("in_flight", &self.active.len())
+            .field("inline_tx", &self.tx.is_some())
+            .field("in_flight", &self.windows.len())
             .field("total_tx", &self.stats.total_tx)
             .finish()
     }
 }
 
-/// Globally unique identity of one sharded transmission:
-/// `(source node id, per-source intent sequence)`.
-pub type TxKey = (u32, u64);
-
-/// One transmit intent resolved by the [`ChannelScheduler`]: the channel
-/// window plus every transmit-side random decision, computed exactly once
-/// globally so any subset of shards can replay the receiver side
-/// identically.
-#[derive(Debug, Clone)]
-pub struct ResolvedTx {
-    /// Per-source intent sequence (second half of [`ResolvedTx::key`]).
-    pub seq: u64,
-    /// The frame as it left the scheduler — payload possibly garbled by
-    /// the link-fault injector (every interested shard shares the same
-    /// garbled bytes), the charged [`Frame::wire_len`] always pristine.
-    pub frame: Frame,
-    /// When the first bit hits the channel (after CSMA defer + backoff).
-    pub start: Timestamp,
-    /// When the last bit leaves the channel.
-    pub end: Timestamp,
-    /// When receivers finish decoding (processing delay plus any reorder
-    /// slip); schedule the delivery event here.
-    pub completes_at: Timestamp,
-    /// The link duplicated this transmission: receivers process the
-    /// outcome set twice.
-    pub duplicated: bool,
-}
-
-impl ResolvedTx {
-    /// The transmission's global identity.
-    #[must_use]
-    pub fn key(&self) -> TxKey {
-        (self.frame.src.0, self.seq)
-    }
-}
-
-/// One active channel window on the scheduler's global view. Delivery is
-/// the shards' job, so unlike [`TxRecord`] a window is prunable the moment
-/// it slips past the horizon.
-#[derive(Debug, Clone)]
-struct SchedWindow {
-    src: NodeId,
-    end: Timestamp,
-}
-
-/// The transmit side of a partitioned sharded medium (see the
-/// [module docs](self)): owned by the sharded orchestrator, it resolves
-/// every merged intent exactly once — CSMA deferral with the sequential
-/// backoff stream, MAC drops, link-fault garbling / duplication / reorder
-/// slip, and all transmit-side statistics — and hands back a
-/// [`ResolvedTx`] for routing to interested shards.
+/// The transmit side on its own, for sharded runs (see the
+/// [module docs](self)): owned by the orchestrator, it resolves every
+/// merged intent exactly once and hands back a [`ResolvedTx`] for routing
+/// to the interested shards' media.
 ///
 /// `tx_lost` (the paper's "heard by nobody" metric) needs the receiver
 /// side, which lives on the shards: the scheduler keeps every resolved
@@ -1439,14 +1304,9 @@ struct SchedWindow {
 /// called with the union of delivered keys the shards reported.
 pub struct ChannelScheduler {
     config: RadioConfig,
-    neighbors: Vec<Vec<NodeId>>,
-    active: Vec<SchedWindow>,
-    rng: SimRng,
-    fault_rng: SimRng,
-    partition: Option<Vec<u8>>,
-    faults: Option<LinkFaults>,
+    links: Links,
+    tx: TxSide,
     stats: NetStats,
-    prune_horizon: SimDuration,
     /// Resolved transmissions awaiting their loss verdict:
     /// `(completes_at, key, kind)`.
     pending: Vec<(Timestamp, TxKey, FrameKind)>,
@@ -1454,22 +1314,14 @@ pub struct ChannelScheduler {
 
 impl ChannelScheduler {
     /// Builds a scheduler over `deployment`, deriving its randomness from
-    /// `rng` with the same labels a monolithic [`Medium`] would use — its
-    /// own golden family, but the same structure.
+    /// `rng` under the same labels as a [`Medium`]'s inline transmit side.
     #[must_use]
     pub fn new(deployment: &Deployment, config: RadioConfig, rng: &SimRng) -> Self {
-        let neighbors = neighbor_lists_with(deployment, config.comm_radius, config.topology);
-        let prune_horizon = config.max_defer + config.proc_delay + SimDuration::from_secs(1);
         ChannelScheduler {
+            links: Links::new(deployment, config.comm_radius),
             config,
-            neighbors,
-            active: Vec::new(),
-            rng: rng.fork("radio-medium"),
-            fault_rng: rng.fork("link-faults"),
-            partition: None,
-            faults: None,
+            tx: TxSide::new(rng),
             stats: NetStats::default(),
-            prune_horizon,
             pending: Vec::new(),
         }
     }
@@ -1477,33 +1329,12 @@ impl ChannelScheduler {
     /// Installs (or clears) a partition mask (carrier sensing stops
     /// crossing the cut, matching [`Medium::set_partition`]).
     pub fn set_partition(&mut self, groups: Option<Vec<u8>>) {
-        if let Some(g) = &groups {
-            assert_eq!(
-                g.len(),
-                self.neighbors.len(),
-                "partition mask must cover every node"
-            );
-        }
-        self.partition = groups;
+        self.links.set_partition(groups);
     }
 
     /// Installs (or clears) the link-level fault injector.
     pub fn set_link_faults(&mut self, faults: Option<LinkFaults>) {
-        if let Some(f) = &faults {
-            f.validate();
-        }
-        self.faults = faults;
-    }
-
-    fn partitioned(&self, a: NodeId, b: NodeId) -> bool {
-        match &self.partition {
-            Some(g) => g[a.index()] != g[b.index()],
-            None => false,
-        }
-    }
-
-    fn in_range(&self, a: NodeId, b: NodeId) -> bool {
-        self.neighbors[a.index()].binary_search(&b).is_ok()
+        self.tx.set_faults(faults);
     }
 
     /// Resolves one merged intent at its adjusted transmit instant `now`.
@@ -1511,77 +1342,14 @@ impl ChannelScheduler {
     /// arrive in merged `(time, src, seq)` order — the orchestrator's
     /// barrier sort guarantees it — so the sequential backoff stream is a
     /// function of the merged batch alone, not of the shard count.
-    pub fn resolve(&mut self, now: Timestamp, seq: u64, mut frame: Frame) -> Option<ResolvedTx> {
-        let horizon = self.prune_horizon;
-        self.active.retain(|w| w.end + horizon > now);
-        let mut start = now;
-        if self.config.csma {
-            let mut busy_until = now;
-            for w in &self.active {
-                let audible = w.src == frame.src
-                    || (self.in_range(w.src, frame.src) && !self.partitioned(w.src, frame.src));
-                if audible && w.end > busy_until {
-                    busy_until = w.end;
-                }
-            }
-            if busy_until > now {
-                let backoff = SimDuration::from_micros(
-                    self.rng.below(self.config.backoff_max.as_micros().max(1)),
-                );
-                start = busy_until + backoff;
-            }
-            let defer = start.saturating_since(now);
-            if defer > self.config.max_defer {
-                self.stats.per_kind.entry(frame.kind.0).or_default().mac_dropped += 1;
-                return None;
-            }
-        }
-        let tx_time = self.config.tx_time(&frame);
-        let end = start + tx_time;
-        self.stats.total_tx += 1;
-        self.stats.total_bits += frame.on_air_bits();
-        self.stats.busy_time += tx_time;
-        let charged = frame.on_air_bits() / 8;
-        {
-            let ks = self.stats.per_kind.entry(frame.kind.0).or_default();
-            ks.tx += 1;
-            ks.bytes_on_air += charged;
-            ks.payload_bytes += frame.payload.len() as u64;
-        }
-        // Transmit-side fault draws, resolved once globally in a fixed
-        // order (reorder slip, garbling, duplication) so every interested
-        // shard sees the same bytes and the same completion instant.
-        let mut extra = SimDuration::ZERO;
-        let mut duplicated = false;
-        if let Some(f) = self.faults {
-            if f.reorder > 0.0 && self.fault_rng.chance(f.reorder) {
-                extra = SimDuration::from_micros(
-                    self.fault_rng.below(f.reorder_max_delay.as_micros().max(1)),
-                );
-                self.stats.per_kind.entry(frame.kind.0).or_default().reordered += 1;
-            }
-            if garble_payload(&mut frame, &f, &mut self.fault_rng) {
-                self.stats.per_kind.entry(frame.kind.0).or_default().corrupted += 1;
-            }
-            if f.duplicate > 0.0 && self.fault_rng.chance(f.duplicate) {
-                duplicated = true;
-                self.stats.per_kind.entry(frame.kind.0).or_default().duplicated += 1;
-            }
-        }
-        let completes_at = end + self.config.proc_delay + extra;
-        self.active.push(SchedWindow {
-            src: frame.src,
-            end,
-        });
-        self.pending.push((completes_at, (frame.src.0, seq), frame.kind));
-        Some(ResolvedTx {
-            seq,
-            frame,
-            start,
-            end,
-            completes_at,
-            duplicated,
-        })
+    pub fn resolve(&mut self, now: Timestamp, seq: u64, frame: Frame) -> Option<ResolvedTx> {
+        let rtx = self
+            .tx
+            .resolve(&self.config, &self.links, &mut self.stats, now, seq, frame)
+            .ok()?;
+        self.pending
+            .push((rtx.completes_at, rtx.key(), rtx.frame.kind));
+        Some(rtx)
     }
 
     /// Finalises the "heard by nobody" verdict for every resolved
@@ -1597,7 +1365,7 @@ impl ChannelScheduler {
                 return true;
             }
             if !delivered.contains(&key) {
-                stats.per_kind.entry(kind.0).or_default().tx_lost += 1;
+                stats.kind_mut(kind).tx_lost += 1;
             }
             done.push(key);
             false
@@ -1621,8 +1389,8 @@ impl ChannelScheduler {
 impl std::fmt::Debug for ChannelScheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChannelScheduler")
-            .field("nodes", &self.neighbors.len())
-            .field("in_flight", &self.active.len())
+            .field("nodes", &self.links.neighbors.len())
+            .field("in_flight", &self.tx.busy.len())
             .field("pending_lost", &self.pending.len())
             .field("total_tx", &self.stats.total_tx)
             .finish()
@@ -1671,10 +1439,10 @@ mod tests {
     fn neighbor_lists_follow_the_disk() {
         let d = line_deployment(5, 1.0);
         let m = Medium::new(&d, lossless(1.5), &SimRng::seed_from(1));
-        assert_eq!(m.neighbors(NodeId(0)), &[NodeId(1)]);
-        assert_eq!(m.neighbors(NodeId(2)), &[NodeId(1), NodeId(3)]);
-        assert!(m.in_range(NodeId(0), NodeId(1)));
-        assert!(!m.in_range(NodeId(0), NodeId(2)));
+        assert_eq!(m.links.neighbors[0], [NodeId(1)]);
+        assert_eq!(m.links.neighbors[2], [NodeId(1), NodeId(3)]);
+        assert!(m.links.audible(NodeId(0), NodeId(1)));
+        assert!(!m.links.audible(NodeId(0), NodeId(2)));
     }
 
     #[test]
@@ -1908,8 +1676,8 @@ mod tests {
         let mut m = Medium::new(&d, lossless(5.0), &SimRng::seed_from(1));
         // Nodes {0,1} vs {2,3}.
         m.set_partition(Some(vec![0, 0, 1, 1]));
-        assert!(m.partitioned(NodeId(1), NodeId(2)));
-        assert!(!m.partitioned(NodeId(0), NodeId(1)));
+        assert!(m.links.partitioned(NodeId(1), NodeId(2)));
+        assert!(!m.links.partitioned(NodeId(0), NodeId(1)));
         let tx = m.transmit(Timestamp::ZERO, frame(1)).unwrap();
         let r = m.deliveries(tx.id);
         let delivered: Vec<NodeId> = r.delivered().collect();
@@ -2036,22 +1804,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_serialises_and_drops_like_the_monolithic_mac() {
-        let d = line_deployment(3, 1.0);
-        let mut sched = ChannelScheduler::new(&d, lossless(5.0), &SimRng::seed_from(1));
-        let a = sched.resolve(Timestamp::ZERO, 0, frame(0)).unwrap();
-        let b = sched.resolve(Timestamp::ZERO, 1, frame(2)).unwrap();
-        assert!(b.start >= a.end, "CSMA must serialise in-range transmitters");
-        // A saturating defer bound MAC-drops exactly like Medium::transmit.
-        let mut cfg = lossless(5.0);
-        cfg.max_defer = SimDuration::from_micros(10);
-        let mut tight = ChannelScheduler::new(&d, cfg, &SimRng::seed_from(1));
-        assert!(tight.resolve(Timestamp::ZERO, 0, frame(0)).is_some());
-        assert!(tight.resolve(Timestamp::ZERO, 1, frame(1)).is_none());
-        assert_eq!(tight.stats().kind(FrameKind(1)).mac_dropped, 1);
-    }
-
-    #[test]
     fn finalize_lost_needs_a_shard_delivery_to_clear() {
         let d = line_deployment(2, 1.0);
         let mut sched = ChannelScheduler::new(&d, lossless(5.0), &SimRng::seed_from(1));
@@ -2115,31 +1867,8 @@ mod tests {
     }
 
     #[test]
-    fn keyed_fades_hit_the_configured_rate() {
-        let d = line_deployment(2, 1.0);
-        let cfg = RadioConfig::default()
-            .with_comm_radius(5.0)
-            .with_base_loss(0.2);
-        let rng = SimRng::seed_from(7);
-        let mut sched = ChannelScheduler::new(&d, cfg.clone(), &rng);
-        let mut m = Medium::new(&d, cfg, &rng);
-        m.enable_shard_exec(vec![true, true]);
-        let mut now = Timestamp::ZERO;
-        let mut delivered = 0u32;
-        let trials = 2000u32;
-        for seq in 0..trials {
-            let rtx = sched.resolve(now, u64::from(seq), frame(0)).unwrap();
-            now = rtx.completes_at + SimDuration::from_millis(1);
-            let (local, _) = m.ingest_resolved(rtx);
-            delivered += m.exec_deliveries(local).delivered().count() as u32;
-        }
-        let rate = 1.0 - f64::from(delivered) / f64::from(trials);
-        assert!((rate - 0.2).abs() < 0.04, "keyed fade rate {rate}");
-    }
-
-    #[test]
-    #[should_panic(expected = "bypassed the ChannelScheduler")]
-    fn transmit_is_forbidden_in_executor_mode() {
+    #[should_panic(expected = "transmit needs the inline transmit side")]
+    fn enable_shard_exec_drops_the_inline_transmit_side() {
         let d = line_deployment(2, 1.0);
         let mut m = Medium::new(&d, lossless(5.0), &SimRng::seed_from(1));
         m.enable_shard_exec(vec![true, true]);

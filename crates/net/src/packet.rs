@@ -38,8 +38,8 @@ impl LinkDest {
 /// message-type tags, varint/zigzag integers, length-prefixed frames — what
 /// a real mote would transmit, and what the 50 kb/s serialisation model
 /// charges. [`Json`](WireCodec::Json) is a textual debug codec kept as a
-/// cross-check (the same discipline as the grid-vs-brute-force neighbor
-/// toggle): frames carry the JSON encoding of the very same message, but
+/// cross-check (the same discipline as the brute-force neighbor-table
+/// oracle): frames carry the JSON encoding of the very same message, but
 /// the radio still charges the canonical binary size
 /// ([`Frame::wire_len`]), so a fixed-seed run is *byte-identical* under
 /// either codec — any semantic disagreement between the two codecs changes

@@ -101,8 +101,15 @@ impl SimRng {
     /// node id or a run number in a multi-run experiment.
     #[must_use]
     pub fn fork_indexed(&self, label: &str, index: u64) -> SimRng {
-        let base = self.fork(label);
-        SimRng::seed_from(base.seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        self.fork(label).indexed(index)
+    }
+
+    /// The `index`-th child of this generator: what
+    /// [`fork_indexed`](Self::fork_indexed) derives once the label is
+    /// applied. A hot loop forks the label once and calls this per index.
+    #[must_use]
+    pub fn indexed(&self, index: u64) -> SimRng {
+        SimRng::seed_from(self.seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 
     /// Next raw 64-bit value (the xoshiro256++ step).
