@@ -438,7 +438,7 @@ fn main() -> ExitCode {
         .field_str("shard_medium", args.medium.as_str())
         .field_str(
             "medium_wall_clock_note",
-            "1-cpu host: replay-work reduction is the headline metric; wall-clock deltas are advisory",
+            "replay-work reduction is the headline metric; wall-clock deltas depend on host_cpus and are advisory",
         )
         .field_bool("merged_outputs_identical", true)
         .finish();

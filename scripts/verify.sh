@@ -104,12 +104,12 @@ grep -q "shard.intents.tail_dropped" "$tmp/shard1.jsonl" \
 
 # Medium smoke: the channel is one pipeline. An inline medium and a
 # stand-alone scheduler feeding executor media that split the nodes 1/2/4
-# ways must agree on every outcome of a random schedule (the workspace pass
-# ran this at the testkit default; MEDIUM_CASES re-runs it wider), and
+# ways must agree on every outcome of a random schedule (re-run here by
+# name at 512 cases unless TESTKIT_CASES is exported), and
 # interest-routed (partitioned) delivery at 2 shards must be byte-identical
 # to the full-replay (replicated) medium on the same field — routing
 # decides who ingests a transmission, never what anyone observes.
-TESTKIT_CASES="${MEDIUM_CASES:-512}" \
+TESTKIT_CASES="${TESTKIT_CASES:-512}" \
   cargo test -q --offline -p envirotrack-net --test prop \
   -- inline_medium_equals_scheduler_plus_executors
 ./target/release/scale --smoke --shards 2 --medium replicated --crosscheck "$tmp/med_rep.jsonl"
