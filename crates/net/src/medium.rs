@@ -45,6 +45,23 @@
 //! — or never ingesting a transmission nobody owned can hear — consumes no
 //! randomness.
 //!
+//! ## Window lifetime
+//!
+//! A receiver walk needs the windows that share airtime with the frame
+//! being walked, and nothing else. The receiver side therefore keeps a
+//! window while it is unresolved (its own walk is still due, however far a
+//! reorder slip pushed it) and while something not yet walked can overlap
+//! it: an unresolved window that starts before it ends, or a transmission
+//! still to come. Intents resolve in time order, so whatever is ingested
+//! later starts no earlier than the latest request instant seen
+//! ([`ResolvedTx::requested`]). A resolved window that ended by then, and
+//! by the start of every unresolved window, is dropped. Keeping a window
+//! longer never changes an outcome, because every walk skips a window that
+//! does not overlap its frame. Dropping one early does: the later walk
+//! reports `Delivered` where its peer already reported `Collided`. On the
+//! transmit side only a window still on the air can defer an intent, so a
+//! `busy` entry goes as soon as it has ended.
+//!
 //! ## Two deployments of it
 //!
 //! * **Inline** ([`Medium::new`]) — the medium holds its own transmit side
@@ -578,12 +595,6 @@ fn fade_mix(key: TxKey, v: NodeId) -> u64 {
     splitmix64(&mut s2)
 }
 
-/// How long a finished channel window is kept before pruning: past this it
-/// can neither defer a sender nor collide with anything still in flight.
-fn window_horizon(config: &RadioConfig) -> SimDuration {
-    config.max_defer + config.proc_delay + SimDuration::from_secs(1)
-}
-
 /// Who can hear whom: the unit-disk neighbour table plus the optional
 /// partition mask. Both halves of the pipeline ask it the same question —
 /// the transmit side for carrier sensing, the receiver side for collisions
@@ -650,6 +661,9 @@ pub struct ResolvedTx {
     /// by the link-fault injector (every executor shares the same garbled
     /// bytes), the charged [`Frame::wire_len`] always pristine.
     pub frame: Frame,
+    /// When the intent was requested. Intents resolve in time order, so no
+    /// later transmission starts before this.
+    pub requested: Timestamp,
     /// When the first bit hits the channel (after CSMA defer + backoff).
     pub start: Timestamp,
     /// When the last bit leaves the channel.
@@ -677,7 +691,8 @@ impl ResolvedTx {
 /// streams are a function of the intent sequence alone.
 #[derive(Debug)]
 struct TxSide {
-    /// Channel windows that may still defer a sender: `(source, end)`.
+    /// Channel windows still on the air (or deferred onto it) at the last
+    /// intent: `(source, end)`. Nothing else can defer a sender.
     busy: Vec<(NodeId, Timestamp)>,
     backoff_rng: SimRng,
     /// Optional link-level fault injector. It draws from its own forked
@@ -714,8 +729,7 @@ impl TxSide {
         seq: u64,
         mut frame: Frame,
     ) -> Result<ResolvedTx, ChannelSaturatedError> {
-        let horizon = window_horizon(config);
-        self.busy.retain(|&(_, end)| end + horizon > now);
+        self.busy.retain(|&(_, end)| end > now);
         let mut start = now;
         if config.csma {
             // Sense every in-progress or deferred transmission audible at
@@ -783,6 +797,7 @@ impl TxSide {
         Ok(ResolvedTx {
             seq,
             frame,
+            requested: now,
             start,
             end,
             completes_at: end + config.proc_delay + extra,
@@ -801,8 +816,8 @@ struct RxWindow {
     end: Timestamp,
     frame: Frame,
     duplicated: bool,
-    /// Set once `deliveries` has walked this transmission; only resolved
-    /// windows may be pruned.
+    /// Set once `deliveries` has walked this transmission; an unresolved
+    /// window is never pruned, however late its walk happens.
     resolved: bool,
 }
 
@@ -856,6 +871,9 @@ pub struct Medium {
     owned: Vec<bool>,
     windows: Vec<RxWindow>,
     next_id: u64,
+    /// Request instant of the newest ingested transmission: whatever is
+    /// ingested later starts no earlier.
+    latest_request: Timestamp,
     /// Parent of the keyed per-`(transmission, receiver)` fade streams.
     fade_pairs: SimRng,
     /// Parent of the per-receiver burst chains.
@@ -900,6 +918,7 @@ impl Medium {
             owned: vec![true; n],
             windows: Vec::new(),
             next_id: 0,
+            latest_request: Timestamp::ZERO,
             fade_pairs: exec.fork("fade").fork("pair"),
             burst_base: exec.fork("burst"),
             burst: None,
@@ -1091,12 +1110,7 @@ impl Medium {
     /// to [`Medium::exec_deliveries`] and the completion instant to
     /// schedule it at.
     pub fn ingest_resolved(&mut self, rtx: ResolvedTx) -> (u64, Timestamp) {
-        let horizon = window_horizon(&self.config);
-        let now = rtx.start;
-        // Unresolved windows must survive until their deliveries are
-        // collected, however late that happens.
-        self.windows
-            .retain(|w| !w.resolved || w.end + horizon > now);
+        self.latest_request = self.latest_request.max(rtx.requested);
         let id = self.next_id;
         self.next_id += 1;
         let completes_at = rtx.completes_at;
@@ -1137,6 +1151,7 @@ impl Medium {
             links,
             windows,
             owned,
+            latest_request,
             fade_pairs,
             burst,
             delivery_log,
@@ -1223,6 +1238,13 @@ impl Medium {
             }
             outcomes.push((v, outcome));
         }
+        // Window lifetime (module docs): nothing unresolved or still to
+        // come starts before `waiting_from`.
+        let waiting_from = windows
+            .iter()
+            .filter(|w| !w.resolved)
+            .fold(*latest_request, |t, w| t.min(w.start));
+        windows.retain(|w| !w.resolved || w.end > waiting_from);
         if tally.rx > 0 {
             if self.tx.is_none() {
                 self.delivered_keys.push(key);

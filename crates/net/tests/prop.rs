@@ -233,6 +233,41 @@ fn saved_regression_two_by_two_grid_short_radius() {
     check_delivery_invariants(2, 2, 0.5, 0.0, &[(0, 0), (0, 856), (0, 402)], 0);
 }
 
+/// A reorder slip may hold a transmission's receiver walk back for longer
+/// than any fixed horizon (`LinkFaults::validate` does not bound
+/// `reorder_max_delay`). The window it collided with must still be there
+/// when the walk finally happens: both ends of a collision report it.
+#[test]
+fn slipped_transmission_still_sees_its_collision() {
+    // 0 --- 1 --- 2, hidden terminals: 0 and 2 both reach 1, not each other.
+    let field = Deployment::grid(3, 1, 1.0);
+    let cfg = RadioConfig::default()
+        .with_comm_radius(1.5)
+        .with_base_loss(0.0);
+    let mut medium = Medium::new(&field, cfg, &SimRng::seed_from(8));
+    let send = |medium: &mut Medium, at: Timestamp, src: u32| {
+        let frame = Frame::broadcast(NodeId(src), FrameKind(1), Bytes::from_static(&[0; 20]));
+        medium.transmit(at, frame).expect("channel idle")
+    };
+    medium.set_link_faults(Some(LinkFaults {
+        flip_per_byte: 0.0,
+        truncate: 0.0,
+        duplicate: 0.0,
+        reorder: 1.0,
+        reorder_max_delay: SimDuration::from_secs(5),
+    }));
+    let slipped = send(&mut medium, Timestamp::ZERO, 0);
+    medium.set_link_faults(None);
+    let peer = send(&mut medium, Timestamp::from_millis(1), 2);
+    let collided = vec![(NodeId(1), DeliveryOutcome::Collided)];
+    assert_eq!(medium.deliveries(peer.id).outcomes, collided);
+    // Traffic two seconds on, while the slipped walk is still pending.
+    let later = Timestamp::from_secs(2);
+    assert!(slipped.completes_at > later, "the slip must outlast the gap");
+    let _ = send(&mut medium, later, 1);
+    assert_eq!(medium.deliveries(slipped.id).outcomes, collided);
+}
+
 prop_test! {
     /// Deliveries only ever reach nodes within the communication radius,
     /// and the per-kind statistics add up.
