@@ -55,12 +55,12 @@
 //! still to come. Intents resolve in time order, so whatever is ingested
 //! later starts no earlier than the latest request instant seen
 //! ([`ResolvedTx::requested`]). A resolved window that ended by then, and
-//! by the start of every unresolved window, is dropped. Keeping a window
-//! longer never changes an outcome, because every walk skips a window that
-//! does not overlap its frame. Dropping one early does: the later walk
-//! reports `Delivered` where its peer already reported `Collided`. On the
-//! transmit side only a window still on the air can defer an intent, so a
-//! `busy` entry goes as soon as it has ended.
+//! overlaps no unresolved window, is dropped. Keeping a window longer
+//! never changes an outcome, because every walk skips a window that does
+//! not overlap its frame. Dropping one early does: the later walk reports
+//! `Delivered` where its peer already reported `Collided`. On the transmit
+//! side only a window still on the air can defer an intent, so a `busy`
+//! entry goes as soon as it has ended.
 //!
 //! ## Two deployments of it
 //!
@@ -874,6 +874,14 @@ pub struct Medium {
     /// Request instant of the newest ingested transmission: whatever is
     /// ingested later starts no earlier.
     latest_request: Timestamp,
+    /// Scratch for `deliveries`: sources of the foreign windows on the air
+    /// together with the frame being walked, in resolve order.
+    rivals: Vec<NodeId>,
+    /// Scratch for `deliveries`: `(start, end)` of every unresolved window.
+    waiting: Vec<(Timestamp, Timestamp)>,
+    /// Windows `deliveries` has looked at so far (see
+    /// [`Medium::window_visits`]).
+    window_visits: u64,
     /// Parent of the keyed per-`(transmission, receiver)` fade streams.
     fade_pairs: SimRng,
     /// Parent of the per-receiver burst chains.
@@ -919,6 +927,9 @@ impl Medium {
             windows: Vec::new(),
             next_id: 0,
             latest_request: Timestamp::ZERO,
+            rivals: Vec::new(),
+            waiting: Vec::new(),
+            window_visits: 0,
             fade_pairs: exec.fork("fade").fork("pair"),
             burst_base: exec.fork("burst"),
             burst: None,
@@ -1152,20 +1163,46 @@ impl Medium {
             windows,
             owned,
             latest_request,
+            rivals,
+            waiting,
+            window_visits,
             fade_pairs,
             burst,
             delivery_log,
             ..
         } = self;
         let idx = windows
-            .iter()
-            .position(|w| w.id == id.0 && !w.resolved)
+            .binary_search_by_key(&id.0, |w| w.id)
+            .ok()
+            .filter(|&i| !windows[i].resolved)
             .expect("unknown or already-resolved transmission id");
         let w = &mut windows[idx];
         w.resolved = true;
         let (key, start, end, frame, duplicated) =
             (w.key, w.start, w.end, w.frame.clone(), w.duplicated);
         let src = frame.src;
+        // One pass over the retained windows, in resolve order (routing
+        // preserves it), finds the foreign sources on the air together with
+        // this frame, which is all a receiver can lose it to, and the
+        // windows still awaiting their walk. A resolved window that
+        // overlaps none of those, nor anything still to come, is dead
+        // (module docs).
+        rivals.clear();
+        waiting.clear();
+        for other in windows.iter() {
+            if !other.resolved {
+                waiting.push((other.start, other.end));
+            }
+            if other.frame.src != src && other.start < end && start < other.end {
+                rivals.push(other.frame.src);
+            }
+        }
+        *window_visits += windows.len() as u64;
+        windows.retain(|w| {
+            !w.resolved
+                || w.end > *latest_request
+                || waiting.iter().any(|&(s, e)| w.start < e && s < w.end)
+        });
         let receivers = &links.neighbors[src.index()];
         let mut outcomes = match self.outcome_pool.pop() {
             Some(buf) => buf,
@@ -1188,13 +1225,8 @@ impl Medium {
             if links.partitioned(src, v) {
                 outcome = DeliveryOutcome::PartitionDrop;
             } else {
-                // Collision / half-duplex resolution over the ingested
-                // windows, in resolve order (routing preserves it).
-                for other in windows.iter() {
-                    let osrc = other.frame.src;
-                    if osrc == src || !(other.start < end && start < other.end) {
-                        continue;
-                    }
+                for &osrc in rivals.iter() {
+                    *window_visits += 1;
                     if osrc == v {
                         outcome = DeliveryOutcome::HalfDuplex;
                         break;
@@ -1238,13 +1270,6 @@ impl Medium {
             }
             outcomes.push((v, outcome));
         }
-        // Window lifetime (module docs): nothing unresolved or still to
-        // come starts before `waiting_from`.
-        let waiting_from = windows
-            .iter()
-            .filter(|w| !w.resolved)
-            .fold(*latest_request, |t, w| t.min(w.start));
-        windows.retain(|w| !w.resolved || w.end > waiting_from);
         if tally.rx > 0 {
             if self.tx.is_none() {
                 self.delivered_keys.push(key);
@@ -1284,6 +1309,16 @@ impl Medium {
     #[must_use]
     pub fn outcome_buffer_allocs(&self) -> u64 {
         self.outcome_allocs
+    }
+
+    /// Windows [`Medium::deliveries`] has looked at so far: the retained
+    /// ones once per call, plus each receiver's tests against the frames on
+    /// the air with it. Grows with what overlaps in time, not with how much
+    /// was ever sent. A plain accessor, not a telemetry counter: it depends
+    /// on which windows this medium was routed.
+    #[must_use]
+    pub fn window_visits(&self) -> u64 {
+        self.window_visits
     }
 
     /// Drains the keys of ingested transmissions at least one owned
@@ -1788,6 +1823,71 @@ mod tests {
             1,
             "200 recycled broadcasts must reuse a single buffer"
         );
+    }
+
+    #[test]
+    fn an_early_walk_leaves_its_window_for_frames_still_to_come() {
+        // Hidden terminals, with node 0's outcomes collected straight after
+        // the send, as tests and probes do. Node 2 then sends while that
+        // frame is still on the air, and must collide with it.
+        let d = line_deployment(3, 1.0);
+        let mut m = Medium::new(&d, lossless(1.5), &SimRng::seed_from(1));
+        let t0 = m.transmit(Timestamp::ZERO, frame(0)).unwrap();
+        let _ = m.deliveries(t0.id);
+        let t2 = m.transmit(Timestamp::from_millis(1), frame(2)).unwrap();
+        let r2 = m.deliveries(t2.id);
+        assert_eq!(r2.outcomes, vec![(NodeId(1), DeliveryOutcome::Collided)]);
+        // Once requests have moved past both frames, neither is kept.
+        let t1 = m.transmit(Timestamp::from_secs(1), frame(1)).unwrap();
+        let _ = m.deliveries(t1.id);
+        assert_eq!(m.windows.len(), 1);
+    }
+
+    #[test]
+    fn steady_traffic_keeps_window_work_flat() {
+        // 500 tx/s: every 2 ms one of four mutually inaudible senders
+        // (radius 1.5, five apart) starts a 7.2 ms frame, so four frames
+        // share the air at any instant, nobody defers, and each walk falls
+        // due 9.2 ms after its request.
+        let d = line_deployment(20, 1.0);
+        let mut m = Medium::new(&d, lossless(1.5), &SimRng::seed_from(1));
+        let step = SimDuration::from_millis(2);
+        let mut pending = std::collections::VecDeque::new();
+        let mut calls = 0u64;
+        // (retained windows, busy entries, visits, walks) after 1 s, 2 s,
+        // 19 s and 20 s.
+        let mut marks = Vec::new();
+        for i in 0..10_000u64 {
+            let now = Timestamp::ZERO + step * i;
+            while pending
+                .front()
+                .is_some_and(|tx: &Transmission| tx.completes_at <= now)
+            {
+                let report = m.deliveries(pending.pop_front().unwrap().id);
+                assert_eq!(report.delivered().count(), 2);
+                m.recycle(report);
+                calls += 1;
+            }
+            pending.push_back(m.transmit(now, frame((i % 4) as u32 * 5 + 2)).unwrap());
+            if [499, 999, 9_499, 9_999].contains(&i) {
+                let busy = m.tx.as_ref().unwrap().busy.len();
+                marks.push((m.windows.len(), busy, m.window_visits(), calls));
+            }
+        }
+        let (retained, busy, ..) = marks[1];
+        // Four on the air, at most five awaiting their walk; the 250 ms
+        // defer span would be another 125.
+        assert!(retained <= 4 + 5, "retained {retained} windows");
+        assert!(busy <= 4, "{busy} busy entries");
+        assert_eq!((marks[3].0, marks[3].1), (retained, busy));
+        // The second second and the twentieth cost the same: what one walk
+        // costs does not depend on how much was sent before it. It scans the
+        // retained windows once and tests its two receivers against the six
+        // frames that overlapped it at some point.
+        let (visits, walks) = (marks[1].2 - marks[0].2, marks[1].3 - marks[0].3);
+        assert_eq!(walks, 500);
+        assert_eq!((marks[3].2 - marks[2].2, marks[3].3 - marks[2].3), (visits, walks));
+        assert!(visits <= walks * ((4 + 5) + 2 * 6), "{visits} visits in {walks} walks");
     }
 
     #[test]

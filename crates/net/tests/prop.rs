@@ -4,11 +4,12 @@ use std::collections::HashSet;
 
 use bytes::Bytes;
 use envirotrack_net::medium::{
-    ChannelScheduler, DeliveryOutcome, GilbertElliott, LinkFaults, Medium, RadioConfig, TxKey,
+    ChannelScheduler, DeliveryOutcome, GilbertElliott, KindStats, LinkFaults, Medium, NetStats,
+    RadioConfig, TxKey,
 };
 use envirotrack_net::packet::{Frame, FrameKind};
 use envirotrack_net::routing::GeoRouter;
-use envirotrack_sim::rng::SimRng;
+use envirotrack_sim::rng::{splitmix64, SimRng};
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::Point;
@@ -64,8 +65,23 @@ fn check_delivery_invariants(
     prop_assert!((0.0..=1.0).contains(&ratio));
 }
 
-/// One deployment of the channel pipeline, driven through a common
-/// surface so the identity property can feed both the same schedule.
+/// What one completed transmission looked like from outside.
+type Completion = (Timestamp, Vec<(NodeId, DeliveryOutcome)>, Vec<u8>, bool);
+
+/// The surface [`drive`] feeds a schedule through: the channel pipeline in
+/// any deployment, or the brute-force [`Oracle`].
+trait Channel {
+    fn set_partition(&mut self, groups: Option<Vec<u8>>);
+    fn set_burst_loss(&mut self, model: Option<GilbertElliott>);
+    fn set_link_faults(&mut self, faults: Option<LinkFaults>);
+    /// Requests a transmission; `None` is a MAC drop.
+    fn send(&mut self, now: Timestamp, frame: Frame) -> Option<(u64, Timestamp)>;
+    fn complete(&mut self, id: u64, at: Timestamp) -> Completion;
+    /// The whole-run statistics, rendered for comparison.
+    fn stats(&mut self) -> String;
+}
+
+/// One deployment of the channel pipeline.
 struct Pipeline {
     /// `None`: `media` is one inline [`Medium`] owning every node. `Some`:
     /// a stand-alone scheduler feeding executor media whose ownership
@@ -75,9 +91,6 @@ struct Pipeline {
     /// Per-source intent numbering for the stand-alone scheduler.
     next_seq: Vec<u64>,
 }
-
-/// What one completed transmission looked like from outside.
-type Completion = (Timestamp, Vec<(NodeId, DeliveryOutcome)>, Vec<u8>, bool);
 
 impl Pipeline {
     fn new(field: &Deployment, cfg: &RadioConfig, seed: u64, split: Option<usize>) -> Self {
@@ -98,7 +111,9 @@ impl Pipeline {
             next_seq: vec![0; field.len()],
         }
     }
+}
 
+impl Channel for Pipeline {
     fn set_partition(&mut self, groups: Option<Vec<u8>>) {
         if let Some(scheduler) = &mut self.scheduler {
             scheduler.set_partition(groups.clone());
@@ -121,7 +136,6 @@ impl Pipeline {
         }
     }
 
-    /// Requests a transmission; `None` is a MAC drop.
     fn send(&mut self, now: Timestamp, frame: Frame) -> Option<(u64, Timestamp)> {
         let Some(scheduler) = &mut self.scheduler else {
             let tx = self.media[0].transmit(now, frame).ok()?;
@@ -153,9 +167,8 @@ impl Pipeline {
         (at, outcomes, payload, duplicated)
     }
 
-    /// The whole-run statistics, rendered for comparison.
-    fn stats(mut self) -> String {
-        let Some(mut scheduler) = self.scheduler else {
+    fn stats(&mut self) -> String {
+        let Some(scheduler) = &mut self.scheduler else {
             return format!("{:?}", self.media[0].stats());
         };
         let delivered: HashSet<TxKey> = self
@@ -172,13 +185,231 @@ impl Pipeline {
     }
 }
 
+/// A model of the whole channel that keeps every window ever sent and scans
+/// all of them, per sender for carrier sensing and per receiver for
+/// collisions: the loop the medium ran before it bounded its windows in
+/// time, kept here as the reference the bounded one must agree with. It
+/// follows the pinned draw discipline (stream labels, draw order, keyed
+/// fades) that fixed-seed run digests already depend on.
+struct Oracle {
+    cfg: RadioConfig,
+    neighbors: Vec<Vec<NodeId>>,
+    partition: Option<Vec<u8>>,
+    faults: Option<LinkFaults>,
+    backoff_rng: SimRng,
+    fault_rng: SimRng,
+    fade_pairs: SimRng,
+    burst_base: SimRng,
+    /// The installed burst model with per-receiver `(bad, chain)` state.
+    burst: Option<(GilbertElliott, Vec<(bool, SimRng)>)>,
+    next_seq: Vec<u64>,
+    /// `(key, start, end, frame as sent, duplicated)`, never pruned.
+    windows: Vec<(TxKey, Timestamp, Timestamp, Frame, bool)>,
+    stats: NetStats,
+    /// Windows looked at by the receiver walks.
+    visits: u64,
+}
+
+impl Oracle {
+    fn new(field: &Deployment, cfg: &RadioConfig, seed: u64) -> Self {
+        let rng = SimRng::seed_from(seed);
+        let exec = rng.fork("shard-exec");
+        let r2 = cfg.comm_radius * cfg.comm_radius;
+        let neighbors = field
+            .iter()
+            .map(|(a, pa)| {
+                let near = field.iter().filter(|&(b, pb)| a != b && pa.distance_sq_to(pb) <= r2);
+                near.map(|(b, _)| b).collect()
+            })
+            .collect();
+        Oracle {
+            cfg: cfg.clone(),
+            neighbors,
+            partition: None,
+            faults: None,
+            backoff_rng: rng.fork("radio-medium"),
+            fault_rng: rng.fork("link-faults"),
+            fade_pairs: exec.fork("fade").fork("pair"),
+            burst_base: exec.fork("burst"),
+            burst: None,
+            next_seq: vec![0; field.len()],
+            windows: Vec::new(),
+            stats: NetStats::default(),
+            visits: 0,
+        }
+    }
+
+    /// In range and not cut off by the partition.
+    fn audible(&self, a: NodeId, b: NodeId) -> bool {
+        let cut = self
+            .partition
+            .as_ref()
+            .is_some_and(|g| g[a.index()] != g[b.index()]);
+        self.neighbors[a.index()].contains(&b) && !cut
+    }
+
+    fn kind(&mut self, kind: FrameKind) -> &mut KindStats {
+        self.stats.per_kind.entry(kind.0).or_default()
+    }
+}
+
+impl Channel for Oracle {
+    fn set_partition(&mut self, groups: Option<Vec<u8>>) {
+        self.partition = groups;
+    }
+
+    fn set_burst_loss(&mut self, model: Option<GilbertElliott>) {
+        let chains = (0..self.neighbors.len() as u64)
+            .map(|v| (false, self.burst_base.fork_indexed("rx", v)))
+            .collect();
+        self.burst = model.map(|m| (m, chains));
+    }
+
+    fn set_link_faults(&mut self, faults: Option<LinkFaults>) {
+        self.faults = faults;
+    }
+
+    fn send(&mut self, now: Timestamp, mut frame: Frame) -> Option<(u64, Timestamp)> {
+        let src = frame.src;
+        let seq = self.next_seq[src.index()];
+        self.next_seq[src.index()] += 1;
+        let mut start = now;
+        if self.cfg.csma {
+            let busy_until = self
+                .windows
+                .iter()
+                .filter(|(key, ..)| key.0 == src.0 || self.audible(NodeId(key.0), src))
+                .fold(now, |t, &(_, _, end, ..)| t.max(end));
+            if busy_until > now {
+                let backoff = self.backoff_rng.below(self.cfg.backoff_max.as_micros().max(1));
+                start = busy_until + SimDuration::from_micros(backoff);
+            }
+            if start.saturating_since(now) > self.cfg.max_defer {
+                self.kind(frame.kind).mac_dropped += 1;
+                return None;
+            }
+        }
+        let tx_time = self.cfg.tx_time(&frame);
+        let end = start + tx_time;
+        self.stats.total_tx += 1;
+        self.stats.total_bits += frame.on_air_bits();
+        self.stats.busy_time += tx_time;
+        let (bytes, payload_len) = (frame.on_air_bits() / 8, frame.payload.len() as u64);
+        let mut tally = KindStats {
+            tx: 1,
+            bytes_on_air: bytes,
+            payload_bytes: payload_len,
+            ..KindStats::default()
+        };
+        // Fault draws: reorder slip, truncation, per-byte flips, duplication.
+        let mut slip = SimDuration::ZERO;
+        if let Some(f) = self.faults {
+            let rng = &mut self.fault_rng;
+            if f.reorder > 0.0 && rng.chance(f.reorder) {
+                slip = SimDuration::from_micros(rng.below(f.reorder_max_delay.as_micros().max(1)));
+                tally.reordered = 1;
+            }
+            let mut bytes = frame.payload.to_vec();
+            if f.truncate > 0.0 && !bytes.is_empty() && rng.chance(f.truncate) {
+                bytes.truncate(rng.below(bytes.len() as u64) as usize);
+                tally.corrupted = 1;
+            }
+            if f.flip_per_byte > 0.0 {
+                for byte in &mut bytes {
+                    if rng.chance(f.flip_per_byte) {
+                        *byte ^= 1 << rng.below(8);
+                        tally.corrupted = 1;
+                    }
+                }
+            }
+            frame.payload = Bytes::from(bytes);
+            if f.duplicate > 0.0 && rng.chance(f.duplicate) {
+                tally.duplicated = 1;
+            }
+        }
+        self.kind(frame.kind).absorb(&tally);
+        self.windows
+            .push(((src.0, seq), start, end, frame, tally.duplicated == 1));
+        let id = self.windows.len() as u64 - 1;
+        Some((id, end + self.cfg.proc_delay + slip))
+    }
+
+    fn complete(&mut self, id: u64, at: Timestamp) -> Completion {
+        let (key, start, end, frame, duplicated) = self.windows[id as usize].clone();
+        let src = frame.src;
+        let mut tally = KindStats::default();
+        let mut outcomes = Vec::new();
+        for v in self.neighbors[src.index()].clone() {
+            let mut outcome = DeliveryOutcome::Delivered;
+            if !self.audible(src, v) {
+                outcome = DeliveryOutcome::PartitionDrop;
+            } else {
+                for (okey, ostart, oend, ..) in &self.windows {
+                    self.visits += 1;
+                    let osrc = NodeId(okey.0);
+                    if osrc == src || !(*ostart < end && start < *oend) {
+                        continue;
+                    }
+                    if osrc == v {
+                        outcome = DeliveryOutcome::HalfDuplex;
+                        break;
+                    }
+                    if self.audible(osrc, v) {
+                        outcome = DeliveryOutcome::Collided;
+                        break;
+                    }
+                }
+            }
+            if outcome == DeliveryOutcome::Delivered && self.cfg.base_loss > 0.0 {
+                let mut s = (u64::from(key.0) << 32) ^ u64::from(v.0);
+                let mut s2 = splitmix64(&mut s) ^ key.1;
+                let pair = splitmix64(&mut s2);
+                if self.fade_pairs.indexed(pair).chance(self.cfg.base_loss) {
+                    outcome = DeliveryOutcome::Faded;
+                }
+            }
+            if let Some((model, chains)) = &mut self.burst {
+                if outcome != DeliveryOutcome::PartitionDrop {
+                    let (bad, chain) = &mut chains[v.index()];
+                    let flip = if *bad { model.p_bad_to_good } else { model.p_good_to_bad };
+                    if chain.chance(flip) {
+                        *bad = !*bad;
+                    }
+                    let loss = if *bad { model.loss_bad } else { model.loss_good };
+                    if outcome == DeliveryOutcome::Delivered && chain.chance(loss) {
+                        outcome = DeliveryOutcome::BurstFaded;
+                    }
+                }
+            }
+            match outcome {
+                DeliveryOutcome::Delivered => tally.rx += 1,
+                DeliveryOutcome::Collided => tally.collided += 1,
+                DeliveryOutcome::HalfDuplex => tally.half_duplex += 1,
+                DeliveryOutcome::Faded => tally.faded += 1,
+                DeliveryOutcome::BurstFaded => tally.burst_faded += 1,
+                DeliveryOutcome::PartitionDrop => tally.partition_dropped += 1,
+            }
+            outcomes.push((v, outcome));
+        }
+        tally.tx_lost = u64::from(tally.rx == 0);
+        self.kind(frame.kind).absorb(&tally);
+        (at, outcomes, frame.payload.to_vec(), duplicated)
+    }
+
+    fn stats(&mut self) -> String {
+        format!("{:?}", self.stats)
+    }
+}
+
 /// Feeds one `(gap, src, payload length, toggle)` schedule through a
-/// pipeline, collecting deliveries as they fall due, and returns everything
+/// channel, collecting deliveries as they fall due, and returns everything
 /// observable: per-op MAC verdicts, completions in order, final statistics.
+/// `slip` bounds the reorder delay of the link faults the schedule installs.
 fn drive(
-    mut pipe: Pipeline,
+    pipe: &mut impl Channel,
     n: usize,
     ops: &[(u64, u32, usize, u8)],
+    slip: SimDuration,
 ) -> (Vec<bool>, Vec<Completion>, String) {
     let mut now = Timestamp::ZERO;
     let mut admitted = Vec::new();
@@ -204,7 +435,7 @@ fn drive(
                 truncate: 0.2,
                 duplicate: 0.3,
                 reorder: 0.3,
-                reorder_max_delay: SimDuration::from_millis(30),
+                reorder_max_delay: slip,
             })),
             5 => pipe.set_link_faults(None),
             _ => {}
@@ -306,12 +537,64 @@ prop_test! {
         cfg.csma = csma;
         // Tight enough that a busy stretch of the schedule MAC-drops.
         cfg.max_defer = SimDuration::from_millis(20);
-        let inline = drive(Pipeline::new(&field, &cfg, seed, None), field.len(), &ops);
+        let slip = SimDuration::from_millis(30);
+        let drive = |split| drive(&mut Pipeline::new(&field, &cfg, seed, split), field.len(), &ops, slip);
+        let inline = drive(None);
         for k in [1usize, 2, 4] {
-            let split = drive(Pipeline::new(&field, &cfg, seed, Some(k)), field.len(), &ops);
+            let split = drive(Some(k));
             prop_assert_eq!(&inline.0, &split.0, "MAC verdicts diverged at {} executors", k);
             prop_assert_eq!(&inline.1, &split.1, "completions diverged at {} executors", k);
             prop_assert_eq!(&inline.2, &split.2, "statistics diverged at {} executors", k);
+        }
+    }
+
+    /// Bounding the channel windows in time changes nothing observable:
+    /// over schedules long enough to prune — 200+ sends in bursts a few
+    /// milliseconds apart, a pause of one to two seconds after every 40th,
+    /// deliveries collected as they fall due, reorder slips of up to three
+    /// seconds, partition / burst / link-fault toggles mid-stream — the
+    /// inline medium and 1, 2 and 4 executors agree with the brute-force
+    /// [`Oracle`] on MAC verdicts, completion instants, per-receiver
+    /// outcomes, garbled bytes and the combined statistics.
+    #[test]
+    fn bounded_windows_equal_the_full_backlog_oracle(
+        cols in 2u32..6,
+        rows in 2u32..5,
+        comm_radius in 0.8..3.0f64,
+        loss in 0.0..0.5f64,
+        csma: bool,
+        raw in prop::collection::vec((0u64..2000, 0u32..30, 0usize..24, 0u8..40), 200..260),
+        seed: u64,
+    ) {
+        let field = Deployment::grid(cols, rows, 1.0);
+        let mut cfg = RadioConfig::default()
+            .with_comm_radius(comm_radius)
+            .with_base_loss(loss);
+        cfg.csma = csma;
+        cfg.max_defer = SimDuration::from_millis(20);
+        let ops: Vec<_> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, &(gap, src, len, toggle))| {
+                let gap_ms = if i % 40 == 39 { 1000 + gap / 2 } else { gap % 12 };
+                (gap_ms, src, len, toggle)
+            })
+            .collect();
+        let slip = SimDuration::from_secs(3);
+        let mut oracle = Oracle::new(&field, &cfg, seed);
+        let expected = drive(&mut oracle, field.len(), &ops, slip);
+        for split in [None, Some(1usize), Some(2), Some(4)] {
+            let mut pipe = Pipeline::new(&field, &cfg, seed, split);
+            let got = drive(&mut pipe, field.len(), &ops, slip);
+            prop_assert_eq!(&expected.0, &got.0, "MAC verdicts diverged, split {:?}", split);
+            prop_assert_eq!(&expected.1, &got.1, "completions diverged, split {:?}", split);
+            prop_assert_eq!(&expected.2, &got.2, "statistics diverged, split {:?}", split);
+            // And the walks ran on pruned windows, not on the backlog.
+            let visits = pipe.media[0].window_visits();
+            prop_assert!(
+                oracle.visits == 0 || visits * 4 < oracle.visits,
+                "{} window visits against the oracle's {}", visits, oracle.visits
+            );
         }
     }
 

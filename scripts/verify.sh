@@ -104,14 +104,18 @@ grep -q "shard.intents.tail_dropped" "$tmp/shard1.jsonl" \
 
 # Medium smoke: the channel is one pipeline. An inline medium and a
 # stand-alone scheduler feeding executor media that split the nodes 1/2/4
-# ways must agree on every outcome of a random schedule (re-run here by
-# name at 512 cases unless TESTKIT_CASES is exported), and
+# ways must agree on every outcome of a random schedule, and all of them
+# with the brute-force oracle that keeps every window, over schedules long
+# enough to prune (both re-run here by name at 512 cases unless
+# TESTKIT_CASES is exported, with the long-slip regression). And
 # interest-routed (partitioned) delivery at 2 shards must be byte-identical
 # to the full-replay (replicated) medium on the same field — routing
 # decides who ingests a transmission, never what anyone observes.
 TESTKIT_CASES="${TESTKIT_CASES:-512}" \
   cargo test -q --offline -p envirotrack-net --test prop \
-  -- inline_medium_equals_scheduler_plus_executors
+  -- inline_medium_equals_scheduler_plus_executors \
+     bounded_windows_equal_the_full_backlog_oracle \
+     slipped_transmission_still_sees_its_collision
 ./target/release/scale --smoke --shards 2 --medium replicated --crosscheck "$tmp/med_rep.jsonl"
 ./target/release/scale --smoke --shards 2 --medium partitioned --crosscheck "$tmp/med_part.jsonl"
 cmp -s "$tmp/med_rep.jsonl" "$tmp/med_part.jsonl" \
