@@ -263,6 +263,10 @@ pub struct SensorNetwork {
     /// label so the per-handover cost is an integer-map probe, not a
     /// format + string-keyed registry walk.
     handover_counters: RefCell<BTreeMap<u128, CounterHandle>>,
+    /// Pre-resolved `net.k<kind>.corrupt` counters by `FrameKind.0`,
+    /// resolved at a kind's first corrupt drop so that a kind which never
+    /// drops one registers no counter.
+    corrupt_counters: BTreeMap<u8, CounterHandle>,
     /// Sharded-execution state (`None` for monolithic runs). When set, this
     /// world drives only its owned nodes and diverts transmit requests to
     /// an outbox exchanged at epoch barriers — see [`crate::shard`].
@@ -348,6 +352,7 @@ impl SensorNetwork {
             telemetry,
             labels: LabelIntern::new(),
             handover_counters: RefCell::new(BTreeMap::new()),
+            corrupt_counters: BTreeMap::new(),
             shard: None,
         }
     }
@@ -1095,7 +1100,13 @@ impl SensorNetwork {
     /// or structural checks. Counted per (frame, receiver) pair under
     /// `net.k<kind>.corrupt`, mirroring the medium's per-pair loss stats.
     fn note_corrupt_drop(&mut self, kind: FrameKind) {
-        self.telemetry.incr(&format!("net.k{}.corrupt", kind.0));
+        self.corrupt_counters
+            .entry(kind.0)
+            .or_insert_with(|| {
+                self.telemetry
+                    .counter_handle(&format!("net.k{}.corrupt", kind.0))
+            })
+            .incr();
     }
 
     /// Audits an *accepted* frame against its shadow hash (`pristine` is
