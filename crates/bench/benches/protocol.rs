@@ -6,15 +6,20 @@
 //! Plain `harness = false` binary over the in-tree timing loop
 //! ([`envirotrack_bench::harness::measure`]); run with `cargo bench`.
 
+use std::collections::VecDeque;
 use std::hint::black_box;
+use std::time::Instant;
 
-use envirotrack_bench::harness::measure;
+use envirotrack_bench::harness::{format_ns, measure};
 use envirotrack_core::aggregate::{AggregateFn, ReadingValue, ReadingWindow};
 use envirotrack_core::context::{ContextLabel, ContextTypeId};
 use envirotrack_core::transport::{LeaderLoc, LruTable};
 use envirotrack_core::wire::{Heartbeat, Message, Report};
+use envirotrack_net::medium::{Medium, RadioConfig, Transmission};
+use envirotrack_net::packet::Frame;
 use envirotrack_net::routing::GeoRouter;
 use envirotrack_sim::queue::EventQueue;
+use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::Point;
@@ -158,6 +163,68 @@ fn bench_routing(out: &mut Vec<String>) {
     );
 }
 
+/// One 20-neighbour broadcast on a channel that has just carried `backlog`
+/// other frames: the transmit call and the receiver walk, timed separately.
+/// Every sample builds its own medium (untimed), so the state under the
+/// clock is the same each time: a warm-up broadcast from the same sender,
+/// then `backlog` frames spread evenly over 1.2 s, every one finished and
+/// walked before the probe goes out at 1.25 s. The backlog comes from 32
+/// nodes far from the probe and from each other, so it defers nobody and
+/// collides with nothing. What it costs is what the medium still holds.
+fn bench_medium_backlog(out: &mut Vec<String>) {
+    const SAMPLES: usize = 200;
+    // A 5x5 cluster whose centre (node 12) hears 20 nodes within 2.3, then
+    // the far nodes 10 apart.
+    let cluster = (0..25).map(|i| Point::new(f64::from(i % 5), f64::from(i / 5)));
+    let far = (0..32).map(|j| Point::new(100.0 + 10.0 * f64::from(j), 100.0));
+    let field = Deployment::from_positions(cluster.chain(far).collect());
+    let cfg = RadioConfig::default().with_comm_radius(2.3);
+    let payload = heartbeat().encode();
+    let frame = |src: u32| Frame::broadcast(NodeId(src), heartbeat().kind(), payload.clone());
+    for backlog in [0u64, 64, 512, 4096] {
+        let (mut tx_ns, mut rx_ns) = (Vec::new(), Vec::new());
+        for _ in 0..SAMPLES {
+            let mut medium = Medium::new(&field, cfg.clone(), &SimRng::seed_from(1));
+            let mut pending: VecDeque<Transmission> = VecDeque::new();
+            let walk_due = |medium: &mut Medium, pending: &mut VecDeque<Transmission>, now| {
+                while pending.front().is_some_and(|tx| tx.completes_at <= now) {
+                    let report = medium.deliveries(pending.pop_front().expect("checked").id);
+                    medium.recycle(report);
+                }
+            };
+            pending.push_back(medium.transmit(Timestamp::ZERO, frame(12)).expect("idle"));
+            for i in 0..backlog {
+                let now = Timestamp::from_micros(10_000 + i * 1_200_000 / backlog);
+                walk_due(&mut medium, &mut pending, now);
+                let src = 25 + (i % 32) as u32;
+                pending.push_back(medium.transmit(now, frame(src)).expect("no one in range"));
+            }
+            let now = Timestamp::from_millis(1_250);
+            walk_due(&mut medium, &mut pending, now);
+            assert!(pending.is_empty(), "the backlog must be finished before the probe");
+            let t0 = Instant::now();
+            let tx = medium.transmit(now, black_box(frame(12)));
+            let t1 = Instant::now();
+            let report = medium.deliveries(tx.expect("idle").id);
+            let t2 = Instant::now();
+            assert_eq!(report.outcomes.len(), 20);
+            black_box(report);
+            tx_ns.push((t1 - t0).as_nanos() as f64);
+            rx_ns.push((t2 - t1).as_nanos() as f64);
+        }
+        for (what, mut ns) in [("transmit", tx_ns), ("deliveries", rx_ns)] {
+            ns.sort_by(f64::total_cmp);
+            out.push(format!(
+                "{:<44} {} /call   (median of {SAMPLES} states, min {}, max {})",
+                format!("medium/{what}_backlog_{backlog}"),
+                format_ns(ns[SAMPLES / 2]),
+                format_ns(ns[0]).trim_start(),
+                format_ns(ns[SAMPLES - 1]).trim_start(),
+            ));
+        }
+    }
+}
+
 fn bench_payload_sizes(out: &mut Vec<String>) {
     // Not a speed benchmark: documents frame costs stay stable.
     let cfg = envirotrack_net::medium::RadioConfig::default();
@@ -181,6 +248,7 @@ fn main() {
     bench_lru(&mut out);
     bench_queue(&mut out);
     bench_routing(&mut out);
+    bench_medium_backlog(&mut out);
     bench_payload_sizes(&mut out);
     println!("protocol micro-benchmarks");
     println!("-------------------------");
