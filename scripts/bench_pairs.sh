@@ -13,8 +13,11 @@
 # at least nine tenths of the pairs were won (ties count for neither side)
 # and the medians lie further apart than the parent's own interquartile
 # range; otherwise whether the change's median stays within the bound
-# BENCHMARK.json fixes for that metric. Exits 1 if any run reports failed
-# operations.
+# BENCHMARK.json fixes for that metric. Each pair also shows both sides' run
+# digest (the `digest <hex>` in the workload's note line, `-` when the
+# workload prints none) and `same simulation: yes|no`, so a change that
+# only makes the simulator faster shows, next to its gain, that it
+# simulated the same thing. Exits 1 if any run reports failed operations.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,6 +59,7 @@ run_side() {
     failed=1
   fi
   awk -v w="$workload" '$1 == "metric" && $2 == w { print $3, $4 }' "$log" >> "$out/$1.pair"
+  sed -n "s/^# $workload: .* digest \([0-9a-f]*\).*/\1/p" "$log" > "$out/$1.digest"
 }
 
 for i in $(seq 1 "$pairs"); do
@@ -67,8 +71,11 @@ for i in $(seq 1 "$pairs"); do
   fi
   # One line per metric and pair: <metric> <parent value> <change value>.
   paste -d ' ' "$out/parent.pair" "$out/change.pair" | awk '{ print $1, $2, $4 }' >> "$out/pairs"
+  pdig="$(cat "$out/parent.digest")"; cdig="$(cat "$out/change.digest")"
+  if [ -z "$pdig$cdig" ]; then same="n/a"; elif [ "$pdig" = "$cdig" ]; then same="yes"; else same="no"; fi
+  echo "$same" >> "$out/same"
   echo "# pair $i/$pairs: $(paste -d ' ' "$out/parent.pair" "$out/change.pair" \
-    | awk '{ printf "%s %s -> %s   ", $1, $2, $4 }')" >&2
+    | awk '{ printf "%s %s -> %s   ", $1, $2, $4 }')digest ${pdig:--} -> ${cdig:--}   same simulation: $same" >&2
 done
 
 while read -r metric better bound; do
@@ -99,5 +106,7 @@ while read -r metric better bound; do
         wins, n, ties, (p2 != 0 ? (c2 - p2) / p2 * 100 : 0), iqr, verdict
     }' "$out/m"
 done <<< "$metrics"
+
+echo "$workload same simulation: $(sort "$out/same" | uniq -c | awk '{ printf "%s%s in %d pairs", sep, $2, $1; sep = ", " }')"
 
 exit "$failed"
