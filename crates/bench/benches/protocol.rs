@@ -179,8 +179,8 @@ fn bench_medium_backlog(out: &mut Vec<String>) {
     let far = (0..32).map(|j| Point::new(100.0 + 10.0 * f64::from(j), 100.0));
     let field = Deployment::from_positions(cluster.chain(far).collect());
     let cfg = RadioConfig::default().with_comm_radius(2.3);
-    let payload = heartbeat().encode();
-    let frame = |src: u32| Frame::broadcast(NodeId(src), heartbeat().kind(), payload.clone());
+    let (kind, payload) = (heartbeat().kind(), heartbeat().encode());
+    let frame = |src: u32| Frame::broadcast(NodeId(src), kind, payload.clone());
     for backlog in [0u64, 64, 512, 4096] {
         let (mut tx_ns, mut rx_ns) = (Vec::new(), Vec::new());
         for _ in 0..SAMPLES {
@@ -202,8 +202,9 @@ fn bench_medium_backlog(out: &mut Vec<String>) {
             let now = Timestamp::from_millis(1_250);
             walk_due(&mut medium, &mut pending, now);
             assert!(pending.is_empty(), "the backlog must be finished before the probe");
+            let probe = black_box(frame(12));
             let t0 = Instant::now();
-            let tx = medium.transmit(now, black_box(frame(12)));
+            let tx = medium.transmit(now, probe);
             let t1 = Instant::now();
             let report = medium.deliveries(tx.expect("idle").id);
             let t2 = Instant::now();

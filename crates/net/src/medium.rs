@@ -879,8 +879,7 @@ pub struct Medium {
     rivals: Vec<NodeId>,
     /// Scratch for `deliveries`: `(start, end)` of every unresolved window.
     waiting: Vec<(Timestamp, Timestamp)>,
-    /// Windows `deliveries` has looked at so far (see
-    /// [`Medium::window_visits`]).
+    /// Windows `deliveries` has looked at ([`Medium::window_visits`]).
     window_visits: u64,
     /// Parent of the keyed per-`(transmission, receiver)` fade streams.
     fade_pairs: SimRng,
@@ -1184,9 +1183,8 @@ impl Medium {
         // One pass over the retained windows, in resolve order (routing
         // preserves it), finds the foreign sources on the air together with
         // this frame, which is all a receiver can lose it to, and the
-        // windows still awaiting their walk. A resolved window that
-        // overlaps none of those, nor anything still to come, is dead
-        // (module docs).
+        // windows still awaiting their walk. A resolved window overlapping
+        // none of those, nor anything still to come, is dead (module docs).
         rivals.clear();
         waiting.clear();
         for other in windows.iter() {
@@ -1313,9 +1311,8 @@ impl Medium {
 
     /// Windows [`Medium::deliveries`] has looked at so far: the retained
     /// ones once per call, plus each receiver's tests against the frames on
-    /// the air with it. Grows with what overlaps in time, not with how much
-    /// was ever sent. A plain accessor, not a telemetry counter: it depends
-    /// on which windows this medium was routed.
+    /// the air with its own. Not a telemetry counter, because it depends on
+    /// which windows this medium was routed.
     #[must_use]
     pub fn window_visits(&self) -> u64 {
         self.window_visits

@@ -13,6 +13,7 @@ use envirotrack_sim::rng::{splitmix64, SimRng};
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::Point;
+use envirotrack_world::grid::{neighbor_lists_with, NeighborStrategy};
 use testkit::prelude::*;
 
 /// The delivery-range and statistics invariants, checked for one concrete
@@ -214,17 +215,9 @@ impl Oracle {
     fn new(field: &Deployment, cfg: &RadioConfig, seed: u64) -> Self {
         let rng = SimRng::seed_from(seed);
         let exec = rng.fork("shard-exec");
-        let r2 = cfg.comm_radius * cfg.comm_radius;
-        let neighbors = field
-            .iter()
-            .map(|(a, pa)| {
-                let near = field.iter().filter(|&(b, pb)| a != b && pa.distance_sq_to(pb) <= r2);
-                near.map(|(b, _)| b).collect()
-            })
-            .collect();
         Oracle {
             cfg: cfg.clone(),
-            neighbors,
+            neighbors: neighbor_lists_with(field, cfg.comm_radius, NeighborStrategy::BruteForce),
             partition: None,
             faults: None,
             backoff_rng: rng.fork("radio-medium"),
@@ -294,11 +287,10 @@ impl Channel for Oracle {
         self.stats.total_tx += 1;
         self.stats.total_bits += frame.on_air_bits();
         self.stats.busy_time += tx_time;
-        let (bytes, payload_len) = (frame.on_air_bits() / 8, frame.payload.len() as u64);
         let mut tally = KindStats {
             tx: 1,
-            bytes_on_air: bytes,
-            payload_bytes: payload_len,
+            bytes_on_air: frame.on_air_bits() / 8,
+            payload_bytes: frame.payload.len() as u64,
             ..KindStats::default()
         };
         // Fault draws: reorder slip, truncation, per-byte flips, duplication.
@@ -538,10 +530,10 @@ prop_test! {
         // Tight enough that a busy stretch of the schedule MAC-drops.
         cfg.max_defer = SimDuration::from_millis(20);
         let slip = SimDuration::from_millis(30);
-        let drive = |split| drive(&mut Pipeline::new(&field, &cfg, seed, split), field.len(), &ops, slip);
-        let inline = drive(None);
+        let run = |split| drive(&mut Pipeline::new(&field, &cfg, seed, split), field.len(), &ops, slip);
+        let inline = run(None);
         for k in [1usize, 2, 4] {
-            let split = drive(Some(k));
+            let split = run(Some(k));
             prop_assert_eq!(&inline.0, &split.0, "MAC verdicts diverged at {} executors", k);
             prop_assert_eq!(&inline.1, &split.1, "completions diverged at {} executors", k);
             prop_assert_eq!(&inline.2, &split.2, "statistics diverged at {} executors", k);
