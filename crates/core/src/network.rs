@@ -1099,6 +1099,9 @@ impl SensorNetwork {
     /// Records one receiver-side drop of a frame that failed its integrity
     /// or structural checks. Counted per (frame, receiver) pair under
     /// `net.k<kind>.corrupt`, mirroring the medium's per-pair loss stats.
+    /// Cold: a clean channel never gets here, and inlining the map probe
+    /// into the receive path cost `field_sparse` 8 % of its events/s.
+    #[cold]
     fn note_corrupt_drop(&mut self, kind: FrameKind) {
         self.corrupt_counters
             .entry(kind.0)
