@@ -201,7 +201,10 @@ fn bench_medium_backlog(out: &mut Vec<String>) {
             }
             let now = Timestamp::from_millis(1_250);
             walk_due(&mut medium, &mut pending, now);
-            assert!(pending.is_empty(), "the backlog must be finished before the probe");
+            assert!(
+                pending.is_empty(),
+                "the backlog must be finished before the probe"
+            );
             let probe = black_box(frame(12));
             let t0 = Instant::now();
             let tx = medium.transmit(now, probe);

@@ -1883,8 +1883,14 @@ mod tests {
         // frames that overlapped it at some point.
         let (visits, walks) = (marks[1].2 - marks[0].2, marks[1].3 - marks[0].3);
         assert_eq!(walks, 500);
-        assert_eq!((marks[3].2 - marks[2].2, marks[3].3 - marks[2].3), (visits, walks));
-        assert!(visits <= walks * ((4 + 5) + 2 * 6), "{visits} visits in {walks} walks");
+        assert_eq!(
+            (marks[3].2 - marks[2].2, marks[3].3 - marks[2].3),
+            (visits, walks)
+        );
+        assert!(
+            visits <= walks * ((4 + 5) + 2 * 6),
+            "{visits} visits in {walks} walks"
+        );
     }
 
     #[test]

@@ -274,7 +274,9 @@ impl Channel for Oracle {
                 .filter(|(key, ..)| key.0 == src.0 || self.audible(NodeId(key.0), src))
                 .fold(now, |t, &(_, _, end, ..)| t.max(end));
             if busy_until > now {
-                let backoff = self.backoff_rng.below(self.cfg.backoff_max.as_micros().max(1));
+                let backoff = self
+                    .backoff_rng
+                    .below(self.cfg.backoff_max.as_micros().max(1));
                 start = busy_until + SimDuration::from_micros(backoff);
             }
             if start.saturating_since(now) > self.cfg.max_defer {
@@ -363,11 +365,19 @@ impl Channel for Oracle {
             if let Some((model, chains)) = &mut self.burst {
                 if outcome != DeliveryOutcome::PartitionDrop {
                     let (bad, chain) = &mut chains[v.index()];
-                    let flip = if *bad { model.p_bad_to_good } else { model.p_good_to_bad };
+                    let flip = if *bad {
+                        model.p_bad_to_good
+                    } else {
+                        model.p_good_to_bad
+                    };
                     if chain.chance(flip) {
                         *bad = !*bad;
                     }
-                    let loss = if *bad { model.loss_bad } else { model.loss_good };
+                    let loss = if *bad {
+                        model.loss_bad
+                    } else {
+                        model.loss_good
+                    };
                     if outcome == DeliveryOutcome::Delivered && chain.chance(loss) {
                         outcome = DeliveryOutcome::BurstFaded;
                     }
@@ -486,7 +496,10 @@ fn slipped_transmission_still_sees_its_collision() {
     assert_eq!(medium.deliveries(peer.id).outcomes, collided);
     // Traffic two seconds on, while the slipped walk is still pending.
     let later = Timestamp::from_secs(2);
-    assert!(slipped.completes_at > later, "the slip must outlast the gap");
+    assert!(
+        slipped.completes_at > later,
+        "the slip must outlast the gap"
+    );
     let _ = send(&mut medium, later, 1);
     assert_eq!(medium.deliveries(slipped.id).outcomes, collided);
 }
