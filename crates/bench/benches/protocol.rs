@@ -142,6 +142,36 @@ fn bench_queue(out: &mut Vec<String>) {
         })
         .report(),
     );
+    // The hold model a sensing loop is: `depth` events spread over one
+    // period; pop the earliest and push it back one period later. `heap`
+    // sifts it through the binary heap, `recurring` appends it to the lane.
+    const PERIOD: SimDuration = SimDuration::from_millis(200);
+    for (name, depth) in [("1k", 1_000u64), ("20k", 20_000), ("100k", 100_000)] {
+        for (path, push) in [
+            (
+                "heap",
+                EventQueue::push as fn(&mut EventQueue<u64>, Timestamp, u64),
+            ),
+            ("recurring", EventQueue::push_recurring),
+        ] {
+            let mut q = EventQueue::new();
+            for i in 0..depth {
+                push(
+                    &mut q,
+                    Timestamp::from_micros(i * PERIOD.as_micros() / depth),
+                    i,
+                );
+            }
+            out.push(
+                measure(&format!("event_queue/hold_{name}/{path}"), || {
+                    let (at, id) = q.pop().expect("the queue stays at depth");
+                    push(&mut q, at + PERIOD, id);
+                    id
+                })
+                .report(),
+            );
+        }
+    }
 }
 
 fn bench_routing(out: &mut Vec<String>) {

@@ -271,6 +271,10 @@ pub struct SensorNetwork {
     /// world drives only its owned nodes and diverts transmit requests to
     /// an outbox exchanged at epoch barriers — see [`crate::shard`].
     shard: Option<ShardState>,
+    /// Test hook: keep every sensing loop off the kernel's recurring lane,
+    /// so a test can pin that the lane changes no byte of a run.
+    #[cfg(test)]
+    sense_loops_on_heap: bool,
 }
 
 impl std::fmt::Debug for SensorNetwork {
@@ -354,6 +358,8 @@ impl SensorNetwork {
             handover_counters: RefCell::new(BTreeMap::new()),
             corrupt_counters: BTreeMap::new(),
             shard: None,
+            #[cfg(test)]
+            sense_loops_on_heap: false,
         }
     }
 
@@ -426,6 +432,7 @@ impl SensorNetwork {
 
     fn bootstrap(&mut self, k: &mut Kernel<SensorNetwork>) {
         let period = self.config.middleware.sense_period;
+        let mut starts = Vec::with_capacity(self.nodes.len());
         for id in self.deployment.ids() {
             // Sharded worlds start only their owned nodes' loops. Each
             // node's phase comes from its own forked RNG stream, so
@@ -436,9 +443,15 @@ impl SensorNetwork {
             let phase = SimDuration::from_micros(
                 self.nodes[id.index()].rng.below(period.as_micros().max(1)),
             );
-            k.schedule_at(k.now() + phase, move |w: &mut SensorNetwork, k| {
-                w.sense_tick(k, id);
-            });
+            starts.push((phase, id));
+        }
+        // Armed in firing order — id order among equal phases, the order
+        // arming by id gave them — every loop goes straight onto the kernel's
+        // recurring lane and the heap never holds one entry per node.
+        starts.sort_unstable();
+        k.reserve_recurring(starts.len());
+        for (phase, id) in starts {
+            self.arm_sense_tick(k, k.now() + phase, id, true);
         }
         // Instantiate static (pinned) objects on their host nodes.
         for tid in self.program.type_ids() {
@@ -987,6 +1000,32 @@ impl SensorNetwork {
     // Event handlers
     // ------------------------------------------------------------------
 
+    /// Schedules `node`'s next sensing tick at `at`: on the kernel's
+    /// recurring lane when `on_lane`, as an ordinary event otherwise. The
+    /// two differ in cost only, never in when or in what order the tick runs.
+    fn arm_sense_tick(
+        &self,
+        k: &mut Kernel<SensorNetwork>,
+        at: Timestamp,
+        node: NodeId,
+        on_lane: bool,
+    ) {
+        #[cfg(test)]
+        let on_lane = on_lane && !self.sense_loops_on_heap;
+        if on_lane {
+            k.schedule_recurring_at(at, Self::sense_tick_of, u64::from(node.0));
+        } else {
+            k.schedule_at(at, move |w: &mut SensorNetwork, k| {
+                w.sense_tick(k, node);
+            });
+        }
+    }
+
+    /// [`SensorNetwork::sense_tick`] as a recurring handler over a node id.
+    fn sense_tick_of(&mut self, k: &mut Kernel<SensorNetwork>, id: u64) {
+        self.sense_tick(k, NodeId(u32::try_from(id).expect("armed with a node id")));
+    }
+
     /// One sensing tick on `node`: reschedule, then drive every
     /// context-type machine. Each owned node has exactly one such loop,
     /// started by `bootstrap`; it outlives crashes (a dead node's tick
@@ -997,10 +1036,12 @@ impl SensorNetwork {
         let period = self.nodes[node.index()]
             .clock
             .global_delay(self.config.middleware.sense_period);
-        // Reschedule first: the loop survives any processing below.
-        k.schedule_at(k.now() + period, move |w: &mut SensorNetwork, k| {
-            w.sense_tick(k, node);
-        });
+        // Reschedule first: the loop survives any processing below. A skewed
+        // node stays off the lane: a slow clock's later deadline would become
+        // the lane's tail and send every other node's tick to the heap until
+        // it fired.
+        let nominal = period == self.config.middleware.sense_period;
+        self.arm_sense_tick(k, k.now() + period, node, nominal);
         if !self.nodes[node.index()].alive {
             return;
         }
@@ -2346,4 +2387,113 @@ fn link_ack_seq(payload: &[u8]) -> Option<u32> {
         return None;
     }
     Some(u32::from_be_bytes(body.try_into().ok()?))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::aggregate::{AggregateFn, AggregateInput};
+    use crate::api::Program;
+    use crate::context::SensePredicate;
+    use crate::report::telemetry_to_jsonl;
+    use envirotrack_world::scenario::TankScenario;
+    use envirotrack_world::target::Channel;
+
+    fn tracker() -> Arc<Program> {
+        let program = Program::builder().context("tracker", |c| {
+            c.activation(SensePredicate::threshold(Channel::Magnetic, 0.5))
+                .aggregate(
+                    "location",
+                    AggregateFn::CenterOfGravity,
+                    AggregateInput::Position,
+                    SimDuration::from_secs(1),
+                    2,
+                )
+        });
+        Arc::new(program.build().expect("a valid program"))
+    }
+
+    /// A tank crossing a 20 × 20 field for 5 s, with a clock slowed at 1 s
+    /// and a node near the lane crashed at 1.5 s and rebooted at 3 s.
+    /// Returns `kernel.events`, the event log and the telemetry JSONL.
+    fn faulted_run(sense_loops_on_heap: bool) -> (u64, String, String) {
+        let scenario = TankScenario {
+            lane_y: 9.5,
+            sensing_radius: 1.5,
+            ..TankScenario::default()
+        }
+        .with_grid(20, 20)
+        .with_speed_hops_per_s(2.0)
+        .build();
+        let mut engine = SensorNetwork::build_engine(
+            tracker(),
+            scenario.deployment,
+            scenario.environment,
+            NetworkConfig::default(),
+            7,
+        );
+        engine.world_mut().sense_loops_on_heap = sense_loops_on_heap;
+        let (slowed, crashed) = (NodeId(10 * 20 + 4), NodeId(9 * 20 + 3));
+        let k = engine.kernel_mut();
+        k.schedule_at(Timestamp::from_secs(1), move |w: &mut SensorNetwork, k| {
+            w.set_clock_rate(slowed, 0.8, k.now());
+        });
+        k.schedule_at(
+            Timestamp::from_millis(1500),
+            move |w: &mut SensorNetwork, _| {
+                w.kill_node(crashed);
+            },
+        );
+        k.schedule_at(Timestamp::from_secs(3), move |w: &mut SensorNetwork, _| {
+            w.revive_node(crashed);
+        });
+        engine.run_until(Timestamp::from_secs(5));
+        let on_lane = engine.kernel().recurring_len();
+        assert_eq!(on_lane, if sense_loops_on_heap { 0 } else { 399 });
+        let world = engine.world();
+        (
+            world.telemetry().counter("kernel.events"),
+            format!("{:?}", world.events().entries()),
+            telemetry_to_jsonl(world.telemetry()),
+        )
+    }
+
+    #[test]
+    fn the_recurring_lane_changes_no_byte_of_a_faulted_run() {
+        let (events, log, telemetry) = faulted_run(false);
+        assert!(log.contains("LabelCreated") && telemetry.contains("group.hb"));
+        assert!(
+            events > 400 * 25,
+            "protocol events on top of 25 ticks per node"
+        );
+        assert_eq!((events, log, telemetry), faulted_run(true));
+    }
+
+    /// Without the skew guard the slow node's deadline, one of its longer
+    /// periods away, becomes the lane's tail, and every tick armed before
+    /// that instant goes to the heap: half the field at any moment.
+    #[test]
+    fn one_slow_clock_leaves_the_other_sensing_loops_on_the_lane() {
+        let field = Deployment::grid(40, 25, 1.0);
+        let mut engine = SensorNetwork::build_engine(
+            tracker(),
+            field,
+            Environment::new(),
+            NetworkConfig::default(),
+            3,
+        );
+        engine
+            .world_mut()
+            .set_clock_rate(NodeId(500), 0.5, Timestamp::ZERO);
+        // Sampled at instants spread over several of the slow node's periods.
+        for ms in (450..=2_250).step_by(180) {
+            engine.run_until(Timestamp::from_millis(ms));
+            assert_eq!(engine.kernel().pending_events(), 1_000, "one tick per node");
+            assert!(
+                engine.kernel().recurring_len() >= 990,
+                "only {} of 1000 pending ticks are on the lane at {ms} ms",
+                engine.kernel().recurring_len()
+            );
+        }
+    }
 }

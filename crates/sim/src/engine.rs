@@ -27,6 +27,12 @@
 //! assert_eq!(engine.kernel().now(), Timestamp::from_secs(10));
 //! ```
 //!
+//! A fixed-period loop can reschedule itself with
+//! [`Kernel::schedule_recurring_at`] instead: a plain `fn` plus one `u64`
+//! argument, stored inline on the queue's recurring lane (see
+//! [`crate::queue`]) — no box, no heap sift — and run in exactly the order
+//! `schedule_at` would have given it.
+//!
 //! Determinism: the event queue is FIFO among equal timestamps and all
 //! randomness flows from the seed, so two runs with identical configuration
 //! produce identical traces (see `trace` support below and the integration
@@ -42,13 +48,24 @@ use crate::time::{SimDuration, Timestamp};
 /// A scheduled event: a one-shot closure over the world and the kernel.
 pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Kernel<W>)>;
 
+/// A recurring event's handler: a plain function over the world, the kernel
+/// and the one `u64` argument scheduled with it.
+pub type RecurringFn<W> = fn(&mut W, &mut Kernel<W>, u64);
+
+/// What the queue holds: a boxed closure, or a recurring handler with its
+/// argument inline (nothing to allocate, nothing to drop).
+enum Event<W> {
+    Once(EventFn<W>),
+    Recurring(RecurringFn<W>, u64),
+}
+
 /// The simulation kernel: virtual clock, future-event list, and seeded RNG.
 ///
 /// Handlers receive `&mut Kernel<W>` and use it to read the clock, draw
 /// randomness, schedule further events, and request a stop.
 pub struct Kernel<W> {
     now: Timestamp,
-    queue: EventQueue<EventFn<W>>,
+    queue: EventQueue<Event<W>>,
     rng: SimRng,
     stop_requested: bool,
     events_processed: u64,
@@ -107,13 +124,8 @@ impl<W> Kernel<W> {
     where
         F: FnOnce(&mut W, &mut Kernel<W>) + 'static,
     {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: now={} at={}",
-            self.now,
-            at
-        );
-        self.queue.push(at, Box::new(event));
+        self.assert_not_past(at);
+        self.queue.push(at, Event::Once(Box::new(event)));
     }
 
     /// Schedules `event` to run `delay` after the current instant.
@@ -122,7 +134,29 @@ impl<W> Kernel<W> {
         F: FnOnce(&mut W, &mut Kernel<W>) + 'static,
     {
         let at = self.now.saturating_add(delay);
-        self.queue.push(at, Box::new(event));
+        self.queue.push(at, Event::Once(Box::new(event)));
+    }
+
+    /// Schedules `handler(world, kernel, arg)` to run at absolute instant
+    /// `at`, in the same place in the event order as a
+    /// [`Kernel::schedule_at`] made now. Meant for fixed-period loops: when
+    /// calls arrive with non-decreasing `at` — as `now + period` does — each
+    /// is an O(1), allocation-free append to the queue's recurring lane; a
+    /// call that is out of order costs what `schedule_at` costs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past, like [`Kernel::schedule_at`].
+    pub fn schedule_recurring_at(&mut self, at: Timestamp, handler: RecurringFn<W>, arg: u64) {
+        self.assert_not_past(at);
+        self.queue
+            .push_recurring(at, Event::Recurring(handler, arg));
+    }
+
+    /// Makes room for exactly `additional` more recurring events: a caller
+    /// about to arm that many loops spares the lane its doubling growth.
+    pub fn reserve_recurring(&mut self, additional: usize) {
+        self.queue.reserve_recurring(additional);
     }
 
     /// Schedules `event` at absolute instant `at` and returns a key that
@@ -135,13 +169,8 @@ impl<W> Kernel<W> {
     where
         F: FnOnce(&mut W, &mut Kernel<W>) + 'static,
     {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: now={} at={}",
-            self.now,
-            at
-        );
-        self.queue.push_keyed(at, Box::new(event))
+        self.assert_not_past(at);
+        self.queue.push_keyed(at, Event::Once(Box::new(event)))
     }
 
     /// Schedules `event` after `delay`, returning a cancellation key.
@@ -150,7 +179,16 @@ impl<W> Kernel<W> {
         F: FnOnce(&mut W, &mut Kernel<W>) + 'static,
     {
         let at = self.now.saturating_add(delay);
-        self.queue.push_keyed(at, Box::new(event))
+        self.queue.push_keyed(at, Event::Once(Box::new(event)))
+    }
+
+    fn assert_not_past(&self, at: Timestamp) {
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: now={} at={}",
+            self.now,
+            at
+        );
     }
 
     /// Cancels a pending event. Returns whether anything was cancelled —
@@ -175,6 +213,14 @@ impl<W> Kernel<W> {
     #[must_use]
     pub fn pending_events(&self) -> usize {
         self.queue.len()
+    }
+
+    /// How many of the pending events sit on the queue's recurring lane. A
+    /// plain accessor for tests and tools: it says how events are stored,
+    /// not what the simulation did, and belongs in no run record.
+    #[must_use]
+    pub fn recurring_len(&self) -> usize {
+        self.queue.recurring_len()
     }
 
     /// Enables trace capture with the given capacity (older entries beyond
@@ -277,6 +323,11 @@ impl<W> Engine<W> {
     /// Executes exactly one event if one is pending, returning its time.
     pub fn step(&mut self) -> Option<Timestamp> {
         let (at, event) = self.kernel.queue.pop()?;
+        self.dispatch(at, event);
+        Some(at)
+    }
+
+    fn dispatch(&mut self, at: Timestamp, event: Event<W>) {
         debug_assert!(
             at >= self.kernel.now,
             "event queue yielded an event from the past"
@@ -286,8 +337,10 @@ impl<W> Engine<W> {
         if let Some(c) = &self.kernel.events_counter {
             c.incr();
         }
-        event(&mut self.world, &mut self.kernel);
-        Some(at)
+        match event {
+            Event::Once(f) => f(&mut self.world, &mut self.kernel),
+            Event::Recurring(f, arg) => f(&mut self.world, &mut self.kernel, arg),
+        }
     }
 
     /// Runs until the virtual clock reaches `horizon`, the queue drains, a
@@ -305,19 +358,15 @@ impl<W> Engine<W> {
             if self.kernel.events_processed - start_processed >= self.event_limit {
                 return RunOutcome::EventLimit;
             }
-            match self.kernel.queue.peek_time() {
-                None => {
-                    self.kernel.now = self.kernel.now.max(horizon);
-                    return RunOutcome::QueueDrained;
-                }
-                Some(t) if t > horizon => {
-                    self.kernel.now = self.kernel.now.max(horizon);
-                    return RunOutcome::HorizonReached;
-                }
-                Some(_) => {
-                    self.step();
-                }
-            }
+            let Some((at, event)) = self.kernel.queue.pop_due(horizon) else {
+                self.kernel.now = self.kernel.now.max(horizon);
+                return if self.kernel.queue.is_empty() {
+                    RunOutcome::QueueDrained
+                } else {
+                    RunOutcome::HorizonReached
+                };
+            };
+            self.dispatch(at, event);
         }
     }
 
@@ -482,6 +531,105 @@ mod tests {
         );
         assert_eq!(e.world().log.len(), 1);
         assert_eq!(e.kernel().now(), Timestamp::from_secs(6));
+    }
+
+    fn recurring(w: &mut World, k: &mut Kernel<World>, arg: u64) {
+        w.log.push((k.now().as_micros() + arg, "recurring"));
+    }
+
+    fn once(w: &mut World, k: &mut Kernel<World>) {
+        w.log.push((k.now().as_micros(), "once"));
+    }
+
+    #[test]
+    fn recurring_and_closure_events_at_one_instant_run_in_scheduling_order() {
+        let t = Timestamp::from_secs(1);
+        let mut e = Engine::new(World::default(), 1);
+        e.kernel_mut().schedule_recurring_at(t, recurring, 0);
+        e.kernel_mut().schedule_at(t, once);
+        e.kernel_mut().schedule_recurring_at(t, recurring, 1);
+        assert_eq!(e.kernel().recurring_len(), 2);
+        assert_eq!(e.run_to_completion(), RunOutcome::QueueDrained);
+        assert_eq!(
+            e.world().log,
+            vec![
+                (1_000_000, "recurring"),
+                (1_000_000, "once"),
+                (1_000_001, "recurring")
+            ]
+        );
+
+        // The other way round, and with a recurring event that had to fall
+        // through to the heap (it is earlier than the lane's tail).
+        let mut e = Engine::new(World::default(), 1);
+        e.kernel_mut().schedule_at(t, once);
+        e.kernel_mut()
+            .schedule_recurring_at(Timestamp::from_secs(2), recurring, 0);
+        e.kernel_mut().schedule_recurring_at(t, recurring, 0);
+        assert_eq!(e.kernel().recurring_len(), 1);
+        assert_eq!(e.kernel().pending_events(), 3);
+        e.kernel_mut().schedule_at(t, once);
+        e.run_to_completion();
+        assert_eq!(
+            e.world().log,
+            vec![
+                (1_000_000, "once"),
+                (1_000_000, "recurring"),
+                (1_000_000, "once"),
+                (2_000_000, "recurring")
+            ]
+        );
+    }
+
+    #[test]
+    fn run_until_is_inclusive_and_stops_for_lane_and_heap_alike() {
+        let mut e = Engine::new(World::default(), 1);
+        for s in 1..=3 {
+            e.kernel_mut()
+                .schedule_recurring_at(Timestamp::from_secs(s), recurring, 0);
+            e.kernel_mut().schedule_at(Timestamp::from_secs(s), once);
+        }
+        let horizon = Timestamp::from_secs(2);
+        assert_eq!(e.run_until(horizon), RunOutcome::HorizonReached);
+        assert_eq!(e.world().log.len(), 4, "both events due at the horizon ran");
+        assert_eq!(e.kernel().now(), horizon);
+        assert_eq!(e.kernel().pending_events(), 2);
+        // Next up is the lane's head: not due, and not mistaken for empty.
+        assert_eq!(e.step(), Some(Timestamp::from_secs(3)));
+        assert_eq!(e.kernel().recurring_len(), 0);
+        // Now only the heap holds an event; a horizon short of it stops too.
+        e.kernel_mut().schedule_at(Timestamp::from_secs(5), once);
+        assert_eq!(
+            e.run_until(Timestamp::from_secs(3)),
+            RunOutcome::HorizonReached
+        );
+        assert_eq!(
+            e.run_until(Timestamp::from_secs(4)),
+            RunOutcome::HorizonReached
+        );
+        assert_eq!(e.world().log.len(), 6);
+        // And only the lane: same answer, then drained once it has run.
+        e.kernel_mut()
+            .schedule_recurring_at(Timestamp::from_secs(6), recurring, 0);
+        assert_eq!(
+            e.run_until(Timestamp::from_secs(5)),
+            RunOutcome::HorizonReached
+        );
+        assert_eq!(e.kernel().pending_events(), 1);
+        assert_eq!(
+            e.run_until(Timestamp::from_secs(6)),
+            RunOutcome::QueueDrained
+        );
+        assert_eq!(e.world().log.len(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn recurring_scheduling_into_the_past_panics() {
+        let mut e = Engine::new(World::default(), 1);
+        e.run_until(Timestamp::from_secs(1));
+        e.kernel_mut()
+            .schedule_recurring_at(Timestamp::ZERO, recurring, 0);
     }
 
     #[test]

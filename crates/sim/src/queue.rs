@@ -35,12 +35,21 @@
 //! * generations disambiguate a reused slot from the key of its previous
 //!   occupant, so a stale key can never cancel somebody else's event.
 //!
-//! Pooling can be disabled ([`EventQueue::with_pooling`]) for A/B testing —
-//! the property suite asserts pop order and cancellation semantics are
-//! identical either way.
+//! ## The recurring lane
+//!
+//! A simulation's periodic loops push `now + period` in exactly the order
+//! those events will fire, so sorting them through the heap is wasted work.
+//! [`EventQueue::push_recurring`] appends such an event to a FIFO *lane*
+//! instead — but only when its time is not before the lane's tail, which
+//! keeps the lane sorted by `(time, seq)` whatever the caller does; any
+//! other push falls through to the heap. [`EventQueue::pop`] and
+//! [`EventQueue::peek_time`] take whichever of lane head and heap top has
+//! the smaller `(time, seq)`, which is the event the heap alone would have
+//! yielded: the lane changes what a push costs, never the pop order. Lane
+//! entries hold their item inline (no slab slot) and cannot be cancelled.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::Timestamp;
 
@@ -103,30 +112,23 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Entry>,
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
-    pooling: bool,
+    /// The recurring lane, sorted by `(time, seq)` because a push is only
+    /// accepted at or after its tail's time.
+    lane: VecDeque<(Timestamp, u64, E)>,
     next_seq: u64,
     live: usize,
     reused_slots: u64,
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue with slot pooling enabled.
+    /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_pooling(true)
-    }
-
-    /// Creates an empty queue, choosing whether retired slots are recycled
-    /// (`true`, the default) or abandoned (`false`; every push allocates a
-    /// fresh slot). Observable behaviour is identical either way — the
-    /// property suite pins that.
-    #[must_use]
-    pub fn with_pooling(pooling: bool) -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            pooling,
+            lane: VecDeque::new(),
             next_seq: 0,
             live: 0,
             reused_slots: 0,
@@ -136,6 +138,26 @@ impl<E> EventQueue<E> {
     /// Schedules `item` to fire at instant `at`.
     pub fn push(&mut self, at: Timestamp, item: E) {
         let _ = self.push_keyed(at, item);
+    }
+
+    /// Schedules `item` to fire at instant `at` on the recurring lane (see
+    /// the [module docs](self)): O(1) and allocation-free when `at` is not
+    /// before the lane's last entry, an ordinary [`EventQueue::push`]
+    /// otherwise. Either way it pops exactly where `push` would have put it.
+    pub fn push_recurring(&mut self, at: Timestamp, item: E) {
+        if self.lane.back().is_some_and(|tail| at < tail.0) {
+            return self.push(at, item);
+        }
+        self.lane.push_back((at, self.next_seq, item));
+        self.next_seq += 1;
+        self.live += 1;
+    }
+
+    /// Makes room on the recurring lane for exactly `additional` more
+    /// events: arming a known number of loops then allocates once, not by
+    /// doubling.
+    pub fn reserve_recurring(&mut self, additional: usize) {
+        self.lane.reserve_exact(additional);
     }
 
     /// Schedules `item` to fire at instant `at`, returning a key that can
@@ -185,42 +207,63 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(Timestamp, E)> {
-        loop {
-            let entry = self.heap.pop()?;
-            let slot = &mut self.slots[entry.slot as usize];
-            if slot.generation != entry.generation {
-                // Cancelled (or cleared) behind this entry's back: skip.
-                continue;
-            }
-            let item = slot
-                .item
-                .take()
-                .expect("live generation implies an occupied slot");
+        self.pop_due(Timestamp::MAX)
+    }
+
+    /// Removes and returns the earliest event if it fires at or before
+    /// `horizon`; `None` when the queue is empty or its earliest event is
+    /// later. One merge of lane and heap where a [`EventQueue::peek_time`]
+    /// followed by a [`EventQueue::pop`] would pay two.
+    pub fn pop_due(&mut self, horizon: Timestamp) -> Option<(Timestamp, E)> {
+        let lane = self.lane.front().map(|e| (e.0, e.1));
+        let heap = self.live_top();
+        let from_lane = match (lane, heap) {
+            (Some(l), Some(h)) => l < h,
+            (l, _) => l.is_some(),
+        };
+        let (at, _) = if from_lane { lane } else { heap }?;
+        if at > horizon {
+            return None;
+        }
+        self.live -= 1;
+        let item = if from_lane {
+            self.lane.pop_front().expect("the lane has a head").2
+        } else {
+            let entry = self.heap.pop().expect("the heap has a live top");
+            let item = self.slots[entry.slot as usize].item.take();
             self.retire(entry.slot);
-            self.live -= 1;
-            return Some((entry.at, item));
-        }
+            item.expect("live generation implies an occupied slot")
+        };
+        Some((at, item))
     }
 
-    /// Advances a vacated slot's generation and (under pooling) recycles it.
-    fn retire(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        s.generation = s.generation.wrapping_add(1);
-        if self.pooling {
-            self.free.push(slot);
-        }
-    }
-
-    /// The firing time of the earliest pending event, if any. Discards any
+    /// The `(time, seq)` of the heap's earliest live entry. Discards any
     /// cancelled entries sitting on top of the heap, so the answer is exact.
-    #[must_use]
-    pub fn peek_time(&mut self) -> Option<Timestamp> {
+    fn live_top(&mut self) -> Option<(Timestamp, u64)> {
         loop {
             let entry = self.heap.peek()?;
             if self.slots[entry.slot as usize].generation == entry.generation {
-                return Some(entry.at);
+                return Some((entry.at, entry.seq));
             }
             let _ = self.heap.pop();
+        }
+    }
+
+    /// Advances a vacated slot's generation and recycles it.
+    fn retire(&mut self, slot: u32) {
+        let s = &mut self.slots[slot as usize];
+        s.generation = s.generation.wrapping_add(1);
+        self.free.push(slot);
+    }
+
+    /// The firing time of the earliest pending event, if any.
+    #[must_use]
+    pub fn peek_time(&mut self) -> Option<Timestamp> {
+        let heap = self.live_top().map(|(at, _)| at);
+        let lane = self.lane.front().map(|e| e.0);
+        match (lane, heap) {
+            (Some(l), Some(h)) => Some(l.min(h)),
+            (l, h) => l.or(h),
         }
     }
 
@@ -236,8 +279,15 @@ impl<E> EventQueue<E> {
         self.live == 0
     }
 
+    /// How many pending events sit on the recurring lane rather than in the
+    /// heap.
+    #[must_use]
+    pub fn recurring_len(&self) -> usize {
+        self.lane.len()
+    }
+
     /// Number of slab slots ever allocated — the high-water mark of
-    /// concurrently pending events when pooling is on.
+    /// concurrently pending heap events.
     #[must_use]
     pub fn allocated_slots(&self) -> usize {
         self.slots.len()
@@ -255,14 +305,14 @@ impl<E> EventQueue<E> {
     /// slab itself is retained for reuse.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.lane.clear();
         self.free.clear();
         for (i, s) in self.slots.iter_mut().enumerate() {
             if s.item.take().is_some() {
                 s.generation = s.generation.wrapping_add(1);
             }
-            if self.pooling {
-                self.free.push(u32::try_from(i).expect("slab under u32::MAX slots"));
-            }
+            self.free
+                .push(u32::try_from(i).expect("slab under u32::MAX slots"));
         }
         self.live = 0;
     }
@@ -279,7 +329,7 @@ impl<E> std::fmt::Debug for EventQueue<E> {
         f.debug_struct("EventQueue")
             .field("len", &self.live)
             .field("slots", &self.slots.len())
-            .field("pooling", &self.pooling)
+            .field("recurring", &self.lane.len())
             .finish()
     }
 }
@@ -382,14 +432,28 @@ mod tests {
             q.allocated_slots()
         );
         assert!(q.reused_slots() >= 999);
+    }
 
-        let mut churn = EventQueue::<u64>::with_pooling(false);
-        for i in 0..100u64 {
-            churn.push(Timestamp::from_micros(i), i);
-            let _ = churn.pop();
-        }
-        assert_eq!(churn.allocated_slots(), 100, "pooling off never recycles");
-        assert_eq!(churn.reused_slots(), 0);
+    #[test]
+    fn recurring_pushes_take_the_lane_only_in_order() {
+        let mut q = EventQueue::new();
+        q.push_recurring(Timestamp::from_secs(2), "lane");
+        q.push_recurring(Timestamp::from_secs(2), "lane, tying its tail");
+        q.push_recurring(Timestamp::from_secs(1), "before the tail: heap");
+        q.push(Timestamp::from_secs(2), "heap");
+        assert_eq!((q.recurring_len(), q.len()), (2, 4));
+        assert_eq!(q.peek_time(), Some(Timestamp::from_secs(1)));
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(
+            order,
+            vec![
+                "before the tail: heap",
+                "lane",
+                "lane, tying its tail",
+                "heap"
+            ],
+            "exactly the order four plain pushes pop in"
+        );
     }
 
     #[test]

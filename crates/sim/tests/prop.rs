@@ -28,54 +28,70 @@ prop_test! {
         }
     }
 
-    /// Slot pooling is invisible to queue semantics: a pooled and an
-    /// unpooled queue driven by the same randomized push/cancel/pop
-    /// schedule agree on every pop result, every cancellation outcome
-    /// (including stale keys), and every intermediate length/peek.
+    /// The queue against a reference model — a `Vec<(at, seq, item)>`
+    /// scanned for its minimum, which knows nothing of heaps, slabs or
+    /// lanes — under random interleavings of every operation: each pop,
+    /// due-pop, cancel (live and stale keys), peek and length must agree.
+    /// Recurring pushes arrive both in order (onto the lane, ties with its
+    /// tail included) and out of order (through to the heap), and times
+    /// come from a small range so lane head and heap top tie often, with
+    /// the lower sequence number on either side.
     #[test]
-    fn queue_pooling_never_changes_pop_or_cancel_semantics(
-        ops in prop::collection::vec((0u8..8, 0u64..500), 1..300),
+    fn queue_matches_reference_model(
+        ops in prop::collection::vec((0u8..12, 0u64..40), 1..400),
     ) {
-        let mut pooled = EventQueue::new();
-        let mut plain = EventQueue::with_pooling(false);
-        let mut pooled_keys = Vec::new();
-        let mut plain_keys = Vec::new();
-        let mut next_item = 0usize;
+        let mut q = EventQueue::new();
+        let mut model: Vec<(Timestamp, u64, usize)> = Vec::new();
+        let mut keys = Vec::new();
+        let mut lane_tail = 0u64;
+        let (mut next_seq, mut next_item) = (0u64, 0usize);
+        let take_min = |model: &mut Vec<(Timestamp, u64, usize)>, horizon: Timestamp| {
+            let min = (0..model.len()).min_by_key(|&i| (model[i].0, model[i].1))?;
+            (model[min].0 <= horizon).then(|| model.remove(min)).map(|(at, _, item)| (at, item))
+        };
         for &(op, t) in &ops {
+            let at = Timestamp::from_micros(t);
             match op {
-                // Bias toward pushes so schedules grow interesting.
-                0..=3 => {
-                    let at = Timestamp::from_micros(t);
-                    pooled_keys.push(pooled.push_keyed(at, next_item));
-                    plain_keys.push(plain.push_keyed(at, next_item));
+                0..=5 => {
+                    let at = match op {
+                        0 | 1 => { q.push(at, next_item); at }
+                        2 => { keys.push((q.push_keyed(at, next_item), next_item)); at }
+                        // In order: at or after every earlier recurring push.
+                        3 | 4 => {
+                            lane_tail += t % 3;
+                            let at = Timestamp::from_micros(lane_tail);
+                            q.push_recurring(at, next_item);
+                            at
+                        }
+                        // Anywhere: usually before the lane's tail.
+                        _ => { lane_tail = lane_tail.max(t); q.push_recurring(at, next_item); at }
+                    };
+                    model.push((at, next_seq, next_item));
+                    next_seq += 1;
                     next_item += 1;
                 }
-                4 | 5 if !pooled_keys.is_empty() => {
-                    // Cancel an arbitrary previously issued key; stale
-                    // (already popped/cancelled) keys must be no-ops in
-                    // both queues alike.
-                    let pick = t as usize % pooled_keys.len();
-                    let a = pooled.cancel(pooled_keys[pick]);
-                    let b = plain.cancel(plain_keys[pick]);
-                    prop_assert_eq!(a, b, "cancel outcome diverged");
+                6 if !keys.is_empty() => {
+                    let (key, item) = keys[t as usize % keys.len()];
+                    let held = model.iter().position(|e| e.2 == item).map(|i| model.remove(i).2);
+                    prop_assert_eq!(q.cancel(key), held, "cancel diverged");
                 }
-                _ => {
-                    prop_assert_eq!(pooled.pop(), plain.pop(), "pop diverged");
-                }
+                7 => prop_assert_eq!(q.pop_due(at), take_min(&mut model, at), "pop_due diverged"),
+                8 if t == 0 => { q.clear(); model.clear(); }
+                _ => prop_assert_eq!(q.pop(), take_min(&mut model, Timestamp::MAX), "pop diverged"),
             }
-            prop_assert_eq!(pooled.len(), plain.len());
-            prop_assert_eq!(pooled.peek_time(), plain.peek_time());
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.is_empty(), model.is_empty());
+            prop_assert_eq!(q.peek_time(), model.iter().map(|e| e.0).min());
+            prop_assert!(q.recurring_len() <= q.len());
         }
-        // Drain both to the end: the tails must match exactly too.
+        // Drain to the end: the tail must match exactly too.
         loop {
-            let (a, b) = (pooled.pop(), plain.pop());
+            let (a, b) = (q.pop(), take_min(&mut model, Timestamp::MAX));
             prop_assert_eq!(a, b, "drain diverged");
             if a.is_none() {
                 break;
             }
         }
-        prop_assert!(pooled.reused_slots() >= plain.reused_slots());
-        prop_assert_eq!(plain.reused_slots(), 0);
     }
 
     /// Welford statistics match the naive two-pass computation.

@@ -20,6 +20,14 @@ TESTKIT_CASES="${CHAOS_CASES:-128}" \
   cargo test -q --offline -p envirotrack-chaos --test chaos \
   -- random_fault_plans_never_break_invariants
 
+# Queue smoke: the event list against its reference model (a Vec scanned
+# for its minimum) under random interleavings of push, in-order and
+# out-of-order recurring push, keyed push, cancel, pop, due-pop, peek and
+# clear, re-run here by name at 512 cases unless TESTKIT_CASES is exported.
+TESTKIT_CASES="${TESTKIT_CASES:-512}" \
+  cargo test -q --offline -p envirotrack-sim --test prop \
+  -- queue_matches_reference_model
+
 # Telemetry smoke: the flagship storm must emit the summary table and a
 # non-empty trace, byte-identically across two runs of the same seed.
 tmp="$(mktemp -d)"
