@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! frame := uvarint(len)  ++ body          (len = byte length of body)
-//! body  := uvarint(tag)  ++ fields…       (tags 1..=11, one per variant)
+//! body  := uvarint(tag)  ++ fields…       (tag = the variant's `MessageType`)
 //! ```
 //!
 //! Compound fields: a label is three uvarints (`type_id`, `creator`,
@@ -29,7 +29,7 @@ use envirotrack_world::geometry::Point;
 use super::varint::{get_f64, get_uvarint, put_f64, put_uvarint};
 use super::{
     BaseReport, DecodeError, DirQuery, DirRegister, DirResponse, DirSync, GeoForward, Heartbeat,
-    Message, MtpAck, MtpSegment, Relinquish, Report,
+    Message, MessageType, MtpAck, MtpSegment, Relinquish, Report,
 };
 use crate::aggregate::ReadingValue;
 use crate::context::{ContextLabel, ContextTypeId};
@@ -98,9 +98,9 @@ fn decode_frame(buf: &mut &[u8], depth: u32) -> Result<Message, DecodeError> {
 }
 
 fn encode_body(msg: &Message, buf: &mut BytesMut) {
+    put_uvarint(buf, u64::from(msg.message_type().to_u8()));
     match msg {
         Message::Heartbeat(h) => {
-            put_uvarint(buf, 1);
             put_label(buf, h.label);
             put_uvarint(buf, u64::from(h.leader.0));
             put_point(buf, h.leader_pos);
@@ -110,7 +110,6 @@ fn encode_body(msg: &Message, buf: &mut BytesMut) {
             put_opt_bytes(buf, &h.state);
         }
         Message::Relinquish(r) => {
-            put_uvarint(buf, 2);
             put_label(buf, r.label);
             put_uvarint(buf, u64::from(r.from.0));
             put_uvarint(buf, u64::from(r.weight));
@@ -124,7 +123,6 @@ fn encode_body(msg: &Message, buf: &mut BytesMut) {
             put_opt_bytes(buf, &r.state);
         }
         Message::Report(r) => {
-            put_uvarint(buf, 3);
             put_label(buf, r.label);
             put_uvarint(buf, u64::from(r.member.0));
             put_uvarint(buf, r.taken_at.as_micros());
@@ -135,19 +133,16 @@ fn encode_body(msg: &Message, buf: &mut BytesMut) {
             }
         }
         Message::DirRegister(d) => {
-            put_uvarint(buf, 4);
             put_label(buf, d.label);
             put_point(buf, d.location);
         }
         Message::DirQuery(d) => {
-            put_uvarint(buf, 5);
             put_uvarint(buf, u64::from(d.type_id.0));
             put_uvarint(buf, u64::from(d.reply_to.0));
             put_point(buf, d.reply_pos);
             put_uvarint(buf, u64::from(d.query_id));
         }
         Message::DirResponse(d) => {
-            put_uvarint(buf, 6);
             put_uvarint(buf, u64::from(d.query_id));
             put_uvarint(buf, d.entries.len() as u64);
             for (label, p) in &d.entries {
@@ -156,7 +151,6 @@ fn encode_body(msg: &Message, buf: &mut BytesMut) {
             }
         }
         Message::Mtp(m) => {
-            put_uvarint(buf, 7);
             put_label(buf, m.src_label);
             put_uvarint(buf, u64::from(m.src_port.0));
             put_label(buf, m.dst_label);
@@ -168,13 +162,11 @@ fn encode_body(msg: &Message, buf: &mut BytesMut) {
             put_bytes(buf, &m.payload);
         }
         Message::Base(b) => {
-            put_uvarint(buf, 8);
             put_label(buf, b.label);
             put_uvarint(buf, b.generated_at.as_micros());
             put_bytes(buf, &b.payload);
         }
         Message::Geo(g) => {
-            put_uvarint(buf, 9);
             put_point(buf, g.dest);
             match g.deliver_to {
                 Some(n) => {
@@ -187,7 +179,6 @@ fn encode_body(msg: &Message, buf: &mut BytesMut) {
             encode_frame(&g.inner, buf);
         }
         Message::MtpAckMsg(a) => {
-            put_uvarint(buf, 10);
             put_label(buf, a.dst_label);
             put_uvarint(buf, u64::from(a.src_node.0));
             put_uvarint(buf, u64::from(a.seq));
@@ -195,7 +186,6 @@ fn encode_body(msg: &Message, buf: &mut BytesMut) {
             put_point(buf, a.acker_pos);
         }
         Message::DirSyncMsg(s) => {
-            put_uvarint(buf, 11);
             put_uvarint(buf, u64::from(s.type_id.0));
             put_uvarint(buf, u64::from(s.from.0));
             buf.put_u8(u8::from(s.reply));
@@ -211,8 +201,8 @@ fn encode_body(msg: &Message, buf: &mut BytesMut) {
 
 fn decode_body(buf: &mut &[u8], depth: u32) -> Result<Message, DecodeError> {
     let tag = get_uvarint(buf)?;
-    Ok(match tag {
-        1 => Message::Heartbeat(Heartbeat {
+    Ok(match MessageType::from_wire(tag)? {
+        MessageType::Heartbeat => Message::Heartbeat(Heartbeat {
             label: get_label(buf)?,
             leader: NodeId(get_u32v(buf)?),
             leader_pos: get_point(buf)?,
@@ -221,7 +211,7 @@ fn decode_body(buf: &mut &[u8], depth: u32) -> Result<Message, DecodeError> {
             ttl: get_u8v(buf)?,
             state: get_opt_bytes(buf)?,
         }),
-        2 => Message::Relinquish(Relinquish {
+        MessageType::Relinquish => Message::Relinquish(Relinquish {
             label: get_label(buf)?,
             from: NodeId(get_u32v(buf)?),
             weight: get_u32v(buf)?,
@@ -231,7 +221,7 @@ fn decode_body(buf: &mut &[u8], depth: u32) -> Result<Message, DecodeError> {
             },
             state: get_opt_bytes(buf)?,
         }),
-        3 => {
+        MessageType::Report => {
             let label = get_label(buf)?;
             let member = NodeId(get_u32v(buf)?);
             let taken_at = Timestamp::from_micros(get_uvarint(buf)?);
@@ -250,17 +240,17 @@ fn decode_body(buf: &mut &[u8], depth: u32) -> Result<Message, DecodeError> {
                 values,
             })
         }
-        4 => Message::DirRegister(DirRegister {
+        MessageType::DirRegister => Message::DirRegister(DirRegister {
             label: get_label(buf)?,
             location: get_point(buf)?,
         }),
-        5 => Message::DirQuery(DirQuery {
+        MessageType::DirQuery => Message::DirQuery(DirQuery {
             type_id: ContextTypeId(get_u16v(buf)?),
             reply_to: NodeId(get_u32v(buf)?),
             reply_pos: get_point(buf)?,
             query_id: get_u32v(buf)?,
         }),
-        6 => {
+        MessageType::DirResponse => {
             let query_id = get_u32v(buf)?;
             let n = get_uvarint(buf)?;
             let mut entries = Vec::with_capacity(n.min(buf.len() as u64) as usize);
@@ -269,7 +259,7 @@ fn decode_body(buf: &mut &[u8], depth: u32) -> Result<Message, DecodeError> {
             }
             Message::DirResponse(DirResponse { query_id, entries })
         }
-        7 => Message::Mtp(MtpSegment {
+        MessageType::Mtp => Message::Mtp(MtpSegment {
             src_label: get_label(buf)?,
             src_port: Port(get_u16v(buf)?),
             dst_label: get_label(buf)?,
@@ -280,12 +270,12 @@ fn decode_body(buf: &mut &[u8], depth: u32) -> Result<Message, DecodeError> {
             seq: get_u32v(buf)?,
             payload: get_bytes(buf)?,
         }),
-        8 => Message::Base(BaseReport {
+        MessageType::Base => Message::Base(BaseReport {
             label: get_label(buf)?,
             generated_at: Timestamp::from_micros(get_uvarint(buf)?),
             payload: get_bytes(buf)?,
         }),
-        9 => {
+        MessageType::Geo => {
             if depth >= MAX_GEO_DEPTH {
                 return Err(DecodeError::Malformed {
                     what: "geo-forward nesting too deep",
@@ -303,14 +293,14 @@ fn decode_body(buf: &mut &[u8], depth: u32) -> Result<Message, DecodeError> {
                 inner: Box::new(inner),
             })
         }
-        10 => Message::MtpAckMsg(MtpAck {
+        MessageType::MtpAckMsg => Message::MtpAckMsg(MtpAck {
             dst_label: get_label(buf)?,
             src_node: NodeId(get_u32v(buf)?),
             seq: get_u32v(buf)?,
             acker: NodeId(get_u32v(buf)?),
             acker_pos: get_point(buf)?,
         }),
-        11 => {
+        MessageType::DirSyncMsg => {
             let type_id = ContextTypeId(get_u16v(buf)?);
             let from = NodeId(get_u32v(buf)?);
             let reply = get_flag(buf)?;
@@ -328,7 +318,6 @@ fn decode_body(buf: &mut &[u8], depth: u32) -> Result<Message, DecodeError> {
                 entries,
             })
         }
-        other => return Err(DecodeError::UnknownTag { tag: other }),
     })
 }
 

@@ -33,7 +33,7 @@ use envirotrack_world::geometry::Point;
 
 use super::{
     BaseReport, DecodeError, DirQuery, DirRegister, DirResponse, DirSync, GeoForward, Heartbeat,
-    Message, MtpAck, MtpSegment, Relinquish, Report,
+    Message, MessageType, MtpAck, MtpSegment, Relinquish, Report,
 };
 use crate::aggregate::ReadingValue;
 use crate::context::{ContextLabel, ContextTypeId};
@@ -115,9 +115,10 @@ fn write_message(msg: &Message, out: &mut String) {
         // Writing to a String cannot fail.
         let _ = out.write_fmt(args);
     };
+    w(out, format_args!("{{\"t\":{},", msg.message_type().to_u8()));
     match msg {
         Message::Heartbeat(h) => {
-            w(out, format_args!("{{\"t\":1,\"label\":{},", label(h.label)));
+            w(out, format_args!("\"label\":{},", label(h.label)));
             w(
                 out,
                 format_args!(
@@ -135,7 +136,7 @@ fn write_message(msg: &Message, out: &mut String) {
             w(
                 out,
                 format_args!(
-                    "{{\"t\":2,\"label\":{},\"from\":{},\"weight\":{},\"succ\":{},\"state\":{}}}",
+                    "\"label\":{},\"from\":{},\"weight\":{},\"succ\":{},\"state\":{}}}",
                     label(r.label),
                     r.from.0,
                     r.weight,
@@ -148,7 +149,7 @@ fn write_message(msg: &Message, out: &mut String) {
             w(
                 out,
                 format_args!(
-                    "{{\"t\":3,\"label\":{},\"member\":{},\"at\":{},\"values\":[",
+                    "\"label\":{},\"member\":{},\"at\":{},\"values\":[",
                     label(r.label),
                     r.member.0,
                     r.taken_at.as_micros()
@@ -173,7 +174,7 @@ fn write_message(msg: &Message, out: &mut String) {
             w(
                 out,
                 format_args!(
-                    "{{\"t\":4,\"label\":{},\"loc\":{}}}",
+                    "\"label\":{},\"loc\":{}}}",
                     label(d.label),
                     point(d.location)
                 ),
@@ -183,7 +184,7 @@ fn write_message(msg: &Message, out: &mut String) {
             w(
                 out,
                 format_args!(
-                    "{{\"t\":5,\"type\":{},\"reply_to\":{},\"reply_pos\":{},\"qid\":{}}}",
+                    "\"type\":{},\"reply_to\":{},\"reply_pos\":{},\"qid\":{}}}",
                     d.type_id.0,
                     d.reply_to.0,
                     point(d.reply_pos),
@@ -192,7 +193,7 @@ fn write_message(msg: &Message, out: &mut String) {
             );
         }
         Message::DirResponse(d) => {
-            w(out, format_args!("{{\"t\":6,\"qid\":{},\"entries\":[", d.query_id));
+            w(out, format_args!("\"qid\":{},\"entries\":[", d.query_id));
             for (i, (l, p)) in d.entries.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
@@ -205,7 +206,7 @@ fn write_message(msg: &Message, out: &mut String) {
             w(
                 out,
                 format_args!(
-                    "{{\"t\":7,\"src\":{},\"sport\":{},\"dst\":{},\"dport\":{},\"leader\":{},\
+                    "\"src\":{},\"sport\":{},\"dst\":{},\"dport\":{},\"leader\":{},\
                      \"lpos\":{},\"hops\":{},\"seq\":{},\"payload\":\"{}\"}}",
                     label(m.src_label),
                     m.src_port.0,
@@ -223,7 +224,7 @@ fn write_message(msg: &Message, out: &mut String) {
             w(
                 out,
                 format_args!(
-                    "{{\"t\":8,\"label\":{},\"at\":{},\"payload\":\"{}\"}}",
+                    "\"label\":{},\"at\":{},\"payload\":\"{}\"}}",
                     label(b.label),
                     b.generated_at.as_micros(),
                     hex(&b.payload)
@@ -234,7 +235,7 @@ fn write_message(msg: &Message, out: &mut String) {
             w(
                 out,
                 format_args!(
-                    "{{\"t\":9,\"dest\":{},\"deliver\":{},\"inner\":",
+                    "\"dest\":{},\"deliver\":{},\"inner\":",
                     point(g.dest),
                     g.deliver_to.map_or_else(|| "null".into(), |n| n.0.to_string())
                 ),
@@ -246,7 +247,7 @@ fn write_message(msg: &Message, out: &mut String) {
             w(
                 out,
                 format_args!(
-                    "{{\"t\":10,\"dst\":{},\"src\":{},\"seq\":{},\"acker\":{},\"apos\":{}}}",
+                    "\"dst\":{},\"src\":{},\"seq\":{},\"acker\":{},\"apos\":{}}}",
                     label(a.dst_label),
                     a.src_node.0,
                     a.seq,
@@ -259,7 +260,7 @@ fn write_message(msg: &Message, out: &mut String) {
             w(
                 out,
                 format_args!(
-                    "{{\"t\":11,\"type\":{},\"from\":{},\"reply\":{},\"entries\":[",
+                    "\"type\":{},\"from\":{},\"reply\":{},\"entries\":[",
                     s.type_id.0,
                     s.from.0,
                     u8::from(s.reply)
@@ -478,8 +479,8 @@ fn message_from(value: &Value) -> Result<Message, DecodeError> {
         return Err(err("message must be an object"));
     };
     let tag = get_u64(fields, "t")?;
-    Ok(match tag {
-        1 => Message::Heartbeat(Heartbeat {
+    Ok(match MessageType::from_wire(tag)? {
+        MessageType::Heartbeat => Message::Heartbeat(Heartbeat {
             label: get_label(fields, "label")?,
             leader: NodeId(get_u32(fields, "leader")?),
             leader_pos: get_point_field(fields, "pos")?,
@@ -488,7 +489,7 @@ fn message_from(value: &Value) -> Result<Message, DecodeError> {
             ttl: get_u8(fields, "ttl")?,
             state: get_opt_hex(fields, "state")?,
         }),
-        2 => Message::Relinquish(Relinquish {
+        MessageType::Relinquish => Message::Relinquish(Relinquish {
             label: get_label(fields, "label")?,
             from: NodeId(get_u32(fields, "from")?),
             weight: get_u32(fields, "weight")?,
@@ -498,7 +499,7 @@ fn message_from(value: &Value) -> Result<Message, DecodeError> {
             },
             state: get_opt_hex(fields, "state")?,
         }),
-        3 => {
+        MessageType::Report => {
             let Value::Arr(items) = get(fields, "values")? else {
                 return Err(err("values must be an array"));
             };
@@ -513,17 +514,17 @@ fn message_from(value: &Value) -> Result<Message, DecodeError> {
                 values,
             })
         }
-        4 => Message::DirRegister(DirRegister {
+        MessageType::DirRegister => Message::DirRegister(DirRegister {
             label: get_label(fields, "label")?,
             location: get_point_field(fields, "loc")?,
         }),
-        5 => Message::DirQuery(DirQuery {
+        MessageType::DirQuery => Message::DirQuery(DirQuery {
             type_id: ContextTypeId(get_u16(fields, "type")?),
             reply_to: NodeId(get_u32(fields, "reply_to")?),
             reply_pos: get_point_field(fields, "reply_pos")?,
             query_id: get_u32(fields, "qid")?,
         }),
-        6 => {
+        MessageType::DirResponse => {
             let Value::Arr(items) = get(fields, "entries")? else {
                 return Err(err("entries must be an array"));
             };
@@ -542,7 +543,7 @@ fn message_from(value: &Value) -> Result<Message, DecodeError> {
                 entries,
             })
         }
-        7 => Message::Mtp(MtpSegment {
+        MessageType::Mtp => Message::Mtp(MtpSegment {
             src_label: get_label(fields, "src")?,
             src_port: Port(get_u16(fields, "sport")?),
             dst_label: get_label(fields, "dst")?,
@@ -553,12 +554,12 @@ fn message_from(value: &Value) -> Result<Message, DecodeError> {
             seq: get_u32(fields, "seq")?,
             payload: get_hex(fields, "payload")?,
         }),
-        8 => Message::Base(BaseReport {
+        MessageType::Base => Message::Base(BaseReport {
             label: get_label(fields, "label")?,
             generated_at: Timestamp::from_micros(get_u64(fields, "at")?),
             payload: get_hex(fields, "payload")?,
         }),
-        9 => Message::Geo(GeoForward {
+        MessageType::Geo => Message::Geo(GeoForward {
             dest: get_point_field(fields, "dest")?,
             deliver_to: match get(fields, "deliver")? {
                 Value::Null => None,
@@ -566,14 +567,14 @@ fn message_from(value: &Value) -> Result<Message, DecodeError> {
             },
             inner: Box::new(message_from(get(fields, "inner")?)?),
         }),
-        10 => Message::MtpAckMsg(MtpAck {
+        MessageType::MtpAckMsg => Message::MtpAckMsg(MtpAck {
             dst_label: get_label(fields, "dst")?,
             src_node: NodeId(get_u32(fields, "src")?),
             seq: get_u32(fields, "seq")?,
             acker: NodeId(get_u32(fields, "acker")?),
             acker_pos: get_point_field(fields, "apos")?,
         }),
-        11 => {
+        MessageType::DirSyncMsg => {
             let Value::Arr(items) = get(fields, "entries")? else {
                 return Err(err("entries must be an array"));
             };
@@ -602,7 +603,6 @@ fn message_from(value: &Value) -> Result<Message, DecodeError> {
                 entries,
             })
         }
-        other => return Err(DecodeError::UnknownTag { tag: other }),
     })
 }
 

@@ -51,30 +51,33 @@ use crate::aggregate::ReadingValue;
 use crate::context::{ContextLabel, ContextTypeId};
 use crate::transport::Port;
 
-/// Frame kinds used by the middleware, for per-class channel statistics.
+/// Frame kinds used by the middleware, for per-class channel statistics
+/// (the `net.k<N>.*` counters). Each is read off the [`MessageType`] table;
+/// link-layer acks carry no [`Message`] and so have no row there.
 pub mod kinds {
+    use super::MessageType;
     use envirotrack_net::packet::FrameKind;
 
     /// Leader heartbeats (Table 1's "HB loss" class).
-    pub const HEARTBEAT: FrameKind = FrameKind(1);
+    pub const HEARTBEAT: FrameKind = MessageType::Heartbeat.kind();
     /// Member sensor reports (Table 1's "Msg loss" class).
-    pub const REPORT: FrameKind = FrameKind(2);
+    pub const REPORT: FrameKind = MessageType::Report.kind();
     /// Leadership relinquish announcements.
-    pub const RELINQUISH: FrameKind = FrameKind(3);
+    pub const RELINQUISH: FrameKind = MessageType::Relinquish.kind();
     /// Directory registrations, queries, and responses.
-    pub const DIRECTORY: FrameKind = FrameKind(4);
+    pub const DIRECTORY: FrameKind = MessageType::DirRegister.kind();
     /// Inter-object transport segments.
-    pub const MTP: FrameKind = FrameKind(5);
+    pub const MTP: FrameKind = MessageType::Mtp.kind();
     /// Geographically forwarded wrappers (multi-hop unicast legs).
-    pub const GEO_FORWARD: FrameKind = FrameKind(6);
+    pub const GEO_FORWARD: FrameKind = MessageType::Geo.kind();
     /// Reports to the base station / pursuer.
-    pub const BASE_REPORT: FrameKind = FrameKind(7);
+    pub const BASE_REPORT: FrameKind = MessageType::Base.kind();
     /// Link-layer acknowledgements for reliable unicast hops.
     pub const LINK_ACK: FrameKind = FrameKind(8);
     /// End-to-end MTP acknowledgements (transport-layer reliability).
-    pub const MTP_ACK: FrameKind = FrameKind(9);
+    pub const MTP_ACK: FrameKind = MessageType::MtpAckMsg.kind();
     /// Directory anti-entropy digests (replica-set gossip and repair).
-    pub const DIR_SYNC: FrameKind = FrameKind(10);
+    pub const DIR_SYNC: FrameKind = MessageType::DirSyncMsg.kind();
 }
 
 /// A leader's periodic announcement (paper §5.2).
@@ -267,23 +270,90 @@ pub enum Message {
     DirSyncMsg(DirSync),
 }
 
+/// Defines [`MessageType`] and everything read off it from one table: a
+/// row per [`Message`] variant, carrying its wire tag and the number of the
+/// [`FrameKind`] class its frames are counted under.
+macro_rules! message_types {
+    ($($variant:ident = $tag:literal => $class:literal,)*) => {
+        /// The type of a [`Message`]: its discriminant is the wire tag, the
+        /// leading varint of the binary body and the `"t"` field of the
+        /// JSON form.
+        #[repr(u8)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum MessageType {
+            $(
+                #[doc = concat!("[`Message::", stringify!($variant), "`].")]
+                $variant = $tag,
+            )*
+        }
+
+        impl MessageType {
+            /// The wire tag.
+            #[must_use]
+            pub const fn to_u8(self) -> u8 {
+                self as u8
+            }
+
+            /// The type a wire tag names, if any.
+            #[must_use]
+            pub const fn from_u8(tag: u8) -> Option<Self> {
+                match tag {
+                    $($tag => Some(Self::$variant),)*
+                    _ => None,
+                }
+            }
+
+            /// The frame kind the type's frames are counted under.
+            #[must_use]
+            pub const fn kind(self) -> FrameKind {
+                match self {
+                    $(Self::$variant => FrameKind($class),)*
+                }
+            }
+        }
+
+        impl Message {
+            /// This message's row of the type table.
+            #[must_use]
+            pub fn message_type(&self) -> MessageType {
+                match self {
+                    $(Message::$variant(_) => MessageType::$variant,)*
+                }
+            }
+        }
+    };
+}
+
+message_types! {
+    Heartbeat = 1 => 1,
+    Relinquish = 2 => 3,
+    Report = 3 => 2,
+    // The three directory messages share one channel class.
+    DirRegister = 4 => 4,
+    DirQuery = 5 => 4,
+    DirResponse = 6 => 4,
+    Mtp = 7 => 5,
+    Base = 8 => 7,
+    Geo = 9 => 6,
+    MtpAckMsg = 10 => 9,
+    DirSyncMsg = 11 => 10,
+}
+
+impl MessageType {
+    /// The type a decoded tag field names.
+    fn from_wire(tag: u64) -> Result<Self, DecodeError> {
+        u8::try_from(tag)
+            .ok()
+            .and_then(Self::from_u8)
+            .ok_or(DecodeError::UnknownTag { tag })
+    }
+}
+
 impl Message {
     /// The frame kind used for channel statistics.
     #[must_use]
     pub fn kind(&self) -> FrameKind {
-        match self {
-            Message::Heartbeat(_) => kinds::HEARTBEAT,
-            Message::Relinquish(_) => kinds::RELINQUISH,
-            Message::Report(_) => kinds::REPORT,
-            Message::DirRegister(_) | Message::DirQuery(_) | Message::DirResponse(_) => {
-                kinds::DIRECTORY
-            }
-            Message::Mtp(_) => kinds::MTP,
-            Message::Base(_) => kinds::BASE_REPORT,
-            Message::Geo(_) => kinds::GEO_FORWARD,
-            Message::MtpAckMsg(_) => kinds::MTP_ACK,
-            Message::DirSyncMsg(_) => kinds::DIR_SYNC,
-        }
+        self.message_type().kind()
     }
 
     /// Serialises to the canonical binary wire format.
@@ -664,6 +734,24 @@ mod tests {
         assert_eq!(hb.kind(), kinds::HEARTBEAT);
         assert_eq!(rpt.kind(), kinds::REPORT);
         assert_ne!(hb.kind(), rpt.kind());
+    }
+
+    /// The numbers on the air and in the `net.k<N>` counter names.
+    #[test]
+    fn the_type_table_keeps_its_tags_and_classes() {
+        let classes = [1, 3, 2, 4, 4, 4, 5, 7, 6, 9, 10];
+        for (tag, class) in (1u8..=11).zip(classes) {
+            let ty = MessageType::from_u8(tag).expect("tags 1..=11 are assigned");
+            assert_eq!(ty.to_u8(), tag);
+            assert_eq!(ty.kind(), FrameKind(class), "{ty:?}");
+            assert_ne!(ty.kind(), kinds::LINK_ACK, "acks share no class");
+        }
+        assert_eq!(MessageType::from_u8(0), None);
+        assert_eq!(MessageType::from_u8(12), None);
+        assert_eq!(
+            MessageType::from_wire(256 + 1),
+            Err(DecodeError::UnknownTag { tag: 257 })
+        );
     }
 
     #[test]

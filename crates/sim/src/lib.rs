@@ -12,7 +12,6 @@
 //! * [`queue`] — a future-event list that is FIFO among equal timestamps.
 //! * [`rng`] — seeded, forkable randomness ([`rng::SimRng`]).
 //! * [`engine`] — the run loop ([`engine::Engine`], [`engine::Kernel`]).
-//! * [`metrics`] — counters, streaming stats, histograms.
 //!
 //! ## Example
 //!
@@ -37,7 +36,6 @@
 //! queue, and (c) all randomness flowing from [`rng::SimRng`].
 
 pub mod engine;
-pub mod metrics;
 pub mod queue;
 pub mod rng;
 pub mod time;
@@ -45,7 +43,6 @@ pub mod time;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use crate::engine::{Engine, Kernel, RunOutcome};
-    pub use crate::metrics::{Counter, Histogram, RunningStats};
     pub use crate::rng::SimRng;
     pub use crate::time::{SimDuration, Timestamp};
 }

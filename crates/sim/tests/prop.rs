@@ -1,6 +1,5 @@
 //! Property-based tests for the simulation kernel.
 
-use envirotrack_sim::metrics::RunningStats;
 use envirotrack_sim::queue::EventQueue;
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
@@ -92,36 +91,6 @@ prop_test! {
                 break;
             }
         }
-    }
-
-    /// Welford statistics match the naive two-pass computation.
-    #[test]
-    fn running_stats_match_naive(xs in prop::collection::vec(-1e6f64..1e6, 1..200)) {
-        let stats: RunningStats = xs.iter().copied().collect();
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-        prop_assert!((stats.mean() - mean).abs() <= 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((stats.variance() - var).abs() <= 1e-5 * (1.0 + var.abs()));
-        let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert_eq!(stats.min(), Some(min));
-        prop_assert_eq!(stats.max(), Some(max));
-    }
-
-    /// Merging split halves equals processing the whole stream.
-    #[test]
-    fn running_stats_merge_is_associative(
-        xs in prop::collection::vec(-1e3f64..1e3, 0..100),
-        ys in prop::collection::vec(-1e3f64..1e3, 0..100),
-    ) {
-        let mut a: RunningStats = xs.iter().copied().collect();
-        let b: RunningStats = ys.iter().copied().collect();
-        a.merge(&b);
-        let whole: RunningStats = xs.iter().chain(ys.iter()).copied().collect();
-        prop_assert_eq!(a.len(), whole.len());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-6);
-        prop_assert!((a.variance() - whole.variance()).abs() < 1e-3);
     }
 
     /// Timestamp/duration arithmetic is consistent: (t + d) − t == d and

@@ -8,8 +8,10 @@
 # is a *test* line when its file sits under a `tests/` directory, or when
 # it comes at or after the file's first top-level `#[cfg(test)]` — every
 # unit-test module in this workspace is a trailing `mod tests` — and a
-# *code* line otherwise. target/ and .bench_build/ are skipped. Simplicity
-# PRs quote the `code` column before and after.
+# *code* line otherwise. target/ and .bench_build/ are skipped. The `pub`
+# column counts the code lines that declare a public item (`pub fn`,
+# `pub struct`, ... — not `pub(crate)`, not fields, not re-exports).
+# Simplicity PRs quote the `code` and `pub` columns before and after.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,13 +35,14 @@ awk -v by="$by" '
   }
   /^#\[cfg\(test\)\]/ { in_test = 1 }
   { if (in_test) test[key]++; else code[key]++ }
+  !in_test && /^[ \t]*pub (const )?(fn|struct|enum|trait|const|type|mod|static) / { pubs[key]++ }
   END {
-    printf "%-34s %8s %8s %8s\n", by, "code", "test", "total"
+    printf "%-34s %8s %8s %8s %8s\n", by, "code", "test", "total", "pub"
     for (i = 1; i <= n; i++) {
       k = order[i]
-      printf "%-34s %8d %8d %8d\n", k, code[k], test[k], code[k] + test[k]
-      tc += code[k]; tt += test[k]
+      printf "%-34s %8d %8d %8d %8d\n", k, code[k], test[k], code[k] + test[k], pubs[k]
+      tc += code[k]; tt += test[k]; tp += pubs[k]
     }
-    if (n > 1) printf "%-34s %8d %8d %8d\n", "total", tc, tt, tc + tt
+    if (n > 1) printf "%-34s %8d %8d %8d %8d\n", "total", tc, tt, tc + tt, tp
   }
 ' "${files[@]}"

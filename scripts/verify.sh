@@ -12,6 +12,12 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy -q --workspace --offline -- -D warnings
 
+# Layer-size gate: `SensorNetwork` is split into one file per layer under
+# crates/core/src/network/; none may grow past 900 non-test lines.
+scripts/loc.sh crates/core/src/network/*.rs | awk '
+  NR > 1 && $1 != "total" && $2 > 900 { print "verify: " $1 " has " $2 " code lines (limit 900)"; bad = 1 }
+  END { exit bad }' >&2
+
 # Chaos smoke: randomized fault plans (crashes, reboots, partitions, burst
 # loss, clock skew) must leave every invariant intact. CHAOS_CASES scales
 # the sweep; the workspace pass above already ran it at the testkit
