@@ -18,9 +18,9 @@
 //! differ; what the `+L` must not move is pinned there.
 
 use envirotrack_bench::harness::tracker_program;
-use envirotrack_core::network::{NetworkConfig, SensorNetwork};
+use envirotrack_core::network::{FaultEvent, NetworkConfig, SensorNetwork};
 use envirotrack_core::report::telemetry_to_jsonl;
-use envirotrack_core::shard::{run_sharded, IntentStats, MediumMode, ShardFault};
+use envirotrack_core::shard::{run_sharded, IntentStats, MediumMode};
 use envirotrack_core::wire::kinds;
 use envirotrack_net::medium::{GilbertElliott, KindStats, LinkFaults};
 use envirotrack_sim::time::{SimDuration, Timestamp};
@@ -44,7 +44,7 @@ fn at(ms: u64) -> Timestamp {
 fn run(
     shards: usize,
     mode: MediumMode,
-    faults: &[(Timestamp, ShardFault)],
+    faults: &[(Timestamp, FaultEvent)],
 ) -> (String, String, IntentStats) {
     let scenario = ScaleScenario {
         nodes: NODES,
@@ -76,7 +76,7 @@ fn run(
 /// the central scheduler and every shard's executor) and node faults
 /// (applied on the owning shard only). Burst loss in particular exercises
 /// the per-receiver chain streams that keep partitioned routing honest.
-fn chaos_plan() -> Vec<(Timestamp, ShardFault)> {
+fn chaos_plan() -> Vec<(Timestamp, FaultEvent)> {
     let halves: Vec<u8> = (0..NODES).map(|i| u8::from(i >= NODES / 2)).collect();
     // The short horizon carries only a few dozen frames, so the fault
     // rates are cranked far above the soak profile — a plan that bites
@@ -90,14 +90,14 @@ fn chaos_plan() -> Vec<(Timestamp, ShardFault)> {
         reorder_max_delay: SimDuration::from_millis(30),
     };
     vec![
-        (at(100), ShardFault::LinkFaultsOn(harsh)),
-        (at(400), ShardFault::Partition(halves)),
-        (at(600), ShardFault::BurstLossOn(GilbertElliott::default())),
-        (at(800), ShardFault::Crash(NodeId(40))),
-        (at(1_800), ShardFault::BurstLossOff),
-        (at(2_000), ShardFault::Revive(NodeId(40))),
-        (at(2_400), ShardFault::ClearPartition),
-        (at(2_600), ShardFault::LinkFaultsOff),
+        (at(100), FaultEvent::LinkFaultsOn(harsh)),
+        (at(400), FaultEvent::Partition(halves)),
+        (at(600), FaultEvent::BurstLossOn(GilbertElliott::default())),
+        (at(800), FaultEvent::Crash(NodeId(40))),
+        (at(1_800), FaultEvent::BurstLossOff),
+        (at(2_000), FaultEvent::Reboot(NodeId(40))),
+        (at(2_400), FaultEvent::Heal),
+        (at(2_600), FaultEvent::LinkFaultsOff),
     ]
 }
 

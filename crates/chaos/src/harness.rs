@@ -17,7 +17,7 @@ use envirotrack_sim::time::Timestamp;
 use envirotrack_world::field::NodeId;
 
 use crate::monitor::{InvariantMonitor, MonitorConfig};
-use crate::plan::{FaultEvent, FaultPlan};
+use crate::plan::{describe, FaultEvent, FaultPlan};
 
 /// Shared monitor handle: kernel events and the caller both sample it.
 pub type MonitorHandle = Rc<RefCell<InvariantMonitor>>;
@@ -49,9 +49,20 @@ pub fn install(
     let k = engine.kernel_mut();
     for (at, event) in plan.events().iter().cloned() {
         let mon = Rc::clone(&monitor);
-        let bud = Rc::clone(&budgets);
         k.schedule_at(at.max(k.now()), move |w: &mut SensorNetwork, k| {
-            apply_fault(w, k, &mon, &bud, event);
+            apply_fault(w, k, &mon, &event);
+        });
+    }
+    for budget in plan.budgets().iter().copied() {
+        let mon = Rc::clone(&monitor);
+        let bud = Rc::clone(&budgets);
+        k.schedule_at(budget.at.max(k.now()), move |_, k| {
+            let note = format!(
+                "battery budget node {} = {:.2} mJ",
+                budget.node.0, budget.millijoules
+            );
+            mon.borrow_mut().note_fault(k.now(), note);
+            bud.borrow_mut().push((budget.node, budget.millijoules));
         });
     }
     let mon = Rc::clone(&monitor);
@@ -79,40 +90,26 @@ pub fn summarize(
     )
 }
 
+/// Applies one scripted fault to the world, around the monitor's own
+/// bookkeeping of it.
 fn apply_fault(
     w: &mut SensorNetwork,
     k: &mut Kernel<SensorNetwork>,
     monitor: &MonitorHandle,
-    budgets: &Budgets,
-    event: FaultEvent,
+    event: &FaultEvent,
 ) {
-    monitor
-        .borrow_mut()
-        .note_fault(k.now(), event.describe());
-    match event {
-        FaultEvent::Crash(node) => w.kill_node(node),
-        FaultEvent::Reboot(node) => w.revive_node(node),
-        FaultEvent::BatteryBudget { node, millijoules } => {
-            budgets.borrow_mut().push((node, millijoules));
-        }
-        FaultEvent::Partition(groups) => {
-            // Judge the log by the outgoing mask before switching.
-            monitor.borrow_mut().check_deliveries(w, k.now());
-            w.set_partition(Some(groups));
-        }
-        FaultEvent::Heal => {
-            monitor.borrow_mut().check_deliveries(w, k.now());
-            w.set_partition(None);
-            // Replicated directories diverge during the split; one
-            // anti-entropy round per live replica starts repair now
-            // instead of waiting out the gossip period.
-            w.kick_directory_gossip(k);
-        }
-        FaultEvent::BurstLossOn(model) => w.set_burst_loss(Some(model)),
-        FaultEvent::BurstLossOff => w.set_burst_loss(None),
-        FaultEvent::LinkFaultsOn(faults) => w.set_link_faults(Some(faults)),
-        FaultEvent::LinkFaultsOff => w.set_link_faults(None),
-        FaultEvent::ClockRate { node, rate } => w.set_clock_rate(node, rate, k.now()),
+    monitor.borrow_mut().note_fault(k.now(), describe(event));
+    let mask_changes = matches!(event, FaultEvent::Partition(_) | FaultEvent::Heal);
+    if mask_changes {
+        // Judge the delivery log by the outgoing mask before switching.
+        monitor.borrow_mut().check_deliveries(w, k.now());
+    }
+    w.apply_fault(k.now(), event);
+    if *event == FaultEvent::Heal {
+        // Replicated directories diverge during the split; one
+        // anti-entropy round per live replica starts repair now instead
+        // of waiting out the gossip period.
+        w.kick_directory_gossip(k);
     }
 }
 

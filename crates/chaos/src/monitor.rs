@@ -229,11 +229,12 @@ impl InvariantMonitor {
         }
         for t in 0..self.dup_since.len() {
             let tid = ContextTypeId(u16::try_from(t).unwrap_or(u16::MAX));
-            let leaders = world.leaders_detailed(tid);
+            let leaders = world.leaders_of_type(tid);
+            let at = |node| world.deployment().position(node);
             let mut close_pair = None;
             'outer: for (i, a) in leaders.iter().enumerate() {
                 for b in leaders.iter().skip(i + 1) {
-                    if a.3.distance_to(b.3) <= self.cfg.proximity_radius {
+                    if at(a.0).distance_to(at(b.0)) <= self.cfg.proximity_radius {
                         close_pair = Some((a.0, b.0, a.1));
                         break 'outer;
                     }

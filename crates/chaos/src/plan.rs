@@ -1,96 +1,66 @@
 //! Declarative fault plans.
 //!
 //! A [`FaultPlan`] is the whole chaos script of a run: a list of
-//! `(time, event)` pairs, built either explicitly or pseudo-randomly from
-//! a seed via [`FaultPlan::random`]. Plans carry no behaviour of their own
-//! — [`crate::harness::install`] schedules them — so the same plan value
-//! replays identically on any engine with the same seed.
+//! `(time, event)` pairs — the world's own [`FaultEvent`]s — plus battery
+//! budgets, which only the harness enforces. It is built either explicitly
+//! or pseudo-randomly from a seed via [`FaultPlan::random`]. Plans carry
+//! no behaviour of their own — [`crate::harness::install`] schedules them
+//! — so the same plan value replays identically on any engine with the
+//! same seed.
 
+pub use envirotrack_core::network::FaultEvent;
 use envirotrack_net::medium::{GilbertElliott, LinkFaults};
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::NodeId;
 
-/// One scripted fault.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultEvent {
-    /// The node dies: no sensing, processing, or transmission.
-    Crash(NodeId),
-    /// The node reboots with amnesia (fresh protocol state) and restarts
-    /// its sensing loop.
-    Reboot(NodeId),
-    /// From this point on the node dies permanently once its cumulative
-    /// protocol energy exceeds the budget (checked on monitor ticks).
-    BatteryBudget {
-        /// The constrained node.
-        node: NodeId,
-        /// Remaining energy budget in millijoules.
-        millijoules: f64,
-    },
-    /// Install a partition mask: nodes with different group values cannot
-    /// exchange frames. The vector must name a group per node.
-    Partition(Vec<u8>),
-    /// Remove any active partition mask.
-    Heal,
-    /// Install a Gilbert–Elliott burst-loss model on the channel.
-    BurstLossOn(GilbertElliott),
-    /// Remove the burst-loss model (base fading remains).
-    BurstLossOff,
-    /// Install a link-level fault injector: bit-flip corruption,
-    /// truncation, duplication, and bounded reordering of frames in
-    /// flight.
-    LinkFaultsOn(LinkFaults),
-    /// Remove the link-level fault injector.
-    LinkFaultsOff,
-    /// Set a node's clock rate (1.0 = ideal). Must stay within the
-    /// bounded-skew range `[0.5, 2.0]`.
-    ClockRate {
-        /// The skewed node.
-        node: NodeId,
-        /// Local seconds per global second.
-        rate: f64,
-    },
-}
-
-impl FaultEvent {
-    /// A compact human-readable form, used in violation traces.
-    #[must_use]
-    pub fn describe(&self) -> String {
-        match self {
-            FaultEvent::Crash(n) => format!("crash node {}", n.0),
-            FaultEvent::Reboot(n) => format!("reboot node {}", n.0),
-            FaultEvent::BatteryBudget { node, millijoules } => {
-                format!("battery budget node {} = {millijoules:.2} mJ", node.0)
-            }
-            FaultEvent::Partition(groups) => {
-                let distinct = {
-                    let mut g: Vec<u8> = groups.clone();
-                    g.sort_unstable();
-                    g.dedup();
-                    g.len()
-                };
-                format!("partition into {distinct} regions")
-            }
-            FaultEvent::Heal => "heal partition".to_string(),
-            FaultEvent::BurstLossOn(m) => {
-                format!("burst loss on (bad={:.2})", m.loss_bad)
-            }
-            FaultEvent::BurstLossOff => "burst loss off".to_string(),
-            FaultEvent::LinkFaultsOn(f) => {
-                format!("link faults on (flip/byte={:.0e})", f.flip_per_byte)
-            }
-            FaultEvent::LinkFaultsOff => "link faults off".to_string(),
-            FaultEvent::ClockRate { node, rate } => {
-                format!("clock rate node {} = {rate:.3}", node.0)
-            }
+/// A compact human-readable form of a fault, used in violation traces.
+#[must_use]
+pub fn describe(event: &FaultEvent) -> String {
+    match event {
+        FaultEvent::Crash(n) => format!("crash node {}", n.0),
+        FaultEvent::Reboot(n) => format!("reboot node {}", n.0),
+        FaultEvent::Partition(groups) => {
+            let distinct = {
+                let mut g: Vec<u8> = groups.clone();
+                g.sort_unstable();
+                g.dedup();
+                g.len()
+            };
+            format!("partition into {distinct} regions")
+        }
+        FaultEvent::Heal => "heal partition".to_string(),
+        FaultEvent::BurstLossOn(m) => {
+            format!("burst loss on (bad={:.2})", m.loss_bad)
+        }
+        FaultEvent::BurstLossOff => "burst loss off".to_string(),
+        FaultEvent::LinkFaultsOn(f) => {
+            format!("link faults on (flip/byte={:.0e})", f.flip_per_byte)
+        }
+        FaultEvent::LinkFaultsOff => "link faults off".to_string(),
+        FaultEvent::ClockRate { node, rate } => {
+            format!("clock rate node {} = {rate:.3}", node.0)
         }
     }
+}
+
+/// From `at` on, `node` dies permanently once its cumulative protocol
+/// energy exceeds `millijoules` (checked on monitor ticks).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BatteryBudget {
+    /// When the budget starts to bind.
+    pub at: Timestamp,
+    /// The constrained node.
+    pub node: NodeId,
+    /// Remaining energy budget in millijoules.
+    pub millijoules: f64,
 }
 
 /// A seed-deterministic schedule of fault events.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<(Timestamp, FaultEvent)>,
+    budgets: Vec<BatteryBudget>,
 }
 
 impl FaultPlan {
@@ -108,22 +78,39 @@ impl FaultPlan {
         self
     }
 
+    /// Appends one battery budget; chainable.
+    #[must_use]
+    pub fn battery_budget(mut self, at: Timestamp, node: NodeId, millijoules: f64) -> Self {
+        self.budgets.push(BatteryBudget {
+            at,
+            node,
+            millijoules,
+        });
+        self
+    }
+
     /// The scheduled events in insertion order.
     #[must_use]
     pub fn events(&self) -> &[(Timestamp, FaultEvent)] {
         &self.events
     }
 
-    /// Number of scheduled events.
+    /// The battery budgets in insertion order.
+    #[must_use]
+    pub fn budgets(&self) -> &[BatteryBudget] {
+        &self.budgets
+    }
+
+    /// Number of scheduled events and budgets.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.events.len() + self.budgets.len()
     }
 
     /// Whether the plan is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len() == 0
     }
 
     /// Checks the plan against a deployment size.
@@ -134,19 +121,19 @@ impl FaultPlan {
     /// range, a partition mask of the wrong length, a clock rate outside
     /// `[0.5, 2.0]`, or a non-positive battery budget.
     pub fn validate(&self, node_count: usize) -> Result<(), String> {
+        let bad_node = |n: NodeId| n.index() >= node_count;
+        for b in &self.budgets {
+            if bad_node(b.node) {
+                return Err(format!("{}: node {} out of range", b.at, b.node.0));
+            }
+            if b.millijoules <= 0.0 {
+                return Err(format!("{}: battery budget must be positive", b.at));
+            }
+        }
         for (t, ev) in &self.events {
-            let bad_node = |n: NodeId| n.index() >= node_count;
             match ev {
                 FaultEvent::Crash(n) | FaultEvent::Reboot(n) if bad_node(*n) => {
                     return Err(format!("{}: node {} out of range", t, n.0));
-                }
-                FaultEvent::BatteryBudget { node, millijoules } => {
-                    if bad_node(*node) {
-                        return Err(format!("{}: node {} out of range", t, node.0));
-                    }
-                    if *millijoules <= 0.0 {
-                        return Err(format!("{t}: battery budget must be positive"));
-                    }
                 }
                 FaultEvent::Partition(groups) if groups.len() != node_count => {
                     return Err(format!(
@@ -282,13 +269,7 @@ mod tests {
         );
         assert!(bad_rate.validate(9).unwrap_err().contains("clock rate"));
 
-        let bad_budget = FaultPlan::new().at(
-            Timestamp::from_secs(1),
-            FaultEvent::BatteryBudget {
-                node: NodeId(0),
-                millijoules: 0.0,
-            },
-        );
+        let bad_budget = FaultPlan::new().battery_budget(Timestamp::from_secs(1), NodeId(0), 0.0);
         assert!(bad_budget.validate(9).unwrap_err().contains("battery"));
     }
 
@@ -310,13 +291,11 @@ mod tests {
 
     #[test]
     fn describe_is_stable_and_informative() {
-        assert_eq!(FaultEvent::Crash(NodeId(4)).describe(), "crash node 4");
+        assert_eq!(describe(&FaultEvent::Crash(NodeId(4))), "crash node 4");
         assert_eq!(
-            FaultEvent::Partition(vec![0, 1, 0, 1]).describe(),
+            describe(&FaultEvent::Partition(vec![0, 1, 0, 1])),
             "partition into 2 regions"
         );
-        assert!(FaultEvent::BurstLossOn(GilbertElliott::default())
-            .describe()
-            .contains("0.85"));
+        assert!(describe(&FaultEvent::BurstLossOn(GilbertElliott::default())).contains("0.85"));
     }
 }

@@ -1,0 +1,145 @@
+//! The recorder: the run's [`EventLog`], its mirror into telemetry (so
+//! post-hoc analysis sees one stream), and the trace lines the layers
+//! write about a label or a context type.
+//!
+//! **In:** a [`SystemEvent`], or a trace line, at a node and an instant.
+//! **Out:** nothing. **Owns:** the log, the run-wide telemetry handle, the
+//! label-display cache and the per-label handover counters it resolves.
+
+use std::collections::BTreeMap;
+
+use envirotrack_sim::time::Timestamp;
+use envirotrack_telemetry::{CounterHandle, Telemetry};
+use envirotrack_world::field::NodeId;
+
+use crate::context::{ContextLabel, ContextTypeId, LabelIntern};
+use crate::events::{EventLog, HandoverReason, SystemEvent};
+
+pub(super) struct Recorder {
+    pub(super) log: EventLog,
+    /// The run-wide telemetry registry, shared (via cheap clones) with the
+    /// kernel, the medium, and every per-node substrate.
+    pub(super) telemetry: Telemetry,
+    /// Shared cache of label/type display strings: trace emission on the
+    /// heartbeat/handover hot paths reuses one `Rc<str>` per label instead
+    /// of re-formatting it per event.
+    pub(super) labels: LabelIntern,
+    /// Pre-resolved `group.handover.<label>` counters, keyed by the packed
+    /// label so the per-handover cost is an integer-map probe, not a
+    /// format + string-keyed registry walk.
+    handover_counters: BTreeMap<u128, CounterHandle>,
+}
+
+impl Recorder {
+    pub(super) fn new(telemetry: Telemetry) -> Self {
+        Recorder {
+            log: EventLog::new(),
+            telemetry,
+            labels: LabelIntern::new(),
+            handover_counters: BTreeMap::new(),
+        }
+    }
+
+    /// Writes one trace line about `label`.
+    pub(super) fn trace(
+        &self,
+        at: Timestamp,
+        node: NodeId,
+        label: ContextLabel,
+        kind: &'static str,
+        detail: String,
+    ) {
+        let label = self.labels.label(label);
+        self.telemetry
+            .trace_shared(at.as_micros(), node.0, &label, kind, detail);
+    }
+
+    /// Writes one trace line about a context type.
+    pub(super) fn trace_type(
+        &self,
+        at: Timestamp,
+        node: NodeId,
+        tid: ContextTypeId,
+        kind: &'static str,
+        detail: String,
+    ) {
+        let name = self.labels.type_name(tid);
+        self.telemetry
+            .trace_shared(at.as_micros(), node.0, &name, kind, detail);
+    }
+
+    /// Appends `event` to the run log and mirrors it into the telemetry
+    /// counters and trace.
+    pub(super) fn record(&mut self, at: Timestamp, node: NodeId, event: SystemEvent) {
+        self.mirror(at, node, &event);
+        self.log.push(at, event);
+    }
+
+    /// Records that `node` gave up on a segment for `label`: every way an
+    /// MTP send can die ends here.
+    pub(super) fn mtp_dropped(&mut self, at: Timestamp, node: NodeId, label: ContextLabel) {
+        self.record(at, node, SystemEvent::MtpDropped { label, node });
+    }
+
+    /// Translates a [`SystemEvent`] into its telemetry counter/trace form.
+    fn mirror(&mut self, at: Timestamp, node: NodeId, event: &SystemEvent) {
+        let t = &self.telemetry;
+        // Not `self.trace`: the handover arm below holds the counter map.
+        let trace = |label: ContextLabel, kind: &'static str, detail: String| {
+            t.trace_shared(
+                at.as_micros(),
+                node.0,
+                &self.labels.label(label),
+                kind,
+                detail,
+            );
+        };
+        match event {
+            SystemEvent::LabelCreated { label, .. } => {
+                t.incr("group.form");
+                trace(*label, "group.form", String::new());
+            }
+            SystemEvent::LeaderHandover {
+                label,
+                from,
+                to,
+                reason,
+            } => {
+                let kind = match reason {
+                    HandoverReason::Relinquish => "group.relinquish",
+                    HandoverReason::ReceiveTimeout => "group.takeover",
+                    HandoverReason::DuplicateYield => "group.yield",
+                };
+                self.handover_counters
+                    .entry(label.intern_key())
+                    .or_insert_with(|| t.counter_handle(&format!("group.handover.{label}")))
+                    .incr();
+                trace(*label, kind, format!("from=n{} to=n{}", from.0, to.0));
+            }
+            SystemEvent::LabelSuppressed { loser, winner, .. } => {
+                t.incr("group.suppress");
+                trace(*loser, "group.suppress", format!("winner={winner}"));
+            }
+            SystemEvent::LabelDissolved { label, .. } => {
+                t.incr("group.dissolve");
+                trace(*label, "group.dissolve", String::new());
+            }
+            SystemEvent::MethodInvoked { .. } => t.incr("app.method"),
+            // Aggregate outcomes are recorded at the read site itself
+            // (`LeaderAccess::read_aggregate`), which also knows the
+            // contributor count; mirroring here would double-count.
+            SystemEvent::AggregateReadFailed { .. } => {}
+            SystemEvent::MtpDelivered {
+                label, chain_hops, ..
+            } => {
+                t.incr("mtp.delivered");
+                t.observe("mtp.chain_hops", u64::from(*chain_hops));
+                trace(*label, "mtp.delivered", format!("chain_hops={chain_hops}"));
+            }
+            SystemEvent::MtpDropped { label, .. } => {
+                t.incr("mtp.drop");
+                trace(*label, "mtp.drop", String::new());
+            }
+        }
+    }
+}

@@ -1,0 +1,1157 @@
+//! The assembled sensor network: middleware instances on every node, glued
+//! to the radio medium, the mote CPUs, geographic routing, the directory,
+//! and the transport layer — all driven by the discrete-event engine.
+//!
+//! [`SensorNetwork`] is the concrete world type for
+//! [`envirotrack_sim::engine::Engine`]. Build one with
+//! [`SensorNetwork::build_engine`] and run it:
+//!
+//! ```
+//! use std::sync::Arc;
+//! use envirotrack_core::api::Program;
+//! use envirotrack_core::context::SensePredicate;
+//! use envirotrack_core::network::{NetworkConfig, SensorNetwork};
+//! use envirotrack_sim::time::Timestamp;
+//! use envirotrack_world::scenario::TankScenario;
+//! use envirotrack_world::target::Channel;
+//!
+//! let program = Arc::new(
+//!     Program::builder()
+//!         .context("tracker", |c| c.activation(SensePredicate::threshold(Channel::Magnetic, 0.5)))
+//!         .build()
+//!         .unwrap(),
+//! );
+//! let world = TankScenario::default().build();
+//! let mut engine = SensorNetwork::build_engine(
+//!     program,
+//!     world.deployment,
+//!     world.environment,
+//!     NetworkConfig::default(),
+//!     42,
+//! );
+//! engine.run_until(Timestamp::from_secs(30));
+//! // The tank has entered the field: exactly one live tracker group leads it.
+//! let leaders = engine.world().leaders_of_type(envirotrack_core::context::ContextTypeId(0));
+//! assert!(leaders.len() <= 1 || !leaders.is_empty());
+//! ```
+//!
+//! ## Processing model
+//!
+//! Every logical task on a node passes through its [`MoteCpu`]: received
+//! frames are **dropped** when the CPU backlog bound is exceeded (receive
+//! overflow), timer handlers are **delayed** until the backlog drains, and
+//! sensing ticks are **skipped**. This reproduces the paper's finding that
+//! CPU processing — not channel bandwidth — is what limits tracking at very
+//! small heartbeat periods.
+//!
+//! ## Layers
+//!
+//! [`SensorNetwork`] owns the world and wires it to the kernel: every
+//! scheduled event, and every hand-over from one layer to the next, goes
+//! through this file. The layers are functions over their own per-node
+//! state that say what should happen next; none of them sees the world.
+//! `link` checks, decodes and acknowledges frames and puts them on the
+//! air; `dir` is the directory service and its client; `mtp` drives the
+//! transport; the group machines ([`crate::group`]) already answer every
+//! input with a list of actions, which this file carries out; `events`
+//! records what happened. `control` names the faults a run can inflict,
+//! `inspect` is the read-only view tests, monitors and reports use,
+//! `build` assembles a world, and `node` holds what the layers share on a
+//! node: liveness, CPU, energy, clock, randomness.
+
+mod build;
+mod control;
+mod dir;
+mod events;
+mod inspect;
+mod link;
+mod mtp;
+mod node;
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use bytes::Bytes;
+use envirotrack_net::medium::{DeliveryOutcome, GilbertElliott, Medium, ResolvedTx, TxId, TxKey};
+use envirotrack_net::packet::{Frame, FrameKind};
+use envirotrack_net::routing::GeoRouter;
+use envirotrack_node::cpu::costs;
+use envirotrack_node::timer::TimerToken;
+use envirotrack_sim::engine::Kernel;
+use envirotrack_sim::time::{SimDuration, Timestamp};
+use envirotrack_telemetry::CounterHandle;
+use envirotrack_world::field::{Deployment, NodeId};
+use envirotrack_world::geometry::Point;
+use envirotrack_world::sensing::Environment;
+
+pub use self::build::NetworkConfig;
+pub use self::control::FaultEvent;
+use self::dir::Failover;
+use self::events::Recorder;
+use self::link::Decoded;
+pub use self::link::LinkReliability;
+use self::node::NodeState;
+use crate::api::Program;
+use crate::context::{ContextLabel, ContextTypeId};
+use crate::directory::replica_set;
+use crate::events::SystemEvent;
+use crate::group::{GroupAction, GroupCtx, GroupMachine, GroupTimer, RoleKind};
+use crate::object::IncomingMessage;
+use crate::report::{BaseStationLog, ReportEntry};
+use crate::shard::ShardState;
+use crate::transport::{LeaderLoc, Outstanding, PendingSend, Port};
+use crate::wire::{kinds, BaseReport, DirRegister, DirResponse, GeoForward, Message, MtpSegment};
+
+/// The simulation world. See the [module docs](self).
+pub struct SensorNetwork {
+    program: Arc<Program>,
+    config: NetworkConfig,
+    deployment: Deployment,
+    environment: Environment,
+    medium: Medium,
+    router: GeoRouter,
+    nodes: Vec<NodeState>,
+    /// The event log, the run-wide telemetry handle and the label-display
+    /// cache, lent to whichever layer has something to record.
+    rec: Recorder,
+    base_log: BaseStationLog,
+    app_log: Vec<(Timestamp, NodeId, String)>,
+    /// Rendezvous coordinate per context type (directory homes).
+    hash_points: Vec<Point>,
+    /// Pre-resolved `net.k<kind>.corrupt` counters by `FrameKind.0`,
+    /// resolved at a kind's first corrupt drop so that a kind which never
+    /// drops one registers no counter.
+    corrupt_counters: BTreeMap<u8, CounterHandle>,
+    /// Sharded-execution state (`None` for monolithic runs). When set, this
+    /// world drives only its owned nodes and diverts transmit requests to
+    /// an outbox exchanged at epoch barriers — see [`crate::shard`].
+    shard: Option<ShardState>,
+    /// Test hook: keep every sensing loop off the kernel's recurring lane,
+    /// so a test can pin that the lane changes no byte of a run.
+    #[cfg(test)]
+    sense_loops_on_heap: bool,
+}
+
+type K = Kernel<SensorNetwork>;
+
+impl SensorNetwork {
+    fn bootstrap(&mut self, k: &mut K) {
+        let period = self.config.middleware.sense_period;
+        let mut starts = Vec::with_capacity(self.nodes.len());
+        for id in self.deployment.ids() {
+            // Sharded worlds start only their owned nodes' loops. Each
+            // node's phase comes from its own forked RNG stream, so
+            // skipping a node draws nothing and perturbs no other node.
+            if !self.owns(id) {
+                continue;
+            }
+            let phase = SimDuration::from_micros(
+                self.nodes[id.index()].rng.below(period.as_micros().max(1)),
+            );
+            starts.push((phase, id));
+        }
+        // Armed in firing order — id order among equal phases, the order
+        // arming by id gave them — every loop goes straight onto the kernel's
+        // recurring lane and the heap never holds one entry per node.
+        starts.sort_unstable();
+        k.reserve_recurring(starts.len());
+        for (phase, id) in starts {
+            self.arm_sense_tick(k, k.now() + phase, id, true);
+        }
+        // Instantiate static (pinned) objects on their host nodes.
+        for tid in self.program.type_ids() {
+            let Some(at) = self.program.spec(tid).pinned else {
+                continue;
+            };
+            let host = self.router.closest_node(at);
+            if self.owns(host) {
+                self.run_machine(k, host, tid, |machine, ctx| machine.instantiate_pinned(ctx));
+            }
+        }
+        self.schedule_gossip(k);
+    }
+
+    /// Arms the first anti-entropy round on every directory replica. A
+    /// no-op unless gossip is enabled with ≥ 2 replicas, so default runs
+    /// schedule no extra kernel events (and draw no extra randomness —
+    /// replica phases are staggered deterministically, not jittered).
+    fn schedule_gossip(&mut self, k: &mut K) {
+        let mw = &self.config.middleware;
+        if !mw.directory_gossip_enabled || mw.directory_replicas <= 1 {
+            return;
+        }
+        let period = mw.directory_gossip_period;
+        for tid in self.program.type_ids() {
+            let replicas = self.directory_replicas_of(tid);
+            let k_len = replicas.len();
+            for (i, node) in replicas.into_iter().enumerate() {
+                // A sharded world arms only its owned replicas' timers; the
+                // stagger index `i` still counts the full replica set, so
+                // each replica's phase is shard-count invariant.
+                if !self.owns(node) {
+                    continue;
+                }
+                // Stagger replicas across the period so their pushes don't
+                // pile onto the channel in one burst.
+                let phase = period.mul_f64((i + 1) as f64 / (k_len + 1) as f64);
+                k.schedule_at(k.now() + phase, move |w, k| w.gossip_tick(k, node, tid));
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Control: failure injection and chaos hooks
+    // ------------------------------------------------------------------
+
+    /// Kills a node: it stops sensing, processing, and transmitting.
+    pub fn kill_node(&mut self, node: NodeId) {
+        self.nodes[node.index()].alive = false;
+    }
+
+    /// Revives a previously killed node with cleared protocol state (a
+    /// rebooted mote remembers nothing but its sequence counters). Its
+    /// sensing loop needs no restart: a dead node's loop keeps ticking
+    /// (doing nothing) and resumes work on the first tick after revival,
+    /// on the phase it always had.
+    pub fn revive_node(&mut self, node: NodeId) {
+        let mw = &self.config.middleware;
+        self.nodes[node.index()].reboot(&self.program, mw, &self.rec.telemetry);
+    }
+
+    /// Installs or clears the Gilbert–Elliott burst-loss model on the
+    /// channel.
+    pub fn set_burst_loss(&mut self, model: Option<GilbertElliott>) {
+        self.medium.set_burst_loss(model);
+    }
+
+    /// Applies one fault at `now`. On a shard's replica, channel faults
+    /// install on this replica's executor (delivery masking, burst chains —
+    /// installing is draw-free) while the orchestrator installs them on the
+    /// central scheduler; node faults act only where the node is driven.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a clock rate outside the bounded-skew range `[0.5, 2.0]` —
+    /// the protocol makes no claims under unbounded drift.
+    pub fn apply_fault(&mut self, now: Timestamp, fault: &FaultEvent) {
+        match fault {
+            FaultEvent::Partition(groups) => self.medium.set_partition(Some(groups.clone())),
+            FaultEvent::Heal => self.medium.set_partition(None),
+            FaultEvent::BurstLossOn(model) => self.set_burst_loss(Some(*model)),
+            FaultEvent::BurstLossOff => self.set_burst_loss(None),
+            FaultEvent::LinkFaultsOn(faults) => self.medium.set_link_faults(Some(*faults)),
+            FaultEvent::LinkFaultsOff => self.medium.set_link_faults(None),
+            FaultEvent::Crash(node)
+            | FaultEvent::Reboot(node)
+            | FaultEvent::ClockRate { node, .. }
+                if !self.owns(*node) => {}
+            FaultEvent::Crash(node) => self.kill_node(*node),
+            FaultEvent::Reboot(node) => self.revive_node(*node),
+            // The local clock is rebased at `now` so it stays continuous;
+            // the new rate applies to every timer and sensing tick armed
+            // from here on.
+            FaultEvent::ClockRate { node, rate } => {
+                assert!(
+                    (0.5..=2.0).contains(rate),
+                    "clock rate {rate} outside the bounded-skew range [0.5, 2.0]"
+                );
+                self.nodes[node.index()].clock.set_rate(*rate, now);
+            }
+        }
+    }
+
+    /// Delivers a frame straight into one node's receive path, exactly as
+    /// the medium does after airtime. A corruption-corpus hook: tests
+    /// build a frame (stamping [`Frame::shadow`] from the pristine
+    /// payload), garble `payload` in place, and inject — then hold the
+    /// per-kind corrupt-drop counters to exact expected values.
+    pub fn inject_frame(&mut self, k: &mut Kernel<SensorNetwork>, node: NodeId, frame: Frame) {
+        self.receive(k, node, &frame, &mut Decoded::Pending);
+    }
+
+    /// Triggers an immediate anti-entropy push (with pull) on every live
+    /// replica of every context type. Chaos harnesses call this right
+    /// after healing a partition so divergent replicas repair in one
+    /// exchange instead of waiting out the gossip period. A no-op at
+    /// replication factor 1; works whether or not periodic gossip is on.
+    pub fn kick_directory_gossip(&mut self, k: &mut Kernel<SensorNetwork>) {
+        if self.config.middleware.directory_replicas <= 1 {
+            return;
+        }
+        for tid in self.program.type_ids() {
+            for node in self.directory_replicas_of(tid) {
+                if self.nodes[node.index()].alive {
+                    self.push_dir_sync(k, node, tid);
+                }
+            }
+        }
+    }
+
+    /// Enables or disables the medium's delivery audit log.
+    pub fn set_delivery_log(&mut self, enabled: bool) {
+        self.medium.set_delivery_log(enabled);
+    }
+
+    /// Drains the medium's delivery audit log.
+    pub fn take_delivery_log(&mut self) -> Vec<(Timestamp, NodeId, NodeId)> {
+        self.medium.take_delivery_log()
+    }
+
+    // ------------------------------------------------------------------
+    // Sharded execution (driven by `shard::run_sharded`)
+    // ------------------------------------------------------------------
+
+    /// This replica's sharding state (outbox, buffer pools).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a monolithic world.
+    pub(crate) fn shard_mut(&mut self) -> &mut ShardState {
+        self.shard
+            .as_mut()
+            .expect("not a shard replica built by run_sharded")
+    }
+
+    /// Takes the keys of transmissions that delivered to at least one owned
+    /// receiver since the last drain, for the orchestrator's global
+    /// `tx_lost` settlement. Empty for monolithic worlds.
+    pub(crate) fn drain_shard_delivered(&mut self) -> Vec<TxKey> {
+        self.medium.drain_delivered_keys()
+    }
+
+    /// Ingests the routed slice of one globally-resolved batch, in batch
+    /// order. The transmit side (CSMA, MAC drops, garbling, duplication)
+    /// was already decided once by the orchestrator's `ChannelScheduler`;
+    /// this shard's executor only resolves receiver outcomes for its owned
+    /// nodes when each transmission completes. Transmit energy is charged
+    /// on the source's owning shard — which is always routed, so
+    /// self-accounting never misses. The emptied buffer is stashed for the
+    /// next epoch response.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a monolithic world.
+    pub(crate) fn inject_shard_resolved(&mut self, k: &mut K, mut batch: Vec<ResolvedTx>) {
+        for rtx in batch.drain(..) {
+            let src = rtx.frame.src;
+            if self.owns(src) {
+                // `end - start` is exactly the frame airtime: garbling
+                // never touches `wire_len`, so the on-air cost the energy
+                // model sees matches the monolithic `tx_time` charge.
+                let airtime = rtx.end - rtx.start;
+                self.nodes[src.index()].energy.charge_tx(airtime);
+            }
+            let (local, completes_at) = self.medium.ingest_resolved(rtx);
+            k.schedule_at(completes_at, move |w, k| {
+                w.transmission_complete(k, TxId(local))
+            });
+        }
+        self.shard_mut().stash_resolved(batch);
+    }
+
+    // ------------------------------------------------------------------
+    // Group driver: sensing loop, group timers, machine inputs and actions
+    // ------------------------------------------------------------------
+
+    /// Schedules `node`'s next sensing tick at `at`: on the kernel's
+    /// recurring lane when `on_lane`, as an ordinary event otherwise. The
+    /// two differ in cost only, never in when or in what order the tick runs.
+    fn arm_sense_tick(&self, k: &mut K, at: Timestamp, node: NodeId, on_lane: bool) {
+        #[cfg(test)]
+        let on_lane = on_lane && !self.sense_loops_on_heap;
+        if on_lane {
+            k.schedule_recurring_at(at, Self::sense_tick_of, u64::from(node.0));
+        } else {
+            k.schedule_at(at, move |w, k| w.sense_tick(k, node));
+        }
+    }
+
+    /// [`SensorNetwork::sense_tick`] as a recurring handler over a node id.
+    fn sense_tick_of(&mut self, k: &mut K, id: u64) {
+        self.sense_tick(k, NodeId(u32::try_from(id).expect("armed with a node id")));
+    }
+
+    /// One sensing tick on `node`: reschedule, then drive every
+    /// context-type machine. Each owned node has exactly one such loop,
+    /// started by `bootstrap`; it outlives crashes (a dead node's tick
+    /// only reschedules), so nothing may start a second one.
+    fn sense_tick(&mut self, k: &mut K, node: NodeId) {
+        // The sensing period elapses on the node's *local* clock: skewed
+        // clocks sample faster or slower than global time.
+        let nominal = self.config.middleware.sense_period;
+        let period = self.nodes[node.index()].clock.global_delay(nominal);
+        // Reschedule first: the loop survives any processing below. A skewed
+        // node stays off the lane: a slow clock's later deadline would become
+        // the lane's tail and send every other node's tick to the heap until
+        // it fired.
+        self.arm_sense_tick(k, k.now() + period, node, period == nominal);
+        // Overloaded CPU skips sensing ticks.
+        if !self.nodes[node.index()].admit(k.now(), costs::SENSE) {
+            return;
+        }
+        for tid in self.program.type_ids() {
+            self.run_machine(k, node, tid, |machine, ctx| machine.on_sense_tick(ctx));
+        }
+    }
+
+    /// A group-management timer firing.
+    fn group_timer(
+        &mut self,
+        k: &mut K,
+        node: NodeId,
+        tid: ContextTypeId,
+        key: GroupTimer,
+        token: TimerToken,
+    ) {
+        let rt = &mut self.nodes[node.index()];
+        if !rt.alive {
+            return;
+        }
+        // Overload delays timer handling until the CPU drains.
+        if !rt.admit(k.now(), costs::TIMER_HANDLE) {
+            let retry = rt.cpu.busy_until() + SimDuration::from_millis(1);
+            k.schedule_at(retry.max(k.now()), move |w, k| {
+                w.group_timer(k, node, tid, key, token);
+            });
+            return;
+        }
+        self.run_machine(k, node, tid, |machine, ctx| {
+            machine.on_timer(ctx, key, token)
+        });
+    }
+
+    /// Gives one input to `node`'s machine for `tid` and carries out what
+    /// it asks for.
+    fn run_machine(
+        &mut self,
+        k: &mut K,
+        node: NodeId,
+        tid: ContextTypeId,
+        f: impl FnOnce(&mut GroupMachine, &mut GroupCtx<'_>) -> Vec<GroupAction>,
+    ) {
+        let actions = self.drive_machine(k.now(), node, tid, f);
+        self.apply_actions(k, node, tid, actions);
+    }
+
+    /// Runs one machine input with a fresh [`GroupCtx`]; the environment is
+    /// sampled only if the handler reads [`GroupCtx::sample`].
+    fn drive_machine(
+        &mut self,
+        now: Timestamp,
+        node: NodeId,
+        tid: ContextTypeId,
+        f: impl FnOnce(&mut GroupMachine, &mut GroupCtx<'_>) -> Vec<GroupAction>,
+    ) -> Vec<GroupAction> {
+        let rt = &mut self.nodes[node.index()];
+        let mut ctx = GroupCtx {
+            now,
+            cfg: &self.config.middleware,
+            spec: self.program.spec(tid),
+            subscriptions: self.program.subscriptions(tid),
+            sensors: &self.environment,
+            reading: None,
+            position: rt.pos,
+            rng: &mut rt.rng,
+            telemetry: self.rec.telemetry.clone(),
+            labels: self.rec.labels.clone(),
+        };
+        f(&mut rt.machines[tid.0 as usize], &mut ctx)
+    }
+
+    fn apply_actions(
+        &mut self,
+        k: &mut K,
+        node: NodeId,
+        tid: ContextTypeId,
+        actions: Vec<GroupAction>,
+    ) {
+        let now = k.now();
+        for action in actions {
+            let rt = &mut self.nodes[node.index()];
+            match action {
+                GroupAction::Broadcast(msg) => self.send_message(k, node, None, &msg),
+                GroupAction::ArmTimer { key, at, token } => {
+                    // Machines arm timers as delays on the node's local
+                    // clock; convert through its clock model (exact
+                    // identity at rate 1.0).
+                    let fire_at = now + rt.clock.global_delay(at.saturating_since(now));
+                    k.schedule_at(fire_at, move |w, k| w.group_timer(k, node, tid, key, token));
+                }
+                GroupAction::Emit(event) => self.rec.record(now, node, event),
+                GroupAction::RegisterDirectory { label } => {
+                    let home = self.hash_points[tid.0 as usize];
+                    let location = rt.pos;
+                    let msg = Message::DirRegister(DirRegister { label, location });
+                    let replicas = self.config.middleware.directory_replicas;
+                    if replicas <= 1 {
+                        self.send_geo(k, node, home, None, msg);
+                    } else {
+                        // Fan the registration out to every replica
+                        // explicitly; geo routing alone finds only the
+                        // primary.
+                        for target in replica_set(&self.deployment, home, replicas) {
+                            self.send_to_node(k, node, target, msg.clone());
+                        }
+                    }
+                }
+                GroupAction::QueryDirectory { type_id } => {
+                    self.issue_query(k, node, type_id, Some(tid), None);
+                }
+                GroupAction::SendToBase { label, payload } => {
+                    if let Some(base) = self.config.base_station {
+                        let report = BaseReport {
+                            label,
+                            generated_at: now,
+                            payload,
+                        };
+                        self.send_to_node(k, node, base, Message::Base(report));
+                    }
+                }
+                GroupAction::MtpSend {
+                    dst_label,
+                    dst_port,
+                    payload,
+                } => self.mtp_send(k, node, tid, dst_label, dst_port, payload),
+                GroupAction::BecameLeader { label } => {
+                    let here = rt.here();
+                    rt.mtp.learn(label, here);
+                }
+                GroupAction::LostLeadership { label, new_leader } => {
+                    if let Some(loc) = new_leader {
+                        rt.mtp.leave_forward_pointer(label, loc, now);
+                        rt.mtp.learn(label, loc);
+                    }
+                }
+                GroupAction::AppLog(line) => self.app_log.push((now, node, line)),
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Receive pipeline: medium → link → dispatch
+    // ------------------------------------------------------------------
+
+    /// A transmission finished serialising: every receiver that got it
+    /// intact takes it through [`SensorNetwork::receive`]. The wire payload
+    /// is decoded at most once and all of them dispatch off the same
+    /// borrowed [`Message`]. A sharded world dispatches only to the
+    /// receivers it drives; their owners replay the same transmission.
+    fn transmission_complete(&mut self, k: &mut K, id: TxId) {
+        let report = self.medium.deliveries(id);
+        // A link-duplicated frame is processed twice end to end — that is
+        // precisely what the dedup layers (link_seq, MTP seq, hb_seq) are
+        // under test against.
+        let passes = if report.duplicated { 2 } else { 1 };
+        let mut decoded = Decoded::Pending;
+        for _ in 0..passes {
+            for (receiver, outcome) in &report.outcomes {
+                if *outcome == DeliveryOutcome::Delivered && self.owns(*receiver) {
+                    self.receive(k, *receiver, &report.frame, &mut decoded);
+                }
+            }
+        }
+        // Hand the outcome buffer back so the next broadcast reuses it.
+        self.medium.recycle(report);
+    }
+
+    /// A frame arrived intact at `node`: charge the radio and the CPU, run
+    /// it through the link layer, and hand what comes out to the layer it
+    /// is for. `decoded` caches the payload decode across a delivery walk.
+    fn receive(&mut self, k: &mut K, node: NodeId, frame: &Frame, decoded: &mut Decoded) {
+        // A unicast frame means nothing to the neighbours that overheard it.
+        if !frame.link_dst.accepts(node) {
+            return;
+        }
+        let rt = &mut self.nodes[node.index()];
+        if !rt.alive {
+            return;
+        }
+        // The radio spent the frame's airtime decoding it regardless of
+        // what the CPU does with it afterwards.
+        rt.energy.charge_rx(self.medium.config().tx_time(frame));
+        // Receive overflow: overloaded CPUs drop frames.
+        if !rt.admit(k.now(), costs::RX_HANDLE) {
+            return;
+        }
+        let codec = self.config.radio.codec;
+        let Some(rx) = rt
+            .link
+            .receive(&self.config.link, codec, node, frame, decoded)
+        else {
+            // Dropped without touching protocol state.
+            self.note_corrupt_drop(frame.kind);
+            return;
+        };
+        // The accepted-corrupt invariant the chaos monitor checks must stay
+        // at zero; counted per accepting receiver.
+        if !rx.pristine {
+            self.rec.telemetry.incr("net.corrupt_accepted");
+        }
+        if let Some(ack) = rx.ack {
+            self.transmit(k, node, ack);
+        }
+        if let Some(msg) = rx.deliver {
+            self.dispatch(k, node, msg);
+        }
+    }
+
+    /// Records one receiver-side drop of a frame that failed its integrity
+    /// or structural checks. Counted per (frame, receiver) pair under
+    /// `net.k<kind>.corrupt`, mirroring the medium's per-pair loss stats.
+    /// Cold: a clean channel never gets here, and inlining the map probe
+    /// into the receive path cost `field_sparse` 8 % of its events/s.
+    #[cold]
+    fn note_corrupt_drop(&mut self, kind: FrameKind) {
+        let name = || format!("net.k{}.corrupt", kind.0);
+        self.corrupt_counters
+            .entry(kind.0)
+            .or_insert_with(|| self.rec.telemetry.counter_handle(&name()))
+            .incr();
+    }
+
+    /// Hands a message that reached `node` — off the air, or from the node
+    /// itself when it is its own destination — to the layer it is for.
+    fn dispatch(&mut self, k: &mut K, node: NodeId, msg: &Message) {
+        let now = k.now();
+        let ttl = self.config.middleware.directory_entry_ttl;
+        match msg {
+            Message::Heartbeat(hb) if self.hosts(hb.label.type_id) => {
+                // The transport layer snoops leadership from heartbeats.
+                let leader = LeaderLoc {
+                    node: hb.leader,
+                    pos: hb.leader_pos,
+                };
+                self.nodes[node.index()].mtp.learn(hb.label, leader);
+                self.run_machine(k, node, hb.label.type_id, |m, ctx| m.on_heartbeat(ctx, hb));
+            }
+            Message::Report(r) if self.hosts(r.label.type_id) => {
+                self.run_machine(k, node, r.label.type_id, |m, ctx| m.on_report(ctx, r));
+            }
+            Message::Relinquish(r) if self.hosts(r.label.type_id) => {
+                self.run_machine(k, node, r.label.type_id, |m, ctx| m.on_relinquish(ctx, r));
+            }
+            // Group traffic for a context type this program does not have.
+            Message::Heartbeat(_) | Message::Report(_) | Message::Relinquish(_) => {}
+            Message::Geo(geo) => match self.next_hop(node, geo.dest, geo.deliver_to) {
+                None => self.dispatch(k, node, &geo.inner),
+                Some(next) => {
+                    // Count intermediate hops taken by directory traffic
+                    // specifically.
+                    if geo.inner.kind() == kinds::DIRECTORY {
+                        self.rec.telemetry.incr("dir.hop");
+                    }
+                    self.send_message(k, node, Some(next), msg);
+                }
+            },
+            Message::Mtp(seg) => self.on_mtp_segment(k, node, seg),
+            Message::MtpAckMsg(ack) => {
+                mtp::on_ack(&mut self.nodes[node.index()].mtp, ack, node, now, &self.rec);
+            }
+            Message::DirRegister(reg) => {
+                let dir = &mut self.nodes[node.index()].dir;
+                dir.register(reg, node, now, ttl, &self.rec);
+            }
+            Message::DirQuery(q) => {
+                let resp = self.nodes[node.index()]
+                    .dir
+                    .answer(q, node, now, ttl, &self.rec);
+                self.send_geo(k, node, q.reply_pos, Some(q.reply_to), resp);
+            }
+            Message::DirResponse(resp) => self.on_dir_response(k, node, resp),
+            Message::DirSyncMsg(sync) => {
+                let dir = &mut self.nodes[node.index()].dir;
+                if let Some(reply) = dir.merge(sync, node, now, ttl, &self.rec) {
+                    self.send_to_node(k, node, sync.from, reply);
+                }
+            }
+            Message::Base(b) => {
+                if Some(node) == self.config.base_station {
+                    self.base_log.record(ReportEntry {
+                        received_at: now,
+                        generated_at: b.generated_at,
+                        label: b.label,
+                        payload: b.payload.clone(),
+                    });
+                }
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Directory service wiring
+    // ------------------------------------------------------------------
+
+    /// Opens a directory query from `node` for the live labels of
+    /// `target_type` — for `asker`'s subscription view, or to resolve the
+    /// destination of `park`, an MTP send that waits on the answer — and
+    /// sends it towards the type's home. Whatever waited longer than
+    /// `mtp_pending_ttl` on an earlier query is given up on first.
+    fn issue_query(
+        &mut self,
+        k: &mut K,
+        node: NodeId,
+        target_type: ContextTypeId,
+        asker: Option<ContextTypeId>,
+        park: Option<MtpSegment>,
+    ) {
+        let now = k.now();
+        let ttl = self.config.middleware.mtp_pending_ttl;
+        let rt = &mut self.nodes[node.index()];
+        for expired in rt.mtp.sweep(now, ttl) {
+            self.rec.mtp_dropped(now, node, expired.segment.dst_label);
+        }
+        let query_id = rt.dir.issue(target_type, asker, now, ttl);
+        // Parked before the query leaves: this node may be the home itself,
+        // and then the answer is back before `send_query` returns.
+        if let Some(segment) = park {
+            rt.mtp.park(PendingSend {
+                segment,
+                query_id,
+                parked_at: now,
+            });
+        }
+        self.send_query(k, node, query_id, target_type, None);
+    }
+
+    /// Sends query `query_id` to `replica` — or, with none named, wherever
+    /// geo routing finds the type's home — and arms its failover timer. The
+    /// timer is not armed at the default replication factor of 1, so
+    /// unreplicated runs schedule no extra kernel events.
+    fn send_query(
+        &mut self,
+        k: &mut K,
+        node: NodeId,
+        query_id: u32,
+        target_type: ContextTypeId,
+        replica: Option<NodeId>,
+    ) {
+        let msg = dir::query(query_id, target_type, node, self.nodes[node.index()].pos);
+        match replica {
+            Some(target) => self.send_to_node(k, node, target, msg),
+            None => self.send_geo(k, node, self.directory_home(target_type), None, msg),
+        }
+        if self.config.middleware.directory_replicas > 1 {
+            let timeout = self.config.middleware.directory_query_timeout;
+            k.schedule_at(k.now() + timeout, move |w, k| {
+                w.query_failover(k, node, query_id)
+            });
+        }
+    }
+
+    /// Re-issues an unanswered directory query to the next replica, or
+    /// fails it — dropping any MTP sends parked on it — once the replica
+    /// set is exhausted.
+    fn query_failover(&mut self, k: &mut K, node: NodeId, query_id: u32) {
+        let rt = &mut self.nodes[node.index()];
+        if !rt.alive {
+            return;
+        }
+        let replicas = self.config.middleware.directory_replicas;
+        match rt
+            .dir
+            .failover(query_id, replicas.min(self.deployment.len()))
+        {
+            Failover::Settled => {}
+            Failover::Exhausted => {
+                for send in rt.mtp.take_pending(query_id) {
+                    self.rec.mtp_dropped(k.now(), node, send.segment.dst_label);
+                }
+            }
+            Failover::Retry {
+                target_type,
+                attempt,
+            } => {
+                let target = self.directory_replicas_of(target_type)[attempt];
+                self.send_query(k, node, query_id, target_type, Some(target));
+            }
+        }
+    }
+
+    fn on_dir_response(&mut self, k: &mut K, node: NodeId, resp: &DirResponse) {
+        let rt = &mut self.nodes[node.index()];
+        let Some(query) = rt.dir.settle(resp.query_id) else {
+            return;
+        };
+        // Subscription query: install the view into the asking machine.
+        if let Some(asker) = query.asker {
+            rt.machines[asker.0 as usize]
+                .on_directory_entries(query.target_type, resp.entries.clone());
+            return;
+        }
+        // MTP resolution query: release the parked sends.
+        for PendingSend { segment, .. } in rt.mtp.take_pending(resp.query_id) {
+            let dst = segment.dst_label;
+            match resp.entries.iter().find(|(label, _)| *label == dst) {
+                Some((_, location)) => self.send_segment(k, node, segment, *location, None),
+                None => self.rec.mtp_dropped(k.now(), node, dst),
+            }
+        }
+    }
+
+    /// One periodic anti-entropy round on a replica: push the local digest
+    /// to the next replica in ring order (with the pull flag set), then
+    /// re-arm.
+    fn gossip_tick(&mut self, k: &mut K, node: NodeId, tid: ContextTypeId) {
+        let period = self.config.middleware.directory_gossip_period;
+        // Reschedule first so the round survives any processing below.
+        k.schedule_at(k.now() + period, move |w, k| w.gossip_tick(k, node, tid));
+        // Overloaded CPUs skip the round; the next period retries.
+        if self.nodes[node.index()].admit(k.now(), costs::TIMER_HANDLE) {
+            self.push_dir_sync(k, node, tid);
+        }
+    }
+
+    /// Pushes `node`'s directory digest for `tid`, asking for the peer's in
+    /// return, to its ring successor in the replica set.
+    fn push_dir_sync(&mut self, k: &mut K, node: NodeId, tid: ContextTypeId) {
+        let Some(peer) = dir::ring_successor(&self.directory_replicas_of(tid), node) else {
+            return;
+        };
+        let dir = &self.nodes[node.index()].dir;
+        if let Some(digest) = dir.digest(tid, node, true, &self.rec) {
+            self.send_to_node(k, node, peer, digest);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // MTP wiring
+    // ------------------------------------------------------------------
+
+    /// An application send from `node`'s object of type `tid`.
+    fn mtp_send(
+        &mut self,
+        k: &mut K,
+        node: NodeId,
+        tid: ContextTypeId,
+        dst_label: ContextLabel,
+        dst_port: Port,
+        payload: Bytes,
+    ) {
+        let rt = &mut self.nodes[node.index()];
+        let Some(src_label) = rt.machines[tid.0 as usize].current_label() else {
+            return; // lost leadership between invocation and send
+        };
+        // Every transmission of the segment — first or repeated — starts a
+        // fresh forwarding chain from here.
+        let segment = MtpSegment {
+            src_label,
+            src_port: Port(0),
+            dst_label,
+            dst_port,
+            src_leader: node,
+            src_leader_pos: rt.pos,
+            chain_hops: 0,
+            seq: 0,
+            payload,
+        };
+        match rt.mtp.lookup(dst_label) {
+            Some(loc) => self.send_segment(k, node, segment, loc.pos, Some(loc.node)),
+            // Park the send and resolve through the directory.
+            None if self.config.middleware.directory_enabled => {
+                self.issue_query(k, node, dst_label.type_id, None, Some(segment));
+            }
+            None => self.rec.mtp_dropped(k.now(), node, dst_label),
+        }
+    }
+
+    /// Transmits `segment` towards `dest` for the first time, arming the
+    /// retransmission timer when end-to-end acks are enabled.
+    fn send_segment(
+        &mut self,
+        k: &mut K,
+        node: NodeId,
+        segment: MtpSegment,
+        dest: Point,
+        deliver_to: Option<NodeId>,
+    ) {
+        let mw = &self.config.middleware;
+        let mtp = &mut self.nodes[node.index()].mtp;
+        let (segment, retry) = mtp::open(mtp, segment, k.now(), mw, &self.rec);
+        if let Some(seq) = retry {
+            let timeout = mw.mtp_retx_timeout;
+            k.schedule_at(k.now() + timeout, move |w, k| w.mtp_retry(k, node, seq));
+        }
+        self.send_geo(k, node, dest, deliver_to, segment);
+    }
+
+    /// The end-to-end retransmission timer of segment `seq`.
+    fn mtp_retry(&mut self, k: &mut K, node: NodeId, seq: u32) {
+        let rt = &mut self.nodes[node.index()];
+        if !rt.alive {
+            return;
+        }
+        let (now, mw) = (k.now(), &self.config.middleware);
+        let again = mtp::retry(
+            &mut rt.mtp,
+            &mut rt.retx_rng,
+            seq,
+            node,
+            now,
+            mw,
+            &mut self.rec,
+        );
+        if let Some((out, jitter, backoff)) = again {
+            k.schedule_at(now + jitter + backoff, move |w, k| {
+                w.mtp_retry(k, node, seq)
+            });
+            k.schedule_at(now + jitter, move |w, k| w.mtp_resend(k, node, out));
+        }
+    }
+
+    fn mtp_resend(&mut self, k: &mut K, node: NodeId, out: Outstanding) {
+        let rt = &mut self.nodes[node.index()];
+        if !rt.alive {
+            return;
+        }
+        if let Some((loc, segment)) = mtp::resend(&mut rt.mtp, out, k.now()) {
+            self.send_geo(k, node, loc.pos, Some(loc.node), segment);
+        }
+    }
+
+    fn on_mtp_segment(&mut self, k: &mut K, node: NodeId, seg: &MtpSegment) {
+        let (now, mw) = (k.now(), &self.config.middleware);
+        let (dst_label, tid) = (seg.dst_label, seg.dst_label.type_id);
+        let hosted = self.hosts(tid);
+        let rt = &mut self.nodes[node.index()];
+        let leads = hosted.then(|| {
+            matches!(
+                rt.machines[tid.0 as usize].role_kind(),
+                RoleKind::Leader(l) if l == dst_label
+            )
+        });
+        let here = rt.here();
+        let arrival = mtp::arrive(&mut rt.mtp, seg, here, leads, now, mw, &mut self.rec);
+        if let Some((loc, msg)) = arrival.send {
+            self.send_geo(k, node, loc.pos, Some(loc.node), msg);
+        }
+        if !arrival.deliver {
+            return;
+        }
+        let Some(method) = self.program.method_for_port(tid, seg.dst_port) else {
+            return;
+        };
+        let incoming = IncomingMessage {
+            src_label: seg.src_label,
+            src_port: seg.src_port,
+            payload: seg.payload.clone(),
+        };
+        let actions = self.drive_machine(now, node, tid, |machine, ctx| {
+            machine
+                .deliver_mtp(ctx, dst_label, seg.dst_port, incoming, method)
+                .unwrap_or_default()
+        });
+        let delivered = SystemEvent::MtpDelivered {
+            label: dst_label,
+            node,
+            chain_hops: seg.chain_hops,
+        };
+        self.rec.record(now, node, delivered);
+        self.apply_actions(k, node, tid, actions);
+    }
+
+    // ------------------------------------------------------------------
+    // Send path: geo routing → link → medium
+    // ------------------------------------------------------------------
+
+    /// Where a message bound for `dest` goes next from `from` under greedy
+    /// geographic forwarding; `None` when it has arrived — `from` is the
+    /// explicit recipient, or already the node nearest `dest`.
+    fn next_hop(&self, from: NodeId, dest: Point, deliver_to: Option<NodeId>) -> Option<NodeId> {
+        if deliver_to == Some(from) {
+            None
+        } else {
+            self.router.next_hop(from, dest)
+        }
+    }
+
+    /// Sends a message towards a field coordinate; delivers locally when
+    /// this node is already the home (or the explicit recipient).
+    fn send_geo(
+        &mut self,
+        k: &mut K,
+        from: NodeId,
+        dest: Point,
+        deliver_to: Option<NodeId>,
+        inner: Message,
+    ) {
+        match self.next_hop(from, dest, deliver_to) {
+            None => self.dispatch(k, from, &inner),
+            Some(next) => {
+                let geo = Message::Geo(GeoForward {
+                    dest,
+                    deliver_to,
+                    inner: Box::new(inner),
+                });
+                self.send_message(k, from, Some(next), &geo);
+            }
+        }
+    }
+
+    /// Sends a message to one named node, wherever it is.
+    fn send_to_node(&mut self, k: &mut K, from: NodeId, to: NodeId, msg: Message) {
+        self.send_geo(k, from, self.deployment.position(to), Some(to), msg);
+    }
+
+    /// Frames `msg` — unicast to `to`, or broadcast — and sends it. A
+    /// reliable frame is kept by the link layer, whose retry timer is armed
+    /// here.
+    fn send_message(&mut self, k: &mut K, from: NodeId, to: Option<NodeId>, msg: &Message) {
+        let (payload, wire_len) = link::encode(self.config.radio.codec, msg);
+        let frame = match to {
+            Some(next) => Frame::unicast(from, next, msg.kind(), payload),
+            None => Frame::broadcast(from, msg.kind(), payload),
+        };
+        let cfg = &self.config.link;
+        let link = &mut self.nodes[from.index()].link;
+        let (frame, retry) = link.admit(cfg, frame.with_wire_len(wire_len));
+        if let Some(seq) = retry {
+            k.schedule_at(k.now() + cfg.ack_timeout, move |w, k| {
+                w.link_retry(k, from, seq)
+            });
+        }
+        self.transmit(k, from, frame);
+    }
+
+    /// Retransmits an unacknowledged unicast frame after a random delay
+    /// (which decorrelates it from whatever collided with the last copy),
+    /// or gives up after the configured number of attempts.
+    fn link_retry(&mut self, k: &mut K, node: NodeId, seq: u32) {
+        let rt = &mut self.nodes[node.index()];
+        if !rt.alive {
+            return;
+        }
+        let cfg = &self.config.link;
+        let Some(frame) = rt.link.retry(cfg.max_attempts, seq) else {
+            return;
+        };
+        let jitter = rt.rng.below(cfg.retry_jitter_max.as_micros().max(1));
+        let retry_at = k.now() + SimDuration::from_micros(jitter);
+        k.schedule_at(retry_at + cfg.ack_timeout, move |w, k| {
+            w.link_retry(k, node, seq)
+        });
+        k.schedule_at(retry_at, move |w, k| w.transmit(k, node, frame));
+    }
+
+    /// Puts a frame on the air and schedules its completion.
+    fn transmit(&mut self, k: &mut K, node: NodeId, frame: Frame) {
+        let rt = &mut self.nodes[node.index()];
+        let sent = link::transmit(rt, &mut self.medium, self.shard.as_mut(), k.now(), frame);
+        if let Some(tx) = sent {
+            k.schedule_at(tx.completes_at, move |w, k| {
+                w.transmission_complete(k, tx.id)
+            });
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::aggregate::{AggregateFn, AggregateInput};
+    use crate::api::Program;
+    use crate::context::SensePredicate;
+    use crate::report::telemetry_to_jsonl;
+    use envirotrack_world::scenario::TankScenario;
+    use envirotrack_world::target::Channel;
+
+    fn tracker() -> Arc<Program> {
+        let program = Program::builder().context("tracker", |c| {
+            c.activation(SensePredicate::threshold(Channel::Magnetic, 0.5))
+                .aggregate(
+                    "location",
+                    AggregateFn::CenterOfGravity,
+                    AggregateInput::Position,
+                    SimDuration::from_secs(1),
+                    2,
+                )
+        });
+        Arc::new(program.build().expect("a valid program"))
+    }
+
+    /// A tank crossing a 20 × 20 field for 5 s, with a clock slowed at 1 s
+    /// and a node near the lane crashed at 1.5 s and rebooted at 3 s.
+    /// Returns `kernel.events`, the event log and the telemetry JSONL.
+    fn faulted_run(sense_loops_on_heap: bool) -> (u64, String, String) {
+        let scenario = TankScenario {
+            lane_y: 9.5,
+            sensing_radius: 1.5,
+            ..TankScenario::default()
+        }
+        .with_grid(20, 20)
+        .with_speed_hops_per_s(2.0)
+        .build();
+        let mut engine = SensorNetwork::build_engine(
+            tracker(),
+            scenario.deployment,
+            scenario.environment,
+            NetworkConfig::default(),
+            7,
+        );
+        engine.world_mut().sense_loops_on_heap = sense_loops_on_heap;
+        let (slowed, crashed) = (NodeId(10 * 20 + 4), NodeId(9 * 20 + 3));
+        let k = engine.kernel_mut();
+        k.schedule_at(Timestamp::from_secs(1), move |w: &mut SensorNetwork, k| {
+            let rate = 0.8;
+            w.apply_fault(k.now(), &FaultEvent::ClockRate { node: slowed, rate });
+        });
+        k.schedule_at(
+            Timestamp::from_millis(1500),
+            move |w: &mut SensorNetwork, _| {
+                w.kill_node(crashed);
+            },
+        );
+        k.schedule_at(Timestamp::from_secs(3), move |w: &mut SensorNetwork, _| {
+            w.revive_node(crashed);
+        });
+        engine.run_until(Timestamp::from_secs(5));
+        let on_lane = engine.kernel().recurring_len();
+        assert_eq!(on_lane, if sense_loops_on_heap { 0 } else { 399 });
+        let world = engine.world();
+        (
+            world.telemetry().counter("kernel.events"),
+            format!("{:?}", world.events().entries()),
+            telemetry_to_jsonl(world.telemetry()),
+        )
+    }
+
+    #[test]
+    fn the_recurring_lane_changes_no_byte_of_a_faulted_run() {
+        let (events, log, telemetry) = faulted_run(false);
+        assert!(log.contains("LabelCreated") && telemetry.contains("group.hb"));
+        assert!(
+            events > 400 * 25,
+            "protocol events on top of 25 ticks per node"
+        );
+        assert_eq!((events, log, telemetry), faulted_run(true));
+    }
+
+    /// Without the skew guard the slow node's deadline, one of its longer
+    /// periods away, becomes the lane's tail, and every tick armed before
+    /// that instant goes to the heap: half the field at any moment.
+    #[test]
+    fn one_slow_clock_leaves_the_other_sensing_loops_on_the_lane() {
+        let field = Deployment::grid(40, 25, 1.0);
+        let mut engine = SensorNetwork::build_engine(
+            tracker(),
+            field,
+            Environment::new(),
+            NetworkConfig::default(),
+            3,
+        );
+        let slow = FaultEvent::ClockRate {
+            node: NodeId(500),
+            rate: 0.5,
+        };
+        engine.world_mut().apply_fault(Timestamp::ZERO, &slow);
+        // Sampled at instants spread over several of the slow node's periods.
+        for ms in (450..=2_250).step_by(180) {
+            engine.run_until(Timestamp::from_millis(ms));
+            assert_eq!(engine.kernel().pending_events(), 1_000, "one tick per node");
+            assert!(
+                engine.kernel().recurring_len() >= 990,
+                "only {} of 1000 pending ticks are on the lane at {ms} ms",
+                engine.kernel().recurring_len()
+            );
+        }
+    }
+}

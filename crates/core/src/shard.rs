@@ -81,9 +81,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::sync::{mpsc, Arc};
 
-use envirotrack_net::medium::{
-    ChannelScheduler, GilbertElliott, LinkFaults, NetStats, ResolvedTx, TxKey,
-};
+use envirotrack_net::medium::{ChannelScheduler, NetStats, ResolvedTx, TxKey};
 use envirotrack_net::packet::Frame;
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::Timestamp;
@@ -93,7 +91,7 @@ use envirotrack_world::grid::shard_interest_ranges;
 use envirotrack_world::sensing::Environment;
 
 use crate::api::Program;
-use crate::network::{NetworkConfig, SensorNetwork};
+use crate::network::{FaultEvent, NetworkConfig, SensorNetwork};
 use crate::report::{json, RunRecord};
 
 /// One captured transmit request, exchanged across shards at epoch
@@ -283,31 +281,6 @@ impl ShardState {
     }
 }
 
-/// A fault applied at an epoch barrier of a sharded run. Channel-level
-/// faults install on the central scheduler *and* on every shard's executor
-/// (scheduler: carrier sensing and garbling; executor: delivery masking
-/// and burst chains); node-level faults apply only on the owning shard,
-/// because only that shard drives the node.
-#[derive(Debug, Clone)]
-pub enum ShardFault {
-    /// Install a partition mask (group byte per node).
-    Partition(Vec<u8>),
-    /// Heal the partition.
-    ClearPartition,
-    /// Install Gilbert–Elliott burst loss.
-    BurstLossOn(GilbertElliott),
-    /// Remove burst loss.
-    BurstLossOff,
-    /// Install link-level fault injection.
-    LinkFaultsOn(LinkFaults),
-    /// Remove link-level fault injection.
-    LinkFaultsOff,
-    /// Kill a node (applied on its owning shard).
-    Crash(NodeId),
-    /// Revive a node and restart its sensing loop (owning shard).
-    Revive(NodeId),
-}
-
 /// The merged result of a sharded run.
 #[derive(Debug, Clone)]
 pub struct ShardedRun {
@@ -360,7 +333,7 @@ enum Cmd {
     Inject {
         barrier: Timestamp,
         resolved: Vec<ResolvedTx>,
-        faults: Vec<ShardFault>,
+        faults: Vec<FaultEvent>,
         outbox: Vec<OutIntent>,
     },
     /// Run to the horizon and send the final output back. `last_barrier`
@@ -401,12 +374,12 @@ pub fn run_sharded(
     seed: u64,
     shards: usize,
     horizon: Timestamp,
-    faults: &[(Timestamp, ShardFault)],
+    faults: &[(Timestamp, FaultEvent)],
     mode: MediumMode,
 ) -> ShardedRun {
     assert!(shards >= 1, "at least one shard is required");
     let epoch = config.radio.epoch_latency();
-    let mut schedule: Vec<(Timestamp, ShardFault)> = faults.to_vec();
+    let mut schedule: Vec<(Timestamp, FaultEvent)> = faults.to_vec();
     schedule.sort_by_key(|(t, _)| *t);
 
     // The central transmit side: one scheduler resolving every merged
@@ -476,7 +449,7 @@ pub fn run_sharded(
                                 barrier,
                                 move |w: &mut SensorNetwork, k| {
                                     for f in &faults {
-                                        w.apply_shard_fault(f);
+                                        w.apply_fault(k.now(), f);
                                     }
                                     w.inject_shard_resolved(k, resolved);
                                 },
@@ -580,14 +553,15 @@ pub fn run_sharded(
                 due.push(schedule[next_fault].1.clone());
                 next_fault += 1;
             }
-            // Channel faults bite the transmit side here, at the same
-            // quantized barrier the shards apply them (receiver side).
+            // Channel faults bite the transmit side here (carrier sensing,
+            // garbling), at the same quantized barrier the shards apply
+            // them to the receiver side (delivery masking, burst chains).
             for f in &due {
                 match f {
-                    ShardFault::Partition(groups) => scheduler.set_partition(Some(groups.clone())),
-                    ShardFault::ClearPartition => scheduler.set_partition(None),
-                    ShardFault::LinkFaultsOn(lf) => scheduler.set_link_faults(Some(*lf)),
-                    ShardFault::LinkFaultsOff => scheduler.set_link_faults(None),
+                    FaultEvent::Partition(groups) => scheduler.set_partition(Some(groups.clone())),
+                    FaultEvent::Heal => scheduler.set_partition(None),
+                    FaultEvent::LinkFaultsOn(lf) => scheduler.set_link_faults(Some(*lf)),
+                    FaultEvent::LinkFaultsOff => scheduler.set_link_faults(None),
                     _ => {}
                 }
             }

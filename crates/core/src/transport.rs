@@ -24,13 +24,13 @@
 //! [`crate::network`]; this module is pure state, unit-testable in
 //! isolation.
 
-use bytes::Bytes;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::Telemetry;
 use envirotrack_world::field::NodeId;
 use envirotrack_world::geometry::Point;
 
 use crate::context::ContextLabel;
+use crate::wire::MtpSegment;
 
 /// A transport port, associated with one method of one object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -146,16 +146,8 @@ impl<K: PartialEq + Copy, V> LruTable<K, V> {
 /// An application send queued until the destination label's leader is known.
 #[derive(Debug, Clone)]
 pub struct PendingSend {
-    /// The destination label awaiting resolution.
-    pub dst_label: ContextLabel,
-    /// The destination port.
-    pub dst_port: Port,
-    /// Source label.
-    pub src_label: ContextLabel,
-    /// Source port.
-    pub src_port: Port,
-    /// Application payload.
-    pub payload: Bytes,
+    /// The segment to send once its destination label resolves.
+    pub segment: MtpSegment,
     /// The directory query id that will resolve it.
     pub query_id: u32,
     /// When the send was parked (for expiry).
@@ -173,18 +165,9 @@ struct ForwardPointer {
 /// One transmitted segment awaiting its end-to-end acknowledgement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Outstanding {
-    /// The end-to-end sequence number (node-scoped).
-    pub seq: u32,
-    /// Destination label.
-    pub dst_label: ContextLabel,
-    /// Destination port.
-    pub dst_port: Port,
-    /// Source label.
-    pub src_label: ContextLabel,
-    /// Source port.
-    pub src_port: Port,
-    /// Application payload, kept for retransmission.
-    pub payload: Bytes,
+    /// The segment as first sent — its `seq` is the node-scoped end-to-end
+    /// sequence number — kept for retransmission.
+    pub segment: MtpSegment,
     /// Send attempts so far (1 after the first transmission).
     pub attempts: u32,
 }
@@ -293,23 +276,9 @@ impl MtpState {
     }
 
     /// Registers a freshly transmitted segment as awaiting its ack.
-    #[allow(clippy::too_many_arguments)]
-    pub fn track_outstanding(
-        &mut self,
-        seq: u32,
-        src_label: ContextLabel,
-        src_port: Port,
-        dst_label: ContextLabel,
-        dst_port: Port,
-        payload: Bytes,
-    ) {
+    pub fn track_outstanding(&mut self, segment: MtpSegment) {
         self.outstanding.push(Outstanding {
-            seq,
-            dst_label,
-            dst_port,
-            src_label,
-            src_port,
-            payload,
+            segment,
             attempts: 1,
         });
     }
@@ -318,7 +287,7 @@ impl MtpState {
     /// ack matched anything (a stale or duplicate ack does not).
     pub fn acknowledge(&mut self, seq: u32) -> bool {
         let before = self.outstanding.len();
-        self.outstanding.retain(|o| o.seq != seq);
+        self.outstanding.retain(|o| o.segment.seq != seq);
         self.outstanding.len() != before
     }
 
@@ -332,7 +301,7 @@ impl MtpState {
         seq: u32,
         max_attempts: u32,
     ) -> Option<Result<Outstanding, Outstanding>> {
-        let idx = self.outstanding.iter().position(|o| o.seq == seq)?;
+        let idx = self.outstanding.iter().position(|o| o.segment.seq == seq)?;
         if self.outstanding[idx].attempts >= max_attempts {
             return Some(Err(self.outstanding.remove(idx)));
         }
@@ -353,7 +322,7 @@ impl MtpState {
     pub fn attempts_of(&self, seq: u32) -> Option<u32> {
         self.outstanding
             .iter()
-            .find(|o| o.seq == seq)
+            .find(|o| o.segment.seq == seq)
             .map(|o| o.attempts)
     }
 
@@ -410,13 +379,26 @@ impl MtpState {
             .map(|p| p.next)
     }
 
+    /// The best-known location of `label`'s leader: a live forwarding
+    /// pointer first (this node used to lead the label and knows who took
+    /// over), else the last-known-leader table.
+    pub fn route(&mut self, label: ContextLabel, now: Timestamp) -> Option<LeaderLoc> {
+        self.forward_pointer(label, now)
+            .or_else(|| self.lookup(label))
+    }
+
     /// Drops expired forwarding pointers and stale pending sends; returns
-    /// the expired pending sends for error reporting.
+    /// the expired pending sends for error reporting. Counts them under
+    /// `mtp.pending_expired`, a counter that exists only once something
+    /// has expired.
     pub fn sweep(&mut self, now: Timestamp, pending_ttl: SimDuration) -> Vec<PendingSend> {
         self.forwarding.retain(|p| p.expires > now);
-        let (keep, expired): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending)
-            .into_iter()
-            .partition(|p| now.saturating_since(p.parked_at) <= pending_ttl);
+        let fresh = |p: &PendingSend| now.saturating_since(p.parked_at) <= pending_ttl;
+        if self.pending.iter().all(fresh) {
+            return Vec::new();
+        }
+        let (keep, expired): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.pending).into_iter().partition(fresh);
         self.pending = keep;
         self.telemetry
             .add("mtp.pending_expired", expired.len() as u64);
@@ -425,26 +407,8 @@ impl MtpState {
 
     /// Parks a send awaiting directory resolution, correlated by the
     /// caller-allocated `query_id` embedded in the directory query.
-    #[allow(clippy::too_many_arguments)]
-    pub fn park(
-        &mut self,
-        src_label: ContextLabel,
-        src_port: Port,
-        dst_label: ContextLabel,
-        dst_port: Port,
-        payload: Bytes,
-        now: Timestamp,
-        query_id: u32,
-    ) {
-        self.pending.push(PendingSend {
-            dst_label,
-            dst_port,
-            src_label,
-            src_port,
-            payload,
-            query_id,
-            parked_at: now,
-        });
+    pub fn park(&mut self, send: PendingSend) {
+        self.pending.push(send);
     }
 
     /// Takes the sends that were waiting on `query_id` (normally one).
@@ -452,16 +416,6 @@ impl MtpState {
         let (resolved, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending)
             .into_iter()
             .partition(|p| p.query_id == query_id);
-        self.pending = keep;
-        resolved
-    }
-
-    /// Pending sends waiting on a destination label (used when a directory
-    /// response resolves a label rather than a query id).
-    pub fn take_pending_for(&mut self, dst_label: ContextLabel) -> Vec<PendingSend> {
-        let (resolved, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending)
-            .into_iter()
-            .partition(|p| p.dst_label == dst_label);
         self.pending = keep;
         resolved
     }
@@ -477,12 +431,35 @@ impl MtpState {
 mod tests {
     use super::*;
     use crate::context::ContextTypeId;
+    use bytes::Bytes;
 
     fn label(n: u32) -> ContextLabel {
         ContextLabel {
             type_id: ContextTypeId(0),
             creator: NodeId(n),
             seq: 0,
+        }
+    }
+
+    fn segment(dst: u32, seq: u32) -> MtpSegment {
+        MtpSegment {
+            src_label: label(0),
+            src_port: Port(1),
+            dst_label: label(dst),
+            dst_port: Port(2),
+            src_leader: NodeId(0),
+            src_leader_pos: Point::ORIGIN,
+            chain_hops: 0,
+            seq,
+            payload: Bytes::new(),
+        }
+    }
+
+    fn parked(dst: u32, at: Timestamp, query_id: u32) -> PendingSend {
+        PendingSend {
+            segment: segment(dst, 0),
+            query_id,
+            parked_at: at,
         }
     }
 
@@ -569,59 +546,25 @@ mod tests {
     }
 
     #[test]
-    fn parked_sends_resolve_by_query_or_label() {
+    fn parked_sends_resolve_by_query() {
         let mut mtp = MtpState::new(4, SimDuration::from_secs(10), 4);
-        mtp.park(
-            label(0),
-            Port(1),
-            label(7),
-            Port(2),
-            Bytes::new(),
-            Timestamp::ZERO,
-            1,
-        );
-        mtp.park(
-            label(0),
-            Port(1),
-            label(8),
-            Port(2),
-            Bytes::new(),
-            Timestamp::ZERO,
-            2,
-        );
+        mtp.park(parked(7, Timestamp::ZERO, 1));
+        mtp.park(parked(8, Timestamp::ZERO, 2));
         assert_eq!(mtp.pending_len(), 2);
         let got = mtp.take_pending(1);
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].dst_label, label(7));
-        let got = mtp.take_pending_for(label(8));
-        assert_eq!(got.len(), 1);
-        assert_eq!(mtp.pending_len(), 0);
+        assert_eq!(got[0].segment.dst_label, label(7));
+        assert_eq!(mtp.pending_len(), 1);
     }
 
     #[test]
     fn sweep_expires_stale_pending_sends() {
         let mut mtp = MtpState::new(4, SimDuration::from_secs(10), 4);
-        mtp.park(
-            label(0),
-            Port(1),
-            label(7),
-            Port(2),
-            Bytes::new(),
-            Timestamp::ZERO,
-            1,
-        );
-        mtp.park(
-            label(0),
-            Port(1),
-            label(8),
-            Port(2),
-            Bytes::new(),
-            Timestamp::from_secs(50),
-            2,
-        );
+        mtp.park(parked(7, Timestamp::ZERO, 1));
+        mtp.park(parked(8, Timestamp::from_secs(50), 2));
         let expired = mtp.sweep(Timestamp::from_secs(55), SimDuration::from_secs(10));
         assert_eq!(expired.len(), 1);
-        assert_eq!(expired[0].dst_label, label(7));
+        assert_eq!(expired[0].segment.dst_label, label(7));
         assert_eq!(mtp.pending_len(), 1);
     }
 
@@ -637,8 +580,8 @@ mod tests {
         let s1 = mtp.next_seq();
         let s2 = mtp.next_seq();
         assert_eq!((s1, s2), (0, 1));
-        mtp.track_outstanding(s1, label(0), Port(1), label(7), Port(2), Bytes::new());
-        mtp.track_outstanding(s2, label(0), Port(1), label(8), Port(2), Bytes::new());
+        mtp.track_outstanding(segment(7, s1));
+        mtp.track_outstanding(segment(8, s2));
         assert_eq!(mtp.outstanding_len(), 2);
 
         // Ack clears exactly the matching segment; stale acks are inert.
