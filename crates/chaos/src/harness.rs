@@ -53,16 +53,13 @@ pub fn install(
             apply_fault(w, k, &mon, &event);
         });
     }
-    for budget in plan.budgets().iter().copied() {
+    for (at, node, millijoules) in plan.budgets().iter().copied() {
         let mon = Rc::clone(&monitor);
         let bud = Rc::clone(&budgets);
-        k.schedule_at(budget.at.max(k.now()), move |_, k| {
-            let note = format!(
-                "battery budget node {} = {:.2} mJ",
-                budget.node.0, budget.millijoules
-            );
+        k.schedule_at(at.max(k.now()), move |_, k| {
+            let note = format!("battery budget node {} = {millijoules:.2} mJ", node.0);
             mon.borrow_mut().note_fault(k.now(), note);
-            bud.borrow_mut().push((budget.node, budget.millijoules));
+            bud.borrow_mut().push((node, millijoules));
         });
     }
     let mon = Rc::clone(&monitor);

@@ -44,23 +44,14 @@ pub fn describe(event: &FaultEvent) -> String {
     }
 }
 
-/// From `at` on, `node` dies permanently once its cumulative protocol
-/// energy exceeds `millijoules` (checked on monitor ticks).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatteryBudget {
-    /// When the budget starts to bind.
-    pub at: Timestamp,
-    /// The constrained node.
-    pub node: NodeId,
-    /// Remaining energy budget in millijoules.
-    pub millijoules: f64,
-}
-
 /// A seed-deterministic schedule of fault events.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<(Timestamp, FaultEvent)>,
-    budgets: Vec<BatteryBudget>,
+    /// `(from when, node, millijoules)`: from then on the node dies for
+    /// good once its cumulative protocol energy exceeds the budget (checked
+    /// on monitor ticks).
+    budgets: Vec<(Timestamp, NodeId, f64)>,
 }
 
 impl FaultPlan {
@@ -81,11 +72,7 @@ impl FaultPlan {
     /// Appends one battery budget; chainable.
     #[must_use]
     pub fn battery_budget(mut self, at: Timestamp, node: NodeId, millijoules: f64) -> Self {
-        self.budgets.push(BatteryBudget {
-            at,
-            node,
-            millijoules,
-        });
+        self.budgets.push((at, node, millijoules));
         self
     }
 
@@ -95,9 +82,9 @@ impl FaultPlan {
         &self.events
     }
 
-    /// The battery budgets in insertion order.
+    /// The battery budgets in insertion order: `(from when, node, mJ)`.
     #[must_use]
-    pub fn budgets(&self) -> &[BatteryBudget] {
+    pub fn budgets(&self) -> &[(Timestamp, NodeId, f64)] {
         &self.budgets
     }
 
@@ -122,12 +109,12 @@ impl FaultPlan {
     /// `[0.5, 2.0]`, or a non-positive battery budget.
     pub fn validate(&self, node_count: usize) -> Result<(), String> {
         let bad_node = |n: NodeId| n.index() >= node_count;
-        for b in &self.budgets {
-            if bad_node(b.node) {
-                return Err(format!("{}: node {} out of range", b.at, b.node.0));
+        for &(t, node, millijoules) in &self.budgets {
+            if bad_node(node) {
+                return Err(format!("{}: node {} out of range", t, node.0));
             }
-            if b.millijoules <= 0.0 {
-                return Err(format!("{}: battery budget must be positive", b.at));
+            if millijoules <= 0.0 {
+                return Err(format!("{t}: battery budget must be positive"));
             }
         }
         for (t, ev) in &self.events {

@@ -19,7 +19,6 @@
 //! ```
 
 use envirotrack_sim::time::{SimDuration, Timestamp};
-use envirotrack_telemetry::Telemetry;
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::{Aabb, Point};
 
@@ -83,9 +82,6 @@ struct Entry {
 #[derive(Debug, Clone, Default)]
 pub struct DirectoryStore {
     entries: Vec<Entry>,
-    /// Run-wide telemetry; a detached registry until the owning network
-    /// attaches the shared one.
-    telemetry: Telemetry,
 }
 
 impl DirectoryStore {
@@ -95,16 +91,8 @@ impl DirectoryStore {
         DirectoryStore::default()
     }
 
-    /// Replaces the detached default registry with the run-wide one.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
     /// Registers or refreshes a label's location.
     pub fn register(&mut self, label: ContextLabel, location: Point, now: Timestamp) {
-        self.telemetry.incr("dir.register");
         match self.entries.iter_mut().find(|e| e.label == label) {
             Some(e) => {
                 e.location = location;
@@ -126,7 +114,6 @@ impl DirectoryStore {
         now: Timestamp,
         ttl: SimDuration,
     ) -> Vec<(ContextLabel, Point)> {
-        self.telemetry.incr("dir.query");
         self.entries
             .iter()
             .filter(|e| e.label.type_id == type_id && now.saturating_since(e.refreshed) <= ttl)
@@ -175,9 +162,6 @@ impl DirectoryStore {
                     repaired += 1;
                 }
             }
-        }
-        if repaired > 0 {
-            self.telemetry.add("dir.gossip.repair", repaired as u64);
         }
         repaired
     }

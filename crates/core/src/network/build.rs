@@ -1,16 +1,15 @@
-//! Assembling a world: its configuration, and the constructors that turn a
+//! Assembling a world: its configuration, the constructors that turn a
 //! program, a deployment and an environment into a [`SensorNetwork`] inside
-//! an engine with the bootstrap scheduled.
+//! an engine, and the bootstrap event that sets it going.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use envirotrack_net::medium::{Medium, RadioConfig};
 use envirotrack_net::routing::GeoRouter;
 use envirotrack_node::cpu::CpuConfig;
-use envirotrack_sim::engine::Engine;
+use envirotrack_sim::engine::{Engine, Kernel};
 use envirotrack_sim::rng::SimRng;
-use envirotrack_sim::time::Timestamp;
+use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::Telemetry;
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::sensing::Environment;
@@ -21,7 +20,6 @@ use super::node::NodeState;
 use super::SensorNetwork;
 use crate::api::Program;
 use crate::config::MiddlewareConfig;
-use crate::directory::hash_point;
 use crate::report::BaseStationLog;
 use crate::shard::ShardState;
 
@@ -72,14 +70,9 @@ impl SensorNetwork {
         let mut medium = Medium::new(&deployment, config.radio.clone(), &master);
         medium.attach_telemetry(telemetry.clone());
         let router = GeoRouter::new(&deployment, config.radio.comm_radius);
-        let bounds = deployment.bounds();
-        let hash_points = program
-            .type_ids()
-            .map(|tid| hash_point(&program.spec(tid).name, bounds))
-            .collect();
         let nodes = deployment
             .iter()
-            .map(|(id, pos)| NodeState::new(id, pos, &program, &config, &telemetry, &master))
+            .map(|(id, pos)| NodeState::new(id, pos, &program, &config, &master))
             .collect();
         SensorNetwork {
             program,
@@ -92,8 +85,6 @@ impl SensorNetwork {
             rec: Recorder::new(telemetry),
             base_log: BaseStationLog::new(),
             app_log: Vec::new(),
-            hash_points,
-            corrupt_counters: BTreeMap::new(),
             shard: None,
             #[cfg(test)]
             sense_loops_on_heap: false,
@@ -129,10 +120,7 @@ impl SensorNetwork {
         shards: usize,
         shard_idx: usize,
     ) -> Engine<SensorNetwork> {
-        assert!(
-            shard_idx < shards,
-            "shard index {shard_idx} out of {shards}"
-        );
+        assert!(shard_idx < shards, "no shard {shard_idx} of {shards}");
         let mut world = SensorNetwork::new(program, deployment, environment, config, seed);
         let owners = envirotrack_world::grid::shard_assignment(
             &world.deployment,
@@ -155,5 +143,71 @@ impl SensorNetwork {
             .kernel_mut()
             .schedule_at(Timestamp::ZERO, |w, k| w.bootstrap(k));
         engine
+    }
+
+    /// The event at time zero: starts every sensing loop, instantiates the
+    /// pinned objects and arms the directory gossip.
+    fn bootstrap(&mut self, k: &mut Kernel<SensorNetwork>) {
+        let period = self.config.middleware.sense_period;
+        let mut starts = Vec::with_capacity(self.nodes.len());
+        for id in self.deployment.ids() {
+            // Sharded worlds start only their owned nodes' loops. Each
+            // node's phase comes from its own forked RNG stream, so
+            // skipping a node draws nothing and perturbs no other node.
+            if !self.owns(id) {
+                continue;
+            }
+            let phase = SimDuration::from_micros(
+                self.nodes[id.index()].rng.below(period.as_micros().max(1)),
+            );
+            starts.push((phase, id));
+        }
+        // Armed in firing order — id order among equal phases, the order
+        // arming by id gave them — every loop goes straight onto the kernel's
+        // recurring lane and the heap never holds one entry per node.
+        starts.sort_unstable();
+        k.reserve_recurring(starts.len());
+        for (phase, id) in starts {
+            self.arm_sense_tick(k, k.now() + phase, id, true);
+        }
+        // Instantiate static (pinned) objects on their host nodes.
+        for tid in self.program.type_ids() {
+            let Some(at) = self.program.spec(tid).pinned else {
+                continue;
+            };
+            let host = self.router.closest_node(at);
+            if self.owns(host) {
+                self.run_machine(k, host, tid, |machine, ctx| machine.instantiate_pinned(ctx));
+            }
+        }
+        self.schedule_gossip(k);
+    }
+
+    /// Arms the first anti-entropy round on every directory replica. A
+    /// no-op unless gossip is enabled with ≥ 2 replicas, so default runs
+    /// schedule no extra kernel events (and draw no extra randomness —
+    /// replica phases are staggered deterministically, not jittered).
+    fn schedule_gossip(&mut self, k: &mut Kernel<SensorNetwork>) {
+        let mw = &self.config.middleware;
+        if !mw.directory_gossip_enabled || mw.directory_replicas <= 1 {
+            return;
+        }
+        let period = mw.directory_gossip_period;
+        for tid in self.program.type_ids() {
+            let replicas = self.directory_replicas_of(tid);
+            let k_len = replicas.len();
+            for (i, node) in replicas.into_iter().enumerate() {
+                // A sharded world arms only its owned replicas' timers; the
+                // stagger index `i` still counts the full replica set, so
+                // each replica's phase is shard-count invariant.
+                if !self.owns(node) {
+                    continue;
+                }
+                // Stagger replicas across the period so their pushes don't
+                // pile onto the channel in one burst.
+                let phase = period.mul_f64((i + 1) as f64 / (k_len + 1) as f64);
+                k.schedule_at(k.now() + phase, move |w, k| w.gossip_tick(k, node, tid));
+            }
+        }
     }
 }

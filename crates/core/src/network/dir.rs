@@ -1,16 +1,9 @@
 //! The directory service: the home-node side (registrations, queries,
 //! anti-entropy digests) and the client side (queries in flight, failover
-//! through the replica set).
-//!
-//! **In:** a directory message, or a request to look a context type up.
-//! **Out:** the message to geo-route in answer — the owner sends it — and,
-//! for a client, which replica to try next. **Owns:** [`DirState`] (the
-//! node's [`DirectoryStore`], its query-id counter, its pending queries).
-//! Parked MTP sends waiting on a query belong to the transport layer; the
-//! owner releases or drops them by query id.
+//! through the replica set). Each handler returns the message to geo-route
+//! in answer; the owner sends it (DESIGN.md §17).
 
 use envirotrack_sim::time::{SimDuration, Timestamp};
-use envirotrack_telemetry::Telemetry;
 use envirotrack_world::field::NodeId;
 use envirotrack_world::geometry::Point;
 
@@ -44,12 +37,12 @@ pub(super) enum Failover {
         target_type: ContextTypeId,
         attempt: usize,
     },
-    /// Every replica was tried: the query is forgotten, and whatever was
-    /// parked on it must be dropped.
+    /// Every replica was tried: whatever was parked on it must be dropped.
     Exhausted,
 }
 
 /// One node's directory state, both roles.
+#[derive(Default)]
 pub(super) struct DirState {
     pub(super) store: DirectoryStore,
     next_query_id: u32,
@@ -57,23 +50,14 @@ pub(super) struct DirState {
 }
 
 impl DirState {
-    pub(super) fn new(telemetry: &Telemetry) -> Self {
-        DirState {
-            store: DirectoryStore::new().with_telemetry(telemetry.clone()),
-            next_query_id: 0,
-            pending: Vec::new(),
-        }
-    }
-
     /// Forgets everything but the query-id counter.
-    pub(super) fn reboot(&mut self, telemetry: &Telemetry) {
-        self.store = DirectoryStore::new().with_telemetry(telemetry.clone());
+    pub(super) fn reboot(&mut self) {
+        self.store = DirectoryStore::new();
         self.pending.clear();
     }
 
     // -- home side ------------------------------------------------------
 
-    /// Stores or refreshes a registration.
     pub(super) fn register(
         &mut self,
         reg: &DirRegister,
@@ -82,12 +66,12 @@ impl DirState {
         ttl: SimDuration,
         rec: &Recorder,
     ) {
+        rec.telemetry.incr("dir.register");
         self.store.register(reg.label, reg.location, now);
         self.store.sweep(now, ttl);
         rec.trace(now, node, reg.label, "dir.register", String::new());
     }
 
-    /// Answers a query with the live labels of its type.
     pub(super) fn answer(
         &self,
         q: &DirQuery,
@@ -96,6 +80,7 @@ impl DirState {
         ttl: SimDuration,
         rec: &Recorder,
     ) -> Message {
+        rec.telemetry.incr("dir.query");
         let entries = self.store.query(q.type_id, now, ttl);
         let detail = format!("id={} hits={}", q.query_id, entries.len());
         rec.trace_type(now, node, q.type_id, "dir.query", detail);
@@ -105,10 +90,9 @@ impl DirState {
         })
     }
 
-    /// This replica's anti-entropy digest for `tid`, or `None` when there
-    /// is nothing to say: an *empty* digest is still worth pushing with the
-    /// pull flag set — that is precisely how a rebooted (amnesiac) replica
-    /// pulls the registrations it lost — but never worth sending in reply.
+    /// This replica's anti-entropy digest for `tid`. An *empty* one is still
+    /// worth pushing with the pull flag set — that is how a rebooted
+    /// (amnesiac) replica pulls what it lost — but never worth a reply.
     pub(super) fn digest(
         &self,
         tid: ContextTypeId,
@@ -130,9 +114,8 @@ impl DirState {
     }
 
     /// Merges a peer replica's digest (adopting missing and fresher
-    /// entries) and returns the digest to send back when the peer asked
-    /// for one. Replies carry `reply: false`, bounding each exchange to
-    /// one round trip.
+    /// entries); returns the digest to send back if the peer asked for one.
+    /// Replies carry `reply: false`, bounding an exchange to one round trip.
     pub(super) fn merge(
         &mut self,
         sync: &DirSync,
@@ -146,6 +129,7 @@ impl DirState {
         // live view identical to an un-partitioned replica's.
         self.store.sweep(now, ttl);
         if repaired > 0 {
+            rec.telemetry.add("dir.gossip.repair", repaired as u64);
             let detail = format!("from=n{} repaired={repaired}", sync.from.0);
             rec.trace_type(now, node, sync.type_id, "dir.gossip.repair", detail);
         }
@@ -182,15 +166,13 @@ impl DirState {
         query_id
     }
 
-    /// Closes the query a response answers; `None` for an id this node is
-    /// not (or no longer) waiting on.
+    /// Closes the query a response answers, if this node still waits on it.
     pub(super) fn settle(&mut self, query_id: u32) -> Option<PendingQuery> {
         let idx = self.pending.iter().position(|p| p.query_id == query_id)?;
         Some(self.pending.remove(idx))
     }
 
-    /// The failover timer of `query_id` fired; `replicas` is the size of
-    /// the replica set it walks.
+    /// The failover timer of `query_id` fired; it walks `replicas` replicas.
     pub(super) fn failover(&mut self, query_id: u32, replicas: usize) -> Failover {
         let Some(p) = self.pending.iter_mut().find(|p| p.query_id == query_id) else {
             return Failover::Settled;
@@ -206,14 +188,12 @@ impl DirState {
         }
     }
 
-    /// Number of queries awaiting a response.
     #[cfg(test)]
     pub(super) fn pending_len(&self) -> usize {
         self.pending.len()
     }
 }
 
-/// The query message a node at `pos` sends for `type_id`.
 pub(super) fn query(query_id: u32, type_id: ContextTypeId, node: NodeId, pos: Point) -> Message {
     Message::DirQuery(DirQuery {
         type_id,
@@ -223,10 +203,9 @@ pub(super) fn query(query_id: u32, type_id: ContextTypeId, node: NodeId, pos: Po
     })
 }
 
-/// The replica `node` gossips to: its successor in ring order. The ring
-/// guarantees every pair of live replicas converges within `k − 1` rounds
-/// even when some replicas are dead. `None` when there is no peer, or
-/// `node` is not a replica at all.
+/// The replica `node` gossips to — none if it has no peer or is no replica:
+/// its successor in ring order, which makes every pair of live replicas
+/// converge within `k − 1` rounds even when some replicas are dead.
 pub(super) fn ring_successor(replicas: &[NodeId], node: NodeId) -> Option<NodeId> {
     if replicas.len() <= 1 {
         return None;
@@ -245,7 +224,7 @@ mod tests {
 
     #[test]
     fn a_response_to_an_unknown_id_is_ignored() {
-        let mut dir = DirState::new(&Telemetry::new());
+        let mut dir = DirState::default();
         let id = dir.issue(FIRE, Some(ContextTypeId(0)), Timestamp::ZERO, TTL);
         assert!(dir.settle(id + 1).is_none());
         assert_eq!(dir.pending_len(), 1, "the real query is still open");
@@ -259,7 +238,7 @@ mod tests {
 
     #[test]
     fn failover_walks_the_replica_set_then_gives_up() {
-        let mut dir = DirState::new(&Telemetry::new());
+        let mut dir = DirState::default();
         let id = dir.issue(FIRE, None, Timestamp::ZERO, TTL);
         let retry = |attempt| Failover::Retry {
             target_type: FIRE,
@@ -278,14 +257,14 @@ mod tests {
 
     #[test]
     fn issuing_reclaims_queries_older_than_the_ttl_and_never_reuses_an_id() {
-        let mut dir = DirState::new(&Telemetry::new());
+        let mut dir = DirState::default();
         let old = dir.issue(FIRE, None, Timestamp::ZERO, TTL);
         let kept = dir.issue(FIRE, None, Timestamp::from_secs(3), TTL);
         let new = dir.issue(FIRE, None, Timestamp::from_secs(6), TTL);
         assert_eq!(dir.pending_len(), 2);
         assert!(dir.settle(old).is_none(), "expired unanswered");
         assert!(dir.settle(kept).is_some() && dir.settle(new).is_some());
-        dir.reboot(&Telemetry::new());
+        dir.reboot();
         assert_eq!(dir.issue(FIRE, None, Timestamp::from_secs(7), TTL), new + 1);
     }
 
@@ -300,9 +279,8 @@ mod tests {
 
     #[test]
     fn a_pull_is_answered_only_with_something_to_say() {
-        let rec = Recorder::new(Telemetry::new());
-        let t = &rec.telemetry;
-        let (mut a, mut b) = (DirState::new(t), DirState::new(t));
+        let rec = Recorder::new(envirotrack_telemetry::Telemetry::new());
+        let (mut a, mut b) = (DirState::default(), DirState::default());
         let label = ContextLabel {
             type_id: FIRE,
             creator: NodeId(3),

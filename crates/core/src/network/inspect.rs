@@ -12,7 +12,7 @@ use envirotrack_world::sensing::Environment;
 use super::node::NodeState;
 use super::{NetworkConfig, SensorNetwork};
 use crate::context::{ContextLabel, ContextTypeId};
-use crate::directory::replica_set;
+use crate::directory::{hash_point, replica_set};
 use crate::events::{EventLog, SystemEvent};
 use crate::group::{AggregateHealth, RoleKind};
 use crate::report::{BaseStationLog, RunRecord};
@@ -37,6 +37,17 @@ impl SensorNetwork {
     /// may name a type this program has never heard of.
     pub(super) fn hosts(&self, tid: ContextTypeId) -> bool {
         (tid.0 as usize) < self.program.context_count()
+    }
+
+    /// Where a message bound for `dest` goes next from `from` under greedy
+    /// geographic forwarding; `None` when it has arrived — `from` is the
+    /// explicit recipient, or already the node nearest `dest`.
+    pub(super) fn next_hop(&self, from: NodeId, dest: Point, to: Option<NodeId>) -> Option<NodeId> {
+        if to == Some(from) {
+            None
+        } else {
+            self.router.next_hop(from, dest)
+        }
     }
 
     fn live_nodes(&self) -> impl Iterator<Item = &NodeState> {
@@ -204,7 +215,7 @@ impl SensorNetwork {
     /// The directory rendezvous coordinate of a context type.
     #[must_use]
     pub fn directory_home(&self, type_id: ContextTypeId) -> Point {
-        self.hash_points[type_id.0 as usize]
+        hash_point(&self.program.spec(type_id).name, self.deployment.bounds())
     }
 
     /// The directory replica set of a context type: the `k` nodes nearest
@@ -232,16 +243,10 @@ impl SensorNetwork {
         type_id: ContextTypeId,
         view: impl Fn(&NodeState) -> V,
     ) -> bool {
-        let mut views = self
-            .directory_replicas_of(type_id)
-            .into_iter()
-            .map(|n| &self.nodes[n.index()])
-            .filter(|n| n.alive)
-            .map(view);
-        match views.next() {
-            Some(first) => views.all(|v| v == first),
-            None => true,
-        }
+        let replicas = self.directory_replicas_of(type_id);
+        let live = replicas.iter().map(|n| &self.nodes[n.index()]);
+        let views: Vec<V> = live.filter(|n| n.alive).map(view).collect();
+        views.windows(2).all(|pair| pair[0] == pair[1])
     }
 
     /// Whether every *live* replica of `type_id` stores an identical entry

@@ -1,12 +1,6 @@
 //! The link layer: integrity check and decode of arriving frames,
 //! acknowledgement / retransmission / dedup of reliable unicast hops, and
-//! admission of outgoing frames onto the air.
-//!
-//! **In:** a frame off the medium, or a frame to send. **Out:** what the
-//! owner must do with it — count a corrupt drop, transmit an ack, hand the
-//! decoded [`Message`] up, arm a retry timer. **Owns:** [`LinkState`] (the
-//! sequence counter, the unacknowledged frames, the dedup window); charges
-//! the node's CPU and energy meters when it transmits.
+//! admission of outgoing frames onto the air (DESIGN.md §17).
 
 use bytes::Bytes;
 use envirotrack_net::medium::{Medium, Transmission};
@@ -50,7 +44,6 @@ impl Default for LinkReliability {
     }
 }
 
-/// How many recently seen unicast `(src, seq)` pairs a node remembers.
 const DEDUP_WINDOW: usize = 32;
 
 /// An unacknowledged unicast frame awaiting retransmission.
@@ -69,25 +62,16 @@ pub(super) struct LinkState {
     seen: Vec<(NodeId, u32)>,
 }
 
-/// Decode state shared across one transmission's delivery walk: the payload
-/// is decoded — and hashed against its shadow — at most once no matter how
-/// many receivers heard the frame, or how often a duplicate replays it.
-pub(super) enum Decoded {
-    /// No receiver has needed the payload yet.
-    Pending,
-    /// Decoded once; all receivers dispatch off this shared value.
-    /// `pristine` is [`Frame::payload_is_pristine`] for the same bytes.
-    Ok { msg: Message, pristine: bool },
-    /// The payload failed to decode; every receiver drops it.
-    Corrupt,
-}
+/// The decode of one transmission's payload, shared across its delivery
+/// walk: made — and hashed against its shadow, the `bool` being
+/// [`Frame::payload_is_pristine`] — at most once for all receivers. `None`
+/// until one needs it; `Some(None)` when it failed and all of them drop it.
+pub(super) type Decoded = Option<Option<(Message, bool)>>;
 
 /// A frame that passed its integrity check at one receiver.
 pub(super) struct Accepted<'a> {
-    /// Whether the payload still matches what the sender built. `false`
-    /// means the CRC let garbled bytes through (probability ~2⁻³² per
-    /// garbled frame); the owner counts it so the run fails loudly instead
-    /// of silently mis-tracking.
+    /// `false` when the CRC let garbled bytes through (~2⁻³² per garbled
+    /// frame); counted, so the run fails loudly, not silently mis-tracks.
     pub(super) pristine: bool,
     /// The link ack to transmit back, for a reliable unicast frame.
     pub(super) ack: Option<Frame>,
@@ -97,7 +81,6 @@ pub(super) struct Accepted<'a> {
 }
 
 impl LinkState {
-    /// Forgets everything but the sequence counter.
     pub(super) fn reboot(&mut self) {
         self.pending.clear();
         self.seen.clear();
@@ -128,18 +111,11 @@ impl LinkState {
                 deliver: None,
             });
         }
-        if matches!(decoded, Decoded::Pending) {
-            *decoded = match Message::decode_with(codec, &frame.payload) {
-                Ok(msg) => Decoded::Ok {
-                    msg,
-                    pristine: frame.payload_is_pristine(),
-                },
-                Err(_) => Decoded::Corrupt,
-            };
-        }
-        let Decoded::Ok { msg, pristine } = &*decoded else {
-            return None;
+        let decode = || {
+            let msg = Message::decode_with(codec, &frame.payload).ok()?;
+            Some((msg, frame.payload_is_pristine()))
         };
+        let (msg, pristine) = decoded.get_or_insert_with(decode).as_ref()?;
         let mut accepted = Accepted {
             pristine: *pristine,
             ack: None,
@@ -169,8 +145,8 @@ impl LinkState {
     }
 
     /// Prepares an outgoing frame. A reliable one (unicast, not itself an
-    /// ack) is stamped with the next sequence number and kept for
-    /// retransmission; the returned number is the retry timer to arm.
+    /// ack) is stamped with the next sequence number — returned: the retry
+    /// timer to arm — and kept for retransmission.
     pub(super) fn admit(&mut self, cfg: &LinkReliability, frame: Frame) -> (Frame, Option<u32>) {
         let reliable =
             cfg.enabled && matches!(frame.link_dst, LinkDest::Node(_)) && frame.kind != LINK_ACK;
@@ -188,9 +164,8 @@ impl LinkState {
         (frame, Some(seq))
     }
 
-    /// The retry timer for `seq` fired: the frame to transmit again, or
-    /// `None` when it was acknowledged in the meantime or has used up
-    /// `max_attempts` (it is then forgotten).
+    /// The retry timer for `seq` fired: the frame to transmit again, unless
+    /// it was acknowledged in the meantime or has used up `max_attempts`.
     pub(super) fn retry(&mut self, max_attempts: u8, seq: u32) -> Option<Frame> {
         let idx = self.pending.iter().position(|p| p.seq == seq)?;
         if self.pending[idx].attempts >= max_attempts {
@@ -203,10 +178,9 @@ impl LinkState {
 }
 
 /// Puts `frame` on the air from `node`. Preparing a transmission costs
-/// CPU, and an overloaded node drops the send. A monolithic world hands the
-/// frame to the medium, charges the airtime and returns the transmission
-/// whose completion the owner must schedule. A sharded world never touches
-/// the medium mid-epoch: the request goes to the shard's outbox, to be
+/// CPU, and an overloaded node drops the send. Returns the transmission
+/// whose completion the owner must schedule — none on a shard, which never
+/// touches the medium mid-epoch: the request goes to its outbox, to be
 /// resolved centrally at the next barrier and charged on ingestion.
 pub(super) fn transmit(
     node: &mut NodeState,
@@ -303,7 +277,7 @@ mod tests {
 
     /// `node` receives `frame` with a decode cache of its own.
     fn receive(link: &mut LinkState, node: u32, frame: &Frame) -> Option<(bool, Option<Frame>)> {
-        let mut decoded = Decoded::Pending;
+        let mut decoded = None;
         link.receive(&cfg(), CODEC, NodeId(node), frame, &mut decoded)
             .map(|a| (a.deliver.is_some(), a.ack))
     }

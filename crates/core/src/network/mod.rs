@@ -47,17 +47,10 @@
 //! ## Layers
 //!
 //! [`SensorNetwork`] owns the world and wires it to the kernel: every
-//! scheduled event, and every hand-over from one layer to the next, goes
-//! through this file. The layers are functions over their own per-node
-//! state that say what should happen next; none of them sees the world.
-//! `link` checks, decodes and acknowledges frames and puts them on the
-//! air; `dir` is the directory service and its client; `mtp` drives the
-//! transport; the group machines ([`crate::group`]) already answer every
-//! input with a list of actions, which this file carries out; `events`
-//! records what happened. `control` names the faults a run can inflict,
-//! `inspect` is the read-only view tests, monitors and reports use,
-//! `build` assembles a world, and `node` holds what the layers share on a
-//! node: liveness, CPU, energy, clock, randomness.
+//! scheduled event, and every hand-over between layers, goes through this
+//! file. The layers (`link`, `dir`, `mtp`, the machines of [`crate::group`])
+//! are functions over their own per-node state that say what should happen
+//! next; none sees the world. DESIGN.md §17 has what each takes and owns.
 
 mod build;
 mod control;
@@ -68,18 +61,16 @@ mod link;
 mod mtp;
 mod node;
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use envirotrack_net::medium::{DeliveryOutcome, GilbertElliott, Medium, ResolvedTx, TxId, TxKey};
-use envirotrack_net::packet::{Frame, FrameKind};
+use envirotrack_net::medium::{DeliveryOutcome, Medium, ResolvedTx, TxId, TxKey};
+use envirotrack_net::packet::Frame;
 use envirotrack_net::routing::GeoRouter;
 use envirotrack_node::cpu::costs;
 use envirotrack_node::timer::TimerToken;
 use envirotrack_sim::engine::Kernel;
 use envirotrack_sim::time::{SimDuration, Timestamp};
-use envirotrack_telemetry::CounterHandle;
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::Point;
 use envirotrack_world::sensing::Environment;
@@ -111,17 +102,11 @@ pub struct SensorNetwork {
     medium: Medium,
     router: GeoRouter,
     nodes: Vec<NodeState>,
-    /// The event log, the run-wide telemetry handle and the label-display
-    /// cache, lent to whichever layer has something to record.
+    /// Event log, telemetry handle and label cache, lent to whichever
+    /// layer has something to record.
     rec: Recorder,
     base_log: BaseStationLog,
     app_log: Vec<(Timestamp, NodeId, String)>,
-    /// Rendezvous coordinate per context type (directory homes).
-    hash_points: Vec<Point>,
-    /// Pre-resolved `net.k<kind>.corrupt` counters by `FrameKind.0`,
-    /// resolved at a kind's first corrupt drop so that a kind which never
-    /// drops one registers no counter.
-    corrupt_counters: BTreeMap<u8, CounterHandle>,
     /// Sharded-execution state (`None` for monolithic runs). When set, this
     /// world drives only its owned nodes and diverts transmit requests to
     /// an outbox exchanged at epoch barriers — see [`crate::shard`].
@@ -135,70 +120,6 @@ pub struct SensorNetwork {
 type K = Kernel<SensorNetwork>;
 
 impl SensorNetwork {
-    fn bootstrap(&mut self, k: &mut K) {
-        let period = self.config.middleware.sense_period;
-        let mut starts = Vec::with_capacity(self.nodes.len());
-        for id in self.deployment.ids() {
-            // Sharded worlds start only their owned nodes' loops. Each
-            // node's phase comes from its own forked RNG stream, so
-            // skipping a node draws nothing and perturbs no other node.
-            if !self.owns(id) {
-                continue;
-            }
-            let phase = SimDuration::from_micros(
-                self.nodes[id.index()].rng.below(period.as_micros().max(1)),
-            );
-            starts.push((phase, id));
-        }
-        // Armed in firing order — id order among equal phases, the order
-        // arming by id gave them — every loop goes straight onto the kernel's
-        // recurring lane and the heap never holds one entry per node.
-        starts.sort_unstable();
-        k.reserve_recurring(starts.len());
-        for (phase, id) in starts {
-            self.arm_sense_tick(k, k.now() + phase, id, true);
-        }
-        // Instantiate static (pinned) objects on their host nodes.
-        for tid in self.program.type_ids() {
-            let Some(at) = self.program.spec(tid).pinned else {
-                continue;
-            };
-            let host = self.router.closest_node(at);
-            if self.owns(host) {
-                self.run_machine(k, host, tid, |machine, ctx| machine.instantiate_pinned(ctx));
-            }
-        }
-        self.schedule_gossip(k);
-    }
-
-    /// Arms the first anti-entropy round on every directory replica. A
-    /// no-op unless gossip is enabled with ≥ 2 replicas, so default runs
-    /// schedule no extra kernel events (and draw no extra randomness —
-    /// replica phases are staggered deterministically, not jittered).
-    fn schedule_gossip(&mut self, k: &mut K) {
-        let mw = &self.config.middleware;
-        if !mw.directory_gossip_enabled || mw.directory_replicas <= 1 {
-            return;
-        }
-        let period = mw.directory_gossip_period;
-        for tid in self.program.type_ids() {
-            let replicas = self.directory_replicas_of(tid);
-            let k_len = replicas.len();
-            for (i, node) in replicas.into_iter().enumerate() {
-                // A sharded world arms only its owned replicas' timers; the
-                // stagger index `i` still counts the full replica set, so
-                // each replica's phase is shard-count invariant.
-                if !self.owns(node) {
-                    continue;
-                }
-                // Stagger replicas across the period so their pushes don't
-                // pile onto the channel in one burst.
-                let phase = period.mul_f64((i + 1) as f64 / (k_len + 1) as f64);
-                k.schedule_at(k.now() + phase, move |w, k| w.gossip_tick(k, node, tid));
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Control: failure injection and chaos hooks
     // ------------------------------------------------------------------
@@ -208,56 +129,30 @@ impl SensorNetwork {
         self.nodes[node.index()].alive = false;
     }
 
-    /// Revives a previously killed node with cleared protocol state (a
-    /// rebooted mote remembers nothing but its sequence counters). Its
+    /// Revives a previously killed node with cleared protocol state. Its
     /// sensing loop needs no restart: a dead node's loop keeps ticking
     /// (doing nothing) and resumes work on the first tick after revival,
     /// on the phase it always had.
     pub fn revive_node(&mut self, node: NodeId) {
-        let mw = &self.config.middleware;
-        self.nodes[node.index()].reboot(&self.program, mw, &self.rec.telemetry);
+        self.nodes[node.index()].reboot(&self.program);
     }
 
-    /// Installs or clears the Gilbert–Elliott burst-loss model on the
-    /// channel.
-    pub fn set_burst_loss(&mut self, model: Option<GilbertElliott>) {
-        self.medium.set_burst_loss(model);
-    }
-
-    /// Applies one fault at `now`. On a shard's replica, channel faults
-    /// install on this replica's executor (delivery masking, burst chains —
-    /// installing is draw-free) while the orchestrator installs them on the
-    /// central scheduler; node faults act only where the node is driven.
+    /// Applies one fault at `now` (see [`FaultEvent`]).
     ///
     /// # Panics
     ///
     /// Panics on a clock rate outside the bounded-skew range `[0.5, 2.0]` —
     /// the protocol makes no claims under unbounded drift.
     pub fn apply_fault(&mut self, now: Timestamp, fault: &FaultEvent) {
-        match fault {
-            FaultEvent::Partition(groups) => self.medium.set_partition(Some(groups.clone())),
-            FaultEvent::Heal => self.medium.set_partition(None),
-            FaultEvent::BurstLossOn(model) => self.set_burst_loss(Some(*model)),
-            FaultEvent::BurstLossOff => self.set_burst_loss(None),
-            FaultEvent::LinkFaultsOn(faults) => self.medium.set_link_faults(Some(*faults)),
-            FaultEvent::LinkFaultsOff => self.medium.set_link_faults(None),
-            FaultEvent::Crash(node)
-            | FaultEvent::Reboot(node)
-            | FaultEvent::ClockRate { node, .. }
-                if !self.owns(*node) => {}
-            FaultEvent::Crash(node) => self.kill_node(*node),
-            FaultEvent::Reboot(node) => self.revive_node(*node),
-            // The local clock is rebased at `now` so it stays continuous;
-            // the new rate applies to every timer and sensing tick armed
-            // from here on.
-            FaultEvent::ClockRate { node, rate } => {
-                assert!(
-                    (0.5..=2.0).contains(rate),
-                    "clock rate {rate} outside the bounded-skew range [0.5, 2.0]"
-                );
-                self.nodes[node.index()].clock.set_rate(*rate, now);
-            }
-        }
+        let shard = self.shard.as_ref();
+        let drives = |node| shard.is_none_or(|s| s.owns(node));
+        fault.apply(
+            now,
+            &mut self.medium,
+            &mut self.nodes,
+            &self.program,
+            drives,
+        );
     }
 
     /// Delivers a frame straight into one node's receive path, exactly as
@@ -266,18 +161,16 @@ impl SensorNetwork {
     /// payload), garble `payload` in place, and inject — then hold the
     /// per-kind corrupt-drop counters to exact expected values.
     pub fn inject_frame(&mut self, k: &mut Kernel<SensorNetwork>, node: NodeId, frame: Frame) {
-        self.receive(k, node, &frame, &mut Decoded::Pending);
+        self.receive(k, node, &frame, &mut None);
     }
 
     /// Triggers an immediate anti-entropy push (with pull) on every live
     /// replica of every context type. Chaos harnesses call this right
     /// after healing a partition so divergent replicas repair in one
     /// exchange instead of waiting out the gossip period. A no-op at
-    /// replication factor 1; works whether or not periodic gossip is on.
+    /// replication factor 1 (a lone replica has no peer to push to); works
+    /// whether or not periodic gossip is on.
     pub fn kick_directory_gossip(&mut self, k: &mut Kernel<SensorNetwork>) {
-        if self.config.middleware.directory_replicas <= 1 {
-            return;
-        }
         for tid in self.program.type_ids() {
             for node in self.directory_replicas_of(tid) {
                 if self.nodes[node.index()].alive {
@@ -359,23 +252,20 @@ impl SensorNetwork {
     fn arm_sense_tick(&self, k: &mut K, at: Timestamp, node: NodeId, on_lane: bool) {
         #[cfg(test)]
         let on_lane = on_lane && !self.sense_loops_on_heap;
+        let id = u64::from(node.0);
         if on_lane {
-            k.schedule_recurring_at(at, Self::sense_tick_of, u64::from(node.0));
+            k.schedule_recurring_at(at, Self::sense_tick, id);
         } else {
-            k.schedule_at(at, move |w, k| w.sense_tick(k, node));
+            k.schedule_at(at, move |w, k| w.sense_tick(k, id));
         }
-    }
-
-    /// [`SensorNetwork::sense_tick`] as a recurring handler over a node id.
-    fn sense_tick_of(&mut self, k: &mut K, id: u64) {
-        self.sense_tick(k, NodeId(u32::try_from(id).expect("armed with a node id")));
     }
 
     /// One sensing tick on `node`: reschedule, then drive every
     /// context-type machine. Each owned node has exactly one such loop,
     /// started by `bootstrap`; it outlives crashes (a dead node's tick
     /// only reschedules), so nothing may start a second one.
-    fn sense_tick(&mut self, k: &mut K, node: NodeId) {
+    fn sense_tick(&mut self, k: &mut K, id: u64) {
+        let node = NodeId(u32::try_from(id).expect("armed with a node id"));
         // The sensing period elapses on the node's *local* clock: skewed
         // clocks sample faster or slower than global time.
         let nominal = self.config.middleware.sense_period;
@@ -420,8 +310,7 @@ impl SensorNetwork {
         });
     }
 
-    /// Gives one input to `node`'s machine for `tid` and carries out what
-    /// it asks for.
+    /// Gives `node`'s machine for `tid` one input and carries out its answer.
     fn run_machine(
         &mut self,
         k: &mut K,
@@ -479,8 +368,8 @@ impl SensorNetwork {
                 }
                 GroupAction::Emit(event) => self.rec.record(now, node, event),
                 GroupAction::RegisterDirectory { label } => {
-                    let home = self.hash_points[tid.0 as usize];
                     let location = rt.pos;
+                    let home = self.directory_home(tid);
                     let msg = Message::DirRegister(DirRegister { label, location });
                     let replicas = self.config.middleware.directory_replicas;
                     if replicas <= 1 {
@@ -495,7 +384,7 @@ impl SensorNetwork {
                     }
                 }
                 GroupAction::QueryDirectory { type_id } => {
-                    self.issue_query(k, node, type_id, Some(tid), None);
+                    self.issue_query(k, node, type_id, Some(tid), None)
                 }
                 GroupAction::SendToBase { label, payload } => {
                     if let Some(base) = self.config.base_station {
@@ -513,8 +402,7 @@ impl SensorNetwork {
                     payload,
                 } => self.mtp_send(k, node, tid, dst_label, dst_port, payload),
                 GroupAction::BecameLeader { label } => {
-                    let here = rt.here();
-                    rt.mtp.learn(label, here);
+                    rt.mtp.learn(label, LeaderLoc { node, pos: rt.pos });
                 }
                 GroupAction::LostLeadership { label, new_leader } => {
                     if let Some(loc) = new_leader {
@@ -532,17 +420,16 @@ impl SensorNetwork {
     // ------------------------------------------------------------------
 
     /// A transmission finished serialising: every receiver that got it
-    /// intact takes it through [`SensorNetwork::receive`]. The wire payload
-    /// is decoded at most once and all of them dispatch off the same
-    /// borrowed [`Message`]. A sharded world dispatches only to the
-    /// receivers it drives; their owners replay the same transmission.
+    /// intact — and that this world drives; a shard's peers replay the same
+    /// transmission for theirs — takes it through `receive`, all of them
+    /// off one decode of the payload.
     fn transmission_complete(&mut self, k: &mut K, id: TxId) {
         let report = self.medium.deliveries(id);
         // A link-duplicated frame is processed twice end to end — that is
         // precisely what the dedup layers (link_seq, MTP seq, hb_seq) are
         // under test against.
         let passes = if report.duplicated { 2 } else { 1 };
-        let mut decoded = Decoded::Pending;
+        let mut decoded = None;
         for _ in 0..passes {
             for (receiver, outcome) in &report.outcomes {
                 if *outcome == DeliveryOutcome::Delivered && self.owns(*receiver) {
@@ -555,31 +442,22 @@ impl SensorNetwork {
     }
 
     /// A frame arrived intact at `node`: charge the radio and the CPU, run
-    /// it through the link layer, and hand what comes out to the layer it
-    /// is for. `decoded` caches the payload decode across a delivery walk.
+    /// it through the link layer, and hand up what comes out.
     fn receive(&mut self, k: &mut K, node: NodeId, frame: &Frame, decoded: &mut Decoded) {
         // A unicast frame means nothing to the neighbours that overheard it.
         if !frame.link_dst.accepts(node) {
             return;
         }
-        let rt = &mut self.nodes[node.index()];
-        if !rt.alive {
+        let (radio, rt) = (&self.config.radio, &mut self.nodes[node.index()]);
+        if !rt.hears(k.now(), radio.tx_time(frame)) {
             return;
         }
-        // The radio spent the frame's airtime decoding it regardless of
-        // what the CPU does with it afterwards.
-        rt.energy.charge_rx(self.medium.config().tx_time(frame));
-        // Receive overflow: overloaded CPUs drop frames.
-        if !rt.admit(k.now(), costs::RX_HANDLE) {
-            return;
-        }
-        let codec = self.config.radio.codec;
         let Some(rx) = rt
             .link
-            .receive(&self.config.link, codec, node, frame, decoded)
+            .receive(&self.config.link, radio.codec, node, frame, decoded)
         else {
             // Dropped without touching protocol state.
-            self.note_corrupt_drop(frame.kind);
+            self.rec.corrupt_drop(frame.kind);
             return;
         };
         // The accepted-corrupt invariant the chaos monitor checks must stay
@@ -593,20 +471,6 @@ impl SensorNetwork {
         if let Some(msg) = rx.deliver {
             self.dispatch(k, node, msg);
         }
-    }
-
-    /// Records one receiver-side drop of a frame that failed its integrity
-    /// or structural checks. Counted per (frame, receiver) pair under
-    /// `net.k<kind>.corrupt`, mirroring the medium's per-pair loss stats.
-    /// Cold: a clean channel never gets here, and inlining the map probe
-    /// into the receive path cost `field_sparse` 8 % of its events/s.
-    #[cold]
-    fn note_corrupt_drop(&mut self, kind: FrameKind) {
-        let name = || format!("net.k{}.corrupt", kind.0);
-        self.corrupt_counters
-            .entry(kind.0)
-            .or_insert_with(|| self.rec.telemetry.counter_handle(&name()))
-            .incr();
     }
 
     /// Hands a message that reached `node` — off the air, or from the node
@@ -683,9 +547,9 @@ impl SensorNetwork {
 
     /// Opens a directory query from `node` for the live labels of
     /// `target_type` — for `asker`'s subscription view, or to resolve the
-    /// destination of `park`, an MTP send that waits on the answer — and
-    /// sends it towards the type's home. Whatever waited longer than
-    /// `mtp_pending_ttl` on an earlier query is given up on first.
+    /// destination of `park`, an MTP send that waits on the answer. Whatever
+    /// waited longer than `mtp_pending_ttl` on an earlier query is given up
+    /// on first.
     fn issue_query(
         &mut self,
         k: &mut K,
@@ -698,6 +562,7 @@ impl SensorNetwork {
         let ttl = self.config.middleware.mtp_pending_ttl;
         let rt = &mut self.nodes[node.index()];
         for expired in rt.mtp.sweep(now, ttl) {
+            self.rec.telemetry.incr("mtp.pending_expired");
             self.rec.mtp_dropped(now, node, expired.segment.dst_label);
         }
         let query_id = rt.dir.issue(target_type, asker, now, ttl);
@@ -714,9 +579,8 @@ impl SensorNetwork {
     }
 
     /// Sends query `query_id` to `replica` — or, with none named, wherever
-    /// geo routing finds the type's home — and arms its failover timer. The
-    /// timer is not armed at the default replication factor of 1, so
-    /// unreplicated runs schedule no extra kernel events.
+    /// geo routing finds the type's home — and arms its failover timer; not
+    /// at replication factor 1, whose runs schedule no extra kernel events.
     fn send_query(
         &mut self,
         k: &mut K,
@@ -801,8 +665,7 @@ impl SensorNetwork {
         }
     }
 
-    /// Pushes `node`'s directory digest for `tid`, asking for the peer's in
-    /// return, to its ring successor in the replica set.
+    /// Pushes `node`'s digest for `tid` to its ring successor, pulling the peer's.
     fn push_dir_sync(&mut self, k: &mut K, node: NodeId, tid: ContextTypeId) {
         let Some(peer) = dir::ring_successor(&self.directory_replicas_of(tid), node) else {
             return;
@@ -817,7 +680,6 @@ impl SensorNetwork {
     // MTP wiring
     // ------------------------------------------------------------------
 
-    /// An application send from `node`'s object of type `tid`.
     fn mtp_send(
         &mut self,
         k: &mut K,
@@ -854,8 +716,6 @@ impl SensorNetwork {
         }
     }
 
-    /// Transmits `segment` towards `dest` for the first time, arming the
-    /// retransmission timer when end-to-end acks are enabled.
     fn send_segment(
         &mut self,
         k: &mut K,
@@ -874,7 +734,6 @@ impl SensorNetwork {
         self.send_geo(k, node, dest, deliver_to, segment);
     }
 
-    /// The end-to-end retransmission timer of segment `seq`.
     fn mtp_retry(&mut self, k: &mut K, node: NodeId, seq: u32) {
         let rt = &mut self.nodes[node.index()];
         if !rt.alive {
@@ -919,7 +778,7 @@ impl SensorNetwork {
                 RoleKind::Leader(l) if l == dst_label
             )
         });
-        let here = rt.here();
+        let here = LeaderLoc { node, pos: rt.pos };
         let arrival = mtp::arrive(&mut rt.mtp, seg, here, leads, now, mw, &mut self.rec);
         if let Some((loc, msg)) = arrival.send {
             self.send_geo(k, node, loc.pos, Some(loc.node), msg);
@@ -953,17 +812,6 @@ impl SensorNetwork {
     // Send path: geo routing → link → medium
     // ------------------------------------------------------------------
 
-    /// Where a message bound for `dest` goes next from `from` under greedy
-    /// geographic forwarding; `None` when it has arrived — `from` is the
-    /// explicit recipient, or already the node nearest `dest`.
-    fn next_hop(&self, from: NodeId, dest: Point, deliver_to: Option<NodeId>) -> Option<NodeId> {
-        if deliver_to == Some(from) {
-            None
-        } else {
-            self.router.next_hop(from, dest)
-        }
-    }
-
     /// Sends a message towards a field coordinate; delivers locally when
     /// this node is already the home (or the explicit recipient).
     fn send_geo(
@@ -987,14 +835,11 @@ impl SensorNetwork {
         }
     }
 
-    /// Sends a message to one named node, wherever it is.
     fn send_to_node(&mut self, k: &mut K, from: NodeId, to: NodeId, msg: Message) {
         self.send_geo(k, from, self.deployment.position(to), Some(to), msg);
     }
 
-    /// Frames `msg` — unicast to `to`, or broadcast — and sends it. A
-    /// reliable frame is kept by the link layer, whose retry timer is armed
-    /// here.
+    /// Frames `msg` — unicast to `to`, or broadcast — and sends it.
     fn send_message(&mut self, k: &mut K, from: NodeId, to: Option<NodeId>, msg: &Message) {
         let (payload, wire_len) = link::encode(self.config.radio.codec, msg);
         let frame = match to {
@@ -1032,7 +877,6 @@ impl SensorNetwork {
         k.schedule_at(retry_at, move |w, k| w.transmit(k, node, frame));
     }
 
-    /// Puts a frame on the air and schedules its completion.
     fn transmit(&mut self, k: &mut K, node: NodeId, frame: Frame) {
         let rt = &mut self.nodes[node.index()];
         let sent = link::transmit(rt, &mut self.medium, self.shard.as_mut(), k.now(), frame);
@@ -1049,6 +893,7 @@ mod tests {
     use super::*;
     use crate::aggregate::{AggregateFn, AggregateInput};
     use crate::api::Program;
+    use crate::config::MiddlewareConfig;
     use crate::context::SensePredicate;
     use crate::report::telemetry_to_jsonl;
     use envirotrack_world::scenario::TankScenario;
@@ -1153,5 +998,83 @@ mod tests {
                 engine.kernel().recurring_len()
             );
         }
+    }
+
+    /// At the default replication factor nothing retries a directory query,
+    /// so one whose home is dead used to stay on the node for good, with
+    /// the send parked on it.
+    #[test]
+    fn a_send_parked_on_a_lost_directory_query_expires() {
+        use envirotrack_world::target::{Emission, Falloff, Target, TargetId, Trajectory};
+        const TRACKER: ContextTypeId = ContextTypeId(0);
+        let field = Deployment::grid(9, 9, 1.0);
+        let config = NetworkConfig {
+            middleware: MiddlewareConfig::default().with_directory(true),
+            ..NetworkConfig::default()
+        };
+        let mut engine =
+            SensorNetwork::build_engine(tracker(), field, Environment::new(), config, 11);
+        // A stationary target in the corner farthest from the directory home.
+        let home = engine.world().directory_replicas_of(TRACKER)[0];
+        let home_at = engine.world().deployment().position(home);
+        let corner = |c: f64| if c < 4.0 { 7.0 } else { 1.0 };
+        engine.world_mut().environment.add_target(Target::new(
+            TargetId(0),
+            Trajectory::stationary(Point::new(corner(home_at.x), corner(home_at.y))),
+            vec![Emission {
+                channel: Channel::Magnetic,
+                strength: 1.0,
+                falloff: Falloff::Disk { radius: 1.2 },
+            }],
+        ));
+        // The leader sends to a label nobody has heard of, twice: while the
+        // home is down, and again — past the TTL — once it is back.
+        let send = |w: &mut SensorNetwork, k: &mut K| {
+            let (leader, _) = w.leaders_of_type(TRACKER)[0];
+            let nobody = ContextLabel {
+                type_id: TRACKER,
+                creator: NodeId(80),
+                seq: 77,
+            };
+            w.mtp_send(
+                k,
+                leader,
+                TRACKER,
+                nobody,
+                Port(1),
+                Bytes::from_static(b"hello"),
+            );
+            leader
+        };
+        let k = engine.kernel_mut();
+        k.schedule_at(Timestamp::from_secs(10), move |w, _| w.kill_node(home));
+        k.schedule_at(Timestamp::from_secs(11), move |w, k| {
+            send(w, k);
+        });
+        engine.run_until(Timestamp::from_secs(16));
+        let (leader, _) = engine.world().leaders_of_type(TRACKER)[0];
+        let waiting = |w: &SensorNetwork| {
+            let rt = &w.nodes[leader.index()];
+            (rt.dir.pending_len(), rt.mtp.pending_len())
+        };
+        assert_eq!(waiting(engine.world()), (1, 1), "the query was lost");
+        let dropped = |w: &SensorNetwork| {
+            w.events()
+                .count(|e| matches!(e, SystemEvent::MtpDropped { node, .. } if *node == leader))
+        };
+        assert_eq!(dropped(engine.world()), 0);
+
+        let k = engine.kernel_mut();
+        k.schedule_at(Timestamp::from_millis(16_500), move |w, _| {
+            w.revive_node(home)
+        });
+        k.schedule_at(Timestamp::from_secs(17), move |w, k| {
+            assert_eq!(send(w, k), leader, "a stationary target keeps its leader");
+        });
+        engine.run_until(Timestamp::from_secs(20));
+        let world = engine.world();
+        assert_eq!(waiting(world), (0, 0), "expired, and the second answered");
+        assert_eq!(dropped(world), 2, "one expired, one resolved to nothing");
+        assert_eq!(world.telemetry().counter("mtp.pending_expired"), 1);
     }
 }

@@ -1,11 +1,7 @@
 //! The MTP driver: what a node's transport does with an application send,
-//! an arriving segment, an end-to-end ack and a retransmission timer.
-//!
-//! **In:** one of those four. **Out:** the message to geo-route next and
-//! where to, a timer to arm, whether to hand the payload to the object —
-//! the owner does each; a segment that dies is logged here. **Owns:** the
-//! node's [`MtpState`] (leader table, forwarding pointers, parked sends,
-//! outstanding segments, dedup ring) and its retransmission-jitter stream.
+//! an arriving segment, an end-to-end ack and a retransmission timer. Each
+//! returns what the owner does next; a segment that dies is logged here
+//! (DESIGN.md §17).
 
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
@@ -41,7 +37,6 @@ pub(super) fn open(
     (Message::Mtp(segment), retry)
 }
 
-/// What to do with a segment that reached a node.
 #[derive(Default)]
 pub(super) struct Arrival {
     /// A message to send on: the segment itself, chasing its label, or the
@@ -107,19 +102,21 @@ pub(super) fn arrive(
                 acker: here.node,
                 acker_pos: here.pos,
             });
+            let fresh = mtp.note_delivered(seg.src_leader, seg.seq);
+            if !fresh {
+                rec.telemetry.incr("mtp.dedup");
+            }
             Arrival {
                 send: Some((source, ack)),
-                deliver: mtp.note_delivered(seg.src_leader, seg.seq),
+                deliver: fresh,
             }
         }
     }
 }
 
-/// The end-to-end retransmission timer of `seq`. `None` when the segment
-/// was acknowledged in the meantime, or its attempt budget is spent and it
-/// is dropped; else the segment to [`resend`] after the first delay, and
-/// the further delay after which to look again — exponential backoff with
-/// jitter.
+/// The end-to-end retransmission timer of `seq`: the segment to [`resend`]
+/// after a jitter, and the exponential backoff after which to look again;
+/// `None` once it is acknowledged, or abandoned with its budget spent.
 pub(super) fn retry(
     mtp: &mut MtpState,
     rng: &mut SimRng,
@@ -131,11 +128,9 @@ pub(super) fn retry(
 ) -> Option<(Outstanding, SimDuration, SimDuration)> {
     let policy = RetxPolicy {
         timeout: mw.mtp_retx_timeout,
-        max_attempts: mw.mtp_retx_max_attempts,
-        jitter_max: mw.mtp_retx_jitter_max,
         max_backoff: mw.mtp_retx_max_backoff,
     };
-    match mtp.retransmit(seq, policy.max_attempts)? {
+    match mtp.retransmit(seq, mw.mtp_retx_max_attempts)? {
         Err(abandoned) => {
             rec.telemetry
                 .observe("mtp.attempts", u64::from(abandoned.attempts));
@@ -146,7 +141,7 @@ pub(super) fn retry(
             rec.telemetry.incr("mtp.retx");
             let detail = format!("seq={seq} attempt={}", out.attempts);
             rec.trace(now, node, out.segment.dst_label, "mtp.retx", detail);
-            let jitter = rng.below(policy.jitter_max.as_micros().max(1));
+            let jitter = rng.below(mw.mtp_retx_jitter_max.as_micros().max(1));
             let backoff = policy.backoff(out.attempts);
             Some((out, SimDuration::from_micros(jitter), backoff))
         }
@@ -154,10 +149,9 @@ pub(super) fn retry(
 }
 
 /// Re-emits a tracked segment towards the current best-known location of
-/// its destination label — which may have moved since the original send,
-/// so the route is re-resolved rather than replayed. With no route
-/// knowledge the attempt is forfeit; the retry timer stays armed, so a
-/// later heartbeat can still rescue the segment.
+/// its destination label — re-resolved, since the label may have moved.
+/// With no route knowledge the attempt is forfeit; the retry timer stays
+/// armed, so a later heartbeat can still rescue the segment.
 pub(super) fn resend(
     mtp: &mut MtpState,
     out: Outstanding,
@@ -186,13 +180,10 @@ pub(super) fn on_ack(
         pos: ack.acker_pos,
     };
     mtp.learn(ack.dst_label, acker);
-    let attempts = mtp.attempts_of(ack.seq);
-    if mtp.acknowledge(ack.seq) {
+    if let Some(attempts) = mtp.acknowledge(ack.seq) {
         let t = &rec.telemetry;
         t.incr("mtp.ack");
-        if let Some(attempts) = attempts {
-            t.observe("mtp.attempts", u64::from(attempts));
-        }
+        t.observe("mtp.attempts", u64::from(attempts));
         if let Some(rtt) = t.span_end(now.as_micros(), node.0, u64::from(ack.seq)) {
             t.observe("mtp.ack_us", rtt);
         }

@@ -1,14 +1,12 @@
 //! Per-node state: the substrates every layer shares — liveness, CPU,
-//! energy, clock, randomness — beside one state value per protocol layer
-//! (group machines, [`MtpState`], [`DirState`], [`LinkState`]). A layer's
-//! functions take its own field, never the whole node, except where they
-//! charge the shared substrates.
+//! energy, clock, randomness — beside one state value per protocol layer.
+//! A layer's functions take its own field, never the whole node, except
+//! where they charge the shared substrates.
 
-use envirotrack_node::cpu::MoteCpu;
+use envirotrack_node::cpu::{costs, MoteCpu};
 use envirotrack_node::energy::EnergyMeter;
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
-use envirotrack_telemetry::Telemetry;
 use envirotrack_world::field::NodeId;
 use envirotrack_world::geometry::Point;
 
@@ -16,9 +14,8 @@ use super::build::NetworkConfig;
 use super::dir::DirState;
 use super::link::LinkState;
 use crate::api::Program;
-use crate::config::MiddlewareConfig;
 use crate::group::GroupMachine;
-use crate::transport::{LeaderLoc, MtpState};
+use crate::transport::MtpState;
 
 /// A node's local clock model: `local = anchor_local + (global −
 /// anchor_global) · rate`. Rate 1.0 is a perfect clock; the anchors are
@@ -89,24 +86,12 @@ fn machines(id: NodeId, program: &Program) -> Vec<GroupMachine> {
         .collect()
 }
 
-fn mtp_state(mw: &MiddlewareConfig, telemetry: &Telemetry, seq_base: u32) -> MtpState {
-    let mut mtp = MtpState::new(
-        mw.mtp_table_capacity,
-        mw.mtp_forward_ttl,
-        mw.mtp_max_chain_hops,
-    )
-    .with_telemetry(telemetry.clone());
-    mtp.set_seq_base(seq_base);
-    mtp
-}
-
 impl NodeState {
     pub(super) fn new(
         id: NodeId,
         pos: Point,
         program: &Program,
         config: &NetworkConfig,
-        telemetry: &Telemetry,
         master: &SimRng,
     ) -> Self {
         NodeState {
@@ -119,8 +104,12 @@ impl NodeState {
             clock: NodeClock::ideal(),
             retx_rng: master.fork_indexed("mtp-retx", u64::from(id.0)),
             machines: machines(id, program),
-            mtp: mtp_state(&config.middleware, telemetry, 0),
-            dir: DirState::new(telemetry),
+            mtp: MtpState::new(
+                config.middleware.mtp_table_capacity,
+                config.middleware.mtp_forward_ttl,
+                config.middleware.mtp_max_chain_hops,
+            ),
+            dir: DirState::default(),
             link: LinkState::default(),
         }
     }
@@ -128,28 +117,24 @@ impl NodeState {
     /// Brings a killed node back with cleared protocol state (a rebooted
     /// mote remembers nothing): group machines, transport tables, directory
     /// entries, and every in-flight query or ack are gone. Only the link,
-    /// transport and query sequence bases survive, as a nonvolatile boot
-    /// counter — reusing sequence numbers would trip peers' dedup windows.
-    /// The substrates (CPU backlog, energy, clock, RNG streams) carry on.
-    pub(super) fn reboot(
-        &mut self,
-        program: &Program,
-        mw: &MiddlewareConfig,
-        telemetry: &Telemetry,
-    ) {
+    /// transport and query sequence counters survive — reusing sequence
+    /// numbers would trip peers' dedup windows.
+    pub(super) fn reboot(&mut self, program: &Program) {
         self.alive = true;
         self.machines = machines(self.id, program);
-        self.mtp = mtp_state(mw, telemetry, self.mtp.seq_base());
-        self.dir.reboot(telemetry);
+        self.mtp.reboot();
+        self.dir.reboot();
         self.link.reboot();
     }
 
-    /// Where this node is, in the form the transport keeps leaders in.
-    pub(super) fn here(&self) -> LeaderLoc {
-        LeaderLoc {
-            node: self.id,
-            pos: self.pos,
+    /// Whether a frame that took `airtime` to arrive gets handled: the node
+    /// must be up, and its CPU not overloaded (receive overflow). The radio
+    /// spent the airtime decoding it regardless of what the CPU does next.
+    pub(super) fn hears(&mut self, now: Timestamp, airtime: SimDuration) -> bool {
+        if self.alive {
+            self.energy.charge_rx(airtime);
         }
+        self.admit(now, costs::RX_HANDLE)
     }
 
     /// Whether the node is up and its CPU takes a task of `cost` at `now`.

@@ -98,21 +98,20 @@ use crate::report::{json, RunRecord};
 /// barriers. `(at, src, seq)` is a total order over all intents of a run:
 /// `seq` counts each source's requests, so two intents can never tie.
 #[derive(Debug, Clone)]
-pub struct OutIntent {
+pub(crate) struct OutIntent {
     /// When the owning node requested the transmission.
-    pub at: Timestamp,
+    pub(crate) at: Timestamp,
     /// The transmitting node.
-    pub src: NodeId,
+    pub(crate) src: NodeId,
     /// Per-source request counter (breaks `(at, src)` ties).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// The frame to put on the channel.
-    pub frame: Frame,
+    pub(crate) frame: Frame,
 }
 
 impl OutIntent {
     /// The global merge key: `(time, source id, per-source seq)`.
-    #[must_use]
-    pub fn key(&self) -> (Timestamp, u32, u64) {
+    pub(crate) fn key(&self) -> (Timestamp, u32, u64) {
         (self.at, self.src.0, self.seq)
     }
 }
@@ -201,9 +200,9 @@ impl IntentStats {
 /// Per-world sharding state, attached to each `SensorNetwork` replica
 /// [`run_sharded`] builds.
 #[derive(Debug)]
-pub struct ShardState {
+pub(crate) struct ShardState {
     /// `owned[node]`: whether this shard drives the node.
-    pub owned: Vec<bool>,
+    owned: Vec<bool>,
     outbox: Vec<OutIntent>,
     next_seq: Vec<u64>,
     /// Emptied resolved-batch buffers waiting to ride back to the
@@ -214,8 +213,7 @@ pub struct ShardState {
 
 impl ShardState {
     /// Fresh state for one shard of a run.
-    #[must_use]
-    pub fn new(owned: Vec<bool>) -> Self {
+    pub(crate) fn new(owned: Vec<bool>) -> Self {
         let n = owned.len();
         ShardState {
             owned,
@@ -227,14 +225,13 @@ impl ShardState {
     }
 
     /// Whether this shard drives `node`.
-    #[must_use]
-    pub fn owns(&self, node: NodeId) -> bool {
+    pub(crate) fn owns(&self, node: NodeId) -> bool {
         self.owned[node.index()]
     }
 
     /// Captures one transmit request into the outbox, stamping the next
     /// per-source sequence number.
-    pub fn push(&mut self, at: Timestamp, src: NodeId, frame: Frame) {
+    pub(crate) fn push(&mut self, at: Timestamp, src: NodeId, frame: Frame) {
         if self.outbox.capacity() == 0 {
             self.outbox_allocs += 1;
         }
@@ -249,13 +246,13 @@ impl ShardState {
     }
 
     /// Takes the accumulated intents (the outbox is left empty).
-    pub fn drain(&mut self) -> Vec<OutIntent> {
+    pub(crate) fn drain(&mut self) -> Vec<OutIntent> {
         std::mem::take(&mut self.outbox)
     }
 
     /// Hands a drained outbox buffer back so the next epoch's pushes reuse
     /// its capacity instead of growing from nothing.
-    pub fn restore(&mut self, buf: Vec<OutIntent>) {
+    pub(crate) fn restore(&mut self, buf: Vec<OutIntent>) {
         debug_assert!(buf.is_empty(), "restored outbox must be drained");
         debug_assert!(self.outbox.is_empty(), "no pushes between drain and restore");
         if buf.capacity() > self.outbox.capacity() {
@@ -264,19 +261,18 @@ impl ShardState {
     }
 
     /// Stashes an emptied resolved-batch buffer for the ride back.
-    pub fn stash_resolved(&mut self, buf: Vec<ResolvedTx>) {
+    pub(crate) fn stash_resolved(&mut self, buf: Vec<ResolvedTx>) {
         debug_assert!(buf.is_empty(), "stashed resolved buffer must be drained");
         self.resolved_pool.push(buf);
     }
 
     /// Pops one stashed resolved-batch buffer, if any.
-    pub fn take_spare_resolved(&mut self) -> Option<Vec<ResolvedTx>> {
+    pub(crate) fn take_spare_resolved(&mut self) -> Option<Vec<ResolvedTx>> {
         self.resolved_pool.pop()
     }
 
     /// Outbox buffer allocations so far (the reuse pin).
-    #[must_use]
-    pub fn outbox_allocs(&self) -> u64 {
+    pub(crate) fn outbox_allocs(&self) -> u64 {
         self.outbox_allocs
     }
 }

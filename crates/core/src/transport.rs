@@ -25,7 +25,6 @@
 //! isolation.
 
 use envirotrack_sim::time::{SimDuration, Timestamp};
-use envirotrack_telemetry::Telemetry;
 use envirotrack_world::field::NodeId;
 use envirotrack_world::geometry::Point;
 
@@ -172,15 +171,11 @@ pub struct Outstanding {
     pub attempts: u32,
 }
 
-/// Policy knobs for end-to-end retransmission.
+/// The backoff schedule of end-to-end retransmission.
 #[derive(Debug, Clone, Copy)]
 pub struct RetxPolicy {
     /// Base acknowledgement timeout (doubled per attempt).
     pub timeout: SimDuration,
-    /// Total transmission attempts before giving up.
-    pub max_attempts: u32,
-    /// Upper bound on the uniform jitter added to each backoff.
-    pub jitter_max: SimDuration,
     /// Hard ceiling on the exponential backoff: the doubling clamps here
     /// instead of growing without bound (or silently wrapping through a
     /// shift cap, as an earlier version did).
@@ -225,9 +220,6 @@ pub struct MtpState {
     /// Recently delivered `(source node, seq)` pairs, a bounded ring for
     /// duplicate suppression when a retransmission races its ack.
     seen_segments: Vec<(NodeId, u32)>,
-    /// Run-wide telemetry; a detached registry until the owning network
-    /// attaches the shared one.
-    telemetry: Telemetry,
 }
 
 impl MtpState {
@@ -244,15 +236,7 @@ impl MtpState {
             next_seq: 0,
             outstanding: Vec::new(),
             seen_segments: Vec::new(),
-            telemetry: Telemetry::new(),
         }
-    }
-
-    /// Replaces the detached default registry with the run-wide one.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
     }
 
     /// Allocates the next end-to-end sequence number.
@@ -262,17 +246,14 @@ impl MtpState {
         s
     }
 
-    /// The next sequence number that would be allocated.
-    #[must_use]
-    pub fn seq_base(&self) -> u32 {
-        self.next_seq
-    }
-
-    /// Starts sequence allocation at `base`. Models the nonvolatile boot
-    /// counter real transports keep so a rebooted node never reuses
-    /// sequence numbers its peers may still hold in dedup windows.
-    pub fn set_seq_base(&mut self, base: u32) {
-        self.next_seq = base;
+    /// Forgets everything a reboot loses. The sequence counter survives:
+    /// it models the nonvolatile boot counter real transports keep so a
+    /// rebooted node never reuses sequence numbers its peers may still hold
+    /// in dedup windows.
+    pub fn reboot(&mut self) {
+        let (capacity, next_seq) = (self.last_known.capacity(), self.next_seq);
+        *self = MtpState::new(capacity, self.forward_ttl, self.max_chain_hops);
+        self.next_seq = next_seq;
     }
 
     /// Registers a freshly transmitted segment as awaiting its ack.
@@ -283,12 +264,12 @@ impl MtpState {
         });
     }
 
-    /// Clears an outstanding segment on ack receipt. Returns whether the
-    /// ack matched anything (a stale or duplicate ack does not).
-    pub fn acknowledge(&mut self, seq: u32) -> bool {
-        let before = self.outstanding.len();
-        self.outstanding.retain(|o| o.segment.seq != seq);
-        self.outstanding.len() != before
+    /// Clears an outstanding segment on ack receipt. Returns how many send
+    /// attempts it took, or `None` when the ack matched nothing (a stale
+    /// or duplicate ack does not).
+    pub fn acknowledge(&mut self, seq: u32) -> Option<u32> {
+        let idx = self.outstanding.iter().position(|o| o.segment.seq == seq)?;
+        Some(self.outstanding.remove(idx).attempts)
     }
 
     /// Looks up an outstanding segment for retransmission, bumping its
@@ -316,22 +297,11 @@ impl MtpState {
         self.outstanding.len()
     }
 
-    /// Send attempts recorded so far for an outstanding segment, if it is
-    /// still being tracked (used to histogram attempts at ack time).
-    #[must_use]
-    pub fn attempts_of(&self, seq: u32) -> Option<u32> {
-        self.outstanding
-            .iter()
-            .find(|o| o.segment.seq == seq)
-            .map(|o| o.attempts)
-    }
-
     /// Records a delivered `(source node, seq)` pair; returns `false` when
     /// it was already seen (a duplicate that must be re-acked but not
     /// re-delivered to the application).
     pub fn note_delivered(&mut self, src: NodeId, seq: u32) -> bool {
         if self.seen_segments.contains(&(src, seq)) {
-            self.telemetry.incr("mtp.dedup");
             return false;
         }
         const DEDUP_WINDOW: usize = 64;
@@ -388,20 +358,13 @@ impl MtpState {
     }
 
     /// Drops expired forwarding pointers and stale pending sends; returns
-    /// the expired pending sends for error reporting. Counts them under
-    /// `mtp.pending_expired`, a counter that exists only once something
-    /// has expired.
+    /// the expired pending sends for error reporting.
     pub fn sweep(&mut self, now: Timestamp, pending_ttl: SimDuration) -> Vec<PendingSend> {
         self.forwarding.retain(|p| p.expires > now);
-        let fresh = |p: &PendingSend| now.saturating_since(p.parked_at) <= pending_ttl;
-        if self.pending.iter().all(fresh) {
-            return Vec::new();
-        }
-        let (keep, expired): (Vec<_>, Vec<_>) =
-            std::mem::take(&mut self.pending).into_iter().partition(fresh);
+        let (keep, expired): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending)
+            .into_iter()
+            .partition(|p| now.saturating_since(p.parked_at) <= pending_ttl);
         self.pending = keep;
-        self.telemetry
-            .add("mtp.pending_expired", expired.len() as u64);
         expired
     }
 
@@ -585,8 +548,8 @@ mod tests {
         assert_eq!(mtp.outstanding_len(), 2);
 
         // Ack clears exactly the matching segment; stale acks are inert.
-        assert!(mtp.acknowledge(s1));
-        assert!(!mtp.acknowledge(s1));
+        assert_eq!(mtp.acknowledge(s1), Some(1));
+        assert_eq!(mtp.acknowledge(s1), None);
         assert_eq!(mtp.outstanding_len(), 1);
 
         // Retransmission bumps attempts until the budget is exhausted.
@@ -605,8 +568,6 @@ mod tests {
     fn backoff_doubles_per_attempt() {
         let policy = RetxPolicy {
             timeout: SimDuration::from_millis(400),
-            max_attempts: 4,
-            jitter_max: SimDuration::from_millis(50),
             max_backoff: SimDuration::from_secs(60),
         };
         assert_eq!(policy.backoff(1), SimDuration::from_millis(400));
@@ -618,8 +579,6 @@ mod tests {
     fn backoff_clamps_at_max_backoff_instead_of_wrapping() {
         let policy = RetxPolicy {
             timeout: SimDuration::from_millis(400),
-            max_attempts: u32::MAX,
-            jitter_max: SimDuration::ZERO,
             max_backoff: SimDuration::from_secs(30),
         };
         // Past the cap the backoff pins at max_backoff — it must neither
@@ -646,8 +605,6 @@ mod tests {
         // the policy type itself is public API and guards the floor too.
         let policy = RetxPolicy {
             timeout: SimDuration::ZERO,
-            max_attempts: 4,
-            jitter_max: SimDuration::ZERO,
             max_backoff: SimDuration::from_secs(60),
         };
         for attempts in [1u32, 2, 3, 10, 100] {

@@ -320,6 +320,12 @@ macro_rules! message_types {
                     $(Message::$variant(_) => MessageType::$variant,)*
                 }
             }
+
+            /// The frame kind used for channel statistics.
+            #[must_use]
+            pub fn kind(&self) -> FrameKind {
+                self.message_type().kind()
+            }
         }
     };
 }
@@ -350,12 +356,6 @@ impl MessageType {
 }
 
 impl Message {
-    /// The frame kind used for channel statistics.
-    #[must_use]
-    pub fn kind(&self) -> FrameKind {
-        self.message_type().kind()
-    }
-
     /// Serialises to the canonical binary wire format.
     #[must_use]
     pub fn encode(&self) -> Bytes {

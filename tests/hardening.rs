@@ -102,12 +102,13 @@ fn mtp_retransmission_is_load_bearing_under_burst_loss() {
         let mut engine =
             SensorNetwork::build_engine(program, deployment, environment, config, 99);
         // A harsh channel: long bursts, near-total loss inside a burst.
-        engine.world_mut().set_burst_loss(Some(GilbertElliott {
+        let harsh = FaultEvent::BurstLossOn(GilbertElliott {
             p_good_to_bad: 0.15,
             p_bad_to_good: 0.10,
             loss_good: 0.0,
             loss_bad: 0.95,
-        }));
+        });
+        engine.world_mut().apply_fault(Timestamp::ZERO, &harsh);
         engine.run_until(Timestamp::from_secs(120));
         pongs(engine.world())
     };
