@@ -1,13 +1,12 @@
-//! Assembling a world: its configuration, the constructors that turn a
-//! program, a deployment and an environment into a [`SensorNetwork`] inside
-//! an engine, and the bootstrap event that sets it going.
+//! Assembling a world: its configuration, its constructors, and the
+//! bootstrap event that sets it going.
 
 use std::sync::Arc;
 
 use envirotrack_net::medium::{Medium, RadioConfig};
 use envirotrack_net::routing::GeoRouter;
 use envirotrack_node::cpu::CpuConfig;
-use envirotrack_sim::engine::{Engine, Kernel};
+use envirotrack_sim::engine::Engine;
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::Telemetry;
@@ -17,7 +16,7 @@ use envirotrack_world::sensing::Environment;
 use super::events::Recorder;
 use super::link::LinkReliability;
 use super::node::NodeState;
-use super::SensorNetwork;
+use super::{SensorNetwork, K};
 use crate::api::Program;
 use crate::config::MiddlewareConfig;
 use crate::report::BaseStationLog;
@@ -147,7 +146,7 @@ impl SensorNetwork {
 
     /// The event at time zero: starts every sensing loop, instantiates the
     /// pinned objects and arms the directory gossip.
-    fn bootstrap(&mut self, k: &mut Kernel<SensorNetwork>) {
+    fn bootstrap(&mut self, k: &mut K) {
         let period = self.config.middleware.sense_period;
         let mut starts = Vec::with_capacity(self.nodes.len());
         for id in self.deployment.ids() {
@@ -183,11 +182,25 @@ impl SensorNetwork {
         self.schedule_gossip(k);
     }
 
+    /// Schedules `node`'s next sensing tick at `at`: on the kernel's
+    /// recurring lane when `on_lane`, as an ordinary event otherwise. The
+    /// two differ in cost only, never in when or in what order the tick runs.
+    pub(super) fn arm_sense_tick(&self, k: &mut K, at: Timestamp, node: NodeId, on_lane: bool) {
+        #[cfg(test)]
+        let on_lane = on_lane && !self.sense_loops_on_heap;
+        let id = u64::from(node.0);
+        if on_lane {
+            k.schedule_recurring_at(at, Self::sense_tick, id);
+        } else {
+            k.schedule_at(at, move |w, k| w.sense_tick(k, id));
+        }
+    }
+
     /// Arms the first anti-entropy round on every directory replica. A
     /// no-op unless gossip is enabled with ≥ 2 replicas, so default runs
     /// schedule no extra kernel events (and draw no extra randomness —
     /// replica phases are staggered deterministically, not jittered).
-    fn schedule_gossip(&mut self, k: &mut Kernel<SensorNetwork>) {
+    fn schedule_gossip(&mut self, k: &mut K) {
         let mw = &self.config.middleware;
         if !mw.directory_gossip_enabled || mw.directory_replicas <= 1 {
             return;

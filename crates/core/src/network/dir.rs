@@ -1,7 +1,6 @@
 //! The directory service: the home-node side (registrations, queries,
-//! anti-entropy digests) and the client side (queries in flight, failover
-//! through the replica set). Each handler returns the message to geo-route
-//! in answer; the owner sends it (DESIGN.md §17).
+//! anti-entropy digests) and the client side (queries in flight, failover).
+//! A handler returns the message to geo-route in answer (DESIGN.md §17).
 
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::NodeId;
@@ -18,10 +17,9 @@ pub(super) struct PendingQuery {
     query_id: u32,
     /// The type being queried.
     pub(super) target_type: ContextTypeId,
-    /// The local machine (context type) that asked, for subscription
-    /// queries; `None` for MTP resolution queries.
+    /// The local machine that asked; `None` for an MTP resolution query.
     pub(super) asker: Option<ContextTypeId>,
-    /// Replica-failover attempts so far (0 = the initial geo-routed query).
+    /// Replica-failover attempts so far (0 = the geo-routed query).
     attempt: usize,
     /// When the query was first issued (for expiry).
     issued_at: Timestamp,
@@ -30,7 +28,7 @@ pub(super) struct PendingQuery {
 /// What an unanswered query does when its failover timer fires.
 #[derive(Debug, PartialEq)]
 pub(super) enum Failover {
-    /// The response arrived (or the query expired) in the meantime.
+    /// Answered (or expired) in the meantime.
     Settled,
     /// Ask replica number `attempt` of the type's replica set.
     Retry {

@@ -1,6 +1,5 @@
 //! The recorder: the run's [`EventLog`], its mirror into telemetry (so
-//! post-hoc analysis sees one stream), and the trace lines the layers
-//! write about a label or a context type.
+//! post-hoc analysis sees one stream), and the layers' trace lines.
 
 use std::collections::BTreeMap;
 

@@ -29,12 +29,13 @@ impl std::fmt::Debug for SensorNetwork {
 
 impl SensorNetwork {
     /// Whether this world drives `node` (always true for monolithic runs).
+    #[inline]
     pub(super) fn owns(&self, node: NodeId) -> bool {
         self.shard.as_ref().is_none_or(|s| s.owns(node))
     }
 
-    /// Whether the deployed program declares `tid` — a label off the air
-    /// may name a type this program has never heard of.
+    /// Whether the deployed program declares `tid`; a label off the air may not.
+    #[inline]
     pub(super) fn hosts(&self, tid: ContextTypeId) -> bool {
         (tid.0 as usize) < self.program.context_count()
     }
@@ -236,8 +237,7 @@ impl SensorNetwork {
         self.nodes[node.index()].dir.store.len()
     }
 
-    /// Whether every *live* replica of `type_id` reads the same under
-    /// `view`.
+    /// Whether every *live* replica of `type_id` reads the same under `view`.
     fn live_replicas_agree<V: PartialEq>(
         &self,
         type_id: ContextTypeId,

@@ -92,6 +92,7 @@ impl LinkState {
     /// acknowledged, so the sender keeps retransmitting the pristine copy
     /// — which is how corruption plus link retransmission recovers without
     /// a transport round trip — and a garbled ack cancels no retry.
+    #[inline]
     pub(super) fn receive<'a>(
         &mut self,
         cfg: &LinkReliability,

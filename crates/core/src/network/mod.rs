@@ -161,7 +161,8 @@ impl SensorNetwork {
     /// payload), garble `payload` in place, and inject — then hold the
     /// per-kind corrupt-drop counters to exact expected values.
     pub fn inject_frame(&mut self, k: &mut Kernel<SensorNetwork>, node: NodeId, frame: Frame) {
-        self.receive(k, node, &frame, &mut None);
+        let airtime = self.config.radio.tx_time(&frame);
+        self.receive(k, node, &frame, airtime, &mut None);
     }
 
     /// Triggers an immediate anti-entropy push (with pull) on every live
@@ -245,20 +246,6 @@ impl SensorNetwork {
     // ------------------------------------------------------------------
     // Group driver: sensing loop, group timers, machine inputs and actions
     // ------------------------------------------------------------------
-
-    /// Schedules `node`'s next sensing tick at `at`: on the kernel's
-    /// recurring lane when `on_lane`, as an ordinary event otherwise. The
-    /// two differ in cost only, never in when or in what order the tick runs.
-    fn arm_sense_tick(&self, k: &mut K, at: Timestamp, node: NodeId, on_lane: bool) {
-        #[cfg(test)]
-        let on_lane = on_lane && !self.sense_loops_on_heap;
-        let id = u64::from(node.0);
-        if on_lane {
-            k.schedule_recurring_at(at, Self::sense_tick, id);
-        } else {
-            k.schedule_at(at, move |w, k| w.sense_tick(k, id));
-        }
-    }
 
     /// One sensing tick on `node`: reschedule, then drive every
     /// context-type machine. Each owned node has exactly one such loop,
@@ -429,11 +416,14 @@ impl SensorNetwork {
         // precisely what the dedup layers (link_seq, MTP seq, hb_seq) are
         // under test against.
         let passes = if report.duplicated { 2 } else { 1 };
+        // Worked out once for all receivers: the airtime each radio spent
+        // listening, and (on demand) the decode of the payload.
+        let airtime = self.config.radio.tx_time(&report.frame);
         let mut decoded = None;
         for _ in 0..passes {
             for (receiver, outcome) in &report.outcomes {
                 if *outcome == DeliveryOutcome::Delivered && self.owns(*receiver) {
-                    self.receive(k, *receiver, &report.frame, &mut decoded);
+                    self.receive(k, *receiver, &report.frame, airtime, &mut decoded);
                 }
             }
         }
@@ -443,19 +433,24 @@ impl SensorNetwork {
 
     /// A frame arrived intact at `node`: charge the radio and the CPU, run
     /// it through the link layer, and hand up what comes out.
-    fn receive(&mut self, k: &mut K, node: NodeId, frame: &Frame, decoded: &mut Decoded) {
+    fn receive(
+        &mut self,
+        k: &mut K,
+        node: NodeId,
+        frame: &Frame,
+        airtime: SimDuration,
+        decoded: &mut Decoded,
+    ) {
         // A unicast frame means nothing to the neighbours that overheard it.
         if !frame.link_dst.accepts(node) {
             return;
         }
-        let (radio, rt) = (&self.config.radio, &mut self.nodes[node.index()]);
-        if !rt.hears(k.now(), radio.tx_time(frame)) {
+        let rt = &mut self.nodes[node.index()];
+        if !rt.hears(k.now(), airtime) {
             return;
         }
-        let Some(rx) = rt
-            .link
-            .receive(&self.config.link, radio.codec, node, frame, decoded)
-        else {
+        let (cfg, codec) = (&self.config.link, self.config.radio.codec);
+        let Some(rx) = rt.link.receive(cfg, codec, node, frame, decoded) else {
             // Dropped without touching protocol state.
             self.rec.corrupt_drop(frame.kind);
             return;

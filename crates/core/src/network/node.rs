@@ -1,7 +1,6 @@
 //! Per-node state: the substrates every layer shares — liveness, CPU,
-//! energy, clock, randomness — beside one state value per protocol layer.
-//! A layer's functions take its own field, never the whole node, except
-//! where they charge the shared substrates.
+//! energy, clock, randomness — beside one state value per protocol layer. A
+//! layer takes its own field, or the node where it charges the substrates.
 
 use envirotrack_node::cpu::{costs, MoteCpu};
 use envirotrack_node::energy::EnergyMeter;
@@ -130,6 +129,7 @@ impl NodeState {
     /// Whether a frame that took `airtime` to arrive gets handled: the node
     /// must be up, and its CPU not overloaded (receive overflow). The radio
     /// spent the airtime decoding it regardless of what the CPU does next.
+    #[inline]
     pub(super) fn hears(&mut self, now: Timestamp, airtime: SimDuration) -> bool {
         if self.alive {
             self.energy.charge_rx(airtime);
@@ -140,6 +140,7 @@ impl NodeState {
     /// Whether the node is up and its CPU takes a task of `cost` at `now`.
     /// Overload is the paper's limiting factor: the caller drops, skips or
     /// delays the work when this says no.
+    #[inline]
     pub(super) fn admit(&mut self, now: Timestamp, cost: SimDuration) -> bool {
         self.alive && self.cpu.admit(now, cost).is_ok()
     }

@@ -246,10 +246,9 @@ impl MtpState {
         s
     }
 
-    /// Forgets everything a reboot loses. The sequence counter survives:
-    /// it models the nonvolatile boot counter real transports keep so a
-    /// rebooted node never reuses sequence numbers its peers may still hold
-    /// in dedup windows.
+    /// Forgets everything a reboot loses. The sequence counter survives, as
+    /// the nonvolatile boot counter real transports keep so a rebooted node
+    /// never reuses sequence numbers its peers still hold in dedup windows.
     pub fn reboot(&mut self) {
         let (capacity, next_seq) = (self.last_known.capacity(), self.next_seq);
         *self = MtpState::new(capacity, self.forward_ttl, self.max_chain_hops);
