@@ -96,8 +96,7 @@ fn apply_fault(
     event: &FaultEvent,
 ) {
     monitor.borrow_mut().note_fault(k.now(), describe(event));
-    let mask_changes = matches!(event, FaultEvent::Partition(_) | FaultEvent::Heal);
-    if mask_changes {
+    if matches!(event, FaultEvent::Partition(_) | FaultEvent::Heal) {
         // Judge the delivery log by the outgoing mask before switching.
         monitor.borrow_mut().check_deliveries(w, k.now());
     }

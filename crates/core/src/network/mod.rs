@@ -37,7 +37,8 @@
 //!
 //! ## Processing model
 //!
-//! Every logical task on a node passes through its [`MoteCpu`]: received
+//! Every logical task on a node passes through its
+//! [`MoteCpu`](envirotrack_node::cpu::MoteCpu): received
 //! frames are **dropped** when the CPU backlog bound is exceeded (receive
 //! overflow), timer handlers are **delayed** until the backlog drains, and
 //! sensing ticks are **skipped**. This reproduces the paper's finding that

@@ -17,7 +17,7 @@
 //!
 //! * **Transmit side, centralised.** During an epoch no shard touches the
 //!   channel: every transmit request an owned node makes is captured as an
-//!   [`OutIntent`] in the shard's outbox. At each epoch barrier the
+//!   `OutIntent` in the shard's outbox. At each epoch barrier the
 //!   orchestrator merges all outboxes into one batch sorted by
 //!   `(time, src, seq)` — a total order, since `seq` is a per-source
 //!   counter — and resolves it exactly once on its own
