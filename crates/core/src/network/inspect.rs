@@ -268,15 +268,9 @@ impl SensorNetwork {
     pub fn directory_replicas_agree(&self, type_id: ContextTypeId, now: Timestamp) -> bool {
         let ttl = self.config.middleware.directory_entry_ttl;
         self.live_replicas_agree(type_id, |n| {
-            let mut labels: Vec<ContextLabel> = n
-                .dir
-                .store
-                .entries_of(type_id)
-                .into_iter()
-                .filter(|(_, _, refreshed)| now.saturating_since(*refreshed) <= ttl)
-                .map(|(label, _, _)| label)
-                .collect();
-            labels.sort_by_key(|l| (l.type_id.0, l.creator.0, l.seq));
+            let live = n.dir.store.query(type_id, now, ttl);
+            let mut labels: Vec<ContextLabel> = live.into_iter().map(|(label, _)| label).collect();
+            labels.sort_unstable();
             labels
         })
     }

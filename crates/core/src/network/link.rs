@@ -241,13 +241,7 @@ fn link_ack_payload(seq: u32) -> Bytes {
 /// the wrong size or fails its CRC — a garbled ack must be ignored, not
 /// believed.
 fn link_ack_seq(payload: &[u8]) -> Option<u32> {
-    if payload.len() != 8 {
-        return None;
-    }
-    let (body, trailer) = payload.split_at(4);
-    if trailer != crc::crc32(body).to_le_bytes().as_slice() {
-        return None;
-    }
+    let body = crc::split_verified(payload).ok()?;
     Some(u32::from_be_bytes(body.try_into().ok()?))
 }
 
