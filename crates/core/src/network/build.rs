@@ -15,7 +15,7 @@ use envirotrack_world::sensing::Environment;
 
 use super::events::Recorder;
 use super::link::LinkReliability;
-use super::node::NodeState;
+use super::node::{NodeState, SenseState};
 use super::{SensorNetwork, K};
 use crate::api::Program;
 use crate::config::MiddlewareConfig;
@@ -69,9 +69,13 @@ impl SensorNetwork {
         let mut medium = Medium::new(&deployment, config.radio.clone(), &master);
         medium.attach_telemetry(telemetry.clone());
         let router = GeoRouter::new(&deployment, config.radio.comm_radius);
-        let nodes = deployment
+        let sense = deployment
             .iter()
-            .map(|(id, pos)| NodeState::new(id, pos, &program, &config, &master))
+            .map(|(_, pos)| SenseState::new(pos, &config))
+            .collect();
+        let nodes = deployment
+            .ids()
+            .map(|id| NodeState::new(id, &program, &config, &master))
             .collect();
         SensorNetwork {
             program,
@@ -80,6 +84,7 @@ impl SensorNetwork {
             environment,
             medium,
             router,
+            sense,
             nodes,
             rec: Recorder::new(telemetry),
             base_log: BaseStationLog::new(),
@@ -87,6 +92,8 @@ impl SensorNetwork {
             shard: None,
             #[cfg(test)]
             sense_loops_on_heap: false,
+            #[cfg(test)]
+            ticks_enter_machines: false,
         }
     }
 
@@ -180,20 +187,6 @@ impl SensorNetwork {
             }
         }
         self.schedule_gossip(k);
-    }
-
-    /// Schedules `node`'s next sensing tick at `at`: on the kernel's
-    /// recurring lane when `on_lane`, as an ordinary event otherwise. The
-    /// two differ in cost only, never in when or in what order the tick runs.
-    pub(super) fn arm_sense_tick(&self, k: &mut K, at: Timestamp, node: NodeId, on_lane: bool) {
-        #[cfg(test)]
-        let on_lane = on_lane && !self.sense_loops_on_heap;
-        let id = u64::from(node.0);
-        if on_lane {
-            k.schedule_recurring_at(at, Self::sense_tick, id);
-        } else {
-            k.schedule_at(at, move |w, k| w.sense_tick(k, id));
-        }
     }
 
     /// Arms the first anti-entropy round on every directory replica. A

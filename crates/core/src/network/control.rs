@@ -5,7 +5,7 @@ use envirotrack_net::medium::{GilbertElliott, LinkFaults, Medium};
 use envirotrack_sim::time::Timestamp;
 use envirotrack_world::field::NodeId;
 
-use super::node::NodeState;
+use super::node::{self, NodeState, SenseState};
 use crate::api::Program;
 
 /// One fault, applied to a world by [`super::SensorNetwork::apply_fault`]:
@@ -51,6 +51,7 @@ impl FaultEvent {
         &self,
         now: Timestamp,
         medium: &mut Medium,
+        sense: &mut [SenseState],
         nodes: &mut [NodeState],
         program: &Program,
         drives: impl Fn(NodeId) -> bool,
@@ -66,8 +67,11 @@ impl FaultEvent {
             | FaultEvent::Reboot(node)
             | FaultEvent::ClockRate { node, .. }
                 if !drives(*node) => {}
-            FaultEvent::Crash(node) => nodes[node.index()].alive = false,
-            FaultEvent::Reboot(node) => nodes[node.index()].reboot(program),
+            FaultEvent::Crash(node) => sense[node.index()].alive = false,
+            FaultEvent::Reboot(node) => {
+                let i = node.index();
+                node::reboot(*node, &mut sense[i], &mut nodes[i], program);
+            }
             // The local clock is rebased at `now` so it stays continuous;
             // the new rate applies to every timer and sensing tick armed
             // from here on.
@@ -76,7 +80,9 @@ impl FaultEvent {
                     (0.5..=2.0).contains(rate),
                     "clock rate {rate} outside the bounded-skew range [0.5, 2.0]"
                 );
-                nodes[node.index()].clock.set_rate(*rate, now);
+                let i = node.index();
+                nodes[i].clock.set_rate(*rate, now);
+                sense[i].clock_nominal = nodes[i].clock.is_nominal();
             }
         }
     }

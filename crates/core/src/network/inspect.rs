@@ -14,7 +14,7 @@ use super::{NetworkConfig, SensorNetwork};
 use crate::context::{ContextLabel, ContextTypeId};
 use crate::directory::{hash_point, replica_set};
 use crate::events::{EventLog, SystemEvent};
-use crate::group::{AggregateHealth, RoleKind};
+use crate::group::{AggregateHealth, GroupMachine, RoleKind};
 use crate::report::{BaseStationLog, RunRecord};
 
 impl std::fmt::Debug for SensorNetwork {
@@ -51,8 +51,11 @@ impl SensorNetwork {
         }
     }
 
-    fn live_nodes(&self) -> impl Iterator<Item = &NodeState> {
-        self.nodes.iter().filter(|n| n.alive)
+    /// Every live node's machine for `tid`.
+    fn live_machines(&self, tid: ContextTypeId) -> impl Iterator<Item = &GroupMachine> {
+        let nodes = self.sense.iter().zip(&self.nodes);
+        let live = nodes.filter(|(hot, _)| hot.alive);
+        live.map(move |(_, node)| &node.machines[tid.0 as usize])
     }
 
     /// The run-wide telemetry registry.
@@ -112,9 +115,9 @@ impl SensorNetwork {
     /// Current leaders of a context type as `(node, label)` pairs.
     #[must_use]
     pub fn leaders_of_type(&self, type_id: ContextTypeId) -> Vec<(NodeId, ContextLabel)> {
-        self.live_nodes()
-            .filter_map(|n| match n.machines[type_id.0 as usize].role_kind() {
-                RoleKind::Leader(label) => Some((n.id, label)),
+        self.live_machines(type_id)
+            .filter_map(|m| match m.role_kind() {
+                RoleKind::Leader(label) => Some((m.node(), label)),
                 _ => None,
             })
             .collect()
@@ -123,14 +126,9 @@ impl SensorNetwork {
     /// Current members (non-leader) of a label.
     #[must_use]
     pub fn members_of_label(&self, label: ContextLabel) -> Vec<NodeId> {
-        self.live_nodes()
-            .filter(|n| {
-                matches!(
-                    n.machines[label.type_id.0 as usize].role_kind(),
-                    RoleKind::Member(l) if l == label
-                )
-            })
-            .map(|n| n.id)
+        self.live_machines(label.type_id)
+            .filter(|m| matches!(m.role_kind(), RoleKind::Member(l) if l == label))
+            .map(GroupMachine::node)
             .collect()
     }
 
@@ -144,13 +142,8 @@ impl SensorNetwork {
         now: Timestamp,
     ) -> Vec<(NodeId, Vec<AggregateHealth>)> {
         let spec = self.program.spec(type_id);
-        self.live_nodes()
-            .map(|n| {
-                (
-                    n.id,
-                    n.machines[type_id.0 as usize].aggregate_health(spec, now),
-                )
-            })
+        self.live_machines(type_id)
+            .map(|m| (m.node(), m.aggregate_health(spec, now)))
             .filter(|(_, rows)| !rows.is_empty())
             .collect()
     }
@@ -158,7 +151,7 @@ impl SensorNetwork {
     /// Aggregate CPU statistics: `(admitted, dropped)` over all nodes.
     #[must_use]
     pub fn cpu_totals(&self) -> (u64, u64) {
-        self.nodes.iter().fold((0, 0), |(a, d), n| {
+        self.sense.iter().fold((0, 0), |(a, d), n| {
             let s = n.cpu.stats();
             (a + s.admitted, d + s.dropped)
         })
@@ -167,7 +160,7 @@ impl SensorNetwork {
     /// Whether a node is alive.
     #[must_use]
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.nodes[node.index()].alive
+        self.sense[node.index()].alive
     }
 
     /// A node's local clock reading at global instant `now`.
@@ -185,9 +178,8 @@ impl SensorNetwork {
     /// The marginal protocol energy spent by one node (radio + CPU).
     #[must_use]
     pub fn energy_at(&self, node: NodeId) -> EnergyMeter {
-        let rt = &self.nodes[node.index()];
-        let mut m = rt.energy;
-        m.charge_cpu(rt.cpu.stats().busy);
+        let mut m = self.nodes[node.index()].energy;
+        m.charge_cpu(self.sense[node.index()].cpu.stats().busy);
         m
     }
 
@@ -244,8 +236,8 @@ impl SensorNetwork {
         view: impl Fn(&NodeState) -> V,
     ) -> bool {
         let replicas = self.directory_replicas_of(type_id);
-        let live = replicas.iter().map(|n| &self.nodes[n.index()]);
-        let views: Vec<V> = live.filter(|n| n.alive).map(view).collect();
+        let live = replicas.iter().filter(|n| self.sense[n.index()].alive);
+        let views: Vec<V> = live.map(|n| view(&self.nodes[n.index()])).collect();
         views.windows(2).all(|pair| pair[0] == pair[1])
     }
 

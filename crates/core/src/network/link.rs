@@ -5,11 +5,11 @@
 use bytes::Bytes;
 use envirotrack_net::medium::{Medium, Transmission};
 use envirotrack_net::packet::{Frame, LinkDest, WireCodec};
-use envirotrack_node::cpu::costs;
+use envirotrack_node::cpu::{costs, MoteCpu};
+use envirotrack_node::energy::EnergyMeter;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::NodeId;
 
-use super::node::NodeState;
 use crate::shard::ShardState;
 use crate::wire::kinds::LINK_ACK;
 use crate::wire::{crc, Message};
@@ -178,34 +178,35 @@ impl LinkState {
     }
 }
 
-/// Puts `frame` on the air from `node`. Preparing a transmission costs
+/// Puts `frame` on the air from its source node. Preparing a transmission costs
 /// CPU, and an overloaded node drops the send. Returns the transmission
 /// whose completion the owner must schedule — none on a shard, which never
 /// touches the medium mid-epoch: the request goes to its outbox, to be
 /// resolved centrally at the next barrier and charged on ingestion.
 pub(super) fn transmit(
-    node: &mut NodeState,
+    cpu: &mut MoteCpu,
+    energy: &mut EnergyMeter,
     medium: &mut Medium,
     shard: Option<&mut ShardState>,
     now: Timestamp,
     frame: Frame,
 ) -> Option<Transmission> {
-    if node.cpu.admit(now, costs::TX_PREPARE).is_err() {
+    if cpu.admit(now, costs::TX_PREPARE).is_err() {
         return None;
     }
     if let Some(shard) = shard {
         debug_assert!(
-            shard.owns(node.id),
+            shard.owns(frame.src),
             "only owned nodes transmit on a shard ({})",
-            node.id
+            frame.src
         );
-        shard.push(now, node.id, frame);
+        shard.push(now, frame.src, frame);
         return None;
     }
     let airtime = medium.config().tx_time(&frame);
     // A saturated channel loses the frame; the medium's stats count it.
     let tx = medium.transmit(now, frame).ok()?;
-    node.energy.charge_tx(airtime);
+    energy.charge_tx(airtime);
     Some(tx)
 }
 

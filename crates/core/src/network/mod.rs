@@ -61,6 +61,7 @@ mod inspect;
 mod link;
 mod mtp;
 mod node;
+mod sense;
 
 use std::sync::Arc;
 
@@ -82,7 +83,7 @@ use self::dir::Failover;
 use self::events::Recorder;
 use self::link::Decoded;
 pub use self::link::LinkReliability;
-use self::node::NodeState;
+use self::node::{NodeState, SenseState};
 use crate::api::Program;
 use crate::context::{ContextLabel, ContextTypeId};
 use crate::directory::replica_set;
@@ -102,6 +103,9 @@ pub struct SensorNetwork {
     environment: Environment,
     medium: Medium,
     router: GeoRouter,
+    /// Per-node state in two parallel arrays indexed by node id: the hot
+    /// record a sensing tick lives in, and everything else.
+    sense: Vec<SenseState>,
     nodes: Vec<NodeState>,
     /// Event log, telemetry handle and label cache, lent to whichever
     /// layer has something to record.
@@ -116,6 +120,10 @@ pub struct SensorNetwork {
     /// so a test can pin that the lane changes no byte of a run.
     #[cfg(test)]
     sense_loops_on_heap: bool,
+    /// Test hook: send every admitted sensing tick into the group machines,
+    /// so a test can pin that the quiescent test changes no byte of a run.
+    #[cfg(test)]
+    ticks_enter_machines: bool,
 }
 
 type K = Kernel<SensorNetwork>;
@@ -127,7 +135,7 @@ impl SensorNetwork {
 
     /// Kills a node: it stops sensing, processing, and transmitting.
     pub fn kill_node(&mut self, node: NodeId) {
-        self.nodes[node.index()].alive = false;
+        self.sense[node.index()].alive = false;
     }
 
     /// Revives a previously killed node with cleared protocol state. Its
@@ -135,7 +143,8 @@ impl SensorNetwork {
     /// (doing nothing) and resumes work on the first tick after revival,
     /// on the phase it always had.
     pub fn revive_node(&mut self, node: NodeId) {
-        self.nodes[node.index()].reboot(&self.program);
+        let i = node.index();
+        node::reboot(node, &mut self.sense[i], &mut self.nodes[i], &self.program);
     }
 
     /// Applies one fault at `now` (see [`FaultEvent`]).
@@ -150,6 +159,7 @@ impl SensorNetwork {
         fault.apply(
             now,
             &mut self.medium,
+            &mut self.sense,
             &mut self.nodes,
             &self.program,
             drives,
@@ -175,7 +185,7 @@ impl SensorNetwork {
     pub fn kick_directory_gossip(&mut self, k: &mut Kernel<SensorNetwork>) {
         for tid in self.program.type_ids() {
             for node in self.directory_replicas_of(tid) {
-                if self.nodes[node.index()].alive {
+                if self.sense[node.index()].alive {
                     self.push_dir_sync(k, node, tid);
                 }
             }
@@ -245,32 +255,8 @@ impl SensorNetwork {
     }
 
     // ------------------------------------------------------------------
-    // Group driver: sensing loop, group timers, machine inputs and actions
+    // Group driver: group timers, machine inputs and actions (sensing loop: sense.rs)
     // ------------------------------------------------------------------
-
-    /// One sensing tick on `node`: reschedule, then drive every
-    /// context-type machine. Each owned node has exactly one such loop,
-    /// started by `bootstrap`; it outlives crashes (a dead node's tick
-    /// only reschedules), so nothing may start a second one.
-    fn sense_tick(&mut self, k: &mut K, id: u64) {
-        let node = NodeId(u32::try_from(id).expect("armed with a node id"));
-        // The sensing period elapses on the node's *local* clock: skewed
-        // clocks sample faster or slower than global time.
-        let nominal = self.config.middleware.sense_period;
-        let period = self.nodes[node.index()].clock.global_delay(nominal);
-        // Reschedule first: the loop survives any processing below. A skewed
-        // node stays off the lane: a slow clock's later deadline would become
-        // the lane's tail and send every other node's tick to the heap until
-        // it fired.
-        self.arm_sense_tick(k, k.now() + period, node, period == nominal);
-        // Overloaded CPU skips sensing ticks.
-        if !self.nodes[node.index()].admit(k.now(), costs::SENSE) {
-            return;
-        }
-        for tid in self.program.type_ids() {
-            self.run_machine(k, node, tid, |machine, ctx| machine.on_sense_tick(ctx));
-        }
-    }
 
     /// A group-management timer firing.
     fn group_timer(
@@ -281,13 +267,13 @@ impl SensorNetwork {
         key: GroupTimer,
         token: TimerToken,
     ) {
-        let rt = &mut self.nodes[node.index()];
-        if !rt.alive {
+        let hot = &mut self.sense[node.index()];
+        if !hot.alive {
             return;
         }
         // Overload delays timer handling until the CPU drains.
-        if !rt.admit(k.now(), costs::TIMER_HANDLE) {
-            let retry = rt.cpu.busy_until() + SimDuration::from_millis(1);
+        if !hot.admit(k.now(), costs::TIMER_HANDLE) {
+            let retry = hot.cpu.busy_until() + SimDuration::from_millis(1);
             k.schedule_at(retry.max(k.now()), move |w, k| {
                 w.group_timer(k, node, tid, key, token);
             });
@@ -319,7 +305,7 @@ impl SensorNetwork {
         tid: ContextTypeId,
         f: impl FnOnce(&mut GroupMachine, &mut GroupCtx<'_>) -> Vec<GroupAction>,
     ) -> Vec<GroupAction> {
-        let rt = &mut self.nodes[node.index()];
+        let (hot, rt) = (&mut self.sense[node.index()], &mut self.nodes[node.index()]);
         let mut ctx = GroupCtx {
             now,
             cfg: &self.config.middleware,
@@ -327,12 +313,14 @@ impl SensorNetwork {
             subscriptions: self.program.subscriptions(tid),
             sensors: &self.environment,
             reading: None,
-            position: rt.pos,
+            position: hot.pos,
             rng: &mut rt.rng,
-            telemetry: self.rec.telemetry.clone(),
-            labels: self.rec.labels.clone(),
+            telemetry: &self.rec.telemetry,
+            labels: &self.rec.labels,
         };
-        f(&mut rt.machines[tid.0 as usize], &mut ctx)
+        let actions = f(&mut rt.machines[tid.0 as usize], &mut ctx);
+        hot.quiescent = sense::quiescent(&rt.machines);
+        actions
     }
 
     fn apply_actions(
@@ -344,7 +332,7 @@ impl SensorNetwork {
     ) {
         let now = k.now();
         for action in actions {
-            let rt = &mut self.nodes[node.index()];
+            let (pos, rt) = (self.sense[node.index()].pos, &mut self.nodes[node.index()]);
             match action {
                 GroupAction::Broadcast(msg) => self.send_message(k, node, None, &msg),
                 GroupAction::ArmTimer { key, at, token } => {
@@ -356,7 +344,7 @@ impl SensorNetwork {
                 }
                 GroupAction::Emit(event) => self.rec.record(now, node, event),
                 GroupAction::RegisterDirectory { label } => {
-                    let location = rt.pos;
+                    let location = pos;
                     let home = self.directory_home(tid);
                     let msg = Message::DirRegister(DirRegister { label, location });
                     let replicas = self.config.middleware.directory_replicas;
@@ -390,7 +378,7 @@ impl SensorNetwork {
                     payload,
                 } => self.mtp_send(k, node, tid, dst_label, dst_port, payload),
                 GroupAction::BecameLeader { label } => {
-                    rt.mtp.learn(label, LeaderLoc { node, pos: rt.pos });
+                    rt.mtp.learn(label, LeaderLoc { node, pos });
                 }
                 GroupAction::LostLeadership { label, new_leader } => {
                     if let Some(loc) = new_leader {
@@ -446,8 +434,13 @@ impl SensorNetwork {
         if !frame.link_dst.accepts(node) {
             return;
         }
-        let rt = &mut self.nodes[node.index()];
-        if !rt.hears(k.now(), airtime) {
+        let (hot, rt) = (&mut self.sense[node.index()], &mut self.nodes[node.index()]);
+        // The radio spent the airtime decoding the frame whatever the CPU
+        // does next; an overloaded one drops it (receive overflow).
+        if hot.alive {
+            rt.energy.charge_rx(airtime);
+        }
+        if !hot.admit(k.now(), costs::RX_HANDLE) {
             return;
         }
         let (cfg, codec) = (&self.config.link, self.config.radio.codec);
@@ -585,7 +578,7 @@ impl SensorNetwork {
         target_type: ContextTypeId,
         replica: Option<NodeId>,
     ) {
-        let msg = dir::query(query_id, target_type, node, self.nodes[node.index()].pos);
+        let msg = dir::query(query_id, target_type, node, self.sense[node.index()].pos);
         match replica {
             Some(target) => self.send_to_node(k, node, target, msg),
             None => self.send_geo(k, node, self.directory_home(target_type), None, msg),
@@ -602,10 +595,10 @@ impl SensorNetwork {
     /// fails it — dropping any MTP sends parked on it — once the replica
     /// set is exhausted.
     fn query_failover(&mut self, k: &mut K, node: NodeId, query_id: u32) {
-        let rt = &mut self.nodes[node.index()];
-        if !rt.alive {
+        if !self.sense[node.index()].alive {
             return;
         }
+        let rt = &mut self.nodes[node.index()];
         let replicas = self.config.middleware.directory_replicas;
         match rt
             .dir
@@ -656,7 +649,7 @@ impl SensorNetwork {
         // Reschedule first so the round survives any processing below.
         k.schedule_at(k.now() + period, move |w, k| w.gossip_tick(k, node, tid));
         // Overloaded CPUs skip the round; the next period retries.
-        if self.nodes[node.index()].admit(k.now(), costs::TIMER_HANDLE) {
+        if self.sense[node.index()].admit(k.now(), costs::TIMER_HANDLE) {
             self.push_dir_sync(k, node, tid);
         }
     }
@@ -697,7 +690,7 @@ impl SensorNetwork {
             dst_label,
             dst_port,
             src_leader: node,
-            src_leader_pos: rt.pos,
+            src_leader_pos: self.sense[node.index()].pos,
             chain_hops: 0,
             seq: 0,
             payload,
@@ -731,10 +724,10 @@ impl SensorNetwork {
     }
 
     fn mtp_retry(&mut self, k: &mut K, node: NodeId, seq: u32) {
-        let rt = &mut self.nodes[node.index()];
-        if !rt.alive {
+        if !self.sense[node.index()].alive {
             return;
         }
+        let rt = &mut self.nodes[node.index()];
         let (now, mw) = (k.now(), &self.config.middleware);
         let again = mtp::retry(
             &mut rt.mtp,
@@ -754,10 +747,10 @@ impl SensorNetwork {
     }
 
     fn mtp_resend(&mut self, k: &mut K, node: NodeId, out: Outstanding) {
-        let rt = &mut self.nodes[node.index()];
-        if !rt.alive {
+        if !self.sense[node.index()].alive {
             return;
         }
+        let rt = &mut self.nodes[node.index()];
         if let Some((loc, segment)) = mtp::resend(&mut rt.mtp, out, k.now()) {
             self.send_geo(k, node, loc.pos, Some(loc.node), segment);
         }
@@ -774,7 +767,10 @@ impl SensorNetwork {
                 RoleKind::Leader(l) if l == dst_label
             )
         });
-        let here = LeaderLoc { node, pos: rt.pos };
+        let here = LeaderLoc {
+            node,
+            pos: self.sense[node.index()].pos,
+        };
         let arrival = mtp::arrive(&mut rt.mtp, seg, here, leads, now, mw, &mut self.rec);
         if let Some((loc, msg)) = arrival.send {
             self.send_geo(k, node, loc.pos, Some(loc.node), msg);
@@ -857,10 +853,10 @@ impl SensorNetwork {
     /// (which decorrelates it from whatever collided with the last copy),
     /// or gives up after the configured number of attempts.
     fn link_retry(&mut self, k: &mut K, node: NodeId, seq: u32) {
-        let rt = &mut self.nodes[node.index()];
-        if !rt.alive {
+        if !self.sense[node.index()].alive {
             return;
         }
+        let rt = &mut self.nodes[node.index()];
         let cfg = &self.config.link;
         let Some(frame) = rt.link.retry(cfg.max_attempts, seq) else {
             return;
@@ -874,8 +870,10 @@ impl SensorNetwork {
     }
 
     fn transmit(&mut self, k: &mut K, node: NodeId, frame: Frame) {
-        let rt = &mut self.nodes[node.index()];
-        let sent = link::transmit(rt, &mut self.medium, self.shard.as_mut(), k.now(), frame);
+        let cpu = &mut self.sense[node.index()].cpu;
+        let energy = &mut self.nodes[node.index()].energy;
+        let shard = self.shard.as_mut();
+        let sent = link::transmit(cpu, energy, &mut self.medium, shard, k.now(), frame);
         if let Some(tx) = sent {
             k.schedule_at(tx.completes_at, move |w, k| {
                 w.transmission_complete(k, tx.id)
@@ -893,10 +891,12 @@ mod tests {
     use crate::context::SensePredicate;
     use crate::report::telemetry_to_jsonl;
     use envirotrack_world::scenario::TankScenario;
+    use envirotrack_world::sensing::NoiseModel;
     use envirotrack_world::target::Channel;
 
-    fn tracker() -> Arc<Program> {
-        let program = Program::builder().context("tracker", |c| {
+    /// A tracker type, `with_post` beside a pinned type.
+    fn program(with_post: bool) -> Arc<Program> {
+        let mut program = Program::builder().context("tracker", |c| {
             c.activation(SensePredicate::threshold(Channel::Magnetic, 0.5))
                 .aggregate(
                     "location",
@@ -906,13 +906,22 @@ mod tests {
                     2,
                 )
         });
+        if with_post {
+            program = program.context("post", |c| c.pinned(Point::new(3.0, 15.0)));
+        }
         Arc::new(program.build().expect("a valid program"))
     }
 
-    /// A tank crossing a 20 × 20 field for 5 s, with a clock slowed at 1 s
-    /// and a node near the lane crashed at 1.5 s and rebooted at 3 s.
-    /// Returns `kernel.events`, the event log and the telemetry JSONL.
-    fn faulted_run(sense_loops_on_heap: bool) -> (u64, String, String) {
+    fn tracker() -> Arc<Program> {
+        program(false)
+    }
+
+    /// A tank crossing a 20 × 20 field of noisy sensors for 5 s, a pinned
+    /// object to one side, with a clock slowed at 1 s and a node near the
+    /// lane crashed at 1.5 s and rebooted at 3 s; `hook` sets a test hook
+    /// first. Returns the sensing loops left on the lane, and the run:
+    /// `kernel.events`, the event log and the telemetry JSONL.
+    fn faulted_run(hook: fn(&mut SensorNetwork)) -> (usize, (u64, String, String)) {
         let scenario = TankScenario {
             lane_y: 9.5,
             sensing_radius: 1.5,
@@ -921,14 +930,15 @@ mod tests {
         .with_grid(20, 20)
         .with_speed_hops_per_s(2.0)
         .build();
+        let noise = NoiseModel::none().with_channel(Channel::Magnetic, 0.2);
         let mut engine = SensorNetwork::build_engine(
-            tracker(),
+            program(true),
             scenario.deployment,
-            scenario.environment,
+            scenario.environment.with_noise(noise),
             NetworkConfig::default(),
             7,
         );
-        engine.world_mut().sense_loops_on_heap = sense_loops_on_heap;
+        hook(engine.world_mut());
         let (slowed, crashed) = (NodeId(10 * 20 + 4), NodeId(9 * 20 + 3));
         let k = engine.kernel_mut();
         k.schedule_at(Timestamp::from_secs(1), move |w: &mut SensorNetwork, k| {
@@ -945,25 +955,72 @@ mod tests {
             w.revive_node(crashed);
         });
         engine.run_until(Timestamp::from_secs(5));
-        let on_lane = engine.kernel().recurring_len();
-        assert_eq!(on_lane, if sense_loops_on_heap { 0 } else { 399 });
         let world = engine.world();
-        (
+        let run = (
             world.telemetry().counter("kernel.events"),
             format!("{:?}", world.events().entries()),
             telemetry_to_jsonl(world.telemetry()),
-        )
+        );
+        (engine.kernel().recurring_len(), run)
     }
 
     #[test]
     fn the_recurring_lane_changes_no_byte_of_a_faulted_run() {
-        let (events, log, telemetry) = faulted_run(false);
+        let (on_lane, run) = faulted_run(|_| {});
+        assert_eq!(on_lane, 399, "all but the slowed node");
+        let (events, log, telemetry) = &run;
         assert!(log.contains("LabelCreated") && telemetry.contains("group.hb"));
         assert!(
-            events > 400 * 25,
+            *events > 400 * 25,
             "protocol events on top of 25 ticks per node"
         );
-        assert_eq!((events, log, telemetry), faulted_run(true));
+        assert_eq!((0, run), faulted_run(|w| w.sense_loops_on_heap = true));
+    }
+
+    /// Every label of the run starts on a quiescent node whose reading the
+    /// driver took and handed to the machine; with the hook the machine
+    /// takes every reading itself, noise and all.
+    #[test]
+    fn the_quiescent_test_changes_no_byte_of_a_faulted_run() {
+        let (_, run) = faulted_run(|_| {});
+        assert_eq!(run, faulted_run(|w| w.ticks_enter_machines = true).1);
+    }
+
+    #[test]
+    fn the_hot_record_is_one_cache_line() {
+        assert_eq!(std::mem::align_of::<SenseState>(), 64);
+        assert!(std::mem::size_of::<SenseState>() <= 64);
+    }
+
+    #[test]
+    fn a_pending_formation_ends_quiescence_and_a_reboot_restores_it() {
+        let scenario = TankScenario::default().with_speed_hops_per_s(0.5).build();
+        let mut engine = SensorNetwork::build_engine(
+            tracker(),
+            scenario.deployment,
+            scenario.environment,
+            NetworkConfig::default(),
+            5,
+        );
+        let busy = |w: &SensorNetwork| w.sense.iter().position(|hot| !hot.quiescent);
+        // Event by event up to the tick that first senses the tank.
+        while busy(engine.world()).is_none() {
+            engine.step().expect("the tank reaches the field");
+        }
+        let world = engine.world();
+        let first = busy(world).expect("just found");
+        let role = world.nodes[first].machines[0].role_kind();
+        assert_eq!(role, RoleKind::Idle, "still waiting out its jitter");
+        // A leader is not quiescent, dead or alive, until it reboots.
+        engine.run_until(engine.kernel().now() + SimDuration::from_secs(3));
+        let (leader, _) = engine.world().leaders_of_type(ContextTypeId(0))[0];
+        let world = engine.world_mut();
+        world.kill_node(leader);
+        assert!(!world.sense[leader.index()].quiescent);
+        world.revive_node(leader);
+        assert!(world.sense[leader.index()].quiescent);
+        let role = world.nodes[leader.index()].machines[0].role_kind();
+        assert_eq!(role, RoleKind::Idle);
     }
 
     /// Without the skew guard the slow node's deadline, one of its longer

@@ -1,8 +1,12 @@
-//! Per-node state: the substrates every layer shares — liveness, CPU,
-//! energy, clock, randomness — beside one state value per protocol layer. A
-//! layer takes its own field, or the node where it charges the substrates.
+//! Per-node state, split by how often it is touched. [`SenseState`] is the
+//! hot half: one cache line per node, dense in id order, holding exactly
+//! what a sensing tick that finds nothing reads and writes. [`NodeState`] is
+//! the cold half, in a parallel array: energy, clock, randomness and one
+//! state value per protocol layer — only a node in or near a group, or one
+//! a frame reaches, ever dereferences it. A layer takes its own field, plus
+//! the substrates it charges.
 
-use envirotrack_node::cpu::{costs, MoteCpu};
+use envirotrack_node::cpu::MoteCpu;
 use envirotrack_node::energy::EnergyMeter;
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
@@ -47,10 +51,15 @@ impl NodeClock {
         self.rate = rate;
     }
 
+    /// Whether local delays are global delays.
+    pub(super) fn is_nominal(&self) -> bool {
+        (self.rate - 1.0).abs() < f64::EPSILON
+    }
+
     /// Converts a delay measured on this node's clock into global time: a
     /// fast clock (rate > 1) makes local delays elapse sooner.
     pub(super) fn global_delay(&self, local: SimDuration) -> SimDuration {
-        if (self.rate - 1.0).abs() < f64::EPSILON {
+        if self.is_nominal() {
             local
         } else {
             local.mul_f64(1.0 / self.rate)
@@ -58,12 +67,44 @@ impl NodeClock {
     }
 }
 
-/// One node: shared substrates plus each layer's state.
-pub(super) struct NodeState {
-    pub(super) id: NodeId,
+/// The hot half of a node: what an idle sensing tick touches, and nothing
+/// else, so that tick stays within one cache line (size and alignment are
+/// pinned by a test).
+#[repr(C, align(64))]
+pub(super) struct SenseState {
     pub(super) pos: Point,
-    pub(super) alive: bool,
     pub(super) cpu: MoteCpu,
+    pub(super) alive: bool,
+    /// Mirrors [`NodeClock::is_nominal`] of the cold clock, so an unskewed
+    /// node's tick converts no delay. Kept where the rate is set.
+    pub(super) clock_nominal: bool,
+    /// Every group machine of the node is idle with no formation timer
+    /// pending (see `sense.rs`). Kept by `drive_machine` and [`reboot`].
+    pub(super) quiescent: bool,
+}
+
+impl SenseState {
+    pub(super) fn new(pos: Point, config: &NetworkConfig) -> Self {
+        SenseState {
+            pos,
+            cpu: MoteCpu::new(config.cpu),
+            alive: true,
+            clock_nominal: true,
+            quiescent: true,
+        }
+    }
+
+    /// Whether the node is up and its CPU takes a task of `cost` at `now`.
+    /// Overload is the paper's limiting factor: the caller drops, skips or
+    /// delays the work when this says no.
+    #[inline]
+    pub(super) fn admit(&mut self, now: Timestamp, cost: SimDuration) -> bool {
+        self.alive && self.cpu.admit(now, cost).is_ok()
+    }
+}
+
+/// The cold half of a node: shared substrates plus each layer's state.
+pub(super) struct NodeState {
     pub(super) rng: SimRng,
     /// Marginal radio energy (CPU energy derives from the CPU meter).
     pub(super) energy: EnergyMeter,
@@ -88,16 +129,11 @@ fn machines(id: NodeId, program: &Program) -> Vec<GroupMachine> {
 impl NodeState {
     pub(super) fn new(
         id: NodeId,
-        pos: Point,
         program: &Program,
         config: &NetworkConfig,
         master: &SimRng,
     ) -> Self {
         NodeState {
-            id,
-            pos,
-            alive: true,
-            cpu: MoteCpu::new(config.cpu),
             rng: master.fork_indexed("node", u64::from(id.0)),
             energy: EnergyMeter::new(),
             clock: NodeClock::ideal(),
@@ -112,36 +148,18 @@ impl NodeState {
             link: LinkState::default(),
         }
     }
+}
 
-    /// Brings a killed node back with cleared protocol state (a rebooted
-    /// mote remembers nothing): group machines, transport tables, directory
-    /// entries, and every in-flight query or ack are gone. Only the link,
-    /// transport and query sequence counters survive — reusing sequence
-    /// numbers would trip peers' dedup windows.
-    pub(super) fn reboot(&mut self, program: &Program) {
-        self.alive = true;
-        self.machines = machines(self.id, program);
-        self.mtp.reboot();
-        self.dir.reboot();
-        self.link.reboot();
-    }
-
-    /// Whether a frame that took `airtime` to arrive gets handled: the node
-    /// must be up, and its CPU not overloaded (receive overflow). The radio
-    /// spent the airtime decoding it regardless of what the CPU does next.
-    #[inline]
-    pub(super) fn hears(&mut self, now: Timestamp, airtime: SimDuration) -> bool {
-        if self.alive {
-            self.energy.charge_rx(airtime);
-        }
-        self.admit(now, costs::RX_HANDLE)
-    }
-
-    /// Whether the node is up and its CPU takes a task of `cost` at `now`.
-    /// Overload is the paper's limiting factor: the caller drops, skips or
-    /// delays the work when this says no.
-    #[inline]
-    pub(super) fn admit(&mut self, now: Timestamp, cost: SimDuration) -> bool {
-        self.alive && self.cpu.admit(now, cost).is_ok()
-    }
+/// Brings a killed node back with cleared protocol state (a rebooted mote
+/// remembers nothing): group machines, transport tables, directory entries,
+/// and every in-flight query or ack are gone. Only the link, transport and
+/// query sequence counters survive — reusing sequence numbers would trip
+/// peers' dedup windows.
+pub(super) fn reboot(id: NodeId, hot: &mut SenseState, cold: &mut NodeState, program: &Program) {
+    hot.alive = true;
+    hot.quiescent = true;
+    cold.machines = machines(id, program);
+    cold.mtp.reboot();
+    cold.dir.reboot();
+    cold.link.reboot();
 }

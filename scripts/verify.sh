@@ -34,6 +34,15 @@ TESTKIT_CASES="${TESTKIT_CASES:-512}" \
   cargo test -q --offline -p envirotrack-sim --test prop \
   -- queue_matches_reference_model
 
+# Sense smoke: the sensing driver keeps a tick out of a quiescent node's
+# group machines when the reading does not activate the type; the property
+# that licenses it (such a machine answers nothing and changes nothing,
+# over random walks through every role) re-runs here by name at 512 cases
+# unless TESTKIT_CASES is exported.
+TESTKIT_CASES="${TESTKIT_CASES:-512}" \
+  cargo test -q --offline -p envirotrack-core --lib \
+  -- quiescent_machine_ignores_a_reading_that_does_not_activate
+
 # Telemetry smoke: the flagship storm must emit the summary table and a
 # non-empty trace, byte-identically across two runs of the same seed.
 tmp="$(mktemp -d)"
