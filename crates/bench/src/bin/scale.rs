@@ -14,15 +14,12 @@
 //! 2. `construction` — grid vs. brute-force neighbor-table build time on
 //!    a 10k-node field (tables asserted identical before timing; the
 //!    all-pairs scan would dominate the run at 100k).
-//! 3. `codec` — the smallest field run under both wire codecs, asserted
-//!    byte-identical in telemetry and run record, with the binary-vs-JSON
-//!    frame-byte totals and their ratio.
-//! 4. `sweep` — a homogeneous scale-cell set run at 1/2/4/8 workers with
+//! 3. `sweep` — a homogeneous scale-cell set run at 1/2/4/8 workers with
 //!    byte-identical-merge cross-checks, as in the `sweep` bin.
-//! 5. `shards` — the smallest field advanced by the lock-step sharded
+//! 4. `shards` — the smallest field advanced by the lock-step sharded
 //!    kernel (`envirotrack_core::shard`) at each `--shards` count, with
 //!    the merged output asserted byte-identical across counts.
-//! 6. `medium` — the replicated-vs-partitioned medium A/B: each row runs
+//! 5. `medium` — the replicated-vs-partitioned medium A/B: each row runs
 //!    one (nodes, shards) point under both routing modes, asserts the
 //!    merged outputs byte-identical, and reports the replay work
 //!    (`replayed_intents` vs `shards × merged_intents`) plus wall time.
@@ -34,17 +31,16 @@
 //! construction, 2-cell sweep, 1k-node medium A/B) for the CI stage in
 //! `scripts/verify.sh`.
 //!
-//! `--codec binary|json` selects the wire codec for the trajectory rows,
 //! `--medium replicated|partitioned` selects the sharded routing mode for
 //! the `shards` section and the sharded crosscheck dump, and
 //! `--crosscheck PATH` switches to a single-run dump mode: one scale
 //! point's telemetry JSONL + run record is written to PATH and nothing
-//! else runs. verify.sh invokes it once per codec and diffs the files
-//! byte-for-byte. With `--shards N`, the crosscheck dump runs the sharded
-//! kernel at N shards instead — verify.sh diffs N=1 against N=4, and
-//! `--medium replicated` against `--medium partitioned`, the same way
-//! (sharded frames carry the uniform epoch latency, so these dumps are
-//! byte-compared across shard counts and medium modes only;
+//! else runs — the file to `cmp` between two commits when a change must
+//! not move the monolithic run. With `--shards N`, the crosscheck dump
+//! runs the sharded kernel at N shards instead — verify.sh diffs N=1
+//! against N=4, and `--medium replicated` against `--medium partitioned`,
+//! the same way (sharded frames carry the uniform epoch latency, so these
+//! dumps are byte-compared across shard counts and medium modes only;
 //! `tests/shard_determinism.rs` relates them to the monolithic dump).
 //!
 //! [`ScaleScenario`]: envirotrack_world::scenario::ScaleScenario
@@ -53,14 +49,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use envirotrack_bench::experiments::scale::{
-    codec_comparison, construction_timing, crosscheck_dump, print, run_scale, run_scale_sharded,
-    ScaleRun,
+    construction_timing, crosscheck_dump, print, run_scale, run_scale_sharded, ScaleRun,
 };
 use envirotrack_bench::sweep::cells::scale_cells;
 use envirotrack_bench::sweep::run_sweep;
 use envirotrack_core::report::json::JsonObject;
 use envirotrack_core::shard::MediumMode;
-use envirotrack_core::wire::WireCodec;
 use envirotrack_sim::time::SimDuration;
 
 struct Args {
@@ -77,7 +71,6 @@ struct Args {
     /// Routing mode for the `shards` section and the sharded crosscheck.
     medium: MediumMode,
     seed: u64,
-    codec: WireCodec,
     crosscheck: Option<PathBuf>,
     out: PathBuf,
 }
@@ -93,7 +86,6 @@ fn parse_args() -> Result<Args, String> {
         medium_nodes: vec![10_000, 100_000],
         medium: MediumMode::Partitioned,
         seed: 1,
-        codec: WireCodec::Binary,
         crosscheck: None,
         out: PathBuf::from("BENCH_scale.json"),
     };
@@ -124,10 +116,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--out" => {
                 args.out = PathBuf::from(value(i)?);
-                i += 2;
-            }
-            "--codec" => {
-                args.codec = WireCodec::parse(value(i)?)?;
                 i += 2;
             }
             "--crosscheck" => {
@@ -183,13 +171,12 @@ fn main() -> ExitCode {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // Cross-check dump mode: one scale point's full observable output,
-    // for a byte-for-byte diff across codecs — or, with `--shards N`,
+    // for a byte-for-byte diff across commits — or, with `--shards N`,
     // across shard counts of the lock-step sharded kernel.
     if let Some(path) = &args.crosscheck {
         let cfg = ScaleRun {
             nodes: args.nodes[0],
             horizon: SimDuration::from_millis(args.horizon_ms),
-            codec: args.codec,
             seed: args.seed,
             ..ScaleRun::default()
         };
@@ -205,10 +192,9 @@ fn main() -> ExitCode {
             );
             p.dump
         } else {
-            let (telemetry, record, bytes_on_air, _) = crosscheck_dump(&cfg);
+            let (telemetry, record, bytes_on_air) = crosscheck_dump(&cfg);
             eprintln!(
-                "scale: crosscheck dump ({} codec, {} nodes, {bytes_on_air} bytes on air) → {}",
-                args.codec,
+                "scale: crosscheck dump ({} nodes, {bytes_on_air} bytes on air) → {}",
                 args.nodes[0],
                 path.display()
             );
@@ -228,7 +214,6 @@ fn main() -> ExitCode {
         let p = run_scale(&ScaleRun {
             nodes,
             horizon: SimDuration::from_millis(args.horizon_ms),
-            codec: args.codec,
             seed: args.seed,
             ..ScaleRun::default()
         });
@@ -246,7 +231,6 @@ fn main() -> ExitCode {
                 .field_u64("labels_created", p.labels_created)
                 .field_u64("handovers", p.handovers)
                 .field_u64("bytes_on_air", p.bytes_on_air)
-                .field_u64("payload_bytes", p.payload_bytes)
                 .field_f64("sim_horizon_s", p.sim_horizon_s)
                 .finish(),
         );
@@ -263,29 +247,7 @@ fn main() -> ExitCode {
         .finish();
     print(&points, &construction);
 
-    // Section 3: the codec cross-check on the smallest field — both wire
-    // codecs, byte-identical telemetry/run-record asserted inside, plus
-    // the binary-vs-JSON frame-byte ratio.
-    let cmp = codec_comparison(&ScaleRun {
-        nodes: args.nodes.iter().copied().min().unwrap_or(1_000),
-        horizon: SimDuration::from_millis(args.horizon_ms),
-        seed: args.seed,
-        ..ScaleRun::default()
-    });
-    eprintln!(
-        "scale codec: {} nodes byte-identical under both codecs; json/binary frame bytes {:.2}x",
-        cmp.nodes, cmp.json_over_binary
-    );
-    let codec_json = JsonObject::new()
-        .field_u64("nodes", u64::from(cmp.nodes))
-        .field_bool("byte_identical", true)
-        .field_u64("bytes_on_air", cmp.bytes_on_air)
-        .field_u64("binary_payload_bytes", cmp.binary_payload_bytes)
-        .field_u64("json_payload_bytes", cmp.json_payload_bytes)
-        .field_f64("json_over_binary", cmp.json_over_binary)
-        .finish();
-
-    // Section 4: worker scaling over a homogeneous scale-cell set, with
+    // Section 3: worker scaling over a homogeneous scale-cell set, with
     // the sweep engine's byte-identical-merge guarantee cross-checked.
     let cells = scale_cells(args.sweep_cells, args.sweep_nodes, args.seed);
     let mut baseline: Option<String> = None;
@@ -323,7 +285,7 @@ fn main() -> ExitCode {
         );
     }
 
-    // Section 5: the lock-step sharded kernel on the smallest field, with
+    // Section 4: the lock-step sharded kernel on the smallest field, with
     // the merged output byte-compared across shard counts. On a 1-CPU host
     // the wall time stays flat (the shards only pipeline, never truly
     // overlap) — the determinism cross-check is the load-bearing part.
@@ -331,7 +293,6 @@ fn main() -> ExitCode {
     let shard_cfg = ScaleRun {
         nodes: args.nodes.iter().copied().min().unwrap_or(1_000),
         horizon: SimDuration::from_millis(args.horizon_ms),
-        codec: args.codec,
         seed: args.seed,
         ..ScaleRun::default()
     };
@@ -374,7 +335,7 @@ fn main() -> ExitCode {
         );
     }
 
-    // Section 6: the medium A/B — each (nodes, shards) point under both
+    // Section 5: the medium A/B — each (nodes, shards) point under both
     // routing modes, byte-identity asserted, replay work compared. The
     // shards-column speedup on a 1-CPU host is advisory; the load-bearing
     // number is replayed_intents versus the full N-fold replay.
@@ -383,7 +344,6 @@ fn main() -> ExitCode {
         let cfg = ScaleRun {
             nodes,
             horizon: SimDuration::from_millis(args.horizon_ms),
-            codec: args.codec,
             seed: args.seed,
             ..ScaleRun::default()
         };
@@ -431,7 +391,6 @@ fn main() -> ExitCode {
         .field_str("bench", "scale")
         .field_u64("host_cpus", host_cpus as u64)
         .field_u64("seed", args.seed)
-        .field_str("wire_codec", &args.codec.to_string())
         .field_f64("sim_horizon_s", args.horizon_ms as f64 / 1e3)
         .field_u64("sweep_cells", cells.len() as u64)
         .field_u64("sweep_cell_nodes", u64::from(args.sweep_nodes))
@@ -443,10 +402,9 @@ fn main() -> ExitCode {
         .field_bool("merged_outputs_identical", true)
         .finish();
     let json = format!(
-        "{},\"construction\":{},\"codec\":{},\"results\":[{}],\"sweep\":[{}],\"shards\":[{}],\"medium\":[{}]}}\n",
+        "{},\"construction\":{},\"results\":[{}],\"sweep\":[{}],\"shards\":[{}],\"medium\":[{}]}}\n",
         &head[..head.len() - 1],
         construction_json,
-        codec_json,
         rows.join(","),
         sweep_rows.join(","),
         shard_rows.join(","),

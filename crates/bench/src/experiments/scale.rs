@@ -20,10 +20,9 @@ use envirotrack_core::events::SystemEvent;
 use envirotrack_core::network::{NetworkConfig, SensorNetwork};
 use envirotrack_core::report::telemetry_to_jsonl;
 use envirotrack_core::shard::{run_sharded, MediumMode};
-use envirotrack_core::wire::WireCodec;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::grid::{neighbor_lists_with, NeighborStrategy};
-use envirotrack_world::scenario::ScaleScenario;
+use envirotrack_world::scenario::{ScaleScenario, Scenario};
 
 use crate::harness::{tracker_program, TRACKER};
 
@@ -46,11 +45,6 @@ pub struct ScaleRun {
     /// Virtual time to simulate. Fixed across node counts so events/sec
     /// compares apples to apples.
     pub horizon: SimDuration,
-    /// Wire codec serialising every frame. The radio charges the
-    /// canonical binary length either way, so this toggle must not move a
-    /// single event — it exists to cross-check the codecs against each
-    /// other at scale.
-    pub codec: WireCodec,
     /// RNG seed.
     pub seed: u64,
 }
@@ -64,7 +58,6 @@ impl Default for ScaleRun {
             speed_hops_per_s: 1.0,
             comm_radius: 2.5,
             horizon: SimDuration::from_secs(10),
-            codec: WireCodec::Binary,
             seed: 1,
         }
     }
@@ -88,20 +81,15 @@ pub struct ScalePoint {
     /// Leadership handovers observed.
     pub handovers: u64,
     /// Bytes serialised on air over the horizon (preamble + header +
-    /// canonical payload, summed across frame kinds).
+    /// payload, summed across frame kinds).
     pub bytes_on_air: u64,
-    /// Payload-buffer bytes carried by those frames: equals the payload
-    /// share of `bytes_on_air` under the binary codec, and what the JSON
-    /// rendering costs under the debug codec — the per-run side of the
-    /// binary-vs-JSON frame-size comparison.
-    pub payload_bytes: u64,
     /// The virtual horizon, in seconds.
     pub sim_horizon_s: f64,
 }
 
-/// Runs one scale point and audits it.
-#[must_use]
-pub fn run_scale(cfg: &ScaleRun) -> ScalePoint {
+/// The field and network configuration every flavour of a scale point
+/// runs on.
+fn field(cfg: &ScaleRun) -> (Scenario, NetworkConfig) {
     let scenario = ScaleScenario {
         nodes: cfg.nodes,
         targets: cfg.targets,
@@ -112,10 +100,16 @@ pub fn run_scale(cfg: &ScaleRun) -> ScalePoint {
     .build();
     let mut net_cfg = NetworkConfig::default();
     net_cfg.radio = net_cfg.radio.with_comm_radius(cfg.comm_radius);
-    net_cfg.radio.codec = cfg.codec;
     // Same footprint coupling as the tracking harness: cross-label
     // proximity only matters within one stimulus's reach.
     net_cfg.middleware.proximity_radius = 3.0;
+    (scenario, net_cfg)
+}
+
+/// Runs one scale point and audits it.
+#[must_use]
+pub fn run_scale(cfg: &ScaleRun) -> ScalePoint {
+    let (scenario, net_cfg) = field(cfg);
 
     let build_start = Instant::now();
     let mut engine = SensorNetwork::build_engine(
@@ -150,83 +144,17 @@ pub fn run_scale(cfg: &ScaleRun) -> ScalePoint {
         labels_created,
         handovers,
         bytes_on_air: world.net_stats().bytes_on_air(),
-        payload_bytes: world.net_stats().payload_bytes(),
         sim_horizon_s: cfg.horizon.as_secs_f64(),
     }
 }
 
-/// The differential codec audit: the same scale point run under both wire
-/// codecs, with byte-level evidence that the toggle is free and the
-/// binary format is smaller.
-#[derive(Debug, Clone)]
-pub struct CodecComparison {
-    /// Field size in nodes.
-    pub nodes: u32,
-    /// Bytes on air (identical in both runs by construction: the radio
-    /// always charges the canonical binary frame).
-    pub bytes_on_air: u64,
-    /// Payload bytes when frames carry the binary encoding.
-    pub binary_payload_bytes: u64,
-    /// Payload bytes when frames carry the JSON debug encoding of the
-    /// *same* messages (the runs are event-identical).
-    pub json_payload_bytes: u64,
-    /// `json_payload_bytes / binary_payload_bytes` — the frame-size
-    /// reduction the binary codec buys on a real message mix.
-    pub json_over_binary: f64,
-}
-
-/// Runs one scale point under both codecs and asserts the simulations are
-/// *byte-identical*: same telemetry JSONL, same run record. Any semantic
-/// disagreement between the codecs changes what receivers decode and
-/// fails here loudly.
-///
-/// # Panics
-///
-/// Panics if the two runs diverge in telemetry or run record, or if the
-/// JSON frames are not at least 2× the binary frames.
-#[must_use]
-pub fn codec_comparison(cfg: &ScaleRun) -> CodecComparison {
-    let run = |codec: WireCodec| crosscheck_dump(&ScaleRun { codec, ..cfg.clone() });
-    let (tel_bin, rec_bin, air_bin, pay_bin) = run(WireCodec::Binary);
-    let (tel_json, rec_json, air_json, pay_json) = run(WireCodec::Json);
-    assert_eq!(
-        tel_bin, tel_json,
-        "codec toggle changed the telemetry stream"
-    );
-    assert_eq!(rec_bin, rec_json, "codec toggle changed the run record");
-    assert_eq!(air_bin, air_json, "codec toggle changed charged airtime");
-    let ratio = pay_json as f64 / pay_bin.max(1) as f64;
-    assert!(
-        ratio >= 2.0,
-        "json frames must cost ≥ 2× binary: {pay_json} vs {pay_bin}"
-    );
-    CodecComparison {
-        nodes: cfg.nodes,
-        bytes_on_air: air_bin,
-        binary_payload_bytes: pay_bin,
-        json_payload_bytes: pay_json,
-        json_over_binary: ratio,
-    }
-}
-
 /// Runs one scale point and returns its full observable output — the
-/// telemetry JSONL stream, the run-record JSON line, and the byte
-/// counters. This is what the verify.sh codec cross-check smoke diffs
-/// byte-for-byte between two codecs.
+/// telemetry JSONL stream, the run-record JSON line, and the bytes on
+/// air. Two commits' dumps of one point are compared byte for byte when a
+/// change must not move the monolithic run.
 #[must_use]
-pub fn crosscheck_dump(cfg: &ScaleRun) -> (String, String, u64, u64) {
-    let scenario = ScaleScenario {
-        nodes: cfg.nodes,
-        targets: cfg.targets,
-        speed_hops_per_s: cfg.speed_hops_per_s,
-        seed: cfg.seed,
-        ..ScaleScenario::default()
-    }
-    .build();
-    let mut net_cfg = NetworkConfig::default();
-    net_cfg.radio = net_cfg.radio.with_comm_radius(cfg.comm_radius);
-    net_cfg.radio.codec = cfg.codec;
-    net_cfg.middleware.proximity_radius = 3.0;
+pub fn crosscheck_dump(cfg: &ScaleRun) -> (String, String, u64) {
+    let (scenario, net_cfg) = field(cfg);
     let mut engine = SensorNetwork::build_engine(
         tracker_program(),
         scenario.deployment,
@@ -238,8 +166,7 @@ pub fn crosscheck_dump(cfg: &ScaleRun) -> (String, String, u64, u64) {
     let world = engine.world();
     let telemetry = telemetry_to_jsonl(world.telemetry());
     let record = world.run_record(cfg.seed, cfg.horizon, 0).to_json();
-    let stats = world.net_stats();
-    (telemetry, record, stats.bytes_on_air(), stats.payload_bytes())
+    (telemetry, record, world.net_stats().bytes_on_air())
 }
 
 /// One sharded scale point: the same tracking field advanced by `shards`
@@ -283,18 +210,7 @@ pub struct ShardScalePoint {
 /// counts and medium modes, not against [`crosscheck_dump`].
 #[must_use]
 pub fn run_scale_sharded(cfg: &ScaleRun, shards: usize, medium: MediumMode) -> ShardScalePoint {
-    let scenario = ScaleScenario {
-        nodes: cfg.nodes,
-        targets: cfg.targets,
-        speed_hops_per_s: cfg.speed_hops_per_s,
-        seed: cfg.seed,
-        ..ScaleScenario::default()
-    }
-    .build();
-    let mut net_cfg = NetworkConfig::default();
-    net_cfg.radio = net_cfg.radio.with_comm_radius(cfg.comm_radius);
-    net_cfg.radio.codec = cfg.codec;
-    net_cfg.middleware.proximity_radius = 3.0;
+    let (scenario, net_cfg) = field(cfg);
 
     let run_start = Instant::now();
     let run = run_sharded(
@@ -441,35 +357,6 @@ mod tests {
         assert_eq!(a.handovers, b.handovers);
         assert!(a.events > 0, "a 200-node field must execute events");
         assert!(a.labels_created >= 1, "targets should be detected: {a:?}");
-    }
-
-    #[test]
-    fn codec_toggle_does_not_change_the_audit() {
-        let binary = run_scale(&small());
-        let json = run_scale(&ScaleRun {
-            codec: WireCodec::Json,
-            ..small()
-        });
-        assert_eq!(binary.events, json.events);
-        assert_eq!(binary.labels_created, json.labels_created);
-        assert_eq!(binary.handovers, json.handovers);
-        // The charged airtime is the canonical binary size in both modes;
-        // only the payload-buffer accounting shows the JSON cost.
-        assert_eq!(binary.bytes_on_air, json.bytes_on_air);
-        assert!(binary.bytes_on_air > 0, "a busy field sends bytes");
-        assert!(
-            json.payload_bytes >= binary.payload_bytes * 2,
-            "json {} vs binary {}",
-            json.payload_bytes,
-            binary.payload_bytes
-        );
-    }
-
-    #[test]
-    fn codec_comparison_verifies_byte_identity() {
-        let cmp = codec_comparison(&small());
-        assert!(cmp.json_over_binary >= 2.0, "{cmp:?}");
-        assert!(cmp.bytes_on_air > 0);
     }
 
     #[test]

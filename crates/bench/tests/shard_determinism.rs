@@ -2,9 +2,8 @@
 //! is a pure function of the scenario — the shard count, thread
 //! scheduling, barrier batching, and interest routing must never show
 //! through. This extends the byte-identical contract of
-//! `sweep_determinism.rs` (worker count) and `scale_determinism.rs`
-//! (codec toggle) to the lock-step sharded kernel in
-//! `envirotrack_core::shard`, including under a chaos plan that partitions
+//! `sweep_determinism.rs` (worker count) to the lock-step sharded kernel
+//! in `envirotrack_core::shard`, including under a chaos plan that partitions
 //! the field, injects link faults and burst loss, and crashes a node
 //! mid-run. The replicated medium (every resolved transmission routed to
 //! every shard) is the full-replay reference; the partitioned medium

@@ -91,15 +91,6 @@ impl AggValue {
             AggValue::Point(_) => None,
         }
     }
-
-    /// The point, if this is one.
-    #[must_use]
-    pub fn as_point(self) -> Option<Point> {
-        match self {
-            AggValue::Point(p) => Some(p),
-            AggValue::Scalar(_) => None,
-        }
-    }
 }
 
 impl std::fmt::Display for AggValue {

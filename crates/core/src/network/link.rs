@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use envirotrack_net::medium::{Medium, Transmission};
-use envirotrack_net::packet::{Frame, LinkDest, WireCodec};
+use envirotrack_net::packet::{Frame, LinkDest};
 use envirotrack_node::cpu::{costs, MoteCpu};
 use envirotrack_node::energy::EnergyMeter;
 use envirotrack_sim::time::{SimDuration, Timestamp};
@@ -96,7 +96,6 @@ impl LinkState {
     pub(super) fn receive<'a>(
         &mut self,
         cfg: &LinkReliability,
-        codec: WireCodec,
         node: NodeId,
         frame: &Frame,
         decoded: &'a mut Decoded,
@@ -113,7 +112,7 @@ impl LinkState {
             });
         }
         let decode = || {
-            let msg = Message::decode_with(codec, &frame.payload).ok()?;
+            let msg = Message::decode(&frame.payload).ok()?;
             Some((msg, frame.payload_is_pristine()))
         };
         let (msg, pristine) = decoded.get_or_insert_with(decode).as_ref()?;
@@ -210,23 +209,6 @@ pub(super) fn transmit(
     Some(tx)
 }
 
-/// Serialises `msg` under `codec`, returning the frame payload plus the
-/// canonical *binary* length the radio is charged — which includes the
-/// 4-byte CRC-32 trailer every encoded frame ends in, so airtime charges
-/// integrity the way a real link layer does. The charge is identical in
-/// both modes — under the JSON debug codec the payload buffer carries the
-/// textual cross-check encoding (with its own textual trailer), but
-/// airtime and byte counters still reflect the canonical binary frame — so
-/// a fixed-seed run is byte-identical whichever codec decodes it.
-pub(super) fn encode(codec: WireCodec, msg: &Message) -> (Bytes, u16) {
-    let binary = msg.encode();
-    let wire_len = binary.len() as u16;
-    match codec {
-        WireCodec::Binary => (binary, wire_len),
-        WireCodec::Json => (msg.encode_with(WireCodec::Json), wire_len),
-    }
-}
-
 /// Builds a link-layer ack payload: the acknowledged sequence number
 /// (big-endian) followed by a 4-byte CRC-32 trailer. Acks carry no wire
 /// [`Message`], so this is their entire integrity envelope.
@@ -252,8 +234,6 @@ mod tests {
     use crate::context::{ContextLabel, ContextTypeId};
     use crate::wire::BaseReport;
 
-    const CODEC: WireCodec = WireCodec::Binary;
-
     fn cfg() -> LinkReliability {
         LinkReliability::default()
     }
@@ -274,7 +254,7 @@ mod tests {
     /// `node` receives `frame` with a decode cache of its own.
     fn receive(link: &mut LinkState, node: u32, frame: &Frame) -> Option<(bool, Option<Frame>)> {
         let mut decoded = None;
-        link.receive(&cfg(), CODEC, NodeId(node), frame, &mut decoded)
+        link.receive(&cfg(), NodeId(node), frame, &mut decoded)
             .map(|a| (a.deliver.is_some(), a.ack))
     }
 

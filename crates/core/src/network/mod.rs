@@ -443,8 +443,7 @@ impl SensorNetwork {
         if !hot.admit(k.now(), costs::RX_HANDLE) {
             return;
         }
-        let (cfg, codec) = (&self.config.link, self.config.radio.codec);
-        let Some(rx) = rt.link.receive(cfg, codec, node, frame, decoded) else {
+        let Some(rx) = rt.link.receive(&self.config.link, node, frame, decoded) else {
             // Dropped without touching protocol state.
             self.rec.corrupt_drop(frame.kind);
             return;
@@ -833,14 +832,13 @@ impl SensorNetwork {
 
     /// Frames `msg` — unicast to `to`, or broadcast — and sends it.
     fn send_message(&mut self, k: &mut K, from: NodeId, to: Option<NodeId>, msg: &Message) {
-        let (payload, wire_len) = link::encode(self.config.radio.codec, msg);
         let frame = match to {
-            Some(next) => Frame::unicast(from, next, msg.kind(), payload),
-            None => Frame::broadcast(from, msg.kind(), payload),
+            Some(next) => Frame::unicast(from, next, msg.kind(), msg.encode()),
+            None => Frame::broadcast(from, msg.kind(), msg.encode()),
         };
         let cfg = &self.config.link;
         let link = &mut self.nodes[from.index()].link;
-        let (frame, retry) = link.admit(cfg, frame.with_wire_len(wire_len));
+        let (frame, retry) = link.admit(cfg, frame);
         if let Some(seq) = retry {
             k.schedule_at(k.now() + cfg.ack_timeout, move |w, k| {
                 w.link_retry(k, from, seq)

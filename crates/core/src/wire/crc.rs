@@ -1,8 +1,9 @@
 //! CRC-32 integrity trailer for wire frames.
 //!
-//! Every encoded [`super::Message`] — under either codec — ends in a
-//! checksum of everything before it, so a receiver can reject frames the
-//! channel garbled *before* the structural decoder ever runs. This is the
+//! Every encoded [`super::Message`] — on the air or in the JSON reference
+//! rendering — ends in a checksum of everything before it, so a receiver
+//! can reject frames the channel garbled *before* the structural decoder
+//! ever runs. This is the
 //! reflected IEEE 802.3 polynomial (`0xEDB88320`), table-driven with a
 //! compile-time table: it detects **every** single-bit error and every
 //! burst shorter than 33 bits, which is exactly the fault class the chaos
@@ -11,7 +12,7 @@
 //! Trailer forms (the codec chooses, so both stay self-describing):
 //!
 //! - binary: 4 raw little-endian bytes appended after the frame;
-//! - JSON debug: `#` + 8 lowercase hex digits, keeping the encoding a
+//! - JSON reference: `#` + 8 lowercase hex digits, keeping the encoding a
 //!   single printable UTF-8 line.
 //!
 //! The trailer is part of the canonical encoding — goldens pin it, and the

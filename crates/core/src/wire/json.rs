@@ -1,12 +1,11 @@
-//! The JSON debug codec: a textual rendering of every [`Message`], kept as
-//! a differential cross-check against the canonical binary codec.
+//! The JSON reference codec: a textual rendering of every [`Message`],
+//! written independently of the binary codec so tests can decode the same
+//! value through both and compare.
 //!
-//! This is *not* what goes on the air. Under [`WireCodec::Json`] the frame
-//! payload carries this encoding, but the radio still charges the binary
-//! frame's length (`Frame::wire_len`), so a fixed-seed run is
-//! byte-identical under either codec — which is exactly what makes the
-//! cross-check powerful: any semantic disagreement between the codecs
-//! changes what a receiver decodes and breaks that identity loudly.
+//! This is *not* what goes on the air, and no non-test code calls it: the
+//! `wire_props`, `wire_goldens` and `wire_adversarial` suites drive
+//! [`encode`] and [`decode`] directly, pinning that both decoders read
+//! every message the same way and reject the same damage.
 //!
 //! Encoding rules, chosen for exactness rather than interchange:
 //!
@@ -22,9 +21,6 @@
 //! The parser is a minimal recursive-descent reader that returns
 //! [`DecodeError`] on any malformed input — never panicking and bounding
 //! both nesting depth and allocation by the input length.
-
-#[cfg(doc)]
-use envirotrack_net::packet::WireCodec;
 
 use bytes::Bytes;
 use envirotrack_sim::time::Timestamp;

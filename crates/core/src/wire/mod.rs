@@ -3,16 +3,15 @@
 //! Every protocol exchange — heartbeats, member reports, directory traffic,
 //! MTP segments — is a [`Message`] serialised into the payload of a radio
 //! [`envirotrack_net::packet::Frame`]. Sizes are what the 50 kb/s channel
-//! actually carries, so the canonical codec is the compact varint-framed
-//! [`binary`] format (as on the real motes); Table 1's utilisation figures
-//! depend on it. A textual [`json`] codec survives as a differential debug
-//! cross-check, selected by [`WireCodec`] on the radio config: JSON frames
-//! carry the textual encoding but are still *charged* the binary length,
-//! so fixed-seed runs are byte-identical under either codec and any
-//! semantic divergence between the two implementations fails loudly.
+//! actually carries, so the one wire format is the compact varint-framed
+//! [`binary`] codec (as on the real motes); Table 1's utilisation figures
+//! depend on it, and a frame's payload is exactly the bytes the radio
+//! charges. The textual [`json`] module is a reference implementation of
+//! the same message set that tests decode against the binary codec; no run
+//! puts it on the air.
 //!
 //! ```
-//! use envirotrack_core::wire::{Heartbeat, Message, WireCodec};
+//! use envirotrack_core::wire::{Heartbeat, Message};
 //! use envirotrack_core::context::{ContextLabel, ContextTypeId};
 //! use envirotrack_world::field::NodeId;
 //! use envirotrack_world::geometry::Point;
@@ -28,10 +27,6 @@
 //! });
 //! let bytes = msg.encode();
 //! assert_eq!(Message::decode(&bytes).unwrap(), msg);
-//! // The JSON debug codec decodes to the same value from different bytes.
-//! let text = msg.encode_with(WireCodec::Json);
-//! assert_eq!(Message::decode_with(WireCodec::Json, &text).unwrap(), msg);
-//! assert!(bytes.len() * 2 <= text.len());
 //! ```
 
 pub mod binary;
@@ -42,7 +37,6 @@ pub mod varint;
 
 use bytes::Bytes;
 use envirotrack_net::packet::FrameKind;
-pub use envirotrack_net::packet::WireCodec;
 use envirotrack_sim::time::Timestamp;
 use envirotrack_world::field::NodeId;
 use envirotrack_world::geometry::Point;
@@ -370,28 +364,6 @@ impl Message {
     pub fn decode(bytes: &[u8]) -> Result<Message, DecodeError> {
         binary::decode(bytes)
     }
-
-    /// Serialises with an explicit codec — [`WireCodec::Binary`] is
-    /// [`Message::encode`]; [`WireCodec::Json`] is the debug cross-check.
-    #[must_use]
-    pub fn encode_with(&self, codec: WireCodec) -> Bytes {
-        match codec {
-            WireCodec::Binary => binary::encode(self),
-            WireCodec::Json => json::encode(self),
-        }
-    }
-
-    /// Parses with an explicit codec.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on any malformed input; never panics.
-    pub fn decode_with(codec: WireCodec, bytes: &[u8]) -> Result<Message, DecodeError> {
-        match codec {
-            WireCodec::Binary => binary::decode(bytes),
-            WireCodec::Json => json::decode(bytes),
-        }
-    }
 }
 
 /// Error returned when a wire message cannot be parsed.
@@ -485,8 +457,8 @@ mod tests {
     fn round_trip(msg: Message) {
         let bytes = msg.encode();
         assert_eq!(Message::decode(&bytes).unwrap(), msg);
-        let text = msg.encode_with(WireCodec::Json);
-        assert_eq!(Message::decode_with(WireCodec::Json, &text).unwrap(), msg);
+        let text = json::encode(&msg);
+        assert_eq!(json::decode(&text).unwrap(), msg);
     }
 
     #[test]
@@ -771,7 +743,7 @@ mod tests {
         // 18 bytes of varint frame plus the 4-byte CRC trailer.
         assert!(binary <= 22, "heartbeat is {binary} bytes");
         // …and the JSON debug rendering of the same message is ≥ 2× it.
-        let json = hb.encode_with(WireCodec::Json).len();
+        let json = json::encode(&hb).len();
         assert!(json >= binary * 2, "json {json} vs binary {binary}");
     }
 

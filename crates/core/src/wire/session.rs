@@ -276,39 +276,54 @@ impl SessionMsg {
     }
 }
 
+/// The body tags (the table in the [module docs](self)), written by
+/// `encode_body` and matched by `decode_body`: one definition, so a tag
+/// cannot change on one side only.
+mod tag {
+    pub(super) const HELLO: u64 = 1;
+    pub(super) const ACCEPT: u64 = 2;
+    pub(super) const REJECT: u64 = 3;
+    pub(super) const SUBSCRIBE: u64 = 4;
+    pub(super) const SUB_ACK: u64 = 5;
+    pub(super) const EVENT: u64 = 6;
+    pub(super) const PING: u64 = 7;
+    pub(super) const PONG: u64 = 8;
+    pub(super) const CLOSE: u64 = 9;
+}
+
 fn encode_body(msg: &SessionMsg, buf: &mut BytesMut) {
     match msg {
         SessionMsg::Hello(h) => {
-            put_uvarint(buf, 1);
+            put_uvarint(buf, tag::HELLO);
             put_uvarint(buf, u64::from(h.version));
             put_uvarint(buf, u64::from(h.caps));
             put_uvarint(buf, u64::from(h.recv_budget));
         }
         SessionMsg::Accept(a) => {
-            put_uvarint(buf, 2);
+            put_uvarint(buf, tag::ACCEPT);
             put_uvarint(buf, a.session);
             put_uvarint(buf, u64::from(a.version));
             put_uvarint(buf, u64::from(a.caps));
             put_uvarint(buf, u64::from(a.send_budget));
         }
         SessionMsg::Reject(r) => {
-            put_uvarint(buf, 3);
+            put_uvarint(buf, tag::REJECT);
             put_uvarint(buf, r.reason as u64);
         }
         SessionMsg::Subscribe(s) => {
-            put_uvarint(buf, 4);
+            put_uvarint(buf, tag::SUBSCRIBE);
             put_uvarint(buf, u64::from(s.query_id));
             put_uvarint(buf, u64::from(s.scenario));
             put_uvarint(buf, s.seed);
             put_uvarint(buf, u64::from(s.type_id.0));
         }
         SessionMsg::SubAck(a) => {
-            put_uvarint(buf, 5);
+            put_uvarint(buf, tag::SUB_ACK);
             put_uvarint(buf, u64::from(a.query_id));
             buf.put_u8(u8::from(a.accepted));
         }
         SessionMsg::Event(e) => {
-            put_uvarint(buf, 6);
+            put_uvarint(buf, tag::EVENT);
             put_uvarint(buf, u64::from(e.query_id));
             put_uvarint(buf, e.seq);
             put_uvarint(buf, e.at.as_micros());
@@ -319,48 +334,47 @@ fn encode_body(msg: &SessionMsg, buf: &mut BytesMut) {
             put_f64(buf, e.pos.y);
         }
         SessionMsg::Ping { nonce } => {
-            put_uvarint(buf, 7);
+            put_uvarint(buf, tag::PING);
             put_uvarint(buf, *nonce);
         }
         SessionMsg::Pong { nonce } => {
-            put_uvarint(buf, 8);
+            put_uvarint(buf, tag::PONG);
             put_uvarint(buf, *nonce);
         }
         SessionMsg::Close(c) => {
-            put_uvarint(buf, 9);
+            put_uvarint(buf, tag::CLOSE);
             put_uvarint(buf, c.reason as u64);
         }
     }
 }
 
 fn decode_body(buf: &mut &[u8]) -> Result<SessionMsg, DecodeError> {
-    let tag = get_uvarint(buf)?;
-    Ok(match tag {
-        1 => SessionMsg::Hello(Hello {
+    Ok(match get_uvarint(buf)? {
+        tag::HELLO => SessionMsg::Hello(Hello {
             version: get_u16v(buf)?,
             caps: get_u32v(buf)?,
             recv_budget: get_u32v(buf)?,
         }),
-        2 => SessionMsg::Accept(Accept {
+        tag::ACCEPT => SessionMsg::Accept(Accept {
             session: get_uvarint(buf)?,
             version: get_u16v(buf)?,
             caps: get_u32v(buf)?,
             send_budget: get_u32v(buf)?,
         }),
-        3 => SessionMsg::Reject(Reject {
+        tag::REJECT => SessionMsg::Reject(Reject {
             reason: RejectReason::from_u64(get_uvarint(buf)?)?,
         }),
-        4 => SessionMsg::Subscribe(Subscribe {
+        tag::SUBSCRIBE => SessionMsg::Subscribe(Subscribe {
             query_id: get_u32v(buf)?,
             scenario: get_u8v(buf)?,
             seed: get_uvarint(buf)?,
             type_id: ContextTypeId(get_u16v(buf)?),
         }),
-        5 => SessionMsg::SubAck(SubAck {
+        tag::SUB_ACK => SessionMsg::SubAck(SubAck {
             query_id: get_u32v(buf)?,
             accepted: get_flag(buf)?,
         }),
-        6 => SessionMsg::Event(TrackEvent {
+        tag::EVENT => SessionMsg::Event(TrackEvent {
             query_id: get_u32v(buf)?,
             seq: get_uvarint(buf)?,
             at: Timestamp::from_micros(get_uvarint(buf)?),
@@ -375,13 +389,13 @@ fn decode_body(buf: &mut &[u8]) -> Result<SessionMsg, DecodeError> {
                 Point::new(x, y)
             },
         }),
-        7 => SessionMsg::Ping {
+        tag::PING => SessionMsg::Ping {
             nonce: get_uvarint(buf)?,
         },
-        8 => SessionMsg::Pong {
+        tag::PONG => SessionMsg::Pong {
             nonce: get_uvarint(buf)?,
         },
-        9 => SessionMsg::Close(Close {
+        tag::CLOSE => SessionMsg::Close(Close {
             reason: CloseReason::from_u64(get_uvarint(buf)?)?,
         }),
         other => return Err(DecodeError::UnknownTag { tag: other }),

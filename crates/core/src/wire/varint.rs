@@ -94,20 +94,6 @@ pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Appends a signed integer as a zigzag varint.
-pub fn put_ivarint(buf: &mut BytesMut, v: i64) {
-    put_uvarint(buf, zigzag(v));
-}
-
-/// Reads a zigzag varint.
-///
-/// # Errors
-///
-/// Propagates the [`get_uvarint`] errors.
-pub fn get_ivarint(buf: &mut &[u8]) -> Result<i64, DecodeError> {
-    Ok(unzigzag(get_uvarint(buf)?))
-}
-
 /// Appends an `f64` as the varint of its byte-swapped IEEE-754 bits —
 /// lossless for every bit pattern (infinities, NaN payloads, `-0.0`).
 pub fn put_f64(buf: &mut BytesMut, v: f64) {
@@ -189,10 +175,6 @@ mod tests {
         assert_eq!(zigzag(-2), 3);
         for v in [0, 1, -1, 63, -64, i64::MAX, i64::MIN] {
             assert_eq!(unzigzag(zigzag(v)), v);
-            let mut b = BytesMut::new();
-            put_ivarint(&mut b, v);
-            let mut buf = &b[..];
-            assert_eq!(get_ivarint(&mut buf), Ok(v));
         }
         // Small magnitudes of either sign stay short on the wire.
         assert!(uvarint_len(zigzag(-3)) == 1);

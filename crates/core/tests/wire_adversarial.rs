@@ -15,8 +15,8 @@ use envirotrack_core::aggregate::ReadingValue;
 use envirotrack_core::context::{ContextLabel, ContextTypeId};
 use envirotrack_core::transport::Port;
 use envirotrack_core::wire::{
-    crc, BaseReport, DecodeError, DirQuery, DirRegister, DirResponse, DirSync, GeoForward,
-    Heartbeat, Message, MtpAck, MtpSegment, Relinquish, Report, WireCodec,
+    crc, json, BaseReport, DecodeError, DirQuery, DirRegister, DirResponse, DirSync, GeoForward,
+    Heartbeat, Message, MtpAck, MtpSegment, Relinquish, Report,
 };
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::Timestamp;
@@ -155,12 +155,12 @@ fn truncation_at_every_offset_errors_cleanly() {
                 );
             }
         }
-        let text = msg.encode_with(WireCodec::Json);
+        let text = json::encode(&msg);
         for cut in 0..text.len() {
             // JSON truncation can surface as several error shapes; all
             // that matters is Err, not which.
             assert!(
-                Message::decode_with(WireCodec::Json, &text[..cut]).is_err(),
+                json::decode(&text[..cut]).is_err(),
                 "json cut {cut} of {}",
                 String::from_utf8_lossy(&text)
             );
@@ -310,13 +310,21 @@ fn deep_geo_nesting_is_bounded_not_a_stack_overflow() {
 /// binary `Ok`s, the canonical re-encode property.
 #[test]
 fn corruption_corpus_256_never_panics() {
+    type Encode = fn(&Message) -> Bytes;
+    type Decode = fn(&[u8]) -> Result<Message, DecodeError>;
+    // (re-encodes canonically, encode, decode): the wire format, then the
+    // JSON reference.
+    let codecs: [(bool, Encode, Decode); 2] = [
+        (true, Message::encode, Message::decode),
+        (false, json::encode, json::decode),
+    ];
     let corpus = corpus();
     let rng = SimRng::seed_from(0x77_13_E0);
     for case in 0..256u64 {
         let mut rng = rng.fork_indexed("corruption", case);
         let msg = &corpus[(case % corpus.len() as u64) as usize];
-        for codec in [WireCodec::Binary, WireCodec::Json] {
-            let mut bytes = msg.encode_with(codec).to_vec();
+        for (canonical, encode, decode) in codecs {
+            let mut bytes = encode(msg).to_vec();
             // 1–4 mutations: flip a byte, insert junk, delete, or truncate.
             for _ in 0..=rng.below(3) {
                 if bytes.is_empty() {
@@ -335,8 +343,8 @@ fn corruption_corpus_256_never_panics() {
             // Corruption may cancel out or hit don't-care bytes; an
             // accepted *binary* input must re-encode to itself. Clean
             // rejection is the expected outcome otherwise.
-            if let Ok(m) = Message::decode_with(codec, &bytes) {
-                if codec == WireCodec::Binary {
+            if let Ok(m) = decode(&bytes) {
+                if canonical {
                     assert_eq!(
                         m.encode().as_slice(),
                         bytes.as_slice(),

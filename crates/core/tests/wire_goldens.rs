@@ -1,5 +1,5 @@
 //! Wire-format golden fixtures: one representative frame per [`Message`]
-//! variant, checked in as hex (binary codec) and text (JSON debug codec).
+//! variant, checked in as hex (binary codec) and text (JSON reference codec).
 //!
 //! These pin the *byte layout* of the wire format, not just its
 //! round-trip behaviour: a varint rule change, a reordered field, or a
@@ -22,8 +22,8 @@ use envirotrack_core::aggregate::ReadingValue;
 use envirotrack_core::context::{ContextLabel, ContextTypeId};
 use envirotrack_core::transport::Port;
 use envirotrack_core::wire::{
-    crc, BaseReport, DecodeError, DirQuery, DirRegister, DirResponse, DirSync, GeoForward,
-    Heartbeat, Message, MtpAck, MtpSegment, Relinquish, Report, WireCodec,
+    crc, json, BaseReport, DecodeError, DirQuery, DirRegister, DirResponse, DirSync, GeoForward,
+    Heartbeat, Message, MtpAck, MtpSegment, Relinquish, Report,
 };
 use envirotrack_sim::time::Timestamp;
 use envirotrack_world::field::NodeId;
@@ -202,15 +202,11 @@ fn binary_frames_match_hex_fixtures() {
 fn json_frames_match_text_fixtures() {
     let mut digest = String::new();
     for (name, msg) in representatives() {
-        let text = msg.encode_with(WireCodec::Json);
+        let text = json::encode(&msg);
         let text = std::str::from_utf8(&text).expect("json codec emits UTF-8");
         assert!(!text.contains('\n'), "{name}: json must be one line");
         let _ = writeln!(digest, "{name}={text}");
-        assert_eq!(
-            Message::decode_with(WireCodec::Json, text.as_bytes()).unwrap(),
-            msg,
-            "{name}"
-        );
+        assert_eq!(json::decode(text.as_bytes()).unwrap(), msg, "{name}");
     }
     check("wire_json.txt", &digest);
 }
@@ -222,51 +218,46 @@ fn json_frames_match_text_fixtures() {
 /// 32 bits; this pins that the codecs actually deliver it end to end.)
 #[test]
 fn crc_detects_every_single_bit_flip_and_short_truncation() {
+    type Encode = fn(&Message) -> Bytes;
+    type Decode = fn(&[u8]) -> Result<Message, DecodeError>;
+    let codecs: [(&str, Encode, Decode); 2] = [
+        ("binary", Message::encode, Message::decode),
+        ("json", json::encode, json::decode),
+    ];
     for (name, msg) in representatives() {
-        for codec in [WireCodec::Binary, WireCodec::Json] {
-            let bytes = msg.encode_with(codec).to_vec();
+        for (codec, encode, decode) in codecs {
+            let binary = codec == "binary";
+            let bytes = encode(&msg).to_vec();
             for byte in 0..bytes.len() {
                 for bit in 0..8 {
                     let mut flipped = bytes.clone();
                     flipped[byte] ^= 1 << bit;
                     assert!(
-                        Message::decode_with(codec, &flipped).is_err(),
+                        decode(&flipped).is_err(),
                         "{name} ({codec}): flip of byte {byte} bit {bit} accepted"
                     );
                 }
             }
             for cut in 1..=4usize {
-                let err = Message::decode_with(codec, &bytes[..bytes.len() - cut]).unwrap_err();
-                match codec {
-                    // Binary: the surviving tail becomes a bogus trailer.
-                    WireCodec::Binary => assert!(
-                        matches!(err, DecodeError::CrcMismatch { .. }),
-                        "{name}: cut {cut} gave {err:?}"
-                    ),
-                    // JSON: the '#' sentinel lands mid-trailer, so the cut
-                    // surfaces as a missing/odd trailer, never an accept.
-                    WireCodec::Json => assert!(
-                        matches!(
-                            err,
-                            DecodeError::Malformed { .. } | DecodeError::CrcMismatch { .. }
-                        ),
-                        "{name}: cut {cut} gave {err:?}"
-                    ),
-                }
+                let err = decode(&bytes[..bytes.len() - cut]).unwrap_err();
+                // Binary: the surviving tail becomes a bogus trailer.
+                // JSON: the '#' sentinel lands mid-trailer, so the cut
+                // surfaces as a missing/odd trailer, never an accept.
+                assert!(
+                    matches!(err, DecodeError::CrcMismatch { .. })
+                        || (!binary && matches!(err, DecodeError::Malformed { .. })),
+                    "{name} ({codec}): cut {cut} gave {err:?}"
+                );
             }
-            // And the trailer really is a CRC-32 of everything before it.
-            let (body, _) = bytes.split_at(bytes.len() - crc::TRAILER_BYTES);
-            let sum = crc::crc32(match codec {
-                WireCodec::Binary => body,
-                // JSON's trailer is textual: checksum excludes "#xxxxxxxx".
-                WireCodec::Json => &bytes[..bytes.len() - 9],
-            });
-            match codec {
-                WireCodec::Binary => assert_eq!(&bytes[bytes.len() - 4..], sum.to_le_bytes()),
-                WireCodec::Json => assert_eq!(
-                    std::str::from_utf8(&bytes[bytes.len() - 9..]).unwrap(),
-                    format!("#{sum:08x}")
-                ),
+            // And the trailer really is a CRC-32 of everything before it
+            // (JSON's is textual: "#xxxxxxxx").
+            let trailer = if binary { crc::TRAILER_BYTES } else { 9 };
+            let (body, trailer) = bytes.split_at(bytes.len() - trailer);
+            let sum = crc::crc32(body);
+            if binary {
+                assert_eq!(trailer, sum.to_le_bytes());
+            } else {
+                assert_eq!(std::str::from_utf8(trailer).unwrap(), format!("#{sum:08x}"));
             }
         }
     }
@@ -279,7 +270,7 @@ fn binary_fixture_beats_json_by_at_least_2x_overall() {
     let (mut bin_total, mut json_total) = (0usize, 0usize);
     for (_, msg) in representatives() {
         bin_total += msg.encode().len();
-        json_total += msg.encode_with(WireCodec::Json).len();
+        json_total += json::encode(&msg).len();
     }
     assert!(
         json_total >= bin_total * 2,

@@ -1,6 +1,6 @@
 //! Differential wire-codec properties: every [`Message`] variant must
-//! round-trip through *both* codecs — the canonical varint binary format
-//! and the JSON debug cross-check — and decode to the same value from
+//! round-trip through *both* codecs — the binary wire format and the JSON
+//! reference implementation — and decode to the same value from
 //! either, including the wrap-around extremes (`u32::MAX` sequence
 //! numbers, ports, and weights) that a long-lived node eventually
 //! reaches, zero-length and unicode payloads, and float edge cases. The
@@ -8,7 +8,6 @@
 //! byte-identically whatever strings they carry.
 
 use bytes::Bytes;
-use envirotrack_core::wire::{varint, WireCodec};
 use envirotrack_core::aggregate::ReadingValue;
 use envirotrack_core::context::{ContextLabel, ContextTypeId};
 use envirotrack_core::report::telemetry_to_jsonl;
@@ -18,8 +17,8 @@ use envirotrack_core::wire::session::{
     TrackEvent,
 };
 use envirotrack_core::wire::{
-    BaseReport, DirQuery, DirRegister, DirResponse, GeoForward, Heartbeat, Message, MtpAck,
-    MtpSegment, Relinquish, Report,
+    json, varint, BaseReport, DecodeError, DirQuery, DirRegister, DirResponse, GeoForward,
+    Heartbeat, Message, MtpAck, MtpSegment, Relinquish, Report,
 };
 use envirotrack_sim::time::Timestamp;
 use envirotrack_telemetry::Telemetry;
@@ -287,15 +286,15 @@ prop_test! {
     }
 
     /// Differential battery: the same message round-trips through the
-    /// JSON debug codec, both codecs decode to *equal* values, the binary
+    /// JSON reference codec, both codecs decode to *equal* values, the binary
     /// form re-encodes canonically, and the binary frame never exceeds
     /// the JSON rendering.
     #[test]
     fn both_codecs_agree_on_every_variant(msg in arb_any_message()) {
-        let binary = msg.encode_with(WireCodec::Binary);
-        let json = msg.encode_with(WireCodec::Json);
-        let from_binary = Message::decode_with(WireCodec::Binary, &binary);
-        let from_json = Message::decode_with(WireCodec::Json, &json);
+        let binary = msg.encode();
+        let json = json::encode(&msg);
+        let from_binary = Message::decode(&binary);
+        let from_json = json::decode(&json);
         prop_assert_eq!(from_binary.as_ref(), Ok(&msg));
         prop_assert_eq!(
             from_json.as_ref(), Ok(&msg),
@@ -405,8 +404,8 @@ fn u32_max_everywhere_round_trips() {
         let bytes = wrapped.encode();
         assert_eq!(Message::decode(&bytes).unwrap(), wrapped);
         // The JSON cross-check agrees even at every edge simultaneously.
-        let text = wrapped.encode_with(WireCodec::Json);
-        assert_eq!(Message::decode_with(WireCodec::Json, &text).unwrap(), wrapped);
+        let text = json::encode(&wrapped);
+        assert_eq!(json::decode(&text).unwrap(), wrapped);
     }
 }
 
@@ -415,6 +414,12 @@ fn u32_max_everywhere_round_trips() {
 /// checked at the primitive layer — message equality can't see it.)
 #[test]
 fn float_specials_are_bit_exact_in_both_codecs() {
+    type Encode = fn(&Message) -> Bytes;
+    type Decode = fn(&[u8]) -> Result<Message, DecodeError>;
+    let codecs: [(&str, Encode, Decode); 2] = [
+        ("binary", Message::encode, Message::decode),
+        ("json", json::encode, json::decode),
+    ];
     let specials = [
         0.0,
         -0.0,
@@ -437,9 +442,8 @@ fn float_specials_are_bit_exact_in_both_codecs() {
                 },
                 location: Point::new(x, y),
             });
-            for codec in [WireCodec::Binary, WireCodec::Json] {
-                let bytes = msg.encode_with(codec);
-                let back = Message::decode_with(codec, &bytes).unwrap();
+            for (codec, encode, decode) in codecs {
+                let back = decode(&encode(&msg)).unwrap();
                 let Message::DirRegister(d) = back else {
                     panic!("wrong variant back")
                 };

@@ -92,7 +92,7 @@ use envirotrack_telemetry::{CounterHandle, Telemetry};
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::grid::neighbor_lists;
 
-use crate::packet::{Frame, FrameKind, WireCodec};
+use crate::packet::{Frame, FrameKind};
 
 /// Radio and MAC parameters.
 #[derive(Debug, Clone)]
@@ -111,12 +111,6 @@ pub struct RadioConfig {
     pub backoff_max: SimDuration,
     /// Fixed receive-path processing delay added after the last bit.
     pub proc_delay: SimDuration,
-    /// Which codec serialises protocol payloads. [`WireCodec::Binary`]
-    /// (the default) is the canonical on-air format; [`WireCodec::Json`]
-    /// keeps a textual debug path whose runs must stay byte-identical to
-    /// binary ones (airtime is always charged from the canonical binary
-    /// size — see [`Frame::wire_len`]).
-    pub codec: WireCodec,
 }
 
 impl Default for RadioConfig {
@@ -131,7 +125,6 @@ impl Default for RadioConfig {
             max_defer: SimDuration::from_millis(250),
             backoff_max: SimDuration::from_millis(4),
             proc_delay: SimDuration::from_millis(2),
-            codec: WireCodec::Binary,
         }
     }
 }
@@ -142,13 +135,6 @@ impl RadioConfig {
     pub fn with_comm_radius(mut self, r: f64) -> Self {
         assert!(r > 0.0, "communication radius must be positive");
         self.comm_radius = r;
-        self
-    }
-
-    /// Sets the payload codec; chainable.
-    #[must_use]
-    pub fn with_codec(mut self, codec: WireCodec) -> Self {
-        self.codec = codec;
         self
     }
 
@@ -400,15 +386,9 @@ pub struct KindStats {
     /// (tx, receiver) pairs severed by an active partition mask.
     pub partition_dropped: u64,
     /// Bytes this kind actually serialised onto the channel (preamble and
-    /// link header included), from the canonical [`Frame::wire_len`] — the
-    /// per-kind share of `NetStats::total_bits`.
+    /// link header included), from [`Frame::wire_len`] — the per-kind
+    /// share of `NetStats::total_bits`.
     pub bytes_on_air: u64,
-    /// Bytes of payload *buffer* carried by this kind's frames. Equal to
-    /// the payload share of `bytes_on_air` under the binary codec; under
-    /// the JSON debug codec this is what the textual encoding would have
-    /// cost, making binary-vs-JSON frame sizes directly comparable on the
-    /// same message stream.
-    pub payload_bytes: u64,
     /// Transmissions garbled by the link-fault injector (bit flips and/or
     /// truncation). Receivers must reject every one of these at the CRC
     /// check — the accepted-corrupt invariant audits exactly that.
@@ -463,7 +443,6 @@ impl KindStats {
         self.burst_faded += other.burst_faded;
         self.partition_dropped += other.partition_dropped;
         self.bytes_on_air += other.bytes_on_air;
-        self.payload_bytes += other.payload_bytes;
         self.corrupted += other.corrupted;
         self.duplicated += other.duplicated;
         self.reordered += other.reordered;
@@ -502,17 +481,10 @@ impl NetStats {
     }
 
     /// Total bytes serialised on air across every kind (preamble + header
-    /// + canonical payload), the Table-1 "bytes actually sent" number.
+    /// + payload), the Table-1 "bytes actually sent" number.
     #[must_use]
     pub fn bytes_on_air(&self) -> u64 {
         self.sum(|k| k.bytes_on_air)
-    }
-
-    /// Total payload-buffer bytes across every kind (see
-    /// [`KindStats::payload_bytes`]).
-    #[must_use]
-    pub fn payload_bytes(&self) -> u64 {
-        self.sum(|k| k.payload_bytes)
     }
 
     /// Worst-case broadcast-channel utilisation over `elapsed`: total bits
@@ -760,14 +732,9 @@ impl TxSide {
         stats.total_tx += 1;
         stats.total_bits += frame.on_air_bits();
         stats.busy_time += tx_time;
-        // Charged bytes come from the canonical wire length (identical under
-        // both codecs); payload_bytes is the in-memory buffer (larger under
-        // the JSON debug codec), kept out of telemetry so fixed-seed runs
-        // stay byte-identical across codecs.
         let ks = stats.kind_mut(frame.kind);
         ks.tx += 1;
         ks.bytes_on_air += frame.on_air_bits() / 8;
-        ks.payload_bytes += frame.payload.len() as u64;
         // Fault draws in a fixed order (reorder slip, garbling,
         // duplication). Reordering leaves the channel window alone —
         // collisions and CSMA see the truth — and only slips the

@@ -7,7 +7,9 @@
 //!
 //! Frame sizes drive both the 50 kb/s serialisation delay and the link
 //! utilisation number in Table 1, so [`Frame::size_bytes`] models the MICA
-//! TinyOS packet: a fixed header plus the payload.
+//! TinyOS packet: a fixed header plus the payload. The payload *is* the
+//! on-air encoding — there is one wire format — so the charged length
+//! ([`Frame::wire_len`]) is taken from it once, when the frame is built.
 
 use bytes::Bytes;
 use envirotrack_world::field::NodeId;
@@ -29,54 +31,6 @@ impl LinkDest {
             LinkDest::Broadcast => true,
             LinkDest::Node(n) => n == node,
         }
-    }
-}
-
-/// Which codec serialises protocol payloads into frame bytes.
-///
-/// [`Binary`](WireCodec::Binary) is the canonical on-air format: numeric
-/// message-type tags, varint/zigzag integers, length-prefixed frames — what
-/// a real mote would transmit, and what the 50 kb/s serialisation model
-/// charges. [`Json`](WireCodec::Json) is a textual debug codec kept as a
-/// cross-check (the same discipline as the brute-force neighbor-table
-/// oracle): frames carry the JSON encoding of the very same message, but
-/// the radio still charges the canonical binary size
-/// ([`Frame::wire_len`]), so a fixed-seed run is *byte-identical* under
-/// either codec — any semantic disagreement between the two codecs changes
-/// what receivers decode and breaks that identity loudly.
-///
-/// The net crate treats the codec opaquely (it only carries the toggle);
-/// `envirotrack-core`'s `wire` module implements both formats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireCodec {
-    /// Compact varint-framed binary codec — the canonical wire format.
-    #[default]
-    Binary,
-    /// Textual JSON codec, retained as a differential debug cross-check.
-    Json,
-}
-
-impl WireCodec {
-    /// Parses a codec name as used by CLI flags (`binary` / `json`).
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending string when it names no codec.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "binary" => Ok(WireCodec::Binary),
-            "json" => Ok(WireCodec::Json),
-            other => Err(format!("unknown codec {other:?} (binary|json)")),
-        }
-    }
-}
-
-impl std::fmt::Display for WireCodec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            WireCodec::Binary => "binary",
-            WireCodec::Json => "json",
-        })
     }
 }
 
@@ -123,11 +77,10 @@ pub struct Frame {
     pub link_seq: u32,
     /// Serialised protocol payload.
     pub payload: Bytes,
-    /// Canonical on-air payload length in bytes: what the radio charges for
-    /// serialisation. Equals `payload.len()` except under the JSON debug
-    /// codec, where `payload` carries the textual cross-check encoding but
-    /// the channel still serialises the canonical binary frame (see
-    /// [`WireCodec`]).
+    /// On-air payload length in bytes, fixed when the frame is built: what
+    /// the radio charges for serialisation. Equals `payload.len()` until a
+    /// fault injector truncates the payload in flight — the sender keyed
+    /// the whole frame, so airtime stays charged from this field.
     pub wire_len: u16,
     /// Shadow hash of the payload *as the sender built it* ([`fnv64`]).
     /// The chaos medium's corruption injectors mutate `payload` but never
@@ -145,32 +98,28 @@ impl Frame {
     /// Physical-layer preamble + start symbol, charged per transmission.
     pub const PREAMBLE_BYTES: usize = 18;
 
-    /// Creates a broadcast frame. The charged on-air length defaults to the
-    /// payload's own length; JSON debug-codec senders override it with
-    /// [`Frame::with_wire_len`].
+    /// Creates a broadcast frame, charged its payload's length on air.
     #[must_use]
     pub fn broadcast(src: NodeId, kind: FrameKind, payload: Bytes) -> Self {
-        let wire_len = payload.len() as u16;
-        let shadow = fnv64(&payload);
-        Frame {
-            src,
-            link_dst: LinkDest::Broadcast,
-            kind,
-            link_seq: 0,
-            payload,
-            wire_len,
-            shadow,
-        }
+        Self::new(src, LinkDest::Broadcast, kind, payload)
     }
 
     /// Creates a unicast (single-hop) frame.
     #[must_use]
     pub fn unicast(src: NodeId, to: NodeId, kind: FrameKind, payload: Bytes) -> Self {
-        let wire_len = payload.len() as u16;
+        Self::new(src, LinkDest::Node(to), kind, payload)
+    }
+
+    /// The one writer of `wire_len` and `shadow`. Nothing bounds a payload
+    /// (a heartbeat carries application state), so the charged length
+    /// saturates: an oversized frame is charged the most the field holds,
+    /// never its length modulo 65 536.
+    fn new(src: NodeId, link_dst: LinkDest, kind: FrameKind, payload: Bytes) -> Self {
+        let wire_len = u16::try_from(payload.len()).unwrap_or(u16::MAX);
         let shadow = fnv64(&payload);
         Frame {
             src,
-            link_dst: LinkDest::Node(to),
+            link_dst,
             kind,
             link_seq: 0,
             payload,
@@ -190,15 +139,6 @@ impl Frame {
     #[must_use]
     pub fn with_link_seq(mut self, seq: u32) -> Self {
         self.link_seq = seq;
-        self
-    }
-
-    /// Overrides the canonical on-air payload length; chainable. Used by
-    /// the JSON debug codec, whose in-memory payload is *not* what the
-    /// modelled radio would serialise.
-    #[must_use]
-    pub fn with_wire_len(mut self, wire_len: u16) -> Self {
-        self.wire_len = wire_len;
         self
     }
 
@@ -243,13 +183,13 @@ mod tests {
     }
 
     #[test]
-    fn wire_len_overrides_the_charged_size() {
-        // A JSON debug payload of 100 bytes whose canonical binary frame is
-        // 20 bytes must be charged 20 on air.
-        let f = Frame::broadcast(NodeId(0), FrameKind(1), Bytes::copy_from_slice(&[0u8; 100]))
-            .with_wire_len(20);
-        assert_eq!(f.size_bytes(), Frame::HEADER_BYTES + 20);
-        assert_eq!(f.on_air_bits(), ((18 + 7 + 20) * 8) as u64);
+    fn a_70_000_byte_payload_is_charged_no_less_than_a_65_535_byte_one() {
+        let of = |len: usize| Bytes::from(vec![0u8; len]);
+        let full = Frame::broadcast(NodeId(0), FrameKind(1), of(65_535));
+        let over = Frame::broadcast(NodeId(0), FrameKind(1), of(70_000));
+        assert!(over.on_air_bits() >= full.on_air_bits());
+        let over = Frame::unicast(NodeId(0), NodeId(1), FrameKind(1), of(70_000));
+        assert!(over.on_air_bits() >= full.on_air_bits());
     }
 
     #[test]
@@ -261,14 +201,5 @@ mod tests {
         // The sentinel is a real FNV-1a: check the classic test vector.
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
-
-    #[test]
-    fn codec_parses_and_displays() {
-        assert_eq!(WireCodec::parse("binary"), Ok(WireCodec::Binary));
-        assert_eq!(WireCodec::parse("json"), Ok(WireCodec::Json));
-        assert!(WireCodec::parse("protobuf").is_err());
-        assert_eq!(WireCodec::default(), WireCodec::Binary);
-        assert_eq!(WireCodec::Json.to_string(), "json");
     }
 }

@@ -292,7 +292,6 @@ impl Channel for Oracle {
         let mut tally = KindStats {
             tx: 1,
             bytes_on_air: frame.on_air_bits() / 8,
-            payload_bytes: frame.payload.len() as u64,
             ..KindStats::default()
         };
         // Fault draws: reorder slip, truncation, per-byte flips, duplication.

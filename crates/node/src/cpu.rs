@@ -109,19 +109,6 @@ pub struct CpuStats {
     pub busy: SimDuration,
 }
 
-impl CpuStats {
-    /// Fraction of offered tasks dropped, in `[0, 1]`.
-    #[must_use]
-    pub fn drop_ratio(&self) -> f64 {
-        let offered = self.admitted + self.dropped;
-        if offered == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / offered as f64
-        }
-    }
-}
-
 /// One mote's serial processor. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct MoteCpu {
@@ -254,7 +241,6 @@ mod tests {
         assert_eq!(err.backlog, SimDuration::from_millis(16));
         assert_eq!(cpu.stats().dropped, 1);
         assert_eq!(cpu.stats().admitted, 1);
-        assert!((cpu.stats().drop_ratio() - 0.5).abs() < 1e-12);
         // The dropped task must not have consumed CPU time.
         assert_eq!(cpu.busy_until(), Timestamp::from_millis(8));
     }

@@ -35,8 +35,7 @@
 //!
 //! Determinism: the event queue is FIFO among equal timestamps and all
 //! randomness flows from the seed, so two runs with identical configuration
-//! produce identical traces (see `trace` support below and the integration
-//! tests).
+//! produce identical event sequences (see the integration tests).
 
 use envirotrack_telemetry::{CounterHandle, Telemetry};
 
@@ -69,7 +68,6 @@ pub struct Kernel<W> {
     rng: SimRng,
     stop_requested: bool,
     events_processed: u64,
-    trace: Option<TraceLog>,
     telemetry: Option<Telemetry>,
     /// Pre-resolved `kernel.events` counter: the per-event accounting is one
     /// cell increment instead of a registry borrow + name lookup.
@@ -84,7 +82,6 @@ impl<W> Kernel<W> {
             rng: SimRng::seed_from(seed),
             stop_requested: false,
             events_processed: 0,
-            trace: None,
             telemetry: None,
             events_counter: None,
         }
@@ -222,25 +219,6 @@ impl<W> Kernel<W> {
     pub fn recurring_len(&self) -> usize {
         self.queue.recurring_len()
     }
-
-    /// Enables trace capture with the given capacity (older entries beyond
-    /// the capacity are dropped). Used by determinism tests.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(TraceLog::with_capacity(capacity));
-    }
-
-    /// Records a trace entry if tracing is enabled; free otherwise.
-    pub fn trace(&mut self, label: impl FnOnce() -> String) {
-        if let Some(t) = &mut self.trace {
-            t.record(self.now, label());
-        }
-    }
-
-    /// The captured trace, if tracing was enabled.
-    #[must_use]
-    pub fn trace_log(&self) -> Option<&TraceLog> {
-        self.trace.as_ref()
-    }
 }
 
 impl<W> std::fmt::Debug for Kernel<W> {
@@ -315,11 +293,6 @@ impl<W> Engine<W> {
         &mut self.kernel
     }
 
-    /// Consumes the engine, returning the final world.
-    pub fn into_world(self) -> W {
-        self.world
-    }
-
     /// Executes exactly one event if one is pending, returning its time.
     pub fn step(&mut self) -> Option<Timestamp> {
         let (at, event) = self.kernel.queue.pop()?;
@@ -370,12 +343,6 @@ impl<W> Engine<W> {
         }
     }
 
-    /// Runs for `span` of virtual time from the current instant.
-    pub fn run_for(&mut self, span: SimDuration) -> RunOutcome {
-        let horizon = self.kernel.now.saturating_add(span);
-        self.run_until(horizon)
-    }
-
     /// Runs until the queue drains or a handler stops the run.
     pub fn run_to_completion(&mut self) -> RunOutcome {
         self.run_until(Timestamp::MAX)
@@ -388,50 +355,6 @@ impl<W: std::fmt::Debug> std::fmt::Debug for Engine<W> {
             .field("kernel", &self.kernel)
             .field("world", &self.world)
             .finish()
-    }
-}
-
-/// A bounded in-order log of `(time, label)` trace points.
-///
-/// Two runs of the same configuration must produce byte-identical trace
-/// logs; the determinism integration tests assert exactly that.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TraceLog {
-    entries: Vec<(Timestamp, String)>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl TraceLog {
-    /// Creates a log that keeps at most `capacity` entries.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        TraceLog {
-            entries: Vec::new(),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Appends an entry, dropping it (counted) if the log is full.
-    pub fn record(&mut self, at: Timestamp, label: String) {
-        if self.entries.len() < self.capacity {
-            self.entries.push((at, label));
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    /// The captured entries in execution order.
-    #[must_use]
-    pub fn entries(&self) -> &[(Timestamp, String)] {
-        &self.entries
-    }
-
-    /// How many entries were dropped because the log filled up.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 }
 
@@ -700,34 +623,24 @@ mod tests {
 
     #[test]
     fn identical_seeds_produce_identical_traces() {
-        fn run(seed: u64) -> TraceLog {
-            let mut e = Engine::new(World::default(), seed);
-            e.kernel_mut().enable_trace(1024);
-            fn step(n: u32) -> impl FnOnce(&mut World, &mut Kernel<World>) {
-                move |_, k| {
-                    let draw = k.rng().below(100);
-                    k.trace(|| format!("step {n} draw {draw}"));
+        /// Every `(instant, draw)` a chain of randomly spaced steps saw.
+        fn run(seed: u64) -> Vec<(u64, u64)> {
+            type Seen = Vec<(u64, u64)>;
+            fn step(n: u32) -> impl FnOnce(&mut Seen, &mut Kernel<Seen>) {
+                move |seen, k| {
+                    seen.push((k.now().as_micros(), k.rng().below(100)));
                     if n < 20 {
                         let jitter = SimDuration::from_micros(k.rng().below(5000));
                         k.schedule_in(jitter, step(n + 1));
                     }
                 }
             }
+            let mut e = Engine::new(Seen::new(), seed);
             e.kernel_mut().schedule_at(Timestamp::ZERO, step(0));
             e.run_to_completion();
-            e.kernel().trace_log().unwrap().clone()
+            e.world().clone()
         }
         assert_eq!(run(99), run(99));
         assert_ne!(run(99), run(100));
-    }
-
-    #[test]
-    fn trace_log_caps_and_counts_drops() {
-        let mut log = TraceLog::with_capacity(2);
-        log.record(Timestamp::ZERO, "a".into());
-        log.record(Timestamp::ZERO, "b".into());
-        log.record(Timestamp::ZERO, "c".into());
-        assert_eq!(log.entries().len(), 2);
-        assert_eq!(log.dropped(), 1);
     }
 }

@@ -126,12 +126,6 @@ impl SimRng {
         result
     }
 
-    /// Next raw 32-bit value (the upper half of a 64-bit draw, which is the
-    /// better-mixed half for xoshiro-family generators).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform value in `[0, 1)`, using the top 53 bits of a draw.
     pub fn uniform(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -205,14 +199,6 @@ impl SimRng {
         } else {
             let i = self.below(items.len() as u64) as usize;
             Some(&items[i])
-        }
-    }
-
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
         }
     }
 }
@@ -340,16 +326,6 @@ mod tests {
         for (i, &c) in counts.iter().enumerate() {
             assert!((4_500..=5_500).contains(&c), "bucket {i} got {c}");
         }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::seed_from(9);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

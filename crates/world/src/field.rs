@@ -102,25 +102,6 @@ impl Deployment {
         Deployment::from_positions(positions)
     }
 
-    /// A grid whose node positions are perturbed by uniform jitter in
-    /// `[-jitter, jitter]` on each axis, modelling imprecise hand placement.
-    #[must_use]
-    pub fn jittered_grid(
-        cols: u32,
-        rows: u32,
-        spacing: f64,
-        jitter: f64,
-        rng: &mut SimRng,
-    ) -> Self {
-        assert!(jitter >= 0.0, "jitter must be non-negative");
-        let mut base = Deployment::grid(cols, rows, spacing);
-        for p in &mut base.positions {
-            p.x += rng.uniform_range(-jitter, jitter);
-            p.y += rng.uniform_range(-jitter, jitter);
-        }
-        Deployment::from_positions(base.positions)
-    }
-
     /// `n` nodes dropped uniformly at random over `area`, modelling the
     /// paper's air-dropped ad hoc deployment.
     ///
@@ -255,18 +236,6 @@ mod tests {
         assert_eq!(d1, d2);
         for (_, p) in d1.iter() {
             assert!(area.contains(p), "{p} outside {area:?}");
-        }
-    }
-
-    #[test]
-    fn jittered_grid_stays_near_lattice() {
-        let mut rng = SimRng::seed_from(3);
-        let d = Deployment::jittered_grid(4, 4, 1.0, 0.25, &mut rng);
-        for (id, p) in d.iter() {
-            let col = (id.0 % 4) as f64;
-            let row = (id.0 / 4) as f64;
-            assert!((p.x - col).abs() <= 0.25 + 1e-12);
-            assert!((p.y - row).abs() <= 0.25 + 1e-12);
         }
     }
 

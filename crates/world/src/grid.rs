@@ -136,12 +136,6 @@ impl SpatialGrid {
         }
     }
 
-    /// Total number of cells (for diagnostics).
-    #[must_use]
-    pub fn cell_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Number of cell columns (for shard striping).
     #[must_use]
     pub fn cell_cols(&self) -> usize {
@@ -322,7 +316,8 @@ mod tests {
             .collect();
         let d = Deployment::from_positions(positions);
         let grid = SpatialGrid::new(&d, 0.5);
-        assert!(grid.cell_count() <= 64, "cells = {}", grid.cell_count());
+        let cells = grid.buckets.len();
+        assert!(cells <= 64, "cells = {cells}");
         assert_eq!(
             neighbor_lists_with(&d, 0.5, NeighborStrategy::Grid),
             neighbor_lists_with(&d, 0.5, NeighborStrategy::BruteForce),

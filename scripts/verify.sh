@@ -18,6 +18,18 @@ scripts/loc.sh crates/core/src/network/*.rs | awk '
   NR > 1 && $1 != "total" && $2 > 900 { print "verify: " $1 " has " $2 " code lines (limit 900)"; bad = 1 }
   END { exit bad }' >&2
 
+# One-wire-format gate: the names of the removed run-time codec choice
+# stay gone, and the JSON reference codec (core/src/wire/json.rs) is called
+# from test code only (tests/ directories, or at and after a file's
+# `#[cfg(test)]`, the split scripts/loc.sh uses).
+if git grep -n 'WireCodec\|with_wire_len\|encode_with\|decode_with' -- '*.rs' >&2; then
+  echo "verify: the run-time codec choice is back" >&2; exit 1
+fi
+git ls-files '*.rs' ':!:*/tests/*' ':!:tests/*' | xargs awk '
+  FNR == 1 { in_test = 0 }  /^#\[cfg\(test\)\]/ { in_test = 1 }
+  !in_test && /wire::json::|json::(en|de)code/ { print "verify: JSON codec used outside tests: " FILENAME ":" FNR; bad = 1 }
+  END { exit bad }' >&2
+
 # Chaos smoke: randomized fault plans (crashes, reboots, partitions, burst
 # loss, clock skew) must leave every invariant intact. CHAOS_CASES scales
 # the sweep; the workspace pass above already ran it at the testkit
@@ -72,7 +84,7 @@ cmp -s "$tmp/sweep1.jsonl" "$tmp/sweep2.jsonl" \
 for f in "$tmp/scale.json" BENCH_scale.json; do
   for key in '"bench":"scale"' '"construction":' '"speedup":' '"results":' \
              '"events_per_sec":' '"sweep":' '"merged_outputs_identical":true' \
-             '"codec":' '"bytes_on_air":' '"json_over_binary":' \
+             '"bytes_on_air":' \
              '"shards":' '"speedup_vs_first":' '"byte_identical":true' \
              '"medium":' '"replayed_intents":' '"full_replay_intents":' \
              '"medium":"partitioned"' '"medium":"replicated"'; do
@@ -101,16 +113,6 @@ for f in "$tmp/soak.json" BENCH_soak.json; do
       || { echo "verify: $f is missing $key" >&2; exit 1; }
   done
 done
-
-# Codec cross-check smoke: the same 1k-node field run under the binary and
-# the JSON wire codec must produce byte-identical run records and
-# telemetry JSONL — the debug codec is an observer, not a behavior knob.
-./target/release/scale --smoke --codec binary --crosscheck "$tmp/cc_binary.jsonl"
-./target/release/scale --smoke --codec json --crosscheck "$tmp/cc_json.jsonl"
-cmp -s "$tmp/cc_binary.jsonl" "$tmp/cc_json.jsonl" \
-  || { echo "verify: simulation output depends on the wire codec" >&2; exit 1; }
-grep -q "group.hb" "$tmp/cc_binary.jsonl" \
-  || { echo "verify: codec cross-check saw no protocol traffic" >&2; exit 1; }
 
 # Shard smoke: the same 1k-node field advanced by the lock-step sharded
 # kernel (core::shard) at 1 and 4 shards must produce a byte-identical

@@ -18,7 +18,7 @@ use envirotrack::core::prelude::*;
 use envirotrack::core::transport::Port;
 use envirotrack::core::wire::{
     BaseReport, DirQuery, DirRegister, DirResponse, DirSync, GeoForward, Heartbeat, Message,
-    MtpAck, MtpSegment, Relinquish, Report, WireCodec,
+    MtpAck, MtpSegment, Relinquish, Report,
 };
 use envirotrack::net::packet::Frame;
 use envirotrack::sim::time::{SimDuration, Timestamp};
@@ -187,11 +187,11 @@ fn corruption_corpus_crosses_the_delivery_path_without_damage() {
     let mut expected_accepts = 0u64;
     for case in 0..256u64 {
         let msg = &corpus[(case % corpus.len() as u64) as usize];
-        let pristine = msg.encode_with(WireCodec::Binary);
+        let pristine = msg.encode();
         let mut bytes = pristine.to_vec();
         corrupt(&mut bytes, case);
         let kind = msg.kind();
-        match Message::decode_with(WireCodec::Binary, &bytes) {
+        match Message::decode(&bytes) {
             Err(_) => *expected_drops.entry(kind.0).or_default() += 1,
             Ok(_) => expected_accepts += 1,
         }
