@@ -11,7 +11,7 @@ use envirotrack_core::prelude::*;
 use envirotrack_core::report::{telemetry_summary, telemetry_to_jsonl};
 use envirotrack_net::medium::GilbertElliott;
 use envirotrack_sim::time::{SimDuration, Timestamp};
-use envirotrack_world::field::Deployment;
+use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::Point;
 use envirotrack_world::scenario::TankScenario;
 use envirotrack_world::sensing::Environment;
@@ -272,6 +272,48 @@ prop_test! {
             mon.violations()
         );
     }
+}
+
+/// A battery budget kills its node for good: once the node's cumulative
+/// protocol energy crosses the budget the monitor's tick takes it down, it
+/// spends nothing more, and the group it sat in carries on without breaking
+/// an invariant. The same seed without the budget keeps the node alive.
+#[test]
+fn battery_budget_kills_its_node_for_good() {
+    let seed = 5;
+    let horizon = Timestamp::from_secs(40);
+    // The node right under the target: in the group from the first tick.
+    let node = NodeId(12);
+    let run = |plan: FaultPlan| {
+        let (program, deployment, environment) = small_world();
+        assert_eq!(deployment.position(node), Point::new(2.0, 2.0));
+        let mut engine =
+            SensorNetwork::build_engine(program, deployment, environment, NetworkConfig::default(), seed);
+        let monitor = harness::install(&mut engine, plan, seed, MonitorConfig::default());
+        engine.run_until(horizon);
+        let spent = engine.world().energy_at(node).total_millijoules();
+        (engine.world().is_alive(node), spent, monitor)
+    };
+    let (alive, unbudgeted, monitor) = run(FaultPlan::new());
+    assert!(alive, "no budget, no death");
+    assert!(monitor.borrow().trace().is_empty());
+
+    // Half of what the node spends when nothing stops it.
+    let budget = unbudgeted / 2.0;
+    let (alive, spent, monitor) = run(FaultPlan::new().battery_budget(Timestamp::from_secs(1), node, budget));
+    let mon = monitor.borrow();
+    assert!(!alive, "the budget must have run out by {horizon}");
+    assert!(spent > budget, "death follows the crossing: {spent} mJ of {budget}");
+    assert!(
+        spent < 0.75 * unbudgeted,
+        "a dead node stops spending: {spent} mJ of an unbudgeted {unbudgeted}"
+    );
+    let notes = [format!("battery budget node {}", node.0), format!("battery died on node {}", node.0)];
+    for note in &notes {
+        let hits = mon.trace().iter().filter(|line| line.contains(note.as_str())).count();
+        assert_eq!(hits, 1, "{note:?} once in {:?}", mon.trace());
+    }
+    assert!(mon.violations().is_empty(), "invariants broken: {:?}", mon.violations());
 }
 
 /// A node has one sensing loop for life. It idles through a crash and

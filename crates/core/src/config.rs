@@ -243,6 +243,14 @@ impl MiddlewareConfig {
         if self.directory_enabled && self.directory_query_timeout.is_zero() {
             return Err("directory query timeout must be positive".into());
         }
+        // A leader re-arms its directory refresh one period ahead: a zero
+        // period re-arms at `now` forever and virtual time stops advancing.
+        if self.directory_enabled && self.directory_update_period.is_zero() {
+            return Err("directory_update_period must be positive".into());
+        }
+        if self.mtp_table_capacity == 0 {
+            return Err("mtp_table_capacity must be at least 1".into());
+        }
         if self.directory_gossip_enabled {
             if self.directory_gossip_period.is_zero() {
                 return Err("directory gossip period must be positive".into());
@@ -293,6 +301,18 @@ mod tests {
         c.wait_timer_factor = 4.2;
         c.receive_timer_factor = 0.9;
         assert!(c.validate().unwrap_err().contains("receive timer"));
+    }
+
+    #[test]
+    fn validation_names_the_zero_period_and_the_empty_table() {
+        let mut c = MiddlewareConfig::default().with_directory(true);
+        c.directory_update_period = SimDuration::ZERO;
+        assert!(c.validate().unwrap_err().contains("directory_update_period"));
+        // Without the directory no leader ever arms that timer.
+        c.directory_enabled = false;
+        assert!(c.validate().is_ok());
+        c.mtp_table_capacity = 0;
+        assert!(c.validate().unwrap_err().contains("mtp_table_capacity"));
     }
 
     #[test]

@@ -2,11 +2,26 @@
 //! physically tracked entity (paper §5.2).
 //!
 //! Each node runs one [`GroupMachine`] per declared context type. The
-//! machine is a *pure state machine*: every input (a sensing tick, a
-//! received message, a timer firing) returns a list of [`GroupAction`]s for
-//! the hosting layer ([`crate::network`]) to apply — broadcasts, timer
-//! armings, lifecycle events. No I/O happens here, which is what makes the
-//! protocol unit-testable message by message.
+//! machine is a *state machine without a world*: every input (a sensing
+//! tick, a received message, a timer firing) returns a list of
+//! [`GroupAction`]s for the hosting layer ([`crate::network`]) to apply —
+//! broadcasts, timer armings, lifecycle events. It touches no kernel, no
+//! radio and no other node, which is what makes the protocol unit-testable
+//! message by message. It does *record*: `group.hb`, `group.join` and
+//! `agg.*` trace events and the `agg.*` counters go to the telemetry handle
+//! the host lends it in [`GroupCtx::telemetry`]. The trace ring is part of
+//! what the golden files compare, so the order of those records relative to
+//! each other and to the pushed actions is pinned, exactly as the order of
+//! the actions and of the draws from [`GroupCtx::rng`] is.
+//!
+//! The code is cut along the roles. This file holds the machine, its inputs
+//! and the role *transitions* — the §5.2 protocol and nothing else.
+//! `leader.rs` owns what a node holds because it leads (aggregate windows,
+//! heartbeat emission, directory refresh, method timers, state blob, and
+//! the object runtime that borrows them); `member.rs` owns what it holds
+//! while it follows (receive and report timers, building a report). Each
+//! role state answers its own timer keys; every timer in the three files is
+//! armed through the one `arm` below.
 //!
 //! ## Protocol summary
 //!
@@ -29,22 +44,27 @@
 //!   type: the lighter label is deleted and its leader joins the heavier
 //!   one — spurious labels die out.
 
+mod leader;
+mod member;
+
 use std::cmp::Reverse;
 
 use bytes::Bytes;
 use envirotrack_node::timer::{TimerSlot, TimerToken};
-use envirotrack_telemetry::Telemetry;
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
+use envirotrack_telemetry::Telemetry;
 use envirotrack_world::field::NodeId;
 use envirotrack_world::geometry::Point;
 use envirotrack_world::sensing::{Environment, SensorSample};
 
-use crate::aggregate::{AggValue, ReadingValue, ReadingWindow};
+use self::leader::LeaderState;
+use self::member::MemberState;
+use crate::aggregate::{AggregateInput, ReadingValue};
 use crate::config::MiddlewareConfig;
 use crate::context::{ContextLabel, ContextSpec, ContextTypeId, Invocation, LabelIntern};
 use crate::events::{HandoverReason, SystemEvent};
-use crate::object::{ContextAccess, IncomingMessage, ObjectApi, ObjectEffect, ObjectReadError};
+use crate::object::IncomingMessage;
 use crate::transport::{LeaderLoc, Port};
 use crate::wire::{Heartbeat, Message, Relinquish, Report};
 
@@ -184,7 +204,7 @@ pub struct GroupCtx<'a> {
     pub labels: &'a LabelIntern,
 }
 
-impl GroupCtx<'_> {
+impl<'a> GroupCtx<'a> {
     /// The node's local sensor sample for this input: taken (and its noise
     /// drawn from `rng`) on the first call, the same reading thereafter.
     pub fn sample(&mut self) -> SensorSample {
@@ -192,55 +212,61 @@ impl GroupCtx<'_> {
             .reading
             .get_or_insert_with(|| self.sensors.sample_at(self.position, self.now, self.rng))
     }
+
+    /// Records a trace event about `label` on the lent telemetry handle.
+    fn trace(&self, node: NodeId, label: ContextLabel, kind: &'static str, detail: String) {
+        let label = self.labels.label(label);
+        self.telemetry
+            .trace_shared(self.now.as_micros(), node.0, &label, kind, detail);
+    }
+
+    /// What this node reads for each aggregate variable of the type, by
+    /// aggregate index: what a leader files into its own windows and what a
+    /// member reports.
+    #[inline]
+    fn readings<'c>(&'c mut self) -> impl Iterator<Item = (usize, ReadingValue)> + use<'c, 'a> {
+        let aggregates = self.spec.aggregates.iter().enumerate();
+        aggregates.map(move |(idx, agg)| match agg.input {
+            AggregateInput::Channel(ch) => (idx, ReadingValue::Scalar(self.sample().get(ch))),
+            AggregateInput::Position => (idx, ReadingValue::Position(self.position)),
+        })
+    }
 }
 
-/// Non-member memory of a nearby label (the paper's wait timer).
+/// Arms `slot` for `at` and asks the host to call
+/// [`GroupMachine::on_timer`] with `key` and the slot's new token then. The
+/// only place an [`GroupAction::ArmTimer`] is made: the token a host hands
+/// back is always the one the slot that `key` routes to is waiting for.
+#[inline]
+fn arm(slot: &mut TimerSlot, key: GroupTimer, at: Timestamp, out: &mut Vec<GroupAction>) {
+    let token = slot.arm(at);
+    out.push(GroupAction::ArmTimer { key, at, token });
+}
+
+/// A leader this node heard of: what a heartbeat says about who speaks for
+/// a label. A non-member remembers it (the wait memory), a member follows
+/// it, and joining takes nothing else.
 #[derive(Debug, Clone, Copy)]
-struct WaitMemory {
+struct Heard {
     label: ContextLabel,
-    leader: NodeId,
-    leader_pos: Point,
+    leader: LeaderLoc,
     weight: u32,
-    until: Timestamp,
 }
 
-/// Member-role state.
-#[derive(Debug, Clone)]
-struct MemberState {
-    label: ContextLabel,
-    leader: NodeId,
-    leader_pos: Point,
-    leader_weight: u32,
-    last_state: Option<Bytes>,
-    receive: TimerSlot,
-    report: TimerSlot,
-}
-
-/// Leader-role state.
-struct LeaderState {
-    label: ContextLabel,
-    weight: u32,
-    hb_seq: u32,
-    windows: Vec<ReadingWindow>,
-    state_blob: Option<Bytes>,
-    directory_cache: Vec<(ContextTypeId, Vec<(ContextLabel, Point)>)>,
-    heartbeat: TimerSlot,
-    directory: TimerSlot,
-    method_timers: Vec<TimerSlot>,
-}
-
-impl std::fmt::Debug for LeaderState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LeaderState")
-            .field("label", &self.label)
-            .field("weight", &self.weight)
-            .field("hb_seq", &self.hb_seq)
-            .finish()
+impl Heard {
+    fn of(hb: &Heartbeat) -> Self {
+        Heard {
+            label: hb.label,
+            leader: LeaderLoc {
+                node: hb.leader,
+                pos: hb.leader_pos,
+            },
+            weight: hb.weight,
+        }
     }
 }
 
 /// The node's role with respect to one context type.
-#[derive(Debug)]
 enum Role {
     /// Not sensing (or sensing but still in formation jitter).
     Idle,
@@ -267,7 +293,9 @@ pub struct GroupMachine {
     node: NodeId,
     type_id: ContextTypeId,
     role: Role,
-    wait: Option<WaitMemory>,
+    /// Non-member memory of a nearby label, and when it lapses (the
+    /// paper's wait timer).
+    wait: Option<(Heard, Timestamp)>,
     formation: TimerSlot,
     /// Per-node label mint counter.
     next_seq: u32,
@@ -322,7 +350,7 @@ impl GroupMachine {
     pub fn role_kind(&self) -> RoleKind {
         match &self.role {
             Role::Idle => RoleKind::Idle,
-            Role::Member(m) => RoleKind::Member(m.label),
+            Role::Member(m) => RoleKind::Member(m.heard.label),
             Role::Leader(l) => RoleKind::Leader(l.label),
         }
     }
@@ -330,10 +358,9 @@ impl GroupMachine {
     /// The label this node currently belongs to, in any role.
     #[must_use]
     pub fn current_label(&self) -> Option<ContextLabel> {
-        match &self.role {
-            Role::Idle => None,
-            Role::Member(m) => Some(m.label),
-            Role::Leader(l) => Some(l.label),
+        match self.role_kind() {
+            RoleKind::Idle => None,
+            RoleKind::Member(label) | RoleKind::Leader(label) => Some(label),
         }
     }
 
@@ -341,21 +368,6 @@ impl GroupMachine {
     /// would find nothing to do: idle, and no formation timer to cancel.
     pub(crate) fn is_quiescent(&self) -> bool {
         matches!(self.role, Role::Idle) && !self.formation.is_armed()
-    }
-
-    /// Whether this node is currently a leader.
-    #[must_use]
-    pub fn is_leader(&self) -> bool {
-        matches!(self.role, Role::Leader(_))
-    }
-
-    /// The leader's current weight (None when not leading).
-    #[must_use]
-    pub fn leader_weight(&self) -> Option<u32> {
-        match &self.role {
-            Role::Leader(l) => Some(l.weight),
-            _ => None,
-        }
     }
 
     /// Leader-side aggregate health at `now`: one row per aggregate
@@ -366,25 +378,10 @@ impl GroupMachine {
     /// `Ne` fresh reports.
     #[must_use]
     pub fn aggregate_health(&self, spec: &ContextSpec, now: Timestamp) -> Vec<AggregateHealth> {
-        let Role::Leader(l) = &self.role else {
-            return Vec::new();
-        };
-        spec.aggregates
-            .iter()
-            .enumerate()
-            .map(|(idx, agg)| {
-                let fresh = l.windows[idx].fresh_count(now, agg.freshness) as u32;
-                let valid = l.windows[idx]
-                    .evaluate(&agg.function, now, agg.freshness, agg.critical_mass)
-                    .is_ok();
-                AggregateHealth {
-                    variable: agg.name.clone(),
-                    fresh,
-                    need: agg.critical_mass.max(1),
-                    valid,
-                }
-            })
-            .collect()
+        match &self.role {
+            Role::Leader(l) => l.aggregate_health(spec, now),
+            _ => Vec::new(),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -403,20 +400,11 @@ impl GroupMachine {
         let member_now = !matches!(self.role, Role::Idle);
         let senses = ctx.spec.senses(&ctx.sample(), member_now);
 
-        match (self.role_kind(), senses) {
-            (RoleKind::Idle, true) => {
+        match (&mut self.role, senses) {
+            (Role::Idle, true) => {
                 // Prefer joining a remembered nearby label.
-                let remembered = self.wait.filter(|w| w.until > ctx.now);
-                if let Some(w) = remembered {
-                    self.become_member(
-                        ctx,
-                        w.label,
-                        w.leader,
-                        w.leader_pos,
-                        w.weight,
-                        None,
-                        &mut out,
-                    );
+                if let Some(heard) = self.remembered(ctx.now) {
+                    self.become_member(ctx, heard, None, &mut out);
                     return out;
                 }
                 // No memory: mint after a formation jitter, during which a
@@ -426,45 +414,16 @@ impl GroupMachine {
                         ctx.rng.below(ctx.cfg.heartbeat_period.as_micros().max(1)),
                     );
                     let at = ctx.now + jitter;
-                    let token = self.formation.arm(at);
-                    out.push(GroupAction::ArmTimer {
-                        key: GroupTimer::Formation,
-                        at,
-                        token,
-                    });
+                    arm(&mut self.formation, GroupTimer::Formation, at, &mut out);
                 }
             }
-            (RoleKind::Idle, false) => {
-                self.formation.cancel();
-            }
-            (RoleKind::Member(_), false) => {
-                self.leave_membership(ctx, &mut out);
-            }
-            (RoleKind::Leader(_), false) => {
-                self.step_down(ctx, &mut out);
-            }
-            (RoleKind::Leader(_), true) => {
-                // The leader contributes its own readings to the windows.
-                let node = self.node;
-                if let Role::Leader(leader) = &mut self.role {
-                    Self::insert_own_readings(leader, ctx, node);
-                }
-            }
-            (RoleKind::Member(_), true) => {}
+            (Role::Idle, false) => self.formation.cancel(),
+            (Role::Member(_), false) => self.leave_membership(ctx),
+            (Role::Leader(_), false) => self.step_down(ctx, &mut out),
+            (Role::Leader(l), true) => l.insert_own_readings(self.node, ctx),
+            (Role::Member(_), true) => {}
         }
         out
-    }
-
-    fn insert_own_readings(leader: &mut LeaderState, ctx: &mut GroupCtx<'_>, node: NodeId) {
-        for (idx, agg) in ctx.spec.aggregates.iter().enumerate() {
-            let value = match agg.input {
-                crate::aggregate::AggregateInput::Channel(ch) => {
-                    ReadingValue::Scalar(ctx.sample().get(ch))
-                }
-                crate::aggregate::AggregateInput::Position => ReadingValue::Position(ctx.position),
-            };
-            leader.windows[idx].insert(node, ctx.now, value);
-        }
     }
 
     /// Instantiates this node as the permanent leader of a pinned
@@ -503,133 +462,80 @@ impl GroupMachine {
             return out;
         }
 
-        // Phase 1: decide on a transition without holding the role borrow
-        // across `&mut self` calls.
-        enum Decision {
-            Nothing,
-            YieldWithinLabel,
-            SuppressOwnLabel,
-            JoinHeavierLabel,
-        }
+        let heard = Heard::of(hb);
         // Cross-label interactions only apply to physically nearby leaders
         // (see `MiddlewareConfig::proximity_radius`).
         let nearby = ctx.position.distance_to(hb.leader_pos) <= ctx.cfg.proximity_radius;
-        let decision = match &mut self.role {
-            Role::Leader(l) if l.label == hb.label && hb.leader != self.node => {
+        let theirs = (hb.weight, Reverse(hb.label));
+        let lost_to_them = |label| GroupAction::LostLeadership {
+            label,
+            new_leader: Some(heard.leader),
+        };
+        match &mut self.role {
+            Role::Leader(l) if l.label == hb.label => {
                 // Duplicate leaders within one label: the lighter yields
-                // (ties broken by node id so exactly one side yields).
-                if (hb.weight, hb.leader.0) > (l.weight, self.node.0) {
-                    Decision::YieldWithinLabel
-                } else {
-                    Decision::Nothing
+                // (ties broken by node id so exactly one side yields). Our
+                // own heartbeat echoed back is nobody's duplicate.
+                if hb.leader != self.node && (hb.weight, hb.leader.0) > (l.weight, self.node.0) {
+                    self.become_member(ctx, heard, hb.state.clone(), &mut out);
+                    out.push(GroupAction::Emit(SystemEvent::LeaderHandover {
+                        label: hb.label,
+                        from: self.node,
+                        to: hb.leader,
+                        reason: HandoverReason::DuplicateYield,
+                    }));
+                    out.push(lost_to_them(hb.label));
                 }
             }
-            Role::Leader(l) if l.label != hb.label => {
+            Role::Leader(l) => {
                 // Different labels of the same type around the *same*
                 // stimulus: the lighter label is spurious and deletes
                 // itself. On a weight tie the *older* (lower-ordered)
                 // label survives, so exactly one side yields. Distant
                 // leaders track different entities and are left alone.
-                if nearby && (hb.weight, Reverse(hb.label)) > (l.weight, Reverse(l.label)) {
-                    Decision::SuppressOwnLabel
-                } else {
-                    Decision::Nothing
+                if nearby && theirs > (l.weight, Reverse(l.label)) {
+                    let loser = l.label;
+                    out.push(GroupAction::Emit(SystemEvent::LabelSuppressed {
+                        loser,
+                        winner: hb.label,
+                        node: self.node,
+                    }));
+                    out.push(lost_to_them(loser));
+                    self.become_member(ctx, heard, hb.state.clone(), &mut out);
                 }
             }
-            Role::Member(m) if m.label == hb.label => {
+            Role::Member(m) if m.heard.label == hb.label => {
                 // Refresh leadership knowledge and push the receive timer.
-                m.leader = hb.leader;
-                m.leader_pos = hb.leader_pos;
-                m.leader_weight = hb.weight;
+                m.heard = heard;
                 if hb.state.is_some() {
                     m.last_state = hb.state.clone();
                 }
-                Self::rearm_receive(m, ctx, &mut out);
-                Decision::Nothing
+                m.rearm_receive(ctx, &mut out);
             }
             Role::Member(m) => {
                 // Heartbeat from a *different* nearby label of the same
                 // type: follow the heavier label (same tiebreak as the
                 // leader-vs-leader rule, so members and leaders agree on
                 // the survivor).
-                if nearby && (hb.weight, Reverse(hb.label)) > (m.leader_weight, Reverse(m.label)) {
-                    Decision::JoinHeavierLabel
-                } else {
-                    Decision::Nothing
+                if nearby && theirs > (m.heard.weight, Reverse(m.heard.label)) {
+                    self.become_member(ctx, heard, hb.state.clone(), &mut out);
                 }
             }
             Role::Idle => {
                 // Only *nearby* events are worth remembering: joining a
                 // distant group would break physical continuity.
                 if nearby {
-                    self.wait = Some(WaitMemory {
-                        label: hb.label,
-                        leader: hb.leader,
-                        leader_pos: hb.leader_pos,
-                        weight: hb.weight,
-                        until: ctx.now + ctx.cfg.wait_timer(),
-                    });
+                    self.remember(heard, ctx);
                     // A pending formation was about to mint a spurious label.
                     self.formation.cancel();
                 }
-                Decision::Nothing
-            }
-            Role::Leader(_) => Decision::Nothing, // our own heartbeat echoed back
-        };
-
-        // Phase 2: apply the transition.
-        match decision {
-            Decision::Nothing => {}
-            Decision::YieldWithinLabel => {
-                let label = hb.label;
-                self.demote_to_member(ctx, hb, &mut out);
-                out.push(GroupAction::Emit(SystemEvent::LeaderHandover {
-                    label,
-                    from: self.node,
-                    to: hb.leader,
-                    reason: HandoverReason::DuplicateYield,
-                }));
-                out.push(GroupAction::LostLeadership {
-                    label,
-                    new_leader: Some(LeaderLoc {
-                        node: hb.leader,
-                        pos: hb.leader_pos,
-                    }),
-                });
-            }
-            Decision::SuppressOwnLabel => {
-                let loser = self.current_label().expect("leader has a label");
-                out.push(GroupAction::Emit(SystemEvent::LabelSuppressed {
-                    loser,
-                    winner: hb.label,
-                    node: self.node,
-                }));
-                out.push(GroupAction::LostLeadership {
-                    label: loser,
-                    new_leader: Some(LeaderLoc {
-                        node: hb.leader,
-                        pos: hb.leader_pos,
-                    }),
-                });
-                self.demote_to_member(ctx, hb, &mut out);
-            }
-            Decision::JoinHeavierLabel => {
-                self.become_member(
-                    ctx,
-                    hb.label,
-                    hb.leader,
-                    hb.leader_pos,
-                    hb.weight,
-                    hb.state.clone(),
-                    &mut out,
-                );
             }
         }
 
         // Flood propagation past the perimeter: members rebroadcast with a
         // decremented TTL, once per (label, seq).
         if hb.ttl > 0 && hb.leader != self.node {
-            let is_member_of = matches!(&self.role, Role::Member(m) if m.label == hb.label);
+            let is_member_of = self.role_kind() == RoleKind::Member(hb.label);
             let already = self.last_flood == Some((hb.label, hb.hb_seq));
             if is_member_of && !already {
                 self.last_flood = Some((hb.label, hb.hb_seq));
@@ -642,21 +548,12 @@ impl GroupMachine {
     }
 
     /// Processes a member's sensor report (meaningful only on leaders).
-    pub fn on_report(&mut self, ctx: &mut GroupCtx<'_>, report: &Report) -> Vec<GroupAction> {
-        let Role::Leader(l) = &mut self.role else {
-            return Vec::new();
-        };
-        if l.label != report.label || report.member == self.node {
-            return Vec::new();
-        }
-        for (idx, value) in &report.values {
-            if let Some(w) = l.windows.get_mut(usize::from(*idx)) {
-                w.insert(report.member, report.taken_at, *value);
+    pub fn on_report(&mut self, report: &Report) -> Vec<GroupAction> {
+        if let Role::Leader(l) = &mut self.role {
+            if l.label == report.label && report.member != self.node {
+                l.on_report(report);
             }
         }
-        // The weight counts member messages received to date (paper §5.2).
-        l.weight += 1;
-        let _ = ctx;
         Vec::new()
     }
 
@@ -666,16 +563,15 @@ impl GroupMachine {
         let Role::Member(m) = &mut self.role else {
             return out;
         };
-        if m.label != r.label {
+        if m.heard.label != r.label {
             return out;
         }
         let senses = ctx.spec.senses(&ctx.sample(), true);
         if r.successor == Some(self.node) && senses {
-            let label = m.label;
             let state = r.state.clone().or_else(|| m.last_state.clone());
-            self.promote_to_leader(ctx, label, r.weight, state, &mut out);
+            self.promote_to_leader(ctx, r.label, r.weight, state, &mut out);
             out.push(GroupAction::Emit(SystemEvent::LeaderHandover {
-                label,
+                label: r.label,
                 from: r.from,
                 to: self.node,
                 reason: HandoverReason::Relinquish,
@@ -684,10 +580,10 @@ impl GroupMachine {
             // Someone else should take over; shorten our patience so the
             // takeover backup kicks in quickly if they don't.
             if let Some(s) = r.successor {
-                m.leader = s;
+                m.heard.leader.node = s;
             }
-            m.leader_weight = r.weight;
-            Self::rearm_receive(m, ctx, &mut out);
+            m.heard.weight = r.weight;
+            m.rearm_receive(ctx, &mut out);
         }
         out
     }
@@ -696,8 +592,10 @@ impl GroupMachine {
     // Input: timers
     // ------------------------------------------------------------------
 
-    /// Processes a timer firing. Stale tokens (superseded armings) are
-    /// ignored.
+    /// Processes a timer firing, handing `key` to the slot that owns it:
+    /// the machine's own formation timer, or the current role's state.
+    /// Stale tokens (superseded armings) and keys of a role this node is no
+    /// longer in are ignored.
     pub fn on_timer(
         &mut self,
         ctx: &mut GroupCtx<'_>,
@@ -705,189 +603,71 @@ impl GroupMachine {
         token: TimerToken,
     ) -> Vec<GroupAction> {
         let mut out = Vec::new();
-        match key {
-            GroupTimer::Formation => {
-                if !self.formation.fires(token) {
-                    return out;
-                }
-                // Still idle, still sensing, still no nearby label?
-                let senses = ctx.spec.senses(&ctx.sample(), false);
-                let has_memory = self.wait.is_some_and(|w| w.until > ctx.now);
-                if matches!(self.role, Role::Idle) && senses && !has_memory {
-                    self.mint_label(ctx, &mut out);
-                } else if matches!(self.role, Role::Idle) && senses {
-                    // Memory appeared while jittering: join it instead.
-                    if let Some(w) = self.wait {
-                        self.become_member(
-                            ctx,
-                            w.label,
-                            w.leader,
-                            w.leader_pos,
-                            w.weight,
-                            None,
-                            &mut out,
-                        );
-                    }
+        match (key, &mut self.role) {
+            (GroupTimer::Formation, _) => {
+                if self.formation.fires(token) {
+                    self.formation_expired(ctx, &mut out);
                 }
             }
-            GroupTimer::Heartbeat => {
-                let Role::Leader(l) = &mut self.role else {
-                    return out;
-                };
-                if !l.heartbeat.fires(token) {
-                    return out;
-                }
-                Self::send_heartbeat(l, self.node, ctx, &mut out);
-                let at = ctx.now + ctx.cfg.heartbeat_period;
-                let tok = l.heartbeat.arm(at);
-                out.push(GroupAction::ArmTimer {
-                    key: GroupTimer::Heartbeat,
-                    at,
-                    token: tok,
-                });
-                // Bound window memory while we're here. The horizon comes
-                // from config alone: a hard floor would outlive the wait
-                // timer under a reconfigured short heartbeat period and
-                // resurrect long-gone reporters as relinquish successors.
-                let horizon = ctx.cfg.wait_timer();
-                for w in &mut l.windows {
-                    w.prune(ctx.now, horizon);
-                }
+            (_, Role::Leader(l)) => {
+                l.on_timer(self.node, &self.timer_methods, ctx, key, token, &mut out);
             }
-            GroupTimer::Receive => {
-                let Role::Member(m) = &mut self.role else {
-                    return out;
-                };
-                if !m.receive.fires(token) {
+            (_, Role::Member(m)) => {
+                if !m.on_timer(self.node, ctx, key, token, &mut out) {
                     return out;
                 }
                 // Leader presumed failed. If we still sense the entity we
                 // take over, carrying the last-heard weight.
-                let senses = ctx.spec.senses(&ctx.sample(), true);
-                if senses {
-                    let label = m.label;
-                    let weight = m.leader_weight;
-                    let from = m.leader;
-                    let state = m.last_state.clone();
-                    self.promote_to_leader(ctx, label, weight, state, &mut out);
+                if ctx.spec.senses(&ctx.sample(), true) {
+                    let (heard, state) = (m.heard, m.last_state.clone());
+                    self.promote_to_leader(ctx, heard.label, heard.weight, state, &mut out);
                     out.push(GroupAction::Emit(SystemEvent::LeaderHandover {
-                        label,
-                        from,
+                        label: heard.label,
+                        from: heard.leader.node,
                         to: self.node,
                         reason: HandoverReason::ReceiveTimeout,
                     }));
                 } else {
-                    self.leave_membership(ctx, &mut out);
+                    self.leave_membership(ctx);
                 }
             }
-            GroupTimer::Report => {
-                let Role::Member(m) = &mut self.role else {
-                    return out;
-                };
-                if !m.report.fires(token) {
-                    return out;
-                }
-                let senses = ctx.spec.senses(&ctx.sample(), true);
-                if senses {
-                    let mut values = Vec::with_capacity(ctx.spec.aggregates.len());
-                    for (idx, agg) in ctx.spec.aggregates.iter().enumerate() {
-                        let v = match agg.input {
-                            crate::aggregate::AggregateInput::Channel(ch) => {
-                                ReadingValue::Scalar(ctx.sample().get(ch))
-                            }
-                            crate::aggregate::AggregateInput::Position => {
-                                ReadingValue::Position(ctx.position)
-                            }
-                        };
-                        values.push((idx as u8, v));
-                    }
-                    out.push(GroupAction::Broadcast(Message::Report(Report {
-                        label: m.label,
-                        member: self.node,
-                        taken_at: ctx.now,
-                        values,
-                    })));
-                }
-                if let Some(period) = Self::report_period(ctx) {
-                    let at = ctx.now + period;
-                    let tok = m.report.arm(at);
-                    out.push(GroupAction::ArmTimer {
-                        key: GroupTimer::Report,
-                        at,
-                        token: tok,
-                    });
-                }
-            }
-            GroupTimer::Directory => {
-                let Role::Leader(l) = &mut self.role else {
-                    return out;
-                };
-                if !l.directory.fires(token) {
-                    return out;
-                }
-                if ctx.cfg.directory_enabled {
-                    out.push(GroupAction::RegisterDirectory { label: l.label });
-                    for &sub in ctx.subscriptions {
-                        out.push(GroupAction::QueryDirectory { type_id: sub });
-                    }
-                }
-                let at = ctx.now + ctx.cfg.directory_update_period;
-                let tok = l.directory.arm(at);
-                out.push(GroupAction::ArmTimer {
-                    key: GroupTimer::Directory,
-                    at,
-                    token: tok,
-                });
-            }
-            GroupTimer::Method(slot) => {
-                let is_current = match &mut self.role {
-                    Role::Leader(l) => l
-                        .method_timers
-                        .get_mut(slot)
-                        .is_some_and(|t| t.fires(token)),
-                    _ => false,
-                };
-                if !is_current {
-                    return out;
-                }
-                let (oi, mi, period) = self.timer_methods[slot];
-                self.invoke_method(ctx, oi, mi, None, &mut out);
-                if let Role::Leader(l) = &mut self.role {
-                    let at = ctx.now + period;
-                    let tok = l.method_timers[slot].arm(at);
-                    out.push(GroupAction::ArmTimer {
-                        key: GroupTimer::Method(slot),
-                        at,
-                        token: tok,
-                    });
-                }
-            }
+            (_, Role::Idle) => {}
         }
         out
+    }
+
+    /// The formation jitter ran out. Still idle, still sensing, still no
+    /// nearby label?
+    fn formation_expired(&mut self, ctx: &mut GroupCtx<'_>, out: &mut Vec<GroupAction>) {
+        let senses = ctx.spec.senses(&ctx.sample(), false);
+        if matches!(self.role, Role::Idle) && senses {
+            match self.remembered(ctx.now) {
+                // Memory appeared while jittering: join it instead.
+                Some(heard) => self.become_member(ctx, heard, None, out),
+                None => self.mint_label(ctx, out),
+            }
+        }
     }
 
     // ------------------------------------------------------------------
     // Input: MTP delivery and directory responses (leader side)
     // ------------------------------------------------------------------
 
-    /// Delivers an MTP payload to the object method bound to `port`.
-    /// Returns `None` if this node does not currently lead `label`.
+    /// Delivers an MTP payload to object method `method` (`(object,
+    /// method)` indices) of the label this node leads. The transport layer
+    /// has established that it leads the destination label before it
+    /// delivers; on any other node nothing runs.
     pub fn deliver_mtp(
         &mut self,
         ctx: &mut GroupCtx<'_>,
-        label: ContextLabel,
-        port: Port,
         incoming: IncomingMessage,
         method: (usize, usize),
-    ) -> Option<Vec<GroupAction>> {
-        match &self.role {
-            Role::Leader(l) if l.label == label => {}
-            _ => return None,
-        }
-        let _ = port;
+    ) -> Vec<GroupAction> {
         let mut out = Vec::new();
-        self.invoke_method(ctx, method.0, method.1, Some(incoming), &mut out);
-        Some(out)
+        if let Role::Leader(l) = &mut self.role {
+            l.invoke_method(self.node, ctx, method, Some(incoming), &mut out);
+        }
+        out
     }
 
     /// Installs a directory response into the leader's subscription cache.
@@ -897,10 +677,7 @@ impl GroupMachine {
         entries: Vec<(ContextLabel, Point)>,
     ) {
         if let Role::Leader(l) = &mut self.role {
-            match l.directory_cache.iter_mut().find(|(t, _)| *t == type_id) {
-                Some((_, v)) => *v = entries,
-                None => l.directory_cache.push((type_id, entries)),
-            }
+            l.directory_cache.insert(type_id, entries);
         }
     }
 
@@ -932,165 +709,42 @@ impl GroupMachine {
         state: Option<Bytes>,
         out: &mut Vec<GroupAction>,
     ) {
-        let mut leader = LeaderState {
-            label,
-            weight,
-            hb_seq: 0,
-            windows: vec![ReadingWindow::new(); ctx.spec.aggregates.len()],
-            state_blob: state,
-            directory_cache: Vec::new(),
-            heartbeat: TimerSlot::new(),
-            directory: TimerSlot::new(),
-            method_timers: self
-                .timer_methods
-                .iter()
-                .map(|_| TimerSlot::new())
-                .collect(),
-        };
-        Self::insert_own_readings(&mut leader, ctx, self.node);
-        // Announce immediately, then periodically.
-        Self::send_heartbeat(&mut leader, self.node, ctx, out);
-        let at = ctx.now + ctx.cfg.heartbeat_period;
-        let tok = leader.heartbeat.arm(at);
-        out.push(GroupAction::ArmTimer {
-            key: GroupTimer::Heartbeat,
-            at,
-            token: tok,
-        });
-        // Object method timers start one period after leadership begins.
-        for (slot, &(_, _, period)) in self.timer_methods.iter().enumerate() {
-            let at = ctx.now + period;
-            let tok = leader.method_timers[slot].arm(at);
-            out.push(GroupAction::ArmTimer {
-                key: GroupTimer::Method(slot),
-                at,
-                token: tok,
-            });
-        }
-        if ctx.cfg.directory_enabled {
-            out.push(GroupAction::RegisterDirectory { label });
-            for &sub in ctx.subscriptions {
-                out.push(GroupAction::QueryDirectory { type_id: sub });
-            }
-            let at = ctx.now + ctx.cfg.directory_update_period;
-            let tok = leader.directory.arm(at);
-            out.push(GroupAction::ArmTimer {
-                key: GroupTimer::Directory,
-                at,
-                token: tok,
-            });
-        }
+        let methods = &self.timer_methods;
+        let leader = LeaderState::assume(label, weight, state, self.node, methods, ctx, out);
         self.role = Role::Leader(leader);
         self.wait = None;
         self.formation.cancel();
         out.push(GroupAction::BecameLeader { label });
     }
 
-    #[allow(clippy::too_many_arguments)] // all six values travel together from one heartbeat
     fn become_member(
         &mut self,
         ctx: &mut GroupCtx<'_>,
-        label: ContextLabel,
-        leader: NodeId,
-        leader_pos: Point,
-        weight: u32,
+        heard: Heard,
         last_state: Option<Bytes>,
         out: &mut Vec<GroupAction>,
     ) {
-        ctx.telemetry.trace_shared(
-            ctx.now.as_micros(),
-            self.node.0,
-            &ctx.labels.label(label),
-            "group.join",
-            format!("leader=n{} weight={weight}", leader.0),
-        );
-        let mut member = MemberState {
-            label,
-            leader,
-            leader_pos,
-            leader_weight: weight,
-            last_state,
-            receive: TimerSlot::new(),
-            report: TimerSlot::new(),
-        };
-        Self::rearm_receive(&mut member, ctx, out);
-        if let Some(period) = Self::report_period(ctx) {
-            // First report goes out quickly (small jitter decorrelates
-            // members) so the new leader gathers critical mass fast.
-            let jitter = SimDuration::from_micros(ctx.rng.below(period.as_micros().max(2) / 2));
-            let at = ctx.now + ctx.cfg.sense_period.min(period) + jitter;
-            let tok = member.report.arm(at);
-            out.push(GroupAction::ArmTimer {
-                key: GroupTimer::Report,
-                at,
-                token: tok,
-            });
-        }
-        self.role = Role::Member(member);
+        let detail = format!("leader=n{} weight={}", heard.leader.node.0, heard.weight);
+        ctx.trace(self.node, heard.label, "group.join", detail);
+        self.role = Role::Member(MemberState::join(heard, last_state, ctx, out));
         self.wait = None;
         self.formation.cancel();
     }
 
-    fn demote_to_member(
-        &mut self,
-        ctx: &mut GroupCtx<'_>,
-        hb: &Heartbeat,
-        out: &mut Vec<GroupAction>,
-    ) {
-        self.become_member(
-            ctx,
-            hb.label,
-            hb.leader,
-            hb.leader_pos,
-            hb.weight,
-            hb.state.clone(),
-            out,
-        );
-    }
-
-    fn leave_membership(&mut self, ctx: &mut GroupCtx<'_>, out: &mut Vec<GroupAction>) {
+    fn leave_membership(&mut self, ctx: &GroupCtx<'_>) {
         if let Role::Member(m) = &self.role {
             // Remember the label so a flap rejoins instead of minting.
-            self.wait = Some(WaitMemory {
-                label: m.label,
-                leader: m.leader,
-                leader_pos: m.leader_pos,
-                weight: m.leader_weight,
-                until: ctx.now + ctx.cfg.wait_timer(),
-            });
+            self.remember(m.heard, ctx);
         }
         self.role = Role::Idle;
-        let _ = out;
     }
 
-    fn step_down(&mut self, ctx: &mut GroupCtx<'_>, out: &mut Vec<GroupAction>) {
-        let Role::Leader(l) = &mut self.role else {
+    fn step_down(&mut self, ctx: &GroupCtx<'_>, out: &mut Vec<GroupAction>) {
+        let Role::Leader(l) = &self.role else {
             return;
         };
-        let label = l.label;
-        let weight = l.weight;
-        let state = l.state_blob.clone();
-        let successor = if ctx.cfg.relinquish_enabled {
-            // The freshest reporter is the best-placed successor.
-            l.windows
-                .first()
-                .and_then(|w| w.successor_after(self.node))
-        } else {
-            None
-        };
-        if ctx.cfg.relinquish_enabled {
-            out.push(GroupAction::Broadcast(Message::Relinquish(Relinquish {
-                label,
-                from: self.node,
-                weight,
-                successor,
-                state: if ctx.cfg.state_replication_enabled {
-                    state
-                } else {
-                    None
-                },
-            })));
-        }
+        let (label, weight) = (l.label, l.weight);
+        let successor = l.relinquish(self.node, ctx, out);
         if successor.is_none() {
             out.push(GroupAction::Emit(SystemEvent::LabelDissolved {
                 label,
@@ -1102,226 +756,36 @@ impl GroupMachine {
             new_leader: None,
         });
         self.role = Role::Idle;
-        self.wait = Some(WaitMemory {
-            label,
-            leader: successor.unwrap_or(self.node),
-            leader_pos: ctx.position,
-            weight,
-            until: ctx.now + ctx.cfg.wait_timer(),
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // Helpers
-    // ------------------------------------------------------------------
-
-    fn rearm_receive(m: &mut MemberState, ctx: &mut GroupCtx<'_>, out: &mut Vec<GroupAction>) {
-        let jitter = SimDuration::from_micros(
-            ctx.rng
-                .below(ctx.cfg.takeover_jitter_max.as_micros().max(1)),
-        );
-        let at = ctx.now + ctx.cfg.receive_timer() + jitter;
-        let token = m.receive.arm(at);
-        out.push(GroupAction::ArmTimer {
-            key: GroupTimer::Receive,
-            at,
-            token,
-        });
-    }
-
-    fn send_heartbeat(
-        l: &mut LeaderState,
-        node: NodeId,
-        ctx: &mut GroupCtx<'_>,
-        out: &mut Vec<GroupAction>,
-    ) {
-        l.hb_seq += 1;
-        ctx.telemetry.trace_shared(
-            ctx.now.as_micros(),
-            node.0,
-            &ctx.labels.label(l.label),
-            "group.hb",
-            format!("seq={} weight={}", l.hb_seq, l.weight),
-        );
-        out.push(GroupAction::Broadcast(Message::Heartbeat(Heartbeat {
-            label: l.label,
-            leader: node,
-            leader_pos: ctx.position,
-            weight: l.weight,
-            hb_seq: l.hb_seq,
-            ttl: ctx.cfg.heartbeat_ttl,
-            state: if ctx.cfg.state_replication_enabled {
-                l.state_blob.clone()
-            } else {
-                None
-            },
-        })));
-    }
-
-    fn report_period(ctx: &GroupCtx<'_>) -> Option<SimDuration> {
-        ctx.spec
-            .aggregates
-            .iter()
-            .map(|a| ctx.cfg.report_period(a.freshness))
-            .min()
-    }
-
-    fn invoke_method(
-        &mut self,
-        ctx: &mut GroupCtx<'_>,
-        oi: usize,
-        mi: usize,
-        incoming: Option<IncomingMessage>,
-        out: &mut Vec<GroupAction>,
-    ) {
-        let Role::Leader(l) = &mut self.role else {
-            return;
+        let leader = LeaderLoc {
+            node: successor.unwrap_or(self.node),
+            pos: ctx.position,
         };
-        let label = l.label;
-        let spec_obj = &ctx.spec.objects[oi];
-        let method = &spec_obj.methods[mi];
-        let (effects, failure) = {
-            let access =
-                LeaderAccess::new(l, ctx.spec, ctx.now, self.node, ctx.telemetry, ctx.labels);
-            let mut api =
-                ObjectApi::new(label, self.node, ctx.position, ctx.now, &access, incoming);
-            (method.body)(&mut api);
-            let failure = access.last_failure.take();
-            (api.into_effects(), failure)
-        };
-        out.push(GroupAction::Emit(SystemEvent::MethodInvoked {
+        let heard = Heard {
             label,
-            node: self.node,
-            method: format!("{}.{}", spec_obj.name, method.name),
-        }));
-        if let Some((variable, have, need)) = failure {
-            out.push(GroupAction::Emit(SystemEvent::AggregateReadFailed {
-                label,
-                variable,
-                have,
-                need,
-            }));
-        }
-        for effect in effects {
-            match effect {
-                ObjectEffect::SendToBase { payload } => {
-                    out.push(GroupAction::SendToBase { label, payload });
-                }
-                ObjectEffect::MtpSend {
-                    dst_label,
-                    dst_port,
-                    payload,
-                } => {
-                    out.push(GroupAction::MtpSend {
-                        dst_label,
-                        dst_port,
-                        payload,
-                    });
-                }
-                ObjectEffect::SetState(s) => l.state_blob = Some(s),
-                ObjectEffect::ClearState => l.state_blob = None,
-                ObjectEffect::Log(line) => out.push(GroupAction::AppLog(line)),
-            }
-        }
-    }
-}
-
-/// Leader-side implementation of the read API objects see.
-struct LeaderAccess<'a> {
-    leader: &'a LeaderState,
-    spec: &'a ContextSpec,
-    now: Timestamp,
-    node: NodeId,
-    telemetry: &'a Telemetry,
-    labels: &'a LabelIntern,
-    last_failure: std::cell::Cell<Option<(String, u32, u32)>>,
-}
-
-impl<'a> LeaderAccess<'a> {
-    fn new(
-        leader: &'a LeaderState,
-        spec: &'a ContextSpec,
-        now: Timestamp,
-        node: NodeId,
-        telemetry: &'a Telemetry,
-        labels: &'a LabelIntern,
-    ) -> Self {
-        LeaderAccess {
             leader,
-            spec,
-            now,
-            node,
-            telemetry,
-            labels,
-            last_failure: std::cell::Cell::new(None),
-        }
-    }
-}
-
-impl ContextAccess for LeaderAccess<'_> {
-    fn read_aggregate(&self, name: &str) -> Result<AggValue, ObjectReadError> {
-        let Some(idx) = self.spec.aggregate_index(name) else {
-            return Err(ObjectReadError::UnknownVariable {
-                name: name.to_owned(),
-            });
+            weight,
         };
-        let agg = &self.spec.aggregates[idx];
-        let label = self.labels.label(self.leader.label);
-        match self.leader.windows[idx].evaluate(
-            &agg.function,
-            self.now,
-            agg.freshness,
-            agg.critical_mass,
-        ) {
-            Ok(v) => {
-                let contributors =
-                    self.leader.windows[idx].fresh_count(self.now, agg.freshness) as u64;
-                self.telemetry.incr("agg.valid");
-                self.telemetry.observe("agg.contributors", contributors);
-                self.telemetry.trace_shared(
-                    self.now.as_micros(),
-                    self.node.0,
-                    &label,
-                    "agg.valid",
-                    format!("var={name} contributors={contributors}"),
-                );
-                Ok(v)
-            }
-            Err(e) => {
-                self.telemetry.incr("agg.null");
-                self.telemetry.trace_shared(
-                    self.now.as_micros(),
-                    self.node.0,
-                    &label,
-                    "agg.null",
-                    format!("var={name} have={} need={}", e.have, e.need),
-                );
-                self.last_failure
-                    .set(Some((name.to_owned(), e.have, e.need)));
-                Err(ObjectReadError::NotConfirmed(e))
-            }
-        }
+        self.remember(heard, ctx);
     }
 
-    fn labels_of_type(&self, type_id: ContextTypeId) -> Vec<(ContextLabel, Point)> {
-        self.leader
-            .directory_cache
-            .iter()
-            .find(|(t, _)| *t == type_id)
-            .map(|(_, v)| v.clone())
-            .unwrap_or_default()
+    /// Starts (or restarts) the wait timer on `heard`.
+    fn remember(&mut self, heard: Heard, ctx: &GroupCtx<'_>) {
+        self.wait = Some((heard, ctx.now + ctx.cfg.wait_timer()));
     }
 
-    fn persistent_state(&self) -> Option<&Bytes> {
-        self.leader.state_blob.as_ref()
+    /// The remembered leader, while the wait timer has not lapsed.
+    fn remembered(&self, now: Timestamp) -> Option<Heard> {
+        self.wait
+            .and_then(|(heard, until)| (until > now).then_some(heard))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{AggregateFn, AggregateInput};
+    use crate::aggregate::{AggValue, AggregateFn};
     use crate::context::{AggregateSpec, SensePredicate};
+    use crate::object::ObjectApi;
     use envirotrack_world::target::Channel;
     use std::cell::Cell;
     use std::sync::Arc;
@@ -1442,6 +906,20 @@ mod tests {
             GroupCtx {
                 sensors,
                 ..self.ctx()
+            }
+        }
+    }
+
+    /// What the assertions below ask of a machine and no caller does.
+    impl GroupMachine {
+        fn is_leader(&self) -> bool {
+            matches!(self.role, Role::Leader(_))
+        }
+
+        fn leader_weight(&self) -> Option<u32> {
+            match &self.role {
+                Role::Leader(l) => Some(l.weight),
+                _ => None,
             }
         }
     }
@@ -1727,26 +1205,20 @@ mod tests {
         // Two members report; node 5 most recently.
         h.now += SimDuration::from_millis(100);
         let now = h.now;
-        let _ = m.on_report(
-            &mut h.ctx(),
-            &Report {
-                label: lbl,
-                member: NodeId(4),
-                taken_at: now,
-                values: vec![(0, ReadingValue::Position(Point::new(4.0, 0.0)))],
-            },
-        );
+        let _ = m.on_report(&Report {
+            label: lbl,
+            member: NodeId(4),
+            taken_at: now,
+            values: vec![(0, ReadingValue::Position(Point::new(4.0, 0.0)))],
+        });
         h.now += SimDuration::from_millis(100);
         let now = h.now;
-        let _ = m.on_report(
-            &mut h.ctx(),
-            &Report {
-                label: lbl,
-                member: NodeId(5),
-                taken_at: now,
-                values: vec![(0, ReadingValue::Position(Point::new(5.0, 0.0)))],
-            },
-        );
+        let _ = m.on_report(&Report {
+            label: lbl,
+            member: NodeId(5),
+            taken_at: now,
+            values: vec![(0, ReadingValue::Position(Point::new(5.0, 0.0)))],
+        });
         assert_eq!(m.leader_weight(), Some(2), "weight counts member messages");
         // The target moves out of range.
         h.sample.set(Channel::Magnetic, 0.0);
@@ -1812,15 +1284,12 @@ mod tests {
         // Feed reports to gain weight.
         let now = h.now;
         for i in 0..3 {
-            let _ = m.on_report(
-                &mut h.ctx(),
-                &Report {
-                    label: lbl,
-                    member: NodeId(10 + i),
-                    taken_at: now,
-                    values: vec![],
-                },
-            );
+            let _ = m.on_report(&Report {
+                label: lbl,
+                member: NodeId(10 + i),
+                taken_at: now,
+                values: vec![],
+            });
         }
         let actions = m.on_heartbeat(&mut h.ctx(), &hb(lbl, 7, 1, 1));
         assert!(m.is_leader(), "heavier leader must not yield");
@@ -1881,8 +1350,7 @@ mod tests {
         // long ago (many wait-timer windows in the past) still got
         // designated relinquish successor instead of the label dissolving.
         let mut h = Harness::new().sensing();
-        h.cfg = MiddlewareConfig::default()
-            .with_heartbeat_period(SimDuration::from_millis(200));
+        h.cfg = MiddlewareConfig::default().with_heartbeat_period(SimDuration::from_millis(200));
         let wait = h.cfg.wait_timer();
         assert!(wait < SimDuration::from_secs(1), "sub-second horizon");
         let mut m = machine(1, &spec_with_tracker());
@@ -1899,7 +1367,7 @@ mod tests {
             taken_at: h.now,
             values: vec![(0, ReadingValue::Position(Point::new(3.2, 0.5)))],
         };
-        let _ = m.on_report(&mut h.ctx(), &report);
+        let _ = m.on_report(&report);
         // Well past the wait timer (but far below the old 10 s floor) the
         // heartbeat tick prunes the window.
         h.now += SimDuration::from_secs(1);
@@ -1936,15 +1404,12 @@ mod tests {
         let my_label = make_leader(&mut h, &mut m);
         let now = h.now;
         for i in 0..5 {
-            let _ = m.on_report(
-                &mut h.ctx(),
-                &Report {
-                    label: my_label,
-                    member: NodeId(20 + i),
-                    taken_at: now,
-                    values: vec![],
-                },
-            );
+            let _ = m.on_report(&Report {
+                label: my_label,
+                member: NodeId(20 + i),
+                taken_at: now,
+                values: vec![],
+            });
         }
         let actions = m.on_heartbeat(&mut h.ctx(), &hb(label(9, 3), 9, 2, 1));
         assert!(m.is_leader());
@@ -2043,15 +1508,12 @@ mod tests {
         h.now = method_at;
         let _ = m.on_sense_tick(&mut h.ctx());
         let now = h.now;
-        let _ = m.on_report(
-            &mut h.ctx(),
-            &Report {
-                label: lbl,
-                member: NodeId(2),
-                taken_at: now,
-                values: vec![(0, ReadingValue::Position(Point::new(1.0, 0.5)))],
-            },
-        );
+        let _ = m.on_report(&Report {
+            label: lbl,
+            member: NodeId(2),
+            taken_at: now,
+            values: vec![(0, ReadingValue::Position(Point::new(1.0, 0.5)))],
+        });
         let actions = m.on_timer(&mut h.ctx(), GroupTimer::Method(0), method_tok);
         assert_eq!(invocations.lock().unwrap().as_slice(), &[true]);
         // The method's send became an action, it was logged as invoked, and
@@ -2142,12 +1604,12 @@ mod tests {
         // Idle: remembers the label. Member: re-arms its receive timer.
         let mut m = machine(1, &spec_with_tracker());
         let _ = m.on_heartbeat(&mut h.ctx_reading(&Forbidden), &hb(lbl, 9, 5, 1));
-        let _ = m.on_report(&mut h.ctx_reading(&Forbidden), &report(2));
+        let _ = m.on_report(&report(2));
         let _ = m.on_sense_tick(&mut h.ctx());
         assert_eq!(m.role_kind(), RoleKind::Member(lbl));
         let actions = m.on_heartbeat(&mut h.ctx_reading(&Forbidden), &hb(lbl, 9, 6, 2));
         assert!(find_timer(&actions, GroupTimer::Receive).is_some());
-        let _ = m.on_report(&mut h.ctx_reading(&Forbidden), &report(2));
+        let _ = m.on_report(&report(2));
         // Leader: weighs reports, yields to a heavier duplicate.
         let mut l = machine(2, &spec_with_tracker());
         let own = make_leader(&mut h, &mut l);
@@ -2155,7 +1617,7 @@ mod tests {
             label: own,
             ..report(3)
         };
-        let _ = l.on_report(&mut h.ctx_reading(&Forbidden), &mine);
+        let _ = l.on_report(&mine);
         assert_eq!(l.leader_weight(), Some(1));
         let _ = l.on_heartbeat(&mut h.ctx_reading(&Forbidden), &far_hb(lbl, 9, 50, 3));
         let _ = l.on_heartbeat(&mut h.ctx_reading(&Forbidden), &hb(own, 7, 50, 1));
@@ -2350,6 +1812,55 @@ mod tests {
             // Cheap guard against the walk degenerating: a long unpinned one
             // that never left idle means the inputs above stopped working.
             testkit::prop_assert!(pinned || ops.len() < 100 || roles[1] || roles[2]);
+        }
+
+        /// What the one `arm` states: the token in an `ArmTimer` is the one
+        /// the slot `on_timer` routes that key to is waiting for. Over
+        /// random walks through every role, the latest arming of a key is
+        /// never a stale no-op — firing it acts or changes the machine — for
+        /// as long as its slot lives: until the key is armed again, the role
+        /// that owns it ends, or the formation jitter is called off.
+        #[test]
+        fn the_latest_arming_of_a_key_is_never_stale(
+            ops in testkit::prop::collection::vec((0u8..6, 0u32..8), 1..120),
+        ) {
+            let mut h = Harness::new();
+            h.cfg.directory_enabled = true;
+            let mut m = machine(1, &spec_with_tracker());
+            let mut live: Vec<(GroupTimer, Timestamp, TimerToken)> = Vec::new();
+            let observable = |m: &GroupMachine| (m.role_kind(), m.formation.deadline());
+            for &(op, arg) in &ops {
+                h.sample.set(Channel::Magnetic, f64::from(arg % 4 / 2));
+                let before = observable(&m);
+                let actions = match op {
+                    0 | 1 => m.on_sense_tick(&mut h.ctx()),
+                    2 => m.on_heartbeat(&mut h.ctx(), &hb(label(9, 0), 9, arg, arg)),
+                    3 => {
+                        let own = m.current_label().unwrap_or(label(8, 3));
+                        m.on_heartbeat(&mut h.ctx(), &hb(own, 7, 4 * arg, arg))
+                    }
+                    _ if !live.is_empty() => {
+                        let (key, at, token) = live.remove(arg as usize % live.len());
+                        h.now = h.now.max(at);
+                        let actions = m.on_timer(&mut h.ctx(), key, token);
+                        let acted = !actions.is_empty() || observable(&m) != before;
+                        testkit::prop_assert!(acted, "{key:?} armed for {at} was stale");
+                        actions
+                    }
+                    _ => Vec::new(),
+                };
+                let after = observable(&m);
+                live.retain(|&(key, ..)| match key {
+                    GroupTimer::Formation => after.1.is_some(),
+                    _ => after.0 == before.0,
+                });
+                for a in &actions {
+                    if let GroupAction::ArmTimer { key, at, token } = a {
+                        live.retain(|(k, ..)| k != key);
+                        live.push((*key, *at, *token));
+                    }
+                }
+            }
         }
     }
 }

@@ -477,7 +477,7 @@ impl SensorNetwork {
                 self.run_machine(k, node, hb.label.type_id, |m, ctx| m.on_heartbeat(ctx, hb));
             }
             Message::Report(r) if self.hosts(r.label.type_id) => {
-                self.run_machine(k, node, r.label.type_id, |m, ctx| m.on_report(ctx, r));
+                self.run_machine(k, node, r.label.type_id, |m, _| m.on_report(r));
             }
             Message::Relinquish(r) if self.hosts(r.label.type_id) => {
                 self.run_machine(k, node, r.label.type_id, |m, ctx| m.on_relinquish(ctx, r));
@@ -786,9 +786,7 @@ impl SensorNetwork {
             payload: seg.payload.clone(),
         };
         let actions = self.drive_machine(now, node, tid, |machine, ctx| {
-            machine
-                .deliver_mtp(ctx, dst_label, seg.dst_port, incoming, method)
-                .unwrap_or_default()
+            machine.deliver_mtp(ctx, incoming, method)
         });
         let delivered = SystemEvent::MtpDelivered {
             label: dst_label,

@@ -39,7 +39,6 @@
 
 use envirotrack_telemetry::{CounterHandle, Telemetry};
 
-pub use crate::queue::EventKey;
 use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, Timestamp};
@@ -156,29 +155,6 @@ impl<W> Kernel<W> {
         self.queue.reserve_recurring(additional);
     }
 
-    /// Schedules `event` at absolute instant `at` and returns a key that
-    /// [`Kernel::cancel`] accepts while the event is still pending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past, like [`Kernel::schedule_at`].
-    pub fn schedule_at_cancellable<F>(&mut self, at: Timestamp, event: F) -> EventKey
-    where
-        F: FnOnce(&mut W, &mut Kernel<W>) + 'static,
-    {
-        self.assert_not_past(at);
-        self.queue.push_keyed(at, Event::Once(Box::new(event)))
-    }
-
-    /// Schedules `event` after `delay`, returning a cancellation key.
-    pub fn schedule_in_cancellable<F>(&mut self, delay: SimDuration, event: F) -> EventKey
-    where
-        F: FnOnce(&mut W, &mut Kernel<W>) + 'static,
-    {
-        let at = self.now.saturating_add(delay);
-        self.queue.push_keyed(at, Event::Once(Box::new(event)))
-    }
-
     fn assert_not_past(&self, at: Timestamp) {
         assert!(
             at >= self.now,
@@ -186,13 +162,6 @@ impl<W> Kernel<W> {
             self.now,
             at
         );
-    }
-
-    /// Cancels a pending event. Returns whether anything was cancelled —
-    /// `false` for a key whose event already ran or was already cancelled
-    /// (a one-shot timer racing its own cancellation is not a bug).
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        self.queue.cancel(key).is_some()
     }
 
     /// Requests that the run loop stop after the current event completes.
@@ -581,33 +550,6 @@ mod tests {
         e.kernel_mut().schedule_at(Timestamp::ZERO, forever);
         assert_eq!(e.run_to_completion(), RunOutcome::EventLimit);
         assert_eq!(e.kernel().events_processed(), 1000);
-    }
-
-    #[test]
-    fn cancelled_events_never_fire_and_stale_cancels_are_noops() {
-        let mut e = Engine::new(World::default(), 1);
-        let doomed = e
-            .kernel_mut()
-            .schedule_at_cancellable(Timestamp::from_secs(1), |w: &mut World, _| {
-                w.log.push((1, "doomed"));
-            });
-        e.kernel_mut()
-            .schedule_at(Timestamp::from_secs(2), |w: &mut World, _| {
-                w.log.push((2, "kept"));
-            });
-        let fired = e
-            .kernel_mut()
-            .schedule_in_cancellable(SimDuration::from_secs(3), |w: &mut World, _| {
-                w.log.push((3, "fired"));
-            });
-        assert!(e.kernel_mut().cancel(doomed));
-        assert!(!e.kernel_mut().cancel(doomed), "double cancel is a no-op");
-        assert_eq!(e.run_to_completion(), RunOutcome::QueueDrained);
-        assert_eq!(e.world().log, vec![(2, "kept"), (3, "fired")]);
-        assert!(
-            !e.kernel_mut().cancel(fired),
-            "cancelling an already-fired event is a no-op"
-        );
     }
 
     #[test]
