@@ -12,7 +12,7 @@ use envirotrack_core::network::{NetworkConfig, SensorNetwork};
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::scenario::TankScenario;
 
-use crate::harness::{run_tracking, tracker_program, TrackingRun, TRACKER};
+use crate::harness::{run_tracking, tracker_program, TrackingRun, COOLDOWN, TRACKER};
 use crate::sweep::parallel_map;
 
 /// One ablation row: a named variant and its metrics.
@@ -230,7 +230,7 @@ fn run_with(
         net_cfg,
         cfg.seed,
     );
-    let horizon = Timestamp::ZERO + crossing + cfg.cooldown;
+    let horizon = Timestamp::ZERO + crossing + COOLDOWN;
     let field_max_x = f64::from(cfg.cols - 1);
     let mut in_field = 0u32;
     let mut tracked = 0u32;
@@ -293,10 +293,7 @@ fn run_with(
         hb_loss: hb.pair_loss_ratio(),
         report_tx: rpt.tx,
         report_loss: rpt.pair_loss_ratio(),
-        link_utilization: stats.link_utilization(
-            horizon - Timestamp::ZERO,
-            world.config().radio.bandwidth_bps,
-        ),
+        link_utilization: stats.link_utilization(horizon - Timestamp::ZERO),
         cpu: world.cpu_totals(),
         elapsed: horizon - Timestamp::ZERO,
     }

@@ -95,9 +95,10 @@ pub struct TrackingRun {
     pub sense_period: Option<SimDuration>,
     /// RNG seed.
     pub seed: u64,
-    /// Extra virtual time after the crossing completes.
-    pub cooldown: SimDuration,
 }
+
+/// Extra virtual time a run keeps going after the crossing completes.
+pub(crate) const COOLDOWN: SimDuration = SimDuration::from_secs(5);
 
 impl Default for TrackingRun {
     /// The paper's testbed configuration: 10×2 grid, lane y = 0.5, sensing
@@ -116,7 +117,6 @@ impl Default for TrackingRun {
             relinquish: true,
             sense_period: None,
             seed: 2,
-            cooldown: SimDuration::from_secs(5),
         }
     }
 }
@@ -248,7 +248,7 @@ pub fn run_tracking(cfg: &TrackingRun) -> TrackingOutcome {
     let mut tracked_samples = 0u32;
     // Sample densely enough that fast crossings still get ~20 samples.
     let sample_every = SimDuration::from_secs_f64((0.5 / cfg.speed_hops_per_s).clamp(0.05, 1.0));
-    let horizon = Timestamp::ZERO + crossing + cfg.cooldown;
+    let horizon = Timestamp::ZERO + crossing + COOLDOWN;
     let mut t = Timestamp::ZERO;
     while t < horizon {
         t = (t + sample_every).min(horizon);
@@ -312,7 +312,7 @@ pub fn run_tracking(cfg: &TrackingRun) -> TrackingOutcome {
         hb_loss: hb.pair_loss_ratio(),
         report_tx: rpt.tx,
         report_loss: rpt.pair_loss_ratio(),
-        link_utilization: stats.link_utilization(elapsed, world.config().radio.bandwidth_bps),
+        link_utilization: stats.link_utilization(elapsed),
         cpu: world.cpu_totals(),
         elapsed,
     }

@@ -24,7 +24,6 @@
 use std::sync::Arc;
 
 use envirotrack_chaos::harness;
-use envirotrack_chaos::monitor::MonitorConfig;
 use envirotrack_chaos::plan::{FaultEvent, FaultPlan};
 use envirotrack_core::api::Program;
 use envirotrack_core::context::{ContextTypeId, SensePredicate};
@@ -319,7 +318,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         SensorNetwork::build_engine(program, deployment, environment, net, cfg.seed);
     let plan = build_plan(cfg, engine.world().deployment());
     let fault_events = plan.len() as u64;
-    let monitor = harness::install(&mut engine, plan, cfg.seed, MonitorConfig::default());
+    let monitor = harness::install(&mut engine, plan, cfg.seed);
     let end = Timestamp::ZERO + cfg.horizon;
     engine.run_until(end);
 

@@ -16,7 +16,11 @@
 //! the central scheduler at `request + L` — so their bytes legitimately
 //! differ; what the `+L` must not move is pinned there.
 
+use std::sync::{mpsc, Arc};
+
 use envirotrack_bench::harness::tracker_program;
+use envirotrack_core::api::Program;
+use envirotrack_core::context::SensePredicate;
 use envirotrack_core::network::{FaultEvent, NetworkConfig, SensorNetwork};
 use envirotrack_core::report::telemetry_to_jsonl;
 use envirotrack_core::shard::{run_sharded, IntentStats, MediumMode};
@@ -24,7 +28,8 @@ use envirotrack_core::wire::kinds;
 use envirotrack_net::medium::{GilbertElliott, KindStats, LinkFaults};
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::NodeId;
-use envirotrack_world::scenario::ScaleScenario;
+use envirotrack_world::scenario::{ScaleScenario, TankScenario};
+use envirotrack_world::target::Channel;
 
 /// Bounded horizon: the pin runs in the debug profile under `cargo test`,
 /// so keep the event count modest while still crossing group formation,
@@ -334,4 +339,48 @@ fn monolithic_and_one_shard_runs_agree_on_paper_level_metrics() {
             "seed {seed}: heartbeats and reports must carry enough pairs, checked {checked:?}"
         );
     }
+}
+
+/// A shard thread that dies must fail the run, at any shard count. With
+/// two or more shards it used to hang it: the survivors, parked on their
+/// command channels, kept the response channel open, so the orchestrator
+/// waited forever for the dead shard's answer.
+#[test]
+fn a_dying_shard_panics_the_run_instead_of_hanging_it() {
+    let program = Program::builder()
+        .context("tracker", |c| {
+            c.activation(SensePredicate::threshold(Channel::Magnetic, 0.5))
+                .object("bomb", |o| {
+                    o.on_timer("boom", SimDuration::from_secs(2), |_| panic!("handler bug"))
+                })
+        })
+        .build()
+        .unwrap();
+    let program = Arc::new(program);
+    // The helper thread drops `done_tx` when `run_sharded` returns, however
+    // it returns; a hang is the one outcome that times out instead.
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    let helper = std::thread::spawn(move || {
+        let _done_tx = done_tx;
+        let scenario = TankScenario::default().build();
+        let _ = run_sharded(
+            &program,
+            &scenario.deployment,
+            &scenario.environment,
+            &NetworkConfig::default(),
+            SEED,
+            2,
+            Timestamp::from_secs(30),
+            &[],
+            MediumMode::Partitioned,
+        );
+    });
+    assert_eq!(
+        done_rx.recv_timeout(std::time::Duration::from_secs(30)),
+        Err(mpsc::RecvTimeoutError::Disconnected),
+        "run_sharded hangs when one of two shards dies"
+    );
+    let died = helper.join().expect_err("the handler panicked");
+    let message = died.downcast_ref::<String>().expect("a formatted panic");
+    assert_eq!(message, "shard 0 died mid-run");
 }

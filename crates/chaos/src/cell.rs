@@ -17,7 +17,6 @@ use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::scenario::TankScenario;
 
 use crate::harness;
-use crate::monitor::MonitorConfig;
 use crate::plan::FaultPlan;
 
 /// One chaos run specification: a seeded random fault plan over a tank
@@ -64,7 +63,7 @@ pub fn run_cell(cell: &ChaosCell, program: Arc<Program>) -> RunRecord {
         cell.seed,
     );
     let plan = FaultPlan::random(cell.seed, engine.world().deployment().len(), cell.horizon);
-    let monitor = harness::install(&mut engine, plan, cell.seed, MonitorConfig::default());
+    let monitor = harness::install(&mut engine, plan, cell.seed);
     let end = Timestamp::ZERO + cell.horizon;
     engine.run_until(end);
     let mon = monitor.borrow();

@@ -16,7 +16,7 @@ use envirotrack_sim::engine::{Engine, Kernel};
 use envirotrack_sim::time::Timestamp;
 use envirotrack_world::field::NodeId;
 
-use crate::monitor::{InvariantMonitor, MonitorConfig};
+use crate::monitor::{InvariantMonitor, TICK};
 use crate::plan::{describe, FaultEvent, FaultPlan};
 
 /// Shared monitor handle: kernel events and the caller both sample it.
@@ -33,16 +33,11 @@ type Budgets = Rc<RefCell<Vec<(NodeId, f64)>>>;
 ///
 /// Panics when the plan fails [`FaultPlan::validate`] against the engine's
 /// deployment — a malformed plan is a harness bug, not a run outcome.
-pub fn install(
-    engine: &mut Engine<SensorNetwork>,
-    plan: FaultPlan,
-    seed: u64,
-    cfg: MonitorConfig,
-) -> MonitorHandle {
+pub fn install(engine: &mut Engine<SensorNetwork>, plan: FaultPlan, seed: u64) -> MonitorHandle {
     plan.validate(engine.world().deployment().len())
         .expect("fault plan must match the deployment");
-    let monitor: MonitorHandle =
-        Rc::new(RefCell::new(InvariantMonitor::new(seed, engine.world(), cfg)));
+    let monitor = InvariantMonitor::new(seed, engine.world());
+    let monitor: MonitorHandle = Rc::new(RefCell::new(monitor));
     let budgets: Budgets = Rc::new(RefCell::new(Vec::new()));
     engine.world_mut().set_delivery_log(true);
 
@@ -64,9 +59,8 @@ pub fn install(
     }
     let mon = Rc::clone(&monitor);
     let bud = Rc::clone(&budgets);
-    let first = k.now() + cfg.tick;
-    k.schedule_at(first, move |w: &mut SensorNetwork, k| {
-        monitor_tick(w, k, mon, bud, cfg);
+    k.schedule_at(k.now() + TICK, move |w: &mut SensorNetwork, k| {
+        monitor_tick(w, k, mon, bud);
     });
     monitor
 }
@@ -114,14 +108,13 @@ fn monitor_tick(
     k: &mut Kernel<SensorNetwork>,
     monitor: MonitorHandle,
     budgets: Budgets,
-    cfg: MonitorConfig,
 ) {
     // Reschedule first so a panicking check still leaves a live loop when
     // tests catch and continue.
     let mon = Rc::clone(&monitor);
     let bud = Rc::clone(&budgets);
-    k.schedule_at(k.now() + cfg.tick, move |w: &mut SensorNetwork, k| {
-        monitor_tick(w, k, mon, bud, cfg);
+    k.schedule_at(k.now() + TICK, move |w: &mut SensorNetwork, k| {
+        monitor_tick(w, k, mon, bud);
     });
     // Battery death: a budgeted node dies for good once its cumulative
     // protocol energy crosses the line.

@@ -15,7 +15,6 @@
 //! ```
 //! use std::sync::Arc;
 //! use envirotrack_chaos::harness;
-//! use envirotrack_chaos::monitor::MonitorConfig;
 //! use envirotrack_chaos::plan::{FaultEvent, FaultPlan};
 //! use envirotrack_core::api::Program;
 //! use envirotrack_core::context::SensePredicate;
@@ -39,7 +38,7 @@
 //! let plan = FaultPlan::new()
 //!     .at(Timestamp::from_secs(5), FaultEvent::Crash(NodeId(7)))
 //!     .at(Timestamp::from_secs(12), FaultEvent::Reboot(NodeId(7)));
-//! let monitor = harness::install(&mut engine, plan, seed, MonitorConfig::default());
+//! let monitor = harness::install(&mut engine, plan, seed);
 //! engine.run_until(Timestamp::from_secs(30));
 //! assert!(monitor.borrow().violations().is_empty());
 //! ```

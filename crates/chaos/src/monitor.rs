@@ -64,29 +64,14 @@ pub struct Violation {
     pub label_trace: Vec<String>,
 }
 
-/// Monitor tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct MonitorConfig {
-    /// Sampling period.
-    pub tick: SimDuration,
-    /// How long a duplicate-leader condition may persist before it counts
-    /// as a violation. Should exceed the wait timer plus takeover jitter;
-    /// the default covers the paper's default timers with slack.
-    pub settle: SimDuration,
-    /// Two same-type leaders closer than this are considered duplicates
-    /// (mirror of the middleware's proximity radius).
-    pub proximity_radius: f64,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            tick: SimDuration::from_millis(250),
-            settle: SimDuration::from_secs(5),
-            proximity_radius: 3.0,
-        }
-    }
-}
+/// Sampling period of the invariant tick.
+pub(crate) const TICK: SimDuration = SimDuration::from_millis(250);
+/// How long a duplicate-leader condition may persist before it counts as a
+/// violation: above the default wait timer (4.2 × 500 ms) plus takeover
+/// jitter, with slack.
+const SETTLE: SimDuration = SimDuration::from_secs(5);
+const _: () = assert!(TICK.as_micros() < SETTLE.as_micros());
+const _: () = assert!(SETTLE.as_micros() > 2_100_000);
 
 /// The sampling monitor. Create with [`InvariantMonitor::new`], then let
 /// [`crate::harness::install`] drive it, or call
@@ -94,7 +79,9 @@ impl Default for MonitorConfig {
 #[derive(Debug)]
 pub struct InvariantMonitor {
     seed: u64,
-    cfg: MonitorConfig,
+    /// Two same-type leaders closer than this are duplicates: the monitored
+    /// world's own `proximity_radius`, read once at construction.
+    dup_radius: f64,
     /// Last local-clock sample per node.
     last_clock: Vec<SimDuration>,
     /// When a duplicate-leader condition started, per context type.
@@ -112,10 +99,10 @@ pub struct InvariantMonitor {
 impl InvariantMonitor {
     /// Creates a monitor sized to `world`.
     #[must_use]
-    pub fn new(seed: u64, world: &SensorNetwork, cfg: MonitorConfig) -> Self {
+    pub fn new(seed: u64, world: &SensorNetwork) -> Self {
         InvariantMonitor {
             seed,
-            cfg,
+            dup_radius: world.config().middleware.proximity_radius,
             last_clock: vec![SimDuration::ZERO; world.deployment().len()],
             dup_since: vec![None; world.context_type_count()],
             corrupt_accepted_seen: 0,
@@ -123,12 +110,6 @@ impl InvariantMonitor {
             violations: Vec::new(),
             telemetry: world.telemetry().clone(),
         }
-    }
-
-    /// The monitor configuration.
-    #[must_use]
-    pub fn config(&self) -> &MonitorConfig {
-        &self.cfg
     }
 
     /// Records an applied fault event for violation traces.
@@ -234,7 +215,7 @@ impl InvariantMonitor {
             let mut close_pair = None;
             'outer: for (i, a) in leaders.iter().enumerate() {
                 for b in leaders.iter().skip(i + 1) {
-                    if at(a.0).distance_to(at(b.0)) <= self.cfg.proximity_radius {
+                    if at(a.0).distance_to(at(b.0)) <= self.dup_radius {
                         close_pair = Some((a.0, b.0, a.1));
                         break 'outer;
                     }
@@ -244,13 +225,13 @@ impl InvariantMonitor {
                 (None, _) => self.dup_since[t] = None,
                 (Some(_), None) => self.dup_since[t] = Some(now),
                 (Some((a, b, label)), Some(since)) => {
-                    if now.saturating_since(since) > self.cfg.settle {
+                    if now.saturating_since(since) > SETTLE {
                         self.record(
                             now,
                             InvariantKind::DuplicateLeaders,
                             format!(
                                 "type {t}: nodes {} and {} both lead within {} units since {since}",
-                                a.0, b.0, self.cfg.proximity_radius
+                                a.0, b.0, self.dup_radius
                             ),
                             Some(&label.to_string()),
                         );
@@ -311,13 +292,34 @@ impl InvariantMonitor {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use envirotrack_core::api::Program;
+    use envirotrack_core::context::SensePredicate;
+    use envirotrack_core::network::NetworkConfig;
+    use envirotrack_world::scenario::TankScenario;
+    use envirotrack_world::target::Channel;
+    use testkit::prelude::*;
+
     use super::*;
 
-    #[test]
-    fn default_settle_exceeds_the_default_wait_timer() {
-        let cfg = MonitorConfig::default();
-        // Paper defaults: wait timer = 4.2 × 500 ms = 2.1 s.
-        assert!(cfg.settle > SimDuration::from_millis(2100));
-        assert!(cfg.tick < cfg.settle);
+    prop_test! {
+        /// The monitor judges duplicates by the radius the monitored world
+        /// merges labels at, whatever that world was built with.
+        #[test]
+        fn duplicate_leader_radius_is_the_monitored_worlds(radius in 0.5..12.0f64) {
+            let program = Program::builder()
+                .context("tracker", |c| {
+                    c.activation(SensePredicate::threshold(Channel::Magnetic, 0.5))
+                })
+                .build()
+                .unwrap();
+            let scenario = TankScenario::default().with_grid(4, 2).build();
+            let mut config = NetworkConfig::default();
+            config.middleware.proximity_radius = radius;
+            let (deployment, environment) = (scenario.deployment, scenario.environment);
+            let world = SensorNetwork::new(Arc::new(program), deployment, environment, config, 1);
+            prop_assert_eq!(InvariantMonitor::new(1, &world).dup_radius, radius);
+        }
     }
 }

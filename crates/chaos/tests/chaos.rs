@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use envirotrack_chaos::harness;
-use envirotrack_chaos::monitor::{InvariantKind, MonitorConfig};
+use envirotrack_chaos::monitor::InvariantKind;
 use envirotrack_chaos::plan::{FaultEvent, FaultPlan};
 use envirotrack_core::prelude::*;
 use envirotrack_core::report::{telemetry_summary, telemetry_to_jsonl};
@@ -88,7 +88,7 @@ fn chaos_storm_keeps_invariants_and_reacquires_tracking() {
         .at(at(40), FaultEvent::Reboot(leader))
         .at(at(45), FaultEvent::Heal)
         .at(at(52), FaultEvent::BurstLossOff);
-    let monitor = harness::install(&mut engine, plan, seed, MonitorConfig::default());
+    let monitor = harness::install(&mut engine, plan, seed);
     engine.run_until(Timestamp::from_secs(90));
 
     let world = engine.world();
@@ -127,7 +127,7 @@ fn identical_seed_and_plan_replay_byte_identically() {
             seed,
         );
         let plan = FaultPlan::random(seed, engine.world().deployment().len(), SimDuration::from_secs(60));
-        let monitor = harness::install(&mut engine, plan, seed, MonitorConfig::default());
+        let monitor = harness::install(&mut engine, plan, seed);
         engine.run_until(Timestamp::from_secs(60));
         let world = engine.world();
         let record = harness::summarize(world, seed, Timestamp::from_secs(60), &monitor.borrow());
@@ -167,7 +167,7 @@ fn blackout_violation_carries_the_labels_trace_tail() {
         loss_bad: 1.0,
     };
     let plan = FaultPlan::new().at(Timestamp::from_secs(31), FaultEvent::BurstLossOn(blackout));
-    let monitor = harness::install(&mut engine, plan, seed, MonitorConfig::default());
+    let monitor = harness::install(&mut engine, plan, seed);
     engine.run_until(Timestamp::from_secs(60));
 
     let mon = monitor.borrow();
@@ -207,7 +207,7 @@ fn telemetry_replays_byte_identically() {
             seed,
         );
         let plan = FaultPlan::random(seed, engine.world().deployment().len(), SimDuration::from_secs(50));
-        let _monitor = harness::install(&mut engine, plan, seed, MonitorConfig::default());
+        let _monitor = harness::install(&mut engine, plan, seed);
         engine.run_until(Timestamp::from_secs(60));
         let t = engine.world().telemetry();
         format!("{}{}", telemetry_to_jsonl(t), telemetry_summary(t))
@@ -260,7 +260,7 @@ prop_test! {
             seed,
         );
         let plan = FaultPlan::random(seed, node_count, horizon);
-        let monitor = harness::install(&mut engine, plan.clone(), seed, MonitorConfig::default());
+        let monitor = harness::install(&mut engine, plan.clone(), seed);
         // Run past the horizon so post-heal settling is observed too.
         engine.run_until(Timestamp::from_secs(50));
         let mon = monitor.borrow();
@@ -289,7 +289,7 @@ fn battery_budget_kills_its_node_for_good() {
         assert_eq!(deployment.position(node), Point::new(2.0, 2.0));
         let mut engine =
             SensorNetwork::build_engine(program, deployment, environment, NetworkConfig::default(), seed);
-        let monitor = harness::install(&mut engine, plan, seed, MonitorConfig::default());
+        let monitor = harness::install(&mut engine, plan, seed);
         engine.run_until(horizon);
         let spent = engine.world().energy_at(node).total_millijoules();
         (engine.world().is_alive(node), spent, monitor)
@@ -336,7 +336,7 @@ fn reboots_never_add_a_sensing_loop() {
             plan.at(Timestamp::from_secs(2 + 4 * i), FaultEvent::Crash(node))
                 .at(Timestamp::from_secs(3 + 4 * i), FaultEvent::Reboot(node))
         });
-        let _monitor = harness::install(&mut engine, plan, 3, MonitorConfig::default());
+        let _monitor = harness::install(&mut engine, plan, 3);
         engine.run_until(Timestamp::from_secs(20));
         engine.world().cpu_totals().0
     }

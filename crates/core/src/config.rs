@@ -1,11 +1,21 @@
-//! Middleware tuning knobs.
+//! Middleware settings: what an experiment, tool, example or test sets.
 //!
 //! The defaults follow the paper's best settings (§6.2): receive timer at
 //! 2.1× and wait timer at 4.2× the heartbeat period, heartbeats flooded one
 //! hop past the group perimeter, and the leadership-relinquish optimisation
-//! enabled. The Fig. 4/5/6 experiments sweep exactly these fields.
+//! enabled. Every field here is written at a second value somewhere in the
+//! workspace (`scripts/knobs.sh` lists any that stops being). A value
+//! nothing ever varied is a `const` beside the code that reads it:
+//! the MTP table, pointer, pending and retransmission bounds in
+//! [`crate::transport`], directory entry lifetime and query timeout in
+//! [`crate::directory`], the takeover jitter in `group/member.rs`, the
+//! link-ack schedule in `network/link.rs`, and [`DELAY_ESTIMATE`] below.
 
 use envirotrack_sim::time::SimDuration;
+
+/// Estimated worst-case in-group message delay `d`; member report periods
+/// are `Le − d` (paper §3.2.3).
+pub(crate) const DELAY_ESTIMATE: SimDuration = SimDuration::from_millis(100);
 
 /// Group-management, data-collection, directory, and transport parameters.
 #[derive(Debug, Clone)]
@@ -25,47 +35,18 @@ pub struct MiddlewareConfig {
     /// How often every node samples its local sensors and re-evaluates
     /// activation conditions.
     pub sense_period: SimDuration,
-    /// Estimated worst-case in-group message delay `d`; member report
-    /// periods are `Le − d` (paper §3.2.3).
-    pub delay_estimate: SimDuration,
     /// Whether a leader that stops sensing explicitly relinquishes to a
     /// member (the paper's relinquish optimisation) instead of dying out.
     pub relinquish_enabled: bool,
-    /// Maximum random delay a member adds before a timeout-driven takeover
-    /// (desynchronises competing takeovers).
-    pub takeover_jitter_max: SimDuration,
     /// Whether labels register with the directory service.
     pub directory_enabled: bool,
     /// Period between directory location refreshes from a leader.
     pub directory_update_period: SimDuration,
-    /// Directory entries not refreshed within this window expire.
-    pub directory_entry_ttl: SimDuration,
-    /// Capacity of the transport last-known-leader LRU table.
-    pub mtp_table_capacity: usize,
-    /// Lifetime of forwarding pointers left by past leaders.
-    pub mtp_forward_ttl: SimDuration,
-    /// Maximum forwarding-chain hops before an MTP segment is dropped.
-    pub mtp_max_chain_hops: u8,
-    /// How long a send may wait on directory resolution before expiring.
-    pub mtp_pending_ttl: SimDuration,
     /// Whether MTP segments are acknowledged end to end and retransmitted.
     pub mtp_retx_enabled: bool,
-    /// Base end-to-end ack timeout; doubles per retransmission attempt.
-    pub mtp_retx_timeout: SimDuration,
-    /// Total MTP transmission attempts (first send included).
-    pub mtp_retx_max_attempts: u32,
-    /// Upper bound on the uniform jitter added to each retransmission
-    /// backoff (desynchronises retransmitters after a shared outage).
-    pub mtp_retx_jitter_max: SimDuration,
-    /// Hard ceiling on the exponential retransmission backoff: the
-    /// per-attempt doubling clamps here instead of growing unboundedly.
-    pub mtp_retx_max_backoff: SimDuration,
     /// Directory registrations fan out to this many nodes nearest the hash
     /// point (1 = the classic single home node).
     pub directory_replicas: usize,
-    /// How long a directory query may stay unanswered before failing over
-    /// to the next replica.
-    pub directory_query_timeout: SimDuration,
     /// Whether directory replicas run anti-entropy gossip: each replica
     /// periodically pushes its entry digest to a peer replica, which merges
     /// missing/fresher entries and pushes back what the sender lacks. Only
@@ -95,26 +76,11 @@ impl Default for MiddlewareConfig {
             wait_timer_factor: 4.2,
             heartbeat_ttl: 1,
             sense_period: SimDuration::from_millis(200),
-            delay_estimate: SimDuration::from_millis(100),
             relinquish_enabled: true,
-            takeover_jitter_max: SimDuration::from_millis(50),
             directory_enabled: false,
             directory_update_period: SimDuration::from_secs(10),
-            directory_entry_ttl: SimDuration::from_secs(30),
-            mtp_table_capacity: 8,
-            mtp_forward_ttl: SimDuration::from_secs(20),
-            mtp_max_chain_hops: 8,
-            mtp_pending_ttl: SimDuration::from_secs(5),
             mtp_retx_enabled: true,
-            mtp_retx_timeout: SimDuration::from_millis(600),
-            mtp_retx_max_attempts: 4,
-            mtp_retx_jitter_max: SimDuration::from_millis(80),
-            // 60 s is far above timeout * 2^(max_attempts - 1) at the
-            // defaults, so the cap only bites deliberately aggressive
-            // retry budgets.
-            mtp_retx_max_backoff: SimDuration::from_secs(60),
             directory_replicas: 1,
-            directory_query_timeout: SimDuration::from_millis(1500),
             directory_gossip_enabled: false,
             directory_gossip_period: SimDuration::from_secs(5),
             state_replication_enabled: false,
@@ -140,8 +106,7 @@ impl MiddlewareConfig {
     /// `max(Le − d, sense period)` — reports can't outpace sensing.
     #[must_use]
     pub fn report_period(&self, le: SimDuration) -> SimDuration {
-        le.saturating_sub(self.delay_estimate)
-            .max(self.sense_period)
+        le.saturating_sub(DELAY_ESTIMATE).max(self.sense_period)
     }
 
     /// Sets the heartbeat period; chainable.
@@ -224,32 +189,13 @@ impl MiddlewareConfig {
         if self.sense_period.is_zero() {
             return Err("sense period must be positive".into());
         }
-        if self.mtp_retx_enabled {
-            if self.mtp_retx_max_attempts == 0 {
-                return Err("MTP retransmission needs at least one attempt".into());
-            }
-            if self.mtp_retx_timeout.is_zero() {
-                return Err("MTP retransmission timeout must be positive".into());
-            }
-            if self.mtp_retx_max_backoff < self.mtp_retx_timeout {
-                return Err(
-                    "MTP retransmission backoff ceiling must be at least the base timeout".into(),
-                );
-            }
-        }
         if self.directory_replicas == 0 {
             return Err("at least one directory replica is required".into());
-        }
-        if self.directory_enabled && self.directory_query_timeout.is_zero() {
-            return Err("directory query timeout must be positive".into());
         }
         // A leader re-arms its directory refresh one period ahead: a zero
         // period re-arms at `now` forever and virtual time stops advancing.
         if self.directory_enabled && self.directory_update_period.is_zero() {
             return Err("directory_update_period must be positive".into());
-        }
-        if self.mtp_table_capacity == 0 {
-            return Err("mtp_table_capacity must be at least 1".into());
         }
         if self.directory_gossip_enabled {
             if self.directory_gossip_period.is_zero() {
@@ -304,15 +250,13 @@ mod tests {
     }
 
     #[test]
-    fn validation_names_the_zero_period_and_the_empty_table() {
+    fn validation_names_the_zero_period() {
         let mut c = MiddlewareConfig::default().with_directory(true);
         c.directory_update_period = SimDuration::ZERO;
         assert!(c.validate().unwrap_err().contains("directory_update_period"));
         // Without the directory no leader ever arms that timer.
         c.directory_enabled = false;
         assert!(c.validate().is_ok());
-        c.mtp_table_capacity = 0;
-        assert!(c.validate().unwrap_err().contains("mtp_table_capacity"));
     }
 
     #[test]

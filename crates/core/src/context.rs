@@ -13,7 +13,8 @@
 use std::fmt;
 use std::sync::Arc;
 
-use envirotrack_sim::time::SimDuration;
+use envirotrack_sim::time::{SimDuration, Timestamp};
+use envirotrack_telemetry::Telemetry;
 use envirotrack_world::field::NodeId;
 use envirotrack_world::sensing::SensorSample;
 use envirotrack_world::target::Channel;
@@ -100,6 +101,20 @@ impl LabelIntern {
         self.pool
             .get_or_insert_with(TYPE_KEY_TAG | u128::from(type_id.0), || type_id.to_string())
     }
+}
+
+/// Records a trace event about `label` on `telemetry`, under the label's
+/// cached display form.
+pub(crate) fn trace_label(
+    telemetry: &Telemetry,
+    labels: &LabelIntern,
+    at: Timestamp,
+    node: NodeId,
+    label: ContextLabel,
+    kind: &'static str,
+    detail: String,
+) {
+    telemetry.trace_shared(at.as_micros(), node.0, &labels.label(label), kind, detail);
 }
 
 /// A boolean sensing predicate over the local sensor sample — the paper's

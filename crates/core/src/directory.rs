@@ -67,6 +67,12 @@ pub fn replica_set(deployment: &Deployment, home: Point, k: usize) -> Vec<NodeId
         .collect()
 }
 
+/// Entries not refreshed within this window expire.
+pub(crate) const ENTRY_TTL: SimDuration = SimDuration::from_secs(30);
+/// How long a query may stay unanswered before the asker fails over to the
+/// next replica.
+pub(crate) const QUERY_TIMEOUT: SimDuration = SimDuration::from_millis(1500);
+
 /// One directory entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Entry {

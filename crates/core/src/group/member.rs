@@ -12,6 +12,10 @@ use envirotrack_world::field::NodeId;
 use super::{arm, GroupAction, GroupCtx, GroupTimer, Heard};
 use crate::wire::{Message, Report};
 
+/// Maximum random delay a member adds to its receive timer, so competing
+/// takeovers do not fire in the same instant.
+pub(super) const TAKEOVER_JITTER_MAX: SimDuration = SimDuration::from_millis(50);
+
 /// Member-role state.
 pub(super) struct MemberState {
     /// The leader followed, as last heard.
@@ -52,10 +56,7 @@ impl MemberState {
     /// jitter that keeps members from taking over in the same instant.
     #[inline]
     pub(super) fn rearm_receive(&mut self, ctx: &mut GroupCtx<'_>, out: &mut Vec<GroupAction>) {
-        let jitter = SimDuration::from_micros(
-            ctx.rng
-                .below(ctx.cfg.takeover_jitter_max.as_micros().max(1)),
-        );
+        let jitter = SimDuration::from_micros(ctx.rng.below(TAKEOVER_JITTER_MAX.as_micros()));
         let at = ctx.now + ctx.cfg.receive_timer() + jitter;
         arm(&mut self.receive, GroupTimer::Receive, at, out);
     }

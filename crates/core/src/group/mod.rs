@@ -62,7 +62,9 @@ use self::leader::LeaderState;
 use self::member::MemberState;
 use crate::aggregate::{AggregateInput, ReadingValue};
 use crate::config::MiddlewareConfig;
-use crate::context::{ContextLabel, ContextSpec, ContextTypeId, Invocation, LabelIntern};
+use crate::context::{
+    trace_label, ContextLabel, ContextSpec, ContextTypeId, Invocation, LabelIntern,
+};
 use crate::events::{HandoverReason, SystemEvent};
 use crate::object::IncomingMessage;
 use crate::transport::{LeaderLoc, Port};
@@ -215,9 +217,8 @@ impl<'a> GroupCtx<'a> {
 
     /// Records a trace event about `label` on the lent telemetry handle.
     fn trace(&self, node: NodeId, label: ContextLabel, kind: &'static str, detail: String) {
-        let label = self.labels.label(label);
-        self.telemetry
-            .trace_shared(self.now.as_micros(), node.0, &label, kind, detail);
+        let (t, at) = (self.telemetry, self.now);
+        trace_label(t, self.labels, at, node, label, kind, detail);
     }
 
     /// What this node reads for each aggregate variable of the type, by
@@ -1081,7 +1082,7 @@ mod tests {
         let actions = m.on_heartbeat(&mut h.ctx(), &hb(label(9, 0), 9, 6, 2));
         let (at, _) = find_timer(&actions, GroupTimer::Receive).unwrap();
         assert!(at >= h.now + h.cfg.receive_timer());
-        assert!(at <= h.now + h.cfg.receive_timer() + h.cfg.takeover_jitter_max);
+        assert!(at <= h.now + h.cfg.receive_timer() + member::TAKEOVER_JITTER_MAX);
     }
 
     #[test]

@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use envirotrack_net::medium::{Medium, RadioConfig};
 use envirotrack_net::routing::GeoRouter;
-use envirotrack_node::cpu::CpuConfig;
 use envirotrack_sim::engine::Engine;
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
@@ -29,8 +28,6 @@ pub struct NetworkConfig {
     pub radio: RadioConfig,
     /// Middleware (group management, aggregation, directory, MTP).
     pub middleware: MiddlewareConfig,
-    /// Mote CPU model.
-    pub cpu: CpuConfig,
     /// Link-layer reliability for unicast frames.
     pub link: LinkReliability,
     /// The node acting as base station / pursuer interface, if any.
@@ -42,7 +39,6 @@ impl Default for NetworkConfig {
         NetworkConfig {
             radio: RadioConfig::default(),
             middleware: MiddlewareConfig::default(),
-            cpu: CpuConfig::default(),
             link: LinkReliability::default(),
             base_station: Some(NodeId(0)),
         }
@@ -71,11 +67,11 @@ impl SensorNetwork {
         let router = GeoRouter::new(&deployment, config.radio.comm_radius);
         let sense = deployment
             .iter()
-            .map(|(_, pos)| SenseState::new(pos, &config))
+            .map(|(_, pos)| SenseState::new(pos))
             .collect();
         let nodes = deployment
             .ids()
-            .map(|id| NodeState::new(id, &program, &config, &master))
+            .map(|id| NodeState::new(id, &program, &master))
             .collect();
         SensorNetwork {
             program,

@@ -8,7 +8,7 @@ use envirotrack_sim::time::Timestamp;
 use envirotrack_telemetry::{CounterHandle, Telemetry};
 use envirotrack_world::field::NodeId;
 
-use crate::context::{ContextLabel, ContextTypeId, LabelIntern};
+use crate::context::{trace_label, ContextLabel, ContextTypeId, LabelIntern};
 use crate::events::{EventLog, HandoverReason, SystemEvent};
 
 pub(super) struct Recorder {
@@ -49,9 +49,7 @@ impl Recorder {
         kind: &'static str,
         detail: String,
     ) {
-        let label = self.labels.label(label);
-        self.telemetry
-            .trace_shared(at.as_micros(), node.0, &label, kind, detail);
+        trace_label(&self.telemetry, &self.labels, at, node, label, kind, detail);
     }
 
     pub(super) fn trace_type(
@@ -90,16 +88,8 @@ impl Recorder {
     /// counter/trace form.
     pub(super) fn record(&mut self, at: Timestamp, node: NodeId, event: SystemEvent) {
         let t = &self.telemetry;
-        // Not `self.trace`: the handover arm below holds the counter map.
-        let trace = |label: ContextLabel, kind: &'static str, detail: String| {
-            t.trace_shared(
-                at.as_micros(),
-                node.0,
-                &self.labels.label(label),
-                kind,
-                detail,
-            );
-        };
+        let labels = &self.labels;
+        let trace = |label, kind, detail| trace_label(t, labels, at, node, label, kind, detail);
         match &event {
             SystemEvent::LabelCreated { label, .. } => {
                 t.incr("group.form");

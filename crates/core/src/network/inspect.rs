@@ -258,7 +258,7 @@ impl SensorNetwork {
     /// is the right post-heal oracle while the system keeps running.
     #[must_use]
     pub fn directory_replicas_agree(&self, type_id: ContextTypeId, now: Timestamp) -> bool {
-        let ttl = self.config.middleware.directory_entry_ttl;
+        let ttl = crate::directory::ENTRY_TTL;
         self.live_replicas_agree(type_id, |n| {
             let live = n.dir.store.query(type_id, now, ttl);
             let mut labels: Vec<ContextLabel> = live.into_iter().map(|(label, _)| label).collect();

@@ -23,26 +23,22 @@ use crate::wire::{crc, Message};
 pub struct LinkReliability {
     /// Whether unicast frames are acknowledged and retransmitted.
     pub enabled: bool,
-    /// How long the sender waits for an acknowledgement.
-    pub ack_timeout: SimDuration,
-    /// Total transmission attempts before giving up.
-    pub max_attempts: u8,
-    /// Upper bound on the random extra delay before a retransmission
-    /// (decorrelates retries from the periodic traffic that collided with
-    /// the original).
-    pub retry_jitter_max: SimDuration,
 }
 
 impl Default for LinkReliability {
     fn default() -> Self {
-        LinkReliability {
-            enabled: true,
-            ack_timeout: SimDuration::from_millis(120),
-            max_attempts: 3,
-            retry_jitter_max: SimDuration::from_millis(40),
-        }
+        LinkReliability { enabled: true }
     }
 }
+
+/// How long the sender waits for an acknowledgement.
+pub(super) const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(120);
+/// Total transmission attempts before giving up.
+pub(super) const MAX_ATTEMPTS: u8 = 3;
+/// Upper bound on the random extra delay before a retransmission
+/// (decorrelates retries from the periodic traffic that collided with the
+/// original).
+pub(super) const RETRY_JITTER_MAX: SimDuration = SimDuration::from_millis(40);
 
 const DEDUP_WINDOW: usize = 32;
 
@@ -347,10 +343,7 @@ mod tests {
         link.reboot();
         assert_eq!(link.admit(&cfg(), data_frame(1, 2)).1, Some(seq + 1));
         // With the layer off nothing is stamped or tracked.
-        let off = LinkReliability {
-            enabled: false,
-            ..cfg()
-        };
+        let off = LinkReliability { enabled: false };
         assert_eq!(link.admit(&off, data_frame(1, 2)).1, None);
     }
 }

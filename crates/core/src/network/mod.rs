@@ -86,13 +86,13 @@ pub use self::link::LinkReliability;
 use self::node::{NodeState, SenseState};
 use crate::api::Program;
 use crate::context::{ContextLabel, ContextTypeId};
-use crate::directory::replica_set;
+use crate::directory::{self, replica_set};
 use crate::events::SystemEvent;
 use crate::group::{GroupAction, GroupCtx, GroupMachine, GroupTimer, RoleKind};
 use crate::object::IncomingMessage;
 use crate::report::{BaseStationLog, ReportEntry};
 use crate::shard::ShardState;
-use crate::transport::{LeaderLoc, Outstanding, PendingSend, Port};
+use crate::transport::{self, LeaderLoc, Outstanding, PendingSend, Port};
 use crate::wire::{kinds, BaseReport, DirRegister, DirResponse, GeoForward, Message, MtpSegment};
 
 /// The simulation world. See the [module docs](self).
@@ -465,7 +465,7 @@ impl SensorNetwork {
     /// itself when it is its own destination — to the layer it is for.
     fn dispatch(&mut self, k: &mut K, node: NodeId, msg: &Message) {
         let now = k.now();
-        let ttl = self.config.middleware.directory_entry_ttl;
+        let ttl = directory::ENTRY_TTL;
         match msg {
             Message::Heartbeat(hb) if self.hosts(hb.label.type_id) => {
                 // The transport layer snoops leadership from heartbeats.
@@ -536,7 +536,7 @@ impl SensorNetwork {
     /// Opens a directory query from `node` for the live labels of
     /// `target_type` — for `asker`'s subscription view, or to resolve the
     /// destination of `park`, an MTP send that waits on the answer. Whatever
-    /// waited longer than `mtp_pending_ttl` on an earlier query is given up
+    /// waited longer than [`transport::PENDING_TTL`] on an earlier query is given up
     /// on first.
     fn issue_query(
         &mut self,
@@ -547,7 +547,7 @@ impl SensorNetwork {
         park: Option<MtpSegment>,
     ) {
         let now = k.now();
-        let ttl = self.config.middleware.mtp_pending_ttl;
+        let ttl = transport::PENDING_TTL;
         let rt = &mut self.nodes[node.index()];
         for expired in rt.mtp.sweep(now, ttl) {
             self.rec.telemetry.incr("mtp.pending_expired");
@@ -583,8 +583,7 @@ impl SensorNetwork {
             None => self.send_geo(k, node, self.directory_home(target_type), None, msg),
         }
         if self.config.middleware.directory_replicas > 1 {
-            let timeout = self.config.middleware.directory_query_timeout;
-            k.schedule_at(k.now() + timeout, move |w, k| {
+            k.schedule_at(k.now() + directory::QUERY_TIMEOUT, move |w, k| {
                 w.query_failover(k, node, query_id)
             });
         }
@@ -716,8 +715,8 @@ impl SensorNetwork {
         let mtp = &mut self.nodes[node.index()].mtp;
         let (segment, retry) = mtp::open(mtp, segment, k.now(), mw, &self.rec);
         if let Some(seq) = retry {
-            let timeout = mw.mtp_retx_timeout;
-            k.schedule_at(k.now() + timeout, move |w, k| w.mtp_retry(k, node, seq));
+            let first = k.now() + transport::RETX.timeout;
+            k.schedule_at(first, move |w, k| w.mtp_retry(k, node, seq));
         }
         self.send_geo(k, node, dest, deliver_to, segment);
     }
@@ -727,16 +726,8 @@ impl SensorNetwork {
             return;
         }
         let rt = &mut self.nodes[node.index()];
-        let (now, mw) = (k.now(), &self.config.middleware);
-        let again = mtp::retry(
-            &mut rt.mtp,
-            &mut rt.retx_rng,
-            seq,
-            node,
-            now,
-            mw,
-            &mut self.rec,
-        );
+        let now = k.now();
+        let again = mtp::retry(&mut rt.mtp, &mut rt.retx_rng, seq, node, now, &mut self.rec);
         if let Some((out, jitter, backoff)) = again {
             k.schedule_at(now + jitter + backoff, move |w, k| {
                 w.mtp_retry(k, node, seq)
@@ -838,7 +829,7 @@ impl SensorNetwork {
         let link = &mut self.nodes[from.index()].link;
         let (frame, retry) = link.admit(cfg, frame);
         if let Some(seq) = retry {
-            k.schedule_at(k.now() + cfg.ack_timeout, move |w, k| {
+            k.schedule_at(k.now() + link::ACK_TIMEOUT, move |w, k| {
                 w.link_retry(k, from, seq)
             });
         }
@@ -847,19 +838,18 @@ impl SensorNetwork {
 
     /// Retransmits an unacknowledged unicast frame after a random delay
     /// (which decorrelates it from whatever collided with the last copy),
-    /// or gives up after the configured number of attempts.
+    /// or gives up after [`link::MAX_ATTEMPTS`].
     fn link_retry(&mut self, k: &mut K, node: NodeId, seq: u32) {
         if !self.sense[node.index()].alive {
             return;
         }
         let rt = &mut self.nodes[node.index()];
-        let cfg = &self.config.link;
-        let Some(frame) = rt.link.retry(cfg.max_attempts, seq) else {
+        let Some(frame) = rt.link.retry(link::MAX_ATTEMPTS, seq) else {
             return;
         };
-        let jitter = rt.rng.below(cfg.retry_jitter_max.as_micros().max(1));
+        let jitter = rt.rng.below(link::RETRY_JITTER_MAX.as_micros());
         let retry_at = k.now() + SimDuration::from_micros(jitter);
-        k.schedule_at(retry_at + cfg.ack_timeout, move |w, k| {
+        k.schedule_at(retry_at + link::ACK_TIMEOUT, move |w, k| {
             w.link_retry(k, node, seq)
         });
         k.schedule_at(retry_at, move |w, k| w.transmit(k, node, frame));

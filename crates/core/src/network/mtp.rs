@@ -9,7 +9,7 @@ use envirotrack_world::field::NodeId;
 
 use super::events::Recorder;
 use crate::config::MiddlewareConfig;
-use crate::transport::{LeaderLoc, MtpState, Outstanding, RetxPolicy};
+use crate::transport::{self, LeaderLoc, MtpState, Outstanding};
 use crate::wire::{Message, MtpAck, MtpSegment};
 
 /// Starts sending `segment`. With end-to-end acks on, it gets a sequence
@@ -123,14 +123,9 @@ pub(super) fn retry(
     seq: u32,
     node: NodeId,
     now: Timestamp,
-    mw: &MiddlewareConfig,
     rec: &mut Recorder,
 ) -> Option<(Outstanding, SimDuration, SimDuration)> {
-    let policy = RetxPolicy {
-        timeout: mw.mtp_retx_timeout,
-        max_backoff: mw.mtp_retx_max_backoff,
-    };
-    match mtp.retransmit(seq, mw.mtp_retx_max_attempts)? {
+    match mtp.retransmit(seq, transport::RETX_MAX_ATTEMPTS)? {
         Err(abandoned) => {
             rec.telemetry
                 .observe("mtp.attempts", u64::from(abandoned.attempts));
@@ -141,8 +136,8 @@ pub(super) fn retry(
             rec.telemetry.incr("mtp.retx");
             let detail = format!("seq={seq} attempt={}", out.attempts);
             rec.trace(now, node, out.segment.dst_label, "mtp.retx", detail);
-            let jitter = rng.below(mw.mtp_retx_jitter_max.as_micros().max(1));
-            let backoff = policy.backoff(out.attempts);
+            let jitter = rng.below(transport::RETX_JITTER_MAX.as_micros());
+            let backoff = transport::RETX.backoff(out.attempts);
             Some((out, SimDuration::from_micros(jitter), backoff))
         }
     }

@@ -6,19 +6,18 @@
 //! a frame reaches, ever dereferences it. A layer takes its own field, plus
 //! the substrates it charges.
 
-use envirotrack_node::cpu::MoteCpu;
+use envirotrack_node::cpu::{costs, MoteCpu};
 use envirotrack_node::energy::EnergyMeter;
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::NodeId;
 use envirotrack_world::geometry::Point;
 
-use super::build::NetworkConfig;
 use super::dir::DirState;
 use super::link::LinkState;
 use crate::api::Program;
 use crate::group::GroupMachine;
-use crate::transport::MtpState;
+use crate::transport::{self, MtpState};
 
 /// A node's local clock model: `local = anchor_local + (global −
 /// anchor_global) · rate`. Rate 1.0 is a perfect clock; the anchors are
@@ -84,10 +83,10 @@ pub(super) struct SenseState {
 }
 
 impl SenseState {
-    pub(super) fn new(pos: Point, config: &NetworkConfig) -> Self {
+    pub(super) fn new(pos: Point) -> Self {
         SenseState {
             pos,
-            cpu: MoteCpu::new(config.cpu),
+            cpu: MoteCpu::new(costs::MAX_BACKLOG),
             alive: true,
             clock_nominal: true,
             quiescent: true,
@@ -127,12 +126,7 @@ fn machines(id: NodeId, program: &Program) -> Vec<GroupMachine> {
 }
 
 impl NodeState {
-    pub(super) fn new(
-        id: NodeId,
-        program: &Program,
-        config: &NetworkConfig,
-        master: &SimRng,
-    ) -> Self {
+    pub(super) fn new(id: NodeId, program: &Program, master: &SimRng) -> Self {
         NodeState {
             rng: master.fork_indexed("node", u64::from(id.0)),
             energy: EnergyMeter::new(),
@@ -140,9 +134,9 @@ impl NodeState {
             retx_rng: master.fork_indexed("mtp-retx", u64::from(id.0)),
             machines: machines(id, program),
             mtp: MtpState::new(
-                config.middleware.mtp_table_capacity,
-                config.middleware.mtp_forward_ttl,
-                config.middleware.mtp_max_chain_hops,
+                transport::TABLE_CAPACITY,
+                transport::FORWARD_TTL,
+                transport::MAX_CHAIN_HOPS,
             ),
             dir: DirState::default(),
             link: LinkState::default(),

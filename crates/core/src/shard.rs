@@ -349,6 +349,21 @@ enum Resp {
         spare: Option<Vec<ResolvedTx>>,
     },
     Done(usize, Box<ShardOutput>),
+    /// The shard's thread is unwinding from a panic.
+    Died(usize),
+}
+
+/// Reports a shard thread that unwinds. The live shards, parked on their
+/// command channels, hold response senders too, so without this message
+/// the orchestrator's `recv` would neither return nor fail.
+struct DeathNotice(usize, mpsc::Sender<Resp>);
+
+impl Drop for DeathNotice {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.1.send(Resp::Died(self.0));
+        }
+    }
 }
 
 /// Runs one simulation split over `shards` threads in lock-step epochs and
@@ -359,7 +374,8 @@ enum Resp {
 ///
 /// # Panics
 ///
-/// Panics if `shards` is zero or a shard thread dies mid-run.
+/// Panics if `shards` is zero, or — naming the shard — when a shard thread
+/// dies mid-run.
 #[must_use]
 #[allow(clippy::too_many_arguments)] // one call site family; a params struct would just rename them
 pub fn run_sharded(
@@ -404,6 +420,7 @@ pub fn run_sharded(
             let environment = environment.clone();
             let config = config.clone();
             scope.spawn(move || {
+                let _notice = DeathNotice(idx, resp.clone());
                 let mut engine = SensorNetwork::build_engine_sharded(
                     program,
                     deployment,
@@ -533,6 +550,7 @@ pub fn run_sharded(
                         }
                     }
                     Resp::Done(..) => unreachable!("no shard finishes mid-run"),
+                    Resp::Died(idx) => panic!("shard {idx} died mid-run"),
                 }
             }
             // (time, src, seq) is a total order: the merged batch is the
@@ -619,6 +637,7 @@ pub fn run_sharded(
             match resp_rx.recv().expect("shard thread alive") {
                 Resp::Done(idx, out) => outputs[idx] = Some(out),
                 Resp::Epoch { .. } => unreachable!("every shard got Finish"),
+                Resp::Died(idx) => panic!("shard {idx} died mid-run"),
             }
         }
         let outputs: Vec<ShardOutput> = outputs

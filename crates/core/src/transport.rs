@@ -171,6 +171,30 @@ pub struct Outstanding {
     pub attempts: u32,
 }
 
+/// Capacity of a mote's last-known-leader table.
+pub(crate) const TABLE_CAPACITY: usize = 8;
+/// Lifetime of the forwarding pointer a past leader leaves behind.
+pub(crate) const FORWARD_TTL: SimDuration = SimDuration::from_secs(20);
+/// Forwarding-chain hops after which a segment is dropped.
+pub(crate) const MAX_CHAIN_HOPS: u8 = 8;
+/// How long a send (or a subscription query) may wait on directory
+/// resolution before it is given up.
+pub(crate) const PENDING_TTL: SimDuration = SimDuration::from_secs(5);
+/// Total end-to-end transmission attempts, the first send included.
+pub(crate) const RETX_MAX_ATTEMPTS: u32 = 4;
+/// Upper bound on the uniform jitter added to each retransmission backoff
+/// (desynchronises retransmitters after a shared outage).
+pub(crate) const RETX_JITTER_MAX: SimDuration = SimDuration::from_millis(80);
+/// The end-to-end ack timeout and its ceiling. 60 s is far above
+/// `timeout * 2^(RETX_MAX_ATTEMPTS - 1)`, so the cap never bites within
+/// the retry budget.
+pub(crate) const RETX: RetxPolicy = RetxPolicy {
+    timeout: SimDuration::from_millis(600),
+    max_backoff: SimDuration::from_secs(60),
+};
+const _: () = assert!(RETX_MAX_ATTEMPTS >= 1);
+const _: () = assert!(RETX.max_backoff.as_micros() >= RETX.timeout.as_micros());
+
 /// The backoff schedule of end-to-end retransmission.
 #[derive(Debug, Clone, Copy)]
 pub struct RetxPolicy {
@@ -188,12 +212,10 @@ impl RetxPolicy {
     /// adds jitter drawn from its own RNG stream.
     ///
     /// Two degenerate inputs are guarded rather than trusted: a zero
-    /// `timeout` (rejected by [`MiddlewareConfig::validate`], but this type
-    /// is public API) is floored at one microsecond so a mis-built policy
+    /// `timeout` (the one production policy has none, but this type is
+    /// public API) is floored at one microsecond so a mis-built policy
     /// can never collapse into a zero-delay busy retransmit loop, and the
     /// exponent saturates instead of wrapping for large attempt counts.
-    ///
-    /// [`MiddlewareConfig::validate`]: crate::config::MiddlewareConfig::validate
     #[must_use]
     pub fn backoff(&self, attempts: u32) -> SimDuration {
         let base = self.timeout.as_micros().max(1);
@@ -600,8 +622,8 @@ mod tests {
     #[test]
     fn zero_timeout_never_yields_a_zero_backoff() {
         // A degenerate zero base timeout must not produce a zero backoff —
-        // that is a busy retransmit loop. The config layer rejects it, but
-        // the policy type itself is public API and guards the floor too.
+        // that is a busy retransmit loop. `RETX` has a positive one, but the
+        // policy type is public API and guards the floor too.
         let policy = RetxPolicy {
             timeout: SimDuration::ZERO,
             max_backoff: SimDuration::from_secs(60),

@@ -94,37 +94,35 @@ use envirotrack_world::grid::neighbor_lists;
 
 use crate::packet::{Frame, FrameKind};
 
-/// Radio and MAC parameters.
+/// Channel bandwidth of the MICA radio, in bits per second.
+const BANDWIDTH_BPS: u64 = 50_000;
+/// Upper bound on the random backoff after a CSMA defer.
+pub const BACKOFF_MAX: SimDuration = SimDuration::from_millis(4);
+/// Fixed receive-path processing delay added after the last bit.
+pub const PROC_DELAY: SimDuration = SimDuration::from_millis(2);
+
+/// Radio and MAC parameters an experiment sets; the hardware's own numbers
+/// are the constants above.
 #[derive(Debug, Clone)]
 pub struct RadioConfig {
     /// Communication radius in grid units.
     pub comm_radius: f64,
-    /// Channel bandwidth in bits per second (MICA: 50 kb/s).
-    pub bandwidth_bps: u64,
     /// Independent per-receiver fade probability.
     pub base_loss: f64,
     /// Whether transmitters carrier-sense and defer (CSMA).
     pub csma: bool,
     /// Longest a frame may wait for the channel before being dropped.
     pub max_defer: SimDuration,
-    /// Upper bound on the random post-defer backoff.
-    pub backoff_max: SimDuration,
-    /// Fixed receive-path processing delay added after the last bit.
-    pub proc_delay: SimDuration,
 }
 
 impl Default for RadioConfig {
-    /// MICA-mote-like defaults: 50 kb/s, 5 % fade, CSMA with a 250 ms defer
-    /// cap, and a 2 ms receive-processing delay.
+    /// MICA-mote-like defaults: 5 % fade, CSMA with a 250 ms defer cap.
     fn default() -> Self {
         RadioConfig {
             comm_radius: 6.0,
-            bandwidth_bps: 50_000,
             base_loss: 0.05,
             csma: true,
             max_defer: SimDuration::from_millis(250),
-            backoff_max: SimDuration::from_millis(4),
-            proc_delay: SimDuration::from_millis(2),
         }
     }
 }
@@ -149,10 +147,10 @@ impl RadioConfig {
         self
     }
 
-    /// On-air time of `frame` at this bandwidth.
+    /// On-air time of `frame` at the radio's 50 kb/s.
     #[must_use]
     pub fn tx_time(&self, frame: &Frame) -> SimDuration {
-        let micros = frame.on_air_bits() * 1_000_000 / self.bandwidth_bps;
+        let micros = frame.on_air_bits() * 1_000_000 / BANDWIDTH_BPS;
         SimDuration::from_micros(micros.max(1))
     }
 
@@ -161,20 +159,20 @@ impl RadioConfig {
     #[must_use]
     pub fn min_tx_airtime(&self) -> SimDuration {
         let min_bits = ((Frame::PREAMBLE_BYTES + Frame::HEADER_BYTES) * 8) as u64;
-        SimDuration::from_micros((min_bits * 1_000_000 / self.bandwidth_bps).max(1))
+        SimDuration::from_micros((min_bits * 1_000_000 / BANDWIDTH_BPS).max(1))
     }
 
     /// The conservative cross-shard synchronisation window: no frame
     /// requested at time `t` can be processed by a receiver before
     /// `t + epoch_latency()`, because even the smallest frame spends
     /// [`min_tx_airtime`](Self::min_tx_airtime) on the channel and then
-    /// [`proc_delay`](Self::proc_delay) in the receive path. Sharded runs
+    /// [`PROC_DELAY`] in the receive path. Sharded runs
     /// use this as both the epoch length and the uniform pipeline latency
     /// applied to every transmit request (see `envirotrack-core`'s shard
     /// module).
     #[must_use]
     pub fn epoch_latency(&self) -> SimDuration {
-        self.min_tx_airtime() + self.proc_delay
+        self.min_tx_airtime() + PROC_DELAY
     }
 }
 
@@ -491,12 +489,12 @@ impl NetStats {
     /// sent divided by what the link could carry, as in Table 1 of the
     /// paper (assumes no spatial reuse).
     #[must_use]
-    pub fn link_utilization(&self, elapsed: SimDuration, bandwidth_bps: u64) -> f64 {
+    pub fn link_utilization(&self, elapsed: SimDuration) -> f64 {
         let secs = elapsed.as_secs_f64();
         if secs <= 0.0 {
             return 0.0;
         }
-        self.total_bits as f64 / (secs * bandwidth_bps as f64)
+        self.total_bits as f64 / (secs * BANDWIDTH_BPS as f64)
     }
 
     /// Adds another snapshot's counts into this one (see
@@ -713,10 +711,8 @@ impl TxSide {
                 }
             }
             if busy_until > now {
-                let backoff = SimDuration::from_micros(
-                    self.backoff_rng
-                        .below(config.backoff_max.as_micros().max(1)),
-                );
+                let backoff =
+                    SimDuration::from_micros(self.backoff_rng.below(BACKOFF_MAX.as_micros()));
                 start = busy_until + backoff;
             }
             let defer = start.saturating_since(now);
@@ -767,7 +763,7 @@ impl TxSide {
             requested: now,
             start,
             end,
-            completes_at: end + config.proc_delay + extra,
+            completes_at: end + PROC_DELAY + extra,
             duplicated,
         })
     }
@@ -1685,9 +1681,7 @@ mod tests {
         let _ = m.deliveries(tx.id);
         let bits = frame(0).on_air_bits();
         assert_eq!(m.stats().total_bits, bits);
-        let util = m
-            .stats()
-            .link_utilization(SimDuration::from_secs(1), 50_000);
+        let util = m.stats().link_utilization(SimDuration::from_secs(1));
         assert!((util - bits as f64 / 50_000.0).abs() < 1e-12);
     }
 

@@ -5,7 +5,7 @@ use std::collections::HashSet;
 use bytes::Bytes;
 use envirotrack_net::medium::{
     ChannelScheduler, DeliveryOutcome, GilbertElliott, KindStats, LinkFaults, Medium, NetStats,
-    RadioConfig, TxKey,
+    RadioConfig, TxKey, BACKOFF_MAX, PROC_DELAY,
 };
 use envirotrack_net::packet::{Frame, FrameKind};
 use envirotrack_net::routing::GeoRouter;
@@ -274,9 +274,7 @@ impl Channel for Oracle {
                 .filter(|(key, ..)| key.0 == src.0 || self.audible(NodeId(key.0), src))
                 .fold(now, |t, &(_, _, end, ..)| t.max(end));
             if busy_until > now {
-                let backoff = self
-                    .backoff_rng
-                    .below(self.cfg.backoff_max.as_micros().max(1));
+                let backoff = self.backoff_rng.below(BACKOFF_MAX.as_micros());
                 start = busy_until + SimDuration::from_micros(backoff);
             }
             if start.saturating_since(now) > self.cfg.max_defer {
@@ -324,7 +322,7 @@ impl Channel for Oracle {
         self.windows
             .push(((src.0, seq), start, end, frame, tally.duplicated == 1));
         let id = self.windows.len() as u64 - 1;
-        Some((id, end + self.cfg.proc_delay + slip))
+        Some((id, end + PROC_DELAY + slip))
     }
 
     fn complete(&mut self, id: u64, at: Timestamp) -> Completion {

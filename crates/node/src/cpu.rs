@@ -17,10 +17,10 @@
 //! [`Admission::ready_at`] instant, which is when the CPU *finishes* it.
 //!
 //! ```
-//! use envirotrack_node::cpu::{CpuConfig, MoteCpu};
+//! use envirotrack_node::cpu::{costs, MoteCpu};
 //! use envirotrack_sim::time::{SimDuration, Timestamp};
 //!
-//! let mut cpu = MoteCpu::new(CpuConfig::default());
+//! let mut cpu = MoteCpu::new(costs::MAX_BACKLOG);
 //! let a = cpu.admit(Timestamp::ZERO, SimDuration::from_millis(5)).unwrap();
 //! let b = cpu.admit(Timestamp::ZERO, SimDuration::from_millis(5)).unwrap();
 //! assert_eq!(a.ready_at, Timestamp::from_millis(5));
@@ -28,24 +28,6 @@
 //! ```
 
 use envirotrack_sim::time::{SimDuration, Timestamp};
-
-/// CPU model parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct CpuConfig {
-    /// Maximum backlog of queued work before tasks are dropped.
-    ///
-    /// With per-task costs around a few milliseconds this corresponds to a
-    /// TinyOS-style task queue of a dozen entries.
-    pub max_backlog: SimDuration,
-}
-
-impl Default for CpuConfig {
-    fn default() -> Self {
-        CpuConfig {
-            max_backlog: SimDuration::from_millis(60),
-        }
-    }
-}
 
 /// Standard task costs for a MICA-class (4 MHz AVR) mote.
 ///
@@ -70,6 +52,10 @@ pub mod costs {
     /// One outer-loop iteration: ADC reads of the local sensors plus the
     /// scan over the context table (the paper's generic timer handler).
     pub const SENSE: SimDuration = SimDuration::from_micros(15_000);
+    /// Maximum backlog of queued work before tasks are dropped: with
+    /// per-task costs around a few milliseconds, a TinyOS-style task queue
+    /// of a dozen entries.
+    pub const MAX_BACKLOG: SimDuration = SimDuration::from_millis(60);
 }
 
 /// A successful admission: when the CPU will have finished the task.
@@ -112,17 +98,18 @@ pub struct CpuStats {
 /// One mote's serial processor. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct MoteCpu {
-    config: CpuConfig,
+    max_backlog: SimDuration,
     busy_until: Timestamp,
     stats: CpuStats,
 }
 
 impl MoteCpu {
-    /// Creates an idle CPU.
+    /// Creates an idle CPU that drops a task once the queued work would
+    /// exceed `max_backlog` ([`costs::MAX_BACKLOG`] on every simulated mote).
     #[must_use]
-    pub fn new(config: CpuConfig) -> Self {
+    pub fn new(max_backlog: SimDuration) -> Self {
         MoteCpu {
-            config,
+            max_backlog,
             busy_until: Timestamp::ZERO,
             stats: CpuStats::default(),
         }
@@ -133,7 +120,7 @@ impl MoteCpu {
     /// # Errors
     ///
     /// Returns [`CpuOverloadError`] (and counts a drop) when accepting the
-    /// task would push the backlog past the configured bound.
+    /// task would push the backlog past the bound.
     pub fn admit(
         &mut self,
         now: Timestamp,
@@ -142,7 +129,7 @@ impl MoteCpu {
         let start = self.busy_until.max(now);
         let finish = start + cost;
         let backlog = finish.saturating_since(now);
-        if backlog > self.config.max_backlog {
+        if backlog > self.max_backlog {
             self.stats.dropped += 1;
             return Err(CpuOverloadError { backlog });
         }
@@ -188,7 +175,7 @@ mod tests {
 
     #[test]
     fn idle_cpu_runs_immediately() {
-        let mut cpu = MoteCpu::new(CpuConfig::default());
+        let mut cpu = MoteCpu::new(costs::MAX_BACKLOG);
         let a = cpu
             .admit(Timestamp::from_secs(1), SimDuration::from_millis(3))
             .unwrap();
@@ -200,7 +187,7 @@ mod tests {
 
     #[test]
     fn tasks_serialise_in_admission_order() {
-        let mut cpu = MoteCpu::new(CpuConfig::default());
+        let mut cpu = MoteCpu::new(costs::MAX_BACKLOG);
         let t0 = Timestamp::ZERO;
         let a = cpu.admit(t0, SimDuration::from_millis(10)).unwrap();
         let b = cpu.admit(t0, SimDuration::from_millis(10)).unwrap();
@@ -212,7 +199,7 @@ mod tests {
 
     #[test]
     fn backlog_drains_over_time() {
-        let mut cpu = MoteCpu::new(CpuConfig::default());
+        let mut cpu = MoteCpu::new(costs::MAX_BACKLOG);
         cpu.admit(Timestamp::ZERO, SimDuration::from_millis(10))
             .unwrap();
         assert_eq!(
@@ -229,10 +216,7 @@ mod tests {
 
     #[test]
     fn overload_drops_and_counts() {
-        let cfg = CpuConfig {
-            max_backlog: SimDuration::from_millis(10),
-        };
-        let mut cpu = MoteCpu::new(cfg);
+        let mut cpu = MoteCpu::new(SimDuration::from_millis(10));
         cpu.admit(Timestamp::ZERO, SimDuration::from_millis(8))
             .unwrap();
         let err = cpu
@@ -247,13 +231,13 @@ mod tests {
 
     #[test]
     fn utilization_is_busy_over_elapsed() {
-        let mut cpu = MoteCpu::new(CpuConfig::default());
+        let mut cpu = MoteCpu::new(costs::MAX_BACKLOG);
         cpu.admit(Timestamp::ZERO, SimDuration::from_millis(25))
             .unwrap();
         let u = cpu.utilization(SimDuration::from_millis(100));
         assert!((u - 0.25).abs() < 1e-12);
         assert_eq!(
-            MoteCpu::new(CpuConfig::default()).utilization(SimDuration::ZERO),
+            MoteCpu::new(costs::MAX_BACKLOG).utilization(SimDuration::ZERO),
             0.0
         );
     }

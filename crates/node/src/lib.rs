@@ -12,10 +12,10 @@
 //!   management.
 //!
 //! ```
-//! use envirotrack_node::cpu::{costs, CpuConfig, MoteCpu};
+//! use envirotrack_node::cpu::{costs, MoteCpu};
 //! use envirotrack_sim::time::Timestamp;
 //!
-//! let mut cpu = MoteCpu::new(CpuConfig::default());
+//! let mut cpu = MoteCpu::new(costs::MAX_BACKLOG);
 //! let admission = cpu.admit(Timestamp::ZERO, costs::RX_HANDLE).expect("idle CPU");
 //! assert_eq!(admission.ready_at, Timestamp::ZERO + costs::RX_HANDLE);
 //! ```
@@ -26,7 +26,7 @@ pub mod timer;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::cpu::{costs, Admission, CpuConfig, CpuOverloadError, CpuStats, MoteCpu};
+    pub use crate::cpu::{costs, Admission, CpuOverloadError, CpuStats, MoteCpu};
     pub use crate::energy::EnergyMeter;
     pub use crate::timer::{TimerSlot, TimerToken};
 }

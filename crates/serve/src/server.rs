@@ -49,6 +49,9 @@ use crate::worlds::{HubCommand, HubConfig, Outbox, PanicCounter, SimHub, Subscri
 /// socket stops draining, pressure reaches the outbox within one budget.
 pub const MAX_PENDING_WRITE: usize = 16 * 1024;
 
+/// Grace period for flushing a final CLOSE before dropping a session.
+const CLOSE_GRACE: Duration = Duration::from_millis(250);
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -63,8 +66,6 @@ pub struct ServerConfig {
     /// A session with no inbound traffic and no event flow for this long
     /// gets CLOSE(IdleTimeout).
     pub idle_timeout: Duration,
-    /// Grace period for flushing a final CLOSE before dropping a session.
-    pub close_grace: Duration,
     /// Simulation hub knobs.
     pub hub: HubConfig,
 }
@@ -77,7 +78,6 @@ impl Default for ServerConfig {
             max_sessions: 2048,
             send_budget: 256,
             idle_timeout: Duration::from_secs(10),
-            close_grace: Duration::from_millis(250),
             hub: HubConfig::default(),
         }
     }
@@ -127,11 +127,11 @@ impl Session {
     }
 
     /// Queues a CLOSE and enters the flush-then-drop state.
-    fn begin_close(&mut self, reason: CloseReason, grace: Duration) {
+    fn begin_close(&mut self, reason: CloseReason) {
         self.queue(&SessionMsg::Close(Close { reason }));
         self.outbox.close();
         self.state = SessionState::Closing {
-            deadline: Instant::now() + grace,
+            deadline: Instant::now() + CLOSE_GRACE,
         };
     }
 }
@@ -422,7 +422,7 @@ fn step_session(
                         }
                     }
                     finish(s, metrics, &metrics.protocol_errors);
-                    s.begin_close(CloseReason::ProtocolError, cfg.close_grace);
+                    s.begin_close(CloseReason::ProtocolError);
                     break;
                 }
             }
@@ -444,7 +444,7 @@ fn step_session(
         if s.outbox.is_shed() {
             metrics.slow_consumer_sheds.fetch_add(1, Ordering::Relaxed);
             finish_shed(s, metrics);
-            s.begin_close(CloseReason::SlowConsumer, cfg.close_grace);
+            s.begin_close(CloseReason::SlowConsumer);
         }
     }
 
@@ -483,7 +483,7 @@ fn step_session(
         _ => {
             if s.last_activity.elapsed() > cfg.idle_timeout {
                 finish(s, metrics, &metrics.idle_timeouts);
-                s.begin_close(CloseReason::IdleTimeout, cfg.close_grace);
+                s.begin_close(CloseReason::IdleTimeout);
             }
             false
         }
@@ -520,7 +520,7 @@ fn handle_message(
                     reason: RejectReason::VersionUnsupported,
                 }));
                 finish_rejected(s);
-                s.begin_close(CloseReason::Normal, cfg.close_grace);
+                s.begin_close(CloseReason::Normal);
                 return true;
             }
             if h.recv_budget == 0 {
@@ -529,7 +529,7 @@ fn handle_message(
                     reason: RejectReason::BadHello,
                 }));
                 finish_rejected(s);
-                s.begin_close(CloseReason::Normal, cfg.close_grace);
+                s.begin_close(CloseReason::Normal);
                 return true;
             }
             let caps = h.caps & CAP_ALL;
@@ -577,7 +577,7 @@ fn handle_message(
         }
         SessionMsg::Close(_) => {
             finish(s, metrics, &metrics.closes_clean);
-            s.begin_close(CloseReason::Normal, cfg.close_grace);
+            s.begin_close(CloseReason::Normal);
             true
         }
         // Everything else — HELLO twice, server-only messages from a
@@ -585,7 +585,7 @@ fn handle_message(
         _ => {
             metrics.state_violations.fetch_add(1, Ordering::Relaxed);
             finish(s, metrics, &metrics.protocol_errors);
-            s.begin_close(CloseReason::ProtocolError, cfg.close_grace);
+            s.begin_close(CloseReason::ProtocolError);
             true
         }
     }

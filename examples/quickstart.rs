@@ -112,6 +112,6 @@ fn main() {
     );
     println!(
         "  link utilization: {:.2}%",
-        100.0 * stats.link_utilization(horizon - Timestamp::ZERO, 50_000)
+        100.0 * stats.link_utilization(horizon - Timestamp::ZERO)
     );
 }

@@ -9,7 +9,6 @@
 use std::sync::Arc;
 
 use envirotrack::chaos::harness;
-use envirotrack::chaos::monitor::MonitorConfig;
 use envirotrack::chaos::plan::{FaultEvent, FaultPlan};
 use envirotrack::core::aggregate::{AggValue, AggregateFn, AggregateInput};
 use envirotrack::core::prelude::*;
@@ -76,7 +75,7 @@ fn main() {
         .at(at(40), FaultEvent::Reboot(leader))
         .at(at(45), FaultEvent::Heal)
         .at(at(52), FaultEvent::BurstLossOff);
-    let monitor = harness::install(&mut engine, plan, seed, MonitorConfig::default());
+    let monitor = harness::install(&mut engine, plan, seed);
     engine.run_until(Timestamp::from_secs(90));
 
     let world = engine.world();

@@ -20,6 +20,12 @@ find crates/core/src -name '*.rs' | xargs scripts/loc.sh | awk '
   NR > 1 && $1 != "total" && $2 > 900 { print "verify: " $1 " has " $2 " code lines (limit 900)"; bad = 1 }
   END { exit bad }' >&2
 
+# Settable-value gate: every public field of the config structs is set by
+# something other than its own `Default`, bar the two deployment settings
+# scripts/knobs.sh allow-lists with their reason.
+scripts/knobs.sh >&2 \
+  || { echo "verify: a config field is written by nothing but its default" >&2; exit 1; }
+
 # One-wire-format gate: the names of the removed run-time codec choice
 # stay gone, and the JSON reference codec (core/src/wire/json.rs) is called
 # from test code only (tests/ directories, or at and after a file's

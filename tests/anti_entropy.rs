@@ -13,7 +13,6 @@
 use std::sync::Arc;
 
 use envirotrack::chaos::harness;
-use envirotrack::chaos::monitor::MonitorConfig;
 use envirotrack::chaos::plan::{FaultEvent, FaultPlan};
 use envirotrack::core::context::{ContextLabel, ContextTypeId, SensePredicate};
 use envirotrack::core::network::{NetworkConfig, SensorNetwork};
@@ -138,7 +137,7 @@ fn partition_heal_kicks_an_immediate_repair_round_without_periodic_gossip() {
     let plan = FaultPlan::new()
         .at(Timestamp::from_secs(2), FaultEvent::Partition(groups))
         .at(Timestamp::from_secs(10), FaultEvent::Heal);
-    let monitor = harness::install(&mut engine, plan, 33, MonitorConfig::default());
+    let monitor = harness::install(&mut engine, plan, 33);
     inject_register(&mut engine, replicas[0], Timestamp::from_secs(4));
 
     engine.run_until(Timestamp::from_secs(9));

@@ -6,7 +6,6 @@
 use std::sync::Arc;
 
 use envirotrack::chaos::harness;
-use envirotrack::chaos::monitor::MonitorConfig;
 use envirotrack::chaos::plan::{FaultEvent, FaultPlan};
 use envirotrack::core::context::ContextTypeId;
 use envirotrack::core::events::SystemEvent;
@@ -221,7 +220,7 @@ fn revived_ex_leader_does_not_resurrect_stale_label() {
     let plan = FaultPlan::new()
         .at(Timestamp::from_secs(31), FaultEvent::Crash(old.0))
         .at(Timestamp::from_secs(45), FaultEvent::Reboot(old.0));
-    let monitor = harness::install(&mut engine, plan, seed, MonitorConfig::default());
+    let monitor = harness::install(&mut engine, plan, seed);
 
     engine.run_until(Timestamp::from_secs(44));
     let successors = engine.world().leaders_of_type(TRACKER);
@@ -270,7 +269,7 @@ fn loss_causes_are_distinguished_in_run_records() {
         .at(Timestamp::from_secs(10), FaultEvent::Partition(split))
         .at(Timestamp::from_secs(20), FaultEvent::Heal)
         .at(Timestamp::from_secs(25), FaultEvent::BurstLossOff);
-    let monitor = harness::install(&mut engine, plan, seed, MonitorConfig::default());
+    let monitor = harness::install(&mut engine, plan, seed);
     engine.run_until(Timestamp::from_secs(40));
 
     let record = harness::summarize(
