@@ -168,6 +168,28 @@ pub struct StormReport {
     pub protocol_errors: u64,
     /// Server counter: worker/hub thread panics. Must be zero.
     pub panics: u64,
+    /// Cores the run had; every wall-clock figure here depends on it.
+    pub host_cpus: u64,
+    /// Server counter: events handed to session outboxes.
+    pub events_sent: u64,
+    /// Hub ticks that advanced a world.
+    pub hub_ticks: u64,
+    /// Of those, ticks that started more than one `tick_real` late.
+    pub hub_ticks_late: u64,
+    /// Median wall-clock work of one hub tick (microseconds).
+    pub hub_tick_work_p50_us: u64,
+    /// 95th percentile of the same.
+    pub hub_tick_work_p95_us: u64,
+    /// Event batches handed to outboxes, one outbox lock each.
+    pub outbox_handoffs: u64,
+    /// Frames over all those batches; equals `events_sent` exactly.
+    pub batch_frames_total: u64,
+    /// Largest single batch, in frames.
+    pub batch_frames_max: u64,
+    /// Server counter: socket writes that moved bytes.
+    pub worker_writes: u64,
+    /// Server counter: bytes those writes moved.
+    pub worker_write_bytes: u64,
     /// Whether the storm run ran with the storm phase enabled.
     pub storm: bool,
 }
@@ -182,7 +204,8 @@ impl StormReport {
             && self.corrupt_accepted == 0
             && self.client_errors == 0
             && self.fairness_jain >= 0.90
-            && self.panics == 0;
+            && self.panics == 0
+            && self.batch_frames_total == self.events_sent;
         if self.storm {
             base && self.client_rejects_observed >= 1 && self.slow_consumer_sheds >= 1
         } else {
@@ -222,6 +245,17 @@ impl StormReport {
             .field_u64("events_dropped", self.events_dropped)
             .field_u64("protocol_errors", self.protocol_errors)
             .field_u64("panics", self.panics)
+            .field_u64("host_cpus", self.host_cpus)
+            .field_u64("events_sent", self.events_sent)
+            .field_u64("hub_ticks", self.hub_ticks)
+            .field_u64("hub_ticks_late", self.hub_ticks_late)
+            .field_u64("hub_tick_work_p50_us", self.hub_tick_work_p50_us)
+            .field_u64("hub_tick_work_p95_us", self.hub_tick_work_p95_us)
+            .field_u64("outbox_handoffs", self.outbox_handoffs)
+            .field_u64("batch_frames_total", self.batch_frames_total)
+            .field_u64("batch_frames_max", self.batch_frames_max)
+            .field_u64("worker_writes", self.worker_writes)
+            .field_u64("worker_write_bytes", self.worker_write_bytes)
             .finish()
     }
 }
@@ -691,6 +725,17 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
     let (p50, p95, p99) =
         metrics.with_ack_histogram(|h| (h.quantile(0.50), h.quantile(0.95), h.quantile(0.99)));
     let first_event_p50_us = metrics.with_first_event_histogram(|h| h.quantile(0.50));
+    // The hub is still running: `events_sent` is read under the lock every
+    // hand-off moves it under, so it agrees with the histogram exactly.
+    let (batches, events_sent) = {
+        let h = metrics.batch_frames.lock().expect("metrics lock");
+        (h.clone(), metrics.events_sent.load(Ordering::Relaxed))
+    };
+    let tick_work = metrics
+        .hub_tick_work_us
+        .lock()
+        .expect("metrics lock")
+        .clone();
     let steady_events_total: u64 = stats.steady_events.iter().sum();
     let report = StormReport {
         mode: if cfg.storm { "flagship" } else { "smoke" }.into(),
@@ -726,6 +771,17 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
         events_dropped: metrics.events_dropped.load(Ordering::Relaxed),
         protocol_errors: metrics.protocol_errors.load(Ordering::Relaxed),
         panics: metrics.panics.load(Ordering::Relaxed),
+        host_cpus: thread::available_parallelism().map_or(1, |n| n.get() as u64),
+        events_sent,
+        hub_ticks: tick_work.count(),
+        hub_ticks_late: metrics.hub_ticks_late.load(Ordering::Relaxed),
+        hub_tick_work_p50_us: tick_work.quantile(0.50),
+        hub_tick_work_p95_us: tick_work.quantile(0.95),
+        outbox_handoffs: batches.count(),
+        batch_frames_total: u64::try_from(batches.sum()).unwrap_or(u64::MAX),
+        batch_frames_max: batches.max(),
+        worker_writes: metrics.worker_writes.load(Ordering::Relaxed),
+        worker_write_bytes: metrics.worker_write_bytes.load(Ordering::Relaxed),
         storm: cfg.storm,
     };
     server.shutdown();

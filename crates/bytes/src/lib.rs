@@ -10,7 +10,7 @@
 //!   reference-counted heap allocation).
 //! * [`BytesMut`] — a growable write buffer, frozen into a [`Bytes`].
 //! * [`Buf`] — big-endian cursor reads over `&[u8]`, advancing the slice.
-//! * [`BufMut`] — big-endian appends onto a [`BytesMut`].
+//! * [`BufMut`] — big-endian appends onto a [`BytesMut`] or a `Vec<u8>`.
 //!
 //! ```
 //! use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -298,6 +298,27 @@ pub trait BufMut {
     fn put_f64(&mut self, v: f64);
     /// Appends a raw slice.
     fn put_slice(&mut self, src: &[u8]);
+}
+
+impl BufMut for Vec<u8> {
+    fn put_u8(&mut self, v: u8) {
+        self.push(v);
+    }
+    fn put_u16(&mut self, v: u16) {
+        self.extend_from_slice(&v.to_be_bytes());
+    }
+    fn put_u32(&mut self, v: u32) {
+        self.extend_from_slice(&v.to_be_bytes());
+    }
+    fn put_u64(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_be_bytes());
+    }
+    fn put_f64(&mut self, v: f64) {
+        self.extend_from_slice(&v.to_bits().to_be_bytes());
+    }
+    fn put_slice(&mut self, src: &[u8]) {
+        self.extend_from_slice(src);
+    }
 }
 
 impl BufMut for BytesMut {

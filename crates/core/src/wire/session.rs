@@ -36,12 +36,12 @@
 //! a session — timeouts, budgets — lives in server wall-clock time. See
 //! DESIGN.md §16 for that determinism boundary.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use envirotrack_sim::time::Timestamp;
 use envirotrack_world::field::NodeId;
 use envirotrack_world::geometry::Point;
 
-use super::varint::{get_f64, get_uvarint, put_f64, put_uvarint};
+use super::varint::{get_f64, get_uvarint, put_f64, put_uvarint, MAX_UVARINT_BYTES};
 use super::DecodeError;
 use crate::context::{ContextLabel, ContextTypeId};
 
@@ -238,14 +238,19 @@ impl SessionMsg {
     /// CRC-32 trailer).
     #[must_use]
     pub fn encode(&self) -> Bytes {
-        let mut body = BytesMut::with_capacity(40);
-        encode_body(self, &mut body);
-        let mut out = BytesMut::with_capacity(body.len() + 8);
-        put_uvarint(&mut out, body.len() as u64);
-        out.put_slice(&body);
-        let sum = super::crc::crc32(&out);
-        out.put_slice(&sum.to_le_bytes());
-        out.freeze()
+        let mut out = Vec::with_capacity(64);
+        self.encode_into(&mut out);
+        Bytes::copy_from_slice(&out)
+    }
+
+    /// Appends the framed form [`SessionMsg::encode`] returns to `out`,
+    /// leaving what `out` already holds untouched: a sender writing many
+    /// frames to one socket encodes them back to back into one buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.push(0);
+        encode_body(self, out);
+        seal(out, start);
     }
 
     /// Parses one framed session message, requiring the buffer to contain
@@ -276,6 +281,24 @@ impl SessionMsg {
     }
 }
 
+/// Makes a frame of `out[start..]`, which holds one placeholder byte and
+/// a body behind it: the placeholder becomes the length prefix and the CRC
+/// trailer is appended. Every session body is shorter than 128 bytes (the
+/// longest, an EVENT at its value edges, is 59), so the prefix is the one
+/// byte reserved; a longer body moves over for its wider prefix.
+fn seal(out: &mut Vec<u8>, start: usize) {
+    let body_len = out.len() - start - 1;
+    if let Ok(short @ 0..=0x7f) = u8::try_from(body_len) {
+        out[start] = short;
+    } else {
+        let mut prefix = Vec::with_capacity(MAX_UVARINT_BYTES);
+        put_uvarint(&mut prefix, body_len as u64);
+        out.splice(start..=start, prefix);
+    }
+    let sum = super::crc::crc32(&out[start..]);
+    out.extend_from_slice(&sum.to_le_bytes());
+}
+
 /// The body tags (the table in the [module docs](self)), written by
 /// `encode_body` and matched by `decode_body`: one definition, so a tag
 /// cannot change on one side only.
@@ -291,7 +314,7 @@ mod tag {
     pub(super) const CLOSE: u64 = 9;
 }
 
-fn encode_body(msg: &SessionMsg, buf: &mut BytesMut) {
+fn encode_body(msg: &SessionMsg, buf: &mut Vec<u8>) {
     match msg {
         SessionMsg::Hello(h) => {
             put_uvarint(buf, tag::HELLO);
@@ -523,28 +546,46 @@ mod tests {
         }
     }
 
+    /// `body` framed by the encoder's own `seal`.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut out = vec![0];
+        out.extend_from_slice(body);
+        seal(&mut out, 0);
+        out
+    }
+
+    #[test]
+    fn seal_widens_the_prefix_for_a_long_body_and_leaves_the_front_alone() {
+        for len in [0usize, 1, 127, 128, 300, 20_000] {
+            let body = vec![0xabu8; len];
+            let mut expect = b"front".to_vec();
+            put_uvarint(&mut expect, len as u64);
+            expect.extend_from_slice(&body);
+            let sum = super::super::crc::crc32(&expect[5..]);
+            expect.extend_from_slice(&sum.to_le_bytes());
+
+            let mut out = b"front".to_vec();
+            out.push(0);
+            out.extend_from_slice(&body);
+            seal(&mut out, 5);
+            assert_eq!(out, expect, "body of {len} bytes");
+        }
+    }
+
     #[test]
     fn unknown_reason_codes_are_malformed() {
-        fn seal(body: &[u8]) -> Vec<u8> {
-            let mut framed = BytesMut::new();
-            put_uvarint(&mut framed, body.len() as u64);
-            framed.put_slice(body);
-            let sum = super::super::crc::crc32(&framed);
-            framed.put_slice(&sum.to_le_bytes());
-            framed.to_vec()
-        }
         // Reject with reason 0 and Close with reason 99 are both illegal.
         assert!(matches!(
-            SessionMsg::decode(&seal(&[0x03, 0x00])).unwrap_err(),
+            SessionMsg::decode(&framed(&[0x03, 0x00])).unwrap_err(),
             DecodeError::Malformed { .. }
         ));
         assert!(matches!(
-            SessionMsg::decode(&seal(&[0x09, 0x63])).unwrap_err(),
+            SessionMsg::decode(&framed(&[0x09, 0x63])).unwrap_err(),
             DecodeError::Malformed { .. }
         ));
         // And an unknown top-level tag is its own error.
         assert_eq!(
-            SessionMsg::decode(&seal(&[0x7f])).unwrap_err(),
+            SessionMsg::decode(&framed(&[0x7f])).unwrap_err(),
             DecodeError::UnknownTag { tag: 127 }
         );
     }

@@ -21,7 +21,7 @@
 //! payload in the *high* bits, and the swap moves it low where LEB128
 //! drops the leading zeros (`2.0` costs one byte instead of nine).
 
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 
 use super::DecodeError;
 
@@ -29,7 +29,7 @@ use super::DecodeError;
 pub const MAX_UVARINT_BYTES: usize = 10;
 
 /// Appends `v` as a minimal-length LEB128 varint.
-pub fn put_uvarint(buf: &mut BytesMut, mut v: u64) {
+pub fn put_uvarint<B: BufMut>(buf: &mut B, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -96,7 +96,7 @@ pub fn unzigzag(v: u64) -> i64 {
 
 /// Appends an `f64` as the varint of its byte-swapped IEEE-754 bits —
 /// lossless for every bit pattern (infinities, NaN payloads, `-0.0`).
-pub fn put_f64(buf: &mut BytesMut, v: f64) {
+pub fn put_f64<B: BufMut>(buf: &mut B, v: f64) {
     put_uvarint(buf, v.to_bits().swap_bytes());
 }
 
@@ -112,6 +112,7 @@ pub fn get_f64(buf: &mut &[u8]) -> Result<f64, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     fn enc(v: u64) -> Vec<u8> {
         let mut b = BytesMut::new();

@@ -365,6 +365,22 @@ prop_test! {
             );
         }
     }
+
+    /// `encode_into` appends exactly the bytes `encode` returns, whatever
+    /// the buffer already holds — so frames encoded back to back into one
+    /// buffer are the concatenation of their `encode`s.
+    #[test]
+    fn encode_into_appends_exactly_what_encode_returns(
+        first in arb_session_msg(),
+        second in arb_session_msg(),
+    ) {
+        let mut buf = Vec::new();
+        first.encode_into(&mut buf);
+        prop_assert_eq!(&buf[..], &first.encode()[..]);
+        second.encode_into(&mut buf);
+        let expect = [first.encode().to_vec(), second.encode().to_vec()].concat();
+        prop_assert_eq!(buf, expect);
+    }
 }
 
 /// A pinned, non-random spot check: every `u32` field at exactly

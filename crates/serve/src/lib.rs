@@ -14,18 +14,19 @@
 //! * [`frame`] — incremental frame extraction from the byte stream.
 //! * [`metrics`] — thread-safe counters/histograms, exported as
 //!   [`envirotrack_telemetry::Telemetry`] snapshots.
-//! * [`worlds`] — the single-threaded simulation hub and the bounded
-//!   outboxes that carry events to sessions.
+//! * [`worlds`] — the single-threaded simulation hub, and (`outbox.rs`)
+//!   the bounded [`Outbox`]es that carry its events to sessions.
 //! * [`server`] — the acceptor + pooled worker threads and the session
 //!   state machine.
 //! * [`client`] — a blocking client for tests and probes.
 //!
-//! See DESIGN.md §16 for the threading model, the three-stage
+//! See DESIGN.md §16 for the threading model, the four-stage
 //! backpressure policy, and the determinism boundary.
 
 pub mod client;
 pub mod frame;
 pub mod metrics;
+mod outbox;
 pub mod server;
 pub mod worlds;
 

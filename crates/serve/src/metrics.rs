@@ -86,12 +86,30 @@ pub struct ServeMetrics {
     /// Worker/hub threads that died panicking. Must stay zero.
     pub panics: AtomicU64,
 
+    /// Hub ticks (those that advanced at least one world; their number is
+    /// `hub_tick_work_us`'s count) that started more than one `tick_real`
+    /// past their deadline. An unpaced hub, `tick_real` zero, has no
+    /// deadline to miss.
+    pub hub_ticks_late: AtomicU64,
+    /// Socket writes that moved bytes.
+    pub worker_writes: AtomicU64,
+    /// Bytes those writes moved.
+    pub worker_write_bytes: AtomicU64,
+
     /// Latency from a SUBSCRIBE arriving off the socket to its SUBACK
     /// entering the session outbox, in microseconds.
     pub query_ack_us: Mutex<LogLinearHistogram>,
     /// Latency from a SUBSCRIBE arriving to the first tracking event for
     /// that query entering the outbox, in microseconds.
     pub first_event_us: Mutex<LogLinearHistogram>,
+    /// Wall-clock work of one hub tick (advance every world and emit), in
+    /// microseconds. While its upper quantiles sit under `tick_real` the
+    /// hub holds its configured pace.
+    pub hub_tick_work_us: Mutex<LogLinearHistogram>,
+    /// Frames each hand-off put into its outbox: one record per world,
+    /// session and sample — one outbox lock acquisition on the hub side
+    /// each — summing to `events_sent`.
+    pub batch_frames: Mutex<LogLinearHistogram>,
 }
 
 impl ServeMetrics {
@@ -120,6 +138,30 @@ impl ServeMetrics {
     /// Records a SUBSCRIBE→first-event latency.
     pub fn observe_first_event(&self, us: u64) {
         self.first_event_us.lock().expect("metrics lock").record(us);
+    }
+
+    /// Records one hub tick: how long its work took and whether it started
+    /// late.
+    pub(crate) fn observe_tick(&self, work_us: u64, late: bool) {
+        self.hub_ticks_late
+            .fetch_add(u64::from(late), Ordering::Relaxed);
+        self.hub_tick_work_us
+            .lock()
+            .expect("metrics lock")
+            .record(work_us);
+    }
+
+    /// Records one hand-off of `fit` event frames, `refused` more dropped
+    /// at a full outbox. `events_sent` moves under the histogram's lock,
+    /// so a reader holding that lock sees the two agree exactly.
+    pub(crate) fn observe_handoff(&self, fit: u64, refused: u64) {
+        let mut batches = self.batch_frames.lock().expect("metrics lock");
+        batches.record(fit);
+        self.events_sent.fetch_add(fit, Ordering::Relaxed);
+        drop(batches);
+        if refused > 0 {
+            self.events_dropped.fetch_add(refused, Ordering::Relaxed);
+        }
     }
 
     /// Runs `f` on the query-ack latency histogram.
@@ -155,7 +197,7 @@ impl ServeMetrics {
     #[must_use]
     pub fn snapshot(&self) -> Telemetry {
         let t = Telemetry::new();
-        let pairs: [(&str, &AtomicU64); 21] = [
+        let pairs: [(&str, &AtomicU64); 24] = [
             ("serve.connects", &self.connects),
             ("serve.accepted", &self.accepted),
             ("serve.rejected_overload", &self.rejected_overload),
@@ -177,6 +219,9 @@ impl ServeMetrics {
             ("serve.events_dropped", &self.events_dropped),
             ("serve.pings", &self.pings),
             ("serve.panics", &self.panics),
+            ("serve.hub_ticks_late", &self.hub_ticks_late),
+            ("serve.worker_writes", &self.worker_writes),
+            ("serve.worker_write_bytes", &self.worker_write_bytes),
         ];
         for (name, cell) in pairs {
             t.add(name, cell.load(Ordering::Relaxed));
@@ -187,19 +232,27 @@ impl ServeMetrics {
             "serve.active_sessions",
             self.active_sessions.load(Ordering::Relaxed) as f64,
         );
-        for (name, hist) in [
-            ("serve.query_ack_us", &self.query_ack_us),
-            ("serve.first_event_us", &self.first_event_us),
+        // The two hub-side histograms also export their counts: ticks taken
+        // and hand-offs made.
+        for (name, hist, count_as) in [
+            ("serve.query_ack_us", &self.query_ack_us, None),
+            ("serve.first_event_us", &self.first_event_us, None),
+            (
+                "serve.hub_tick_work_us",
+                &self.hub_tick_work_us,
+                Some("serve.hub_ticks"),
+            ),
+            (
+                "serve.batch_frames",
+                &self.batch_frames,
+                Some("serve.outbox_handoffs"),
+            ),
         ] {
-            let h = hist.lock().expect("metrics lock");
-            for (low, count) in h.iter() {
-                for _ in 0..count {
-                    // Re-recording bucket lows preserves counts and bucket
-                    // placement exactly (bucket_low is a fixed point of
-                    // bucket_index).
-                    t.observe(name, low);
-                }
+            let hist = hist.lock().expect("metrics lock").clone();
+            if let Some(counter) = count_as {
+                t.add(counter, hist.count());
             }
+            t.set_histogram(name, hist);
         }
         t
     }

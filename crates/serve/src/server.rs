@@ -16,16 +16,21 @@
 //!
 //! ## Backpressure policy
 //!
-//! Three bounded stages, each with a defined overflow behaviour:
+//! Four bounded stages, each with a defined overflow behaviour:
 //!
-//! 1. **Outbox** (hub → session): at most `send_budget` frames; overflow
-//!    marks the session shed → CLOSE(SlowConsumer).
+//! 1. **Outbox** (hub → session): at most `send_budget` frames, handed
+//!    over a batch at a time; overflow marks the session shed →
+//!    CLOSE(SlowConsumer).
 //! 2. **Pending write** (session → socket): at most
 //!    [`MAX_PENDING_WRITE`] bytes; while full, the outbox is not drained
 //!    (pressure propagates backwards to stage 1 instead of growing an
 //!    unbounded buffer).
 //! 3. **Acceptor** (network → server): at most `max_sessions` concurrent
 //!    sessions; overflow is shed with REJECT before admission.
+//! 4. **Read** (socket → session): at most `MAX_READ_PER_PASS` bytes
+//!    per worker pass; past it the session yields to the worker's other
+//!    sessions and the rest waits in the kernel's socket buffer, where
+//!    TCP flow control holds the sender back. Nothing is dropped.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -48,6 +53,11 @@ use crate::worlds::{HubCommand, HubConfig, Outbox, PanicCounter, SimHub, Subscri
 /// small so kernel-buffer slack cannot hide a stalled consumer: once the
 /// socket stops draining, pressure reaches the outbox within one budget.
 pub const MAX_PENDING_WRITE: usize = 16 * 1024;
+
+/// Per-session cap on bytes read off the socket in one worker pass. A
+/// peer that writes faster than that still gets every frame answered, one
+/// pass's worth at a time, between the worker's other sessions.
+const MAX_READ_PER_PASS: usize = 64 * 1024;
 
 /// Grace period for flushing a final CLOSE before dropping a session.
 const CLOSE_GRACE: Duration = Duration::from_millis(250);
@@ -123,7 +133,7 @@ impl Session {
     }
 
     fn queue(&mut self, msg: &SessionMsg) {
-        self.pending_write.extend_from_slice(&msg.encode());
+        msg.encode_into(&mut self.pending_write);
     }
 
     /// Queues a CLOSE and enters the flush-then-drop state.
@@ -371,20 +381,27 @@ fn step_session(
     session_counter: &AtomicU64,
     busy: &mut bool,
 ) -> bool {
-    // 1. Read whatever arrived. EOF/reset is noted but NOT acted on yet:
-    // bytes already buffered may hold a final CLOSE frame that deserves
-    // clean-close accounting, so frames are processed first.
+    // 1. Read what arrived, up to the per-pass bound. EOF/reset is noted
+    // but NOT acted on yet: bytes already buffered may hold a final CLOSE
+    // frame that deserves clean-close accounting, so frames are processed
+    // first.
     let mut eof = false;
     let mut chunk = [0u8; 4096];
-    loop {
+    let mut read = 0;
+    // A closing session answers nothing more: what its peer still sends
+    // is read off the socket and dropped, not buffered.
+    let closing = matches!(s.state, SessionState::Closing { .. });
+    while read < MAX_READ_PER_PASS {
         match s.stream.read(&mut chunk) {
             Ok(0) => {
                 eof = true;
                 break;
             }
             Ok(n) => {
-                s.reader.extend(&chunk[..n]);
-                s.last_activity = Instant::now();
+                if !closing {
+                    s.reader.extend(&chunk[..n]);
+                }
+                read += n;
                 *busy = true;
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -394,6 +411,9 @@ fn step_session(
                 break;
             }
         }
+    }
+    if read > 0 {
+        s.last_activity = Instant::now();
     }
 
     // 2. Carve frames and run the state machine (not while closing).
@@ -431,15 +451,9 @@ fn step_session(
 
     // 3. Drain the outbox into the pending-write buffer (stage-2 bound).
     if matches!(s.state, SessionState::Open) {
-        while s.pending_write.len() < MAX_PENDING_WRITE {
-            match s.outbox.pop() {
-                Some(frame) => {
-                    s.pending_write.extend_from_slice(&frame);
-                    s.last_activity = Instant::now();
-                    *busy = true;
-                }
-                None => break,
-            }
+        if s.outbox.drain_into(&mut s.pending_write, MAX_PENDING_WRITE) > 0 {
+            s.last_activity = Instant::now();
+            *busy = true;
         }
         if s.outbox.is_shed() {
             metrics.slow_consumer_sheds.fetch_add(1, Ordering::Relaxed);
@@ -448,15 +462,21 @@ fn step_session(
         }
     }
 
-    // 4. Flush.
-    while !s.pending_write.is_empty() {
-        match s.stream.write(&s.pending_write) {
+    // 4. Flush. What the socket took is dropped from the buffer once,
+    // after the last write of the pass.
+    let mut sent = 0;
+    while sent < s.pending_write.len() {
+        match s.stream.write(&s.pending_write[sent..]) {
             Ok(0) => {
                 finish(s, metrics, &metrics.disconnects);
                 return true;
             }
             Ok(n) => {
-                s.pending_write.drain(..n);
+                sent += n;
+                metrics.worker_writes.fetch_add(1, Ordering::Relaxed);
+                metrics
+                    .worker_write_bytes
+                    .fetch_add(n as u64, Ordering::Relaxed);
                 *busy = true;
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -467,6 +487,7 @@ fn step_session(
             }
         }
     }
+    s.pending_write.drain(..sent);
 
     // 5. The peer is gone: account the teardown (a no-op if a processed
     // CLOSE or protocol error already did) and drop.

@@ -267,3 +267,97 @@ fn write_then_vanish_storm_never_panics() {
     server.shutdown();
     assert_eq!(load(&metrics.panics), 0);
 }
+
+#[test]
+fn ping_firehose_does_not_freeze_the_worker_s_other_session() {
+    // One worker, two sessions: a subscriber, and a peer that writes valid
+    // PINGs as fast as loopback takes them. The worker reads a bounded
+    // amount per pass and carves it in linear time, so the subscriber's
+    // events keep coming; reading the firehose until the socket ran dry,
+    // and carving each frame with a move of the whole backlog, froze them
+    // for seconds.
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        max_sessions: 8,
+        send_budget: 4096,
+        idle_timeout: Duration::from_secs(30),
+        hub: HubConfig {
+            max_worlds: 1,
+            tick_virtual: SimDuration::from_millis(500),
+            tick_real: Duration::from_millis(2),
+            ..HubConfig::default()
+        },
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let metrics = Arc::clone(server.metrics());
+
+    let mut subscriber = Client::open(server.addr(), RECV_TIMEOUT).expect("subscriber");
+    let ack = subscriber
+        .subscribe(Subscribe {
+            query_id: 1,
+            scenario: SCENARIO_TESTBED,
+            seed: 2,
+            type_id: ContextTypeId(0),
+        })
+        .expect("subscribe");
+    assert!(ack.accepted);
+    subscriber.next_event().expect("the stream started");
+
+    let hose = Client::open(server.addr(), RECV_TIMEOUT).expect("firehose");
+    const BURST_PINGS: u64 = 128 * 1024;
+    const BURSTS: u64 = 8;
+    let mut burst = Vec::new();
+    for nonce in 0..BURST_PINGS {
+        SessionMsg::Ping { nonce }.encode_into(&mut burst);
+    }
+    let pings = BURSTS * BURST_PINGS;
+    let mut tx = hose.stream().try_clone().expect("clone");
+    let mut rx = hose.stream().try_clone().expect("clone");
+    let writer = std::thread::spawn(move || {
+        for _ in 0..BURSTS {
+            tx.write_all(&burst).expect("firehose write");
+        }
+    });
+    // The PONGs are read and dropped, as fast as they come.
+    let reader = std::thread::spawn(move || {
+        let mut sink = [0u8; 64 * 1024];
+        while matches!(rx.read(&mut sink), Ok(n) if n > 0) {}
+    });
+
+    let mut max_gap = Duration::ZERO;
+    let mut events = 0u64;
+    while !writer.is_finished() || load(&metrics.pings) < pings {
+        let before = Instant::now();
+        subscriber
+            .next_event()
+            .expect("the subscriber keeps streaming");
+        max_gap = max_gap.max(before.elapsed());
+        events += 1;
+    }
+    writer.join().expect("writer");
+    assert_eq!(load(&metrics.pings), pings, "every PING was answered");
+    assert!(events >= 20, "only {events} events during the firehose");
+    assert!(
+        max_gap < Duration::from_secs(1),
+        "the subscriber waited {max_gap:?} for an event behind the firehose"
+    );
+    assert_eq!(load(&metrics.slow_consumer_sheds), 0);
+
+    // The reader's clone keeps the socket open: shut it down, not just drop.
+    hose.stream()
+        .shutdown(std::net::Shutdown::Both)
+        .expect("shutdown");
+    reader.join().expect("reader");
+    drop(subscriber);
+    wait_for("both sessions terminal", || {
+        load(&metrics.active_sessions) == 0
+            && load(&metrics.connects)
+                == load(&metrics.rejected_overload)
+                    + load(&metrics.rejected_version)
+                    + load(&metrics.rejected_bad_hello)
+                    + metrics.terminal_total()
+    });
+    server.shutdown();
+    assert_eq!(load(&metrics.panics), 0);
+}

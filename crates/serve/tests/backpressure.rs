@@ -122,8 +122,9 @@ fn stalled_client_is_shed_while_fast_clients_stream() {
         );
     }
 
-    // Latency bound: with one event batch per ~1 ms of wall clock, a fast
-    // client should never wait anywhere near this long for its next event.
+    // Latency bound: with a tick due every 1 ms of wall clock and twenty
+    // event batches (one per 50 ms sample) in each, a fast client should
+    // never wait anywhere near this long for its next event.
     // The generous bound keeps the test robust on loaded CI machines while
     // still catching a hub that blocks on the stalled socket (which would
     // freeze everyone for the full run).

@@ -407,6 +407,17 @@ impl Telemetry {
             .record(v);
     }
 
+    /// Installs `hist` as the named histogram, replacing what was recorded
+    /// under that name: how a histogram kept outside the registry (the
+    /// serving layer's live ones) is exported whole, its sum and maximum
+    /// included.
+    pub fn set_histogram(&self, name: &str, hist: LogLinearHistogram) {
+        self.inner
+            .borrow_mut()
+            .histograms
+            .insert(name.to_owned(), hist);
+    }
+
     /// Appends a trace event, dropping (and counting) the oldest past the
     /// ring bound. Allocates a fresh shared label; hot paths that reuse
     /// one label should intern it and call [`Telemetry::trace_shared`].

@@ -164,19 +164,31 @@ grep -q "net.k1.tx" "$tmp/med_part.jsonl" \
 # corrupt-accepted/panic/passed claims plus its storm-phase evidence.
 ./target/release/serve_storm --smoke --out "$tmp/serve.json" \
   || { echo "verify: serve smoke failed" >&2; exit 1; }
+# The hub → socket stage counters, in both files; their wall-clock values
+# are advisory, but every event sent went out in exactly one hand-off.
+serve_stage_keys=('"host_cpus":' '"events_sent":' '"hub_ticks":' '"hub_ticks_late":' \
+                  '"hub_tick_work_p50_us":' '"hub_tick_work_p95_us":' \
+                  '"outbox_handoffs":' '"batch_frames_total":' '"batch_frames_max":' \
+                  '"worker_writes":' '"worker_write_bytes":')
 for key in '"bench":"serve"' '"passed":true' '"corrupt_accepted":0' \
            '"protocol_errors":0' '"client_errors":0' '"panics":0' \
            '"connects_per_s":' '"query_ack_p50_us":' '"query_ack_p95_us":' \
-           '"query_ack_p99_us":' '"fairness_jain":'; do
+           '"query_ack_p99_us":' '"fairness_jain":' "${serve_stage_keys[@]}"; do
   grep -q "$key" "$tmp/serve.json" \
     || { echo "verify: $tmp/serve.json is missing $key" >&2; exit 1; }
 done
 for key in '"bench":"serve"' '"mode":"flagship"' '"passed":true' \
            '"corrupt_accepted":0' '"client_errors":0' '"panics":0' \
            '"connects_per_s":' '"query_ack_p50_us":' '"query_ack_p95_us":' \
-           '"query_ack_p99_us":' '"fairness_jain":'; do
+           '"query_ack_p99_us":' '"fairness_jain":' "${serve_stage_keys[@]}"; do
   grep -q "$key" BENCH_serve.json \
     || { echo "verify: BENCH_serve.json is missing $key" >&2; exit 1; }
+done
+for f in "$tmp/serve.json" BENCH_serve.json; do
+  sent="$(sed -n 's/.*"events_sent":\([0-9]*\).*/\1/p' "$f")"
+  batched="$(sed -n 's/.*"batch_frames_total":\([0-9]*\).*/\1/p' "$f")"
+  [ -n "$sent" ] && [ "$sent" = "$batched" ] \
+    || { echo "verify: $f: events_sent ($sent) != frames over all hand-offs ($batched)" >&2; exit 1; }
 done
 
 echo "verify: OK"
