@@ -23,6 +23,8 @@ use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::Point;
+use envirotrack_world::scenario::ScaleScenario;
+use envirotrack_world::sensing::Coverage;
 
 fn label() -> ContextLabel {
     ContextLabel {
@@ -259,6 +261,60 @@ fn bench_medium_backlog(out: &mut Vec<String>) {
     }
 }
 
+/// The sample an idle sensing tick takes, on `field_sparse`'s field: 20k
+/// nodes, 4 or 12 disk targets crossing at one hop a second, the whole
+/// field sampled once per 200 ms sensing period in a scattered order.
+/// `walk` is `sample_noisy`, which asks every target where it is;
+/// `covered` is the entry the tick calls, which asks the coverage first.
+fn bench_idle_tick(out: &mut Vec<String>) {
+    const PERIOD: SimDuration = SimDuration::from_millis(200);
+    for targets in [4u32, 12] {
+        let scenario = ScaleScenario {
+            nodes: 20_000,
+            targets,
+            speed_hops_per_s: 1.0,
+            ..ScaleScenario::default()
+        }
+        .build();
+        let (env, field) = (scenario.environment, scenario.deployment);
+        let positions = field.positions();
+        // Round `i / n` of the field, at node `7919 i mod n`; 100 s a lap.
+        let tick = |i: u64| {
+            let n = positions.len() as u64;
+            let t = Timestamp::ZERO + PERIOD * (i / n % 500);
+            (positions[(i * 7919 % n) as usize], t)
+        };
+        let mut rng = SimRng::seed_from(1);
+        let mut i = 0u64;
+        out.push(
+            measure(&format!("sensing/idle_tick_t{targets}/walk"), || {
+                let (pos, t) = tick(i);
+                i += 1;
+                env.sample_noisy(pos, t, &mut rng)
+            })
+            .report(),
+        );
+        let mut coverage = Coverage::new(field.bounds(), field.len(), PERIOD);
+        let mut i = 0u64;
+        out.push(
+            measure(&format!("sensing/idle_tick_t{targets}/covered"), || {
+                let (pos, t) = tick(i);
+                i += 1;
+                env.sample_covered(&mut coverage, pos, t, &mut rng)
+            })
+            .report(),
+        );
+        let work = coverage.work();
+        out.push(format!(
+            "{:<44} {} answered, {} walked, {} rebuilds",
+            format!("sensing/idle_tick_t{targets}/covered work"),
+            work.answered,
+            work.walked,
+            work.rebuilds
+        ));
+    }
+}
+
 fn bench_payload_sizes(out: &mut Vec<String>) {
     // Not a speed benchmark: documents frame costs stay stable.
     let cfg = envirotrack_net::medium::RadioConfig::default();
@@ -283,6 +339,7 @@ fn main() {
     bench_queue(&mut out);
     bench_routing(&mut out);
     bench_medium_backlog(&mut out);
+    bench_idle_tick(&mut out);
     bench_payload_sizes(&mut out);
     println!("protocol micro-benchmarks");
     println!("-------------------------");

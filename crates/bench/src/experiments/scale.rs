@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use envirotrack_core::events::SystemEvent;
-use envirotrack_core::network::{NetworkConfig, SensorNetwork};
+use envirotrack_core::network::{NetworkConfig, SensingWork, SensorNetwork};
 use envirotrack_core::report::telemetry_to_jsonl;
 use envirotrack_core::shard::{run_sharded, MediumMode};
 use envirotrack_sim::time::{SimDuration, Timestamp};
@@ -85,6 +85,10 @@ pub struct ScalePoint {
     pub bytes_on_air: u64,
     /// The virtual horizon, in seconds.
     pub sim_horizon_s: f64,
+    /// How the sensing driver did its part: ticks fired and admitted,
+    /// idle samples the coverage answered or walked, coverage rebuilds.
+    /// Exact and host-independent, but no part of the simulation's output.
+    pub sensing: SensingWork,
 }
 
 /// The field and network configuration every flavour of a scale point
@@ -145,6 +149,7 @@ pub fn run_scale(cfg: &ScaleRun) -> ScalePoint {
         handovers,
         bytes_on_air: world.net_stats().bytes_on_air(),
         sim_horizon_s: cfg.horizon.as_secs_f64(),
+        sensing: world.sensing_work(),
     }
 }
 
@@ -355,6 +360,9 @@ mod tests {
         assert_eq!(a.events, b.events);
         assert_eq!(a.labels_created, b.labels_created);
         assert_eq!(a.handovers, b.handovers);
+        assert_eq!(a.sensing, b.sensing);
+        let idle = a.sensing.coverage.answered + a.sensing.coverage.walked;
+        assert!(idle > 0 && idle <= a.sensing.admitted && a.sensing.admitted <= a.sensing.ticks);
         assert!(a.events > 0, "a 200-node field must execute events");
         assert!(a.labels_created >= 1, "targets should be detected: {a:?}");
     }

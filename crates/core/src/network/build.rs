@@ -15,6 +15,7 @@ use envirotrack_world::sensing::Environment;
 use super::events::Recorder;
 use super::link::LinkReliability;
 use super::node::{NodeState, SenseState};
+use super::sense::Sensing;
 use super::{SensorNetwork, K};
 use crate::api::Program;
 use crate::config::MiddlewareConfig;
@@ -73,6 +74,7 @@ impl SensorNetwork {
             .ids()
             .map(|id| NodeState::new(id, &program, &master))
             .collect();
+        let sensing = Sensing::new(&deployment, config.middleware.sense_period);
         SensorNetwork {
             program,
             config,
@@ -82,6 +84,7 @@ impl SensorNetwork {
             router,
             sense,
             nodes,
+            sensing,
             rec: Recorder::new(telemetry),
             base_log: BaseStationLog::new(),
             app_log: Vec::new(),

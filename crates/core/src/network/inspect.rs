@@ -10,7 +10,7 @@ use envirotrack_world::geometry::Point;
 use envirotrack_world::sensing::Environment;
 
 use super::node::NodeState;
-use super::{NetworkConfig, SensorNetwork};
+use super::{NetworkConfig, SensingWork, SensorNetwork};
 use crate::context::{ContextLabel, ContextTypeId};
 use crate::directory::{hash_point, replica_set};
 use crate::events::{EventLog, SystemEvent};
@@ -155,6 +155,12 @@ impl SensorNetwork {
             let s = n.cpu.stats();
             (a + s.admitted, d + s.dropped)
         })
+    }
+
+    /// The sensing driver's work counters (see [`SensingWork`]).
+    #[must_use]
+    pub fn sensing_work(&self) -> SensingWork {
+        self.sensing.work()
     }
 
     /// Whether a node is alive.

@@ -84,6 +84,7 @@ use self::events::Recorder;
 use self::link::Decoded;
 pub use self::link::LinkReliability;
 use self::node::{NodeState, SenseState};
+pub use self::sense::SensingWork;
 use crate::api::Program;
 use crate::context::{ContextLabel, ContextTypeId};
 use crate::directory::{self, replica_set};
@@ -107,6 +108,8 @@ pub struct SensorNetwork {
     /// record a sensing tick lives in, and everything else.
     sense: Vec<SenseState>,
     nodes: Vec<NodeState>,
+    /// The sensing driver's coverage of `environment` and its work counters.
+    sensing: sense::Sensing,
     /// Event log, telemetry handle and label cache, lent to whichever
     /// layer has something to record.
     rec: Recorder,
@@ -905,9 +908,10 @@ mod tests {
     /// A tank crossing a 20 × 20 field of noisy sensors for 5 s, a pinned
     /// object to one side, with a clock slowed at 1 s and a node near the
     /// lane crashed at 1.5 s and rebooted at 3 s; `hook` sets a test hook
-    /// first. Returns the sensing loops left on the lane, and the run:
-    /// `kernel.events`, the event log and the telemetry JSONL.
-    fn faulted_run(hook: fn(&mut SensorNetwork)) -> (usize, (u64, String, String)) {
+    /// first. Returns how the run was executed — the sensing loops left on
+    /// the lane, the sensing work counters — and the run: `kernel.events`,
+    /// the event log and the telemetry JSONL.
+    fn faulted_run(hook: fn(&mut SensorNetwork)) -> ((usize, SensingWork), (u64, String, String)) {
         let scenario = TankScenario {
             lane_y: 9.5,
             sensing_radius: 1.5,
@@ -947,12 +951,12 @@ mod tests {
             format!("{:?}", world.events().entries()),
             telemetry_to_jsonl(world.telemetry()),
         );
-        (engine.kernel().recurring_len(), run)
+        ((engine.kernel().recurring_len(), world.sensing_work()), run)
     }
 
     #[test]
     fn the_recurring_lane_changes_no_byte_of_a_faulted_run() {
-        let (on_lane, run) = faulted_run(|_| {});
+        let ((on_lane, _), run) = faulted_run(|_| {});
         assert_eq!(on_lane, 399, "all but the slowed node");
         let (events, log, telemetry) = &run;
         assert!(log.contains("LabelCreated") && telemetry.contains("group.hb"));
@@ -960,16 +964,30 @@ mod tests {
             *events > 400 * 25,
             "protocol events on top of 25 ticks per node"
         );
-        assert_eq!((0, run), faulted_run(|w| w.sense_loops_on_heap = true));
+        let ((on_lane, _), on_heap) = faulted_run(|w| w.sense_loops_on_heap = true);
+        assert_eq!((0, run), (on_lane, on_heap));
     }
 
     /// Every label of the run starts on a quiescent node whose reading the
     /// driver took and handed to the machine; with the hook the machine
-    /// takes every reading itself, noise and all.
+    /// takes every reading itself, noise and all. The driver samples
+    /// through the coverage and the machine walks the targets, so this
+    /// also pins coverage against walk over a noisy run in which the tank
+    /// crosses a cell, and so a coverage window, about every 0.48 s.
     #[test]
     fn the_quiescent_test_changes_no_byte_of_a_faulted_run() {
-        let (_, run) = faulted_run(|_| {});
-        assert_eq!(run, faulted_run(|w| w.ticks_enter_machines = true).1);
+        let ((_, work), run) = faulted_run(|_| {});
+        let sampled = work.coverage.answered + work.coverage.walked;
+        assert!(work.admitted <= work.ticks && sampled <= work.admitted);
+        assert!(
+            work.coverage.answered > 9 * work.coverage.walked,
+            "{work:?}"
+        );
+        assert!((10..=12).contains(&work.coverage.rebuilds), "{work:?}");
+        let ((_, hooked), through_machines) = faulted_run(|w| w.ticks_enter_machines = true);
+        assert_eq!(run, through_machines);
+        assert_eq!(hooked.coverage, Default::default(), "every sample walked");
+        assert_eq!((hooked.ticks, hooked.admitted), (work.ticks, work.admitted));
     }
 
     #[test]

@@ -9,11 +9,57 @@
 //! has the argument; `group::tests` pins it against `on_sense_tick`.
 
 use envirotrack_node::cpu::costs;
-use envirotrack_sim::time::Timestamp;
-use envirotrack_world::field::NodeId;
+use envirotrack_sim::time::{SimDuration, Timestamp};
+use envirotrack_world::field::{Deployment, NodeId};
+use envirotrack_world::sensing::{Coverage, CoverageWork};
 
 use super::{SensorNetwork, K};
 use crate::group::GroupMachine;
+
+/// How the sensing driver has done its work so far. Like
+/// [`Kernel::recurring_len`](envirotrack_sim::engine::Kernel::recurring_len)
+/// it says how the work was done, not what the simulation did: it belongs
+/// in no run record, and a shard's world counts only its own nodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SensingWork {
+    /// Sensing ticks fired, dead and overloaded nodes included.
+    pub ticks: u64,
+    /// Ticks the node's CPU admitted.
+    pub admitted: u64,
+    /// Of the samples a quiescent node's tick took itself: how many the
+    /// coverage answered, how many walked the targets, and how often the
+    /// coverage was rebuilt. A tick that enters a group machine samples
+    /// through [`GroupCtx::sample`](crate::group::GroupCtx::sample) and
+    /// shows in none of them.
+    pub coverage: CoverageWork,
+}
+
+/// What the driver keeps between ticks.
+pub(super) struct Sensing {
+    /// Where the targets can be sensed for now, so an idle tick far from
+    /// all of them reads the ambient levels without asking each where it is.
+    coverage: Coverage,
+    ticks: u64,
+    admitted: u64,
+}
+
+impl Sensing {
+    pub(super) fn new(field: &Deployment, sense_period: SimDuration) -> Self {
+        Sensing {
+            coverage: Coverage::new(field.bounds(), field.len(), sense_period),
+            ticks: 0,
+            admitted: 0,
+        }
+    }
+
+    pub(super) fn work(&self) -> SensingWork {
+        SensingWork {
+            ticks: self.ticks,
+            admitted: self.admitted,
+            coverage: self.coverage.work(),
+        }
+    }
+}
 
 /// Whether a node with these machines is quiescent. `drive_machine`
 /// refreshes the node's bit from it after every machine input.
@@ -43,6 +89,7 @@ impl SensorNetwork {
     fn sense_tick(&mut self, k: &mut K, id: u64) {
         let node = NodeId(u32::try_from(id).expect("armed with a node id"));
         let (i, now) = (node.index(), k.now());
+        self.sensing.ticks += 1;
         debug_assert_eq!(
             self.sense[i].quiescent,
             quiescent(&self.nodes[i].machines),
@@ -65,6 +112,7 @@ impl SensorNetwork {
         if !self.sense[i].admit(now, costs::SENSE) {
             return;
         }
+        self.sensing.admitted += 1;
         for tid in self.program.type_ids() {
             // Read per type: an earlier type's machine may just have armed
             // its formation timer.
@@ -79,9 +127,11 @@ impl SensorNetwork {
                     continue;
                 }
                 // Taken where the machine would take it, so any noise comes
-                // off the node's stream at the same point.
-                let rng = &mut self.nodes[i].rng;
-                let taken = self.environment.sample_noisy(self.sense[i].pos, now, rng);
+                // off the node's stream at the same point; through the
+                // coverage, which returns what the machine's walk would.
+                let (pos, rng) = (self.sense[i].pos, &mut self.nodes[i].rng);
+                let coverage = &mut self.sensing.coverage;
+                let taken = self.environment.sample_covered(coverage, pos, now, rng);
                 if !spec.senses(&taken, false) {
                     continue;
                 }

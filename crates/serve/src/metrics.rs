@@ -95,6 +95,10 @@ pub struct ServeMetrics {
     pub worker_writes: AtomicU64,
     /// Bytes those writes moved.
     pub worker_write_bytes: AtomicU64,
+    /// The most bytes any session held between outbox and socket at the
+    /// end of a worker pass: `MAX_PENDING_WRITE` plus a frame or two at
+    /// most, whatever a peer does.
+    pub pending_write_peak: AtomicU64,
 
     /// Latency from a SUBSCRIBE arriving off the socket to its SUBACK
     /// entering the session outbox, in microseconds.
@@ -197,7 +201,7 @@ impl ServeMetrics {
     #[must_use]
     pub fn snapshot(&self) -> Telemetry {
         let t = Telemetry::new();
-        let pairs: [(&str, &AtomicU64); 24] = [
+        let pairs: [(&str, &AtomicU64); 25] = [
             ("serve.connects", &self.connects),
             ("serve.accepted", &self.accepted),
             ("serve.rejected_overload", &self.rejected_overload),
@@ -222,6 +226,7 @@ impl ServeMetrics {
             ("serve.hub_ticks_late", &self.hub_ticks_late),
             ("serve.worker_writes", &self.worker_writes),
             ("serve.worker_write_bytes", &self.worker_write_bytes),
+            ("serve.pending_write_peak", &self.pending_write_peak),
         ];
         for (name, cell) in pairs {
             t.add(name, cell.load(Ordering::Relaxed));

@@ -24,7 +24,10 @@
 //! 2. **Pending write** (session → socket): at most
 //!    [`MAX_PENDING_WRITE`] bytes; while full, the outbox is not drained
 //!    (pressure propagates backwards to stage 1 instead of growing an
-//!    unbounded buffer).
+//!    unbounded buffer). Replies to the peer's own requests (PONG, a
+//!    denied SUBACK) share the bound: one that pushes the buffer past it
+//!    is flushed at once, and if the socket will not take the bytes the
+//!    peer asks faster than it reads → CLOSE(SlowConsumer).
 //! 3. **Acceptor** (network → server): at most `max_sessions` concurrent
 //!    sessions; overflow is shed with REJECT before admission.
 //! 4. **Read** (socket → session): at most `MAX_READ_PER_PASS` bytes
@@ -426,6 +429,17 @@ fn step_session(
                     if handle_message(s, msg, cfg, hub_tx, metrics, session_counter) {
                         break;
                     }
+                    // A reply filled the stage-2 bound: make room now, or
+                    // shed the peer that does not read what it asks for.
+                    if s.pending_write.len() > MAX_PENDING_WRITE {
+                        if flush(s, metrics, busy) {
+                            return true;
+                        }
+                        if s.pending_write.len() > MAX_PENDING_WRITE {
+                            shed(s, metrics);
+                            break;
+                        }
+                    }
                 }
                 Err(err) => {
                     *busy = true;
@@ -456,14 +470,46 @@ fn step_session(
             *busy = true;
         }
         if s.outbox.is_shed() {
-            metrics.slow_consumer_sheds.fetch_add(1, Ordering::Relaxed);
-            finish_shed(s, metrics);
-            s.begin_close(CloseReason::SlowConsumer);
+            shed(s, metrics);
         }
     }
 
-    // 4. Flush. What the socket took is dropped from the buffer once,
-    // after the last write of the pass.
+    // 4. Flush.
+    if flush(s, metrics, busy) {
+        return true;
+    }
+    // A plain load on all but the handful of passes that set a record.
+    let held = s.pending_write.len() as u64;
+    if held > metrics.pending_write_peak.load(Ordering::Relaxed) {
+        metrics.pending_write_peak.fetch_max(held, Ordering::Relaxed);
+    }
+
+    // 5. The peer is gone: account the teardown (a no-op if a processed
+    // CLOSE or protocol error already did) and drop.
+    if eof {
+        finish(s, metrics, &metrics.disconnects);
+        return true;
+    }
+
+    // 6. Lifecycle timers.
+    match s.state {
+        SessionState::Closing { deadline } => {
+            s.pending_write.is_empty() || Instant::now() >= deadline
+        }
+        _ => {
+            if s.last_activity.elapsed() > cfg.idle_timeout {
+                finish(s, metrics, &metrics.idle_timeouts);
+                s.begin_close(CloseReason::IdleTimeout);
+            }
+            false
+        }
+    }
+}
+
+/// Writes as much of the pending buffer as the socket takes; what it took
+/// is dropped from the buffer once, after the last write. Returns `true`
+/// when the peer is gone (accounted as a disconnect).
+fn flush(s: &mut Session, metrics: &ServeMetrics, busy: &mut bool) -> bool {
     let mut sent = 0;
     while sent < s.pending_write.len() {
         match s.stream.write(&s.pending_write[sent..]) {
@@ -488,27 +534,15 @@ fn step_session(
         }
     }
     s.pending_write.drain(..sent);
+    false
+}
 
-    // 5. The peer is gone: account the teardown (a no-op if a processed
-    // CLOSE or protocol error already did) and drop.
-    if eof {
-        finish(s, metrics, &metrics.disconnects);
-        return true;
-    }
-
-    // 6. Lifecycle timers.
-    match s.state {
-        SessionState::Closing { deadline } => {
-            s.pending_write.is_empty() || Instant::now() >= deadline
-        }
-        _ => {
-            if s.last_activity.elapsed() > cfg.idle_timeout {
-                finish(s, metrics, &metrics.idle_timeouts);
-                s.begin_close(CloseReason::IdleTimeout);
-            }
-            false
-        }
-    }
+/// Sheds a session that does not drain what it is sent: counts it, and
+/// queues CLOSE(SlowConsumer).
+fn shed(s: &mut Session, metrics: &ServeMetrics) {
+    metrics.slow_consumer_sheds.fetch_add(1, Ordering::Relaxed);
+    finish_shed(s, metrics);
+    s.begin_close(CloseReason::SlowConsumer);
 }
 
 /// Marks a shed session terminal (the shed counter itself was already

@@ -19,7 +19,7 @@ use envirotrack_core::wire::session::{
 };
 use envirotrack_serve::client::Handshake;
 use envirotrack_serve::worlds::SCENARIO_TESTBED;
-use envirotrack_serve::{Client, HubConfig, Server, ServerConfig};
+use envirotrack_serve::{Client, HubConfig, Server, ServerConfig, MAX_PENDING_WRITE};
 use envirotrack_sim::time::SimDuration;
 
 const RECV_TIMEOUT: Option<Duration> = Some(Duration::from_secs(30));
@@ -203,6 +203,38 @@ fn conformance_battery_accounts_for_every_drop() {
             }
         }
     }
+
+    // --- 9. PING flood, never reads. -------------------------------------
+    // Every PING is owed a PONG. Once the peer's receive window and the
+    // server's send buffer are full the PONGs have nowhere to go, and a
+    // server that kept queuing them grew without limit; the replies share
+    // the pending-write bound, so the session is shed instead.
+    {
+        let c = Client::open(addr, RECV_TIMEOUT).expect("flooder");
+        let mut burst = Vec::new();
+        for nonce in 0..64 * 1024 {
+            SessionMsg::Ping { nonce }.encode_into(&mut burst);
+        }
+        let mut tx = c.stream().try_clone().expect("clone");
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while load(&metrics.slow_consumer_sheds) == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the flooder was never shed; a session holds {} bytes for its socket",
+                load(&metrics.pending_write_peak)
+            );
+            // The server may have hung up on the shed session already.
+            if tx.write_all(&burst).is_err() {
+                break;
+            }
+        }
+    }
+    wait_for("flooder shed", || load(&metrics.slow_consumer_sheds) == 1);
+    let peak = load(&metrics.pending_write_peak);
+    assert!(
+        peak <= MAX_PENDING_WRITE as u64 + 1024,
+        "a session buffered {peak} bytes for its socket"
+    );
 
     // --- The accounting identity: nothing dropped silently. -------------
     wait_for("all sessions terminal", || {

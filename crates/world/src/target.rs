@@ -21,6 +21,11 @@ use envirotrack_sim::time::Timestamp;
 
 use crate::geometry::Point;
 
+/// The relative slack [`Target::sweep`] adds to whatever it bounds, to
+/// stand in for every floating-point rounding between a trajectory and a
+/// sensor's cull: 2⁻³², where one rounding is at most 2⁻⁵³.
+const ROUNDING: f64 = 1.0 / (1u64 << 32) as f64;
+
 /// Identifies one target within a scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TargetId(pub u32);
@@ -191,6 +196,48 @@ impl Trajectory {
             remaining -= seg;
         }
         self.waypoints[n - 1]
+    }
+
+    /// Where the target is at `from`, and a distance from that point it
+    /// stays within, along either axis, at every instant of `[from, last]`.
+    ///
+    /// `position_at` places the target at arc length `s(t) = elapsed(t) ·
+    /// speed` along the path — taken modulo one lap when looped, pinned to
+    /// the last waypoint past the end — and each of those maps moves a
+    /// point no further than the arc length moves. `s` is computed here by
+    /// the very operations `position_at` uses, each of them monotone in
+    /// `t`, so `s(last) − s(from)` bounds the arc travelled however coarse
+    /// the floats are that far from time zero. What is left is the
+    /// rounding of the segment walk and of `lerp`: a few half-ulps per
+    /// segment of a length or a coordinate, none larger than `scale`;
+    /// [`ROUNDING`] per waypoint is some 2²⁰ times that. One more case: a
+    /// hair before a lap ends, the walk's own rounding can shed every
+    /// segment and answer the last waypoint — the far end of the closing
+    /// segment — so an interval that reaches a lap's end covers that
+    /// waypoint too. A waypoint or speed that is not an ordinary number
+    /// makes the distance non-finite.
+    pub(crate) fn sweep(&self, from: Timestamp, last: Timestamp) -> (Point, f64) {
+        let at = self.position_at(from);
+        let n = self.waypoints.len();
+        if n == 1 || self.speed <= 0.0 {
+            return (at, 0.0);
+        }
+        let arc = |t: Timestamp| t.saturating_since(self.start_time).as_secs_f64() * self.speed;
+        let (lo, hi) = (arc(from), arc(last));
+        let mut moved = hi - lo;
+        if !moved.is_finite() {
+            return (at, f64::INFINITY);
+        }
+        let per_waypoint = ROUNDING * n as f64;
+        let lap = self.path_length;
+        if self.looped
+            && (moved >= lap || hi % lap < lo % lap || hi % lap > lap * (1.0 - per_waypoint))
+        {
+            let end = self.waypoints[n - 1] - at;
+            moved = moved.max(end.x.abs()).max(end.y.abs());
+        }
+        let coords: f64 = self.waypoints.iter().map(|p| p.x.abs() + p.y.abs()).sum();
+        (at, moved + moved * ROUNDING + (lap + coords) * per_waypoint)
     }
 
     /// Whether the target has reached the end of a non-looped path by `t`.
@@ -543,6 +590,24 @@ impl Target {
         self.reach
     }
 
+    /// A box that holds every sensor the exact cull of
+    /// [`Environment::sample`](crate::sensing::Environment::sample) can let
+    /// through at any instant of `[from, last]`: its centre, and its half
+    /// side along both axes. `None` when the target exists at no instant of
+    /// the interval. The cull passes a sensor only if its rounded offset
+    /// from the target is within `reach` on both axes, and the target is
+    /// within [`Trajectory::sweep`]'s distance of the centre; the sum is
+    /// widened by [`ROUNDING`] for the roundings of the offset and of the
+    /// box's own corners, and by the 10⁻¹² a degenerate segment may jump.
+    /// The half side is non-finite when the reach or the path is.
+    pub(crate) fn sweep(&self, from: Timestamp, last: Timestamp) -> Option<(Point, f64)> {
+        if self.active_from > last || self.active_until <= from {
+            return None;
+        }
+        let (at, moved) = self.trajectory.sweep(from, last);
+        Some((at, (self.reach + moved) * (1.0 + ROUNDING) + 1e-9))
+    }
+
     /// Whether any emission drives `channel`.
     pub(crate) fn emits_on(&self, channel: Channel) -> bool {
         self.channel_mask & (1 << channel.index()) != 0
@@ -669,6 +734,41 @@ mod tests {
         assert_eq!(t.duration(), None);
         let p = t.position_at(Timestamp::from_secs(5)); // one lap + 1s
         assert!((p.x - 1.0).abs() < 1e-9 && p.y.abs() < 1e-9, "{p}");
+    }
+
+    #[test]
+    fn sweep_bounds_the_motion_and_covers_the_lap_end() {
+        let us = Timestamp::from_micros;
+        let parked = Trajectory::stationary(Point::new(2.0, 2.0));
+        assert_eq!(
+            parked.sweep(us(0), us(5_000_000)),
+            (Point::new(2.0, 2.0), 0.0)
+        );
+        // A second of a line at speed 2: two units and a hair.
+        let line = Trajectory::line(Point::ORIGIN, Point::new(10.0, 0.0), 2.0);
+        let (at, moved) = line.sweep(us(1_000_000), us(2_000_000));
+        assert_eq!(at, Point::new(2.0, 0.0));
+        assert!((2.0..2.000_001).contains(&moved), "{moved}");
+        // A lap of this loop is 12 s. Mid-lap the bound is the arc; a window
+        // that reaches the lap's end also holds the last waypoint, where
+        // `position_at` may land when its walk sheds every segment.
+        let tour = vec![
+            Point::ORIGIN,
+            Point::new(4.0, 0.0),
+            Point::new(4.0, 2.0),
+            Point::new(0.0, 2.0),
+        ];
+        let tour = Trajectory::waypoints(tour, 1.0).looped();
+        let (_, moved) = tour.sweep(us(5_000_000), us(5_500_000));
+        assert!((0.5..0.500_001).contains(&moved), "{moved}");
+        let (at, moved) = tour.sweep(us(11_500_000), us(12_100_000));
+        assert_eq!(at, Point::new(0.0, 0.5));
+        assert!((1.5..1.500_001).contains(&moved), "{moved}");
+        // No ordinary path, no bound.
+        let broken = Trajectory::line(Point::ORIGIN, Point::new(f64::NAN, 0.0), 1.0);
+        assert!(!broken.sweep(us(0), us(1)).1.is_finite());
+        let instant = Trajectory::line(Point::ORIGIN, Point::new(1.0, 0.0), f64::INFINITY);
+        assert!(!instant.sweep(us(0), us(1)).1.is_finite());
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Property-based tests for the physical-environment substrate.
 
 use envirotrack_sim::rng::SimRng;
-use envirotrack_sim::time::Timestamp;
+use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::Deployment;
 use envirotrack_world::geometry::{Aabb, Point};
 use envirotrack_world::grid::{
     neighbor_lists_with, shard_assignment, shard_interest_ranges, NeighborStrategy,
 };
-use envirotrack_world::sensing::{Environment, SensorSample};
+use envirotrack_world::sensing::{Coverage, Environment, NoiseModel, SensorSample};
 use envirotrack_world::target::{Channel, Emission, Falloff, Target, TargetId, Trajectory};
 use testkit::prelude::*;
 
@@ -105,6 +105,66 @@ fn random_falloff(rng: &mut SimRng) -> Falloff {
             growth_per_sec: rng.uniform_range(-0.1, 0.5),
             max_radius: radius,
         },
+    }
+}
+
+/// A random path for the coverage property: parked, a line, a tour or a
+/// loop over a field of about ±14, departing at zero or later, crawling
+/// or crossing several cells per coverage window.
+fn random_trajectory(rng: &mut SimRng) -> Trajectory {
+    let point = |rng: &mut SimRng| {
+        Point::new(
+            rng.uniform_range(-14.0, 14.0),
+            rng.uniform_range(-14.0, 14.0),
+        )
+    };
+    if rng.chance(0.25) {
+        return Trajectory::stationary(point(rng));
+    }
+    let mut points: Vec<Point> = (0..2 + rng.below(4)).map(|_| point(rng)).collect();
+    if rng.chance(0.03) {
+        points[1].y = f64::NAN;
+    }
+    let speed = if rng.chance(0.3) {
+        rng.uniform_range(5.0, 40.0)
+    } else {
+        rng.uniform_range(0.05, 3.0)
+    };
+    let mut trajectory = Trajectory::waypoints(points, speed);
+    if rng.chance(0.4) {
+        trajectory = trajectory.looped();
+    }
+    if rng.chance(0.4) {
+        trajectory = trajectory.starting_at(Timestamp::from_micros(rng.below(20_000_000)));
+    }
+    trajectory
+}
+
+/// One random emission: mostly the bounded falloffs off the radius menu,
+/// now and then one whose reach is not an ordinary number.
+fn random_emission(rng: &mut SimRng) -> Emission {
+    let radius = RADII[rng.below(4) as usize];
+    let falloff = match rng.below(40) {
+        0 => Falloff::InverseCube { floor: 0.1 },
+        1 => Falloff::InverseSquare { floor: 0.1 },
+        2 => Falloff::Linear { radius: f64::NAN },
+        3..=16 => Falloff::Disk { radius },
+        17..=28 => Falloff::Linear { radius },
+        _ => Falloff::GrowingDisk {
+            initial_radius: radius / 2.0,
+            growth_per_sec: rng.uniform_range(-0.1, 0.5),
+            max_radius: radius,
+        },
+    };
+    let strength = match rng.below(80) {
+        0 => f64::INFINITY,
+        1 => f64::NAN,
+        _ => rng.uniform_range(-2.0, 50.0),
+    };
+    Emission {
+        channel: Channel::ALL[rng.below(5) as usize],
+        strength,
+        falloff,
     }
 }
 
@@ -258,6 +318,120 @@ prop_test! {
                 );
             }
         }
+    }
+
+    /// A sample through a `Coverage` is `sample_noisy`, bit for bit on all
+    /// five channels and draw for draw on the node's stream: parked
+    /// targets, lines, tours and loops, slow ones and ones that cross
+    /// several cells per window, delayed departures, lifetimes that open
+    /// or close inside a coverage window, every falloff kind (unbounded
+    /// and NaN reaches, non-finite strengths, a NaN waypoint among them),
+    /// with and without noise; sensors inside, on the edge of and off the
+    /// field, and at the targets' reach; instants in no order, at both
+    /// edges of the window just built and up against `Timestamp::MAX`.
+    #[test]
+    fn covered_sample_is_bit_identical_to_the_walk(seed: u64, n_targets in 0usize..8) {
+        let mut rng = SimRng::seed_from(seed);
+        let mut env = Environment::new();
+        for ch in Channel::ALL {
+            if rng.chance(0.4) {
+                env = env.with_ambient(ch, rng.uniform_range(-5.0, 25.0));
+            }
+        }
+        if rng.chance(0.5) {
+            let ch = Channel::ALL[rng.below(5) as usize];
+            env = env.with_noise(NoiseModel::none().with_channel(ch, rng.uniform_range(0.0, 2.0)));
+        }
+        // Pairs of instants: the first starts a window (whatever came
+        // before it is almost surely far away), the second falls inside
+        // it. One pair either side of each end of every lifetime.
+        let mut script: Vec<[u64; 2]> = Vec::new();
+        for id in 0..n_targets {
+            let emissions = (0..1 + rng.below(3)).map(|_| random_emission(&mut rng)).collect();
+            let mut target = Target::new(TargetId(id as u32), random_trajectory(&mut rng), emissions);
+            if rng.chance(0.6) {
+                let from = 1 + rng.below(20_000_000);
+                let until = from + 1 + rng.below(20_000_000);
+                target = target.active_between(
+                    Timestamp::from_micros(from),
+                    Timestamp::from_micros(until),
+                );
+                for edge in [from, until] {
+                    let before = edge.saturating_sub(1 + rng.below(150_000));
+                    script.push([before, edge + rng.below(40_000)]);
+                }
+            }
+            env.add_target(target);
+        }
+        for _ in 0..10 {
+            let t = rng.below(40_000_000);
+            script.push([t, t + rng.below(400_000)]);
+        }
+        for _ in 0..3 {
+            let t = u64::MAX - rng.below(30_000_000);
+            script.push([t, t.saturating_add(rng.below(400_000))]);
+        }
+        script.push([u64::MAX, u64::MAX - 1]);
+        // A field of up to a few hundred nodes, a square or nearly a line.
+        let half = Point::new(rng.uniform_range(3.0, 12.0), rng.uniform_range(0.0, 12.0));
+        let bounds = Aabb::new(Point::new(-half.x, -half.y), half);
+        let floor = SimDuration::from_millis(50 + rng.below(450));
+        let mut coverage = Coverage::new(bounds, 1 + rng.below(400) as usize, floor);
+        let (mut drawn, mut reference) = (rng.fork("covered"), rng.fork("covered"));
+        let mut samples = 0;
+        let roam = |rng: &mut SimRng, by: f64| {
+            Point::new(
+                rng.uniform_range(-half.x * by, half.x * by),
+                rng.uniform_range(-half.y * by, half.y * by),
+            )
+        };
+
+        while !script.is_empty() {
+            let pair = script.swap_remove(rng.below(script.len() as u64) as usize);
+            for (i, t) in pair.into_iter().enumerate() {
+                let t = Timestamp::from_micros(t);
+                for _ in 0..6 {
+                    let pos = match (rng.below(8), rng.choose(env.targets())) {
+                        // At a target's reach along an axis, where it is now.
+                        (0..=3, Some(target)) => {
+                            let r = RADII[rng.below(4) as usize];
+                            let r = if rng.chance(0.5) { r } else { -r };
+                            let c = target.position_at(t);
+                            if rng.chance(0.5) {
+                                Point::new(c.x + r, c.y)
+                            } else {
+                                Point::new(c.x, c.y + r)
+                            }
+                        }
+                        // On the field's edge; around and off the field; nowhere.
+                        (4, _) => Point::new(half.x, roam(&mut rng, 1.0).y),
+                        (5, _) => roam(&mut rng, 3.0),
+                        (6, _) if rng.chance(0.1) => Point::new(f64::NAN, 0.0),
+                        _ => roam(&mut rng, 1.0),
+                    };
+                    let got = env.sample_covered(&mut coverage, pos, t, &mut drawn);
+                    let want = env.sample_noisy(pos, t, &mut reference);
+                    samples += 1;
+                    for ch in Channel::ALL {
+                        prop_assert_eq!(
+                            got.get(ch).to_bits(),
+                            want.get(ch).to_bits(),
+                            "{} at {} t={:?}: {} vs {}", ch, pos, t, got.get(ch), want.get(ch)
+                        );
+                    }
+                    prop_assert_eq!(drawn.next_u64(), reference.next_u64(), "the streams parted");
+                }
+                // Now and then go on to the edges of the window the first
+                // of the pair is in: its last instant, and the one after.
+                if i == 0 && rng.chance(0.3) {
+                    let (_, last) = coverage.window().expect("built by the samples above");
+                    let last = last.as_micros();
+                    script.push([last, last.saturating_add(1)]);
+                }
+            }
+        }
+        let work = coverage.work();
+        prop_assert_eq!(work.answered + work.walked, samples);
     }
 
     /// Every falloff is non-increasing with distance.

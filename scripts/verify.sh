@@ -58,10 +58,15 @@ TESTKIT_CASES="${TESTKIT_CASES:-512}" \
 # group machines when the reading does not activate the type; the property
 # that licenses it (such a machine answers nothing and changes nothing,
 # over random walks through every role) re-runs here by name at 512 cases
-# unless TESTKIT_CASES is exported.
+# unless TESTKIT_CASES is exported. So does the property that licenses the
+# driver's sample through the coverage: bit for bit and draw for draw what
+# the walk over every target returns.
 TESTKIT_CASES="${TESTKIT_CASES:-512}" \
   cargo test -q --offline -p envirotrack-core --lib \
   -- quiescent_machine_ignores_a_reading_that_does_not_activate
+TESTKIT_CASES="${TESTKIT_CASES:-512}" \
+  cargo test -q --offline -p envirotrack-world --test prop \
+  -- covered_sample_is_bit_identical_to_the_walk
 
 # Telemetry smoke: the flagship storm must emit the summary table and a
 # non-empty trace, byte-identically across two runs of the same seed.
@@ -92,7 +97,8 @@ cmp -s "$tmp/sweep1.jsonl" "$tmp/sweep2.jsonl" \
 for f in "$tmp/scale.json" BENCH_scale.json; do
   for key in '"bench":"scale"' '"construction":' '"speedup":' '"results":' \
              '"events_per_sec":' '"sweep":' '"merged_outputs_identical":true' \
-             '"bytes_on_air":' \
+             '"bytes_on_air":' '"sense_ticks":' '"sense_ticks_admitted":' \
+             '"samples_covered":' '"samples_walked":' '"coverage_rebuilds":' \
              '"shards":' '"speedup_vs_first":' '"byte_identical":true' \
              '"medium":' '"replayed_intents":' '"full_replay_intents":' \
              '"medium":"partitioned"' '"medium":"replicated"'; do
