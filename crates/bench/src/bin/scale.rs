@@ -10,9 +10,10 @@
 //!
 //! 1. `results` — the Figure-2 tracking program on 1k/2k/5k/10k/100k-node
 //!    [`ScaleScenario`] fields for a fixed virtual horizon: wall time,
-//!    kernel events, events per wall-second, bytes on air, and the sensing
+//!    kernel events, events per wall-second, bytes on air, the sensing
 //!    driver's work counters (ticks fired and admitted, idle samples the
-//!    coverage answered or walked, coverage rebuilds).
+//!    coverage answered or walked, coverage rebuilds) and the event list's
+//!    (lane pops, heap pops, one-shot events scheduled inline and boxed).
 //! 2. `construction` — grid vs. brute-force neighbor-table build time on
 //!    a 10k-node field (tables asserted identical before timing; the
 //!    all-pairs scan would dominate the run at 100k).
@@ -239,6 +240,10 @@ fn main() -> ExitCode {
                 .field_u64("samples_covered", p.sensing.coverage.answered)
                 .field_u64("samples_walked", p.sensing.coverage.walked)
                 .field_u64("coverage_rebuilds", p.sensing.coverage.rebuilds)
+                .field_u64("lane_pops", p.event_list.lane_pops)
+                .field_u64("heap_pops", p.event_list.heap_pops)
+                .field_u64("inline_events", p.event_list.inline_scheduled)
+                .field_u64("boxed_events", p.event_list.boxed_scheduled)
                 .finish(),
         );
         points.push(p);

@@ -20,6 +20,7 @@ use envirotrack_core::events::SystemEvent;
 use envirotrack_core::network::{NetworkConfig, SensingWork, SensorNetwork};
 use envirotrack_core::report::telemetry_to_jsonl;
 use envirotrack_core::shard::{run_sharded, MediumMode};
+use envirotrack_sim::engine::EventWork;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::grid::{neighbor_lists_with, NeighborStrategy};
 use envirotrack_world::scenario::{ScaleScenario, Scenario};
@@ -89,6 +90,10 @@ pub struct ScalePoint {
     /// idle samples the coverage answered or walked, coverage rebuilds.
     /// Exact and host-independent, but no part of the simulation's output.
     pub sensing: SensingWork,
+    /// How the kernel's event list did its part: pops off the recurring
+    /// lane and out of the heap, one-shot events scheduled inline and
+    /// boxed. As exact, and as little part of the output.
+    pub event_list: EventWork,
 }
 
 /// The field and network configuration every flavour of a scale point
@@ -150,6 +155,7 @@ pub fn run_scale(cfg: &ScaleRun) -> ScalePoint {
         bytes_on_air: world.net_stats().bytes_on_air(),
         sim_horizon_s: cfg.horizon.as_secs_f64(),
         sensing: world.sensing_work(),
+        event_list: engine.kernel().event_work(),
     }
 }
 
@@ -363,6 +369,10 @@ mod tests {
         assert_eq!(a.sensing, b.sensing);
         let idle = a.sensing.coverage.answered + a.sensing.coverage.walked;
         assert!(idle > 0 && idle <= a.sensing.admitted && a.sensing.admitted <= a.sensing.ticks);
+        assert_eq!(a.event_list, b.event_list);
+        let list = a.event_list;
+        assert_eq!(list.lane_pops + list.heap_pops, a.events);
+        assert!(list.heap_pops <= list.inline_scheduled + list.boxed_scheduled);
         assert!(a.events > 0, "a 200-node field must execute events");
         assert!(a.labels_created >= 1, "targets should be detected: {a:?}");
     }

@@ -46,6 +46,7 @@ use crate::aggregate::{AggregateFn, AggregateInput};
 use crate::context::{
     AggregateSpec, ContextSpec, ContextTypeId, Invocation, MethodSpec, ObjectSpec, SensePredicate,
 };
+use crate::network::MAX_TIMER_METHODS;
 use crate::object::ObjectApi;
 use crate::transport::Port;
 
@@ -165,6 +166,16 @@ pub enum ProgramError {
         /// The `object.method` name.
         method: String,
     },
+    /// A context type declares more time-triggered methods than a network
+    /// can tell apart when their timers fire.
+    TooManyTimerMethods {
+        /// The context name.
+        context: String,
+        /// How many it declares, over all its objects.
+        count: usize,
+        /// How many it may.
+        max: usize,
+    },
 }
 
 impl fmt::Display for ProgramError {
@@ -199,6 +210,16 @@ impl fmt::Display for ProgramError {
                 write!(
                     f,
                     "method {method} in context {context:?} has a zero timer period"
+                )
+            }
+            ProgramError::TooManyTimerMethods {
+                context,
+                count,
+                max,
+            } => {
+                write!(
+                    f,
+                    "context {context:?} declares {count} timer methods, at most {max} fit"
                 )
             }
         }
@@ -262,6 +283,7 @@ impl ProgramBuilder {
                 }
             }
             let mut ports = Vec::new();
+            let mut timers = 0;
             for obj in &c.objects {
                 for m in &obj.methods {
                     match m.invocation {
@@ -281,9 +303,19 @@ impl ProgramBuilder {
                                     method: format!("{}.{}", obj.name, m.name),
                                 });
                             }
+                            timers += 1;
                         }
                     }
                 }
+            }
+            // A network names a method's timer by its index in this list,
+            // in a field of the event it rides (`network/words.rs`).
+            if timers > MAX_TIMER_METHODS {
+                return Err(ProgramError::TooManyTimerMethods {
+                    context: c.name.clone(),
+                    count: timers,
+                    max: MAX_TIMER_METHODS,
+                });
             }
         }
         // Resolve subscriptions by name.

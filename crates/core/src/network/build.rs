@@ -10,6 +10,7 @@ use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::Telemetry;
 use envirotrack_world::field::{Deployment, NodeId};
+use envirotrack_world::grid::Topology;
 use envirotrack_world::sensing::Environment;
 
 use super::events::Recorder;
@@ -63,9 +64,12 @@ impl SensorNetwork {
             .expect("invalid middleware configuration");
         let master = SimRng::seed_from(seed);
         let telemetry = Telemetry::new();
-        let mut medium = Medium::new(&deployment, config.radio.clone(), &master);
+        // Who is in range of whom is worked out once; the medium and the
+        // router read the same table.
+        let topology = Arc::new(Topology::new(&deployment, config.radio.comm_radius));
+        let mut medium = Medium::with_topology(topology.clone(), config.radio.clone(), &master);
         medium.attach_telemetry(telemetry.clone());
-        let router = GeoRouter::new(&deployment, config.radio.comm_radius);
+        let router = GeoRouter::with_topology(topology);
         let sense = deployment
             .iter()
             .map(|(_, pos)| SenseState::new(pos))

@@ -62,6 +62,7 @@ mod link;
 mod mtp;
 mod node;
 mod sense;
+mod words;
 
 use std::sync::Arc;
 
@@ -70,7 +71,6 @@ use envirotrack_net::medium::{DeliveryOutcome, Medium, ResolvedTx, TxId, TxKey};
 use envirotrack_net::packet::Frame;
 use envirotrack_net::routing::GeoRouter;
 use envirotrack_node::cpu::costs;
-use envirotrack_node::timer::TimerToken;
 use envirotrack_sim::engine::Kernel;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::{Deployment, NodeId};
@@ -85,11 +85,12 @@ use self::link::Decoded;
 pub use self::link::LinkReliability;
 use self::node::{NodeState, SenseState};
 pub use self::sense::SensingWork;
+pub(crate) use self::words::MAX_TIMER_METHODS;
 use crate::api::Program;
 use crate::context::{ContextLabel, ContextTypeId};
 use crate::directory::{self, replica_set};
 use crate::events::SystemEvent;
-use crate::group::{GroupAction, GroupCtx, GroupMachine, GroupTimer, RoleKind};
+use crate::group::{GroupAction, GroupCtx, GroupMachine, RoleKind};
 use crate::object::IncomingMessage;
 use crate::report::{BaseStationLog, ReportEntry};
 use crate::shard::ShardState;
@@ -250,9 +251,7 @@ impl SensorNetwork {
                 self.nodes[src.index()].energy.charge_tx(airtime);
             }
             let (local, completes_at) = self.medium.ingest_resolved(rtx);
-            k.schedule_at(completes_at, move |w, k| {
-                w.transmission_complete(k, TxId(local))
-            });
+            k.schedule_inline_at(completes_at, Self::transmission_complete, [local, 0]);
         }
         self.shard_mut().stash_resolved(batch);
     }
@@ -261,15 +260,10 @@ impl SensorNetwork {
     // Group driver: group timers, machine inputs and actions (sensing loop: sense.rs)
     // ------------------------------------------------------------------
 
-    /// A group-management timer firing.
-    fn group_timer(
-        &mut self,
-        k: &mut K,
-        node: NodeId,
-        tid: ContextTypeId,
-        key: GroupTimer,
-        token: TimerToken,
-    ) {
+    /// A group-management timer firing; `words` say whose and which
+    /// (`words.rs`).
+    fn group_timer(&mut self, k: &mut K, words: [u64; 2]) {
+        let (node, tid, key, token) = words::unpack(words);
         let hot = &mut self.sense[node.index()];
         if !hot.alive {
             return;
@@ -277,9 +271,7 @@ impl SensorNetwork {
         // Overload delays timer handling until the CPU drains.
         if !hot.admit(k.now(), costs::TIMER_HANDLE) {
             let retry = hot.cpu.busy_until() + SimDuration::from_millis(1);
-            k.schedule_at(retry.max(k.now()), move |w, k| {
-                w.group_timer(k, node, tid, key, token);
-            });
+            k.schedule_inline_at(retry.max(k.now()), Self::group_timer, words);
             return;
         }
         self.run_machine(k, node, tid, |machine, ctx| {
@@ -343,7 +335,8 @@ impl SensorNetwork {
                     // clock; convert through its clock model (exact
                     // identity at rate 1.0).
                     let fire_at = now + rt.clock.global_delay(at.saturating_since(now));
-                    k.schedule_at(fire_at, move |w, k| w.group_timer(k, node, tid, key, token));
+                    let words = words::pack(node, tid, key, token);
+                    k.schedule_inline_at(fire_at, Self::group_timer, words);
                 }
                 GroupAction::Emit(event) => self.rec.record(now, node, event),
                 GroupAction::RegisterDirectory { label } => {
@@ -401,9 +394,9 @@ impl SensorNetwork {
     /// A transmission finished serialising: every receiver that got it
     /// intact — and that this world drives; a shard's peers replay the same
     /// transmission for theirs — takes it through `receive`, all of them
-    /// off one decode of the payload.
-    fn transmission_complete(&mut self, k: &mut K, id: TxId) {
-        let report = self.medium.deliveries(id);
+    /// off one decode of the payload. An inline event: `[id, _]`.
+    fn transmission_complete(&mut self, k: &mut K, [id, _]: [u64; 2]) {
+        let report = self.medium.deliveries(TxId(id));
         // A link-duplicated frame is processed twice end to end — that is
         // precisely what the dedup layers (link_seq, MTP seq, hb_seq) are
         // under test against.
@@ -864,9 +857,7 @@ impl SensorNetwork {
         let shard = self.shard.as_mut();
         let sent = link::transmit(cpu, energy, &mut self.medium, shard, k.now(), frame);
         if let Some(tx) = sent {
-            k.schedule_at(tx.completes_at, move |w, k| {
-                w.transmission_complete(k, tx.id)
-            });
+            k.schedule_inline_at(tx.completes_at, Self::transmission_complete, [tx.id.0, 0]);
         }
     }
 }
@@ -954,6 +945,12 @@ mod tests {
         ((engine.kernel().recurring_len(), world.sensing_work()), run)
     }
 
+    /// The lane against the hook that sends every sensing tick through the
+    /// heap. A tick off the lane is an inline heap event (`arm_sense_tick`),
+    /// no longer a boxed closure, and means what it meant: the slowed node's
+    /// ticks take that arm in both runs, all 400 nodes' in the hooked one,
+    /// across the clock-rate change and the crash and reboot, and not a byte
+    /// differs.
     #[test]
     fn the_recurring_lane_changes_no_byte_of_a_faulted_run() {
         let ((on_lane, _), run) = faulted_run(|_| {});
@@ -988,6 +985,35 @@ mod tests {
         assert_eq!(run, through_machines);
         assert_eq!(hooked.coverage, Default::default(), "every sample walked");
         assert_eq!((hooked.ticks, hooked.admitted), (work.ticks, work.admitted));
+    }
+
+    /// `traffic_dense`'s shape in small: wide targets over a short-range
+    /// radio, so group timers and transmission completions are nearly all
+    /// the heap holds. Every one of them was a boxed closure once.
+    #[test]
+    fn a_hot_radio_boxes_next_to_none_of_its_events() {
+        use envirotrack_world::scenario::ScaleScenario;
+        let scenario = ScaleScenario {
+            nodes: 400,
+            targets: 3,
+            speed_hops_per_s: 1.0,
+            sensing_radius: 3.0,
+            ..ScaleScenario::default()
+        }
+        .build();
+        let mut config = NetworkConfig::default();
+        config.radio = config.radio.with_comm_radius(2.5);
+        config.middleware.proximity_radius = 3.0;
+        let (field, targets) = (scenario.deployment, scenario.environment);
+        let mut engine = SensorNetwork::build_engine(tracker(), field, targets, config, 1);
+        engine.run_until(Timestamp::from_secs(10));
+        let work = engine.kernel().event_work();
+        let ticks = engine.world().sensing_work().ticks;
+        assert_eq!(work.lane_pops, ticks, "no clock is skewed");
+        assert!(engine.world().net_stats().sum(|k| k.tx) > 500, "{work:?}");
+        let heap_path = work.inline_scheduled + work.boxed_scheduled;
+        assert!(work.heap_pops <= heap_path && heap_path > 5_000, "{work:?}");
+        assert!(work.boxed_scheduled * 20 <= heap_path, "{work:?}");
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub(super) fn quiescent(machines: &[GroupMachine]) -> bool {
 
 impl SensorNetwork {
     /// Schedules `node`'s next sensing tick at `at`: on the kernel's
-    /// recurring lane when `on_lane`, as an ordinary event otherwise. The
+    /// recurring lane when `on_lane`, as an inline heap event otherwise. The
     /// two differ in cost only, never in when or in what order the tick runs.
     pub(super) fn arm_sense_tick(&self, k: &mut K, at: Timestamp, node: NodeId, on_lane: bool) {
         #[cfg(test)]
@@ -78,7 +78,7 @@ impl SensorNetwork {
         if on_lane {
             k.schedule_recurring_at(at, Self::sense_tick, id);
         } else {
-            k.schedule_at(at, move |w, k| w.sense_tick(k, id));
+            k.schedule_inline_at(at, |w, k, [id, _]| w.sense_tick(k, id), [id, 0]);
         }
     }
 

@@ -34,20 +34,34 @@ pub mod json {
     #[must_use]
     pub fn escape(s: &str) -> String {
         let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
+        escape_into(&mut out, s);
         out
+    }
+
+    /// Appends `s` to `out`, escaped as [`escape`] escapes it. Everything
+    /// that needs escaping is one ASCII byte, so the stretches between are
+    /// copied whole — all of `s` in one piece when nothing does.
+    pub fn escape_into(out: &mut String, s: &str) {
+        let mut copied = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escaped = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            out.push_str(&s[copied..i]);
+            if escaped.is_empty() {
+                let _ = write!(out, "\\u{b:04x}");
+            } else {
+                out.push_str(escaped);
+            }
+            copied = i + 1;
+        }
+        out.push_str(&s[copied..]);
     }
 
     /// Builds one flat JSON object, field by field, in insertion order.
@@ -67,7 +81,14 @@ pub mod json {
             if !self.body.is_empty() {
                 self.body.push(',');
             }
-            let _ = write!(self.body, "\"{}\":", escape(key));
+            self.quoted(key);
+            self.body.push(':');
+        }
+
+        fn quoted(&mut self, s: &str) {
+            self.body.push('"');
+            escape_into(&mut self.body, s);
+            self.body.push('"');
         }
 
         /// Adds an unsigned integer field.
@@ -94,7 +115,7 @@ pub mod json {
         #[must_use]
         pub fn field_str(mut self, key: &str, v: &str) -> Self {
             self.key(key);
-            let _ = write!(self.body, "\"{}\"", escape(v));
+            self.quoted(v);
             self
         }
 
@@ -542,6 +563,11 @@ mod tests {
         assert_eq!(json::escape("a\"b\\c"), "a\\\"b\\\\c");
         assert_eq!(json::escape("line1\nline2\ttab"), "line1\\nline2\\ttab");
         assert_eq!(json::escape("\u{1}"), "\\u0001");
+        // Escapes between multi-byte characters, first and last included.
+        assert_eq!(json::escape("\r→é\u{1f}∑\""), "\\r→é\\u001f∑\\\"");
+        let mut line = String::from("so far: ");
+        json::escape_into(&mut line, "plain");
+        assert_eq!(line, "so far: plain");
         let obj = json::JsonObject::new()
             .field_str("k\"ey", "v\\al")
             .field_f64("nan", f64::NAN)

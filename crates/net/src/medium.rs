@@ -84,13 +84,14 @@
 //! off the generator given at construction, keeping runs reproducible.
 
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use envirotrack_sim::rng::{splitmix64, SimRng};
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::{CounterHandle, Telemetry};
 use envirotrack_world::field::{Deployment, NodeId};
-use envirotrack_world::grid::neighbor_lists;
+use envirotrack_world::grid::Topology;
 
 use crate::packet::{Frame, FrameKind};
 
@@ -565,54 +566,42 @@ fn fade_mix(key: TxKey, v: NodeId) -> u64 {
     splitmix64(&mut s2)
 }
 
-/// Who can hear whom: the unit-disk neighbour table plus the optional
+/// Who can hear whom: the world's unit-disk [`Topology`] plus the optional
 /// partition mask. Both halves of the pipeline ask it the same question —
 /// the transmit side for carrier sensing, the receiver side for collisions
 /// and delivery.
 #[derive(Debug)]
 struct Links {
-    /// Per-node neighbour lists, strictly ascending by id.
-    neighbors: Vec<Vec<NodeId>>,
+    topology: Arc<Topology>,
     /// Partition group per node; links between different groups are severed.
     partition: Option<Vec<u8>>,
 }
 
 impl Links {
-    fn new(deployment: &Deployment, comm_radius: f64) -> Self {
-        let neighbors = neighbor_lists(deployment, comm_radius);
-        debug_assert!(
-            neighbors
-                .iter()
-                .all(|list| list.windows(2).all(|w| w[0] < w[1])),
-            "neighbor lists must be strictly ascending by node id"
-        );
+    fn new(topology: Arc<Topology>) -> Self {
         Links {
-            neighbors,
+            topology,
             partition: None,
         }
     }
 
     fn set_partition(&mut self, groups: Option<Vec<u8>>) {
         if let Some(g) = &groups {
-            assert_eq!(
-                g.len(),
-                self.neighbors.len(),
-                "partition mask must cover every node"
-            );
+            let nodes = self.topology.positions().len();
+            assert_eq!(g.len(), nodes, "partition mask must cover every node");
         }
         self.partition = groups;
     }
 
     fn partitioned(&self, a: NodeId, b: NodeId) -> bool {
-        match &self.partition {
-            Some(g) => g[a.index()] != g[b.index()],
-            None => false,
-        }
+        let groups = self.partition.as_ref();
+        groups.is_some_and(|g| g[a.index()] != g[b.index()])
     }
 
-    /// In range and not cut off by the partition.
+    /// In range, by distance rather than a list search, and not partitioned off.
+    #[inline]
     fn audible(&self, a: NodeId, b: NodeId) -> bool {
-        self.neighbors[a.index()].binary_search(&b).is_ok() && !self.partitioned(a, b)
+        self.topology.in_range(a, b) && !self.partitioned(a, b)
     }
 }
 
@@ -874,8 +863,18 @@ impl Medium {
     /// inline: its own transmit side, and every node's reception.
     #[must_use]
     pub fn new(deployment: &Deployment, config: RadioConfig, rng: &SimRng) -> Self {
-        let links = Links::new(deployment, config.comm_radius);
-        let n = links.neighbors.len();
+        let topology = Topology::new(deployment, config.comm_radius);
+        Medium::with_topology(Arc::new(topology), config, rng)
+    }
+
+    /// [`Medium::new`] over a topology somebody else built — the router of
+    /// the same world reads the same one. Panics if it was built under
+    /// another radius than `config.comm_radius`.
+    #[must_use]
+    pub fn with_topology(topology: Arc<Topology>, config: RadioConfig, rng: &SimRng) -> Self {
+        assert_eq!(topology.radius(), config.comm_radius, "another radius");
+        let n = topology.positions().len();
+        let links = Links::new(topology);
         // The receiver-side labels predate the merge of the two channel
         // paths; they are kept so sharded runs replay byte-for-byte.
         let exec = rng.fork("shard-exec");
@@ -1164,7 +1163,7 @@ impl Medium {
                 || w.end > *latest_request
                 || waiting.iter().any(|&(s, e)| w.start < e && s < w.end)
         });
-        let receivers = &links.neighbors[src.index()];
+        let receivers = links.topology.neighbors(src);
         let mut outcomes = match self.outcome_pool.pop() {
             Some(buf) => buf,
             None => {
@@ -1335,7 +1334,7 @@ impl ChannelScheduler {
     #[must_use]
     pub fn new(deployment: &Deployment, config: RadioConfig, rng: &SimRng) -> Self {
         ChannelScheduler {
-            links: Links::new(deployment, config.comm_radius),
+            links: Links::new(Arc::new(Topology::new(deployment, config.comm_radius))),
             config,
             tx: TxSide::new(rng),
             stats: NetStats::default(),
@@ -1406,7 +1405,7 @@ impl ChannelScheduler {
 impl std::fmt::Debug for ChannelScheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChannelScheduler")
-            .field("nodes", &self.links.neighbors.len())
+            .field("nodes", &self.links.topology.positions().len())
             .field("in_flight", &self.tx.busy.len())
             .field("pending_lost", &self.pending.len())
             .field("total_tx", &self.stats.total_tx)
@@ -1419,6 +1418,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use envirotrack_world::geometry::Point;
+    use testkit::prelude::*;
 
     fn line_deployment(n: u32, spacing: f64) -> Deployment {
         Deployment::from_positions(
@@ -1436,6 +1436,88 @@ mod tests {
 
     fn frame(src: u32) -> Frame {
         Frame::broadcast(NodeId(src), FrameKind(1), Bytes::from_static(&[0u8; 20]))
+    }
+
+    /// `audible(a, b)` for every ordered pair of `field`, `a == b` included,
+    /// against membership of `b` in `a`'s brute-force neighbour list (and,
+    /// with a mask, equality of their partition groups).
+    fn check_audibility(field: &Deployment, radius: f64, mask_seed: Option<u64>) {
+        use envirotrack_world::grid::{neighbor_lists_with, NeighborStrategy};
+        let reference = neighbor_lists_with(field, radius, NeighborStrategy::BruteForce);
+        let mut links = Links::new(Arc::new(Topology::new(field, radius)));
+        let groups = mask_seed.map(|seed| {
+            let mut s = seed;
+            (0..field.len())
+                .map(|_| (splitmix64(&mut s) % 3) as u8)
+                .collect::<Vec<u8>>()
+        });
+        links.set_partition(groups.clone());
+        for a in field.ids() {
+            for b in field.ids() {
+                let same_side = groups.as_ref().is_none_or(|g| g[a.index()] == g[b.index()]);
+                let expected = reference[a.index()].contains(&b) && same_side;
+                prop_assert_eq!(
+                    links.audible(a, b),
+                    expected,
+                    "{} -> {} at {} and {}, radius {}",
+                    a,
+                    b,
+                    field.position(a),
+                    field.position(b),
+                    radius
+                );
+            }
+        }
+    }
+
+    testkit::prop_test! {
+        /// Audibility by arithmetic is audibility by list. Grids and
+        /// quarter-unit lattices put many pairs at exactly the radius (axis
+        /// neighbours, 3-4-5 triangles) and several nodes on one spot;
+        /// uniform drops cover the rest. A NaN coordinate cannot be among
+        /// them — `Deployment` refuses one — and `world::grid`'s own test
+        /// pins that the comparison is false with one on either side.
+        #[test]
+        fn audible_is_membership_in_the_brute_force_neighbour_list(
+            shape in 0u8..3,
+            cells in prop::collection::vec((0u8..12, 0u8..12), 1..40),
+            quarters in 1u32..13,
+            loose_radius in 0.05..4.0f64,
+            seed: u64,
+            masked: bool,
+        ) {
+            let on_lattice = f64::from(quarters) * 0.25;
+            let (field, radius) = match shape {
+                0 => {
+                    let (cols, rows) = (u32::from(cells[0].0) + 1, u32::from(cells[0].1) + 1);
+                    (Deployment::grid(cols, rows, 0.5), on_lattice)
+                }
+                1 => {
+                    let spots = cells
+                        .iter()
+                        .map(|&(x, y)| Point::new(f64::from(x) * 0.25, f64::from(y) * 0.25 - 1.0))
+                        .collect();
+                    (Deployment::from_positions(spots), on_lattice)
+                }
+                _ => {
+                    let area = envirotrack_world::geometry::Aabb::new(
+                        Point::new(-3.0, 0.0),
+                        Point::new(3.0, 4.0),
+                    );
+                    let n = cells.len() as u32;
+                    let mut rng = SimRng::seed_from(seed);
+                    (Deployment::random_uniform(n, area, &mut rng), loose_radius)
+                }
+            };
+            check_audibility(&field, radius, masked.then_some(seed));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another radius")]
+    fn a_topology_for_another_radius_is_refused() {
+        let topology = Arc::new(Topology::new(&line_deployment(3, 1.0), 1.5));
+        let _ = Medium::with_topology(topology, lossless(2.5), &SimRng::seed_from(1));
     }
 
     #[test]
@@ -1456,8 +1538,8 @@ mod tests {
     fn neighbor_lists_follow_the_disk() {
         let d = line_deployment(5, 1.0);
         let m = Medium::new(&d, lossless(1.5), &SimRng::seed_from(1));
-        assert_eq!(m.links.neighbors[0], [NodeId(1)]);
-        assert_eq!(m.links.neighbors[2], [NodeId(1), NodeId(3)]);
+        assert_eq!(m.links.topology.neighbors(NodeId(0)), [NodeId(1)]);
+        assert_eq!(m.links.topology.neighbors(NodeId(2)), [NodeId(1), NodeId(3)]);
         assert!(m.links.audible(NodeId(0), NodeId(1)));
         assert!(!m.links.audible(NodeId(0), NodeId(2)));
     }

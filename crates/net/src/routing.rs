@@ -23,8 +23,11 @@
 //! assert_eq!(*path.last().unwrap(), NodeId(24));
 //! ```
 
+use std::sync::Arc;
+
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::Point;
+use envirotrack_world::grid::Topology;
 
 /// Error returned when greedy forwarding gets stuck in a void.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,8 +53,7 @@ impl std::error::Error for RoutingVoidError {}
 /// A stateless greedy geographic router over a fixed deployment.
 #[derive(Debug, Clone)]
 pub struct GeoRouter {
-    positions: Vec<Point>,
-    neighbors: Vec<Vec<NodeId>>,
+    topology: Arc<Topology>,
 }
 
 impl GeoRouter {
@@ -60,26 +62,31 @@ impl GeoRouter {
     #[must_use]
     pub fn new(deployment: &Deployment, comm_radius: f64) -> Self {
         assert!(comm_radius > 0.0, "communication radius must be positive");
-        GeoRouter {
-            positions: deployment.positions().to_vec(),
-            neighbors: envirotrack_world::grid::neighbor_lists(deployment, comm_radius),
-        }
+        GeoRouter::with_topology(Arc::new(Topology::new(deployment, comm_radius)))
+    }
+
+    /// A router over a topology somebody else built — the medium of the
+    /// same world reads the same one.
+    #[must_use]
+    pub fn with_topology(topology: Arc<Topology>) -> Self {
+        GeoRouter { topology }
     }
 
     /// The position of `node`.
     #[must_use]
     pub fn position(&self, node: NodeId) -> Point {
-        self.positions[node.index()]
+        self.topology.positions()[node.index()]
     }
 
     /// The neighbour of `from` strictly closest to `dest` (and closer than
     /// `from` itself), or `None` when `from` is the local minimum.
     #[must_use]
     pub fn next_hop(&self, from: NodeId, dest: Point) -> Option<NodeId> {
-        let here = self.positions[from.index()].distance_sq_to(dest);
+        let positions = self.topology.positions();
+        let here = positions[from.index()].distance_sq_to(dest);
         let mut best: Option<(NodeId, f64)> = None;
-        for &n in &self.neighbors[from.index()] {
-            let d = self.positions[n.index()].distance_sq_to(dest);
+        for &n in self.topology.neighbors(from) {
+            let d = positions[n.index()].distance_sq_to(dest);
             if d < here && best.is_none_or(|(_, bd)| d < bd) {
                 best = Some((n, d));
             }
@@ -107,7 +114,7 @@ impl GeoRouter {
     pub fn route(&self, from: NodeId, dest: Point) -> Result<Vec<NodeId>, RoutingVoidError> {
         let mut path = vec![from];
         let mut here = from;
-        for _ in 0..self.positions.len() {
+        for _ in 0..self.topology.positions().len() {
             match self.next_hop(here, dest) {
                 Some(n) => {
                     path.push(n);
@@ -128,7 +135,7 @@ impl GeoRouter {
     pub fn closest_node(&self, dest: Point) -> NodeId {
         let mut best = NodeId(0);
         let mut best_d = f64::INFINITY;
-        for (i, p) in self.positions.iter().enumerate() {
+        for (i, p) in self.topology.positions().iter().enumerate() {
             let d = p.distance_sq_to(dest);
             if d < best_d {
                 best_d = d;

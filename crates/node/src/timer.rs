@@ -27,6 +27,22 @@ use envirotrack_sim::time::Timestamp;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimerToken(u64);
 
+impl TimerToken {
+    /// The token as one word, for a host that carries it through an event
+    /// with no room for types. [`TimerToken::from_raw`] gives it back.
+    #[must_use]
+    pub fn raw(self) -> u64 {
+        self.0
+    }
+
+    /// The token [`TimerToken::raw`] came from. A word that never was a
+    /// token is harmless: it matches no arming, so it fires nothing.
+    #[must_use]
+    pub fn from_raw(word: u64) -> Self {
+        TimerToken(word)
+    }
+}
+
 /// One logical, re-armable timer. See the [module docs](self).
 #[derive(Debug, Clone, Default)]
 pub struct TimerSlot {

@@ -31,7 +31,10 @@
 //! [`Kernel::schedule_recurring_at`] instead: a plain `fn` plus one `u64`
 //! argument, stored inline on the queue's recurring lane (see
 //! [`crate::queue`]) — no box, no heap sift — and run in exactly the order
-//! `schedule_at` would have given it.
+//! `schedule_at` would have given it. A one-shot event that carries no more
+//! than two words — a timer firing, a transmission completing — goes through
+//! [`Kernel::schedule_inline_at`]: the same place in the event order, the
+//! same heap, but a plain `fn` with its words beside it instead of a box.
 //!
 //! Determinism: the event queue is FIFO among equal timestamps and all
 //! randomness flows from the seed, so two runs with identical configuration
@@ -50,11 +53,45 @@ pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Kernel<W>)>;
 /// and the one `u64` argument scheduled with it.
 pub type RecurringFn<W> = fn(&mut W, &mut Kernel<W>, u64);
 
-/// What the queue holds: a boxed closure, or a recurring handler with its
-/// argument inline (nothing to allocate, nothing to drop).
+/// An inline one-shot event's handler: a plain function over the world, the
+/// kernel and the two words scheduled with it.
+pub type InlineFn<W> = fn(&mut W, &mut Kernel<W>, [u64; 2]);
+
+/// What the queue's heap side holds: a boxed closure, or a plain handler
+/// with its argument words inline (nothing to allocate, nothing to drop).
 enum Event<W> {
     Once(EventFn<W>),
     Recurring(RecurringFn<W>, u64),
+    Inline(InlineFn<W>, [u64; 2]),
+}
+
+/// What the queue's recurring lane holds: only ever a recurring handler and
+/// its one word, so a lane entry — this, an instant and a sequence number —
+/// is 32 bytes whatever the widest [`Event`] grows to.
+struct LaneEvent<W>(RecurringFn<W>, u64);
+
+impl<W> From<LaneEvent<W>> for Event<W> {
+    #[inline]
+    fn from(LaneEvent(handler, arg): LaneEvent<W>) -> Self {
+        Event::Recurring(handler, arg)
+    }
+}
+
+/// How the kernel's event list has done its work so far. Like
+/// [`Kernel::recurring_len`] it says how events were stored and taken, not
+/// what the simulation did: it belongs in no run record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EventWork {
+    /// Events popped off the recurring lane.
+    pub lane_pops: u64,
+    /// Events popped out of the heap (inline, boxed, and recurring ones
+    /// that were scheduled out of order).
+    pub heap_pops: u64,
+    /// One-shot events scheduled inline ([`Kernel::schedule_inline_at`]).
+    pub inline_scheduled: u64,
+    /// One-shot events scheduled as boxed closures ([`Kernel::schedule_at`],
+    /// [`Kernel::schedule_in`]): one allocation each.
+    pub boxed_scheduled: u64,
 }
 
 /// The simulation kernel: virtual clock, future-event list, and seeded RNG.
@@ -63,10 +100,12 @@ enum Event<W> {
 /// randomness, schedule further events, and request a stop.
 pub struct Kernel<W> {
     now: Timestamp,
-    queue: EventQueue<Event<W>>,
+    queue: EventQueue<Event<W>, LaneEvent<W>>,
     rng: SimRng,
     stop_requested: bool,
     events_processed: u64,
+    inline_scheduled: u64,
+    boxed_scheduled: u64,
     telemetry: Option<Telemetry>,
     /// Pre-resolved `kernel.events` counter: the per-event accounting is one
     /// cell increment instead of a registry borrow + name lookup.
@@ -77,10 +116,12 @@ impl<W> Kernel<W> {
     fn new(seed: u64) -> Self {
         Kernel {
             now: Timestamp::ZERO,
-            queue: EventQueue::new(),
+            queue: EventQueue::default(),
             rng: SimRng::seed_from(seed),
             stop_requested: false,
             events_processed: 0,
+            inline_scheduled: 0,
+            boxed_scheduled: 0,
             telemetry: None,
             events_counter: None,
         }
@@ -121,6 +162,7 @@ impl<W> Kernel<W> {
         F: FnOnce(&mut W, &mut Kernel<W>) + 'static,
     {
         self.assert_not_past(at);
+        self.boxed_scheduled += 1;
         self.queue.push(at, Event::Once(Box::new(event)));
     }
 
@@ -130,7 +172,24 @@ impl<W> Kernel<W> {
         F: FnOnce(&mut W, &mut Kernel<W>) + 'static,
     {
         let at = self.now.saturating_add(delay);
+        self.boxed_scheduled += 1;
         self.queue.push(at, Event::Once(Box::new(event)));
+    }
+
+    /// Schedules `handler(world, kernel, words)` to run at absolute instant
+    /// `at`: exactly where a [`Kernel::schedule_at`] made now would run, at
+    /// the cost of a heap push and nothing else — no box to allocate when
+    /// it is armed, none to free when it fires. For the one-shot events a
+    /// run arms by the hundred thousand, whose whole state fits two words;
+    /// an event that owns heap data stays a closure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past, like [`Kernel::schedule_at`].
+    pub fn schedule_inline_at(&mut self, at: Timestamp, handler: InlineFn<W>, words: [u64; 2]) {
+        self.assert_not_past(at);
+        self.inline_scheduled += 1;
+        self.queue.push(at, Event::Inline(handler, words));
     }
 
     /// Schedules `handler(world, kernel, arg)` to run at absolute instant
@@ -145,8 +204,7 @@ impl<W> Kernel<W> {
     /// Panics if `at` is in the past, like [`Kernel::schedule_at`].
     pub fn schedule_recurring_at(&mut self, at: Timestamp, handler: RecurringFn<W>, arg: u64) {
         self.assert_not_past(at);
-        self.queue
-            .push_recurring(at, Event::Recurring(handler, arg));
+        self.queue.push_recurring(at, LaneEvent(handler, arg));
     }
 
     /// Makes room for exactly `additional` more recurring events: a caller
@@ -187,6 +245,20 @@ impl<W> Kernel<W> {
     #[must_use]
     pub fn recurring_len(&self) -> usize {
         self.queue.recurring_len()
+    }
+
+    /// The event list's work counters (see [`EventWork`]). Like
+    /// [`Kernel::recurring_len`], for tests and tools: it says how the work
+    /// was done, not what the simulation did, and belongs in no run record.
+    #[must_use]
+    pub fn event_work(&self) -> EventWork {
+        let (lane_pops, heap_pops) = self.queue.pops();
+        EventWork {
+            lane_pops,
+            heap_pops,
+            inline_scheduled: self.inline_scheduled,
+            boxed_scheduled: self.boxed_scheduled,
+        }
     }
 }
 
@@ -282,6 +354,7 @@ impl<W> Engine<W> {
         match event {
             Event::Once(f) => f(&mut self.world, &mut self.kernel),
             Event::Recurring(f, arg) => f(&mut self.world, &mut self.kernel, arg),
+            Event::Inline(f, words) => f(&mut self.world, &mut self.kernel, words),
         }
     }
 
@@ -471,6 +544,68 @@ mod tests {
                 (2_000_000, "recurring")
             ]
         );
+    }
+
+    fn inline(w: &mut World, k: &mut Kernel<World>, words: [u64; 2]) {
+        w.log
+            .push((k.now().as_micros() + words[0] + words[1], "inline"));
+    }
+
+    /// An inline event takes the sequence number a closure scheduled at the
+    /// same moment would have taken, so the three forms interleave in
+    /// scheduling order; and the counters say which form each was.
+    #[test]
+    fn inline_events_run_where_a_closure_would_and_are_counted_apart() {
+        let t = Timestamp::from_secs(1);
+        let mut e = Engine::new(World::default(), 1);
+        e.kernel_mut().schedule_at(t, once);
+        e.kernel_mut()
+            .schedule_inline_at(t, inline, [1, u64::MAX - 1_000_001]);
+        e.kernel_mut().schedule_recurring_at(t, recurring, 0);
+        e.kernel_mut().schedule_inline_at(t, inline, [2, 0]);
+        e.kernel_mut().schedule_in(SimDuration::from_secs(1), once);
+        e.kernel_mut()
+            .schedule_inline_at(Timestamp::from_millis(500), inline, [0, 0]);
+        assert_eq!(e.kernel().pending_events(), 6);
+        assert_eq!(e.run_to_completion(), RunOutcome::QueueDrained);
+        assert_eq!(
+            e.world().log,
+            vec![
+                (500_000, "inline"),
+                (1_000_000, "once"),
+                (u64::MAX, "inline"),
+                (1_000_000, "recurring"),
+                (1_000_002, "inline"),
+                (1_000_000, "once"),
+            ]
+        );
+        let expected = EventWork {
+            lane_pops: 1,
+            heap_pops: 5,
+            inline_scheduled: 3,
+            boxed_scheduled: 2,
+        };
+        assert_eq!(e.kernel().event_work(), expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn inline_scheduling_into_the_past_panics() {
+        let mut e = Engine::new(World::default(), 1);
+        e.run_until(Timestamp::from_secs(1));
+        e.kernel_mut()
+            .schedule_inline_at(Timestamp::ZERO, inline, [0, 0]);
+    }
+
+    /// The lane entry is read and written once per period per loop, the
+    /// slab slot once per heap event: neither may grow unnoticed. (A lane
+    /// that held the three-word [`Event`] was 48 bytes an entry and cost a
+    /// 20k-node field 4 % of its rate.)
+    #[test]
+    fn a_lane_entry_and_a_heap_side_event_are_at_most_32_bytes() {
+        use std::mem::size_of;
+        assert!(size_of::<(Timestamp, u64, LaneEvent<World>)>() <= 32);
+        assert!(size_of::<Event<World>>() <= 32);
     }
 
     #[test]

@@ -47,6 +47,14 @@
 //! the smaller `(time, seq)`, which is the event the heap alone would have
 //! yielded: the lane changes what a push costs, never the pop order. Lane
 //! entries hold their item inline (no slab slot) and cannot be cancelled.
+//!
+//! The lane may hold a narrower item type than the heap: `EventQueue<E, L>`
+//! keeps `L` on the lane and converts it with `L: Into<E>` when it pops (or
+//! when an out-of-order push falls through to the heap). A queue whose
+//! recurring events need fewer words than its widest event then keeps its
+//! lane entries small — every one of them is read and written once per
+//! period, so their size is the lane's memory traffic. `EventQueue<E>` is
+//! `EventQueue<E, E>`: one item type, no conversion.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -108,33 +116,30 @@ struct Slot<E> {
 ///
 /// The queue never reorders same-time events, so a simulation driven from it
 /// is a pure function of its inputs and RNG seed.
-pub struct EventQueue<E> {
+pub struct EventQueue<E, L = E> {
     heap: BinaryHeap<Entry>,
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
     /// The recurring lane, sorted by `(time, seq)` because a push is only
     /// accepted at or after its tail's time.
-    lane: VecDeque<(Timestamp, u64, E)>,
+    lane: VecDeque<(Timestamp, u64, L)>,
     next_seq: u64,
     live: usize,
     reused_slots: u64,
+    lane_pops: u64,
+    heap_pops: u64,
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue.
+    /// Creates an empty queue with one item type for heap and lane. A queue
+    /// with a narrower lane item comes from [`EventQueue::default`].
     #[must_use]
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            lane: VecDeque::new(),
-            next_seq: 0,
-            live: 0,
-            reused_slots: 0,
-        }
+        Self::default()
     }
+}
 
+impl<E, L: Into<E>> EventQueue<E, L> {
     /// Schedules `item` to fire at instant `at`.
     pub fn push(&mut self, at: Timestamp, item: E) {
         let _ = self.push_keyed(at, item);
@@ -144,9 +149,9 @@ impl<E> EventQueue<E> {
     /// the [module docs](self)): O(1) and allocation-free when `at` is not
     /// before the lane's last entry, an ordinary [`EventQueue::push`]
     /// otherwise. Either way it pops exactly where `push` would have put it.
-    pub fn push_recurring(&mut self, at: Timestamp, item: E) {
+    pub fn push_recurring(&mut self, at: Timestamp, item: L) {
         if self.lane.back().is_some_and(|tail| at < tail.0) {
-            return self.push(at, item);
+            return self.push(at, item.into());
         }
         self.lane.push_back((at, self.next_seq, item));
         self.next_seq += 1;
@@ -227,8 +232,10 @@ impl<E> EventQueue<E> {
         }
         self.live -= 1;
         let item = if from_lane {
-            self.lane.pop_front().expect("the lane has a head").2
+            self.lane_pops += 1;
+            self.lane.pop_front().expect("the lane has a head").2.into()
         } else {
+            self.heap_pops += 1;
             let entry = self.heap.pop().expect("the heap has a live top");
             let item = self.slots[entry.slot as usize].item.take();
             self.retire(entry.slot);
@@ -300,6 +307,14 @@ impl<E> EventQueue<E> {
         self.reused_slots
     }
 
+    /// How many events [`EventQueue::pop`] and [`EventQueue::pop_due`] have
+    /// taken off the recurring lane and out of the heap, as `(lane, heap)`.
+    /// Cancelled entries discarded on the way count for neither.
+    #[must_use]
+    pub fn pops(&self) -> (u64, u64) {
+        (self.lane_pops, self.heap_pops)
+    }
+
     /// Drops all pending events. Outstanding keys go stale (their slots'
     /// generations advance, so they can never match a later occupant); the
     /// slab itself is retained for reuse.
@@ -318,13 +333,23 @@ impl<E> EventQueue<E> {
     }
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E, L> Default for EventQueue<E, L> {
     fn default() -> Self {
-        Self::new()
+        EventQueue {
+            heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            lane: VecDeque::new(),
+            next_seq: 0,
+            live: 0,
+            reused_slots: 0,
+            lane_pops: 0,
+            heap_pops: 0,
+        }
     }
 }
 
-impl<E> std::fmt::Debug for EventQueue<E> {
+impl<E, L> std::fmt::Debug for EventQueue<E, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("len", &self.live)

@@ -5,6 +5,16 @@ use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use testkit::prelude::*;
 
+/// A lane item narrower than the queue's `usize` items, converted when it
+/// pops or falls through to the heap.
+struct Narrow(u16);
+
+impl From<Narrow> for usize {
+    fn from(item: Narrow) -> usize {
+        usize::from(item.0)
+    }
+}
+
 prop_test! {
     /// Popping the queue yields items sorted by time, and FIFO among equal
     /// times (tracked via the insertion index).
@@ -34,12 +44,14 @@ prop_test! {
     /// Recurring pushes arrive both in order (onto the lane, ties with its
     /// tail included) and out of order (through to the heap), and times
     /// come from a small range so lane head and heap top tie often, with
-    /// the lower sequence number on either side.
+    /// the lower sequence number on either side. The lane holds its own,
+    /// narrower item type, as the engine's does.
     #[test]
     fn queue_matches_reference_model(
         ops in prop::collection::vec((0u8..12, 0u64..40), 1..400),
     ) {
-        let mut q = EventQueue::new();
+        let mut q: EventQueue<usize, Narrow> = EventQueue::default();
+        let narrow = |item: usize| Narrow(u16::try_from(item).expect("under 400 items"));
         let mut model: Vec<(Timestamp, u64, usize)> = Vec::new();
         let mut keys = Vec::new();
         let mut lane_tail = 0u64;
@@ -59,11 +71,11 @@ prop_test! {
                         3 | 4 => {
                             lane_tail += t % 3;
                             let at = Timestamp::from_micros(lane_tail);
-                            q.push_recurring(at, next_item);
+                            q.push_recurring(at, narrow(next_item));
                             at
                         }
                         // Anywhere: usually before the lane's tail.
-                        _ => { lane_tail = lane_tail.max(t); q.push_recurring(at, next_item); at }
+                        _ => { lane_tail = lane_tail.max(t); q.push_recurring(at, narrow(next_item)); at }
                     };
                     model.push((at, next_seq, next_item));
                     next_seq += 1;

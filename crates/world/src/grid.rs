@@ -263,6 +263,78 @@ pub fn neighbor_lists_with(
     neighbors
 }
 
+/// A deployment's radio topology under one communication radius: where
+/// every node is, whom it can reach, and the test both came from. Built
+/// once per world and shared, immutable, by everything that asks who hears
+/// whom (the radio medium) or who is next towards a point (the router).
+///
+/// The neighbour lists and [`Topology::in_range`] are two forms of one
+/// relation: a list holds exactly the nodes the test accepts, because
+/// [`neighbor_lists_with`] filtered by the same comparison of the same
+/// squared distance against the same `radius * radius`. Use the list to
+/// enumerate, the test to answer one pair.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Topology {
+    positions: Vec<Point>,
+    /// Per node, ascending by id.
+    neighbors: Vec<Vec<NodeId>>,
+    radius: f64,
+    r2: f64,
+}
+
+impl Topology {
+    /// Builds the topology of `deployment` under `radius`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `radius` is not finite and positive.
+    #[must_use]
+    pub fn new(deployment: &Deployment, radius: f64) -> Self {
+        Topology {
+            positions: deployment.positions().to_vec(),
+            neighbors: neighbor_lists(deployment, radius),
+            radius,
+            r2: radius * radius,
+        }
+    }
+
+    /// The radius the topology was built under.
+    #[must_use]
+    pub fn radius(&self) -> f64 {
+        self.radius
+    }
+
+    /// Every node's position, indexed by id.
+    #[must_use]
+    pub fn positions(&self) -> &[Point] {
+        &self.positions
+    }
+
+    /// The nodes within the radius of `node`, itself excluded, ascending.
+    #[inline]
+    #[must_use]
+    pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
+        &self.neighbors[node.index()]
+    }
+
+    /// Whether `b` is within the radius of `a` — membership of `b` in
+    /// [`Topology::neighbors`]`(a)`, answered by the comparison that built
+    /// the list rather than by searching it. Symmetric; a node is not in
+    /// range of itself.
+    #[inline]
+    #[must_use]
+    pub fn in_range(&self, a: NodeId, b: NodeId) -> bool {
+        let near = a != b
+            && self.positions[a.index()].distance_sq_to(self.positions[b.index()]) <= self.r2;
+        debug_assert_eq!(
+            near,
+            self.neighbors[a.index()].binary_search(&b).is_ok(),
+            "distance test and neighbour list disagree on {a} -> {b}"
+        );
+        near
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,6 +371,39 @@ mod tests {
         let lists = neighbor_lists(&d, 3.0);
         assert_eq!(lists[0], vec![NodeId(1)]);
         assert_eq!(lists[1], vec![NodeId(0)]);
+    }
+
+    #[test]
+    fn the_range_test_is_membership_in_the_list() {
+        let d = Deployment::grid(7, 5, 1.0);
+        for radius in [1.0, 1.5, 2.0, 2.5, 5.0] {
+            let t = Topology::new(&d, radius);
+            assert_eq!(t.radius(), radius);
+            // Against the all-pairs scan: `in_range` checks itself against
+            // the grid-built list in debug builds already.
+            let scanned = neighbor_lists_with(&d, radius, NeighborStrategy::BruteForce);
+            for a in d.ids() {
+                assert_eq!(t.neighbors(a), scanned[a.index()]);
+                for b in d.ids() {
+                    let listed = scanned[a.index()].contains(&b);
+                    assert_eq!(t.in_range(a, b), listed, "{a} -> {b} at {radius}");
+                }
+            }
+        }
+    }
+
+    /// `Deployment` refuses a non-finite coordinate, so none reaches a
+    /// topology; if one did, the comparison is false from either side, as
+    /// the list builder's is.
+    #[test]
+    fn a_nan_position_is_in_range_of_nothing() {
+        let t = Topology {
+            positions: vec![Point::new(f64::NAN, 0.0), Point::new(0.0, 0.0)],
+            neighbors: vec![Vec::new(), Vec::new()],
+            radius: 1.0,
+            r2: 1.0,
+        };
+        assert!(!t.in_range(NodeId(0), NodeId(1)) && !t.in_range(NodeId(1), NodeId(0)));
     }
 
     #[test]
