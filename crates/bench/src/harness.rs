@@ -36,7 +36,7 @@ use envirotrack_world::scenario::TankScenario;
 use envirotrack_world::target::Channel;
 
 /// The tracker context type id (the only type in the Figure-2 program).
-pub const TRACKER: ContextTypeId = ContextTypeId(0);
+pub(crate) const TRACKER: ContextTypeId = ContextTypeId(0);
 
 /// Builds the paper's Figure-2 tracking program.
 #[must_use]
@@ -167,7 +167,7 @@ impl TrackingOutcome {
     /// [`handover_success_ratio`]: Self::handover_success_ratio
     /// [`coherent`]: Self::coherent
     #[must_use]
-    pub fn failed_handovers(&self) -> usize {
+    pub(crate) fn failed_handovers(&self) -> usize {
         self.labels_created.saturating_sub(1)
     }
 

@@ -262,7 +262,7 @@ impl StormReport {
 
 /// Jain's fairness index: `(Σx)² / (n·Σx²)`, 1.0 when all equal.
 #[must_use]
-pub fn jain_index(counts: &[u64]) -> f64 {
+pub(crate) fn jain_index(counts: &[u64]) -> f64 {
     if counts.is_empty() {
         return 1.0;
     }

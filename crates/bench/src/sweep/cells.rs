@@ -32,7 +32,8 @@ pub enum CellSpec {
     },
     /// A chaos storm: the tracking app under a seed-random fault plan.
     Chaos(ChaosCell),
-    /// A bounded scale run: `nodes` on a [`ScaleScenario`] square field,
+    /// A bounded scale run: `nodes` on a
+    /// [`ScaleScenario`](envirotrack_world::scenario::ScaleScenario) square field,
     /// driven for `horizon_ms` of virtual time. The JSON line carries only
     /// virtual-time audits (never wall-clock), so merges stay
     /// byte-identical at any worker count.
@@ -62,7 +63,7 @@ impl SweepCell {
     /// Executes the cell and encodes its outcome as one JSON line
     /// (no trailing newline). Pure: same spec ⇒ same bytes.
     #[must_use]
-    pub fn run(&self) -> String {
+    pub(crate) fn run(&self) -> String {
         match &self.spec {
             CellSpec::Tracking {
                 cols,

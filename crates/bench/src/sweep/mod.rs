@@ -1,7 +1,7 @@
 //! Parameter sweeps: parallel execution, the scenario sweep engine, and
 //! max-trackable-speed search.
 //!
-//! [`parallel_map`] is the light primitive the figure experiments use;
+//! `parallel_map` is the light primitive the figure experiments use;
 //! [`engine`] is the full sweep engine — a work-stealing pool of
 //! `(scenario, seed)` [`cells`] whose merged JSON-lines output is
 //! byte-identical at any worker count (see DESIGN.md §10).
@@ -9,15 +9,15 @@
 pub mod cells;
 pub mod engine;
 
-pub use cells::{CellSpec, SweepCell};
-pub use engine::{run_sweep, SweepReport};
+pub use cells::SweepCell;
+pub use engine::run_sweep;
 
 use crate::harness::{run_tracking, TrackingRun};
 
 /// Runs `f` over `inputs` in parallel (a worker pool bounded by available
 /// parallelism, fed by an atomic cursor), preserving input order in the
 /// output. Pure `std`: scoped threads + an mpsc channel for results.
-pub fn parallel_map<I, O, F>(inputs: Vec<I>, f: F) -> Vec<O>
+pub(crate) fn parallel_map<I, O, F>(inputs: Vec<I>, f: F) -> Vec<O>
 where
     I: Send + Sync,
     O: Send,
@@ -53,9 +53,6 @@ where
     indexed.sort_by_key(|(i, _)| *i);
     indexed.into_iter().map(|(_, o)| o).collect()
 }
-
-/// How a coherence check at one speed is produced from a run template.
-pub type SpeedProbe<'a> = dyn Fn(f64) -> bool + Sync + 'a;
 
 /// Finds the maximum trackable speed (in hops/s) for a run template by
 /// exponential bracketing followed by bisection.

@@ -73,9 +73,8 @@ const SETTLE: SimDuration = SimDuration::from_secs(5);
 const _: () = assert!(TICK.as_micros() < SETTLE.as_micros());
 const _: () = assert!(SETTLE.as_micros() > 2_100_000);
 
-/// The sampling monitor. Create with [`InvariantMonitor::new`], then let
-/// [`crate::harness::install`] drive it, or call
-/// [`InvariantMonitor::check`] by hand from a custom harness.
+/// The sampling monitor: [`crate::harness::install`] creates one, drives
+/// it, and hands it back for the run's verdict.
 #[derive(Debug)]
 pub struct InvariantMonitor {
     seed: u64,
@@ -99,7 +98,7 @@ pub struct InvariantMonitor {
 impl InvariantMonitor {
     /// Creates a monitor sized to `world`.
     #[must_use]
-    pub fn new(seed: u64, world: &SensorNetwork) -> Self {
+    pub(crate) fn new(seed: u64, world: &SensorNetwork) -> Self {
         InvariantMonitor {
             seed,
             dup_radius: world.config().middleware.proximity_radius,
@@ -113,7 +112,7 @@ impl InvariantMonitor {
     }
 
     /// Records an applied fault event for violation traces.
-    pub fn note_fault(&mut self, at: Timestamp, description: String) {
+    pub(crate) fn note_fault(&mut self, at: Timestamp, description: String) {
         self.trace.push(format!("{at}: {description}"));
     }
 
@@ -150,7 +149,7 @@ impl InvariantMonitor {
     }
 
     /// Runs every invariant check once. Called on each monitor tick.
-    pub fn check(&mut self, world: &mut SensorNetwork, now: Timestamp) {
+    pub(crate) fn check(&mut self, world: &mut SensorNetwork, now: Timestamp) {
         self.check_clocks(world, now);
         self.check_leaders(world, now);
         self.check_aggregates(world, now);
@@ -269,7 +268,7 @@ impl InvariantMonitor {
     /// against the *currently* active partition mask. The harness also
     /// calls this immediately before changing the mask, so entries are
     /// always judged by the mask in force when they were delivered.
-    pub fn check_deliveries(&mut self, world: &mut SensorNetwork, now: Timestamp) {
+    pub(crate) fn check_deliveries(&mut self, world: &mut SensorNetwork, now: Timestamp) {
         let log = world.take_delivery_log();
         let Some(groups) = world.partition() else {
             return;

@@ -16,7 +16,7 @@ use envirotrack_world::field::NodeId;
 
 /// A compact human-readable form of a fault, used in violation traces.
 #[must_use]
-pub fn describe(event: &FaultEvent) -> String {
+pub(crate) fn describe(event: &FaultEvent) -> String {
     match event {
         FaultEvent::Crash(n) => format!("crash node {}", n.0),
         FaultEvent::Reboot(n) => format!("reboot node {}", n.0),
@@ -78,13 +78,13 @@ impl FaultPlan {
 
     /// The scheduled events in insertion order.
     #[must_use]
-    pub fn events(&self) -> &[(Timestamp, FaultEvent)] {
+    pub(crate) fn events(&self) -> &[(Timestamp, FaultEvent)] {
         &self.events
     }
 
     /// The battery budgets in insertion order: `(from when, node, mJ)`.
     #[must_use]
-    pub fn budgets(&self) -> &[(Timestamp, NodeId, f64)] {
+    pub(crate) fn budgets(&self) -> &[(Timestamp, NodeId, f64)] {
         &self.budgets
     }
 

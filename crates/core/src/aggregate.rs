@@ -65,7 +65,7 @@ impl ReadingValue {
 
     /// The position, if this is one.
     #[must_use]
-    pub fn as_position(self) -> Option<Point> {
+    pub(crate) fn as_position(self) -> Option<Point> {
         match self {
             ReadingValue::Position(p) => Some(p),
             ReadingValue::Scalar(_) => None,
@@ -158,21 +158,6 @@ impl std::fmt::Debug for AggregateFn {
 }
 
 impl AggregateFn {
-    /// Applies the function to fresh contributions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `contributions` is empty — the window guarantees critical
-    /// mass (≥ 1) before applying the function.
-    #[must_use]
-    pub fn apply(&self, contributions: &[Contribution]) -> AggValue {
-        assert!(
-            !contributions.is_empty(),
-            "aggregation over an empty contribution set"
-        );
-        self.apply_iter(contributions.iter())
-    }
-
     /// Applies the function to a stream of contributions without
     /// materializing them: the built-in functions fold the iterator
     /// directly, so a leader aggregate read allocates nothing. Only
@@ -181,7 +166,7 @@ impl AggregateFn {
     /// The caller guarantees the stream is non-empty (the window checks
     /// critical mass ≥ 1 first).
     #[must_use]
-    pub fn apply_iter<'a>(
+    pub(crate) fn apply_iter<'a>(
         &self,
         contributions: impl Iterator<Item = &'a Contribution> + Clone,
     ) -> AggValue {
@@ -267,18 +252,6 @@ impl ReadingWindow {
         }
     }
 
-    /// Number of distinct members with readings (fresh or not).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.readings.len()
-    }
-
-    /// Whether the window holds no readings at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.readings.is_empty()
-    }
-
     /// The fresh contributions at `now` under `freshness`.
     ///
     /// Freshness is a *two-sided* bound: a reading stamped more than
@@ -294,7 +267,7 @@ impl ReadingWindow {
     /// Iterates the fresh contributions at `now` without allocating — the
     /// hot-path form of [`ReadingWindow::fresh`], used by every leader
     /// aggregate read.
-    pub fn fresh_iter(
+    pub(crate) fn fresh_iter(
         &self,
         now: Timestamp,
         freshness: SimDuration,
@@ -307,33 +280,15 @@ impl ReadingWindow {
 
     /// Number of fresh contributions at `now` (no allocation).
     #[must_use]
-    pub fn fresh_count(&self, now: Timestamp, freshness: SimDuration) -> usize {
+    pub(crate) fn fresh_count(&self, now: Timestamp, freshness: SimDuration) -> usize {
         self.fresh_iter(now, freshness).count()
-    }
-
-    /// Members with any (possibly stale) reading, freshest first — used by
-    /// the leader to designate a relinquish successor.
-    #[must_use]
-    pub fn members_by_recency(&self) -> Vec<(NodeId, Timestamp)> {
-        let mut v = Vec::new();
-        self.members_by_recency_into(&mut v);
-        v
-    }
-
-    /// Fills `out` with members by recency (freshest first, node id
-    /// breaking ties), reusing its capacity — the buffer-supplied form of
-    /// [`ReadingWindow::members_by_recency`].
-    pub fn members_by_recency_into(&self, out: &mut Vec<(NodeId, Timestamp)>) {
-        out.clear();
-        out.extend(self.readings.iter().map(|c| (c.member, c.taken_at)));
-        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     }
 
     /// The freshest member other than `exclude` (ties broken toward the
     /// smaller node id) — the relinquish-successor query, answered in one
     /// allocation-free pass instead of sorting the whole window.
     #[must_use]
-    pub fn successor_after(&self, exclude: NodeId) -> Option<NodeId> {
+    pub(crate) fn successor_after(&self, exclude: NodeId) -> Option<NodeId> {
         let mut best: Option<(Timestamp, NodeId)> = None;
         for c in &self.readings {
             if c.member == exclude {
@@ -375,16 +330,11 @@ impl ReadingWindow {
 
     /// Drops readings more than `horizon` away from `now` — older *or*
     /// future-stamped — bounding memory on long-lived leaders.
-    pub fn prune(&mut self, now: Timestamp, horizon: SimDuration) {
+    pub(crate) fn prune(&mut self, now: Timestamp, horizon: SimDuration) {
         self.readings.retain(|c| {
             now.saturating_since(c.taken_at) <= horizon
                 && c.taken_at.saturating_since(now) <= horizon
         });
-    }
-
-    /// Discards everything (e.g. on leadership loss).
-    pub fn clear(&mut self) {
-        self.readings.clear();
     }
 }
 
@@ -456,7 +406,7 @@ mod tests {
             Timestamp::from_secs(10),
             ReadingValue::Scalar(5.0),
         );
-        assert_eq!(w.len(), 1);
+        assert_eq!(w.readings.len(), 1);
         let err = w
             .evaluate(
                 &AggregateFn::Average,
@@ -573,20 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn members_by_recency_orders_fresh_first() {
-        let w = scalar_window(&[(5, 3, 0.0), (1, 7, 0.0), (9, 7, 0.0)]);
-        let order = w.members_by_recency();
-        assert_eq!(
-            order,
-            vec![
-                (NodeId(1), Timestamp::from_secs(7)),
-                (NodeId(9), Timestamp::from_secs(7)),
-                (NodeId(5), Timestamp::from_secs(3)),
-            ]
-        );
-    }
-
-    #[test]
     fn successor_after_matches_the_sorted_scan() {
         // The one-pass successor query must agree with "sort by recency,
         // take the first member that isn't the leader".
@@ -597,11 +533,17 @@ mod tests {
             ReadingWindow::new(),
         ];
         for w in &windows {
+            // Freshest first, node id breaking ties.
+            let mut by_recency: Vec<&Contribution> = w.readings.iter().collect();
+            by_recency.sort_by(|a, b| {
+                b.taken_at
+                    .cmp(&a.taken_at)
+                    .then_with(|| a.member.cmp(&b.member))
+            });
             for leader in 0..10u32 {
-                let expect = w
-                    .members_by_recency()
-                    .into_iter()
-                    .map(|(n, _)| n)
+                let expect = by_recency
+                    .iter()
+                    .map(|c| c.member)
                     .find(|n| *n != NodeId(leader));
                 assert_eq!(w.successor_after(NodeId(leader)), expect, "leader {leader}");
             }
@@ -609,28 +551,20 @@ mod tests {
     }
 
     #[test]
-    fn fresh_iter_agrees_with_fresh_and_reuses_buffers() {
+    fn fresh_iter_agrees_with_fresh() {
         let w = scalar_window(&[(1, 5, 2.0), (2, 10, 4.0), (3, 11, 8.0)]);
         let now = Timestamp::from_secs(10);
         let horizon = SimDuration::from_secs(1);
         let collected: Vec<Contribution> = w.fresh_iter(now, horizon).copied().collect();
         assert_eq!(collected, w.fresh(now, horizon));
         assert_eq!(w.fresh_count(now, horizon), 2);
-        let mut buf = Vec::with_capacity(8);
-        w.members_by_recency_into(&mut buf);
-        let cap = buf.capacity();
-        w.members_by_recency_into(&mut buf);
-        assert_eq!(buf.capacity(), cap, "refill reuses the buffer");
-        assert_eq!(buf, w.members_by_recency());
     }
 
     #[test]
     fn prune_bounds_memory() {
         let mut w = scalar_window(&[(1, 1, 0.0), (2, 50, 0.0)]);
         w.prune(Timestamp::from_secs(51), SimDuration::from_secs(5));
-        assert_eq!(w.len(), 1);
-        w.clear();
-        assert!(w.is_empty());
+        assert_eq!(w.readings.len(), 1);
     }
 
     #[test]
@@ -667,7 +601,7 @@ mod tests {
         // Prune also drops far-future readings instead of keeping them
         // forever.
         w.prune(Timestamp::from_secs(10), SimDuration::from_secs(5));
-        assert!(w.is_empty());
+        assert!(w.readings.is_empty());
     }
 
     prop_test! {
@@ -702,9 +636,9 @@ mod tests {
             }
             let distinct = expected.iter().filter(|e| e.is_some()).count();
             prop_assert!(
-                w.len() == distinct,
+                w.readings.len() == distinct,
                 "window holds {} entries for {} distinct members",
-                w.len(),
+                w.readings.len(),
                 distinct
             );
             // Critical mass counts distinct members, never report volume.

@@ -86,7 +86,7 @@ impl Program {
     }
 
     /// All context type ids.
-    pub fn type_ids(&self) -> impl Iterator<Item = ContextTypeId> {
+    pub(crate) fn type_ids(&self) -> impl Iterator<Item = ContextTypeId> {
         (0..self.contexts.len() as u16).map(ContextTypeId)
     }
 
@@ -101,14 +101,14 @@ impl Program {
 
     /// The directory subscriptions of a context type.
     #[must_use]
-    pub fn subscriptions(&self, id: ContextTypeId) -> &[ContextTypeId] {
+    pub(crate) fn subscriptions(&self, id: ContextTypeId) -> &[ContextTypeId] {
         &self.subscriptions[id.0 as usize]
     }
 
     /// Finds the `OnMessage` method bound to `port` within a context type,
     /// as `(object index, method index)`.
     #[must_use]
-    pub fn method_for_port(&self, id: ContextTypeId, port: Port) -> Option<(usize, usize)> {
+    pub(crate) fn method_for_port(&self, id: ContextTypeId, port: Port) -> Option<(usize, usize)> {
         let spec = self.spec(id);
         for (oi, obj) in spec.objects.iter().enumerate() {
             for (mi, m) in obj.methods.iter().enumerate() {

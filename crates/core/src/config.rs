@@ -9,7 +9,7 @@
 //! the MTP table, pointer, pending and retransmission bounds in
 //! [`crate::transport`], directory entry lifetime and query timeout in
 //! [`crate::directory`], the takeover jitter in `group/member.rs`, the
-//! link-ack schedule in `network/link.rs`, and [`DELAY_ESTIMATE`] below.
+//! link-ack schedule in `network/link.rs`, and `DELAY_ESTIMATE` below.
 
 use envirotrack_sim::time::SimDuration;
 
@@ -92,20 +92,20 @@ impl Default for MiddlewareConfig {
 impl MiddlewareConfig {
     /// The receive timer duration (member-side leader-failure timeout).
     #[must_use]
-    pub fn receive_timer(&self) -> SimDuration {
+    pub(crate) fn receive_timer(&self) -> SimDuration {
         self.heartbeat_period.mul_f64(self.receive_timer_factor)
     }
 
     /// The wait timer duration (non-member new-label suppression window).
     #[must_use]
-    pub fn wait_timer(&self) -> SimDuration {
+    pub(crate) fn wait_timer(&self) -> SimDuration {
         self.heartbeat_period.mul_f64(self.wait_timer_factor)
     }
 
     /// Member report period for an aggregate with freshness `le`:
     /// `max(Le − d, sense period)` — reports can't outpace sensing.
     #[must_use]
-    pub fn report_period(&self, le: SimDuration) -> SimDuration {
+    pub(crate) fn report_period(&self, le: SimDuration) -> SimDuration {
         le.saturating_sub(DELAY_ESTIMATE).max(self.sense_period)
     }
 
@@ -173,7 +173,7 @@ impl MiddlewareConfig {
     /// # Errors
     ///
     /// Returns a message describing the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.heartbeat_period.is_zero() {
             return Err("heartbeat period must be positive".into());
         }

@@ -58,7 +58,7 @@ impl ContextLabel {
     /// compare as plain integers, and this lets their *display strings*
     /// be cached the same way (see [`LabelIntern`]).
     #[must_use]
-    pub fn intern_key(self) -> u128 {
+    pub(crate) fn intern_key(self) -> u128 {
         (u128::from(self.type_id.0) << 64) | (u128::from(self.creator.0) << 32) | u128::from(self.seq)
     }
 }
@@ -73,7 +73,7 @@ impl ContextLabel {
 /// integer form so lookups never hash or compare strings. Clones share
 /// the underlying pool, mirroring the `Telemetry` handle it feeds.
 #[derive(Debug, Clone, Default)]
-pub struct LabelIntern {
+pub(crate) struct LabelIntern {
     pool: envirotrack_telemetry::Interner,
 }
 
@@ -97,7 +97,7 @@ impl LabelIntern {
 
     /// The shared display form of `type_id` (e.g. `type0`).
     #[must_use]
-    pub fn type_name(&self, type_id: ContextTypeId) -> std::rc::Rc<str> {
+    pub(crate) fn type_name(&self, type_id: ContextTypeId) -> std::rc::Rc<str> {
         self.pool
             .get_or_insert_with(TYPE_KEY_TAG | u128::from(type_id.0), || type_id.to_string())
     }
@@ -274,7 +274,7 @@ impl ContextSpec {
     /// group of this type: activation when outside, deactivation when
     /// inside.
     #[must_use]
-    pub fn senses(&self, s: &SensorSample, currently_member: bool) -> bool {
+    pub(crate) fn senses(&self, s: &SensorSample, currently_member: bool) -> bool {
         if currently_member {
             match &self.deactivation {
                 Some(d) => !d.eval(s),
@@ -287,7 +287,7 @@ impl ContextSpec {
 
     /// Index of an aggregate variable by name.
     #[must_use]
-    pub fn aggregate_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn aggregate_index(&self, name: &str) -> Option<usize> {
         self.aggregates.iter().position(|a| a.name == name)
     }
 }

@@ -50,7 +50,7 @@ pub fn hash_point(type_name: &str, bounds: Aabb) -> Point {
 /// break on node id, so every node computes the identical ordering. The
 /// first element is the primary (the classic single home node).
 #[must_use]
-pub fn replica_set(deployment: &Deployment, home: Point, k: usize) -> Vec<NodeId> {
+pub(crate) fn replica_set(deployment: &Deployment, home: Point, k: usize) -> Vec<NodeId> {
     let mut by_distance: Vec<(NodeId, f64)> = deployment
         .iter()
         .map(|(id, pos)| (id, pos.distance_sq_to(home)))
@@ -86,7 +86,7 @@ struct Entry {
 /// Every node owns a (usually empty) store; only the home node of a type's
 /// coordinate ever receives registrations for it.
 #[derive(Debug, Clone, Default)]
-pub struct DirectoryStore {
+pub(crate) struct DirectoryStore {
     entries: Vec<Entry>,
 }
 
@@ -98,7 +98,7 @@ impl DirectoryStore {
     }
 
     /// Registers or refreshes a label's location.
-    pub fn register(&mut self, label: ContextLabel, location: Point, now: Timestamp) {
+    pub(crate) fn register(&mut self, label: ContextLabel, location: Point, now: Timestamp) {
         match self.entries.iter_mut().find(|e| e.label == label) {
             Some(e) => {
                 e.location = location;
@@ -114,7 +114,7 @@ impl DirectoryStore {
 
     /// Live labels of a type: those refreshed within `ttl` of `now`.
     #[must_use]
-    pub fn query(
+    pub(crate) fn query(
         &self,
         type_id: ContextTypeId,
         now: Timestamp,
@@ -128,7 +128,7 @@ impl DirectoryStore {
     }
 
     /// Drops entries not refreshed within `ttl` of `now`.
-    pub fn sweep(&mut self, now: Timestamp, ttl: SimDuration) {
+    pub(crate) fn sweep(&mut self, now: Timestamp, ttl: SimDuration) {
         self.entries
             .retain(|e| now.saturating_since(e.refreshed) <= ttl);
     }
@@ -136,7 +136,7 @@ impl DirectoryStore {
     /// Snapshot of every stored entry of one type, with refresh times —
     /// the payload of an anti-entropy [`crate::wire::DirSync`] digest.
     #[must_use]
-    pub fn entries_of(&self, type_id: ContextTypeId) -> Vec<(ContextLabel, Point, Timestamp)> {
+    pub(crate) fn entries_of(&self, type_id: ContextTypeId) -> Vec<(ContextLabel, Point, Timestamp)> {
         self.entries
             .iter()
             .filter(|e| e.label.type_id == type_id)
@@ -148,7 +148,7 @@ impl DirectoryStore {
     /// adopted, and entries the peer refreshed more recently overwrite the
     /// local copy (last-writer-wins on the refresh timestamp). Returns how
     /// many entries changed — the number of divergences repaired.
-    pub fn merge(&mut self, entries: &[(ContextLabel, Point, Timestamp)]) -> usize {
+    pub(crate) fn merge(&mut self, entries: &[(ContextLabel, Point, Timestamp)]) -> usize {
         let mut repaired = 0;
         for &(label, location, refreshed) in entries {
             match self.entries.iter_mut().find(|e| e.label == label) {
@@ -177,7 +177,7 @@ impl DirectoryStore {
     /// are equal (up to hash collisions) — the convergence oracle the
     /// anti-entropy tests and the soak harness probe.
     #[must_use]
-    pub fn digest(&self, type_id: ContextTypeId) -> u64 {
+    pub(crate) fn digest(&self, type_id: ContextTypeId) -> u64 {
         let mut entries = self.entries_of(type_id);
         entries.sort_by_key(|(l, _, _)| (l.type_id.0, l.creator.0, l.seq));
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -200,14 +200,8 @@ impl DirectoryStore {
 
     /// Number of stored entries (stale ones included until swept).
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the store is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -304,7 +298,7 @@ mod tests {
         d.sweep(Timestamp::from_secs(90), ttl);
         assert_eq!(d.len(), 1);
         d.sweep(Timestamp::from_secs(91), ttl);
-        assert!(d.is_empty());
+        assert_eq!(d.len(), 0);
     }
 
     #[test]
@@ -319,6 +313,6 @@ mod tests {
         d.sweep(Timestamp::from_secs(25), ttl);
         assert_eq!(d.len(), 1);
         d.sweep(Timestamp::from_secs(100), ttl);
-        assert!(d.is_empty());
+        assert_eq!(d.len(), 0);
     }
 }

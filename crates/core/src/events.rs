@@ -116,7 +116,7 @@ impl EventLog {
     }
 
     /// Appends an event.
-    pub fn push(&mut self, at: Timestamp, event: SystemEvent) {
+    pub(crate) fn push(&mut self, at: Timestamp, event: SystemEvent) {
         self.entries.push((at, event));
     }
 
@@ -128,14 +128,8 @@ impl EventLog {
 
     /// Number of events.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the log is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Labels of a type ever created, in creation order.
@@ -145,26 +139,6 @@ impl EventLog {
             .iter()
             .filter_map(|(_, e)| match e {
                 SystemEvent::LabelCreated { label, .. } if label.type_id == type_id => Some(*label),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Handover events for one label.
-    #[must_use]
-    pub fn handovers(
-        &self,
-        label: ContextLabel,
-    ) -> Vec<(Timestamp, NodeId, NodeId, HandoverReason)> {
-        self.entries
-            .iter()
-            .filter_map(|(t, e)| match e {
-                SystemEvent::LeaderHandover {
-                    label: l,
-                    from,
-                    to,
-                    reason,
-                } if *l == label => Some((*t, *from, *to, *reason)),
                 _ => None,
             })
             .collect()
@@ -235,10 +209,12 @@ mod tests {
         );
         assert_eq!(log.labels_created(ContextTypeId(0)), vec![a]);
         assert_eq!(log.labels_created(ContextTypeId(1)), vec![b]);
-        let h = log.handovers(a);
-        assert_eq!(h.len(), 1);
-        assert_eq!(h[0].2, NodeId(3));
-        assert!(log.handovers(b).is_empty());
+        let handed_to_3 = |of: ContextLabel| {
+            log.count(|e| {
+                matches!(e, SystemEvent::LeaderHandover { label, to: NodeId(3), .. } if *label == of)
+            })
+        };
+        assert_eq!((handed_to_3(a), handed_to_3(b)), (1, 0));
         assert_eq!(log.len(), 3);
     }
 

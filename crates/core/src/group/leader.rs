@@ -270,7 +270,6 @@ impl LeaderState {
                     });
                 }
                 ObjectEffect::SetState(s) => self.state_blob = Some(s),
-                ObjectEffect::ClearState => self.state_blob = None,
                 ObjectEffect::Log(line) => out.push(GroupAction::AppLog(line)),
             }
         }

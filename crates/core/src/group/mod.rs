@@ -1,18 +1,18 @@
 //! Group management: the protocol that keeps one coherent context label per
 //! physically tracked entity (paper §5.2).
 //!
-//! Each node runs one [`GroupMachine`] per declared context type. The
+//! Each node runs one `GroupMachine` per declared context type. The
 //! machine is a *state machine without a world*: every input (a sensing
 //! tick, a received message, a timer firing) returns a list of
-//! [`GroupAction`]s for the hosting layer ([`crate::network`]) to apply —
+//! `GroupAction`s for the hosting layer ([`crate::network`]) to apply —
 //! broadcasts, timer armings, lifecycle events. It touches no kernel, no
 //! radio and no other node, which is what makes the protocol unit-testable
 //! message by message. It does *record*: `group.hb`, `group.join` and
 //! `agg.*` trace events and the `agg.*` counters go to the telemetry handle
-//! the host lends it in [`GroupCtx::telemetry`]. The trace ring is part of
+//! the host lends it in `GroupCtx::telemetry`. The trace ring is part of
 //! what the golden files compare, so the order of those records relative to
 //! each other and to the pushed actions is pinned, exactly as the order of
-//! the actions and of the draws from [`GroupCtx::rng`] is.
+//! the actions and of the draws from `GroupCtx::rng` is.
 //!
 //! The code is cut along the roles. This file holds the machine, its inputs
 //! and the role *transitions* — the §5.2 protocol and nothing else.
@@ -71,7 +71,7 @@ use crate::transport::{LeaderLoc, Port};
 use crate::wire::{Heartbeat, Message, Relinquish, Report};
 
 /// One aggregate variable's leader-side health snapshot — see
-/// [`GroupMachine::aggregate_health`].
+/// `GroupMachine::aggregate_health`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggregateHealth {
     /// The aggregate variable name.
@@ -86,7 +86,7 @@ pub struct AggregateHealth {
 
 /// Logical timers owned by one group machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GroupTimer {
+pub(crate) enum GroupTimer {
     /// Leader: periodic heartbeat.
     Heartbeat,
     /// Member: leader-failure timeout.
@@ -103,7 +103,7 @@ pub enum GroupTimer {
 
 /// An effect requested by the state machine, applied by the hosting layer.
 #[derive(Debug)]
-pub enum GroupAction {
+pub(crate) enum GroupAction {
     /// Broadcast a protocol message to radio range.
     Broadcast(Message),
     /// Arm a timer: schedule a call to
@@ -165,7 +165,7 @@ pub enum GroupAction {
 /// What a node's sensors read: the ground truth behind
 /// [`GroupCtx::sample`]. The simulation's source is the [`Environment`];
 /// handler tests substitute fixed, counting or forbidden ones.
-pub trait SampleSource {
+pub(crate) trait SampleSource {
     /// The (noisy) reading at `pos` and time `now`; any noise is drawn
     /// from `rng`, the sampling node's own stream.
     fn sample_at(&self, pos: Point, now: Timestamp, rng: &mut SimRng) -> SensorSample;
@@ -178,7 +178,7 @@ impl SampleSource for Environment {
 }
 
 /// Per-call context handed to the machine by the hosting layer.
-pub struct GroupCtx<'a> {
+pub(crate) struct GroupCtx<'a> {
     /// Current virtual time.
     pub now: Timestamp,
     /// Middleware configuration.
@@ -209,7 +209,7 @@ pub struct GroupCtx<'a> {
 impl<'a> GroupCtx<'a> {
     /// The node's local sensor sample for this input: taken (and its noise
     /// drawn from `rng`) on the first call, the same reading thereafter.
-    pub fn sample(&mut self) -> SensorSample {
+    pub(crate) fn sample(&mut self) -> SensorSample {
         *self
             .reading
             .get_or_insert_with(|| self.sensors.sample_at(self.position, self.now, self.rng))
@@ -279,7 +279,7 @@ enum Role {
 
 /// A snapshot of the machine's role, for assertions and audits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoleKind {
+pub(crate) enum RoleKind {
     /// Not in any group.
     Idle,
     /// Member of the given label.
@@ -290,7 +290,7 @@ pub enum RoleKind {
 
 /// The per-node, per-context-type group management state machine.
 /// See the [module docs](self).
-pub struct GroupMachine {
+pub(crate) struct GroupMachine {
     node: NodeId,
     type_id: ContextTypeId,
     role: Role,
@@ -342,13 +342,13 @@ impl GroupMachine {
 
     /// The node this machine runs on.
     #[must_use]
-    pub fn node(&self) -> NodeId {
+    pub(crate) fn node(&self) -> NodeId {
         self.node
     }
 
     /// The machine's current role.
     #[must_use]
-    pub fn role_kind(&self) -> RoleKind {
+    pub(crate) fn role_kind(&self) -> RoleKind {
         match &self.role {
             Role::Idle => RoleKind::Idle,
             Role::Member(m) => RoleKind::Member(m.heard.label),
@@ -358,7 +358,7 @@ impl GroupMachine {
 
     /// The label this node currently belongs to, in any role.
     #[must_use]
-    pub fn current_label(&self) -> Option<ContextLabel> {
+    pub(crate) fn current_label(&self) -> Option<ContextLabel> {
         match self.role_kind() {
             RoleKind::Idle => None,
             RoleKind::Member(label) | RoleKind::Leader(label) => Some(label),
@@ -378,7 +378,11 @@ impl GroupMachine {
     /// monitors use this to check that validity is never claimed below
     /// `Ne` fresh reports.
     #[must_use]
-    pub fn aggregate_health(&self, spec: &ContextSpec, now: Timestamp) -> Vec<AggregateHealth> {
+    pub(crate) fn aggregate_health(
+        &self,
+        spec: &ContextSpec,
+        now: Timestamp,
+    ) -> Vec<AggregateHealth> {
         match &self.role {
             Role::Leader(l) => l.aggregate_health(spec, now),
             _ => Vec::new(),
@@ -391,7 +395,7 @@ impl GroupMachine {
 
     /// Processes a sensing tick: evaluates the activation/deactivation
     /// condition and drives join/leave/create transitions.
-    pub fn on_sense_tick(&mut self, ctx: &mut GroupCtx<'_>) -> Vec<GroupAction> {
+    pub(crate) fn on_sense_tick(&mut self, ctx: &mut GroupCtx<'_>) -> Vec<GroupAction> {
         let mut out = Vec::new();
         // Pinned (static-object) types exist independent of sensing: their
         // single leader never steps down and other nodes never activate.
@@ -435,7 +439,7 @@ impl GroupMachine {
     ///
     /// Panics if the type is not declared pinned, or on double
     /// instantiation.
-    pub fn instantiate_pinned(&mut self, ctx: &mut GroupCtx<'_>) -> Vec<GroupAction> {
+    pub(crate) fn instantiate_pinned(&mut self, ctx: &mut GroupCtx<'_>) -> Vec<GroupAction> {
         assert!(
             ctx.spec.pinned.is_some(),
             "instantiate_pinned on a tracking type"
@@ -454,7 +458,11 @@ impl GroupMachine {
     // ------------------------------------------------------------------
 
     /// Processes a heartbeat heard on the radio.
-    pub fn on_heartbeat(&mut self, ctx: &mut GroupCtx<'_>, hb: &Heartbeat) -> Vec<GroupAction> {
+    pub(crate) fn on_heartbeat(
+        &mut self,
+        ctx: &mut GroupCtx<'_>,
+        hb: &Heartbeat,
+    ) -> Vec<GroupAction> {
         debug_assert_eq!(hb.label.type_id, self.type_id);
         let mut out = Vec::new();
         // A pinned instance is permanent: it neither yields, joins, nor
@@ -549,17 +557,20 @@ impl GroupMachine {
     }
 
     /// Processes a member's sensor report (meaningful only on leaders).
-    pub fn on_report(&mut self, report: &Report) -> Vec<GroupAction> {
+    pub(crate) fn on_report(&mut self, report: &Report) {
         if let Role::Leader(l) = &mut self.role {
             if l.label == report.label && report.member != self.node {
                 l.on_report(report);
             }
         }
-        Vec::new()
     }
 
     /// Processes a relinquish announcement from a departing leader.
-    pub fn on_relinquish(&mut self, ctx: &mut GroupCtx<'_>, r: &Relinquish) -> Vec<GroupAction> {
+    pub(crate) fn on_relinquish(
+        &mut self,
+        ctx: &mut GroupCtx<'_>,
+        r: &Relinquish,
+    ) -> Vec<GroupAction> {
         let mut out = Vec::new();
         let Role::Member(m) = &mut self.role else {
             return out;
@@ -597,7 +608,7 @@ impl GroupMachine {
     /// the machine's own formation timer, or the current role's state.
     /// Stale tokens (superseded armings) and keys of a role this node is no
     /// longer in are ignored.
-    pub fn on_timer(
+    pub(crate) fn on_timer(
         &mut self,
         ctx: &mut GroupCtx<'_>,
         key: GroupTimer,
@@ -658,7 +669,7 @@ impl GroupMachine {
     /// method)` indices) of the label this node leads. The transport layer
     /// has established that it leads the destination label before it
     /// delivers; on any other node nothing runs.
-    pub fn deliver_mtp(
+    pub(crate) fn deliver_mtp(
         &mut self,
         ctx: &mut GroupCtx<'_>,
         incoming: IncomingMessage,
@@ -672,7 +683,7 @@ impl GroupMachine {
     }
 
     /// Installs a directory response into the leader's subscription cache.
-    pub fn on_directory_entries(
+    pub(crate) fn on_directory_entries(
         &mut self,
         type_id: ContextTypeId,
         entries: Vec<(ContextLabel, Point)>,
@@ -1206,7 +1217,7 @@ mod tests {
         // Two members report; node 5 most recently.
         h.now += SimDuration::from_millis(100);
         let now = h.now;
-        let _ = m.on_report(&Report {
+        m.on_report(&Report {
             label: lbl,
             member: NodeId(4),
             taken_at: now,
@@ -1214,7 +1225,7 @@ mod tests {
         });
         h.now += SimDuration::from_millis(100);
         let now = h.now;
-        let _ = m.on_report(&Report {
+        m.on_report(&Report {
             label: lbl,
             member: NodeId(5),
             taken_at: now,
@@ -1285,7 +1296,7 @@ mod tests {
         // Feed reports to gain weight.
         let now = h.now;
         for i in 0..3 {
-            let _ = m.on_report(&Report {
+            m.on_report(&Report {
                 label: lbl,
                 member: NodeId(10 + i),
                 taken_at: now,
@@ -1368,7 +1379,7 @@ mod tests {
             taken_at: h.now,
             values: vec![(0, ReadingValue::Position(Point::new(3.2, 0.5)))],
         };
-        let _ = m.on_report(&report);
+        m.on_report(&report);
         // Well past the wait timer (but far below the old 10 s floor) the
         // heartbeat tick prunes the window.
         h.now += SimDuration::from_secs(1);
@@ -1405,7 +1416,7 @@ mod tests {
         let my_label = make_leader(&mut h, &mut m);
         let now = h.now;
         for i in 0..5 {
-            let _ = m.on_report(&Report {
+            m.on_report(&Report {
                 label: my_label,
                 member: NodeId(20 + i),
                 taken_at: now,
@@ -1509,7 +1520,7 @@ mod tests {
         h.now = method_at;
         let _ = m.on_sense_tick(&mut h.ctx());
         let now = h.now;
-        let _ = m.on_report(&Report {
+        m.on_report(&Report {
             label: lbl,
             member: NodeId(2),
             taken_at: now,
@@ -1605,12 +1616,12 @@ mod tests {
         // Idle: remembers the label. Member: re-arms its receive timer.
         let mut m = machine(1, &spec_with_tracker());
         let _ = m.on_heartbeat(&mut h.ctx_reading(&Forbidden), &hb(lbl, 9, 5, 1));
-        let _ = m.on_report(&report(2));
+        m.on_report(&report(2));
         let _ = m.on_sense_tick(&mut h.ctx());
         assert_eq!(m.role_kind(), RoleKind::Member(lbl));
         let actions = m.on_heartbeat(&mut h.ctx_reading(&Forbidden), &hb(lbl, 9, 6, 2));
         assert!(find_timer(&actions, GroupTimer::Receive).is_some());
-        let _ = m.on_report(&report(2));
+        m.on_report(&report(2));
         // Leader: weighs reports, yields to a heavier duplicate.
         let mut l = machine(2, &spec_with_tracker());
         let own = make_leader(&mut h, &mut l);
@@ -1618,7 +1629,7 @@ mod tests {
             label: own,
             ..report(3)
         };
-        let _ = l.on_report(&mine);
+        l.on_report(&mine);
         assert_eq!(l.leader_weight(), Some(1));
         let _ = l.on_heartbeat(&mut h.ctx_reading(&Forbidden), &far_hb(lbl, 9, 50, 3));
         let _ = l.on_heartbeat(&mut h.ctx_reading(&Forbidden), &hb(own, 7, 50, 1));

@@ -53,12 +53,10 @@ pub mod wire;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use crate::aggregate::{AggValue, AggregateFn, AggregateInput};
-    pub use crate::api::{Program, ProgramBuilder};
-    pub use crate::config::MiddlewareConfig;
+    pub use crate::api::Program;
     pub use crate::context::{ContextLabel, ContextTypeId, SensePredicate};
-    pub use crate::events::{EventLog, HandoverReason, SystemEvent};
+    pub use crate::events::{HandoverReason, SystemEvent};
     pub use crate::network::{NetworkConfig, SensorNetwork};
-    pub use crate::object::{payload, ObjectApi, ObjectEffect};
-    pub use crate::report::BaseStationLog;
+    pub use crate::object::payload;
     pub use crate::transport::Port;
 }

@@ -147,7 +147,7 @@ impl SensorNetwork {
     fn into_engine(self, seed: u64) -> Engine<SensorNetwork> {
         let telemetry = self.rec.telemetry.clone();
         let mut engine = Engine::new(self, seed);
-        engine.kernel_mut().attach_telemetry(telemetry);
+        engine.kernel_mut().attach_telemetry(&telemetry);
         engine
             .kernel_mut()
             .schedule_at(Timestamp::ZERO, |w, k| w.bootstrap(k));

@@ -134,7 +134,7 @@ impl SensorNetwork {
 
     /// Aggregate health rows for every live leader of `type_id` at `now`,
     /// as `(leader node, rows)` — see
-    /// [`crate::group::GroupMachine::aggregate_health`].
+    /// `crate::group::GroupMachine::aggregate_health`.
     #[must_use]
     pub fn aggregate_health(
         &self,
@@ -249,7 +249,7 @@ impl SensorNetwork {
 
     /// Whether every *live* replica of `type_id` stores an identical entry
     /// set, refresh timestamps included (see
-    /// [`crate::directory::DirectoryStore::digest`]) — the anti-entropy
+    /// `crate::directory::DirectoryStore::digest`) — the anti-entropy
     /// convergence oracle.
     #[must_use]
     pub fn directory_replicas_converged(&self, type_id: ContextTypeId) -> bool {

@@ -473,7 +473,10 @@ impl SensorNetwork {
                 self.run_machine(k, node, hb.label.type_id, |m, ctx| m.on_heartbeat(ctx, hb));
             }
             Message::Report(r) if self.hosts(r.label.type_id) => {
-                self.run_machine(k, node, r.label.type_id, |m, _| m.on_report(r));
+                self.run_machine(k, node, r.label.type_id, |m, _| {
+                    m.on_report(r);
+                    Vec::new()
+                });
             }
             Message::Relinquish(r) if self.hosts(r.label.type_id) => {
                 self.run_machine(k, node, r.label.type_id, |m, ctx| m.on_relinquish(ctx, r));

@@ -29,8 +29,7 @@ pub struct SensingWork {
     /// Of the samples a quiescent node's tick took itself: how many the
     /// coverage answered, how many walked the targets, and how often the
     /// coverage was rebuilt. A tick that enters a group machine samples
-    /// through [`GroupCtx::sample`](crate::group::GroupCtx::sample) and
-    /// shows in none of them.
+    /// through `GroupCtx::sample` and shows in none of them.
     pub coverage: CoverageWork,
 }
 

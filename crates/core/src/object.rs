@@ -84,7 +84,7 @@ pub struct IncomingMessage {
 /// An effect requested by a method body, applied by the middleware after
 /// the body returns.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ObjectEffect {
+pub(crate) enum ObjectEffect {
     /// Send a payload to the base station (the paper's `MySend(pursuer,…)`).
     SendToBase {
         /// The application payload.
@@ -101,8 +101,6 @@ pub enum ObjectEffect {
     },
     /// Replace the persistent state blob (the paper's `setState`).
     SetState(Bytes),
-    /// Clear the persistent state blob.
-    ClearState,
     /// Append a line to the application log (debug/example output).
     Log(String),
 }
@@ -219,11 +217,6 @@ impl<'a> ObjectApi<'a> {
         self.effects.push(ObjectEffect::SetState(state.into()));
     }
 
-    /// Clears the persistent state blob.
-    pub fn clear_state(&mut self) {
-        self.effects.push(ObjectEffect::ClearState);
-    }
-
     /// Appends a line to the application log.
     pub fn log(&mut self, line: impl Into<String>) {
         self.effects.push(ObjectEffect::Log(line.into()));
@@ -231,7 +224,7 @@ impl<'a> ObjectApi<'a> {
 
     /// Consumes the context, yielding the collected effects.
     #[must_use]
-    pub fn into_effects(self) -> Vec<ObjectEffect> {
+    pub(crate) fn into_effects(self) -> Vec<ObjectEffect> {
         self.effects
     }
 }
@@ -265,7 +258,7 @@ pub mod payload {
 
     /// Decodes a position payload.
     #[must_use]
-    pub fn decode_position(bytes: &[u8]) -> Option<Point> {
+    pub(crate) fn decode_position(bytes: &[u8]) -> Option<Point> {
         if bytes.len() != 16 {
             return None;
         }
@@ -401,13 +394,11 @@ mod tests {
             Port(3),
             Bytes::from_static(b"msg"),
         );
-        ctx.clear_state();
         let effects = ctx.into_effects();
-        assert_eq!(effects.len(), 4);
+        assert_eq!(effects.len(), 3);
         assert!(matches!(effects[0], ObjectEffect::SetState(_)));
         assert!(matches!(effects[1], ObjectEffect::Log(_)));
         assert!(matches!(effects[2], ObjectEffect::MtpSend { .. }));
-        assert!(matches!(effects[3], ObjectEffect::ClearState));
     }
 
     #[test]

@@ -29,19 +29,11 @@ use crate::wire::kinds;
 pub mod json {
     use std::fmt::Write as _;
 
-    /// Escapes a string for inclusion in a JSON document (without the
-    /// surrounding quotes).
-    #[must_use]
-    pub fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        escape_into(&mut out, s);
-        out
-    }
-
-    /// Appends `s` to `out`, escaped as [`escape`] escapes it. Everything
-    /// that needs escaping is one ASCII byte, so the stretches between are
-    /// copied whole — all of `s` in one piece when nothing does.
-    pub fn escape_into(out: &mut String, s: &str) {
+    /// Appends `s` to `out`, escaped for inclusion in a JSON document
+    /// (without the surrounding quotes). Everything that needs escaping is
+    /// one ASCII byte, so the stretches between are copied whole — all of
+    /// `s` in one piece when nothing does.
+    pub(crate) fn escape_into(out: &mut String, s: &str) {
         let mut copied = 0;
         for (i, b) in s.bytes().enumerate() {
             let escaped = match b {
@@ -173,7 +165,7 @@ impl BaseStationLog {
     }
 
     /// Appends a received report.
-    pub fn record(&mut self, entry: ReportEntry) {
+    pub(crate) fn record(&mut self, entry: ReportEntry) {
         self.entries.push(entry);
     }
 
@@ -197,7 +189,7 @@ impl BaseStationLog {
 
     /// The distinct labels that ever reported, in first-heard order.
     #[must_use]
-    pub fn labels(&self) -> Vec<ContextLabel> {
+    pub(crate) fn labels(&self) -> Vec<ContextLabel> {
         let mut out = Vec::new();
         for e in &self.entries {
             if !out.contains(&e.label) {
@@ -211,7 +203,7 @@ impl BaseStationLog {
     /// position: `(generation time, reported position)` pairs. Reports with
     /// non-position payloads are skipped.
     #[must_use]
-    pub fn track(&self, label: ContextLabel) -> Vec<(Timestamp, Point)> {
+    pub(crate) fn track(&self, label: ContextLabel) -> Vec<(Timestamp, Point)> {
         self.entries
             .iter()
             .filter(|e| e.label == label)
@@ -310,7 +302,7 @@ impl RunRecord {
     /// Fills the channel fields from whole-run channel statistics: an
     /// inline medium's own, or a sharded run's scheduler and shards
     /// combined.
-    pub fn set_channel(&mut self, net: &NetStats) {
+    pub(crate) fn set_channel(&mut self, net: &NetStats) {
         let mut all = KindStats::default();
         for ks in net.per_kind.values() {
             all.absorb(ks);
@@ -560,11 +552,16 @@ mod tests {
 
     #[test]
     fn json_escaping_covers_quotes_backslashes_and_controls() {
-        assert_eq!(json::escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json::escape("line1\nline2\ttab"), "line1\\nline2\\ttab");
-        assert_eq!(json::escape("\u{1}"), "\\u0001");
+        let escape = |s| {
+            let mut out = String::new();
+            json::escape_into(&mut out, s);
+            out
+        };
+        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(escape("line1\nline2\ttab"), "line1\\nline2\\ttab");
+        assert_eq!(escape("\u{1}"), "\\u0001");
         // Escapes between multi-byte characters, first and last included.
-        assert_eq!(json::escape("\r→é\u{1f}∑\""), "\\r→é\\u001f∑\\\"");
+        assert_eq!(escape("\r→é\u{1f}∑\""), "\\r→é\\u001f∑\\\"");
         let mut line = String::from("so far: ");
         json::escape_into(&mut line, "plain");
         assert_eq!(line, "so far: plain");

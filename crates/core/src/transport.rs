@@ -112,12 +112,6 @@ impl<K: PartialEq + Copy, V> LruTable<K, V> {
         evicted
     }
 
-    /// Removes `key`, returning its value.
-    pub fn remove(&mut self, key: K) -> Option<V> {
-        let idx = self.entries.iter().position(|(k, _)| *k == key)?;
-        Some(self.entries.remove(idx).1)
-    }
-
     /// Number of live entries.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -132,19 +126,14 @@ impl<K: PartialEq + Copy, V> LruTable<K, V> {
 
     /// The configured capacity.
     #[must_use]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Iterates entries from least to most recently used.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.entries.iter().map(|(k, v)| (k, v))
     }
 }
 
 /// An application send queued until the destination label's leader is known.
 #[derive(Debug, Clone)]
-pub struct PendingSend {
+pub(crate) struct PendingSend {
     /// The segment to send once its destination label resolves.
     pub segment: MtpSegment,
     /// The directory query id that will resolve it.
@@ -163,7 +152,7 @@ struct ForwardPointer {
 
 /// One transmitted segment awaiting its end-to-end acknowledgement.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Outstanding {
+pub(crate) struct Outstanding {
     /// The segment as first sent — its `seq` is the node-scoped end-to-end
     /// sequence number — kept for retransmission.
     pub segment: MtpSegment,
@@ -197,7 +186,7 @@ const _: () = assert!(RETX.max_backoff.as_micros() >= RETX.timeout.as_micros());
 
 /// The backoff schedule of end-to-end retransmission.
 #[derive(Debug, Clone, Copy)]
-pub struct RetxPolicy {
+pub(crate) struct RetxPolicy {
     /// Base acknowledgement timeout (doubled per attempt).
     pub timeout: SimDuration,
     /// Hard ceiling on the exponential backoff: the doubling clamps here
@@ -217,7 +206,7 @@ impl RetxPolicy {
     /// can never collapse into a zero-delay busy retransmit loop, and the
     /// exponent saturates instead of wrapping for large attempt counts.
     #[must_use]
-    pub fn backoff(&self, attempts: u32) -> SimDuration {
+    pub(crate) fn backoff(&self, attempts: u32) -> SimDuration {
         let base = self.timeout.as_micros().max(1);
         let cap = self.max_backoff.as_micros().max(1);
         let shift = attempts.saturating_sub(1);
@@ -262,7 +251,7 @@ impl MtpState {
     }
 
     /// Allocates the next end-to-end sequence number.
-    pub fn next_seq(&mut self) -> u32 {
+    pub(crate) fn next_seq(&mut self) -> u32 {
         let s = self.next_seq;
         self.next_seq += 1;
         s
@@ -271,14 +260,14 @@ impl MtpState {
     /// Forgets everything a reboot loses. The sequence counter survives, as
     /// the nonvolatile boot counter real transports keep so a rebooted node
     /// never reuses sequence numbers its peers still hold in dedup windows.
-    pub fn reboot(&mut self) {
+    pub(crate) fn reboot(&mut self) {
         let (capacity, next_seq) = (self.last_known.capacity(), self.next_seq);
         *self = MtpState::new(capacity, self.forward_ttl, self.max_chain_hops);
         self.next_seq = next_seq;
     }
 
     /// Registers a freshly transmitted segment as awaiting its ack.
-    pub fn track_outstanding(&mut self, segment: MtpSegment) {
+    pub(crate) fn track_outstanding(&mut self, segment: MtpSegment) {
         self.outstanding.push(Outstanding {
             segment,
             attempts: 1,
@@ -288,7 +277,7 @@ impl MtpState {
     /// Clears an outstanding segment on ack receipt. Returns how many send
     /// attempts it took, or `None` when the ack matched nothing (a stale
     /// or duplicate ack does not).
-    pub fn acknowledge(&mut self, seq: u32) -> Option<u32> {
+    pub(crate) fn acknowledge(&mut self, seq: u32) -> Option<u32> {
         let idx = self.outstanding.iter().position(|o| o.segment.seq == seq)?;
         Some(self.outstanding.remove(idx).attempts)
     }
@@ -298,7 +287,7 @@ impl MtpState {
     /// `Some(Ok(..))` with the segment to resend, and `Some(Err(..))` with
     /// the abandoned segment when the retry budget is exhausted (it is
     /// dropped from the table).
-    pub fn retransmit(
+    pub(crate) fn retransmit(
         &mut self,
         seq: u32,
         max_attempts: u32,
@@ -314,14 +303,14 @@ impl MtpState {
 
     /// Number of segments awaiting acknowledgement.
     #[must_use]
-    pub fn outstanding_len(&self) -> usize {
+    pub(crate) fn outstanding_len(&self) -> usize {
         self.outstanding.len()
     }
 
     /// Records a delivered `(source node, seq)` pair; returns `false` when
     /// it was already seen (a duplicate that must be re-acked but not
     /// re-delivered to the application).
-    pub fn note_delivered(&mut self, src: NodeId, seq: u32) -> bool {
+    pub(crate) fn note_delivered(&mut self, src: NodeId, seq: u32) -> bool {
         if self.seen_segments.contains(&(src, seq)) {
             return false;
         }
@@ -352,7 +341,7 @@ impl MtpState {
 
     /// Leaves a forwarding pointer: this node used to lead `label`, whose
     /// traffic should now chase `next`.
-    pub fn leave_forward_pointer(&mut self, label: ContextLabel, next: LeaderLoc, now: Timestamp) {
+    pub(crate) fn leave_forward_pointer(&mut self, label: ContextLabel, next: LeaderLoc, now: Timestamp) {
         self.forwarding.retain(|p| p.label != label);
         self.forwarding.push(ForwardPointer {
             label,
@@ -363,7 +352,7 @@ impl MtpState {
 
     /// An unexpired forwarding pointer for `label`, if present.
     #[must_use]
-    pub fn forward_pointer(&self, label: ContextLabel, now: Timestamp) -> Option<LeaderLoc> {
+    pub(crate) fn forward_pointer(&self, label: ContextLabel, now: Timestamp) -> Option<LeaderLoc> {
         self.forwarding
             .iter()
             .find(|p| p.label == label && p.expires > now)
@@ -373,14 +362,14 @@ impl MtpState {
     /// The best-known location of `label`'s leader: a live forwarding
     /// pointer first (this node used to lead the label and knows who took
     /// over), else the last-known-leader table.
-    pub fn route(&mut self, label: ContextLabel, now: Timestamp) -> Option<LeaderLoc> {
+    pub(crate) fn route(&mut self, label: ContextLabel, now: Timestamp) -> Option<LeaderLoc> {
         self.forward_pointer(label, now)
             .or_else(|| self.lookup(label))
     }
 
     /// Drops expired forwarding pointers and stale pending sends; returns
     /// the expired pending sends for error reporting.
-    pub fn sweep(&mut self, now: Timestamp, pending_ttl: SimDuration) -> Vec<PendingSend> {
+    pub(crate) fn sweep(&mut self, now: Timestamp, pending_ttl: SimDuration) -> Vec<PendingSend> {
         self.forwarding.retain(|p| p.expires > now);
         let (keep, expired): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending)
             .into_iter()
@@ -391,12 +380,12 @@ impl MtpState {
 
     /// Parks a send awaiting directory resolution, correlated by the
     /// caller-allocated `query_id` embedded in the directory query.
-    pub fn park(&mut self, send: PendingSend) {
+    pub(crate) fn park(&mut self, send: PendingSend) {
         self.pending.push(send);
     }
 
     /// Takes the sends that were waiting on `query_id` (normally one).
-    pub fn take_pending(&mut self, query_id: u32) -> Vec<PendingSend> {
+    pub(crate) fn take_pending(&mut self, query_id: u32) -> Vec<PendingSend> {
         let (resolved, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending)
             .into_iter()
             .partition(|p| p.query_id == query_id);
@@ -404,9 +393,8 @@ impl MtpState {
         resolved
     }
 
-    /// Number of parked sends.
-    #[must_use]
-    pub fn pending_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_len(&self) -> usize {
         self.pending.len()
     }
 }
@@ -477,18 +465,6 @@ mod tests {
         assert_eq!(t.peek(1), Some(&11));
         // 2 is now LRU.
         assert_eq!(t.insert(3, 30), Some((2, 20)));
-    }
-
-    #[test]
-    fn lru_remove_and_iter() {
-        let mut t: LruTable<u32, u32> = LruTable::new(3);
-        t.insert(1, 10);
-        t.insert(2, 20);
-        assert_eq!(t.remove(1), Some(10));
-        assert_eq!(t.remove(1), None);
-        let keys: Vec<u32> = t.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec![2]);
-        assert_eq!(t.capacity(), 3);
     }
 
     #[test]

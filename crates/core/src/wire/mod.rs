@@ -6,9 +6,9 @@
 //! actually carries, so the one wire format is the compact varint-framed
 //! [`binary`] codec (as on the real motes); Table 1's utilisation figures
 //! depend on it, and a frame's payload is exactly the bytes the radio
-//! charges. The textual [`json`] module is a reference implementation of
-//! the same message set that tests decode against the binary codec; no run
-//! puts it on the air.
+//! charges. A textual JSON rendering of the same message set lives beside
+//! the integration tests (`tests/support/json.rs`) as a reference they decode
+//! against the binary codec; it is not part of the library.
 //!
 //! ```
 //! use envirotrack_core::wire::{Heartbeat, Message};
@@ -31,7 +31,6 @@
 
 pub mod binary;
 pub mod crc;
-pub mod json;
 pub mod session;
 pub mod varint;
 
@@ -60,18 +59,14 @@ pub mod kinds {
     pub const RELINQUISH: FrameKind = MessageType::Relinquish.kind();
     /// Directory registrations, queries, and responses.
     pub const DIRECTORY: FrameKind = MessageType::DirRegister.kind();
-    /// Inter-object transport segments.
-    pub const MTP: FrameKind = MessageType::Mtp.kind();
     /// Geographically forwarded wrappers (multi-hop unicast legs).
     pub const GEO_FORWARD: FrameKind = MessageType::Geo.kind();
     /// Reports to the base station / pursuer.
     pub const BASE_REPORT: FrameKind = MessageType::Base.kind();
     /// Link-layer acknowledgements for reliable unicast hops.
-    pub const LINK_ACK: FrameKind = FrameKind(8);
+    pub(crate) const LINK_ACK: FrameKind = FrameKind(8);
     /// End-to-end MTP acknowledgements (transport-layer reliability).
     pub const MTP_ACK: FrameKind = MessageType::MtpAckMsg.kind();
-    /// Directory anti-entropy digests (replica-set gossip and repair).
-    pub const DIR_SYNC: FrameKind = MessageType::DirSyncMsg.kind();
 }
 
 /// A leader's periodic announcement (paper §5.2).
@@ -299,7 +294,7 @@ macro_rules! message_types {
 
             /// The frame kind the type's frames are counted under.
             #[must_use]
-            pub const fn kind(self) -> FrameKind {
+            pub(crate) const fn kind(self) -> FrameKind {
                 match self {
                     $(Self::$variant => FrameKind($class),)*
                 }
@@ -452,167 +447,6 @@ mod tests {
         out
     }
 
-    /// Round-trips through the canonical binary codec *and* the JSON debug
-    /// codec, checking both decode to the original.
-    fn round_trip(msg: Message) {
-        let bytes = msg.encode();
-        assert_eq!(Message::decode(&bytes).unwrap(), msg);
-        let text = json::encode(&msg);
-        assert_eq!(json::decode(&text).unwrap(), msg);
-    }
-
-    #[test]
-    fn heartbeat_round_trips() {
-        round_trip(Message::Heartbeat(Heartbeat {
-            label: label(1, 2, 3),
-            leader: NodeId(2),
-            leader_pos: Point::new(-1.25, 7.5),
-            weight: 99,
-            hb_seq: 1000,
-            ttl: 2,
-            state: Some(Bytes::from_static(b"persist")),
-        }));
-        round_trip(Message::Heartbeat(Heartbeat {
-            label: label(0, 0, 0),
-            leader: NodeId(0),
-            leader_pos: Point::ORIGIN,
-            weight: 0,
-            hb_seq: 0,
-            ttl: 0,
-            state: None,
-        }));
-    }
-
-    #[test]
-    fn relinquish_round_trips() {
-        round_trip(Message::Relinquish(Relinquish {
-            label: label(1, 5, 7),
-            from: NodeId(5),
-            weight: 31,
-            successor: Some(NodeId(9)),
-            state: None,
-        }));
-        round_trip(Message::Relinquish(Relinquish {
-            label: label(1, 5, 7),
-            from: NodeId(5),
-            weight: 31,
-            successor: None,
-            state: Some(Bytes::from_static(&[1, 2, 3])),
-        }));
-    }
-
-    #[test]
-    fn report_round_trips_with_mixed_values() {
-        round_trip(Message::Report(Report {
-            label: label(2, 8, 1),
-            member: NodeId(8),
-            taken_at: Timestamp::from_millis(123_456),
-            values: vec![
-                (0, ReadingValue::Position(Point::new(3.0, 0.5))),
-                (1, ReadingValue::Scalar(42.5)),
-            ],
-        }));
-    }
-
-    #[test]
-    fn directory_messages_round_trip() {
-        round_trip(Message::DirRegister(DirRegister {
-            label: label(0, 1, 1),
-            location: Point::new(4.0, 4.0),
-        }));
-        round_trip(Message::DirQuery(DirQuery {
-            type_id: ContextTypeId(3),
-            reply_to: NodeId(17),
-            reply_pos: Point::new(0.0, 9.0),
-            query_id: 555,
-        }));
-        round_trip(Message::DirResponse(DirResponse {
-            query_id: 555,
-            entries: vec![
-                (label(3, 4, 1), Point::new(1.0, 1.0)),
-                (label(3, 9, 2), Point::new(5.0, 5.0)),
-            ],
-        }));
-        round_trip(Message::DirResponse(DirResponse {
-            query_id: 1,
-            entries: vec![],
-        }));
-        round_trip(Message::DirSyncMsg(DirSync {
-            type_id: ContextTypeId(3),
-            from: NodeId(17),
-            reply: true,
-            entries: vec![
-                (label(3, 4, 1), Point::new(1.0, 1.0), Timestamp::from_secs(9)),
-                (
-                    label(3, 9, 2),
-                    Point::new(5.0, 5.0),
-                    Timestamp::from_millis(12_500),
-                ),
-            ],
-        }));
-        round_trip(Message::DirSyncMsg(DirSync {
-            type_id: ContextTypeId(0),
-            from: NodeId(0),
-            reply: false,
-            entries: vec![],
-        }));
-    }
-
-    #[test]
-    fn mtp_and_base_round_trip() {
-        round_trip(Message::Mtp(MtpSegment {
-            src_label: label(0, 1, 1),
-            src_port: Port(7),
-            dst_label: label(1, 2, 2),
-            dst_port: Port(9),
-            src_leader: NodeId(1),
-            src_leader_pos: Point::new(2.0, 2.0),
-            chain_hops: 3,
-            seq: 77,
-            payload: Bytes::from_static(b"hello object"),
-        }));
-        round_trip(Message::MtpAckMsg(MtpAck {
-            dst_label: label(1, 2, 2),
-            src_node: NodeId(4),
-            seq: 77,
-            acker: NodeId(2),
-            acker_pos: Point::new(7.0, 7.0),
-        }));
-        round_trip(Message::Base(BaseReport {
-            label: label(0, 1, 1),
-            generated_at: Timestamp::from_secs(30),
-            payload: Bytes::from_static(&[9, 9]),
-        }));
-    }
-
-    #[test]
-    fn geo_forward_nests_any_message() {
-        round_trip(Message::Geo(GeoForward {
-            dest: Point::new(6.5, 2.5),
-            deliver_to: Some(NodeId(12)),
-            inner: Box::new(Message::Base(BaseReport {
-                label: label(0, 3, 4),
-                generated_at: Timestamp::from_secs(1),
-                payload: Bytes::from_static(b"pos"),
-            })),
-        }));
-        // Nested geo-forward (rare but legal).
-        round_trip(Message::Geo(GeoForward {
-            dest: Point::ORIGIN,
-            deliver_to: None,
-            inner: Box::new(Message::Geo(GeoForward {
-                dest: Point::new(1.0, 1.0),
-                deliver_to: None,
-                inner: Box::new(Message::DirQuery(DirQuery {
-                    type_id: ContextTypeId(0),
-                    reply_to: NodeId(0),
-                    reply_pos: Point::ORIGIN,
-                    query_id: 0,
-                })),
-            })),
-        }));
-    }
-
     #[test]
     fn truncation_is_detected_not_panicked() {
         let bytes = Message::Heartbeat(Heartbeat {
@@ -742,9 +576,6 @@ mod tests {
         let binary = hb.encode().len();
         // 18 bytes of varint frame plus the 4-byte CRC trailer.
         assert!(binary <= 22, "heartbeat is {binary} bytes");
-        // …and the JSON debug rendering of the same message is ≥ 2× it.
-        let json = json::encode(&hb).len();
-        assert!(json >= binary * 2, "json {json} vs binary {binary}");
     }
 
     #[test]

@@ -26,7 +26,7 @@ use bytes::BufMut;
 use super::DecodeError;
 
 /// Longest legal uvarint: ten bytes carry 70 bits, enough for any `u64`.
-pub const MAX_UVARINT_BYTES: usize = 10;
+pub(crate) const MAX_UVARINT_BYTES: usize = 10;
 
 /// Appends `v` as a minimal-length LEB128 varint.
 pub fn put_uvarint<B: BufMut>(buf: &mut B, mut v: u64) {
@@ -96,7 +96,7 @@ pub fn unzigzag(v: u64) -> i64 {
 
 /// Appends an `f64` as the varint of its byte-swapped IEEE-754 bits —
 /// lossless for every bit pattern (infinities, NaN payloads, `-0.0`).
-pub fn put_f64<B: BufMut>(buf: &mut B, v: f64) {
+pub(crate) fn put_f64<B: BufMut>(buf: &mut B, v: f64) {
     put_uvarint(buf, v.to_bits().swap_bytes());
 }
 
@@ -105,7 +105,7 @@ pub fn put_f64<B: BufMut>(buf: &mut B, v: f64) {
 /// # Errors
 ///
 /// Propagates the [`get_uvarint`] errors.
-pub fn get_f64(buf: &mut &[u8]) -> Result<f64, DecodeError> {
+pub(crate) fn get_f64(buf: &mut &[u8]) -> Result<f64, DecodeError> {
     Ok(f64::from_bits(get_uvarint(buf)?.swap_bytes()))
 }
 

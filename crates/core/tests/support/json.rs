@@ -2,10 +2,11 @@
 //! written independently of the binary codec so tests can decode the same
 //! value through both and compare.
 //!
-//! This is *not* what goes on the air, and no non-test code calls it: the
-//! `wire_props`, `wire_goldens` and `wire_adversarial` suites drive
-//! [`encode`] and [`decode`] directly, pinning that both decoders read
-//! every message the same way and reject the same damage.
+//! This is *not* what goes on the air, and it is not part of the library:
+//! the `wire_props`, `wire_goldens` and `wire_adversarial` suites each
+//! include this file as a module and drive [`encode`] and [`decode`]
+//! directly, pinning that both decoders read every message the same way and
+//! reject the same damage. It sees the crate as any other user does.
 //!
 //! Encoding rules, chosen for exactness rather than interchange:
 //!
@@ -27,14 +28,15 @@ use envirotrack_sim::time::Timestamp;
 use envirotrack_world::field::NodeId;
 use envirotrack_world::geometry::Point;
 
-use super::{
+use envirotrack_core::aggregate::ReadingValue;
+use envirotrack_core::context::{ContextLabel, ContextTypeId};
+use envirotrack_core::report::json::hex;
+use envirotrack_core::transport::Port;
+use envirotrack_core::wire::crc::crc32;
+use envirotrack_core::wire::{
     BaseReport, DecodeError, DirQuery, DirRegister, DirResponse, DirSync, GeoForward, Heartbeat,
     Message, MessageType, MtpAck, MtpSegment, Relinquish, Report,
 };
-use crate::aggregate::ReadingValue;
-use crate::context::{ContextLabel, ContextTypeId};
-use crate::report::json::hex;
-use crate::transport::Port;
 
 /// Parser nesting limit: messages nest at most a few levels (geo wrappers,
 /// value arrays); anything deeper is adversarial.
@@ -46,14 +48,14 @@ fn err(what: &'static str) -> DecodeError {
 
 /// Serialises `msg` as one compact JSON object followed by the CRC-32
 /// trailer in its textual form: `#` + 8 lowercase hex digits of the
-/// checksum of everything before the `#` (see [`super::crc`]). The result
+/// checksum of everything before the `#` (see `wire::crc`). The result
 /// stays a single printable UTF-8 line.
 #[must_use]
 pub fn encode(msg: &Message) -> Bytes {
     use std::fmt::Write;
     let mut out = String::with_capacity(104);
     write_message(msg, &mut out);
-    let sum = super::crc::crc32(out.as_bytes());
+    let sum = crc32(out.as_bytes());
     // Writing to a String cannot fail.
     let _ = write!(out, "#{sum:08x}");
     Bytes::copy_from_slice(out.as_bytes())
@@ -76,7 +78,7 @@ fn split_verified(bytes: &[u8]) -> Result<&[u8], DecodeError> {
         return Err(err("crc trailer is not lowercase hex"));
     }
     let stored = u32::from_str_radix(hex, 16).map_err(|_| err("crc trailer is not hex"))?;
-    let computed = super::crc::crc32(body);
+    let computed = crc32(body);
     if stored != computed {
         return Err(DecodeError::CrcMismatch { stored, computed });
     }
@@ -475,7 +477,11 @@ fn message_from(value: &Value) -> Result<Message, DecodeError> {
         return Err(err("message must be an object"));
     };
     let tag = get_u64(fields, "t")?;
-    Ok(match MessageType::from_wire(tag)? {
+    let message_type = u8::try_from(tag)
+        .ok()
+        .and_then(MessageType::from_u8)
+        .ok_or(DecodeError::UnknownTag { tag })?;
+    Ok(match message_type {
         MessageType::Heartbeat => Message::Heartbeat(Heartbeat {
             label: get_label(fields, "label")?,
             leader: NodeId(get_u32(fields, "leader")?),

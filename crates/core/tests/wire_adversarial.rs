@@ -10,12 +10,15 @@
 //! against both codecs. Accepted binary inputs must additionally satisfy
 //! the canonicality property: re-encoding reproduces the input bytes.
 
+#[path = "support/json.rs"]
+mod json;
+
 use bytes::Bytes;
 use envirotrack_core::aggregate::ReadingValue;
 use envirotrack_core::context::{ContextLabel, ContextTypeId};
 use envirotrack_core::transport::Port;
 use envirotrack_core::wire::{
-    crc, json, BaseReport, DecodeError, DirQuery, DirRegister, DirResponse, DirSync, GeoForward,
+    crc, BaseReport, DecodeError, DirQuery, DirRegister, DirResponse, DirSync, GeoForward,
     Heartbeat, Message, MtpAck, MtpSegment, Relinquish, Report,
 };
 use envirotrack_sim::rng::SimRng;

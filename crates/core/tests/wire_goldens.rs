@@ -14,6 +14,9 @@
 //!
 //! and review the fixture diff like any other code change.
 
+#[path = "support/json.rs"]
+mod json;
+
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -22,7 +25,7 @@ use envirotrack_core::aggregate::ReadingValue;
 use envirotrack_core::context::{ContextLabel, ContextTypeId};
 use envirotrack_core::transport::Port;
 use envirotrack_core::wire::{
-    crc, json, BaseReport, DecodeError, DirQuery, DirRegister, DirResponse, DirSync, GeoForward,
+    crc, BaseReport, DecodeError, DirQuery, DirRegister, DirResponse, DirSync, GeoForward,
     Heartbeat, Message, MtpAck, MtpSegment, Relinquish, Report,
 };
 use envirotrack_sim::time::Timestamp;
@@ -276,4 +279,17 @@ fn binary_fixture_beats_json_by_at_least_2x_overall() {
         json_total >= bin_total * 2,
         "json {json_total} vs binary {bin_total}"
     );
+    // And message by message for the one the radio carries most: a
+    // stateless heartbeat is 18 bytes of varint frame plus the CRC trailer.
+    let hb = Message::Heartbeat(Heartbeat {
+        label: label(1, 2, 3),
+        leader: NodeId(2),
+        leader_pos: Point::new(1.0, 2.0),
+        weight: 17,
+        hb_seq: 42,
+        ttl: 1,
+        state: None,
+    });
+    let (binary, json) = (hb.encode().len(), json::encode(&hb).len());
+    assert!(json >= binary * 2, "json {json} vs binary {binary}");
 }

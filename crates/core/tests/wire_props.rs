@@ -7,6 +7,9 @@
 //! telemetry trace events must also survive the JSON-lines encoder
 //! byte-identically whatever strings they carry.
 
+#[path = "support/json.rs"]
+mod json;
+
 use bytes::Bytes;
 use envirotrack_core::aggregate::ReadingValue;
 use envirotrack_core::context::{ContextLabel, ContextTypeId};
@@ -17,7 +20,7 @@ use envirotrack_core::wire::session::{
     TrackEvent,
 };
 use envirotrack_core::wire::{
-    json, varint, BaseReport, DecodeError, DirQuery, DirRegister, DirResponse, GeoForward,
+    varint, BaseReport, DecodeError, DirQuery, DirRegister, DirResponse, DirSync, GeoForward,
     Heartbeat, Message, MtpAck, MtpSegment, Relinquish, Report,
 };
 use envirotrack_sim::time::Timestamp;
@@ -383,9 +386,150 @@ prop_test! {
     }
 }
 
-/// A pinned, non-random spot check: every `u32` field at exactly
-/// `u32::MAX` at once, in the deepest message shape (an MTP segment with
-/// its ack, geo-wrapped).
+/// The hand-written messages of the pinned check below: each option in
+/// both states, empty and populated lists, mixed reading values and nested
+/// geo-forwards, one shape per line of the message grammar.
+fn hand_written() -> Vec<Message> {
+    let label = |t, n, s| ContextLabel {
+        type_id: ContextTypeId(t),
+        creator: NodeId(n),
+        seq: s,
+    };
+    vec![
+        Message::Heartbeat(Heartbeat {
+            label: label(1, 2, 3),
+            leader: NodeId(2),
+            leader_pos: Point::new(-1.25, 7.5),
+            weight: 99,
+            hb_seq: 1000,
+            ttl: 2,
+            state: Some(Bytes::from_static(b"persist")),
+        }),
+        Message::Heartbeat(Heartbeat {
+            label: label(0, 0, 0),
+            leader: NodeId(0),
+            leader_pos: Point::ORIGIN,
+            weight: 0,
+            hb_seq: 0,
+            ttl: 0,
+            state: None,
+        }),
+        Message::Relinquish(Relinquish {
+            label: label(1, 5, 7),
+            from: NodeId(5),
+            weight: 31,
+            successor: Some(NodeId(9)),
+            state: None,
+        }),
+        Message::Relinquish(Relinquish {
+            label: label(1, 5, 7),
+            from: NodeId(5),
+            weight: 31,
+            successor: None,
+            state: Some(Bytes::from_static(&[1, 2, 3])),
+        }),
+        Message::Report(Report {
+            label: label(2, 8, 1),
+            member: NodeId(8),
+            taken_at: Timestamp::from_millis(123_456),
+            values: vec![
+                (0, ReadingValue::Position(Point::new(3.0, 0.5))),
+                (1, ReadingValue::Scalar(42.5)),
+            ],
+        }),
+        Message::DirRegister(DirRegister {
+            label: label(0, 1, 1),
+            location: Point::new(4.0, 4.0),
+        }),
+        Message::DirQuery(DirQuery {
+            type_id: ContextTypeId(3),
+            reply_to: NodeId(17),
+            reply_pos: Point::new(0.0, 9.0),
+            query_id: 555,
+        }),
+        Message::DirResponse(DirResponse {
+            query_id: 555,
+            entries: vec![
+                (label(3, 4, 1), Point::new(1.0, 1.0)),
+                (label(3, 9, 2), Point::new(5.0, 5.0)),
+            ],
+        }),
+        Message::DirResponse(DirResponse {
+            query_id: 1,
+            entries: vec![],
+        }),
+        Message::DirSyncMsg(DirSync {
+            type_id: ContextTypeId(3),
+            from: NodeId(17),
+            reply: true,
+            entries: vec![
+                (label(3, 4, 1), Point::new(1.0, 1.0), Timestamp::from_secs(9)),
+                (
+                    label(3, 9, 2),
+                    Point::new(5.0, 5.0),
+                    Timestamp::from_millis(12_500),
+                ),
+            ],
+        }),
+        Message::DirSyncMsg(DirSync {
+            type_id: ContextTypeId(0),
+            from: NodeId(0),
+            reply: false,
+            entries: vec![],
+        }),
+        Message::Mtp(MtpSegment {
+            src_label: label(0, 1, 1),
+            src_port: Port(7),
+            dst_label: label(1, 2, 2),
+            dst_port: Port(9),
+            src_leader: NodeId(1),
+            src_leader_pos: Point::new(2.0, 2.0),
+            chain_hops: 3,
+            seq: 77,
+            payload: Bytes::from_static(b"hello object"),
+        }),
+        Message::MtpAckMsg(MtpAck {
+            dst_label: label(1, 2, 2),
+            src_node: NodeId(4),
+            seq: 77,
+            acker: NodeId(2),
+            acker_pos: Point::new(7.0, 7.0),
+        }),
+        Message::Base(BaseReport {
+            label: label(0, 1, 1),
+            generated_at: Timestamp::from_secs(30),
+            payload: Bytes::from_static(&[9, 9]),
+        }),
+        Message::Geo(GeoForward {
+            dest: Point::new(6.5, 2.5),
+            deliver_to: Some(NodeId(12)),
+            inner: Box::new(Message::Base(BaseReport {
+                label: label(0, 3, 4),
+                generated_at: Timestamp::from_secs(1),
+                payload: Bytes::from_static(b"pos"),
+            })),
+        }),
+        // Nested geo-forward (rare but legal).
+        Message::Geo(GeoForward {
+            dest: Point::ORIGIN,
+            deliver_to: None,
+            inner: Box::new(Message::Geo(GeoForward {
+                dest: Point::new(1.0, 1.0),
+                deliver_to: None,
+                inner: Box::new(Message::DirQuery(DirQuery {
+                    type_id: ContextTypeId(0),
+                    reply_to: NodeId(0),
+                    reply_pos: Point::ORIGIN,
+                    query_id: 0,
+                })),
+            })),
+        }),
+    ]
+}
+
+/// A pinned, non-random spot check of both codecs: every `u32` field at
+/// exactly `u32::MAX` at once, in the deepest message shape (an MTP segment
+/// with its ack, geo-wrapped), then the [`hand_written`] messages.
 #[test]
 fn u32_max_everywhere_round_trips() {
     let max_label = ContextLabel {
@@ -411,17 +555,19 @@ fn u32_max_everywhere_round_trips() {
         acker: NodeId(u32::MAX),
         acker_pos: Point::new(-0.0, f64::EPSILON),
     });
-    for inner in [seg, ack] {
-        let wrapped = Message::Geo(GeoForward {
+    let at_the_edge = [seg, ack].map(|inner| {
+        Message::Geo(GeoForward {
             dest: Point::new(f64::MAX, f64::MAX),
             deliver_to: Some(NodeId(u32::MAX)),
             inner: Box::new(inner),
-        });
-        let bytes = wrapped.encode();
-        assert_eq!(Message::decode(&bytes).unwrap(), wrapped);
+        })
+    });
+    for msg in at_the_edge.into_iter().chain(hand_written()) {
+        let bytes = msg.encode();
+        assert_eq!(Message::decode(&bytes).unwrap(), msg);
         // The JSON cross-check agrees even at every edge simultaneously.
-        let text = json::encode(&wrapped);
-        assert_eq!(json::decode(&text).unwrap(), wrapped);
+        let text = json::encode(&msg);
+        assert_eq!(json::decode(&text).unwrap(), msg);
     }
 }
 

@@ -2,8 +2,9 @@
 //!
 //! The paper: "EnviroTrack contains a library of such functions for the
 //! programmer to choose from. New user-defined functions can be easily
-//! added by application developers." [`Builtins::standard`] is that
-//! library; [`Builtins::register`] is the extension point.
+//! added by application developers." `Builtins::standard` is that
+//! library, and what [`crate::compile_source`] compiles against;
+//! `Builtins::register` is where a new function goes.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -16,7 +17,7 @@ type Factory = Arc<dyn Fn(&[f64]) -> Result<SensePredicate, String> + Send + Syn
 
 /// A registry of named sensing functions usable in `activation:` clauses.
 #[derive(Clone)]
-pub struct Builtins {
+pub(crate) struct Builtins {
     entries: BTreeMap<String, Factory>,
 }
 
@@ -42,7 +43,7 @@ fn expect_args(name: &str, args: &[f64], n: usize) -> Result<(), String> {
 impl Builtins {
     /// An empty registry.
     #[must_use]
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Builtins {
             entries: BTreeMap::new(),
         }
@@ -56,7 +57,7 @@ impl Builtins {
     ///   `acoustic_detected()` — analogous threshold detectors;
     /// * `<channel>_above(x)` / `<channel>_below(x)` for every channel.
     #[must_use]
-    pub fn standard() -> Self {
+    pub(crate) fn standard() -> Self {
         let mut b = Builtins::empty();
         b.register("magnetic_sensor_reading", |args| {
             expect_args("magnetic_sensor_reading", args, 0)?;
@@ -91,7 +92,7 @@ impl Builtins {
     }
 
     /// Registers (or replaces) a named sensing function.
-    pub fn register(
+    pub(crate) fn register(
         &mut self,
         name: impl Into<String>,
         factory: impl Fn(&[f64]) -> Result<SensePredicate, String> + Send + Sync + 'static,
@@ -104,7 +105,7 @@ impl Builtins {
     /// # Errors
     ///
     /// Returns a message when the name is unknown or the arity is wrong.
-    pub fn instantiate(&self, name: &str, args: &[f64]) -> Result<SensePredicate, String> {
+    pub(crate) fn instantiate(&self, name: &str, args: &[f64]) -> Result<SensePredicate, String> {
         match self.entries.get(name) {
             Some(f) => f(args),
             None => Err(format!(
@@ -116,7 +117,7 @@ impl Builtins {
 
     /// The registered names, sorted.
     #[must_use]
-    pub fn names(&self) -> Vec<String> {
+    pub(crate) fn names(&self) -> Vec<String> {
         self.entries.keys().cloned().collect()
     }
 }

@@ -109,7 +109,7 @@ pub fn compile_source(src: &str) -> Result<Program, CompileError> {
 
 /// Like [`compile_source`], with a caller-supplied sensing-function
 /// library (the paper's "user-defined functions can be easily added").
-pub fn compile_source_with(src: &str, builtins: &Builtins) -> Result<Program, CompileError> {
+pub(crate) fn compile_source_with(src: &str, builtins: &Builtins) -> Result<Program, CompileError> {
     let ast = parse(src)?;
     compile_ast(&ast, builtins)
 }
@@ -119,7 +119,7 @@ pub fn compile_source_with(src: &str, builtins: &Builtins) -> Result<Program, Co
 /// # Errors
 ///
 /// See [`compile_source`].
-pub fn compile_ast(ast: &ProgramDecl, builtins: &Builtins) -> Result<Program, CompileError> {
+pub(crate) fn compile_ast(ast: &ProgramDecl, builtins: &Builtins) -> Result<Program, CompileError> {
     let mut builder = Program::builder();
     for ctx in &ast.contexts {
         let compiled = compile_context(ctx, builtins)?;

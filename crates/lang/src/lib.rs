@@ -38,6 +38,4 @@ pub mod parser;
 pub mod pretty;
 pub mod token;
 
-pub use builtins::Builtins;
-pub use compile::{compile_source, compile_source_with, CompileError};
-pub use parser::{parse, ParseError};
+pub use compile::compile_source;

@@ -141,7 +141,7 @@ fn expr(e: &Expr) -> String {
 /// Renders a boolean sensing expression (fully parenthesised, so
 /// precedence survives the round trip).
 #[must_use]
-pub fn bool_expr(e: &BoolExpr) -> String {
+pub(crate) fn bool_expr(e: &BoolExpr) -> String {
     match e {
         BoolExpr::Call { name, args } => {
             let args: Vec<String> = args

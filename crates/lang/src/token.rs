@@ -21,7 +21,7 @@ use std::fmt;
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub(crate) enum Tok {
     /// An identifier or keyword (`begin`, `context`, `avg`, `tracker`, …).
     Ident(String),
     /// An integer literal.
@@ -90,7 +90,7 @@ impl fmt::Display for Tok {
 
 /// A token plus its source position (1-based).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+pub(crate) struct Spanned {
     /// The token.
     pub tok: Tok,
     /// 1-based source line.
@@ -101,7 +101,7 @@ pub struct Spanned {
 
 /// Error produced on malformed input.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LexError {
+pub(crate) struct LexError {
     /// What went wrong.
     pub message: String,
     /// 1-based source line.
@@ -128,7 +128,7 @@ impl std::error::Error for LexError {}
 ///
 /// Returns [`LexError`] on unknown characters, malformed numbers, or
 /// unterminated strings.
-pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
     let mut out = Vec::new();
     let bytes: Vec<char> = src.chars().collect();
     let mut i = 0;

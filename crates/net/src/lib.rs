@@ -32,13 +32,3 @@
 pub mod medium;
 pub mod packet;
 pub mod routing;
-
-/// The most commonly used items, for glob import.
-pub mod prelude {
-    pub use crate::medium::{
-        ChannelSaturatedError, ChannelScheduler, DeliveryOutcome, DeliveryReport, KindStats,
-        Medium, NetStats, RadioConfig, ResolvedTx, Transmission, TxId, TxKey,
-    };
-    pub use crate::packet::{Frame, FrameKind, LinkDest};
-    pub use crate::routing::{GeoRouter, RoutingVoidError};
-}

@@ -158,7 +158,7 @@ impl RadioConfig {
     /// On-air time of the smallest possible frame (empty payload): a lower
     /// bound on how long *any* transmission spends on the channel.
     #[must_use]
-    pub fn min_tx_airtime(&self) -> SimDuration {
+    pub(crate) fn min_tx_airtime(&self) -> SimDuration {
         let min_bits = ((Frame::PREAMBLE_BYTES + Frame::HEADER_BYTES) * 8) as u64;
         SimDuration::from_micros((min_bits * 1_000_000 / BANDWIDTH_BPS).max(1))
     }
@@ -166,8 +166,8 @@ impl RadioConfig {
     /// The conservative cross-shard synchronisation window: no frame
     /// requested at time `t` can be processed by a receiver before
     /// `t + epoch_latency()`, because even the smallest frame spends
-    /// [`min_tx_airtime`](Self::min_tx_airtime) on the channel and then
-    /// [`PROC_DELAY`] in the receive path. Sharded runs
+    /// `min_tx_airtime` on the channel and then [`PROC_DELAY`] in the
+    /// receive path. Sharded runs
     /// use this as both the epoch length and the uniform pipeline latency
     /// applied to every transmit request (see `envirotrack-core`'s shard
     /// module).
@@ -215,7 +215,7 @@ impl GilbertElliott {
     /// # Panics
     ///
     /// Panics when any probability is outside `[0, 1]`.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         for (name, p) in [
             ("p_good_to_bad", self.p_good_to_bad),
             ("p_bad_to_good", self.p_bad_to_good),
@@ -274,7 +274,7 @@ impl LinkFaults {
     /// # Panics
     ///
     /// Panics when any probability is outside `[0, 1]`.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         for (name, p) in [
             ("flip_per_byte", self.flip_per_byte),
             ("truncate", self.truncate),
@@ -348,16 +348,6 @@ pub struct DeliveryReport {
     /// The link duplicated this frame: the receiver stack must process the
     /// outcome set a second time (dedup layers are what's under test).
     pub duplicated: bool,
-}
-
-impl DeliveryReport {
-    /// Receivers that got the frame intact.
-    pub fn delivered(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.outcomes
-            .iter()
-            .filter(|(_, o)| *o == DeliveryOutcome::Delivered)
-            .map(|(n, _)| *n)
-    }
 }
 
 /// Per-frame-kind delivery statistics.
@@ -614,7 +604,7 @@ pub type TxKey = (u32, u64);
 /// so any set of executors can replay the receiver side identically.
 #[derive(Debug, Clone)]
 pub struct ResolvedTx {
-    /// Per-source intent sequence (second half of [`ResolvedTx::key`]).
+    /// Per-source intent sequence (second half of `ResolvedTx::key`).
     pub seq: u64,
     /// The frame as it left the transmit side — payload possibly garbled
     /// by the link-fault injector (every executor shares the same garbled
@@ -638,7 +628,7 @@ pub struct ResolvedTx {
 impl ResolvedTx {
     /// The transmission's global identity.
     #[must_use]
-    pub fn key(&self) -> TxKey {
+    pub(crate) fn key(&self) -> TxKey {
         (self.frame.src.0, self.seq)
     }
 }
@@ -1389,12 +1379,6 @@ impl ChannelScheduler {
         done
     }
 
-    /// Transmissions still awaiting their loss verdict.
-    #[must_use]
-    pub fn pending_lost(&self) -> usize {
-        self.pending.len()
-    }
-
     /// The transmit-side statistics accumulated so far.
     #[must_use]
     pub fn stats(&self) -> &NetStats {
@@ -1436,6 +1420,15 @@ mod tests {
 
     fn frame(src: u32) -> Frame {
         Frame::broadcast(NodeId(src), FrameKind(1), Bytes::from_static(&[0u8; 20]))
+    }
+
+    /// Receivers that got the frame intact.
+    fn intact(report: &DeliveryReport) -> impl Iterator<Item = NodeId> + '_ {
+        report
+            .outcomes
+            .iter()
+            .filter(|(_, o)| *o == DeliveryOutcome::Delivered)
+            .map(|(n, _)| *n)
     }
 
     /// `audible(a, b)` for every ordered pair of `field`, `a == b` included,
@@ -1551,7 +1544,7 @@ mod tests {
         let tx = m.transmit(Timestamp::ZERO, frame(1)).unwrap();
         assert!(tx.completes_at > Timestamp::ZERO);
         let report = m.deliveries(tx.id);
-        let delivered: Vec<NodeId> = report.delivered().collect();
+        let delivered: Vec<NodeId> = intact(&report).collect();
         assert_eq!(delivered, vec![NodeId(0), NodeId(2)]);
         let ks = m.stats().kind(FrameKind(1));
         assert_eq!(ks.tx, 1);
@@ -1688,12 +1681,12 @@ mod tests {
         assert!(t2.completes_at > t0.completes_at);
         let r0 = m.deliveries(t0.id);
         assert_eq!(
-            r0.delivered().count(),
+            intact(&r0).count(),
             2,
             "deferral must avoid the collision"
         );
         let r2 = m.deliveries(t2.id);
-        assert_eq!(r2.delivered().count(), 2);
+        assert_eq!(intact(&r2).count(), 2);
     }
 
     #[test]
@@ -1739,7 +1732,7 @@ mod tests {
             let tx = m.transmit(now, frame(0)).unwrap();
             now = tx.completes_at + SimDuration::from_millis(1);
             let r = m.deliveries(tx.id);
-            delivered += r.delivered().count() as u32;
+            delivered += intact(&r).count() as u32;
         }
         let rate = 1.0 - f64::from(delivered) / f64::from(trials);
         assert!((rate - 0.2).abs() < 0.04, "fade rate {rate}");
@@ -1777,7 +1770,7 @@ mod tests {
         assert!(!m.links.partitioned(NodeId(0), NodeId(1)));
         let tx = m.transmit(Timestamp::ZERO, frame(1)).unwrap();
         let r = m.deliveries(tx.id);
-        let delivered: Vec<NodeId> = r.delivered().collect();
+        let delivered: Vec<NodeId> = intact(&r).collect();
         assert_eq!(delivered, vec![NodeId(0)]);
         assert!(r
             .outcomes
@@ -1792,7 +1785,7 @@ mod tests {
         let tx = m
             .transmit(Timestamp::from_secs(1), frame(1))
             .unwrap();
-        assert_eq!(m.deliveries(tx.id).delivered().count(), 3);
+        assert_eq!(intact(&m.deliveries(tx.id)).count(), 3);
     }
 
     #[test]
@@ -1818,7 +1811,7 @@ mod tests {
         for _ in 0..trials {
             let tx = m.transmit(now, frame(0)).unwrap();
             now = tx.completes_at + SimDuration::from_millis(1);
-            let delivered = m.deliveries(tx.id).delivered().count() == 1;
+            let delivered = intact(&m.deliveries(tx.id)).count() == 1;
             if delivered {
                 if run > 0 {
                     lost_runs.push(run);
@@ -1904,7 +1897,7 @@ mod tests {
                 .is_some_and(|tx: &Transmission| tx.completes_at <= now)
             {
                 let report = m.deliveries(pending.pop_front().unwrap().id);
-                assert_eq!(report.delivered().count(), 2);
+                assert_eq!(intact(&report).count(), 2);
                 m.recycle(report);
                 calls += 1;
             }
@@ -1977,12 +1970,12 @@ mod tests {
         let mut sched = ChannelScheduler::new(&d, lossless(5.0), &SimRng::seed_from(1));
         let _a = sched.resolve(Timestamp::ZERO, 0, frame(0)).unwrap();
         let b = sched.resolve(Timestamp::from_secs(1), 1, frame(1)).unwrap();
-        assert_eq!(sched.pending_lost(), 2);
+        assert_eq!(sched.pending.len(), 2);
         let mut delivered = HashSet::new();
         delivered.insert(b.key());
         let done = sched.finalize_lost(Timestamp::from_secs(2), &delivered);
         assert_eq!(done.len(), 2);
-        assert_eq!(sched.pending_lost(), 0);
+        assert_eq!(sched.pending.len(), 0);
         let ks = sched.stats().kind(FrameKind(1));
         assert_eq!(ks.tx_lost, 1, "only the undelivered transmission is lost");
     }

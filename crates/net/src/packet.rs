@@ -54,7 +54,7 @@ impl std::fmt::Display for FrameKind {
 /// injectors garbled is ever *accepted* by a receiver. This is simulator
 /// bookkeeping, not protocol state — nothing on the modelled air carries it.
 #[must_use]
-pub fn fnv64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325_u64;
     for &b in bytes {
         h ^= u64::from(b);
@@ -82,7 +82,7 @@ pub struct Frame {
     /// fault injector truncates the payload in flight — the sender keyed
     /// the whole frame, so airtime stays charged from this field.
     pub wire_len: u16,
-    /// Shadow hash of the payload *as the sender built it* ([`fnv64`]).
+    /// Shadow hash of the payload *as the sender built it* (`fnv64`).
     /// The chaos medium's corruption injectors mutate `payload` but never
     /// this field, so a receiver-side audit can tell "decoded fine" from
     /// "decoded fine but the bytes were garbled" — the accepted-corrupt
@@ -96,7 +96,7 @@ impl Frame {
     pub const HEADER_BYTES: usize = 7;
 
     /// Physical-layer preamble + start symbol, charged per transmission.
-    pub const PREAMBLE_BYTES: usize = 18;
+    pub(crate) const PREAMBLE_BYTES: usize = 18;
 
     /// Creates a broadcast frame, charged its payload's length on air.
     #[must_use]

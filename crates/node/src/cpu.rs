@@ -47,8 +47,6 @@ pub mod costs {
     pub const TX_PREPARE: SimDuration = SimDuration::from_micros(10_000);
     /// A protocol timer handler (heartbeat generation, timeout logic).
     pub const TIMER_HANDLE: SimDuration = SimDuration::from_micros(30_000);
-    /// Recomputing an aggregate over the reading window.
-    pub const AGGREGATE: SimDuration = SimDuration::from_micros(3_000);
     /// One outer-loop iteration: ADC reads of the local sensors plus the
     /// scan over the context table (the paper's generic timer handler).
     pub const SENSE: SimDuration = SimDuration::from_micros(15_000);
@@ -145,27 +143,10 @@ impl MoteCpu {
         self.busy_until
     }
 
-    /// Current backlog relative to `now`.
-    #[must_use]
-    pub fn backlog(&self, now: Timestamp) -> SimDuration {
-        self.busy_until.saturating_since(now)
-    }
-
     /// Cumulative statistics.
     #[must_use]
     pub fn stats(&self) -> CpuStats {
         self.stats
-    }
-
-    /// Utilisation over an interval of length `elapsed`: busy time divided
-    /// by wall time, in `[0, 1]` for any real run.
-    #[must_use]
-    pub fn utilization(&self, elapsed: SimDuration) -> f64 {
-        if elapsed.is_zero() {
-            0.0
-        } else {
-            self.stats.busy / elapsed
-        }
     }
 }
 
@@ -202,11 +183,12 @@ mod tests {
         let mut cpu = MoteCpu::new(costs::MAX_BACKLOG);
         cpu.admit(Timestamp::ZERO, SimDuration::from_millis(10))
             .unwrap();
+        let backlog = |now| cpu.busy_until().saturating_since(now);
         assert_eq!(
-            cpu.backlog(Timestamp::from_millis(4)),
+            backlog(Timestamp::from_millis(4)),
             SimDuration::from_millis(6)
         );
-        assert_eq!(cpu.backlog(Timestamp::from_millis(20)), SimDuration::ZERO);
+        assert_eq!(backlog(Timestamp::from_millis(20)), SimDuration::ZERO);
         // After draining, a new task starts fresh.
         let c = cpu
             .admit(Timestamp::from_millis(20), SimDuration::from_millis(5))
@@ -227,18 +209,5 @@ mod tests {
         assert_eq!(cpu.stats().admitted, 1);
         // The dropped task must not have consumed CPU time.
         assert_eq!(cpu.busy_until(), Timestamp::from_millis(8));
-    }
-
-    #[test]
-    fn utilization_is_busy_over_elapsed() {
-        let mut cpu = MoteCpu::new(costs::MAX_BACKLOG);
-        cpu.admit(Timestamp::ZERO, SimDuration::from_millis(25))
-            .unwrap();
-        let u = cpu.utilization(SimDuration::from_millis(100));
-        assert!((u - 0.25).abs() < 1e-12);
-        assert_eq!(
-            MoteCpu::new(costs::MAX_BACKLOG).utilization(SimDuration::ZERO),
-            0.0
-        );
     }
 }

@@ -27,13 +27,13 @@
 use envirotrack_sim::time::SimDuration;
 
 /// Supply voltage of a 2×AA mote, in volts.
-pub const SUPPLY_VOLTS: f64 = 3.0;
+pub(crate) const SUPPLY_VOLTS: f64 = 3.0;
 /// Radio transmit draw, in milliamps (MICA at full power).
-pub const TX_MILLIAMPS: f64 = 12.0;
+pub(crate) const TX_MILLIAMPS: f64 = 12.0;
 /// Radio receive/decode draw, in milliamps.
-pub const RX_MILLIAMPS: f64 = 4.5;
+pub(crate) const RX_MILLIAMPS: f64 = 4.5;
 /// CPU active draw, in milliamps.
-pub const CPU_MILLIAMPS: f64 = 5.0;
+pub(crate) const CPU_MILLIAMPS: f64 = 5.0;
 
 /// A per-node marginal-energy meter. See the [module docs](self).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

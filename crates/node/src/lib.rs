@@ -23,10 +23,3 @@
 pub mod cpu;
 pub mod energy;
 pub mod timer;
-
-/// The most commonly used items, for glob import.
-pub mod prelude {
-    pub use crate::cpu::{costs, Admission, CpuOverloadError, CpuStats, MoteCpu};
-    pub use crate::energy::EnergyMeter;
-    pub use crate::timer::{TimerSlot, TimerToken};
-}

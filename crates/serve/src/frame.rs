@@ -16,7 +16,7 @@ use envirotrack_core::wire::{crc, DecodeError};
 /// message is a few dozen bytes; anything claiming more is an attack or a
 /// desynchronised stream, and buffering it would let one client pin 2^64
 /// bytes of memory with a 10-byte prefix.
-pub const MAX_FRAME_BYTES: u64 = 64 * 1024;
+pub(crate) const MAX_FRAME_BYTES: u64 = 64 * 1024;
 
 /// Why a stream is beyond recovery.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,7 +24,7 @@ pub enum FrameError {
     /// The frame was malformed: bad varint prefix, CRC mismatch, unknown
     /// tag, non-canonical field — anything [`SessionMsg::decode`] rejects.
     Codec(DecodeError),
-    /// The length prefix declared a body larger than [`MAX_FRAME_BYTES`].
+    /// The length prefix declared a body larger than `MAX_FRAME_BYTES`.
     Oversized {
         /// The declared body length.
         declared: u64,
@@ -66,12 +66,6 @@ impl FrameReader {
         self.buf.drain(..self.consumed);
         self.consumed = 0;
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed by a complete frame.
-    #[must_use]
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.consumed
     }
 
     /// Extracts the next complete frame, if one has fully arrived.
@@ -137,7 +131,7 @@ mod tests {
             }
         }
         assert_eq!(out, msgs);
-        assert_eq!(r.buffered(), 0);
+        assert_eq!(r.buf.len() - r.consumed, 0);
     }
 
     #[test]
@@ -208,7 +202,7 @@ mod tests {
                 }
                 let took = started.elapsed();
                 assert_eq!(frames, burst.len() / 8);
-                assert_eq!(r.buffered(), 0);
+                assert_eq!(r.buf.len() - r.consumed, 0);
                 took
             })
             .min()

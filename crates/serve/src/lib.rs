@@ -12,10 +12,9 @@
 //! The crate splits along the natural seams:
 //!
 //! * [`frame`] — incremental frame extraction from the byte stream.
-//! * [`metrics`] — thread-safe counters/histograms, exported as
-//!   [`envirotrack_telemetry::Telemetry`] snapshots.
+//! * [`metrics`] — thread-safe counters and histograms.
 //! * [`worlds`] — the single-threaded simulation hub, and (`outbox.rs`)
-//!   the bounded [`Outbox`]es that carry its events to sessions.
+//!   the bounded [`worlds::Outbox`]es that carry its events to sessions.
 //! * [`server`] — the acceptor + pooled worker threads and the session
 //!   state machine.
 //! * [`client`] — a blocking client for tests and probes.
@@ -30,8 +29,8 @@ mod outbox;
 pub mod server;
 pub mod worlds;
 
-pub use client::{Client, Handshake};
-pub use frame::{FrameError, FrameReader, MAX_FRAME_BYTES};
+pub use client::Client;
+pub use frame::FrameReader;
 pub use metrics::ServeMetrics;
 pub use server::{Server, ServerConfig, MAX_PENDING_WRITE};
-pub use worlds::{HubConfig, Outbox, SCENARIO_TESTBED, SCENARIO_WIDE};
+pub use worlds::{HubConfig, SCENARIO_TESTBED};

@@ -1,12 +1,10 @@
 //! Thread-safe serving metrics.
 //!
-//! The in-sim [`Telemetry`] registry is `Rc`-based and single-threaded by
+//! The in-sim `Telemetry` registry is `Rc`-based and single-threaded by
 //! design; the server is not. This module keeps the hot counters in plain
 //! atomics (incremented lock-free from any worker) and the latency
-//! distributions in mutex-guarded [`LogLinearHistogram`]s, then *exports*
-//! a point-in-time [`Telemetry`] snapshot so the rest of the stack (JSON
-//! reports, verify stages) reads serving metrics through the exact same
-//! interface as simulation metrics.
+//! distributions in mutex-guarded [`LogLinearHistogram`]s; reports and
+//! tests read the fields directly.
 //!
 //! ## Accounting invariant
 //!
@@ -27,7 +25,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use envirotrack_telemetry::{LogLinearHistogram, Telemetry};
+use envirotrack_telemetry::LogLinearHistogram;
 
 /// Shared counters + histograms for one server instance.
 #[derive(Debug, Default)]
@@ -124,23 +122,23 @@ impl ServeMetrics {
     }
 
     /// Bumps the active-session gauge and its high-water mark.
-    pub fn session_opened(&self) {
+    pub(crate) fn session_opened(&self) {
         let now = self.active_sessions.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak_sessions.fetch_max(now, Ordering::Relaxed);
     }
 
     /// Drops the active-session gauge.
-    pub fn session_closed(&self) {
+    pub(crate) fn session_closed(&self) {
         self.active_sessions.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Records a SUBSCRIBE→SUBACK latency.
-    pub fn observe_ack(&self, us: u64) {
+    pub(crate) fn observe_ack(&self, us: u64) {
         self.query_ack_us.lock().expect("metrics lock").record(us);
     }
 
     /// Records a SUBSCRIBE→first-event latency.
-    pub fn observe_first_event(&self, us: u64) {
+    pub(crate) fn observe_first_event(&self, us: u64) {
         self.first_event_us.lock().expect("metrics lock").record(us);
     }
 
@@ -194,73 +192,6 @@ impl ServeMetrics {
         .map(|c| c.load(Ordering::Relaxed))
         .sum()
     }
-
-    /// Exports a point-in-time [`Telemetry`] snapshot under `serve.*`
-    /// names, so serving metrics flow through the same reporting surface
-    /// as simulation metrics.
-    #[must_use]
-    pub fn snapshot(&self) -> Telemetry {
-        let t = Telemetry::new();
-        let pairs: [(&str, &AtomicU64); 25] = [
-            ("serve.connects", &self.connects),
-            ("serve.accepted", &self.accepted),
-            ("serve.rejected_overload", &self.rejected_overload),
-            ("serve.rejected_version", &self.rejected_version),
-            ("serve.rejected_bad_hello", &self.rejected_bad_hello),
-            ("serve.peak_sessions", &self.peak_sessions),
-            ("serve.protocol_errors", &self.protocol_errors),
-            ("serve.corrupt_frames", &self.corrupt_frames),
-            ("serve.oversized_frames", &self.oversized_frames),
-            ("serve.state_violations", &self.state_violations),
-            ("serve.idle_timeouts", &self.idle_timeouts),
-            ("serve.slow_consumer_sheds", &self.slow_consumer_sheds),
-            ("serve.closes_clean", &self.closes_clean),
-            ("serve.disconnects", &self.disconnects),
-            ("serve.server_closes", &self.server_closes),
-            ("serve.subscribes", &self.subscribes),
-            ("serve.subs_denied", &self.subs_denied),
-            ("serve.events_sent", &self.events_sent),
-            ("serve.events_dropped", &self.events_dropped),
-            ("serve.pings", &self.pings),
-            ("serve.panics", &self.panics),
-            ("serve.hub_ticks_late", &self.hub_ticks_late),
-            ("serve.worker_writes", &self.worker_writes),
-            ("serve.worker_write_bytes", &self.worker_write_bytes),
-            ("serve.pending_write_peak", &self.pending_write_peak),
-        ];
-        for (name, cell) in pairs {
-            t.add(name, cell.load(Ordering::Relaxed));
-        }
-        t.add("serve.terminal_total", self.terminal_total());
-        #[allow(clippy::cast_precision_loss)]
-        t.set_gauge(
-            "serve.active_sessions",
-            self.active_sessions.load(Ordering::Relaxed) as f64,
-        );
-        // The two hub-side histograms also export their counts: ticks taken
-        // and hand-offs made.
-        for (name, hist, count_as) in [
-            ("serve.query_ack_us", &self.query_ack_us, None),
-            ("serve.first_event_us", &self.first_event_us, None),
-            (
-                "serve.hub_tick_work_us",
-                &self.hub_tick_work_us,
-                Some("serve.hub_ticks"),
-            ),
-            (
-                "serve.batch_frames",
-                &self.batch_frames,
-                Some("serve.outbox_handoffs"),
-            ),
-        ] {
-            let hist = hist.lock().expect("metrics lock").clone();
-            if let Some(counter) = count_as {
-                t.add(counter, hist.count());
-            }
-            t.set_histogram(name, hist);
-        }
-        t
-    }
 }
 
 #[cfg(test)]
@@ -276,25 +207,5 @@ mod tests {
         m.session_opened();
         assert_eq!(m.active_sessions.load(Ordering::Relaxed), 2);
         assert_eq!(m.peak_sessions.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn snapshot_exports_counters_and_histograms() {
-        let m = ServeMetrics::new();
-        m.connects.fetch_add(3, Ordering::Relaxed);
-        m.closes_clean.fetch_add(2, Ordering::Relaxed);
-        m.disconnects.fetch_add(1, Ordering::Relaxed);
-        m.observe_ack(100);
-        m.observe_ack(100);
-        m.observe_ack(10_000);
-        let t = m.snapshot();
-        assert_eq!(t.counter("serve.connects"), 3);
-        assert_eq!(t.counter("serve.terminal_total"), 3);
-        t.with_registry(|r| {
-            let h = r.histogram("serve.query_ack_us").expect("histogram");
-            assert_eq!(h.count(), 3);
-            assert!(h.quantile(0.5) <= 100 && h.quantile(0.5) > 0);
-            assert!(h.quantile(0.99) >= 1_000);
-        });
     }
 }

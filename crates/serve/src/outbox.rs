@@ -208,7 +208,7 @@ impl Outbox {
 
     /// Whether an overflow marked this session for shedding.
     #[must_use]
-    pub fn is_shed(&self) -> bool {
+    pub(crate) fn is_shed(&self) -> bool {
         self.shed.load(Ordering::Acquire)
     }
 
@@ -219,13 +219,12 @@ impl Outbox {
 
     /// Whether the worker declared the session dead.
     #[must_use]
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.closed.load(Ordering::Acquire)
     }
 
-    /// Frames dropped after overflow.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 }

@@ -47,7 +47,7 @@ pub use crate::outbox::Outbox;
 /// Scenario 0: the paper's 10×2 testbed grid.
 pub const SCENARIO_TESTBED: u8 = 0;
 /// Scenario 1: a wider, faster 20×3 field (requires `CAP_SCENARIO_RUN`).
-pub const SCENARIO_WIDE: u8 = 1;
+pub(crate) const SCENARIO_WIDE: u8 = 1;
 
 /// A validated-at-the-hub subscription request.
 pub struct SubscribeReq {

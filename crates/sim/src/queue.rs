@@ -125,7 +125,6 @@ pub struct EventQueue<E, L = E> {
     lane: VecDeque<(Timestamp, u64, L)>,
     next_seq: u64,
     live: usize,
-    reused_slots: u64,
     lane_pops: u64,
     heap_pops: u64,
 }
@@ -161,7 +160,7 @@ impl<E, L: Into<E>> EventQueue<E, L> {
     /// Makes room on the recurring lane for exactly `additional` more
     /// events: arming a known number of loops then allocates once, not by
     /// doubling.
-    pub fn reserve_recurring(&mut self, additional: usize) {
+    pub(crate) fn reserve_recurring(&mut self, additional: usize) {
         self.lane.reserve_exact(additional);
     }
 
@@ -172,7 +171,6 @@ impl<E, L: Into<E>> EventQueue<E, L> {
         self.next_seq += 1;
         let slot = match self.free.pop() {
             Some(i) => {
-                self.reused_slots += 1;
                 self.slots[i as usize].item = Some(item);
                 i
             }
@@ -293,25 +291,11 @@ impl<E, L: Into<E>> EventQueue<E, L> {
         self.lane.len()
     }
 
-    /// Number of slab slots ever allocated — the high-water mark of
-    /// concurrently pending heap events.
-    #[must_use]
-    pub fn allocated_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// How many pushes were satisfied from the free-list instead of a
-    /// fresh slot allocation.
-    #[must_use]
-    pub fn reused_slots(&self) -> u64 {
-        self.reused_slots
-    }
-
     /// How many events [`EventQueue::pop`] and [`EventQueue::pop_due`] have
     /// taken off the recurring lane and out of the heap, as `(lane, heap)`.
     /// Cancelled entries discarded on the way count for neither.
     #[must_use]
-    pub fn pops(&self) -> (u64, u64) {
+    pub(crate) fn pops(&self) -> (u64, u64) {
         (self.lane_pops, self.heap_pops)
     }
 
@@ -342,7 +326,6 @@ impl<E, L> Default for EventQueue<E, L> {
             lane: VecDeque::new(),
             next_seq: 0,
             live: 0,
-            reused_slots: 0,
             lane_pops: 0,
             heap_pops: 0,
         }
@@ -452,11 +435,10 @@ mod tests {
             let _ = q.pop();
         }
         assert!(
-            q.allocated_slots() <= 2,
+            q.slots.len() <= 2,
             "steady-state push/pop must recycle, got {} slots",
-            q.allocated_slots()
+            q.slots.len()
         );
-        assert!(q.reused_slots() >= 999);
     }
 
     #[test]

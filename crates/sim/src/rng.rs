@@ -18,7 +18,7 @@
 //!
 //! That guarantee is load-bearing: every experiment in EXPERIMENTS.md is
 //! reported against a seed. The stream is therefore *pinned* by a
-//! regression test ([`tests::seed_42_stream_is_pinned`]) holding the first
+//! regression test (`tests::seed_42_stream_is_pinned`) holding the first
 //! eight outputs of seed 42 — any future change to the algorithm (or an
 //! accidental reordering of draws) fails loudly instead of silently
 //! shifting every experiment.
@@ -72,12 +72,6 @@ impl SimRng {
             splitmix64(&mut sm),
         ];
         SimRng { state, seed }
-    }
-
-    /// The seed this generator was created from (forks derive new seeds).
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Derives an independent child generator from a string label.

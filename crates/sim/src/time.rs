@@ -92,18 +92,6 @@ impl Timestamp {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// The later of two instants.
-    #[must_use]
-    pub fn max(self, other: Timestamp) -> Timestamp {
-        Timestamp(self.0.max(other.0))
-    }
-
-    /// The earlier of two instants.
-    #[must_use]
-    pub fn min(self, other: Timestamp) -> Timestamp {
-        Timestamp(self.0.min(other.0))
-    }
-
     /// Adds a duration, saturating at [`Timestamp::MAX`] instead of wrapping.
     #[must_use]
     pub fn saturating_add(self, d: SimDuration) -> Timestamp {
@@ -158,12 +146,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Whole milliseconds (truncating).
-    #[must_use]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// This span expressed in (possibly fractional) seconds.
     #[must_use]
     pub fn as_secs_f64(self) -> f64 {
@@ -197,18 +179,6 @@ impl SimDuration {
     #[must_use]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// The larger of two spans.
-    #[must_use]
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
-    }
-
-    /// The smaller of two spans.
-    #[must_use]
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
     }
 }
 
@@ -344,7 +314,7 @@ mod tests {
     fn construction_round_trips() {
         assert_eq!(Timestamp::from_secs(3).as_micros(), 3_000_000);
         assert_eq!(Timestamp::from_millis(3).as_micros(), 3_000);
-        assert_eq!(SimDuration::from_secs(2).as_millis(), 2_000);
+        assert_eq!(SimDuration::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(SimDuration::from_secs_f64(0.25).as_micros(), 250_000);
     }
 

@@ -56,7 +56,7 @@ impl TraceEvent {
     /// A stable single-line rendering, used in violation attachments and
     /// the smoke digest.
     #[must_use]
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         format!(
             "{}us n{} [{}] {} {}",
             self.at_us, self.node, self.label, self.kind, self.detail
@@ -79,7 +79,7 @@ pub struct LogLinearHistogram {
 impl LogLinearHistogram {
     /// The bucket index recording `v`.
     #[must_use]
-    pub fn bucket_index(v: u64) -> u32 {
+    fn bucket_index(v: u64) -> u32 {
         if v < 4 {
             return u32::try_from(v).unwrap_or(3);
         }
@@ -91,7 +91,7 @@ impl LogLinearHistogram {
     /// The smallest value landing in bucket `index` (inverse of
     /// [`Self::bucket_index`]).
     #[must_use]
-    pub fn bucket_low(index: u32) -> u64 {
+    fn bucket_low(index: u32) -> u64 {
         if index < 4 {
             return u64::from(index);
         }
@@ -130,19 +130,6 @@ impl LogLinearHistogram {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Mean observation, or 0.0 when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        // Precision loss is acceptable for a summary statistic.
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// Non-empty buckets in ascending value order, as
@@ -205,13 +192,6 @@ impl CounterHandle {
     pub fn incr(&self) {
         self.add(1);
     }
-
-    /// The current value.
-    #[must_use]
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.cell.get()
-    }
 }
 
 /// A tiny numeric-keyed string intern pool.
@@ -227,12 +207,6 @@ pub struct Interner {
 }
 
 impl Interner {
-    /// A fresh, empty pool.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The shared string for `key`, formatting it with `make` on first use.
     pub fn get_or_insert_with(&self, key: u128, make: impl FnOnce() -> String) -> Rc<str> {
         let mut strings = self.strings.borrow_mut();
@@ -241,12 +215,6 @@ impl Interner {
                 .entry(key)
                 .or_insert_with(|| Rc::from(make().as_str())),
         )
-    }
-
-    /// Number of interned strings.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.strings.borrow().len()
     }
 
     /// Whether the pool is empty.
@@ -344,7 +312,7 @@ impl Telemetry {
 
     /// A fresh registry keeping at most `capacity` trace events.
     #[must_use]
-    pub fn with_trace_capacity(capacity: usize) -> Self {
+    fn with_trace_capacity(capacity: usize) -> Self {
         Telemetry {
             inner: Rc::new(RefCell::new(Registry::new(capacity))),
         }
@@ -391,12 +359,6 @@ impl Telemetry {
         self.inner.borrow_mut().gauges.insert(name.to_owned(), v);
     }
 
-    /// The named gauge's last written value.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.inner.borrow().gauges.get(name).copied()
-    }
-
     /// Records `v` into the named log-linear histogram.
     pub fn observe(&self, name: &str, v: u64) {
         self.inner
@@ -405,17 +367,6 @@ impl Telemetry {
             .entry(name.to_owned())
             .or_default()
             .record(v);
-    }
-
-    /// Installs `hist` as the named histogram, replacing what was recorded
-    /// under that name: how a histogram kept outside the registry (the
-    /// serving layer's live ones) is exported whole, its sum and maximum
-    /// included.
-    pub fn set_histogram(&self, name: &str, hist: LogLinearHistogram) {
-        self.inner
-            .borrow_mut()
-            .histograms
-            .insert(name.to_owned(), hist);
     }
 
     /// Appends a trace event, dropping (and counting) the oldest past the
@@ -506,8 +457,9 @@ mod tests {
         t.add("a", 4);
         assert_eq!(t.counter("a"), 5);
         t.set_gauge("g", 2.5);
-        assert_eq!(t.gauge("g"), Some(2.5));
-        assert_eq!(t.gauge("missing"), None);
+        let gauges: Vec<(String, f64)> =
+            t.with_registry(|r| r.gauges().map(|(k, v)| (k.to_owned(), v)).collect());
+        assert_eq!(gauges, [("g".to_owned(), 2.5)]);
         // Clones share the registry.
         let u = t.clone();
         u.incr("a");
@@ -521,10 +473,9 @@ mod tests {
         let h = t.counter_handle("hot");
         h.incr();
         h.add(3);
-        assert_eq!(h.get(), 6);
         assert_eq!(t.counter("hot"), 6, "handle writes are visible by name");
         t.incr("hot");
-        assert_eq!(h.get(), 7, "named writes are visible through the handle");
+        assert_eq!(h.cell.get(), 7, "named writes are visible through the handle");
         // Resolving an unseen name registers it at zero, and exports see it.
         let fresh = t.counter_handle("fresh");
         assert_eq!(t.counter("fresh"), 0);
@@ -572,7 +523,6 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 1105);
         assert_eq!(h.max(), 1000);
-        assert!((h.mean() - 221.0).abs() < 1e-9);
         let buckets: Vec<(u64, u64)> = h.iter().collect();
         // 1→one bucket, 2→one bucket (count 2), 100 and 1000 separate.
         assert_eq!(buckets.len(), 4);
@@ -663,7 +613,7 @@ mod tests {
 
     #[test]
     fn interner_formats_once_and_shares() {
-        let pool = Interner::new();
+        let pool = Interner::default();
         let mut formats = 0;
         let a = pool.get_or_insert_with(7, || {
             formats += 1;
@@ -675,7 +625,7 @@ mod tests {
         });
         assert_eq!(formats, 1);
         assert!(Rc::ptr_eq(&a, &b), "same key aliases one allocation");
-        assert_eq!(pool.len(), 1);
+        assert_eq!(pool.strings.borrow().len(), 1);
         // Clones share the pool; traces share the interned label.
         let clone = pool.clone();
         let c = clone.get_or_insert_with(7, || unreachable!());

@@ -27,7 +27,7 @@ impl Gen {
     /// A generator drawing fresh randomness from the deterministic
     /// simulation RNG seeded with `case_seed`.
     #[must_use]
-    pub fn random(case_seed: u64) -> Self {
+    pub(crate) fn random(case_seed: u64) -> Self {
         Gen {
             rng: Some(SimRng::seed_from(case_seed).fork("testkit-case")),
             tape: Vec::new(),
@@ -39,7 +39,7 @@ impl Gen {
     /// A generator replaying a recorded (possibly shrunk) tape. Draws past
     /// the end of the tape read as `0`.
     #[must_use]
-    pub fn replay(tape: Vec<u64>) -> Self {
+    pub(crate) fn replay(tape: Vec<u64>) -> Self {
         Gen {
             rng: None,
             tape,
@@ -49,7 +49,7 @@ impl Gen {
     }
 
     /// Draws the next raw `u64` choice.
-    pub fn draw(&mut self) -> u64 {
+    pub(crate) fn draw(&mut self) -> u64 {
         if self.recorded.len() >= MAX_DRAWS {
             crate::reject();
         }
@@ -67,31 +67,25 @@ impl Gen {
 
     /// Draws a value in `0..n` (`n` must be nonzero). A draw of `0` maps
     /// to `0`, keeping the minimal tape the minimal value.
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0, "Gen::below(0)");
         self.draw() % n
     }
 
     /// Draws a fraction in `[0, 1)` with 53 bits of precision; the draw
     /// `0` maps to `0.0`.
-    pub fn fraction(&mut self) -> f64 {
+    pub(crate) fn fraction(&mut self) -> f64 {
         (self.draw() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Draws a boolean that is `false` on the minimal draw.
-    pub fn bool(&mut self) -> bool {
+    pub(crate) fn bool(&mut self) -> bool {
         self.draw() & 1 == 1
-    }
-
-    /// The choices consumed so far, in draw order.
-    #[must_use]
-    pub fn recorded(&self) -> &[u64] {
-        &self.recorded
     }
 
     /// Consumes the generator, returning the recorded tape.
     #[must_use]
-    pub fn into_recorded(self) -> Vec<u64> {
+    pub(crate) fn into_recorded(self) -> Vec<u64> {
         self.recorded
     }
 }
@@ -115,7 +109,7 @@ mod tests {
         assert_eq!(g.draw(), 41);
         assert_eq!(g.draw(), 0);
         assert_eq!(g.draw(), 0);
-        assert_eq!(g.recorded(), &[41, 0, 0]);
+        assert_eq!(g.into_recorded(), [41, 0, 0]);
     }
 
     #[test]

@@ -85,31 +85,14 @@ impl Vector {
 
     /// Euclidean length.
     #[must_use]
-    pub fn length(self) -> f64 {
+    pub(crate) fn length(self) -> f64 {
         self.length_sq().sqrt()
     }
 
     /// Squared length.
     #[must_use]
-    pub fn length_sq(self) -> f64 {
+    pub(crate) fn length_sq(self) -> f64 {
         self.x * self.x + self.y * self.y
-    }
-
-    /// The unit vector in this direction, or zero when this is (near) zero.
-    #[must_use]
-    pub fn normalized(self) -> Vector {
-        let len = self.length();
-        if len < 1e-12 {
-            Vector::default()
-        } else {
-            self / len
-        }
-    }
-
-    /// Dot product.
-    #[must_use]
-    pub fn dot(self, other: Vector) -> f64 {
-        self.x * other.x + self.y * other.y
     }
 }
 
@@ -197,24 +180,6 @@ impl Aabb {
     pub fn height(&self) -> f64 {
         self.max.y - self.min.y
     }
-
-    /// The geometric centre.
-    #[must_use]
-    pub fn center(&self) -> Point {
-        Point::new(
-            (self.min.x + self.max.x) / 2.0,
-            (self.min.y + self.max.y) / 2.0,
-        )
-    }
-
-    /// Clamps `p` to the box.
-    #[must_use]
-    pub fn clamp(&self, p: Point) -> Point {
-        Point::new(
-            p.x.clamp(self.min.x, self.max.x),
-            p.y.clamp(self.min.y, self.max.y),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -254,21 +219,12 @@ mod tests {
     }
 
     #[test]
-    fn vectors_normalise_safely() {
-        let v = Vector::new(3.0, 4.0).normalized();
-        assert!((v.length() - 1.0).abs() < 1e-12);
-        assert_eq!(Vector::default().normalized(), Vector::default());
-    }
-
-    #[test]
-    fn aabb_contains_and_clamps() {
+    fn aabb_contains_and_measures() {
         let b = Aabb::new(Point::new(10.0, 2.0), Point::new(0.0, 0.0));
         assert_eq!(b.min, Point::ORIGIN);
         assert!(b.contains(Point::new(5.0, 1.0)));
         assert!(!b.contains(Point::new(5.0, 3.0)));
-        assert_eq!(b.clamp(Point::new(-5.0, 7.0)), Point::new(0.0, 2.0));
         assert_eq!(b.width(), 10.0);
         assert_eq!(b.height(), 2.0);
-        assert_eq!(b.center(), Point::new(5.0, 1.0));
     }
 }

@@ -3,14 +3,14 @@
 //! The unit-disk radio model needs, for every node, the list of nodes
 //! within `radius`. The naive construction compares all pairs — O(n²)
 //! distance checks — which caps simulated fields at a few thousand nodes.
-//! [`SpatialGrid`] buckets nodes into square cells of side `>= radius`;
+//! `SpatialGrid` buckets nodes into square cells of side `>= radius`;
 //! any node within `radius` of a point then lies in the point's own cell
 //! or one of its 8 neighbors (the *9-cell stencil*), because crossing out
 //! of the stencil requires moving more than one cell side (`>= radius`)
 //! along some axis. Construction visits each node's stencil once, so the
 //! total work is O(n · deg) for fields of bounded density.
 //!
-//! [`neighbor_lists`] returns per-node lists sorted ascending by
+//! `neighbor_lists` returns per-node lists sorted ascending by
 //! [`NodeId`] — exactly the lists the brute-force scan produces, in the
 //! same order, which keeps every downstream consumer (radio medium,
 //! geographic router, delivery walks) byte-identical regardless of which
@@ -40,7 +40,7 @@ pub enum NeighborStrategy {
 /// allocate far more cells than nodes (a sparse field with a tiny radio
 /// range); a larger cell never misses a neighbor, it only adds candidates.
 #[derive(Debug, Clone)]
-pub struct SpatialGrid {
+pub(crate) struct SpatialGrid {
     origin: Point,
     cell: f64,
     cols: usize,
@@ -121,7 +121,7 @@ impl SpatialGrid {
     /// Visits every node bucketed in the 9-cell stencil around `pos`
     /// (including the node itself if it lives there). Any node within one
     /// cell side of `pos` is guaranteed to be visited.
-    pub fn for_each_candidate(&self, pos: Point, mut f: impl FnMut(u32)) {
+    pub(crate) fn for_each_candidate(&self, pos: Point, mut f: impl FnMut(u32)) {
         let (cx, cy) = self.cell_of(pos);
         let x0 = cx.saturating_sub(1);
         let y0 = cy.saturating_sub(1);
@@ -138,13 +138,13 @@ impl SpatialGrid {
 
     /// Number of cell columns (for shard striping).
     #[must_use]
-    pub fn cell_cols(&self) -> usize {
+    pub(crate) fn cell_cols(&self) -> usize {
         self.cols
     }
 
     /// The grid-column index of a position (for shard striping).
     #[must_use]
-    pub fn col_of(&self, pos: Point) -> usize {
+    pub(crate) fn col_of(&self, pos: Point) -> usize {
         self.cell_of(pos).0
     }
 }
@@ -153,12 +153,12 @@ impl SpatialGrid {
 /// `shards` shards. Monotone non-decreasing in `col`, which is what makes
 /// footprint interest sets contiguous shard ranges.
 #[must_use]
-pub fn shard_of_column(col: usize, cols: usize, shards: usize) -> usize {
+pub(crate) fn shard_of_column(col: usize, cols: usize, shards: usize) -> usize {
     (col * shards / cols).min(shards - 1)
 }
 
 /// Assigns every node of `deployment` to one of `shards` shards by striping
-/// the spatial grid's cell columns via [`shard_of_column`]. The sharded
+/// the spatial grid's cell columns via `shard_of_column`. The sharded
 /// kernel is shard-count-invariant for *any* node partition; striping along
 /// the grid keeps each shard's nodes spatially contiguous, so almost all
 /// radio traffic a shard dispatches is to its own nodes.
@@ -186,7 +186,7 @@ pub fn shard_assignment(deployment: &Deployment, radius: f64, shards: usize) -> 
 /// Soundness is the 9-cell-stencil argument restricted to columns: the
 /// grid's cell side is `>= radius`, so any receiver within `radius` of a
 /// node in column `cx` lies in column `cx - 1`, `cx`, or `cx + 1`; shards
-/// stripe whole columns monotonically ([`shard_of_column`]), so the owning
+/// stripe whole columns monotonically (`shard_of_column`), so the owning
 /// shards of those three columns form the contiguous range
 /// `shard_of_column(cx-1) ..= shard_of_column(cx+1)`. The sender's own
 /// owner is `shard_of_column(cx)`, inside the range by monotonicity — the
@@ -220,7 +220,7 @@ pub fn shard_interest_ranges(
 /// inclusive) using the default [`NeighborStrategy::Grid`]. Each list is
 /// sorted ascending by [`NodeId`].
 #[must_use]
-pub fn neighbor_lists(deployment: &Deployment, radius: f64) -> Vec<Vec<NodeId>> {
+pub(crate) fn neighbor_lists(deployment: &Deployment, radius: f64) -> Vec<Vec<NodeId>> {
     neighbor_lists_with(deployment, radius, NeighborStrategy::Grid)
 }
 

@@ -12,7 +12,7 @@
 //! * [`field`] — node deployments: grids, jittered grids, random drops
 //!   ([`field::Deployment`], [`field::NodeId`]).
 //! * [`grid`] — uniform spatial hashing for O(n·deg) neighbor-table
-//!   construction ([`grid::SpatialGrid`], [`grid::neighbor_lists`]) and the
+//!   construction (`grid::SpatialGrid`, `grid::neighbor_lists`) and the
 //!   shared radio [`grid::Topology`].
 //! * [`target`] — moving entities with emission profiles
 //!   ([`target::Target`], [`target::Trajectory`], [`target::Falloff`]).
@@ -42,15 +42,3 @@ pub mod grid;
 pub mod scenario;
 pub mod sensing;
 pub mod target;
-
-/// The most commonly used items, for glob import.
-pub mod prelude {
-    pub use crate::field::{Deployment, NodeId};
-    pub use crate::geometry::{Aabb, Point, Vector};
-    pub use crate::grid::{neighbor_lists, NeighborStrategy, SpatialGrid};
-    pub use crate::scenario::{
-        FireScenario, MultiTargetScenario, ScaleScenario, Scenario, TankScenario,
-    };
-    pub use crate::sensing::{Environment, NoiseModel, SensorSample};
-    pub use crate::target::{Channel, Emission, Falloff, Target, TargetId, Trajectory};
-}

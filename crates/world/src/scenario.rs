@@ -24,7 +24,7 @@ use crate::sensing::Environment;
 use crate::target::{Channel, Emission, Falloff, Target, TargetId, Trajectory};
 
 /// Full-scale grid spacing in metres (paper §6.1: sensors 140 m apart).
-pub const GRID_SPACING_M: f64 = 140.0;
+pub(crate) const GRID_SPACING_M: f64 = 140.0;
 
 /// Converts a road speed in km/h to grid hops per second under the paper's
 /// 140 m spacing. The paper's 50 km/h tank is ≈ 0.1 hops/s.
@@ -40,7 +40,7 @@ pub fn kmh_to_hops_per_s(kmh: f64) -> f64 {
 
 /// Converts grid hops per second back to km/h under the 140 m spacing.
 #[must_use]
-pub fn hops_per_s_to_kmh(hops: f64) -> f64 {
+pub(crate) fn hops_per_s_to_kmh(hops: f64) -> f64 {
     hops * GRID_SPACING_M * 3.6
 }
 
@@ -63,15 +63,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// The effective sensing radius of the primary target, in grid units.
-    #[must_use]
-    pub fn sensing_radius(&self) -> f64 {
-        self.environment
-            .target(self.primary_target)
-            .and_then(|t| t.detection_radius(self.channel, self.threshold))
-            .unwrap_or(0.0)
-    }
-
     /// Ground-truth node indices that sense the primary target at `t`.
     #[must_use]
     pub fn ground_truth_sensors(&self, t: Timestamp) -> Vec<usize> {
@@ -228,11 +219,11 @@ impl Default for FireScenario {
 
 impl FireScenario {
     /// Fire temperature above ambient at burning sensors.
-    pub const FIRE_TEMPERATURE: f64 = 400.0;
+    pub(crate) const FIRE_TEMPERATURE: f64 = 400.0;
     /// Ambient field temperature.
-    pub const AMBIENT_TEMPERATURE: f64 = 20.0;
+    pub(crate) const AMBIENT_TEMPERATURE: f64 = 20.0;
     /// The paper's detection threshold: `temperature > 180`.
-    pub const DETECTION_THRESHOLD: f64 = 180.0;
+    pub(crate) const DETECTION_THRESHOLD: f64 = 180.0;
 
     /// Materialises the deployment and environment.
     #[must_use]
@@ -404,7 +395,7 @@ impl Default for ScaleScenario {
 impl ScaleScenario {
     /// Side length of the square field, in grid units.
     #[must_use]
-    pub fn side(&self) -> u32 {
+    pub(crate) fn side(&self) -> u32 {
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let side = (f64::from(self.nodes).sqrt().ceil()) as u32;
         side.max(1)
@@ -516,7 +507,7 @@ mod tests {
         assert_eq!(a.deployment, b.deployment);
         let bounds = a.deployment.bounds();
         for t in a.environment.targets() {
-            let lane = t.trajectory().waypoint_list()[0].y;
+            let lane = t.trajectory().position_at(Timestamp::ZERO).y;
             assert!(lane >= bounds.min.y && lane <= bounds.max.y);
         }
     }
@@ -537,9 +528,10 @@ mod tests {
     fn tank_scenario_builds_the_testbed_world() {
         let s = TankScenario::default().build();
         assert_eq!(s.deployment.len(), 20);
-        assert!((s.sensing_radius() - 1.0).abs() < 1e-12);
+        let tank = s.environment.target(s.primary_target).unwrap();
+        let radius = tank.detection_radius(s.channel, s.threshold).unwrap();
+        assert!((radius - 1.0).abs() < 1e-12);
         // At mid-crossing, some sensors detect the tank.
-        let tank = s.environment.target(TargetId(0)).unwrap();
         let mid_t = Timestamp::from_secs_f64_helper(60.0);
         let pos = tank.position_at(mid_t);
         assert!((pos.y - 0.5).abs() < 1e-12);

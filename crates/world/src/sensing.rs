@@ -100,7 +100,7 @@ impl NoiseModel {
     /// Applies noise to a clean sample using the supplied RNG.
     #[inline]
     #[must_use]
-    pub fn perturb(&self, clean: SensorSample, rng: &mut SimRng) -> SensorSample {
+    pub(crate) fn perturb(&self, clean: SensorSample, rng: &mut SimRng) -> SensorSample {
         if !self.noisy {
             return clean;
         }
@@ -134,7 +134,7 @@ const WINDOW_CAP: u64 = 64;
 /// window of virtual time: a bitmap over square cells of a field's bounds
 /// in which a cell is set if some target that exists at an instant of the
 /// window could, at that instant, pass the exact cull of
-/// [`Environment::sample`] for a sensor in the cell ([`Target::sweep`]).
+/// [`Environment::sample`] for a sensor in the cell (`Target::sweep`).
 /// A sensor in a clear cell therefore reads the ambient levels throughout
 /// the window. Positions and box corners go through one cell function that
 /// never decreases along either axis, so a position inside a box always
@@ -144,7 +144,7 @@ const WINDOW_CAP: u64 = 64;
 /// field; a window is the time the fastest target needs to cross a cell, no
 /// shorter than `floor` (the sensing period: a shorter window would be
 /// rebuilt more often than a node samples) and no longer than
-/// [`WINDOW_CAP`] floors. Windows start where they are first needed, so
+/// `WINDOW_CAP` floors. Windows start where they are first needed, so
 /// under a clock that only moves forward each is built once.
 #[derive(Debug, Clone)]
 pub struct Coverage {
@@ -403,7 +403,7 @@ impl Environment {
     /// specific target's signal on `channel` meets `threshold` at time `t`.
     /// Returns indices into `candidates`. Used by the experiment auditors.
     #[must_use]
-    pub fn sensing_set(
+    pub(crate) fn sensing_set(
         &self,
         target_id: TargetId,
         channel: Channel,

@@ -141,14 +141,8 @@ impl Trajectory {
 
     /// The speed in grid units per second (zero for stationary).
     #[must_use]
-    pub fn speed(&self) -> f64 {
+    pub(crate) fn speed(&self) -> f64 {
         self.speed
-    }
-
-    /// The waypoints, in visit order.
-    #[must_use]
-    pub fn waypoint_list(&self) -> &[Point] {
-        &self.waypoints
     }
 
     /// Total path length of one pass over the waypoints, in grid units.
@@ -238,15 +232,6 @@ impl Trajectory {
         }
         let coords: f64 = self.waypoints.iter().map(|p| p.x.abs() + p.y.abs()).sum();
         (at, moved + moved * ROUNDING + (lap + coords) * per_waypoint)
-    }
-
-    /// Whether the target has reached the end of a non-looped path by `t`.
-    #[must_use]
-    pub fn finished_at(&self, t: Timestamp) -> bool {
-        match self.duration() {
-            Some(d) => t >= self.start_time + d,
-            None => false,
-        }
     }
 }
 
@@ -384,7 +369,7 @@ impl Falloff {
     /// has been active for `elapsed_secs`. Only [`Falloff::GrowingDisk`]
     /// is time-dependent.
     #[must_use]
-    pub fn gain_at(&self, d: f64, elapsed_secs: f64) -> f64 {
+    pub(crate) fn gain_at(&self, d: f64, elapsed_secs: f64) -> f64 {
         if let Falloff::GrowingDisk {
             initial_radius,
             growth_per_sec,
@@ -450,30 +435,6 @@ impl Falloff {
                 (strength >= threshold).then_some(initial_radius)
             }
         }
-    }
-
-    /// Like [`Falloff::detection_radius`], but for a source that has been
-    /// active for `elapsed_secs` (affects only [`Falloff::GrowingDisk`]).
-    #[must_use]
-    pub fn detection_radius_at(
-        &self,
-        strength: f64,
-        threshold: f64,
-        elapsed_secs: f64,
-    ) -> Option<f64> {
-        if let Falloff::GrowingDisk {
-            initial_radius,
-            growth_per_sec,
-            max_radius,
-        } = *self
-        {
-            if threshold <= 0.0 || strength < threshold {
-                return None;
-            }
-            let r = (initial_radius + growth_per_sec * elapsed_secs.max(0.0)).min(max_radius);
-            return Some(r);
-        }
-        self.detection_radius(strength, threshold)
     }
 }
 
@@ -563,12 +524,6 @@ impl Target {
         &self.trajectory
     }
 
-    /// The target's emission profile.
-    #[must_use]
-    pub fn emissions(&self) -> &[Emission] {
-        &self.emissions
-    }
-
     /// Whether the target physically exists at `t`.
     #[must_use]
     pub fn active_at(&self, t: Timestamp) -> bool {
@@ -649,30 +604,6 @@ impl Target {
             .filter_map(|e| e.falloff.detection_radius(e.strength, threshold))
             .fold(None, |acc, r| Some(acc.map_or(r, |a: f64| a.max(r))))
     }
-
-    /// Like [`Target::detection_radius`], at a specific instant — accounts
-    /// for growing emissions such as a spreading fire. `None` while the
-    /// target is inactive or undetectable.
-    #[must_use]
-    pub fn detection_radius_at(
-        &self,
-        channel: Channel,
-        threshold: f64,
-        t: Timestamp,
-    ) -> Option<f64> {
-        if !self.active_at(t) {
-            return None;
-        }
-        let elapsed = self.active_secs(t);
-        self.emissions
-            .iter()
-            .filter(|e| e.channel == channel)
-            .filter_map(|e| {
-                e.falloff
-                    .detection_radius_at(e.strength, threshold, elapsed)
-            })
-            .fold(None, |acc, r| Some(acc.map_or(r, |a: f64| a.max(r))))
-    }
 }
 
 #[cfg(test)]
@@ -694,8 +625,7 @@ mod tests {
             t.position_at(Timestamp::from_secs(100)),
             Point::new(10.0, 0.0)
         );
-        assert!(t.finished_at(Timestamp::from_secs(5)));
-        assert!(!t.finished_at(Timestamp::from_secs(4)));
+        assert_eq!(t.duration(), Some(SimDuration::from_secs(5)));
     }
 
     #[test]
@@ -778,7 +708,7 @@ mod tests {
             t.position_at(Timestamp::from_secs(1_000_000)),
             Point::new(2.0, 2.0)
         );
-        assert!(!t.finished_at(Timestamp::MAX));
+        assert_eq!(t.duration(), None);
     }
 
     #[test]
@@ -886,14 +816,6 @@ mod tests {
         assert_eq!(
             fire.signal(Channel::Temperature, 3.1, Timestamp::from_secs(100)),
             0.0
-        );
-        assert_eq!(
-            fire.detection_radius_at(Channel::Temperature, 180.0, Timestamp::from_secs(12)),
-            Some(2.0)
-        );
-        assert_eq!(
-            fire.detection_radius_at(Channel::Temperature, 180.0, Timestamp::ZERO),
-            None
         );
     }
 
