@@ -282,25 +282,27 @@ fn bench_idle_tick(out: &mut Vec<String>) {
         let tick = |i: u64| {
             let n = positions.len() as u64;
             let t = Timestamp::ZERO + PERIOD * (i / n % 500);
-            (positions[(i * 7919 % n) as usize], t)
+            ((i * 7919 % n) as usize, t)
         };
         let mut rng = SimRng::seed_from(1);
         let mut i = 0u64;
         out.push(
             measure(&format!("sensing/idle_tick_t{targets}/walk"), || {
-                let (pos, t) = tick(i);
+                let (node, t) = tick(i);
                 i += 1;
-                env.sample_noisy(pos, t, &mut rng)
+                env.sample_noisy(positions[node], t, &mut rng)
             })
             .report(),
         );
         let mut coverage = Coverage::new(field.bounds(), field.len(), PERIOD);
+        // Each node's cell, as its hot record keeps it.
+        let cells: Vec<u32> = positions.iter().map(|&p| coverage.cell_index(p)).collect();
         let mut i = 0u64;
         out.push(
             measure(&format!("sensing/idle_tick_t{targets}/covered"), || {
-                let (pos, t) = tick(i);
+                let (node, t) = tick(i);
                 i += 1;
-                env.sample_covered(&mut coverage, pos, t, &mut rng)
+                env.sample_covered(&mut coverage, cells[node], positions[node], t, &mut rng)
             })
             .report(),
         );

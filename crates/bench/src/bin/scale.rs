@@ -11,8 +11,9 @@
 //! 1. `results` — the Figure-2 tracking program on 1k/2k/5k/10k/100k-node
 //!    [`ScaleScenario`] fields for a fixed virtual horizon: wall time,
 //!    kernel events, events per wall-second, bytes on air, the sensing
-//!    driver's work counters (ticks fired and admitted, idle samples the
-//!    coverage answered or walked, coverage rebuilds) and the event list's
+//!    driver's work counters (ticks fired and admitted, strides between
+//!    hot records, idle samples the coverage answered or walked, coverage
+//!    rebuilds) and the event list's
 //!    (lane pops, heap pops, one-shot events scheduled inline and boxed).
 //! 2. `construction` — grid vs. brute-force neighbor-table build time on
 //!    a 10k-node field (tables asserted identical before timing; the
@@ -237,6 +238,7 @@ fn main() -> ExitCode {
                 .field_f64("sim_horizon_s", p.sim_horizon_s)
                 .field_u64("sense_ticks", p.sensing.ticks)
                 .field_u64("sense_ticks_admitted", p.sensing.admitted)
+                .field_u64("sense_strides", p.sensing.strides)
                 .field_u64("samples_covered", p.sensing.coverage.answered)
                 .field_u64("samples_walked", p.sensing.coverage.walked)
                 .field_u64("coverage_rebuilds", p.sensing.coverage.rebuilds)

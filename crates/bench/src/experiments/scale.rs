@@ -87,7 +87,8 @@ pub struct ScalePoint {
     /// The virtual horizon, in seconds.
     pub sim_horizon_s: f64,
     /// How the sensing driver did its part: ticks fired and admitted,
-    /// idle samples the coverage answered or walked, coverage rebuilds.
+    /// strides between hot records, idle samples the coverage answered or
+    /// walked, coverage rebuilds.
     /// Exact and host-independent, but no part of the simulation's output.
     pub sensing: SensingWork,
     /// How the kernel's event list did its part: pops off the recurring

@@ -15,8 +15,8 @@ use envirotrack_world::sensing::Environment;
 
 use super::events::Recorder;
 use super::link::LinkReliability;
-use super::node::{NodeState, SenseState};
-use super::sense::Sensing;
+use super::node::{HotRecords, NodeState, SenseState};
+use super::sense::{self, Sensing};
 use super::{SensorNetwork, K};
 use crate::api::Program;
 use crate::config::MiddlewareConfig;
@@ -70,15 +70,15 @@ impl SensorNetwork {
         let mut medium = Medium::with_topology(topology.clone(), config.radio.clone(), &master);
         medium.attach_telemetry(telemetry.clone());
         let router = GeoRouter::with_topology(topology);
+        let sensing = Sensing::new(&deployment, config.middleware.sense_period);
         let sense = deployment
             .iter()
-            .map(|(_, pos)| SenseState::new(pos))
+            .map(|(_, pos)| SenseState::new(pos, sensing.cell(pos)))
             .collect();
         let nodes = deployment
             .ids()
             .map(|id| NodeState::new(id, &program, &master))
             .collect();
-        let sensing = Sensing::new(&deployment, config.middleware.sense_period);
         SensorNetwork {
             program,
             config,
@@ -86,7 +86,7 @@ impl SensorNetwork {
             environment,
             medium,
             router,
-            sense,
+            sense: HotRecords::new(sense),
             nodes,
             sensing,
             rec: Recorder::new(telemetry),
@@ -97,6 +97,8 @@ impl SensorNetwork {
             sense_loops_on_heap: false,
             #[cfg(test)]
             ticks_enter_machines: false,
+            #[cfg(test)]
+            records_in_id_order: false,
         }
     }
 
@@ -173,11 +175,21 @@ impl SensorNetwork {
         }
         // Armed in firing order — id order among equal phases, the order
         // arming by id gave them — every loop goes straight onto the kernel's
-        // recurring lane and the heap never holds one entry per node.
+        // recurring lane and the heap never holds one entry per node. The
+        // hot records are laid out in the same order, so a sensing period
+        // reads them front to back; the nodes this world does not drive go
+        // after them.
         starts.sort_unstable();
+        let order = starts.iter().map(|&(_, id)| id);
+        #[cfg(test)]
+        let in_id_order = self.records_in_id_order;
+        #[cfg(test)]
+        let order = order.filter(|_| !in_id_order);
+        self.sense.lay_out(order);
         k.reserve_recurring(starts.len());
         for (phase, id) in starts {
-            self.arm_sense_tick(k, k.now() + phase, id, true);
+            let word = sense::lane_word(self.sense.slot(id), id);
+            self.arm_sense_tick(k, k.now() + phase, word, true);
         }
         // Instantiate static (pinned) objects on their host nodes.
         for tid in self.program.type_ids() {

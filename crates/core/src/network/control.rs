@@ -5,7 +5,7 @@ use envirotrack_net::medium::{GilbertElliott, LinkFaults, Medium};
 use envirotrack_sim::time::Timestamp;
 use envirotrack_world::field::NodeId;
 
-use super::node::{self, NodeState, SenseState};
+use super::node::{self, HotRecords, NodeState};
 use crate::api::Program;
 
 /// One fault, applied to a world by [`super::SensorNetwork::apply_fault`]:
@@ -51,7 +51,7 @@ impl FaultEvent {
         &self,
         now: Timestamp,
         medium: &mut Medium,
-        sense: &mut [SenseState],
+        sense: &mut HotRecords,
         nodes: &mut [NodeState],
         program: &Program,
         drives: impl Fn(NodeId) -> bool,
@@ -67,10 +67,9 @@ impl FaultEvent {
             | FaultEvent::Reboot(node)
             | FaultEvent::ClockRate { node, .. }
                 if !drives(*node) => {}
-            FaultEvent::Crash(node) => sense[node.index()].alive = false,
+            FaultEvent::Crash(node) => sense[*node].alive = false,
             FaultEvent::Reboot(node) => {
-                let i = node.index();
-                node::reboot(*node, &mut sense[i], &mut nodes[i], program);
+                node::reboot(*node, &mut sense[*node], &mut nodes[node.index()], program);
             }
             // The local clock is rebased at `now` so it stays continuous;
             // the new rate applies to every timer and sensing tick armed
@@ -80,9 +79,9 @@ impl FaultEvent {
                     (0.5..=2.0).contains(rate),
                     "clock rate {rate} outside the bounded-skew range [0.5, 2.0]"
                 );
-                let i = node.index();
-                nodes[i].clock.set_rate(*rate, now);
-                sense[i].clock_nominal = nodes[i].clock.is_nominal();
+                let clock = &mut nodes[node.index()].clock;
+                clock.set_rate(*rate, now);
+                sense[*node].clock_nominal = clock.is_nominal();
             }
         }
     }

@@ -53,9 +53,8 @@ impl SensorNetwork {
 
     /// Every live node's machine for `tid`.
     fn live_machines(&self, tid: ContextTypeId) -> impl Iterator<Item = &GroupMachine> {
-        let nodes = self.sense.iter().zip(&self.nodes);
-        let live = nodes.filter(|(hot, _)| hot.alive);
-        live.map(move |(_, node)| &node.machines[tid.0 as usize])
+        let live = self.sense.in_id_order().filter(|(_, hot)| hot.alive);
+        live.map(move |(id, _)| &self.nodes[id.index()].machines[tid.0 as usize])
     }
 
     /// The run-wide telemetry registry.
@@ -151,8 +150,8 @@ impl SensorNetwork {
     /// Aggregate CPU statistics: `(admitted, dropped)` over all nodes.
     #[must_use]
     pub fn cpu_totals(&self) -> (u64, u64) {
-        self.sense.iter().fold((0, 0), |(a, d), n| {
-            let s = n.cpu.stats();
+        self.sense.in_id_order().fold((0, 0), |(a, d), (_, hot)| {
+            let s = hot.cpu.stats();
             (a + s.admitted, d + s.dropped)
         })
     }
@@ -166,7 +165,7 @@ impl SensorNetwork {
     /// Whether a node is alive.
     #[must_use]
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.sense[node.index()].alive
+        self.sense[node].alive
     }
 
     /// A node's local clock reading at global instant `now`.
@@ -185,7 +184,7 @@ impl SensorNetwork {
     #[must_use]
     pub fn energy_at(&self, node: NodeId) -> EnergyMeter {
         let mut m = self.nodes[node.index()].energy;
-        m.charge_cpu(self.sense[node.index()].cpu.stats().busy);
+        m.charge_cpu(self.sense[node].cpu.stats().busy);
         m
     }
 
@@ -242,7 +241,7 @@ impl SensorNetwork {
         view: impl Fn(&NodeState) -> V,
     ) -> bool {
         let replicas = self.directory_replicas_of(type_id);
-        let live = replicas.iter().filter(|n| self.sense[n.index()].alive);
+        let live = replicas.iter().filter(|&&n| self.sense[n].alive);
         let views: Vec<V> = live.map(|n| view(&self.nodes[n.index()])).collect();
         views.windows(2).all(|pair| pair[0] == pair[1])
     }

@@ -83,7 +83,7 @@ use self::dir::Failover;
 use self::events::Recorder;
 use self::link::Decoded;
 pub use self::link::LinkReliability;
-use self::node::{NodeState, SenseState};
+use self::node::{HotRecords, NodeState};
 pub use self::sense::SensingWork;
 pub(crate) use self::words::MAX_TIMER_METHODS;
 use crate::api::Program;
@@ -105,9 +105,9 @@ pub struct SensorNetwork {
     environment: Environment,
     medium: Medium,
     router: GeoRouter,
-    /// Per-node state in two parallel arrays indexed by node id: the hot
-    /// record a sensing tick lives in, and everything else.
-    sense: Vec<SenseState>,
+    /// Per-node state in two arrays: the hot record a sensing tick lives
+    /// in, in the order the ticks fire, and everything else, by node id.
+    sense: HotRecords,
     nodes: Vec<NodeState>,
     /// The sensing driver's coverage of `environment` and its work counters.
     sensing: sense::Sensing,
@@ -128,6 +128,10 @@ pub struct SensorNetwork {
     /// so a test can pin that the quiescent test changes no byte of a run.
     #[cfg(test)]
     ticks_enter_machines: bool,
+    /// Test hook: leave the hot records in id order, so a test can pin
+    /// that their layout changes no byte of a run.
+    #[cfg(test)]
+    records_in_id_order: bool,
 }
 
 type K = Kernel<SensorNetwork>;
@@ -139,7 +143,7 @@ impl SensorNetwork {
 
     /// Kills a node: it stops sensing, processing, and transmitting.
     pub fn kill_node(&mut self, node: NodeId) {
-        self.sense[node.index()].alive = false;
+        self.sense[node].alive = false;
     }
 
     /// Revives a previously killed node with cleared protocol state. Its
@@ -147,8 +151,8 @@ impl SensorNetwork {
     /// (doing nothing) and resumes work on the first tick after revival,
     /// on the phase it always had.
     pub fn revive_node(&mut self, node: NodeId) {
-        let i = node.index();
-        node::reboot(node, &mut self.sense[i], &mut self.nodes[i], &self.program);
+        let cold = &mut self.nodes[node.index()];
+        node::reboot(node, &mut self.sense[node], cold, &self.program);
     }
 
     /// Applies one fault at `now` (see [`FaultEvent`]).
@@ -189,7 +193,7 @@ impl SensorNetwork {
     pub fn kick_directory_gossip(&mut self, k: &mut Kernel<SensorNetwork>) {
         for tid in self.program.type_ids() {
             for node in self.directory_replicas_of(tid) {
-                if self.sense[node.index()].alive {
+                if self.sense[node].alive {
                     self.push_dir_sync(k, node, tid);
                 }
             }
@@ -264,7 +268,7 @@ impl SensorNetwork {
     /// (`words.rs`).
     fn group_timer(&mut self, k: &mut K, words: [u64; 2]) {
         let (node, tid, key, token) = words::unpack(words);
-        let hot = &mut self.sense[node.index()];
+        let hot = &mut self.sense[node];
         if !hot.alive {
             return;
         }
@@ -300,7 +304,7 @@ impl SensorNetwork {
         tid: ContextTypeId,
         f: impl FnOnce(&mut GroupMachine, &mut GroupCtx<'_>) -> Vec<GroupAction>,
     ) -> Vec<GroupAction> {
-        let (hot, rt) = (&mut self.sense[node.index()], &mut self.nodes[node.index()]);
+        let (hot, rt) = (&mut self.sense[node], &mut self.nodes[node.index()]);
         let mut ctx = GroupCtx {
             now,
             cfg: &self.config.middleware,
@@ -327,7 +331,7 @@ impl SensorNetwork {
     ) {
         let now = k.now();
         for action in actions {
-            let (pos, rt) = (self.sense[node.index()].pos, &mut self.nodes[node.index()]);
+            let (pos, rt) = (self.sense[node].pos, &mut self.nodes[node.index()]);
             match action {
                 GroupAction::Broadcast(msg) => self.send_message(k, node, None, &msg),
                 GroupAction::ArmTimer { key, at, token } => {
@@ -430,7 +434,7 @@ impl SensorNetwork {
         if !frame.link_dst.accepts(node) {
             return;
         }
-        let (hot, rt) = (&mut self.sense[node.index()], &mut self.nodes[node.index()]);
+        let (hot, rt) = (&mut self.sense[node], &mut self.nodes[node.index()]);
         // The radio spent the airtime decoding the frame whatever the CPU
         // does next; an overloaded one drops it (receive overflow).
         if hot.alive {
@@ -576,7 +580,7 @@ impl SensorNetwork {
         target_type: ContextTypeId,
         replica: Option<NodeId>,
     ) {
-        let msg = dir::query(query_id, target_type, node, self.sense[node.index()].pos);
+        let msg = dir::query(query_id, target_type, node, self.sense[node].pos);
         match replica {
             Some(target) => self.send_to_node(k, node, target, msg),
             None => self.send_geo(k, node, self.directory_home(target_type), None, msg),
@@ -592,7 +596,7 @@ impl SensorNetwork {
     /// fails it — dropping any MTP sends parked on it — once the replica
     /// set is exhausted.
     fn query_failover(&mut self, k: &mut K, node: NodeId, query_id: u32) {
-        if !self.sense[node.index()].alive {
+        if !self.sense[node].alive {
             return;
         }
         let rt = &mut self.nodes[node.index()];
@@ -646,7 +650,7 @@ impl SensorNetwork {
         // Reschedule first so the round survives any processing below.
         k.schedule_at(k.now() + period, move |w, k| w.gossip_tick(k, node, tid));
         // Overloaded CPUs skip the round; the next period retries.
-        if self.sense[node.index()].admit(k.now(), costs::TIMER_HANDLE) {
+        if self.sense[node].admit(k.now(), costs::TIMER_HANDLE) {
             self.push_dir_sync(k, node, tid);
         }
     }
@@ -687,7 +691,7 @@ impl SensorNetwork {
             dst_label,
             dst_port,
             src_leader: node,
-            src_leader_pos: self.sense[node.index()].pos,
+            src_leader_pos: self.sense[node].pos,
             chain_hops: 0,
             seq: 0,
             payload,
@@ -721,7 +725,7 @@ impl SensorNetwork {
     }
 
     fn mtp_retry(&mut self, k: &mut K, node: NodeId, seq: u32) {
-        if !self.sense[node.index()].alive {
+        if !self.sense[node].alive {
             return;
         }
         let rt = &mut self.nodes[node.index()];
@@ -736,7 +740,7 @@ impl SensorNetwork {
     }
 
     fn mtp_resend(&mut self, k: &mut K, node: NodeId, out: Outstanding) {
-        if !self.sense[node.index()].alive {
+        if !self.sense[node].alive {
             return;
         }
         let rt = &mut self.nodes[node.index()];
@@ -758,7 +762,7 @@ impl SensorNetwork {
         });
         let here = LeaderLoc {
             node,
-            pos: self.sense[node.index()].pos,
+            pos: self.sense[node].pos,
         };
         let arrival = mtp::arrive(&mut rt.mtp, seg, here, leads, now, mw, &mut self.rec);
         if let Some((loc, msg)) = arrival.send {
@@ -839,7 +843,7 @@ impl SensorNetwork {
     /// (which decorrelates it from whatever collided with the last copy),
     /// or gives up after [`link::MAX_ATTEMPTS`].
     fn link_retry(&mut self, k: &mut K, node: NodeId, seq: u32) {
-        if !self.sense[node.index()].alive {
+        if !self.sense[node].alive {
             return;
         }
         let rt = &mut self.nodes[node.index()];
@@ -855,7 +859,7 @@ impl SensorNetwork {
     }
 
     fn transmit(&mut self, k: &mut K, node: NodeId, frame: Frame) {
-        let cpu = &mut self.sense[node.index()].cpu;
+        let cpu = &mut self.sense[node].cpu;
         let energy = &mut self.nodes[node.index()].energy;
         let shard = self.shard.as_mut();
         let sent = link::transmit(cpu, energy, &mut self.medium, shard, k.now(), frame);
@@ -990,6 +994,46 @@ mod tests {
         assert_eq!((hooked.ticks, hooked.admitted), (work.ticks, work.admitted));
     }
 
+    /// The hot records in firing order against the hook that leaves them in
+    /// id order: across the clock-rate change that sends a node off the
+    /// lane and the crash and reboot, not a byte differs, and neither does
+    /// any work counter but the strides.
+    #[test]
+    fn the_record_layout_changes_no_byte_of_a_faulted_run() {
+        let ((on_lane, work), run) = faulted_run(|_| {});
+        let ((in_id_order, unlaid), unlaid_run) = faulted_run(|w| w.records_in_id_order = true);
+        assert_eq!((on_lane, run), (in_id_order, unlaid_run));
+        let strides = |w: SensingWork| SensingWork { strides: 0, ..w };
+        assert_eq!(strides(work), strides(unlaid));
+        assert!(work.strides * 20 < unlaid.strides, "{work:?} {unlaid:?}");
+    }
+
+    /// On a field of nominal clocks a sensing period reads the records front
+    /// to back: one stride a period, where id order strides on nearly
+    /// every tick.
+    #[test]
+    fn a_nominal_field_strides_once_a_sensing_period() {
+        let run = |hook: fn(&mut SensorNetwork)| {
+            let scenario = TankScenario::default().with_grid(30, 30).build();
+            let (field, targets) = (scenario.deployment, scenario.environment);
+            let config = NetworkConfig::default();
+            let mut engine = SensorNetwork::build_engine(tracker(), field, targets, config, 9);
+            hook(engine.world_mut());
+            engine.run_until(Timestamp::from_secs(10));
+            engine.world().sensing_work()
+        };
+        let laid_out = run(|_| {});
+        let periods = laid_out.ticks.div_ceil(900);
+        assert!(periods >= 49, "{laid_out:?}");
+        assert!(laid_out.strides <= periods, "{laid_out:?}");
+        let in_id_order = run(|w| w.records_in_id_order = true);
+        assert_eq!(in_id_order.ticks, laid_out.ticks);
+        assert!(
+            in_id_order.strides * 10 > in_id_order.ticks * 9,
+            "{in_id_order:?}"
+        );
+    }
+
     /// `traffic_dense`'s shape in small: wide targets over a short-range
     /// radio, so group timers and transmission completions are nearly all
     /// the heap holds. Every one of them was a boxed closure once.
@@ -1021,6 +1065,7 @@ mod tests {
 
     #[test]
     fn the_hot_record_is_one_cache_line() {
+        use super::node::SenseState;
         assert_eq!(std::mem::align_of::<SenseState>(), 64);
         assert!(std::mem::size_of::<SenseState>() <= 64);
     }
@@ -1035,23 +1080,26 @@ mod tests {
             NetworkConfig::default(),
             5,
         );
-        let busy = |w: &SensorNetwork| w.sense.iter().position(|hot| !hot.quiescent);
+        let busy = |w: &SensorNetwork| {
+            let mut records = w.sense.in_id_order();
+            records.find(|(_, hot)| !hot.quiescent).map(|(id, _)| id)
+        };
         // Event by event up to the tick that first senses the tank.
         while busy(engine.world()).is_none() {
             engine.step().expect("the tank reaches the field");
         }
         let world = engine.world();
         let first = busy(world).expect("just found");
-        let role = world.nodes[first].machines[0].role_kind();
+        let role = world.nodes[first.index()].machines[0].role_kind();
         assert_eq!(role, RoleKind::Idle, "still waiting out its jitter");
         // A leader is not quiescent, dead or alive, until it reboots.
         engine.run_until(engine.kernel().now() + SimDuration::from_secs(3));
         let (leader, _) = engine.world().leaders_of_type(ContextTypeId(0))[0];
         let world = engine.world_mut();
         world.kill_node(leader);
-        assert!(!world.sense[leader.index()].quiescent);
+        assert!(!world.sense[leader].quiescent);
         world.revive_node(leader);
-        assert!(world.sense[leader.index()].quiescent);
+        assert!(world.sense[leader].quiescent);
         let role = world.nodes[leader.index()].machines[0].role_kind();
         assert_eq!(role, RoleKind::Idle);
     }

@@ -1,10 +1,12 @@
 //! Per-node state, split by how often it is touched. [`SenseState`] is the
-//! hot half: one cache line per node, dense in id order, holding exactly
-//! what a sensing tick that finds nothing reads and writes. [`NodeState`] is
-//! the cold half, in a parallel array: energy, clock, randomness and one
-//! state value per protocol layer — only a node in or near a group, or one
-//! a frame reaches, ever dereferences it. A layer takes its own field, plus
-//! the substrates it charges.
+//! hot half: one cache line per node, held by [`HotRecords`] in the order
+//! the sensing lane fires them, holding exactly what a sensing tick that
+//! finds nothing reads and writes. [`NodeState`] is the cold half, in id
+//! order: energy, clock, randomness and one state value per protocol layer —
+//! only a node in or near a group, or one a frame reaches, ever dereferences
+//! it. A layer takes its own field, plus the substrates it charges.
+
+use std::ops::{Index, IndexMut};
 
 use envirotrack_node::cpu::{costs, MoteCpu};
 use envirotrack_node::energy::EnergyMeter;
@@ -80,16 +82,21 @@ pub(super) struct SenseState {
     /// Every group machine of the node is idle with no formation timer
     /// pending (see `sense.rs`). Kept by `drive_machine` and [`reboot`].
     pub(super) quiescent: bool,
+    /// The coverage cell `pos` lies in
+    /// ([`Coverage::cell_index`](envirotrack_world::sensing::Coverage::cell_index)),
+    /// worked out once: a node never moves.
+    pub(super) cell: u32,
 }
 
 impl SenseState {
-    pub(super) fn new(pos: Point) -> Self {
+    pub(super) fn new(pos: Point, cell: u32) -> Self {
         SenseState {
             pos,
             cpu: MoteCpu::new(costs::MAX_BACKLOG),
             alive: true,
             clock_nominal: true,
             quiescent: true,
+            cell,
         }
     }
 
@@ -99,6 +106,114 @@ impl SenseState {
     #[inline]
     pub(super) fn admit(&mut self, now: Timestamp, cost: SimDuration) -> bool {
         self.alive && self.cpu.admit(now, cost).is_ok()
+    }
+}
+
+/// Every node's hot record, stored in *slot* order, plus each node's slot.
+/// `bootstrap` lays the records out in the order the recurring lane fires
+/// them, so one sensing period reads the array front to back; a tick finds
+/// its record by the slot its lane word carries, everything else by node
+/// id through the table. Which record sits where changes no byte of a run.
+pub(super) struct HotRecords {
+    records: Vec<SenseState>,
+    /// `slots[id]` is where node `id`'s record is.
+    slots: Vec<u32>,
+}
+
+/// Marks a slot [`HotRecords::lay_out`] has already handed out.
+const PLACED: u32 = 1 << 31;
+
+impl HotRecords {
+    /// `records` in id order, each in its own id's slot.
+    pub(super) fn new(records: Vec<SenseState>) -> Self {
+        let n = u32::try_from(records.len()).expect("node ids are u32");
+        assert!(n < PLACED, "more nodes than slots");
+        HotRecords {
+            records,
+            slots: (0..n).collect(),
+        }
+    }
+
+    /// The record in `slot`.
+    #[inline]
+    pub(super) fn at(&self, slot: u32) -> &SenseState {
+        &self.records[slot as usize]
+    }
+
+    /// The record in `slot`, to change.
+    #[inline]
+    pub(super) fn at_mut(&mut self, slot: u32) -> &mut SenseState {
+        &mut self.records[slot as usize]
+    }
+
+    /// Where `node`'s record is.
+    #[inline]
+    pub(super) fn slot(&self, node: NodeId) -> u32 {
+        self.slots[node.index()]
+    }
+
+    /// Every record with its node, in id order.
+    pub(super) fn in_id_order(&self) -> impl Iterator<Item = (NodeId, &SenseState)> {
+        let ids = (0..).map(NodeId);
+        ids.zip(&self.slots)
+            .map(|(id, &slot)| (id, &self.records[slot as usize]))
+    }
+
+    /// Moves the records of `order` to the first slots, in that order, and
+    /// every other record after them in id order. Permutes in place, by
+    /// walking each cycle of the permutation with swaps: the only copy is
+    /// one `u32` per node, for as long as the call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` names a node twice or one that has no record.
+    pub(super) fn lay_out(&mut self, order: impl IntoIterator<Item = NodeId>) {
+        // `from[slot]`: the slot the record that goes to `slot` is in now.
+        let mut from = Vec::with_capacity(self.records.len());
+        for id in order {
+            let slot = &mut self.slots[id.index()];
+            assert!(*slot & PLACED == 0, "{id} laid out twice");
+            from.push(*slot);
+            *slot = (from.len() as u32 - 1) | PLACED;
+        }
+        for slot in &mut self.slots {
+            if *slot & PLACED == 0 {
+                from.push(*slot);
+                *slot = from.len() as u32 - 1;
+            }
+            *slot &= !PLACED;
+        }
+        // Each cycle `j → from[j] → …` back to its start: the swap brings
+        // `j` its record and carries `j`'s old one on to the next member.
+        // A visited slot is marked by pointing at itself.
+        for start in 0..from.len() {
+            let mut j = start;
+            loop {
+                let next = from[j] as usize;
+                from[j] = j as u32;
+                if next == start {
+                    break;
+                }
+                self.records.swap(j, next);
+                j = next;
+            }
+        }
+    }
+}
+
+impl Index<NodeId> for HotRecords {
+    type Output = SenseState;
+
+    #[inline]
+    fn index(&self, node: NodeId) -> &SenseState {
+        &self.records[self.slots[node.index()] as usize]
+    }
+}
+
+impl IndexMut<NodeId> for HotRecords {
+    #[inline]
+    fn index_mut(&mut self, node: NodeId) -> &mut SenseState {
+        &mut self.records[self.slots[node.index()] as usize]
     }
 }
 
@@ -156,4 +271,63 @@ pub(super) fn reboot(id: NodeId, hot: &mut SenseState, cold: &mut NodeState, pro
     cold.mtp.reboot();
     cold.dir.reboot();
     cold.link.reboot();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use testkit::prelude::*;
+
+    /// `n` records in id order, each tagged with its node's id in both its
+    /// position and its cell, so a record says whose it is.
+    fn tagged(n: u32) -> HotRecords {
+        let record = |i: u32| SenseState::new(Point::new(f64::from(i), 0.0), i);
+        HotRecords::new((0..n).map(record).collect())
+    }
+
+    /// A random order of all of `n` nodes, or of a random share of them —
+    /// a shard's owned nodes.
+    fn some_order(rng: &mut SimRng, n: u32) -> Vec<NodeId> {
+        let mut ids: Vec<NodeId> = (0..n).map(NodeId).collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        if rng.chance(0.5) {
+            ids.truncate(rng.below(u64::from(n) + 1) as usize);
+        }
+        ids
+    }
+
+    prop_test! {
+        /// However the records are laid out — in a full order or a partial
+        /// one, once or over an earlier layout — the order's nodes hold the
+        /// first slots in that order and the others follow in id order,
+        /// every node's record is still its own, and `in_id_order` walks
+        /// the ids ascending.
+        #[test]
+        fn a_laid_out_record_is_still_its_nodes(seed: u64, n in 0u32..300, layouts in 1usize..3) {
+            let mut rng = SimRng::seed_from(seed);
+            let mut hot = tagged(n);
+            for _ in 0..layouts {
+                let order = some_order(&mut rng, n);
+                hot.lay_out(order.iter().copied());
+                let rest = (0..n).map(NodeId).filter(|id| !order.contains(id));
+                for (slot, id) in order.iter().copied().chain(rest).enumerate() {
+                    prop_assert_eq!(hot.slot(id), slot as u32);
+                }
+            }
+            for id in (0..n).map(NodeId) {
+                prop_assert_eq!(hot[id].pos.x, f64::from(id.0));
+                prop_assert_eq!(hot.at(hot.slot(id)).cell, id.0);
+            }
+            let walked: Vec<(NodeId, u32)> = hot.in_id_order().map(|(id, r)| (id, r.cell)).collect();
+            prop_assert_eq!(walked, (0..n).map(|i| (NodeId(i), i)).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "laid out twice")]
+    fn a_node_laid_out_twice_is_refused() {
+        tagged(4).lay_out([NodeId(2), NodeId(0), NodeId(2)]);
+    }
 }

@@ -11,6 +11,7 @@
 use envirotrack_node::cpu::costs;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::{Deployment, NodeId};
+use envirotrack_world::geometry::Point;
 use envirotrack_world::sensing::{Coverage, CoverageWork};
 
 use super::{SensorNetwork, K};
@@ -26,6 +27,12 @@ pub struct SensingWork {
     pub ticks: u64,
     /// Ticks the node's CPU admitted.
     pub admitted: u64,
+    /// Ticks whose node's hot record is not in the slot right after the
+    /// previous tick's: how often the driver jumped in memory instead of
+    /// reading on. With the records laid out in firing order, once per
+    /// sensing period, plus two for each tick of a node off the lane (there
+    /// and back).
+    pub strides: u64,
     /// Of the samples a quiescent node's tick took itself: how many the
     /// coverage answered, how many walked the targets, and how often the
     /// coverage was rebuilt. A tick that enters a group machine samples
@@ -40,6 +47,9 @@ pub(super) struct Sensing {
     coverage: Coverage,
     ticks: u64,
     admitted: u64,
+    strides: u64,
+    /// The slot of the last tick's record.
+    last_slot: u32,
 }
 
 impl Sensing {
@@ -48,16 +58,31 @@ impl Sensing {
             coverage: Coverage::new(field.bounds(), field.len(), sense_period),
             ticks: 0,
             admitted: 0,
+            strides: 0,
+            // So that a first tick in slot 0 reads on.
+            last_slot: u32::MAX,
         }
+    }
+
+    /// The coverage cell a sensor at `pos` samples from, for its hot record.
+    pub(super) fn cell(&self, pos: Point) -> u32 {
+        self.coverage.cell_index(pos)
     }
 
     pub(super) fn work(&self) -> SensingWork {
         SensingWork {
             ticks: self.ticks,
             admitted: self.admitted,
+            strides: self.strides,
             coverage: self.coverage.work(),
         }
     }
+}
+
+/// The lane word of a sensing loop: the slot of the node's hot record in
+/// the high half, its id in the low half.
+pub(super) fn lane_word(slot: u32, node: NodeId) -> u64 {
+    u64::from(slot) << 32 | u64::from(node.0)
 }
 
 /// Whether a node with these machines is quiescent. `drive_machine`
@@ -67,37 +92,46 @@ pub(super) fn quiescent(machines: &[GroupMachine]) -> bool {
 }
 
 impl SensorNetwork {
-    /// Schedules `node`'s next sensing tick at `at`: on the kernel's
-    /// recurring lane when `on_lane`, as an inline heap event otherwise. The
-    /// two differ in cost only, never in when or in what order the tick runs.
-    pub(super) fn arm_sense_tick(&self, k: &mut K, at: Timestamp, node: NodeId, on_lane: bool) {
+    /// Schedules the next tick of the sensing loop `word` ([`lane_word`])
+    /// at `at`: on the kernel's recurring lane when `on_lane`, as an inline
+    /// heap event otherwise. The two differ in cost only, never in when or
+    /// in what order the tick runs.
+    pub(super) fn arm_sense_tick(&self, k: &mut K, at: Timestamp, word: u64, on_lane: bool) {
         #[cfg(test)]
         let on_lane = on_lane && !self.sense_loops_on_heap;
-        let id = u64::from(node.0);
         if on_lane {
-            k.schedule_recurring_at(at, Self::sense_tick, id);
+            k.schedule_recurring_at(at, Self::sense_tick, word);
         } else {
-            k.schedule_inline_at(at, |w, k, [id, _]| w.sense_tick(k, id), [id, 0]);
+            k.schedule_inline_at(at, |w, k, [word, _]| w.sense_tick(k, word), [word, 0]);
         }
     }
 
-    /// One sensing tick on `node`: reschedule, then give every context-type
-    /// machine that could act on it the reading. Each owned node has exactly
-    /// one such loop, started by `bootstrap`; it outlives crashes (a dead
-    /// node's tick only reschedules), so nothing may start a second one.
-    fn sense_tick(&mut self, k: &mut K, id: u64) {
-        let node = NodeId(u32::try_from(id).expect("armed with a node id"));
+    /// One sensing tick on the node of `word`: reschedule, then give every
+    /// context-type machine that could act on it the reading. Each owned
+    /// node has exactly one such loop, started by `bootstrap`; it outlives
+    /// crashes (a dead node's tick only reschedules), so nothing may start a
+    /// second one. The record is reached by its slot, never by the table.
+    fn sense_tick(&mut self, k: &mut K, word: u64) {
+        // Truncating casts: the halves `lane_word` put together.
+        let (slot, node) = ((word >> 32) as u32, NodeId(word as u32));
         let (i, now) = (node.index(), k.now());
-        self.sensing.ticks += 1;
+        let sensing = &mut self.sensing;
+        sensing.ticks += 1;
+        if slot != sensing.last_slot.wrapping_add(1) {
+            sensing.strides += 1;
+        }
+        sensing.last_slot = slot;
+        debug_assert_eq!(self.sense.slot(node), slot, "{node} moved");
+        let hot = self.sense.at(slot);
         debug_assert_eq!(
-            self.sense[i].quiescent,
+            hot.quiescent,
             quiescent(&self.nodes[i].machines),
             "stale quiescent bit on {node}"
         );
         // The sensing period elapses on the node's *local* clock: skewed
         // clocks sample faster or slower than global time.
         let nominal = self.config.middleware.sense_period;
-        let period = if self.sense[i].clock_nominal {
+        let period = if hot.clock_nominal {
             nominal
         } else {
             self.nodes[i].clock.global_delay(nominal)
@@ -106,16 +140,17 @@ impl SensorNetwork {
         // node stays off the lane: a slow clock's later deadline would become
         // the lane's tail and send every other node's tick to the heap until
         // it fired.
-        self.arm_sense_tick(k, now + period, node, period == nominal);
+        self.arm_sense_tick(k, now + period, word, period == nominal);
         // Overloaded CPU skips sensing ticks.
-        if !self.sense[i].admit(now, costs::SENSE) {
+        if !self.sense.at_mut(slot).admit(now, costs::SENSE) {
             return;
         }
         self.sensing.admitted += 1;
         for tid in self.program.type_ids() {
             // Read per type: an earlier type's machine may just have armed
             // its formation timer.
-            let idle = self.sense[i].quiescent;
+            let hot = self.sense.at(slot);
+            let idle = hot.quiescent;
             #[cfg(test)]
             let idle = idle && !self.ticks_enter_machines;
             let mut reading = None;
@@ -128,9 +163,11 @@ impl SensorNetwork {
                 // Taken where the machine would take it, so any noise comes
                 // off the node's stream at the same point; through the
                 // coverage, which returns what the machine's walk would.
-                let (pos, rng) = (self.sense[i].pos, &mut self.nodes[i].rng);
-                let coverage = &mut self.sensing.coverage;
-                let taken = self.environment.sample_covered(coverage, pos, now, rng);
+                let (cell, pos) = (hot.cell, hot.pos);
+                let (coverage, rng) = (&mut self.sensing.coverage, &mut self.nodes[i].rng);
+                let taken = self
+                    .environment
+                    .sample_covered(coverage, cell, pos, now, rng);
                 if !spec.senses(&taken, false) {
                     continue;
                 }

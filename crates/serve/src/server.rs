@@ -149,6 +149,34 @@ impl Session {
     }
 }
 
+/// Binds `addr` with room for `backlog` connections the acceptor has not
+/// taken yet. `TcpListener::bind` listens with a backlog of 128, which a
+/// connect storm overflows; the kernel then drops the SYN, and the client
+/// waits out a one-second retransmit. Re-issuing `listen(2)` on the bound
+/// socket resizes the queue; the kernel clamps it to `somaxconn`.
+fn listen(addr: SocketAddr, backlog: usize) -> std::io::Result<TcpListener> {
+    let listener = TcpListener::bind(addr)?;
+    #[cfg(target_os = "linux")]
+    {
+        use std::os::fd::AsRawFd;
+        // `std` already links the C library; its `listen` is declared here
+        // rather than pulled in through a crate.
+        extern "C" {
+            fn listen(fd: i32, backlog: i32) -> i32;
+        }
+        let backlog = i32::try_from(backlog).unwrap_or(i32::MAX);
+        // SAFETY: `listen` reads two integers and no memory of ours, and the
+        // descriptor is the listener's own bound socket, open for as long as
+        // `listener` lives.
+        if unsafe { listen(listener.as_raw_fd(), backlog) } != 0 {
+            return Err(std::io::Error::last_os_error());
+        }
+    }
+    #[cfg(not(target_os = "linux"))]
+    let _ = backlog;
+    Ok(listener)
+}
+
 /// A running server; dropping (or calling [`Server::shutdown`]) stops it.
 pub struct Server {
     addr: SocketAddr,
@@ -172,7 +200,7 @@ impl Server {
     ///
     /// Propagates bind failures.
     pub fn start(cfg: ServerConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(cfg.bind)?;
+        let listener = listen(cfg.bind, cfg.max_sessions)?;
         let addr = listener.local_addr()?;
         let metrics = Arc::new(ServeMetrics::new());
         let stop = Arc::new(AtomicBool::new(false));
@@ -651,4 +679,28 @@ fn handle_message(
 /// never-accepted sessions), so mark accounted without a terminal bump.
 fn finish_rejected(s: &mut Session) {
     s.accounted = true;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A connect storm against a listener nobody accepts on: every connect
+    /// waits in the listen queue, and past its end the kernel drops the SYN
+    /// and the connect times out. At the default backlog of 128 the 130th
+    /// did.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn the_listen_queue_holds_a_connect_storm() {
+        let addr: SocketAddr = "127.0.0.1:0".parse().expect("an address");
+        let listener = listen(addr, ServerConfig::default().max_sessions).expect("bound");
+        let addr = listener.local_addr().expect("bound");
+        let mut held = Vec::new();
+        for i in 0..300 {
+            match TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
+                Ok(stream) => held.push(stream),
+                Err(e) => panic!("connect {i} of 300 failed with {} waiting: {e}", held.len()),
+            }
+        }
+    }
 }

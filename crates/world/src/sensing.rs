@@ -165,6 +165,9 @@ pub struct Coverage {
 }
 
 impl Coverage {
+    /// The cell of a position no cell speaks for: it is always walked.
+    pub const OFF_FIELD: u32 = u32::MAX;
+
     /// An empty coverage for `nodes` sensors spread over `bounds`, whose
     /// windows last at least `floor`.
     #[must_use]
@@ -226,15 +229,25 @@ impl Coverage {
         (col.min(self.cols - 1), row.min(self.rows - 1))
     }
 
-    /// Whether `pos` is on the field and in a cell no target reaches.
-    #[inline]
-    fn is_clear(&self, pos: Point) -> bool {
+    /// The cell a sensor at `pos` samples from, for
+    /// [`Environment::sample_covered`]: which cell it is depends on the
+    /// field alone, never on a window, so a sensor that does not move works
+    /// it out once. A position off the field gets [`Coverage::OFF_FIELD`].
+    #[must_use]
+    pub fn cell_index(&self, pos: Point) -> u32 {
         if !self.bounds.contains(pos) {
-            return false;
+            return Self::OFF_FIELD;
         }
         let (col, row) = self.cell_of(pos);
-        let bit = row * self.cols + col;
-        self.bits[bit / 64] & (1 << (bit % 64)) == 0
+        // A grid too large to number in 32 bits is walked from every cell.
+        u32::try_from(row * self.cols + col).unwrap_or(Self::OFF_FIELD)
+    }
+
+    /// Whether `cell` is on the field and no target reaches it.
+    #[inline]
+    fn is_clear(&self, cell: u32) -> bool {
+        let bit = cell as usize;
+        cell != Self::OFF_FIELD && self.bits[bit / 64] & (1 << (bit % 64)) == 0
     }
 
     /// Rebuilds the bitmap for the window that starts at `t`.
@@ -368,9 +381,10 @@ impl Environment {
         self.noise.perturb(self.sample(pos, t), rng)
     }
 
-    /// [`Environment::sample_noisy`], bit for bit and draw for draw, for a
-    /// caller that keeps a [`Coverage`] of this environment: a position in
-    /// a cell no target can reach during the coverage's window reads the
+    /// [`Environment::sample_noisy`] at `pos`, bit for bit and draw for
+    /// draw, for a caller that keeps a [`Coverage`] of this environment and
+    /// knows `pos`'s cell in it ([`Coverage::cell_index`]): a sensor in a
+    /// cell no target can reach during the coverage's window reads the
     /// ambient levels (plus noise) without a look at any trajectory;
     /// anything else takes the exact walk. The first sample outside the
     /// window rebuilds the coverage around its own instant.
@@ -379,14 +393,20 @@ impl Environment {
     pub fn sample_covered(
         &self,
         coverage: &mut Coverage,
+        cell: u32,
         pos: Point,
         t: Timestamp,
         rng: &mut SimRng,
     ) -> SensorSample {
+        debug_assert_eq!(
+            cell,
+            coverage.cell_index(pos),
+            "{pos} is not in cell {cell}"
+        );
         if !coverage.holds(t, self.targets.len()) {
             coverage.rebuild(&self.targets, t);
         }
-        if coverage.is_clear(pos) {
+        if coverage.is_clear(cell) {
             coverage.work.answered += 1;
             debug_assert_eq!(
                 self.sample(pos, t).values.map(f64::to_bits),
@@ -543,6 +563,18 @@ mod tests {
         assert!((mean - 100.0).abs() < 0.25, "noisy mean {mean}");
     }
 
+    /// [`Environment::sample_covered`] at `pos`, its cell worked out here.
+    fn covered(
+        env: &Environment,
+        coverage: &mut Coverage,
+        pos: Point,
+        t: Timestamp,
+        rng: &mut SimRng,
+    ) -> SensorSample {
+        let cell = coverage.cell_index(pos);
+        env.sample_covered(coverage, cell, pos, t, rng)
+    }
+
     /// A tank-like disk target crossing a 40 × 40 unit grid of 1 600 nodes.
     fn crossing(speed: f64) -> (Environment, Coverage, Vec<Point>) {
         let mut env = Environment::new().with_ambient(Channel::Temperature, 20.0);
@@ -571,7 +603,7 @@ mod tests {
         for round in 0..5 {
             let t = Timestamp::from_millis(3_000 + 200 * round);
             for &pos in &nodes {
-                let got = env.sample_covered(&mut coverage, pos, t, &mut rng);
+                let got = covered(&env, &mut coverage, pos, t, &mut rng);
                 assert_eq!(got, env.sample(pos, t));
             }
         }
@@ -588,9 +620,21 @@ mod tests {
         assert!(work.walked <= 5 * 30, "{work:?}");
         // The next window is built by the first sample past this one, and a
         // step back in time builds one too.
-        let _ = env.sample_covered(&mut coverage, nodes[0], Timestamp::from_secs(4), &mut rng);
+        let _ = covered(
+            &env,
+            &mut coverage,
+            nodes[0],
+            Timestamp::from_secs(4),
+            &mut rng,
+        );
         assert_eq!(coverage.work().rebuilds, 2);
-        let _ = env.sample_covered(&mut coverage, nodes[0], Timestamp::from_secs(1), &mut rng);
+        let _ = covered(
+            &env,
+            &mut coverage,
+            nodes[0],
+            Timestamp::from_secs(1),
+            &mut rng,
+        );
         assert_eq!(coverage.work().rebuilds, 3);
     }
 
@@ -599,7 +643,7 @@ mod tests {
         let length = |speed: f64| {
             let (env, mut coverage, nodes) = crossing(speed);
             let mut rng = SimRng::seed_from(1);
-            let _ = env.sample_covered(&mut coverage, nodes[0], Timestamp::ZERO, &mut rng);
+            let _ = covered(&env, &mut coverage, nodes[0], Timestamp::ZERO, &mut rng);
             coverage.window().expect("built").1.as_micros() + 1
         };
         assert!((1_949_990..=1_950_000).contains(&length(0.5)));
@@ -608,7 +652,8 @@ mod tests {
         // Nothing moves: the cap.
         let env = Environment::new();
         let mut coverage = crossing(1.0).1;
-        let _ = env.sample_covered(
+        let _ = covered(
+            &env,
             &mut coverage,
             Point::ORIGIN,
             Timestamp::ZERO,
@@ -625,10 +670,10 @@ mod tests {
         let (mut env, mut coverage, _) = crossing(1.0);
         let (probe, t) = (Point::new(30.0, 5.0), Timestamp::from_secs(2));
         let mut rng = SimRng::seed_from(1);
-        let before = env.sample_covered(&mut coverage, probe, t, &mut rng);
+        let before = covered(&env, &mut coverage, probe, t, &mut rng);
         assert_eq!(before.get(Channel::Magnetic), 0.0);
         env.add_target(disk_target(1, probe, 0.5));
-        let after = env.sample_covered(&mut coverage, probe, t, &mut rng);
+        let after = covered(&env, &mut coverage, probe, t, &mut rng);
         assert_eq!(after.get(Channel::Magnetic), 1.0);
         assert_eq!(coverage.work().rebuilds, 2);
     }
@@ -657,8 +702,8 @@ mod tests {
                 .active_between(Timestamp::ZERO, Timestamp::from_secs(1)),
         );
         let (mut c, mut rng) = (Coverage::new(point, 1, floor), SimRng::seed_from(1));
-        let early = env.sample_covered(&mut c, at, Timestamp::ZERO, &mut rng);
-        let late = env.sample_covered(&mut c, at, Timestamp::from_secs(30), &mut rng);
+        let early = covered(&env, &mut c, at, Timestamp::ZERO, &mut rng);
+        let late = covered(&env, &mut c, at, Timestamp::from_secs(30), &mut rng);
         assert_eq!(
             (early.get(Channel::Magnetic), late.get(Channel::Magnetic)),
             (1.0, 0.0)

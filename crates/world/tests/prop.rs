@@ -327,8 +327,10 @@ prop_test! {
     /// or close inside a coverage window, every falloff kind (unbounded
     /// and NaN reaches, non-finite strengths, a NaN waypoint among them),
     /// with and without noise; sensors inside, on the edge of and off the
-    /// field, and at the targets' reach; instants in no order, at both
-    /// edges of the window just built and up against `Timestamp::MAX`.
+    /// field (whose cell is `OFF_FIELD`), at the targets' reach, and ones
+    /// that stay put with the cell they were given before the first window;
+    /// instants in no order, at both edges of the window just built and up
+    /// against `Timestamp::MAX`.
     #[test]
     fn covered_sample_is_bit_identical_to_the_walk(seed: u64, n_targets in 0usize..8) {
         let mut rng = SimRng::seed_from(seed);
@@ -385,6 +387,12 @@ prop_test! {
                 rng.uniform_range(-half.y * by, half.y * by),
             )
         };
+        // Sensors that stay put, their cells worked out once before any
+        // window exists, as a node's hot record keeps its cell.
+        let sensors: Vec<(Point, u32)> = (0..8)
+            .map(|i| roam(&mut rng, if i < 6 { 1.0 } else { 3.0 }))
+            .map(|pos| (pos, coverage.cell_index(pos)))
+            .collect();
 
         while !script.is_empty() {
             let pair = script.swap_remove(rng.below(script.len() as u64) as usize);
@@ -407,9 +415,18 @@ prop_test! {
                         (4, _) => Point::new(half.x, roam(&mut rng, 1.0).y),
                         (5, _) => roam(&mut rng, 3.0),
                         (6, _) if rng.chance(0.1) => Point::new(f64::NAN, 0.0),
+                        (6, _) => sensors[rng.below(8) as usize].0,
                         _ => roam(&mut rng, 1.0),
                     };
-                    let got = env.sample_covered(&mut coverage, pos, t, &mut drawn);
+                    let cell = match sensors.iter().find(|(at, _)| at.x == pos.x && at.y == pos.y) {
+                        Some(&(_, cell)) => cell,
+                        None => coverage.cell_index(pos),
+                    };
+                    // Off the field means no cell: that sample is walked.
+                    if !bounds.contains(pos) {
+                        prop_assert_eq!(cell, Coverage::OFF_FIELD, "{} is off the field", pos);
+                    }
+                    let got = env.sample_covered(&mut coverage, cell, pos, t, &mut drawn);
                     let want = env.sample_noisy(pos, t, &mut reference);
                     samples += 1;
                     for ch in Channel::ALL {

@@ -3,13 +3,18 @@
 #
 #   scripts/sigprof.sh <workload> [seed=1]
 #   SECONDS_RUN=5 HZ=1000 TOP=60 scripts/sigprof.sh traffic_dense 7
+#   LINES=sense_tick scripts/sigprof.sh field_sparse
 #
 # Builds the BENCHMARK.json binary with frame pointers and line tables into
 # its own target directory (target/sigprof, so neither the release build nor
 # a measurement in progress is disturbed), runs the unmodified benchmark
 # command line under a small LD_PRELOAD sampler, and prints two tables: where
 # the program counter was (self) and which functions were on the stack
-# (inclusive), inlined frames told apart by `addr2line -i`.
+# (inclusive), inlined frames told apart by `addr2line -i`. With
+# LINES=<substring>, a third table splits the self samples whose program
+# counter is inside a function whose name contains the substring (at any
+# inlined level) by source line: the `file:line` of the innermost inlined
+# frame, which is the line the processor was executing.
 #
 # The sampler arms setitimer(ITIMER_PROF) at $HZ (500) and, on each SIGPROF,
 # walks the frame-pointer chain of the thread the signal landed on, never
@@ -30,6 +35,7 @@ workload="$1"
 seed="${2:-1}"
 hz="${HZ:-500}"
 top="${TOP:-40}"
+lines="${LINES:-}"
 seconds="${SECONDS_RUN:-$(sed -n 's/^ *"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)}"
 
 for tool in gcc addr2line; do
@@ -139,12 +145,17 @@ SIGPROF_OUT="$samples" SIGPROF_HZ="$hz" LD_PRELOAD="$PWD/$dir/sampler.so" \
 tr ' ' '\n' < "$samples" | grep . | sort -u > "$dir/addrs"
 addr2line -a -f -C -i -e "$bin" < "$dir/addrs" > "$dir/symbols"
 
-awk -v top="$top" '
+awk -v top="$top" -v lines="$lines" -v root="$PWD/" '
   FNR == NR {                                   # symbols
     if ($0 ~ /^0x[0-9a-f]+$/) { addr = substr($0, 3); sub(/^0+/, "", addr); levels[addr] = 0; want = 1; next }
     if (want) {                                 # a function line; the file:line line follows
       name = ($0 == "??") ? "[elsewhere]" : $0
       fn[addr, ++levels[addr]] = name
+    } else {                                    # where in the source, repo- or library-relative
+      at = $0; sub(/ \(discriminator [0-9]+\)$/, "", at)
+      if (index(at, root) == 1) at = substr(at, length(root) + 1)
+      sub(/^\/rustc\/[0-9a-f]+\//, "", at)
+      loc[addr, levels[addr]] = at
     }
     want = !want
     next
@@ -154,7 +165,12 @@ awk -v top="$top" '
     split("", seen)
     for (i = 1; i <= NF; i++) {
       a = $i; sub(/^0+/, "", a)
-      if (i == 1) self[(levels[a] ? fn[a, 1] : "[elsewhere]")]++
+      if (i == 1) {
+        self[(levels[a] ? fn[a, 1] : "[elsewhere]")]++
+        if (lines != "")
+          for (l = 1; l <= levels[a]; l++)
+            if (index(fn[a, l], lines)) { line[loc[a, 1]]++; break }
+      }
       for (l = 1; l <= levels[a]; l++) if (!seen[fn[a, l]]++) incl[fn[a, l]]++
     }
   }
@@ -167,6 +183,7 @@ awk -v top="$top" '
   END {
     table("self", self)
     table("inclusive", incl)
+    if (lines != "") table("self by line, in functions matching \"" lines "\"", line)
   }
 ' "$dir/symbols" "$samples" | awk -v n="$(wc -l < "$samples")" '
   /^[0-9]+ / { c = $1; $1 = ""; printf "%6.2f %%  %7d %s\n", c * 100 / n, c, $0; next } { print }'

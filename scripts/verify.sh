@@ -111,7 +111,7 @@ cmp -s "$tmp/sweep1.jsonl" "$tmp/sweep2.jsonl" \
 for f in "$tmp/scale.json" BENCH_scale.json; do
   for key in '"bench":"scale"' '"construction":' '"speedup":' '"results":' \
              '"events_per_sec":' '"sweep":' '"merged_outputs_identical":true' \
-             '"bytes_on_air":' '"sense_ticks":' '"sense_ticks_admitted":' \
+             '"bytes_on_air":' '"sense_ticks":' '"sense_ticks_admitted":' '"sense_strides":' \
              '"samples_covered":' '"samples_walked":' '"coverage_rebuilds":' \
              '"lane_pops":' '"heap_pops":' '"inline_events":' '"boxed_events":' \
              '"shards":' '"speedup_vs_first":' '"byte_identical":true' \
