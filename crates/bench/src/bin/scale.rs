@@ -13,7 +13,8 @@
 //!    kernel events, events per wall-second, bytes on air, the sensing
 //!    driver's work counters (ticks fired and admitted, strides between
 //!    hot records, idle samples the coverage answered or walked, coverage
-//!    rebuilds) and the event list's
+//!    rebuilds, answered samples settled by the ambient verdict) and the
+//!    event list's
 //!    (lane pops, heap pops, one-shot events scheduled inline and boxed).
 //! 2. `construction` — grid vs. brute-force neighbor-table build time on
 //!    a 10k-node field (tables asserted identical before timing; the
@@ -242,6 +243,7 @@ fn main() -> ExitCode {
                 .field_u64("samples_covered", p.sensing.coverage.answered)
                 .field_u64("samples_walked", p.sensing.coverage.walked)
                 .field_u64("coverage_rebuilds", p.sensing.coverage.rebuilds)
+                .field_u64("sense_verdicts", p.sensing.verdicts)
                 .field_u64("lane_pops", p.event_list.lane_pops)
                 .field_u64("heap_pops", p.event_list.heap_pops)
                 .field_u64("inline_events", p.event_list.inline_scheduled)

@@ -88,7 +88,8 @@ pub struct ScalePoint {
     pub sim_horizon_s: f64,
     /// How the sensing driver did its part: ticks fired and admitted,
     /// strides between hot records, idle samples the coverage answered or
-    /// walked, coverage rebuilds.
+    /// walked, coverage rebuilds, answered samples the ambient verdict
+    /// settled without building them.
     /// Exact and host-independent, but no part of the simulation's output.
     pub sensing: SensingWork,
     /// How the kernel's event list did its part: pops off the recurring

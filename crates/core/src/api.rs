@@ -356,7 +356,7 @@ impl ContextBuilder {
                 name,
                 // A context that never activates is harmless; the builder
                 // replaces this with the real predicate.
-                activation: SensePredicate::new("never", |_| false),
+                activation: SensePredicate::Never,
                 deactivation: None,
                 aggregates: Vec::new(),
                 objects: Vec::new(),

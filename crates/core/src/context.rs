@@ -11,7 +11,6 @@
 //! as `(type, creator-node, per-node sequence)`.
 
 use std::fmt;
-use std::sync::Arc;
 
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::Telemetry;
@@ -117,78 +116,131 @@ pub(crate) fn trace_label(
     telemetry.trace_shared(at.as_micros(), node.0, &labels.label(label), kind, detail);
 }
 
+/// How a [`SensePredicate::Cmp`] compares a channel reading with its value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CmpOp {
+    /// `>`
+    Gt,
+    /// `<`
+    Lt,
+    /// `>=`
+    Ge,
+    /// `<=`
+    Le,
+    /// `==`, to within `f64::EPSILON`.
+    Eq,
+}
+
+impl CmpOp {
+    /// Whether `x op value` holds.
+    fn holds(self, x: f64, value: f64) -> bool {
+        match self {
+            CmpOp::Gt => x > value,
+            CmpOp::Lt => x < value,
+            CmpOp::Ge => x >= value,
+            CmpOp::Le => x <= value,
+            CmpOp::Eq => (x - value).abs() < f64::EPSILON,
+        }
+    }
+}
+
+impl fmt::Display for CmpOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            CmpOp::Gt => ">",
+            CmpOp::Lt => "<",
+            CmpOp::Ge => ">=",
+            CmpOp::Le => "<=",
+            CmpOp::Eq => "==",
+        })
+    }
+}
+
 /// A boolean sensing predicate over the local sensor sample — the paper's
-/// `sense_e()` function.
-///
-/// Cloneable and cheap to share: one program is shared by every node.
-#[derive(Clone)]
-pub struct SensePredicate {
-    name: String,
-    f: Arc<dyn Fn(&SensorSample) -> bool + Send + Sync>,
+/// `sense_e()` function: comparisons of one channel with a constant,
+/// composed with `and`, `or` and `not`. Every condition the builder API
+/// and the declaration language can state is one of these, so a predicate
+/// is data: it compares, prints and evaluates without calling out to code.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SensePredicate {
+    /// `channel op value`.
+    Cmp {
+        /// The channel read.
+        channel: Channel,
+        /// The comparison.
+        op: CmpOp,
+        /// The constant compared with.
+        value: f64,
+    },
+    /// Both hold.
+    And(Box<SensePredicate>, Box<SensePredicate>),
+    /// Either holds.
+    Or(Box<SensePredicate>, Box<SensePredicate>),
+    /// The inner predicate does not hold.
+    Not(Box<SensePredicate>),
+    /// Holds for no sample.
+    Never,
 }
 
 impl SensePredicate {
-    /// Wraps an arbitrary predicate with a diagnostic name.
-    pub fn new(
-        name: impl Into<String>,
-        f: impl Fn(&SensorSample) -> bool + Send + Sync + 'static,
-    ) -> Self {
-        SensePredicate {
-            name: name.into(),
-            f: Arc::new(f),
-        }
-    }
-
     /// A library predicate: `channel > threshold`. Covers the paper's
     /// `magnetic_sensor_reading()` style conditions.
     #[must_use]
     pub fn threshold(channel: Channel, threshold: f64) -> Self {
-        SensePredicate::new(format!("{channel} > {threshold}"), move |s| {
-            s.get(channel) > threshold
-        })
+        SensePredicate::Cmp {
+            channel,
+            op: CmpOp::Gt,
+            value: threshold,
+        }
     }
 
     /// A library predicate: conjunction of two predicates, e.g. the paper's
     /// `sense_fire() = (temperature > 180) and (light)`.
     #[must_use]
     pub fn and(self, other: SensePredicate) -> Self {
-        let name = format!("({}) and ({})", self.name, other.name);
-        let a = self.f;
-        let b = other.f;
-        SensePredicate {
-            name,
-            f: Arc::new(move |s| a(s) && b(s)),
-        }
+        SensePredicate::And(Box::new(self), Box::new(other))
     }
 
     /// A library predicate: disjunction.
     #[must_use]
     pub fn or(self, other: SensePredicate) -> Self {
-        let name = format!("({}) or ({})", self.name, other.name);
-        let a = self.f;
-        let b = other.f;
-        SensePredicate {
-            name,
-            f: Arc::new(move |s| a(s) || b(s)),
-        }
+        SensePredicate::Or(Box::new(self), Box::new(other))
     }
 
     /// Evaluates the predicate on a sample.
+    #[inline]
     #[must_use]
     pub fn eval(&self, sample: &SensorSample) -> bool {
-        (self.f)(sample)
+        match self {
+            SensePredicate::Cmp { channel, op, value } => op.holds(sample.get(*channel), *value),
+            // Composed predicates recurse out of line, so that a lone
+            // comparison, the common condition, is evaluated where it is
+            // asked: no call, no registers saved for a recursion.
+            _ => self.eval_composed(sample),
+        }
     }
 
-    /// The diagnostic name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
+    fn eval_composed(&self, sample: &SensorSample) -> bool {
+        match self {
+            SensePredicate::And(a, b) => a.eval(sample) && b.eval(sample),
+            SensePredicate::Or(a, b) => a.eval(sample) || b.eval(sample),
+            SensePredicate::Not(p) => !p.eval(sample),
+            SensePredicate::Cmp { .. } => self.eval(sample),
+            SensePredicate::Never => false,
+        }
     }
 }
 
-impl fmt::Debug for SensePredicate {
+/// The diagnostic form: `magnetic > 0.5`, `(a) and (b)`, `not (a)`.
+impl fmt::Display for SensePredicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("SensePredicate").field(&self.name).finish()
+        match self {
+            SensePredicate::Cmp { channel, op, value } => write!(f, "{channel} {op} {value}"),
+            SensePredicate::And(a, b) => write!(f, "({a}) and ({b})"),
+            SensePredicate::Or(a, b) => write!(f, "({a}) or ({b})"),
+            SensePredicate::Not(p) => write!(f, "not ({p})"),
+            SensePredicate::Never => f.write_str("never"),
+        }
     }
 }
 
@@ -320,7 +372,26 @@ mod tests {
         assert!(!p.eval(&s));
         s.set(Channel::Magnetic, 0.6);
         assert!(p.eval(&s));
-        assert_eq!(p.name(), "magnetic > 0.5");
+        assert_eq!(p.to_string(), "magnetic > 0.5");
+    }
+
+    #[test]
+    fn composed_predicates_print_and_compare_as_data() {
+        let hot = SensePredicate::threshold(Channel::Temperature, 180.0);
+        let dark = SensePredicate::Not(Box::new(SensePredicate::threshold(Channel::Light, 0.5)));
+        let p = hot.clone().and(dark.clone()).or(SensePredicate::Never);
+        assert_eq!(
+            p.to_string(),
+            "((temperature > 180) and (not (light > 0.5))) or (never)"
+        );
+        assert_eq!(p, hot.clone().and(dark.clone()).or(SensePredicate::Never));
+        assert_ne!(p, dark.and(hot));
+        let mut s = SensorSample::zero();
+        s.set(Channel::Temperature, 200.0);
+        assert!(p.eval(&s));
+        s.set(Channel::Light, 1.0);
+        assert!(!p.eval(&s));
+        assert!(!SensePredicate::Never.eval(&s));
     }
 
     #[test]
@@ -369,9 +440,11 @@ mod tests {
         let spec = ContextSpec {
             name: "tracker".into(),
             activation: SensePredicate::threshold(Channel::Magnetic, 0.6),
-            deactivation: Some(SensePredicate::new("magnetic < 0.3", |s| {
-                s.get(Channel::Magnetic) < 0.3
-            })),
+            deactivation: Some(SensePredicate::Cmp {
+                channel: Channel::Magnetic,
+                op: CmpOp::Lt,
+                value: 0.3,
+            }),
             aggregates: vec![],
             objects: vec![],
             pinned: None,

@@ -70,7 +70,8 @@ impl SensorNetwork {
         let mut medium = Medium::with_topology(topology.clone(), config.radio.clone(), &master);
         medium.attach_telemetry(telemetry.clone());
         let router = GeoRouter::with_topology(topology);
-        let sensing = Sensing::new(&deployment, config.middleware.sense_period);
+        let period = config.middleware.sense_period;
+        let sensing = Sensing::new(&deployment, period, &program, &environment);
         let sense = deployment
             .iter()
             .map(|(_, pos)| SenseState::new(pos, sensing.cell(pos)))

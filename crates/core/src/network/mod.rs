@@ -903,13 +903,31 @@ mod tests {
         program(false)
     }
 
-    /// A tank crossing a 20 × 20 field of noisy sensors for 5 s, a pinned
-    /// object to one side, with a clock slowed at 1 s and a node near the
-    /// lane crashed at 1.5 s and rebooted at 3 s; `hook` sets a test hook
-    /// first. Returns how the run was executed — the sensing loops left on
-    /// the lane, the sensing work counters — and the run: `kernel.events`,
-    /// the event log and the telemetry JSONL.
-    fn faulted_run(hook: fn(&mut SensorNetwork)) -> ((usize, SensingWork), (u64, String, String)) {
+    /// What a run put out: `kernel.events`, the event log and the
+    /// telemetry JSONL.
+    fn output(world: &SensorNetwork) -> (u64, String, String) {
+        (
+            world.telemetry().counter("kernel.events"),
+            format!("{:?}", world.events().entries()),
+            telemetry_to_jsonl(world.telemetry()),
+        )
+    }
+
+    /// The sensors of `faulted_run` unless a test says otherwise.
+    fn noisy() -> NoiseModel {
+        NoiseModel::none().with_channel(Channel::Magnetic, 0.2)
+    }
+
+    /// A tank crossing a 20 × 20 field of sensors with `noise` for 5 s, a
+    /// pinned object to one side, with a clock slowed at 1 s and a node
+    /// near the lane crashed at 1.5 s and rebooted at 3 s; `hook` sets a
+    /// test hook first. Returns how the run was executed — the sensing
+    /// loops left on the lane, the sensing work counters — and its
+    /// [`output`].
+    fn faulted_run(
+        noise: NoiseModel,
+        hook: fn(&mut SensorNetwork),
+    ) -> ((usize, SensingWork), (u64, String, String)) {
         let scenario = TankScenario {
             lane_y: 9.5,
             sensing_radius: 1.5,
@@ -918,7 +936,6 @@ mod tests {
         .with_grid(20, 20)
         .with_speed_hops_per_s(2.0)
         .build();
-        let noise = NoiseModel::none().with_channel(Channel::Magnetic, 0.2);
         let mut engine = SensorNetwork::build_engine(
             program(true),
             scenario.deployment,
@@ -944,12 +961,8 @@ mod tests {
         });
         engine.run_until(Timestamp::from_secs(5));
         let world = engine.world();
-        let run = (
-            world.telemetry().counter("kernel.events"),
-            format!("{:?}", world.events().entries()),
-            telemetry_to_jsonl(world.telemetry()),
-        );
-        ((engine.kernel().recurring_len(), world.sensing_work()), run)
+        let work = (engine.kernel().recurring_len(), world.sensing_work());
+        (work, output(world))
     }
 
     /// The lane against the hook that sends every sensing tick through the
@@ -960,7 +973,7 @@ mod tests {
     /// differs.
     #[test]
     fn the_recurring_lane_changes_no_byte_of_a_faulted_run() {
-        let ((on_lane, _), run) = faulted_run(|_| {});
+        let ((on_lane, _), run) = faulted_run(noisy(), |_| {});
         assert_eq!(on_lane, 399, "all but the slowed node");
         let (events, log, telemetry) = &run;
         assert!(log.contains("LabelCreated") && telemetry.contains("group.hb"));
@@ -968,7 +981,7 @@ mod tests {
             *events > 400 * 25,
             "protocol events on top of 25 ticks per node"
         );
-        let ((on_lane, _), on_heap) = faulted_run(|w| w.sense_loops_on_heap = true);
+        let ((on_lane, _), on_heap) = faulted_run(noisy(), |w| w.sense_loops_on_heap = true);
         assert_eq!((0, run), (on_lane, on_heap));
     }
 
@@ -980,7 +993,7 @@ mod tests {
     /// crosses a cell, and so a coverage window, about every 0.48 s.
     #[test]
     fn the_quiescent_test_changes_no_byte_of_a_faulted_run() {
-        let ((_, work), run) = faulted_run(|_| {});
+        let ((_, work), run) = faulted_run(noisy(), |_| {});
         let sampled = work.coverage.answered + work.coverage.walked;
         assert!(work.admitted <= work.ticks && sampled <= work.admitted);
         assert!(
@@ -988,10 +1001,75 @@ mod tests {
             "{work:?}"
         );
         assert!((10..=12).contains(&work.coverage.rebuilds), "{work:?}");
-        let ((_, hooked), through_machines) = faulted_run(|w| w.ticks_enter_machines = true);
+        let ((_, hooked), through_machines) =
+            faulted_run(noisy(), |w| w.ticks_enter_machines = true);
         assert_eq!(run, through_machines);
         assert_eq!(hooked.coverage, Default::default(), "every sample walked");
         assert_eq!((hooked.ticks, hooked.admitted), (work.ticks, work.admitted));
+    }
+
+    /// In a noiseless field a quiescent tick in a clear cell is settled by
+    /// the ambient verdict, with no sample built; the hook that sends every
+    /// tick into the machines, which sample and evaluate for themselves,
+    /// sees the same bytes. With noise on the draw must still be taken,
+    /// and no tick is settled that way.
+    #[test]
+    fn the_ambient_verdict_changes_no_byte_of_a_noiseless_faulted_run() {
+        let ((_, work), run) = faulted_run(NoiseModel::none(), |_| {});
+        assert!(run.1.contains("LabelCreated"), "the tank is tracked");
+        assert!(
+            work.verdicts > 0 && work.verdicts <= work.coverage.answered,
+            "{work:?}"
+        );
+        let ((_, hooked), through_machines) =
+            faulted_run(NoiseModel::none(), |w| w.ticks_enter_machines = true);
+        assert_eq!(hooked.verdicts, 0);
+        assert_eq!(run, through_machines);
+        let ((_, noisy_work), _) = faulted_run(noisy(), |_| {});
+        assert_eq!(noisy_work.verdicts, 0, "{noisy_work:?}");
+    }
+
+    /// A type the ambient levels activate — `temperature < 30` over a
+    /// field at 20 °C — is never settled by the verdict, and its run is the
+    /// one the machines produce on their own. Declared after a tracker, it
+    /// still is not, while the tracker's ticks are until the cold groups
+    /// end every node's quiescence.
+    #[test]
+    fn a_type_the_ambient_activates_takes_no_verdict() {
+        use crate::context::CmpOp;
+        use envirotrack_world::scenario::FireScenario;
+        let run = |with_tracker: bool, hook: fn(&mut SensorNetwork)| {
+            let cold = SensePredicate::Cmp {
+                channel: Channel::Temperature,
+                op: CmpOp::Lt,
+                value: 30.0,
+            };
+            let mut program = Program::builder();
+            if with_tracker {
+                let magnetic = SensePredicate::threshold(Channel::Magnetic, 0.5);
+                program = program.context("tracker", |c| c.activation(magnetic));
+            }
+            let program = program.context("cold", |c| c.activation(cold));
+            let program = Arc::new(program.build().expect("a valid program"));
+            let scenario = FireScenario::default().build();
+            let (field, env) = (scenario.deployment, scenario.environment);
+            let config = NetworkConfig::default();
+            let mut engine = SensorNetwork::build_engine(program, field, env, config, 4);
+            hook(engine.world_mut());
+            engine.run_until(Timestamp::from_secs(3));
+            (engine.world().sensing_work(), output(engine.world()))
+        };
+        for with_tracker in [false, true] {
+            let (work, out) = run(with_tracker, |_| {});
+            assert!(
+                out.1.contains("LabelCreated"),
+                "the field is cold everywhere"
+            );
+            assert!(work.coverage.answered > 0, "{work:?}");
+            assert_eq!(work.verdicts > 0, with_tracker, "{work:?}");
+            let (_, through_machines) = run(with_tracker, |w| w.ticks_enter_machines = true);
+            assert_eq!(out, through_machines);
+        }
     }
 
     /// The hot records in firing order against the hook that leaves them in
@@ -1000,8 +1078,9 @@ mod tests {
     /// any work counter but the strides.
     #[test]
     fn the_record_layout_changes_no_byte_of_a_faulted_run() {
-        let ((on_lane, work), run) = faulted_run(|_| {});
-        let ((in_id_order, unlaid), unlaid_run) = faulted_run(|w| w.records_in_id_order = true);
+        let ((on_lane, work), run) = faulted_run(noisy(), |_| {});
+        let ((in_id_order, unlaid), unlaid_run) =
+            faulted_run(noisy(), |w| w.records_in_id_order = true);
         assert_eq!((on_lane, run), (in_id_order, unlaid_run));
         let strides = |w: SensingWork| SensingWork { strides: 0, ..w };
         assert_eq!(strides(work), strides(unlaid));

@@ -5,16 +5,21 @@
 //! no formation timer pending. Such a machine answers a reading that does
 //! not activate its context type with no action and no state change, so the
 //! tick evaluates the activation condition itself and enters the machine —
-//! handing over the reading it took — only when that holds. DESIGN.md §12
-//! has the argument; `group::tests` pins it against `on_sense_tick`.
+//! handing over the reading it took — only when that holds. In a noiseless
+//! field most such ticks take no reading at all: in a coverage cell no
+//! target reaches, the reading is the ambient levels, and whether those
+//! activate each type is worked out once, when the world is built.
+//! DESIGN.md §12 has the argument; `group::tests` pins it against
+//! `on_sense_tick`.
 
 use envirotrack_node::cpu::costs;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::Point;
-use envirotrack_world::sensing::{Coverage, CoverageWork};
+use envirotrack_world::sensing::{Coverage, CoverageWork, Environment};
 
 use super::{SensorNetwork, K};
+use crate::api::Program;
 use crate::group::GroupMachine;
 
 /// How the sensing driver has done its work so far. Like
@@ -38,6 +43,11 @@ pub struct SensingWork {
     /// coverage was rebuilt. A tick that enters a group machine samples
     /// through `GroupCtx::sample` and shows in none of them.
     pub coverage: CoverageWork,
+    /// Of the samples the coverage answered, how many were settled by the
+    /// ambient verdict — one per (tick, context type) — and so never built:
+    /// the field is noiseless, the cell clear, and the ambient levels do
+    /// not activate the type.
+    pub verdicts: u64,
 }
 
 /// What the driver keeps between ticks.
@@ -45,20 +55,36 @@ pub(super) struct Sensing {
     /// Where the targets can be sensed for now, so an idle tick far from
     /// all of them reads the ambient levels without asking each where it is.
     coverage: Coverage,
+    /// Per context type, whether the ambient levels leave it inactive. An
+    /// environment's ambient levels and noise are fixed when it is built
+    /// (only targets are added later), so this is worked out once.
+    quiet: Vec<bool>,
     ticks: u64,
     admitted: u64,
     strides: u64,
+    verdicts: u64,
     /// The slot of the last tick's record.
     last_slot: u32,
 }
 
 impl Sensing {
-    pub(super) fn new(field: &Deployment, sense_period: SimDuration) -> Self {
+    pub(super) fn new(
+        field: &Deployment,
+        sense_period: SimDuration,
+        program: &Program,
+        environment: &Environment,
+    ) -> Self {
+        let ambient = environment.ambient();
         Sensing {
             coverage: Coverage::new(field.bounds(), field.len(), sense_period),
+            quiet: program
+                .type_ids()
+                .map(|tid| !program.spec(tid).senses(&ambient, false))
+                .collect(),
             ticks: 0,
             admitted: 0,
             strides: 0,
+            verdicts: 0,
             // So that a first tick in slot 0 reads on.
             last_slot: u32::MAX,
         }
@@ -75,6 +101,7 @@ impl Sensing {
             admitted: self.admitted,
             strides: self.strides,
             coverage: self.coverage.work(),
+            verdicts: self.verdicts,
         }
     }
 }
@@ -160,11 +187,27 @@ impl SensorNetwork {
                 if spec.pinned.is_some() {
                     continue;
                 }
+                let (cell, pos) = (hot.cell, hot.pos);
+                let sensing = &mut self.sensing;
+                // A noiseless sample in a clear cell is the ambient levels,
+                // which leave this type inactive: the verdict is known, and
+                // the tick builds no sample and draws nothing.
+                if sensing.quiet[usize::from(tid.0)]
+                    && self
+                        .environment
+                        .reads_ambient(&mut sensing.coverage, cell, now)
+                {
+                    sensing.verdicts += 1;
+                    debug_assert!(
+                        !spec.senses(&self.environment.sample(pos, now), false),
+                        "the ambient verdict is wrong on {node} at {now:?}"
+                    );
+                    continue;
+                }
                 // Taken where the machine would take it, so any noise comes
                 // off the node's stream at the same point; through the
                 // coverage, which returns what the machine's walk would.
-                let (cell, pos) = (hot.cell, hot.pos);
-                let (coverage, rng) = (&mut self.sensing.coverage, &mut self.nodes[i].rng);
+                let (coverage, rng) = (&mut sensing.coverage, &mut self.nodes[i].rng);
                 let taken = self
                     .environment
                     .sample_covered(coverage, cell, pos, now, rng);

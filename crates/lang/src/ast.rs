@@ -5,6 +5,8 @@
 //! aggregate variable declarations with attribute lists, and attached
 //! object declarations whose functions carry invocation conditions.
 
+use envirotrack_core::context::CmpOp;
+
 /// A parsed program: one or more context declarations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramDecl {
@@ -66,21 +68,6 @@ pub enum BoolExpr {
     Or(Box<BoolExpr>, Box<BoolExpr>),
     /// Negation.
     Not(Box<BoolExpr>),
-}
-
-/// Comparison operators in sensing expressions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    /// `>`
-    Gt,
-    /// `<`
-    Lt,
-    /// `>=`
-    Ge,
-    /// `<=`
-    Le,
-    /// `==`
-    Eq,
 }
 
 /// One aggregate variable declaration:

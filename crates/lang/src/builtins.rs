@@ -3,52 +3,33 @@
 //! The paper: "EnviroTrack contains a library of such functions for the
 //! programmer to choose from. New user-defined functions can be easily
 //! added by application developers." `Builtins::standard` is that
-//! library, and what [`crate::compile_source`] compiles against;
-//! `Builtins::register` is where a new function goes.
+//! library, and what [`crate::compile_source`] compiles against. Every
+//! function in it is one comparison `channel op value`, so the library is a
+//! table of rows — a name, an arity, and the comparison it builds — and a
+//! new function is one more row, or a composition written in the language
+//! itself (`temperature > 180 and light`).
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use envirotrack_core::context::SensePredicate;
+use envirotrack_core::context::{CmpOp, SensePredicate};
 use envirotrack_world::target::Channel;
 
-/// A factory producing a [`SensePredicate`] from numeric arguments.
-type Factory = Arc<dyn Fn(&[f64]) -> Result<SensePredicate, String> + Send + Sync>;
+/// One library function: `name(args)` is `channel op value`, where the
+/// value is fixed here for a detector that takes no argument, or is the
+/// call's one argument when `value` is `None` — the function's arity.
+#[derive(Debug)]
+struct Builtin {
+    name: String,
+    channel: Channel,
+    op: CmpOp,
+    value: Option<f64>,
+}
 
 /// A registry of named sensing functions usable in `activation:` clauses.
-#[derive(Clone)]
+#[derive(Debug)]
 pub(crate) struct Builtins {
-    entries: BTreeMap<String, Factory>,
-}
-
-impl std::fmt::Debug for Builtins {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Builtins")
-            .field("names", &self.names())
-            .finish()
-    }
-}
-
-fn expect_args(name: &str, args: &[f64], n: usize) -> Result<(), String> {
-    if args.len() == n {
-        Ok(())
-    } else {
-        Err(format!(
-            "{name}() takes {n} argument(s), got {}",
-            args.len()
-        ))
-    }
+    rows: Vec<Builtin>,
 }
 
 impl Builtins {
-    /// An empty registry.
-    #[must_use]
-    pub(crate) fn empty() -> Self {
-        Builtins {
-            entries: BTreeMap::new(),
-        }
-    }
-
     /// The standard library:
     ///
     /// * `magnetic_sensor_reading()` — the paper's vehicle detector
@@ -58,46 +39,27 @@ impl Builtins {
     /// * `<channel>_above(x)` / `<channel>_below(x)` for every channel.
     #[must_use]
     pub(crate) fn standard() -> Self {
-        let mut b = Builtins::empty();
-        b.register("magnetic_sensor_reading", |args| {
-            expect_args("magnetic_sensor_reading", args, 0)?;
-            Ok(SensePredicate::threshold(Channel::Magnetic, 0.5))
-        });
-        b.register("light_sensor_reading", |args| {
-            expect_args("light_sensor_reading", args, 0)?;
-            Ok(SensePredicate::threshold(Channel::Light, 0.5))
-        });
-        b.register("motion_detected", |args| {
-            expect_args("motion_detected", args, 0)?;
-            Ok(SensePredicate::threshold(Channel::Motion, 0.5))
-        });
-        b.register("acoustic_detected", |args| {
-            expect_args("acoustic_detected", args, 0)?;
-            Ok(SensePredicate::threshold(Channel::Acoustic, 0.5))
-        });
+        let row = |name: String, channel, op, value| Builtin {
+            name,
+            channel,
+            op,
+            value,
+        };
+        let detectors = [
+            ("magnetic_sensor_reading", Channel::Magnetic),
+            ("light_sensor_reading", Channel::Light),
+            ("motion_detected", Channel::Motion),
+            ("acoustic_detected", Channel::Acoustic),
+        ];
+        let mut rows: Vec<Builtin> = detectors
+            .into_iter()
+            .map(|(name, ch)| row(name.into(), ch, CmpOp::Gt, Some(0.5)))
+            .collect();
         for ch in Channel::ALL {
-            b.register(format!("{ch}_above"), move |args| {
-                expect_args("*_above", args, 1)?;
-                Ok(SensePredicate::threshold(ch, args[0]))
-            });
-            b.register(format!("{ch}_below"), move |args| {
-                expect_args("*_below", args, 1)?;
-                let t = args[0];
-                Ok(SensePredicate::new(format!("{ch} < {t}"), move |s| {
-                    s.get(ch) < t
-                }))
-            });
+            rows.push(row(format!("{ch}_above"), ch, CmpOp::Gt, None));
+            rows.push(row(format!("{ch}_below"), ch, CmpOp::Lt, None));
         }
-        b
-    }
-
-    /// Registers (or replaces) a named sensing function.
-    pub(crate) fn register(
-        &mut self,
-        name: impl Into<String>,
-        factory: impl Fn(&[f64]) -> Result<SensePredicate, String> + Send + Sync + 'static,
-    ) {
-        self.entries.insert(name.into(), Arc::new(factory));
+        Builtins { rows }
     }
 
     /// Instantiates a named function with arguments.
@@ -106,25 +68,27 @@ impl Builtins {
     ///
     /// Returns a message when the name is unknown or the arity is wrong.
     pub(crate) fn instantiate(&self, name: &str, args: &[f64]) -> Result<SensePredicate, String> {
-        match self.entries.get(name) {
-            Some(f) => f(args),
-            None => Err(format!(
+        let Some(f) = self.rows.iter().find(|f| f.name == name) else {
+            let mut names: Vec<&str> = self.rows.iter().map(|f| f.name.as_str()).collect();
+            names.sort_unstable();
+            return Err(format!(
                 "unknown sensing function {name:?} (available: {})",
-                self.names().join(", ")
-            )),
-        }
-    }
-
-    /// The registered names, sorted.
-    #[must_use]
-    pub(crate) fn names(&self) -> Vec<String> {
-        self.entries.keys().cloned().collect()
-    }
-}
-
-impl Default for Builtins {
-    fn default() -> Self {
-        Builtins::standard()
+                names.join(", ")
+            ));
+        };
+        let value = match (f.value, args) {
+            (Some(value), []) | (None, &[value]) => value,
+            _ => {
+                let arity = usize::from(f.value.is_none());
+                let got = args.len();
+                return Err(format!("{name}() takes {arity} argument(s), got {got}"));
+            }
+        };
+        Ok(SensePredicate::Cmp {
+            channel: f.channel,
+            op: f.op,
+            value,
+        })
     }
 }
 
@@ -137,6 +101,7 @@ mod tests {
     fn standard_library_has_the_papers_detector() {
         let b = Builtins::standard();
         let p = b.instantiate("magnetic_sensor_reading", &[]).unwrap();
+        assert_eq!(p, SensePredicate::threshold(Channel::Magnetic, 0.5));
         let mut s = SensorSample::zero();
         assert!(!p.eval(&s));
         s.set(Channel::Magnetic, 0.9);
@@ -149,6 +114,7 @@ mod tests {
         for ch in Channel::ALL {
             let above = b.instantiate(&format!("{ch}_above"), &[10.0]).unwrap();
             let below = b.instantiate(&format!("{ch}_below"), &[10.0]).unwrap();
+            assert_eq!(below.to_string(), format!("{ch} < 10"));
             let mut s = SensorSample::zero();
             s.set(ch, 20.0);
             assert!(above.eval(&s));
@@ -159,7 +125,10 @@ mod tests {
     #[test]
     fn arity_is_checked() {
         let b = Builtins::standard();
-        assert!(b.instantiate("magnetic_sensor_reading", &[1.0]).is_err());
+        let e = b
+            .instantiate("magnetic_sensor_reading", &[1.0])
+            .unwrap_err();
+        assert_eq!(e, "magnetic_sensor_reading() takes 0 argument(s), got 1");
         assert!(b.instantiate("temperature_above", &[]).is_err());
     }
 
@@ -169,19 +138,5 @@ mod tests {
         let e = b.instantiate("seismic_reading", &[]).unwrap_err();
         assert!(e.contains("unknown sensing function"));
         assert!(e.contains("magnetic_sensor_reading"));
-    }
-
-    #[test]
-    fn user_functions_can_be_registered() {
-        let mut b = Builtins::empty();
-        b.register("hot_and_bright", |_args| {
-            Ok(SensePredicate::threshold(Channel::Temperature, 180.0)
-                .and(SensePredicate::threshold(Channel::Light, 0.5)))
-        });
-        let p = b.instantiate("hot_and_bright", &[]).unwrap();
-        let mut s = SensorSample::zero();
-        s.set(Channel::Temperature, 200.0);
-        s.set(Channel::Light, 1.0);
-        assert!(p.eval(&s));
     }
 }

@@ -26,7 +26,7 @@ use envirotrack_sim::time::SimDuration;
 use envirotrack_world::target::Channel;
 
 use crate::ast::{
-    AggrDecl, AttrValue, BoolExpr, CmpOp, ContextDecl, Expr, InvocationDecl, ProgramDecl, Stmt,
+    AggrDecl, AttrValue, BoolExpr, ContextDecl, Expr, InvocationDecl, ProgramDecl, Stmt,
 };
 use crate::builtins::Builtins;
 use crate::parser::{parse, ParseError};
@@ -104,14 +104,7 @@ fn semantic(line: u32, message: impl Into<String>) -> CompileError {
 /// assert_eq!(program.context_count(), 1);
 /// ```
 pub fn compile_source(src: &str) -> Result<Program, CompileError> {
-    compile_source_with(src, &Builtins::standard())
-}
-
-/// Like [`compile_source`], with a caller-supplied sensing-function
-/// library (the paper's "user-defined functions can be easily added").
-pub(crate) fn compile_source_with(src: &str, builtins: &Builtins) -> Result<Program, CompileError> {
-    let ast = parse(src)?;
-    compile_ast(&ast, builtins)
+    compile_ast(&parse(src)?, &Builtins::standard())
 }
 
 /// Compiles an already-parsed program.
@@ -230,48 +223,24 @@ fn compile_bool(
         BoolExpr::Call { name, args } => builtins
             .instantiate(name, args)
             .map_err(|m| semantic(line, m)),
-        BoolExpr::Compare { channel, op, value } => {
-            let ch = parse_channel(channel, line)?;
-            let (op, value) = (*op, *value);
-            let name = format!("{ch} {} {value}", op_str(op));
-            Ok(SensePredicate::new(name, move |s| {
-                let x = s.get(ch);
-                match op {
-                    CmpOp::Gt => x > value,
-                    CmpOp::Lt => x < value,
-                    CmpOp::Ge => x >= value,
-                    CmpOp::Le => x <= value,
-                    CmpOp::Eq => (x - value).abs() < f64::EPSILON,
-                }
-            }))
-        }
-        BoolExpr::Truthy { channel } => {
-            let ch = parse_channel(channel, line)?;
-            Ok(SensePredicate::threshold(ch, 0.5))
-        }
+        BoolExpr::Compare { channel, op, value } => Ok(SensePredicate::Cmp {
+            channel: parse_channel(channel, line)?,
+            op: *op,
+            value: *value,
+        }),
+        BoolExpr::Truthy { channel } => Ok(SensePredicate::threshold(
+            parse_channel(channel, line)?,
+            0.5,
+        )),
         BoolExpr::And(l, r) => {
             Ok(compile_bool(l, builtins, line)?.and(compile_bool(r, builtins, line)?))
         }
         BoolExpr::Or(l, r) => {
             Ok(compile_bool(l, builtins, line)?.or(compile_bool(r, builtins, line)?))
         }
-        BoolExpr::Not(inner) => {
-            let p = compile_bool(inner, builtins, line)?;
-            Ok(SensePredicate::new(
-                format!("not ({})", p.name()),
-                move |s| !p.eval(s),
-            ))
-        }
-    }
-}
-
-fn op_str(op: CmpOp) -> &'static str {
-    match op {
-        CmpOp::Gt => ">",
-        CmpOp::Lt => "<",
-        CmpOp::Ge => ">=",
-        CmpOp::Le => "<=",
-        CmpOp::Eq => "==",
+        BoolExpr::Not(inner) => Ok(SensePredicate::Not(Box::new(compile_bool(
+            inner, builtins, line,
+        )?))),
     }
 }
 

@@ -21,9 +21,11 @@
 
 use std::fmt;
 
+use envirotrack_core::context::CmpOp;
+
 use crate::ast::{
-    AggrDecl, AttrValue, BoolExpr, CmpOp, ContextDecl, Expr, InvocationDecl, MethodDecl,
-    ObjectDecl, ProgramDecl, Stmt,
+    AggrDecl, AttrValue, BoolExpr, ContextDecl, Expr, InvocationDecl, MethodDecl, ObjectDecl,
+    ProgramDecl, Stmt,
 };
 use crate::token::{lex, LexError, Spanned, Tok};
 
@@ -308,7 +310,7 @@ impl Parser {
                 self.expect_tok(&Tok::LParen, "`(`")?;
                 let us = match self.bump().tok {
                     Tok::Duration(us) => us,
-                    Tok::Int(secs) => secs * 1_000_000,
+                    Tok::Int(secs) if secs <= u64::MAX / 1_000_000 => secs * 1_000_000,
                     other => return self.error(format!("expected a period, found `{other}`")),
                 };
                 self.expect_tok(&Tok::RParen, "`)`")?;
@@ -456,11 +458,7 @@ impl Parser {
                     Tok::EqEq => CmpOp::Eq,
                     _ => unreachable!("guarded by the match above"),
                 };
-                let value = match self.bump().tok {
-                    Tok::Int(n) => n as f64,
-                    Tok::Float(x) => x,
-                    other => return self.error(format!("expected a number, found `{other}`")),
-                };
+                let value = self.number("a number")?;
                 Ok(BoolExpr::Compare {
                     channel: name,
                     op,
@@ -665,6 +663,13 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.message.contains("WHENEVER"), "{e}");
+
+        // A period in seconds past `u64::MAX` microseconds.
+        let e = parse(
+            "begin context x\n activation: a\n begin object o\n invocation: TIMER(18446744073710)\n f() {}\n end\n end context",
+        )
+        .unwrap_err();
+        assert!(e.message.contains("expected a period"), "{e}");
     }
 
     #[test]

@@ -18,8 +18,8 @@
 use std::fmt::Write as _;
 
 use crate::ast::{
-    AggrDecl, AttrValue, BoolExpr, CmpOp, ContextDecl, Expr, InvocationDecl, MethodDecl,
-    ObjectDecl, ProgramDecl, Stmt,
+    AggrDecl, AttrValue, BoolExpr, ContextDecl, Expr, InvocationDecl, MethodDecl, ObjectDecl,
+    ProgramDecl, Stmt,
 };
 
 /// Renders a whole program.
@@ -98,11 +98,17 @@ fn aggr(a: &AggrDecl) -> String {
     )
 }
 
+/// A number as source text that lexes back to the same value: an integral
+/// value below 1e15 as an integer, anything else as a float — with a `.0`
+/// kept on an integral one, which would otherwise re-lex as an integer
+/// literal, and past `u64::MAX` not lex at all.
 fn fmt_num(x: f64) -> String {
-    if x.fract() == 0.0 && x.abs() < 1e15 {
+    if x.fract() != 0.0 {
+        format!("{x}")
+    } else if x.abs() < 1e15 {
         format!("{}", x as i64)
     } else {
-        format!("{x}")
+        format!("{x}.0")
     }
 }
 
@@ -126,15 +132,7 @@ fn expr(e: &Expr) -> String {
         Expr::SelfLabel => "self:label".into(),
         Expr::Var(v) => v.clone(),
         Expr::Str(s) => format!("{s:?}"),
-        Expr::Num(x) => {
-            // Integral numbers must print without a dot so they re-lex as
-            // the same token class.
-            if x.fract() == 0.0 && x.abs() < 1e15 {
-                format!("{}", *x as i64)
-            } else {
-                format!("{x}")
-            }
-        }
+        Expr::Num(x) => fmt_num(*x),
     }
 }
 
@@ -144,31 +142,11 @@ fn expr(e: &Expr) -> String {
 pub(crate) fn bool_expr(e: &BoolExpr) -> String {
     match e {
         BoolExpr::Call { name, args } => {
-            let args: Vec<String> = args
-                .iter()
-                .map(|x| {
-                    if x.fract() == 0.0 && x.abs() < 1e15 {
-                        format!("{}", *x as i64)
-                    } else {
-                        format!("{x}")
-                    }
-                })
-                .collect();
+            let args: Vec<String> = args.iter().map(|&x| fmt_num(x)).collect();
             format!("{name}({})", args.join(", "))
         }
         BoolExpr::Compare { channel, op, value } => {
-            let op = match op {
-                CmpOp::Gt => ">",
-                CmpOp::Lt => "<",
-                CmpOp::Ge => ">=",
-                CmpOp::Le => "<=",
-                CmpOp::Eq => "==",
-            };
-            if value.fract() == 0.0 && value.abs() < 1e15 {
-                format!("{channel} {op} {}", *value as i64)
-            } else {
-                format!("{channel} {op} {value}")
-            }
+            format!("{channel} {op} {}", fmt_num(*value))
         }
         BoolExpr::Truthy { channel } => channel.clone(),
         BoolExpr::And(l, r) => format!("({} and {})", bool_expr(l), bool_expr(r)),
@@ -227,6 +205,26 @@ mod tests {
         let ast = parse(src).unwrap();
         let reparsed = parse(&to_source(&ast)).unwrap();
         assert_eq!(strip(reparsed), strip(ast));
+    }
+
+    /// A threshold the language cannot hold is refused, and one it can is
+    /// printed so that it reads back as itself: neither becomes the
+    /// saturated `u64::MAX` ≈ 1.8446744073709552e19.
+    #[test]
+    fn large_thresholds_are_never_rewritten() {
+        let big =
+            "begin context x\n activation: temperature > 99999999999999999999999\n end context";
+        let e = parse(big).unwrap_err();
+        assert!(e.to_string().contains("out of range"), "{e}");
+        let src =
+            "begin context x\n activation: temperature > 100000000000000000000.0\n end context";
+        let ast = parse(src).unwrap();
+        let printed = to_source(&ast);
+        assert!(
+            printed.contains("temperature > 100000000000000000000.0"),
+            "{printed}"
+        );
+        assert_eq!(strip(parse(&printed).unwrap()), strip(ast));
     }
 
     #[test]

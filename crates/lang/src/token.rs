@@ -331,13 +331,12 @@ pub(crate) fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                     .parse()
                     .map_err(|_| err(&format!("malformed number {num:?}"), tline, tcol))?;
                 let tok = match unit.as_str() {
-                    "" => {
-                        if num.contains('.') {
-                            Tok::Float(value)
-                        } else {
-                            Tok::Int(value as u64)
-                        }
-                    }
+                    // An integer past `u64::MAX` is an error, not a
+                    // different number.
+                    "" if !num.contains('.') => Tok::Int(num.parse().map_err(|_| {
+                        err(&format!("integer {num} is out of range"), tline, tcol)
+                    })?),
+                    "" => Tok::Float(value),
                     "s" | "sec" => Tok::Duration((value * 1e6).round() as u64),
                     "ms" => Tok::Duration((value * 1e3).round() as u64),
                     "us" => Tok::Duration(value.round() as u64),
@@ -423,6 +422,10 @@ mod tests {
             ]
         );
         assert_eq!(toks("1.5"), vec![Tok::Float(1.5), Tok::Eof]);
+        assert_eq!(
+            toks("18446744073709551615"),
+            vec![Tok::Int(u64::MAX), Tok::Eof]
+        );
         assert_eq!(
             toks(">= <= =="),
             vec![Tok::Ge, Tok::Le, Tok::EqEq, Tok::Eof]

@@ -332,6 +332,13 @@ impl Environment {
         self.targets.push(target);
     }
 
+    /// The ambient levels: what a sensor no target reaches reads, noise
+    /// aside.
+    #[must_use]
+    pub fn ambient(&self) -> SensorSample {
+        self.ambient
+    }
+
     /// All targets.
     #[must_use]
     pub fn targets(&self) -> &[Target] {
@@ -403,10 +410,7 @@ impl Environment {
             coverage.cell_index(pos),
             "{pos} is not in cell {cell}"
         );
-        if !coverage.holds(t, self.targets.len()) {
-            coverage.rebuild(&self.targets, t);
-        }
-        if coverage.is_clear(cell) {
+        if self.clear_at(coverage, cell, t) {
             coverage.work.answered += 1;
             debug_assert_eq!(
                 self.sample(pos, t).values.map(f64::to_bits),
@@ -417,6 +421,33 @@ impl Environment {
         }
         coverage.work.walked += 1;
         self.sample_noisy(pos, t, rng)
+    }
+
+    /// Whether [`Environment::sample_covered`] in `cell` at `t` would
+    /// return [`Environment::ambient`] bit for bit and draw nothing: the
+    /// environment is noiseless and no target reaches the cell during the
+    /// coverage's window. Counted as an answered sample when it is, so a
+    /// caller that takes `true` for that sample leaves the coverage's work
+    /// where the sample would have; with noise on it is `false` without a
+    /// look at the coverage.
+    #[inline]
+    #[must_use]
+    pub fn reads_ambient(&self, coverage: &mut Coverage, cell: u32, t: Timestamp) -> bool {
+        if self.noise.noisy || !self.clear_at(coverage, cell, t) {
+            return false;
+        }
+        coverage.work.answered += 1;
+        true
+    }
+
+    /// Whether `cell` is clear in the window of `coverage` that holds `t`,
+    /// rebuilt around `t` first if the one it has does not.
+    #[inline]
+    fn clear_at(&self, coverage: &mut Coverage, cell: u32, t: Timestamp) -> bool {
+        if !coverage.holds(t, self.targets.len()) {
+            coverage.rebuild(&self.targets, t);
+        }
+        coverage.is_clear(cell)
     }
 
     /// Ground truth `Se(t)`: the positions among `candidates` at which a

@@ -330,7 +330,8 @@ prop_test! {
     /// field (whose cell is `OFF_FIELD`), at the targets' reach, and ones
     /// that stay put with the cell they were given before the first window;
     /// instants in no order, at both edges of the window just built and up
-    /// against `Timestamp::MAX`.
+    /// against `Timestamp::MAX`. Where `reads_ambient` says a sample is the
+    /// ambient levels with nothing to draw, so it is.
     #[test]
     fn covered_sample_is_bit_identical_to_the_walk(seed: u64, n_targets in 0usize..8) {
         let mut rng = SimRng::seed_from(seed);
@@ -426,7 +427,13 @@ prop_test! {
                     if !bounds.contains(pos) {
                         prop_assert_eq!(cell, Coverage::OFF_FIELD, "{} is off the field", pos);
                     }
-                    let got = env.sample_covered(&mut coverage, cell, pos, t, &mut drawn);
+                    // Half the samples ask first whether they are the
+                    // ambient levels, and take them without a draw if so.
+                    let got = if rng.chance(0.5) && env.reads_ambient(&mut coverage, cell, t) {
+                        env.ambient()
+                    } else {
+                        env.sample_covered(&mut coverage, cell, pos, t, &mut drawn)
+                    };
                     let want = env.sample_noisy(pos, t, &mut reference);
                     samples += 1;
                     for ch in Channel::ALL {

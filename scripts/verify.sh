@@ -74,13 +74,19 @@ TESTKIT_CASES="${TESTKIT_CASES:-512}" \
 # over random walks through every role) re-runs here by name at 512 cases
 # unless TESTKIT_CASES is exported. So does the property that licenses the
 # driver's sample through the coverage: bit for bit and draw for draw what
-# the walk over every target returns.
+# the walk over every target returns, and, where the ambient verdict
+# settles a tick instead, the ambient levels with nothing drawn. And so
+# does the one that says the predicate the driver evaluates means what the
+# declaration it was compiled from says.
 TESTKIT_CASES="${TESTKIT_CASES:-512}" \
   cargo test -q --offline -p envirotrack-core --lib \
   -- quiescent_machine_ignores_a_reading_that_does_not_activate
 TESTKIT_CASES="${TESTKIT_CASES:-512}" \
   cargo test -q --offline -p envirotrack-world --test prop \
   -- covered_sample_is_bit_identical_to_the_walk
+TESTKIT_CASES="${TESTKIT_CASES:-512}" \
+  cargo test -q --offline -p envirotrack-lang --test prop \
+  -- compiled_predicate_means_what_its_source_says
 
 # Telemetry smoke: the flagship storm must emit the summary table and a
 # non-empty trace, byte-identically across two runs of the same seed.
@@ -112,7 +118,7 @@ for f in "$tmp/scale.json" BENCH_scale.json; do
   for key in '"bench":"scale"' '"construction":' '"speedup":' '"results":' \
              '"events_per_sec":' '"sweep":' '"merged_outputs_identical":true' \
              '"bytes_on_air":' '"sense_ticks":' '"sense_ticks_admitted":' '"sense_strides":' \
-             '"samples_covered":' '"samples_walked":' '"coverage_rebuilds":' \
+             '"samples_covered":' '"samples_walked":' '"coverage_rebuilds":' '"sense_verdicts":' \
              '"lane_pops":' '"heap_pops":' '"inline_events":' '"boxed_events":' \
              '"shards":' '"speedup_vs_first":' '"byte_identical":true' \
              '"medium":' '"replayed_intents":' '"full_replay_intents":' \
