@@ -10,12 +10,14 @@
 //!
 //! 1. `results` — the Figure-2 tracking program on 1k/2k/5k/10k/100k-node
 //!    [`ScaleScenario`] fields for a fixed virtual horizon: wall time,
-//!    kernel events, events per wall-second, bytes on air, the sensing
-//!    driver's work counters (ticks fired and admitted, strides between
-//!    hot records, idle samples the coverage answered or walked, coverage
-//!    rebuilds, answered samples settled by the ambient verdict) and the
-//!    event list's
-//!    (lane pops, heap pops, one-shot events scheduled inline and boxed).
+//!    kernel events, events per wall-second, bytes on air, the world
+//!    build's allocations and the heap bytes it left live (counted by this
+//!    binary's own global allocator), the sensing driver's work counters
+//!    (ticks fired and admitted, strides between hot records, idle samples
+//!    the coverage answered or walked, coverage rebuilds, answered samples
+//!    settled by the ambient verdict), the event list's (lane pops, heap
+//!    pops, one-shot events scheduled inline and boxed) and the group
+//!    timers' (firings that were live, stale, or retried past a busy CPU).
 //! 2. `construction` — grid vs. brute-force neighbor-table build time on
 //!    a 10k-node field (tables asserted identical before timing; the
 //!    all-pairs scan would dominate the run at 100k).
@@ -32,9 +34,10 @@
 //!    wall-clock deltas are advisory — the shards only pipeline, never
 //!    truly overlap.
 //!
-//! `--smoke` shrinks everything (1k max, 2 s horizon, 2k-node
+//! `--smoke` shrinks everything (1k and 2k nodes, 2 s horizon, 2k-node
 //! construction, 2-cell sweep, 1k-node medium A/B) for the CI stage in
-//! `scripts/verify.sh`.
+//! `scripts/verify.sh`, which checks that both fields took the same number
+//! of build allocations.
 //!
 //! `--medium replicated|partitioned` selects the sharded routing mode for
 //! the `shards` section and the sharded crosscheck dump, and
@@ -50,6 +53,8 @@
 //!
 //! [`ScaleScenario`]: envirotrack_world::scenario::ScaleScenario
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -61,6 +66,69 @@ use envirotrack_bench::sweep::run_sweep;
 use envirotrack_core::report::json::JsonObject;
 use envirotrack_core::shard::MediumMode;
 use envirotrack_sim::time::SimDuration;
+
+/// Counts the allocations each thread makes and the heap bytes it holds
+/// live, for the build columns of the `results` rows.
+struct Counting;
+
+thread_local! {
+    // Const-initialised and without a destructor: reading them never
+    // allocates, which an allocator must not do while allocating.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation of `grown` bytes (negative when freeing), on a
+/// thread that is not tearing its slots down.
+fn account(allocs: u64, grown: isize) {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + allocs));
+    let _ = LIVE.try_with(|n| n.set(n.get() + grown as i64));
+}
+
+/// This thread's allocations so far and the heap bytes it holds live.
+fn heap() -> (u64, i64) {
+    (ALLOCS.with(Cell::get), LIVE.with(Cell::get))
+}
+
+// SAFETY: every method forwards to `System` with the caller's own pointer
+// and layout, unchanged; the counting beside it touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            account(1, layout.size() as isize);
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: as for `alloc`.
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            account(1, layout.size() as isize);
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller guarantees `ptr` came from this allocator with `layout`.
+        unsafe { System.dealloc(ptr, layout) };
+        account(0, -(layout.size() as isize));
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller guarantees `ptr`/`layout` match and `new_size` is valid.
+        let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new_ptr.is_null() {
+            account(1, new_size as isize - layout.size() as isize);
+        }
+        new_ptr
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 struct Args {
     nodes: Vec<u32>,
@@ -143,7 +211,7 @@ fn parse_args() -> Result<Args, String> {
                 i += 2;
             }
             "--smoke" => {
-                args.nodes = vec![1_000];
+                args.nodes = vec![1_000, 2_000];
                 args.horizon_ms = 2_000;
                 args.construction_nodes = 2_000;
                 args.sweep_cells = 2;
@@ -216,20 +284,24 @@ fn main() -> ExitCode {
     let mut points = Vec::new();
     let mut rows = Vec::new();
     for &nodes in &args.nodes {
-        let p = run_scale(&ScaleRun {
+        let cfg = ScaleRun {
             nodes,
             horizon: SimDuration::from_millis(args.horizon_ms),
             seed: args.seed,
             ..ScaleRun::default()
-        });
+        };
+        let p = run_scale(&cfg, heap);
         eprintln!(
-            "scale: {nodes} nodes → build {:.3}s, run {:.3}s, {} events ({:.0}/s), {} bytes on air",
-            p.build_wall_s, p.run_wall_s, p.events, p.events_per_sec, p.bytes_on_air
+            "scale: {nodes} nodes → build {:.3}s ({} allocations), run {:.3}s, {} events ({:.0}/s), {} bytes on air",
+            p.build_wall_s, p.build_allocs, p.run_wall_s, p.events, p.events_per_sec, p.bytes_on_air
         );
+        let total = |counts: &[u64]| counts.iter().sum();
         rows.push(
             JsonObject::new()
                 .field_u64("nodes", u64::from(p.nodes))
                 .field_f64("build_wall_s", p.build_wall_s)
+                .field_u64("build_allocs", p.build_allocs)
+                .field_u64("build_heap_bytes", p.build_heap_bytes)
                 .field_f64("run_wall_s", p.run_wall_s)
                 .field_u64("events", p.events)
                 .field_f64("events_per_sec", p.events_per_sec)
@@ -248,6 +320,9 @@ fn main() -> ExitCode {
                 .field_u64("heap_pops", p.event_list.heap_pops)
                 .field_u64("inline_events", p.event_list.inline_scheduled)
                 .field_u64("boxed_events", p.event_list.boxed_scheduled)
+                .field_u64("timer_live", total(&p.timers.live))
+                .field_u64("timer_stale", total(&p.timers.stale))
+                .field_u64("timer_retries", total(&p.timers.retried))
                 .finish(),
         );
         points.push(p);

@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use envirotrack_core::events::SystemEvent;
-use envirotrack_core::network::{NetworkConfig, SensingWork, SensorNetwork};
+use envirotrack_core::network::{NetworkConfig, SensingWork, SensorNetwork, TimerWork};
 use envirotrack_core::report::telemetry_to_jsonl;
 use envirotrack_core::shard::{run_sharded, MediumMode};
 use envirotrack_sim::engine::EventWork;
@@ -71,6 +71,12 @@ pub struct ScalePoint {
     pub nodes: u32,
     /// Wall seconds to build the network (medium, routing, node state).
     pub build_wall_s: f64,
+    /// Allocations (reallocations included) the build made, and the heap
+    /// bytes it left live: the built world's size. Both exact, from the
+    /// caller's allocation counter; zero without one.
+    pub build_allocs: u64,
+    /// See `build_allocs`.
+    pub build_heap_bytes: u64,
     /// Wall seconds the event loop ran.
     pub run_wall_s: f64,
     /// Kernel events executed over the horizon.
@@ -96,6 +102,10 @@ pub struct ScalePoint {
     /// lane and out of the heap, one-shot events scheduled inline and
     /// boxed. As exact, and as little part of the output.
     pub event_list: EventWork,
+    /// How the group timers that fired were handled: live, stale and
+    /// retried firings per timer key. As exact, and as little part of the
+    /// output.
+    pub timers: TimerWork,
 }
 
 /// The field and network configuration every flavour of a scale point
@@ -117,20 +127,25 @@ fn field(cfg: &ScaleRun) -> (Scenario, NetworkConfig) {
     (scenario, net_cfg)
 }
 
-/// Runs one scale point and audits it.
+/// Runs one scale point and audits it. `heap` reads the calling thread's
+/// allocation counter — allocations so far and heap bytes live — around
+/// the build; a caller that counts nothing passes `|| (0, 0)`.
 #[must_use]
-pub fn run_scale(cfg: &ScaleRun) -> ScalePoint {
+pub fn run_scale(cfg: &ScaleRun, heap: impl Fn() -> (u64, i64)) -> ScalePoint {
     let (scenario, net_cfg) = field(cfg);
+    let program = tracker_program();
 
+    let before = heap();
     let build_start = Instant::now();
     let mut engine = SensorNetwork::build_engine(
-        tracker_program(),
+        program,
         scenario.deployment,
         scenario.environment,
         net_cfg,
         cfg.seed,
     );
     let build_wall_s = build_start.elapsed().as_secs_f64();
+    let after = heap();
 
     let run_start = Instant::now();
     engine.run_until(Timestamp::ZERO + cfg.horizon);
@@ -145,6 +160,8 @@ pub fn run_scale(cfg: &ScaleRun) -> ScalePoint {
     ScalePoint {
         nodes: cfg.nodes,
         build_wall_s,
+        build_allocs: after.0 - before.0,
+        build_heap_bytes: u64::try_from(after.1 - before.1).expect("the world is live"),
         run_wall_s,
         events,
         events_per_sec: if run_wall_s > 0.0 {
@@ -158,6 +175,7 @@ pub fn run_scale(cfg: &ScaleRun) -> ScalePoint {
         sim_horizon_s: cfg.horizon.as_secs_f64(),
         sensing: world.sensing_work(),
         event_list: engine.kernel().event_work(),
+        timers: world.timer_work(),
     }
 }
 
@@ -363,8 +381,8 @@ mod tests {
 
     #[test]
     fn scale_points_are_deterministic_and_busy() {
-        let a = run_scale(&small());
-        let b = run_scale(&small());
+        let a = run_scale(&small(), || (0, 0));
+        let b = run_scale(&small(), || (0, 0));
         assert_eq!(a.events, b.events);
         assert_eq!(a.labels_created, b.labels_created);
         assert_eq!(a.handovers, b.handovers);
@@ -372,6 +390,10 @@ mod tests {
         let idle = a.sensing.coverage.answered + a.sensing.coverage.walked;
         assert!(idle > 0 && idle <= a.sensing.admitted && a.sensing.admitted <= a.sensing.ticks);
         assert_eq!(a.event_list, b.event_list);
+        assert_eq!(a.timers, b.timers);
+        let fired: u64 = a.timers.live.iter().chain(&a.timers.stale).sum();
+        let leaders_beat = fired > 0 && a.timers.live[0] > 0;
+        assert!(leaders_beat, "{:?}", a.timers);
         let list = a.event_list;
         assert_eq!(list.lane_pops + list.heap_pops, a.events);
         assert!(list.heap_pops <= list.inline_scheduled + list.boxed_scheduled);

@@ -100,13 +100,14 @@ impl SweepCell {
                 horizon_ms,
                 seed,
             } => {
-                let out = run_scale(&ScaleRun {
+                let cfg = ScaleRun {
                     nodes: *nodes,
                     targets: *targets,
                     horizon: SimDuration::from_millis(*horizon_ms),
                     seed: *seed,
                     ..ScaleRun::default()
-                });
+                };
+                let out = run_scale(&cfg, || (0, 0));
                 JsonObject::new()
                     .field_str("cell", &self.id)
                     .field_str("kind", "scale")

@@ -83,13 +83,13 @@ const TYPE_KEY_TAG: u128 = 1 << 127;
 impl LabelIntern {
     /// A fresh, empty cache.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// The shared display form of `label` (e.g. `type0@n3#1`).
     #[must_use]
-    pub fn label(&self, label: ContextLabel) -> std::rc::Rc<str> {
+    pub(crate) fn label(&self, label: ContextLabel) -> std::rc::Rc<str> {
         self.pool
             .get_or_insert_with(label.intern_key(), || label.to_string())
     }
@@ -341,6 +341,20 @@ impl ContextSpec {
     #[must_use]
     pub(crate) fn aggregate_index(&self, name: &str) -> Option<usize> {
         self.aggregates.iter().position(|a| a.name == name)
+    }
+
+    /// The time-triggered methods of every attached object, flattened in
+    /// declaration order: `(object index, method index, period)`. A
+    /// leader's method timer `i` is the `i`-th of these.
+    pub(crate) fn timer_methods(&self) -> impl Iterator<Item = (usize, usize, SimDuration)> + '_ {
+        let objects = self.objects.iter().enumerate();
+        objects.flat_map(|(oi, obj)| {
+            let methods = obj.methods.iter().enumerate();
+            methods.filter_map(move |(mi, m)| match m.invocation {
+                Invocation::Timer(period) => Some((oi, mi, period)),
+                Invocation::OnMessage(_) => None,
+            })
+        })
     }
 }
 

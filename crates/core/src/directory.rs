@@ -93,7 +93,7 @@ pub(crate) struct DirectoryStore {
 impl DirectoryStore {
     /// Creates an empty store.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DirectoryStore::default()
     }
 

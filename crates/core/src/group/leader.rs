@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use envirotrack_node::timer::{TimerSlot, TimerToken};
-use envirotrack_sim::time::{SimDuration, Timestamp};
+use envirotrack_sim::time::Timestamp;
 use envirotrack_world::field::NodeId;
 use envirotrack_world::geometry::Point;
 
@@ -37,17 +37,17 @@ pub(super) struct LeaderState {
 impl LeaderState {
     /// Takes up the leadership of `label` on `node`: contributes the node's
     /// own readings, announces at once, and starts the periodic heartbeat,
-    /// the time-triggered `methods` (`(object, method, period)`, one timer
-    /// each) and the directory refresh.
+    /// the type's time-triggered methods (one timer each) and the
+    /// directory refresh.
     pub(super) fn assume(
         label: ContextLabel,
         weight: u32,
         state_blob: Option<Bytes>,
         node: NodeId,
-        methods: &[(usize, usize, SimDuration)],
         ctx: &mut GroupCtx<'_>,
         out: &mut Vec<GroupAction>,
     ) -> Self {
+        let methods = ctx.spec.timer_methods().count();
         let mut leader = LeaderState {
             label,
             weight,
@@ -57,12 +57,12 @@ impl LeaderState {
             directory_cache: BTreeMap::new(),
             heartbeat: TimerSlot::new(),
             directory: TimerSlot::new(),
-            method_timers: vec![TimerSlot::new(); methods.len()],
+            method_timers: vec![TimerSlot::new(); methods],
         };
         leader.insert_own_readings(node, ctx);
         leader.send_heartbeat(node, ctx, out);
         // Object method timers start one period after leadership begins.
-        for (slot, &(_, _, period)) in methods.iter().enumerate() {
+        for (slot, (_, _, period)) in ctx.spec.timer_methods().enumerate() {
             let key = GroupTimer::Method(slot);
             arm(&mut leader.method_timers[slot], key, ctx.now + period, out);
         }
@@ -96,7 +96,6 @@ impl LeaderState {
     pub(super) fn on_timer(
         &mut self,
         node: NodeId,
-        methods: &[(usize, usize, SimDuration)],
         ctx: &mut GroupCtx<'_>,
         key: GroupTimer,
         token: TimerToken,
@@ -123,12 +122,25 @@ impl LeaderState {
                     .get_mut(slot)
                     .is_some_and(|t| t.fires(token)) =>
             {
-                let (oi, mi, period) = methods[slot];
+                let method = ctx.spec.timer_methods().nth(slot);
+                let (oi, mi, period) = method.expect("one slot per timer method");
                 self.invoke_method(node, ctx, (oi, mi), None, out);
                 arm(&mut self.method_timers[slot], key, ctx.now + period, out);
             }
             _ => {}
         }
+    }
+
+    /// Whether `token` is the live arming of the leader's timer `key`; a key
+    /// of another role never is.
+    pub(super) fn timer_is_current(&self, key: GroupTimer, token: TimerToken) -> bool {
+        let slot = match key {
+            GroupTimer::Heartbeat => Some(&self.heartbeat),
+            GroupTimer::Directory => Some(&self.directory),
+            GroupTimer::Method(slot) => self.method_timers.get(slot),
+            GroupTimer::Receive | GroupTimer::Report | GroupTimer::Formation => None,
+        };
+        slot.is_some_and(|t| t.is_current(token))
     }
 
     /// Announces the label now and arms the next announcement.

@@ -61,6 +61,16 @@ impl MemberState {
         arm(&mut self.receive, GroupTimer::Receive, at, out);
     }
 
+    /// Whether `token` is the live arming of the member's timer `key`; a key
+    /// of another role never is.
+    pub(super) fn timer_is_current(&self, key: GroupTimer, token: TimerToken) -> bool {
+        match key {
+            GroupTimer::Receive => self.receive.is_current(token),
+            GroupTimer::Report => self.report.is_current(token),
+            _ => false,
+        }
+    }
+
     /// Answers one of the member's own timers; a stale token, or a key that
     /// belongs to another role, does nothing. Returns whether the receive
     /// timer ran out: the leader is presumed failed.

@@ -62,9 +62,7 @@ use self::leader::LeaderState;
 use self::member::MemberState;
 use crate::aggregate::{AggregateInput, ReadingValue};
 use crate::config::MiddlewareConfig;
-use crate::context::{
-    trace_label, ContextLabel, ContextSpec, ContextTypeId, Invocation, LabelIntern,
-};
+use crate::context::{trace_label, ContextLabel, ContextSpec, ContextTypeId, LabelIntern};
 use crate::events::{HandoverReason, SystemEvent};
 use crate::object::IncomingMessage;
 use crate::transport::{LeaderLoc, Port};
@@ -302,8 +300,6 @@ pub(crate) struct GroupMachine {
     next_seq: u32,
     /// Flood dedup: last rebroadcast (label, hb_seq).
     last_flood: Option<(ContextLabel, u32)>,
-    /// Flattened time-triggered methods: (object idx, method idx, period).
-    timer_methods: Vec<(usize, usize, SimDuration)>,
 }
 
 impl std::fmt::Debug for GroupMachine {
@@ -317,17 +313,11 @@ impl std::fmt::Debug for GroupMachine {
 }
 
 impl GroupMachine {
-    /// Creates the machine for `node` and context type `type_id` of `spec`.
+    /// Creates the idle machine for `node` and context type `type_id`. It
+    /// holds no heap data: what the type declares, every input reads from
+    /// [`GroupCtx::spec`].
     #[must_use]
-    pub fn new(node: NodeId, type_id: ContextTypeId, spec: &ContextSpec) -> Self {
-        let mut timer_methods = Vec::new();
-        for (oi, obj) in spec.objects.iter().enumerate() {
-            for (mi, m) in obj.methods.iter().enumerate() {
-                if let Invocation::Timer(p) = m.invocation {
-                    timer_methods.push((oi, mi, p));
-                }
-            }
-        }
+    pub(crate) fn new(node: NodeId, type_id: ContextTypeId) -> Self {
         GroupMachine {
             node,
             type_id,
@@ -336,7 +326,6 @@ impl GroupMachine {
             formation: TimerSlot::new(),
             next_seq: 0,
             last_flood: None,
-            timer_methods,
         }
     }
 
@@ -621,9 +610,7 @@ impl GroupMachine {
                     self.formation_expired(ctx, &mut out);
                 }
             }
-            (_, Role::Leader(l)) => {
-                l.on_timer(self.node, &self.timer_methods, ctx, key, token, &mut out);
-            }
+            (_, Role::Leader(l)) => l.on_timer(self.node, ctx, key, token, &mut out),
             (_, Role::Member(m)) => {
                 if !m.on_timer(self.node, ctx, key, token, &mut out) {
                     return out;
@@ -646,6 +633,19 @@ impl GroupMachine {
             (_, Role::Idle) => {}
         }
         out
+    }
+
+    /// Whether a firing of `key` under `token` is the live arming of the
+    /// slot [`GroupMachine::on_timer`] would hand it to. When it is not,
+    /// `on_timer` answers nothing and changes nothing, so a host may skip
+    /// it; nothing is consumed here.
+    pub(crate) fn timer_is_current(&self, key: GroupTimer, token: TimerToken) -> bool {
+        match (key, &self.role) {
+            (GroupTimer::Formation, _) => self.formation.is_current(token),
+            (_, Role::Leader(l)) => l.timer_is_current(key, token),
+            (_, Role::Member(m)) => m.timer_is_current(key, token),
+            (_, Role::Idle) => false,
+        }
     }
 
     /// The formation jitter ran out. Still idle, still sensing, still no
@@ -721,8 +721,7 @@ impl GroupMachine {
         state: Option<Bytes>,
         out: &mut Vec<GroupAction>,
     ) {
-        let methods = &self.timer_methods;
-        let leader = LeaderState::assume(label, weight, state, self.node, methods, ctx, out);
+        let leader = LeaderState::assume(label, weight, state, self.node, ctx, out);
         self.role = Role::Leader(leader);
         self.wait = None;
         self.formation.cancel();
@@ -796,7 +795,7 @@ impl GroupMachine {
 mod tests {
     use super::*;
     use crate::aggregate::{AggValue, AggregateFn};
-    use crate::context::{AggregateSpec, SensePredicate};
+    use crate::context::{AggregateSpec, Invocation, SensePredicate};
     use crate::object::ObjectApi;
     use envirotrack_world::target::Channel;
     use std::cell::Cell;
@@ -936,8 +935,8 @@ mod tests {
         }
     }
 
-    fn machine(node: u32, spec: &ContextSpec) -> GroupMachine {
-        GroupMachine::new(NodeId(node), ContextTypeId(0), spec)
+    fn machine(node: u32) -> GroupMachine {
+        GroupMachine::new(NodeId(node), ContextTypeId(0))
     }
 
     fn label(creator: u32, seq: u32) -> ContextLabel {
@@ -1007,7 +1006,7 @@ mod tests {
     #[test]
     fn idle_node_that_senses_mints_after_formation_jitter() {
         let mut h = Harness::new().sensing();
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let lbl = make_leader(&mut h, &mut m);
         assert_eq!(lbl.creator, NodeId(1));
         assert_eq!(
@@ -1020,7 +1019,7 @@ mod tests {
     #[test]
     fn leader_announces_immediately_and_periodically() {
         let mut h = Harness::new().sensing();
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let actions = m.on_sense_tick(&mut h.ctx());
         let (at, token) = find_timer(&actions, GroupTimer::Formation).unwrap();
         h.now = at;
@@ -1043,7 +1042,7 @@ mod tests {
     #[test]
     fn formation_is_cancelled_when_a_heartbeat_arrives() {
         let mut h = Harness::new().sensing();
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let actions = m.on_sense_tick(&mut h.ctx());
         let (at, token) = find_timer(&actions, GroupTimer::Formation).unwrap();
         // A heartbeat from an existing group arrives during the jitter.
@@ -1059,7 +1058,7 @@ mod tests {
     #[test]
     fn idle_heartbeat_sets_wait_memory_and_sensing_joins_it() {
         let mut h = Harness::new();
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let _ = m.on_heartbeat(&mut h.ctx(), &hb(label(9, 0), 9, 5, 1));
         // Start sensing within the wait window.
         h.sample.set(Channel::Magnetic, 1.0);
@@ -1073,7 +1072,7 @@ mod tests {
     #[test]
     fn expired_wait_memory_leads_to_a_fresh_label() {
         let mut h = Harness::new();
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let _ = m.on_heartbeat(&mut h.ctx(), &hb(label(9, 0), 9, 5, 1));
         h.sample.set(Channel::Magnetic, 1.0);
         h.now = h.now + h.cfg.wait_timer() + SimDuration::from_millis(1);
@@ -1085,7 +1084,7 @@ mod tests {
     #[test]
     fn member_reports_and_rearms_receive_timer_on_heartbeats() {
         let mut h = Harness::new().sensing();
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let _ = m.on_heartbeat(&mut h.ctx(), &hb(label(9, 0), 9, 5, 1));
         let _ = m.on_sense_tick(&mut h.ctx());
         assert!(matches!(m.role_kind(), RoleKind::Member(_)));
@@ -1099,7 +1098,7 @@ mod tests {
     #[test]
     fn member_report_timer_broadcasts_readings() {
         let mut h = Harness::new().sensing();
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let _ = m.on_heartbeat(&mut h.ctx(), &hb(label(9, 0), 9, 5, 1));
         let actions = m.on_sense_tick(&mut h.ctx());
         let (at, token) = find_timer(&actions, GroupTimer::Report).unwrap();
@@ -1126,7 +1125,7 @@ mod tests {
     #[test]
     fn receive_timeout_promotes_member_carrying_weight() {
         let mut h = Harness::new().sensing();
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let _ = m.on_heartbeat(&mut h.ctx(), &hb(label(9, 0), 9, 41, 1));
         let actions = m.on_sense_tick(&mut h.ctx());
         let _ = actions;
@@ -1153,7 +1152,7 @@ mod tests {
     #[test]
     fn receive_timeout_while_not_sensing_just_leaves() {
         let mut h = Harness::new().sensing();
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let _ = m.on_heartbeat(&mut h.ctx(), &hb(label(9, 0), 9, 5, 1));
         let actions = m.on_sense_tick(&mut h.ctx());
         let (at, token) = find_timer(&actions, GroupTimer::Receive).unwrap();
@@ -1166,7 +1165,7 @@ mod tests {
     #[test]
     fn relinquish_promotes_the_designated_successor() {
         let mut h = Harness::new().sensing();
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let _ = m.on_heartbeat(&mut h.ctx(), &hb(label(9, 0), 9, 10, 1));
         let _ = m.on_sense_tick(&mut h.ctx());
         let r = Relinquish {
@@ -1191,7 +1190,7 @@ mod tests {
     #[test]
     fn relinquish_to_someone_else_updates_leader_expectation() {
         let mut h = Harness::new().sensing();
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let _ = m.on_heartbeat(&mut h.ctx(), &hb(label(9, 0), 9, 10, 1));
         let _ = m.on_sense_tick(&mut h.ctx());
         let r = Relinquish {
@@ -1212,7 +1211,7 @@ mod tests {
     #[test]
     fn leader_that_stops_sensing_relinquishes_to_freshest_reporter() {
         let mut h = Harness::new().sensing();
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let lbl = make_leader(&mut h, &mut m);
         // Two members report; node 5 most recently.
         h.now += SimDuration::from_millis(100);
@@ -1256,7 +1255,7 @@ mod tests {
     fn relinquish_disabled_dissolves_silently() {
         let mut h = Harness::new().sensing();
         h.cfg.relinquish_enabled = false;
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let _ = make_leader(&mut h, &mut m);
         h.sample.set(Channel::Magnetic, 0.0);
         let actions = m.on_sense_tick(&mut h.ctx());
@@ -1272,7 +1271,7 @@ mod tests {
     #[test]
     fn duplicate_leader_with_lower_weight_yields() {
         let mut h = Harness::new().sensing();
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let lbl = make_leader(&mut h, &mut m); // weight 0
         let actions = m.on_heartbeat(&mut h.ctx(), &hb(lbl, 7, 5, 1));
         assert_eq!(m.role_kind(), RoleKind::Member(lbl));
@@ -1291,7 +1290,7 @@ mod tests {
     #[test]
     fn duplicate_leader_with_higher_weight_stands_firm() {
         let mut h = Harness::new().sensing();
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let lbl = make_leader(&mut h, &mut m);
         // Feed reports to gain weight.
         let now = h.now;
@@ -1311,7 +1310,7 @@ mod tests {
     #[test]
     fn spurious_label_is_suppressed_by_heavier_same_type_leader() {
         let mut h = Harness::new().sensing();
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let my_label = make_leader(&mut h, &mut m); // weight 0
         let other = label(9, 3);
         let actions = m.on_heartbeat(&mut h.ctx(), &hb(other, 9, 20, 1));
@@ -1331,8 +1330,8 @@ mod tests {
         // believed the other should yield.
         let mut ha = Harness::new().sensing();
         let mut hx = Harness::new().sensing();
-        let mut a = machine(1, &spec_with_tracker());
-        let mut b = machine(2, &spec_with_tracker());
+        let mut a = machine(1);
+        let mut b = machine(2);
         let la = make_leader(&mut ha, &mut a);
         let lb = make_leader(&mut hx, &mut b);
         assert!(la < lb, "node 1 minted the older label");
@@ -1365,7 +1364,7 @@ mod tests {
         h.cfg = MiddlewareConfig::default().with_heartbeat_period(SimDuration::from_millis(200));
         let wait = h.cfg.wait_timer();
         assert!(wait < SimDuration::from_secs(1), "sub-second horizon");
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let actions = m.on_sense_tick(&mut h.ctx());
         let (at, token) = find_timer(&actions, GroupTimer::Formation).unwrap();
         h.now = at;
@@ -1412,7 +1411,7 @@ mod tests {
     #[test]
     fn lighter_same_type_leader_is_ignored() {
         let mut h = Harness::new().sensing();
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let my_label = make_leader(&mut h, &mut m);
         let now = h.now;
         for i in 0..5 {
@@ -1432,7 +1431,7 @@ mod tests {
     #[test]
     fn member_follows_the_heavier_of_two_labels() {
         let mut h = Harness::new().sensing();
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let _ = m.on_heartbeat(&mut h.ctx(), &hb(label(9, 0), 9, 10, 1));
         let _ = m.on_sense_tick(&mut h.ctx());
         assert_eq!(m.role_kind(), RoleKind::Member(label(9, 0)));
@@ -1447,7 +1446,7 @@ mod tests {
     #[test]
     fn members_flood_heartbeats_with_ttl_once_per_seq() {
         let mut h = Harness::new().sensing();
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let _ = m.on_heartbeat(&mut h.ctx(), &hb(label(9, 0), 9, 5, 1));
         let _ = m.on_sense_tick(&mut h.ctx());
         let mut beat = hb(label(9, 0), 9, 5, 2);
@@ -1472,7 +1471,7 @@ mod tests {
     #[test]
     fn non_members_do_not_flood() {
         let mut h = Harness::new(); // not sensing
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let mut beat = hb(label(9, 0), 9, 5, 1);
         beat.ttl = 2;
         let actions = m.on_heartbeat(&mut h.ctx(), &beat);
@@ -1503,7 +1502,7 @@ mod tests {
         });
         let mut h = Harness::new().sensing();
         h.spec = spec;
-        let mut m = GroupMachine::new(NodeId(1), ContextTypeId(0), &h.spec);
+        let mut m = GroupMachine::new(NodeId(1), ContextTypeId(0));
 
         // Drive to leadership, capturing the method-timer arming.
         let actions = m.on_sense_tick(&mut h.ctx());
@@ -1571,7 +1570,7 @@ mod tests {
         // Two tanks far apart must keep distinct labels even though their
         // heartbeats are mutually audible (comm radius > separation).
         let mut h = Harness::new().sensing();
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let my_label = make_leader(&mut h, &mut m);
         // A much heavier leader far away: ignored.
         let actions = m.on_heartbeat(&mut h.ctx(), &far_hb(label(9, 0), 9, 100, 1));
@@ -1584,7 +1583,7 @@ mod tests {
 
         // Members likewise do not defect to distant labels.
         let mut h2 = Harness::new().sensing();
-        let mut m2 = machine(2, &spec_with_tracker());
+        let mut m2 = machine(2);
         let _ = m2.on_heartbeat(&mut h2.ctx(), &hb(label(5, 0), 5, 1, 1));
         let _ = m2.on_sense_tick(&mut h2.ctx());
         assert_eq!(m2.role_kind(), RoleKind::Member(label(5, 0)));
@@ -1593,7 +1592,7 @@ mod tests {
 
         // Idle nodes do not remember distant events.
         let mut h3 = Harness::new();
-        let mut m3 = machine(3, &spec_with_tracker());
+        let mut m3 = machine(3);
         let _ = m3.on_heartbeat(&mut h3.ctx(), &far_hb(label(9, 0), 9, 100, 1));
         h3.sample.set(Channel::Magnetic, 1.0);
         let actions = m3.on_sense_tick(&mut h3.ctx());
@@ -1614,7 +1613,7 @@ mod tests {
             values: vec![(0, ReadingValue::Position(Point::new(3.0, 1.0)))],
         };
         // Idle: remembers the label. Member: re-arms its receive timer.
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let _ = m.on_heartbeat(&mut h.ctx_reading(&Forbidden), &hb(lbl, 9, 5, 1));
         m.on_report(&report(2));
         let _ = m.on_sense_tick(&mut h.ctx());
@@ -1623,7 +1622,7 @@ mod tests {
         assert!(find_timer(&actions, GroupTimer::Receive).is_some());
         m.on_report(&report(2));
         // Leader: weighs reports, yields to a heavier duplicate.
-        let mut l = machine(2, &spec_with_tracker());
+        let mut l = machine(2);
         let own = make_leader(&mut h, &mut l);
         let mine = Report {
             label: own,
@@ -1648,11 +1647,10 @@ mod tests {
             freshness: SimDuration::from_secs(1),
             critical_mass: 1,
         });
-        let spec = spec_with_tracker();
         let sensors = Counting::sensing();
 
         // Idle sense tick → formation timer → leader sense tick.
-        let mut l = machine(1, &spec);
+        let mut l = machine(1);
         let actions = l.on_sense_tick(&mut h.ctx_reading(&sensors));
         assert_eq!(sensors.take(), 1);
         let (at, token) = find_timer(&actions, GroupTimer::Formation).unwrap();
@@ -1669,7 +1667,7 @@ mod tests {
 
         // Member: report timer, receive timer, relinquish.
         let lbl = label(9, 0);
-        let mut m = machine(2, &spec);
+        let mut m = machine(2);
         let _ = m.on_heartbeat(&mut h.ctx_reading(&sensors), &hb(lbl, 9, 5, 1));
         assert_eq!(sensors.take(), 0);
         let actions = m.on_sense_tick(&mut h.ctx_reading(&sensors));
@@ -1715,7 +1713,7 @@ mod tests {
     #[test]
     fn stale_timer_tokens_are_inert() {
         let mut h = Harness::new().sensing();
-        let mut m = machine(1, &spec_with_tracker());
+        let mut m = machine(1);
         let actions = m.on_sense_tick(&mut h.ctx());
         let (at, token) = find_timer(&actions, GroupTimer::Formation).unwrap();
         h.now = at;
@@ -1753,7 +1751,7 @@ mod tests {
             let mut spec = spec_with_tracker();
             spec.pinned = pinned.then(|| Point::new(9.0, 9.0));
             h.spec.pinned = spec.pinned;
-            let mut m = machine(1, &spec);
+            let mut m = machine(1);
             let mut timers: Vec<(GroupTimer, Timestamp, TimerToken)> = Vec::new();
             let mut roles = [false; 3];
             let (near, other) = (label(9, 0), label(8, 3));
@@ -1803,7 +1801,17 @@ mod tests {
                         let (key, at, token) = timers.remove(arg as usize % timers.len());
                         h.now = h.now.max(at);
                         h.sample.set(Channel::Magnetic, f64::from(arg % 2));
-                        m.on_timer(&mut h.ctx(), key, token)
+                        // What a host may drop unseen (`network/timers.rs`):
+                        // an arming the machine calls dead acts on nothing.
+                        let live = m.timer_is_current(key, token);
+                        let before = (observable(&m), format!("{:?}", h.rng));
+                        let actions = m.on_timer(&mut h.ctx(), key, token);
+                        if !live {
+                            testkit::prop_assert!(actions.is_empty(), "stale {key:?} acted");
+                            testkit::prop_assert_eq!(&before.0, &observable(&m));
+                            testkit::prop_assert_eq!(&before.1, &format!("{:?}", h.rng));
+                        }
+                        actions
                     }
                     _ => {
                         h.now += SimDuration::from_millis(150 * u64::from(arg));
@@ -1838,7 +1846,7 @@ mod tests {
         ) {
             let mut h = Harness::new();
             h.cfg.directory_enabled = true;
-            let mut m = machine(1, &spec_with_tracker());
+            let mut m = machine(1);
             let mut live: Vec<(GroupTimer, Timestamp, TimerToken)> = Vec::new();
             let observable = |m: &GroupMachine| (m.role_kind(), m.formation.deadline());
             for &(op, arg) in &ops {
@@ -1854,6 +1862,8 @@ mod tests {
                     _ if !live.is_empty() => {
                         let (key, at, token) = live.remove(arg as usize % live.len());
                         h.now = h.now.max(at);
+                        let current = m.timer_is_current(key, token);
+                        testkit::prop_assert!(current, "{key:?} called stale");
                         let actions = m.on_timer(&mut h.ctx(), key, token);
                         let acted = !actions.is_empty() || observable(&m) != before;
                         testkit::prop_assert!(acted, "{key:?} armed for {at} was stale");

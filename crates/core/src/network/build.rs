@@ -15,9 +15,9 @@ use envirotrack_world::sensing::Environment;
 
 use super::events::Recorder;
 use super::link::LinkReliability;
-use super::node::{HotRecords, NodeState, SenseState};
+use super::node::{HotRecords, Machines, NodeState, SenseState};
 use super::sense::{self, Sensing};
-use super::{SensorNetwork, K};
+use super::{SensorNetwork, TimerWork, K};
 use crate::api::Program;
 use crate::config::MiddlewareConfig;
 use crate::report::BaseStationLog;
@@ -58,15 +58,30 @@ impl SensorNetwork {
         config: NetworkConfig,
         seed: u64,
     ) -> Self {
+        let topology = Topology::new(&deployment, config.radio.comm_radius);
+        let topology = Arc::new(topology);
+        Self::with_topology(program, deployment, environment, config, seed, topology)
+    }
+
+    /// [`SensorNetwork::new`] over the topology of `deployment` under the
+    /// configured radius, built once by the caller: who is in range of whom
+    /// is worked out once, and the medium and the router read the same
+    /// table. Whatever the node count, the world takes a fixed number of
+    /// allocations: per-node state is a few arrays, each allocated once.
+    pub(crate) fn with_topology(
+        program: Arc<Program>,
+        deployment: Deployment,
+        environment: Environment,
+        config: NetworkConfig,
+        seed: u64,
+        topology: Arc<Topology>,
+    ) -> Self {
         config
             .middleware
             .validate()
             .expect("invalid middleware configuration");
         let master = SimRng::seed_from(seed);
         let telemetry = Telemetry::new();
-        // Who is in range of whom is worked out once; the medium and the
-        // router read the same table.
-        let topology = Arc::new(Topology::new(&deployment, config.radio.comm_radius));
         let mut medium = Medium::with_topology(topology.clone(), config.radio.clone(), &master);
         medium.attach_telemetry(telemetry.clone());
         let router = GeoRouter::with_topology(topology);
@@ -76,11 +91,9 @@ impl SensorNetwork {
             .iter()
             .map(|(_, pos)| SenseState::new(pos, sensing.cell(pos)))
             .collect();
-        let nodes = deployment
-            .ids()
-            .map(|id| NodeState::new(id, &program, &master))
-            .collect();
         SensorNetwork {
+            nodes: NodeState::all(deployment.len(), &master),
+            machines: Machines::new(deployment.len(), &program),
             program,
             config,
             deployment,
@@ -88,8 +101,8 @@ impl SensorNetwork {
             medium,
             router,
             sense: HotRecords::new(sense),
-            nodes,
             sensing,
+            timers: TimerWork::default(),
             rec: Recorder::new(telemetry),
             base_log: BaseStationLog::new(),
             app_log: Vec::new(),
@@ -116,10 +129,10 @@ impl SensorNetwork {
         SensorNetwork::new(program, deployment, environment, config, seed).into_engine(seed)
     }
 
-    /// Builds one shard's replica of a sharded run: a complete world whose
-    /// handlers drive only the nodes `shard_assignment` maps to
-    /// `shard_idx`, with transmit requests diverted to the epoch outbox and
-    /// the medium narrowed to the receiver side of those nodes — it only
+    /// Builds one shard's replica of a sharded run over the run's one
+    /// `topology`: a complete world whose handlers drive only the nodes
+    /// `owned` marks, with transmit requests diverted to the epoch outbox
+    /// and the medium narrowed to the receiver side of those nodes — it only
     /// ingests the resolved transmissions the orchestrator's central
     /// `ChannelScheduler` routes here. [`crate::shard::run_sharded`] owns
     /// the barrier protocol that drives the result.
@@ -129,17 +142,11 @@ impl SensorNetwork {
         environment: Environment,
         config: NetworkConfig,
         seed: u64,
-        shards: usize,
-        shard_idx: usize,
+        topology: Arc<Topology>,
+        owned: Vec<bool>,
     ) -> Engine<SensorNetwork> {
-        assert!(shard_idx < shards, "no shard {shard_idx} of {shards}");
-        let mut world = SensorNetwork::new(program, deployment, environment, config, seed);
-        let owners = envirotrack_world::grid::shard_assignment(
-            &world.deployment,
-            world.config.radio.comm_radius,
-            shards,
-        );
-        let owned: Vec<bool> = owners.iter().map(|&s| s == shard_idx).collect();
+        let mut world =
+            SensorNetwork::with_topology(program, deployment, environment, config, seed, topology);
         world.medium.enable_shard_exec(owned.clone());
         world.shard = Some(ShardState::new(owned));
         world.into_engine(seed)

@@ -5,8 +5,7 @@ use envirotrack_net::medium::{GilbertElliott, LinkFaults, Medium};
 use envirotrack_sim::time::Timestamp;
 use envirotrack_world::field::NodeId;
 
-use super::node::{self, HotRecords, NodeState};
-use crate::api::Program;
+use super::node::{self, HotRecords, Machines, NodeState};
 
 /// One fault, applied to a world by [`super::SensorNetwork::apply_fault`]:
 /// scripted by a chaos plan on a monolithic run, or handed to
@@ -53,7 +52,7 @@ impl FaultEvent {
         medium: &mut Medium,
         sense: &mut HotRecords,
         nodes: &mut [NodeState],
-        program: &Program,
+        machines: &mut Machines,
         drives: impl Fn(NodeId) -> bool,
     ) {
         match self {
@@ -69,7 +68,8 @@ impl FaultEvent {
                 if !drives(*node) => {}
             FaultEvent::Crash(node) => sense[*node].alive = false,
             FaultEvent::Reboot(node) => {
-                node::reboot(*node, &mut sense[*node], &mut nodes[node.index()], program);
+                let cold = &mut nodes[node.index()];
+                node::reboot(*node, &mut sense[*node], cold, machines.of_mut(*node));
             }
             // The local clock is rebased at `now` so it stays continuous;
             // the new rate applies to every timer and sensing tick armed

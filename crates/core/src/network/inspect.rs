@@ -10,7 +10,7 @@ use envirotrack_world::geometry::Point;
 use envirotrack_world::sensing::Environment;
 
 use super::node::NodeState;
-use super::{NetworkConfig, SensingWork, SensorNetwork};
+use super::{NetworkConfig, SensingWork, SensorNetwork, TimerWork};
 use crate::context::{ContextLabel, ContextTypeId};
 use crate::directory::{hash_point, replica_set};
 use crate::events::{EventLog, SystemEvent};
@@ -54,7 +54,7 @@ impl SensorNetwork {
     /// Every live node's machine for `tid`.
     fn live_machines(&self, tid: ContextTypeId) -> impl Iterator<Item = &GroupMachine> {
         let live = self.sense.in_id_order().filter(|(_, hot)| hot.alive);
-        live.map(move |(id, _)| &self.nodes[id.index()].machines[tid.0 as usize])
+        live.map(move |(id, _)| &self.machines.of(id)[usize::from(tid.0)])
     }
 
     /// The run-wide telemetry registry.
@@ -160,6 +160,12 @@ impl SensorNetwork {
     #[must_use]
     pub fn sensing_work(&self) -> SensingWork {
         self.sensing.work()
+    }
+
+    /// How the group timers that fired were handled (see [`TimerWork`]).
+    #[must_use]
+    pub fn timer_work(&self) -> TimerWork {
+        self.timers
     }
 
     /// Whether a node is alive.

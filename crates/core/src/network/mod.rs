@@ -62,6 +62,7 @@ mod link;
 mod mtp;
 mod node;
 mod sense;
+mod timers;
 mod words;
 
 use std::sync::Arc;
@@ -83,8 +84,9 @@ use self::dir::Failover;
 use self::events::Recorder;
 use self::link::Decoded;
 pub use self::link::LinkReliability;
-use self::node::{HotRecords, NodeState};
+use self::node::{HotRecords, Machines, NodeState};
 pub use self::sense::SensingWork;
+pub use self::timers::TimerWork;
 pub(crate) use self::words::MAX_TIMER_METHODS;
 use crate::api::Program;
 use crate::context::{ContextLabel, ContextTypeId};
@@ -109,8 +111,12 @@ pub struct SensorNetwork {
     /// in, in the order the ticks fire, and everything else, by node id.
     sense: HotRecords,
     nodes: Vec<NodeState>,
+    /// Every node's group machines, one per context type.
+    machines: Machines,
     /// The sensing driver's coverage of `environment` and its work counters.
     sensing: sense::Sensing,
+    /// How the group timers that fired were handled.
+    timers: TimerWork,
     /// Event log, telemetry handle and label cache, lent to whichever
     /// layer has something to record.
     rec: Recorder,
@@ -151,8 +157,8 @@ impl SensorNetwork {
     /// (doing nothing) and resumes work on the first tick after revival,
     /// on the phase it always had.
     pub fn revive_node(&mut self, node: NodeId) {
-        let cold = &mut self.nodes[node.index()];
-        node::reboot(node, &mut self.sense[node], cold, &self.program);
+        let (cold, machines) = (&mut self.nodes[node.index()], self.machines.of_mut(node));
+        node::reboot(node, &mut self.sense[node], cold, machines);
     }
 
     /// Applies one fault at `now` (see [`FaultEvent`]).
@@ -169,7 +175,7 @@ impl SensorNetwork {
             &mut self.medium,
             &mut self.sense,
             &mut self.nodes,
-            &self.program,
+            &mut self.machines,
             drives,
         );
     }
@@ -261,27 +267,9 @@ impl SensorNetwork {
     }
 
     // ------------------------------------------------------------------
-    // Group driver: group timers, machine inputs and actions (sensing loop: sense.rs)
+    // Group driver: machine inputs and actions (sensing loop: sense.rs,
+    // group timers: timers.rs)
     // ------------------------------------------------------------------
-
-    /// A group-management timer firing; `words` say whose and which
-    /// (`words.rs`).
-    fn group_timer(&mut self, k: &mut K, words: [u64; 2]) {
-        let (node, tid, key, token) = words::unpack(words);
-        let hot = &mut self.sense[node];
-        if !hot.alive {
-            return;
-        }
-        // Overload delays timer handling until the CPU drains.
-        if !hot.admit(k.now(), costs::TIMER_HANDLE) {
-            let retry = hot.cpu.busy_until() + SimDuration::from_millis(1);
-            k.schedule_inline_at(retry.max(k.now()), Self::group_timer, words);
-            return;
-        }
-        self.run_machine(k, node, tid, |machine, ctx| {
-            machine.on_timer(ctx, key, token)
-        });
-    }
 
     /// Gives `node`'s machine for `tid` one input and carries out its answer.
     fn run_machine(
@@ -305,6 +293,7 @@ impl SensorNetwork {
         f: impl FnOnce(&mut GroupMachine, &mut GroupCtx<'_>) -> Vec<GroupAction>,
     ) -> Vec<GroupAction> {
         let (hot, rt) = (&mut self.sense[node], &mut self.nodes[node.index()]);
+        let machines = self.machines.of_mut(node);
         let mut ctx = GroupCtx {
             now,
             cfg: &self.config.middleware,
@@ -317,8 +306,8 @@ impl SensorNetwork {
             telemetry: &self.rec.telemetry,
             labels: &self.rec.labels,
         };
-        let actions = f(&mut rt.machines[tid.0 as usize], &mut ctx);
-        hot.quiescent = sense::quiescent(&rt.machines);
+        let actions = f(&mut machines[usize::from(tid.0)], &mut ctx);
+        hot.quiescent = sense::quiescent(machines);
         actions
     }
 
@@ -628,8 +617,8 @@ impl SensorNetwork {
         };
         // Subscription query: install the view into the asking machine.
         if let Some(asker) = query.asker {
-            rt.machines[asker.0 as usize]
-                .on_directory_entries(query.target_type, resp.entries.clone());
+            let machine = &mut self.machines.of_mut(node)[usize::from(asker.0)];
+            machine.on_directory_entries(query.target_type, resp.entries.clone());
             return;
         }
         // MTP resolution query: release the parked sends.
@@ -680,7 +669,7 @@ impl SensorNetwork {
         payload: Bytes,
     ) {
         let rt = &mut self.nodes[node.index()];
-        let Some(src_label) = rt.machines[tid.0 as usize].current_label() else {
+        let Some(src_label) = self.machines.of(node)[usize::from(tid.0)].current_label() else {
             return; // lost leadership between invocation and send
         };
         // Every transmission of the segment — first or repeated — starts a
@@ -756,7 +745,7 @@ impl SensorNetwork {
         let rt = &mut self.nodes[node.index()];
         let leads = hosted.then(|| {
             matches!(
-                rt.machines[tid.0 as usize].role_kind(),
+                self.machines.of(node)[usize::from(tid.0)].role_kind(),
                 RoleKind::Leader(l) if l == dst_label
             )
         });
@@ -1169,7 +1158,7 @@ mod tests {
         }
         let world = engine.world();
         let first = busy(world).expect("just found");
-        let role = world.nodes[first.index()].machines[0].role_kind();
+        let role = world.machines.of(first)[0].role_kind();
         assert_eq!(role, RoleKind::Idle, "still waiting out its jitter");
         // A leader is not quiescent, dead or alive, until it reboots.
         engine.run_until(engine.kernel().now() + SimDuration::from_secs(3));
@@ -1179,7 +1168,7 @@ mod tests {
         assert!(!world.sense[leader].quiescent);
         world.revive_node(leader);
         assert!(world.sense[leader].quiescent);
-        let role = world.nodes[leader.index()].machines[0].role_kind();
+        let role = world.machines.of(leader)[0].role_kind();
         assert_eq!(role, RoleKind::Idle);
     }
 

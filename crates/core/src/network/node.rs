@@ -4,7 +4,12 @@
 //! finds nothing reads and writes. [`NodeState`] is the cold half, in id
 //! order: energy, clock, randomness and one state value per protocol layer —
 //! only a node in or near a group, or one a frame reaches, ever dereferences
-//! it. A layer takes its own field, plus the substrates it charges.
+//! it. A layer takes its own field, plus the substrates it charges. The
+//! group machines of every node share one array, [`Machines`].
+//!
+//! A node allocates nothing until it uses a layer: each of these is a fixed
+//! number of arrays for the whole world, and a layer's own tables start
+//! empty and grow on first use.
 
 use std::ops::{Index, IndexMut};
 
@@ -18,6 +23,7 @@ use envirotrack_world::geometry::Point;
 use super::dir::DirState;
 use super::link::LinkState;
 use crate::api::Program;
+use crate::context::ContextTypeId;
 use crate::group::GroupMachine;
 use crate::transport::{self, MtpState};
 
@@ -227,27 +233,27 @@ pub(super) struct NodeState {
     /// Dedicated stream for MTP retransmission jitter, so enabling or
     /// disabling retransmission never perturbs the node's main RNG.
     pub(super) retx_rng: SimRng,
-    pub(super) machines: Vec<GroupMachine>,
     pub(super) mtp: MtpState,
     pub(super) dir: DirState,
     pub(super) link: LinkState,
 }
 
-fn machines(id: NodeId, program: &Program) -> Vec<GroupMachine> {
-    program
-        .type_ids()
-        .map(|tid| GroupMachine::new(id, tid, program.spec(tid)))
-        .collect()
-}
-
 impl NodeState {
-    pub(super) fn new(id: NodeId, program: &Program, master: &SimRng) -> Self {
+    /// Every node's cold half, in id order. A node's streams are the
+    /// `"node"` and `"mtp-retx"` forks of `master`, indexed by its id.
+    pub(super) fn all(nodes: usize, master: &SimRng) -> Vec<Self> {
+        let (main, retx) = (master.fork("node"), master.fork("mtp-retx"));
+        (0..nodes as u64)
+            .map(|id| NodeState::new(main.indexed(id), retx.indexed(id)))
+            .collect()
+    }
+
+    fn new(rng: SimRng, retx_rng: SimRng) -> Self {
         NodeState {
-            rng: master.fork_indexed("node", u64::from(id.0)),
+            rng,
             energy: EnergyMeter::new(),
             clock: NodeClock::ideal(),
-            retx_rng: master.fork_indexed("mtp-retx", u64::from(id.0)),
-            machines: machines(id, program),
+            retx_rng,
             mtp: MtpState::new(
                 transport::TABLE_CAPACITY,
                 transport::FORWARD_TTL,
@@ -259,15 +265,53 @@ impl NodeState {
     }
 }
 
+/// Every node's group machines, one per context type, in one array: node
+/// `i`'s are the `types` machines from `i · types` on, by type id.
+pub(super) struct Machines {
+    all: Vec<GroupMachine>,
+    types: usize,
+}
+
+impl Machines {
+    /// An idle machine per node and context type of `program`.
+    pub(super) fn new(nodes: usize, program: &Program) -> Self {
+        let types = program.context_count();
+        let mut all = Vec::with_capacity(nodes * types);
+        for id in (0..nodes as u32).map(NodeId) {
+            all.extend(program.type_ids().map(|tid| GroupMachine::new(id, tid)));
+        }
+        Machines { all, types }
+    }
+
+    /// `node`'s machines, by type id.
+    #[inline]
+    pub(super) fn of(&self, node: NodeId) -> &[GroupMachine] {
+        &self.all[node.index() * self.types..][..self.types]
+    }
+
+    /// `node`'s machines, by type id, to drive.
+    #[inline]
+    pub(super) fn of_mut(&mut self, node: NodeId) -> &mut [GroupMachine] {
+        &mut self.all[node.index() * self.types..][..self.types]
+    }
+}
+
 /// Brings a killed node back with cleared protocol state (a rebooted mote
 /// remembers nothing): group machines, transport tables, directory entries,
 /// and every in-flight query or ack are gone. Only the link, transport and
 /// query sequence counters survive — reusing sequence numbers would trip
 /// peers' dedup windows.
-pub(super) fn reboot(id: NodeId, hot: &mut SenseState, cold: &mut NodeState, program: &Program) {
+pub(super) fn reboot(
+    id: NodeId,
+    hot: &mut SenseState,
+    cold: &mut NodeState,
+    machines: &mut [GroupMachine],
+) {
     hot.alive = true;
     hot.quiescent = true;
-    cold.machines = machines(id, program);
+    for (tid, machine) in (0..).map(ContextTypeId).zip(machines) {
+        *machine = GroupMachine::new(id, tid);
+    }
     cold.mtp.reboot();
     cold.dir.reboot();
     cold.link.reboot();

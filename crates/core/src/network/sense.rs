@@ -152,7 +152,7 @@ impl SensorNetwork {
         let hot = self.sense.at(slot);
         debug_assert_eq!(
             hot.quiescent,
-            quiescent(&self.nodes[i].machines),
+            quiescent(self.machines.of(node)),
             "stale quiescent bit on {node}"
         );
         // The sensing period elapses on the node's *local* clock: skewed

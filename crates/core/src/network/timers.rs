@@ -1,0 +1,102 @@
+//! The group-timer driver: a timer firing passes the node's CPU, then goes
+//! to its machine only while its arming is live.
+//!
+//! Members re-arm their receive timer on every heartbeat, and every
+//! superseded arming still fires. Such a stale firing costs the CPU its
+//! handling, as it always has, but the machine would answer it with nothing
+//! and change nothing ([`GroupMachine::timer_is_current`]), so it stops at
+//! the check; debug builds still hand it over and assert exactly that.
+//!
+//! [`GroupMachine::timer_is_current`]: crate::group::GroupMachine::timer_is_current
+
+use envirotrack_node::cpu::costs;
+use envirotrack_node::timer::TimerToken;
+use envirotrack_sim::time::{SimDuration, Timestamp};
+use envirotrack_world::field::NodeId;
+
+use super::{words, SensorNetwork, K};
+use crate::context::ContextTypeId;
+use crate::group::GroupTimer;
+
+/// How the group timers that fired were handled, per timer key: indexed
+/// heartbeat, receive, report, formation, directory, and every object
+/// method timer in the last entry. Like [`super::SensingWork`] it says how
+/// the work was done, not what the simulation did: it belongs in no run
+/// record, and a shard's world counts only its own nodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TimerWork {
+    /// Firings the CPU took whose arming was live: the machine ran.
+    pub live: [u64; 6],
+    /// Firings the CPU took whose arming had been superseded or called off:
+    /// charged, then dropped before the machine.
+    pub stale: [u64; 6],
+    /// Firings the CPU turned away, each queued again past its busy period.
+    pub retried: [u64; 6],
+}
+
+/// Where `key` is counted in [`TimerWork`].
+fn entry(key: GroupTimer) -> usize {
+    match key {
+        GroupTimer::Heartbeat => 0,
+        GroupTimer::Receive => 1,
+        GroupTimer::Report => 2,
+        GroupTimer::Formation => 3,
+        GroupTimer::Directory => 4,
+        GroupTimer::Method(_) => 5,
+    }
+}
+
+impl SensorNetwork {
+    /// A group-management timer firing; `words` say whose and which
+    /// (`words.rs`).
+    pub(super) fn group_timer(&mut self, k: &mut K, words: [u64; 2]) {
+        let (node, tid, key, token) = words::unpack(words);
+        let hot = &mut self.sense[node];
+        if !hot.alive {
+            return;
+        }
+        let at = entry(key);
+        // Overload delays timer handling until the CPU drains.
+        if !hot.admit(k.now(), costs::TIMER_HANDLE) {
+            self.timers.retried[at] += 1;
+            let retry = hot.cpu.busy_until() + SimDuration::from_millis(1);
+            k.schedule_inline_at(retry.max(k.now()), Self::group_timer, words);
+            return;
+        }
+        if !self.machines.of(node)[usize::from(tid.0)].timer_is_current(key, token) {
+            self.timers.stale[at] += 1;
+            if cfg!(debug_assertions) {
+                self.assert_stale(k.now(), node, tid, key, token);
+            }
+            return;
+        }
+        self.timers.live[at] += 1;
+        self.run_machine(k, node, tid, |machine, ctx| {
+            machine.on_timer(ctx, key, token)
+        });
+    }
+
+    /// Hands a stale firing to its machine anyway, which must answer with
+    /// no action and leave the node's quiescence as it was.
+    fn assert_stale(
+        &mut self,
+        now: Timestamp,
+        node: NodeId,
+        tid: ContextTypeId,
+        key: GroupTimer,
+        token: TimerToken,
+    ) {
+        let quiescent = self.sense[node].quiescent;
+        let actions = self.drive_machine(now, node, tid, |machine, ctx| {
+            machine.on_timer(ctx, key, token)
+        });
+        assert!(
+            actions.is_empty(),
+            "stale {key:?} on {node} acted: {actions:?}"
+        );
+        assert_eq!(
+            self.sense[node].quiescent, quiescent,
+            "stale {key:?} on {node}"
+        );
+    }
+}

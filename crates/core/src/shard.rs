@@ -87,7 +87,7 @@ use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::Timestamp;
 use envirotrack_telemetry::Telemetry;
 use envirotrack_world::field::{Deployment, NodeId};
-use envirotrack_world::grid::shard_interest_ranges;
+use envirotrack_world::grid::{shard_assignment, shard_interest_ranges, Topology};
 use envirotrack_world::sensing::Environment;
 
 use crate::api::Program;
@@ -394,17 +394,19 @@ pub fn run_sharded(
     let mut schedule: Vec<(Timestamp, FaultEvent)> = faults.to_vec();
     schedule.sort_by_key(|(t, _)| *t);
 
+    // Who hears whom, and which shard drives which node, worked out once
+    // for the scheduler and every replica.
+    let radius = config.radio.comm_radius;
+    let topology = Arc::new(Topology::new(deployment, radius));
+    let owners = shard_assignment(deployment, radius, shards);
     // The central transmit side: one scheduler resolving every merged
     // intent exactly once, and — in partitioned mode — the per-source
     // interest ranges that bound each transmission's audience.
     let sched_rng = SimRng::seed_from(seed).fork("shard-scheduler");
-    let mut scheduler = ChannelScheduler::new(deployment, config.radio.clone(), &sched_rng);
+    let radio = config.radio.clone();
+    let mut scheduler = ChannelScheduler::with_topology(topology.clone(), radio, &sched_rng);
     let interest = match mode {
-        MediumMode::Partitioned => Some(shard_interest_ranges(
-            deployment,
-            config.radio.comm_radius,
-            shards,
-        )),
+        MediumMode::Partitioned => Some(shard_interest_ranges(deployment, radius, shards)),
         MediumMode::Replicated => None,
     };
 
@@ -419,16 +421,19 @@ pub fn run_sharded(
             let deployment = deployment.clone();
             let environment = environment.clone();
             let config = config.clone();
+            let topology = Arc::clone(&topology);
+            let owners = &owners;
             scope.spawn(move || {
                 let _notice = DeathNotice(idx, resp.clone());
+                let owned = owners.iter().map(|&s| s == idx).collect();
                 let mut engine = SensorNetwork::build_engine_sharded(
                     program,
                     deployment,
                     environment,
                     config,
                     seed,
-                    shards,
-                    idx,
+                    topology,
+                    owned,
                 );
                 while let Ok(cmd) = cmd_rx.recv() {
                     match cmd {

@@ -55,7 +55,9 @@ pub struct LeaderLoc {
 /// information is retained for as long as possible, given limited table
 /// sizes; replacement is done on a least-recently-used basis").
 ///
-/// Lookup order is linear — mote tables hold a handful of entries.
+/// Lookup order is linear — mote tables hold a handful of entries. Most
+/// motes never learn a leader, so a new table holds no memory: `capacity`
+/// is the table's eviction rule, and the entries grow on first insert.
 #[derive(Debug, Clone)]
 pub struct LruTable<K, V> {
     capacity: usize,
@@ -64,7 +66,7 @@ pub struct LruTable<K, V> {
 }
 
 impl<K: PartialEq + Copy, V> LruTable<K, V> {
-    /// Creates a table holding at most `capacity` entries.
+    /// Creates an empty table that will hold at most `capacity` entries.
     ///
     /// # Panics
     ///
@@ -77,7 +79,7 @@ impl<K: PartialEq + Copy, V> LruTable<K, V> {
         );
         LruTable {
             capacity,
-            entries: Vec::with_capacity(capacity),
+            entries: Vec::new(),
         }
     }
 

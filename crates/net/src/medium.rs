@@ -1323,8 +1323,18 @@ impl ChannelScheduler {
     /// `rng` under the same labels as a [`Medium`]'s inline transmit side.
     #[must_use]
     pub fn new(deployment: &Deployment, config: RadioConfig, rng: &SimRng) -> Self {
+        let topology = Topology::new(deployment, config.comm_radius);
+        ChannelScheduler::with_topology(Arc::new(topology), config, rng)
+    }
+
+    /// [`ChannelScheduler::new`] over a topology somebody else built — the
+    /// shard replicas of the same run read the same one. Panics if it was
+    /// built under another radius than `config.comm_radius`.
+    #[must_use]
+    pub fn with_topology(topology: Arc<Topology>, config: RadioConfig, rng: &SimRng) -> Self {
+        assert_eq!(topology.radius(), config.comm_radius, "another radius");
         ChannelScheduler {
-            links: Links::new(Arc::new(Topology::new(deployment, config.comm_radius))),
+            links: Links::new(topology),
             config,
             tx: TxSide::new(rng),
             stats: NetStats::default(),

@@ -76,12 +76,19 @@ impl TimerSlot {
     /// arming and should execute. Consumes the arming: the slot disarms, so
     /// a fired one-shot doesn't look pending afterwards.
     pub fn fires(&mut self, token: TimerToken) -> bool {
-        if self.deadline.is_some() && token.0 == self.generation {
+        let current = self.is_current(token);
+        if current {
             self.deadline = None;
-            true
-        } else {
-            false
         }
+        current
+    }
+
+    /// Whether [`TimerSlot::fires`] would say yes to `token`, without
+    /// consuming the arming: a host can drop a stale firing before it
+    /// builds anything to deliver it with.
+    #[must_use]
+    pub fn is_current(&self, token: TimerToken) -> bool {
+        self.deadline.is_some() && token.0 == self.generation
     }
 
     /// The pending deadline, if armed.
@@ -131,6 +138,16 @@ mod tests {
         // But a fresh arming works.
         let b = t.arm(Timestamp::from_secs(3));
         assert!(t.fires(b));
+    }
+
+    #[test]
+    fn asking_does_not_consume_the_arming() {
+        let mut t = TimerSlot::new();
+        let old = t.arm(Timestamp::from_secs(1));
+        let new = t.arm(Timestamp::from_secs(2));
+        assert!(!t.is_current(old) && t.is_current(new) && t.is_current(new));
+        assert!(t.fires(new));
+        assert!(!t.is_current(new), "a fired one-shot is no longer current");
     }
 
     #[test]

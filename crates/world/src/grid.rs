@@ -7,10 +7,13 @@
 //! any node within `radius` of a point then lies in the point's own cell
 //! or one of its 8 neighbors (the *9-cell stencil*), because crossing out
 //! of the stencil requires moving more than one cell side (`>= radius`)
-//! along some axis. Construction visits each node's stencil once, so the
-//! total work is O(n · deg) for fields of bounded density.
+//! along some axis. Construction visits each node's stencil once per
+//! pass, so the total work is O(n · deg) for fields of bounded density.
 //!
-//! `neighbor_lists` returns per-node lists sorted ascending by
+//! Both the buckets and the neighbour table are *compressed sparse rows*:
+//! one flat array of ids plus the offset where each bucket or list starts,
+//! so a world of any size is built from a fixed number of allocations.
+//! The lists [`Topology::neighbors`] returns are sorted ascending by
 //! [`NodeId`] — exactly the lists the brute-force scan produces, in the
 //! same order, which keeps every downstream consumer (radio medium,
 //! geographic router, delivery walks) byte-identical regardless of which
@@ -33,31 +36,26 @@ pub enum NeighborStrategy {
     BruteForce,
 }
 
-/// A uniform bucket grid over a deployment, cell side `>= radius`.
+/// The cells of a uniform grid over a deployment, side `>= radius`: where
+/// each cell is, not what is in it.
 ///
 /// The cell side is normally exactly `radius`, but is grown when the field
 /// is so much larger than the radius that a radius-sized grid would
 /// allocate far more cells than nodes (a sparse field with a tiny radio
 /// range); a larger cell never misses a neighbor, it only adds candidates.
-#[derive(Debug, Clone)]
-pub(crate) struct SpatialGrid {
+#[derive(Debug, Clone, Copy)]
+struct Cells {
     origin: Point,
     cell: f64,
     cols: usize,
     rows: usize,
-    /// Node indices per cell, row-major; each bucket ascending (nodes are
-    /// inserted in id order).
-    buckets: Vec<Vec<u32>>,
 }
 
-impl SpatialGrid {
-    /// Buckets every node of `deployment` into cells of side `>= radius`.
-    ///
+impl Cells {
     /// # Panics
     ///
     /// Panics if `radius` is not finite and positive.
-    #[must_use]
-    pub fn new(deployment: &Deployment, radius: f64) -> Self {
+    fn new(deployment: &Deployment, radius: f64) -> Self {
         assert!(
             radius.is_finite() && radius > 0.0,
             "grid radius must be finite and positive, got {radius}"
@@ -71,22 +69,12 @@ impl SpatialGrid {
         let n = deployment.len();
         let max_axis = (n as f64).sqrt().ceil().max(1.0);
         let cell = radius.max(span_x / max_axis).max(span_y / max_axis);
-        let cols = Self::axis_cells(span_x, cell);
-        let rows = Self::axis_cells(span_y, cell);
-        let mut buckets = vec![Vec::new(); cols * rows];
-        let mut grid = SpatialGrid {
+        Cells {
             origin,
             cell,
-            cols,
-            rows,
-            buckets: Vec::new(),
-        };
-        for (id, pos) in deployment.iter() {
-            let (cx, cy) = grid.cell_of(pos);
-            buckets[cy * cols + cx].push(id.0);
+            cols: Self::axis_cells(span_x, cell),
+            rows: Self::axis_cells(span_y, cell),
         }
-        grid.buckets = buckets;
-        grid
     }
 
     fn axis_cells(span: f64, cell: f64) -> usize {
@@ -95,6 +83,10 @@ impl SpatialGrid {
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let c = (span / cell).floor() as usize + 1;
         c
+    }
+
+    fn len(&self) -> usize {
+        self.cols * self.rows
     }
 
     /// The (clamped) cell coordinates of a position.
@@ -118,34 +110,102 @@ impl SpatialGrid {
         )
     }
 
-    /// Visits every node bucketed in the 9-cell stencil around `pos`
-    /// (including the node itself if it lives there). Any node within one
-    /// cell side of `pos` is guaranteed to be visited.
-    pub(crate) fn for_each_candidate(&self, pos: Point, mut f: impl FnMut(u32)) {
+    /// The row-major index of the cell holding `pos`.
+    fn index_of(&self, pos: Point) -> usize {
         let (cx, cy) = self.cell_of(pos);
-        let x0 = cx.saturating_sub(1);
-        let y0 = cy.saturating_sub(1);
-        let x1 = (cx + 1).min(self.cols - 1);
-        let y1 = (cy + 1).min(self.rows - 1);
-        for y in y0..=y1 {
-            for x in x0..=x1 {
-                for &id in &self.buckets[y * self.cols + x] {
-                    f(id);
+        cy * self.cols + cx
+    }
+}
+
+/// Counts one more entry for `bucket`: the first of the three steps that
+/// build a compressed-sparse-row table in `offsets` (`len + 1` slots, all
+/// zero to begin with). A bucket's size goes into `offsets[bucket + 2]`;
+/// the last bucket's size is not needed.
+#[inline]
+fn count(offsets: &mut [u32], bucket: usize) {
+    if let Some(size) = offsets.get_mut(bucket + 2) {
+        *size += 1;
+    }
+}
+
+/// Turns the counted sizes into offsets in place (see [`count`]).
+/// Afterwards `offsets[k + 1]` is where bucket `k` starts: it serves as the
+/// bucket's write cursor while [`push`] fills the buckets, and filling
+/// leaves it at the bucket's end — where bucket `k + 1` starts, which is
+/// the finished table.
+fn prefix_sum(offsets: &mut [u32]) {
+    for k in 1..offsets.len() {
+        offsets[k] += offsets[k - 1];
+    }
+}
+
+/// Writes `value` at `offsets[bucket + 1]`, the bucket's cursor, and
+/// moves the cursor on (see [`prefix_sum`]).
+#[inline]
+fn push<T>(flat: &mut [T], offsets: &mut [u32], bucket: usize, value: T) {
+    let cursor = &mut offsets[bucket + 1];
+    flat[*cursor as usize] = value;
+    *cursor += 1;
+}
+
+/// A uniform bucket grid over a deployment, cell side `>= radius`.
+#[derive(Debug, Clone)]
+struct SpatialGrid {
+    cells: Cells,
+    /// Every node's index, bucketed by cell: cell `c` holds
+    /// `ids[starts[c]..starts[c + 1]]`, cells row-major, ascending inside
+    /// a cell (the counting sort places the nodes in id order).
+    ids: Vec<u32>,
+    starts: Vec<u32>,
+}
+
+impl SpatialGrid {
+    /// Buckets every node of `deployment` into cells of side `>= radius`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `radius` is not finite and positive.
+    fn new(deployment: &Deployment, radius: f64) -> Self {
+        let cells = Cells::new(deployment, radius);
+        let positions = deployment.positions();
+        let mut starts = vec![0u32; cells.len() + 1];
+        for &pos in positions {
+            count(&mut starts, cells.index_of(pos));
+        }
+        prefix_sum(&mut starts);
+        let mut ids = vec![0u32; positions.len()];
+        for (id, &pos) in (0u32..).zip(positions) {
+            push(&mut ids, &mut starts, cells.index_of(pos), id);
+        }
+        SpatialGrid { cells, ids, starts }
+    }
+
+    /// Calls `f` with every node later than `a` (by id) within `r2`'s
+    /// root of `a`, which sits at `pa`: the candidates of the 9-cell
+    /// stencil around `pa`, row by row. A row's three cells are adjacent in
+    /// the bucket array, so each row is one slice; ids ascend within a cell,
+    /// not across the row.
+    #[inline]
+    fn for_each_later(
+        &self,
+        a: u32,
+        pa: Point,
+        positions: &[Point],
+        r2: f64,
+        mut f: impl FnMut(u32),
+    ) {
+        let Cells { cols, rows, .. } = self.cells;
+        let (cx, cy) = self.cells.cell_of(pa);
+        let (x0, x1) = (cx.saturating_sub(1), (cx + 1).min(cols - 1));
+        for y in cy.saturating_sub(1)..=(cy + 1).min(rows - 1) {
+            let row = y * cols;
+            let (from, to) = (self.starts[row + x0], self.starts[row + x1 + 1]);
+            for &b in &self.ids[from as usize..to as usize] {
+                if b > a && pa.distance_sq_to(positions[b as usize]) <= r2 {
+                    f(b);
                 }
             }
         }
-    }
-
-    /// Number of cell columns (for shard striping).
-    #[must_use]
-    pub(crate) fn cell_cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The grid-column index of a position (for shard striping).
-    #[must_use]
-    pub(crate) fn col_of(&self, pos: Point) -> usize {
-        self.cell_of(pos).0
     }
 }
 
@@ -153,7 +213,7 @@ impl SpatialGrid {
 /// `shards` shards. Monotone non-decreasing in `col`, which is what makes
 /// footprint interest sets contiguous shard ranges.
 #[must_use]
-pub(crate) fn shard_of_column(col: usize, cols: usize, shards: usize) -> usize {
+fn shard_of_column(col: usize, cols: usize, shards: usize) -> usize {
     (col * shards / cols).min(shards - 1)
 }
 
@@ -169,12 +229,10 @@ pub(crate) fn shard_of_column(col: usize, cols: usize, shards: usize) -> usize {
 #[must_use]
 pub fn shard_assignment(deployment: &Deployment, radius: f64, shards: usize) -> Vec<usize> {
     assert!(shards >= 1, "at least one shard is required");
-    let grid = SpatialGrid::new(deployment, radius);
-    let cols = grid.cell_cols();
-    deployment
-        .positions()
-        .iter()
-        .map(|&p| shard_of_column(grid.col_of(p), cols, shards))
+    let cells = Cells::new(deployment, radius);
+    let positions = deployment.positions().iter();
+    positions
+        .map(|&p| shard_of_column(cells.cell_of(p).0, cells.cols, shards))
         .collect()
 }
 
@@ -202,13 +260,13 @@ pub fn shard_interest_ranges(
     shards: usize,
 ) -> Vec<(usize, usize)> {
     assert!(shards >= 1, "at least one shard is required");
-    let grid = SpatialGrid::new(deployment, radius);
-    let cols = grid.cell_cols();
+    let cells = Cells::new(deployment, radius);
+    let cols = cells.cols;
     deployment
         .positions()
         .iter()
         .map(|&p| {
-            let cx = grid.col_of(p);
+            let cx = cells.cell_of(p).0;
             let lo = shard_of_column(cx.saturating_sub(1), cols, shards);
             let hi = shard_of_column((cx + 1).min(cols - 1), cols, shards);
             (lo, hi)
@@ -216,41 +274,25 @@ pub fn shard_interest_ranges(
         .collect()
 }
 
-/// Builds per-node neighbor lists (all nodes strictly within `radius`,
-/// inclusive) using the default [`NeighborStrategy::Grid`]. Each list is
-/// sorted ascending by [`NodeId`].
-#[must_use]
-pub(crate) fn neighbor_lists(deployment: &Deployment, radius: f64) -> Vec<Vec<NodeId>> {
-    neighbor_lists_with(deployment, radius, NeighborStrategy::Grid)
-}
-
 /// Builds per-node neighbor lists with an explicit strategy. Both
 /// strategies produce identical output: for every node, the ids of all
-/// *other* nodes at distance `<= radius`, ascending by [`NodeId`].
+/// *other* nodes at distance `<= radius`, ascending by [`NodeId`]. `Grid`
+/// is [`Topology::new`]'s table, one list copied out per node.
 #[must_use]
 pub fn neighbor_lists_with(
     deployment: &Deployment,
     radius: f64,
     strategy: NeighborStrategy,
 ) -> Vec<Vec<NodeId>> {
-    let r2 = radius * radius;
-    let n = deployment.len();
-    let mut neighbors: Vec<Vec<NodeId>> = vec![Vec::new(); n];
     match strategy {
         NeighborStrategy::Grid => {
-            let grid = SpatialGrid::new(deployment, radius);
-            for (a, pa) in deployment.iter() {
-                let list = &mut neighbors[a.index()];
-                grid.for_each_candidate(pa, |b| {
-                    if b != a.0 && pa.distance_sq_to(deployment.position(NodeId(b))) <= r2 {
-                        list.push(NodeId(b));
-                    }
-                });
-                // Stencil cells are visited row-major, not in id order.
-                list.sort_unstable();
-            }
+            let topology = Topology::new(deployment, radius);
+            let lists = deployment.ids().map(|id| topology.neighbors(id).to_vec());
+            lists.collect()
         }
         NeighborStrategy::BruteForce => {
+            let r2 = radius * radius;
+            let mut neighbors = vec![Vec::new(); deployment.len()];
             for (a, pa) in deployment.iter() {
                 for (b, pb) in deployment.iter() {
                     if a != b && pa.distance_sq_to(pb) <= r2 {
@@ -258,9 +300,9 @@ pub fn neighbor_lists_with(
                     }
                 }
             }
+            neighbors
         }
     }
-    neighbors
 }
 
 /// A deployment's radio topology under one communication radius: where
@@ -269,32 +311,70 @@ pub fn neighbor_lists_with(
 /// whom (the radio medium) or who is next towards a point (the router).
 ///
 /// The neighbour lists and [`Topology::in_range`] are two forms of one
-/// relation: a list holds exactly the nodes the test accepts, because
-/// [`neighbor_lists_with`] filtered by the same comparison of the same
-/// squared distance against the same `radius * radius`. Use the list to
-/// enumerate, the test to answer one pair.
+/// relation: a list holds exactly the nodes the test accepts, because the
+/// lists were filtered by the same comparison of the same squared distance
+/// against the same `radius * radius`. Use the list to enumerate, the test
+/// to answer one pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     positions: Vec<Point>,
-    /// Per node, ascending by id.
-    neighbors: Vec<Vec<NodeId>>,
+    /// Every node's neighbours, ascending by id, back to back: node `i`'s
+    /// are `neighbors[offsets[i]..offsets[i + 1]]`.
+    neighbors: Vec<NodeId>,
+    offsets: Vec<u32>,
     radius: f64,
     r2: f64,
 }
 
 impl Topology {
-    /// Builds the topology of `deployment` under `radius`.
+    /// Builds the topology of `deployment` under `radius`, from five
+    /// allocations whatever the node count: the positions, the grid's two
+    /// arrays, and the table's two.
+    ///
+    /// Each unordered pair is tested once, from its lower id. A first walk
+    /// counts every node's neighbours, so the table is sized exactly; a
+    /// second walk, in id order, writes each pair into both lists. When
+    /// node `a`'s walk starts its list already holds its lower neighbours,
+    /// in id order, put there by their own walks; the walk appends the
+    /// higher ones in stencil order and sorts just those.
     ///
     /// # Panics
     ///
-    /// Panics if `radius` is not finite and positive.
+    /// Panics if `radius` is not finite and positive, or if the table has
+    /// more entries than a `u32` offset can address.
     #[must_use]
     pub fn new(deployment: &Deployment, radius: f64) -> Self {
+        let grid = SpatialGrid::new(deployment, radius);
+        let (positions, r2) = (deployment.positions(), radius * radius);
+        let mut offsets = vec![0u32; positions.len() + 1];
+        let mut pairs = 0usize;
+        for (a, &pa) in (0u32..).zip(positions) {
+            grid.for_each_later(a, pa, positions, r2, |b| {
+                pairs += 1;
+                count(&mut offsets, a as usize);
+                count(&mut offsets, b as usize);
+            });
+        }
+        let len = pairs
+            .checked_mul(2)
+            .and_then(|len| u32::try_from(len).ok())
+            .expect("the neighbour table outgrows u32 offsets");
+        prefix_sum(&mut offsets);
+        let mut neighbors = vec![NodeId(0); len as usize];
+        for (a, &pa) in (0u32..).zip(positions) {
+            let higher = offsets[a as usize + 1] as usize;
+            grid.for_each_later(a, pa, positions, r2, |b| {
+                push(&mut neighbors, &mut offsets, a as usize, NodeId(b));
+                push(&mut neighbors, &mut offsets, b as usize, NodeId(a));
+            });
+            neighbors[higher..offsets[a as usize + 1] as usize].sort_unstable();
+        }
         Topology {
-            positions: deployment.positions().to_vec(),
-            neighbors: neighbor_lists(deployment, radius),
+            positions: positions.to_vec(),
+            neighbors,
+            offsets,
             radius,
-            r2: radius * radius,
+            r2,
         }
     }
 
@@ -314,7 +394,8 @@ impl Topology {
     #[inline]
     #[must_use]
     pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.neighbors[node.index()]
+        let i = node.index();
+        &self.neighbors[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Whether `b` is within the radius of `a` — membership of `b` in
@@ -328,7 +409,7 @@ impl Topology {
             && self.positions[a.index()].distance_sq_to(self.positions[b.index()]) <= self.r2;
         debug_assert_eq!(
             near,
-            self.neighbors[a.index()].binary_search(&b).is_ok(),
+            self.neighbors(a).binary_search(&b).is_ok(),
             "distance test and neighbour list disagree on {a} -> {b}"
         );
         near
@@ -339,11 +420,15 @@ impl Topology {
 mod tests {
     use super::*;
 
+    fn grid_lists(d: &Deployment, radius: f64) -> Vec<Vec<NodeId>> {
+        neighbor_lists_with(d, radius, NeighborStrategy::Grid)
+    }
+
     #[test]
     fn grid_matches_brute_force_on_the_testbed_grid() {
         let d = Deployment::grid(10, 2, 1.0);
         assert_eq!(
-            neighbor_lists_with(&d, 6.0, NeighborStrategy::Grid),
+            grid_lists(&d, 6.0),
             neighbor_lists_with(&d, 6.0, NeighborStrategy::BruteForce),
         );
     }
@@ -351,7 +436,7 @@ mod tests {
     #[test]
     fn lists_are_ascending_and_symmetric() {
         let d = Deployment::grid(7, 7, 1.0);
-        let lists = neighbor_lists(&d, 2.5);
+        let lists = grid_lists(&d, 2.5);
         for (a, list) in lists.iter().enumerate() {
             assert!(list.windows(2).all(|w| w[0] < w[1]), "node {a} not sorted");
             for b in list {
@@ -368,7 +453,7 @@ mod tests {
         // Two nodes exactly `radius` apart are neighbors, even across a
         // cell boundary.
         let d = Deployment::from_positions(vec![Point::new(0.0, 0.0), Point::new(3.0, 0.0)]);
-        let lists = neighbor_lists(&d, 3.0);
+        let lists = grid_lists(&d, 3.0);
         assert_eq!(lists[0], vec![NodeId(1)]);
         assert_eq!(lists[1], vec![NodeId(0)]);
     }
@@ -392,6 +477,19 @@ mod tests {
         }
     }
 
+    /// The table is exactly as long as the lists it holds, and each node's
+    /// list starts where the one before it ends.
+    #[test]
+    fn the_flat_table_is_sized_exactly() {
+        let d = Deployment::grid(9, 6, 1.0);
+        let t = Topology::new(&d, 1.5);
+        let listed: usize = d.ids().map(|id| t.neighbors(id).len()).sum();
+        assert_eq!(t.neighbors.len(), listed);
+        assert_eq!(t.neighbors.capacity(), listed);
+        assert_eq!(t.offsets.len(), d.len() + 1);
+        assert_eq!((t.offsets[0], t.offsets[d.len()] as usize), (0, listed));
+    }
+
     /// `Deployment` refuses a non-finite coordinate, so none reaches a
     /// topology; if one did, the comparison is false from either side, as
     /// the list builder's is.
@@ -399,7 +497,8 @@ mod tests {
     fn a_nan_position_is_in_range_of_nothing() {
         let t = Topology {
             positions: vec![Point::new(f64::NAN, 0.0), Point::new(0.0, 0.0)],
-            neighbors: vec![Vec::new(), Vec::new()],
+            neighbors: Vec::new(),
+            offsets: vec![0, 0, 0],
             radius: 1.0,
             r2: 1.0,
         };
@@ -409,7 +508,24 @@ mod tests {
     #[test]
     fn single_node_field_has_no_neighbors() {
         let d = Deployment::from_positions(vec![Point::new(4.0, -2.0)]);
-        assert!(neighbor_lists(&d, 10.0)[0].is_empty());
+        assert!(grid_lists(&d, 10.0)[0].is_empty());
+    }
+
+    /// The counting sort keeps every node exactly once, in its own cell,
+    /// ascending inside each.
+    #[test]
+    fn buckets_hold_every_node_once_in_id_order() {
+        let d = Deployment::grid(13, 7, 0.7);
+        let grid = SpatialGrid::new(&d, 1.1);
+        assert_eq!(grid.starts.len(), grid.cells.len() + 1);
+        assert_eq!(grid.starts[grid.cells.len()] as usize, d.len());
+        for c in 0..grid.cells.len() {
+            let bucket = &grid.ids[grid.starts[c] as usize..grid.starts[c + 1] as usize];
+            assert!(bucket.windows(2).all(|w| w[0] < w[1]), "cell {c}");
+            for &id in bucket {
+                assert_eq!(grid.cells.index_of(d.position(NodeId(id))), c);
+            }
+        }
     }
 
     #[test]
@@ -420,11 +536,10 @@ mod tests {
             .map(|i| Point::new(f64::from(i) * 66.0, f64::from(i % 4) * 250.0))
             .collect();
         let d = Deployment::from_positions(positions);
-        let grid = SpatialGrid::new(&d, 0.5);
-        let cells = grid.buckets.len();
+        let cells = Cells::new(&d, 0.5).len();
         assert!(cells <= 64, "cells = {cells}");
         assert_eq!(
-            neighbor_lists_with(&d, 0.5, NeighborStrategy::Grid),
+            grid_lists(&d, 0.5),
             neighbor_lists_with(&d, 0.5, NeighborStrategy::BruteForce),
         );
     }
@@ -439,24 +554,21 @@ mod tests {
             Point::new(0.0, 12.0),
             Point::new(12.0, 12.0),
         ]);
-        let grid = SpatialGrid::new(&d, 3.0);
-        let last = (grid.cols - 1, grid.rows - 1);
-        assert_eq!(grid.cell_of(Point::new(0.0, 0.0)), (0, 0));
-        assert_eq!(grid.cell_of(Point::new(12.0, 12.0)), last);
-        assert_eq!(grid.cell_of(Point::new(12.0, 0.0)), (last.0, 0));
-        assert_eq!(grid.cell_of(Point::new(0.0, 12.0)), (0, last.1));
+        let cells = Cells::new(&d, 3.0);
+        let last = (cells.cols - 1, cells.rows - 1);
+        assert_eq!(cells.cell_of(Point::new(0.0, 0.0)), (0, 0));
+        assert_eq!(cells.cell_of(Point::new(12.0, 12.0)), last);
+        assert_eq!(cells.cell_of(Point::new(12.0, 0.0)), (last.0, 0));
+        assert_eq!(cells.cell_of(Point::new(0.0, 12.0)), (0, last.1));
         // Property over many spans: the max corner always maps to the
         // last cell, for spans that do and do not divide the cell side.
         for n in 1..40u32 {
             let span = f64::from(n) * 0.7;
-            let d = Deployment::from_positions(vec![
-                Point::new(0.0, 0.0),
-                Point::new(span, span),
-            ]);
-            let grid = SpatialGrid::new(&d, 1.3);
+            let d = Deployment::from_positions(vec![Point::new(0.0, 0.0), Point::new(span, span)]);
+            let cells = Cells::new(&d, 1.3);
             assert_eq!(
-                grid.cell_of(Point::new(span, span)),
-                (grid.cols - 1, grid.rows - 1),
+                cells.cell_of(Point::new(span, span)),
+                (cells.cols - 1, cells.rows - 1),
                 "span {span}"
             );
         }
@@ -532,7 +644,7 @@ mod tests {
             Point::new(-4.5, -5.0),
             Point::new(5.0, 5.0),
         ]);
-        let lists = neighbor_lists(&d, 1.0);
+        let lists = grid_lists(&d, 1.0);
         assert_eq!(lists[0], vec![NodeId(1)]);
         assert_eq!(lists[1], vec![NodeId(0)]);
         assert!(lists[2].is_empty());

@@ -12,8 +12,8 @@
 //! * [`field`] — node deployments: grids, jittered grids, random drops
 //!   ([`field::Deployment`], [`field::NodeId`]).
 //! * [`grid`] — uniform spatial hashing for O(n·deg) neighbor-table
-//!   construction (`grid::SpatialGrid`, `grid::neighbor_lists`) and the
-//!   shared radio [`grid::Topology`].
+//!   construction and the shared radio [`grid::Topology`], one flat
+//!   neighbour array plus per-node offsets.
 //! * [`target`] — moving entities with emission profiles
 //!   ([`target::Target`], [`target::Trajectory`], [`target::Falloff`]).
 //! * [`sensing`] — multi-channel samples and the composed

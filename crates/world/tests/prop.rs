@@ -2,10 +2,10 @@
 
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
-use envirotrack_world::field::Deployment;
+use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::{Aabb, Point};
 use envirotrack_world::grid::{
-    neighbor_lists_with, shard_assignment, shard_interest_ranges, NeighborStrategy,
+    neighbor_lists_with, shard_assignment, shard_interest_ranges, NeighborStrategy, Topology,
 };
 use envirotrack_world::sensing::{Coverage, Environment, NoiseModel, SensorSample};
 use envirotrack_world::target::{Channel, Emission, Falloff, Target, TargetId, Trajectory};
@@ -580,6 +580,64 @@ prop_test! {
         let grid = neighbor_lists_with(&d, radius, NeighborStrategy::Grid);
         let brute = neighbor_lists_with(&d, radius, NeighborStrategy::BruteForce);
         prop_assert_eq!(grid, brute);
+    }
+
+    /// The flat neighbour table is the all-pairs relation, and the range
+    /// test is membership in it, on uniform and clustered fields and on the
+    /// degenerate ones — a lone node, every node on one spot, a single row —
+    /// under a drawn radius, one wider than the whole field, and one
+    /// narrower than every spacing.
+    #[test]
+    fn topology_is_the_brute_force_relation(
+        seed: u64,
+        shape in 0u8..5,
+        n in 1u32..120,
+        radius_mode in 0u8..3,
+        drawn in 0.05..8.0f64,
+    ) {
+        let mut rng = SimRng::seed_from(seed);
+        let mut at = |w: f64, h: f64| {
+            Point::new(rng.uniform_range(-w, w), rng.uniform_range(-h, h))
+        };
+        let positions: Vec<Point> = match shape {
+            0 => (0..n).map(|_| at(20.0, 12.0)).collect(),
+            1 => {
+                let centres: Vec<Point> = (0..1 + n % 4).map(|_| at(40.0, 40.0)).collect();
+                let near = |i: u32, jitter: Point| {
+                    let c = centres[i as usize % centres.len()];
+                    Point::new(c.x + jitter.x, c.y + jitter.y)
+                };
+                (0..n).map(|i| near(i, at(1.0, 1.0))).collect()
+            }
+            2 => vec![at(5.0, 5.0)],
+            3 => vec![at(5.0, 5.0); n as usize],
+            _ => {
+                let step = 0.1 + at(3.0, 0.0).x.abs();
+                (0..n).map(|i| Point::new(f64::from(i) * step, 3.0)).collect()
+            }
+        };
+        let d = Deployment::from_positions(positions);
+        let b = d.bounds();
+        let radius = match radius_mode {
+            0 => drawn,
+            1 => b.min.distance_to(b.max) * 1.5 + drawn,
+            _ => {
+                let spacings = d.iter().flat_map(|(a, pa)| {
+                    d.iter().filter(move |&(b, _)| b != a).map(move |(_, pb)| pa.distance_to(pb))
+                });
+                let closest = spacings.filter(|&s| s > 0.0).fold(f64::INFINITY, f64::min);
+                if closest.is_finite() { closest * 0.5 } else { drawn }
+            }
+        };
+        let topology = Topology::new(&d, radius);
+        let brute = neighbor_lists_with(&d, radius, NeighborStrategy::BruteForce);
+        for a in d.ids() {
+            let listed = brute[a.index()].as_slice();
+            prop_assert_eq!(topology.neighbors(a), listed, "node {} at radius {}", a, radius);
+            for b in (0..d.len() as u32).map(NodeId) {
+                prop_assert_eq!(topology.in_range(a, b), brute[a.index()].contains(&b));
+            }
+        }
     }
 
     /// Interest-set soundness — the invariant partitioned-medium routing

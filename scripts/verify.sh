@@ -110,9 +110,9 @@ cmp -s "$tmp/sweep1.jsonl" "$tmp/sweep2.jsonl" \
 [ "$(wc -l < "$tmp/sweep1.jsonl")" -eq 8 ] \
   || { echo "verify: sweep smoke expected 8 merged cells" >&2; exit 1; }
 
-# Scale smoke: a 1k-node field must run bounded (2 s virtual horizon) and
-# emit a BENCH_scale.json with every schema section present — both in the
-# fresh smoke output and in the checked-in trajectory.
+# Scale smoke: 1k- and 2k-node fields must run bounded (2 s virtual
+# horizon) and emit a BENCH_scale.json with every schema section present —
+# both in the fresh smoke output and in the checked-in trajectory.
 ./target/release/scale --smoke --out "$tmp/scale.json"
 for f in "$tmp/scale.json" BENCH_scale.json; do
   for key in '"bench":"scale"' '"construction":' '"speedup":' '"results":' \
@@ -120,6 +120,8 @@ for f in "$tmp/scale.json" BENCH_scale.json; do
              '"bytes_on_air":' '"sense_ticks":' '"sense_ticks_admitted":' '"sense_strides":' \
              '"samples_covered":' '"samples_walked":' '"coverage_rebuilds":' '"sense_verdicts":' \
              '"lane_pops":' '"heap_pops":' '"inline_events":' '"boxed_events":' \
+             '"build_allocs":' '"build_heap_bytes":' \
+             '"timer_live":' '"timer_stale":' '"timer_retries":' \
              '"shards":' '"speedup_vs_first":' '"byte_identical":true' \
              '"medium":' '"replayed_intents":' '"full_replay_intents":' \
              '"medium":"partitioned"' '"medium":"replicated"'; do
@@ -127,6 +129,11 @@ for f in "$tmp/scale.json" BENCH_scale.json; do
       || { echo "verify: $f is missing $key" >&2; exit 1; }
   done
 done
+# A world is built from a fixed number of allocations: the smoke's two
+# field sizes must report the same `build_allocs`.
+allocs="$(grep -o '"build_allocs":[0-9]*' "$tmp/scale.json" | sort -u)"
+[ "$(grep -c . <<< "$allocs")" -eq 1 ] \
+  || { echo "verify: build allocations grow with the node count:" $allocs >&2; exit 1; }
 
 # Soak smoke: a short layered-fault run (corruption + burst loss +
 # partition/heal + crash/reboot) must pass every acceptance claim — zero
