@@ -16,8 +16,10 @@
 //!    (ticks fired and admitted, strides between hot records, idle samples
 //!    the coverage answered or walked, coverage rebuilds, answered samples
 //!    settled by the ambient verdict), the event list's (lane pops, heap
-//!    pops, one-shot events scheduled inline and boxed) and the group
-//!    timers' (firings that were live, stale, or retried past a busy CPU).
+//!    pops, one-shot events scheduled inline and boxed), the group
+//!    timers' (firings that were live, stale, or retried past a busy CPU)
+//!    and how many nodes hold protocol-layer state at the horizon
+//!    (`cold_engaged`: the nodes that used a layer).
 //! 2. `construction` — grid vs. brute-force neighbor-table build time on
 //!    a 10k-node field (tables asserted identical before timing; the
 //!    all-pairs scan would dominate the run at 100k).
@@ -323,6 +325,7 @@ fn main() -> ExitCode {
                 .field_u64("timer_live", total(&p.timers.live))
                 .field_u64("timer_stale", total(&p.timers.stale))
                 .field_u64("timer_retries", total(&p.timers.retried))
+                .field_u64("cold_engaged", p.cold_engaged as u64)
                 .finish(),
         );
         points.push(p);

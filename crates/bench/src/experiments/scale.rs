@@ -106,6 +106,10 @@ pub struct ScalePoint {
     /// retried firings per timer key. As exact, and as little part of the
     /// output.
     pub timers: TimerWork,
+    /// Nodes that hold protocol-layer state at the horizon: those that used
+    /// a layer, which created their record. How the run was stored, not
+    /// what it did; as little part of the output.
+    pub cold_engaged: usize,
 }
 
 /// The field and network configuration every flavour of a scale point
@@ -176,6 +180,7 @@ pub fn run_scale(cfg: &ScaleRun, heap: impl Fn() -> (u64, i64)) -> ScalePoint {
         sensing: world.sensing_work(),
         event_list: engine.kernel().event_work(),
         timers: world.timer_work(),
+        cold_engaged: world.cold_engaged(),
     }
 }
 

@@ -23,12 +23,13 @@ use envirotrack_core::api::Program;
 use envirotrack_core::context::SensePredicate;
 use envirotrack_core::network::{FaultEvent, NetworkConfig, SensorNetwork};
 use envirotrack_core::report::telemetry_to_jsonl;
-use envirotrack_core::shard::{run_sharded, IntentStats, MediumMode};
+use envirotrack_core::shard::{run_sharded, IntentStats, MediumMode, ShardedRun};
 use envirotrack_core::wire::kinds;
 use envirotrack_net::medium::{GilbertElliott, KindStats, LinkFaults};
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::NodeId;
-use envirotrack_world::scenario::{ScaleScenario, TankScenario};
+use envirotrack_world::grid::shard_assignment;
+use envirotrack_world::scenario::{ScaleScenario, Scenario, TankScenario};
 use envirotrack_world::target::Channel;
 
 /// Bounded horizon: the pin runs in the debug profile under `cargo test`,
@@ -42,25 +43,28 @@ fn at(ms: u64) -> Timestamp {
     Timestamp::ZERO + SimDuration::from_millis(ms)
 }
 
-/// Runs the fixed-seed 2k-node tracking field under `shards` shard
-/// threads and returns the full observable output — merged telemetry
-/// JSONL plus the run-record JSON line — and the replay-work accounting.
-fn run(
-    shards: usize,
-    mode: MediumMode,
-    faults: &[(Timestamp, FaultEvent)],
-) -> (String, String, IntentStats) {
-    let scenario = ScaleScenario {
+/// The radio range of the fixed-seed field.
+const RADIUS: f64 = 2.5;
+
+/// The fixed-seed 2k-node tracking field.
+fn field() -> Scenario {
+    ScaleScenario {
         nodes: NODES,
         targets: 2,
         speed_hops_per_s: 1.0,
         seed: SEED,
         ..ScaleScenario::default()
     }
-    .build();
+    .build()
+}
+
+/// Runs the fixed-seed 2k-node tracking field under `shards` shard
+/// threads.
+fn sharded(shards: usize, mode: MediumMode, faults: &[(Timestamp, FaultEvent)]) -> ShardedRun {
+    let scenario = field();
     let mut net_cfg = NetworkConfig::default();
-    net_cfg.radio = net_cfg.radio.with_comm_radius(2.5);
-    let out = run_sharded(
+    net_cfg.radio = net_cfg.radio.with_comm_radius(RADIUS);
+    run_sharded(
         &tracker_program(),
         &scenario.deployment,
         &scenario.environment,
@@ -70,7 +74,17 @@ fn run(
         Timestamp::ZERO + HORIZON,
         faults,
         mode,
-    );
+    )
+}
+
+/// [`sharded`]'s full observable output — merged telemetry JSONL plus the
+/// run-record JSON line — and the replay-work accounting.
+fn run(
+    shards: usize,
+    mode: MediumMode,
+    faults: &[(Timestamp, FaultEvent)],
+) -> (String, String, IntentStats) {
+    let out = sharded(shards, mode, faults);
     (out.telemetry_jsonl, out.record.to_json(), out.intents)
 }
 
@@ -154,6 +168,34 @@ fn chaos_plan_stays_byte_identical_across_shards_and_medium_modes() {
     // stream, or the quantized faults silently never fired.
     let (clean_tel, _, _) = run(1, MediumMode::Replicated, &[]);
     assert_ne!(one_tel, clean_tel, "the chaos plan left no trace");
+}
+
+/// A replica creates protocol-layer state only for the nodes it drives:
+/// under the chaos plan at 2 shards — a crash and a reboot, which only the
+/// owner applies, and traffic across the stripe boundary, which only the
+/// receiver's owner takes in — every node a replica engaged is one it
+/// owns, and together they engaged exactly the nodes the one replica of a
+/// 1-shard run did. A replica holds its own share, not a copy of
+/// everyone's.
+#[test]
+fn a_replica_engages_only_the_nodes_it_owns() {
+    let plan = chaos_plan();
+    let one = sharded(1, MediumMode::Partitioned, &plan).engaged;
+    assert!(one[0].len() > 10, "the run engaged {} nodes", one[0].len());
+    let two = sharded(2, MediumMode::Partitioned, &plan).engaged;
+    let owners = shard_assignment(&field().deployment, RADIUS, 2);
+    for (shard, engaged) in two.iter().enumerate() {
+        for node in engaged {
+            let owner = owners[node.index()];
+            assert_eq!(
+                owner, shard,
+                "shard {shard} engaged {node}, which shard {owner} owns"
+            );
+        }
+    }
+    let mut together = two.concat();
+    together.sort_unstable();
+    assert_eq!(together, one[0]);
 }
 
 #[test]

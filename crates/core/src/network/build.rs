@@ -15,7 +15,7 @@ use envirotrack_world::sensing::Environment;
 
 use super::events::Recorder;
 use super::link::LinkReliability;
-use super::node::{HotRecords, Machines, NodeState, SenseState};
+use super::node::{HotRecords, Layers, NodeState, SenseState};
 use super::sense::{self, Sensing};
 use super::{SensorNetwork, TimerWork, K};
 use crate::api::Program;
@@ -93,7 +93,7 @@ impl SensorNetwork {
             .collect();
         SensorNetwork {
             nodes: NodeState::all(deployment.len(), &master),
-            machines: Machines::new(deployment.len(), &program),
+            layers: Layers::new(deployment.len(), &master, &program),
             program,
             config,
             deployment,
@@ -113,6 +113,8 @@ impl SensorNetwork {
             ticks_enter_machines: false,
             #[cfg(test)]
             records_in_id_order: false,
+            #[cfg(test)]
+            cold_records_up_front: false,
         }
     }
 
@@ -167,6 +169,14 @@ impl SensorNetwork {
     /// The event at time zero: starts every sensing loop, instantiates the
     /// pinned objects and arms the directory gossip.
     fn bootstrap(&mut self, k: &mut K) {
+        #[cfg(test)]
+        if self.cold_records_up_front {
+            for id in self.deployment.ids() {
+                if self.owns(id) {
+                    self.layers.engage(id);
+                }
+            }
+        }
         let period = self.config.middleware.sense_period;
         let mut starts = Vec::with_capacity(self.nodes.len());
         for id in self.deployment.ids() {

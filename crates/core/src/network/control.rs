@@ -5,7 +5,7 @@ use envirotrack_net::medium::{GilbertElliott, LinkFaults, Medium};
 use envirotrack_sim::time::Timestamp;
 use envirotrack_world::field::NodeId;
 
-use super::node::{self, HotRecords, Machines, NodeState};
+use super::node::{self, HotRecords, Layers, NodeState};
 
 /// One fault, applied to a world by [`super::SensorNetwork::apply_fault`]:
 /// scripted by a chaos plan on a monolithic run, or handed to
@@ -52,7 +52,7 @@ impl FaultEvent {
         medium: &mut Medium,
         sense: &mut HotRecords,
         nodes: &mut [NodeState],
-        machines: &mut Machines,
+        layers: &mut Layers,
         drives: impl Fn(NodeId) -> bool,
     ) {
         match self {
@@ -67,10 +67,7 @@ impl FaultEvent {
             | FaultEvent::ClockRate { node, .. }
                 if !drives(*node) => {}
             FaultEvent::Crash(node) => sense[*node].alive = false,
-            FaultEvent::Reboot(node) => {
-                let cold = &mut nodes[node.index()];
-                node::reboot(*node, &mut sense[*node], cold, machines.of_mut(*node));
-            }
+            FaultEvent::Reboot(node) => node::reboot(*node, &mut sense[*node], layers),
             // The local clock is rebased at `now` so it stays continuous;
             // the new rate applies to every timer and sensing tick armed
             // from here on.

@@ -9,7 +9,7 @@ use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::Point;
 use envirotrack_world::sensing::Environment;
 
-use super::node::NodeState;
+use super::dir::DirState;
 use super::{NetworkConfig, SensingWork, SensorNetwork, TimerWork};
 use crate::context::{ContextLabel, ContextTypeId};
 use crate::directory::{hash_point, replica_set};
@@ -51,10 +51,15 @@ impl SensorNetwork {
         }
     }
 
-    /// Every live node's machine for `tid`.
+    /// Every live node's machine for `tid`, in id order. A node that never
+    /// used a layer has an idle one, which is nobody's leader or member and
+    /// has no aggregates, so it is left out.
     fn live_machines(&self, tid: ContextTypeId) -> impl Iterator<Item = &GroupMachine> {
-        let live = self.sense.in_id_order().filter(|(_, hot)| hot.alive);
-        live.map(move |(id, _)| &self.machines.of(id)[usize::from(tid.0)])
+        let live = self
+            .layers
+            .engaged()
+            .filter(|(id, _)| self.sense[*id].alive);
+        live.map(move |(_, rt)| &rt.machines[usize::from(tid.0)])
     }
 
     /// The run-wide telemetry registry.
@@ -168,6 +173,22 @@ impl SensorNetwork {
         self.timers
     }
 
+    /// How many nodes hold protocol-layer state: a record with their
+    /// transport, directory and link state and their group machines,
+    /// created on the node's first use of any of them. Like
+    /// [`Self::sensing_work`] it says how the run was stored, not what it
+    /// did: it belongs in no run record, and a shard's world counts only
+    /// its own nodes.
+    #[must_use]
+    pub fn cold_engaged(&self) -> usize {
+        self.layers.len()
+    }
+
+    /// The nodes [`Self::cold_engaged`] counts, in id order.
+    pub(crate) fn engaged_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.layers.engaged().map(|(id, _)| id)
+    }
+
     /// Whether a node is alive.
     #[must_use]
     pub fn is_alive(&self, node: NodeId) -> bool {
@@ -207,13 +228,15 @@ impl SensorNetwork {
     /// Number of MTP segments a node holds awaiting end-to-end acks.
     #[must_use]
     pub fn mtp_outstanding_at(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].mtp.outstanding_len()
+        self.layers
+            .get(node)
+            .map_or(0, |rt| rt.mtp.outstanding_len())
     }
 
     /// Number of cached last-known-leader entries on a node.
     #[must_use]
     pub fn mtp_table_len_at(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].mtp.table_len()
+        self.layers.get(node).map_or(0, |rt| rt.mtp.table_len())
     }
 
     /// The directory rendezvous coordinate of a context type.
@@ -237,18 +260,20 @@ impl SensorNetwork {
     /// nodes).
     #[must_use]
     pub fn directory_entries_at(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].dir.store.len()
+        self.layers.get(node).map_or(0, |rt| rt.dir.store.len())
     }
 
     /// Whether every *live* replica of `type_id` reads the same under `view`.
     fn live_replicas_agree<V: PartialEq>(
         &self,
         type_id: ContextTypeId,
-        view: impl Fn(&NodeState) -> V,
+        view: impl Fn(&DirState) -> V,
     ) -> bool {
         let replicas = self.directory_replicas_of(type_id);
         let live = replicas.iter().filter(|&&n| self.sense[n].alive);
-        let views: Vec<V> = live.map(|n| view(&self.nodes[n.index()])).collect();
+        let fresh = DirState::default();
+        let dir = |n: NodeId| self.layers.get(n).map_or(&fresh, |rt| &rt.dir);
+        let views: Vec<V> = live.map(|&n| view(dir(n))).collect();
         views.windows(2).all(|pair| pair[0] == pair[1])
     }
 
@@ -258,7 +283,7 @@ impl SensorNetwork {
     /// convergence oracle.
     #[must_use]
     pub fn directory_replicas_converged(&self, type_id: ContextTypeId) -> bool {
-        self.live_replicas_agree(type_id, |n| n.dir.store.digest(type_id))
+        self.live_replicas_agree(type_id, |dir| dir.store.digest(type_id))
     }
 
     /// Whether every live replica of `type_id` agrees on the set of live
@@ -270,8 +295,8 @@ impl SensorNetwork {
     #[must_use]
     pub fn directory_replicas_agree(&self, type_id: ContextTypeId, now: Timestamp) -> bool {
         let ttl = crate::directory::ENTRY_TTL;
-        self.live_replicas_agree(type_id, |n| {
-            let live = n.dir.store.query(type_id, now, ttl);
+        self.live_replicas_agree(type_id, |dir| {
+            let live = dir.store.query(type_id, now, ttl);
             let mut labels: Vec<ContextLabel> = live.into_iter().map(|(label, _)| label).collect();
             labels.sort_unstable();
             labels

@@ -80,11 +80,11 @@ use envirotrack_world::sensing::Environment;
 
 pub use self::build::NetworkConfig;
 pub use self::control::FaultEvent;
-use self::dir::Failover;
+use self::dir::{DirState, Failover};
 use self::events::Recorder;
 use self::link::Decoded;
 pub use self::link::LinkReliability;
-use self::node::{HotRecords, Machines, NodeState};
+use self::node::{HotRecords, Layers, NodeState};
 pub use self::sense::SensingWork;
 pub use self::timers::TimerWork;
 pub(crate) use self::words::MAX_TIMER_METHODS;
@@ -107,12 +107,12 @@ pub struct SensorNetwork {
     environment: Environment,
     medium: Medium,
     router: GeoRouter,
-    /// Per-node state in two arrays: the hot record a sensing tick lives
-    /// in, in the order the ticks fire, and everything else, by node id.
+    /// Per-node state: the hot record a sensing tick lives in, in the order
+    /// the ticks fire; what every node reads, by node id; and the layers and
+    /// group machines of the nodes that use them, created on first use.
     sense: HotRecords,
     nodes: Vec<NodeState>,
-    /// Every node's group machines, one per context type.
-    machines: Machines,
+    layers: Layers,
     /// The sensing driver's coverage of `environment` and its work counters.
     sensing: sense::Sensing,
     /// How the group timers that fired were handled.
@@ -138,6 +138,11 @@ pub struct SensorNetwork {
     /// that their layout changes no byte of a run.
     #[cfg(test)]
     records_in_id_order: bool,
+    /// Test hook: create every node's engaged record before the first
+    /// event, so a test can pin that creating them on first use changes no
+    /// byte of a run.
+    #[cfg(test)]
+    cold_records_up_front: bool,
 }
 
 type K = Kernel<SensorNetwork>;
@@ -147,18 +152,19 @@ impl SensorNetwork {
     // Control: failure injection and chaos hooks
     // ------------------------------------------------------------------
 
-    /// Kills a node: it stops sensing, processing, and transmitting.
+    /// Kills a node: it stops sensing, processing, and transmitting. The
+    /// same as applying [`FaultEvent::Crash`], which reads no clock.
     pub fn kill_node(&mut self, node: NodeId) {
-        self.sense[node].alive = false;
+        self.apply_fault(Timestamp::ZERO, &FaultEvent::Crash(node));
     }
 
-    /// Revives a previously killed node with cleared protocol state. Its
+    /// Revives a previously killed node with cleared protocol state: the
+    /// same as applying [`FaultEvent::Reboot`], which reads no clock. Its
     /// sensing loop needs no restart: a dead node's loop keeps ticking
     /// (doing nothing) and resumes work on the first tick after revival,
     /// on the phase it always had.
     pub fn revive_node(&mut self, node: NodeId) {
-        let (cold, machines) = (&mut self.nodes[node.index()], self.machines.of_mut(node));
-        node::reboot(node, &mut self.sense[node], cold, machines);
+        self.apply_fault(Timestamp::ZERO, &FaultEvent::Reboot(node));
     }
 
     /// Applies one fault at `now` (see [`FaultEvent`]).
@@ -175,7 +181,7 @@ impl SensorNetwork {
             &mut self.medium,
             &mut self.sense,
             &mut self.nodes,
-            &mut self.machines,
+            &mut self.layers,
             drives,
         );
     }
@@ -293,7 +299,7 @@ impl SensorNetwork {
         f: impl FnOnce(&mut GroupMachine, &mut GroupCtx<'_>) -> Vec<GroupAction>,
     ) -> Vec<GroupAction> {
         let (hot, rt) = (&mut self.sense[node], &mut self.nodes[node.index()]);
-        let machines = self.machines.of_mut(node);
+        let machines = &mut self.layers.engage(node).machines;
         let mut ctx = GroupCtx {
             now,
             cfg: &self.config.middleware,
@@ -320,14 +326,15 @@ impl SensorNetwork {
     ) {
         let now = k.now();
         for action in actions {
-            let (pos, rt) = (self.sense[node].pos, &mut self.nodes[node.index()]);
+            let pos = self.sense[node].pos;
             match action {
                 GroupAction::Broadcast(msg) => self.send_message(k, node, None, &msg),
                 GroupAction::ArmTimer { key, at, token } => {
                     // Machines arm timers as delays on the node's local
                     // clock; convert through its clock model (exact
                     // identity at rate 1.0).
-                    let fire_at = now + rt.clock.global_delay(at.saturating_since(now));
+                    let clock = &self.nodes[node.index()].clock;
+                    let fire_at = now + clock.global_delay(at.saturating_since(now));
                     let words = words::pack(node, tid, key, token);
                     k.schedule_inline_at(fire_at, Self::group_timer, words);
                 }
@@ -367,12 +374,14 @@ impl SensorNetwork {
                     payload,
                 } => self.mtp_send(k, node, tid, dst_label, dst_port, payload),
                 GroupAction::BecameLeader { label } => {
-                    rt.mtp.learn(label, LeaderLoc { node, pos });
+                    let mtp = &mut self.layers.engage(node).mtp;
+                    mtp.learn(label, LeaderLoc { node, pos });
                 }
                 GroupAction::LostLeadership { label, new_leader } => {
                     if let Some(loc) = new_leader {
-                        rt.mtp.leave_forward_pointer(label, loc, now);
-                        rt.mtp.learn(label, loc);
+                        let mtp = &mut self.layers.engage(node).mtp;
+                        mtp.leave_forward_pointer(label, loc, now);
+                        mtp.learn(label, loc);
                     }
                 }
                 GroupAction::AppLog(line) => self.app_log.push((now, node, line)),
@@ -423,16 +432,17 @@ impl SensorNetwork {
         if !frame.link_dst.accepts(node) {
             return;
         }
-        let (hot, rt) = (&mut self.sense[node], &mut self.nodes[node.index()]);
+        let hot = &mut self.sense[node];
         // The radio spent the airtime decoding the frame whatever the CPU
         // does next; an overloaded one drops it (receive overflow).
         if hot.alive {
-            rt.energy.charge_rx(airtime);
+            self.nodes[node.index()].energy.charge_rx(airtime);
         }
         if !hot.admit(k.now(), costs::RX_HANDLE) {
             return;
         }
-        let Some(rx) = rt.link.receive(&self.config.link, node, frame, decoded) else {
+        let link = &mut self.layers.engage(node).link;
+        let Some(rx) = link.receive(&self.config.link, node, frame, decoded) else {
             // Dropped without touching protocol state.
             self.rec.corrupt_drop(frame.kind);
             return;
@@ -462,7 +472,7 @@ impl SensorNetwork {
                     node: hb.leader,
                     pos: hb.leader_pos,
                 };
-                self.nodes[node.index()].mtp.learn(hb.label, leader);
+                self.layers.engage(node).mtp.learn(hb.label, leader);
                 self.run_machine(k, node, hb.label.type_id, |m, ctx| m.on_heartbeat(ctx, hb));
             }
             Message::Report(r) if self.hosts(r.label.type_id) => {
@@ -489,21 +499,20 @@ impl SensorNetwork {
             },
             Message::Mtp(seg) => self.on_mtp_segment(k, node, seg),
             Message::MtpAckMsg(ack) => {
-                mtp::on_ack(&mut self.nodes[node.index()].mtp, ack, node, now, &self.rec);
+                mtp::on_ack(&mut self.layers.engage(node).mtp, ack, node, now, &self.rec);
             }
             Message::DirRegister(reg) => {
-                let dir = &mut self.nodes[node.index()].dir;
+                let dir = &mut self.layers.engage(node).dir;
                 dir.register(reg, node, now, ttl, &self.rec);
             }
             Message::DirQuery(q) => {
-                let resp = self.nodes[node.index()]
-                    .dir
-                    .answer(q, node, now, ttl, &self.rec);
+                let dir = &self.layers.engage(node).dir;
+                let resp = dir.answer(q, node, now, ttl, &self.rec);
                 self.send_geo(k, node, q.reply_pos, Some(q.reply_to), resp);
             }
             Message::DirResponse(resp) => self.on_dir_response(k, node, resp),
             Message::DirSyncMsg(sync) => {
-                let dir = &mut self.nodes[node.index()].dir;
+                let dir = &mut self.layers.engage(node).dir;
                 if let Some(reply) = dir.merge(sync, node, now, ttl, &self.rec) {
                     self.send_to_node(k, node, sync.from, reply);
                 }
@@ -540,7 +549,7 @@ impl SensorNetwork {
     ) {
         let now = k.now();
         let ttl = transport::PENDING_TTL;
-        let rt = &mut self.nodes[node.index()];
+        let rt = self.layers.engage(node);
         for expired in rt.mtp.sweep(now, ttl) {
             self.rec.telemetry.incr("mtp.pending_expired");
             self.rec.mtp_dropped(now, node, expired.segment.dst_label);
@@ -588,7 +597,7 @@ impl SensorNetwork {
         if !self.sense[node].alive {
             return;
         }
-        let rt = &mut self.nodes[node.index()];
+        let rt = self.layers.engage(node);
         let replicas = self.config.middleware.directory_replicas;
         match rt
             .dir
@@ -611,13 +620,13 @@ impl SensorNetwork {
     }
 
     fn on_dir_response(&mut self, k: &mut K, node: NodeId, resp: &DirResponse) {
-        let rt = &mut self.nodes[node.index()];
+        let rt = self.layers.engage(node);
         let Some(query) = rt.dir.settle(resp.query_id) else {
             return;
         };
         // Subscription query: install the view into the asking machine.
         if let Some(asker) = query.asker {
-            let machine = &mut self.machines.of_mut(node)[usize::from(asker.0)];
+            let machine = &mut rt.machines[usize::from(asker.0)];
             machine.on_directory_entries(query.target_type, resp.entries.clone());
             return;
         }
@@ -649,7 +658,10 @@ impl SensorNetwork {
         let Some(peer) = dir::ring_successor(&self.directory_replicas_of(tid), node) else {
             return;
         };
-        let dir = &self.nodes[node.index()].dir;
+        // A replica that never stored anything pushes an empty digest, to
+        // pull its peer's, and keeps no record for having done so.
+        let fresh = DirState::default();
+        let dir = self.layers.get(node).map_or(&fresh, |rt| &rt.dir);
         if let Some(digest) = dir.digest(tid, node, true, &self.rec) {
             self.send_to_node(k, node, peer, digest);
         }
@@ -668,8 +680,8 @@ impl SensorNetwork {
         dst_port: Port,
         payload: Bytes,
     ) {
-        let rt = &mut self.nodes[node.index()];
-        let Some(src_label) = self.machines.of(node)[usize::from(tid.0)].current_label() else {
+        let rt = self.layers.engage(node);
+        let Some(src_label) = rt.machines[usize::from(tid.0)].current_label() else {
             return; // lost leadership between invocation and send
         };
         // Every transmission of the segment — first or repeated — starts a
@@ -704,7 +716,7 @@ impl SensorNetwork {
         deliver_to: Option<NodeId>,
     ) {
         let mw = &self.config.middleware;
-        let mtp = &mut self.nodes[node.index()].mtp;
+        let mtp = &mut self.layers.engage(node).mtp;
         let (segment, retry) = mtp::open(mtp, segment, k.now(), mw, &self.rec);
         if let Some(seq) = retry {
             let first = k.now() + transport::RETX.timeout;
@@ -717,7 +729,7 @@ impl SensorNetwork {
         if !self.sense[node].alive {
             return;
         }
-        let rt = &mut self.nodes[node.index()];
+        let rt = self.layers.engage(node);
         let now = k.now();
         let again = mtp::retry(&mut rt.mtp, &mut rt.retx_rng, seq, node, now, &mut self.rec);
         if let Some((out, jitter, backoff)) = again {
@@ -732,8 +744,8 @@ impl SensorNetwork {
         if !self.sense[node].alive {
             return;
         }
-        let rt = &mut self.nodes[node.index()];
-        if let Some((loc, segment)) = mtp::resend(&mut rt.mtp, out, k.now()) {
+        let mtp = &mut self.layers.engage(node).mtp;
+        if let Some((loc, segment)) = mtp::resend(mtp, out, k.now()) {
             self.send_geo(k, node, loc.pos, Some(loc.node), segment);
         }
     }
@@ -742,10 +754,10 @@ impl SensorNetwork {
         let (now, mw) = (k.now(), &self.config.middleware);
         let (dst_label, tid) = (seg.dst_label, seg.dst_label.type_id);
         let hosted = self.hosts(tid);
-        let rt = &mut self.nodes[node.index()];
+        let rt = self.layers.engage(node);
         let leads = hosted.then(|| {
             matches!(
-                self.machines.of(node)[usize::from(tid.0)].role_kind(),
+                rt.machines[usize::from(tid.0)].role_kind(),
                 RoleKind::Leader(l) if l == dst_label
             )
         });
@@ -818,7 +830,7 @@ impl SensorNetwork {
             None => Frame::broadcast(from, msg.kind(), msg.encode()),
         };
         let cfg = &self.config.link;
-        let link = &mut self.nodes[from.index()].link;
+        let link = &mut self.layers.engage(from).link;
         let (frame, retry) = link.admit(cfg, frame);
         if let Some(seq) = retry {
             k.schedule_at(k.now() + link::ACK_TIMEOUT, move |w, k| {
@@ -835,11 +847,12 @@ impl SensorNetwork {
         if !self.sense[node].alive {
             return;
         }
-        let rt = &mut self.nodes[node.index()];
-        let Some(frame) = rt.link.retry(link::MAX_ATTEMPTS, seq) else {
+        let Some(frame) = self.layers.engage(node).link.retry(link::MAX_ATTEMPTS, seq) else {
             return;
         };
-        let jitter = rt.rng.below(link::RETRY_JITTER_MAX.as_micros());
+        let jitter = self.nodes[node.index()]
+            .rng
+            .below(link::RETRY_JITTER_MAX.as_micros());
         let retry_at = k.now() + SimDuration::from_micros(jitter);
         k.schedule_at(retry_at + link::ACK_TIMEOUT, move |w, k| {
             w.link_retry(k, node, seq)
@@ -870,20 +883,37 @@ mod tests {
     use envirotrack_world::sensing::NoiseModel;
     use envirotrack_world::target::Channel;
 
-    /// A tracker type, `with_post` beside a pinned type.
+    /// A tracker type, `with_post` beside a pinned type whose label the
+    /// tracker looks up in the directory and pings over MTP every 250 ms.
     fn program(with_post: bool) -> Arc<Program> {
+        const PING: Port = Port(1);
         let mut program = Program::builder().context("tracker", |c| {
-            c.activation(SensePredicate::threshold(Channel::Magnetic, 0.5))
+            let c = c
+                .activation(SensePredicate::threshold(Channel::Magnetic, 0.5))
                 .aggregate(
                     "location",
                     AggregateFn::CenterOfGravity,
                     AggregateInput::Position,
                     SimDuration::from_secs(1),
                     2,
-                )
+                );
+            if !with_post {
+                return c;
+            }
+            c.subscribe("post").object("pinger", |o| {
+                o.on_timer("ping", SimDuration::from_millis(250), |ctx| {
+                    for (label, _) in ctx.labels_of_type(ContextTypeId(1)) {
+                        ctx.send(label, PING, &b"ping"[..]);
+                    }
+                })
+            })
         });
         if with_post {
-            program = program.context("post", |c| c.pinned(Point::new(3.0, 15.0)));
+            program = program.context("post", |c| {
+                c.pinned(Point::new(3.0, 15.0)).object("post", |o| {
+                    o.on_message("ping", PING, |ctx| ctx.log("pinged"))
+                })
+            });
         }
         Arc::new(program.build().expect("a valid program"))
     }
@@ -908,15 +938,17 @@ mod tests {
     }
 
     /// A tank crossing a 20 × 20 field of sensors with `noise` for 5 s, a
-    /// pinned object to one side, with a clock slowed at 1 s and a node
-    /// near the lane crashed at 1.5 s and rebooted at 3 s; `hook` sets a
-    /// test hook first. Returns how the run was executed — the sensing
-    /// loops left on the lane, the sensing work counters — and its
+    /// pinned object to one side that its tracker pings through the
+    /// directory, with a clock slowed at 1 s, a node near the lane crashed
+    /// at 1.5 s and rebooted at 3 s, and the object's host crashed for good
+    /// at 3.5 s; `hook` sets a test hook first.
+    /// Returns how the run was executed — the sensing loops left on the
+    /// lane, the sensing work counters, the engaged nodes — and its
     /// [`output`].
     fn faulted_run(
         noise: NoiseModel,
         hook: fn(&mut SensorNetwork),
-    ) -> ((usize, SensingWork), (u64, String, String)) {
+    ) -> ((usize, SensingWork, usize), (u64, String, String)) {
         let scenario = TankScenario {
             lane_y: 9.5,
             sensing_radius: 1.5,
@@ -929,7 +961,13 @@ mod tests {
             program(true),
             scenario.deployment,
             scenario.environment.with_noise(noise),
-            NetworkConfig::default(),
+            NetworkConfig {
+                middleware: MiddlewareConfig {
+                    directory_update_period: SimDuration::from_secs(1),
+                    ..MiddlewareConfig::default().with_directory(true)
+                },
+                ..NetworkConfig::default()
+            },
             7,
         );
         hook(engine.world_mut());
@@ -948,9 +986,15 @@ mod tests {
         k.schedule_at(Timestamp::from_secs(3), move |w: &mut SensorNetwork, _| {
             w.revive_node(crashed);
         });
+        // The pings that follow go unanswered, and are sent again.
+        k.schedule_at(Timestamp::from_millis(3500), |w: &mut SensorNetwork, _| {
+            let (post, _) = w.leaders_of_type(ContextTypeId(1))[0];
+            w.kill_node(post);
+        });
         engine.run_until(Timestamp::from_secs(5));
         let world = engine.world();
-        let work = (engine.kernel().recurring_len(), world.sensing_work());
+        let lane = engine.kernel().recurring_len();
+        let work = (lane, world.sensing_work(), world.cold_engaged());
         (work, output(world))
     }
 
@@ -962,7 +1006,7 @@ mod tests {
     /// differs.
     #[test]
     fn the_recurring_lane_changes_no_byte_of_a_faulted_run() {
-        let ((on_lane, _), run) = faulted_run(noisy(), |_| {});
+        let ((on_lane, ..), run) = faulted_run(noisy(), |_| {});
         assert_eq!(on_lane, 399, "all but the slowed node");
         let (events, log, telemetry) = &run;
         assert!(log.contains("LabelCreated") && telemetry.contains("group.hb"));
@@ -970,7 +1014,7 @@ mod tests {
             *events > 400 * 25,
             "protocol events on top of 25 ticks per node"
         );
-        let ((on_lane, _), on_heap) = faulted_run(noisy(), |w| w.sense_loops_on_heap = true);
+        let ((on_lane, ..), on_heap) = faulted_run(noisy(), |w| w.sense_loops_on_heap = true);
         assert_eq!((0, run), (on_lane, on_heap));
     }
 
@@ -982,7 +1026,7 @@ mod tests {
     /// crosses a cell, and so a coverage window, about every 0.48 s.
     #[test]
     fn the_quiescent_test_changes_no_byte_of_a_faulted_run() {
-        let ((_, work), run) = faulted_run(noisy(), |_| {});
+        let ((_, work, _), run) = faulted_run(noisy(), |_| {});
         let sampled = work.coverage.answered + work.coverage.walked;
         assert!(work.admitted <= work.ticks && sampled <= work.admitted);
         assert!(
@@ -990,7 +1034,7 @@ mod tests {
             "{work:?}"
         );
         assert!((10..=12).contains(&work.coverage.rebuilds), "{work:?}");
-        let ((_, hooked), through_machines) =
+        let ((_, hooked, _), through_machines) =
             faulted_run(noisy(), |w| w.ticks_enter_machines = true);
         assert_eq!(run, through_machines);
         assert_eq!(hooked.coverage, Default::default(), "every sample walked");
@@ -1004,17 +1048,17 @@ mod tests {
     /// and no tick is settled that way.
     #[test]
     fn the_ambient_verdict_changes_no_byte_of_a_noiseless_faulted_run() {
-        let ((_, work), run) = faulted_run(NoiseModel::none(), |_| {});
+        let ((_, work, _), run) = faulted_run(NoiseModel::none(), |_| {});
         assert!(run.1.contains("LabelCreated"), "the tank is tracked");
         assert!(
             work.verdicts > 0 && work.verdicts <= work.coverage.answered,
             "{work:?}"
         );
-        let ((_, hooked), through_machines) =
+        let ((_, hooked, _), through_machines) =
             faulted_run(NoiseModel::none(), |w| w.ticks_enter_machines = true);
         assert_eq!(hooked.verdicts, 0);
         assert_eq!(run, through_machines);
-        let ((_, noisy_work), _) = faulted_run(noisy(), |_| {});
+        let ((_, noisy_work, _), _) = faulted_run(noisy(), |_| {});
         assert_eq!(noisy_work.verdicts, 0, "{noisy_work:?}");
     }
 
@@ -1025,40 +1069,117 @@ mod tests {
     /// end every node's quiescence.
     #[test]
     fn a_type_the_ambient_activates_takes_no_verdict() {
-        use crate::context::CmpOp;
-        use envirotrack_world::scenario::FireScenario;
-        let run = |with_tracker: bool, hook: fn(&mut SensorNetwork)| {
-            let cold = SensePredicate::Cmp {
-                channel: Channel::Temperature,
-                op: CmpOp::Lt,
-                value: 30.0,
-            };
-            let mut program = Program::builder();
-            if with_tracker {
-                let magnetic = SensePredicate::threshold(Channel::Magnetic, 0.5);
-                program = program.context("tracker", |c| c.activation(magnetic));
-            }
-            let program = program.context("cold", |c| c.activation(cold));
-            let program = Arc::new(program.build().expect("a valid program"));
-            let scenario = FireScenario::default().build();
-            let (field, env) = (scenario.deployment, scenario.environment);
-            let config = NetworkConfig::default();
-            let mut engine = SensorNetwork::build_engine(program, field, env, config, 4);
-            hook(engine.world_mut());
-            engine.run_until(Timestamp::from_secs(3));
-            (engine.world().sensing_work(), output(engine.world()))
-        };
         for with_tracker in [false, true] {
-            let (work, out) = run(with_tracker, |_| {});
+            let (work, out) = cold_field_run(with_tracker, |_| {});
             assert!(
                 out.1.contains("LabelCreated"),
                 "the field is cold everywhere"
             );
             assert!(work.coverage.answered > 0, "{work:?}");
             assert_eq!(work.verdicts > 0, with_tracker, "{work:?}");
-            let (_, through_machines) = run(with_tracker, |w| w.ticks_enter_machines = true);
+            let (_, through_machines) =
+                cold_field_run(with_tracker, |w| w.ticks_enter_machines = true);
             assert_eq!(out, through_machines);
         }
+    }
+
+    /// An 8 × 8 fire field for 3 s under a type its ambient levels activate
+    /// — `temperature < 30` over a field at 20 °C — declared after a
+    /// tracker `with_tracker`; `hook` sets a test hook first. Returns the
+    /// sensing work counters and the run's [`output`].
+    fn cold_field_run(
+        with_tracker: bool,
+        hook: fn(&mut SensorNetwork),
+    ) -> (SensingWork, (u64, String, String)) {
+        use crate::context::CmpOp;
+        use envirotrack_world::scenario::FireScenario;
+        let cold = SensePredicate::Cmp {
+            channel: Channel::Temperature,
+            op: CmpOp::Lt,
+            value: 30.0,
+        };
+        let mut program = Program::builder();
+        if with_tracker {
+            let magnetic = SensePredicate::threshold(Channel::Magnetic, 0.5);
+            program = program.context("tracker", |c| c.activation(magnetic));
+        }
+        let program = program.context("cold", |c| c.activation(cold));
+        let program = Arc::new(program.build().expect("a valid program"));
+        let scenario = FireScenario::default().build();
+        let (field, env) = (scenario.deployment, scenario.environment);
+        let config = NetworkConfig::default();
+        let mut engine = SensorNetwork::build_engine(program, field, env, config, 4);
+        hook(engine.world_mut());
+        engine.run_until(Timestamp::from_secs(3));
+        (engine.world().sensing_work(), output(engine.world()))
+    }
+
+    /// Every node's engaged record made before the first event, against
+    /// records made on a node's first write: through the MTP pings and
+    /// their retransmissions, the crash and reboot and the clock-rate
+    /// change, noisy and noiseless, and on the fire field, where every node
+    /// joins a group, not a byte differs. The tank field leaves most of its
+    /// nodes without one.
+    #[test]
+    fn creating_records_on_first_use_changes_no_byte_of_a_run() {
+        let retransmitted = r#"{"t":"counter","name":"mtp.retx","value":"#;
+        for noise in [noisy(), NoiseModel::none()] {
+            let ((.., engaged), run) = faulted_run(noise, |_| {});
+            assert!(
+                run.2.contains(retransmitted),
+                "no segment was retransmitted"
+            );
+            assert!(
+                0 < engaged && engaged < 300,
+                "{engaged} of 400 nodes engaged"
+            );
+            let ((.., all), up_front) = faulted_run(noise, |w| w.cold_records_up_front = true);
+            assert_eq!(all, 400);
+            assert_eq!(run, up_front);
+        }
+        for with_tracker in [false, true] {
+            let (_, run) = cold_field_run(with_tracker, |_| {});
+            let (_, up_front) = cold_field_run(with_tracker, |w| w.cold_records_up_front = true);
+            assert_eq!(run, up_front);
+        }
+    }
+
+    /// A crash and a reboot go through the fault path, which gives a node
+    /// that never used a layer nothing to clear and no record, and clears
+    /// an engaged node's record without dropping it.
+    #[test]
+    fn a_reboot_creates_no_record() {
+        let field = Deployment::grid(10, 10, 1.0);
+        let (env, config) = (Environment::new(), NetworkConfig::default());
+        let mut engine = SensorNetwork::build_engine(tracker(), field, env, config, 2);
+        engine.run_until(Timestamp::from_secs(1));
+        let world = engine.world_mut();
+        assert_eq!(world.cold_engaged(), 0, "an empty field engages nobody");
+        let (idle, engaged) = (NodeId(42), NodeId(7));
+        world.kill_node(idle);
+        assert!(!world.is_alive(idle));
+        world.revive_node(idle);
+        assert!(world.is_alive(idle) && world.sense[idle].quiescent);
+        assert_eq!(world.cold_engaged(), 0);
+        let label = ContextLabel {
+            type_id: ContextTypeId(0),
+            creator: NodeId(3),
+            seq: 1,
+        };
+        let leader = LeaderLoc {
+            node: NodeId(3),
+            pos: Point::new(3.0, 0.0),
+        };
+        world.layers.engage(engaged).mtp.learn(label, leader);
+        assert_eq!(world.mtp_table_len_at(engaged), 1);
+        world.kill_node(engaged);
+        world.revive_node(engaged);
+        assert_eq!(
+            world.mtp_table_len_at(engaged),
+            0,
+            "a reboot remembers nothing"
+        );
+        assert_eq!(world.cold_engaged(), 1);
     }
 
     /// The hot records in firing order against the hook that leaves them in
@@ -1067,8 +1188,8 @@ mod tests {
     /// any work counter but the strides.
     #[test]
     fn the_record_layout_changes_no_byte_of_a_faulted_run() {
-        let ((on_lane, work), run) = faulted_run(noisy(), |_| {});
-        let ((in_id_order, unlaid), unlaid_run) =
+        let ((on_lane, work, _), run) = faulted_run(noisy(), |_| {});
+        let ((in_id_order, unlaid, _), unlaid_run) =
             faulted_run(noisy(), |w| w.records_in_id_order = true);
         assert_eq!((on_lane, run), (in_id_order, unlaid_run));
         let strides = |w: SensingWork| SensingWork { strides: 0, ..w };
@@ -1158,7 +1279,7 @@ mod tests {
         }
         let world = engine.world();
         let first = busy(world).expect("just found");
-        let role = world.machines.of(first)[0].role_kind();
+        let role = world.layers.get(first).expect("engaged").machines[0].role_kind();
         assert_eq!(role, RoleKind::Idle, "still waiting out its jitter");
         // A leader is not quiescent, dead or alive, until it reboots.
         engine.run_until(engine.kernel().now() + SimDuration::from_secs(3));
@@ -1168,7 +1289,7 @@ mod tests {
         assert!(!world.sense[leader].quiescent);
         world.revive_node(leader);
         assert!(world.sense[leader].quiescent);
-        let role = world.machines.of(leader)[0].role_kind();
+        let role = world.layers.get(leader).expect("engaged").machines[0].role_kind();
         assert_eq!(role, RoleKind::Idle);
     }
 
@@ -1256,7 +1377,7 @@ mod tests {
         engine.run_until(Timestamp::from_secs(16));
         let (leader, _) = engine.world().leaders_of_type(TRACKER)[0];
         let waiting = |w: &SensorNetwork| {
-            let rt = &w.nodes[leader.index()];
+            let rt = w.layers.get(leader).expect("engaged");
             (rt.dir.pending_len(), rt.mtp.pending_len())
         };
         assert_eq!(waiting(engine.world()), (1, 1), "the query was lost");

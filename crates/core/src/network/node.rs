@@ -1,15 +1,16 @@
 //! Per-node state, split by how often it is touched. [`SenseState`] is the
 //! hot half: one cache line per node, held by [`HotRecords`] in the order
 //! the sensing lane fires them, holding exactly what a sensing tick that
-//! finds nothing reads and writes. [`NodeState`] is the cold half, in id
-//! order: energy, clock, randomness and one state value per protocol layer —
-//! only a node in or near a group, or one a frame reaches, ever dereferences
-//! it. A layer takes its own field, plus the substrates it charges. The
-//! group machines of every node share one array, [`Machines`].
+//! finds nothing reads and writes. The cold half is split by who touches
+//! it: [`NodeState`], in id order, is what every node reads — its main
+//! stream, energy and clock — and [`Engaged`] is what only a node that uses
+//! a protocol layer holds — one state value per layer, its retransmission
+//! stream and its group machines — created in [`Layers`] on the node's first
+//! write. A layer takes its own field, plus the substrates it charges.
 //!
-//! A node allocates nothing until it uses a layer: each of these is a fixed
-//! number of arrays for the whole world, and a layer's own tables start
-//! empty and grow on first use.
+//! A node holds only its dense state until it uses a layer: the world is a
+//! fixed number of arrays plus one record per engaged node, and a layer's
+//! own tables start empty and grow on first use.
 
 use std::ops::{Index, IndexMut};
 
@@ -223,37 +224,53 @@ impl IndexMut<NodeId> for HotRecords {
     }
 }
 
-/// The cold half of a node: shared substrates plus each layer's state.
+/// The dense cold half of a node, by node id: what every node reads,
+/// whether or not it ever uses a protocol layer — its main stream (the
+/// bootstrap draws its sensing phase from it, and a noisy sample its noise),
+/// its radio energy and its clock.
 pub(super) struct NodeState {
     pub(super) rng: SimRng,
     /// Marginal radio energy (CPU energy derives from the CPU meter).
     pub(super) energy: EnergyMeter,
     /// The node's local clock (skew/drift model).
     pub(super) clock: NodeClock,
+}
+
+impl NodeState {
+    /// Every node's dense cold half, in id order. A node's stream is the
+    /// `"node"` fork of `master`, indexed by its id.
+    pub(super) fn all(nodes: usize, master: &SimRng) -> Vec<Self> {
+        let main = master.fork("node");
+        (0..nodes as u64)
+            .map(|id| NodeState {
+                rng: main.indexed(id),
+                energy: EnergyMeter::new(),
+                clock: NodeClock::ideal(),
+            })
+            .collect()
+    }
+}
+
+/// What a node holds once it uses a protocol layer: one state value per
+/// layer, its retransmission stream and its group machines.
+pub(super) struct Engaged {
     /// Dedicated stream for MTP retransmission jitter, so enabling or
     /// disabling retransmission never perturbs the node's main RNG.
     pub(super) retx_rng: SimRng,
     pub(super) mtp: MtpState,
     pub(super) dir: DirState,
     pub(super) link: LinkState,
+    /// One machine per context type, by type id.
+    pub(super) machines: Box<[GroupMachine]>,
 }
 
-impl NodeState {
-    /// Every node's cold half, in id order. A node's streams are the
-    /// `"node"` and `"mtp-retx"` forks of `master`, indexed by its id.
-    pub(super) fn all(nodes: usize, master: &SimRng) -> Vec<Self> {
-        let (main, retx) = (master.fork("node"), master.fork("mtp-retx"));
-        (0..nodes as u64)
-            .map(|id| NodeState::new(main.indexed(id), retx.indexed(id)))
-            .collect()
-    }
-
-    fn new(rng: SimRng, retx_rng: SimRng) -> Self {
-        NodeState {
-            rng,
-            energy: EnergyMeter::new(),
-            clock: NodeClock::ideal(),
-            retx_rng,
+impl Engaged {
+    /// What `node` would have held from the start, running `types` context
+    /// types: the `indexed(id)` child of `retx`, empty tables, idle machines.
+    #[cold]
+    fn fresh(retx: &SimRng, types: u16, node: NodeId) -> Box<Self> {
+        Box::new(Engaged {
+            retx_rng: retx.indexed(u64::from(node.0)),
             mtp: MtpState::new(
                 transport::TABLE_CAPACITY,
                 transport::FORWARD_TTL,
@@ -261,38 +278,61 @@ impl NodeState {
             ),
             dir: DirState::default(),
             link: LinkState::default(),
-        }
+            machines: (0..types)
+                .map(|tid| GroupMachine::new(node, ContextTypeId(tid)))
+                .collect(),
+        })
     }
 }
 
-/// Every node's group machines, one per context type, in one array: node
-/// `i`'s are the `types` machines from `i · types` on, by type id.
-pub(super) struct Machines {
-    all: Vec<GroupMachine>,
-    types: usize,
+/// Every node's [`Engaged`] record, by node id, created on the node's first
+/// write to any of them. Most nodes of a large field never use a layer: the
+/// groups live where the targets are. A node without a record reads as a
+/// fresh one — idle machines, empty tables — and reading it creates nothing.
+///
+/// A record is exactly what the node would have held from the start, so
+/// when it is created changes no byte of a run: its stream is the node's own
+/// `"mtp-retx"` fork, indexed by id, and its machines start idle.
+pub(super) struct Layers {
+    records: Vec<Option<Box<Engaged>>>,
+    /// The `"mtp-retx"` fork of the master stream.
+    retx: SimRng,
+    types: u16,
 }
 
-impl Machines {
-    /// An idle machine per node and context type of `program`.
-    pub(super) fn new(nodes: usize, program: &Program) -> Self {
-        let types = program.context_count();
-        let mut all = Vec::with_capacity(nodes * types);
-        for id in (0..nodes as u32).map(NodeId) {
-            all.extend(program.type_ids().map(|tid| GroupMachine::new(id, tid)));
+impl Layers {
+    /// No record yet for any of `nodes` nodes running `program`.
+    pub(super) fn new(nodes: usize, master: &SimRng, program: &Program) -> Self {
+        Layers {
+            records: std::iter::repeat_with(|| None).take(nodes).collect(),
+            retx: master.fork("mtp-retx"),
+            types: u16::try_from(program.context_count()).expect("type ids are u16"),
         }
-        Machines { all, types }
     }
 
-    /// `node`'s machines, by type id.
+    /// `node`'s record, if it has one.
     #[inline]
-    pub(super) fn of(&self, node: NodeId) -> &[GroupMachine] {
-        &self.all[node.index() * self.types..][..self.types]
+    pub(super) fn get(&self, node: NodeId) -> Option<&Engaged> {
+        self.records[node.index()].as_deref()
     }
 
-    /// `node`'s machines, by type id, to drive.
+    /// `node`'s record, to change: created now if the node has none.
     #[inline]
-    pub(super) fn of_mut(&mut self, node: NodeId) -> &mut [GroupMachine] {
-        &mut self.all[node.index() * self.types..][..self.types]
+    pub(super) fn engage(&mut self, node: NodeId) -> &mut Engaged {
+        let (retx, types) = (&self.retx, self.types);
+        self.records[node.index()].get_or_insert_with(|| Engaged::fresh(retx, types, node))
+    }
+
+    /// Every record with its node, in id order.
+    pub(super) fn engaged(&self) -> impl Iterator<Item = (NodeId, &Engaged)> {
+        let ids = (0..).map(NodeId);
+        ids.zip(&self.records)
+            .filter_map(|(id, record)| Some((id, record.as_deref()?)))
+    }
+
+    /// How many nodes have a record.
+    pub(super) fn len(&self) -> usize {
+        self.engaged().count()
     }
 }
 
@@ -300,21 +340,20 @@ impl Machines {
 /// remembers nothing): group machines, transport tables, directory entries,
 /// and every in-flight query or ack are gone. Only the link, transport and
 /// query sequence counters survive — reusing sequence numbers would trip
-/// peers' dedup windows.
-pub(super) fn reboot(
-    id: NodeId,
-    hot: &mut SenseState,
-    cold: &mut NodeState,
-    machines: &mut [GroupMachine],
-) {
+/// peers' dedup windows. A node without a record has nothing to clear, and
+/// gets none.
+pub(super) fn reboot(id: NodeId, hot: &mut SenseState, layers: &mut Layers) {
     hot.alive = true;
     hot.quiescent = true;
-    for (tid, machine) in (0..).map(ContextTypeId).zip(machines) {
+    let Some(record) = layers.records[id.index()].as_deref_mut() else {
+        return;
+    };
+    for (tid, machine) in (0..).map(ContextTypeId).zip(&mut record.machines) {
         *machine = GroupMachine::new(id, tid);
     }
-    cold.mtp.reboot();
-    cold.dir.reboot();
-    cold.link.reboot();
+    record.mtp.reboot();
+    record.dir.reboot();
+    record.link.reboot();
 }
 
 #[cfg(test)]

@@ -152,7 +152,9 @@ impl SensorNetwork {
         let hot = self.sense.at(slot);
         debug_assert_eq!(
             hot.quiescent,
-            quiescent(self.machines.of(node)),
+            self.layers
+                .get(node)
+                .is_none_or(|rt| quiescent(&rt.machines)),
             "stale quiescent bit on {node}"
         );
         // The sensing period elapses on the node's *local* clock: skewed

@@ -63,7 +63,11 @@ impl SensorNetwork {
             k.schedule_inline_at(retry.max(k.now()), Self::group_timer, words);
             return;
         }
-        if !self.machines.of(node)[usize::from(tid.0)].timer_is_current(key, token) {
+        let machine = self
+            .layers
+            .get(node)
+            .map(|rt| &rt.machines[usize::from(tid.0)]);
+        if !machine.is_some_and(|m| m.timer_is_current(key, token)) {
             self.timers.stale[at] += 1;
             if cfg!(debug_assertions) {
                 self.assert_stale(k.now(), node, tid, key, token);

@@ -298,6 +298,10 @@ pub struct ShardedRun {
     /// counters were derived from: the scheduler's transmit side plus
     /// every shard's receiver side.
     pub net: NetStats,
+    /// Per shard, the nodes whose protocol-layer state its replica created
+    /// (`SensorNetwork::cold_engaged`), in id order: how the run was
+    /// stored, not what it did, so no part of the compared output.
+    pub engaged: Vec<Vec<NodeId>>,
 }
 
 /// One shard's contribution to the merge.
@@ -310,6 +314,7 @@ struct ShardOutput {
     delivered: Vec<TxKey>,
     tail_dropped: u64,
     outbox_allocs: u64,
+    engaged: Vec<NodeId>,
 }
 
 struct HistSnapshot {
@@ -510,6 +515,7 @@ pub fn run_sharded(
                                 delivered,
                                 tail_dropped: tail.len() as u64,
                                 outbox_allocs,
+                                engaged: world.engaged_nodes().collect(),
                             };
                             resp.send(Resp::Done(idx, Box::new(out)))
                                 .expect("the orchestrator outlives its shards");
@@ -776,5 +782,6 @@ fn merge_outputs(outputs: Vec<ShardOutput>, net: NetStats, intents: IntentStats)
         events_processed: events,
         intents,
         net,
+        engaged: outputs.into_iter().map(|out| out.engaged).collect(),
     }
 }

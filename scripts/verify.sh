@@ -121,7 +121,7 @@ for f in "$tmp/scale.json" BENCH_scale.json; do
              '"samples_covered":' '"samples_walked":' '"coverage_rebuilds":' '"sense_verdicts":' \
              '"lane_pops":' '"heap_pops":' '"inline_events":' '"boxed_events":' \
              '"build_allocs":' '"build_heap_bytes":' \
-             '"timer_live":' '"timer_stale":' '"timer_retries":' \
+             '"timer_live":' '"timer_stale":' '"timer_retries":' '"cold_engaged":' \
              '"shards":' '"speedup_vs_first":' '"byte_identical":true' \
              '"medium":' '"replayed_intents":' '"full_replay_intents":' \
              '"medium":"partitioned"' '"medium":"replicated"'; do
@@ -134,6 +134,14 @@ done
 allocs="$(grep -o '"build_allocs":[0-9]*' "$tmp/scale.json" | sort -u)"
 [ "$(grep -c . <<< "$allocs")" -eq 1 ] \
   || { echo "verify: build allocations grow with the node count:" $allocs >&2; exit 1; }
+# A node holds only its dense state until it uses a protocol layer: a
+# built world keeps at most 320 heap bytes a node (about 840 when every
+# node held its layers and machines from the start).
+grep -o '"nodes":[0-9]*,"build_wall_s":[^,]*,"build_allocs":[0-9]*,"build_heap_bytes":[0-9]*' \
+  "$tmp/scale.json" | tr ',:' '  ' | awk '
+  { n = $2; b = $8; if (b > 320 * n) { print "verify: " n " nodes built " b " heap bytes (limit 320 a node)"; bad = 1 } }
+  END { exit bad || NR == 0 }' >&2 \
+  || { echo "verify: the smoke rows build more than 320 heap bytes a node" >&2; exit 1; }
 
 # Soak smoke: a short layered-fault run (corruption + burst loss +
 # partition/heal + crash/reboot) must pass every acceptance claim — zero
