@@ -3,10 +3,10 @@
 //! Drives hundreds of concurrent sessions over real TCP loopback against
 //! an in-process [`Server`], in three phases:
 //!
-//! 1. **Ramp** — open `target_sessions` pipelined HELLO+SUBSCRIBE
-//!    connections and wait until every one is streaming (measures
-//!    connects/s and the hub's query-ack latency under a registration
-//!    flood).
+//! 1. **Ramp** — open `target_sessions` sessions, each sending HELLO and
+//!    then SUBSCRIBE once its ACCEPT arrives, and wait until every one is
+//!    streaming (measures sessions streaming per second and the hub's
+//!    query-ack latency under a registration flood).
 //! 2. **Steady** — hold the full population streaming for a fixed window,
 //!    counting per-client event deliveries (fairness = Jain's index over
 //!    those counts; every client subscribes to the same shared world, so
@@ -18,14 +18,14 @@
 //!    never-reading subscribers that must be shed as slow consumers
 //!    while the fast majority keeps streaming.
 //!
-//! The swarm is a single thread multiplexing non-blocking sockets — the
-//! benchmark machine may have one core, so client-side cost is kept to a
-//! read pass every few milliseconds, and storm actors run as a handful of
-//! short-lived blocking probes on the orchestrator thread.
+//! Every client is a [`Conn`], and one thread drives them all: the swarm
+//! is non-blocking and polled a pass every few milliseconds (the
+//! benchmark machine may have one core, so client-side cost is kept that
+//! low), and the storm's actors are a handful of short-lived blocking
+//! probes.
 
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -35,9 +35,9 @@ use envirotrack_core::report::json::JsonObject;
 use envirotrack_core::wire::session::{
     Close, CloseReason, Hello, RejectReason, SessionMsg, Subscribe, CAP_ALL, SESSION_VERSION,
 };
-use envirotrack_serve::client::{Client, Handshake};
+use envirotrack_serve::client::{Closed, Conn, Phase};
 use envirotrack_serve::worlds::SCENARIO_TESTBED;
-use envirotrack_serve::{FrameReader, HubConfig, Server, ServerConfig};
+use envirotrack_serve::{HubConfig, Server, ServerConfig};
 use envirotrack_sim::time::SimDuration;
 
 /// Load-generator knobs. `smoke` is the CI profile; `flagship` adds the
@@ -275,354 +275,104 @@ pub(crate) fn jain_index(counts: &[u64]) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// The swarm: one thread multiplexing every steady client, non-blocking.
+// The swarm: every steady client's non-blocking `Conn`, client `q`
+// subscribed with query id `q`.
 // ---------------------------------------------------------------------------
 
-enum Phase {
-    /// HELLO+SUBSCRIBE written; waiting for the SUBACK.
-    AwaitAck,
-    /// Receiving events.
-    Streaming,
-    /// Closed (by us or by the server); no longer pumped.
-    Done,
-}
-
-struct SwarmClient {
-    stream: TcpStream,
-    reader: FrameReader,
-    pending: Vec<u8>,
-    phase: Phase,
-    query_id: u32,
-    next_seq: u64,
-    events: u64,
-    steady_events: u64,
-}
-
-#[derive(Default)]
-struct PumpStats {
-    /// Framing errors, unexpected closes/EOFs, sequence gaps, denied acks.
-    errors: u64,
-    /// Connect/handshake-write failures during ramp.
-    connect_failures: u64,
-    events_total: u64,
-    steady_events: Vec<u64>,
-    ramp_s: f64,
-}
-
-/// Cross-thread orchestration: the pump owns the sockets; the
-/// orchestrator flips phases through these.
-#[derive(Default)]
-struct PumpShared {
-    /// Pump → orchestrator: ramp finished (population streaming or timed
-    /// out).
-    ramp_done: AtomicBool,
-    /// Orchestrator → pump: count steady events.
-    steady_on: AtomicBool,
-    /// Orchestrator → pump: close this many streaming clients cleanly.
-    close_n: AtomicUsize,
-    /// Orchestrator → pump: close everything and return.
-    stop: AtomicBool,
-    /// Pump → orchestrator: clients currently streaming.
-    streaming: AtomicU64,
-}
-
-fn open_swarm_client(addr: SocketAddr, query_id: u32, seed: u64) -> std::io::Result<SwarmClient> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    // Pipeline HELLO and SUBSCRIBE in one write: the server processes
-    // frames in order, so the SUBACK races nothing.
-    let mut payload = SessionMsg::Hello(Hello {
+fn hello() -> SessionMsg {
+    SessionMsg::Hello(Hello {
         version: SESSION_VERSION,
         caps: CAP_ALL,
         recv_budget: 1024,
     })
-    .encode()
-    .to_vec();
-    payload.extend_from_slice(&SessionMsg::Subscribe(Subscribe {
+}
+
+fn subscribe(query_id: u32, seed: u64) -> SessionMsg {
+    SessionMsg::Subscribe(Subscribe {
         query_id,
         scenario: SCENARIO_TESTBED,
         seed,
         type_id: ContextTypeId(0),
     })
-    .encode());
-    let mut stream = stream;
-    stream.write_all(&payload)?;
-    stream.set_nonblocking(true)?;
-    Ok(SwarmClient {
-        stream,
-        reader: FrameReader::new(),
-        pending: Vec::new(),
-        phase: Phase::AwaitAck,
-        query_id,
-        next_seq: 0,
-        events: 0,
-        steady_events: 0,
+}
+
+fn close() -> SessionMsg {
+    SessionMsg::Close(Close {
+        reason: CloseReason::Normal,
     })
 }
 
-fn handle_frame(c: &mut SwarmClient, msg: SessionMsg, steady: bool, stats: &mut PumpStats) {
-    match msg {
-        SessionMsg::Accept(_) | SessionMsg::Pong { .. } => {}
-        SessionMsg::SubAck(a) if a.accepted && a.query_id == c.query_id => {
-            c.phase = Phase::Streaming;
-        }
-        SessionMsg::SubAck(_) => {
-            stats.errors += 1;
-            c.phase = Phase::Done;
-        }
-        SessionMsg::Event(e) => {
-            if e.query_id != c.query_id || e.seq != c.next_seq {
-                stats.errors += 1;
-            }
-            c.next_seq = e.seq + 1;
-            c.events += 1;
-            if steady {
-                c.steady_events += 1;
-            }
-        }
-        // The server only CLOSEs us for cause; during the run that is
-        // always unexpected (our own closes drop the socket instead).
-        SessionMsg::Close(_) => {
-            stats.errors += 1;
-            c.phase = Phase::Done;
-        }
-        _ => {
-            stats.errors += 1;
-            c.phase = Phase::Done;
-        }
+/// Whether swarm client `c`, whose one subscription is `query_id`, is
+/// streaming.
+fn streaming(c: &Conn, query_id: u32) -> bool {
+    matches!(c.phase(), Phase::Open(_)) && c.sub(query_id).is_some_and(|s| s.acked == Some(true))
+}
+
+/// Events swarm client `c` has received on its one subscription.
+fn events(c: &Conn, query_id: u32) -> u64 {
+    c.sub(query_id).map_or(0, |s| s.events)
+}
+
+/// One pass over every client: flush, read, and apply what arrived.
+fn pump(swarm: &mut [Conn]) {
+    for c in swarm {
+        while c.poll().is_some() {}
     }
 }
 
-/// One non-blocking pass over every live client: flush pending writes,
-/// drain the socket, decode frames.
-fn pump_pass(clients: &mut [SwarmClient], steady: bool, stats: &mut PumpStats) {
-    let mut buf = [0u8; 8192];
-    for c in clients.iter_mut() {
-        if matches!(c.phase, Phase::Done) {
-            continue;
-        }
-        while !c.pending.is_empty() {
-            match c.stream.write(&c.pending) {
-                Ok(0) => {
-                    stats.errors += 1;
-                    c.phase = Phase::Done;
-                    break;
-                }
-                Ok(n) => {
-                    c.pending.drain(..n);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    stats.errors += 1;
-                    c.phase = Phase::Done;
-                    break;
-                }
-            }
-        }
-        // Bounded read burst so one chatty socket cannot starve the rest.
-        for _ in 0..4 {
-            match c.stream.read(&mut buf) {
-                Ok(0) => {
-                    stats.errors += 1;
-                    c.phase = Phase::Done;
-                    break;
-                }
-                Ok(n) => c.reader.extend(&buf[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    stats.errors += 1;
-                    c.phase = Phase::Done;
-                    break;
-                }
-            }
-        }
-        loop {
-            match c.reader.next_frame() {
-                Ok(Some(msg)) => handle_frame(c, msg, steady, stats),
-                Ok(None) => break,
-                Err(_) => {
-                    stats.errors += 1;
-                    c.phase = Phase::Done;
-                    break;
-                }
-            }
-            if matches!(c.phase, Phase::Done) {
-                break;
-            }
-        }
-    }
-}
-
-/// Closes one streaming client cleanly (CLOSE frame, then drop) and
-/// collects its counts.
-fn close_one(clients: &mut Vec<SwarmClient>, stats: &mut PumpStats) {
-    let Some(idx) = clients
-        .iter()
-        .rposition(|c| matches!(c.phase, Phase::Streaming))
-    else {
-        return;
-    };
-    let mut c = clients.swap_remove(idx);
-    let _ = c.stream.write(
-        &SessionMsg::Close(Close {
-            reason: CloseReason::Normal,
-        })
-        .encode(),
-    );
-    stats.events_total += c.events;
-    stats.steady_events.push(c.steady_events);
-}
-
-fn count_streaming(clients: &[SwarmClient]) -> u64 {
-    clients
-        .iter()
-        .filter(|c| matches!(c.phase, Phase::Streaming))
-        .count() as u64
-}
-
-fn pump_thread(
-    addr: SocketAddr,
-    target: usize,
-    seed: u64,
-    shared: &Arc<PumpShared>,
-) -> PumpStats {
-    let mut stats = PumpStats::default();
-    let t0 = Instant::now();
-    let mut clients: Vec<SwarmClient> = Vec::with_capacity(target);
-    for i in 0..target {
-        match open_swarm_client(addr, i as u32, seed) {
-            Ok(c) => clients.push(c),
-            Err(_) => stats.connect_failures += 1,
-        }
-        // Interleave pumping so early clients' streams never back up
-        // while later ones are still connecting.
-        if i % 32 == 31 {
-            pump_pass(&mut clients, false, &mut stats);
-        }
-    }
-    // Ramp completes when every surviving client is streaming.
-    let ramp_deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        pump_pass(&mut clients, false, &mut stats);
-        let streaming = count_streaming(&clients);
-        shared.streaming.store(streaming, Ordering::Relaxed);
-        let live = clients
-            .iter()
-            .filter(|c| !matches!(c.phase, Phase::Done))
-            .count() as u64;
-        if streaming == live || Instant::now() > ramp_deadline {
-            break;
-        }
-        thread::sleep(Duration::from_millis(2));
-    }
-    stats.ramp_s = t0.elapsed().as_secs_f64();
-    shared.ramp_done.store(true, Ordering::Release);
-
-    // Main pumping loop: steady window, storm-phase close requests, stop.
-    while !shared.stop.load(Ordering::Acquire) {
-        let steady = shared.steady_on.load(Ordering::Relaxed);
-        pump_pass(&mut clients, steady, &mut stats);
-        shared
-            .streaming
-            .store(count_streaming(&clients), Ordering::Relaxed);
-        let want = shared.close_n.swap(0, Ordering::Relaxed);
-        for _ in 0..want {
-            close_one(&mut clients, &mut stats);
-        }
+/// Pumps the swarm every 5 ms until `done` holds or `timeout` has passed.
+fn pump_until(swarm: &mut [Conn], timeout: Duration, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + timeout;
+    while !done() && Instant::now() < deadline {
+        pump(swarm);
         thread::sleep(Duration::from_millis(5));
     }
-    // Drain: close every remaining client and collect counts.
-    while !clients.is_empty() {
-        if matches!(clients.last().map(|c| &c.phase), Some(Phase::Streaming)) {
-            close_one(&mut clients, &mut stats);
-        } else {
-            let c = clients.pop().expect("non-empty");
-            stats.events_total += c.events;
-            stats.steady_events.push(c.steady_events);
-        }
-    }
-    stats
 }
 
 // ---------------------------------------------------------------------------
-// Storm actors: short-lived blocking probes on the orchestrator thread.
+// Storm actors: short-lived blocking probes. Each waits milliseconds, while
+// the swarm's streams queue on the server well inside their budgets.
 // ---------------------------------------------------------------------------
 
 /// Connects while the server is full; returns 1 if REJECT(Overloaded) was
 /// observed synchronously.
 fn burst_probe(addr: SocketAddr) -> u64 {
-    let Ok(mut c) = Client::connect(addr, Some(Duration::from_secs(2))) else {
+    let Ok(mut c) = Conn::connect(addr, Some(Duration::from_secs(2))) else {
         return 0;
     };
-    match c.recv() {
-        Ok(SessionMsg::Reject(r)) if r.reason == RejectReason::Overloaded => 1,
-        _ => 0,
+    while c.poll().is_some() {}
+    u64::from(*c.phase() == Phase::Closed(Closed::Rejected(RejectReason::Overloaded)))
+}
+
+/// Connects a blocking probe, sends HELLO and then `then` (held until
+/// ACCEPT), and waits out the handshake; `None` unless the session opened.
+fn open_probe(addr: SocketAddr, then: &[SessionMsg]) -> Option<Conn> {
+    let mut c = Conn::connect(addr, Some(Duration::from_secs(3))).ok()?;
+    c.send(&hello());
+    for msg in then {
+        c.send(msg);
     }
+    while *c.phase() == Phase::HelloSent && c.poll().is_some() {}
+    matches!(c.phase(), Phase::Open(_)).then_some(c)
 }
 
 /// Handshakes, then sends a Subscribe with one bit flipped in the body.
 /// Returns the number of SUBACK/EVENT frames seen afterwards — every one
 /// is a CRC-invalid frame treated as valid, which must never happen.
 fn corrupt_probe(addr: SocketAddr, seed: u64) -> u64 {
-    let Ok(mut c) = Client::connect(addr, Some(Duration::from_secs(3))) else {
+    let Some(mut c) = open_probe(addr, &[]) else {
         return 0;
     };
-    match c.hello(CAP_ALL, 64) {
-        Ok(Handshake::Accepted(_)) => {}
-        _ => return 0,
-    }
-    let mut bytes = SessionMsg::Subscribe(Subscribe {
-        query_id: 999_999,
-        scenario: SCENARIO_TESTBED,
-        seed,
-        type_id: ContextTypeId(0),
-    })
-    .encode()
-    .to_vec();
+    let mut bytes = subscribe(999_999, seed).encode().to_vec();
     bytes[2] ^= 0x10; // inside the body: the CRC trailer must catch it
-    if c.send_raw(&bytes).is_err() {
-        return 0;
-    }
+    c.send_raw(&bytes);
     let mut accepted_after_corrupt = 0;
-    loop {
-        match c.recv() {
-            Ok(SessionMsg::SubAck(_) | SessionMsg::Event(_)) => accepted_after_corrupt += 1,
-            Ok(SessionMsg::Close(_)) | Err(_) => return accepted_after_corrupt,
-            Ok(_) => {}
+    while let Some(msg) = c.poll() {
+        if matches!(msg, SessionMsg::SubAck(_) | SessionMsg::Event(_)) {
+            accepted_after_corrupt += 1;
         }
     }
-}
-
-/// Opens a session that subscribes `subs` times and then never reads —
-/// the server must shed it as a slow consumer.
-fn open_stalled(
-    addr: SocketAddr,
-    seed: u64,
-    base_query: u32,
-    subs: u32,
-) -> std::io::Result<TcpStream> {
-    let mut s = TcpStream::connect(addr)?;
-    s.set_nodelay(true)?;
-    let mut payload = SessionMsg::Hello(Hello {
-        version: SESSION_VERSION,
-        caps: CAP_ALL,
-        recv_budget: 1024,
-    })
-    .encode()
-    .to_vec();
-    for j in 0..subs {
-        payload.extend_from_slice(&SessionMsg::Subscribe(Subscribe {
-            query_id: base_query + j,
-            scenario: SCENARIO_TESTBED,
-            seed,
-            type_id: ContextTypeId(0),
-        })
-        .encode());
-    }
-    s.write_all(&payload)?;
-    Ok(s)
+    accepted_after_corrupt
 }
 
 // ---------------------------------------------------------------------------
@@ -633,8 +383,8 @@ fn open_stalled(
 ///
 /// # Panics
 ///
-/// Panics if the loopback listener cannot bind or the pump thread dies —
-/// both are environment failures a benchmark should surface loudly.
+/// Panics if the loopback listener cannot bind — an environment failure a
+/// benchmark should surface loudly.
 #[must_use]
 pub fn run_storm(cfg: &StormConfig) -> StormReport {
     let server = Server::start(ServerConfig {
@@ -654,26 +404,57 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
     let metrics = Arc::clone(server.metrics());
     let addr = server.addr();
 
-    let shared = Arc::new(PumpShared::default());
-    let pump = {
-        let shared = Arc::clone(&shared);
-        let target = cfg.target_sessions;
-        let seed = cfg.seed;
-        thread::spawn(move || pump_thread(addr, target, seed, &shared))
-    };
-
     // Ramp.
-    let ramp_deadline = Instant::now() + Duration::from_secs(90);
-    while !shared.ramp_done.load(Ordering::Acquire) && Instant::now() < ramp_deadline {
-        thread::sleep(Duration::from_millis(10));
+    let t0 = Instant::now();
+    let mut swarm: Vec<Conn> = Vec::with_capacity(cfg.target_sessions);
+    let mut connect_failures = 0;
+    for i in 0..cfg.target_sessions {
+        match Conn::connect(addr, None) {
+            Ok(mut c) => {
+                c.send(&hello());
+                c.send(&subscribe(swarm.len() as u32, cfg.seed));
+                swarm.push(c);
+            }
+            Err(_) => connect_failures += 1,
+        }
+        // Interleave pumping: a SUBSCRIBE goes out when its ACCEPT is read,
+        // and early clients' streams must never back up while later ones
+        // are still connecting.
+        if i % 32 == 31 {
+            pump(&mut swarm);
+        }
     }
+    // The ramp completes when every surviving client is streaming.
+    let ramp_deadline = Instant::now() + Duration::from_secs(60);
+    let ramp_streaming = loop {
+        pump(&mut swarm);
+        let streaming = swarm
+            .iter()
+            .zip(0..)
+            .filter(|&(c, q)| streaming(c, q))
+            .count() as u64;
+        let live = swarm
+            .iter()
+            .filter(|c| !matches!(c.phase(), Phase::Closed(_)))
+            .count() as u64;
+        if streaming == live || Instant::now() > ramp_deadline {
+            break streaming;
+        }
+        thread::sleep(Duration::from_millis(2));
+    };
+    let ramp_s = t0.elapsed().as_secs_f64();
 
     // Steady.
-    shared.steady_on.store(true, Ordering::Relaxed);
+    let before: Vec<u64> = swarm.iter().zip(0..).map(|(c, q)| events(c, q)).collect();
     let steady_t0 = Instant::now();
-    thread::sleep(cfg.steady);
+    pump_until(&mut swarm, cfg.steady, || false);
     let sessions_steady = metrics.active_sessions.load(Ordering::Relaxed);
-    shared.steady_on.store(false, Ordering::Relaxed);
+    let steady_events: Vec<u64> = swarm
+        .iter()
+        .zip(0..)
+        .zip(&before)
+        .map(|((c, q), b)| events(c, q) - b)
+        .collect();
     let steady_s = steady_t0.elapsed().as_secs_f64();
 
     // Storm.
@@ -693,35 +474,49 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
         }
         // Free slots for the corrupt and stalled actors.
         let free = cfg.corrupt_senders + cfg.stalled + 4;
-        shared.close_n.store(free, Ordering::Relaxed);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while metrics.active_sessions.load(Ordering::Relaxed)
-            > (cfg.target_sessions - cfg.corrupt_senders - cfg.stalled) as u64
-            && Instant::now() < deadline
-        {
-            thread::sleep(Duration::from_millis(10));
-        }
+        swarm
+            .iter_mut()
+            .enumerate()
+            .rev()
+            .filter(|(q, c)| streaming(c, *q as u32))
+            .take(free)
+            .for_each(|(_, c)| c.send(&close()));
+        let room = (cfg.target_sessions - cfg.corrupt_senders - cfg.stalled) as u64;
+        pump_until(&mut swarm, Duration::from_secs(10), || {
+            metrics.active_sessions.load(Ordering::Relaxed) <= room
+        });
         for _ in 0..cfg.corrupt_senders {
             corrupt_accepted += corrupt_probe(addr, cfg.seed);
         }
-        let stalled: Vec<TcpStream> = (0..cfg.stalled)
+        // Sessions that subscribe `stall_subs` times and are never read
+        // again: the server must shed them as slow consumers.
+        let stalled: Vec<Conn> = (0..cfg.stalled as u32)
             .filter_map(|i| {
-                open_stalled(addr, cfg.seed, 1_000_000 + i as u32 * cfg.stall_subs, cfg.stall_subs)
-                    .ok()
+                let subs: Vec<SessionMsg> = (0..cfg.stall_subs)
+                    .map(|j| subscribe(1_000_000 + i * cfg.stall_subs + j, cfg.seed))
+                    .collect();
+                open_probe(addr, &subs)
             })
             .collect();
-        let shed_deadline = Instant::now() + Duration::from_secs(30);
-        while metrics.slow_consumer_sheds.load(Ordering::Relaxed) == 0
-            && Instant::now() < shed_deadline
-        {
-            thread::sleep(Duration::from_millis(20));
-        }
+        pump_until(&mut swarm, Duration::from_secs(30), || {
+            metrics.slow_consumer_sheds.load(Ordering::Relaxed) > 0
+        });
         drop(stalled);
     }
 
-    // Teardown: drain the swarm, then the server.
-    shared.stop.store(true, Ordering::Release);
-    let stats = pump.join().expect("pump thread");
+    // Teardown: close the swarm, then the server.
+    let mut events_total = 0;
+    let mut client_errors = connect_failures;
+    for (mut c, q) in swarm.into_iter().zip(0..) {
+        c.send(&close());
+        let sub = c.sub(q).copied().expect("every swarm client subscribed");
+        events_total += sub.events;
+        // A denied subscription, a sequence gap, or a session that ended
+        // other than by our CLOSE.
+        client_errors += sub.gaps
+            + u64::from(sub.acked == Some(false))
+            + u64::from(*c.phase() != Phase::Closed(Closed::ByUs));
+    }
     let (p50, p95, p99) =
         metrics.with_ack_histogram(|h| (h.quantile(0.50), h.quantile(0.95), h.quantile(0.99)));
     let first_event_p50_us = metrics.with_first_event_histogram(|h| h.quantile(0.50));
@@ -736,7 +531,7 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
         .lock()
         .expect("metrics lock")
         .clone();
-    let steady_events_total: u64 = stats.steady_events.iter().sum();
+    let steady_events_total: u64 = steady_events.iter().sum();
     let report = StormReport {
         mode: if cfg.storm { "flagship" } else { "smoke" }.into(),
         seed: cfg.seed,
@@ -745,14 +540,14 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
         sessions_peak: metrics.peak_sessions.load(Ordering::Relaxed),
         sessions_steady,
         connects: metrics.connects.load(Ordering::Relaxed),
-        connects_per_s: if stats.ramp_s > 0.0 {
-            cfg.target_sessions as f64 / stats.ramp_s
+        connects_per_s: if ramp_s > 0.0 {
+            ramp_streaming as f64 / ramp_s
         } else {
             0.0
         },
-        ramp_s: stats.ramp_s,
+        ramp_s,
         steady_s,
-        events_total: stats.events_total,
+        events_total,
         events_per_s: if steady_s > 0.0 {
             steady_events_total as f64 / steady_s
         } else {
@@ -762,10 +557,10 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
         query_ack_p95_us: p95,
         query_ack_p99_us: p99,
         first_event_p50_us,
-        fairness_jain: jain_index(&stats.steady_events),
+        fairness_jain: jain_index(&steady_events),
         client_rejects_observed,
         corrupt_accepted,
-        client_errors: stats.errors + stats.connect_failures,
+        client_errors,
         rejected_overload: metrics.rejected_overload.load(Ordering::Relaxed),
         slow_consumer_sheds: metrics.slow_consumer_sheds.load(Ordering::Relaxed),
         events_dropped: metrics.events_dropped.load(Ordering::Relaxed),
@@ -820,6 +615,7 @@ mod tests {
         assert_eq!(report.protocol_errors, 0);
         assert_eq!(report.panics, 0);
         assert!(report.events_total > 0);
+        assert!(report.events_per_s > 0.0, "the steady window saw events");
         assert!(report.fairness_jain >= 0.90);
         let json = report.to_json();
         assert!(json.contains("\"bench\":\"serve\""));

@@ -7,6 +7,13 @@
 //! *"need more bytes"* (keep the connection) from *fatal* framing errors
 //! (corrupt varint, oversized declaration, bad CRC — the stream can never
 //! resynchronise, so the session must die).
+//!
+//! A `FramedSocket` pairs a reader with its socket and a pending-write
+//! buffer: the server's sessions and [`crate::client::Conn`] move bytes
+//! through its one read pass and one flush.
+
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 
 use envirotrack_core::wire::session::SessionMsg;
 use envirotrack_core::wire::varint::{get_uvarint, uvarint_len};
@@ -96,6 +103,81 @@ impl FrameReader {
         let msg = SessionMsg::decode(&pending[..total]).map_err(FrameError::Codec)?;
         self.consumed += total;
         Ok(Some(msg))
+    }
+}
+
+/// Bytes one `read` call asks the socket for.
+const READ_CHUNK: usize = 4096;
+
+/// A session socket: what arrived waits in `reader` to be carved, what is
+/// to be sent waits in `pending` for the socket to take it. Blocking or
+/// not is the socket's own setting; neither operation asks.
+#[derive(Debug)]
+pub(crate) struct FramedSocket {
+    pub(crate) stream: TcpStream,
+    pub(crate) reader: FrameReader,
+    pub(crate) pending: Vec<u8>,
+}
+
+impl FramedSocket {
+    pub(crate) fn new(stream: TcpStream) -> Self {
+        FramedSocket {
+            stream,
+            reader: FrameReader::new(),
+            pending: Vec::new(),
+        }
+    }
+
+    /// Reads `READ_CHUNK`-byte chunks into the reader until `budget` bytes
+    /// have arrived or the socket has nothing more for now (it would block,
+    /// or its read timeout lapsed); a budget of 1 makes one successful
+    /// read. Returns the bytes read and, when the peer is gone, how:
+    /// `UnexpectedEof` for an orderly end of stream, else the error's kind.
+    pub(crate) fn read_pass(&mut self, budget: usize) -> (usize, Option<ErrorKind>) {
+        let mut chunk = [0u8; READ_CHUNK];
+        let mut read = 0;
+        while read < budget {
+            match self.stream.read(&mut chunk) {
+                Ok(0) => return (read, Some(ErrorKind::UnexpectedEof)),
+                Ok(n) => {
+                    self.reader.extend(&chunk[..n]);
+                    read += n;
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return (read, Some(e.kind())),
+            }
+        }
+        (read, None)
+    }
+
+    /// Writes as much of `pending` as the socket takes; what it took is
+    /// dropped from the buffer once, after the last write. Returns the
+    /// writes that moved bytes, the bytes they moved and, when the peer is
+    /// gone, the error's kind.
+    pub(crate) fn flush(&mut self) -> (u64, usize, Option<ErrorKind>) {
+        let (mut writes, mut sent) = (0, 0);
+        let mut gone = None;
+        while sent < self.pending.len() {
+            match self.stream.write(&self.pending[sent..]) {
+                Ok(0) => {
+                    gone = Some(ErrorKind::WriteZero);
+                    break;
+                }
+                Ok(n) => {
+                    writes += 1;
+                    sent += n;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => {
+                    gone = Some(e.kind());
+                    break;
+                }
+            }
+        }
+        self.pending.drain(..sent);
+        (writes, sent, gone)
     }
 }
 

@@ -11,13 +11,16 @@
 //!
 //! The crate splits along the natural seams:
 //!
-//! * [`frame`] — incremental frame extraction from the byte stream.
+//! * [`frame`] — incremental frame extraction from the byte stream, and
+//!   the framed socket whose one read pass and one flush both ends use.
 //! * [`metrics`] — thread-safe counters and histograms.
 //! * [`worlds`] — the single-threaded simulation hub, and (`outbox.rs`)
 //!   the bounded [`worlds::Outbox`]es that carry its events to sessions.
 //! * [`server`] — the acceptor + pooled worker threads and the session
 //!   state machine.
-//! * [`client`] — a blocking client for tests and probes.
+//! * [`client`] — the one client, [`client::Conn`]: a poll-driven session
+//!   state machine over a blocking or non-blocking socket, used by the
+//!   tests, the storm's swarm and its probes.
 //!
 //! See DESIGN.md §16 for the threading model, the four-stage
 //! backpressure policy, and the determinism boundary.
@@ -29,7 +32,6 @@ mod outbox;
 pub mod server;
 pub mod worlds;
 
-pub use client::Client;
 pub use frame::FrameReader;
 pub use metrics::ServeMetrics;
 pub use server::{Server, ServerConfig, MAX_PENDING_WRITE};

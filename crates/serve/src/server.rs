@@ -35,7 +35,7 @@
 //!    sessions and the rest waits in the kernel's socket buffer, where
 //!    TCP flow control holds the sender back. Nothing is dropped.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -48,7 +48,7 @@ use envirotrack_core::wire::session::{
 };
 use envirotrack_core::wire::DecodeError;
 
-use crate::frame::{FrameError, FrameReader};
+use crate::frame::{FrameError, FrameReader, FramedSocket};
 use crate::metrics::ServeMetrics;
 use crate::worlds::{HubCommand, HubConfig, Outbox, PanicCounter, SimHub, SubscribeReq};
 
@@ -107,10 +107,8 @@ enum SessionState {
 }
 
 struct Session {
-    stream: TcpStream,
-    reader: FrameReader,
+    sock: FramedSocket,
     state: SessionState,
-    pending_write: Vec<u8>,
     outbox: Arc<Outbox>,
     caps: u32,
     last_activity: Instant,
@@ -123,10 +121,8 @@ struct Session {
 impl Session {
     fn new(stream: TcpStream, budget: usize) -> Session {
         Session {
-            stream,
-            reader: FrameReader::new(),
+            sock: FramedSocket::new(stream),
             state: SessionState::AwaitHello,
-            pending_write: Vec::new(),
             outbox: Arc::new(Outbox::new(budget)),
             caps: 0,
             last_activity: Instant::now(),
@@ -136,7 +132,7 @@ impl Session {
     }
 
     fn queue(&mut self, msg: &SessionMsg) {
-        msg.encode_into(&mut self.pending_write);
+        msg.encode_into(&mut self.sock.pending);
     }
 
     /// Queues a CLOSE and enters the flush-then-drop state.
@@ -356,7 +352,7 @@ fn worker_loop(
             .encode();
             for mut s in sessions.drain(..) {
                 finish(&mut s, metrics, &metrics.server_closes);
-                let _ = s.stream.write_all(&bye);
+                let _ = s.sock.stream.write_all(&bye);
             }
             return;
         }
@@ -416,41 +412,20 @@ fn step_session(
     // but NOT acted on yet: bytes already buffered may hold a final CLOSE
     // frame that deserves clean-close accounting, so frames are processed
     // first.
-    let mut eof = false;
-    let mut chunk = [0u8; 4096];
-    let mut read = 0;
-    // A closing session answers nothing more: what its peer still sends
-    // is read off the socket and dropped, not buffered.
-    let closing = matches!(s.state, SessionState::Closing { .. });
-    while read < MAX_READ_PER_PASS {
-        match s.stream.read(&mut chunk) {
-            Ok(0) => {
-                eof = true;
-                break;
-            }
-            Ok(n) => {
-                if !closing {
-                    s.reader.extend(&chunk[..n]);
-                }
-                read += n;
-                *busy = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => {
-                eof = true;
-                break;
-            }
-        }
-    }
+    let (read, gone) = s.sock.read_pass(MAX_READ_PER_PASS);
+    let eof = gone.is_some();
     if read > 0 {
         s.last_activity = Instant::now();
+        *busy = true;
     }
 
-    // 2. Carve frames and run the state machine (not while closing).
-    if !matches!(s.state, SessionState::Closing { .. }) {
+    // 2. Carve frames and run the state machine. A closing session answers
+    // nothing more: what its peer still sends is dropped, not kept.
+    if matches!(s.state, SessionState::Closing { .. }) {
+        s.sock.reader = FrameReader::default();
+    } else {
         loop {
-            match s.reader.next_frame() {
+            match s.sock.reader.next_frame() {
                 Ok(None) => break,
                 Ok(Some(msg)) => {
                     *busy = true;
@@ -459,11 +434,11 @@ fn step_session(
                     }
                     // A reply filled the stage-2 bound: make room now, or
                     // shed the peer that does not read what it asks for.
-                    if s.pending_write.len() > MAX_PENDING_WRITE {
+                    if s.sock.pending.len() > MAX_PENDING_WRITE {
                         if flush(s, metrics, busy) {
                             return true;
                         }
-                        if s.pending_write.len() > MAX_PENDING_WRITE {
+                        if s.sock.pending.len() > MAX_PENDING_WRITE {
                             shed(s, metrics);
                             break;
                         }
@@ -493,7 +468,7 @@ fn step_session(
 
     // 3. Drain the outbox into the pending-write buffer (stage-2 bound).
     if matches!(s.state, SessionState::Open) {
-        if s.outbox.drain_into(&mut s.pending_write, MAX_PENDING_WRITE) > 0 {
+        if s.outbox.drain_into(&mut s.sock.pending, MAX_PENDING_WRITE) > 0 {
             s.last_activity = Instant::now();
             *busy = true;
         }
@@ -507,7 +482,7 @@ fn step_session(
         return true;
     }
     // A plain load on all but the handful of passes that set a record.
-    let held = s.pending_write.len() as u64;
+    let held = s.sock.pending.len() as u64;
     if held > metrics.pending_write_peak.load(Ordering::Relaxed) {
         metrics.pending_write_peak.fetch_max(held, Ordering::Relaxed);
     }
@@ -522,7 +497,7 @@ fn step_session(
     // 6. Lifecycle timers.
     match s.state {
         SessionState::Closing { deadline } => {
-            s.pending_write.is_empty() || Instant::now() >= deadline
+            s.sock.pending.is_empty() || Instant::now() >= deadline
         }
         _ => {
             if s.last_activity.elapsed() > cfg.idle_timeout {
@@ -534,54 +509,30 @@ fn step_session(
     }
 }
 
-/// Writes as much of the pending buffer as the socket takes; what it took
-/// is dropped from the buffer once, after the last write. Returns `true`
-/// when the peer is gone (accounted as a disconnect).
+/// Flushes the session's pending writes, counting the writes that moved
+/// bytes. Returns `true` when the peer is gone (accounted as a
+/// disconnect).
 fn flush(s: &mut Session, metrics: &ServeMetrics, busy: &mut bool) -> bool {
-    let mut sent = 0;
-    while sent < s.pending_write.len() {
-        match s.stream.write(&s.pending_write[sent..]) {
-            Ok(0) => {
-                finish(s, metrics, &metrics.disconnects);
-                return true;
-            }
-            Ok(n) => {
-                sent += n;
-                metrics.worker_writes.fetch_add(1, Ordering::Relaxed);
-                metrics
-                    .worker_write_bytes
-                    .fetch_add(n as u64, Ordering::Relaxed);
-                *busy = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => {
-                finish(s, metrics, &metrics.disconnects);
-                return true;
-            }
-        }
+    let (writes, bytes, gone) = s.sock.flush();
+    if writes > 0 {
+        metrics.worker_writes.fetch_add(writes, Ordering::Relaxed);
+        metrics
+            .worker_write_bytes
+            .fetch_add(bytes as u64, Ordering::Relaxed);
+        *busy = true;
     }
-    s.pending_write.drain(..sent);
-    false
+    let gone = gone.is_some();
+    if gone {
+        finish(s, metrics, &metrics.disconnects);
+    }
+    gone
 }
 
 /// Sheds a session that does not drain what it is sent: counts it, and
 /// queues CLOSE(SlowConsumer).
 fn shed(s: &mut Session, metrics: &ServeMetrics) {
-    metrics.slow_consumer_sheds.fetch_add(1, Ordering::Relaxed);
-    finish_shed(s, metrics);
+    finish(s, metrics, &metrics.slow_consumer_sheds);
     s.begin_close(CloseReason::SlowConsumer);
-}
-
-/// Marks a shed session terminal (the shed counter itself was already
-/// bumped by the caller; this wires the gauge + accounted flag).
-fn finish_shed(s: &mut Session, metrics: &ServeMetrics) {
-    if !s.accounted {
-        s.accounted = true;
-        if s.accepted {
-            metrics.session_closed();
-        }
-    }
 }
 
 /// Applies one decoded message to the session state machine. Returns
@@ -597,21 +548,21 @@ fn handle_message(
     let awaiting = matches!(s.state, SessionState::AwaitHello);
     match msg {
         SessionMsg::Hello(h) if awaiting => {
+            // A REJECTed handshake never opened a session: its reject
+            // counter is its terminal one.
             if h.version != SESSION_VERSION {
-                metrics.rejected_version.fetch_add(1, Ordering::Relaxed);
+                finish(s, metrics, &metrics.rejected_version);
                 s.queue(&SessionMsg::Reject(Reject {
                     reason: RejectReason::VersionUnsupported,
                 }));
-                finish_rejected(s);
                 s.begin_close(CloseReason::Normal);
                 return true;
             }
             if h.recv_budget == 0 {
-                metrics.rejected_bad_hello.fetch_add(1, Ordering::Relaxed);
+                finish(s, metrics, &metrics.rejected_bad_hello);
                 s.queue(&SessionMsg::Reject(Reject {
                     reason: RejectReason::BadHello,
                 }));
-                finish_rejected(s);
                 s.begin_close(CloseReason::Normal);
                 return true;
             }
@@ -672,13 +623,6 @@ fn handle_message(
             true
         }
     }
-}
-
-/// A REJECTed handshake never opened a session; it still ends in exactly
-/// one terminal counter (the reject counters double as terminal for
-/// never-accepted sessions), so mark accounted without a terminal bump.
-fn finish_rejected(s: &mut Session) {
-    s.accounted = true;
 }
 
 #[cfg(test)]

@@ -6,6 +6,10 @@
 //! never panic, (b) never treat a corrupt frame as valid, and (c) account
 //! for every dropped connection in exactly one counter — the metrics
 //! accounting identity at the bottom is the "no silent drops" pin.
+//!
+//! Clients are [`Conn`]s, writing malformed bytes with `send_raw`; only
+//! the half-open peer and the write-then-vanish storm, whose bytes are
+//! absent or cut short, hold a bare `TcpStream`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -13,16 +17,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use envirotrack_core::context::ContextTypeId;
-use envirotrack_core::wire::session::{
-    Close, CloseReason, Hello, SessionMsg, Subscribe, CAP_ALL, SESSION_VERSION,
-};
-use envirotrack_serve::client::Handshake;
-use envirotrack_serve::worlds::SCENARIO_TESTBED;
-use envirotrack_serve::{Client, HubConfig, Server, ServerConfig, MAX_PENDING_WRITE};
+use envirotrack_core::wire::session::{Close, CloseReason, RejectReason, SessionMsg};
+use envirotrack_serve::client::{Closed, Conn, Phase};
+use envirotrack_serve::{HubConfig, Server, ServerConfig, MAX_PENDING_WRITE};
 use envirotrack_sim::time::SimDuration;
 
-const RECV_TIMEOUT: Option<Duration> = Some(Duration::from_secs(30));
+#[path = "support/conn.rs"]
+mod support;
+use support::{hello, next, next_event, open, subscribe, subscribed, RECV_TIMEOUT};
 
 fn battery_server() -> Server {
     Server::start(ServerConfig {
@@ -49,21 +51,30 @@ fn load(c: &AtomicU64) -> u64 {
 
 /// Expects the server to answer CLOSE(ProtocolError) and drop the
 /// connection.
-fn expect_protocol_error_close(c: &mut Client) {
-    loop {
-        match c.recv() {
-            Ok(SessionMsg::Close(cl)) => {
-                assert_eq!(cl.reason, CloseReason::ProtocolError);
-                return;
-            }
-            Ok(SessionMsg::Event(_) | SessionMsg::SubAck(_)) => {}
-            Ok(other) => panic!("expected CLOSE(ProtocolError), got {other:?}"),
-            // The grace window may expire before our read; EOF is also a
-            // valid way to learn the session died.
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return,
-            Err(e) => panic!("expected CLOSE(ProtocolError), got error {e}"),
-        }
+fn expect_protocol_error_close(c: &mut Conn) {
+    while let Some(msg) = c.poll() {
+        assert!(
+            matches!(
+                msg,
+                SessionMsg::Close(_) | SessionMsg::Event(_) | SessionMsg::SubAck(_)
+            ),
+            "expected CLOSE(ProtocolError), got {msg:?}"
+        );
     }
+    // The grace window may expire before our read; EOF is also a valid
+    // way to learn the session died.
+    assert!(
+        matches!(
+            c.phase(),
+            Phase::Closed(Closed::ByServer(CloseReason::ProtocolError) | Closed::Eof)
+        ),
+        "expected CLOSE(ProtocolError), got {:?}",
+        c.phase()
+    );
+}
+
+fn connect(addr: std::net::SocketAddr) -> Conn {
+    Conn::connect(addr, RECV_TIMEOUT).expect("connect")
 }
 
 /// Spins until `probe` returns true or the deadline passes.
@@ -83,17 +94,11 @@ fn conformance_battery_accounts_for_every_drop() {
 
     // --- 1. Corrupt CRC: flip one bit in a valid HELLO frame. ----------
     {
-        let mut bytes = SessionMsg::Hello(Hello {
-            version: SESSION_VERSION,
-            caps: CAP_ALL,
-            recv_budget: 32,
-        })
-        .encode()
-        .to_vec();
+        let mut bytes = hello(32).encode().to_vec();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
-        let mut c = Client::connect(addr, RECV_TIMEOUT).expect("connect");
-        c.send_raw(&bytes).expect("send corrupt frame");
+        let mut c = connect(addr);
+        c.send_raw(&bytes);
         expect_protocol_error_close(&mut c);
     }
     wait_for("corrupt frame accounted", || load(&metrics.corrupt_frames) >= 1);
@@ -102,8 +107,8 @@ fn conformance_battery_accounts_for_every_drop() {
     {
         let mut prefix = bytes::BytesMut::new();
         envirotrack_core::wire::varint::put_uvarint(&mut prefix, 1 << 30);
-        let mut c = Client::connect(addr, RECV_TIMEOUT).expect("connect");
-        c.send_raw(&prefix.freeze()).expect("send oversized prefix");
+        let mut c = connect(addr);
+        c.send_raw(&prefix.freeze());
         expect_protocol_error_close(&mut c);
     }
     wait_for("oversized frame accounted", || {
@@ -119,21 +124,16 @@ fn conformance_battery_accounts_for_every_drop() {
         bytes::BufMut::put_u8(&mut raw, 0x70);
         let crc = envirotrack_core::wire::crc::crc32(&raw);
         bytes::BufMut::put_slice(&mut raw, &crc.to_le_bytes());
-        let mut c = Client::connect(addr, RECV_TIMEOUT).expect("connect");
-        c.send_raw(&raw.freeze()).expect("send unknown tag");
+        let mut c = connect(addr);
+        c.send_raw(&raw.freeze());
         expect_protocol_error_close(&mut c);
     }
 
     // --- 4. Truncated frame then disconnect (mid-frame disconnect). ----
     {
-        let bytes = SessionMsg::Hello(Hello {
-            version: SESSION_VERSION,
-            caps: CAP_ALL,
-            recv_budget: 32,
-        })
-        .encode();
-        let mut c = Client::connect(addr, RECV_TIMEOUT).expect("connect");
-        c.send_raw(&bytes[..bytes.len() / 2]).expect("half a frame");
+        let bytes = hello(32).encode();
+        let mut c = connect(addr);
+        c.send_raw(&bytes[..bytes.len() / 2]);
         drop(c); // FIN mid-frame: must be a plain disconnect, not a panic
     }
     wait_for("mid-frame disconnect accounted", || {
@@ -152,36 +152,26 @@ fn conformance_battery_accounts_for_every_drop() {
     // activity), so slow-but-honest clients survive; the test pins that
     // byte-at-a-time arrival neither panics nor desyncs the framer.
     {
-        let mut c = Client::connect(addr, RECV_TIMEOUT).expect("connect");
-        match c.hello(CAP_ALL, 32).expect("handshake") {
-            Handshake::Accepted(_) => {}
-            Handshake::Rejected(r) => panic!("rejected: {:?}", r.reason),
-        }
+        let mut c = open(addr);
         let ping = SessionMsg::Ping { nonce: 42 }.encode();
         for b in ping.iter() {
-            c.send_raw(std::slice::from_ref(b)).expect("loris byte");
+            c.send_raw(std::slice::from_ref(b));
             std::thread::sleep(Duration::from_millis(100));
         }
-        match c.recv().expect("pong for the slow ping") {
+        match next(&mut c) {
             SessionMsg::Pong { nonce } => assert_eq!(nonce, 42),
             other => panic!("expected PONG, got {other:?}"),
         }
         c.send(&SessionMsg::Close(Close {
             reason: CloseReason::Normal,
-        }))
-        .expect("close");
+        }));
     }
 
     // --- 7. State violation: SUBSCRIBE before HELLO. ---------------------
+    // Raw: a `Conn` holds a SUBSCRIBE until ACCEPT.
     {
-        let mut c = Client::connect(addr, RECV_TIMEOUT).expect("connect");
-        c.send(&SessionMsg::Subscribe(Subscribe {
-            query_id: 1,
-            scenario: SCENARIO_TESTBED,
-            seed: 2,
-            type_id: ContextTypeId(0),
-        }))
-        .expect("premature subscribe");
+        let mut c = connect(addr);
+        c.send_raw(&subscribe(1, 2).encode());
         expect_protocol_error_close(&mut c);
     }
     wait_for("state violation accounted", || {
@@ -190,18 +180,11 @@ fn conformance_battery_accounts_for_every_drop() {
 
     // --- 8. Garbage firehose: 4 KiB of random-ish bytes. -----------------
     {
-        let mut c = Client::connect(addr, RECV_TIMEOUT).expect("connect");
+        let mut c = Conn::connect(addr, Some(Duration::from_secs(10))).expect("connect");
         let garbage: Vec<u8> = (0..4096u32).map(|i| (i.wrapping_mul(197) >> 3) as u8).collect();
-        let _ = c.send_raw(&garbage); // server may RST mid-write; both fine
-        let mut sink = [0u8; 1024];
+        c.send_raw(&garbage); // server may RST mid-write; both fine
         // Drain whatever the server says until it hangs up.
-        let mut probe = c.stream().try_clone().expect("clone");
-        let _ = probe.set_read_timeout(Some(Duration::from_secs(10)));
-        while let Ok(n) = probe.read(&mut sink) {
-            if n == 0 {
-                break;
-            }
-        }
+        while c.poll().is_some() {}
     }
 
     // --- 9. PING flood, never reads. -------------------------------------
@@ -210,7 +193,7 @@ fn conformance_battery_accounts_for_every_drop() {
     // server that kept queuing them grew without limit; the replies share
     // the pending-write bound, so the session is shed instead.
     {
-        let c = Client::open(addr, RECV_TIMEOUT).expect("flooder");
+        let c = open(addr);
         let mut burst = Vec::new();
         for nonce in 0..64 * 1024 {
             SessionMsg::Ping { nonce }.encode_into(&mut burst);
@@ -255,14 +238,14 @@ fn conformance_battery_accounts_for_every_drop() {
 #[test]
 fn zero_recv_budget_hello_is_a_bad_hello() {
     let server = battery_server();
-    let mut c = Client::connect(server.addr(), RECV_TIMEOUT).expect("connect");
-    match c.hello(CAP_ALL, 0).expect("handshake answered") {
-        Handshake::Rejected(r) => assert_eq!(
-            r.reason,
-            envirotrack_core::wire::session::RejectReason::BadHello
-        ),
-        Handshake::Accepted(_) => panic!("a zero-budget session can never receive anything"),
-    }
+    let mut c = connect(server.addr());
+    c.send(&hello(0));
+    next(&mut c);
+    assert_eq!(
+        c.phase(),
+        &Phase::Closed(Closed::Rejected(RejectReason::BadHello)),
+        "a zero-budget session can never receive anything"
+    );
     let metrics = Arc::clone(server.metrics());
     server.shutdown();
     assert_eq!(load(&metrics.rejected_bad_hello), 1);
@@ -275,12 +258,7 @@ fn write_then_vanish_storm_never_panics() {
     // vanish immediately — the nastiest sequencing for read/EOF races.
     let server = battery_server();
     let metrics = Arc::clone(server.metrics());
-    let bytes = SessionMsg::Hello(Hello {
-        version: SESSION_VERSION,
-        caps: CAP_ALL,
-        recv_budget: 32,
-    })
-    .encode();
+    let bytes = hello(32).encode();
     for i in 0..32usize {
         let mut s = TcpStream::connect(server.addr()).expect("connect");
         let cut = i % (bytes.len() + 1);
@@ -324,19 +302,10 @@ fn ping_firehose_does_not_freeze_the_worker_s_other_session() {
     .expect("bind loopback");
     let metrics = Arc::clone(server.metrics());
 
-    let mut subscriber = Client::open(server.addr(), RECV_TIMEOUT).expect("subscriber");
-    let ack = subscriber
-        .subscribe(Subscribe {
-            query_id: 1,
-            scenario: SCENARIO_TESTBED,
-            seed: 2,
-            type_id: ContextTypeId(0),
-        })
-        .expect("subscribe");
-    assert!(ack.accepted);
-    subscriber.next_event().expect("the stream started");
+    let mut subscriber = subscribed(server.addr(), 1, 2);
+    next_event(&mut subscriber);
 
-    let hose = Client::open(server.addr(), RECV_TIMEOUT).expect("firehose");
+    let hose = open(server.addr());
     const BURST_PINGS: u64 = 128 * 1024;
     const BURSTS: u64 = 8;
     let mut burst = Vec::new();
@@ -361,9 +330,7 @@ fn ping_firehose_does_not_freeze_the_worker_s_other_session() {
     let mut events = 0u64;
     while !writer.is_finished() || load(&metrics.pings) < pings {
         let before = Instant::now();
-        subscriber
-            .next_event()
-            .expect("the subscriber keeps streaming");
+        next_event(&mut subscriber);
         max_gap = max_gap.max(before.elapsed());
         events += 1;
     }
@@ -375,6 +342,11 @@ fn ping_firehose_does_not_freeze_the_worker_s_other_session() {
         "the subscriber waited {max_gap:?} for an event behind the firehose"
     );
     assert_eq!(load(&metrics.slow_consumer_sheds), 0);
+    assert_eq!(
+        subscriber.sub(1).expect("subscribed").gaps,
+        0,
+        "the subscriber's stream skipped a sequence number"
+    );
 
     // The reader's clone keeps the socket open: shut it down, not just drop.
     hose.stream()

@@ -5,8 +5,9 @@
 //!
 //! * the stalled client is **shed** (outbox overflow → CLOSE(SlowConsumer)
 //!   accounted in `slow_consumer_sheds`, drops in `events_dropped`),
-//! * the fast clients keep receiving events with bounded gaps — the
-//!   shared simulation never stops producing for them,
+//! * the fast clients keep receiving events with bounded waits and a
+//!   gapless sequence — the shared simulation never stops producing for
+//!   them,
 //! * the hub thread never blocks on the stalled session (pinned by the
 //!   fast clients' continued progress *while* the staller is still
 //!   connected, and by `panics == 0`).
@@ -15,11 +16,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use envirotrack_core::context::ContextTypeId;
-use envirotrack_core::wire::session::{Hello, SessionMsg, Subscribe, CAP_ALL, SESSION_VERSION};
-use envirotrack_serve::worlds::SCENARIO_TESTBED;
-use envirotrack_serve::{Client, HubConfig, Server, ServerConfig};
+use envirotrack_serve::client::Conn;
+use envirotrack_serve::{HubConfig, Server, ServerConfig};
 use envirotrack_sim::time::SimDuration;
+
+#[path = "support/conn.rs"]
+mod support;
+use support::{next_event, subscribed};
 
 fn load(c: &AtomicU64) -> u64 {
     c.load(Ordering::Relaxed)
@@ -50,50 +53,14 @@ fn stalled_client_is_shed_while_fast_clients_stream() {
     })
     .expect("bind loopback");
     let metrics = Arc::clone(server.metrics());
-    let timeout = Some(Duration::from_secs(30));
 
-    // The staller: handshake, subscribe, then never read again.
-    let mut staller = Client::connect(server.addr(), timeout).expect("staller connect");
-    staller
-        .send(&SessionMsg::Hello(Hello {
-            version: SESSION_VERSION,
-            caps: CAP_ALL,
-            recv_budget: 1024,
-        }))
-        .expect("staller hello");
-    match staller.recv().expect("staller accept") {
-        SessionMsg::Accept(_) => {}
-        other => panic!("expected ACCEPT, got {other:?}"),
-    }
-    let ack = staller
-        .subscribe(Subscribe {
-            query_id: 99,
-            scenario: SCENARIO_TESTBED,
-            seed: 7,
-            type_id: ContextTypeId(0),
-        })
-        .expect("staller subscribe");
-    assert!(ack.accepted);
-    // From here on the staller's socket is never read: its 1024-frame
-    // outbox plus MAX_PENDING_WRITE plus the kernel buffers are all the
-    // slack it gets.
+    // The staller: handshake, subscribe, then never read again. From here
+    // on its 1024-frame outbox plus MAX_PENDING_WRITE plus the kernel
+    // buffers are all the slack it gets.
+    let staller = subscribed(server.addr(), 99, 7);
 
     // Three fast clients on the same world.
-    let mut fast: Vec<Client> = (0..3)
-        .map(|i| {
-            let mut c = Client::open(server.addr(), timeout).expect("fast connect");
-            let ack = c
-                .subscribe(Subscribe {
-                    query_id: i,
-                    scenario: SCENARIO_TESTBED,
-                    seed: 7,
-                    type_id: ContextTypeId(0),
-                })
-                .expect("fast subscribe");
-            assert!(ack.accepted);
-            c
-        })
-        .collect();
+    let mut fast: Vec<Conn> = (0..3).map(|i| subscribed(server.addr(), i, 7)).collect();
 
     // Fast clients must keep streaming with bounded inter-event latency
     // WHILE the staller is connected-but-frozen, and the shed must fire.
@@ -104,7 +71,7 @@ fn stalled_client_is_shed_while_fast_clients_stream() {
     'outer: loop {
         for (i, c) in fast.iter_mut().enumerate() {
             let before = Instant::now();
-            let e = c.next_event().expect("fast client event stream");
+            let e = next_event(c);
             max_gap = max_gap.max(before.elapsed());
             assert_eq!(e.query_id, u32::try_from(i).expect("small index"));
             per_client_events[i] += 1;
@@ -141,8 +108,12 @@ fn stalled_client_is_shed_while_fast_clients_stream() {
     );
     assert_eq!(load(&metrics.panics), 0, "hub and workers survived");
 
-    // The fast majority saw real throughput.
+    // The fast majority saw real throughput, and all of it: no sequence
+    // number skipped while the staller was shed beside them.
     assert!(per_client_events.iter().all(|&n| n >= 20));
+    for (c, q) in fast.iter().zip(0..) {
+        assert_eq!(c.sub(q).expect("subscribed").gaps, 0, "fast client {q}");
+    }
 
     drop(staller);
     drop(fast);

@@ -46,6 +46,16 @@ if git grep -n 'WireCodec\|with_wire_len\|encode_with\|decode_with' -- '*.rs' >&
   echo "verify: the run-time codec choice is back" >&2; exit 1
 fi
 
+# One-client gate: the session protocol's client side is serve::client::Conn,
+# and the non-blocking socket pump is serve::frame::FramedSocket. A frame
+# reader or a non-blocking socket anywhere else is a second client. The
+# benchmark's serve_fanout load generator keeps its own copy until a
+# change to the benchmark moves it onto Conn.
+if git grep -n 'FrameReader::new(\|\.set_nonblocking(' -- '*.rs' \
+     ':!crates/serve/src/' ':!crates/benchmark/' >&2; then
+  echo "verify: a session client outside serve::client::Conn" >&2; exit 1
+fi
+
 # Chaos smoke: randomized fault plans (crashes, reboots, partitions, burst
 # loss, clock skew) must leave every invariant intact. CHAOS_CASES scales
 # the sweep; the workspace pass above already ran it at the testkit
