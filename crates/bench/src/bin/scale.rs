@@ -17,9 +17,10 @@
 //!    the coverage answered or walked, coverage rebuilds, answered samples
 //!    settled by the ambient verdict), the event list's (lane pops, heap
 //!    pops, one-shot events scheduled inline and boxed), the group
-//!    timers' (firings that were live, stale, or retried past a busy CPU)
-//!    and how many nodes hold protocol-layer state at the horizon
-//!    (`cold_engaged`: the nodes that used a layer).
+//!    timers' (firings that were live, stale, or retried past a busy CPU),
+//!    how many nodes hold protocol-layer state at the horizon
+//!    (`cold_engaged`: the nodes that used a layer) and the trace ring's
+//!    (records appended and dropped, and its slots' heap bytes).
 //! 2. `construction` — grid vs. brute-force neighbor-table build time on
 //!    a 10k-node field (tables asserted identical before timing; the
 //!    all-pairs scan would dominate the run at 100k).
@@ -39,7 +40,8 @@
 //! `--smoke` shrinks everything (1k and 2k nodes, 2 s horizon, 2k-node
 //! construction, 2-cell sweep, 1k-node medium A/B) for the CI stage in
 //! `scripts/verify.sh`, which checks that both fields took the same number
-//! of build allocations.
+//! of build allocations, and that each trace ring holds at most 48 bytes
+//! a record.
 //!
 //! `--medium replicated|partitioned` selects the sharded routing mode for
 //! the `shards` section and the sharded crosscheck dump, and
@@ -326,6 +328,9 @@ fn main() -> ExitCode {
                 .field_u64("timer_stale", total(&p.timers.stale))
                 .field_u64("timer_retries", total(&p.timers.retried))
                 .field_u64("cold_engaged", p.cold_engaged as u64)
+                .field_u64("trace_records", p.trace.records)
+                .field_u64("trace_dropped", p.trace.dropped)
+                .field_u64("trace_ring_bytes", p.trace.ring_bytes)
                 .finish(),
         );
         points.push(p);

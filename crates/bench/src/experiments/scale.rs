@@ -22,6 +22,7 @@ use envirotrack_core::report::telemetry_to_jsonl;
 use envirotrack_core::shard::{run_sharded, MediumMode};
 use envirotrack_sim::engine::EventWork;
 use envirotrack_sim::time::{SimDuration, Timestamp};
+use envirotrack_telemetry::TraceWork;
 use envirotrack_world::grid::{neighbor_lists_with, NeighborStrategy};
 use envirotrack_world::scenario::{ScaleScenario, Scenario};
 
@@ -110,6 +111,10 @@ pub struct ScalePoint {
     /// a layer, which created their record. How the run was stored, not
     /// what it did; as little part of the output.
     pub cold_engaged: usize,
+    /// How the telemetry trace ring did its part: records appended and
+    /// dropped, and the heap bytes of its slots at the horizon. As exact,
+    /// and as little part of the output.
+    pub trace: TraceWork,
 }
 
 /// The field and network configuration every flavour of a scale point
@@ -181,6 +186,7 @@ pub fn run_scale(cfg: &ScaleRun, heap: impl Fn() -> (u64, i64)) -> ScalePoint {
         event_list: engine.kernel().event_work(),
         timers: world.timer_work(),
         cold_engaged: world.cold_engaged(),
+        trace: world.telemetry().trace_work(),
     }
 }
 
@@ -396,6 +402,9 @@ mod tests {
         assert!(idle > 0 && idle <= a.sensing.admitted && a.sensing.admitted <= a.sensing.ticks);
         assert_eq!(a.event_list, b.event_list);
         assert_eq!(a.timers, b.timers);
+        assert_eq!(a.trace, b.trace);
+        let traced = a.trace.records > 0 && a.trace.ring_bytes > 0;
+        assert!(traced, "{:?}", a.trace);
         let fired: u64 = a.timers.live.iter().chain(&a.timers.stale).sum();
         let leaders_beat = fired > 0 && a.timers.live[0] > 0;
         assert!(leaders_beat, "{:?}", a.timers);

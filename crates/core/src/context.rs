@@ -13,7 +13,7 @@
 use std::fmt;
 
 use envirotrack_sim::time::{SimDuration, Timestamp};
-use envirotrack_telemetry::Telemetry;
+use envirotrack_telemetry::{Telemetry, TraceSite};
 use envirotrack_world::field::NodeId;
 use envirotrack_world::sensing::SensorSample;
 use envirotrack_world::target::Channel;
@@ -55,65 +55,43 @@ impl fmt::Display for ContextLabel {
 impl ContextLabel {
     /// Packs the label into a unique integer intern key: labels already
     /// compare as plain integers, and this lets their *display strings*
-    /// be cached the same way (see [`LabelIntern`]).
+    /// be found the same way (see [`ContextLabel::trace_id`]).
     #[must_use]
     pub(crate) fn intern_key(self) -> u128 {
         (u128::from(self.type_id.0) << 64) | (u128::from(self.creator.0) << 32) | u128::from(self.seq)
     }
+
+    /// The id of the label's display form (e.g. `type0@n3#1`) among
+    /// `telemetry`'s interned strings. Formatted on the label's first
+    /// trace only; after that, one probe by the packed integer key.
+    pub(crate) fn trace_id(self, telemetry: &Telemetry) -> u32 {
+        telemetry.intern_keyed(self.intern_key(), || self.to_string())
+    }
 }
 
-/// Shared cache of label and type-name display strings for hot wire and
-/// telemetry paths.
-///
-/// Emitting a heartbeat trace or a handover counter used to call
-/// `label.to_string()` — format machinery plus an allocation — per event.
-/// This table formats each [`ContextLabel`] (and [`ContextTypeId`]) once
-/// and hands out the shared `Rc<str>` thereafter, keyed by the packed
-/// integer form so lookups never hash or compare strings. Clones share
-/// the underlying pool, mirroring the `Telemetry` handle it feeds.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LabelIntern {
-    pool: envirotrack_telemetry::Interner,
-}
-
-/// Tag bit separating type-id keys from label keys in the shared pool
-/// (label keys use at most 80 bits).
+/// Tag bit separating type-id keys from label keys among the interned
+/// strings (label keys use at most 80 bits).
 const TYPE_KEY_TAG: u128 = 1 << 127;
 
-impl LabelIntern {
-    /// A fresh, empty cache.
-    #[must_use]
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// The shared display form of `label` (e.g. `type0@n3#1`).
-    #[must_use]
-    pub(crate) fn label(&self, label: ContextLabel) -> std::rc::Rc<str> {
-        self.pool
-            .get_or_insert_with(label.intern_key(), || label.to_string())
-    }
-
-    /// The shared display form of `type_id` (e.g. `type0`).
-    #[must_use]
-    pub(crate) fn type_name(&self, type_id: ContextTypeId) -> std::rc::Rc<str> {
-        self.pool
-            .get_or_insert_with(TYPE_KEY_TAG | u128::from(type_id.0), || type_id.to_string())
+impl ContextTypeId {
+    /// The id of the type's display form (e.g. `type0`) among
+    /// `telemetry`'s interned strings, as [`ContextLabel::trace_id`].
+    pub(crate) fn trace_id(self, telemetry: &Telemetry) -> u32 {
+        telemetry.intern_keyed(TYPE_KEY_TAG | u128::from(self.0), || self.to_string())
     }
 }
 
-/// Records a trace event about `label` on `telemetry`, under the label's
-/// cached display form.
+/// Records a trace event about `label` on `telemetry`, made at `site`.
 pub(crate) fn trace_label(
     telemetry: &Telemetry,
-    labels: &LabelIntern,
     at: Timestamp,
     node: NodeId,
     label: ContextLabel,
-    kind: &'static str,
-    detail: String,
+    site: &'static TraceSite,
+    args: [u32; 3],
 ) {
-    telemetry.trace_shared(at.as_micros(), node.0, &labels.label(label), kind, detail);
+    let label = label.trace_id(telemetry);
+    telemetry.trace(at.as_micros(), node.0, label, site, args);
 }
 
 /// How a [`SensePredicate::Cmp`] compares a channel reading with its value.

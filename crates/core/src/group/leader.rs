@@ -18,6 +18,7 @@ use crate::aggregate::{AggValue, ReadingWindow};
 use crate::context::{ContextLabel, ContextSpec, ContextTypeId};
 use crate::events::SystemEvent;
 use crate::object::{ContextAccess, IncomingMessage, ObjectApi, ObjectEffect, ObjectReadError};
+use crate::trace;
 use crate::wire::{Heartbeat, Message, Relinquish, Report};
 
 /// Leader-role state.
@@ -146,8 +147,8 @@ impl LeaderState {
     /// Announces the label now and arms the next announcement.
     fn send_heartbeat(&mut self, node: NodeId, ctx: &mut GroupCtx<'_>, out: &mut Vec<GroupAction>) {
         self.hb_seq += 1;
-        let detail = format!("seq={} weight={}", self.hb_seq, self.weight);
-        ctx.trace(node, self.label, "group.hb", detail);
+        let args = [self.hb_seq, self.weight, 0];
+        ctx.trace(node, self.label, &trace::GROUP_HB, args);
         out.push(GroupAction::Broadcast(Message::Heartbeat(Heartbeat {
             label: self.label,
             leader: node,
@@ -306,27 +307,22 @@ impl ContextAccess for LeaderAccess<'_, '_> {
         };
         let (agg, window) = (&spec.aggregates[idx], &self.leader.windows[idx]);
         let read = window.evaluate(&agg.function, now, agg.freshness, agg.critical_mass);
-        let (kind, detail) = match &read {
+        let var = telemetry.intern(name);
+        let (site, args) = match &read {
             Ok(_) => {
-                let contributors = window.fresh_count(now, agg.freshness) as u64;
+                let contributors = window.fresh_count(now, agg.freshness);
                 telemetry.incr("agg.valid");
-                telemetry.observe("agg.contributors", contributors);
-                (
-                    "agg.valid",
-                    format!("var={name} contributors={contributors}"),
-                )
+                telemetry.observe("agg.contributors", contributors as u64);
+                (&trace::AGG_VALID, [var, trace::count(contributors), 0])
             }
             Err(e) => {
                 telemetry.incr("agg.null");
                 self.last_failure
                     .set(Some((name.to_owned(), e.have, e.need)));
-                (
-                    "agg.null",
-                    format!("var={name} have={} need={}", e.have, e.need),
-                )
+                (&trace::AGG_NULL, [var, e.have, e.need])
             }
         };
-        self.ctx.trace(self.node, self.leader.label, kind, detail);
+        self.ctx.trace(self.node, self.leader.label, site, args);
         read.map_err(ObjectReadError::NotConfirmed)
     }
 

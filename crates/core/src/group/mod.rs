@@ -53,7 +53,7 @@ use bytes::Bytes;
 use envirotrack_node::timer::{TimerSlot, TimerToken};
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
-use envirotrack_telemetry::Telemetry;
+use envirotrack_telemetry::{Telemetry, TraceSite};
 use envirotrack_world::field::NodeId;
 use envirotrack_world::geometry::Point;
 use envirotrack_world::sensing::{Environment, SensorSample};
@@ -62,9 +62,10 @@ use self::leader::LeaderState;
 use self::member::MemberState;
 use crate::aggregate::{AggregateInput, ReadingValue};
 use crate::config::MiddlewareConfig;
-use crate::context::{trace_label, ContextLabel, ContextSpec, ContextTypeId, LabelIntern};
+use crate::context::{trace_label, ContextLabel, ContextSpec, ContextTypeId};
 use crate::events::{HandoverReason, SystemEvent};
 use crate::object::IncomingMessage;
+use crate::trace;
 use crate::transport::{LeaderLoc, Port};
 use crate::wire::{Heartbeat, Message, Relinquish, Report};
 
@@ -199,9 +200,6 @@ pub(crate) struct GroupCtx<'a> {
     /// The run-wide telemetry registry; the machine records
     /// group-transition trace events on it.
     pub telemetry: &'a Telemetry,
-    /// The run-wide label-display cache: per-heartbeat traces reuse one
-    /// `Rc<str>` per label instead of formatting the label every time.
-    pub labels: &'a LabelIntern,
 }
 
 impl<'a> GroupCtx<'a> {
@@ -214,9 +212,8 @@ impl<'a> GroupCtx<'a> {
     }
 
     /// Records a trace event about `label` on the lent telemetry handle.
-    fn trace(&self, node: NodeId, label: ContextLabel, kind: &'static str, detail: String) {
-        let (t, at) = (self.telemetry, self.now);
-        trace_label(t, self.labels, at, node, label, kind, detail);
+    fn trace(&self, node: NodeId, label: ContextLabel, site: &'static TraceSite, args: [u32; 3]) {
+        trace_label(self.telemetry, self.now, node, label, site, args);
     }
 
     /// What this node reads for each aggregate variable of the type, by
@@ -735,8 +732,8 @@ impl GroupMachine {
         last_state: Option<Bytes>,
         out: &mut Vec<GroupAction>,
     ) {
-        let detail = format!("leader=n{} weight={}", heard.leader.node.0, heard.weight);
-        ctx.trace(self.node, heard.label, "group.join", detail);
+        let args = [heard.leader.node.0, heard.weight, 0];
+        ctx.trace(self.node, heard.label, &trace::GROUP_JOIN, args);
         self.role = Role::Member(MemberState::join(heard, last_state, ctx, out));
         self.wait = None;
         self.formation.cancel();
@@ -872,7 +869,6 @@ mod tests {
         now: Timestamp,
         position: Point,
         telemetry: Telemetry,
-        labels: LabelIntern,
     }
 
     impl Harness {
@@ -885,7 +881,6 @@ mod tests {
                 now: Timestamp::from_secs(1),
                 position: Point::new(3.0, 0.5),
                 telemetry: Telemetry::new(),
-                labels: LabelIntern::new(),
             }
         }
 
@@ -905,7 +900,6 @@ mod tests {
                 position: self.position,
                 rng: &mut self.rng,
                 telemetry: &self.telemetry,
-                labels: &self.labels,
             }
         }
     }

@@ -28,6 +28,7 @@
 //! | [`network`] | §5 | the assembled simulation world ([`network::SensorNetwork`]) |
 //! | [`shard`] | — | lock-step sharded execution across threads |
 //! | [`events`] | — | protocol event log for audits |
+//! | [`trace`] | — | the telemetry trace sites and their detail templates |
 //! | [`report`] | §4 | the base-station ("pursuer") report log |
 //! | [`config`] | §6 | tuning knobs (heartbeat period, timer factors, `h`, …) |
 //!
@@ -47,6 +48,7 @@ pub mod network;
 pub mod object;
 pub mod report;
 pub mod shard;
+pub mod trace;
 pub mod transport;
 pub mod wire;
 

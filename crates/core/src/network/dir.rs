@@ -9,6 +9,7 @@ use envirotrack_world::geometry::Point;
 use super::events::Recorder;
 use crate::context::ContextTypeId;
 use crate::directory::DirectoryStore;
+use crate::trace;
 use crate::wire::{DirQuery, DirRegister, DirResponse, DirSync, Message};
 
 /// A directory query in flight, correlating the response to its consumer.
@@ -67,7 +68,7 @@ impl DirState {
         rec.telemetry.incr("dir.register");
         self.store.register(reg.label, reg.location, now);
         self.store.sweep(now, ttl);
-        rec.trace(now, node, reg.label, "dir.register", String::new());
+        rec.trace(now, node, reg.label, &trace::DIR_REGISTER, [0; 3]);
     }
 
     pub(super) fn answer(
@@ -80,8 +81,8 @@ impl DirState {
     ) -> Message {
         rec.telemetry.incr("dir.query");
         let entries = self.store.query(q.type_id, now, ttl);
-        let detail = format!("id={} hits={}", q.query_id, entries.len());
-        rec.trace_type(now, node, q.type_id, "dir.query", detail);
+        let args = [q.query_id, trace::count(entries.len()), 0];
+        rec.trace_type(now, node, q.type_id, &trace::DIR_QUERY, args);
         Message::DirResponse(DirResponse {
             query_id: q.query_id,
             entries,
@@ -128,8 +129,8 @@ impl DirState {
         self.store.sweep(now, ttl);
         if repaired > 0 {
             rec.telemetry.add("dir.gossip.repair", repaired as u64);
-            let detail = format!("from=n{} repaired={repaired}", sync.from.0);
-            rec.trace_type(now, node, sync.type_id, "dir.gossip.repair", detail);
+            let args = [sync.from.0, trace::count(repaired), 0];
+            rec.trace_type(now, node, sync.type_id, &trace::DIR_GOSSIP_REPAIR, args);
         }
         if sync.reply {
             self.digest(sync.type_id, node, false, rec)

@@ -5,21 +5,18 @@ use std::collections::BTreeMap;
 
 use envirotrack_net::packet::FrameKind;
 use envirotrack_sim::time::Timestamp;
-use envirotrack_telemetry::{CounterHandle, Telemetry};
+use envirotrack_telemetry::{CounterHandle, Telemetry, TraceSite};
 use envirotrack_world::field::NodeId;
 
-use crate::context::{trace_label, ContextLabel, ContextTypeId, LabelIntern};
+use crate::context::{trace_label, ContextLabel, ContextTypeId};
 use crate::events::{EventLog, HandoverReason, SystemEvent};
+use crate::trace;
 
 pub(super) struct Recorder {
     pub(super) log: EventLog,
     /// The run-wide telemetry registry, shared (via cheap clones) with the
     /// kernel, the medium, and every per-node substrate.
     pub(super) telemetry: Telemetry,
-    /// Shared cache of label/type display strings: trace emission on the
-    /// heartbeat/handover hot paths reuses one `Rc<str>` per label instead
-    /// of re-formatting it per event.
-    pub(super) labels: LabelIntern,
     /// Pre-resolved `group.handover.<label>` counters, keyed by the packed
     /// label so the per-handover cost is an integer-map probe, not a
     /// format + string-keyed registry walk.
@@ -35,7 +32,6 @@ impl Recorder {
         Recorder {
             log: EventLog::new(),
             telemetry,
-            labels: LabelIntern::new(),
             handover_counters: BTreeMap::new(),
             corrupt_counters: BTreeMap::new(),
         }
@@ -46,23 +42,23 @@ impl Recorder {
         at: Timestamp,
         node: NodeId,
         label: ContextLabel,
-        kind: &'static str,
-        detail: String,
+        site: &'static TraceSite,
+        args: [u32; 3],
     ) {
-        trace_label(&self.telemetry, &self.labels, at, node, label, kind, detail);
+        trace_label(&self.telemetry, at, node, label, site, args);
     }
 
+    /// Records a trace event about a context type rather than a label.
     pub(super) fn trace_type(
         &self,
         at: Timestamp,
         node: NodeId,
         tid: ContextTypeId,
-        kind: &'static str,
-        detail: String,
+        site: &'static TraceSite,
+        args: [u32; 3],
     ) {
-        let name = self.labels.type_name(tid);
-        self.telemetry
-            .trace_shared(at.as_micros(), node.0, &name, kind, detail);
+        let t = &self.telemetry;
+        t.trace(at.as_micros(), node.0, tid.trace_id(t), site, args);
     }
 
     /// Records one receiver-side drop of a frame that failed its integrity
@@ -88,12 +84,11 @@ impl Recorder {
     /// counter/trace form.
     pub(super) fn record(&mut self, at: Timestamp, node: NodeId, event: SystemEvent) {
         let t = &self.telemetry;
-        let labels = &self.labels;
-        let trace = |label, kind, detail| trace_label(t, labels, at, node, label, kind, detail);
+        let trace = |label, site, args| trace_label(t, at, node, label, site, args);
         match &event {
             SystemEvent::LabelCreated { label, .. } => {
                 t.incr("group.form");
-                trace(*label, "group.form", String::new());
+                trace(*label, &trace::GROUP_FORM, [0; 3]);
             }
             SystemEvent::LeaderHandover {
                 label,
@@ -101,24 +96,24 @@ impl Recorder {
                 to,
                 reason,
             } => {
-                let kind = match reason {
-                    HandoverReason::Relinquish => "group.relinquish",
-                    HandoverReason::ReceiveTimeout => "group.takeover",
-                    HandoverReason::DuplicateYield => "group.yield",
+                let site = match reason {
+                    HandoverReason::Relinquish => &trace::GROUP_RELINQUISH,
+                    HandoverReason::ReceiveTimeout => &trace::GROUP_TAKEOVER,
+                    HandoverReason::DuplicateYield => &trace::GROUP_YIELD,
                 };
                 self.handover_counters
                     .entry(label.intern_key())
                     .or_insert_with(|| t.counter_handle(&format!("group.handover.{label}")))
                     .incr();
-                trace(*label, kind, format!("from=n{} to=n{}", from.0, to.0));
+                trace(*label, site, [from.0, to.0, 0]);
             }
             SystemEvent::LabelSuppressed { loser, winner, .. } => {
                 t.incr("group.suppress");
-                trace(*loser, "group.suppress", format!("winner={winner}"));
+                trace(*loser, &trace::GROUP_SUPPRESS, [winner.trace_id(t), 0, 0]);
             }
             SystemEvent::LabelDissolved { label, .. } => {
                 t.incr("group.dissolve");
-                trace(*label, "group.dissolve", String::new());
+                trace(*label, &trace::GROUP_DISSOLVE, [0; 3]);
             }
             SystemEvent::MethodInvoked { .. } => t.incr("app.method"),
             // Aggregate outcomes are recorded at the read site itself
@@ -130,11 +125,12 @@ impl Recorder {
             } => {
                 t.incr("mtp.delivered");
                 t.observe("mtp.chain_hops", u64::from(*chain_hops));
-                trace(*label, "mtp.delivered", format!("chain_hops={chain_hops}"));
+                let hops = u32::from(*chain_hops);
+                trace(*label, &trace::MTP_DELIVERED, [hops, 0, 0]);
             }
             SystemEvent::MtpDropped { label, .. } => {
                 t.incr("mtp.drop");
-                trace(*label, "mtp.drop", String::new());
+                trace(*label, &trace::MTP_DROP, [0; 3]);
             }
         }
         self.log.push(at, event);

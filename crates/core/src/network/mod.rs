@@ -176,6 +176,14 @@ impl SensorNetwork {
     pub fn apply_fault(&mut self, now: Timestamp, fault: &FaultEvent) {
         let shard = self.shard.as_ref();
         let drives = |node| shard.is_none_or(|s| s.owns(node));
+        if let FaultEvent::Reboot(node) = fault {
+            // A reboot forgets the segments awaiting acks, and so the
+            // spans that were timing them.
+            let record = self.layers.get(*node).filter(|_| drives(*node));
+            for seq in record.iter().flat_map(|rt| rt.mtp.outstanding_seqs()) {
+                self.rec.telemetry.span_cancel(node.0, u64::from(seq));
+            }
+        }
         fault.apply(
             now,
             &mut self.medium,
@@ -310,7 +318,6 @@ impl SensorNetwork {
             position: hot.pos,
             rng: &mut rt.rng,
             telemetry: &self.rec.telemetry,
-            labels: &self.rec.labels,
         };
         let actions = f(&mut machines[usize::from(tid.0)], &mut ctx);
         hot.quiescent = sense::quiescent(machines);
@@ -879,6 +886,7 @@ mod tests {
     use crate::config::MiddlewareConfig;
     use crate::context::SensePredicate;
     use crate::report::telemetry_to_jsonl;
+    use envirotrack_sim::engine::Engine;
     use envirotrack_world::scenario::TankScenario;
     use envirotrack_world::sensing::NoiseModel;
     use envirotrack_world::target::Channel;
@@ -937,18 +945,30 @@ mod tests {
         NoiseModel::none().with_channel(Channel::Magnetic, 0.2)
     }
 
-    /// A tank crossing a 20 × 20 field of sensors with `noise` for 5 s, a
-    /// pinned object to one side that its tracker pings through the
-    /// directory, with a clock slowed at 1 s, a node near the lane crashed
-    /// at 1.5 s and rebooted at 3 s, and the object's host crashed for good
-    /// at 3.5 s; `hook` sets a test hook first.
-    /// Returns how the run was executed — the sensing loops left on the
-    /// lane, the sensing work counters, the engaged nodes — and its
-    /// [`output`].
+    /// [`faulted_engine`] run for 5 s. Returns how the run was executed —
+    /// the sensing loops left on the lane, the sensing work counters, the
+    /// engaged nodes — and its [`output`].
     fn faulted_run(
         noise: NoiseModel,
         hook: fn(&mut SensorNetwork),
     ) -> ((usize, SensingWork, usize), (u64, String, String)) {
+        let engine = faulted_engine(noise, hook, Timestamp::from_secs(5));
+        let world = engine.world();
+        let lane = engine.kernel().recurring_len();
+        let work = (lane, world.sensing_work(), world.cold_engaged());
+        (work, output(world))
+    }
+
+    /// A tank crossing a 20 × 20 field of sensors with `noise` until
+    /// `horizon`, a pinned object to one side that its tracker pings
+    /// through the directory, with a clock slowed at 1 s, a node near the
+    /// lane crashed at 1.5 s and rebooted at 3 s, and the object's host
+    /// crashed for good at 3.5 s; `hook` sets a test hook first.
+    fn faulted_engine(
+        noise: NoiseModel,
+        hook: fn(&mut SensorNetwork),
+        horizon: Timestamp,
+    ) -> Engine<SensorNetwork> {
         let scenario = TankScenario {
             lane_y: 9.5,
             sensing_radius: 1.5,
@@ -991,11 +1011,34 @@ mod tests {
             let (post, _) = w.leaders_of_type(ContextTypeId(1))[0];
             w.kill_node(post);
         });
-        engine.run_until(Timestamp::from_secs(5));
-        let world = engine.world();
-        let lane = engine.kernel().recurring_len();
-        let work = (lane, world.sensing_work(), world.cold_engaged());
-        (work, output(world))
+        engine.run_until(horizon);
+        engine
+    }
+
+    /// An MTP ack span is open exactly while its segment awaits its ack.
+    /// By 15 s the pings to the dead post have used their last attempt and
+    /// been given up; then a node with pings outstanding reboots and
+    /// forgets them. Neither leaves a span behind.
+    #[test]
+    fn open_ack_spans_are_the_segments_awaiting_acks() {
+        let mut engine = faulted_engine(noisy(), |_| {}, Timestamp::from_secs(15));
+        let world = engine.world_mut();
+        let census = |w: &SensorNetwork| {
+            let outstanding = w.deployment().ids().map(|id| w.mtp_outstanding_at(id));
+            (w.telemetry().open_spans(), outstanding.sum::<usize>())
+        };
+        let (open, outstanding) = census(world);
+        let given_up = world.telemetry().counter("mtp.drop");
+        assert!(given_up > 0, "no ping was given up");
+        assert_eq!(open, outstanding);
+        let mut ids = world.deployment().ids();
+        let pinger = ids.find(|&id| world.mtp_outstanding_at(id) > 0);
+        let pinger = pinger.expect("a ping in flight");
+        world.kill_node(pinger);
+        world.revive_node(pinger);
+        let (open, after) = census(world);
+        assert!(after < outstanding);
+        assert_eq!(open, after);
     }
 
     /// The lane against the hook that sends every sensing tick through the

@@ -9,6 +9,7 @@ use envirotrack_world::field::NodeId;
 
 use super::events::Recorder;
 use crate::config::MiddlewareConfig;
+use crate::trace;
 use crate::transport::{self, LeaderLoc, MtpState, Outstanding};
 use crate::wire::{Message, MtpAck, MtpSegment};
 
@@ -32,8 +33,8 @@ pub(super) fn open(
             .span_start(now.as_micros(), node.0, u64::from(seq));
     }
     rec.telemetry.incr("mtp.send");
-    let detail = format!("seq={}", segment.seq);
-    rec.trace(now, node, segment.dst_label, "mtp.send", detail);
+    let args = [segment.seq, 0, 0];
+    rec.trace(now, node, segment.dst_label, &trace::MTP_SEND, args);
     (Message::Mtp(segment), retry)
 }
 
@@ -127,15 +128,17 @@ pub(super) fn retry(
 ) -> Option<(Outstanding, SimDuration, SimDuration)> {
     match mtp.retransmit(seq, transport::RETX_MAX_ATTEMPTS)? {
         Err(abandoned) => {
-            rec.telemetry
-                .observe("mtp.attempts", u64::from(abandoned.attempts));
+            let t = &rec.telemetry;
+            t.observe("mtp.attempts", u64::from(abandoned.attempts));
+            // No ack will end its span now; it measured nothing.
+            t.span_cancel(node.0, u64::from(seq));
             rec.mtp_dropped(now, node, abandoned.segment.dst_label);
             None
         }
         Ok(out) => {
             rec.telemetry.incr("mtp.retx");
-            let detail = format!("seq={seq} attempt={}", out.attempts);
-            rec.trace(now, node, out.segment.dst_label, "mtp.retx", detail);
+            let args = [seq, out.attempts, 0];
+            rec.trace(now, node, out.segment.dst_label, &trace::MTP_RETX, args);
             let jitter = rng.below(transport::RETX_JITTER_MAX.as_micros());
             let backoff = transport::RETX.backoff(out.attempts);
             Some((out, SimDuration::from_micros(jitter), backoff))
@@ -182,7 +185,7 @@ pub(super) fn on_ack(
         if let Some(rtt) = t.span_end(now.as_micros(), node.0, u64::from(ack.seq)) {
             t.observe("mtp.ack_us", rtt);
         }
-        let detail = format!("seq={} acker=n{}", ack.seq, ack.acker.0);
-        rec.trace(now, node, ack.dst_label, "mtp.ack", detail);
+        let args = [ack.seq, ack.acker.0, 0];
+        rec.trace(now, node, ack.dst_label, &trace::MTP_ACK, args);
     }
 }

@@ -13,10 +13,12 @@
 //! structs that leave the process (reports, experiment rows) encode through
 //! this module instead of `serde` derives.
 
+use std::fmt;
+
 use bytes::Bytes;
 use envirotrack_net::medium::{KindStats, NetStats};
 use envirotrack_sim::time::{SimDuration, Timestamp};
-use envirotrack_telemetry::Telemetry;
+use envirotrack_telemetry::{Registry, Telemetry};
 use envirotrack_world::geometry::Point;
 
 use crate::context::{ContextLabel, ContextTypeId};
@@ -27,13 +29,13 @@ use crate::wire::kinds;
 /// lines. Strings are escaped per RFC 8259; non-finite floats become
 /// `null` (JSON has no NaN/Infinity).
 pub mod json {
-    use std::fmt::Write as _;
+    use std::fmt::{self, Write as _};
 
     /// Appends `s` to `out`, escaped for inclusion in a JSON document
     /// (without the surrounding quotes). Everything that needs escaping is
     /// one ASCII byte, so the stretches between are copied whole — all of
     /// `s` in one piece when nothing does.
-    pub(crate) fn escape_into(out: &mut String, s: &str) {
+    pub(crate) fn escape_into<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
         let mut copied = 0;
         for (i, b) in s.bytes().enumerate() {
             let escaped = match b {
@@ -45,15 +47,36 @@ pub mod json {
                 0..=0x1f => "",
                 _ => continue,
             };
-            out.push_str(&s[copied..i]);
+            out.write_str(&s[copied..i])?;
             if escaped.is_empty() {
-                let _ = write!(out, "\\u{b:04x}");
+                write!(out, "\\u{b:04x}")?;
             } else {
-                out.push_str(escaped);
+                out.write_str(escaped)?;
             }
             copied = i + 1;
         }
-        out.push_str(&s[copied..]);
+        out.write_str(&s[copied..])
+    }
+
+    /// A writer that escapes everything written through it into `W`.
+    pub(crate) struct Escaping<'a, W: ?Sized>(pub(crate) &'a mut W);
+
+    impl<W: fmt::Write + ?Sized> fmt::Write for Escaping<'_, W> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            escape_into(self.0, s)
+        }
+    }
+
+    /// A writer that keeps nothing but how many bytes were written to it:
+    /// what sizes an output before it is written.
+    #[derive(Debug, Default)]
+    pub(crate) struct Length(pub(crate) usize);
+
+    impl fmt::Write for Length {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
     }
 
     /// Builds one flat JSON object, field by field, in insertion order.
@@ -79,7 +102,8 @@ pub mod json {
 
         fn quoted(&mut self, s: &str) {
             self.body.push('"');
-            escape_into(&mut self.body, s);
+            // Writing to a `String` cannot fail.
+            let _ = escape_into(&mut self.body, s);
             self.body.push('"');
         }
 
@@ -343,67 +367,86 @@ impl RunRecord {
 /// trace-ring drop count when nonzero, then every retained trace event.
 /// With a fixed seed and fault plan the output is byte-identical across
 /// runs — the same determinism contract as [`RunRecord`].
+///
+/// The output is allocated once, at its final length: a first pass writes
+/// the export to a byte count, the second to a string of that size. A
+/// trace event's text is made here, from its record and the registry's
+/// strings.
 #[must_use]
 pub fn telemetry_to_jsonl(telemetry: &Telemetry) -> String {
     telemetry.with_registry(|r| {
-        let mut out = String::new();
-        let mut line = |s: String| {
-            out.push_str(&s);
-            out.push('\n');
-        };
-        for (name, v) in r.counters() {
-            line(
-                json::JsonObject::new()
-                    .field_str("t", "counter")
-                    .field_str("name", name)
-                    .field_u64("value", v)
-                    .finish(),
-            );
-        }
-        for (name, v) in r.gauges() {
-            line(
-                json::JsonObject::new()
-                    .field_str("t", "gauge")
-                    .field_str("name", name)
-                    .field_f64("value", v)
-                    .finish(),
-            );
-        }
-        for (name, h) in r.histograms() {
-            let buckets: Vec<String> = h.iter().map(|(low, c)| format!("{low}:{c}")).collect();
-            line(
-                json::JsonObject::new()
-                    .field_str("t", "hist")
-                    .field_str("name", name)
-                    .field_u64("count", h.count())
-                    .field_u64("sum", u64::try_from(h.sum()).unwrap_or(u64::MAX))
-                    .field_u64("max", h.max())
-                    .field_str("buckets", &buckets.join(" "))
-                    .finish(),
-            );
-        }
-        if r.trace_dropped() > 0 {
-            line(
-                json::JsonObject::new()
-                    .field_str("t", "trace_dropped")
-                    .field_u64("value", r.trace_dropped())
-                    .finish(),
-            );
-        }
-        for e in r.trace_events() {
-            line(
-                json::JsonObject::new()
-                    .field_str("t", "trace")
-                    .field_u64("at_us", e.at_us)
-                    .field_u64("node", u64::from(e.node))
-                    .field_str("label", &e.label)
-                    .field_str("kind", e.kind)
-                    .field_str("detail", &e.detail)
-                    .finish(),
-            );
-        }
+        // Neither writer can fail.
+        let mut length = json::Length::default();
+        let _ = write_jsonl(r, &mut length);
+        let mut out = String::with_capacity(length.0);
+        let _ = write_jsonl(r, &mut out);
+        debug_assert_eq!(out.len(), length.0, "both passes write the same bytes");
         out
     })
+}
+
+fn write_jsonl<W: fmt::Write>(r: &Registry, out: &mut W) -> fmt::Result {
+    let line = |out: &mut W, object: String| {
+        out.write_str(&object)?;
+        out.write_char('\n')
+    };
+    for (name, v) in r.counters() {
+        line(
+            out,
+            json::JsonObject::new()
+                .field_str("t", "counter")
+                .field_str("name", name)
+                .field_u64("value", v)
+                .finish(),
+        )?;
+    }
+    for (name, v) in r.gauges() {
+        line(
+            out,
+            json::JsonObject::new()
+                .field_str("t", "gauge")
+                .field_str("name", name)
+                .field_f64("value", v)
+                .finish(),
+        )?;
+    }
+    for (name, h) in r.histograms() {
+        let buckets: Vec<String> = h.iter().map(|(low, c)| format!("{low}:{c}")).collect();
+        line(
+            out,
+            json::JsonObject::new()
+                .field_str("t", "hist")
+                .field_str("name", name)
+                .field_u64("count", h.count())
+                .field_u64("sum", u64::try_from(h.sum()).unwrap_or(u64::MAX))
+                .field_u64("max", h.max())
+                .field_str("buckets", &buckets.join(" "))
+                .finish(),
+        )?;
+    }
+    if r.trace_dropped() > 0 {
+        line(
+            out,
+            json::JsonObject::new()
+                .field_str("t", "trace_dropped")
+                .field_u64("value", r.trace_dropped())
+                .finish(),
+        )?;
+    }
+    for e in r.trace_events() {
+        let (at_us, node) = (e.at_us, e.node);
+        write!(
+            out,
+            r#"{{"t":"trace","at_us":{at_us},"node":{node},"label":""#
+        )?;
+        json::escape_into(out, r.text(e.label))?;
+        out.write_str(r#"","kind":""#)?;
+        json::escape_into(out, e.site.kind())?;
+        out.write_str(r#"","detail":""#)?;
+        r.write_detail(e, &mut json::Escaping(out))?;
+        out.write_str("\"}\n")?;
+    }
+    Ok(())
 }
 
 fn pct(num: u64, den: u64) -> String {
@@ -554,7 +597,7 @@ mod tests {
     fn json_escaping_covers_quotes_backslashes_and_controls() {
         let escape = |s| {
             let mut out = String::new();
-            json::escape_into(&mut out, s);
+            json::escape_into(&mut out, s).unwrap();
             out
         };
         assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
@@ -563,7 +606,7 @@ mod tests {
         // Escapes between multi-byte characters, first and last included.
         assert_eq!(escape("\r→é\u{1f}∑\""), "\\r→é\\u001f∑\\\"");
         let mut line = String::from("so far: ");
-        json::escape_into(&mut line, "plain");
+        json::escape_into(&mut line, "plain").unwrap();
         assert_eq!(line, "so far: plain");
         let obj = json::JsonObject::new()
             .field_str("k\"ey", "v\\al")
@@ -624,8 +667,10 @@ mod tests {
         t.observe("mtp.attempts", 1);
         t.observe("mtp.attempts", 1);
         t.observe("mtp.attempts", 4);
-        t.trace(1000, 1, "T0/n1#0", "group.form", String::new());
-        t.trace(2000, 2, "T0/n1#0", "mtp.send", "weird \"detail\"\nline".to_owned());
+        let label = "T0/n1#0".into();
+        t.trace_shared(1000, 1, &label, "group.form", String::new());
+        let weird = "weird \"detail\"\nline".to_owned();
+        t.trace_shared(2000, 2, &label, "mtp.send", weird);
         t
     }
 

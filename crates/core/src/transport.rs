@@ -309,6 +309,11 @@ impl MtpState {
         self.outstanding.len()
     }
 
+    /// The sequence numbers of the segments awaiting acknowledgement.
+    pub(crate) fn outstanding_seqs(&self) -> impl Iterator<Item = u32> + '_ {
+        self.outstanding.iter().map(|o| o.segment.seq)
+    }
+
     /// Records a delivered `(source node, seq)` pair; returns `false` when
     /// it was already seen (a duplicate that must be re-acked but not
     /// re-delivered to the application).

@@ -341,7 +341,7 @@ prop_test! {
         let t = Telemetry::new();
         for (at_us, node, junk) in &raw {
             let s = String::from_utf8_lossy(junk).into_owned();
-            t.trace(*at_us, *node, &s, "prop.kind", s.clone());
+            t.trace_shared(*at_us, *node, &s.as_str().into(), "prop.kind", s.clone());
         }
         let out = telemetry_to_jsonl(&t);
         prop_assert_eq!(out.lines().count(), raw.len());

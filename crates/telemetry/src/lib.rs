@@ -8,17 +8,20 @@
 //!   four linear sub-buckets, giving ~12% relative resolution over the
 //!   full `u64` range with a handful of sparse buckets. Used for latency
 //!   (microseconds) and small-count distributions alike.
-//! * **A bounded trace stream** — structured [`TraceEvent`]s (timestamp,
-//!   node, context label, kind, detail), kept in a drop-oldest ring so a
-//!   long run cannot grow without bound, plus **spans** keyed by
-//!   `(node, id)` for measuring request→response latency.
+//! * **A bounded trace stream** — [`TraceEvent`] records (timestamp, node,
+//!   context label, site, arguments), kept in a drop-oldest ring so a long
+//!   run cannot grow without bound, plus **spans** keyed by `(node, id)`
+//!   for measuring request→response latency.
 //!
-//! Trace labels are `Rc<str>`: hot paths that emit many events for the
-//! same context label format the label once, cache the `Rc` in an
-//! [`Interner`], and hand it to [`Telemetry::trace_shared`] — appending an
-//! event is then a reference-count bump instead of a format + allocation.
-//! Event kinds are `&'static str` (they are always literals), so they
-//! never allocate at all.
+//! A trace record is plain data: 40 bytes, no heap, `Copy` and `Send`. Its
+//! label and any string argument are ids of strings the registry interns
+//! once ([`Telemetry::intern`], [`Telemetry::intern_keyed`]); its kind and
+//! the template of its detail are a `&'static` [`TraceSite`]; the detail's
+//! numbers are up to three `u32` arguments. Text is made only when
+//! something reads the trace — [`Registry::write_detail`],
+//! [`Telemetry::last_events`] and the exporters built on them — so
+//! appending a record is a copy into the ring, and once the ring is full it
+//! allocates nothing.
 //!
 //! The [`Telemetry`] handle is a cheap `Rc<RefCell<..>>` clone, mirroring
 //! the single-threaded simulation kernel it instruments: every layer of
@@ -29,39 +32,104 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 use std::rc::Rc;
+use std::sync::{Mutex, PoisonError};
 
 /// Default bound on the trace ring: old events are dropped (and counted)
 /// past this many.
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
-/// One structured trace event.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Where a trace record is made: its kind, and the template its arguments
+/// fill to make its detail.
+///
+/// In the template, `{}` is the next argument written as a decimal number
+/// and `{s}` the next argument read as an interned string's id; every
+/// other byte is copied. [`TraceSite::new`] admits at most three holes, one
+/// per argument a record carries.
+#[derive(Debug, PartialEq, Eq)]
+pub struct TraceSite {
+    kind: &'static str,
+    detail: &'static str,
+}
+
+impl TraceSite {
+    /// A site of `kind` whose detail is `detail` with its holes filled.
+    ///
+    /// # Panics
+    ///
+    /// On a `{` that opens neither hole, or on more than three holes — at
+    /// compile time when the site is a `static`.
+    #[must_use]
+    pub const fn new(kind: &'static str, detail: &'static str) -> Self {
+        let bytes = detail.as_bytes();
+        let (mut i, mut holes) = (0, 0);
+        while i < bytes.len() {
+            if bytes[i] != b'{' {
+                i += 1;
+                continue;
+            }
+            let next = if i + 1 < bytes.len() { bytes[i + 1] } else { 0 };
+            let after = if i + 2 < bytes.len() { bytes[i + 2] } else { 0 };
+            i += match (next, after) {
+                (b'}', _) => 2,
+                (b's', b'}') => 3,
+                _ => panic!("a detail hole is an empty pair of braces or one holding s"),
+            };
+            holes += 1;
+        }
+        assert!(holes <= 3, "a trace record carries at most three arguments");
+        TraceSite { kind, detail }
+    }
+
+    /// The event kind, dot-namespaced (`group.hb`, `mtp.retx`, ...).
+    #[must_use]
+    pub fn kind(&self) -> &'static str {
+        self.kind
+    }
+
+    /// The detail template: a record's arguments fill its holes in order.
+    #[must_use]
+    pub fn detail(&self) -> &'static str {
+        self.detail
+    }
+}
+
+/// One trace record. Plain data: what it says in text is made from it, and
+/// the registry's strings, only when it is read ([`Registry::write_detail`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Simulation time, microseconds since the epoch.
     pub at_us: u64,
+    /// The site that made it: kind and detail template.
+    pub site: &'static TraceSite,
     /// The node the event happened on.
     pub node: u32,
     /// The context label the event concerns (display form, e.g.
-    /// `type0@n3#1`), or `"-"` for label-free events. Shared, so events
-    /// for the same label alias one allocation.
-    pub label: Rc<str>,
-    /// Event kind, dot-namespaced (`group.hb`, `mtp.retx`, ...).
-    pub kind: &'static str,
-    /// Free-form detail, already formatted.
-    pub detail: String,
+    /// `type0@n3#1`), as the id of an interned string.
+    pub label: u32,
+    /// What fills the site's holes, in order; unused ones are 0.
+    pub args: [u32; 3],
 }
 
-impl TraceEvent {
-    /// A stable single-line rendering, used in violation attachments and
-    /// the smoke digest.
-    #[must_use]
-    fn render(&self) -> String {
-        format!(
-            "{}us n{} [{}] {} {}",
-            self.at_us, self.node, self.label, self.kind, self.detail
-        )
+/// The site of a record made from text ([`Telemetry::trace_shared`]):
+/// `kind`, with the whole detail one interned string (`{s}`) when it
+/// `has_detail`, else with none. One per distinct kind and template for the
+/// life of the process, made on its first use.
+fn text_site(kind: &'static str, has_detail: bool) -> &'static TraceSite {
+    static SITES: Mutex<Vec<&'static TraceSite>> = Mutex::new(Vec::new());
+    // A push is the only update, so the list is whole whoever panicked.
+    let mut sites = SITES.lock().unwrap_or_else(PoisonError::into_inner);
+    let detail = if has_detail { "{s}" } else { "" };
+    // The two templates differ in length; comparing that skips a `memcmp`
+    // of two empty strings, which costs ~100 ns on some hosts.
+    let same = |site: &&&TraceSite| site.kind == kind && site.detail.len() == detail.len();
+    if let Some(site) = sites.iter().find(same) {
+        return site;
     }
+    let site: &'static TraceSite = Box::leak(Box::new(TraceSite::new(kind, detail)));
+    sites.push(site);
+    site
 }
 
 /// A log-linear histogram: 4 linear sub-buckets per power-of-two octave.
@@ -194,34 +262,43 @@ impl CounterHandle {
     }
 }
 
-/// A tiny numeric-keyed string intern pool.
+/// The strings trace records name by id — labels and string arguments —
+/// each stored once.
 ///
-/// Hot paths derive a stable `u128` key from a cheap `Copy` identifier
-/// (e.g. a packed `ContextLabel`) and look the display string up here
-/// instead of re-formatting it per event; the first use pays the format,
-/// every later use is a `BTreeMap<u128, _>` probe — integer comparisons,
-/// no string hashing or allocation. Clones share the pool.
-#[derive(Debug, Clone, Default)]
-pub struct Interner {
-    strings: Rc<RefCell<BTreeMap<u128, Rc<str>>>>,
+/// A hot path that names the same thing again and again derives a `u128`
+/// key from a cheap `Copy` identifier (e.g. a packed `ContextLabel`) and
+/// finds its id by that key: the first use pays the format, every later
+/// use is a `BTreeMap<u128, _>` probe — integer comparisons, no string
+/// hashing or allocation.
+#[derive(Debug, Default)]
+struct Strings {
+    text: Vec<Box<str>>,
+    by_text: BTreeMap<Box<str>, u32>,
+    by_key: BTreeMap<u128, u32>,
 }
 
-impl Interner {
-    /// The shared string for `key`, formatting it with `make` on first use.
-    pub fn get_or_insert_with(&self, key: u128, make: impl FnOnce() -> String) -> Rc<str> {
-        let mut strings = self.strings.borrow_mut();
-        Rc::clone(
-            strings
-                .entry(key)
-                .or_insert_with(|| Rc::from(make().as_str())),
-        )
+impl Strings {
+    fn intern(&mut self, text: &str) -> u32 {
+        if let Some(&id) = self.by_text.get(text) {
+            return id;
+        }
+        let id = u32::try_from(self.text.len()).expect("fewer than 2^32 distinct trace strings");
+        self.text.push(text.into());
+        self.by_text.insert(text.into(), id);
+        id
     }
+}
 
-    /// Whether the pool is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.strings.borrow().is_empty()
-    }
+/// What the trace ring did: records appended, records the bound dropped,
+/// and the heap bytes its slots take. Exact; no part of any export.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TraceWork {
+    /// Records appended over the registry's life.
+    pub records: u64,
+    /// Of those, the oldest the ring dropped to stay within its bound.
+    pub dropped: u64,
+    /// The ring's slots, in bytes: its capacity times the record size.
+    pub ring_bytes: u64,
 }
 
 /// The shared metric + trace store. Accessed through [`Telemetry`].
@@ -232,7 +309,9 @@ pub struct Registry {
     histograms: BTreeMap<String, LogLinearHistogram>,
     trace: VecDeque<TraceEvent>,
     trace_capacity: usize,
+    trace_appended: u64,
     trace_dropped: u64,
+    strings: Strings,
     spans: BTreeMap<(u32, u64), u64>,
 }
 
@@ -244,9 +323,80 @@ impl Registry {
             histograms: BTreeMap::new(),
             trace: VecDeque::new(),
             trace_capacity: trace_capacity.max(1),
+            trace_appended: 0,
             trace_dropped: 0,
+            strings: Strings::default(),
             spans: BTreeMap::new(),
         }
+    }
+
+    /// Appends `event`, dropping (and counting) the oldest past the bound.
+    /// Below the bound the ring grows by an eighth when it is full, not by
+    /// doubling, so its slots are never more than an eighth unused.
+    fn push_trace(&mut self, event: TraceEvent) {
+        self.trace_appended += 1;
+        let len = self.trace.len();
+        if len >= self.trace_capacity {
+            self.trace.pop_front();
+            self.trace_dropped += 1;
+        } else if len == self.trace.capacity() {
+            let room = self.trace_capacity - len;
+            self.trace.reserve_exact((len / 8).clamp(1, room));
+        }
+        self.trace.push_back(event);
+    }
+
+    /// The interned string `id` (a record's label or string argument).
+    ///
+    /// # Panics
+    ///
+    /// When `id` came from no [`Telemetry::intern`] of this registry.
+    #[must_use]
+    pub fn text(&self, id: u32) -> &str {
+        &self.strings.text[id as usize]
+    }
+
+    /// Writes `event`'s detail to `out`: its site's template, each hole
+    /// filled from the next argument.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `out` returns.
+    pub fn write_detail<W: fmt::Write + ?Sized>(
+        &self,
+        event: &TraceEvent,
+        out: &mut W,
+    ) -> fmt::Result {
+        let mut args = event.args.iter();
+        let mut rest = event.site.detail;
+        while let Some(open) = rest.find('{') {
+            out.write_str(&rest[..open])?;
+            // `TraceSite::new` admits at most three holes, each `{}` or `{s}`.
+            let arg = *args.next().expect("a hole per argument");
+            rest = match rest[open..].strip_prefix("{}") {
+                Some(after) => {
+                    out.write_fmt(format_args!("{arg}"))?;
+                    after
+                }
+                None => {
+                    out.write_str(self.text(arg))?;
+                    &rest[open + "{s}".len()..]
+                }
+            };
+        }
+        out.write_str(rest)
+    }
+
+    /// `event` as one stable line, `<at>us n<node> [<label>] <kind>
+    /// <detail>`: what violation attachments and the smoke digest show.
+    #[must_use]
+    fn render(&self, event: &TraceEvent) -> String {
+        let (at, node, kind) = (event.at_us, event.node, event.site.kind);
+        let label = self.text(event.label);
+        let mut line = format!("{at}us n{node} [{label}] {kind} ");
+        // Writing to a `String` cannot fail.
+        let _ = self.write_detail(event, &mut line);
+        line
     }
 
     /// Counters in name order.
@@ -369,15 +519,50 @@ impl Telemetry {
             .record(v);
     }
 
-    /// Appends a trace event, dropping (and counting) the oldest past the
-    /// ring bound. Allocates a fresh shared label; hot paths that reuse
-    /// one label should intern it and call [`Telemetry::trace_shared`].
-    pub fn trace(&self, at_us: u64, node: u32, label: &str, kind: &'static str, detail: String) {
-        self.trace_shared(at_us, node, &Rc::from(label), kind, detail);
+    /// The id of `text` among the registry's strings, storing it on first
+    /// use.
+    pub fn intern(&self, text: &str) -> u32 {
+        self.inner.borrow_mut().strings.intern(text)
     }
 
-    /// Appends a trace event whose label is already shared — a
-    /// reference-count bump, no string copy.
+    /// The id of the string `make` formats for `key`. `make` runs on the
+    /// key's first use only; after that the id is one integer-map probe.
+    /// A key names one string for the registry's life.
+    pub fn intern_keyed(&self, key: u128, make: impl FnOnce() -> String) -> u32 {
+        let mut r = self.inner.borrow_mut();
+        if let Some(&id) = r.strings.by_key.get(&key) {
+            return id;
+        }
+        let id = r.strings.intern(&make());
+        r.strings.by_key.insert(key, id);
+        id
+    }
+
+    /// Appends a trace record made at `site` about the interned `label`,
+    /// dropping (and counting) the oldest past the ring bound. Allocates
+    /// nothing once the ring is full.
+    pub fn trace(
+        &self,
+        at_us: u64,
+        node: u32,
+        label: u32,
+        site: &'static TraceSite,
+        args: [u32; 3],
+    ) {
+        self.inner.borrow_mut().push_trace(TraceEvent {
+            at_us,
+            site,
+            node,
+            label,
+            args,
+        });
+    }
+
+    /// Appends a trace record given as text: `label` and a non-empty
+    /// `detail` are interned, and the record's site is `kind` with the
+    /// detail as its one string argument. Every distinct detail is kept for
+    /// the registry's life, so this is a form for tests and probes; the
+    /// middleware's own sites carry numbers and call [`Telemetry::trace`].
     pub fn trace_shared(
         &self,
         at_us: u64,
@@ -387,16 +572,18 @@ impl Telemetry {
         detail: String,
     ) {
         let mut r = self.inner.borrow_mut();
-        if r.trace.len() >= r.trace_capacity {
-            r.trace.pop_front();
-            r.trace_dropped += 1;
-        }
-        r.trace.push_back(TraceEvent {
+        let (site, args) = if detail.is_empty() {
+            (text_site(kind, false), [0; 3])
+        } else {
+            (text_site(kind, true), [r.strings.intern(&detail), 0, 0])
+        };
+        let label = r.strings.intern(label);
+        r.push_trace(TraceEvent {
             at_us,
+            site,
             node,
-            label: Rc::clone(label),
-            kind,
-            detail,
+            label,
+            args,
         });
     }
 
@@ -415,10 +602,33 @@ impl Telemetry {
             .map(|start| at_us.saturating_sub(start))
     }
 
+    /// Forgets the span keyed by `(node, id)` without measuring it: the
+    /// request it timed will never be answered.
+    pub fn span_cancel(&self, node: u32, id: u64) {
+        self.inner.borrow_mut().spans.remove(&(node, id));
+    }
+
+    /// Number of spans open.
+    #[must_use]
+    pub fn open_spans(&self) -> usize {
+        self.inner.borrow().spans.len()
+    }
+
     /// Number of trace events currently retained.
     #[must_use]
     pub fn trace_len(&self) -> usize {
         self.inner.borrow().trace.len()
+    }
+
+    /// What the trace ring did so far (see [`TraceWork`]).
+    #[must_use]
+    pub fn trace_work(&self) -> TraceWork {
+        let r = self.inner.borrow();
+        TraceWork {
+            records: r.trace_appended,
+            dropped: r.trace_dropped,
+            ring_bytes: (r.trace.capacity() * std::mem::size_of::<TraceEvent>()) as u64,
+        }
     }
 
     /// The last `n` trace events (any label), oldest first, rendered.
@@ -426,17 +636,20 @@ impl Telemetry {
     pub fn last_events(&self, n: usize) -> Vec<String> {
         let r = self.inner.borrow();
         let skip = r.trace.len().saturating_sub(n);
-        r.trace.iter().skip(skip).map(TraceEvent::render).collect()
+        r.trace.iter().skip(skip).map(|e| r.render(e)).collect()
     }
 
     /// The last `n` trace events for `label`, oldest first, rendered.
     #[must_use]
     pub fn events_for_label(&self, label: &str, n: usize) -> Vec<String> {
         let r = self.inner.borrow();
-        let mut picked: Vec<&TraceEvent> =
-            r.trace.iter().rev().filter(|e| &*e.label == label).take(n).collect();
+        let Some(&id) = r.strings.by_text.get(label) else {
+            return Vec::new();
+        };
+        let same_label = r.trace.iter().rev().filter(|e| e.label == id);
+        let mut picked: Vec<&TraceEvent> = same_label.take(n).collect();
         picked.reverse();
-        picked.into_iter().map(TraceEvent::render).collect()
+        picked.into_iter().map(|e| r.render(e)).collect()
     }
 
     /// Read access to the whole registry (for exporters).
@@ -559,36 +772,67 @@ mod tests {
         }
     }
 
+    static SEQ: TraceSite = TraceSite::new("k", "seq={} weight={}");
+    static WINNER: TraceSite = TraceSite::new("group.suppress", "winner={s}");
+
     #[test]
     fn trace_ring_drops_oldest() {
         let t = Telemetry::with_trace_capacity(3);
-        for i in 0..5u64 {
-            t.trace(i, 0, "l", "k", format!("e{i}"));
+        let label = t.intern("l");
+        for i in 0..5u32 {
+            t.trace(u64::from(i), 0, label, &SEQ, [i, 0, 0]);
         }
         assert_eq!(t.trace_len(), 3);
         t.with_registry(|r| {
             assert_eq!(r.trace_dropped(), 2);
-            let details: Vec<&str> =
-                r.trace_events().map(|e| e.detail.as_str()).collect();
-            assert_eq!(details, vec!["e2", "e3", "e4"]);
+            let seqs: Vec<u32> = r.trace_events().map(|e| e.args[0]).collect();
+            assert_eq!(seqs, vec![2, 3, 4]);
         });
+        let work = t.trace_work();
+        assert_eq!((work.records, work.dropped), (5, 2));
+        assert_eq!(
+            work.ring_bytes,
+            3 * std::mem::size_of::<TraceEvent>() as u64
+        );
+    }
+
+    /// Below its bound the ring grows by an eighth of what it holds, so at
+    /// any length its slots are at most an eighth (or one slot) more than
+    /// its records; at the bound it stops growing.
+    #[test]
+    fn the_ring_grows_by_an_eighth_up_to_its_bound() {
+        let bound = 5_000;
+        let t = Telemetry::with_trace_capacity(bound);
+        for i in 0..2 * bound as u32 {
+            t.trace(0, 0, 0, &SEQ, [i, 0, 0]);
+            let (len, slots) = t.with_registry(|r| (r.trace.len(), r.trace.capacity()));
+            assert!(
+                slots <= bound && slots <= (len + len / 8).max(len + 1),
+                "{slots} slots for {len}"
+            );
+        }
+        assert_eq!(
+            t.trace_work().ring_bytes,
+            (bound * std::mem::size_of::<TraceEvent>()) as u64
+        );
     }
 
     #[test]
     fn label_filtered_tail_is_ordered_oldest_first() {
         let t = Telemetry::new();
-        for i in 0..10u64 {
-            let label = if i % 2 == 0 { "even" } else { "odd" };
-            t.trace(i, 1, label, "k", format!("{i}"));
+        let (even, odd) = (t.intern("even"), t.intern("odd"));
+        for i in 0..10u32 {
+            let label = if i % 2 == 0 { even } else { odd };
+            t.trace(u64::from(i), 1, label, &SEQ, [i, 0, 0]);
         }
         let tail = t.events_for_label("even", 3);
         assert_eq!(tail.len(), 3);
-        assert!(tail[0].contains(" 4"));
-        assert!(tail[2].contains(" 8"));
+        assert!(tail[0].contains("seq=4 "));
+        assert!(tail[2].contains("seq=8 "));
         assert!(t.events_for_label("missing", 4).is_empty());
         let all = t.last_events(4);
         assert_eq!(all.len(), 4);
-        assert!(all[0].ends_with('6'));
+        assert_eq!(all[0], "6us n1 [even] k seq=6 weight=0");
     }
 
     #[test]
@@ -612,42 +856,73 @@ mod tests {
     }
 
     #[test]
-    fn interner_formats_once_and_shares() {
-        let pool = Interner::default();
+    fn interned_strings_are_stored_once() {
+        let t = Telemetry::new();
         let mut formats = 0;
-        let a = pool.get_or_insert_with(7, || {
+        let a = t.intern_keyed(7, || {
             formats += 1;
             "type0@n3#1".to_owned()
         });
-        let b = pool.get_or_insert_with(7, || {
-            formats += 1;
-            unreachable!("key 7 is already interned")
-        });
-        assert_eq!(formats, 1);
-        assert!(Rc::ptr_eq(&a, &b), "same key aliases one allocation");
-        assert_eq!(pool.strings.borrow().len(), 1);
-        // Clones share the pool; traces share the interned label.
-        let clone = pool.clone();
-        let c = clone.get_or_insert_with(7, || unreachable!());
-        assert!(Rc::ptr_eq(&a, &c));
-        let t = Telemetry::new();
-        t.trace_shared(5, 3, &a, "group.hb", String::new());
+        let b = t.intern_keyed(7, || unreachable!("key 7 is already interned"));
+        assert_eq!((a, b, formats), (0, 0, 1));
+        // A key and its text name one string, whichever comes first.
+        assert_eq!(t.intern("type0@n3#1"), a);
+        assert_eq!(t.intern_keyed(8, || "type0".to_owned()), t.intern("type0"));
         t.with_registry(|r| {
-            let e = r.trace_events().next().unwrap();
-            assert!(Rc::ptr_eq(&e.label, &a));
-            assert_eq!(e.render(), "5us n3 [type0@n3#1] group.hb ");
+            assert_eq!(r.strings.text.len(), 2);
+            assert_eq!(r.text(a), "type0@n3#1");
         });
     }
 
     #[test]
-    fn render_is_stable() {
-        let e = TraceEvent {
-            at_us: 1_500_000,
-            node: 3,
-            label: "type0@n3#1".into(),
-            kind: "group.hb",
-            detail: "seq=9".into(),
-        };
-        assert_eq!(e.render(), "1500000us n3 [type0@n3#1] group.hb seq=9");
+    fn render_fills_numbers_and_strings_from_the_arguments() {
+        let t = Telemetry::new();
+        let (label, winner) = (t.intern("type0@n3#1"), t.intern("type0@n\"9#2"));
+        t.trace(1_500_000, 3, label, &SEQ, [9, u32::MAX, 0]);
+        t.trace(7, 4, label, &WINNER, [winner, 0, 0]);
+        static NONE: TraceSite = TraceSite::new("group.form", "");
+        t.trace(8, 4, label, &NONE, [0; 3]);
+        assert_eq!(
+            t.last_events(3),
+            [
+                "1500000us n3 [type0@n3#1] k seq=9 weight=4294967295",
+                "7us n4 [type0@n3#1] group.suppress winner=type0@n\"9#2",
+                "8us n4 [type0@n3#1] group.form ",
+            ]
+        );
+    }
+
+    /// The text form keeps its kind and detail as they were given. One site
+    /// serves every record of a kind with a detail, and one every record of
+    /// it without, which interns no detail.
+    #[test]
+    fn text_records_keep_their_kind_and_detail() {
+        let t = Telemetry::new();
+        let label: Rc<str> = "type0@n3#1".into();
+        t.trace_shared(5, 3, &label, "group.hb", String::new());
+        t.trace_shared(6, 3, &label, "group.hb", "{} {s} seq=1".to_owned());
+        t.trace_shared(7, 3, &label, "group.hb", "seq=2".to_owned());
+        let lines = [
+            "5us n3 [type0@n3#1] group.hb ",
+            "6us n3 [type0@n3#1] group.hb {} {s} seq=1",
+            "7us n3 [type0@n3#1] group.hb seq=2",
+        ];
+        assert_eq!(t.last_events(3), lines);
+        t.with_registry(|r| {
+            let sites: Vec<&TraceSite> = r.trace_events().map(|e| e.site).collect();
+            assert!(std::ptr::eq(sites[1], sites[2]) && !std::ptr::eq(sites[0], sites[1]));
+            assert_eq!(r.strings.text.len(), 3, "the label and two details");
+        });
+        let hb = text_site("group.hb", true);
+        assert!(!std::ptr::eq(hb, text_site("group.join", true)));
+    }
+
+    /// A record is plain data: copied into the ring whole, sendable to
+    /// another thread, and no bigger than 40 bytes.
+    #[test]
+    fn a_trace_record_is_at_most_40_bytes_and_send() {
+        fn send<T: Send + Copy>() {}
+        send::<TraceEvent>();
+        assert!(std::mem::size_of::<TraceEvent>() <= 40);
     }
 }

@@ -132,6 +132,7 @@ for f in "$tmp/scale.json" BENCH_scale.json; do
              '"lane_pops":' '"heap_pops":' '"inline_events":' '"boxed_events":' \
              '"build_allocs":' '"build_heap_bytes":' \
              '"timer_live":' '"timer_stale":' '"timer_retries":' '"cold_engaged":' \
+             '"trace_records":' '"trace_dropped":' '"trace_ring_bytes":' \
              '"shards":' '"speedup_vs_first":' '"byte_identical":true' \
              '"medium":' '"replayed_intents":' '"full_replay_intents":' \
              '"medium":"partitioned"' '"medium":"replicated"'; do
@@ -152,6 +153,14 @@ grep -o '"nodes":[0-9]*,"build_wall_s":[^,]*,"build_allocs":[0-9]*,"build_heap_b
   { n = $2; b = $8; if (b > 320 * n) { print "verify: " n " nodes built " b " heap bytes (limit 320 a node)"; bad = 1 } }
   END { exit bad || NR == 0 }' >&2 \
   || { echo "verify: the smoke rows build more than 320 heap bytes a node" >&2; exit 1; }
+# A trace record is plain data (40 bytes, its text made only at export) in
+# a ring that grows by an eighth: each smoke row's ring keeps at most 48
+# heap bytes per record it retains.
+grep -o '"trace_records":[0-9]*,"trace_dropped":[0-9]*,"trace_ring_bytes":[0-9]*' \
+  "$tmp/scale.json" | tr ',:' '  ' | awk '
+  { kept = $2 - $4; b = $6; if (kept <= 0 || b > 48 * kept) { print "verify: a trace ring of " b " bytes keeps " kept " records (limit 48 a record)"; bad = 1 } }
+  END { exit bad || NR == 0 }' >&2 \
+  || { echo "verify: the smoke rows keep more than 48 trace-ring bytes a record" >&2; exit 1; }
 
 # Soak smoke: a short layered-fault run (corruption + burst loss +
 # partition/heal + crash/reboot) must pass every acceptance claim — zero
