@@ -7,6 +7,8 @@
 //! kernel: a hot-path refactor (event queue, radio medium, telemetry)
 //! that silently changes event ordering or RNG consumption shifts these
 //! digests and fails here instead of quietly bending the paper's curves.
+//! One more test pins the sharded kernel's merged run record and telemetry
+//! the same way.
 //!
 //! When a shift is *intentional* (a protocol change with an understood
 //! effect), regenerate with:
@@ -20,9 +22,11 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use envirotrack_bench::experiments::scale::{run_scale_sharded, ScaleRun};
 use envirotrack_bench::experiments::{fig3, fig4, fig5, fig6, table1};
 use envirotrack_bench::sweep::max_trackable_speed;
 use envirotrack_bench::harness::TrackingRun;
+use envirotrack_core::shard::MediumMode;
 use envirotrack_sim::time::SimDuration;
 
 fn check(name: &str, actual: &str) {
@@ -120,4 +124,22 @@ fn fig6_crsr_speed_point_matches_golden() {
     let speed = max_trackable_speed(&template, 1, 0.5);
     let d = format!("speed_at_ratio2={speed:.9}\n");
     check("fig6.txt", &d);
+}
+
+#[test]
+fn sharded_scale_dump_matches_golden() {
+    // The sharded family's own pin: every other sharded test compares one
+    // shard count or medium mode with another, so a change that moved every
+    // count alike would pass them all. The horizon is long enough for a
+    // histogram line as well as frame counters.
+    let cfg = ScaleRun {
+        nodes: 400,
+        speed_hops_per_s: 0.25,
+        horizon: SimDuration::from_secs(20),
+        ..ScaleRun::default()
+    };
+    let dump = run_scale_sharded(&cfg, 2, MediumMode::Partitioned).dump;
+    assert!(dump.contains(r#""t":"hist""#), "no histogram in {dump}");
+    assert!(dump.contains("net.k1.tx"), "no frame counter in {dump}");
+    check("scale_sharded.jsonl", &dump);
 }
