@@ -6,13 +6,13 @@
 //! cargo run --release -p envirotrack-bench --bin scale -- --smoke --out /tmp/smoke.json
 //! ```
 //!
-//! Five sections land in the JSON:
+//! Four sections land in the JSON:
 //!
 //! 1. `results` — the Figure-2 tracking program on 1k/2k/5k/10k/100k-node
 //!    [`ScaleScenario`] fields for a fixed virtual horizon: wall time,
 //!    kernel events, events per wall-second, bytes on air, the world
-//!    build's allocations and the heap bytes it left live (counted by this
-//!    binary's own global allocator), the sensing driver's work counters
+//!    build's allocations and the heap bytes it left live (counted by
+//!    `testkit::alloc::Counting`, this binary's global allocator), the sensing driver's work counters
 //!    (ticks fired and admitted, strides between hot records, idle samples
 //!    the coverage answered or walked, coverage rebuilds, answered samples
 //!    settled by the ambient verdict), the event list's (lane pops, heap
@@ -21,15 +21,12 @@
 //!    how many nodes hold protocol-layer state at the horizon
 //!    (`cold_engaged`: the nodes that used a layer) and the trace ring's
 //!    (records appended and dropped, and its slots' heap bytes).
-//! 2. `construction` — grid vs. brute-force neighbor-table build time on
-//!    a 10k-node field (tables asserted identical before timing; the
-//!    all-pairs scan would dominate the run at 100k).
-//! 3. `sweep` — a homogeneous scale-cell set run at 1/2/4/8 workers with
+//! 2. `sweep` — a homogeneous scale-cell set run at 1/2/4/8 workers with
 //!    byte-identical-merge cross-checks, as in the `sweep` bin.
-//! 4. `shards` — the smallest field advanced by the lock-step sharded
+//! 3. `shards` — the smallest field advanced by the lock-step sharded
 //!    kernel (`envirotrack_core::shard`) at each `--shards` count, with
 //!    the merged output asserted byte-identical across counts.
-//! 5. `medium` — the replicated-vs-partitioned medium A/B: each row runs
+//! 4. `medium` — the replicated-vs-partitioned medium A/B: each row runs
 //!    one (nodes, shards) point under both routing modes, asserts the
 //!    merged outputs byte-identical, and reports the replay work
 //!    (`replayed_intents` vs `shards × merged_intents`) plus wall time.
@@ -37,8 +34,8 @@
 //!    wall-clock deltas are advisory — the shards only pipeline, never
 //!    truly overlap.
 //!
-//! `--smoke` shrinks everything (1k and 2k nodes, 2 s horizon, 2k-node
-//! construction, 2-cell sweep, 1k-node medium A/B) for the CI stage in
+//! `--smoke` shrinks everything (1k and 2k nodes, 2 s horizon, 2-cell
+//! sweep, 1k-node medium A/B) for the CI stage in
 //! `scripts/verify.sh`, which checks that both fields took the same number
 //! of build allocations, and that each trace ring holds at most 48 bytes
 //! a record.
@@ -57,79 +54,18 @@
 //!
 //! [`ScaleScenario`]: envirotrack_world::scenario::ScaleScenario
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use envirotrack_bench::experiments::scale::{
-    construction_timing, crosscheck_dump, print, run_scale, run_scale_sharded, ScaleRun,
+    crosscheck_dump, print, run_scale, run_scale_sharded, ScaleRun,
 };
 use envirotrack_bench::sweep::cells::scale_cells;
 use envirotrack_bench::sweep::run_sweep;
 use envirotrack_core::report::json::JsonObject;
 use envirotrack_core::shard::MediumMode;
 use envirotrack_sim::time::SimDuration;
-
-/// Counts the allocations each thread makes and the heap bytes it holds
-/// live, for the build columns of the `results` rows.
-struct Counting;
-
-thread_local! {
-    // Const-initialised and without a destructor: reading them never
-    // allocates, which an allocator must not do while allocating.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-}
-
-/// Counts one allocation of `grown` bytes (negative when freeing), on a
-/// thread that is not tearing its slots down.
-fn account(allocs: u64, grown: isize) {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + allocs));
-    let _ = LIVE.try_with(|n| n.set(n.get() + grown as i64));
-}
-
-/// This thread's allocations so far and the heap bytes it holds live.
-fn heap() -> (u64, i64) {
-    (ALLOCS.with(Cell::get), LIVE.with(Cell::get))
-}
-
-// SAFETY: every method forwards to `System` with the caller's own pointer
-// and layout, unchanged; the counting beside it touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            account(1, layout.size() as isize);
-        }
-        ptr
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: as for `alloc`.
-        let ptr = unsafe { System.alloc_zeroed(layout) };
-        if !ptr.is_null() {
-            account(1, layout.size() as isize);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller guarantees `ptr` came from this allocator with `layout`.
-        unsafe { System.dealloc(ptr, layout) };
-        account(0, -(layout.size() as isize));
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: the caller guarantees `ptr`/`layout` match and `new_size` is valid.
-        let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
-        if !new_ptr.is_null() {
-            account(1, new_size as isize - layout.size() as isize);
-        }
-        new_ptr
-    }
-}
+use testkit::alloc::{heap, Counting};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -137,7 +73,6 @@ static GLOBAL: Counting = Counting;
 struct Args {
     nodes: Vec<u32>,
     horizon_ms: u64,
-    construction_nodes: u32,
     sweep_cells: usize,
     sweep_nodes: u32,
     /// Shard counts for the `shards` section; set explicitly, it also
@@ -156,7 +91,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         nodes: vec![1_000, 2_000, 5_000, 10_000, 100_000],
         horizon_ms: 10_000,
-        construction_nodes: 10_000,
         sweep_cells: 8,
         sweep_nodes: 2_000,
         shards: None,
@@ -217,7 +151,6 @@ fn parse_args() -> Result<Args, String> {
             "--smoke" => {
                 args.nodes = vec![1_000, 2_000];
                 args.horizon_ms = 2_000;
-                args.construction_nodes = 2_000;
                 args.sweep_cells = 2;
                 args.sweep_nodes = 200;
                 args.medium_nodes = vec![1_000];
@@ -336,17 +269,9 @@ fn main() -> ExitCode {
         points.push(p);
     }
 
-    // Section 2: grid vs brute-force construction on the largest field.
-    let construction = construction_timing(args.construction_nodes, 3);
-    let construction_json = JsonObject::new()
-        .field_u64("nodes", u64::from(construction.nodes))
-        .field_f64("grid_ms", construction.grid_ms)
-        .field_f64("brute_ms", construction.brute_ms)
-        .field_f64("speedup", construction.speedup)
-        .finish();
-    print(&points, &construction);
+    print(&points);
 
-    // Section 3: worker scaling over a homogeneous scale-cell set, with
+    // Section 2: worker scaling over a homogeneous scale-cell set, with
     // the sweep engine's byte-identical-merge guarantee cross-checked.
     let cells = scale_cells(args.sweep_cells, args.sweep_nodes, args.seed);
     let mut baseline: Option<String> = None;
@@ -384,7 +309,7 @@ fn main() -> ExitCode {
         );
     }
 
-    // Section 4: the lock-step sharded kernel on the smallest field, with
+    // Section 3: the lock-step sharded kernel on the smallest field, with
     // the merged output byte-compared across shard counts. On a 1-CPU host
     // the wall time stays flat (the shards only pipeline, never truly
     // overlap) — the determinism cross-check is the load-bearing part.
@@ -434,7 +359,7 @@ fn main() -> ExitCode {
         );
     }
 
-    // Section 5: the medium A/B — each (nodes, shards) point under both
+    // Section 4: the medium A/B — each (nodes, shards) point under both
     // routing modes, byte-identity asserted, replay work compared. The
     // shards-column speedup on a 1-CPU host is advisory; the load-bearing
     // number is replayed_intents versus the full N-fold replay.
@@ -501,9 +426,8 @@ fn main() -> ExitCode {
         .field_bool("merged_outputs_identical", true)
         .finish();
     let json = format!(
-        "{},\"construction\":{},\"results\":[{}],\"sweep\":[{}],\"shards\":[{}],\"medium\":[{}]}}\n",
+        "{},\"results\":[{}],\"sweep\":[{}],\"shards\":[{}],\"medium\":[{}]}}\n",
         &head[..head.len() - 1],
-        construction_json,
         rows.join(","),
         sweep_rows.join(","),
         shard_rows.join(","),

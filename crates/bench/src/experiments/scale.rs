@@ -8,11 +8,6 @@
 //! the Figure-2 tracking program on a [`ScaleScenario`] field for a fixed
 //! virtual horizon and reports kernel events per wall-second, so node
 //! counts are directly comparable.
-//!
-//! [`construction_timing`] times the neighbor-table build under both
-//! [`NeighborStrategy`] variants on the same deployment, asserting the
-//! tables are identical before trusting the clock — the speedup number in
-//! the JSON is therefore also an equivalence witness.
 
 use std::time::Instant;
 
@@ -23,7 +18,6 @@ use envirotrack_core::shard::{run_sharded, MediumMode};
 use envirotrack_sim::engine::EventWork;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::TraceWork;
-use envirotrack_world::grid::{neighbor_lists_with, NeighborStrategy};
 use envirotrack_world::scenario::{ScaleScenario, Scenario};
 
 use crate::harness::{tracker_program, TRACKER};
@@ -286,67 +280,8 @@ pub fn run_scale_sharded(cfg: &ScaleRun, shards: usize, medium: MediumMode) -> S
     }
 }
 
-/// Grid-vs-brute-force neighbor-table construction timing on one
-/// deployment.
-#[derive(Debug, Clone)]
-pub struct ConstructionTiming {
-    /// Deployment size in nodes.
-    pub nodes: u32,
-    /// Fastest grid build over the measured repetitions, in milliseconds.
-    pub grid_ms: f64,
-    /// Fastest all-pairs build over the measured repetitions, in
-    /// milliseconds.
-    pub brute_ms: f64,
-    /// `brute_ms / grid_ms`.
-    pub speedup: f64,
-}
-
-/// Times [`neighbor_lists_with`] under both strategies on a
-/// [`ScaleScenario`] deployment of `nodes`, taking the fastest of `reps`
-/// repetitions each.
-///
-/// # Panics
-///
-/// Panics if the two strategies disagree on any neighbor list — the
-/// timing is only meaningful for equivalent outputs.
-#[must_use]
-pub fn construction_timing(nodes: u32, reps: u32) -> ConstructionTiming {
-    let radius = ScaleRun::default().comm_radius;
-    let deployment = ScaleScenario {
-        nodes,
-        ..ScaleScenario::default()
-    }
-    .build()
-    .deployment;
-
-    let grid = neighbor_lists_with(&deployment, radius, NeighborStrategy::Grid);
-    let brute = neighbor_lists_with(&deployment, radius, NeighborStrategy::BruteForce);
-    assert_eq!(
-        grid, brute,
-        "grid and brute-force neighbor tables must be identical"
-    );
-
-    let time_ms = |strategy: NeighborStrategy| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let t0 = Instant::now();
-            std::hint::black_box(neighbor_lists_with(&deployment, radius, strategy));
-            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        }
-        best
-    };
-    let grid_ms = time_ms(NeighborStrategy::Grid);
-    let brute_ms = time_ms(NeighborStrategy::BruteForce);
-    ConstructionTiming {
-        nodes,
-        grid_ms,
-        brute_ms,
-        speedup: if grid_ms > 0.0 { brute_ms / grid_ms } else { 0.0 },
-    }
-}
-
 /// Prints the trajectory as an aligned table.
-pub fn print(points: &[ScalePoint], construction: &ConstructionTiming) {
+pub fn print(points: &[ScalePoint]) {
     println!(
         "BENCH scale — {} targets, {:.1} comm radius, grid medium",
         ScaleRun::default().targets,
@@ -369,10 +304,6 @@ pub fn print(points: &[ScalePoint], construction: &ConstructionTiming) {
             p.bytes_on_air
         );
     }
-    println!(
-        "  construction @ {} nodes: grid {:.2} ms vs brute {:.2} ms ({:.1}x)",
-        construction.nodes, construction.grid_ms, construction.brute_ms, construction.speedup
-    );
 }
 
 #[cfg(test)]
@@ -458,15 +389,6 @@ mod tests {
         assert!(
             partitioned.replayed_intents < replicated.replayed_intents,
             "partitioned must replay strictly less than replicated"
-        );
-    }
-
-    #[test]
-    fn grid_construction_beats_brute_force() {
-        let t = construction_timing(1500, 2);
-        assert!(
-            t.speedup > 1.0,
-            "grid must beat the all-pairs scan at 1500 nodes: {t:?}"
         );
     }
 }

@@ -109,12 +109,6 @@ pub struct EventLog {
 }
 
 impl EventLog {
-    /// Creates an empty log.
-    #[must_use]
-    pub fn new() -> Self {
-        EventLog::default()
-    }
-
     /// Appends an event.
     pub(crate) fn push(&mut self, at: Timestamp, event: SystemEvent) {
         self.entries.push((at, event));
@@ -179,7 +173,7 @@ mod tests {
 
     #[test]
     fn log_filters_by_type_and_label() {
-        let mut log = EventLog::new();
+        let mut log = EventLog::default();
         let a = label(0, 1, 0);
         let b = label(1, 2, 0);
         log.push(
@@ -220,7 +214,7 @@ mod tests {
 
     #[test]
     fn suppressed_and_count_queries() {
-        let mut log = EventLog::new();
+        let mut log = EventLog::default();
         let winner = label(0, 1, 0);
         let loser = label(0, 2, 0);
         log.push(

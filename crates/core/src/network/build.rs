@@ -104,7 +104,7 @@ impl SensorNetwork {
             sensing,
             timers: TimerWork::default(),
             rec: Recorder::new(telemetry),
-            base_log: BaseStationLog::new(),
+            base_log: BaseStationLog::default(),
             app_log: Vec::new(),
             shard: None,
             #[cfg(test)]

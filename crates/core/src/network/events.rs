@@ -10,6 +10,7 @@ use envirotrack_world::field::NodeId;
 
 use crate::context::{trace_label, ContextLabel, ContextTypeId};
 use crate::events::{EventLog, HandoverReason, SystemEvent};
+use crate::report::counter;
 use crate::trace;
 
 pub(super) struct Recorder {
@@ -30,7 +31,7 @@ pub(super) struct Recorder {
 impl Recorder {
     pub(super) fn new(telemetry: Telemetry) -> Self {
         Recorder {
-            log: EventLog::new(),
+            log: EventLog::default(),
             telemetry,
             handover_counters: BTreeMap::new(),
             corrupt_counters: BTreeMap::new(),
@@ -87,7 +88,7 @@ impl Recorder {
         let trace = |label, site, args| trace_label(t, at, node, label, site, args);
         match &event {
             SystemEvent::LabelCreated { label, .. } => {
-                t.incr("group.form");
+                t.incr(counter::LABEL_CREATED);
                 trace(*label, &trace::GROUP_FORM, [0; 3]);
             }
             SystemEvent::LeaderHandover {
@@ -103,12 +104,14 @@ impl Recorder {
                 };
                 self.handover_counters
                     .entry(label.intern_key())
-                    .or_insert_with(|| t.counter_handle(&format!("group.handover.{label}")))
+                    .or_insert_with(|| {
+                        t.counter_handle(&format!("{}{label}", counter::HANDOVER_PREFIX))
+                    })
                     .incr();
                 trace(*label, site, [from.0, to.0, 0]);
             }
             SystemEvent::LabelSuppressed { loser, winner, .. } => {
-                t.incr("group.suppress");
+                t.incr(counter::LABEL_SUPPRESSED);
                 trace(*loser, &trace::GROUP_SUPPRESS, [winner.trace_id(t), 0, 0]);
             }
             SystemEvent::LabelDissolved { label, .. } => {
@@ -123,13 +126,13 @@ impl Recorder {
             SystemEvent::MtpDelivered {
                 label, chain_hops, ..
             } => {
-                t.incr("mtp.delivered");
+                t.incr(counter::MTP_DELIVERED);
                 t.observe("mtp.chain_hops", u64::from(*chain_hops));
                 let hops = u32::from(*chain_hops);
                 trace(*label, &trace::MTP_DELIVERED, [hops, 0, 0]);
             }
             SystemEvent::MtpDropped { label, .. } => {
-                t.incr("mtp.drop");
+                t.incr(counter::MTP_DROPPED);
                 trace(*label, &trace::MTP_DROP, [0; 3]);
             }
         }

@@ -13,7 +13,7 @@ use super::dir::DirState;
 use super::{NetworkConfig, SensingWork, SensorNetwork, TimerWork};
 use crate::context::{ContextLabel, ContextTypeId};
 use crate::directory::{hash_point, replica_set};
-use crate::events::{EventLog, SystemEvent};
+use crate::events::EventLog;
 use crate::group::{AggregateHealth, GroupMachine, RoleKind};
 use crate::report::{BaseStationLog, RunRecord};
 
@@ -303,24 +303,13 @@ impl SensorNetwork {
         })
     }
 
-    /// A whole-run robustness record for JSON-lines output; `violations`
-    /// comes from the caller's invariant monitor (0 without one).
+    /// A whole-run robustness record for JSON-lines output, its protocol
+    /// counts read from the telemetry counters; `violations` comes from the
+    /// caller's invariant monitor (0 without one).
     #[must_use]
     pub fn run_record(&self, seed: u64, elapsed: SimDuration, violations: u64) -> RunRecord {
-        let count = |pred: fn(&SystemEvent) -> bool| self.rec.log.count(pred) as u64;
-        let mut record = RunRecord {
-            seed,
-            elapsed,
-            labels_created: count(|e| matches!(e, SystemEvent::LabelCreated { .. })),
-            labels_suppressed: count(|e| matches!(e, SystemEvent::LabelSuppressed { .. })),
-            handovers: count(|e| matches!(e, SystemEvent::LeaderHandover { .. })),
-            base_reports: self.base_log.len() as u64,
-            mtp_delivered: count(|e| matches!(e, SystemEvent::MtpDelivered { .. })),
-            mtp_dropped: count(|e| matches!(e, SystemEvent::MtpDropped { .. })),
-            violations,
-            ..RunRecord::default()
-        };
-        record.set_channel(self.medium.stats());
-        record
+        let reports = self.base_log.len() as u64;
+        let (telemetry, net) = (&self.rec.telemetry, self.medium.stats());
+        RunRecord::from_registry(seed, elapsed, telemetry, net, reports, violations)
     }
 }

@@ -182,12 +182,6 @@ pub struct BaseStationLog {
 }
 
 impl BaseStationLog {
-    /// Creates an empty log.
-    #[must_use]
-    pub fn new() -> Self {
-        BaseStationLog::default()
-    }
-
     /// Appends a received report.
     pub(crate) fn record(&mut self, entry: ReportEntry) {
         self.entries.push(entry);
@@ -266,8 +260,7 @@ impl BaseStationLog {
 
 impl ReportEntry {
     /// Encodes this report as one flat JSON object (no trailing newline).
-    #[must_use]
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut obj = json::JsonObject::new()
             .field_u64("received_us", self.received_at.as_micros())
             .field_u64("generated_us", self.generated_at.as_micros())
@@ -322,21 +315,60 @@ pub struct RunRecord {
     pub violations: u64,
 }
 
+/// The registry counters a [`RunRecord`] counts, named once for the
+/// recorder that increments them and the record that reads them.
+pub(crate) mod counter {
+    /// One per label created.
+    pub(crate) const LABEL_CREATED: &str = "group.form";
+    /// One per label suppressed in favour of another.
+    pub(crate) const LABEL_SUPPRESSED: &str = "group.suppress";
+    /// Followed by the label's display form: one counter per label, one per
+    /// handover of its leadership.
+    pub(crate) const HANDOVER_PREFIX: &str = "group.handover.";
+    /// One per MTP message delivered to its destination object.
+    pub(crate) const MTP_DELIVERED: &str = "mtp.delivered";
+    /// One per MTP message given up on.
+    pub(crate) const MTP_DROPPED: &str = "mtp.drop";
+}
+
 impl RunRecord {
-    /// Fills the channel fields from whole-run channel statistics: an
-    /// inline medium's own, or a sharded run's scheduler and shards
-    /// combined.
-    pub(crate) fn set_channel(&mut self, net: &NetStats) {
+    /// The record of a run whose protocol events `telemetry` counted and
+    /// whose channel `net` describes: a monolithic world's own registry
+    /// and medium, or a sharded run's merged registry and combined
+    /// statistics.
+    pub(crate) fn from_registry(
+        seed: u64,
+        elapsed: SimDuration,
+        telemetry: &Telemetry,
+        net: &NetStats,
+        base_reports: u64,
+        violations: u64,
+    ) -> RunRecord {
         let mut all = KindStats::default();
         for ks in net.per_kind.values() {
             all.absorb(ks);
         }
-        self.hb_loss = net.kind(kinds::HEARTBEAT).tx_loss_ratio();
-        self.report_loss = net.kind(kinds::REPORT).tx_loss_ratio();
-        self.pair_loss = all.pair_loss_ratio();
-        self.burst_faded = all.burst_faded;
-        self.partition_dropped = all.partition_dropped;
-        self.mac_dropped = all.mac_dropped;
+        telemetry.with_registry(|r| RunRecord {
+            seed,
+            elapsed,
+            labels_created: r.counter(counter::LABEL_CREATED),
+            labels_suppressed: r.counter(counter::LABEL_SUPPRESSED),
+            handovers: r
+                .counters()
+                .filter(|(name, _)| name.starts_with(counter::HANDOVER_PREFIX))
+                .map(|(_, v)| v)
+                .sum(),
+            base_reports,
+            hb_loss: net.kind(kinds::HEARTBEAT).tx_loss_ratio(),
+            report_loss: net.kind(kinds::REPORT).tx_loss_ratio(),
+            pair_loss: all.pair_loss_ratio(),
+            burst_faded: all.burst_faded,
+            partition_dropped: all.partition_dropped,
+            mac_dropped: all.mac_dropped,
+            mtp_delivered: r.counter(counter::MTP_DELIVERED),
+            mtp_dropped: r.counter(counter::MTP_DROPPED),
+            violations,
+        })
     }
 
     /// Encodes the record as one flat JSON object (no trailing newline).
@@ -469,7 +501,7 @@ pub fn telemetry_summary(telemetry: &Telemetry) -> String {
         out.push_str("leadership handoffs per label:\n");
         let mut any = false;
         for (name, v) in r.counters() {
-            if let Some(label) = name.strip_prefix("group.handover.") {
+            if let Some(label) = name.strip_prefix(counter::HANDOVER_PREFIX) {
                 any = true;
                 let _ = writeln!(out, "  {label:<24} {v}");
             }
@@ -490,8 +522,8 @@ pub fn telemetry_summary(telemetry: &Telemetry) -> String {
             r.counter("mtp.send"),
             r.counter("mtp.ack"),
             r.counter("mtp.retx"),
-            r.counter("mtp.drop"),
-            r.counter("mtp.delivered"),
+            r.counter(counter::MTP_DROPPED),
+            r.counter(counter::MTP_DELIVERED),
             r.counter("mtp.dedup"),
         );
         out.push_str("mtp attempts histogram (attempts -> segments):\n");
@@ -552,7 +584,7 @@ mod tests {
 
     #[test]
     fn tracks_group_by_label_in_order() {
-        let mut log = BaseStationLog::new();
+        let mut log = BaseStationLog::default();
         log.record(entry(1, 0, Point::new(0.0, 0.5)));
         log.record(entry(2, 1, Point::new(9.0, 1.5)));
         log.record(entry(1, 5, Point::new(1.0, 0.5)));
@@ -568,7 +600,7 @@ mod tests {
 
     #[test]
     fn jsonl_export_is_one_valid_object_per_line() {
-        let mut log = BaseStationLog::new();
+        let mut log = BaseStationLog::default();
         log.record(entry(1, 0, Point::new(0.0, 0.5)));
         log.record(ReportEntry {
             received_at: Timestamp::from_secs(2),
@@ -644,9 +676,44 @@ mod tests {
         assert_eq!(line, r.to_json());
     }
 
+    /// The record's protocol counts are the registry's counters: handovers
+    /// summed over every label's `group.handover.<label>`, and nothing
+    /// counted from a name that only starts like one.
+    #[test]
+    fn a_run_record_reads_its_counts_from_the_registry() {
+        let t = Telemetry::new();
+        let net = NetStats::default();
+        let empty = RunRecord::from_registry(9, SimDuration::ZERO, &t, &net, 0, 0);
+        let nothing = RunRecord {
+            seed: 9,
+            ..RunRecord::default()
+        };
+        assert_eq!(empty, nothing);
+        for (name, n) in [
+            ("group.form", 3),
+            ("group.suppress", 1),
+            ("group.handover.type0@n1#0", 2),
+            ("group.handover.type1@n7#3", 5),
+            ("group.handover", 100),
+            ("group.handovers", 100),
+            ("group.hb", 100),
+            ("x.group.handover.type0@n1#0", 100),
+            ("mtp.delivered", 6),
+            ("mtp.drop", 2),
+            ("mtp.dropped", 100),
+        ] {
+            t.add(name, n);
+        }
+        let r = RunRecord::from_registry(9, SimDuration::ZERO, &t, &net, 4, 1);
+        let counts = (r.labels_created, r.labels_suppressed, r.handovers);
+        assert_eq!(counts, (3, 1, 7));
+        assert_eq!((r.mtp_delivered, r.mtp_dropped), (6, 2));
+        assert_eq!((r.seed, r.base_reports, r.violations), (9, 4, 1));
+    }
+
     #[test]
     fn non_position_payloads_are_skipped_in_tracks() {
-        let mut log = BaseStationLog::new();
+        let mut log = BaseStationLog::default();
         log.record(ReportEntry {
             received_at: Timestamp::from_secs(1),
             generated_at: Timestamp::ZERO,

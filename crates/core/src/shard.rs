@@ -65,34 +65,41 @@
 //! interleaving *across* shards within an epoch cannot be observed. All
 //! channel randomness is either resolved once centrally or keyed per
 //! `(transmission, receiver)` pair, so no shard's draws depend on what the
-//! others were routed. Telemetry counters and histograms are commutative
-//! sums over per-node activity partitioned by ownership; channel counters
-//! are derived at merge time from the combined scheduler + shard
-//! statistics.
+//! others were routed.
+//!
+//! ## One registry per run
+//!
+//! Telemetry counters and histograms are commutative sums over per-node
+//! activity partitioned by ownership. Each shard ships its counters and
+//! histograms; the orchestrator adds them into one fresh registry (a
+//! histogram absorbs another bucket by bucket), adds the channel counters
+//! derived from the combined scheduler + shard statistics, and exports
+//! that registry with `telemetry_to_jsonl` and reads its run record from
+//! it (`RunRecord::from_registry`), as a monolithic world does with its
+//! own. `kernel.events` is left out (event counts are not
+//! partition-additive), and gauges and trace events are not shipped.
 //!
 //! A sharded run is byte-identical across shard counts and medium modes.
 //! The monolithic (`build_engine`) engine runs the same channel pipeline
 //! inline with zero added latency, so its bytes differ by the uniform
 //! `+L`; `bench/tests/shard_determinism.rs` pins what the `+L` must not
 //! move (labels, handovers, per-kind loss ratios).
-//! `kernel.events` is stripped from the merged telemetry (event counts are
-//! not partition-additive), and trace events are excluded entirely.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{mpsc, Arc};
 
 use envirotrack_net::medium::{ChannelScheduler, NetStats, ResolvedTx, TxKey};
 use envirotrack_net::packet::Frame;
 use envirotrack_sim::rng::SimRng;
-use envirotrack_sim::time::Timestamp;
-use envirotrack_telemetry::Telemetry;
+use envirotrack_sim::time::{SimDuration, Timestamp};
+use envirotrack_telemetry::{LogLinearHistogram, Telemetry};
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::grid::{shard_assignment, shard_interest_ranges, Topology};
 use envirotrack_world::sensing::Environment;
 
 use crate::api::Program;
 use crate::network::{FaultEvent, NetworkConfig, SensorNetwork};
-use crate::report::{json, RunRecord};
+use crate::report::{telemetry_to_jsonl, RunRecord};
 
 /// One captured transmit request, exchanged across shards at epoch
 /// barriers. `(at, src, seq)` is a total order over all intents of a run:
@@ -280,12 +287,12 @@ impl ShardState {
 /// The merged result of a sharded run.
 #[derive(Debug, Clone)]
 pub struct ShardedRun {
-    /// Run record with event-log counts summed across shards and channel
-    /// fields recomputed from the combined scheduler + shard statistics.
+    /// Run record read from the merged registry, with its channel fields
+    /// from the combined scheduler + shard statistics.
     pub record: RunRecord,
-    /// Merged telemetry in `telemetry_to_jsonl` format: counters then
-    /// histograms, name-sorted; `kernel.events` stripped, traces excluded,
-    /// channel counters derived from the combined statistics.
+    /// The merged registry through `telemetry_to_jsonl`: counters then
+    /// histograms, name-sorted; `kernel.events` stripped, no gauges or
+    /// traces, channel counters derived from the combined statistics.
     pub telemetry_jsonl: String,
     /// Kernel events processed, summed over shards (diagnostic only — not
     /// part of the byte-compared output, since the ingested-transmission
@@ -304,25 +311,18 @@ pub struct ShardedRun {
     pub engaged: Vec<Vec<NodeId>>,
 }
 
-/// One shard's contribution to the merge.
+/// One shard's contribution to the merge: its registry's counters and
+/// histograms, and what the run record reads besides them.
 struct ShardOutput {
-    record: RunRecord,
     counters: Vec<(String, u64)>,
-    hists: Vec<HistSnapshot>,
+    hists: Vec<(String, LogLinearHistogram)>,
+    base_reports: u64,
     events: u64,
     net: NetStats,
     delivered: Vec<TxKey>,
     tail_dropped: u64,
     outbox_allocs: u64,
     engaged: Vec<NodeId>,
-}
-
-struct HistSnapshot {
-    name: String,
-    count: u64,
-    sum: u128,
-    max: u64,
-    buckets: Vec<(u64, u64)>,
 }
 
 enum Cmd {
@@ -503,13 +503,15 @@ pub fn run_sharded(
                             let delivered = engine.world_mut().drain_shard_delivered();
                             let outbox_allocs = engine.world_mut().shard_mut().outbox_allocs();
                             let world = engine.world();
-                            let record =
-                                world.run_record(seed, horizon - Timestamp::ZERO, 0);
-                            let (counters, hists) = snapshot_metrics(world.telemetry());
+                            let (counters, hists) = world.telemetry().with_registry(|r| {
+                                let counters = r.counters().map(|(n, v)| (n.to_owned(), v));
+                                let hists = r.histograms().map(|(n, h)| (n.to_owned(), h.clone()));
+                                (counters.collect(), hists.collect())
+                            });
                             let out = ShardOutput {
-                                record,
                                 counters,
                                 hists,
+                                base_reports: world.base_log().len() as u64,
                                 events: engine.kernel().events_processed(),
                                 net: world.net_stats().clone(),
                                 delivered,
@@ -670,115 +672,53 @@ pub fn run_sharded(
             intents.tail_dropped += out.tail_dropped;
             intents.outbox_allocs += out.outbox_allocs;
         }
-        merge_outputs(outputs, net, intents)
+        merge_outputs(outputs, net, intents, seed, horizon - Timestamp::ZERO)
     })
 }
 
-/// Snapshots a registry's counters and histograms into `Send`-able form.
-fn snapshot_metrics(telemetry: &Telemetry) -> (Vec<(String, u64)>, Vec<HistSnapshot>) {
-    telemetry.with_registry(|r| {
-        let counters = r
-            .counters()
-            .map(|(name, v)| (name.to_owned(), v))
-            .collect();
-        let hists = r
-            .histograms()
-            .map(|(name, h)| HistSnapshot {
-                name: name.to_owned(),
-                count: h.count(),
-                sum: h.sum(),
-                max: h.max(),
-                buckets: h.iter().collect(),
-            })
-            .collect();
-        (counters, hists)
-    })
-}
-
-/// Merges per-shard outputs: counters and histograms sum (ownership
-/// partitions node activity), channel counters and the run record's
-/// channel fields are derived from the combined scheduler + shard
-/// statistics, and the run record sums its event-log counts.
-fn merge_outputs(outputs: Vec<ShardOutput>, net: NetStats, intents: IntentStats) -> ShardedRun {
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    let mut hists: BTreeMap<String, (u64, u128, u64, BTreeMap<u64, u64>)> = BTreeMap::new();
-    let mut events = 0u64;
+/// Folds per-shard outputs into one registry — counters and histograms
+/// add up (ownership partitions node activity), and the channel counters
+/// are derived from the combined scheduler + shard statistics — and exports
+/// it, and the run record, the way a monolithic world does its own.
+fn merge_outputs(
+    outputs: Vec<ShardOutput>,
+    net: NetStats,
+    intents: IntentStats,
+    seed: u64,
+    elapsed: SimDuration,
+) -> ShardedRun {
+    let merged = Telemetry::new();
+    let (mut events, mut base_reports) = (0, 0);
     for out in &outputs {
         events += out.events;
+        base_reports += out.base_reports;
         for (name, v) in &out.counters {
             // Kernel event counts vary with routing (each ingested
             // transmission is one event); they are diagnostic, not output.
-            if name == "kernel.events" {
-                continue;
+            if name != "kernel.events" {
+                merged.add(name, *v);
             }
-            *counters.entry(name.clone()).or_insert(0) += v;
         }
-        for h in &out.hists {
-            let entry = hists
-                .entry(h.name.clone())
-                .or_insert_with(|| (0, 0, 0, BTreeMap::new()));
-            entry.0 += h.count;
-            entry.1 += h.sum;
-            entry.2 = entry.2.max(h.max);
-            for (low, c) in &h.buckets {
-                *entry.3.entry(*low).or_insert(0) += c;
-            }
+        for (name, h) in &out.hists {
+            merged.absorb_histogram(name, h);
         }
     }
     // Channel counters, derived from the combined statistics exactly where
-    // a monolithic medium would have recorded them. Presence matches the
-    // old lazy registration: a kind appears once it transmits or MAC-drops.
+    // a monolithic medium would have recorded them. Presence matches that
+    // medium's lazy registration: a kind appears once it transmits or
+    // MAC-drops.
     for (kind, ks) in &net.per_kind {
-        counters.insert(format!("net.k{kind}.tx"), ks.tx);
-        counters.insert(format!("net.k{kind}.lost"), ks.tx_lost);
-        counters.insert(format!("net.k{kind}.mac_drop"), ks.mac_dropped);
-        counters.insert(format!("net.k{kind}.bytes"), ks.bytes_on_air);
+        merged.add(&format!("net.k{kind}.tx"), ks.tx);
+        merged.add(&format!("net.k{kind}.lost"), ks.tx_lost);
+        merged.add(&format!("net.k{kind}.mac_drop"), ks.mac_dropped);
+        merged.add(&format!("net.k{kind}.bytes"), ks.bytes_on_air);
     }
     // Invariant across shard counts and medium modes (every tail intent is
     // captured by exactly one owner), so it belongs in the compared bytes.
-    counters.insert("shard.intents.tail_dropped".to_owned(), intents.tail_dropped);
-
-    let mut jsonl = String::new();
-    for (name, v) in &counters {
-        jsonl.push_str(
-            &json::JsonObject::new()
-                .field_str("t", "counter")
-                .field_str("name", name)
-                .field_u64("value", *v)
-                .finish(),
-        );
-        jsonl.push('\n');
-    }
-    for (name, (count, sum, max, buckets)) in &hists {
-        let rendered: Vec<String> = buckets.iter().map(|(low, c)| format!("{low}:{c}")).collect();
-        jsonl.push_str(
-            &json::JsonObject::new()
-                .field_str("t", "hist")
-                .field_str("name", name)
-                .field_u64("count", *count)
-                .field_u64("sum", u64::try_from(*sum).unwrap_or(u64::MAX))
-                .field_u64("max", *max)
-                .field_str("buckets", &rendered.join(" "))
-                .finish(),
-        );
-        jsonl.push('\n');
-    }
-
-    let mut record = outputs[0].record.clone();
-    for out in &outputs[1..] {
-        record.labels_created += out.record.labels_created;
-        record.labels_suppressed += out.record.labels_suppressed;
-        record.handovers += out.record.handovers;
-        record.base_reports += out.record.base_reports;
-        record.mtp_delivered += out.record.mtp_delivered;
-        record.mtp_dropped += out.record.mtp_dropped;
-        record.violations += out.record.violations;
-    }
-    // Channel fields come from the combined view, not any single replica.
-    record.set_channel(&net);
+    merged.add("shard.intents.tail_dropped", intents.tail_dropped);
     ShardedRun {
-        record,
-        telemetry_jsonl: jsonl,
+        record: RunRecord::from_registry(seed, elapsed, &merged, &net, base_reports, 0),
+        telemetry_jsonl: telemetry_to_jsonl(&merged),
         events_processed: events,
         intents,
         net,

@@ -2,12 +2,11 @@
 //! a full trace ring allocates nothing, and `telemetry_to_jsonl` returns a
 //! string whose capacity is its length.
 //!
-//! This file is its own test binary so that its counting global allocator
-//! sees nothing but these tests; the count is per thread, so tests running
-//! side by side do not see each other's allocations either.
+//! This file is its own test binary so that the counting global allocator
+//! it declares (`testkit::alloc::Counting`) sees nothing but these tests;
+//! the count is per thread, so tests running side by side do not see each
+//! other's allocations either.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use envirotrack_core::api::Program;
@@ -19,56 +18,10 @@ use envirotrack_sim::time::Timestamp;
 use envirotrack_telemetry::{Telemetry, DEFAULT_TRACE_CAPACITY};
 use envirotrack_world::scenario::TankScenario;
 use envirotrack_world::target::Channel;
-
-struct Counting;
-
-thread_local! {
-    // Const-initialised and without a destructor: reading it never
-    // allocates, which an allocator must not do while allocating.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` with the caller's own pointer
-// and layout, unchanged; the count beside it touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller guarantees `ptr` came from this allocator with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: the caller guarantees `ptr`/`layout` match and `new_size` is valid.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use testkit::alloc::{measure, Counting};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
-
-/// How many allocations (reallocations included) the calling thread made
-/// while `f` ran.
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
 
 /// Once the ring holds its bound, an append — the label found by its key,
 /// as the middleware finds a context label's, and the oldest record
@@ -81,7 +34,7 @@ fn appending_to_a_full_ring_allocates_nothing() {
         t.trace(at, 3, label, SITES[0], [0; 3]);
     }
     assert_eq!(t.trace_work().dropped, 0);
-    let appended = allocations(|| {
+    let ((), appended, _) = measure(|| {
         for (at, site) in (0..4_096).zip(SITES.iter().cycle()) {
             let label = t.intern_keyed(7, || unreachable!("key 7 is interned"));
             t.trace(at, 3, label, site, [at as u32, u32::MAX, 1]);

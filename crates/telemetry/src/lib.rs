@@ -176,6 +176,17 @@ impl LogLinearHistogram {
         self.max = self.max.max(v);
     }
 
+    /// Adds every observation of `other`, bucket by bucket: the result is
+    /// what recording both streams into one histogram would have made.
+    fn absorb(&mut self, other: &LogLinearHistogram) {
+        for (&i, &c) in &other.buckets {
+            *self.buckets.entry(i).or_insert(0) += c;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+    }
+
     /// Number of observations.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -519,6 +530,17 @@ impl Telemetry {
             .record(v);
     }
 
+    /// Adds every observation of `h` to the named histogram, as if each had
+    /// been recorded here: how per-shard histograms fold into one registry.
+    pub fn absorb_histogram(&self, name: &str, h: &LogLinearHistogram) {
+        self.inner
+            .borrow_mut()
+            .histograms
+            .entry(name.to_owned())
+            .or_default()
+            .absorb(h);
+    }
+
     /// The id of `text` among the registry's strings, storing it on first
     /// use.
     pub fn intern(&self, text: &str) -> u32 {
@@ -769,6 +791,52 @@ mod tests {
                 LogLinearHistogram::bucket_index(v),
                 LogLinearHistogram::bucket_index(42)
             );
+        }
+    }
+
+    /// Absorbing histogram `b` into `a` makes what recording both streams
+    /// into one histogram makes: the same buckets, count, sum, maximum and
+    /// quantiles — over seeded random streams, empty ones and `u64::MAX`
+    /// included.
+    #[test]
+    fn absorbing_a_histogram_equals_recording_both_streams() {
+        // splitmix64: a seeded stream with no dependency on other crates.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        // Short streams, empty ones often; values at every scale.
+        let mut stream = |empty: bool| -> Vec<u64> {
+            let len = if empty { 0 } else { next() % 40 };
+            (0..len)
+                .map(|_| match next() % 4 {
+                    0 => next() % 8,
+                    1 => u64::MAX - next() % 2,
+                    _ => next() >> (next() % 64),
+                })
+                .collect()
+        };
+        let histogram = |values: &[u64]| {
+            let mut h = LogLinearHistogram::default();
+            values.iter().for_each(|&v| h.record(v));
+            h
+        };
+        for case in 0..300 {
+            let (xs, ys) = (stream(case % 5 == 0), stream(case % 7 == 0));
+            let (mut a, b) = (histogram(&xs), histogram(&ys));
+            let both = histogram(&[xs.clone(), ys.clone()].concat());
+            a.absorb(&b);
+            assert_eq!(a, both, "case {case}: {xs:?} + {ys:?}");
+            let summary = |h: &LogLinearHistogram| {
+                let buckets: Vec<(u64, u64)> = h.iter().collect();
+                let quantiles = (h.quantile(0.5), h.quantile(0.99));
+                (h.count(), h.sum(), h.max(), buckets, quantiles)
+            };
+            assert_eq!(summary(&a), summary(&both), "case {case}");
         }
     }
 

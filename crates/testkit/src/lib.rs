@@ -34,7 +34,13 @@
 //! overridable via `TESTKIT_SEED`); `TESTKIT_CASES` scales every suite's
 //! case count without touching code. Failure messages print the seed to
 //! reproduce with.
+//!
+//! # Counting allocations
+//!
+//! [`alloc::Counting`] is the workspace's one counting global allocator,
+//! for the tests and benches that pin how much a piece of work allocates.
 
+pub mod alloc;
 pub mod macros;
 pub mod pattern;
 pub mod runner;

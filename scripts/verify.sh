@@ -56,6 +56,15 @@ if git grep -n 'FrameReader::new(\|\.set_nonblocking(' -- '*.rs' \
   echo "verify: a session client outside serve::client::Conn" >&2; exit 1
 fi
 
+# One-exporter gate: telemetry leaves a run as JSON lines through
+# core::report::telemetry_to_jsonl alone — a sharded run's merged registry
+# included. A counter, gauge or histogram line written anywhere else is a
+# second exporter.
+if git grep -n '"t", "counter"\|"t", "hist"\|"t", "gauge"' -- '*.rs' \
+     ':!crates/core/src/report.rs' >&2; then
+  echo "verify: a telemetry exporter outside core::report" >&2; exit 1
+fi
+
 # Chaos smoke: randomized fault plans (crashes, reboots, partitions, burst
 # loss, clock skew) must leave every invariant intact. CHAOS_CASES scales
 # the sweep; the workspace pass above already ran it at the testkit
@@ -125,7 +134,7 @@ cmp -s "$tmp/sweep1.jsonl" "$tmp/sweep2.jsonl" \
 # both in the fresh smoke output and in the checked-in trajectory.
 ./target/release/scale --smoke --out "$tmp/scale.json"
 for f in "$tmp/scale.json" BENCH_scale.json; do
-  for key in '"bench":"scale"' '"construction":' '"speedup":' '"results":' \
+  for key in '"bench":"scale"' '"results":' \
              '"events_per_sec":' '"sweep":' '"merged_outputs_identical":true' \
              '"bytes_on_air":' '"sense_ticks":' '"sense_ticks_admitted":' '"sense_strides":' \
              '"samples_covered":' '"samples_walked":' '"coverage_rebuilds":' '"sense_verdicts":' \
