@@ -13,7 +13,7 @@ use std::time::Instant;
 use envirotrack_bench::harness::{format_ns, measure};
 use envirotrack_core::aggregate::{AggregateFn, ReadingValue, ReadingWindow};
 use envirotrack_core::context::{ContextLabel, ContextTypeId};
-use envirotrack_core::transport::{LeaderLoc, LruTable};
+use envirotrack_core::transport::{LeaderLoc, MtpState};
 use envirotrack_core::wire::{Heartbeat, Message, Report};
 use envirotrack_net::medium::{Medium, RadioConfig, Transmission};
 use envirotrack_net::packet::Frame;
@@ -102,7 +102,7 @@ fn bench_window(out: &mut Vec<String>) {
 }
 
 fn bench_lru(out: &mut Vec<String>) {
-    let mut lru: LruTable<ContextLabel, LeaderLoc> = LruTable::new(8);
+    let mut mtp = MtpState::default();
     let labels: Vec<ContextLabel> = (0..16u32)
         .map(|i| ContextLabel {
             type_id: ContextTypeId(0),
@@ -114,16 +114,16 @@ fn bench_lru(out: &mut Vec<String>) {
     out.push(
         measure("mtp_lru/insert_get_cycle", || {
             let l = labels[i % labels.len()];
-            lru.insert(
+            mtp.learn(
                 l,
                 LeaderLoc {
                     node: l.creator,
                     pos: Point::ORIGIN,
                 },
             );
-            let got = lru.get(labels[(i / 2) % labels.len()]);
+            let got = mtp.lookup(labels[(i / 2) % labels.len()]);
             i += 1;
-            black_box(got.copied())
+            black_box(got)
         })
         .report(),
     );

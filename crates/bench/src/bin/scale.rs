@@ -233,39 +233,45 @@ fn main() -> ExitCode {
             p.build_wall_s, p.build_allocs, p.run_wall_s, p.events, p.events_per_sec, p.bytes_on_air
         );
         let total = |counts: &[u64]| counts.iter().sum();
-        rows.push(
-            JsonObject::new()
-                .field_u64("nodes", u64::from(p.nodes))
-                .field_f64("build_wall_s", p.build_wall_s)
-                .field_u64("build_allocs", p.build_allocs)
-                .field_u64("build_heap_bytes", p.build_heap_bytes)
-                .field_f64("run_wall_s", p.run_wall_s)
-                .field_u64("events", p.events)
-                .field_f64("events_per_sec", p.events_per_sec)
-                .field_u64("labels_created", p.labels_created)
-                .field_u64("handovers", p.handovers)
-                .field_u64("bytes_on_air", p.bytes_on_air)
-                .field_f64("sim_horizon_s", p.sim_horizon_s)
-                .field_u64("sense_ticks", p.sensing.ticks)
-                .field_u64("sense_ticks_admitted", p.sensing.admitted)
-                .field_u64("sense_strides", p.sensing.strides)
-                .field_u64("samples_covered", p.sensing.coverage.answered)
-                .field_u64("samples_walked", p.sensing.coverage.walked)
-                .field_u64("coverage_rebuilds", p.sensing.coverage.rebuilds)
-                .field_u64("sense_verdicts", p.sensing.verdicts)
-                .field_u64("lane_pops", p.event_list.lane_pops)
-                .field_u64("heap_pops", p.event_list.heap_pops)
-                .field_u64("inline_events", p.event_list.inline_scheduled)
-                .field_u64("boxed_events", p.event_list.boxed_scheduled)
-                .field_u64("timer_live", total(&p.timers.live))
-                .field_u64("timer_stale", total(&p.timers.stale))
-                .field_u64("timer_retries", total(&p.timers.retried))
-                .field_u64("cold_engaged", p.cold_engaged as u64)
-                .field_u64("trace_records", p.trace.records)
-                .field_u64("trace_dropped", p.trace.dropped)
-                .field_u64("trace_ring_bytes", p.trace.ring_bytes)
-                .finish(),
-        );
+        let row = JsonObject::new()
+            .field_u64("nodes", u64::from(p.nodes))
+            .field_f64("build_wall_s", p.build_wall_s)
+            .field_u64("build_allocs", p.build_allocs)
+            .field_u64("build_heap_bytes", p.build_heap_bytes)
+            .field_f64("run_wall_s", p.run_wall_s)
+            .field_u64("events", p.events)
+            .field_f64("events_per_sec", p.events_per_sec)
+            .field_u64("labels_created", p.labels_created)
+            .field_u64("handovers", p.handovers)
+            .field_u64("bytes_on_air", p.bytes_on_air)
+            .field_f64("sim_horizon_s", p.sim_horizon_s)
+            .field_u64("sense_ticks", p.sensing.ticks)
+            .field_u64("sense_ticks_admitted", p.sensing.admitted)
+            .field_u64("sense_strides", p.sensing.strides)
+            .field_u64("samples_covered", p.sensing.coverage.answered)
+            .field_u64("samples_walked", p.sensing.coverage.walked)
+            .field_u64("coverage_rebuilds", p.sensing.coverage.rebuilds)
+            .field_u64("sense_verdicts", p.sensing.verdicts)
+            .field_u64("lane_pops", p.event_list.lane_pops)
+            .field_u64("heap_pops", p.event_list.heap_pops)
+            .field_u64("inline_events", p.event_list.inline_scheduled)
+            .field_u64("boxed_events", p.event_list.boxed_scheduled)
+            .field_u64("timer_live", total(&p.timers.live))
+            .field_u64("timer_stale", total(&p.timers.stale))
+            .field_u64("timer_retries", total(&p.timers.retried))
+            .field_u64("cold_engaged", p.cold_engaged as u64)
+            .field_u64("trace_records", p.trace.records)
+            .field_u64("trace_dropped", p.trace.dropped)
+            .field_u64("trace_ring_bytes", p.trace.ring_bytes)
+            .field_u64("heap_live", p.live_heap_bytes);
+        let row = p
+            .heap
+            .layers()
+            .into_iter()
+            .fold(row, |row, (layer, bytes)| {
+                row.field_u64(&format!("heap_{layer}"), bytes)
+            });
+        rows.push(row.finish());
         points.push(p);
     }
 

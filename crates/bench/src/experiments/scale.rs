@@ -12,7 +12,7 @@
 use std::time::Instant;
 
 use envirotrack_core::events::SystemEvent;
-use envirotrack_core::network::{NetworkConfig, SensingWork, SensorNetwork, TimerWork};
+use envirotrack_core::network::{HeapBytes, NetworkConfig, SensingWork, SensorNetwork, TimerWork};
 use envirotrack_core::report::telemetry_to_jsonl;
 use envirotrack_core::shard::{run_sharded, MediumMode};
 use envirotrack_sim::engine::EventWork;
@@ -109,6 +109,12 @@ pub struct ScalePoint {
     /// dropped, and the heap bytes of its slots at the horizon. As exact,
     /// and as little part of the output.
     pub trace: TraceWork,
+    /// The heap bytes the field, the engine and its world hold at the
+    /// horizon, from the caller's allocation counter; zero without one.
+    pub live_heap_bytes: u64,
+    /// The same, as each layer of the engine and its world works it out
+    /// from its own state. As exact, and as little part of the output.
+    pub heap: HeapBytes,
 }
 
 /// The field and network configuration every flavour of a scale point
@@ -135,8 +141,9 @@ fn field(cfg: &ScaleRun) -> (Scenario, NetworkConfig) {
 /// the build; a caller that counts nothing passes `|| (0, 0)`.
 #[must_use]
 pub fn run_scale(cfg: &ScaleRun, heap: impl Fn() -> (u64, i64)) -> ScalePoint {
-    let (scenario, net_cfg) = field(cfg);
     let program = tracker_program();
+    let start = heap();
+    let (scenario, net_cfg) = field(cfg);
 
     let before = heap();
     let build_start = Instant::now();
@@ -154,6 +161,7 @@ pub fn run_scale(cfg: &ScaleRun, heap: impl Fn() -> (u64, i64)) -> ScalePoint {
     engine.run_until(Timestamp::ZERO + cfg.horizon);
     let run_wall_s = run_start.elapsed().as_secs_f64();
 
+    let live_heap_bytes = heap().1 - start.1;
     let world = engine.world();
     let events = world.telemetry().counter("kernel.events");
     let labels_created = world.events().labels_created(TRACKER).len() as u64;
@@ -181,6 +189,8 @@ pub fn run_scale(cfg: &ScaleRun, heap: impl Fn() -> (u64, i64)) -> ScalePoint {
         timers: world.timer_work(),
         cold_engaged: world.cold_engaged(),
         trace: world.telemetry().trace_work(),
+        live_heap_bytes: u64::try_from(live_heap_bytes).expect("the world is live"),
+        heap: world.heap_bytes(engine.kernel()),
     }
 }
 

@@ -85,6 +85,16 @@ impl Bytes {
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
     }
+
+    /// The heap bytes the buffer's allocation takes, shared by every clone:
+    /// the `Arc`'s two counts and the bytes; nothing for a static slice.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            Bytes::Shared(data) => (2 * size_of::<usize>() + data.len()).next_multiple_of(8),
+            Bytes::Static(_) => 0,
+        }
+    }
 }
 
 impl Default for Bytes {

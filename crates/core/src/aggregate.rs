@@ -228,6 +228,11 @@ pub struct ReadingWindow {
 }
 
 impl ReadingWindow {
+    /// The heap bytes of its contributions.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.readings.capacity() * size_of::<Contribution>()
+    }
+
     /// Creates an empty window.
     #[must_use]
     pub fn new() -> Self {

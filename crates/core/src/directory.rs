@@ -93,8 +93,15 @@ pub(crate) struct DirectoryStore {
 impl DirectoryStore {
     /// Creates an empty store.
     #[must_use]
-    pub(crate) fn new() -> Self {
-        DirectoryStore::default()
+    pub(crate) const fn new() -> Self {
+        DirectoryStore {
+            entries: Vec::new(),
+        }
+    }
+
+    /// The heap bytes of its entries.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * size_of::<Entry>()
     }
 
     /// Registers or refreshes a label's location.

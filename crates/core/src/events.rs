@@ -109,6 +109,16 @@ pub struct EventLog {
 }
 
 impl EventLog {
+    /// The heap bytes of the log and the names its events carry.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let names = self.entries.iter().map(|(_, event)| match event {
+            SystemEvent::MethodInvoked { method: name, .. }
+            | SystemEvent::AggregateReadFailed { variable: name, .. } => name.capacity(),
+            _ => 0,
+        });
+        self.entries.capacity() * size_of::<(Timestamp, SystemEvent)>() + names.sum::<usize>()
+    }
+
     /// Appends an event.
     pub(crate) fn push(&mut self, at: Timestamp, event: SystemEvent) {
         self.entries.push((at, event));

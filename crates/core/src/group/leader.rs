@@ -36,6 +36,18 @@ pub(super) struct LeaderState {
 }
 
 impl LeaderState {
+    /// The heap bytes of its box, windows, timers and directory view.
+    pub(super) fn heap_bytes(&self) -> usize {
+        let windows = self.windows.iter().map(ReadingWindow::heap_bytes);
+        let cached = self.directory_cache.values().map(|v| v.capacity());
+        size_of::<Self>()
+            + self.windows.capacity() * size_of::<ReadingWindow>()
+            + windows.sum::<usize>()
+            + self.method_timers.capacity() * size_of::<TimerSlot>()
+            + cached.sum::<usize>() * size_of::<(ContextLabel, Point)>()
+            + self.state_blob.as_ref().map_or(0, Bytes::heap_bytes)
+    }
+
     /// Takes up the leadership of `label` on `node`: contributes the node's
     /// own readings, announces at once, and starts the periodic heartbeat,
     /// the type's time-triggered methods (one timer each) and the

@@ -268,8 +268,9 @@ enum Role {
     Idle,
     /// A group member under a known leader.
     Member(MemberState),
-    /// The leader of a label.
-    Leader(LeaderState),
+    /// The leader of a label, boxed: most machines never lead, and the
+    /// leader's state is the largest of the three.
+    Leader(Box<LeaderState>),
 }
 
 /// A snapshot of the machine's role, for assertions and audits.
@@ -348,6 +349,14 @@ impl GroupMachine {
         match self.role_kind() {
             RoleKind::Idle => None,
             RoleKind::Member(label) | RoleKind::Leader(label) => Some(label),
+        }
+    }
+
+    /// The heap bytes the machine holds: its leader's state, if it leads.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match &self.role {
+            Role::Leader(l) => l.heap_bytes(),
+            Role::Idle | Role::Member(_) => 0,
         }
     }
 
@@ -719,7 +728,7 @@ impl GroupMachine {
         out: &mut Vec<GroupAction>,
     ) {
         let leader = LeaderState::assume(label, weight, state, self.node, ctx, out);
-        self.role = Role::Leader(leader);
+        self.role = Role::Leader(Box::new(leader));
         self.wait = None;
         self.formation.cancel();
         out.push(GroupAction::BecameLeader { label });

@@ -173,7 +173,7 @@ impl SensorNetwork {
         if self.cold_records_up_front {
             for id in self.deployment.ids() {
                 if self.owns(id) {
-                    self.layers.engage(id);
+                    self.layers.engage_fully(id);
                 }
             }
         }

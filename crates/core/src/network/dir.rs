@@ -40,7 +40,9 @@ pub(super) enum Failover {
     Exhausted,
 }
 
-/// One node's directory state, both roles.
+/// One node's directory state, both roles. A node holds one — in a box of
+/// its own, made on the node's first registration, merge or query — only
+/// once it uses the directory; until then it reads as [`EMPTY`].
 #[derive(Default)]
 pub(super) struct DirState {
     pub(super) store: DirectoryStore,
@@ -48,7 +50,21 @@ pub(super) struct DirState {
     pending: Vec<PendingQuery>,
 }
 
+/// What a node that never used the directory holds.
+pub(super) static EMPTY: DirState = DirState {
+    store: DirectoryStore::new(),
+    next_query_id: 0,
+    pending: Vec::new(),
+};
+
 impl DirState {
+    /// The heap bytes of its box and tables.
+    pub(super) fn heap_bytes(&self) -> usize {
+        size_of::<Self>()
+            + self.store.heap_bytes()
+            + self.pending.capacity() * size_of::<PendingQuery>()
+    }
+
     /// Forgets everything but the query-id counter.
     pub(super) fn reboot(&mut self) {
         self.store = DirectoryStore::new();

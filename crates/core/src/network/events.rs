@@ -38,6 +38,13 @@ impl Recorder {
         }
     }
 
+    /// The heap bytes of the log, and about what the two counter caches'
+    /// map nodes take (their counters are the registry's).
+    pub(super) fn heap_bytes(&self) -> usize {
+        let cached = self.handover_counters.len() + self.corrupt_counters.len();
+        self.log.heap_bytes() + cached * 2 * size_of::<(u128, CounterHandle)>()
+    }
+
     pub(super) fn trace(
         &self,
         at: Timestamp,

@@ -9,7 +9,8 @@ use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::Point;
 use envirotrack_world::sensing::Environment;
 
-use super::dir::DirState;
+use super::dir::{self, DirState};
+use super::node::Engaged;
 use super::{NetworkConfig, SensingWork, SensorNetwork, TimerWork};
 use crate::context::{ContextLabel, ContextTypeId};
 use crate::directory::{hash_point, replica_set};
@@ -260,7 +261,7 @@ impl SensorNetwork {
     /// nodes).
     #[must_use]
     pub fn directory_entries_at(&self, node: NodeId) -> usize {
-        self.layers.get(node).map_or(0, |rt| rt.dir.store.len())
+        self.layers.get(node).map_or(0, |rt| rt.dir().store.len())
     }
 
     /// Whether every *live* replica of `type_id` reads the same under `view`.
@@ -271,8 +272,7 @@ impl SensorNetwork {
     ) -> bool {
         let replicas = self.directory_replicas_of(type_id);
         let live = replicas.iter().filter(|&&n| self.sense[n].alive);
-        let fresh = DirState::default();
-        let dir = |n: NodeId| self.layers.get(n).map_or(&fresh, |rt| &rt.dir);
+        let dir = |n: NodeId| self.layers.get(n).map_or(&dir::EMPTY, Engaged::dir);
         let views: Vec<V> = live.map(|&n| view(dir(n))).collect();
         views.windows(2).all(|pair| pair[0] == pair[1])
     }

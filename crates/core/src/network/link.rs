@@ -77,6 +77,13 @@ pub(super) struct Accepted<'a> {
 }
 
 impl LinkState {
+    /// The heap bytes of its tables. A frame awaiting its ack shares its
+    /// payload with the copy on the air, so the payload is not counted.
+    pub(super) fn heap_bytes(&self) -> usize {
+        self.pending.capacity() * size_of::<PendingAck>()
+            + self.seen.capacity() * size_of::<(NodeId, u32)>()
+    }
+
     pub(super) fn reboot(&mut self) {
         self.pending.clear();
         self.seen.clear();

@@ -57,6 +57,7 @@ mod build;
 mod control;
 mod dir;
 mod events;
+mod heap;
 mod inspect;
 mod link;
 mod mtp;
@@ -80,11 +81,12 @@ use envirotrack_world::sensing::Environment;
 
 pub use self::build::NetworkConfig;
 pub use self::control::FaultEvent;
-use self::dir::{DirState, Failover};
+pub use self::heap::HeapBytes;
+use self::dir::Failover;
 use self::events::Recorder;
 use self::link::Decoded;
 pub use self::link::LinkReliability;
-use self::node::{HotRecords, Layers, NodeState};
+use self::node::{Engaged, HotRecords, Layers, NodeState};
 pub use self::sense::SensingWork;
 pub use self::timers::TimerWork;
 pub(crate) use self::words::MAX_TIMER_METHODS;
@@ -509,17 +511,17 @@ impl SensorNetwork {
                 mtp::on_ack(&mut self.layers.engage(node).mtp, ack, node, now, &self.rec);
             }
             Message::DirRegister(reg) => {
-                let dir = &mut self.layers.engage(node).dir;
+                let dir = self.layers.engage(node).dir_mut();
                 dir.register(reg, node, now, ttl, &self.rec);
             }
             Message::DirQuery(q) => {
-                let dir = &self.layers.engage(node).dir;
+                let dir = self.layers.engage(node).dir();
                 let resp = dir.answer(q, node, now, ttl, &self.rec);
                 self.send_geo(k, node, q.reply_pos, Some(q.reply_to), resp);
             }
             Message::DirResponse(resp) => self.on_dir_response(k, node, resp),
             Message::DirSyncMsg(sync) => {
-                let dir = &mut self.layers.engage(node).dir;
+                let dir = self.layers.engage(node).dir_mut();
                 if let Some(reply) = dir.merge(sync, node, now, ttl, &self.rec) {
                     self.send_to_node(k, node, sync.from, reply);
                 }
@@ -556,16 +558,16 @@ impl SensorNetwork {
     ) {
         let now = k.now();
         let ttl = transport::PENDING_TTL;
-        let rt = self.layers.engage(node);
+        let (rt, retx) = self.layers.engage_with_retx(node);
         for expired in rt.mtp.sweep(now, ttl) {
             self.rec.telemetry.incr("mtp.pending_expired");
             self.rec.mtp_dropped(now, node, expired.segment.dst_label);
         }
-        let query_id = rt.dir.issue(target_type, asker, now, ttl);
+        let query_id = rt.dir_mut().issue(target_type, asker, now, ttl);
         // Parked before the query leaves: this node may be the home itself,
         // and then the answer is back before `send_query` returns.
         if let Some(segment) = park {
-            rt.mtp.park(PendingSend {
+            rt.mtp.endpoint(retx).park(PendingSend {
                 segment,
                 query_id,
                 parked_at: now,
@@ -607,7 +609,7 @@ impl SensorNetwork {
         let rt = self.layers.engage(node);
         let replicas = self.config.middleware.directory_replicas;
         match rt
-            .dir
+            .dir_mut()
             .failover(query_id, replicas.min(self.deployment.len()))
         {
             Failover::Settled => {}
@@ -628,7 +630,7 @@ impl SensorNetwork {
 
     fn on_dir_response(&mut self, k: &mut K, node: NodeId, resp: &DirResponse) {
         let rt = self.layers.engage(node);
-        let Some(query) = rt.dir.settle(resp.query_id) else {
+        let Some(query) = rt.dir_if_any().and_then(|dir| dir.settle(resp.query_id)) else {
             return;
         };
         // Subscription query: install the view into the asking machine.
@@ -667,8 +669,7 @@ impl SensorNetwork {
         };
         // A replica that never stored anything pushes an empty digest, to
         // pull its peer's, and keeps no record for having done so.
-        let fresh = DirState::default();
-        let dir = self.layers.get(node).map_or(&fresh, |rt| &rt.dir);
+        let dir = self.layers.get(node).map_or(&dir::EMPTY, Engaged::dir);
         if let Some(digest) = dir.digest(tid, node, true, &self.rec) {
             self.send_to_node(k, node, peer, digest);
         }
@@ -723,8 +724,8 @@ impl SensorNetwork {
         deliver_to: Option<NodeId>,
     ) {
         let mw = &self.config.middleware;
-        let mtp = &mut self.layers.engage(node).mtp;
-        let (segment, retry) = mtp::open(mtp, segment, k.now(), mw, &self.rec);
+        let (rt, retx) = self.layers.engage_with_retx(node);
+        let (segment, retry) = mtp::open(&mut rt.mtp, retx, segment, k.now(), mw, &self.rec);
         if let Some(seq) = retry {
             let first = k.now() + transport::RETX.timeout;
             k.schedule_at(first, move |w, k| w.mtp_retry(k, node, seq));
@@ -736,9 +737,9 @@ impl SensorNetwork {
         if !self.sense[node].alive {
             return;
         }
-        let rt = self.layers.engage(node);
+        let mtp = &mut self.layers.engage(node).mtp;
         let now = k.now();
-        let again = mtp::retry(&mut rt.mtp, &mut rt.retx_rng, seq, node, now, &mut self.rec);
+        let again = mtp::retry(mtp, seq, node, now, &mut self.rec);
         if let Some((out, jitter, backoff)) = again {
             k.schedule_at(now + jitter + backoff, move |w, k| {
                 w.mtp_retry(k, node, seq)
@@ -761,7 +762,7 @@ impl SensorNetwork {
         let (now, mw) = (k.now(), &self.config.middleware);
         let (dst_label, tid) = (seg.dst_label, seg.dst_label.type_id);
         let hosted = self.hosts(tid);
-        let rt = self.layers.engage(node);
+        let (rt, retx) = self.layers.engage_with_retx(node);
         let leads = hosted.then(|| {
             matches!(
                 rt.machines[usize::from(tid.0)].role_kind(),
@@ -772,7 +773,8 @@ impl SensorNetwork {
             node,
             pos: self.sense[node].pos,
         };
-        let arrival = mtp::arrive(&mut rt.mtp, seg, here, leads, now, mw, &mut self.rec);
+        let retx = mw.mtp_retx_enabled.then_some(retx);
+        let arrival = mtp::arrive(&mut rt.mtp, retx, seg, here, leads, now, &mut self.rec);
         if let Some((loc, msg)) = arrival.send {
             self.send_geo(k, node, loc.pos, Some(loc.node), msg);
         }
@@ -1225,6 +1227,51 @@ mod tests {
         assert_eq!(world.cold_engaged(), 1);
     }
 
+    /// A reboot clears what an engaged node's MTP endpoint and directory
+    /// state hold but keeps their sequence counters — peers may still hold
+    /// the old numbers — and makes neither box for a node that had none.
+    #[test]
+    fn a_reboot_keeps_the_sequence_counters_and_makes_no_box() {
+        let field = Deployment::grid(10, 10, 1.0);
+        let (env, config) = (Environment::new(), NetworkConfig::default());
+        let mut engine = SensorNetwork::build_engine(tracker(), field, env, config, 2);
+        engine.run_until(Timestamp::from_secs(1));
+        let world = engine.world_mut();
+        let (used, bare) = (NodeId(7), NodeId(8));
+        let label = ContextLabel {
+            type_id: ContextTypeId(0),
+            creator: used,
+            seq: 0,
+        };
+        let mut segment = MtpSegment {
+            src_label: label,
+            src_port: Port(0),
+            dst_label: label,
+            dst_port: Port(1),
+            src_leader: used,
+            src_leader_pos: Point::ORIGIN,
+            chain_hops: 0,
+            seq: 0,
+            payload: Bytes::new(),
+        };
+        let (now, ttl) = (Timestamp::from_secs(1), transport::PENDING_TTL);
+        let mut use_both = |w: &mut SensorNetwork| {
+            let (rt, retx) = w.layers.engage_with_retx(used);
+            let seq = rt.mtp.endpoint(retx).track(&mut segment);
+            (seq, rt.dir_mut().issue(ContextTypeId(0), None, now, ttl))
+        };
+        assert_eq!(use_both(world), (0, 0));
+        world.layers.engage(bare);
+        for node in [used, bare] {
+            world.kill_node(node);
+            world.revive_node(node);
+        }
+        assert_eq!(world.mtp_outstanding_at(used), 0, "a reboot forgets the segment");
+        assert_eq!(use_both(world), (1, 1), "and no sequence number is reused");
+        let rt = world.layers.engage(bare);
+        assert!(rt.mtp.endpoint_mut().is_none() && rt.dir_if_any().is_none());
+    }
+
     /// The hot records in firing order against the hook that leaves them in
     /// id order: across the clock-rate change that sends a node off the
     /// lane and the crash and reboot, not a byte differs, and neither does
@@ -1421,7 +1468,7 @@ mod tests {
         let (leader, _) = engine.world().leaders_of_type(TRACKER)[0];
         let waiting = |w: &SensorNetwork| {
             let rt = w.layers.get(leader).expect("engaged");
-            (rt.dir.pending_len(), rt.mtp.pending_len())
+            (rt.dir().pending_len(), rt.mtp.pending_len())
         };
         assert_eq!(waiting(engine.world()), (1, 1), "the query was lost");
         let dropped = |w: &SensorNetwork| {

@@ -14,19 +14,22 @@ use crate::transport::{self, LeaderLoc, MtpState, Outstanding};
 use crate::wire::{Message, MtpAck, MtpSegment};
 
 /// Starts sending `segment`. With end-to-end acks on, it gets a sequence
-/// number and is tracked; that number is the retransmission timer to arm.
+/// number and is tracked by the node's endpoint — made now, its stream from
+/// `retx`, if the node has none; that number is the retransmission timer
+/// to arm.
 pub(super) fn open(
     mtp: &mut MtpState,
+    retx: impl FnOnce() -> SimRng,
     mut segment: MtpSegment,
     now: Timestamp,
     mw: &MiddlewareConfig,
     rec: &Recorder,
 ) -> (Message, Option<u32>) {
     let node = segment.src_leader;
-    let retry = mw.mtp_retx_enabled.then(|| mtp.next_seq());
+    let retry = mw
+        .mtp_retx_enabled
+        .then(|| mtp.endpoint(retx).track(&mut segment));
     if let Some(seq) = retry {
-        segment.seq = seq;
-        mtp.track_outstanding(segment.clone());
         // The ack span measures first-send to end-to-end ack, across any
         // retransmissions in between.
         rec.telemetry
@@ -49,14 +52,16 @@ pub(super) struct Arrival {
 
 /// A segment reached the node `here`. `leads` says whether that node leads
 /// the segment's destination label — `None` when the label's context type
-/// is not even part of this program.
+/// is not even part of this program. With end-to-end acks on, `retx` is
+/// the stream of the endpoint a leader takes delivery through, should it
+/// make one now; `None` with them off.
 pub(super) fn arrive(
     mtp: &mut MtpState,
+    retx: Option<impl FnOnce() -> SimRng>,
     seg: &MtpSegment,
     here: LeaderLoc,
     leads: Option<bool>,
     now: Timestamp,
-    mw: &MiddlewareConfig,
     rec: &mut Recorder,
 ) -> Arrival {
     // Update leadership knowledge from the header.
@@ -65,13 +70,13 @@ pub(super) fn arrive(
         pos: seg.src_leader_pos,
     };
     mtp.learn(seg.src_label, source);
-    match leads {
-        None => Arrival::default(),
+    match (leads, retx) {
+        (None, _) => Arrival::default(),
         // Not the leader: chase the label along pointers and cached
         // knowledge, unless the chain is already too long, nothing is
         // known, or the only pointer leads back here (it would loop).
-        Some(false) => {
-            let next = (seg.chain_hops < mtp.max_chain_hops)
+        (Some(false), _) => {
+            let next = (seg.chain_hops < transport::MAX_CHAIN_HOPS)
                 .then(|| mtp.route(seg.dst_label, now))
                 .flatten()
                 .filter(|loc| loc.node != here.node);
@@ -88,14 +93,14 @@ pub(super) fn arrive(
                 deliver: false,
             }
         }
-        Some(true) if !mw.mtp_retx_enabled => Arrival {
+        (Some(true), None) => Arrival {
             send: None,
             deliver: true,
         },
         // The segment reached its label's leader. A duplicate is acked
         // again — the earlier ack may itself have been lost — but not
         // delivered again.
-        Some(true) => {
+        (Some(true), Some(retx)) => {
             let ack = Message::MtpAckMsg(MtpAck {
                 dst_label: seg.dst_label,
                 src_node: seg.src_leader,
@@ -103,7 +108,7 @@ pub(super) fn arrive(
                 acker: here.node,
                 acker_pos: here.pos,
             });
-            let fresh = mtp.note_delivered(seg.src_leader, seg.seq);
+            let fresh = mtp.endpoint(retx).note_delivered(seg.src_leader, seg.seq);
             if !fresh {
                 rec.telemetry.incr("mtp.dedup");
             }
@@ -120,13 +125,13 @@ pub(super) fn arrive(
 /// `None` once it is acknowledged, or abandoned with its budget spent.
 pub(super) fn retry(
     mtp: &mut MtpState,
-    rng: &mut SimRng,
     seq: u32,
     node: NodeId,
     now: Timestamp,
     rec: &mut Recorder,
 ) -> Option<(Outstanding, SimDuration, SimDuration)> {
-    match mtp.retransmit(seq, transport::RETX_MAX_ATTEMPTS)? {
+    let endpoint = mtp.endpoint_mut()?;
+    match endpoint.retransmit(seq, transport::RETX_MAX_ATTEMPTS)? {
         Err(abandoned) => {
             let t = &rec.telemetry;
             t.observe("mtp.attempts", u64::from(abandoned.attempts));
@@ -139,7 +144,9 @@ pub(super) fn retry(
             rec.telemetry.incr("mtp.retx");
             let args = [seq, out.attempts, 0];
             rec.trace(now, node, out.segment.dst_label, &trace::MTP_RETX, args);
-            let jitter = rng.below(transport::RETX_JITTER_MAX.as_micros());
+            let jitter = endpoint
+                .retx_rng
+                .below(transport::RETX_JITTER_MAX.as_micros());
             let backoff = transport::RETX.backoff(out.attempts);
             Some((out, SimDuration::from_micros(jitter), backoff))
         }

@@ -4,9 +4,9 @@
 //! finds nothing reads and writes. The cold half is split by who touches
 //! it: [`NodeState`], in id order, is what every node reads — its main
 //! stream, energy and clock — and [`Engaged`] is what only a node that uses
-//! a protocol layer holds — one state value per layer, its retransmission
-//! stream and its group machines — created in [`Layers`] on the node's first
-//! write. A layer takes its own field, plus the substrates it charges.
+//! a protocol layer holds — one state value per layer and its group
+//! machines — created in [`Layers`] on the node's first write. A layer takes
+//! its own field, plus the substrates it charges.
 //!
 //! A node holds only its dense state until it uses a layer: the world is a
 //! fixed number of arrays plus one record per engaged node, and a layer's
@@ -21,12 +21,13 @@ use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::NodeId;
 use envirotrack_world::geometry::Point;
 
-use super::dir::DirState;
+use super::dir::{self, DirState};
+use super::heap::HeapBytes;
 use super::link::LinkState;
 use crate::api::Program;
 use crate::context::ContextTypeId;
 use crate::group::GroupMachine;
-use crate::transport::{self, MtpState};
+use crate::transport::MtpState;
 
 /// A node's local clock model: `local = anchor_local + (global −
 /// anchor_global) · rate`. Rate 1.0 is a perfect clock; the anchors are
@@ -159,6 +160,11 @@ impl HotRecords {
         self.slots[node.index()]
     }
 
+    /// The heap bytes of the records and the slot table.
+    pub(super) fn heap_bytes(&self) -> usize {
+        self.records.capacity() * size_of::<SenseState>() + self.slots.capacity() * size_of::<u32>()
+    }
+
     /// Every record with its node, in id order.
     pub(super) fn in_id_order(&self) -> impl Iterator<Item = (NodeId, &SenseState)> {
         let ids = (0..).map(NodeId);
@@ -252,13 +258,12 @@ impl NodeState {
 }
 
 /// What a node holds once it uses a protocol layer: one state value per
-/// layer, its retransmission stream and its group machines.
+/// layer and its group machines. The parts most engaged nodes never use —
+/// they only ever hear leaders — live in boxes of their own, made on first
+/// use too: the MTP endpoint (see [`MtpState`]) and the directory state.
 pub(super) struct Engaged {
-    /// Dedicated stream for MTP retransmission jitter, so enabling or
-    /// disabling retransmission never perturbs the node's main RNG.
-    pub(super) retx_rng: SimRng,
     pub(super) mtp: MtpState,
-    pub(super) dir: DirState,
+    dir: Option<Box<DirState>>,
     pub(super) link: LinkState,
     /// One machine per context type, by type id.
     pub(super) machines: Box<[GroupMachine]>,
@@ -266,22 +271,33 @@ pub(super) struct Engaged {
 
 impl Engaged {
     /// What `node` would have held from the start, running `types` context
-    /// types: the `indexed(id)` child of `retx`, empty tables, idle machines.
+    /// types: empty tables, idle machines.
     #[cold]
-    fn fresh(retx: &SimRng, types: u16, node: NodeId) -> Box<Self> {
+    fn fresh(types: u16, node: NodeId) -> Box<Self> {
         Box::new(Engaged {
-            retx_rng: retx.indexed(u64::from(node.0)),
-            mtp: MtpState::new(
-                transport::TABLE_CAPACITY,
-                transport::FORWARD_TTL,
-                transport::MAX_CHAIN_HOPS,
-            ),
-            dir: DirState::default(),
+            mtp: MtpState::default(),
+            dir: None,
             link: LinkState::default(),
             machines: (0..types)
                 .map(|tid| GroupMachine::new(node, ContextTypeId(tid)))
                 .collect(),
         })
+    }
+
+    /// The node's directory state; [`dir::EMPTY`] until it uses the
+    /// directory.
+    pub(super) fn dir(&self) -> &DirState {
+        self.dir.as_deref().unwrap_or(&dir::EMPTY)
+    }
+
+    /// The node's directory state, to change: made now if it has none.
+    pub(super) fn dir_mut(&mut self) -> &mut DirState {
+        self.dir.get_or_insert_with(Box::default)
+    }
+
+    /// The node's directory state, to change, if it has one.
+    pub(super) fn dir_if_any(&mut self) -> Option<&mut DirState> {
+        self.dir.as_deref_mut()
     }
 }
 
@@ -290,9 +306,10 @@ impl Engaged {
 /// groups live where the targets are. A node without a record reads as a
 /// fresh one — idle machines, empty tables — and reading it creates nothing.
 ///
-/// A record is exactly what the node would have held from the start, so
-/// when it is created changes no byte of a run: its stream is the node's own
-/// `"mtp-retx"` fork, indexed by id, and its machines start idle.
+/// A record, and each box it makes later, is exactly what the node would
+/// have held from the start, so when it is created changes no byte of a
+/// run: its machines start idle, its tables empty, and its MTP endpoint's
+/// stream is the node's own `"mtp-retx"` fork, indexed by id.
 pub(super) struct Layers {
     records: Vec<Option<Box<Engaged>>>,
     /// The `"mtp-retx"` fork of the master stream.
@@ -319,8 +336,34 @@ impl Layers {
     /// `node`'s record, to change: created now if the node has none.
     #[inline]
     pub(super) fn engage(&mut self, node: NodeId) -> &mut Engaged {
-        let (retx, types) = (&self.retx, self.types);
-        self.records[node.index()].get_or_insert_with(|| Engaged::fresh(retx, types, node))
+        let types = self.types;
+        self.records[node.index()].get_or_insert_with(|| Engaged::fresh(types, node))
+    }
+
+    /// [`Layers::engage`], with the stream an MTP endpoint the node makes
+    /// now starts from: the `indexed(id)` child of the `"mtp-retx"` fork,
+    /// the stream it would have held from the start.
+    #[inline]
+    pub(super) fn engage_with_retx(
+        &mut self,
+        node: NodeId,
+    ) -> (&mut Engaged, impl FnOnce() -> SimRng + Copy + '_) {
+        let Layers {
+            records,
+            retx,
+            types,
+        } = self;
+        let record = records[node.index()].get_or_insert_with(|| Engaged::fresh(*types, node));
+        let retx = &*retx;
+        (record, move || retx.indexed(u64::from(node.0)))
+    }
+
+    /// `node`'s record with every box a record makes on first use made now.
+    #[cfg(test)]
+    pub(super) fn engage_fully(&mut self, node: NodeId) {
+        let (record, retx) = self.engage_with_retx(node);
+        record.mtp.endpoint(retx);
+        record.dir_mut();
     }
 
     /// Every record with its node, in id order.
@@ -334,14 +377,34 @@ impl Layers {
     pub(super) fn len(&self) -> usize {
         self.engaged().count()
     }
+
+    /// Adds what the records hold to `bytes`, tier by tier: the slot
+    /// table, each record with its machines and link tables, its MTP
+    /// routing tables, MTP endpoint and directory state, and what its
+    /// machines hold because they lead.
+    pub(super) fn heap_bytes(&self, bytes: &mut HeapBytes) {
+        let slots = self.records.capacity() * size_of::<Option<Box<Engaged>>>();
+        bytes.engaged += slots as u64;
+        for (_, record) in self.engaged() {
+            let (tables, endpoint) = record.mtp.heap_bytes();
+            let leaders = record.machines.iter().map(GroupMachine::heap_bytes);
+            let own =
+                size_of::<Engaged>() + size_of_val(&*record.machines) + record.link.heap_bytes();
+            bytes.engaged += own as u64;
+            bytes.mtp += tables as u64;
+            bytes.endpoints += endpoint as u64;
+            bytes.directory += record.dir.as_ref().map_or(0, |d| d.heap_bytes()) as u64;
+            bytes.leaders += leaders.sum::<usize>() as u64;
+        }
+    }
 }
 
 /// Brings a killed node back with cleared protocol state (a rebooted mote
 /// remembers nothing): group machines, transport tables, directory entries,
 /// and every in-flight query or ack are gone. Only the link, transport and
 /// query sequence counters survive — reusing sequence numbers would trip
-/// peers' dedup windows. A node without a record has nothing to clear, and
-/// gets none.
+/// peers' dedup windows. A node without a record, an MTP endpoint or
+/// directory state has nothing of it to clear, and gets none.
 pub(super) fn reboot(id: NodeId, hot: &mut SenseState, layers: &mut Layers) {
     hot.alive = true;
     hot.quiescent = true;
@@ -352,7 +415,9 @@ pub(super) fn reboot(id: NodeId, hot: &mut SenseState, layers: &mut Layers) {
         *machine = GroupMachine::new(id, tid);
     }
     record.mtp.reboot();
-    record.dir.reboot();
+    if let Some(dir) = record.dir_if_any() {
+        dir.reboot();
+    }
     record.link.reboot();
 }
 
@@ -406,6 +471,17 @@ mod tests {
             let walked: Vec<(NodeId, u32)> = hot.in_id_order().map(|(id, r)| (id, r.cell)).collect();
             prop_assert_eq!(walked, (0..n).map(|i| (NodeId(i), i)).collect::<Vec<_>>());
         }
+    }
+
+    /// An engaged record keeps inline what every engaged node uses and
+    /// boxes the rest: at most 136 bytes, where the MTP endpoint and the
+    /// directory state inline, with the MTP constants copied in, made 312.
+    /// A machine with its leader's state boxed is at most 232 bytes (280).
+    #[test]
+    fn an_engaged_record_holds_what_every_engaged_node_uses() {
+        assert!(size_of::<Engaged>() <= 136, "{}", size_of::<Engaged>());
+        let machine = size_of::<GroupMachine>();
+        assert!(machine <= 232, "{machine}");
     }
 
     #[test]

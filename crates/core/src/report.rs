@@ -182,6 +182,12 @@ pub struct BaseStationLog {
 }
 
 impl BaseStationLog {
+    /// The heap bytes of the log and the payloads it keeps.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let payloads = self.entries.iter().map(|e| e.payload.heap_bytes());
+        self.entries.capacity() * size_of::<ReportEntry>() + payloads.sum::<usize>()
+    }
+
     /// Appends a received report.
     pub(crate) fn record(&mut self, entry: ReportEntry) {
         self.entries.push(entry);

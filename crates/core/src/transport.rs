@@ -20,10 +20,15 @@
 //!   jitter, with receiver-side duplicate suppression keyed on
 //!   `(source node, sequence)`.
 //!
+//! The first two are every engaged mote's; the last two, with the
+//! retransmission stream, are an `Endpoint`'s, which a mote holds only
+//! once it sends, parks or takes delivery of a segment end to end.
+//!
 //! The actual send/receive orchestration lives in
 //! [`crate::network`]; this module is pure state, unit-testable in
 //! isolation.
 
+use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::NodeId;
 use envirotrack_world::geometry::Point;
@@ -51,88 +56,6 @@ pub struct LeaderLoc {
     pub pos: Point,
 }
 
-/// A bounded map with least-recently-used replacement ("leadership
-/// information is retained for as long as possible, given limited table
-/// sizes; replacement is done on a least-recently-used basis").
-///
-/// Lookup order is linear — mote tables hold a handful of entries. Most
-/// motes never learn a leader, so a new table holds no memory: `capacity`
-/// is the table's eviction rule, and the entries grow on first insert.
-#[derive(Debug, Clone)]
-pub struct LruTable<K, V> {
-    capacity: usize,
-    // Most recently used at the back.
-    entries: Vec<(K, V)>,
-}
-
-impl<K: PartialEq + Copy, V> LruTable<K, V> {
-    /// Creates an empty table that will hold at most `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(
-            capacity > 0,
-            "an LRU table needs capacity for at least one entry"
-        );
-        LruTable {
-            capacity,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Looks up `key`, marking it most recently used.
-    pub fn get(&mut self, key: K) -> Option<&V> {
-        let idx = self.entries.iter().position(|(k, _)| *k == key)?;
-        let entry = self.entries.remove(idx);
-        self.entries.push(entry);
-        Some(&self.entries[self.entries.len() - 1].1)
-    }
-
-    /// Looks up `key` without touching recency.
-    #[must_use]
-    pub fn peek(&self, key: K) -> Option<&V> {
-        self.entries.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-    }
-
-    /// Inserts or refreshes `key`, evicting the least recently used entry
-    /// when full. Returns the evicted pair, if any.
-    pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
-        if let Some(idx) = self.entries.iter().position(|(k, _)| *k == key) {
-            self.entries.remove(idx);
-            self.entries.push((key, value));
-            return None;
-        }
-        let evicted = if self.entries.len() == self.capacity {
-            Some(self.entries.remove(0))
-        } else {
-            None
-        };
-        self.entries.push((key, value));
-        evicted
-    }
-
-    /// Number of live entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The configured capacity.
-    #[must_use]
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
 /// An application send queued until the destination label's leader is known.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingSend {
@@ -144,12 +67,32 @@ pub(crate) struct PendingSend {
     pub parked_at: Timestamp,
 }
 
-/// A forwarding pointer left behind by a past leader.
+/// One last-known-leader entry: a label and its leader, flat — a
+/// `(ContextLabel, LeaderLoc)` pair pads to 40 bytes, this packs into 32.
+#[derive(Debug, Clone, Copy)]
+struct LastKnown {
+    pos: Point,
+    label: ContextLabel,
+    node: NodeId,
+}
+
+impl LastKnown {
+    fn loc(&self) -> LeaderLoc {
+        LeaderLoc {
+            node: self.node,
+            pos: self.pos,
+        }
+    }
+}
+
+/// A forwarding pointer left behind by a past leader: where `label`'s
+/// traffic goes next, until `expires`. Flat for the same reason: 40 bytes.
 #[derive(Debug, Clone, Copy)]
 struct ForwardPointer {
-    label: ContextLabel,
-    next: LeaderLoc,
+    pos: Point,
     expires: Timestamp,
+    label: ContextLabel,
+    node: NodeId,
 }
 
 /// One transmitted segment awaiting its end-to-end acknowledgement.
@@ -163,7 +106,7 @@ pub(crate) struct Outstanding {
 }
 
 /// Capacity of a mote's last-known-leader table.
-pub(crate) const TABLE_CAPACITY: usize = 8;
+pub const TABLE_CAPACITY: usize = 8;
 /// Lifetime of the forwarding pointer a past leader leaves behind.
 pub(crate) const FORWARD_TTL: SimDuration = SimDuration::from_secs(20);
 /// Forwarding-chain hops after which a segment is dropped.
@@ -218,16 +161,33 @@ impl RetxPolicy {
 }
 
 /// Per-node transport state. See the [module docs](self).
-#[derive(Debug, Clone)]
+///
+/// Every mote that hears a leader keeps the two routing tables; only one
+/// that sends, parks or takes delivery of a segment end to end holds an
+/// `Endpoint`, made then. A fresh endpoint is what the node would have
+/// held from the start, so when it is made changes no byte of a run.
+#[derive(Debug, Clone, Default)]
 pub struct MtpState {
-    last_known: LruTable<ContextLabel, LeaderLoc>,
+    /// At most [`TABLE_CAPACITY`] entries, least recently used first
+    /// ("leadership information is retained for as long as possible, given
+    /// limited table sizes; replacement is done on a least-recently-used
+    /// basis"). Lookup is linear — mote tables hold a handful of entries.
+    last_known: Vec<LastKnown>,
     forwarding: Vec<ForwardPointer>,
-    pending: Vec<PendingSend>,
-    forward_ttl: SimDuration,
-    /// Maximum forwarding-chain length before a segment is dropped.
-    pub max_chain_hops: u8,
+    endpoint: Option<Box<Endpoint>>,
+}
+
+/// The end-to-end half of a node's transport: its retransmission stream,
+/// its sends and the segments it took delivery of.
+#[derive(Debug, Clone)]
+pub(crate) struct Endpoint {
+    /// Dedicated stream for retransmission jitter, so enabling or disabling
+    /// retransmission never perturbs the node's main RNG.
+    pub(crate) retx_rng: SimRng,
     /// Next end-to-end sequence number to assign.
     next_seq: u32,
+    /// Sends parked until their destination label resolves.
+    pending: Vec<PendingSend>,
     /// Segments awaiting end-to-end acknowledgement.
     outstanding: Vec<Outstanding>,
     /// Recently delivered `(source node, seq)` pairs, a bounded ring for
@@ -235,53 +195,27 @@ pub struct MtpState {
     seen_segments: Vec<(NodeId, u32)>,
 }
 
-impl MtpState {
-    /// Creates transport state with the given last-known-leader table
-    /// capacity and forwarding-pointer lifetime.
-    #[must_use]
-    pub fn new(table_capacity: usize, forward_ttl: SimDuration, max_chain_hops: u8) -> Self {
-        MtpState {
-            last_known: LruTable::new(table_capacity),
-            forwarding: Vec::new(),
-            pending: Vec::new(),
-            forward_ttl,
-            max_chain_hops,
+impl Endpoint {
+    fn new(retx_rng: SimRng) -> Self {
+        Endpoint {
+            retx_rng,
             next_seq: 0,
+            pending: Vec::new(),
             outstanding: Vec::new(),
             seen_segments: Vec::new(),
         }
     }
 
-    /// Allocates the next end-to-end sequence number.
-    pub(crate) fn next_seq(&mut self) -> u32 {
-        let s = self.next_seq;
+    /// Gives `segment` the next end-to-end sequence number and tracks it
+    /// as awaiting its ack; returns the number.
+    pub(crate) fn track(&mut self, segment: &mut MtpSegment) -> u32 {
+        segment.seq = self.next_seq;
         self.next_seq += 1;
-        s
-    }
-
-    /// Forgets everything a reboot loses. The sequence counter survives, as
-    /// the nonvolatile boot counter real transports keep so a rebooted node
-    /// never reuses sequence numbers its peers still hold in dedup windows.
-    pub(crate) fn reboot(&mut self) {
-        let (capacity, next_seq) = (self.last_known.capacity(), self.next_seq);
-        *self = MtpState::new(capacity, self.forward_ttl, self.max_chain_hops);
-        self.next_seq = next_seq;
-    }
-
-    /// Registers a freshly transmitted segment as awaiting its ack.
-    pub(crate) fn track_outstanding(&mut self, segment: MtpSegment) {
         self.outstanding.push(Outstanding {
-            segment,
+            segment: segment.clone(),
             attempts: 1,
         });
-    }
-
-    /// Clears an outstanding segment on ack receipt. Returns how many send
-    /// attempts it took, or `None` when the ack matched nothing (a stale
-    /// or duplicate ack does not).
-    pub(crate) fn acknowledge(&mut self, seq: u32) -> Option<u32> {
-        let idx = self.outstanding.iter().position(|o| o.segment.seq == seq)?;
-        Some(self.outstanding.remove(idx).attempts)
+        segment.seq
     }
 
     /// Looks up an outstanding segment for retransmission, bumping its
@@ -303,17 +237,6 @@ impl MtpState {
         Some(Ok(o.clone()))
     }
 
-    /// Number of segments awaiting acknowledgement.
-    #[must_use]
-    pub(crate) fn outstanding_len(&self) -> usize {
-        self.outstanding.len()
-    }
-
-    /// The sequence numbers of the segments awaiting acknowledgement.
-    pub(crate) fn outstanding_seqs(&self) -> impl Iterator<Item = u32> + '_ {
-        self.outstanding.iter().map(|o| o.segment.seq)
-    }
-
     /// Records a delivered `(source node, seq)` pair; returns `false` when
     /// it was already seen (a duplicate that must be re-acked but not
     /// re-delivered to the application).
@@ -329,15 +252,96 @@ impl MtpState {
         true
     }
 
+    /// Parks a send awaiting directory resolution, correlated by the
+    /// caller-allocated `query_id` embedded in the directory query.
+    pub(crate) fn park(&mut self, send: PendingSend) {
+        self.pending.push(send);
+    }
+
+    /// The heap bytes of the box and its tables.
+    fn heap_bytes(&self) -> usize {
+        size_of::<Self>()
+            + self.pending.capacity() * size_of::<PendingSend>()
+            + self.outstanding.capacity() * size_of::<Outstanding>()
+            + self.seen_segments.capacity() * size_of::<(NodeId, u32)>()
+    }
+}
+
+impl MtpState {
+    /// The node's endpoint, made now — its stream from `retx` — if it has
+    /// none.
+    pub(crate) fn endpoint(&mut self, retx: impl FnOnce() -> SimRng) -> &mut Endpoint {
+        self.endpoint
+            .get_or_insert_with(|| Box::new(Endpoint::new(retx())))
+    }
+
+    /// The node's endpoint, if it has one.
+    pub(crate) fn endpoint_mut(&mut self) -> Option<&mut Endpoint> {
+        self.endpoint.as_deref_mut()
+    }
+
+    /// Forgets everything a reboot loses. The sequence counter survives, as
+    /// the nonvolatile boot counter real transports keep so a rebooted node
+    /// never reuses sequence numbers its peers still hold in dedup windows;
+    /// so does the retransmission stream. A node without an endpoint gets
+    /// none.
+    pub(crate) fn reboot(&mut self) {
+        let endpoint = self.endpoint.take().map(|mut e| {
+            *e = Endpoint {
+                next_seq: e.next_seq,
+                ..Endpoint::new(e.retx_rng.clone())
+            };
+            e
+        });
+        *self = MtpState {
+            endpoint,
+            ..MtpState::default()
+        };
+    }
+
+    /// Clears an outstanding segment on ack receipt. Returns how many send
+    /// attempts it took, or `None` when the ack matched nothing (a stale
+    /// or duplicate ack does not).
+    pub(crate) fn acknowledge(&mut self, seq: u32) -> Option<u32> {
+        let outstanding = &mut self.endpoint_mut()?.outstanding;
+        let idx = outstanding.iter().position(|o| o.segment.seq == seq)?;
+        Some(outstanding.remove(idx).attempts)
+    }
+
+    /// Number of segments awaiting acknowledgement.
+    #[must_use]
+    pub(crate) fn outstanding_len(&self) -> usize {
+        self.outstanding_seqs().count()
+    }
+
+    /// The sequence numbers of the segments awaiting acknowledgement.
+    pub(crate) fn outstanding_seqs(&self) -> impl Iterator<Item = u32> + '_ {
+        let outstanding = self.endpoint.iter().flat_map(|e| &e.outstanding);
+        outstanding.map(|o| o.segment.seq)
+    }
+
     /// The last-known leader of `label`, refreshing its recency.
     pub fn lookup(&mut self, label: ContextLabel) -> Option<LeaderLoc> {
-        self.last_known.get(label).copied()
+        let idx = self.last_known.iter().position(|e| e.label == label)?;
+        let entry = self.last_known.remove(idx);
+        self.last_known.push(entry);
+        Some(entry.loc())
     }
 
     /// Records that `label` is currently led from `loc` (from any observed
-    /// traffic: MTP headers, heartbeats, directory responses).
+    /// traffic: MTP headers, heartbeats, directory responses), evicting the
+    /// least recently used entry from a full table.
     pub fn learn(&mut self, label: ContextLabel, loc: LeaderLoc) {
-        self.last_known.insert(label, loc);
+        if let Some(idx) = self.last_known.iter().position(|e| e.label == label) {
+            self.last_known.remove(idx);
+        } else if self.last_known.len() == TABLE_CAPACITY {
+            self.last_known.remove(0);
+        }
+        self.last_known.push(LastKnown {
+            pos: loc.pos,
+            label,
+            node: loc.node,
+        });
     }
 
     /// The number of cached leader entries.
@@ -347,13 +351,23 @@ impl MtpState {
     }
 
     /// Leaves a forwarding pointer: this node used to lead `label`, whose
-    /// traffic should now chase `next`.
-    pub(crate) fn leave_forward_pointer(&mut self, label: ContextLabel, next: LeaderLoc, now: Timestamp) {
-        self.forwarding.retain(|p| p.label != label);
+    /// traffic should now chase `next` for [`FORWARD_TTL`]. The label's
+    /// older pointer goes, and so does every expired one: nothing reads
+    /// them again (the clock only moves forward), and a node that issues no
+    /// directory query never sweeps its table.
+    pub(crate) fn leave_forward_pointer(
+        &mut self,
+        label: ContextLabel,
+        next: LeaderLoc,
+        now: Timestamp,
+    ) {
+        self.forwarding
+            .retain(|p| p.label != label && p.expires > now);
         self.forwarding.push(ForwardPointer {
+            pos: next.pos,
+            expires: now + FORWARD_TTL,
             label,
-            next,
-            expires: now + self.forward_ttl,
+            node: next.node,
         });
     }
 
@@ -363,7 +377,10 @@ impl MtpState {
         self.forwarding
             .iter()
             .find(|p| p.label == label && p.expires > now)
-            .map(|p| p.next)
+            .map(|p| LeaderLoc {
+                node: p.node,
+                pos: p.pos,
+            })
     }
 
     /// The best-known location of `label`'s leader: a live forwarding
@@ -374,35 +391,46 @@ impl MtpState {
             .or_else(|| self.lookup(label))
     }
 
-    /// Drops expired forwarding pointers and stale pending sends; returns
-    /// the expired pending sends for error reporting.
+    /// Drops expired forwarding pointers — a table that empties gives its
+    /// memory back — and stale pending sends; returns the expired pending
+    /// sends for error reporting.
     pub(crate) fn sweep(&mut self, now: Timestamp, pending_ttl: SimDuration) -> Vec<PendingSend> {
         self.forwarding.retain(|p| p.expires > now);
-        let (keep, expired): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending)
+        if self.forwarding.is_empty() {
+            self.forwarding = Vec::new();
+        }
+        let Some(endpoint) = self.endpoint_mut() else {
+            return Vec::new();
+        };
+        let (keep, expired): (Vec<_>, Vec<_>) = std::mem::take(&mut endpoint.pending)
             .into_iter()
             .partition(|p| now.saturating_since(p.parked_at) <= pending_ttl);
-        self.pending = keep;
+        endpoint.pending = keep;
         expired
-    }
-
-    /// Parks a send awaiting directory resolution, correlated by the
-    /// caller-allocated `query_id` embedded in the directory query.
-    pub(crate) fn park(&mut self, send: PendingSend) {
-        self.pending.push(send);
     }
 
     /// Takes the sends that were waiting on `query_id` (normally one).
     pub(crate) fn take_pending(&mut self, query_id: u32) -> Vec<PendingSend> {
-        let (resolved, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending)
+        let Some(endpoint) = self.endpoint_mut() else {
+            return Vec::new();
+        };
+        let (resolved, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut endpoint.pending)
             .into_iter()
             .partition(|p| p.query_id == query_id);
-        self.pending = keep;
+        endpoint.pending = keep;
         resolved
+    }
+
+    /// The heap bytes of the two routing tables, and of the endpoint.
+    pub(crate) fn heap_bytes(&self) -> (usize, usize) {
+        let tables = self.last_known.capacity() * size_of::<LastKnown>()
+            + self.forwarding.capacity() * size_of::<ForwardPointer>();
+        (tables, self.endpoint.as_ref().map_or(0, |e| e.heap_bytes()))
     }
 
     #[cfg(test)]
     pub(crate) fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.endpoint.as_ref().map_or(0, |e| e.pending.len())
     }
 }
 
@@ -449,34 +477,61 @@ mod tests {
         }
     }
 
+    /// A stream for an endpoint made in a test.
+    fn retx() -> SimRng {
+        SimRng::seed_from(3)
+    }
+
+    /// A last-known entry and a forwarding slot are flat: 32 and 40 bytes,
+    /// where the nested `(label, LeaderLoc)` forms padded to 40 and 48.
     #[test]
-    fn lru_evicts_least_recently_used() {
-        let mut t: LruTable<u32, &str> = LruTable::new(2);
-        assert!(t.insert(1, "a").is_none());
-        assert!(t.insert(2, "b").is_none());
-        // Touch 1 so 2 becomes LRU.
-        assert_eq!(t.get(1), Some(&"a"));
-        let evicted = t.insert(3, "c");
-        assert_eq!(evicted, Some((2, "b")));
-        assert_eq!(t.peek(2), None);
-        assert_eq!(t.peek(1), Some(&"a"));
-        assert_eq!(t.len(), 2);
+    fn a_table_entry_is_flat() {
+        assert_eq!(size_of::<LastKnown>(), 32);
+        assert_eq!(size_of::<ForwardPointer>(), 40);
+    }
+
+    /// A reboot forgets the tables and what the endpoint holds, but not its
+    /// sequence counter or its stream; it makes no endpoint for a node that
+    /// has none.
+    #[test]
+    fn a_reboot_keeps_the_sequence_counter_and_makes_no_endpoint() {
+        let mut idle = MtpState::default();
+        idle.learn(label(1), loc(1));
+        idle.reboot();
+        assert_eq!((idle.table_len(), idle.endpoint.is_none()), (0, true));
+        let mut mtp = MtpState::default();
+        let endpoint = mtp.endpoint(retx);
+        endpoint.track(&mut segment(7, 0));
+        endpoint.retx_rng.next_u64();
+        let stream = endpoint.retx_rng.clone();
+        mtp.reboot();
+        assert_eq!(mtp.outstanding_len(), 0);
+        let endpoint = mtp.endpoint_mut().expect("kept");
+        assert_eq!(endpoint.track(&mut segment(7, 0)), 1, "no sequence reused");
+        assert_eq!(endpoint.retx_rng.next_u64(), stream.clone().next_u64());
     }
 
     #[test]
-    fn lru_reinsert_refreshes_without_eviction() {
-        let mut t: LruTable<u32, u32> = LruTable::new(2);
-        t.insert(1, 10);
-        t.insert(2, 20);
-        assert!(t.insert(1, 11).is_none(), "refresh must not evict");
-        assert_eq!(t.peek(1), Some(&11));
-        // 2 is now LRU.
-        assert_eq!(t.insert(3, 30), Some((2, 20)));
+    fn the_least_recently_used_leader_is_evicted_from_a_full_table() {
+        let mut mtp = MtpState::default();
+        for n in 0..TABLE_CAPACITY as u32 {
+            mtp.learn(label(n), loc(n));
+        }
+        // Looking label 0 up makes label 1 the least recently used, and
+        // re-learning a known label evicts nothing.
+        assert_eq!(mtp.lookup(label(0)), Some(loc(0)));
+        mtp.learn(label(2), loc(12));
+        assert_eq!(mtp.table_len(), TABLE_CAPACITY);
+        mtp.learn(label(99), loc(99));
+        assert_eq!(mtp.table_len(), TABLE_CAPACITY);
+        assert_eq!(mtp.lookup(label(1)), None, "evicted");
+        assert_eq!(mtp.lookup(label(0)), Some(loc(0)));
+        assert_eq!(mtp.lookup(label(2)), Some(loc(12)));
     }
 
     #[test]
     fn learn_and_lookup_track_leaders() {
-        let mut mtp = MtpState::new(4, SimDuration::from_secs(10), 4);
+        let mut mtp = MtpState::default();
         assert_eq!(mtp.lookup(label(1)), None);
         mtp.learn(label(1), loc(5));
         assert_eq!(mtp.lookup(label(1)), Some(loc(5)));
@@ -487,23 +542,22 @@ mod tests {
 
     #[test]
     fn forwarding_pointers_expire() {
-        let mut mtp = MtpState::new(4, SimDuration::from_secs(10), 4);
+        let mut mtp = MtpState::default();
         mtp.leave_forward_pointer(label(1), loc(9), Timestamp::from_secs(0));
         assert_eq!(
             mtp.forward_pointer(label(1), Timestamp::from_secs(5)),
             Some(loc(9))
         );
-        assert_eq!(
-            mtp.forward_pointer(label(1), Timestamp::from_secs(10)),
-            None
-        );
-        mtp.sweep(Timestamp::from_secs(11), SimDuration::from_secs(60));
+        let lapsed = Timestamp::ZERO + FORWARD_TTL;
+        assert_eq!(mtp.forward_pointer(label(1), lapsed), None);
+        mtp.sweep(Timestamp::from_secs(21), SimDuration::from_secs(60));
         assert_eq!(mtp.forward_pointer(label(1), Timestamp::from_secs(5)), None);
+        assert_eq!(mtp.heap_bytes().0, 0, "an emptied table keeps no memory");
     }
 
     #[test]
     fn newer_pointer_replaces_older() {
-        let mut mtp = MtpState::new(4, SimDuration::from_secs(10), 4);
+        let mut mtp = MtpState::default();
         mtp.leave_forward_pointer(label(1), loc(2), Timestamp::ZERO);
         mtp.leave_forward_pointer(label(1), loc(3), Timestamp::from_secs(1));
         assert_eq!(
@@ -512,11 +566,28 @@ mod tests {
         );
     }
 
+    /// A node that never queries the directory never sweeps: leaving its
+    /// next pointer is what drops the ones that expired, which no lookup
+    /// would have returned anyway.
+    #[test]
+    fn leaving_a_pointer_drops_the_expired_ones() {
+        let mut mtp = MtpState::default();
+        mtp.leave_forward_pointer(label(1), loc(2), Timestamp::ZERO);
+        mtp.leave_forward_pointer(label(2), loc(3), Timestamp::from_secs(15));
+        let later = Timestamp::from_secs(30);
+        assert_eq!(mtp.forward_pointer(label(1), later), None, "expired");
+        mtp.leave_forward_pointer(label(3), loc(4), later);
+        assert_eq!(mtp.forwarding.len(), 2, "label 1's pointer is gone");
+        assert_eq!(mtp.forward_pointer(label(2), later), Some(loc(3)));
+        assert_eq!(mtp.forward_pointer(label(3), later), Some(loc(4)));
+    }
+
     #[test]
     fn parked_sends_resolve_by_query() {
-        let mut mtp = MtpState::new(4, SimDuration::from_secs(10), 4);
-        mtp.park(parked(7, Timestamp::ZERO, 1));
-        mtp.park(parked(8, Timestamp::ZERO, 2));
+        let mut mtp = MtpState::default();
+        assert!(mtp.take_pending(1).is_empty(), "nothing parked");
+        mtp.endpoint(retx).park(parked(7, Timestamp::ZERO, 1));
+        mtp.endpoint(retx).park(parked(8, Timestamp::ZERO, 2));
         assert_eq!(mtp.pending_len(), 2);
         let got = mtp.take_pending(1);
         assert_eq!(got.len(), 1);
@@ -526,9 +597,10 @@ mod tests {
 
     #[test]
     fn sweep_expires_stale_pending_sends() {
-        let mut mtp = MtpState::new(4, SimDuration::from_secs(10), 4);
-        mtp.park(parked(7, Timestamp::ZERO, 1));
-        mtp.park(parked(8, Timestamp::from_secs(50), 2));
+        let mut mtp = MtpState::default();
+        let later = Timestamp::from_secs(50);
+        mtp.endpoint(retx).park(parked(7, Timestamp::ZERO, 1));
+        mtp.endpoint(retx).park(parked(8, later, 2));
         let expired = mtp.sweep(Timestamp::from_secs(55), SimDuration::from_secs(10));
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].segment.dst_label, label(7));
@@ -536,19 +608,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one entry")]
-    fn zero_capacity_lru_is_rejected() {
-        let _: LruTable<u32, u32> = LruTable::new(0);
-    }
-
-    #[test]
     fn outstanding_segments_ack_and_retransmit() {
-        let mut mtp = MtpState::new(4, SimDuration::from_secs(10), 4);
-        let s1 = mtp.next_seq();
-        let s2 = mtp.next_seq();
-        assert_eq!((s1, s2), (0, 1));
-        mtp.track_outstanding(segment(7, s1));
-        mtp.track_outstanding(segment(8, s2));
+        let mut mtp = MtpState::default();
+        assert_eq!(mtp.acknowledge(0), None, "no endpoint, nothing to ack");
+        let (mut a, mut b) = (segment(7, 0), segment(8, 0));
+        let s1 = mtp.endpoint(retx).track(&mut a);
+        let s2 = mtp.endpoint(retx).track(&mut b);
+        assert_eq!((s1, s2, a.seq, b.seq), (0, 1, 0, 1));
         assert_eq!(mtp.outstanding_len(), 2);
 
         // Ack clears exactly the matching segment; stale acks are inert.
@@ -557,15 +623,16 @@ mod tests {
         assert_eq!(mtp.outstanding_len(), 1);
 
         // Retransmission bumps attempts until the budget is exhausted.
-        let rt = mtp.retransmit(s2, 3).unwrap().unwrap();
+        let endpoint = mtp.endpoint(retx);
+        let rt = endpoint.retransmit(s2, 3).unwrap().unwrap();
         assert_eq!(rt.attempts, 2);
-        let rt = mtp.retransmit(s2, 3).unwrap().unwrap();
+        let rt = endpoint.retransmit(s2, 3).unwrap().unwrap();
         assert_eq!(rt.attempts, 3);
-        let dropped = mtp.retransmit(s2, 3).unwrap().unwrap_err();
+        let dropped = endpoint.retransmit(s2, 3).unwrap().unwrap_err();
         assert_eq!(dropped.attempts, 3);
-        assert_eq!(mtp.outstanding_len(), 0);
         // An acked/dropped segment no longer retransmits.
-        assert_eq!(mtp.retransmit(s2, 3), None);
+        assert_eq!(endpoint.retransmit(s2, 3), None);
+        assert_eq!(mtp.outstanding_len(), 0);
     }
 
     #[test]
@@ -621,7 +688,8 @@ mod tests {
 
     #[test]
     fn duplicate_segments_are_suppressed_once_seen() {
-        let mut mtp = MtpState::new(4, SimDuration::from_secs(10), 4);
+        let mut mtp = MtpState::default();
+        let mtp = mtp.endpoint(retx);
         assert!(mtp.note_delivered(NodeId(3), 7));
         assert!(!mtp.note_delivered(NodeId(3), 7), "duplicate must be flagged");
         assert!(mtp.note_delivered(NodeId(4), 7), "other sender, same seq is new");

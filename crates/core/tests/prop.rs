@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use envirotrack_core::aggregate::{AggregateFn, AggregateReadError, ReadingValue, ReadingWindow};
 use envirotrack_core::context::{ContextLabel, ContextTypeId};
-use envirotrack_core::transport::{LeaderLoc, LruTable, Port};
+use envirotrack_core::transport::{LeaderLoc, MtpState, Port, TABLE_CAPACITY};
 use envirotrack_core::wire::{
     BaseReport, DirQuery, DirRegister, DirResponse, GeoForward, Heartbeat, Message, MtpSegment,
     Relinquish, Report,
@@ -186,26 +186,30 @@ prop_test! {
         prop_assert!(Message::decode(&bytes[..cut]).is_err());
     }
 
-    /// LRU invariants: size never exceeds capacity; the most recently
-    /// inserted key is always present; peek does not disturb recency.
+    /// The last-known-leader table's LRU invariants: it never holds more
+    /// than `TABLE_CAPACITY` labels; the most recently learned one is always
+    /// present; and the `TABLE_CAPACITY` most recently used labels (learned
+    /// or looked up) are exactly the live set.
     #[test]
-    fn lru_invariants(
-        capacity in 1usize..8,
-        ops in prop::collection::vec((0u32..16, any::<u32>()), 1..100),
-    ) {
-        let mut lru: LruTable<u32, u32> = LruTable::new(capacity);
-        let mut inserted_order: Vec<u32> = Vec::new();
-        for &(k, v) in &ops {
-            lru.insert(k, v);
-            inserted_order.retain(|x| *x != k);
-            inserted_order.push(k);
-            prop_assert!(lru.len() <= capacity);
-            prop_assert_eq!(lru.peek(k), Some(&v), "freshly inserted key must be present");
-            // The `capacity` most recently used keys are exactly the live set.
-            let expected: Vec<u32> =
-                inserted_order.iter().rev().take(capacity).copied().collect();
-            for key in &expected {
-                prop_assert!(lru.peek(*key).is_some(), "recent key {key} evicted too early");
+    fn lru_invariants(ops in prop::collection::vec((0u32..16, any::<bool>()), 1..100)) {
+        let mut mtp = MtpState::default();
+        let mut used_order: Vec<u32> = Vec::new();
+        let label = |n: u32| ContextLabel { type_id: ContextTypeId(0), creator: NodeId(n), seq: 0 };
+        let loc = |n: u32| LeaderLoc { node: NodeId(n), pos: Point::ORIGIN };
+        for &(k, learn) in &ops {
+            if learn {
+                mtp.learn(label(k), loc(k));
+            } else if mtp.lookup(label(k)).is_none() {
+                continue;
+            }
+            used_order.retain(|x| *x != k);
+            used_order.push(k);
+            prop_assert!(mtp.table_len() <= TABLE_CAPACITY);
+            let recent: Vec<u32> = used_order.iter().rev().take(TABLE_CAPACITY).copied().collect();
+            prop_assert_eq!(mtp.table_len(), recent.len());
+            // Looking the live set up in recency order leaves it in that order.
+            for &key in recent.iter().rev() {
+                prop_assert_eq!(mtp.lookup(label(key)), Some(loc(key)), "recent key {} evicted too early", key);
             }
         }
     }
@@ -255,12 +259,11 @@ prop_test! {
     /// the most recently learned label is always resolvable.
     #[test]
     fn mtp_learn_lookup(labels in prop::collection::vec((arb_label(), 0u32..100), 1..50)) {
-        use envirotrack_core::transport::MtpState;
-        let mut mtp = MtpState::new(4, SimDuration::from_secs(10), 4);
+        let mut mtp = MtpState::default();
         for (label, node) in labels {
             let loc = LeaderLoc { node: NodeId(node), pos: Point::ORIGIN };
             mtp.learn(label, loc);
-            prop_assert!(mtp.table_len() <= 4);
+            prop_assert!(mtp.table_len() <= TABLE_CAPACITY);
             prop_assert_eq!(mtp.lookup(label).map(|l| l.node), Some(NodeId(node)));
         }
     }

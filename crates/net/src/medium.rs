@@ -95,6 +95,8 @@ use envirotrack_world::grid::Topology;
 
 use crate::packet::{Frame, FrameKind};
 
+mod heap;
+
 /// Channel bandwidth of the MICA radio, in bits per second.
 const BANDWIDTH_BPS: u64 = 50_000;
 /// Upper bound on the random backoff after a CSMA defer.

@@ -244,6 +244,18 @@ impl<W> Kernel<W> {
             boxed_scheduled: self.boxed_scheduled,
         }
     }
+
+    /// The heap bytes the event list holds — its heap, recurring lane and
+    /// slab, and each pending boxed closure — worked out from their
+    /// capacities when asked. Like [`Kernel::event_work`], for tests and
+    /// tools.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.queue.heap_bytes(|event| match event {
+            Event::Once(f) => size_of_val(&**f),
+            Event::Recurring(..) | Event::Inline(..) => 0,
+        })
+    }
 }
 
 impl<W> std::fmt::Debug for Kernel<W> {

@@ -291,6 +291,17 @@ impl<E, L: Into<E>> EventQueue<E, L> {
         self.lane.len()
     }
 
+    /// The heap bytes the queue holds: its heap, slab, free list and lane
+    /// at their capacities, and `item_heap` of every pending slab item.
+    pub(crate) fn heap_bytes(&self, item_heap: impl Fn(&E) -> usize) -> usize {
+        let items = self.slots.iter().filter_map(|s| s.item.as_ref());
+        self.heap.capacity() * size_of::<Entry>()
+            + self.slots.capacity() * size_of::<Slot<E>>()
+            + self.free.capacity() * size_of::<u32>()
+            + self.lane.capacity() * size_of::<(Timestamp, u64, L)>()
+            + items.map(item_heap).sum::<usize>()
+    }
+
     /// How many events [`EventQueue::pop`] and [`EventQueue::pop_due`] have
     /// taken off the recurring lane and out of the heap, as `(lane, heap)`.
     /// Cancelled entries discarded on the way count for neither.

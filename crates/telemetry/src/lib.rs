@@ -312,6 +312,23 @@ pub struct TraceWork {
     pub ring_bytes: u64,
 }
 
+/// What an `Rc` allocates for its value: the two counts beside it.
+struct RcBox<T> {
+    _counts: [usize; 2],
+    _value: T,
+}
+
+/// About what a `BTreeMap` of `len` entries allocates: leaves of eleven
+/// slots, two thirds full on average, and above more than one of them an
+/// internal node (a leaf plus twelve edges) per eight.
+fn btree_bytes<K, V>(len: usize) -> usize {
+    const SLOTS: usize = 11;
+    let leaf = 2 * size_of::<usize>() + SLOTS * (size_of::<K>() + size_of::<V>());
+    let leaves = len.div_ceil(8);
+    let internal = if leaves > 1 { leaves.div_ceil(8) } else { 0 };
+    leaves * leaf + internal * (leaf + (SLOTS + 1) * size_of::<usize>())
+}
+
 /// The shared metric + trace store. Accessed through [`Telemetry`].
 #[derive(Debug)]
 pub struct Registry {
@@ -651,6 +668,35 @@ impl Telemetry {
             dropped: r.trace_dropped,
             ring_bytes: (r.trace.capacity() * std::mem::size_of::<TraceEvent>()) as u64,
         }
+    }
+
+    /// The heap bytes the registry holds: the trace ring at its capacity,
+    /// the interned strings, and the counters, gauges, histograms and open
+    /// spans with their names, worked out when asked. A `BTreeMap`'s nodes
+    /// are estimated from its length; everything else is exact.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        let r = self.inner.borrow();
+        fn names<'a>(keys: impl Iterator<Item = &'a String>) -> usize {
+            keys.map(String::capacity).sum()
+        }
+        let text: usize = r.strings.text.iter().map(|t| t.len()).sum();
+        let buckets = r.histograms.values().map(|h| h.buckets.len());
+        size_of::<RcBox<RefCell<Registry>>>()
+            + r.trace.capacity() * size_of::<TraceEvent>()
+            + btree_bytes::<String, Rc<Cell<u64>>>(r.counters.len())
+            + names(r.counters.keys())
+            + r.counters.len() * size_of::<RcBox<Cell<u64>>>()
+            + btree_bytes::<String, f64>(r.gauges.len())
+            + names(r.gauges.keys())
+            + btree_bytes::<String, LogLinearHistogram>(r.histograms.len())
+            + names(r.histograms.keys())
+            + buckets.map(btree_bytes::<u32, u64>).sum::<usize>()
+            + r.strings.text.capacity() * size_of::<Box<str>>()
+            + 2 * text
+            + btree_bytes::<Box<str>, u32>(r.strings.by_text.len())
+            + btree_bytes::<u128, u32>(r.strings.by_key.len())
+            + btree_bytes::<(u32, u64), u64>(r.spans.len())
     }
 
     /// The last `n` trace events (any label), oldest first, rendered.

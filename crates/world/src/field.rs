@@ -128,6 +128,12 @@ impl Deployment {
         self.positions.len()
     }
 
+    /// The heap bytes of its positions.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.positions.capacity() * size_of::<Point>()
+    }
+
     /// Whether the deployment is empty (never true by construction).
     #[must_use]
     pub fn is_empty(&self) -> bool {

@@ -327,6 +327,14 @@ pub struct Topology {
 }
 
 impl Topology {
+    /// The heap bytes of its position, neighbour and offset arrays.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.positions.capacity() * size_of::<Point>()
+            + self.neighbors.capacity() * size_of::<NodeId>()
+            + self.offsets.capacity() * size_of::<u32>()
+    }
+
     /// Builds the topology of `deployment` under `radius`, from five
     /// allocations whatever the node count: the positions, the grid's two
     /// arrays, and the table's two.

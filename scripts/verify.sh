@@ -142,6 +142,10 @@ for f in "$tmp/scale.json" BENCH_scale.json; do
              '"build_allocs":' '"build_heap_bytes":' \
              '"timer_live":' '"timer_stale":' '"timer_retries":' '"cold_engaged":' \
              '"trace_records":' '"trace_dropped":' '"trace_ring_bytes":' \
+             '"heap_live":' '"heap_kernel":' '"heap_medium":' '"heap_deployment":' \
+             '"heap_hot":' '"heap_nodes":' '"heap_engaged":' '"heap_mtp":' \
+             '"heap_endpoints":' '"heap_directory":' '"heap_leaders":' \
+             '"heap_telemetry":' '"heap_events":' '"heap_base_log":' \
              '"shards":' '"speedup_vs_first":' '"byte_identical":true' \
              '"medium":' '"replayed_intents":' '"full_replay_intents":' \
              '"medium":"partitioned"' '"medium":"replicated"'; do
@@ -170,6 +174,15 @@ grep -o '"trace_records":[0-9]*,"trace_dropped":[0-9]*,"trace_ring_bytes":[0-9]*
   { kept = $2 - $4; b = $6; if (kept <= 0 || b > 48 * kept) { print "verify: a trace ring of " b " bytes keeps " kept " records (limit 48 a record)"; bad = 1 } }
   END { exit bad || NR == 0 }' >&2 \
   || { echo "verify: the smoke rows keep more than 48 trace-ring bytes a record" >&2; exit 1; }
+# Memory is priced by layer: each layer of the engine and its world works
+# its heap bytes out from its own state, and on each smoke row their sum is
+# within 5 % of the live bytes the counting allocator saw at the horizon.
+grep -o '"heap_live":[0-9]*\(,"heap_[a-z_]*":[0-9]*\)*' "$tmp/scale.json" | tr ',:' '  ' | awk '
+  { live = $2; sum = 0; for (i = 4; i <= NF; i += 2) sum += $i
+    if (NF < 28 || live <= 0 || (sum - live) * 20 > live || (live - sum) * 20 > live) {
+      print "verify: the layers count " sum " heap bytes of " live " live"; bad = 1 } }
+  END { exit bad || NR == 0 }' >&2 \
+  || { echo "verify: a smoke row's heap census is more than 5 % off the live bytes" >&2; exit 1; }
 
 # Soak smoke: a short layered-fault run (corruption + burst loss +
 # partition/heal + crash/reboot) must pass every acceptance claim — zero
