@@ -190,6 +190,10 @@ pub struct StormReport {
     pub worker_writes: u64,
     /// Server counter: bytes those writes moved.
     pub worker_write_bytes: u64,
+    /// Server counter: waits a worker entered with nothing to do.
+    pub worker_waits: u64,
+    /// Server counter: of those, the waits its waker ended.
+    pub worker_wakes: u64,
     /// Whether the storm run ran with the storm phase enabled.
     pub storm: bool,
 }
@@ -256,6 +260,8 @@ impl StormReport {
             .field_u64("batch_frames_max", self.batch_frames_max)
             .field_u64("worker_writes", self.worker_writes)
             .field_u64("worker_write_bytes", self.worker_write_bytes)
+            .field_u64("worker_waits", self.worker_waits)
+            .field_u64("worker_wakes", self.worker_wakes)
             .finish()
     }
 }
@@ -577,6 +583,8 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
         batch_frames_max: batches.max(),
         worker_writes: metrics.worker_writes.load(Ordering::Relaxed),
         worker_write_bytes: metrics.worker_write_bytes.load(Ordering::Relaxed),
+        worker_waits: metrics.worker_waits.load(Ordering::Relaxed),
+        worker_wakes: metrics.worker_wakes.load(Ordering::Relaxed),
         storm: cfg.storm,
     };
     server.shutdown();

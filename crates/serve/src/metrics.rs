@@ -93,6 +93,16 @@ pub struct ServeMetrics {
     pub worker_writes: AtomicU64,
     /// Bytes those writes moved.
     pub worker_write_bytes: AtomicU64,
+    /// Times a worker found nothing to do in a pass and blocked until a
+    /// socket, its waker or a lifecycle deadline woke it.
+    pub worker_waits: AtomicU64,
+    /// Of those waits, the ones the worker's waker ended: a hand-off from
+    /// the acceptor, a SUBACK, a tick's events or a shed from the hub, or
+    /// shutdown.
+    pub worker_wakes: AtomicU64,
+    /// Failed `accept()` calls. The acceptor backs off briefly after one
+    /// that ran out of descriptors or memory and retries any other at once.
+    pub accept_errors: AtomicU64,
     /// The most bytes any session held between outbox and socket at the
     /// end of a worker pass: `MAX_PENDING_WRITE` plus a frame or two at
     /// most, whatever a peer does.

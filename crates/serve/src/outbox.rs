@@ -7,12 +7,17 @@
 //! Both sides take the queue's lock once per hand-over — the hub for a
 //! whole batch of frames ([`Outbox::push_batch`]), the worker for as many
 //! whole frames as its write buffer takes ([`Outbox::drain_into`]).
+//! An outbox a server session owns knows its worker's waker: the hub rings
+//! it after a SUBACK, once a tick after its hand-offs, and when a push
+//! sheds the outbox.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
+
+use crate::server::Waker;
 
 /// What one hand-over put into an outbox.
 #[derive(Debug)]
@@ -83,6 +88,8 @@ pub struct Outbox {
     closed: AtomicBool,
     /// Frames dropped on the floor after overflow.
     dropped: AtomicU64,
+    /// The worker that drains this outbox; `None` for one nobody waits on.
+    waker: Option<Arc<Waker>>,
 }
 
 impl Outbox {
@@ -95,6 +102,28 @@ impl Outbox {
             shed: AtomicBool::new(false),
             closed: AtomicBool::new(false),
             dropped: AtomicU64::new(0),
+            waker: None,
+        }
+    }
+
+    /// A new outbox holding at most `budget` frames, drained by the worker
+    /// `waker` wakes.
+    pub(crate) fn waking(budget: usize, waker: Arc<Waker>) -> Self {
+        Outbox {
+            waker: Some(waker),
+            ..Outbox::new(budget)
+        }
+    }
+
+    /// The waker of the worker that drains this outbox, if one waits on it.
+    pub(crate) fn waker(&self) -> Option<&Arc<Waker>> {
+        self.waker.as_ref()
+    }
+
+    /// Wakes the worker that drains this outbox, if one waits on it.
+    pub(crate) fn wake(&self) {
+        if let Some(waker) = &self.waker {
+            waker.wake();
         }
     }
 
@@ -138,10 +167,14 @@ impl Outbox {
         fit
     }
 
-    /// Marks the outbox shed over `frames` that found no room.
+    /// Marks the outbox shed over `frames` that found no room, and wakes
+    /// the worker the first time, so it closes the session now rather than
+    /// when its socket next stirs.
     pub(crate) fn refuse(&self, frames: usize) {
-        self.shed.store(true, Ordering::Release);
         self.dropped.fetch_add(frames as u64, Ordering::Relaxed);
+        if !self.shed.swap(true, Ordering::AcqRel) {
+            self.wake();
+        }
     }
 
     /// Dequeues the next frame for the socket.

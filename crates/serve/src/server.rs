@@ -7,12 +7,30 @@
 //!   with REJECT(Overloaded) and closed *before* it costs a worker
 //!   anything. Admitted sockets go non-blocking and round-robin onto a
 //!   worker.
-//! * **Workers** — `workers` threads, each multiplexing many sessions
-//!   with a poll loop (read → frame → state machine → drain outbox →
-//!   flush). No thread ever blocks on one client's socket, so thousands
-//!   of sessions cost `workers` threads, not thousands.
+//! * **Workers** — `workers` threads, each multiplexing many sessions:
+//!   a pass reads, frames and answers every session, drains its outbox
+//!   and flushes (read → frame → state machine → drain outbox → flush).
+//!   A pass that found nothing to do blocks in `poll(2)` on every session
+//!   socket (readable; writable too while it holds pending writes) and on
+//!   the worker's `Waker`, until the nearest lifecycle deadline. No
+//!   thread ever blocks on one client's socket, so thousands of sessions
+//!   cost `workers` threads, not thousands.
 //! * **Hub** — one thread owning every simulation (see
 //!   [`crate::worlds`]).
+//!
+//! ## Who wakes a waiting worker
+//!
+//! What arrives on a session socket wakes it through `poll` itself. What
+//! other threads hand it rings its `Waker`: the acceptor after each
+//! hand-off, [`Server::shutdown`] for every worker, and the hub after a
+//! SUBACK, when a push sheds an outbox, and once per tick for each worker
+//! whose outboxes the tick filled — once per tick, not once per push, so a
+//! tick costs a worker one wake-up whatever it fanned out. A ring sets an
+//! "already rung" flag and writes one byte only when it found the flag
+//! clear, so ringing a busy worker costs no system call. The worker reads
+//! the waker dry and then clears the flag, both before it scans its
+//! sessions: a ring before the clear is seen by the scan, and a ring after
+//! it leaves its byte in the waker for the next `poll`. No wake is lost.
 //!
 //! ## Backpressure policy
 //!
@@ -35,8 +53,10 @@
 //!    sessions and the rest waits in the kernel's socket buffer, where
 //!    TCP flow control holds the sender back. Nothing is dropped.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -64,6 +84,27 @@ const MAX_READ_PER_PASS: usize = 64 * 1024;
 
 /// Grace period for flushing a final CLOSE before dropping a session.
 const CLOSE_GRACE: Duration = Duration::from_millis(250);
+
+/// How long the acceptor waits after an `accept()` that failed for want of
+/// descriptors or memory before it tries again. Such an error fails every
+/// retry at once; without a pause the acceptor would spin a core on it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Whether a failed `accept()` will fail again at once: the process or the
+/// system is out of descriptors or buffer memory (`EMFILE`, `ENFILE`,
+/// `ENOBUFS`, `ENOMEM`). Any other error belongs to the one connection
+/// (reset before it was taken, a protocol error) or to the call
+/// (`EINTR`), and `accept(2)` says to retry at once.
+fn exhausted(e: &std::io::Error) -> bool {
+    const ENOMEM: i32 = 12;
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    #[cfg(target_os = "linux")]
+    const ENOBUFS: i32 = 105;
+    #[cfg(not(target_os = "linux"))]
+    const ENOBUFS: i32 = 55;
+    matches!(e.raw_os_error(), Some(ENOMEM | ENFILE | EMFILE | ENOBUFS))
+}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -154,7 +195,6 @@ fn listen(addr: SocketAddr, backlog: usize) -> std::io::Result<TcpListener> {
     let listener = TcpListener::bind(addr)?;
     #[cfg(target_os = "linux")]
     {
-        use std::os::fd::AsRawFd;
         // `std` already links the C library; its `listen` is declared here
         // rather than pulled in through a crate.
         extern "C" {
@@ -173,6 +213,87 @@ fn listen(addr: SocketAddr, backlog: usize) -> std::io::Result<TcpListener> {
     Ok(listener)
 }
 
+/// A socket worker's doorbell: the other threads ring it when they hand
+/// the worker something its sockets will not announce.
+#[derive(Debug)]
+pub(crate) struct Waker {
+    /// Set by the first ring since the worker last cleared it.
+    rung: AtomicBool,
+    /// The write end of the pair whose read end the worker polls.
+    tx: UnixStream,
+    /// Every ring, whether it wrote or not.
+    #[cfg(test)]
+    pub(crate) rings: AtomicU64,
+}
+
+impl Waker {
+    /// Wakes the worker if it waits, or makes its next wait return at once.
+    /// Only the ring that finds the flag clear writes, so a worker rung
+    /// many times between two of its passes costs one system call. (A
+    /// write the full socket refuses leaves unread bytes behind it, which
+    /// wake the worker as well.)
+    pub(crate) fn wake(&self) {
+        #[cfg(test)]
+        self.rings.fetch_add(1, Ordering::Relaxed);
+        // Release: what the caller handed over before ringing is visible
+        // to the worker's clearing swap that reads this ring.
+        if !self.rung.swap(true, Ordering::AcqRel) {
+            let _ = (&self.tx).write(&[1]);
+        }
+    }
+}
+
+/// One entry of `poll(2)`'s descriptor array (`struct pollfd`).
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
+
+/// Blocks until one of `fds` is ready for what it asks or `timeout` lapses
+/// (`None`: no timeout), and sets each entry's `revents`. The one place a
+/// thread of the server waits on time: on Linux through `poll(2)`; on
+/// other Unix targets as a sleep, capped at a short nap when there are
+/// descriptors to look at again.
+fn wait(fds: &mut [PollFd], timeout: Option<Duration>) {
+    #[cfg(target_os = "linux")]
+    {
+        // `std` already links the C library; its `poll` is declared here
+        // rather than pulled in through a crate.
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
+        }
+        // Rounded up: a wait that ends before its deadline would only come
+        // straight back.
+        let ms = timeout.map_or(-1, |t| {
+            i32::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
+        });
+        let len = std::ffi::c_ulong::try_from(fds.len()).unwrap_or(std::ffi::c_ulong::MAX);
+        // SAFETY: `fds` is a live, exclusively borrowed array of `len`
+        // `struct pollfd`-shaped entries, which `poll` reads and whose
+        // `revents` it writes, and nothing else; a failure (EINTR) leaves
+        // it as it was, and the caller looks again either way.
+        unsafe { poll(fds.as_mut_ptr(), len, ms) };
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        // No readiness wait here: nap briefly and let the caller look. With
+        // nothing to look at, the timeout is all there is to wait for.
+        const NAP: Duration = Duration::from_micros(500);
+        let nap = match timeout {
+            Some(t) if fds.is_empty() => t,
+            Some(t) => t.min(NAP),
+            None => NAP,
+        };
+        std::thread::sleep(nap);
+    }
+}
+
 /// A running server; dropping (or calling [`Server::shutdown`]) stops it.
 pub struct Server {
     addr: SocketAddr,
@@ -180,6 +301,8 @@ pub struct Server {
     stop: Arc<AtomicBool>,
     acceptor: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
+    /// One per worker, in worker order.
+    wakers: Vec<Arc<Waker>>,
     hub: Option<SimHub>,
 }
 
@@ -194,7 +317,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures.
+    /// Propagates bind failures, and a failure to make a worker's waker.
     pub fn start(cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = listen(cfg.bind, cfg.max_sessions)?;
         let addr = listener.local_addr()?;
@@ -203,10 +326,11 @@ impl Server {
         let hub = SimHub::spawn(cfg.hub.clone(), Arc::clone(&metrics));
 
         let mut workers = Vec::new();
-        let mut worker_txs: Vec<Sender<TcpStream>> = Vec::new();
+        let mut worker_txs: Vec<(Sender<TcpStream>, Arc<Waker>)> = Vec::new();
         for i in 0..cfg.workers.max(1) {
             let (tx, rx) = std::sync::mpsc::channel::<TcpStream>();
-            worker_txs.push(tx);
+            let bell = Bell::new()?;
+            worker_txs.push((tx, Arc::clone(&bell.waker)));
             let metrics = Arc::clone(&metrics);
             let stop = Arc::clone(&stop);
             let hub_tx = hub.sender();
@@ -216,13 +340,14 @@ impl Server {
                     .name(format!("serve-worker-{i}"))
                     .spawn(move || {
                         let guard = PanicCounter(Arc::clone(&metrics));
-                        worker_loop(&cfg, &rx, &hub_tx, &metrics, &stop);
+                        worker_loop(&cfg, &rx, bell, &hub_tx, &metrics, &stop);
                         drop(guard);
                     })
                     .expect("spawn worker"),
             );
         }
 
+        let wakers = worker_txs.iter().map(|(_, w)| Arc::clone(w)).collect();
         let acceptor = {
             let metrics = Arc::clone(&metrics);
             let stop = Arc::clone(&stop);
@@ -242,6 +367,7 @@ impl Server {
             stop,
             acceptor: Some(acceptor),
             workers,
+            wakers,
             hub: Some(hub),
         })
     }
@@ -270,6 +396,9 @@ impl Server {
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
+        for waker in &self.wakers {
+            waker.wake();
+        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -289,18 +418,26 @@ impl Drop for Server {
 
 fn acceptor_loop(
     listener: &TcpListener,
-    workers: &[Sender<TcpStream>],
+    workers: &[(Sender<TcpStream>, Arc<Waker>)],
     metrics: &ServeMetrics,
     stop: &AtomicBool,
     max_sessions: usize,
 ) {
     let mut next = 0usize;
     loop {
-        let Ok((mut stream, _)) = listener.accept() else {
-            if stop.load(Ordering::Acquire) {
-                return;
+        let mut stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e) => {
+                if stop.load(Ordering::Acquire) {
+                    return;
+                }
+                metrics.accept_errors.fetch_add(1, Ordering::Relaxed);
+                if exhausted(&e) {
+                    // The connection waits in the listen queue meanwhile.
+                    wait(&mut [], Some(ACCEPT_BACKOFF));
+                }
+                continue;
             }
-            continue;
         };
         if stop.load(Ordering::Acquire) {
             return;
@@ -327,17 +464,98 @@ fn acceptor_loop(
         }
         let _ = stream.set_nodelay(true);
         // Round-robin across workers.
-        let w = next % workers.len();
+        let (tx, waker) = &workers[next % workers.len()];
         next += 1;
-        if workers[w].send(stream).is_err() {
+        if tx.send(stream).is_err() {
             return; // workers only die at shutdown
         }
+        waker.wake();
+    }
+}
+
+/// A worker's side of its waker: what it waits on besides its sessions.
+pub(crate) struct Bell {
+    pub(crate) waker: Arc<Waker>,
+    /// The read end of the waker's pair.
+    rx: UnixStream,
+    /// The `poll` array, refilled for every wait: an idle wait allocates
+    /// nothing once it has held the worker's most sessions.
+    fds: Vec<PollFd>,
+}
+
+impl Bell {
+    /// A bell and its waker, both ends of the pair non-blocking.
+    pub(crate) fn new() -> std::io::Result<Bell> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        let waker = Arc::new(Waker {
+            rung: AtomicBool::new(false),
+            tx,
+            #[cfg(test)]
+            rings: AtomicU64::new(0),
+        });
+        Ok(Bell {
+            waker,
+            rx,
+            fds: Vec::new(),
+        })
+    }
+
+    /// Before a pass scans its sessions: reads the waker dry, then clears
+    /// its flag, in that order. A ring that lands between the two has its
+    /// byte read but is itself seen by the scan, and a ring after the
+    /// clear writes a byte no one has read yet, so the next wait returns
+    /// at once. Clearing first would let a ring between the clear and the
+    /// read leave the flag set with no byte behind it, and every later
+    /// ring would then be swallowed.
+    fn answer(&self) {
+        let mut drained = [0u8; 64];
+        while matches!((&self.rx).read(&mut drained), Ok(n) if n > 0) {}
+        // Acquire: whatever a ring's thread did before ringing is visible
+        // to the scan that follows.
+        self.waker.rung.swap(false, Ordering::AcqRel);
+    }
+
+    /// Waits until a session socket is readable (or writable, while the
+    /// session holds pending writes), the waker rings, or the nearest
+    /// lifecycle deadline — a closing session's grace, an idle timeout —
+    /// lapses. Returns whether the waker ended the wait.
+    fn wait(&mut self, sessions: &[Session], idle_timeout: Duration) -> bool {
+        self.fds.clear();
+        self.fds.push(PollFd {
+            fd: self.rx.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        });
+        let mut due: Option<Instant> = None;
+        for s in sessions {
+            let events = if s.sock.pending.is_empty() {
+                POLLIN
+            } else {
+                POLLIN | POLLOUT
+            };
+            self.fds.push(PollFd {
+                fd: s.sock.stream.as_raw_fd(),
+                events,
+                revents: 0,
+            });
+            let deadline = match s.state {
+                SessionState::Closing { deadline } => deadline,
+                _ => s.last_activity + idle_timeout,
+            };
+            due = Some(due.map_or(deadline, |d| d.min(deadline)));
+        }
+        let timeout = due.map(|d| d.saturating_duration_since(Instant::now()));
+        wait(&mut self.fds, timeout);
+        self.fds[0].revents & POLLIN != 0
     }
 }
 
 fn worker_loop(
     cfg: &ServerConfig,
     incoming: &Receiver<TcpStream>,
+    mut bell: Bell,
     hub_tx: &Sender<HubCommand>,
     metrics: &ServeMetrics,
     stop: &AtomicBool,
@@ -345,6 +563,9 @@ fn worker_loop(
     let mut sessions: Vec<Session> = Vec::new();
     let session_counter = AtomicU64::new(1);
     loop {
+        // Before anything a ring announces is looked at: the stop flag,
+        // the acceptor's hand-offs, the outboxes.
+        bell.answer();
         if stop.load(Ordering::Acquire) {
             let bye = SessionMsg::Close(Close {
                 reason: CloseReason::Shutdown,
@@ -368,6 +589,7 @@ fn worker_loop(
             let done = step_session(
                 &mut sessions[i],
                 cfg,
+                &bell.waker,
                 hub_tx,
                 metrics,
                 &session_counter,
@@ -382,7 +604,10 @@ fn worker_loop(
         }
 
         if !busy {
-            std::thread::sleep(Duration::from_micros(500));
+            metrics.worker_waits.fetch_add(1, Ordering::Relaxed);
+            if bell.wait(&sessions, cfg.idle_timeout) {
+                metrics.worker_wakes.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -403,6 +628,7 @@ fn finish(s: &mut Session, metrics: &ServeMetrics, counter: &AtomicU64) {
 fn step_session(
     s: &mut Session,
     cfg: &ServerConfig,
+    waker: &Arc<Waker>,
     hub_tx: &Sender<HubCommand>,
     metrics: &ServeMetrics,
     session_counter: &AtomicU64,
@@ -429,7 +655,7 @@ fn step_session(
                 Ok(None) => break,
                 Ok(Some(msg)) => {
                     *busy = true;
-                    if handle_message(s, msg, cfg, hub_tx, metrics, session_counter) {
+                    if handle_message(s, msg, cfg, waker, hub_tx, metrics, session_counter) {
                         break;
                     }
                     // A reply filled the stage-2 bound: make room now, or
@@ -541,6 +767,7 @@ fn handle_message(
     s: &mut Session,
     msg: SessionMsg,
     cfg: &ServerConfig,
+    waker: &Arc<Waker>,
     hub_tx: &Sender<HubCommand>,
     metrics: &ServeMetrics,
     session_counter: &AtomicU64,
@@ -569,7 +796,7 @@ fn handle_message(
             let caps = h.caps & CAP_ALL;
             let budget = h.recv_budget.min(cfg.send_budget);
             s.caps = caps;
-            s.outbox = Arc::new(Outbox::new(budget as usize));
+            s.outbox = Arc::new(Outbox::waking(budget as usize, Arc::clone(waker)));
             s.accepted = true;
             metrics.accepted.fetch_add(1, Ordering::Relaxed);
             metrics.session_opened();

@@ -16,7 +16,9 @@
 //! session back to back into one buffer and hands them to that session's
 //! outbox under one lock; the worker takes them out again under one lock
 //! per pass. The hub ticks at a fixed rate — every `tick_real`, whatever
-//! the tick's own work took.
+//! the tick's own work took. When a tick's hand-offs are done it wakes
+//! each worker whose outboxes it filled, once, however many sessions and
+//! samples that worker's hand-offs covered.
 //!
 //! Worlds are keyed by `(scenario, seed)` and shared: a thousand clients
 //! subscribing to the same scenario+seed cost one simulation, not a
@@ -43,6 +45,7 @@ use envirotrack_world::target::Channel;
 
 use crate::metrics::ServeMetrics;
 pub use crate::outbox::Outbox;
+use crate::server::Waker;
 
 /// Scenario 0: the paper's 10×2 testbed grid.
 pub const SCENARIO_TESTBED: u8 = 0;
@@ -127,6 +130,29 @@ struct Batch {
     bytes: Vec<u8>,
     /// Where each frame ends in `bytes`.
     ends: Vec<usize>,
+}
+
+/// The workers a tick handed frames to, each woken once when the tick is
+/// done.
+#[derive(Default)]
+struct Woken(Vec<Arc<Waker>>);
+
+impl Woken {
+    /// Notes the worker that drains `outbox`.
+    fn note(&mut self, outbox: &Outbox) {
+        if let Some(waker) = outbox.waker() {
+            if !self.0.iter().any(|w| Arc::ptr_eq(w, waker)) {
+                self.0.push(Arc::clone(waker));
+            }
+        }
+    }
+
+    /// Wakes every noted worker, and forgets them.
+    fn wake(&mut self) {
+        for waker in self.0.drain(..) {
+            waker.wake();
+        }
+    }
 }
 
 struct World {
@@ -231,6 +257,7 @@ impl World {
         slice: SimDuration,
         sample: SimDuration,
         batch: &mut Batch,
+        woken: &mut Woken,
         metrics: &ServeMetrics,
     ) {
         let mut remaining = slice;
@@ -238,7 +265,7 @@ impl World {
             let step = remaining.min(sample);
             remaining = remaining.saturating_sub(step);
             self.advance(step);
-            self.emit(batch, metrics);
+            self.emit(batch, woken, metrics);
         }
     }
 
@@ -261,8 +288,9 @@ impl World {
     }
 
     /// Fans the current leader positions out to every live session: one
-    /// encode pass and one outbox hand-off per session.
-    fn emit(&mut self, batch: &mut Batch, metrics: &ServeMetrics) {
+    /// encode pass and one outbox hand-off per session. The workers of the
+    /// outboxes that took frames are noted in `woken`.
+    fn emit(&mut self, batch: &mut Batch, woken: &mut Woken, metrics: &ServeMetrics) {
         self.sessions.retain(|s| !s.outbox.is_closed());
         if self.sessions.is_empty() {
             return;
@@ -306,6 +334,9 @@ impl World {
                 batch.ends.push(batch.bytes.len());
             }
             let fit = session.outbox.push_batch(&batch.bytes, &batch.ends);
+            if fit > 0 {
+                woken.note(&session.outbox);
+            }
             if wanted > encoded {
                 session.outbox.refuse(wanted - encoded);
             }
@@ -415,6 +446,7 @@ struct Hub<'a> {
     program: Arc<Program>,
     worlds: BTreeMap<(u8, u64), World>,
     batch: Batch,
+    woken: Woken,
 }
 
 impl<'a> Hub<'a> {
@@ -425,22 +457,32 @@ impl<'a> Hub<'a> {
             program: serve_program(),
             worlds: BTreeMap::new(),
             batch: Batch::default(),
+            woken: Woken::default(),
         }
     }
 
-    /// Advances every world by `tick_virtual` and forgets the worlds
-    /// nobody listens to any more.
+    /// Advances every world by `tick_virtual`, wakes the workers whose
+    /// outboxes it filled — once each, after the last hand-off — and
+    /// forgets the worlds nobody listens to any more.
     fn tick(&mut self) {
         let sample = self.cfg.sample_virtual.max(SimDuration::from_micros(1));
         for world in self.worlds.values_mut() {
-            world.tick(self.cfg.tick_virtual, sample, &mut self.batch, self.metrics);
+            world.tick(
+                self.cfg.tick_virtual,
+                sample,
+                &mut self.batch,
+                &mut self.woken,
+                self.metrics,
+            );
         }
+        self.woken.wake();
         // Worlds with no subscribers left cost sim time for nobody.
         self.worlds.retain(|_, w| !w.sessions.is_empty());
     }
 
     /// Validates a subscription request, registers it on its (possibly
-    /// new) world, and pushes the SUBACK into the session outbox.
+    /// new) world, pushes the SUBACK into the session outbox and wakes the
+    /// session's worker.
     fn subscribe(&mut self, req: SubscribeReq) {
         let accepted = self.admit(&req);
         if !accepted {
@@ -454,6 +496,7 @@ impl<'a> Hub<'a> {
         let us = u64::try_from(req.received_at.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.metrics.observe_ack(us);
         let _ = req.outbox.push(ack);
+        req.outbox.wake();
     }
 
     fn admit(&mut self, req: &SubscribeReq) -> bool {
@@ -530,6 +573,7 @@ fn hub_loop(cfg: &HubConfig, rx: &Receiver<HubCommand>, metrics: &ServeMetrics) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::Bell;
 
     #[test]
     fn the_tick_schedule_keeps_its_period_and_banks_no_debt() {
@@ -696,6 +740,68 @@ mod tests {
         assert_eq!(load(&metrics.events_dropped), model.dropped);
         let batches = metrics.batch_frames.lock().expect("metrics lock").clone();
         assert_eq!(batches.sum(), u128::from(model.sent));
+    }
+
+    /// Each worker is woken once per tick that handed it frames, after the
+    /// tick's last hand-off — however many sessions, worlds and samples
+    /// those hand-offs covered — and once per SUBACK.
+    #[test]
+    fn a_tick_wakes_each_worker_it_fed_once() {
+        let cfg = HubConfig {
+            max_worlds: 2,
+            tick_virtual: SimDuration::from_millis(500),
+            tick_real: Duration::ZERO,
+            sample_virtual: SimDuration::from_millis(250),
+        };
+        let metrics = ServeMetrics::new();
+        let mut hub = Hub::new(&cfg, &metrics);
+        let (a, b) = (
+            Bell::new().expect("a socket pair"),
+            Bell::new().expect("a socket pair"),
+        );
+        let (a, b) = (&a.waker, &b.waker);
+        // Two sessions on worker `a`, one on `b`, each on two worlds.
+        let outboxes: Vec<Arc<Outbox>> = [a, a, b]
+            .into_iter()
+            .map(|w| Arc::new(Outbox::waking(1 << 16, Arc::clone(w))))
+            .collect();
+        for (query_id, outbox) in (0..).zip(&outboxes) {
+            for seed in [2, 3] {
+                hub.subscribe(SubscribeReq {
+                    query_id,
+                    scenario: SCENARIO_TESTBED,
+                    seed,
+                    type_id: ContextTypeId(0),
+                    outbox: Arc::clone(outbox),
+                    received_at: Instant::now(),
+                });
+            }
+        }
+        let rings = |w: &Waker| w.rings.load(Ordering::Relaxed);
+        assert_eq!((rings(a), rings(b)), (4, 2), "one per SUBACK");
+
+        let mut sink = Vec::new();
+        for outbox in &outboxes {
+            outbox.drain_into(&mut sink, usize::MAX);
+        }
+        let mut fed_ticks = 0;
+        for tick in 0..200 {
+            let before = (rings(a), rings(b));
+            hub.tick();
+            let fed: Vec<bool> = outboxes
+                .iter()
+                .map(|o| o.drain_into(&mut sink, usize::MAX) > 0)
+                .collect();
+            let a_fed = u64::from(fed[0] || fed[1]);
+            let b_fed = u64::from(fed[2]);
+            assert_eq!(
+                (rings(a) - before.0, rings(b) - before.1),
+                (a_fed, b_fed),
+                "tick {tick}"
+            );
+            fed_ticks += a_fed;
+        }
+        assert!(fed_ticks > 50, "the worlds streamed: {fed_ticks} ticks");
     }
 
     #[test]

@@ -17,7 +17,10 @@
 # digest (the `digest <hex>` in the workload's note line, `-` when the
 # workload prints none) and `same simulation: yes|no`, so a change that
 # only makes the simulator faster shows, next to its gain, that it
-# simulated the same thing. Exits 1 if any run reports failed operations.
+# simulated the same thing. Above each pair line it echoes both runs'
+# note lines (`# <workload>: ...`), which carry what the summary does not
+# show (a serve run's server CPU and ping round trip). Exits 1 if any run
+# reports failed operations.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,6 +61,7 @@ run_side() {
     echo "bench_pairs: $1 run reported failed operations: $(tail -n 1 "$log")" >&2
     failed=1
   fi
+  sed -n "/^# $workload: ops_attempted /d; s/^# $workload: /#   $1 $i: /p" "$log" >&2
   awk -v w="$workload" '$1 == "metric" && $2 == w { print $3, $4 }' "$log" >> "$out/$1.pair"
   sed -n "s/^# $workload: .* digest \([0-9a-f]*\).*/\1/p" "$log" > "$out/$1.digest"
 }

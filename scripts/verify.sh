@@ -56,6 +56,19 @@ if git grep -n 'FrameReader::new(\|\.set_nonblocking(' -- '*.rs' \
   echo "verify: a session client outside serve::client::Conn" >&2; exit 1
 fi
 
+# One-idle-path gate: a serve worker with nothing to do waits on readiness
+# in server.rs's one `wait`, woken by its sockets and its waker. A timed
+# sleep anywhere else in that file (bar the `wait`'s non-Linux arm and the
+# unit tests) is a second idle path that wakes on a timer.
+awk '
+  /^#\[cfg\(test\)\]/ { tests = 1 }
+  /^fn wait\(/ { in_wait = 1 }
+  in_wait && /cfg\(not\(target_os = "linux"\)\)/ { other_arm = 1 }
+  /thread::sleep/ && !tests && !other_arm { print "verify: " FILENAME ":" FNR ": " $0; bad = 1 }
+  in_wait && /^}/ { in_wait = 0; other_arm = 0 }
+  END { exit bad }' crates/serve/src/server.rs >&2 \
+  || { echo "verify: a serve worker sleeps on a timer outside the one wait" >&2; exit 1; }
+
 # One-exporter gate: telemetry leaves a run as JSON lines through
 # core::report::telemetry_to_jsonl alone — a sharded run's merged registry
 # included. A counter, gauge or histogram line written anywhere else is a
@@ -257,7 +270,8 @@ grep -q "net.k1.tx" "$tmp/med_part.jsonl" \
 serve_stage_keys=('"host_cpus":' '"events_sent":' '"hub_ticks":' '"hub_ticks_late":' \
                   '"hub_tick_work_p50_us":' '"hub_tick_work_p95_us":' \
                   '"outbox_handoffs":' '"batch_frames_total":' '"batch_frames_max":' \
-                  '"worker_writes":' '"worker_write_bytes":')
+                  '"worker_writes":' '"worker_write_bytes":' \
+                  '"worker_waits":' '"worker_wakes":')
 for key in '"bench":"serve"' '"passed":true' '"corrupt_accepted":0' \
            '"protocol_errors":0' '"client_errors":0' '"panics":0' \
            '"connects_per_s":' '"query_ack_p50_us":' '"query_ack_p95_us":' \
