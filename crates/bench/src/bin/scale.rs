@@ -19,7 +19,9 @@
 //!    pops, one-shot events scheduled inline and boxed), the group
 //!    timers' (firings that were live, stale, or retried past a busy CPU),
 //!    how many nodes hold protocol-layer state at the horizon
-//!    (`cold_engaged`: the nodes that used a layer) and the trace ring's
+//!    (`cold_engaged`: the nodes that used a layer), how many neighbour
+//!    lists the medium made (`neighbor_lists`: the nodes that transmitted)
+//!    and the trace ring's
 //!    (records appended and dropped, and its slots' heap bytes).
 //! 2. `sweep` — a homogeneous scale-cell set run at 1/2/4/8 workers with
 //!    byte-identical-merge cross-checks, as in the `sweep` bin.
@@ -37,8 +39,9 @@
 //! `--smoke` shrinks everything (1k and 2k nodes, 2 s horizon, 2-cell
 //! sweep, 1k-node medium A/B) for the CI stage in
 //! `scripts/verify.sh`, which checks that both fields took the same number
-//! of build allocations, and that each trace ring holds at most 48 bytes
-//! a record.
+//! of build allocations, that fewer than one node in twenty had its
+//! neighbours listed, and that each trace ring holds at most 48 bytes a
+//! record.
 //!
 //! `--medium replicated|partitioned` selects the sharded routing mode for
 //! the `shards` section and the sharded crosscheck dump, and
@@ -260,6 +263,7 @@ fn main() -> ExitCode {
             .field_u64("timer_stale", total(&p.timers.stale))
             .field_u64("timer_retries", total(&p.timers.retried))
             .field_u64("cold_engaged", p.cold_engaged as u64)
+            .field_u64("neighbor_lists", p.neighbor_lists as u64)
             .field_u64("trace_records", p.trace.records)
             .field_u64("trace_dropped", p.trace.dropped)
             .field_u64("trace_ring_bytes", p.trace.ring_bytes)

@@ -105,6 +105,9 @@ pub struct ScalePoint {
     /// a layer, which created their record. How the run was stored, not
     /// what it did; as little part of the output.
     pub cold_engaged: usize,
+    /// Nodes whose neighbour list the medium made: those that transmitted.
+    /// As little part of the output.
+    pub neighbor_lists: usize,
     /// How the telemetry trace ring did its part: records appended and
     /// dropped, and the heap bytes of its slots at the horizon. As exact,
     /// and as little part of the output.
@@ -188,6 +191,7 @@ pub fn run_scale(cfg: &ScaleRun, heap: impl Fn() -> (u64, i64)) -> ScalePoint {
         event_list: engine.kernel().event_work(),
         timers: world.timer_work(),
         cold_engaged: world.cold_engaged(),
+        neighbor_lists: world.neighbor_lists(),
         trace: world.telemetry().trace_work(),
         live_heap_bytes: u64::try_from(live_heap_bytes).expect("the world is live"),
         heap: world.heap_bytes(engine.kernel()),

@@ -1,8 +1,8 @@
 //! The heap census closes on a dense radio: on `traffic_dense`'s shape,
 //! shortened to 10 virtual seconds, the bytes every layer of the engine
 //! and its world works out from its own state add up to what the counting
-//! allocator says they hold, and an engaged record holds only the tiers
-//! its node uses.
+//! allocator says they hold, an engaged record holds only the tiers its
+//! node uses, and only the nodes that transmitted have neighbour lists.
 //!
 //! This file is its own test binary so that the counting global allocator
 //! it declares (`testkit::alloc::Counting`) sees nothing but this test; the
@@ -33,18 +33,40 @@ const FIGURE_2: &str = r#"
     end context
 "#;
 
-/// What the engine and world of `traffic_dense`'s shape hold after `secs`
-/// virtual seconds at `seed`: the live bytes the allocator counted, the
-/// most it held at once, the census by layer, and the engaged records.
-fn dense_run(seed: u64, secs: u64) -> (u64, u64, HeapBytes, u64) {
+/// The shape of a benchmark world: `field_sparse`'s 20 000 nodes and 4
+/// narrow targets, or `traffic_dense`'s 2 500 nodes and 12 wide ones.
+#[derive(Clone, Copy)]
+enum Shape {
+    Sparse,
+    Dense,
+}
+
+/// What one of those worlds has stored after `secs` virtual seconds at
+/// `seed`.
+struct Census {
+    /// The live bytes the allocator counted and the most it held at once.
+    live: u64,
+    peak: u64,
+    /// The census by layer.
+    bytes: HeapBytes,
+    engaged: u64,
+    /// The neighbour lists the medium made.
+    lists: u64,
+}
+
+fn census(shape: Shape, seed: u64, secs: u64) -> Census {
     let program = Arc::new(compile_source(FIGURE_2).expect("the Figure-2 source compiles"));
     reset_peak();
     let (_, start) = heap();
+    let (nodes, targets, sensing_radius) = match shape {
+        Shape::Sparse => (20_000, 4, 1.0),
+        Shape::Dense => (2_500, 12, 3.0),
+    };
     let scenario = ScaleScenario {
-        nodes: 2_500,
-        targets: 12,
+        nodes,
+        targets,
         speed_hops_per_s: 1.0,
-        sensing_radius: 3.0,
+        sensing_radius,
         seed,
         ..ScaleScenario::default()
     }
@@ -55,15 +77,25 @@ fn dense_run(seed: u64, secs: u64) -> (u64, u64, HeapBytes, u64) {
     let (field, targets) = (scenario.deployment, scenario.environment);
     let mut engine = SensorNetwork::build_engine(program, field, targets, config, seed);
     engine.run_until(Timestamp::from_secs(secs));
-    let live = u64::try_from(heap().1 - start).expect("the engine is live");
-    let peak = u64::try_from(peak() - start).expect("at least what is live");
-    let bytes = engine.world().heap_bytes(engine.kernel());
-    (live, peak, bytes, engine.world().cold_engaged() as u64)
+    let world = engine.world();
+    Census {
+        live: u64::try_from(heap().1 - start).expect("the engine is live"),
+        peak: u64::try_from(peak() - start).expect("at least what is live"),
+        bytes: world.heap_bytes(engine.kernel()),
+        engaged: world.cold_engaged() as u64,
+        lists: world.neighbor_lists() as u64,
+    }
 }
 
 #[test]
 fn the_layers_account_for_the_heap_of_a_dense_run() {
-    let (live, peak, bytes, engaged) = dense_run(1, 10);
+    let Census {
+        live,
+        peak,
+        bytes,
+        engaged,
+        lists,
+    } = census(Shape::Dense, 1, 10);
     let counted = bytes.total();
     assert!(
         counted.abs_diff(live) * 20 <= live && live <= peak,
@@ -81,28 +113,42 @@ fn the_layers_account_for_the_heap_of_a_dense_run() {
         records <= 720 * engaged,
         "{records} bytes in {engaged} engaged records"
     );
+    // Only a node that transmitted has its receivers listed.
+    assert!(
+        0 < lists && lists <= engaged,
+        "{lists} lists, {engaged} engaged"
+    );
 }
 
-/// The census of `traffic_dense`'s world at its 60 s horizon, seeds 1 and
-/// 7, as a table (EXPERIMENTS.md "Memory by layer"):
+/// The census of `field_sparse`'s world at its 10 s horizon and of
+/// `traffic_dense`'s at its 60 s one, seeds 1 and 7, as tables
+/// (EXPERIMENTS.md "Memory by layer", "Neighbour lists on demand"):
 ///
 /// ```text
 /// cargo test --release -p envirotrack-bench --test heap_census -- --ignored --nocapture
 /// ```
 #[test]
-#[ignore = "a minute of virtual time on 2 500 nodes; prints a table"]
-fn census_of_traffic_dense_at_its_horizon() {
-    for seed in [1, 7] {
-        let (live, peak, bytes, engaged) = dense_run(seed, 60);
-        println!("seed {seed}: {engaged} engaged records, {live} B live, {peak} B at the peak");
-        for (layer, b) in bytes.layers() {
-            println!("  {layer:<10} {b:>9} B  {:>6.3} MiB", b as f64 / 1048576.0);
+#[ignore = "a minute of virtual time on 2 500 nodes; prints tables"]
+fn census_of_the_benchmark_shapes_at_their_horizons() {
+    for (name, shape, secs) in [
+        ("field_sparse", Shape::Sparse, 10),
+        ("traffic_dense", Shape::Dense, 60),
+    ] {
+        for seed in [1, 7] {
+            let c = census(shape, seed, secs);
+            println!(
+                "{name} seed {seed}: {} engaged records, {} neighbour lists, {} B live, {} B at the peak",
+                c.engaged, c.lists, c.live, c.peak
+            );
+            for (layer, b) in c.bytes.layers() {
+                println!("  {layer:<10} {b:>9} B  {:>6.3} MiB", b as f64 / 1048576.0);
+            }
+            let counted = c.bytes.total();
+            println!(
+                "  {:<10} {counted:>9} B  {:>6.1} % of live",
+                "total",
+                100.0 * counted as f64 / c.live as f64
+            );
         }
-        let counted = bytes.total();
-        println!(
-            "  {:<10} {counted:>9} B  {:>6.1} % of live",
-            "total",
-            100.0 * counted as f64 / live as f64
-        );
     }
 }

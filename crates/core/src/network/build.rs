@@ -4,7 +4,6 @@
 use std::sync::Arc;
 
 use envirotrack_net::medium::{Medium, RadioConfig};
-use envirotrack_net::routing::GeoRouter;
 use envirotrack_sim::engine::Engine;
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
@@ -64,10 +63,11 @@ impl SensorNetwork {
     }
 
     /// [`SensorNetwork::new`] over the topology of `deployment` under the
-    /// configured radius, built once by the caller: who is in range of whom
-    /// is worked out once, and the medium and the router read the same
-    /// table. Whatever the node count, the world takes a fixed number of
-    /// allocations: per-node state is a few arrays, each allocated once.
+    /// configured radius, built once by the caller: the medium reads the
+    /// grid, and lists a node's receivers the first time it transmits or
+    /// routes a message on. Whatever the node count, the world
+    /// takes a fixed number of allocations: per-node state is a few arrays,
+    /// each allocated once.
     pub(crate) fn with_topology(
         program: Arc<Program>,
         deployment: Deployment,
@@ -82,9 +82,8 @@ impl SensorNetwork {
             .expect("invalid middleware configuration");
         let master = SimRng::seed_from(seed);
         let telemetry = Telemetry::new();
-        let mut medium = Medium::with_topology(topology.clone(), config.radio.clone(), &master);
+        let mut medium = Medium::with_topology(topology, config.radio.clone(), &master);
         medium.attach_telemetry(telemetry.clone());
-        let router = GeoRouter::with_topology(topology);
         let period = config.middleware.sense_period;
         let sensing = Sensing::new(&deployment, period, &program, &environment);
         let sense = deployment
@@ -99,7 +98,6 @@ impl SensorNetwork {
             deployment,
             environment,
             medium,
-            router,
             sense: HotRecords::new(sense),
             sensing,
             timers: TimerWork::default(),
@@ -175,6 +173,7 @@ impl SensorNetwork {
                 if self.owns(id) {
                     self.layers.engage_fully(id);
                 }
+                self.medium.list_neighbors(id);
             }
         }
         let period = self.config.middleware.sense_period;
@@ -214,7 +213,7 @@ impl SensorNetwork {
             let Some(at) = self.program.spec(tid).pinned else {
                 continue;
             };
-            let host = self.router.closest_node(at);
+            let host = self.deployment.nearest(at);
             if self.owns(host) {
                 self.run_machine(k, host, tid, |machine, ctx| machine.instantiate_pinned(ctx));
             }

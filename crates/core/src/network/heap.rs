@@ -19,9 +19,9 @@ pub struct HeapBytes {
     /// The event list: heap, recurring lane and slab, and each pending
     /// boxed closure.
     pub kernel: u64,
-    /// The radio medium with the neighbour table it shares with the router.
+    /// The radio medium with its grid and the neighbour lists it made.
     pub medium: u64,
-    /// The node positions.
+    /// The node positions, which the grid and every shard replica share.
     pub deployment: u64,
     /// Every node's hot record and its slot.
     pub hot: u64,

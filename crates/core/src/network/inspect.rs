@@ -43,13 +43,28 @@ impl SensorNetwork {
 
     /// Where a message bound for `dest` goes next from `from` under greedy
     /// geographic forwarding; `None` when it has arrived — `from` is the
-    /// explicit recipient, or already the node nearest `dest`.
-    pub(super) fn next_hop(&self, from: NodeId, dest: Point, to: Option<NodeId>) -> Option<NodeId> {
+    /// explicit recipient, or no neighbour is closer to `dest`. The walk
+    /// reads the list the medium keeps for `from`, which is about to
+    /// transmit, and takes the first closest neighbour in id order:
+    /// [`GeoRouter::next_hop`](envirotrack_net::routing::GeoRouter::next_hop)'s hop.
+    pub(super) fn next_hop(
+        &mut self,
+        from: NodeId,
+        dest: Point,
+        to: Option<NodeId>,
+    ) -> Option<NodeId> {
         if to == Some(from) {
-            None
-        } else {
-            self.router.next_hop(from, dest)
+            return None;
         }
+        let positions = self.deployment.positions();
+        let mut best = (None, positions[from.index()].distance_sq_to(dest));
+        for &n in self.medium.list_neighbors(from) {
+            let d = positions[n.index()].distance_sq_to(dest);
+            if d < best.1 {
+                best = (Some(n), d);
+            }
+        }
+        best.0
     }
 
     /// Every live node's machine for `tid`, in id order. A node that never
@@ -183,6 +198,15 @@ impl SensorNetwork {
     #[must_use]
     pub fn cold_engaged(&self) -> usize {
         self.layers.len()
+    }
+
+    /// How many nodes' neighbour lists the medium has made: one per node
+    /// that transmitted, listed on its first transmission. As
+    /// [`Self::cold_engaged`], it says how the run was stored, belongs in
+    /// no run record, and a shard's world counts only its own medium's.
+    #[must_use]
+    pub fn neighbor_lists(&self) -> usize {
+        self.medium.neighbor_lists()
     }
 
     /// The nodes [`Self::cold_engaged`] counts, in id order.

@@ -71,7 +71,6 @@ use std::sync::Arc;
 use bytes::Bytes;
 use envirotrack_net::medium::{DeliveryOutcome, Medium, ResolvedTx, TxId, TxKey};
 use envirotrack_net::packet::Frame;
-use envirotrack_net::routing::GeoRouter;
 use envirotrack_node::cpu::costs;
 use envirotrack_sim::engine::Kernel;
 use envirotrack_sim::time::{SimDuration, Timestamp};
@@ -108,7 +107,6 @@ pub struct SensorNetwork {
     deployment: Deployment,
     environment: Environment,
     medium: Medium,
-    router: GeoRouter,
     /// Per-node state: the hot record a sensing tick lives in, in the order
     /// the ticks fire; what every node reads, by node id; and the layers and
     /// group machines of the nodes that use them, created on first use.
@@ -140,9 +138,9 @@ pub struct SensorNetwork {
     /// that their layout changes no byte of a run.
     #[cfg(test)]
     records_in_id_order: bool,
-    /// Test hook: create every node's engaged record before the first
-    /// event, so a test can pin that creating them on first use changes no
-    /// byte of a run.
+    /// Test hook: create every node's engaged record and neighbour list
+    /// before the first event, so a test can pin that creating them on
+    /// first use changes no byte of a run.
     #[cfg(test)]
     cold_records_up_front: bool,
 }
@@ -947,17 +945,21 @@ mod tests {
         NoiseModel::none().with_channel(Channel::Magnetic, 0.2)
     }
 
+    /// The engaged nodes and the neighbour lists a run made.
+    type Stored = (usize, usize);
+
     /// [`faulted_engine`] run for 5 s. Returns how the run was executed —
-    /// the sensing loops left on the lane, the sensing work counters, the
-    /// engaged nodes — and its [`output`].
+    /// the sensing loops left on the lane, the sensing work counters, what
+    /// it [`Stored`] — and its [`output`].
     fn faulted_run(
         noise: NoiseModel,
         hook: fn(&mut SensorNetwork),
-    ) -> ((usize, SensingWork, usize), (u64, String, String)) {
+    ) -> ((usize, SensingWork, Stored), (u64, String, String)) {
         let engine = faulted_engine(noise, hook, Timestamp::from_secs(5));
         let world = engine.world();
         let lane = engine.kernel().recurring_len();
-        let work = (lane, world.sensing_work(), world.cold_engaged());
+        let stored = (world.cold_engaged(), world.neighbor_lists());
+        let work = (lane, world.sensing_work(), stored);
         (work, output(world))
     }
 
@@ -1159,17 +1161,18 @@ mod tests {
         (engine.world().sensing_work(), output(engine.world()))
     }
 
-    /// Every node's engaged record made before the first event, against
-    /// records made on a node's first write: through the MTP pings and
-    /// their retransmissions, the crash and reboot and the clock-rate
-    /// change, noisy and noiseless, and on the fire field, where every node
-    /// joins a group, not a byte differs. The tank field leaves most of its
-    /// nodes without one.
+    /// Every node's engaged record and neighbour list made before the first
+    /// event, against records made on a node's first write and lists on its
+    /// first transmission: through the MTP pings and their
+    /// retransmissions, the crash and reboot and the clock-rate change,
+    /// noisy and noiseless, and on the fire field, where every node joins a
+    /// group, not a byte differs. The tank field leaves most of its nodes
+    /// without either.
     #[test]
     fn creating_records_on_first_use_changes_no_byte_of_a_run() {
         let retransmitted = r#"{"t":"counter","name":"mtp.retx","value":"#;
         for noise in [noisy(), NoiseModel::none()] {
-            let ((.., engaged), run) = faulted_run(noise, |_| {});
+            let ((.., (engaged, listed)), run) = faulted_run(noise, |_| {});
             assert!(
                 run.2.contains(retransmitted),
                 "no segment was retransmitted"
@@ -1178,8 +1181,9 @@ mod tests {
                 0 < engaged && engaged < 300,
                 "{engaged} of 400 nodes engaged"
             );
+            assert!(0 < listed && listed < 100, "{listed} of 400 nodes listed");
             let ((.., all), up_front) = faulted_run(noise, |w| w.cold_records_up_front = true);
-            assert_eq!(all, 400);
+            assert_eq!(all, (400, 400));
             assert_eq!(run, up_front);
         }
         for with_tracker in [false, true] {
@@ -1225,6 +1229,39 @@ mod tests {
             "a reboot remembers nothing"
         );
         assert_eq!(world.cold_engaged(), 1);
+    }
+
+    /// The world routes over the lists its medium keeps and takes the hop
+    /// the stencil-scanning router takes, the lowest id on a tie: on a
+    /// lattice, whose distances tie, and on a uniform field, towards
+    /// nodes, half-spacing points and a point off the field.
+    #[test]
+    fn the_world_takes_the_routers_hop() {
+        use envirotrack_net::routing::GeoRouter;
+        use envirotrack_sim::rng::SimRng;
+        use envirotrack_world::geometry::Aabb;
+        let area = Aabb::new(Point::new(0.0, 0.0), Point::new(12.0, 9.0));
+        let uniform = Deployment::random_uniform(150, area, &mut SimRng::seed_from(5));
+        for (field, radius) in [(Deployment::grid(12, 9, 1.0), 1.5), (uniform, 2.5)] {
+            let mut config = NetworkConfig::default();
+            config.radio = config.radio.with_comm_radius(radius);
+            let router = GeoRouter::new(&field, radius);
+            let (env, n) = (Environment::new(), field.len());
+            let mut world = SensorNetwork::new(tracker(), field.clone(), env, config, 3);
+            for (i, from) in field.ids().enumerate() {
+                let half = |k: usize, m: usize| (k % m) as f64 * 0.5 - 0.5;
+                let dests = [
+                    field.position(NodeId(((i * 37) % n) as u32)),
+                    Point::new(half(i, 27), half(i * 7, 21)),
+                    Point::new(-10.0, 4.5),
+                ];
+                for dest in dests {
+                    let hop = world.next_hop(from, dest, None);
+                    assert_eq!(hop, router.next_hop(from, dest), "{from} to {dest}");
+                }
+            }
+            assert_eq!(world.neighbor_lists(), n);
+        }
     }
 
     /// A reboot clears what an engaged node's MTP endpoint and directory

@@ -1,8 +1,8 @@
 //! A world is built from a fixed number of allocations: `SensorNetwork::new`
 //! and `Topology::new` allocate as often on a 4 000-node field as on a
 //! 1 000-node one. Per-node state lives in a few flat arrays, and a node's
-//! protocol layers and group machines are created when it first uses them,
-//! so a built world holds a few hundred bytes a node.
+//! protocol layers, group machines and neighbour list are made when it first
+//! uses them, so a built world holds under two hundred bytes a node.
 //!
 //! This file is its own test binary so that the counting global allocator
 //! it declares (`testkit::alloc::Counting`) sees nothing but these tests;
@@ -79,10 +79,10 @@ fn a_world_takes_as_many_allocations_at_4000_nodes_as_at_1000() {
 /// What a built world holds per node: its hot record and slot, its dense
 /// cold state (main stream, energy meter, clock), an empty slot for the
 /// record of protocol layers it does not have yet, and its share of the
-/// topology and the medium. Not a node's protocol layers or group machines,
-/// which a node only gets when it uses them.
+/// grid and the medium. Not a node's protocol layers, group machines or
+/// neighbour list, which a node only gets when it uses them.
 #[test]
-fn a_world_holds_at_most_320_bytes_a_node_at_4000_nodes() {
+fn a_world_holds_at_most_200_bytes_a_node_at_4000_nodes() {
     let nodes = 4_000;
     let (program, scenario, config) = (figure_2(), field(nodes), config());
     let (deployment, environment) = (scenario.deployment, scenario.environment);
@@ -90,17 +90,18 @@ fn a_world_holds_at_most_320_bytes_a_node_at_4000_nodes() {
         measure(|| SensorNetwork::new(program, deployment, environment, config, 1));
     assert_eq!(world.cold_engaged(), 0, "a built world has engaged nobody");
     let per_node = bytes / i64::from(nodes);
-    assert!(per_node <= 320, "{bytes} live bytes, {per_node} a node");
+    assert!(per_node <= 200, "{bytes} live bytes, {per_node} a node");
 }
 
+/// The bucketed ids and where each cell starts; the positions are the
+/// deployment's own array, shared, and no neighbour is listed.
 #[test]
-fn a_topology_takes_five_allocations_whatever_its_size() {
+fn a_topology_takes_two_allocations_whatever_its_size() {
     for nodes in [1, 1_000, 4_000] {
         let deployment = field(nodes).deployment;
         let (topology, allocations, _) = measure(|| Topology::new(&deployment, 2.5));
         assert_eq!(topology.positions().len(), nodes as usize);
-        // A lone node has no neighbour, and an empty table no allocation.
-        let expected = if nodes == 1 { 4 } else { 5 };
-        assert_eq!(allocations, expected, "{nodes} nodes");
+        assert!(std::ptr::eq(topology.positions(), deployment.positions()));
+        assert_eq!(allocations, 2, "{nodes} nodes");
     }
 }

@@ -96,6 +96,7 @@ use envirotrack_world::grid::Topology;
 use crate::packet::{Frame, FrameKind};
 
 mod heap;
+mod lists;
 
 /// Channel bandwidth of the MICA radio, in bits per second.
 const BANDWIDTH_BPS: u64 = 50_000;
@@ -803,6 +804,8 @@ impl BurstChains {
 pub struct Medium {
     config: RadioConfig,
     links: Links,
+    /// The receivers of every sender walked so far.
+    lists: lists::NeighborLists,
     /// The inline transmit side; `None` once [`Medium::enable_shard_exec`]
     /// hands that job to a central [`ChannelScheduler`].
     tx: Option<TxSide>,
@@ -859,8 +862,8 @@ impl Medium {
         Medium::with_topology(Arc::new(topology), config, rng)
     }
 
-    /// [`Medium::new`] over a topology somebody else built — the router of
-    /// the same world reads the same one. Panics if it was built under
+    /// [`Medium::new`] over a topology somebody else built — a sharded
+    /// run's scheduler and replicas read the same one. Panics if it was built under
     /// another radius than `config.comm_radius`.
     #[must_use]
     pub fn with_topology(topology: Arc<Topology>, config: RadioConfig, rng: &SimRng) -> Self {
@@ -873,6 +876,7 @@ impl Medium {
         Medium {
             config,
             links,
+            lists: lists::NeighborLists::new(n),
             tx: Some(TxSide::new(rng)),
             next_seq: vec![0; n],
             stats: NetStats::default(),
@@ -1113,6 +1117,7 @@ impl Medium {
         let Medium {
             config,
             links,
+            lists,
             windows,
             owned,
             latest_request,
@@ -1155,7 +1160,7 @@ impl Medium {
                 || w.end > *latest_request
                 || waiting.iter().any(|&(s, e)| w.start < e && s < w.end)
         });
-        let receivers = links.topology.neighbors(src);
+        let receivers = lists.get(&links.topology, src);
         let mut outcomes = match self.outcome_pool.pop() {
             Some(buf) => buf,
             None => {
@@ -1542,9 +1547,10 @@ mod tests {
     #[test]
     fn neighbor_lists_follow_the_disk() {
         let d = line_deployment(5, 1.0);
-        let m = Medium::new(&d, lossless(1.5), &SimRng::seed_from(1));
-        assert_eq!(m.links.topology.neighbors(NodeId(0)), [NodeId(1)]);
-        assert_eq!(m.links.topology.neighbors(NodeId(2)), [NodeId(1), NodeId(3)]);
+        let mut m = Medium::new(&d, lossless(1.5), &SimRng::seed_from(1));
+        assert_eq!(m.list_neighbors(NodeId(0)), [NodeId(1)]);
+        assert_eq!(m.list_neighbors(NodeId(2)), [NodeId(1), NodeId(3)]);
+        assert_eq!(m.neighbor_lists(), 2);
         assert!(m.links.audible(NodeId(0), NodeId(1)));
         assert!(!m.links.audible(NodeId(0), NodeId(2)));
     }

@@ -6,9 +6,9 @@ impl Medium {
     /// The heap bytes the channel holds — the windows on the air and their
     /// frames' payloads, the transmit side's busy list, the per-node
     /// counters, masks and burst chains, the statistics, the scratch and
-    /// the recycled outcome buffers — and the topology it shares with the
-    /// router ([`Topology::heap_bytes`]), worked out from their capacities
-    /// when asked.
+    /// the recycled outcome buffers, the neighbour lists it has made — and
+    /// the topology it reads ([`Topology::heap_bytes`]),
+    /// worked out from their capacities when asked.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let windows = self.windows.iter().map(|w| w.frame.payload.heap_bytes());
@@ -23,6 +23,7 @@ impl Medium {
             2 * size_of::<usize>() + 11 * size_of::<(u8, KindStats)>()
         };
         self.links.topology.heap_bytes()
+            + self.lists.heap_bytes()
             + self.windows.capacity() * size_of::<RxWindow>()
             + windows.sum::<usize>()
             + self

@@ -23,8 +23,6 @@
 //! assert_eq!(*path.last().unwrap(), NodeId(24));
 //! ```
 
-use std::sync::Arc;
-
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::Point;
 use envirotrack_world::grid::Topology;
@@ -53,23 +51,18 @@ impl std::error::Error for RoutingVoidError {}
 /// A stateless greedy geographic router over a fixed deployment.
 #[derive(Debug, Clone)]
 pub struct GeoRouter {
-    topology: Arc<Topology>,
+    topology: Topology,
 }
 
 impl GeoRouter {
-    /// Builds routing tables (neighbour lists) for `deployment` under the
-    /// given communication radius.
+    /// Builds the topology of `deployment` under the given communication
+    /// radius for the router to scan.
     #[must_use]
     pub fn new(deployment: &Deployment, comm_radius: f64) -> Self {
         assert!(comm_radius > 0.0, "communication radius must be positive");
-        GeoRouter::with_topology(Arc::new(Topology::new(deployment, comm_radius)))
-    }
-
-    /// A router over a topology somebody else built — the medium of the
-    /// same world reads the same one.
-    #[must_use]
-    pub fn with_topology(topology: Arc<Topology>) -> Self {
-        GeoRouter { topology }
+        GeoRouter {
+            topology: Topology::new(deployment, comm_radius),
+        }
     }
 
     /// The position of `node`.
@@ -79,18 +72,21 @@ impl GeoRouter {
     }
 
     /// The neighbour of `from` strictly closest to `dest` (and closer than
-    /// `from` itself), or `None` when `from` is the local minimum.
+    /// `from` itself), the lowest id among equally close ones, or `None`
+    /// when `from` is the local minimum. Found by one scan of `from`'s
+    /// stencil, which visits the neighbours out of id order; no list is
+    /// made or kept.
     #[must_use]
     pub fn next_hop(&self, from: NodeId, dest: Point) -> Option<NodeId> {
         let positions = self.topology.positions();
         let here = positions[from.index()].distance_sq_to(dest);
         let mut best: Option<(NodeId, f64)> = None;
-        for &n in self.topology.neighbors(from) {
+        self.topology.for_each_neighbor(from, |n| {
             let d = positions[n.index()].distance_sq_to(dest);
-            if d < here && best.is_none_or(|(_, bd)| d < bd) {
+            if d < here && best.is_none_or(|(b, bd)| d < bd || (d == bd && n < b)) {
                 best = Some((n, d));
             }
-        }
+        });
         best.map(|(n, _)| n)
     }
 
@@ -128,22 +124,6 @@ impl GeoRouter {
             dest,
         })
     }
-
-    /// The node whose position is globally closest to `dest` (ties to the
-    /// lowest id) — useful as ground truth in tests.
-    #[must_use]
-    pub fn closest_node(&self, dest: Point) -> NodeId {
-        let mut best = NodeId(0);
-        let mut best_d = f64::INFINITY;
-        for (i, p) in self.topology.positions().iter().enumerate() {
-            let d = p.distance_sq_to(dest);
-            if d < best_d {
-                best_d = d;
-                best = NodeId(i as u32);
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -169,7 +149,7 @@ mod tests {
         let d = Deployment::grid(4, 4, 1.0);
         let r = GeoRouter::new(&d, 1.5);
         let dest = Point::new(2.2, 1.1);
-        let home = r.closest_node(dest);
+        let home = d.nearest(dest);
         assert!(r.is_home(home, dest));
         // Any other node routes to the home node.
         let path = r.route(NodeId(0), dest).unwrap();

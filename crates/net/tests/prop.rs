@@ -16,6 +16,52 @@ use envirotrack_world::geometry::Point;
 use envirotrack_world::grid::{neighbor_lists_with, NeighborStrategy};
 use testkit::prelude::*;
 
+#[path = "../../world/tests/support/random_world.rs"]
+mod random_world;
+use random_world::{arb_field, asks};
+
+/// The brute-force router: among `from`'s brute-force neighbours strictly
+/// closer to `dest` than `from`, the closest, the lowest id among equally
+/// close ones.
+fn brute_next_hop(
+    field: &Deployment,
+    lists: &[Vec<NodeId>],
+    from: NodeId,
+    dest: Point,
+) -> Option<NodeId> {
+    let here = field.position(from).distance_sq_to(dest);
+    let closer = lists[from.index()]
+        .iter()
+        .map(|&n| (field.position(n).distance_sq_to(dest), n));
+    let closer = closer.filter(|&(d, _)| d < here);
+    closer
+        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+        .map(|(_, n)| n)
+}
+
+/// Destinations that tie: on a node, halfway between two, on whole and
+/// half coordinates (the lattice's own and its cell centres), or anywhere
+/// around the field.
+fn destination(field: &Deployment, s: &mut u64) -> Point {
+    let n = field.len() as u64;
+    let node = |s: &mut u64| field.position(NodeId((splitmix64(s) % n) as u32));
+    let b = field.bounds();
+    let unit = |s: &mut u64| (splitmix64(s) >> 11) as f64 / (1u64 << 53) as f64;
+    match splitmix64(s) % 4 {
+        0 => node(s),
+        1 => node(s).lerp(node(s), 0.5),
+        2 => {
+            let x = b.min.x - 2.0 + unit(s) * (b.max.x - b.min.x + 4.0);
+            let y = b.min.y - 2.0 + unit(s) * (b.max.y - b.min.y + 4.0);
+            Point::new((x * 2.0).round() / 2.0, (y * 2.0).round() / 2.0)
+        }
+        _ => Point::new(
+            b.min.x - 5.0 + unit(s) * (b.max.x - b.min.x + 10.0),
+            b.min.y - 5.0 + unit(s) * (b.max.y - b.min.y + 10.0),
+        ),
+    }
+}
+
 /// The delivery-range and statistics invariants, checked for one concrete
 /// configuration. Shared between the property below and the saved
 /// regression case.
@@ -655,6 +701,46 @@ prop_test! {
         }
         let last = *path.last().unwrap();
         prop_assert!(router.is_home(last, dest));
+    }
+
+    /// The medium's neighbour lists, every node's asked for in a drawn
+    /// order and some twice, are the brute-force lists, each made once, on
+    /// every shape of field the generator draws.
+    #[test]
+    fn medium_lists_are_the_brute_force_lists_in_any_order(field in arb_field(), order: u64) {
+        let (d, radius) = field.build();
+        let brute = neighbor_lists_with(&d, radius, NeighborStrategy::BruteForce);
+        let cfg = RadioConfig::default().with_comm_radius(radius);
+        let mut medium = Medium::new(&d, cfg, &SimRng::seed_from(order));
+        let mut asked = HashSet::new();
+        for a in asks(d.len(), order) {
+            prop_assert_eq!(medium.list_neighbors(a), brute[a.index()].as_slice(), "{} of {:?}", a, field);
+            asked.insert(a);
+            prop_assert_eq!(medium.neighbor_lists(), asked.len());
+        }
+        prop_assert_eq!(medium.neighbor_lists(), d.len());
+    }
+
+    /// Greedy routing scans the stencil and keeps no list, and still takes
+    /// the hop the brute-force lists give: the closest closer neighbour, the
+    /// lowest id on a tie; so whole routes are equal too.
+    #[test]
+    fn next_hop_is_the_brute_force_argmin(field in arb_field(), draws: u64) {
+        let (d, radius) = field.build();
+        let brute = neighbor_lists_with(&d, radius, NeighborStrategy::BruteForce);
+        let router = GeoRouter::new(&d, radius);
+        let (mut s, n) = (draws, d.len() as u64);
+        for _ in 0..64 {
+            let from = NodeId((splitmix64(&mut s) % n) as u32);
+            let dest = destination(&d, &mut s);
+            let hop = router.next_hop(from, dest);
+            prop_assert_eq!(hop, brute_next_hop(&d, &brute, from, dest), "{} to {} on {:?}", from, dest, field);
+            let mut path = vec![from];
+            while let Some(next) = brute_next_hop(&d, &brute, *path.last().unwrap(), dest) {
+                path.push(next);
+            }
+            prop_assert_eq!(router.route(from, dest), Ok(path));
+        }
     }
 
     /// Frame airtime scales linearly with payload size.

@@ -13,6 +13,8 @@
 //! assert_eq!(near_origin.len(), 4); // (0,0), (1,0), (0,1), (1,1)
 //! ```
 
+use std::sync::Arc;
+
 use envirotrack_sim::rng::SimRng;
 
 use crate::geometry::{Aabb, Point};
@@ -39,9 +41,12 @@ impl std::fmt::Display for NodeId {
 }
 
 /// An immutable placement of sensor nodes in the plane.
+///
+/// The positions are stored once and shared: a clone, and the
+/// [`crate::grid::Topology`] built over the deployment, hold the same array.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Deployment {
-    positions: Vec<Point>,
+    positions: Arc<[Point]>,
     bounds: Aabb,
 }
 
@@ -52,7 +57,7 @@ impl Deployment {
     ///
     /// Panics if `positions` is empty — a sensor network needs sensors —
     /// or if any coordinate is NaN or infinite. Every constructor funnels
-    /// through here, so downstream spatial indexing (`SpatialGrid`) can
+    /// through here, so downstream spatial indexing (`grid::Topology`) can
     /// assume finite coordinates instead of silently clamping NaN to the
     /// first cell.
     #[must_use]
@@ -74,7 +79,7 @@ impl Deployment {
             max = Point::new(max.x.max(p.x), max.y.max(p.y));
         }
         Deployment {
-            positions,
+            positions: positions.into(),
             bounds: Aabb::new(min, max),
         }
     }
@@ -128,10 +133,16 @@ impl Deployment {
         self.positions.len()
     }
 
-    /// The heap bytes of its positions.
+    /// The heap bytes of its positions: the shared array and its two
+    /// reference counts, counted here and by no holder that shares them.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.positions.capacity() * size_of::<Point>()
+        2 * size_of::<usize>() + size_of_val(&*self.positions)
+    }
+
+    /// The position array itself, for a holder that shares it.
+    pub(crate) fn shared_positions(&self) -> Arc<[Point]> {
+        Arc::clone(&self.positions)
     }
 
     /// Whether the deployment is empty (never true by construction).

@@ -1,38 +1,39 @@
-//! Uniform spatial grid for near-linear neighbor-table construction.
+//! A uniform spatial grid: who is within radio range of whom.
 //!
-//! The unit-disk radio model needs, for every node, the list of nodes
-//! within `radius`. The naive construction compares all pairs — O(n²)
-//! distance checks — which caps simulated fields at a few thousand nodes.
-//! `SpatialGrid` buckets nodes into square cells of side `>= radius`;
-//! any node within `radius` of a point then lies in the point's own cell
-//! or one of its 8 neighbors (the *9-cell stencil*), because crossing out
-//! of the stencil requires moving more than one cell side (`>= radius`)
-//! along some axis. Construction visits each node's stencil once per
-//! pass, so the total work is O(n · deg) for fields of bounded density.
+//! The unit-disk radio model needs, for a node, the nodes within `radius`.
+//! The naive answer compares all pairs — O(n²) distance checks — which
+//! caps simulated fields at a few thousand nodes. [`Topology`] buckets
+//! nodes into square cells of side `>= radius`; any node within `radius`
+//! of a point then lies in the point's own cell or one of its 8 neighbors
+//! (the *9-cell stencil*), because crossing out of the stencil requires
+//! moving more than one cell side (`>= radius`) along some axis. Finding
+//! one node's neighbours scans its stencil, O(deg) for fields of bounded
+//! density, and a world scans only the nodes something asks about.
 //!
-//! Both the buckets and the neighbour table are *compressed sparse rows*:
-//! one flat array of ids plus the offset where each bucket or list starts,
-//! so a world of any size is built from a fixed number of allocations.
-//! The lists [`Topology::neighbors`] returns are sorted ascending by
-//! [`NodeId`] — exactly the lists the brute-force scan produces, in the
-//! same order, which keeps every downstream consumer (radio medium,
-//! geographic router, delivery walks) byte-identical regardless of which
-//! construction built the table. The brute-force path stays available via
-//! [`NeighborStrategy::BruteForce`] as a test oracle and determinism
+//! The buckets are *compressed sparse rows*: one flat array of ids plus
+//! the offset where each bucket starts, so a topology of any size is built
+//! from two allocations. A scan finds a node's neighbours in bucket order;
+//! sorted ascending by [`NodeId`] they are exactly the list the
+//! brute-force scan produces, which keeps every downstream consumer
+//! (radio medium, geographic router, delivery walks) byte-identical
+//! whoever made the list and when. The brute-force path stays available
+//! via [`NeighborStrategy::BruteForce`] as a test oracle and determinism
 //! cross-check.
+
+use std::sync::Arc;
 
 use crate::field::{Deployment, NodeId};
 use crate::geometry::Point;
 
-/// How to build the neighbor table from a deployment.
+/// How to list every node's neighbours in a deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NeighborStrategy {
-    /// Bucket nodes into a uniform grid and scan the 9-cell stencil:
-    /// O(n · deg). The default.
+    /// Bucket nodes into a uniform grid and scan each node's 9-cell
+    /// stencil: O(n · deg). The default.
     #[default]
     Grid,
     /// Compare all pairs: O(n²). Kept as the oracle for property tests and
-    /// the determinism pin; produces bit-identical tables to `Grid`.
+    /// the determinism pin; produces bit-identical lists to `Grid`.
     BruteForce,
 }
 
@@ -43,7 +44,7 @@ pub enum NeighborStrategy {
 /// is so much larger than the radius that a radius-sized grid would
 /// allocate far more cells than nodes (a sparse field with a tiny radio
 /// range); a larger cell never misses a neighbor, it only adds candidates.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Cells {
     origin: Point,
     cell: f64,
@@ -148,67 +149,6 @@ fn push<T>(flat: &mut [T], offsets: &mut [u32], bucket: usize, value: T) {
     *cursor += 1;
 }
 
-/// A uniform bucket grid over a deployment, cell side `>= radius`.
-#[derive(Debug, Clone)]
-struct SpatialGrid {
-    cells: Cells,
-    /// Every node's index, bucketed by cell: cell `c` holds
-    /// `ids[starts[c]..starts[c + 1]]`, cells row-major, ascending inside
-    /// a cell (the counting sort places the nodes in id order).
-    ids: Vec<u32>,
-    starts: Vec<u32>,
-}
-
-impl SpatialGrid {
-    /// Buckets every node of `deployment` into cells of side `>= radius`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `radius` is not finite and positive.
-    fn new(deployment: &Deployment, radius: f64) -> Self {
-        let cells = Cells::new(deployment, radius);
-        let positions = deployment.positions();
-        let mut starts = vec![0u32; cells.len() + 1];
-        for &pos in positions {
-            count(&mut starts, cells.index_of(pos));
-        }
-        prefix_sum(&mut starts);
-        let mut ids = vec![0u32; positions.len()];
-        for (id, &pos) in (0u32..).zip(positions) {
-            push(&mut ids, &mut starts, cells.index_of(pos), id);
-        }
-        SpatialGrid { cells, ids, starts }
-    }
-
-    /// Calls `f` with every node later than `a` (by id) within `r2`'s
-    /// root of `a`, which sits at `pa`: the candidates of the 9-cell
-    /// stencil around `pa`, row by row. A row's three cells are adjacent in
-    /// the bucket array, so each row is one slice; ids ascend within a cell,
-    /// not across the row.
-    #[inline]
-    fn for_each_later(
-        &self,
-        a: u32,
-        pa: Point,
-        positions: &[Point],
-        r2: f64,
-        mut f: impl FnMut(u32),
-    ) {
-        let Cells { cols, rows, .. } = self.cells;
-        let (cx, cy) = self.cells.cell_of(pa);
-        let (x0, x1) = (cx.saturating_sub(1), (cx + 1).min(cols - 1));
-        for y in cy.saturating_sub(1)..=(cy + 1).min(rows - 1) {
-            let row = y * cols;
-            let (from, to) = (self.starts[row + x0], self.starts[row + x1 + 1]);
-            for &b in &self.ids[from as usize..to as usize] {
-                if b > a && pa.distance_sq_to(positions[b as usize]) <= r2 {
-                    f(b);
-                }
-            }
-        }
-    }
-}
-
 /// The shard owning grid column `col` of a `cols`-column grid striped over
 /// `shards` shards. Monotone non-decreasing in `col`, which is what makes
 /// footprint interest sets contiguous shard ranges.
@@ -277,7 +217,7 @@ pub fn shard_interest_ranges(
 /// Builds per-node neighbor lists with an explicit strategy. Both
 /// strategies produce identical output: for every node, the ids of all
 /// *other* nodes at distance `<= radius`, ascending by [`NodeId`]. `Grid`
-/// is [`Topology::new`]'s table, one list copied out per node.
+/// sorts [`Topology::for_each_neighbor`] of every node in turn.
 #[must_use]
 pub fn neighbor_lists_with(
     deployment: &Deployment,
@@ -287,7 +227,13 @@ pub fn neighbor_lists_with(
     match strategy {
         NeighborStrategy::Grid => {
             let topology = Topology::new(deployment, radius);
-            let lists = deployment.ids().map(|id| topology.neighbors(id).to_vec());
+            let mut list = Vec::new();
+            let lists = deployment.ids().map(|id| {
+                list.clear();
+                topology.for_each_neighbor(id, |b| list.push(b));
+                list.sort_unstable();
+                list.clone()
+            });
             lists.collect()
         }
         NeighborStrategy::BruteForce => {
@@ -306,83 +252,67 @@ pub fn neighbor_lists_with(
 }
 
 /// A deployment's radio topology under one communication radius: where
-/// every node is, whom it can reach, and the test both came from. Built
-/// once per world and shared, immutable, by everything that asks who hears
-/// whom (the radio medium) or who is next towards a point (the router).
+/// every node is, and a bucket grid of cell side `>= radius` to find whom
+/// it can reach. Built once per world and shared, immutable, by everything
+/// that asks who hears whom (the radio medium) or who is next towards a
+/// point (the router).
 ///
-/// The neighbour lists and [`Topology::in_range`] are two forms of one
-/// relation: a list holds exactly the nodes the test accepts, because the
-/// lists were filtered by the same comparison of the same squared distance
-/// against the same `radius * radius`. Use the list to enumerate, the test
-/// to answer one pair.
+/// It holds no neighbour table. A node's neighbours are found when asked,
+/// by scanning the 9-cell stencil around it ([`Topology::for_each_neighbor`]);
+/// a holder that walks the same node's neighbours again sorts them once and
+/// keeps the list (the medium does, for the nodes that transmit or route).
+/// [`Topology::in_range`] answers one pair by the comparison the scan
+/// filters with: the same squared distance against the same
+/// `radius * radius`. Use the scan to enumerate, the test to answer one pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
-    positions: Vec<Point>,
-    /// Every node's neighbours, ascending by id, back to back: node `i`'s
-    /// are `neighbors[offsets[i]..offsets[i + 1]]`.
-    neighbors: Vec<NodeId>,
-    offsets: Vec<u32>,
+    /// The deployment's own array, shared rather than copied.
+    positions: Arc<[Point]>,
+    cells: Cells,
+    /// Every node's index, bucketed by cell: cell `c` holds
+    /// `ids[starts[c]..starts[c + 1]]`, cells row-major, ascending inside
+    /// a cell (the counting sort places the nodes in id order).
+    ids: Vec<u32>,
+    starts: Vec<u32>,
     radius: f64,
     r2: f64,
 }
 
 impl Topology {
-    /// The heap bytes of its position, neighbour and offset arrays.
+    /// The heap bytes of its bucket arrays. The positions are the
+    /// deployment's, and counted there ([`Deployment::heap_bytes`]).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.positions.capacity() * size_of::<Point>()
-            + self.neighbors.capacity() * size_of::<NodeId>()
-            + self.offsets.capacity() * size_of::<u32>()
+        (self.ids.capacity() + self.starts.capacity()) * size_of::<u32>()
     }
 
-    /// Builds the topology of `deployment` under `radius`, from five
-    /// allocations whatever the node count: the positions, the grid's two
-    /// arrays, and the table's two.
-    ///
-    /// Each unordered pair is tested once, from its lower id. A first walk
-    /// counts every node's neighbours, so the table is sized exactly; a
-    /// second walk, in id order, writes each pair into both lists. When
-    /// node `a`'s walk starts its list already holds its lower neighbours,
-    /// in id order, put there by their own walks; the walk appends the
-    /// higher ones in stencil order and sorts just those.
+    /// Buckets every node of `deployment` into cells of side `>= radius`,
+    /// from two allocations whatever the node count: the bucketed ids and
+    /// where each cell starts.
     ///
     /// # Panics
     ///
-    /// Panics if `radius` is not finite and positive, or if the table has
-    /// more entries than a `u32` offset can address.
+    /// Panics if `radius` is not finite and positive.
     #[must_use]
     pub fn new(deployment: &Deployment, radius: f64) -> Self {
-        let grid = SpatialGrid::new(deployment, radius);
-        let (positions, r2) = (deployment.positions(), radius * radius);
-        let mut offsets = vec![0u32; positions.len() + 1];
-        let mut pairs = 0usize;
-        for (a, &pa) in (0u32..).zip(positions) {
-            grid.for_each_later(a, pa, positions, r2, |b| {
-                pairs += 1;
-                count(&mut offsets, a as usize);
-                count(&mut offsets, b as usize);
-            });
+        let cells = Cells::new(deployment, radius);
+        let positions = deployment.shared_positions();
+        let mut starts = vec![0u32; cells.len() + 1];
+        for &pos in positions.iter() {
+            count(&mut starts, cells.index_of(pos));
         }
-        let len = pairs
-            .checked_mul(2)
-            .and_then(|len| u32::try_from(len).ok())
-            .expect("the neighbour table outgrows u32 offsets");
-        prefix_sum(&mut offsets);
-        let mut neighbors = vec![NodeId(0); len as usize];
-        for (a, &pa) in (0u32..).zip(positions) {
-            let higher = offsets[a as usize + 1] as usize;
-            grid.for_each_later(a, pa, positions, r2, |b| {
-                push(&mut neighbors, &mut offsets, a as usize, NodeId(b));
-                push(&mut neighbors, &mut offsets, b as usize, NodeId(a));
-            });
-            neighbors[higher..offsets[a as usize + 1] as usize].sort_unstable();
+        prefix_sum(&mut starts);
+        let mut ids = vec![0u32; positions.len()];
+        for (id, &pos) in (0u32..).zip(positions.iter()) {
+            push(&mut ids, &mut starts, cells.index_of(pos), id);
         }
         Topology {
-            positions: positions.to_vec(),
-            neighbors,
-            offsets,
+            positions,
+            cells,
+            ids,
+            starts,
             radius,
-            r2,
+            r2: radius * radius,
         }
     }
 
@@ -398,17 +328,33 @@ impl Topology {
         &self.positions
     }
 
-    /// The nodes within the radius of `node`, itself excluded, ascending.
+    /// Calls `f` with every node within the radius of `node`, itself
+    /// excluded: the candidates of the 9-cell stencil around it that pass
+    /// the distance test, row by row. A row's three cells are adjacent in
+    /// the bucket array, so each row is one slice; ids ascend within a
+    /// cell, not across the row, so a caller that needs the list in id
+    /// order sorts what it was given. Every caller that enumerates a
+    /// node's neighbours goes through this scan.
     #[inline]
-    #[must_use]
-    pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        let i = node.index();
-        &self.neighbors[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    pub fn for_each_neighbor(&self, node: NodeId, mut f: impl FnMut(NodeId)) {
+        let Cells { cols, rows, .. } = self.cells;
+        let here = self.positions[node.index()];
+        let (cx, cy) = self.cells.cell_of(here);
+        let (x0, x1) = (cx.saturating_sub(1), (cx + 1).min(cols - 1));
+        for y in cy.saturating_sub(1)..=(cy + 1).min(rows - 1) {
+            let row = y * cols;
+            let (from, to) = (self.starts[row + x0], self.starts[row + x1 + 1]);
+            for &b in &self.ids[from as usize..to as usize] {
+                if b != node.0 && here.distance_sq_to(self.positions[b as usize]) <= self.r2 {
+                    f(NodeId(b));
+                }
+            }
+        }
     }
 
-    /// Whether `b` is within the radius of `a` — membership of `b` in
-    /// [`Topology::neighbors`]`(a)`, answered by the comparison that built
-    /// the list rather than by searching it. Symmetric; a node is not in
+    /// Whether `b` is within the radius of `a` — whether the scan of `a`
+    /// finds `b`, answered by the comparison the scan filters with rather
+    /// than by a scan. Symmetric; a node is not in
     /// range of itself.
     #[inline]
     #[must_use]
@@ -417,8 +363,12 @@ impl Topology {
             && self.positions[a.index()].distance_sq_to(self.positions[b.index()]) <= self.r2;
         debug_assert_eq!(
             near,
-            self.neighbors(a).binary_search(&b).is_ok(),
-            "distance test and neighbour list disagree on {a} -> {b}"
+            {
+                let mut listed = false;
+                self.for_each_neighbor(a, |n| listed |= n == b);
+                listed
+            },
+            "distance test and stencil scan disagree on {a} -> {b}"
         );
         near
     }
@@ -473,44 +423,16 @@ mod tests {
             let t = Topology::new(&d, radius);
             assert_eq!(t.radius(), radius);
             // Against the all-pairs scan: `in_range` checks itself against
-            // the grid-built list in debug builds already.
+            // the stencil scan in debug builds already.
             let scanned = neighbor_lists_with(&d, radius, NeighborStrategy::BruteForce);
+            assert_eq!(grid_lists(&d, radius), scanned);
             for a in d.ids() {
-                assert_eq!(t.neighbors(a), scanned[a.index()]);
                 for b in d.ids() {
                     let listed = scanned[a.index()].contains(&b);
                     assert_eq!(t.in_range(a, b), listed, "{a} -> {b} at {radius}");
                 }
             }
         }
-    }
-
-    /// The table is exactly as long as the lists it holds, and each node's
-    /// list starts where the one before it ends.
-    #[test]
-    fn the_flat_table_is_sized_exactly() {
-        let d = Deployment::grid(9, 6, 1.0);
-        let t = Topology::new(&d, 1.5);
-        let listed: usize = d.ids().map(|id| t.neighbors(id).len()).sum();
-        assert_eq!(t.neighbors.len(), listed);
-        assert_eq!(t.neighbors.capacity(), listed);
-        assert_eq!(t.offsets.len(), d.len() + 1);
-        assert_eq!((t.offsets[0], t.offsets[d.len()] as usize), (0, listed));
-    }
-
-    /// `Deployment` refuses a non-finite coordinate, so none reaches a
-    /// topology; if one did, the comparison is false from either side, as
-    /// the list builder's is.
-    #[test]
-    fn a_nan_position_is_in_range_of_nothing() {
-        let t = Topology {
-            positions: vec![Point::new(f64::NAN, 0.0), Point::new(0.0, 0.0)],
-            neighbors: Vec::new(),
-            offsets: vec![0, 0, 0],
-            radius: 1.0,
-            r2: 1.0,
-        };
-        assert!(!t.in_range(NodeId(0), NodeId(1)) && !t.in_range(NodeId(1), NodeId(0)));
     }
 
     #[test]
@@ -524,7 +446,7 @@ mod tests {
     #[test]
     fn buckets_hold_every_node_once_in_id_order() {
         let d = Deployment::grid(13, 7, 0.7);
-        let grid = SpatialGrid::new(&d, 1.1);
+        let grid = Topology::new(&d, 1.1);
         assert_eq!(grid.starts.len(), grid.cells.len() + 1);
         assert_eq!(grid.starts[grid.cells.len()] as usize, d.len());
         for c in 0..grid.cells.len() {

@@ -11,9 +11,9 @@
 //!   distances read as hops.
 //! * [`field`] — node deployments: grids, jittered grids, random drops
 //!   ([`field::Deployment`], [`field::NodeId`]).
-//! * [`grid`] — uniform spatial hashing for O(n·deg) neighbor-table
-//!   construction and the shared radio [`grid::Topology`], one flat
-//!   neighbour array plus per-node offsets.
+//! * [`grid`] — the shared radio [`grid::Topology`]: a uniform bucket grid
+//!   (one flat id array plus per-cell offsets) whose 9-cell stencil lists
+//!   a node's neighbours in O(deg) when something asks.
 //! * [`target`] — moving entities with emission profiles
 //!   ([`target::Target`], [`target::Trajectory`], [`target::Falloff`]).
 //! * [`sensing`] — multi-channel samples and the composed

@@ -1,6 +1,6 @@
 //! Property-based tests for the physical-environment substrate.
 
-use envirotrack_sim::rng::SimRng;
+use envirotrack_sim::rng::{splitmix64, SimRng};
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::{Aabb, Point};
@@ -10,6 +10,10 @@ use envirotrack_world::grid::{
 use envirotrack_world::sensing::{Coverage, Environment, NoiseModel, SensorSample};
 use envirotrack_world::target::{Channel, Emission, Falloff, Target, TargetId, Trajectory};
 use testkit::prelude::*;
+
+#[path = "support/random_world.rs"]
+mod random_world;
+use random_world::{arb_field, asks};
 
 fn arb_point() -> impl Strategy<Value = Point> {
     (-100.0..100.0f64, -100.0..100.0f64).prop_map(|(x, y)| Point::new(x, y))
@@ -582,60 +586,45 @@ prop_test! {
         prop_assert_eq!(grid, brute);
     }
 
-    /// The flat neighbour table is the all-pairs relation, and the range
-    /// test is membership in it, on uniform and clustered fields and on the
-    /// degenerate ones — a lone node, every node on one spot, a single row —
-    /// under a drawn radius, one wider than the whole field, and one
-    /// narrower than every spacing.
+    /// Every node's list is the all-pairs relation, and the range test is
+    /// membership in it, on lattice, uniform and clustered fields and on
+    /// the degenerate ones — a lone node, every node on one spot, a single
+    /// row — under a drawn radius, one some pair sits exactly at, one wider
+    /// than the whole field, and one narrower than every spacing. Every
+    /// node's list is asked for, in a drawn order, some twice; the range
+    /// test is checked on every pair of a field of up to 120 nodes, and on
+    /// a sample of listed and drawn pairs above that.
     #[test]
-    fn topology_is_the_brute_force_relation(
-        seed: u64,
-        shape in 0u8..5,
-        n in 1u32..120,
-        radius_mode in 0u8..3,
-        drawn in 0.05..8.0f64,
-    ) {
-        let mut rng = SimRng::seed_from(seed);
-        let mut at = |w: f64, h: f64| {
-            Point::new(rng.uniform_range(-w, w), rng.uniform_range(-h, h))
-        };
-        let positions: Vec<Point> = match shape {
-            0 => (0..n).map(|_| at(20.0, 12.0)).collect(),
-            1 => {
-                let centres: Vec<Point> = (0..1 + n % 4).map(|_| at(40.0, 40.0)).collect();
-                let near = |i: u32, jitter: Point| {
-                    let c = centres[i as usize % centres.len()];
-                    Point::new(c.x + jitter.x, c.y + jitter.y)
-                };
-                (0..n).map(|i| near(i, at(1.0, 1.0))).collect()
-            }
-            2 => vec![at(5.0, 5.0)],
-            3 => vec![at(5.0, 5.0); n as usize],
-            _ => {
-                let step = 0.1 + at(3.0, 0.0).x.abs();
-                (0..n).map(|i| Point::new(f64::from(i) * step, 3.0)).collect()
-            }
-        };
-        let d = Deployment::from_positions(positions);
-        let b = d.bounds();
-        let radius = match radius_mode {
-            0 => drawn,
-            1 => b.min.distance_to(b.max) * 1.5 + drawn,
-            _ => {
-                let spacings = d.iter().flat_map(|(a, pa)| {
-                    d.iter().filter(move |&(b, _)| b != a).map(move |(_, pb)| pa.distance_to(pb))
-                });
-                let closest = spacings.filter(|&s| s > 0.0).fold(f64::INFINITY, f64::min);
-                if closest.is_finite() { closest * 0.5 } else { drawn }
-            }
-        };
+    fn topology_is_the_brute_force_relation(field in arb_field(), order: u64) {
+        let (d, radius) = field.build();
         let topology = Topology::new(&d, radius);
         let brute = neighbor_lists_with(&d, radius, NeighborStrategy::BruteForce);
-        for a in d.ids() {
-            let listed = brute[a.index()].as_slice();
-            prop_assert_eq!(topology.neighbors(a), listed, "node {} at radius {}", a, radius);
-            for b in (0..d.len() as u32).map(NodeId) {
-                prop_assert_eq!(topology.in_range(a, b), brute[a.index()].contains(&b));
+        let mut list = Vec::new();
+        for a in asks(d.len(), order) {
+            list.clear();
+            topology.for_each_neighbor(a, |b| list.push(b));
+            list.sort_unstable();
+            prop_assert_eq!(&list, &brute[a.index()], "{} of {:?}", a, field);
+        }
+        // Every pair of a field of up to 120 nodes; above that, 120 nodes
+        // each against 16 of its listed nodes and 16 drawn ones.
+        let (mut s, n) = (order, d.len() as u64);
+        let mut draw = |m: usize| (splitmix64(&mut s) % m as u64) as usize;
+        for a in asks(d.len(), order).into_iter().take(120) {
+            let listed = &brute[a.index()];
+            let partners: Vec<NodeId> = if n <= 120 {
+                d.ids().collect()
+            } else {
+                let drawn = (0..16).map(|_| NodeId(draw(n as usize) as u32));
+                let mut partners: Vec<NodeId> = drawn.collect();
+                if !listed.is_empty() {
+                    partners.extend((0..16).map(|_| listed[draw(listed.len())]));
+                }
+                partners
+            };
+            for b in partners {
+                let near = listed.binary_search(&b).is_ok();
+                prop_assert_eq!(topology.in_range(a, b), near, "{} -> {} of {:?}", a, b, field);
             }
         }
     }

@@ -154,6 +154,7 @@ for f in "$tmp/scale.json" BENCH_scale.json; do
              '"lane_pops":' '"heap_pops":' '"inline_events":' '"boxed_events":' \
              '"build_allocs":' '"build_heap_bytes":' \
              '"timer_live":' '"timer_stale":' '"timer_retries":' '"cold_engaged":' \
+             '"neighbor_lists":' \
              '"trace_records":' '"trace_dropped":' '"trace_ring_bytes":' \
              '"heap_live":' '"heap_kernel":' '"heap_medium":' '"heap_deployment":' \
              '"heap_hot":' '"heap_nodes":' '"heap_engaged":' '"heap_mtp":' \
@@ -171,14 +172,24 @@ done
 allocs="$(grep -o '"build_allocs":[0-9]*' "$tmp/scale.json" | sort -u)"
 [ "$(grep -c . <<< "$allocs")" -eq 1 ] \
   || { echo "verify: build allocations grow with the node count:" $allocs >&2; exit 1; }
-# A node holds only its dense state until it uses a protocol layer: a
-# built world keeps at most 320 heap bytes a node (about 840 when every
-# node held its layers and machines from the start).
+# A node holds only its dense state until it uses a protocol layer or
+# transmits: a built world keeps at most 200 heap bytes a node (about 840
+# when every node held its layers and machines from the start, 269 when
+# every node's neighbour list was built with the world).
 grep -o '"nodes":[0-9]*,"build_wall_s":[^,]*,"build_allocs":[0-9]*,"build_heap_bytes":[0-9]*' \
   "$tmp/scale.json" | tr ',:' '  ' | awk '
-  { n = $2; b = $8; if (b > 320 * n) { print "verify: " n " nodes built " b " heap bytes (limit 320 a node)"; bad = 1 } }
+  { n = $2; b = $8; if (b > 200 * n) { print "verify: " n " nodes built " b " heap bytes (limit 200 a node)"; bad = 1 } }
   END { exit bad || NR == 0 }' >&2 \
-  || { echo "verify: the smoke rows build more than 320 heap bytes a node" >&2; exit 1; }
+  || { echo "verify: the smoke rows build more than 200 heap bytes a node" >&2; exit 1; }
+# A node's neighbours are listed the first time it transmits or routes a
+# message on: on the smoke fields, where a few targets cross thousands of
+# idle nodes, fewer than one node in twenty has a list.
+paste -d ' ' \
+  <(grep -o '"nodes":[0-9]*,"build_wall_s"' "$tmp/scale.json" | tr -dc '0-9\n') \
+  <(grep -o '"neighbor_lists":[0-9]*' "$tmp/scale.json" | tr -dc '0-9\n') | awk '
+  NF != 2 || $2 * 20 >= $1 { print "verify: " $2 " neighbour lists on " $1 " nodes (limit under one in 20)"; bad = 1 }
+  END { exit bad || NR == 0 }' >&2 \
+  || { echo "verify: a smoke row lists the neighbours of nodes that never transmitted or routed" >&2; exit 1; }
 # A trace record is plain data (40 bytes, its text made only at export) in
 # a ring that grows by an eighth: each smoke row's ring keeps at most 48
 # heap bytes per record it retains.
