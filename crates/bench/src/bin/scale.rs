@@ -6,7 +6,7 @@
 //! cargo run --release -p envirotrack-bench --bin scale -- --smoke --out /tmp/smoke.json
 //! ```
 //!
-//! Four sections land in the JSON:
+//! Three sections land in the JSON:
 //!
 //! 1. `results` — the Figure-2 tracking program on 1k/2k/5k/10k/100k-node
 //!    [`ScaleScenario`] fields for a fixed virtual horizon: wall time,
@@ -25,35 +25,31 @@
 //!    (records appended and dropped, and its slots' heap bytes).
 //! 2. `sweep` — a homogeneous scale-cell set run at 1/2/4/8 workers with
 //!    byte-identical-merge cross-checks, as in the `sweep` bin.
-//! 3. `shards` — the smallest field advanced by the lock-step sharded
-//!    kernel (`envirotrack_core::shard`) at each `--shards` count, with
-//!    the merged output asserted byte-identical across counts.
-//! 4. `medium` — the replicated-vs-partitioned medium A/B: each row runs
-//!    one (nodes, shards) point under both routing modes, asserts the
-//!    merged outputs byte-identical, and reports the replay work
-//!    (`replayed_intents` vs `shards × merged_intents`) plus wall time.
-//!    On a 1-CPU host the work reduction is the headline metric and the
-//!    wall-clock deltas are advisory — the shards only pipeline, never
+//! 3. `shards` — the smallest field, then the 10k- and 100k-node fields,
+//!    advanced by the lock-step sharded kernel (`envirotrack_core::shard`)
+//!    at each `--shards` count, with each field's merged output asserted
+//!    byte-identical across counts. Each row reports wall time and the
+//!    interest-routing work: `merged_intents` (the intents exchanged at
+//!    the barriers) and `routed_intents` (the shard deliveries they made,
+//!    equal to the resolved intents at 1 shard). On a 1-CPU host the
+//!    wall-clock columns are advisory — the shards only pipeline, never
 //!    truly overlap.
 //!
 //! `--smoke` shrinks everything (1k and 2k nodes, 2 s horizon, 2-cell
-//! sweep, 1k-node medium A/B) for the CI stage in
+//! sweep, sharded rows on the 1k field only) for the CI stage in
 //! `scripts/verify.sh`, which checks that both fields took the same number
 //! of build allocations, that fewer than one node in twenty had its
 //! neighbours listed, and that each trace ring holds at most 48 bytes a
 //! record.
 //!
-//! `--medium replicated|partitioned` selects the sharded routing mode for
-//! the `shards` section and the sharded crosscheck dump, and
 //! `--crosscheck PATH` switches to a single-run dump mode: one scale
 //! point's telemetry JSONL + run record is written to PATH and nothing
 //! else runs — the file to `cmp` between two commits when a change must
 //! not move the monolithic run. With `--shards N`, the crosscheck dump
 //! runs the sharded kernel at N shards instead — verify.sh diffs N=1
-//! against N=4, and `--medium replicated` against `--medium partitioned`,
-//! the same way (sharded frames carry the uniform epoch latency, so these
-//! dumps are byte-compared across shard counts and medium modes only;
-//! `tests/shard_determinism.rs` relates them to the monolithic dump).
+//! against N=2 and N=4 the same way (sharded frames carry the uniform
+//! epoch latency, so these dumps are byte-compared across shard counts
+//! only; `tests/shard_determinism.rs` relates them to the monolithic dump).
 //!
 //! [`ScaleScenario`]: envirotrack_world::scenario::ScaleScenario
 
@@ -66,7 +62,6 @@ use envirotrack_bench::experiments::scale::{
 use envirotrack_bench::sweep::cells::scale_cells;
 use envirotrack_bench::sweep::run_sweep;
 use envirotrack_core::report::json::JsonObject;
-use envirotrack_core::shard::MediumMode;
 use envirotrack_sim::time::SimDuration;
 use testkit::alloc::{heap, Counting};
 
@@ -81,10 +76,8 @@ struct Args {
     /// Shard counts for the `shards` section; set explicitly, it also
     /// switches `--crosscheck` to the sharded dump (first count).
     shards: Option<Vec<usize>>,
-    /// Node counts for the `medium` A/B section.
-    medium_nodes: Vec<u32>,
-    /// Routing mode for the `shards` section and the sharded crosscheck.
-    medium: MediumMode,
+    /// Node counts the `shards` section runs after the smallest field.
+    shard_nodes: Vec<u32>,
     seed: u64,
     crosscheck: Option<PathBuf>,
     out: PathBuf,
@@ -97,8 +90,7 @@ fn parse_args() -> Result<Args, String> {
         sweep_cells: 8,
         sweep_nodes: 2_000,
         shards: None,
-        medium_nodes: vec![10_000, 100_000],
-        medium: MediumMode::Partitioned,
+        shard_nodes: vec![10_000, 100_000],
         seed: 1,
         crosscheck: None,
         out: PathBuf::from("BENCH_scale.json"),
@@ -145,18 +137,12 @@ fn parse_args() -> Result<Args, String> {
                 );
                 i += 2;
             }
-            "--medium" => {
-                let v = value(i)?;
-                args.medium = MediumMode::parse(v)
-                    .ok_or_else(|| format!("--medium: unknown mode {v} (replicated|partitioned)"))?;
-                i += 2;
-            }
             "--smoke" => {
                 args.nodes = vec![1_000, 2_000];
                 args.horizon_ms = 2_000;
                 args.sweep_cells = 2;
                 args.sweep_nodes = 200;
-                args.medium_nodes = vec![1_000];
+                args.shard_nodes = Vec::new();
                 i += 1;
             }
             other => return Err(format!("unknown argument {other}")),
@@ -194,11 +180,10 @@ fn main() -> ExitCode {
             ..ScaleRun::default()
         };
         let dump = if let Some(shards) = &args.shards {
-            let p = run_scale_sharded(&cfg, shards[0], args.medium);
+            let p = run_scale_sharded(&cfg, shards[0]);
             eprintln!(
-                "scale: sharded crosscheck dump ({} shards, {} medium, {} nodes, {} merged events) → {}",
+                "scale: sharded crosscheck dump ({} shards, {} nodes, {} merged events) → {}",
                 p.shards,
-                p.medium,
                 args.nodes[0],
                 p.events,
                 path.display()
@@ -319,105 +304,54 @@ fn main() -> ExitCode {
         );
     }
 
-    // Section 3: the lock-step sharded kernel on the smallest field, with
-    // the merged output byte-compared across shard counts. On a 1-CPU host
-    // the wall time stays flat (the shards only pipeline, never truly
-    // overlap) — the determinism cross-check is the load-bearing part.
+    // Section 3: the lock-step sharded kernel on the smallest field and
+    // the larger shard fields, with each field's merged output
+    // byte-compared across shard counts. On a 1-CPU host the wall time
+    // stays flat (the shards only pipeline, never truly overlap) — the
+    // determinism cross-check and the routing work are the load-bearing
+    // part.
     let shard_counts = args.shards.clone().unwrap_or_else(|| vec![1, 2, 4]);
-    let shard_cfg = ScaleRun {
-        nodes: args.nodes.iter().copied().min().unwrap_or(1_000),
-        horizon: SimDuration::from_millis(args.horizon_ms),
-        seed: args.seed,
-        ..ScaleRun::default()
-    };
-    let mut shard_baseline: Option<String> = None;
-    let mut shard_base_wall = 0.0;
+    let smallest = args.nodes.iter().copied().min().unwrap_or(1_000);
     let mut shard_rows = Vec::new();
-    for &shards in &shard_counts {
-        let p = run_scale_sharded(&shard_cfg, shards, args.medium);
-        match &shard_baseline {
-            None => {
-                shard_baseline = Some(p.dump.clone());
-                shard_base_wall = p.run_wall_s;
-            }
-            Some(b) => assert_eq!(
-                *b, p.dump,
-                "merged output changed with shard count — determinism bug"
-            ),
-        }
-        let speedup = if p.run_wall_s > 0.0 {
-            shard_base_wall / p.run_wall_s
-        } else {
-            0.0
-        };
-        eprintln!(
-            "scale shards: {shards} shards × {} nodes → {:.2}s wall, {} events ({:.0}/s, {speedup:.2}x vs first)",
-            p.nodes, p.run_wall_s, p.events, p.events_per_sec
-        );
-        shard_rows.push(
-            JsonObject::new()
-                .field_u64("shards", shards as u64)
-                .field_u64("nodes", u64::from(p.nodes))
-                .field_f64("run_wall_s", p.run_wall_s)
-                .field_u64("events", p.events)
-                .field_f64("events_per_sec", p.events_per_sec)
-                .field_f64("speedup_vs_first", speedup)
-                .field_u64("labels_created", p.labels_created)
-                .field_u64("handovers", p.handovers)
-                .field_bool("byte_identical", true)
-                .finish(),
-        );
-    }
-
-    // Section 4: the medium A/B — each (nodes, shards) point under both
-    // routing modes, byte-identity asserted, replay work compared. The
-    // shards-column speedup on a 1-CPU host is advisory; the load-bearing
-    // number is replayed_intents versus the full N-fold replay.
-    let mut medium_rows = Vec::new();
-    for &nodes in &args.medium_nodes {
+    for nodes in std::iter::once(smallest).chain(args.shard_nodes.iter().copied()) {
         let cfg = ScaleRun {
             nodes,
             horizon: SimDuration::from_millis(args.horizon_ms),
             seed: args.seed,
             ..ScaleRun::default()
         };
-        let mut node_baseline: Option<String> = None;
-        for shards in [1usize, 2, 4] {
-            for mode in [MediumMode::Replicated, MediumMode::Partitioned] {
-                let p = run_scale_sharded(&cfg, shards, mode);
-                match &node_baseline {
-                    None => node_baseline = Some(p.dump.clone()),
-                    Some(b) => assert_eq!(
-                        *b, p.dump,
-                        "medium A/B diverged at {nodes} nodes, {shards} shards, {mode}"
-                    ),
-                }
-                let full_replay = shards as u64 * p.merged_intents;
-                eprintln!(
-                    "scale medium: {nodes} nodes × {shards} shards, {mode} → {:.2}s wall, {} replayed of {} full-replay intents",
-                    p.run_wall_s, p.replayed_intents, full_replay
-                );
-                medium_rows.push(
-                    JsonObject::new()
-                        .field_u64("nodes", u64::from(p.nodes))
-                        .field_u64("shards", shards as u64)
-                        .field_str("medium", mode.as_str())
-                        .field_f64("run_wall_s", p.run_wall_s)
-                        .field_u64("merged_intents", p.merged_intents)
-                        .field_u64("replayed_intents", p.replayed_intents)
-                        .field_u64("full_replay_intents", full_replay)
-                        .field_f64(
-                            "replay_fraction",
-                            if full_replay > 0 {
-                                p.replayed_intents as f64 / full_replay as f64
-                            } else {
-                                0.0
-                            },
-                        )
-                        .field_bool("byte_identical", true)
-                        .finish(),
-                );
-            }
+        let mut first = None;
+        for &shards in &shard_counts {
+            let p = run_scale_sharded(&cfg, shards);
+            let first = first.get_or_insert_with(|| p.clone());
+            assert_eq!(
+                first.dump, p.dump,
+                "merged output changed with shard count at {nodes} nodes — determinism bug"
+            );
+            let speedup = if p.run_wall_s > 0.0 {
+                first.run_wall_s / p.run_wall_s
+            } else {
+                0.0
+            };
+            eprintln!(
+                "scale shards: {shards} shards × {nodes} nodes → {:.2}s wall, {} events ({:.0}/s, {speedup:.2}x vs first), {} routed of {} merged intents",
+                p.run_wall_s, p.events, p.events_per_sec, p.routed_intents, p.merged_intents
+            );
+            shard_rows.push(
+                JsonObject::new()
+                    .field_u64("shards", shards as u64)
+                    .field_u64("nodes", u64::from(p.nodes))
+                    .field_f64("run_wall_s", p.run_wall_s)
+                    .field_u64("events", p.events)
+                    .field_f64("events_per_sec", p.events_per_sec)
+                    .field_f64("speedup_vs_first", speedup)
+                    .field_u64("labels_created", p.labels_created)
+                    .field_u64("handovers", p.handovers)
+                    .field_u64("merged_intents", p.merged_intents)
+                    .field_u64("routed_intents", p.routed_intents)
+                    .field_bool("byte_identical", true)
+                    .finish(),
+            );
         }
     }
 
@@ -428,20 +362,14 @@ fn main() -> ExitCode {
         .field_f64("sim_horizon_s", args.horizon_ms as f64 / 1e3)
         .field_u64("sweep_cells", cells.len() as u64)
         .field_u64("sweep_cell_nodes", u64::from(args.sweep_nodes))
-        .field_str("shard_medium", args.medium.as_str())
-        .field_str(
-            "medium_wall_clock_note",
-            "replay-work reduction is the headline metric; wall-clock deltas depend on host_cpus and are advisory",
-        )
         .field_bool("merged_outputs_identical", true)
         .finish();
     let json = format!(
-        "{},\"results\":[{}],\"sweep\":[{}],\"shards\":[{}],\"medium\":[{}]}}\n",
+        "{},\"results\":[{}],\"sweep\":[{}],\"shards\":[{}]}}\n",
         &head[..head.len() - 1],
         rows.join(","),
         sweep_rows.join(","),
-        shard_rows.join(","),
-        medium_rows.join(",")
+        shard_rows.join(",")
     );
     if let Err(e) = std::fs::write(&args.out, json) {
         eprintln!("scale: writing {}: {e}", args.out.display());

@@ -227,15 +227,13 @@ pub struct ShardScalePoint {
     pub nodes: u32,
     /// Shard (thread) count.
     pub shards: usize,
-    /// How resolved transmissions were routed to shards.
-    pub medium: MediumMode,
     /// Wall seconds for the whole sharded run: per-shard world builds,
     /// every epoch barrier, and the final merge.
     pub run_wall_s: f64,
     /// Kernel events summed over the shards. Diagnostic only: each routed
     /// transmission is one ingestion event per interested shard, so this
-    /// varies with shard count and medium mode and is excluded from the
-    /// byte-compared output.
+    /// varies with shard count and is excluded from the byte-compared
+    /// output.
     pub events: u64,
     /// `events / run_wall_s`.
     pub events_per_sec: f64,
@@ -245,21 +243,22 @@ pub struct ShardScalePoint {
     pub handovers: u64,
     /// Intents collected across all epoch barriers (the merged batches).
     pub merged_intents: u64,
-    /// Total shard replay deliveries (`routed + broadcast`): the channel
-    /// work the partitioned medium reduces below `shards × resolved`.
-    pub replayed_intents: u64,
+    /// Shard deliveries by interest routing: the merged intents that
+    /// survived MAC admission at 1 shard, more where traffic crosses a
+    /// stripe boundary.
+    pub routed_intents: u64,
     /// The full observable output — the run-record JSON line followed by
     /// the merged telemetry JSONL — what must be byte-identical across
-    /// shard counts *and* medium modes.
+    /// shard counts.
     pub dump: String,
 }
 
 /// Runs one scale point under the sharded kernel and returns the merged
 /// audit. Sharded runs are their own golden family (every frame carries
 /// the uniform epoch pipeline latency), so `dump` compares across shard
-/// counts and medium modes, not against [`crosscheck_dump`].
+/// counts, not against [`crosscheck_dump`].
 #[must_use]
-pub fn run_scale_sharded(cfg: &ScaleRun, shards: usize, medium: MediumMode) -> ShardScalePoint {
+pub fn run_scale_sharded(cfg: &ScaleRun, shards: usize) -> ShardScalePoint {
     let (scenario, net_cfg) = field(cfg);
 
     let run_start = Instant::now();
@@ -272,13 +271,12 @@ pub fn run_scale_sharded(cfg: &ScaleRun, shards: usize, medium: MediumMode) -> S
         shards,
         Timestamp::ZERO + cfg.horizon,
         &[],
-        medium,
+        MediumMode::Partitioned,
     );
     let run_wall_s = run_start.elapsed().as_secs_f64();
     ShardScalePoint {
         nodes: cfg.nodes,
         shards,
-        medium,
         run_wall_s,
         events: run.events_processed,
         events_per_sec: if run_wall_s > 0.0 {
@@ -289,7 +287,7 @@ pub fn run_scale_sharded(cfg: &ScaleRun, shards: usize, medium: MediumMode) -> S
         labels_created: run.record.labels_created,
         handovers: run.record.handovers,
         merged_intents: run.intents.merged,
-        replayed_intents: run.intents.replayed(),
+        routed_intents: run.intents.routed,
         dump: format!("{}\n{}", run.record.to_json(), run.telemetry_jsonl),
     }
 }
@@ -362,47 +360,16 @@ mod tests {
 
     #[test]
     fn shard_count_does_not_change_the_sharded_audit() {
-        let one = run_scale_sharded(&small(), 1, MediumMode::Replicated);
-        let two = run_scale_sharded(&small(), 2, MediumMode::Partitioned);
+        let one = run_scale_sharded(&small(), 1);
+        let two = run_scale_sharded(&small(), 2);
         assert!(
             one.labels_created >= 1,
             "the sharded run must still track targets: {one:?}"
         );
-        assert_eq!(
-            one.dump, two.dump,
-            "shard count or medium mode leaked into the output"
-        );
+        assert_eq!(one.dump, two.dump, "shard count leaked into the output");
         // The pin must cover live protocol traffic, not an idle field.
         // (Trace events are excluded from the merged stream by design, so
         // look at a frame counter, not `group.hb` traces.)
         assert!(one.dump.contains("net.k1.tx"));
-    }
-
-    #[test]
-    fn partitioned_medium_reduces_replay_work() {
-        let shards = 4;
-        let replicated = run_scale_sharded(&small(), shards, MediumMode::Replicated);
-        let partitioned = run_scale_sharded(&small(), shards, MediumMode::Partitioned);
-        assert_eq!(
-            replicated.dump, partitioned.dump,
-            "routing must not change the observable output"
-        );
-        assert!(
-            partitioned.replayed_intents > 0,
-            "a busy field must route intents: {partitioned:?}"
-        );
-        // The acceptance bound: strictly fewer shard deliveries than the
-        // full N-fold replay of the merged batches.
-        assert!(
-            partitioned.replayed_intents < shards as u64 * partitioned.merged_intents,
-            "interest routing saved nothing: {} replayed vs {} merged × {} shards",
-            partitioned.replayed_intents,
-            partitioned.merged_intents,
-            shards
-        );
-        assert!(
-            partitioned.replayed_intents < replicated.replayed_intents,
-            "partitioned must replay strictly less than replicated"
-        );
     }
 }

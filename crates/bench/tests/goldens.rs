@@ -26,7 +26,6 @@ use envirotrack_bench::experiments::scale::{run_scale_sharded, ScaleRun};
 use envirotrack_bench::experiments::{fig3, fig4, fig5, fig6, table1};
 use envirotrack_bench::sweep::max_trackable_speed;
 use envirotrack_bench::harness::TrackingRun;
-use envirotrack_core::shard::MediumMode;
 use envirotrack_sim::time::SimDuration;
 
 fn check(name: &str, actual: &str) {
@@ -129,8 +128,8 @@ fn fig6_crsr_speed_point_matches_golden() {
 #[test]
 fn sharded_scale_dump_matches_golden() {
     // The sharded family's own pin: every other sharded test compares one
-    // shard count or medium mode with another, so a change that moved every
-    // count alike would pass them all. The horizon is long enough for a
+    // shard count with another, so a change that moved every count alike
+    // would pass them all. The horizon is long enough for a
     // histogram line as well as frame counters.
     let cfg = ScaleRun {
         nodes: 400,
@@ -138,7 +137,7 @@ fn sharded_scale_dump_matches_golden() {
         horizon: SimDuration::from_secs(20),
         ..ScaleRun::default()
     };
-    let dump = run_scale_sharded(&cfg, 2, MediumMode::Partitioned).dump;
+    let dump = run_scale_sharded(&cfg, 2).dump;
     assert!(dump.contains(r#""t":"hist""#), "no histogram in {dump}");
     assert!(dump.contains("net.k1.tx"), "no frame counter in {dump}");
     check("scale_sharded.jsonl", &dump);

@@ -260,7 +260,7 @@ impl LeaderState {
                 node,
                 last_failure: Cell::new(None),
             };
-            let mut api = ObjectApi::new(label, node, ctx.position, ctx.now, &access, incoming);
+            let mut api = ObjectApi::new(label, node, ctx.now, &access, incoming);
             (method.body)(&mut api);
             let failure = access.last_failure.take();
             (api.into_effects(), failure)

@@ -27,7 +27,7 @@ use crate::transport::Port;
 pub type MethodBody = Arc<dyn Fn(&mut ObjectApi<'_>) + Send + Sync>;
 
 /// Read-side access the leader grants to object code.
-pub trait ContextAccess {
+pub(crate) trait ContextAccess {
     /// Reads an aggregate state variable under its declared QoS.
     ///
     /// # Errors
@@ -110,7 +110,6 @@ pub(crate) enum ObjectEffect {
 pub struct ObjectApi<'a> {
     label: ContextLabel,
     node: NodeId,
-    position: Point,
     now: Timestamp,
     access: &'a dyn ContextAccess,
     incoming: Option<IncomingMessage>,
@@ -118,14 +117,12 @@ pub struct ObjectApi<'a> {
 }
 
 impl<'a> ObjectApi<'a> {
-    /// Assembles an execution context (called by the middleware; available
-    /// publicly so object bodies can be unit-tested against a mock
-    /// [`ContextAccess`]).
+    /// Assembles an execution context (called by the middleware, and by
+    /// unit tests of object bodies against a mock [`ContextAccess`]).
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         label: ContextLabel,
         node: NodeId,
-        position: Point,
         now: Timestamp,
         access: &'a dyn ContextAccess,
         incoming: Option<IncomingMessage>,
@@ -133,7 +130,6 @@ impl<'a> ObjectApi<'a> {
         ObjectApi {
             label,
             node,
-            position,
             now,
             access,
             incoming,
@@ -151,18 +147,6 @@ impl<'a> ObjectApi<'a> {
     #[must_use]
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// The executing node's position (the locale of the tracked entity).
-    #[must_use]
-    pub fn position(&self) -> Point {
-        self.position
-    }
-
-    /// The current virtual time.
-    #[must_use]
-    pub fn now(&self) -> Timestamp {
-        self.now
     }
 
     /// Reads an aggregate state variable under its declared freshness and
@@ -327,7 +311,6 @@ mod tests {
                 seq: 0,
             },
             NodeId(1),
-            Point::new(2.0, 0.5),
             Timestamp::from_secs(5),
             access,
             None,

@@ -35,7 +35,7 @@
 //!   receiver — or never ingesting an irrelevant transmission — consumes
 //!   zero randomness.
 //!
-//! ## Interest routing ([`MediumMode::Partitioned`])
+//! ## Interest routing
 //!
 //! A transmission from node `s` can only be heard within `comm_radius` of
 //! `s`, so only shards owning a grid cell inside that footprint need to
@@ -48,10 +48,14 @@
 //! the range — is what keeps a routed subset byte-identical to the full
 //! replay: an un-routed transmission could only have produced an empty
 //! outcome set on that shard anyway, and skipping it draws nothing.
-//! [`MediumMode::Replicated`] runs the identical pipeline with every
-//! transmission routed to every shard; the two modes differ *only* in
-//! routing, which the `bench/tests/shard_determinism.rs` battery pins
-//! byte-for-byte at 1/2/4/8 shards, clean and under chaos.
+//!
+//! The reference is the 1-shard run, where every transmission reaches the
+//! one shard: the full replay. The `bench/tests/shard_determinism.rs`
+//! battery pins 2/4/8 shards to it byte-for-byte, clean and under chaos,
+//! on a field whose traffic crosses the stripe boundaries
+//! ([`IntentStats::routed`] above [`IntentStats::resolved`]); the
+//! brute-force property in `world::grid`'s tests pins the ranges
+//! themselves.
 //!
 //! ## Why the result is shard-count invariant
 //!
@@ -79,7 +83,7 @@
 //! own. `kernel.events` is left out (event counts are not
 //! partition-additive), and gauges and trace events are not shipped.
 //!
-//! A sharded run is byte-identical across shard counts and medium modes.
+//! A sharded run is byte-identical across shard counts.
 //! The monolithic (`build_engine`) engine runs the same channel pipeline
 //! inline with zero added latency, so its bytes differ by the uniform
 //! `+L`; `bench/tests/shard_determinism.rs` pins what the `+L` must not
@@ -123,62 +127,32 @@ impl OutIntent {
     }
 }
 
-/// How resolved transmissions are routed to shards.
+/// How resolved transmissions are routed to shards: each goes only to the
+/// shards whose owned cells its radio footprint can reach (plus the
+/// sender's owner). It has one variant; [`run_sharded`] keeps the
+/// parameter because the benchmark crate names `MediumMode::Partitioned`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MediumMode {
-    /// Every resolved transmission goes to every shard (the full-replay
-    /// baseline: N× channel work, kept as the differential reference).
-    Replicated,
-    /// Each resolved transmission goes only to the shards whose owned
-    /// cells its radio footprint can reach (plus the sender's owner).
+    /// Interest routing (see the module docs).
     Partitioned,
 }
 
-impl MediumMode {
-    /// Parses the CLI spelling (`replicated` / `partitioned`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "replicated" => Some(MediumMode::Replicated),
-            "partitioned" => Some(MediumMode::Partitioned),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MediumMode::Replicated => "replicated",
-            MediumMode::Partitioned => "partitioned",
-        }
-    }
-}
-
-impl std::fmt::Display for MediumMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Replay-work and buffer-reuse accounting for one sharded run. These are
-/// *diagnostics across the sharding machinery* — `routed`/`skipped`/
-/// `broadcast` depend on the shard count and medium mode by construction,
-/// so they live here and in BENCH output, never in the byte-compared
-/// merged telemetry. (`tail_dropped` *is* invariant and is also surfaced
-/// as the `shard.intents.tail_dropped` counter.)
+/// *diagnostics across the sharding machinery* — `routed` depends on the
+/// shard count by construction, so it lives here and in BENCH output,
+/// never in the byte-compared merged telemetry. (`tail_dropped` *is*
+/// invariant and is also surfaced as the `shard.intents.tail_dropped`
+/// counter.)
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IntentStats {
     /// Intents collected across all barriers (the merged batch total).
     pub merged: u64,
     /// Intents that survived MAC admission on the central scheduler.
     pub resolved: u64,
-    /// Shard deliveries routed by interest (partitioned mode).
+    /// Shard deliveries routed by interest: `resolved` at 1 shard, above
+    /// it when traffic crosses a stripe boundary, never above `shards ×
+    /// resolved`.
     pub routed: u64,
-    /// Shard deliveries skipped as out-of-footprint (partitioned mode).
-    pub skipped: u64,
-    /// Shard deliveries sent to every shard (replicated mode).
-    pub broadcast: u64,
     /// Intents requested after the last barrier and never exchanged (the
     /// final partial epoch; counted, asserted fresh, and shard-count
     /// invariant).
@@ -192,16 +166,6 @@ pub struct IntentStats {
     /// Route-buffer allocations for resolved batches (buffer-reuse pin:
     /// ≤ 2 × shards; shards, in steady state).
     pub resolved_buf_allocs: u64,
-}
-
-impl IntentStats {
-    /// Total shard replay deliveries (`routed + broadcast`): the work the
-    /// tentpole reduces. Partitioned mode must keep this strictly below
-    /// `shards × merged`.
-    #[must_use]
-    pub fn replayed(&self) -> u64 {
-        self.routed + self.broadcast
-    }
 }
 
 /// Per-world sharding state, attached to each `SensorNetwork` replica
@@ -373,9 +337,8 @@ impl Drop for DeathNotice {
 
 /// Runs one simulation split over `shards` threads in lock-step epochs and
 /// merges the result. With identical inputs the output is byte-identical
-/// for every `shards >= 1` and for either [`MediumMode`]; `faults` are
-/// quantized to the first barrier at or after their nominal time (faults
-/// at or past `horizon` never fire).
+/// for every `shards >= 1`; `faults` are quantized to the first barrier at
+/// or after their nominal time (faults at or past `horizon` never fire).
 ///
 /// # Panics
 ///
@@ -395,6 +358,7 @@ pub fn run_sharded(
     mode: MediumMode,
 ) -> ShardedRun {
     assert!(shards >= 1, "at least one shard is required");
+    let MediumMode::Partitioned = mode;
     let epoch = config.radio.epoch_latency();
     let mut schedule: Vec<(Timestamp, FaultEvent)> = faults.to_vec();
     schedule.sort_by_key(|(t, _)| *t);
@@ -405,15 +369,12 @@ pub fn run_sharded(
     let topology = Arc::new(Topology::new(deployment, radius));
     let owners = shard_assignment(deployment, radius, shards);
     // The central transmit side: one scheduler resolving every merged
-    // intent exactly once, and — in partitioned mode — the per-source
-    // interest ranges that bound each transmission's audience.
+    // intent exactly once, and the per-source interest ranges that bound
+    // each transmission's audience.
     let sched_rng = SimRng::seed_from(seed).fork("shard-scheduler");
     let radio = config.radio.clone();
     let mut scheduler = ChannelScheduler::with_topology(topology.clone(), radio, &sched_rng);
-    let interest = match mode {
-        MediumMode::Partitioned => Some(shard_interest_ranges(deployment, radius, shards)),
-        MediumMode::Replicated => None,
-    };
+    let interest = shard_interest_ranges(deployment, radius, shards);
 
     std::thread::scope(|scope| {
         let (resp_tx, resp_rx) = mpsc::channel::<Resp>();
@@ -604,26 +565,14 @@ pub fn run_sharded(
             // route each resolved transmission to its interested shards.
             for intent in batch.drain(..) {
                 let at = intent.at + epoch;
-                let src_idx = intent.src.index();
+                let (lo, hi) = interest[intent.src.index()];
                 let Some(rtx) = scheduler.resolve(at, intent.seq, intent.frame) else {
                     continue; // MAC drop, decided once for everyone
                 };
                 intents.resolved += 1;
-                match &interest {
-                    None => {
-                        intents.broadcast += shards as u64;
-                        for buf in &mut routes {
-                            buf.push(rtx.clone());
-                        }
-                    }
-                    Some(ranges) => {
-                        let (lo, hi) = ranges[src_idx];
-                        intents.routed += (hi - lo + 1) as u64;
-                        intents.skipped += (shards - (hi - lo + 1)) as u64;
-                        for buf in &mut routes[lo..=hi] {
-                            buf.push(rtx.clone());
-                        }
-                    }
+                intents.routed += (hi - lo + 1) as u64;
+                for buf in &mut routes[lo..=hi] {
+                    buf.push(rtx.clone());
                 }
             }
             for (idx, tx) in cmd_txs.iter().enumerate() {
@@ -713,8 +662,8 @@ fn merge_outputs(
         merged.add(&format!("net.k{kind}.mac_drop"), ks.mac_dropped);
         merged.add(&format!("net.k{kind}.bytes"), ks.bytes_on_air);
     }
-    // Invariant across shard counts and medium modes (every tail intent is
-    // captured by exactly one owner), so it belongs in the compared bytes.
+    // Invariant across shard counts (every tail intent is captured by
+    // exactly one owner), so it belongs in the compared bytes.
     merged.add("shard.intents.tail_dropped", intents.tail_dropped);
     ShardedRun {
         record: RunRecord::from_registry(seed, elapsed, &merged, &net, base_reports, 0),

@@ -44,7 +44,7 @@ const MAX_GEO_DEPTH: u32 = 8;
 /// integrity trailer (see [`super::crc`]). Only the outermost frame carries
 /// a trailer — nested geo-forward frames are covered by it transitively.
 #[must_use]
-pub fn encode(msg: &Message) -> Bytes {
+pub(crate) fn encode(msg: &Message) -> Bytes {
     let mut out = BytesMut::with_capacity(52);
     encode_frame(msg, &mut out);
     let sum = super::crc::crc32(&out);
@@ -69,7 +69,7 @@ fn encode_frame(msg: &Message, out: &mut BytesMut) {
 /// # Errors
 ///
 /// Any [`DecodeError`]; never panics, whatever the input.
-pub fn decode(bytes: &[u8]) -> Result<Message, DecodeError> {
+pub(crate) fn decode(bytes: &[u8]) -> Result<Message, DecodeError> {
     let mut buf = super::crc::split_verified(bytes)?;
     let msg = decode_frame(&mut buf, 0)?;
     if !buf.is_empty() {

@@ -79,7 +79,7 @@ impl Point {
 impl Vector {
     /// Creates a vector from components.
     #[must_use]
-    pub const fn new(x: f64, y: f64) -> Self {
+    pub(crate) const fn new(x: f64, y: f64) -> Self {
         Vector { x, y }
     }
 

@@ -59,13 +59,6 @@ impl SensorSample {
     pub fn add(&mut self, channel: Channel, value: f64) {
         self.values[channel.index()] += value;
     }
-
-    /// Iterates `(channel, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (Channel, f64)> + '_ {
-        Channel::ALL
-            .iter()
-            .map(move |&c| (c, self.values[c.index()]))
-    }
 }
 
 /// Additive Gaussian noise applied per channel when sampling through a
@@ -740,14 +733,5 @@ mod tests {
             (1.0, 0.0)
         );
         assert_eq!((c.work().walked, c.work().answered), (1, 1));
-    }
-
-    #[test]
-    fn sample_channels_iterate_in_declaration_order() {
-        let mut s = SensorSample::zero();
-        s.set(Channel::Light, 3.0);
-        let collected: Vec<(Channel, f64)> = s.iter().collect();
-        assert_eq!(collected.len(), 5);
-        assert_eq!(collected[Channel::Light.index()], (Channel::Light, 3.0));
     }
 }

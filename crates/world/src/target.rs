@@ -266,7 +266,7 @@ impl Channel {
 
     /// Dense index for array-backed sample storage.
     #[must_use]
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         match self {
             Channel::Magnetic => 0,
             Channel::Temperature => 1,

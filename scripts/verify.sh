@@ -161,8 +161,7 @@ for f in "$tmp/scale.json" BENCH_scale.json; do
              '"heap_endpoints":' '"heap_directory":' '"heap_leaders":' \
              '"heap_telemetry":' '"heap_events":' '"heap_base_log":' \
              '"shards":' '"speedup_vs_first":' '"byte_identical":true' \
-             '"medium":' '"replayed_intents":' '"full_replay_intents":' \
-             '"medium":"partitioned"' '"medium":"replicated"'; do
+             '"merged_intents":' '"routed_intents":'; do
     grep -q "$key" "$f" \
       || { echo "verify: $f is missing $key" >&2; exit 1; }
   done
@@ -230,13 +229,18 @@ for f in "$tmp/soak.json" BENCH_soak.json; do
 done
 
 # Shard smoke: the same 1k-node field advanced by the lock-step sharded
-# kernel (core::shard) at 1 and 4 shards must produce a byte-identical
+# kernel (core::shard) at 1, 2 and 4 shards must produce a byte-identical
 # merged run record + telemetry stream — the shard count is an execution
-# knob, never a behavior knob.
+# knob, never a behavior knob. (This field's traffic stays inside one
+# stripe, so the smoke pins determinism, not routing; routing is pinned
+# by the brute-force interest-range property and the stripe-crossing
+# battery of bench/tests/shard_determinism.rs.)
 ./target/release/scale --smoke --shards 1 --crosscheck "$tmp/shard1.jsonl"
-./target/release/scale --smoke --shards 4 --crosscheck "$tmp/shard4.jsonl"
-cmp -s "$tmp/shard1.jsonl" "$tmp/shard4.jsonl" \
-  || { echo "verify: simulation output depends on the shard count" >&2; exit 1; }
+for n in 2 4; do
+  ./target/release/scale --smoke --shards "$n" --crosscheck "$tmp/shard$n.jsonl"
+  cmp -s "$tmp/shard1.jsonl" "$tmp/shard$n.jsonl" \
+    || { echo "verify: simulation output differs between 1 and $n shards" >&2; exit 1; }
+done
 grep -q "net.k1.tx" "$tmp/shard1.jsonl" \
   || { echo "verify: shard cross-check saw no protocol traffic" >&2; exit 1; }
 grep -q "shard.intents.tail_dropped" "$tmp/shard1.jsonl" \
@@ -249,10 +253,7 @@ grep -q "shard.intents.tail_dropped" "$tmp/shard1.jsonl" \
 # enough to prune (both re-run here by name at 512 cases unless
 # TESTKIT_CASES is exported, with the long-slip regression). Who hears whom
 # is a distance comparison, and must be membership in the brute-force
-# neighbour list for every ordered pair, masked or not (same 512). And
-# interest-routed (partitioned) delivery at 2 shards must be byte-identical
-# to the full-replay (replicated) medium on the same field — routing
-# decides who ingests a transmission, never what anyone observes.
+# neighbour list for every ordered pair, masked or not (same 512).
 TESTKIT_CASES="${TESTKIT_CASES:-512}" \
   cargo test -q --offline -p envirotrack-net --test prop \
   -- inline_medium_equals_scheduler_plus_executors \
@@ -261,12 +262,6 @@ TESTKIT_CASES="${TESTKIT_CASES:-512}" \
 TESTKIT_CASES="${TESTKIT_CASES:-512}" \
   cargo test -q --offline -p envirotrack-net --lib \
   -- audible_is_membership_in_the_brute_force_neighbour_list
-./target/release/scale --smoke --shards 2 --medium replicated --crosscheck "$tmp/med_rep.jsonl"
-./target/release/scale --smoke --shards 2 --medium partitioned --crosscheck "$tmp/med_part.jsonl"
-cmp -s "$tmp/med_rep.jsonl" "$tmp/med_part.jsonl" \
-  || { echo "verify: simulation output depends on the medium routing mode" >&2; exit 1; }
-grep -q "net.k1.tx" "$tmp/med_part.jsonl" \
-  || { echo "verify: medium cross-check saw no protocol traffic" >&2; exit 1; }
 
 # Serve smoke: a ~5 s happy-path mini-storm against the session server —
 # 560 concurrent sessions ramped, held streaming, and closed cleanly over
