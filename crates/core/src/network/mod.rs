@@ -62,6 +62,8 @@ mod inspect;
 mod link;
 mod mtp;
 mod node;
+#[cfg(test)]
+mod random_worlds;
 mod sense;
 mod timers;
 mod words;

@@ -106,6 +106,18 @@ impl Sensing {
     }
 }
 
+#[cfg(test)]
+impl SensorNetwork {
+    /// The instant of `node`'s first sensing tick, as the bootstrap will
+    /// draw it: for tests that tie an event with a tick. Asked before the
+    /// bootstrap runs.
+    pub(super) fn first_tick(&self, node: NodeId) -> Timestamp {
+        let period = self.config.middleware.sense_period.as_micros().max(1);
+        let phase = self.nodes[node.index()].rng.clone().below(period);
+        Timestamp::from_micros(phase)
+    }
+}
+
 /// The lane word of a sensing loop: the slot of the node's hot record in
 /// the high half, its id in the low half.
 pub(super) fn lane_word(slot: u32, node: NodeId) -> u64 {

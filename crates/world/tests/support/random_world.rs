@@ -3,15 +3,29 @@
 //! It is not part of any library; a suite includes this file with
 //! `#[path]` and sees the crates as any other user does.
 //!
-//! Today a world is a deployment and a radio range ([`arb_field`]). The
-//! draw is a handful of numbers ([`FieldDraw`]), so a failing case prints
-//! as one line and shrinks towards fewer nodes, the first shape and the
-//! first range; [`FieldDraw::build`] makes the deployment from it.
-//! [`asks`] draws the order a suite asks about the field's nodes in.
+//! A field is a deployment and a radio range ([`arb_field`]). The draw is a
+//! handful of numbers ([`FieldDraw`]), so a failing case prints as one line
+//! and shrinks towards fewer nodes, the first shape and the first range;
+//! [`FieldDraw::build`] makes the deployment from it. [`asks`] draws the
+//! order a suite asks about the field's nodes in.
+//!
+//! A whole world ([`arb_world`], [`WorldDraw`]) adds what runs over the
+//! field: zero to four targets — linear, looped, growing-disk or
+//! inverse-law, some leaving the field, one perhaps added mid-run — noise
+//! on or off, a schedule of crashes, reboots and clock-rate changes, and a
+//! horizon. The schedule is plain data ([`Fault`], [`When`]): a suite that
+//! knows its nodes' sensing phases turns [`When::OnTick`] into an instant
+//! that ties with a tick, and every suite maps a [`Fault`] onto its own
+//! fault type. A suite that uses only part of this file sees the rest as
+//! dead code.
+#![allow(dead_code)]
 
 use envirotrack_sim::rng::{splitmix64, SimRng};
+use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::{Deployment, NodeId};
-use envirotrack_world::geometry::Point;
+use envirotrack_world::geometry::{Aabb, Point};
+use envirotrack_world::sensing::{Environment, NoiseModel};
+use envirotrack_world::target::{Channel, Emission, Falloff, Target, TargetId, Trajectory};
 use testkit::prelude::*;
 
 /// How the nodes are placed.
@@ -214,4 +228,207 @@ pub fn asks(n: usize, seed: u64) -> Vec<NodeId> {
         order.push(order[(splitmix64(&mut s) % n as u64) as usize]);
     }
     order
+}
+
+// ------------------------------------------------------------------ worlds
+
+/// How a drawn target moves and emits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A disk on a straight line that may leave the field.
+    Linear,
+    /// A disk on a closed tour, lap after lap.
+    Looped,
+    /// A spreading disk, stationary, that appears after a delay.
+    GrowingDisk,
+    /// An inverse-square source on a line: it reaches the whole field.
+    InverseLaw,
+}
+
+const KINDS: [Kind; 4] = [Kind::Linear, Kind::Looped, Kind::GrowingDisk, Kind::InverseLaw];
+
+/// When a scheduled fault happens.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum When {
+    /// At this many milliseconds.
+    Ms(u64),
+    /// At `node`'s `tick`-th sensing tick (0 is the first), to the
+    /// microsecond: a tie with that tick, which the suite resolves from the
+    /// node's phase.
+    OnTick { node: NodeId, tick: u64 },
+}
+
+/// A node fault of the schedule.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Fault {
+    Crash(NodeId),
+    Reboot(NodeId),
+    /// A clock rate in `[0.5, 2.0]`, 1.0 among them.
+    Rate(NodeId, f64),
+}
+
+/// One drawn world: a small field, its targets, noise, fault schedule and
+/// horizon, all made from these numbers by [`WorldDraw::build`].
+#[derive(Debug, Clone, Copy)]
+pub struct WorldDraw {
+    /// Nodes, 4 to ≈ 150, on a lattice or spread uniformly.
+    pub nodes: u32,
+    /// Targets present from the start, 0 to 4.
+    pub targets: u32,
+    /// Whether one more target is added mid-run.
+    pub late: bool,
+    /// Whether the sensors are noisy.
+    pub noisy: bool,
+    /// Scheduled faults, 0 to 7.
+    pub faults: u32,
+    /// The horizon in milliseconds, 0.6 to 4 s.
+    pub horizon_ms: u64,
+    /// Every other choice comes from a generator seeded with this.
+    pub seed: u64,
+}
+
+/// What a [`WorldDraw`] stands for.
+pub struct World {
+    pub deployment: Deployment,
+    pub environment: Environment,
+    /// The radio range.
+    pub radius: f64,
+    /// A target to add to the running world, and when.
+    pub late: Option<(Timestamp, Target)>,
+    /// The fault schedule, in no particular order.
+    pub faults: Vec<(When, Fault)>,
+    pub horizon: Timestamp,
+}
+
+/// Small worlds of every target kind, with and without noise, faults and a
+/// target added mid-run. Most runs are short and small, so a debug-build
+/// suite can afford a few dozen of them per mode.
+pub fn arb_world() -> impl Strategy<Value = WorldDraw> {
+    (
+        prop_oneof![4u32..40, 40u32..150],
+        0u32..5,
+        any::<bool>(),
+        any::<bool>(),
+        0u32..8,
+        600u64..4_000,
+        any::<u64>(),
+    )
+        .prop_map(|(nodes, targets, late, noisy, faults, horizon_ms, seed)| WorldDraw {
+            nodes,
+            targets,
+            late,
+            noisy,
+            faults,
+            horizon_ms,
+            seed,
+        })
+}
+
+impl WorldDraw {
+    /// The world these numbers stand for.
+    pub fn build(&self) -> World {
+        let mut rng = SimRng::seed_from(self.seed);
+        let n = self.nodes;
+        let deployment = if rng.chance(0.5) {
+            let cols = n.isqrt().max(1);
+            let rows = n.div_ceil(cols);
+            Deployment::grid(cols, rows, 1.0)
+        } else {
+            let side = f64::from(n).sqrt().max(1.0);
+            let area = Aabb::new(Point::new(0.0, 0.0), Point::new(side, side * 0.8));
+            Deployment::random_uniform(n, area, &mut rng)
+        };
+        let bounds = deployment.bounds();
+        let mut environment = Environment::new();
+        if self.noisy {
+            environment =
+                environment.with_noise(NoiseModel::none().with_channel(Channel::Magnetic, 0.2));
+        }
+        for id in 0..self.targets {
+            environment.add_target(target(&mut rng, id, bounds, Timestamp::ZERO));
+        }
+        let horizon = Timestamp::from_millis(self.horizon_ms);
+        let late = self.late.then(|| {
+            let at = Timestamp::from_millis(rng.below(self.horizon_ms));
+            (at, target(&mut rng, self.targets, bounds, at))
+        });
+        let faults = (0..self.faults)
+            .map(|_| {
+                let node = NodeId(rng.below(u64::from(deployment.len() as u32)) as u32);
+                let when = if rng.chance(0.5) {
+                    When::OnTick {
+                        node,
+                        tick: rng.below(self.horizon_ms / 200 + 1),
+                    }
+                } else {
+                    When::Ms(rng.below(self.horizon_ms))
+                };
+                let fault = match rng.below(4) {
+                    0 => Fault::Crash(node),
+                    1 => Fault::Reboot(node),
+                    2 => Fault::Rate(node, 1.0),
+                    _ => Fault::Rate(node, rng.uniform_range(0.5, 2.0)),
+                };
+                (when, fault)
+            })
+            .collect();
+        World {
+            deployment,
+            environment,
+            radius: rng.uniform_range(1.1, 2.6),
+            late,
+            faults,
+            horizon,
+        }
+    }
+}
+
+/// One magnetic target of a drawn kind over a field with `bounds`, present
+/// from `from`: its path starts inside the field and may end outside it.
+fn target(rng: &mut SimRng, id: u32, bounds: Aabb, from: Timestamp) -> Target {
+    let mut inside = || {
+        Point::new(
+            rng.uniform_range(bounds.min.x, bounds.max.x.max(bounds.min.x + 1e-6)),
+            rng.uniform_range(bounds.min.y, bounds.max.y.max(bounds.min.y + 1e-6)),
+        )
+    };
+    let (a, b) = (inside(), inside());
+    let kind = KINDS[rng.below(KINDS.len() as u64) as usize];
+    let speed = rng.uniform_range(0.5, 6.0);
+    // Past the field's far corner: some paths leave it.
+    let away = Point::new(b.x * 2.0 + 3.0, b.y + 1.0);
+    let disk = |radius| Emission {
+        channel: Channel::Magnetic,
+        strength: 1.0,
+        falloff: Falloff::Disk { radius },
+    };
+    let radius = rng.uniform_range(0.6, 2.5);
+    let (trajectory, emission) = match kind {
+        Kind::Linear => (Trajectory::line(a, away, speed), disk(radius)),
+        Kind::Looped => (Trajectory::waypoints(vec![a, b, away], speed).looped(), disk(radius)),
+        Kind::GrowingDisk => {
+            let falloff = Falloff::GrowingDisk {
+                initial_radius: 0.2,
+                growth_per_sec: rng.uniform_range(0.2, 2.0),
+                max_radius: radius * 2.0,
+            };
+            let emission = Emission {
+                channel: Channel::Magnetic,
+                strength: 1.0,
+                falloff,
+            };
+            (Trajectory::stationary(a), emission)
+        }
+        Kind::InverseLaw => {
+            let emission = Emission {
+                channel: Channel::Magnetic,
+                strength: 0.6,
+                falloff: Falloff::InverseSquare { floor: 0.5 },
+            };
+            (Trajectory::line(a, b, speed), emission)
+        }
+    };
+    let trajectory = trajectory.starting_at(from);
+    let appears = from + SimDuration::from_millis(rng.below(800));
+    Target::new(TargetId(id), trajectory, vec![emission]).active_between(appears, Timestamp::MAX)
 }
