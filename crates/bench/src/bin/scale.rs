@@ -240,6 +240,12 @@ fn main() -> ExitCode {
             .field_u64("samples_walked", p.sensing.coverage.walked)
             .field_u64("coverage_rebuilds", p.sensing.coverage.rebuilds)
             .field_u64("sense_verdicts", p.sensing.verdicts)
+            .field_u64("sense_parked", p.sensing.parked)
+            .field_u64("sense_settled", p.sensing.settled)
+            .field_u64(
+                "popped_events",
+                p.event_list.lane_pops + p.event_list.heap_pops,
+            )
             .field_u64("lane_pops", p.event_list.lane_pops)
             .field_u64("heap_pops", p.event_list.heap_pops)
             .field_u64("inline_events", p.event_list.inline_scheduled)

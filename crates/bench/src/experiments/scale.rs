@@ -352,8 +352,12 @@ mod tests {
         let leaders_beat = fired > 0 && a.timers.live[0] > 0;
         assert!(leaders_beat, "{:?}", a.timers);
         let list = a.event_list;
-        assert_eq!(list.lane_pops + list.heap_pops, a.events);
-        assert!(list.heap_pops <= list.inline_scheduled + list.boxed_scheduled);
+        assert_eq!(list.lane_pops + list.heap_pops + a.sensing.settled, a.events);
+        assert!(a.sensing.settled > 0 && a.sensing.parked > 0, "{:?}", a.sensing);
+        // Off the heap come the inline and boxed events, and the ticks and
+        // wake events of parking: at most one re-arm and one wake a parking.
+        let parking = 2 * a.sensing.parked;
+        assert!(list.heap_pops <= list.inline_scheduled + list.boxed_scheduled + parking);
         assert!(a.events > 0, "a 200-node field must execute events");
         assert!(a.labels_created >= 1, "targets should be detected: {a:?}");
     }

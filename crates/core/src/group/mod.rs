@@ -327,6 +327,20 @@ impl GroupMachine {
         }
     }
 
+    /// The machine a rebooted node starts with: a fresh one, bar the
+    /// formation timer's arming count. A formation timer armed before the
+    /// reboot still fires; were the count to start over, the first arming
+    /// after it would take that timer's token, and the old firing would end
+    /// the new jitter early.
+    pub(crate) fn rebooted(&self) -> Self {
+        let mut formation = self.formation.clone();
+        formation.cancel();
+        GroupMachine {
+            formation,
+            ..GroupMachine::new(self.node, self.type_id)
+        }
+    }
+
     /// The node this machine runs on.
     #[must_use]
     pub(crate) fn node(&self) -> NodeId {

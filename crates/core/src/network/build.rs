@@ -14,10 +14,12 @@ use envirotrack_world::sensing::Environment;
 
 use super::events::Recorder;
 use super::link::LinkReliability;
-use super::node::{HotRecords, Layers, NodeState, SenseState};
+use super::node::{Clocks, HotRecords, Layers, Nodes, SenseState};
+use super::park::Parking;
 use super::sense::{self, Sensing};
 use super::{SensorNetwork, TimerWork, K};
 use crate::api::Program;
+use crate::context::ContextTypeId;
 use crate::config::MiddlewareConfig;
 use crate::report::BaseStationLog;
 use crate::shard::ShardState;
@@ -82,6 +84,7 @@ impl SensorNetwork {
             .expect("invalid middleware configuration");
         let master = SimRng::seed_from(seed);
         let telemetry = Telemetry::new();
+        let park = Parking::new(Arc::clone(&topology));
         let mut medium = Medium::with_topology(topology, config.radio.clone(), &master);
         medium.attach_telemetry(telemetry.clone());
         let period = config.middleware.sense_period;
@@ -91,7 +94,8 @@ impl SensorNetwork {
             .map(|(_, pos)| SenseState::new(pos, sensing.cell(pos)))
             .collect();
         SensorNetwork {
-            nodes: NodeState::all(deployment.len(), &master),
+            nodes: Nodes::new(deployment.len(), &master),
+            clocks: Clocks::default(),
             layers: Layers::new(deployment.len(), &master, &program),
             program,
             config,
@@ -100,6 +104,7 @@ impl SensorNetwork {
             medium,
             sense: HotRecords::new(sense),
             sensing,
+            park,
             timers: TimerWork::default(),
             rec: Recorder::new(telemetry),
             base_log: BaseStationLog::default(),
@@ -113,6 +118,8 @@ impl SensorNetwork {
             records_in_id_order: false,
             #[cfg(test)]
             cold_records_up_front: false,
+            #[cfg(test)]
+            ticks_every_period: false,
         }
     }
 
@@ -185,11 +192,10 @@ impl SensorNetwork {
             if !self.owns(id) {
                 continue;
             }
-            let phase = SimDuration::from_micros(
-                self.nodes[id.index()].rng.below(period.as_micros().max(1)),
-            );
-            starts.push((phase, id));
+            let phase = self.nodes.draw_phase(id, period.as_micros().max(1));
+            starts.push((SimDuration::from_micros(phase), id));
         }
+        self.nodes.phases_drawn(period.as_micros().max(1));
         // Armed in firing order — id order among equal phases, the order
         // arming by id gave them — every loop goes straight onto the kernel's
         // recurring lane and the heap never holds one entry per node. The
@@ -203,17 +209,26 @@ impl SensorNetwork {
         #[cfg(test)]
         let order = order.filter(|_| !in_id_order);
         self.sense.lay_out(order);
-        k.reserve_recurring(starts.len());
-        for (phase, id) in starts {
+        // A loop that would only charge its node's CPU until a target comes
+        // near is parked from the start (`park.rs`): not armed at all. The
+        // pinned objects' hosts lead from the start, and are armed.
+        let program = Arc::clone(&self.program);
+        let pinned = program.type_ids().filter(|&tid| program.spec(tid).pinned.is_some());
+        let hosts: Vec<(ContextTypeId, NodeId)> = pinned
+            .map(|tid| (tid, self.deployment.nearest(program.spec(tid).pinned.expect("pinned"))))
+            .collect();
+        let mut armed = starts;
+        if self.start_parking(k, &armed) {
+            let hosts: Vec<NodeId> = hosts.iter().map(|&(_, host)| host).collect();
+            armed.retain(|&(phase, id)| hosts.contains(&id) || !self.park_at_birth(k, id, phase));
+        }
+        k.reserve_recurring(armed.len());
+        for (phase, id) in armed {
             let word = sense::lane_word(self.sense.slot(id), id);
             self.arm_sense_tick(k, k.now() + phase, word, true);
         }
         // Instantiate static (pinned) objects on their host nodes.
-        for tid in self.program.type_ids() {
-            let Some(at) = self.program.spec(tid).pinned else {
-                continue;
-            };
-            let host = self.deployment.nearest(at);
+        for (tid, host) in hosts {
             if self.owns(host) {
                 self.run_machine(k, host, tid, |machine, ctx| machine.instantiate_pinned(ctx));
             }

@@ -5,7 +5,7 @@ use envirotrack_net::medium::{GilbertElliott, LinkFaults, Medium};
 use envirotrack_sim::time::Timestamp;
 use envirotrack_world::field::NodeId;
 
-use super::node::{self, HotRecords, Layers, NodeState};
+use super::node::{self, Clocks, HotRecords, Layers};
 
 /// One fault, applied to a world by [`super::SensorNetwork::apply_fault`]:
 /// scripted by a chaos plan on a monolithic run, or handed to
@@ -51,7 +51,7 @@ impl FaultEvent {
         now: Timestamp,
         medium: &mut Medium,
         sense: &mut HotRecords,
-        nodes: &mut [NodeState],
+        clocks: &mut Clocks,
         layers: &mut Layers,
         drives: impl Fn(NodeId) -> bool,
     ) {
@@ -76,9 +76,9 @@ impl FaultEvent {
                     (0.5..=2.0).contains(rate),
                     "clock rate {rate} outside the bounded-skew range [0.5, 2.0]"
                 );
-                let clock = &mut nodes[node.index()].clock;
-                clock.set_rate(*rate, now);
-                sense[*node].clock_nominal = clock.is_nominal();
+                let hot = &mut sense[*node];
+                hot.clock_nominal = clocks.set_rate(*node, *rate, now);
+                hot.skewed |= !hot.clock_nominal;
             }
         }
     }

@@ -7,7 +7,6 @@ use envirotrack_sim::engine::Kernel;
 use envirotrack_sim::time::Timestamp;
 use envirotrack_world::field::NodeId;
 
-use super::node::NodeState;
 use super::SensorNetwork;
 
 /// The heap bytes of a world and its kernel, one field per layer. What is
@@ -23,9 +22,10 @@ pub struct HeapBytes {
     pub medium: u64,
     /// The node positions, which the grid and every shard replica share.
     pub deployment: u64,
-    /// Every node's hot record and its slot.
+    /// Every node's hot record and its slot, and which are parked.
     pub hot: u64,
-    /// Every node's dense cold state: main stream, energy, clock.
+    /// Every node's slot of cold state, the cold states made — main
+    /// stream, energy — and the clocks whose rate was set.
     pub nodes: u64,
     /// Engaged records: the slot table, each record with its group
     /// machines and link tables.
@@ -90,8 +90,8 @@ impl SensorNetwork {
             kernel: kernel.heap_bytes() as u64,
             medium: self.medium.heap_bytes() as u64,
             deployment: self.deployment.heap_bytes() as u64,
-            hot: self.sense.heap_bytes() as u64,
-            nodes: (self.nodes.capacity() * size_of::<NodeState>()) as u64,
+            hot: (self.sense.heap_bytes() + self.park.heap_bytes()) as u64,
+            nodes: (self.nodes.heap_bytes() + self.clocks.heap_bytes()) as u64,
             telemetry: self.rec.telemetry.heap_bytes() as u64,
             events: self.rec.heap_bytes() as u64,
             base_log: (self.base_log.heap_bytes() + app_log) as u64,

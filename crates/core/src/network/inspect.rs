@@ -2,6 +2,7 @@
 //! and the experiment harness look at. Nothing here changes any state.
 
 use envirotrack_net::medium::NetStats;
+use envirotrack_node::cpu::costs;
 use envirotrack_node::energy::EnergyMeter;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::Telemetry;
@@ -171,16 +172,16 @@ impl SensorNetwork {
     /// Aggregate CPU statistics: `(admitted, dropped)` over all nodes.
     #[must_use]
     pub fn cpu_totals(&self) -> (u64, u64) {
-        self.sense.in_id_order().fold((0, 0), |(a, d), (_, hot)| {
+        self.sense.in_id_order().fold((0, 0), |(a, d), (id, hot)| {
             let s = hot.cpu.stats();
-            (a + s.admitted, d + s.dropped)
+            (a + s.admitted.wrapping_add_signed(self.pending_ticks(id)), d + s.dropped)
         })
     }
 
     /// The sensing driver's work counters (see [`SensingWork`]).
     #[must_use]
     pub fn sensing_work(&self) -> SensingWork {
-        self.sensing.work()
+        self.sensing.work(self.park.work())
     }
 
     /// How the group timers that fired were handled (see [`TimerWork`]).
@@ -223,7 +224,7 @@ impl SensorNetwork {
     /// A node's local clock reading at global instant `now`.
     #[must_use]
     pub fn local_clock(&self, node: NodeId, now: Timestamp) -> SimDuration {
-        self.nodes[node.index()].clock.local_time(now)
+        self.clocks.get(node).local_time(now)
     }
 
     /// The active partition mask, if any.
@@ -235,8 +236,15 @@ impl SensorNetwork {
     /// The marginal protocol energy spent by one node (radio + CPU).
     #[must_use]
     pub fn energy_at(&self, node: NodeId) -> EnergyMeter {
-        let mut m = self.nodes[node.index()].energy;
-        m.charge_cpu(self.sense[node].cpu.stats().busy);
+        let mut m = self.nodes.get(node).map_or_else(EnergyMeter::new, |s| s.energy);
+        let busy = self.sense[node].cpu.stats().busy;
+        let pending = self.pending_ticks(node);
+        let busy = if pending < 0 {
+            busy - costs::SENSE
+        } else {
+            busy + costs::SENSE * pending as u64
+        };
+        m.charge_cpu(busy);
         m
     }
 

@@ -62,8 +62,7 @@ mod inspect;
 mod link;
 mod mtp;
 mod node;
-#[cfg(test)]
-mod random_worlds;
+mod park;
 mod sense;
 mod timers;
 mod words;
@@ -87,7 +86,7 @@ use self::dir::Failover;
 use self::events::Recorder;
 use self::link::Decoded;
 pub use self::link::LinkReliability;
-use self::node::{Engaged, HotRecords, Layers, NodeState};
+use self::node::{Clocks, Engaged, HotRecords, Layers, Nodes};
 pub use self::sense::SensingWork;
 pub use self::timers::TimerWork;
 pub(crate) use self::words::MAX_TIMER_METHODS;
@@ -113,10 +112,13 @@ pub struct SensorNetwork {
     /// the ticks fire; what every node reads, by node id; and the layers and
     /// group machines of the nodes that use them, created on first use.
     sense: HotRecords,
-    nodes: Vec<NodeState>,
+    nodes: Nodes,
+    clocks: Clocks,
     layers: Layers,
     /// The sensing driver's coverage of `environment` and its work counters.
     sensing: sense::Sensing,
+    /// The nodes whose sensing loops are parked (`park.rs`).
+    park: park::Parking,
     /// How the group timers that fired were handled.
     timers: TimerWork,
     /// Event log, telemetry handle and label cache, lent to whichever
@@ -145,6 +147,10 @@ pub struct SensorNetwork {
     /// first use changes no byte of a run.
     #[cfg(test)]
     cold_records_up_front: bool,
+    /// Test hook: park no node, so that every tick of every loop runs, and
+    /// a test can pin that parking changes no byte of a run.
+    #[cfg(test)]
+    ticks_every_period: bool,
 }
 
 type K = Kernel<SensorNetwork>;
@@ -176,6 +182,7 @@ impl SensorNetwork {
     /// Panics on a clock rate outside the bounded-skew range `[0.5, 2.0]` —
     /// the protocol makes no claims under unbounded drift.
     pub fn apply_fault(&mut self, now: Timestamp, fault: &FaultEvent) {
+        self.touch_faulted(fault);
         let shard = self.shard.as_ref();
         let drives = |node| shard.is_none_or(|s| s.owns(node));
         if let FaultEvent::Reboot(node) = fault {
@@ -190,7 +197,7 @@ impl SensorNetwork {
             now,
             &mut self.medium,
             &mut self.sense,
-            &mut self.nodes,
+            &mut self.clocks,
             &mut self.layers,
             drives,
         );
@@ -274,7 +281,7 @@ impl SensorNetwork {
                 // never touches `wire_len`, so the on-air cost the energy
                 // model sees matches the monolithic `tx_time` charge.
                 let airtime = rtx.end - rtx.start;
-                self.nodes[src.index()].energy.charge_tx(airtime);
+                self.nodes.get_mut(src, true).energy.charge_tx(airtime);
             }
             let (local, completes_at) = self.medium.ingest_resolved(rtx);
             k.schedule_inline_at(completes_at, Self::transmission_complete, [local, 0]);
@@ -308,7 +315,8 @@ impl SensorNetwork {
         tid: ContextTypeId,
         f: impl FnOnce(&mut GroupMachine, &mut GroupCtx<'_>) -> Vec<GroupAction>,
     ) -> Vec<GroupAction> {
-        let (hot, rt) = (&mut self.sense[node], &mut self.nodes[node.index()]);
+        let driven = self.owns(node);
+        let (hot, rt) = (&mut self.sense[node], self.nodes.get_mut(node, driven));
         let machines = &mut self.layers.engage(node).machines;
         let mut ctx = GroupCtx {
             now,
@@ -342,7 +350,7 @@ impl SensorNetwork {
                     // Machines arm timers as delays on the node's local
                     // clock; convert through its clock model (exact
                     // identity at rate 1.0).
-                    let clock = &self.nodes[node.index()].clock;
+                    let clock = self.clocks.get(node);
                     let fire_at = now + clock.global_delay(at.saturating_since(now));
                     let words = words::pack(node, tid, key, token);
                     k.schedule_inline_at(fire_at, Self::group_timer, words);
@@ -441,11 +449,12 @@ impl SensorNetwork {
         if !frame.link_dst.accepts(node) {
             return;
         }
+        self.touch(node);
         let hot = &mut self.sense[node];
         // The radio spent the airtime decoding the frame whatever the CPU
         // does next; an overloaded one drops it (receive overflow).
         if hot.alive {
-            self.nodes[node.index()].energy.charge_rx(airtime);
+            self.nodes.get_mut(node, true).energy.charge_rx(airtime);
         }
         if !hot.admit(k.now(), costs::RX_HANDLE) {
             return;
@@ -657,6 +666,7 @@ impl SensorNetwork {
         // Reschedule first so the round survives any processing below.
         k.schedule_at(k.now() + period, move |w, k| w.gossip_tick(k, node, tid));
         // Overloaded CPUs skip the round; the next period retries.
+        self.touch(node);
         if self.sense[node].admit(k.now(), costs::TIMER_HANDLE) {
             self.push_dir_sync(k, node, tid);
         }
@@ -859,9 +869,7 @@ impl SensorNetwork {
         let Some(frame) = self.layers.engage(node).link.retry(link::MAX_ATTEMPTS, seq) else {
             return;
         };
-        let jitter = self.nodes[node.index()]
-            .rng
-            .below(link::RETRY_JITTER_MAX.as_micros());
+        let jitter = self.nodes.get_mut(node, true).rng.below(link::RETRY_JITTER_MAX.as_micros());
         let retry_at = k.now() + SimDuration::from_micros(jitter);
         k.schedule_at(retry_at + link::ACK_TIMEOUT, move |w, k| {
             w.link_retry(k, node, seq)
@@ -870,8 +878,9 @@ impl SensorNetwork {
     }
 
     fn transmit(&mut self, k: &mut K, node: NodeId, frame: Frame) {
+        self.touch(node);
         let cpu = &mut self.sense[node].cpu;
-        let energy = &mut self.nodes[node.index()].energy;
+        let energy = &mut self.nodes.get_mut(node, true).energy;
         let shard = self.shard.as_mut();
         let sent = link::transmit(cpu, energy, &mut self.medium, shard, k.now(), frame);
         if let Some(tx) = sent {
@@ -879,6 +888,9 @@ impl SensorNetwork {
         }
     }
 }
+
+#[cfg(test)]
+mod random_worlds;
 
 #[cfg(test)]
 mod tests {
@@ -1336,6 +1348,8 @@ mod tests {
             let (field, targets) = (scenario.deployment, scenario.environment);
             let config = NetworkConfig::default();
             let mut engine = SensorNetwork::build_engine(tracker(), field, targets, config, 9);
+            // Every tick of every loop: a parked loop pops nothing.
+            engine.world_mut().ticks_every_period = true;
             hook(engine.world_mut());
             engine.run_until(Timestamp::from_secs(10));
             engine.world().sensing_work()
@@ -1371,6 +1385,8 @@ mod tests {
         config.middleware.proximity_radius = 3.0;
         let (field, targets) = (scenario.deployment, scenario.environment);
         let mut engine = SensorNetwork::build_engine(tracker(), field, targets, config, 1);
+        // Every tick on the lane, none parked.
+        engine.world_mut().ticks_every_period = true;
         engine.run_until(Timestamp::from_secs(10));
         let work = engine.kernel().event_work();
         let ticks = engine.world().sensing_work().ticks;
@@ -1439,6 +1455,8 @@ mod tests {
             node: NodeId(500),
             rate: 0.5,
         };
+        // An empty field would park every other loop.
+        engine.world_mut().ticks_every_period = true;
         engine.world_mut().apply_fault(Timestamp::ZERO, &slow);
         // Sampled at instants spread over several of the slow node's periods.
         for ms in (450..=2_250).step_by(180) {

@@ -12,6 +12,7 @@
 //! fixed number of arrays plus one record per engaged node, and a layer's
 //! own tables start empty and grow on first use.
 
+use std::collections::BTreeMap;
 use std::ops::{Index, IndexMut};
 
 use envirotrack_node::cpu::{costs, MoteCpu};
@@ -90,6 +91,10 @@ pub(super) struct SenseState {
     /// Every group machine of the node is idle with no formation timer
     /// pending (see `sense.rs`). Kept by `drive_machine` and [`reboot`].
     pub(super) quiescent: bool,
+    /// The node's clock has left the nominal rate at some point, so its
+    /// ticks no longer keep the phase its record's slot was laid out by:
+    /// it never parks (`park.rs`).
+    pub(super) skewed: bool,
     /// The coverage cell `pos` lies in
     /// ([`Coverage::cell_index`](envirotrack_world::sensing::Coverage::cell_index)),
     /// worked out once: a node never moves.
@@ -104,6 +109,7 @@ impl SenseState {
             alive: true,
             clock_nominal: true,
             quiescent: true,
+            skewed: false,
             cell,
         }
     }
@@ -140,6 +146,11 @@ impl HotRecords {
             records,
             slots: (0..n).collect(),
         }
+    }
+
+    /// How many records there are.
+    pub(super) fn len(&self) -> usize {
+        self.records.len()
     }
 
     /// The record in `slot`.
@@ -230,32 +241,149 @@ impl IndexMut<NodeId> for HotRecords {
     }
 }
 
-/// The dense cold half of a node, by node id: what every node reads,
-/// whether or not it ever uses a protocol layer — its main stream (the
-/// bootstrap draws its sensing phase from it, and a noisy sample its noise),
-/// its radio energy and its clock.
+/// The dense cold half of a node: its main stream (the bootstrap draws
+/// its sensing phase from it, and a noisy sample its noise) and its radio
+/// energy. Its clock is in [`Clocks`].
 pub(super) struct NodeState {
     pub(super) rng: SimRng,
     /// Marginal radio energy (CPU energy derives from the CPU meter).
     pub(super) energy: EnergyMeter,
-    /// The node's local clock (skew/drift model).
-    pub(super) clock: NodeClock,
 }
 
-impl NodeState {
-    /// Every node's dense cold half, in id order. A node's stream is the
-    /// `"node"` fork of `master`, indexed by its id.
-    pub(super) fn all(nodes: usize, master: &SimRng) -> Vec<Self> {
-        let main = master.fork("node");
-        (0..nodes as u64)
-            .map(|id| NodeState {
-                rng: main.indexed(id),
+/// How many states a block of [`Nodes`] holds.
+const CHUNK: u32 = 256;
+
+/// Every node's [`NodeState`], made on the node's first use of it: a node
+/// that only ever senses — most of a large field — never draws a number or
+/// spends radio energy, and holds none. Its stream is the `"node"` fork of
+/// the master stream, indexed by its id, less the draw the bootstrap took
+/// for its phase: what it would have held from the start, so when it is
+/// made changes no byte of a run.
+pub(super) struct Nodes {
+    main: SimRng,
+    /// `slots[id]` is one more than where node `id`'s state is, or zero.
+    slots: Vec<u32>,
+    /// The states made, [`CHUNK`] to a block that never grows: the table
+    /// grows by a block, not by copying itself into one twice its size.
+    states: Vec<Vec<NodeState>>,
+    made: u32,
+    /// The sensing period the bootstrap drew the driven nodes' phases
+    /// over, in microseconds, once it has.
+    drawn: Option<u64>,
+}
+
+impl Nodes {
+    /// No state yet for any of `nodes` nodes.
+    pub(super) fn new(nodes: usize, master: &SimRng) -> Self {
+        Nodes {
+            main: master.fork("node"),
+            slots: vec![0; nodes],
+            states: Vec::new(),
+            made: 0,
+            drawn: None,
+        }
+    }
+
+    pub(super) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The sensing phase the bootstrap draws from `node`'s stream, over
+    /// `period` µs: from its state if it has one, which the draw advances.
+    pub(super) fn draw_phase(&mut self, node: NodeId, period: u64) -> u64 {
+        match self.slots[node.index()].checked_sub(1) {
+            Some(i) => self.at(i).rng.below(period),
+            None => self.main.indexed(u64::from(node.0)).below(period),
+        }
+    }
+
+    /// The `i`-th state made.
+    #[inline]
+    fn at(&mut self, i: u32) -> &mut NodeState {
+        &mut self.states[(i / CHUNK) as usize][(i % CHUNK) as usize]
+    }
+
+    /// [`Nodes::draw_phase`] asked ahead, drawing nothing.
+    #[cfg(test)]
+    pub(super) fn phase(&self, node: NodeId, period: u64) -> u64 {
+        self.get(node).map_or_else(
+            || self.main.indexed(u64::from(node.0)).below(period),
+            |state| state.rng.clone().below(period),
+        )
+    }
+
+    /// Notes that the bootstrap drew the phases of the nodes it drives over
+    /// `period` µs.
+    pub(super) fn phases_drawn(&mut self, period: u64) {
+        self.drawn = Some(period);
+    }
+
+    /// `node`'s state, if it has one.
+    #[inline]
+    pub(super) fn get(&self, node: NodeId) -> Option<&NodeState> {
+        let i = self.slots[node.index()].checked_sub(1)?;
+        Some(&self.states[(i / CHUNK) as usize][(i % CHUNK) as usize])
+    }
+
+    /// `node`'s state, made now if it has none; `driven` says whether the
+    /// bootstrap drew its phase.
+    #[inline]
+    pub(super) fn get_mut(&mut self, node: NodeId, driven: bool) -> &mut NodeState {
+        if self.slots[node.index()] == 0 {
+            let mut rng = self.main.indexed(u64::from(node.0));
+            if let Some(period) = self.drawn.filter(|_| driven) {
+                rng.below(period);
+            }
+            if self.made.is_multiple_of(CHUNK) {
+                self.states.push(Vec::with_capacity(CHUNK as usize));
+            }
+            let block = self.states.last_mut().expect("a block with room");
+            block.push(NodeState {
+                rng,
                 energy: EnergyMeter::new(),
-                clock: NodeClock::ideal(),
-            })
-            .collect()
+            });
+            self.made += 1;
+            self.slots[node.index()] = self.made;
+        }
+        let i = self.slots[node.index()] - 1;
+        self.at(i)
+    }
+
+    /// The heap bytes of the slot table and the states.
+    pub(super) fn heap_bytes(&self) -> usize {
+        let blocks = self.states.iter().map(|b| b.capacity() * size_of::<NodeState>());
+        self.slots.capacity() * size_of::<u32>()
+            + self.states.capacity() * size_of::<Vec<NodeState>>()
+            + blocks.sum::<usize>()
     }
 }
+
+/// The clocks whose rate was ever set, by node. Every other node's clock
+/// is ideal, and takes no room: a fault may skew any node, but few are.
+#[derive(Default)]
+pub(super) struct Clocks(BTreeMap<NodeId, NodeClock>);
+
+impl Clocks {
+    /// `node`'s clock.
+    #[inline]
+    pub(super) fn get(&self, node: NodeId) -> NodeClock {
+        self.0.get(&node).copied().unwrap_or_else(NodeClock::ideal)
+    }
+
+    /// Sets `node`'s clock rate at `now` ([`NodeClock::set_rate`]), and says
+    /// whether it is nominal.
+    pub(super) fn set_rate(&mut self, node: NodeId, rate: f64, now: Timestamp) -> bool {
+        let clock = self.0.entry(node).or_insert_with(NodeClock::ideal);
+        clock.set_rate(rate, now);
+        clock.is_nominal()
+    }
+
+    /// The heap bytes of the table, counted per entry.
+    pub(super) fn heap_bytes(&self) -> usize {
+        self.0.len() * size_of::<(NodeId, NodeClock)>()
+    }
+}
+
 
 /// What a node holds once it uses a protocol layer: one state value per
 /// layer and its group machines. The parts most engaged nodes never use —
@@ -411,8 +539,8 @@ pub(super) fn reboot(id: NodeId, hot: &mut SenseState, layers: &mut Layers) {
     let Some(record) = layers.records[id.index()].as_deref_mut() else {
         return;
     };
-    for (tid, machine) in (0..).map(ContextTypeId).zip(&mut record.machines) {
-        *machine = GroupMachine::new(id, tid);
+    for machine in &mut record.machines {
+        *machine = machine.rebooted();
     }
     record.mtp.reboot();
     if let Some(dir) = record.dir_if_any() {

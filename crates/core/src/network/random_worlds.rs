@@ -25,14 +25,16 @@ use crate::report::telemetry_to_jsonl;
 
 #[path = "../../../world/tests/support/random_world.rs"]
 mod random_world;
-use random_world::{arb_world, Fault, WorldDraw, When};
+use random_world::{arb_world, Fault, When, WorldDraw};
+
+/// At a pause: `kernel.events`, sensing ticks and admissions, CPU totals,
+/// and the bits of the fleet's energy.
+type Pause = (u64, u64, u64, (u64, u64), u64);
 
 /// Everything a run put out and everything its readers saw.
 #[derive(Debug, PartialEq)]
 struct Seen {
-    /// Per pause: `kernel.events`, sensing ticks and admissions, CPU
-    /// totals, and the bits of the fleet's energy.
-    pauses: Vec<(u64, u64, u64, (u64, u64), u64)>,
+    pauses: Vec<Pause>,
     /// Per probe firing: the instant, and the bits of the node's energy.
     probes: Vec<(u64, u64)>,
     log: String,
@@ -53,6 +55,11 @@ fn tick_instant(world: &SensorNetwork, node: NodeId, tick: u64) -> Timestamp {
 
 /// Runs `draw` with `hook` set, pausing at three instants on the way.
 fn run(draw: &WorldDraw, hook: fn(&mut SensorNetwork)) -> Seen {
+    run_with_work(draw, hook).0
+}
+
+/// [`run`], and how the sensing was done.
+fn run_with_work(draw: &WorldDraw, hook: fn(&mut SensorNetwork)) -> (Seen, SensingWork) {
     let world = draw.build();
     let mut config = NetworkConfig::default();
     config.radio = config.radio.with_comm_radius(world.radius);
@@ -72,23 +79,20 @@ fn run(draw: &WorldDraw, hook: fn(&mut SensorNetwork)) -> Seen {
         };
         engine
             .kernel_mut()
-            .schedule_at(at, move |w: &mut SensorNetwork, k| w.apply_fault(k.now(), &fault));
+            .schedule_at(at, move |w: &mut SensorNetwork, k| {
+                w.apply_fault(k.now(), &fault)
+            });
     }
     if let Some((at, target)) = world.late {
         engine
             .kernel_mut()
-            .schedule_at(at, move |w: &mut SensorNetwork, _| w.environment.add_target(target));
+            .schedule_at(at, move |w: &mut SensorNetwork, _| w.add_target(target));
     }
     // A reader with the sensing period itself, armed on a tick of the node
     // it reads, so each of its readings ties with one of that node's ticks.
     let probes = Rc::new(RefCell::new(Vec::new()));
     let node = NodeId((draw.seed % n) as u32);
-    fn probe(
-        w: &mut SensorNetwork,
-        k: &mut K,
-        node: NodeId,
-        log: Rc<RefCell<Vec<(u64, u64)>>>,
-    ) {
+    fn probe(w: &mut SensorNetwork, k: &mut K, node: NodeId, log: Rc<RefCell<Vec<(u64, u64)>>>) {
         let energy = w.energy_at(node).total_millijoules().to_bits();
         log.borrow_mut().push((k.now().as_micros(), energy));
         let period = w.config.middleware.sense_period;
@@ -115,12 +119,13 @@ fn run(draw: &WorldDraw, hook: fn(&mut SensorNetwork)) -> Seen {
     }
     let w = engine.world();
     let probes = probes.borrow().clone();
-    Seen {
+    let seen = Seen {
         pauses,
         probes,
         log: format!("{:#?}", w.events().entries()),
         jsonl: telemetry_to_jsonl(w.telemetry()),
-    }
+    };
+    (seen, w.sensing_work())
 }
 
 /// The first place two runs part, as text.
@@ -152,8 +157,12 @@ fn first_difference(a: &Seen, b: &Seen) -> String {
     lines("telemetry", &a.jsonl, &b.jsonl)
 }
 
+/// A test hook of the world, by name.
+type Hook = (&'static str, fn(&mut SensorNetwork));
+
 /// Every hook of the world, each on its own.
-const HOOKS: [(&str, fn(&mut SensorNetwork)); 4] = [
+const HOOKS: [Hook; 5] = [
+    ("ticks_every_period", |w| w.ticks_every_period = true),
     ("sense_loops_on_heap", |w| w.sense_loops_on_heap = true),
     ("ticks_enter_machines", |w| w.ticks_enter_machines = true),
     ("records_in_id_order", |w| w.records_in_id_order = true),
@@ -177,4 +186,55 @@ prop_test! {
             );
         }
     }
+}
+
+/// The comparison means something only if the worlds park: over a fixed
+/// set of noiseless worlds with targets and faults, nodes park, ticks are
+/// settled in closed form, and parked nodes are woken and touched.
+#[test]
+fn random_worlds_park_and_settle() {
+    let (mut parked, mut settled, mut ticks) = (0, 0, 0);
+    for seed in 0..24 {
+        let draw = WorldDraw {
+            nodes: 20 + seed as u32 * 5,
+            targets: 1 + seed as u32 % 4,
+            late: seed % 2 == 0,
+            noisy: false,
+            faults: 4,
+            horizon_ms: 3_000,
+            seed,
+        };
+        let (_, work) = run_with_work(&draw, |_| {});
+        (parked, settled, ticks) = (
+            parked + work.parked,
+            settled + work.settled,
+            ticks + work.ticks,
+        );
+    }
+    // Small fields under fast targets: nodes park often, for a few ticks.
+    assert!(settled * 20 > ticks, "{settled} of {ticks} ticks settled");
+    assert!(parked * 40 > ticks, "{parked} parkings in {ticks} ticks");
+}
+
+/// The first world the random comparison shrank a failure to. A node with a
+/// formation timer pending reboots; its next formation jitter used to take
+/// that old timer's token, so the old firing ended the new jitter early —
+/// on the plain run, where quiescent ticks leave the machine alone, and not
+/// on the hooked one, whose every tick cancels the idle machine's formation
+/// slot and so moves the token on. A rebooted machine now keeps the slot's
+/// arming count (`GroupMachine::rebooted`).
+#[test]
+fn a_rebooted_node_does_not_end_its_jitter_on_an_old_token() {
+    let draw = WorldDraw {
+        nodes: 4,
+        targets: 4,
+        late: true,
+        noisy: true,
+        faults: 2,
+        horizon_ms: 3_957,
+        seed: 16_349_479_290_556_416_176,
+    };
+    let plain = run(&draw, |_| {});
+    let hooked = run(&draw, |w| w.ticks_enter_machines = true);
+    assert!(plain == hooked, "{}", first_difference(&plain, &hooked));
 }

@@ -48,6 +48,12 @@ pub struct SensingWork {
     /// the field is noiseless, the cell clear, and the ambient levels do
     /// not activate the type.
     pub verdicts: u64,
+    /// Times a tick parked its node: its loop stopped re-arming (`park.rs`).
+    pub parked: u64,
+    /// Ticks of parked nodes settled in closed form, less the wake events
+    /// that ran in their stead (`park.rs`): with the event list's pops it
+    /// makes `kernel.events`. `ticks` and `admitted` count settled ticks.
+    pub settled: u64,
 }
 
 /// What the driver keeps between ticks.
@@ -59,8 +65,11 @@ pub(super) struct Sensing {
     /// environment's ambient levels and noise are fixed when it is built
     /// (only targets are added later), so this is worked out once.
     quiet: Vec<bool>,
-    ticks: u64,
-    admitted: u64,
+    /// Whether every type that takes readings is in `quiet`: a tick that
+    /// reads the ambient levels then acts on nothing.
+    idle: bool,
+    pub(super) ticks: u64,
+    pub(super) admitted: u64,
     strides: u64,
     verdicts: u64,
     /// The slot of the last tick's record.
@@ -75,12 +84,15 @@ impl Sensing {
         environment: &Environment,
     ) -> Self {
         let ambient = environment.ambient();
+        let quiet: Vec<bool> = program
+            .type_ids()
+            .map(|tid| !program.spec(tid).senses(&ambient, false))
+            .collect();
+        let reads = |tid: &crate::context::ContextTypeId| program.spec(*tid).pinned.is_none();
         Sensing {
             coverage: Coverage::new(field.bounds(), field.len(), sense_period),
-            quiet: program
-                .type_ids()
-                .map(|tid| !program.spec(tid).senses(&ambient, false))
-                .collect(),
+            idle: program.type_ids().filter(reads).all(|tid| quiet[usize::from(tid.0)]),
+            quiet,
             ticks: 0,
             admitted: 0,
             strides: 0,
@@ -95,26 +107,22 @@ impl Sensing {
         self.coverage.cell_index(pos)
     }
 
-    pub(super) fn work(&self) -> SensingWork {
+    /// Whether a quiescent tick that reads the ambient levels acts on
+    /// nothing, whatever the type.
+    pub(super) fn ambient_is_idle(&self) -> bool {
+        self.idle
+    }
+
+    pub(super) fn work(&self, (parked, settled): (u64, u64)) -> SensingWork {
         SensingWork {
             ticks: self.ticks,
             admitted: self.admitted,
             strides: self.strides,
             coverage: self.coverage.work(),
             verdicts: self.verdicts,
+            parked,
+            settled,
         }
-    }
-}
-
-#[cfg(test)]
-impl SensorNetwork {
-    /// The instant of `node`'s first sensing tick, as the bootstrap will
-    /// draw it: for tests that tie an event with a tick. Asked before the
-    /// bootstrap runs.
-    pub(super) fn first_tick(&self, node: NodeId) -> Timestamp {
-        let period = self.config.middleware.sense_period.as_micros().max(1);
-        let phase = self.nodes[node.index()].rng.clone().below(period);
-        Timestamp::from_micros(phase)
     }
 }
 
@@ -150,10 +158,11 @@ impl SensorNetwork {
     /// node has exactly one such loop, started by `bootstrap`; it outlives
     /// crashes (a dead node's tick only reschedules), so nothing may start a
     /// second one. The record is reached by its slot, never by the table.
-    fn sense_tick(&mut self, k: &mut K, word: u64) {
+    /// A tick that parks its node (`park.rs`) does not re-arm it.
+    pub(super) fn sense_tick(&mut self, k: &mut K, word: u64) {
         // Truncating casts: the halves `lane_word` put together.
         let (slot, node) = ((word >> 32) as u32, NodeId(word as u32));
-        let (i, now) = (node.index(), k.now());
+        let now = k.now();
         let sensing = &mut self.sensing;
         sensing.ticks += 1;
         if slot != sensing.last_slot.wrapping_add(1) {
@@ -175,8 +184,11 @@ impl SensorNetwork {
         let period = if hot.clock_nominal {
             nominal
         } else {
-            self.nodes[i].clock.global_delay(nominal)
+            self.clocks.get(node).global_delay(nominal)
         };
+        if period == nominal && self.park_tick(k, slot, node, now) {
+            return;
+        }
         // Reschedule first: the loop survives any processing below. A skewed
         // node stays off the lane: a slow clock's later deadline would become
         // the lane's tail and send every other node's tick to the heap until
@@ -221,7 +233,7 @@ impl SensorNetwork {
                 // Taken where the machine would take it, so any noise comes
                 // off the node's stream at the same point; through the
                 // coverage, which returns what the machine's walk would.
-                let (coverage, rng) = (&mut sensing.coverage, &mut self.nodes[i].rng);
+                let (coverage, rng) = (&mut sensing.coverage, &mut self.nodes.get_mut(node, true).rng);
                 let taken = self
                     .environment
                     .sample_covered(coverage, cell, pos, now, rng);
@@ -235,5 +247,16 @@ impl SensorNetwork {
                 machine.on_sense_tick(ctx)
             });
         }
+    }
+}
+
+#[cfg(test)]
+impl SensorNetwork {
+    /// The instant of `node`'s first sensing tick, as the bootstrap will
+    /// draw it: for tests that tie an event with a tick. Asked before the
+    /// bootstrap runs.
+    pub(super) fn first_tick(&self, node: NodeId) -> Timestamp {
+        let period = self.config.middleware.sense_period.as_micros().max(1);
+        Timestamp::from_micros(self.nodes.phase(node, period))
     }
 }

@@ -51,6 +51,7 @@ impl SensorNetwork {
     /// (`words.rs`).
     pub(super) fn group_timer(&mut self, k: &mut K, words: [u64; 2]) {
         let (node, tid, key, token) = words::unpack(words);
+        self.touch(node);
         let hot = &mut self.sense[node];
         if !hot.alive {
             return;

@@ -137,6 +137,20 @@ impl MoteCpu {
         Ok(Admission { ready_at: finish })
     }
 
+    /// Accounts `n` tasks of `cost`, the last of them offered at `last`,
+    /// each offered once the one before had drained: what `n` calls of
+    /// [`MoteCpu::admit`] would leave, in closed form. For a caller that
+    /// knows its periodic tasks found the CPU idle and admits them late.
+    pub fn settle(&mut self, n: u64, last: Timestamp, cost: SimDuration) {
+        if n == 0 {
+            return;
+        }
+        debug_assert!(cost <= self.max_backlog);
+        self.busy_until = last + cost;
+        self.stats.admitted += n;
+        self.stats.busy += cost * n;
+    }
+
     /// The instant the CPU drains its current backlog.
     #[must_use]
     pub fn busy_until(&self) -> Timestamp {

@@ -39,6 +39,26 @@
 //! Determinism: the event queue is FIFO among equal timestamps and all
 //! randomness flows from the seed, so two runs with identical configuration
 //! produce identical event sequences (see the integration tests).
+//!
+//! ## Skipped ticks
+//!
+//! A world whose periodic loops mostly find nothing to do may stop
+//! re-arming some of them and settle the ticks they skipped later, in
+//! closed form ([`Kernel::park_ticks`]). The world can do that arithmetic;
+//! what it cannot know is where a skipped tick at instant `t` falls among
+//! the other events at `t`, since only the kernel knows when each was
+//! armed. A tick at `t` was armed during the loop's tick at `t − p`, so it
+//! follows exactly the events armed before that moment. The kernel keeps,
+//! for every instant of the last period, that moment's push count — its
+//! *boundary* — on the assumption that the skipped tick at `t − p` itself
+//! sat at the boundary of its instant; a loop may stop only at a tick that
+//! does (nothing runs between the tick and the boundary), and from there
+//! the assumption is an induction one period at a time. DESIGN.md §10 has
+//! the argument.
+
+use std::cell::Cell;
+use std::collections::VecDeque;
+use std::rc::Rc;
 
 use envirotrack_telemetry::{CounterHandle, Telemetry};
 
@@ -94,6 +114,61 @@ pub struct EventWork {
     pub boxed_scheduled: u64,
 }
 
+/// What a world that skips ticks shares with the kernel
+/// ([`Kernel::park_ticks`]).
+#[derive(Debug, Default)]
+pub struct TickClock {
+    /// The current instant.
+    pub now: Cell<Timestamp>,
+    /// The current event's key; `u64::MAX` between run calls. A skipped
+    /// tick at `now` has run before the current event when this is at least
+    /// `boundary`.
+    pub key: Cell<u64>,
+    /// The tick boundary of `now`, as a key.
+    pub boundary: Cell<u64>,
+    /// Whether the current event, a recurring one, sits at the tick
+    /// boundary — nothing runs between it and a skipped tick at its
+    /// instant — so that its loop may stop re-arming here.
+    pub at_boundary: Cell<bool>,
+    /// Set by the world when it has ticks to re-arm: the kernel calls the
+    /// world's hook after the current event.
+    pub rearm: Cell<bool>,
+    /// The skipped ticks the world has settled, less the events it ran that
+    /// a tick-by-tick run has not (wrapping): the kernel counts them among
+    /// its events.
+    pub settled: Cell<u64>,
+}
+
+/// The kernel's record of tick boundaries (see the [module docs](self)).
+struct Ties<W> {
+    /// The loops' period in microseconds.
+    period: u64,
+    /// The instant of the events being run, the push count when it began,
+    /// and at its boundary (as of now while `open`).
+    instant: Timestamp,
+    start: u64,
+    beta: u64,
+    /// Whether the boundary of `instant` has yet to be passed.
+    open: bool,
+    /// Whether `instant` is in `ring` already.
+    recorded: bool,
+    /// The push count when ticks began to be skipped: the boundary of every
+    /// instant of the first period (see [`Kernel::park_ticks`]).
+    base: u64,
+    /// The boundary of this instant as a key: events with smaller keys
+    /// come before a skipped tick at it, the others after it.
+    boundary: u64,
+    /// Per instant of the last period that armed anything or passed its
+    /// boundary late, or at which a run call returned: when it began and
+    /// its boundary, as push counts. An instant that armed nothing and
+    /// passed its boundary at once has both where the next entry begins.
+    ring: VecDeque<(Timestamp, u64, u64)>,
+    clock: Rc<TickClock>,
+    /// The world's hook: re-arms ticks when asked, and settles its skipped
+    /// ticks when a run call returns (its flag).
+    hook: fn(&mut W, &mut Kernel<W>, bool),
+}
+
 /// The simulation kernel: virtual clock, future-event list, and seeded RNG.
 ///
 /// Handlers receive `&mut Kernel<W>` and use it to read the clock, draw
@@ -105,9 +180,11 @@ pub struct Kernel<W> {
     events_processed: u64,
     inline_scheduled: u64,
     boxed_scheduled: u64,
-    /// Pre-resolved `kernel.events` counter: the per-event accounting is one
-    /// cell increment instead of a registry borrow + name lookup.
+    /// The `kernel.events` counter, brought up to date when a run call
+    /// returns; `reported` is what it has been told.
     events_counter: Option<CounterHandle>,
+    reported: u64,
+    ties: Option<Box<Ties<W>>>,
 }
 
 impl<W> Kernel<W> {
@@ -120,13 +197,77 @@ impl<W> Kernel<W> {
             inline_scheduled: 0,
             boxed_scheduled: 0,
             events_counter: None,
+            reported: 0,
+            ties: None,
         }
     }
 
     /// Attaches the run-wide telemetry registry; the kernel counts every
-    /// executed event on it (`kernel.events`).
+    /// executed event on it (`kernel.events`), settled ticks included, as
+    /// of the last return from a run call.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.events_counter = Some(telemetry.counter_handle("kernel.events"));
+    }
+
+    /// Lets the world skip the ticks of loops with period `period` and
+    /// settle them itself (see the [module docs](self)): from now on the
+    /// kernel keeps the tick boundaries and shares what the world needs in
+    /// the returned [`TickClock`], calls `hook(world, kernel, false)` after
+    /// an event that set its `rearm`, and `hook(world, kernel, true)` when a
+    /// run call returns. A loop stopped at a tick that sat at the boundary
+    /// is armed again with [`Kernel::schedule_tick_at`].
+    pub fn park_ticks(
+        &mut self,
+        period: SimDuration,
+        hook: fn(&mut W, &mut Kernel<W>, bool),
+    ) -> Rc<TickClock> {
+        let pushes = self.queue.pushes();
+        let clock = Rc::new(TickClock::default());
+        clock.now.set(self.now);
+        clock.key.set(u64::MAX);
+        clock.boundary.set(2 * pushes);
+        self.ties = Some(Box::new(Ties {
+            period: period.as_micros().max(1),
+            instant: self.now,
+            start: pushes,
+            beta: pushes,
+            open: true,
+            recorded: false,
+            base: pushes,
+            boundary: 2 * pushes,
+            ring: VecDeque::new(),
+            clock: Rc::clone(&clock),
+            hook,
+        }));
+        clock
+    }
+
+    /// Arms `handler(world, kernel, arg)`, a loop's tick, at `at`, where
+    /// the tick armed at the boundary of instant `at − p` would run: after
+    /// every event armed before that moment, before every event armed
+    /// after it (see [`Kernel::park_ticks`]). For a loop that stopped
+    /// re-arming and must tick again. A tick of the first period goes
+    /// where the first ticks were armed; with `at − p` still to come it is
+    /// an event armed now, off the recurring lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past, or without [`Kernel::park_ticks`].
+    pub fn schedule_tick_at(&mut self, at: Timestamp, handler: RecurringFn<W>, arg: u64) {
+        self.assert_not_past(at);
+        let ties = self.ties.as_ref().expect("park_ticks first");
+        let event = Event::Recurring(handler, arg);
+        let Some(armed) = at.as_micros().checked_sub(ties.period) else {
+            let key = (2 * ties.base).saturating_sub(1);
+            return self.queue.push_at_key(at, key, event);
+        };
+        let armed = Timestamp::from_micros(armed);
+        if armed < ties.instant || (armed == ties.instant && !ties.open) {
+            let key = (2 * ties.boundary_of(armed)).saturating_sub(1);
+            self.queue.push_at_key(at, key, event);
+        } else {
+            self.queue.push(at, event);
+        }
     }
 
     /// The current virtual time.
@@ -211,10 +352,21 @@ impl<W> Kernel<W> {
         );
     }
 
-    /// Number of events executed so far in this run.
+    /// Number of events executed so far in this run, the ticks a world
+    /// settled instead ([`Kernel::park_ticks`]) included.
     #[must_use]
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        let settled = self.ties.as_ref().map_or(0, |t| t.clock.settled.get());
+        self.events_processed.wrapping_add(settled)
+    }
+
+    /// Brings `kernel.events` up to [`Kernel::events_processed`].
+    fn report_events(&mut self) {
+        let total = self.events_processed();
+        if let Some(c) = &self.events_counter {
+            c.add(total.wrapping_sub(self.reported));
+        }
+        self.reported = total;
     }
 
     /// Number of events still pending.
@@ -246,15 +398,88 @@ impl<W> Kernel<W> {
     }
 
     /// The heap bytes the event list holds — its heap, recurring lane and
-    /// slab, and each pending boxed closure — worked out from their
-    /// capacities when asked. Like [`Kernel::event_work`], for tests and
-    /// tools.
+    /// slab, and each pending boxed closure — and the tick boundaries it
+    /// keeps, worked out from their capacities when asked. Like
+    /// [`Kernel::event_work`], for tests and tools.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.queue.heap_bytes(|event| match event {
+        let ties = self.ties.as_deref().map_or(0, |t| {
+            // The box, the ring, and the clock's shared allocation.
+            size_of::<Ties<W>>()
+                + t.ring.capacity() * size_of::<(Timestamp, u64, u64)>()
+                + 2 * size_of::<usize>()
+                + size_of_val(&*t.clock)
+        });
+        ties + self.queue.heap_bytes(|event| match event {
             Event::Once(f) => size_of_val(&**f),
             Event::Recurring(..) | Event::Inline(..) => 0,
         })
+    }
+}
+
+impl<W> Ties<W> {
+    /// Starts instant `at`, `pushes` pushes into the run, closing the one
+    /// before.
+    fn enter(&mut self, at: Timestamp, pushes: u64) {
+        self.close(pushes, false);
+        (self.instant, self.start, self.beta) = (at, pushes, pushes);
+        (self.open, self.recorded) = (true, false);
+        // The ticks of the first period were armed together, when ticks
+        // began to be skipped.
+        self.boundary = match at.as_micros().checked_sub(self.period) {
+            None => 2 * self.base,
+            Some(armed) => {
+                let armed = Timestamp::from_micros(armed);
+                while self.ring.front().is_some_and(|e| e.0 < armed) {
+                    self.ring.pop_front();
+                }
+                // What `boundary_of` finds, at the front.
+                2 * match self.ring.front() {
+                    Some(&(instant, _, beta)) if instant == armed => beta,
+                    Some(&(_, start, _)) => start,
+                    None => self.start,
+                }
+            }
+        };
+    }
+
+    /// Passes the boundary of the current instant, `pushes` pushes in.
+    #[inline]
+    fn pass(&mut self, pushes: u64) {
+        self.beta = pushes;
+        self.open = false;
+    }
+
+    /// Ends the current instant `pushes` pushes in — its boundary, if not
+    /// yet passed, is its end — and records it if a lookup needs it to
+    /// (`keep`: a run call returns, and what is pushed next is pushed
+    /// after the instant).
+    fn close(&mut self, pushes: u64, keep: bool) {
+        if self.open {
+            self.pass(pushes);
+        }
+        let needed = keep || pushes != self.start || self.beta != self.start;
+        if needed && !self.recorded {
+            self.ring.push_back((self.instant, self.start, self.beta));
+            self.recorded = true;
+        }
+    }
+
+    /// The push count at the boundary of instant `at`, of the last period
+    /// and no later than the current instant: its own boundary if it is
+    /// recorded, otherwise where the next instant recorded began (nothing
+    /// was pushed in between).
+    fn boundary_of(&self, at: Timestamp) -> u64 {
+        if at == self.instant {
+            debug_assert!(!self.open, "the boundary of {at} is yet to come");
+            return self.beta;
+        }
+        let i = self.ring.partition_point(|e| e.0 < at);
+        match self.ring.get(i) {
+            Some(&(instant, _, beta)) if instant == at => beta,
+            Some(&(_, start, _)) => start,
+            None => self.start,
+        }
     }
 }
 
@@ -322,27 +547,99 @@ impl<W> Engine<W> {
     }
 
     /// Executes exactly one event if one is pending, returning its time.
+    /// `kernel.events` is brought up to date as by a run call, but a world
+    /// that skips ticks settles them only when a run call returns.
     pub fn step(&mut self) -> Option<Timestamp> {
-        let (at, event) = self.kernel.queue.pop()?;
-        self.dispatch(at, event);
+        let (at, key, event) = self.kernel.queue.pop_keyed(Timestamp::MAX)?;
+        self.dispatch(at, key, event);
+        self.kernel.report_events();
         Some(at)
     }
 
-    fn dispatch(&mut self, at: Timestamp, event: Event<W>) {
+    #[inline]
+    fn dispatch(&mut self, at: Timestamp, key: u64, event: Event<W>) {
         debug_assert!(
             at >= self.kernel.now,
             "event queue yielded an event from the past"
         );
         self.kernel.now = at;
         self.kernel.events_processed += 1;
-        if let Some(c) = &self.kernel.events_counter {
-            c.incr();
+        if self.kernel.ties.is_some() {
+            return self.dispatch_tied(at, key, event);
         }
         match event {
             Event::Once(f) => f(&mut self.world, &mut self.kernel),
             Event::Recurring(f, arg) => f(&mut self.world, &mut self.kernel, arg),
             Event::Inline(f, words) => f(&mut self.world, &mut self.kernel, words),
         }
+    }
+
+    /// [`Engine::dispatch`] for a world that skips ticks: the tick
+    /// boundary kept and shared first, the world's hook called after the
+    /// event when it asks.
+    fn dispatch_tied(&mut self, at: Timestamp, key: u64, event: Event<W>) {
+        let kernel = &mut self.kernel;
+        let pushes = kernel.queue.pushes();
+        let ties = kernel.ties.as_deref_mut().expect("tied");
+        if at != ties.instant {
+            ties.enter(at, pushes);
+            ties.clock.now.set(at);
+            ties.clock.boundary.set(ties.boundary);
+        }
+        let boundary = ties.boundary;
+        let after = key >= boundary;
+        let passes = ties.open && after;
+        if passes {
+            ties.pass(pushes);
+        }
+        ties.clock.key.set(key);
+        let at_boundary = matches!(event, Event::Recurring(..)) && {
+            // Nothing runs between a tick and the boundary: it is the first
+            // event past it, or the next event is past it.
+            passes
+                || !after
+                    && kernel
+                        .queue
+                        .peek_key()
+                        .is_none_or(|(t, k)| t > at || k >= boundary)
+        };
+        let ties = kernel.ties.as_deref().expect("tied");
+        ties.clock.at_boundary.set(at_boundary);
+        match event {
+            Event::Once(f) => f(&mut self.world, &mut self.kernel),
+            Event::Recurring(f, arg) => f(&mut self.world, &mut self.kernel, arg),
+            Event::Inline(f, words) => f(&mut self.world, &mut self.kernel, words),
+        }
+        let ties = self.kernel.ties.as_deref().expect("tied");
+        if ties.clock.rearm.get() {
+            let hook = ties.hook;
+            hook(&mut self.world, &mut self.kernel, false);
+        }
+    }
+
+    /// A run call's return: the instant it stopped at is over, so every
+    /// skipped tick up to it has run; the world settles them, and
+    /// `kernel.events` is brought up to date.
+    fn pause(&mut self) {
+        let now = self.kernel.now;
+        let pushes = self.kernel.queue.pushes();
+        if let Some(ties) = self.kernel.ties.as_deref_mut() {
+            if now != ties.instant {
+                ties.enter(now, pushes);
+            }
+            ties.close(pushes, true);
+            // The loops that stopped leave the lane mostly empty.
+            self.kernel.queue.shrink_lane();
+            let ties = self.kernel.ties.as_deref_mut().expect("tied");
+            let clock = &ties.clock;
+            clock.now.set(now);
+            clock.boundary.set(ties.boundary);
+            clock.key.set(u64::MAX);
+            clock.at_boundary.set(false);
+            let hook = ties.hook;
+            hook(&mut self.world, &mut self.kernel, true);
+        }
+        self.kernel.report_events();
     }
 
     /// Runs until the virtual clock reaches `horizon` or the queue drains;
@@ -361,19 +658,27 @@ impl<W> Engine<W> {
 
     fn run_capped(&mut self, horizon: Timestamp, limit: u64) -> RunOutcome {
         let start_processed = self.kernel.events_processed;
+        // Ticks a world asked to re-arm between run calls.
+        if let Some(ties) = self.kernel.ties.as_deref() {
+            if ties.clock.rearm.get() {
+                let hook = ties.hook;
+                hook(&mut self.world, &mut self.kernel, false);
+            }
+        }
         loop {
             if self.kernel.events_processed - start_processed >= limit {
                 self.assert_nothing_due(horizon, limit);
             }
-            let Some((at, event)) = self.kernel.queue.pop_due(horizon) else {
+            let Some((at, key, event)) = self.kernel.queue.pop_keyed(horizon) else {
                 self.kernel.now = self.kernel.now.max(horizon);
+                self.pause();
                 return if self.kernel.queue.is_empty() {
                     RunOutcome::QueueDrained
                 } else {
                     RunOutcome::HorizonReached
                 };
             };
-            self.dispatch(at, event);
+            self.dispatch(at, key, event);
         }
     }
 

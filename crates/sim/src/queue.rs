@@ -23,7 +23,7 @@
 //! ## Storage: slot slab + free-list
 //!
 //! Items live in a *slab* of slots; the heap orders lightweight
-//! `(time, seq, slot, generation)` entries that point into it. Popped and
+//! `(time, key, slot, generation)` entries that point into it. Popped and
 //! cancelled slots go onto a free-list and are reused by later pushes, so a
 //! steady-state simulation recycles a bounded working set of slots instead
 //! of growing (or repeatedly reallocating) per event. The indirection is
@@ -41,10 +41,10 @@
 //! those events will fire, so sorting them through the heap is wasted work.
 //! [`EventQueue::push_recurring`] appends such an event to a FIFO *lane*
 //! instead — but only when its time is not before the lane's tail, which
-//! keeps the lane sorted by `(time, seq)` whatever the caller does; any
+//! keeps the lane sorted by `(time, key)` whatever the caller does; any
 //! other push falls through to the heap. [`EventQueue::pop`] and
 //! [`EventQueue::peek_time`] take whichever of lane head and heap top has
-//! the smaller `(time, seq)`, which is the event the heap alone would have
+//! the smaller `(time, key)`, which is the event the heap alone would have
 //! yielded: the lane changes what a push costs, never the pop order. Lane
 //! entries hold their item inline (no slab slot) and cannot be cancelled.
 //!
@@ -55,6 +55,13 @@
 //! lane entries small — every one of them is read and written once per
 //! period, so their size is the lane's memory traffic. `EventQueue<E>` is
 //! `EventQueue<E, E>`: one item type, no conversion.
+//!
+//! ## Keys
+//!
+//! Same-instant order is by *key*: twice the push's sequence number. The
+//! odd keys between are for the kernel, which may place an event just
+//! before everything pushed from a given push on (`push_at_key`): where a
+//! push made at that moment would have gone, had it been made then.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -74,17 +81,17 @@ pub struct EventKey {
 
 /// One heap entry: ordering metadata plus a pointer into the slab. Ordered
 /// so that the binary heap (a max-heap) pops the earliest time first, then
-/// the lowest sequence number.
+/// the lowest key (see the [module docs](self)).
 struct Entry {
     at: Timestamp,
-    seq: u64,
+    key: u64,
     slot: u32,
     generation: u32,
 }
 
 impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.at == other.at && self.key == other.key
     }
 }
 impl Eq for Entry {}
@@ -99,7 +106,7 @@ impl Ord for Entry {
         other
             .at
             .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+            .then_with(|| other.key.cmp(&self.key))
     }
 }
 
@@ -120,9 +127,10 @@ pub struct EventQueue<E, L = E> {
     heap: BinaryHeap<Entry>,
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
-    /// The recurring lane, sorted by `(time, seq)` because a push is only
+    /// The recurring lane, sorted by `(time, key)` because a push is only
     /// accepted at or after its tail's time.
     lane: VecDeque<(Timestamp, u64, L)>,
+    /// Pushes so far: the next push's key is twice this.
     next_seq: u64,
     live: usize,
     lane_pops: u64,
@@ -152,9 +160,17 @@ impl<E, L: Into<E>> EventQueue<E, L> {
         if self.lane.back().is_some_and(|tail| at < tail.0) {
             return self.push(at, item.into());
         }
-        self.lane.push_back((at, self.next_seq, item));
+        self.lane.push_back((at, self.next_seq * 2, item));
         self.next_seq += 1;
         self.live += 1;
+    }
+
+    /// Gives back the room of a recurring lane that is less than a quarter
+    /// full, keeping twice what it holds.
+    pub(crate) fn shrink_lane(&mut self) {
+        if self.lane.len() * 4 < self.lane.capacity() {
+            self.lane.shrink_to(self.lane.len() * 2);
+        }
     }
 
     /// Makes room on the recurring lane for exactly `additional` more
@@ -167,8 +183,23 @@ impl<E, L: Into<E>> EventQueue<E, L> {
     /// Schedules `item` to fire at instant `at`, returning a key that can
     /// cancel it before it pops.
     pub fn push_keyed(&mut self, at: Timestamp, item: E) -> EventKey {
-        let seq = self.next_seq;
+        let key = self.next_seq * 2;
         self.next_seq += 1;
+        self.insert(at, key, item)
+    }
+
+    /// Schedules `item` at `at` with ordering key `key` (see the [module
+    /// docs](self)); the push counts for no sequence number.
+    pub(crate) fn push_at_key(&mut self, at: Timestamp, key: u64, item: E) {
+        let _ = self.insert(at, key, item);
+    }
+
+    /// Pushes made so far: the next one's key is twice this.
+    pub(crate) fn pushes(&self) -> u64 {
+        self.next_seq
+    }
+
+    fn insert(&mut self, at: Timestamp, key: u64, item: E) -> EventKey {
         let slot = match self.free.pop() {
             Some(i) => {
                 self.slots[i as usize].item = Some(item);
@@ -186,7 +217,7 @@ impl<E, L: Into<E>> EventQueue<E, L> {
         let generation = self.slots[slot as usize].generation;
         self.heap.push(Entry {
             at,
-            seq,
+            key,
             slot,
             generation,
         });
@@ -218,13 +249,19 @@ impl<E, L: Into<E>> EventQueue<E, L> {
     /// later. One merge of lane and heap where a [`EventQueue::peek_time`]
     /// followed by a [`EventQueue::pop`] would pay two.
     pub fn pop_due(&mut self, horizon: Timestamp) -> Option<(Timestamp, E)> {
+        self.pop_keyed(horizon).map(|(at, _, item)| (at, item))
+    }
+
+    /// [`EventQueue::pop_due`], with the event's key.
+    #[inline]
+    pub(crate) fn pop_keyed(&mut self, horizon: Timestamp) -> Option<(Timestamp, u64, E)> {
         let lane = self.lane.front().map(|e| (e.0, e.1));
         let heap = self.live_top();
         let from_lane = match (lane, heap) {
             (Some(l), Some(h)) => l < h,
             (l, _) => l.is_some(),
         };
-        let (at, _) = if from_lane { lane } else { heap }?;
+        let (at, key) = if from_lane { lane } else { heap }?;
         if at > horizon {
             return None;
         }
@@ -239,16 +276,25 @@ impl<E, L: Into<E>> EventQueue<E, L> {
             self.retire(entry.slot);
             item.expect("live generation implies an occupied slot")
         };
-        Some((at, item))
+        Some((at, key, item))
     }
 
-    /// The `(time, seq)` of the heap's earliest live entry. Discards any
+    /// The `(time, key)` of the earliest pending event, if any.
+    pub(crate) fn peek_key(&mut self) -> Option<(Timestamp, u64)> {
+        let lane = self.lane.front().map(|e| (e.0, e.1));
+        match (lane, self.live_top()) {
+            (Some(l), Some(h)) => Some(l.min(h)),
+            (l, h) => l.or(h),
+        }
+    }
+
+    /// The `(time, key)` of the heap's earliest live entry. Discards any
     /// cancelled entries sitting on top of the heap, so the answer is exact.
     fn live_top(&mut self) -> Option<(Timestamp, u64)> {
         loop {
             let entry = self.heap.peek()?;
             if self.slots[entry.slot as usize].generation == entry.generation {
-                return Some((entry.at, entry.seq));
+                return Some((entry.at, entry.key));
             }
             let _ = self.heap.pop();
         }

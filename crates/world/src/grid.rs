@@ -328,6 +328,16 @@ impl Topology {
         &self.positions
     }
 
+    /// The cell `node` is bucketed in, and every node of that cell in id
+    /// order. A world groups its nodes by these cells where it needs blocks
+    /// of neighbours, and finds a block's nodes without a table of its own.
+    #[must_use]
+    pub fn bucket_of(&self, node: NodeId) -> (usize, &[u32]) {
+        let cell = self.cells.index_of(self.positions[node.index()]);
+        let (from, to) = (self.starts[cell], self.starts[cell + 1]);
+        (cell, &self.ids[from as usize..to as usize])
+    }
+
     /// Calls `f` with every node within the radius of `node`, itself
     /// excluded: the candidates of the 9-cell stencil around it that pass
     /// the distance test, row by row. A row's three cells are adjacent in

@@ -433,6 +433,59 @@ impl Environment {
         true
     }
 
+    /// How long, from `from`, every sensor inside the box `[lo, hi]` reads
+    /// exactly the ambient levels with nothing drawn: the end of the
+    /// longest window `[from, end)` tried — `cap` long, or else `floor` long
+    /// and doubling up to `cap` — over which no target can pass the exact cull of
+    /// [`Environment::sample`] for a position in the box (`Target::sweep`,
+    /// the argument behind the [`Coverage`] windows, over the whole
+    /// window). `from` itself when the sensors are noisy, or the first
+    /// window is not quiet. A target that is not present yet counts from
+    /// the instant it appears; one added later is not seen.
+    #[must_use]
+    pub fn quiet_until(
+        &self,
+        lo: Point,
+        hi: Point,
+        from: Timestamp,
+        floor: SimDuration,
+        cap: SimDuration,
+    ) -> Timestamp {
+        if self.noise.noisy {
+            return from;
+        }
+        let reaches = |last: Timestamp| {
+            self.targets.iter().any(|target| {
+                let Some((at, half)) = target.sweep(from, last) else {
+                    return false;
+                };
+                let ordinary = half.is_finite() && at.x.is_finite() && at.y.is_finite();
+                !ordinary
+                    || !(at.x + half < lo.x
+                        || at.x - half > hi.x
+                        || at.y + half < lo.y
+                        || at.y - half > hi.y)
+            })
+        };
+        let (floor, cap) = (floor.max(SimDuration::from_micros(1)), cap.max(floor));
+        // Far from every target the whole cap is quiet: one look at each.
+        let until = |window: SimDuration| from.saturating_add(window - SimDuration::from_micros(1));
+        if !reaches(until(cap)) {
+            return from.saturating_add(cap);
+        }
+        let (mut quiet, mut window) = (from, floor);
+        loop {
+            if reaches(until(window)) {
+                return quiet;
+            }
+            quiet = from.saturating_add(window);
+            if window >= cap {
+                return quiet;
+            }
+            window = (window * 2).min(cap);
+        }
+    }
+
     /// Whether `cell` is clear in the window of `coverage` that holds `t`,
     /// rebuilt around `t` first if the one it has does not.
     #[inline]

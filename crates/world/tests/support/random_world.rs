@@ -245,7 +245,12 @@ pub enum Kind {
     InverseLaw,
 }
 
-const KINDS: [Kind; 4] = [Kind::Linear, Kind::Looped, Kind::GrowingDisk, Kind::InverseLaw];
+const KINDS: [Kind; 4] = [
+    Kind::Linear,
+    Kind::Looped,
+    Kind::GrowingDisk,
+    Kind::InverseLaw,
+];
 
 /// When a scheduled fault happens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -313,15 +318,17 @@ pub fn arb_world() -> impl Strategy<Value = WorldDraw> {
         600u64..4_000,
         any::<u64>(),
     )
-        .prop_map(|(nodes, targets, late, noisy, faults, horizon_ms, seed)| WorldDraw {
-            nodes,
-            targets,
-            late,
-            noisy,
-            faults,
-            horizon_ms,
-            seed,
-        })
+        .prop_map(
+            |(nodes, targets, late, noisy, faults, horizon_ms, seed)| WorldDraw {
+                nodes,
+                targets,
+                late,
+                noisy,
+                faults,
+                horizon_ms,
+                seed,
+            },
+        )
 }
 
 impl WorldDraw {
@@ -405,7 +412,10 @@ fn target(rng: &mut SimRng, id: u32, bounds: Aabb, from: Timestamp) -> Target {
     let radius = rng.uniform_range(0.6, 2.5);
     let (trajectory, emission) = match kind {
         Kind::Linear => (Trajectory::line(a, away, speed), disk(radius)),
-        Kind::Looped => (Trajectory::waypoints(vec![a, b, away], speed).looped(), disk(radius)),
+        Kind::Looped => (
+            Trajectory::waypoints(vec![a, b, away], speed).looped(),
+            disk(radius),
+        ),
         Kind::GrowingDisk => {
             let falloff = Falloff::GrowingDisk {
                 initial_radius: 0.2,
