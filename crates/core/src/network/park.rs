@@ -64,7 +64,7 @@ pub(super) struct Parking {
     count: u64,
     /// The sensing phase, in microseconds, of the first slot of every word
     /// of `bits` that holds driven nodes.
-    word_phase: Vec<u32>,
+    word_phase: Vec<u64>,
     /// Per grid cell, the instant it wakes at, zero if none, or one no
     /// more than a period ahead until which nothing parks there.
     wakes: Vec<Timestamp>,
@@ -121,7 +121,7 @@ impl Parking {
             .values()
             .map(|cells| size_of::<(Timestamp, Vec<u32>)>() + cells.capacity() * size_of::<u32>());
         self.bits.capacity() * 8
-            + self.word_phase.capacity() * 4
+            + self.word_phase.capacity() * 8
             + (self.wakes.capacity() + self.shun.capacity()) * size_of::<Timestamp>()
             + due.sum::<usize>()
             + self.rearm.capacity() * size_of::<(Timestamp, u64)>()
@@ -184,6 +184,8 @@ impl SensorNetwork {
     /// bootstrap, once the loops are armed.
     pub(super) fn start_parking(&mut self, k: &mut K, starts: &[(SimDuration, NodeId)]) -> bool {
         let period = self.config.middleware.sense_period;
+        // Settling reads phases off the slot order: records left in id
+        // order park nothing.
         #[cfg(test)]
         if self.ticks_every_period || self.records_in_id_order {
             return false;
@@ -197,7 +199,7 @@ impl SensorNetwork {
         park.word_phase = starts
             .iter()
             .step_by(64)
-            .map(|&(phase, _)| u32::try_from(phase.as_micros()).unwrap_or(u32::MAX))
+            .map(|&(phase, _)| phase.as_micros())
             .collect();
         park.clock = Some(k.park_ticks(period, |w, k, pause| w.tick_hook(k, pause)));
         true
@@ -275,7 +277,7 @@ impl SensorNetwork {
     /// How many parked nodes have a sensing phase of at most `phase` µs.
     fn parked_phases_upto(&self, phase: u64) -> u64 {
         let park = &self.park;
-        let words = park.word_phase.partition_point(|&f| u64::from(f) <= phase);
+        let words = park.word_phase.partition_point(|&f| f <= phase);
         let Some(last) = words.checked_sub(1) else {
             return 0;
         };
