@@ -4,9 +4,10 @@
 //! fields with targets that enter, leave and appear only later, noise on
 //! and off, and crashes, reboots and clock skew handed to `run_sharded` as
 //! its fault list — and hold 2, 4 and 8 shards to the full replay of one
-//! shard, byte for byte. A shard parks and settles only its own nodes, and
-//! pauses at every epoch barrier, so every barrier is a point at which its
-//! settled counts must already be right.
+//! shard, byte for byte. A field of 4 096 nodes or more parks its quiet
+//! sensing loops; a shard parks and settles only its own nodes, and pauses
+//! at every epoch barrier, so every barrier is a point at which its settled
+//! counts must already be right. The second property draws such fields.
 
 use envirotrack_bench::harness::tracker_program;
 use envirotrack_core::network::{FaultEvent, NetworkConfig};
@@ -58,20 +59,44 @@ fn sharded(draw: &WorldDraw, shards: usize) -> (String, String) {
     (run.telemetry_jsonl, run.record.to_json())
 }
 
+/// 2, 4 and 8 shards against one on `draw`: the first differing line, if
+/// any.
+fn shard_counts_agree(draw: &WorldDraw) -> Result<(), String> {
+    let one = sharded(draw, 1);
+    for shards in [2, 4, 8] {
+        let many = sharded(draw, shards);
+        if many != one {
+            let (a, b) = (one.0.lines(), many.0.lines());
+            let first = a.zip(b).find(|(l, r)| l != r);
+            return Err(format!("{shards} shards on {draw:?}: first difference {first:?}"));
+        }
+    }
+    Ok(())
+}
+
 prop_test! {
     #![config(Config::with_cases(24))]
 
     /// 2, 4 and 8 shards against one, on a random world with its faults.
     #[test]
     fn a_random_world_is_byte_identical_at_1_2_4_and_8_shards(draw in arb_world()) {
-        let one = sharded(&draw, 1);
-        for shards in [2, 4, 8] {
-            let many = sharded(&draw, shards);
-            if many != one {
-                let (a, b) = (one.0.lines(), many.0.lines());
-                let first = a.zip(b).find(|(l, r)| l != r);
-                prop_assert!(false, "{shards} shards on {draw:?}: first difference {first:?}");
-            }
-        }
+        let agree = shard_counts_agree(&draw);
+        prop_assert!(agree.is_ok(), "{}", agree.unwrap_err());
+    }
+}
+
+prop_test! {
+    #![config(Config::with_cases(4))]
+
+    /// The same on a field large enough to park, over a shorter horizon.
+    #[test]
+    fn a_parked_random_world_is_byte_identical_at_1_2_4_and_8_shards(draw in arb_world()) {
+        let draw = WorldDraw {
+            nodes: 4_096 + draw.nodes,
+            horizon_ms: draw.horizon_ms.min(1_500),
+            ..draw
+        };
+        let agree = shard_counts_agree(&draw);
+        prop_assert!(agree.is_ok(), "{}", agree.unwrap_err());
     }
 }

@@ -120,6 +120,8 @@ impl SensorNetwork {
             cold_records_up_front: false,
             #[cfg(test)]
             ticks_every_period: false,
+            #[cfg(test)]
+            phase_quantum: 0,
         }
     }
 
@@ -193,6 +195,8 @@ impl SensorNetwork {
                 continue;
             }
             let phase = self.nodes.draw_phase(id, period.as_micros().max(1));
+            #[cfg(test)]
+            let phase = phase - phase % self.phase_quantum.max(1);
             starts.push((SimDuration::from_micros(phase), id));
         }
         self.nodes.phases_drawn(period.as_micros().max(1));
@@ -220,7 +224,13 @@ impl SensorNetwork {
         let mut armed = starts;
         if self.start_parking(k, &armed) {
             let hosts: Vec<NodeId> = hosts.iter().map(|&(_, host)| host).collect();
-            armed.retain(|&(phase, id)| hosts.contains(&id) || !self.park_at_birth(k, id, phase));
+            let starts = std::mem::take(&mut armed);
+            for group in starts.chunk_by(|a, b| a.0 == b.0) {
+                let hosted = group.iter().any(|(_, id)| hosts.contains(id));
+                if hosted || !self.park_at_birth(k, group) {
+                    armed.extend_from_slice(group);
+                }
+            }
         }
         k.reserve_recurring(armed.len());
         for (phase, id) in armed {

@@ -151,6 +151,10 @@ pub struct SensorNetwork {
     /// a test can pin that parking changes no byte of a run.
     #[cfg(test)]
     ticks_every_period: bool,
+    /// Test setting: round every sensing phase down to a multiple of this
+    /// many µs (0: no rounding), so that many ticks share an instant.
+    #[cfg(test)]
+    phase_quantum: u64,
 }
 
 type K = Kernel<SensorNetwork>;

@@ -329,24 +329,31 @@ impl Nodes {
     /// bootstrap drew its phase.
     #[inline]
     pub(super) fn get_mut(&mut self, node: NodeId, driven: bool) -> &mut NodeState {
-        if self.slots[node.index()] == 0 {
-            let mut rng = self.main.indexed(u64::from(node.0));
-            if let Some(period) = self.drawn.filter(|_| driven) {
-                rng.below(period);
-            }
-            if self.made.is_multiple_of(CHUNK) {
-                self.states.push(Vec::with_capacity(CHUNK as usize));
-            }
-            let block = self.states.last_mut().expect("a block with room");
-            block.push(NodeState {
-                rng,
-                energy: EnergyMeter::new(),
-            });
-            self.made += 1;
-            self.slots[node.index()] = self.made;
+        let mut slot = self.slots[node.index()];
+        if slot == 0 {
+            slot = self.make(node, driven);
         }
-        let i = self.slots[node.index()] - 1;
-        self.at(i)
+        self.at(slot - 1)
+    }
+
+    /// Makes `node`'s state, and returns its slot.
+    #[cold]
+    fn make(&mut self, node: NodeId, driven: bool) -> u32 {
+        let mut rng = self.main.indexed(u64::from(node.0));
+        if let Some(period) = self.drawn.filter(|_| driven) {
+            rng.below(period);
+        }
+        if self.made.is_multiple_of(CHUNK) {
+            self.states.push(Vec::with_capacity(CHUNK as usize));
+        }
+        let block = self.states.last_mut().expect("a block with room");
+        block.push(NodeState {
+            rng,
+            energy: EnergyMeter::new(),
+        });
+        self.made += 1;
+        self.slots[node.index()] = self.made;
+        self.made
     }
 
     /// The heap bytes of the slot table and the states.

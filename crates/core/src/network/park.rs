@@ -50,6 +50,14 @@ const QUIET_PERIODS: u64 = 64;
 /// How long a cell a target was near goes untried, in sensing periods.
 const SHUN_PERIODS: u64 = 4;
 
+/// The fewest nodes a field parks at. Parking pays where idle loops are
+/// most of a period's work; on a smaller field its fixed costs — the
+/// kernel's boundary record on every event, a proof per cell, the re-arm
+/// churn — cost more than the ticks it saves (`traffic_dense`, 2 500
+/// nodes: −9 % `ops_per_s`; `paper_sweep`'s 12- and 20-node cells: −23 %).
+#[cfg_attr(test, allow(dead_code))]
+const PARK_MIN_NODES: usize = 4_096;
+
 /// What the world keeps about its parked nodes.
 pub(super) struct Parking {
     /// Shared with the kernel; `None` where no node can park (noise, a
@@ -184,13 +192,21 @@ impl SensorNetwork {
     /// bootstrap, once the loops are armed.
     pub(super) fn start_parking(&mut self, k: &mut K, starts: &[(SimDuration, NodeId)]) -> bool {
         let period = self.config.middleware.sense_period;
-        // Settling reads phases off the slot order: records left in id
-        // order park nothing.
+        // Settling reads phases off the slot order, and a re-armed loop
+        // keeps its place through the lane: records left in id order, and
+        // loops kept off the lane, park nothing.
         #[cfg(test)]
-        if self.ticks_every_period || self.records_in_id_order {
+        if self.ticks_every_period || self.records_in_id_order || self.sense_loops_on_heap {
             return false;
         }
-        if period <= costs::SENSE || !self.sensing.ambient_is_idle() {
+        // A slot is a re-armed tick's rank (`Kernel::schedule_tick_at`).
+        let ranked = self.sense.len() < (1 << 24) - 1;
+        if period <= costs::SENSE || !self.sensing.ambient_is_idle() || !ranked {
+            return false;
+        }
+        // Unit tests park any field, to check parking on small worlds.
+        #[cfg(not(test))]
+        if self.deployment.len() < PARK_MIN_NODES {
             return false;
         }
         let park = &mut self.park;
@@ -205,29 +221,41 @@ impl SensorNetwork {
         true
     }
 
-    /// Parks `node` from the start if its first tick, at `phase`, would
-    /// park it: its loop is then never armed. The first tick is applied to
-    /// the CPU now, ahead of its instant — readers take it back until then
+    /// Parks from the start the nodes of `starts` — driven nodes whose
+    /// first ticks fall at one instant, in slot order — if every one of
+    /// them would park at that tick, and says whether it did: their loops
+    /// are then never armed. A skipped first tick sits among the first
+    /// ticks in slot order, so it stands for its place only if no first tick
+    /// at its instant runs. Each first tick is applied to the CPU now, ahead
+    /// of its instant — readers take it back until then
     /// ([`Parking::pending`]), as does a touch that comes first.
-    pub(super) fn park_at_birth(&mut self, k: &mut K, node: NodeId, phase: SimDuration) -> bool {
-        let (slot, first) = (self.sense.slot(node), k.now() + phase);
-        let hot = self.sense.at(slot);
-        let idle = hot.alive && hot.quiescent && hot.clock_nominal && !hot.skewed;
-        if !(idle && hot.cpu.busy_until() <= first && hot.cell != Coverage::OFF_FIELD) {
+    pub(super) fn park_at_birth(&mut self, k: &mut K, starts: &[(SimDuration, NodeId)]) -> bool {
+        if self.park.clock.is_none() {
             return false;
         }
-        let wake = self.quiet_cell(k, node, k.now());
-        let park = &mut self.park;
-        if wake <= first + SimDuration::from_micros(park.period) {
+        let mut may = |w: &mut Self, &(phase, node): &(SimDuration, NodeId)| {
+            let first = k.now() + phase;
+            let hot = &w.sense[node];
+            let idle = hot.alive && hot.quiescent && hot.clock_nominal && !hot.skewed;
+            idle && hot.cpu.busy_until() <= first
+                && hot.cell != Coverage::OFF_FIELD
+                && w.quiet_cell(k, node, k.now()) > first + SimDuration::from_micros(w.park.period)
+        };
+        if !starts.iter().all(|start| may(self, start)) {
             return false;
         }
-        self.sense.at_mut(slot).cpu.settle(1, first, costs::SENSE);
-        park.bits[slot as usize / 64] |= 1 << (slot % 64);
-        park.count += 1;
-        park.parkings += 1;
-        // Settling counts the ticks after `since`: one at it is counted here.
-        if first == park.since {
-            park.extra += 1;
+        for &(phase, node) in starts {
+            let (slot, first) = (self.sense.slot(node), k.now() + phase);
+            self.sense.at_mut(slot).cpu.settle(1, first, costs::SENSE);
+            let park = &mut self.park;
+            park.bits[slot as usize / 64] |= 1 << (slot % 64);
+            park.count += 1;
+            park.parkings += 1;
+            // Settling counts the ticks after `since`: one at it is counted
+            // here.
+            if first == park.since {
+                park.extra += 1;
+            }
         }
         true
     }
@@ -240,7 +268,8 @@ impl SensorNetwork {
             clock.rearm.set(false);
         }
         for (at, word) in park.rearm.drain(..) {
-            k.schedule_tick_at(at, Self::sense_tick, word);
+            // Truncating: the slot half of the lane word.
+            k.schedule_tick_at(at, Self::sense_tick, word, (word >> 32) as u32);
         }
         if pause {
             self.settle_parked(k.now());
@@ -364,7 +393,7 @@ impl SensorNetwork {
         park.wakes[cell] = wake;
         let cells = park.due.entry(wake).or_default();
         if cells.is_empty() {
-            k.schedule_tick_at(wake, Self::wake_cells, wake.as_micros());
+            k.schedule_tick_at(wake, Self::wake_cells, wake.as_micros(), 0);
         }
         cells.push(node.0);
         wake

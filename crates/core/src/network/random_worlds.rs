@@ -50,7 +50,8 @@ fn tracker() -> Arc<Program> {
 /// The instant of `node`'s `tick`-th sensing tick on a nominal clock.
 fn tick_instant(world: &SensorNetwork, node: NodeId, tick: u64) -> Timestamp {
     let period = world.config.middleware.sense_period;
-    world.first_tick(node) + period * tick
+    let first = world.first_tick(node).as_micros();
+    Timestamp::from_micros(first - first % world.phase_quantum.max(1)) + period * tick
 }
 
 /// Runs `draw` with `hook` set, pausing at three instants on the way.
@@ -66,6 +67,11 @@ fn run_with_work(draw: &WorldDraw, hook: fn(&mut SensorNetwork)) -> (Seen, Sensi
     let (field, env) = (world.deployment, world.environment);
     let n = field.len() as u64;
     let mut engine = SensorNetwork::build_engine(tracker(), field, env, config, draw.seed);
+    // Half the worlds round their phases to 10 ms, so that ticks of many
+    // nodes share their instants.
+    if draw.seed.is_multiple_of(2) {
+        engine.world_mut().phase_quantum = 10_000;
+    }
     hook(engine.world_mut());
     for (when, fault) in world.faults {
         let at = match when {

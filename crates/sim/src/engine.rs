@@ -62,7 +62,10 @@ use std::rc::Rc;
 
 use envirotrack_telemetry::{CounterHandle, Telemetry};
 
-use crate::queue::EventQueue;
+use crate::queue::{EventQueue, KEY_SHIFT};
+
+/// The low bits of a key, which order the ticks of a boundary's group.
+const RANKS: u64 = (1 << KEY_SHIFT) - 1;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, Timestamp};
 
@@ -152,6 +155,10 @@ struct Ties<W> {
     open: bool,
     /// Whether `instant` is in `ring` already.
     recorded: bool,
+    /// Ticks armed one period on by ticks that sit in the boundary's group
+    /// at this instant, with their ranks: armed when the boundary passes,
+    /// where they then belong.
+    deferred: Vec<(Timestamp, LaneEvent<W>, u32)>,
     /// The push count when ticks began to be skipped: the boundary of every
     /// instant of the first period (see [`Kernel::park_ticks`]).
     base: u64,
@@ -225,7 +232,7 @@ impl<W> Kernel<W> {
         let clock = Rc::new(TickClock::default());
         clock.now.set(self.now);
         clock.key.set(u64::MAX);
-        clock.boundary.set(2 * pushes);
+        clock.boundary.set(pushes << KEY_SHIFT);
         self.ties = Some(Box::new(Ties {
             period: period.as_micros().max(1),
             instant: self.now,
@@ -233,8 +240,9 @@ impl<W> Kernel<W> {
             beta: pushes,
             open: true,
             recorded: false,
+            deferred: Vec::new(),
             base: pushes,
-            boundary: 2 * pushes,
+            boundary: pushes << KEY_SHIFT,
             ring: VecDeque::new(),
             clock: Rc::clone(&clock),
             hook,
@@ -245,29 +253,35 @@ impl<W> Kernel<W> {
     /// Arms `handler(world, kernel, arg)`, a loop's tick, at `at`, where
     /// the tick armed at the boundary of instant `at − p` would run: after
     /// every event armed before that moment, before every event armed
-    /// after it (see [`Kernel::park_ticks`]). For a loop that stopped
-    /// re-arming and must tick again. A tick of the first period goes
-    /// where the first ticks were armed; with `at − p` still to come it is
-    /// an event armed now, off the recurring lane.
+    /// after it, and among the ticks armed so by `rank` (see
+    /// [`Kernel::park_ticks`]). For a loop that stopped re-arming and must
+    /// tick again; its rank is its place in the order the loops were first
+    /// armed. A tick of the first period goes where the first ticks were
+    /// armed; with `at − p` still to come it is an event armed now, off the
+    /// recurring lane.
     ///
     /// # Panics
     ///
-    /// Panics if `at` is in the past, or without [`Kernel::park_ticks`].
-    pub fn schedule_tick_at(&mut self, at: Timestamp, handler: RecurringFn<W>, arg: u64) {
+    /// Panics if `at` is in the past, if `rank` is not under 2²⁴ − 1, or
+    /// without [`Kernel::park_ticks`].
+    pub fn schedule_tick_at(&mut self, at: Timestamp, handler: RecurringFn<W>, arg: u64, rank: u32) {
         self.assert_not_past(at);
+        assert!(rank < (1 << KEY_SHIFT) - 1, "tick rank {rank} out of range");
         let ties = self.ties.as_ref().expect("park_ticks first");
         let event = Event::Recurring(handler, arg);
-        let Some(armed) = at.as_micros().checked_sub(ties.period) else {
-            let key = (2 * ties.base).saturating_sub(1);
-            return self.queue.push_at_key(at, key, event);
+        let boundary = match at.as_micros().checked_sub(ties.period) {
+            None => ties.base,
+            Some(armed) => {
+                let armed = Timestamp::from_micros(armed);
+                if armed > ties.instant || (armed == ties.instant && ties.open) {
+                    return self.queue.push(at, event);
+                }
+                ties.boundary_of(armed)
+            }
         };
-        let armed = Timestamp::from_micros(armed);
-        if armed < ties.instant || (armed == ties.instant && !ties.open) {
-            let key = (2 * ties.boundary_of(armed)).saturating_sub(1);
-            self.queue.push_at_key(at, key, event);
-        } else {
-            self.queue.push(at, event);
-        }
+        // The boundary's group, just below its key, in rank order.
+        let key = (boundary.saturating_sub(1) << KEY_SHIFT) + 1 + u64::from(rank);
+        self.queue.push_at_key(at, key, event);
     }
 
     /// The current virtual time.
@@ -334,7 +348,49 @@ impl<W> Kernel<W> {
     /// Panics if `at` is in the past, like [`Kernel::schedule_at`].
     pub fn schedule_recurring_at(&mut self, at: Timestamp, handler: RecurringFn<W>, arg: u64) {
         self.assert_not_past(at);
+        if let Some(ties) = self.ties.as_deref_mut() {
+            // A tick armed by `schedule_tick_at` arms its successor in the
+            // same place one period on: in the boundary's group, by rank.
+            let key = ties.clock.key.get();
+            let ranked = key != u64::MAX && key & RANKS != 0;
+            if ranked && at.as_micros() == self.now.as_micros() + ties.period {
+                // Truncating: the rank is below 2²⁴.
+                let rank = (key & RANKS) as u32 - 1;
+                ties.deferred.push((at, LaneEvent(handler, arg), rank));
+                return;
+            }
+        }
         self.queue.push_recurring(at, LaneEvent(handler, arg));
+    }
+
+    /// Ends the current instant if a tick is deferred to its boundary and no
+    /// event is left at it: the boundary is its end, and the tick must be in
+    /// the queue before the next event is taken.
+    #[inline]
+    fn flush_deferred(&mut self) {
+        let Some(ties) = self.ties.as_deref() else {
+            return;
+        };
+        if ties.deferred.is_empty() {
+            return;
+        }
+        let instant = ties.instant;
+        if self.queue.peek_key().is_none_or(|(at, _)| at > instant) {
+            let pushes = self.queue.pushes();
+            self.pass_boundary(pushes);
+        }
+    }
+
+    /// Passes the boundary of the current instant, `pushes` pushes in, and
+    /// arms the ticks deferred to it.
+    fn pass_boundary(&mut self, pushes: u64) {
+        let Kernel { ties, queue, .. } = self;
+        let ties = ties.as_deref_mut().expect("tied");
+        ties.pass(pushes);
+        let group = pushes.saturating_sub(1) << KEY_SHIFT;
+        for (at, tick, rank) in ties.deferred.drain(..) {
+            queue.push_recurring_keyed(at, group + 1 + u64::from(rank), tick);
+        }
     }
 
     /// Makes room for exactly `additional` more recurring events: a caller
@@ -427,18 +483,18 @@ impl<W> Ties<W> {
         // The ticks of the first period were armed together, when ticks
         // began to be skipped.
         self.boundary = match at.as_micros().checked_sub(self.period) {
-            None => 2 * self.base,
+            None => self.base << KEY_SHIFT,
             Some(armed) => {
                 let armed = Timestamp::from_micros(armed);
                 while self.ring.front().is_some_and(|e| e.0 < armed) {
                     self.ring.pop_front();
                 }
                 // What `boundary_of` finds, at the front.
-                2 * match self.ring.front() {
+                (match self.ring.front() {
                     Some(&(instant, _, beta)) if instant == armed => beta,
                     Some(&(_, start, _)) => start,
                     None => self.start,
-                }
+                }) << KEY_SHIFT
             }
         };
     }
@@ -550,6 +606,7 @@ impl<W> Engine<W> {
     /// `kernel.events` is brought up to date as by a run call, but a world
     /// that skips ticks settles them only when a run call returns.
     pub fn step(&mut self) -> Option<Timestamp> {
+        self.kernel.flush_deferred();
         let (at, key, event) = self.kernel.queue.pop_keyed(Timestamp::MAX)?;
         self.dispatch(at, key, event);
         self.kernel.report_events();
@@ -582,29 +639,36 @@ impl<W> Engine<W> {
         let pushes = kernel.queue.pushes();
         let ties = kernel.ties.as_deref_mut().expect("tied");
         if at != ties.instant {
+            if ties.open {
+                kernel.pass_boundary(pushes);
+            }
+            let ties = kernel.ties.as_deref_mut().expect("tied");
             ties.enter(at, pushes);
             ties.clock.now.set(at);
             ties.clock.boundary.set(ties.boundary);
         }
+        let ties = kernel.ties.as_deref().expect("tied");
         let boundary = ties.boundary;
         let after = key >= boundary;
         let passes = ties.open && after;
         if passes {
-            ties.pass(pushes);
+            kernel.pass_boundary(pushes);
         }
-        ties.clock.key.set(key);
         let at_boundary = matches!(event, Event::Recurring(..)) && {
-            // Nothing runs between a tick and the boundary: it is the first
-            // event past it, or the next event is past it.
-            passes
+            // Nothing runs between a tick and the boundary: it is in the
+            // boundary's group, the first event past it, or the last
+            // before it.
+            key & RANKS != 0
+                || passes
                 || !after
                     && kernel
                         .queue
                         .peek_key()
                         .is_none_or(|(t, k)| t > at || k >= boundary)
         };
-        let ties = kernel.ties.as_deref().expect("tied");
-        ties.clock.at_boundary.set(at_boundary);
+        let clock = &kernel.ties.as_deref().expect("tied").clock;
+        clock.key.set(key);
+        clock.at_boundary.set(at_boundary);
         match event {
             Event::Once(f) => f(&mut self.world, &mut self.kernel),
             Event::Recurring(f, arg) => f(&mut self.world, &mut self.kernel, arg),
@@ -625,8 +689,15 @@ impl<W> Engine<W> {
         let pushes = self.kernel.queue.pushes();
         if let Some(ties) = self.kernel.ties.as_deref_mut() {
             if now != ties.instant {
-                ties.enter(now, pushes);
+                if ties.open {
+                    self.kernel.pass_boundary(pushes);
+                }
+                self.kernel.ties.as_deref_mut().expect("tied").enter(now, pushes);
             }
+            if self.kernel.ties.as_deref().expect("tied").open {
+                self.kernel.pass_boundary(pushes);
+            }
+            let ties = self.kernel.ties.as_deref_mut().expect("tied");
             ties.close(pushes, true);
             // The loops that stopped leave the lane mostly empty.
             self.kernel.queue.shrink_lane();
@@ -669,6 +740,7 @@ impl<W> Engine<W> {
             if self.kernel.events_processed - start_processed >= limit {
                 self.assert_nothing_due(horizon, limit);
             }
+            self.kernel.flush_deferred();
             let Some((at, key, event)) = self.kernel.queue.pop_keyed(horizon) else {
                 self.kernel.now = self.kernel.now.max(horizon);
                 self.pause();

@@ -58,15 +58,20 @@
 //!
 //! ## Keys
 //!
-//! Same-instant order is by *key*: twice the push's sequence number. The
-//! odd keys between are for the kernel, which may place an event just
-//! before everything pushed from a given push on (`push_at_key`): where a
-//! push made at that moment would have gone, had it been made then.
+//! Same-instant order is by *key*: the push's sequence number shifted left
+//! by [`KEY_SHIFT`] bits. The keys between are for the kernel, which may
+//! place events just before everything pushed from a given push on
+//! (`push_at_key`) — where a push made at that moment would have gone,
+//! had it been made then — in an order of its own among themselves.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::Timestamp;
+
+/// How far a push's sequence number is shifted to make its key; the keys
+/// between two pushes' keys are the kernel's (see the [module docs](self)).
+pub(crate) const KEY_SHIFT: u32 = 24;
 
 /// A handle to one scheduled event, returned by [`EventQueue::push_keyed`].
 ///
@@ -160,8 +165,21 @@ impl<E, L: Into<E>> EventQueue<E, L> {
         if self.lane.back().is_some_and(|tail| at < tail.0) {
             return self.push(at, item.into());
         }
-        self.lane.push_back((at, self.next_seq * 2, item));
+        self.lane.push_back((at, self.next_seq << KEY_SHIFT, item));
         self.next_seq += 1;
+        self.live += 1;
+    }
+
+    /// [`EventQueue::push_recurring`] with ordering key `key` (see the
+    /// [module docs](self)): onto the lane when `(at, key)` is not before
+    /// the lane's last entry, into the heap otherwise. The push counts for no
+    /// sequence number.
+    pub(crate) fn push_recurring_keyed(&mut self, at: Timestamp, key: u64, item: L) {
+        if self.lane.back().is_some_and(|tail| (at, key) < (tail.0, tail.1)) {
+            let _ = self.insert(at, key, item.into());
+            return;
+        }
+        self.lane.push_back((at, key, item));
         self.live += 1;
     }
 
@@ -183,7 +201,7 @@ impl<E, L: Into<E>> EventQueue<E, L> {
     /// Schedules `item` to fire at instant `at`, returning a key that can
     /// cancel it before it pops.
     pub fn push_keyed(&mut self, at: Timestamp, item: E) -> EventKey {
-        let key = self.next_seq * 2;
+        let key = self.next_seq << KEY_SHIFT;
         self.next_seq += 1;
         self.insert(at, key, item)
     }
