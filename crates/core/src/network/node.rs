@@ -344,7 +344,9 @@ impl Nodes {
             rng.below(period);
         }
         if self.made.is_multiple_of(CHUNK) {
-            self.states.push(Vec::with_capacity(CHUNK as usize));
+            // A field smaller than a block gets a block its size.
+            let room = (CHUNK as usize).min(self.slots.len());
+            self.states.push(Vec::with_capacity(room));
         }
         let block = self.states.last_mut().expect("a block with room");
         block.push(NodeState {

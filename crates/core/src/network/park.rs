@@ -1,15 +1,17 @@
 //! Parked nodes: a sensing loop that would only charge its own CPU stops
 //! re-arming, and the ticks it skips are settled in closed form.
 //!
-//! A tick may *park* its node when the node is quiescent, alive, on a
-//! nominal clock it never left, with an idle CPU, in a noiseless field
-//! whose ambient levels activate no type, and in a grid cell no target can
-//! reach for more than a period
-//! ([`Environment::quiet_until`](envirotrack_world::sensing::Environment::quiet_until)). Every tick
-//! of such a node up to that instant would do exactly one thing: admit
-//! [`costs::SENSE`] on an idle CPU. So the loop stops, the node's bit is
-//! set, and one event per cell, at the instant a target might first reach
-//! it, re-arms the loops of the cell's parked nodes, each on its own phase.
+//! On a field of at least [`PARK_MIN_NODES`] nodes, a tick — or the
+//! bootstrap, for a first tick — may *park* its node when the node is
+//! quiescent, alive, on a nominal clock it never left, with an idle CPU, in
+//! a noiseless field whose ambient levels activate no type, and in a grid
+//! cell no target can reach for more than a period
+//! ([`Environment::quiet_until`](envirotrack_world::sensing::Environment::quiet_until)).
+//! Every tick of such a node up to that instant would do exactly one
+//! thing: admit [`costs::SENSE`] on an idle CPU. So the loop stops, the
+//! node's bit is set, and at the whole period before a target might first
+//! reach the cell, one event for every cell due then re-arms the loops of
+//! their parked nodes, each on its own phase.
 //!
 //! Anything that reaches a parked node first — a reception, a timer, a
 //! transmission, a fault, a target added mid-run — *unparks* it: the ticks
@@ -54,7 +56,8 @@ const SHUN_PERIODS: u64 = 4;
 /// most of a period's work; on a smaller field its fixed costs — the
 /// kernel's boundary record on every event, a proof per cell, the re-arm
 /// churn — cost more than the ticks it saves (`traffic_dense`, 2 500
-/// nodes: −9 % `ops_per_s`; `paper_sweep`'s 12- and 20-node cells: −23 %).
+/// nodes: −8.3 % `ops_per_s` with it, −5.6 % without; `paper_sweep`'s 12-
+/// and 20-node cells: −26 % in a pair, −4.7 % without).
 #[cfg_attr(test, allow(dead_code))]
 const PARK_MIN_NODES: usize = 4_096;
 

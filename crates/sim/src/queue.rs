@@ -59,7 +59,7 @@
 //! ## Keys
 //!
 //! Same-instant order is by *key*: the push's sequence number shifted left
-//! by [`KEY_SHIFT`] bits. The keys between are for the kernel, which may
+//! by `KEY_SHIFT` bits. The keys between are for the kernel, which may
 //! place events just before everything pushed from a given push on
 //! (`push_at_key`) — where a push made at that moment would have gone,
 //! had it been made then — in an order of its own among themselves.
