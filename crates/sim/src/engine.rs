@@ -699,9 +699,6 @@ impl<W> Engine<W> {
             }
             let ties = self.kernel.ties.as_deref_mut().expect("tied");
             ties.close(pushes, true);
-            // The loops that stopped leave the lane mostly empty.
-            self.kernel.queue.shrink_lane();
-            let ties = self.kernel.ties.as_deref_mut().expect("tied");
             let clock = &ties.clock;
             clock.now.set(now);
             clock.boundary.set(ties.boundary);

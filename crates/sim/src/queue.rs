@@ -183,14 +183,6 @@ impl<E, L: Into<E>> EventQueue<E, L> {
         self.live += 1;
     }
 
-    /// Gives back the room of a recurring lane that is less than a quarter
-    /// full, keeping twice what it holds.
-    pub(crate) fn shrink_lane(&mut self) {
-        if self.lane.len() * 4 < self.lane.capacity() {
-            self.lane.shrink_to(self.lane.len() * 2);
-        }
-    }
-
     /// Makes room on the recurring lane for exactly `additional` more
     /// events: arming a known number of loops then allocates once, not by
     /// doubling.
