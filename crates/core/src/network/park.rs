@@ -163,7 +163,7 @@ impl Parking {
     /// The clock's instant and whether a tick at it has run.
     fn now(&self) -> (Timestamp, bool) {
         self.clock.as_ref().map_or((Timestamp::ZERO, true), |c| {
-            (c.now.get(), c.key.get() >= c.boundary.get())
+            (c.now.get(), c.after.get())
         })
     }
 

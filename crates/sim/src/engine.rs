@@ -46,28 +46,48 @@
 //! re-arming some of them and settle the ticks they skipped later, in
 //! closed form ([`Kernel::park_ticks`]). The world can do that arithmetic;
 //! what it cannot know is where a skipped tick at instant `t` falls among
-//! the other events at `t`, since only the kernel knows when each was
-//! armed. A tick at `t` was armed during the loop's tick at `t − p`, so it
-//! follows exactly the events armed before that moment. The kernel keeps,
-//! for every instant of the last period, that moment's push count — its
-//! *boundary* — on the assumption that the skipped tick at `t − p` itself
-//! sat at the boundary of its instant; a loop may stop only at a tick that
-//! does (nothing runs between the tick and the boundary), and from there
-//! the assumption is an induction one period at a time. DESIGN.md §10 has
-//! the argument.
+//! the other events at `t`. A tick at `t` is armed by the loop's tick at
+//! `t − p`, so it follows exactly the events pushed before that moment:
+//! its *boundary*. Which side of the boundary of `at` a push for `at` is
+//! on is known when it is made, and the kernel puts it, as a *class*, in
+//! the key's top bits:
+//!
+//! * `at − now > p`: class 0, before — the tick at `at − p` is to come;
+//! * `at − now < p`: class 2, after — it has run;
+//! * `at − now == p`: the class (and rank) of the running event, which ran
+//!   before a skipped tick at `now`, at it, or after it; class 2 between
+//!   run calls, since a pause ends the instant.
+//!
+//! Class 1 is the boundary itself. A loop re-armed with
+//! [`Kernel::schedule_tick_at`] takes it, with a *rank* that orders the
+//! loops stopped at one boundary, and its ticks hand it on by the rule
+//! above. A key is `class (2 bits) | rank (24 bits) | seq (38 bits)`, with
+//! `seq` the queue's; the queue's `(at, key)` order does the rest. Pushes
+//! made before [`Kernel::park_ticks`] are class 0. A loop may stop only at
+//! a tick that sits at the boundary, with nothing run between the two, so
+//! its skipped successor sits at the boundary one period on, and so on by
+//! induction. DESIGN.md §10 has the argument.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
+use std::cmp::Ordering;
 use std::rc::Rc;
 
 use envirotrack_telemetry::{CounterHandle, Telemetry};
 
-use crate::queue::{EventQueue, KEY_SHIFT};
-
-/// The low bits of a key, which order the ticks of a boundary's group.
-const RANKS: u64 = (1 << KEY_SHIFT) - 1;
+use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, Timestamp};
+
+/// The key layout of a world that skips ticks (see the [module
+/// docs](self)): the queue's sequence number in the low 38 bits, a rank
+/// above it, and a class above that — before the boundary of its instant,
+/// at it, or after it.
+const SEQ_BITS: u32 = 38;
+const RANK_BITS: u32 = 24;
+const SEQ: u64 = (1 << SEQ_BITS) - 1;
+const BEFORE: u64 = 0;
+const BOUNDARY: u64 = 1 << (SEQ_BITS + RANK_BITS);
+const AFTER: u64 = 2 << (SEQ_BITS + RANK_BITS);
 
 /// A scheduled event: a one-shot closure over the world and the kernel.
 pub(crate) type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Kernel<W>)>;
@@ -123,12 +143,9 @@ pub struct EventWork {
 pub struct TickClock {
     /// The current instant.
     pub now: Cell<Timestamp>,
-    /// The current event's key; `u64::MAX` between run calls. A skipped
-    /// tick at `now` has run before the current event when this is at least
-    /// `boundary`.
-    pub key: Cell<u64>,
-    /// The tick boundary of `now`, as a key.
-    pub boundary: Cell<u64>,
+    /// Whether a skipped tick at `now` has run before the current event:
+    /// the event is of class 2, or none is running.
+    pub after: Cell<bool>,
     /// Whether the current event, a recurring one, sits at the tick
     /// boundary — nothing runs between it and a skipped tick at its
     /// instant — so that its loop may stop re-arming here.
@@ -142,34 +159,18 @@ pub struct TickClock {
     pub settled: Cell<u64>,
 }
 
-/// The kernel's record of tick boundaries (see the [module docs](self)).
+/// What the kernel keeps for a world that skips ticks (see the [module
+/// docs](self)).
 struct Ties<W> {
     /// The loops' period in microseconds.
     period: u64,
-    /// The instant of the events being run, the push count when it began,
-    /// and at its boundary (as of now while `open`).
+    /// The instant of the events being run, and whether no event of class
+    /// 2 has run at it yet.
     instant: Timestamp,
-    start: u64,
-    beta: u64,
-    /// Whether the boundary of `instant` has yet to be passed.
     open: bool,
-    /// Whether `instant` is in `ring` already.
-    recorded: bool,
-    /// Ticks armed one period on by ticks that sit in the boundary's group
-    /// at this instant, with their ranks: armed when the boundary passes,
-    /// where they then belong.
-    deferred: Vec<(Timestamp, LaneEvent<W>, u32)>,
-    /// The push count when ticks began to be skipped: the boundary of every
-    /// instant of the first period (see [`Kernel::park_ticks`]).
-    base: u64,
-    /// The boundary of this instant as a key: events with smaller keys
-    /// come before a skipped tick at it, the others after it.
-    boundary: u64,
-    /// Per instant of the last period that armed anything or passed its
-    /// boundary late, or at which a run call returned: when it began and
-    /// its boundary, as push counts. An instant that armed nothing and
-    /// passed its boundary at once has both where the next entry begins.
-    ring: VecDeque<(Timestamp, u64, u64)>,
+    /// The class and rank of the running event, which a push exactly a
+    /// period on takes; class 2 between run calls.
+    running: u64,
     clock: Rc<TickClock>,
     /// The world's hook: re-arms ticks when asked, and settles its skipped
     /// ticks when a run call returns (its flag).
@@ -218,9 +219,9 @@ impl<W> Kernel<W> {
 
     /// Lets the world skip the ticks of loops with period `period` and
     /// settle them itself (see the [module docs](self)): from now on the
-    /// kernel keeps the tick boundaries and shares what the world needs in
-    /// the returned [`TickClock`], calls `hook(world, kernel, false)` after
-    /// an event that set its `rearm`, and `hook(world, kernel, true)` when a
+    /// kernel classes every push and shares what the world needs in the
+    /// returned [`TickClock`], calls `hook(world, kernel, false)` after an
+    /// event that set its `rearm`, and `hook(world, kernel, true)` when a
     /// run call returns. A loop stopped at a tick that sat at the boundary
     /// is armed again with [`Kernel::schedule_tick_at`].
     pub fn park_ticks(
@@ -228,22 +229,14 @@ impl<W> Kernel<W> {
         period: SimDuration,
         hook: fn(&mut W, &mut Kernel<W>, bool),
     ) -> Rc<TickClock> {
-        let pushes = self.queue.pushes();
         let clock = Rc::new(TickClock::default());
         clock.now.set(self.now);
-        clock.key.set(u64::MAX);
-        clock.boundary.set(pushes << KEY_SHIFT);
+        clock.after.set(true);
         self.ties = Some(Box::new(Ties {
             period: period.as_micros().max(1),
             instant: self.now,
-            start: pushes,
-            beta: pushes,
             open: true,
-            recorded: false,
-            deferred: Vec::new(),
-            base: pushes,
-            boundary: pushes << KEY_SHIFT,
-            ring: VecDeque::new(),
+            running: BEFORE,
             clock: Rc::clone(&clock),
             hook,
         }));
@@ -251,37 +244,54 @@ impl<W> Kernel<W> {
     }
 
     /// Arms `handler(world, kernel, arg)`, a loop's tick, at `at`, where
-    /// the tick armed at the boundary of instant `at − p` would run: after
-    /// every event armed before that moment, before every event armed
-    /// after it, and among the ticks armed so by `rank` (see
-    /// [`Kernel::park_ticks`]). For a loop that stopped re-arming and must
+    /// the tick armed by a skipped tick at `at − p` would run: at the
+    /// boundary of `at`, among the loops re-armed there by `rank` (see the
+    /// [module docs](self)). For a loop that stopped re-arming and must
     /// tick again; its rank is its place in the order the loops were first
-    /// armed. A tick of the first period goes where the first ticks were
-    /// armed; with `at − p` still to come it is an event armed now, off the
-    /// recurring lane.
+    /// armed. With the tick at `at − p` still to come it is an ordinary
+    /// push, made now.
     ///
     /// # Panics
     ///
-    /// Panics if `at` is in the past, if `rank` is not under 2²⁴ − 1, or
+    /// Panics if `at` is in the past, if `rank` is not under 2²⁴, or
     /// without [`Kernel::park_ticks`].
-    pub fn schedule_tick_at(&mut self, at: Timestamp, handler: RecurringFn<W>, arg: u64, rank: u32) {
+    pub fn schedule_tick_at(
+        &mut self,
+        at: Timestamp,
+        handler: RecurringFn<W>,
+        arg: u64,
+        rank: u32,
+    ) {
         self.assert_not_past(at);
-        assert!(rank < (1 << KEY_SHIFT) - 1, "tick rank {rank} out of range");
-        let ties = self.ties.as_ref().expect("park_ticks first");
-        let event = Event::Recurring(handler, arg);
-        let boundary = match at.as_micros().checked_sub(ties.period) {
-            None => ties.base,
-            Some(armed) => {
-                let armed = Timestamp::from_micros(armed);
-                if armed > ties.instant || (armed == ties.instant && ties.open) {
-                    return self.queue.push(at, event);
-                }
-                ties.boundary_of(armed)
-            }
+        assert!(rank < 1 << RANK_BITS, "tick rank {rank} out of range");
+        assert!(self.ties.is_some(), "park_ticks first");
+        let tag = match self.tag(at) {
+            BEFORE => BEFORE,
+            _ => BOUNDARY | u64::from(rank) << SEQ_BITS,
         };
-        // The boundary's group, just below its key, in rank order.
-        let key = (boundary.saturating_sub(1) << KEY_SHIFT) + 1 + u64::from(rank);
-        self.queue.push_at_key(at, key, event);
+        let event = Event::Recurring(handler, arg);
+        self.queue.push_tagged(at, tag, event);
+    }
+
+    /// Pushes a one-shot `event` for `at`, classed by the rule.
+    #[inline]
+    fn push(&mut self, at: Timestamp, event: Event<W>) {
+        let tag = self.tag(at);
+        self.queue.push_tagged(at, tag, event);
+    }
+
+    /// The class and rank a push for `at` takes (see the [module
+    /// docs](self)).
+    #[inline]
+    fn tag(&self, at: Timestamp) -> u64 {
+        let Some(ties) = self.ties.as_deref() else {
+            return BEFORE;
+        };
+        match (at.as_micros() - self.now.as_micros()).cmp(&ties.period) {
+            Ordering::Greater => BEFORE,
+            Ordering::Less => AFTER,
+            Ordering::Equal => ties.running,
+        }
     }
 
     /// The current virtual time.
@@ -307,7 +317,7 @@ impl<W> Kernel<W> {
     {
         self.assert_not_past(at);
         self.boxed_scheduled += 1;
-        self.queue.push(at, Event::Once(Box::new(event)));
+        self.push(at, Event::Once(Box::new(event)));
     }
 
     /// Schedules `event` to run `delay` after the current instant.
@@ -317,7 +327,7 @@ impl<W> Kernel<W> {
     {
         let at = self.now.saturating_add(delay);
         self.boxed_scheduled += 1;
-        self.queue.push(at, Event::Once(Box::new(event)));
+        self.push(at, Event::Once(Box::new(event)));
     }
 
     /// Schedules `handler(world, kernel, words)` to run at absolute instant
@@ -333,7 +343,7 @@ impl<W> Kernel<W> {
     pub fn schedule_inline_at(&mut self, at: Timestamp, handler: InlineFn<W>, words: [u64; 2]) {
         self.assert_not_past(at);
         self.inline_scheduled += 1;
-        self.queue.push(at, Event::Inline(handler, words));
+        self.push(at, Event::Inline(handler, words));
     }
 
     /// Schedules `handler(world, kernel, arg)` to run at absolute instant
@@ -348,49 +358,8 @@ impl<W> Kernel<W> {
     /// Panics if `at` is in the past, like [`Kernel::schedule_at`].
     pub fn schedule_recurring_at(&mut self, at: Timestamp, handler: RecurringFn<W>, arg: u64) {
         self.assert_not_past(at);
-        if let Some(ties) = self.ties.as_deref_mut() {
-            // A tick armed by `schedule_tick_at` arms its successor in the
-            // same place one period on: in the boundary's group, by rank.
-            let key = ties.clock.key.get();
-            let ranked = key != u64::MAX && key & RANKS != 0;
-            if ranked && at.as_micros() == self.now.as_micros() + ties.period {
-                // Truncating: the rank is below 2²⁴.
-                let rank = (key & RANKS) as u32 - 1;
-                ties.deferred.push((at, LaneEvent(handler, arg), rank));
-                return;
-            }
-        }
-        self.queue.push_recurring(at, LaneEvent(handler, arg));
-    }
-
-    /// Ends the current instant if a tick is deferred to its boundary and no
-    /// event is left at it: the boundary is its end, and the tick must be in
-    /// the queue before the next event is taken.
-    #[inline]
-    fn flush_deferred(&mut self) {
-        let Some(ties) = self.ties.as_deref() else {
-            return;
-        };
-        if ties.deferred.is_empty() {
-            return;
-        }
-        let instant = ties.instant;
-        if self.queue.peek_key().is_none_or(|(at, _)| at > instant) {
-            let pushes = self.queue.pushes();
-            self.pass_boundary(pushes);
-        }
-    }
-
-    /// Passes the boundary of the current instant, `pushes` pushes in, and
-    /// arms the ticks deferred to it.
-    fn pass_boundary(&mut self, pushes: u64) {
-        let Kernel { ties, queue, .. } = self;
-        let ties = ties.as_deref_mut().expect("tied");
-        ties.pass(pushes);
-        let group = pushes.saturating_sub(1) << KEY_SHIFT;
-        for (at, tick, rank) in ties.deferred.drain(..) {
-            queue.push_recurring_keyed(at, group + 1 + u64::from(rank), tick);
-        }
+        let tag = self.tag(at);
+        self.queue.push_recurring_tagged(at, tag, LaneEvent(handler, arg));
     }
 
     /// Makes room for exactly `additional` more recurring events: a caller
@@ -454,88 +423,19 @@ impl<W> Kernel<W> {
     }
 
     /// The heap bytes the event list holds — its heap, recurring lane and
-    /// slab, and each pending boxed closure — and the tick boundaries it
-    /// keeps, worked out from their capacities when asked. Like
+    /// slab, and each pending boxed closure — and what it keeps for skipped
+    /// ticks, worked out from their capacities when asked. Like
     /// [`Kernel::event_work`], for tests and tools.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let ties = self.ties.as_deref().map_or(0, |t| {
-            // The box, the ring, and the clock's shared allocation.
-            size_of::<Ties<W>>()
-                + t.ring.capacity() * size_of::<(Timestamp, u64, u64)>()
-                + 2 * size_of::<usize>()
-                + size_of_val(&*t.clock)
+            // The box, and the clock's shared allocation.
+            size_of::<Ties<W>>() + 2 * size_of::<usize>() + size_of_val(&*t.clock)
         });
         ties + self.queue.heap_bytes(|event| match event {
             Event::Once(f) => size_of_val(&**f),
             Event::Recurring(..) | Event::Inline(..) => 0,
         })
-    }
-}
-
-impl<W> Ties<W> {
-    /// Starts instant `at`, `pushes` pushes into the run, closing the one
-    /// before.
-    fn enter(&mut self, at: Timestamp, pushes: u64) {
-        self.close(pushes, false);
-        (self.instant, self.start, self.beta) = (at, pushes, pushes);
-        (self.open, self.recorded) = (true, false);
-        // The ticks of the first period were armed together, when ticks
-        // began to be skipped.
-        self.boundary = match at.as_micros().checked_sub(self.period) {
-            None => self.base << KEY_SHIFT,
-            Some(armed) => {
-                let armed = Timestamp::from_micros(armed);
-                while self.ring.front().is_some_and(|e| e.0 < armed) {
-                    self.ring.pop_front();
-                }
-                // What `boundary_of` finds, at the front.
-                (match self.ring.front() {
-                    Some(&(instant, _, beta)) if instant == armed => beta,
-                    Some(&(_, start, _)) => start,
-                    None => self.start,
-                }) << KEY_SHIFT
-            }
-        };
-    }
-
-    /// Passes the boundary of the current instant, `pushes` pushes in.
-    #[inline]
-    fn pass(&mut self, pushes: u64) {
-        self.beta = pushes;
-        self.open = false;
-    }
-
-    /// Ends the current instant `pushes` pushes in — its boundary, if not
-    /// yet passed, is its end — and records it if a lookup needs it to
-    /// (`keep`: a run call returns, and what is pushed next is pushed
-    /// after the instant).
-    fn close(&mut self, pushes: u64, keep: bool) {
-        if self.open {
-            self.pass(pushes);
-        }
-        let needed = keep || pushes != self.start || self.beta != self.start;
-        if needed && !self.recorded {
-            self.ring.push_back((self.instant, self.start, self.beta));
-            self.recorded = true;
-        }
-    }
-
-    /// The push count at the boundary of instant `at`, of the last period
-    /// and no later than the current instant: its own boundary if it is
-    /// recorded, otherwise where the next instant recorded began (nothing
-    /// was pushed in between).
-    fn boundary_of(&self, at: Timestamp) -> u64 {
-        if at == self.instant {
-            debug_assert!(!self.open, "the boundary of {at} is yet to come");
-            return self.beta;
-        }
-        let i = self.ring.partition_point(|e| e.0 < at);
-        match self.ring.get(i) {
-            Some(&(instant, _, beta)) if instant == at => beta,
-            Some(&(_, start, _)) => start,
-            None => self.start,
-        }
     }
 }
 
@@ -606,7 +506,6 @@ impl<W> Engine<W> {
     /// `kernel.events` is brought up to date as by a run call, but a world
     /// that skips ticks settles them only when a run call returns.
     pub fn step(&mut self) -> Option<Timestamp> {
-        self.kernel.flush_deferred();
         let (at, key, event) = self.kernel.queue.pop_keyed(Timestamp::MAX)?;
         self.dispatch(at, key, event);
         self.kernel.report_events();
@@ -631,44 +530,30 @@ impl<W> Engine<W> {
         }
     }
 
-    /// [`Engine::dispatch`] for a world that skips ticks: the tick
-    /// boundary kept and shared first, the world's hook called after the
-    /// event when it asks.
+    /// [`Engine::dispatch`] for a world that skips ticks: the running
+    /// event's class kept and shared first, the world's hook called after
+    /// the event when it asks.
     fn dispatch_tied(&mut self, at: Timestamp, key: u64, event: Event<W>) {
-        let kernel = &mut self.kernel;
-        let pushes = kernel.queue.pushes();
-        let ties = kernel.ties.as_deref_mut().expect("tied");
+        let Kernel { ties, queue, .. } = &mut self.kernel;
+        let ties = ties.as_deref_mut().expect("tied");
         if at != ties.instant {
-            if ties.open {
-                kernel.pass_boundary(pushes);
-            }
-            let ties = kernel.ties.as_deref_mut().expect("tied");
-            ties.enter(at, pushes);
+            (ties.instant, ties.open) = (at, true);
             ties.clock.now.set(at);
-            ties.clock.boundary.set(ties.boundary);
         }
-        let ties = kernel.ties.as_deref().expect("tied");
-        let boundary = ties.boundary;
-        let after = key >= boundary;
-        let passes = ties.open && after;
-        if passes {
-            kernel.pass_boundary(pushes);
-        }
-        let at_boundary = matches!(event, Event::Recurring(..)) && {
-            // Nothing runs between a tick and the boundary: it is in the
-            // boundary's group, the first event past it, or the last
-            // before it.
-            key & RANKS != 0
-                || passes
-                || !after
-                    && kernel
-                        .queue
-                        .peek_key()
-                        .is_none_or(|(t, k)| t > at || k >= boundary)
-        };
-        let clock = &kernel.ties.as_deref().expect("tied").clock;
-        clock.key.set(key);
-        clock.at_boundary.set(at_boundary);
+        let after = key >= AFTER;
+        // Nothing runs between a tick and the boundary: it is of class 1,
+        // the first of class 2 at its instant, or the last of class 0
+        // before a later instant or a class-2 event.
+        let at_boundary = matches!(event, Event::Recurring(..))
+            && if after {
+                ties.open
+            } else {
+                key >= BOUNDARY || queue.peek_key().is_none_or(|(t, k)| t > at || k >= AFTER)
+            };
+        ties.open &= !after;
+        ties.running = key & !SEQ;
+        ties.clock.after.set(after);
+        ties.clock.at_boundary.set(at_boundary);
         match event {
             Event::Once(f) => f(&mut self.world, &mut self.kernel),
             Event::Recurring(f, arg) => f(&mut self.world, &mut self.kernel, arg),
@@ -684,26 +569,21 @@ impl<W> Engine<W> {
     /// A run call's return: the instant it stopped at is over, so every
     /// skipped tick up to it has run; the world settles them, and
     /// `kernel.events` is brought up to date.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a world that skips ticks has made more pushes than a
+    /// key's sequence bits hold.
     fn pause(&mut self) {
-        let now = self.kernel.now;
-        let pushes = self.kernel.queue.pushes();
-        if let Some(ties) = self.kernel.ties.as_deref_mut() {
-            if now != ties.instant {
-                if ties.open {
-                    self.kernel.pass_boundary(pushes);
-                }
-                self.kernel.ties.as_deref_mut().expect("tied").enter(now, pushes);
-            }
-            if self.kernel.ties.as_deref().expect("tied").open {
-                self.kernel.pass_boundary(pushes);
-            }
-            let ties = self.kernel.ties.as_deref_mut().expect("tied");
-            ties.close(pushes, true);
-            let clock = &ties.clock;
-            clock.now.set(now);
-            clock.boundary.set(ties.boundary);
-            clock.key.set(u64::MAX);
-            clock.at_boundary.set(false);
+        let kernel = &mut self.kernel;
+        if let Some(ties) = kernel.ties.as_deref_mut() {
+            (ties.instant, ties.open, ties.running) = (kernel.now, false, AFTER);
+            ties.clock.now.set(kernel.now);
+            ties.clock.after.set(true);
+            ties.clock.at_boundary.set(false);
+            // The kernel cancels nothing: every push has run or is pending.
+            let pushes = kernel.events_processed + kernel.queue.len() as u64;
+            assert!(pushes <= SEQ, "{pushes} pushes overflow a key's sequence bits");
             let hook = ties.hook;
             hook(&mut self.world, &mut self.kernel, true);
         }
@@ -737,7 +617,6 @@ impl<W> Engine<W> {
             if self.kernel.events_processed - start_processed >= limit {
                 self.assert_nothing_due(horizon, limit);
             }
-            self.kernel.flush_deferred();
             let Some((at, key, event)) = self.kernel.queue.pop_keyed(horizon) else {
                 self.kernel.now = self.kernel.now.max(horizon);
                 self.pause();

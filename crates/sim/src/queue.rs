@@ -40,9 +40,9 @@
 //! A simulation's periodic loops push `now + period` in exactly the order
 //! those events will fire, so sorting them through the heap is wasted work.
 //! [`EventQueue::push_recurring`] appends such an event to a FIFO *lane*
-//! instead — but only when its time is not before the lane's tail, which
-//! keeps the lane sorted by `(time, key)` whatever the caller does; any
-//! other push falls through to the heap. [`EventQueue::pop`] and
+//! instead — but only when its `(time, key)` is not before the lane's
+//! tail's, which keeps the lane sorted whatever the caller does; any other
+//! push falls through to the heap. [`EventQueue::pop`] and
 //! [`EventQueue::peek_time`] take whichever of lane head and heap top has
 //! the smaller `(time, key)`, which is the event the heap alone would have
 //! yielded: the lane changes what a push costs, never the pop order. Lane
@@ -58,20 +58,15 @@
 //!
 //! ## Keys
 //!
-//! Same-instant order is by *key*: the push's sequence number shifted left
-//! by `KEY_SHIFT` bits. The keys between are for the kernel, which may
-//! place events just before everything pushed from a given push on
-//! (`push_at_key`) — where a push made at that moment would have gone,
-//! had it been made then — in an order of its own among themselves.
+//! Same-instant order is by *key*: the push's sequence number, with a
+//! *tag* the kernel may set in the bits above it (`push_tagged`,
+//! `push_recurring_tagged`; the public pushes tag nothing). The queue
+//! orders by `(time, key)` and knows nothing of what a tag means.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::Timestamp;
-
-/// How far a push's sequence number is shifted to make its key; the keys
-/// between two pushes' keys are the kernel's (see the [module docs](self)).
-pub(crate) const KEY_SHIFT: u32 = 24;
 
 /// A handle to one scheduled event, returned by [`EventQueue::push_keyed`].
 ///
@@ -133,9 +128,9 @@ pub struct EventQueue<E, L = E> {
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
     /// The recurring lane, sorted by `(time, key)` because a push is only
-    /// accepted at or after its tail's time.
+    /// accepted at or after its tail's.
     lane: VecDeque<(Timestamp, u64, L)>,
-    /// Pushes so far: the next push's key is twice this.
+    /// Pushes so far: the next push's sequence number.
     next_seq: u64,
     live: usize,
     lane_pops: u64,
@@ -162,19 +157,15 @@ impl<E, L: Into<E>> EventQueue<E, L> {
     /// before the lane's last entry, an ordinary [`EventQueue::push`]
     /// otherwise. Either way it pops exactly where `push` would have put it.
     pub fn push_recurring(&mut self, at: Timestamp, item: L) {
-        if self.lane.back().is_some_and(|tail| at < tail.0) {
-            return self.push(at, item.into());
-        }
-        self.lane.push_back((at, self.next_seq << KEY_SHIFT, item));
-        self.next_seq += 1;
-        self.live += 1;
+        self.push_recurring_tagged(at, 0, item);
     }
 
-    /// [`EventQueue::push_recurring`] with ordering key `key` (see the
+    /// [`EventQueue::push_recurring`] with `tag` in the key (see the
     /// [module docs](self)): onto the lane when `(at, key)` is not before
-    /// the lane's last entry, into the heap otherwise. The push counts for no
-    /// sequence number.
-    pub(crate) fn push_recurring_keyed(&mut self, at: Timestamp, key: u64, item: L) {
+    /// the lane's last entry, into the heap otherwise.
+    pub(crate) fn push_recurring_tagged(&mut self, at: Timestamp, tag: u64, item: L) {
+        let key = tag | self.next_seq;
+        self.next_seq += 1;
         if self.lane.back().is_some_and(|tail| (at, key) < (tail.0, tail.1)) {
             let _ = self.insert(at, key, item.into());
             return;
@@ -193,20 +184,15 @@ impl<E, L: Into<E>> EventQueue<E, L> {
     /// Schedules `item` to fire at instant `at`, returning a key that can
     /// cancel it before it pops.
     pub fn push_keyed(&mut self, at: Timestamp, item: E) -> EventKey {
-        let key = self.next_seq << KEY_SHIFT;
+        self.push_tagged(at, 0, item)
+    }
+
+    /// [`EventQueue::push_keyed`] with `tag` in the key (see the [module
+    /// docs](self)).
+    pub(crate) fn push_tagged(&mut self, at: Timestamp, tag: u64, item: E) -> EventKey {
+        let key = tag | self.next_seq;
         self.next_seq += 1;
         self.insert(at, key, item)
-    }
-
-    /// Schedules `item` at `at` with ordering key `key` (see the [module
-    /// docs](self)); the push counts for no sequence number.
-    pub(crate) fn push_at_key(&mut self, at: Timestamp, key: u64, item: E) {
-        let _ = self.insert(at, key, item);
-    }
-
-    /// Pushes made so far: the next one's key is twice this.
-    pub(crate) fn pushes(&self) -> u64 {
-        self.next_seq
     }
 
     fn insert(&mut self, at: Timestamp, key: u64, item: E) -> EventKey {
@@ -528,6 +514,20 @@ mod tests {
             ],
             "exactly the order four plain pushes pop in"
         );
+    }
+
+    /// The lane takes a push only at or after its tail's `(time, key)`: a
+    /// tagged push that ties its tail's time with a smaller key falls
+    /// through to the heap, and pops first.
+    #[test]
+    fn a_tagged_push_behind_the_tail_falls_through_to_the_heap() {
+        let mut q = EventQueue::new();
+        let t = Timestamp::from_secs(1);
+        q.push_recurring_tagged(t, 1 << 63, "high tag");
+        q.push_recurring_tagged(t, 0, "no tag, pushed later");
+        assert_eq!((q.recurring_len(), q.len()), (1, 2));
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["no tag, pushed later", "high tag"]);
     }
 
     #[test]

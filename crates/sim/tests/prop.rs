@@ -43,8 +43,6 @@ struct Loop {
 struct Toy {
     seed: u64,
     mode: Mode,
-    /// Whether a tick may arm a one-shot exactly a period ahead.
-    tick_arms_p: bool,
     loops: Vec<Loop>,
     clock: Option<Rc<TickClock>>,
     /// Every event a tick-by-tick run has, but idle ticks: its instant, its
@@ -98,9 +96,7 @@ impl Toy {
     /// Whether a skipped tick at the clock's instant precedes the current
     /// event.
     fn after(&self) -> bool {
-        self.clock
-            .as_ref()
-            .is_none_or(|c| c.key.get() >= c.boundary.get())
+        self.clock.as_ref().is_none_or(|c| c.after.get())
     }
 
     /// Loop `l`'s ticks so far by the clock.
@@ -144,13 +140,11 @@ fn tick(w: &mut Toy, k: &mut Kernel<Toy>, l: u64) {
         w.log.push((now, id, w.loops[l].ticks));
         for j in 0..mix(id, 1) % 3 {
             let d = delay(mix(id, 10 + j));
-            if d != P || w.tick_arms_p {
-                // A tick's own one-shot exactly a period on is *tainted*:
-                // where it runs among the group's ticks, a skipped tick of
-                // another loop may or may not precede it, which one flag
-                // cannot say, so it reads no count.
-                arm(k, now + d, mix(id, 20 + j), d == P, 1);
-            }
+            // A tick's one-shot exactly a period on runs right after the
+            // tick's successor, among the ticks of its phase; a skipped
+            // tick of another loop there may or may not precede it, which
+            // one flag cannot say, so it is *tainted* and reads no count.
+            arm(k, now + d, mix(id, 20 + j), d == P, 1);
         }
     } else if w.mode == Mode::Skipping
         && w.clock.as_ref().is_some_and(|c| c.at_boundary.get())
@@ -219,14 +213,7 @@ fn hook(w: &mut Toy, k: &mut Kernel<Toy>, pause: bool) {
 /// count and every loop's ticks.
 type Seen = (Vec<(u64, u64, u64)>, Vec<(u64, Vec<u64>)>);
 
-fn run_toy(
-    seed: u64,
-    phases: &[u64],
-    roots: &[u64],
-    pauses: &[u64],
-    mode: Mode,
-    tick_arms_p: bool,
-) -> Seen {
+fn run_toy(seed: u64, phases: &[u64], roots: &[u64], pauses: &[u64], mode: Mode) -> Seen {
     let mut phases = phases.to_vec();
     phases.sort_unstable();
     let loops = phases.iter().map(|&phase| Loop {
@@ -239,7 +226,6 @@ fn run_toy(
     let toy = Toy {
         seed,
         mode,
-        tick_arms_p,
         loops: loops.collect(),
         clock: None,
         log: Vec::new(),
@@ -396,7 +382,7 @@ prop_test! {
     ) {
         // Three phases: a loop shares one with others more often than not.
         let phases: Vec<u64> = phases.iter().map(|&x| 2 * x).collect();
-        let toy = |mode| run_toy(seed, &phases, &roots, &pauses, mode, false);
+        let toy = |mode| run_toy(seed, &phases, &roots, &pauses, mode);
         let reference = toy(Mode::Reference);
         for mode in [Mode::Tagged, Mode::Skipping] {
             let (log, seen) = toy(mode);

@@ -134,6 +134,15 @@ for seed in 1 2 3; do
   TESTKIT_SEED=$seed cargo test -q --offline -p envirotrack-bench --test shard_random_worlds
 done
 
+# Mutants: every patch in mutants/ still applies to this tree, and the two
+# kernel mutants fail the kernel's skipped-tick property (≈ 5 s cold, 2 s
+# warm on the 2-vCPU host). `scripts/mutants.sh --all` runs every one.
+for patch in mutants/*.patch; do
+  git apply --check "$patch" \
+    || { echo "verify: $patch no longer applies" >&2; exit 1; }
+done
+scripts/mutants.sh period-push-by-delay boundary-seq-before-rank >&2
+
 # Telemetry smoke: the flagship storm must emit the summary table and a
 # non-empty trace, byte-identically across two runs of the same seed.
 tmp="$(mktemp -d)"
