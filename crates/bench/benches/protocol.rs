@@ -21,6 +21,7 @@ use envirotrack_net::routing::GeoRouter;
 use envirotrack_sim::queue::EventQueue;
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
+use envirotrack_telemetry::Work;
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::Point;
 use envirotrack_world::scenario::ScaleScenario;
@@ -306,13 +307,14 @@ fn bench_idle_tick(out: &mut Vec<String>) {
             })
             .report(),
         );
-        let work = coverage.work();
+        let mut work = Work::default();
+        coverage.work(&mut work);
         out.push(format!(
             "{:<44} {} answered, {} walked, {} rebuilds",
             format!("sensing/idle_tick_t{targets}/covered work"),
-            work.answered,
-            work.walked,
-            work.rebuilds
+            work.get("samples_covered"),
+            work.get("samples_walked"),
+            work.get("coverage_rebuilds")
         ));
     }
 }

@@ -12,17 +12,19 @@
 //!    [`ScaleScenario`] fields for a fixed virtual horizon: wall time,
 //!    kernel events, events per wall-second, bytes on air, the world
 //!    build's allocations and the heap bytes it left live (counted by
-//!    `testkit::alloc::Counting`, this binary's global allocator), the sensing driver's work counters
-//!    (ticks fired and admitted, strides between hot records, idle samples
-//!    the coverage answered or walked, coverage rebuilds, answered samples
-//!    settled by the ambient verdict), the event list's (lane pops, heap
-//!    pops, one-shot events scheduled inline and boxed), the group
-//!    timers' (firings that were live, stale, or retried past a busy CPU),
-//!    how many nodes hold protocol-layer state at the horizon
-//!    (`cold_engaged`: the nodes that used a layer), how many neighbour
-//!    lists the medium made (`neighbor_lists`: the nodes that transmitted)
-//!    and the trace ring's
-//!    (records appended and dropped, and its slots' heap bytes).
+//!    `testkit::alloc::Counting`, this binary's global allocator), then
+//!    every count of the run's work snapshot (`ScalePoint::work`) under
+//!    its own name: the event list's (lane and heap pops, one-shot events
+//!    scheduled inline and boxed), the sensing driver's (ticks fired and
+//!    admitted, strides between hot records, idle samples the coverage
+//!    answered or walked, coverage rebuilds, answered samples settled by
+//!    the ambient verdict, parkings and settled ticks), the group timers'
+//!    (firings that were live, stale, or retried past a busy CPU, in sum
+//!    and per timer key), how many nodes hold protocol-layer state at the
+//!    horizon (`cold_engaged`) and had their neighbours listed
+//!    (`neighbor_lists`), the trace ring's (records appended and dropped,
+//!    its slots' heap bytes), the heap bytes live at the horizon
+//!    (`heap_live`) and the same by layer (`heap_<layer>`).
 //! 2. `sweep` — a homogeneous scale-cell set run at 1/2/4/8 workers with
 //!    byte-identical-merge cross-checks, as in the `sweep` bin.
 //! 3. `shards` — the smallest field, then the 10k- and 100k-node fields,
@@ -220,7 +222,6 @@ fn main() -> ExitCode {
             "scale: {nodes} nodes → build {:.3}s ({} allocations), run {:.3}s, {} events ({:.0}/s), {} bytes on air",
             p.build_wall_s, p.build_allocs, p.run_wall_s, p.events, p.events_per_sec, p.bytes_on_air
         );
-        let total = |counts: &[u64]| counts.iter().sum();
         let row = JsonObject::new()
             .field_u64("nodes", u64::from(p.nodes))
             .field_f64("build_wall_s", p.build_wall_s)
@@ -232,40 +233,11 @@ fn main() -> ExitCode {
             .field_u64("labels_created", p.labels_created)
             .field_u64("handovers", p.handovers)
             .field_u64("bytes_on_air", p.bytes_on_air)
-            .field_f64("sim_horizon_s", p.sim_horizon_s)
-            .field_u64("sense_ticks", p.sensing.ticks)
-            .field_u64("sense_ticks_admitted", p.sensing.admitted)
-            .field_u64("sense_strides", p.sensing.strides)
-            .field_u64("samples_covered", p.sensing.coverage.answered)
-            .field_u64("samples_walked", p.sensing.coverage.walked)
-            .field_u64("coverage_rebuilds", p.sensing.coverage.rebuilds)
-            .field_u64("sense_verdicts", p.sensing.verdicts)
-            .field_u64("sense_parked", p.sensing.parked)
-            .field_u64("sense_settled", p.sensing.settled)
-            .field_u64(
-                "popped_events",
-                p.event_list.lane_pops + p.event_list.heap_pops,
-            )
-            .field_u64("lane_pops", p.event_list.lane_pops)
-            .field_u64("heap_pops", p.event_list.heap_pops)
-            .field_u64("inline_events", p.event_list.inline_scheduled)
-            .field_u64("boxed_events", p.event_list.boxed_scheduled)
-            .field_u64("timer_live", total(&p.timers.live))
-            .field_u64("timer_stale", total(&p.timers.stale))
-            .field_u64("timer_retries", total(&p.timers.retried))
-            .field_u64("cold_engaged", p.cold_engaged as u64)
-            .field_u64("neighbor_lists", p.neighbor_lists as u64)
-            .field_u64("trace_records", p.trace.records)
-            .field_u64("trace_dropped", p.trace.dropped)
-            .field_u64("trace_ring_bytes", p.trace.ring_bytes)
-            .field_u64("heap_live", p.live_heap_bytes);
+            .field_f64("sim_horizon_s", p.sim_horizon_s);
         let row = p
-            .heap
-            .layers()
-            .into_iter()
-            .fold(row, |row, (layer, bytes)| {
-                row.field_u64(&format!("heap_{layer}"), bytes)
-            });
+            .work
+            .iter()
+            .fold(row, |row, (name, count)| row.field_u64(name, count));
         rows.push(row.finish());
         points.push(p);
     }

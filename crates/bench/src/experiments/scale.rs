@@ -12,12 +12,11 @@
 use std::time::Instant;
 
 use envirotrack_core::events::SystemEvent;
-use envirotrack_core::network::{HeapBytes, NetworkConfig, SensingWork, SensorNetwork, TimerWork};
+use envirotrack_core::network::{NetworkConfig, SensorNetwork};
 use envirotrack_core::report::telemetry_to_jsonl;
 use envirotrack_core::shard::{run_sharded, MediumMode};
-use envirotrack_sim::engine::EventWork;
 use envirotrack_sim::time::{SimDuration, Timestamp};
-use envirotrack_telemetry::TraceWork;
+use envirotrack_telemetry::Work;
 use envirotrack_world::scenario::{ScaleScenario, Scenario};
 
 use crate::harness::{tracker_program, TRACKER};
@@ -87,37 +86,17 @@ pub struct ScalePoint {
     pub bytes_on_air: u64,
     /// The virtual horizon, in seconds.
     pub sim_horizon_s: f64,
-    /// How the sensing driver did its part: ticks fired and admitted,
-    /// strides between hot records, idle samples the coverage answered or
-    /// walked, coverage rebuilds, answered samples the ambient verdict
-    /// settled without building them.
-    /// Exact and host-independent, but no part of the simulation's output.
-    pub sensing: SensingWork,
-    /// How the kernel's event list did its part: pops off the recurring
-    /// lane and out of the heap, one-shot events scheduled inline and
-    /// boxed. As exact, and as little part of the output.
-    pub event_list: EventWork,
-    /// How the group timers that fired were handled: live, stale and
-    /// retried firings per timer key. As exact, and as little part of the
-    /// output.
-    pub timers: TimerWork,
-    /// Nodes that hold protocol-layer state at the horizon: those that used
-    /// a layer, which created their record. How the run was stored, not
-    /// what it did; as little part of the output.
-    pub cold_engaged: usize,
-    /// Nodes whose neighbour list the medium made: those that transmitted.
-    /// As little part of the output.
-    pub neighbor_lists: usize,
-    /// How the telemetry trace ring did its part: records appended and
-    /// dropped, and the heap bytes of its slots at the horizon. As exact,
-    /// and as little part of the output.
-    pub trace: TraceWork,
-    /// The heap bytes the field, the engine and its world hold at the
-    /// horizon, from the caller's allocation counter; zero without one.
-    pub live_heap_bytes: u64,
-    /// The same, as each layer of the engine and its world works it out
-    /// from its own state. As exact, and as little part of the output.
-    pub heap: HeapBytes,
+    /// How the run did its work and how it was stored, by name: the
+    /// kernel's counts ([`Kernel::work`]) and the world's
+    /// ([`SensorNetwork::work`]), then `heap_live` — the heap bytes the
+    /// field, the engine and its world hold at the horizon, from the
+    /// caller's allocation counter, zero without one — and the same as
+    /// each layer works it out from its own state
+    /// ([`SensorNetwork::heap_bytes`]). Exact and host-independent, but no
+    /// part of the simulation's output.
+    ///
+    /// [`Kernel::work`]: envirotrack_sim::engine::Kernel::work
+    pub work: Work,
 }
 
 /// The field and network configuration every flavour of a scale point
@@ -164,8 +143,13 @@ pub fn run_scale(cfg: &ScaleRun, heap: impl Fn() -> (u64, i64)) -> ScalePoint {
     engine.run_until(Timestamp::ZERO + cfg.horizon);
     let run_wall_s = run_start.elapsed().as_secs_f64();
 
-    let live_heap_bytes = heap().1 - start.1;
-    let world = engine.world();
+    let live_heap_bytes = u64::try_from(heap().1 - start.1).expect("the world is live");
+    let (kernel, world) = (engine.kernel(), engine.world());
+    let mut work = Work::default();
+    kernel.work(&mut work);
+    world.work(&mut work);
+    work.add("heap_live", live_heap_bytes);
+    world.heap_bytes(kernel, &mut work);
     let events = world.telemetry().counter("kernel.events");
     let labels_created = world.events().labels_created(TRACKER).len() as u64;
     let handovers = world
@@ -187,14 +171,7 @@ pub fn run_scale(cfg: &ScaleRun, heap: impl Fn() -> (u64, i64)) -> ScalePoint {
         handovers,
         bytes_on_air: world.net_stats().bytes_on_air(),
         sim_horizon_s: cfg.horizon.as_secs_f64(),
-        sensing: world.sensing_work(),
-        event_list: engine.kernel().event_work(),
-        timers: world.timer_work(),
-        cold_engaged: world.cold_engaged(),
-        neighbor_lists: world.neighbor_lists(),
-        trace: world.telemetry().trace_work(),
-        live_heap_bytes: u64::try_from(live_heap_bytes).expect("the world is live"),
-        heap: world.heap_bytes(engine.kernel()),
+        work,
     }
 }
 
@@ -340,23 +317,22 @@ mod tests {
         assert_eq!(a.events, b.events);
         assert_eq!(a.labels_created, b.labels_created);
         assert_eq!(a.handovers, b.handovers);
-        assert_eq!(a.sensing, b.sensing);
-        let idle = a.sensing.coverage.answered + a.sensing.coverage.walked;
-        assert!(idle > 0 && idle <= a.sensing.admitted && a.sensing.admitted <= a.sensing.ticks);
-        assert_eq!(a.event_list, b.event_list);
-        assert_eq!(a.timers, b.timers);
-        assert_eq!(a.trace, b.trace);
-        let traced = a.trace.records > 0 && a.trace.ring_bytes > 0;
-        assert!(traced, "{:?}", a.trace);
-        let fired: u64 = a.timers.live.iter().chain(&a.timers.stale).sum();
-        let leaders_beat = fired > 0 && a.timers.live[0] > 0;
-        assert!(leaders_beat, "{:?}", a.timers);
-        let list = a.event_list;
-        assert_eq!(list.lane_pops + list.heap_pops + a.sensing.settled, a.events);
+        assert_eq!(a.work, b.work);
+        let w = &a.work;
+        let idle = w.get("samples_covered") + w.get("samples_walked");
+        let (ticks, admitted) = (w.get("sense_ticks"), w.get("sense_ticks_admitted"));
+        assert!(idle > 0 && idle <= admitted && admitted <= ticks);
+        let traced = w.get("trace_records") > 0 && w.get("trace_ring_bytes") > 0;
+        assert!(traced, "{w:?}");
+        let fired = w.get("timer_live") + w.get("timer_stale");
+        let leaders_beat = fired > 0 && w.get("timer_live_heartbeat") > 0;
+        assert!(leaders_beat, "{w:?}");
+        let (lane_pops, heap_pops) = (w.get("lane_pops"), w.get("heap_pops"));
+        assert_eq!(lane_pops + heap_pops + w.get("sense_settled"), a.events);
         // Off the heap come the inline and boxed events, and the ticks and
         // wake events of parking: at most one re-arm and one wake a parking.
-        let parking = 2 * a.sensing.parked;
-        assert!(list.heap_pops <= list.inline_scheduled + list.boxed_scheduled + parking);
+        let parking = 2 * w.get("sense_parked");
+        assert!(heap_pops <= w.get("inline_events") + w.get("boxed_events") + parking);
         assert!(a.events > 0, "a 200-node field must execute events");
         assert!(a.labels_created >= 1, "targets should be detected: {a:?}");
     }

@@ -10,9 +10,10 @@
 
 use std::sync::Arc;
 
-use envirotrack_core::network::{HeapBytes, NetworkConfig, SensorNetwork};
+use envirotrack_core::network::{NetworkConfig, SensorNetwork};
 use envirotrack_lang::compile_source;
 use envirotrack_sim::time::Timestamp;
+use envirotrack_telemetry::Work;
 use envirotrack_world::scenario::ScaleScenario;
 use testkit::alloc::{heap, peak, reset_peak, Counting};
 
@@ -47,11 +48,23 @@ struct Census {
     /// The live bytes the allocator counted and the most it held at once.
     live: u64,
     peak: u64,
-    /// The census by layer.
-    bytes: HeapBytes,
-    engaged: u64,
-    /// The neighbour lists the medium made.
-    lists: u64,
+    /// The census by layer (`heap_<layer>`), and the rest of the world's
+    /// work counts: `cold_engaged`, and `neighbor_lists`, the lists the
+    /// medium made.
+    work: Work,
+}
+
+impl Census {
+    /// The census's layers, `heap_` taken off their names.
+    fn layers(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        let layers = self.work.iter();
+        layers.filter_map(|(name, b)| Some((name.strip_prefix("heap_")?, b)))
+    }
+
+    /// All layers together.
+    fn counted(&self) -> u64 {
+        self.layers().map(|(_, b)| b).sum()
+    }
 }
 
 fn census(shape: Shape, seed: u64, secs: u64) -> Census {
@@ -77,43 +90,38 @@ fn census(shape: Shape, seed: u64, secs: u64) -> Census {
     let (field, targets) = (scenario.deployment, scenario.environment);
     let mut engine = SensorNetwork::build_engine(program, field, targets, config, seed);
     engine.run_until(Timestamp::from_secs(secs));
-    let world = engine.world();
-    Census {
-        live: u64::try_from(heap().1 - start).expect("the engine is live"),
-        peak: u64::try_from(peak() - start).expect("at least what is live"),
-        bytes: world.heap_bytes(engine.kernel()),
-        engaged: world.cold_engaged() as u64,
-        lists: world.neighbor_lists() as u64,
-    }
+    let live = u64::try_from(heap().1 - start).expect("the engine is live");
+    let peak = u64::try_from(peak() - start).expect("at least what is live");
+    let mut work = Work::default();
+    engine.world().work(&mut work);
+    engine.world().heap_bytes(engine.kernel(), &mut work);
+    Census { live, peak, work }
 }
 
 #[test]
 fn the_layers_account_for_the_heap_of_a_dense_run() {
-    let Census {
-        live,
-        peak,
-        bytes,
-        engaged,
-        lists,
-    } = census(Shape::Dense, 1, 10);
-    let counted = bytes.total();
+    let c = census(Shape::Dense, 1, 10);
+    let (live, peak, counted) = (c.live, c.peak, c.counted());
     assert!(
         counted.abs_diff(live) * 20 <= live && live <= peak,
         "{counted} bytes counted by layer, {live} live, {peak} at the peak: {:?}",
-        bytes.layers()
+        c.layers().collect::<Vec<_>>()
     );
+    let engaged = c.work.get("cold_engaged");
     // An engaged record keeps its MTP endpoint and directory state in boxes
     // made on first use, the run-wide MTP constants out of the record, a
     // leader's state out of every machine that does not lead, and its
     // routing-table entries flat: about 630 bytes a record here, where
     // holding all of it inline took about 900.
     assert!(engaged > 500, "{engaged} engaged records");
-    let records = bytes.engaged + bytes.mtp + bytes.endpoints + bytes.directory + bytes.leaders;
+    let tiers = ["engaged", "mtp", "endpoints", "directory", "leaders"];
+    let records: u64 = tiers.map(|t| c.work.get(&format!("heap_{t}"))).iter().sum();
     assert!(
         records <= 720 * engaged,
         "{records} bytes in {engaged} engaged records"
     );
     // Only a node that transmitted has its receivers listed.
+    let lists = c.work.get("neighbor_lists");
     assert!(
         0 < lists && lists <= engaged,
         "{lists} lists, {engaged} engaged"
@@ -138,12 +146,15 @@ fn census_of_the_benchmark_shapes_at_their_horizons() {
             let c = census(shape, seed, secs);
             println!(
                 "{name} seed {seed}: {} engaged records, {} neighbour lists, {} B live, {} B at the peak",
-                c.engaged, c.lists, c.live, c.peak
+                c.work.get("cold_engaged"),
+                c.work.get("neighbor_lists"),
+                c.live,
+                c.peak
             );
-            for (layer, b) in c.bytes.layers() {
+            for (layer, b) in c.layers() {
                 println!("  {layer:<10} {b:>9} B  {:>6.3} MiB", b as f64 / 1048576.0);
             }
-            let counted = c.bytes.total();
+            let counted = c.counted();
             println!(
                 "  {:<10} {counted:>9} B  {:>6.1} % of live",
                 "total",

@@ -17,7 +17,7 @@ use super::link::LinkReliability;
 use super::node::{Clocks, HotRecords, Layers, Nodes, SenseState};
 use super::park::Parking;
 use super::sense::{self, Sensing};
-use super::{SensorNetwork, TimerWork, K};
+use super::{timers, SensorNetwork, K};
 use crate::api::Program;
 use crate::context::ContextTypeId;
 use crate::config::MiddlewareConfig;
@@ -105,7 +105,7 @@ impl SensorNetwork {
             sense: HotRecords::new(sense),
             sensing,
             park,
-            timers: TimerWork::default(),
+            timers: timers::Timers::default(),
             rec: Recorder::new(telemetry),
             base_log: BaseStationLog::default(),
             app_log: Vec::new(),

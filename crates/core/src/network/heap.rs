@@ -5,99 +5,47 @@
 
 use envirotrack_sim::engine::Kernel;
 use envirotrack_sim::time::Timestamp;
+use envirotrack_telemetry::Work;
 use envirotrack_world::field::NodeId;
 
 use super::SensorNetwork;
 
-/// The heap bytes of a world and its kernel, one field per layer. What is
-/// not counted is small: the program, the environment's targets, the
-/// sensing coverage, a pending boxed event's captures and payloads shared
-/// with a frame on the air.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HeapBytes {
-    /// The event list: heap, recurring lane and slab, and each pending
-    /// boxed closure.
-    pub kernel: u64,
-    /// The radio medium with its grid and the neighbour lists it made.
-    pub medium: u64,
-    /// The node positions, which the grid and every shard replica share.
-    pub deployment: u64,
-    /// Every node's hot record and its slot, and which are parked.
-    pub hot: u64,
-    /// Every node's slot of cold state, the cold states made — main
-    /// stream, energy — and the clocks whose rate was set.
-    pub nodes: u64,
-    /// Engaged records: the slot table, each record with its group
-    /// machines and link tables.
-    pub engaged: u64,
-    /// Engaged records' MTP last-known-leader and forwarding tables.
-    pub mtp: u64,
-    /// Engaged records' MTP endpoints: boxes made on a node's first end-to-
-    /// end send, park or delivery, with their tables.
-    pub endpoints: u64,
-    /// Engaged records' directory state: boxes made on a node's first use
-    /// of the directory, with their stores and queries.
-    pub directory: u64,
-    /// What engaged records' machines hold because they lead: the boxed
-    /// leader state, its windows, timers and directory view.
-    pub leaders: u64,
-    /// The telemetry registry: trace ring, strings, counters, histograms.
-    pub telemetry: u64,
-    /// The event log and the recorder's counter caches.
-    pub events: u64,
-    /// The base station's reports and the application log.
-    pub base_log: u64,
-}
-
-impl HeapBytes {
-    /// Every layer by name, in field order.
-    #[must_use]
-    pub fn layers(&self) -> [(&'static str, u64); 13] {
-        [
-            ("kernel", self.kernel),
-            ("medium", self.medium),
-            ("deployment", self.deployment),
-            ("hot", self.hot),
-            ("nodes", self.nodes),
-            ("engaged", self.engaged),
-            ("mtp", self.mtp),
-            ("endpoints", self.endpoints),
-            ("directory", self.directory),
-            ("leaders", self.leaders),
-            ("telemetry", self.telemetry),
-            ("events", self.events),
-            ("base_log", self.base_log),
-        ]
-    }
-
-    /// All layers together.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.layers().iter().map(|(_, bytes)| bytes).sum()
-    }
-}
-
 impl SensorNetwork {
-    /// What this world and `kernel`, the kernel it runs under, hold in heap
-    /// bytes, by layer. Like [`Self::cold_engaged`] it says how the run was
-    /// stored, not what it did, and belongs in no run record.
-    #[must_use]
-    pub fn heap_bytes(&self, kernel: &Kernel<SensorNetwork>) -> HeapBytes {
+    /// Adds what this world and `kernel`, the kernel it runs under, hold in
+    /// heap bytes to `work`, one `heap_<layer>` count per layer. Like
+    /// [`Self::work`] it says how the run was stored, not what it did. What
+    /// is not counted is small: the program, the environment's targets, the
+    /// sensing coverage, a pending boxed event's captures and payloads
+    /// shared with a frame on the air.
+    /// - `heap_kernel`: the event list — heap, recurring lane and slab, and
+    ///   each pending boxed closure;
+    /// - `heap_medium`: the radio medium with its grid and the neighbour
+    ///   lists it made;
+    /// - `heap_deployment`: the node positions, which the grid and every
+    ///   shard replica share;
+    /// - `heap_hot`: every node's hot record and its slot, and which are
+    ///   parked;
+    /// - `heap_nodes`: every node's slot of cold state, the cold states
+    ///   made — main stream, energy — and the clocks whose rate was set;
+    /// - the engaged records' tiers (`Layers::heap_bytes`);
+    /// - `heap_telemetry`: the telemetry registry — trace ring, strings,
+    ///   counters, histograms;
+    /// - `heap_events`: the event log and the recorder's counter caches;
+    /// - `heap_base_log`: the base station's reports and the application
+    ///   log.
+    pub fn heap_bytes(&self, kernel: &Kernel<SensorNetwork>, work: &mut Work) {
         let app_log = self.app_log.iter().map(|(_, _, line)| line.capacity());
         let app_log = self.app_log.capacity() * size_of::<(Timestamp, NodeId, String)>()
             + app_log.sum::<usize>();
-        let mut bytes = HeapBytes {
-            kernel: kernel.heap_bytes() as u64,
-            medium: self.medium.heap_bytes() as u64,
-            deployment: self.deployment.heap_bytes() as u64,
-            hot: (self.sense.heap_bytes() + self.park.heap_bytes()) as u64,
-            nodes: (self.nodes.heap_bytes() + self.clocks.heap_bytes()) as u64,
-            telemetry: self.rec.telemetry.heap_bytes() as u64,
-            events: self.rec.heap_bytes() as u64,
-            base_log: (self.base_log.heap_bytes() + app_log) as u64,
-            ..HeapBytes::default()
-        };
-        self.layers.heap_bytes(&mut bytes);
-        bytes
+        let bytes = |b: usize| b as u64;
+        work.add("heap_kernel", bytes(kernel.heap_bytes()));
+        work.add("heap_medium", bytes(self.medium.heap_bytes()));
+        work.add("heap_deployment", bytes(self.deployment.heap_bytes()));
+        work.add("heap_hot", bytes(self.sense.heap_bytes() + self.park.heap_bytes()));
+        work.add("heap_nodes", bytes(self.nodes.heap_bytes() + self.clocks.heap_bytes()));
+        self.layers.heap_bytes(work);
+        work.add("heap_telemetry", bytes(self.rec.telemetry.heap_bytes()));
+        work.add("heap_events", bytes(self.rec.heap_bytes()));
+        work.add("heap_base_log", bytes(self.base_log.heap_bytes() + app_log));
     }
 }

@@ -5,14 +5,14 @@ use envirotrack_net::medium::NetStats;
 use envirotrack_node::cpu::costs;
 use envirotrack_node::energy::EnergyMeter;
 use envirotrack_sim::time::{SimDuration, Timestamp};
-use envirotrack_telemetry::Telemetry;
+use envirotrack_telemetry::{Telemetry, Work};
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::Point;
 use envirotrack_world::sensing::Environment;
 
 use super::dir::{self, DirState};
 use super::node::Engaged;
-use super::{NetworkConfig, SensingWork, SensorNetwork, TimerWork};
+use super::{NetworkConfig, SensorNetwork};
 use crate::context::{ContextLabel, ContextTypeId};
 use crate::directory::{hash_point, replica_set};
 use crate::events::EventLog;
@@ -178,39 +178,27 @@ impl SensorNetwork {
         })
     }
 
-    /// The sensing driver's work counters (see [`SensingWork`]).
-    #[must_use]
-    pub fn sensing_work(&self) -> SensingWork {
-        self.sensing.work(self.park.work())
+    /// Adds how this world did its work to `work`: the sensing driver's,
+    /// parking's, the group timers' and the trace ring's counts, and how
+    /// the run was stored. Like the kernel's
+    /// ([`Kernel::work`](envirotrack_sim::engine::Kernel::work)) they say
+    /// how the work was done, not what the simulation did, and a shard's
+    /// world counts only its own nodes:
+    /// - `cold_engaged`: nodes that hold protocol-layer state — a record
+    ///   with their transport, directory and link state and their group
+    ///   machines, created on the node's first use of any of them;
+    /// - `neighbor_lists`: nodes whose neighbour list the medium has made,
+    ///   one per node that transmitted, listed on its first transmission.
+    pub fn work(&self, work: &mut Work) {
+        self.sensing.work(work);
+        self.park.work(work);
+        self.timers.work(work);
+        work.add("cold_engaged", self.layers.len() as u64);
+        work.add("neighbor_lists", self.medium.neighbor_lists() as u64);
+        self.rec.telemetry.work(work);
     }
 
-    /// How the group timers that fired were handled (see [`TimerWork`]).
-    #[must_use]
-    pub fn timer_work(&self) -> TimerWork {
-        self.timers
-    }
-
-    /// How many nodes hold protocol-layer state: a record with their
-    /// transport, directory and link state and their group machines,
-    /// created on the node's first use of any of them. Like
-    /// [`Self::sensing_work`] it says how the run was stored, not what it
-    /// did: it belongs in no run record, and a shard's world counts only
-    /// its own nodes.
-    #[must_use]
-    pub fn cold_engaged(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// How many nodes' neighbour lists the medium has made: one per node
-    /// that transmitted, listed on its first transmission. As
-    /// [`Self::cold_engaged`], it says how the run was stored, belongs in
-    /// no run record, and a shard's world counts only its own medium's.
-    #[must_use]
-    pub fn neighbor_lists(&self) -> usize {
-        self.medium.neighbor_lists()
-    }
-
-    /// The nodes [`Self::cold_engaged`] counts, in id order.
+    /// The nodes `cold_engaged` counts ([`Self::work`]), in id order.
     pub(crate) fn engaged_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.layers.engaged().map(|(id, _)| id)
     }

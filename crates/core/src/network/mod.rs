@@ -81,14 +81,11 @@ use envirotrack_world::sensing::Environment;
 
 pub use self::build::NetworkConfig;
 pub use self::control::FaultEvent;
-pub use self::heap::HeapBytes;
 use self::dir::Failover;
 use self::events::Recorder;
 use self::link::Decoded;
 pub use self::link::LinkReliability;
 use self::node::{Clocks, Engaged, HotRecords, Layers, Nodes};
-pub use self::sense::SensingWork;
-pub use self::timers::TimerWork;
 pub(crate) use self::words::MAX_TIMER_METHODS;
 use crate::api::Program;
 use crate::context::{ContextLabel, ContextTypeId};
@@ -120,7 +117,7 @@ pub struct SensorNetwork {
     /// The nodes whose sensing loops are parked (`park.rs`).
     park: park::Parking,
     /// How the group timers that fired were handled.
-    timers: TimerWork,
+    timers: timers::Timers,
     /// Event log, telemetry handle and label cache, lent to whichever
     /// layer has something to record.
     rec: Recorder,
@@ -905,6 +902,7 @@ mod tests {
     use crate::context::SensePredicate;
     use crate::report::telemetry_to_jsonl;
     use envirotrack_sim::engine::Engine;
+    use envirotrack_telemetry::Work;
     use envirotrack_world::scenario::TankScenario;
     use envirotrack_world::sensing::NoiseModel;
     use envirotrack_world::target::Channel;
@@ -963,22 +961,24 @@ mod tests {
         NoiseModel::none().with_channel(Channel::Magnetic, 0.2)
     }
 
-    /// The engaged nodes and the neighbour lists a run made.
-    type Stored = (usize, usize);
-
     /// [`faulted_engine`] run for 5 s. Returns how the run was executed —
     /// the sensing loops left on the lane, the sensing work counters, what
-    /// it [`Stored`] — and its [`output`].
+    /// it — and its [`output`].
     fn faulted_run(
         noise: NoiseModel,
         hook: fn(&mut SensorNetwork),
-    ) -> ((usize, SensingWork, Stored), (u64, String, String)) {
+    ) -> ((usize, Work), (u64, String, String)) {
         let engine = faulted_engine(noise, hook, Timestamp::from_secs(5));
         let world = engine.world();
         let lane = engine.kernel().recurring_len();
-        let stored = (world.cold_engaged(), world.neighbor_lists());
-        let work = (lane, world.sensing_work(), stored);
-        (work, output(world))
+        ((lane, work_of(world)), output(world))
+    }
+
+    /// The world's work counts ([`SensorNetwork::work`]).
+    pub(super) fn work_of(world: &SensorNetwork) -> Work {
+        let mut work = Work::default();
+        world.work(&mut work);
+        work
     }
 
     /// A tank crossing a 20 × 20 field of sensors with `noise` until
@@ -1091,19 +1091,19 @@ mod tests {
     /// crosses a cell, and so a coverage window, about every 0.48 s.
     #[test]
     fn the_quiescent_test_changes_no_byte_of_a_faulted_run() {
-        let ((_, work, _), run) = faulted_run(noisy(), |_| {});
-        let sampled = work.coverage.answered + work.coverage.walked;
-        assert!(work.admitted <= work.ticks && sampled <= work.admitted);
-        assert!(
-            work.coverage.answered > 9 * work.coverage.walked,
-            "{work:?}"
-        );
-        assert!((10..=12).contains(&work.coverage.rebuilds), "{work:?}");
-        let ((_, hooked, _), through_machines) =
+        let ((_, work), run) = faulted_run(noisy(), |_| {});
+        let (answered, walked) = (work.get("samples_covered"), work.get("samples_walked"));
+        let (ticks, admitted) = (work.get("sense_ticks"), work.get("sense_ticks_admitted"));
+        assert!(admitted <= ticks && answered + walked <= admitted);
+        assert!(answered > 9 * walked, "{work:?}");
+        assert!((10..=12).contains(&work.get("coverage_rebuilds")), "{work:?}");
+        let ((_, hooked), through_machines) =
             faulted_run(noisy(), |w| w.ticks_enter_machines = true);
         assert_eq!(run, through_machines);
-        assert_eq!(hooked.coverage, Default::default(), "every sample walked");
-        assert_eq!((hooked.ticks, hooked.admitted), (work.ticks, work.admitted));
+        let coverage = ["samples_covered", "samples_walked", "coverage_rebuilds"];
+        assert_eq!(coverage.map(|c| hooked.get(c)), [0; 3], "every sample walked");
+        let ticks = |w: &Work| (w.get("sense_ticks"), w.get("sense_ticks_admitted"));
+        assert_eq!(ticks(&hooked), ticks(&work));
     }
 
     /// In a noiseless field a quiescent tick in a clear cell is settled by
@@ -1113,18 +1113,19 @@ mod tests {
     /// and no tick is settled that way.
     #[test]
     fn the_ambient_verdict_changes_no_byte_of_a_noiseless_faulted_run() {
-        let ((_, work, _), run) = faulted_run(NoiseModel::none(), |_| {});
+        let ((_, work), run) = faulted_run(NoiseModel::none(), |_| {});
         assert!(run.1.contains("LabelCreated"), "the tank is tracked");
+        let verdicts = work.get("sense_verdicts");
         assert!(
-            work.verdicts > 0 && work.verdicts <= work.coverage.answered,
+            verdicts > 0 && verdicts <= work.get("samples_covered"),
             "{work:?}"
         );
-        let ((_, hooked, _), through_machines) =
+        let ((_, hooked), through_machines) =
             faulted_run(NoiseModel::none(), |w| w.ticks_enter_machines = true);
-        assert_eq!(hooked.verdicts, 0);
+        assert_eq!(hooked.get("sense_verdicts"), 0);
         assert_eq!(run, through_machines);
-        let ((_, noisy_work, _), _) = faulted_run(noisy(), |_| {});
-        assert_eq!(noisy_work.verdicts, 0, "{noisy_work:?}");
+        let ((_, noisy_work), _) = faulted_run(noisy(), |_| {});
+        assert_eq!(noisy_work.get("sense_verdicts"), 0, "{noisy_work:?}");
     }
 
     /// A type the ambient levels activate — `temperature < 30` over a
@@ -1140,8 +1141,8 @@ mod tests {
                 out.1.contains("LabelCreated"),
                 "the field is cold everywhere"
             );
-            assert!(work.coverage.answered > 0, "{work:?}");
-            assert_eq!(work.verdicts > 0, with_tracker, "{work:?}");
+            assert!(work.get("samples_covered") > 0, "{work:?}");
+            assert_eq!(work.get("sense_verdicts") > 0, with_tracker, "{work:?}");
             let (_, through_machines) =
                 cold_field_run(with_tracker, |w| w.ticks_enter_machines = true);
             assert_eq!(out, through_machines);
@@ -1155,7 +1156,7 @@ mod tests {
     fn cold_field_run(
         with_tracker: bool,
         hook: fn(&mut SensorNetwork),
-    ) -> (SensingWork, (u64, String, String)) {
+    ) -> (Work, (u64, String, String)) {
         use crate::context::CmpOp;
         use envirotrack_world::scenario::FireScenario;
         let cold = SensePredicate::Cmp {
@@ -1176,7 +1177,7 @@ mod tests {
         let mut engine = SensorNetwork::build_engine(program, field, env, config, 4);
         hook(engine.world_mut());
         engine.run_until(Timestamp::from_secs(3));
-        (engine.world().sensing_work(), output(engine.world()))
+        (work_of(engine.world()), output(engine.world()))
     }
 
     /// Every node's engaged record and neighbour list made before the first
@@ -1190,7 +1191,8 @@ mod tests {
     fn creating_records_on_first_use_changes_no_byte_of_a_run() {
         let retransmitted = r#"{"t":"counter","name":"mtp.retx","value":"#;
         for noise in [noisy(), NoiseModel::none()] {
-            let ((.., (engaged, listed)), run) = faulted_run(noise, |_| {});
+            let ((_, work), run) = faulted_run(noise, |_| {});
+            let (engaged, listed) = (work.get("cold_engaged"), work.get("neighbor_lists"));
             assert!(
                 run.2.contains(retransmitted),
                 "no segment was retransmitted"
@@ -1200,8 +1202,9 @@ mod tests {
                 "{engaged} of 400 nodes engaged"
             );
             assert!(0 < listed && listed < 100, "{listed} of 400 nodes listed");
-            let ((.., all), up_front) = faulted_run(noise, |w| w.cold_records_up_front = true);
-            assert_eq!(all, (400, 400));
+            let ((_, all), up_front) = faulted_run(noise, |w| w.cold_records_up_front = true);
+            let stored = ["cold_engaged", "neighbor_lists"].map(|c| all.get(c));
+            assert_eq!(stored, [400, 400]);
             assert_eq!(run, up_front);
         }
         for with_tracker in [false, true] {
@@ -1221,13 +1224,14 @@ mod tests {
         let mut engine = SensorNetwork::build_engine(tracker(), field, env, config, 2);
         engine.run_until(Timestamp::from_secs(1));
         let world = engine.world_mut();
-        assert_eq!(world.cold_engaged(), 0, "an empty field engages nobody");
+        let engaged_nodes = |w: &SensorNetwork| work_of(w).get("cold_engaged");
+        assert_eq!(engaged_nodes(world), 0, "an empty field engages nobody");
         let (idle, engaged) = (NodeId(42), NodeId(7));
         world.kill_node(idle);
         assert!(!world.is_alive(idle));
         world.revive_node(idle);
         assert!(world.is_alive(idle) && world.sense[idle].quiescent);
-        assert_eq!(world.cold_engaged(), 0);
+        assert_eq!(engaged_nodes(world), 0);
         let label = ContextLabel {
             type_id: ContextTypeId(0),
             creator: NodeId(3),
@@ -1246,7 +1250,7 @@ mod tests {
             0,
             "a reboot remembers nothing"
         );
-        assert_eq!(world.cold_engaged(), 1);
+        assert_eq!(engaged_nodes(world), 1);
     }
 
     /// The world routes over the lists its medium keeps and takes the hop
@@ -1278,7 +1282,7 @@ mod tests {
                     assert_eq!(hop, router.next_hop(from, dest), "{from} to {dest}");
                 }
             }
-            assert_eq!(world.neighbor_lists(), n);
+            assert_eq!(work_of(&world).get("neighbor_lists"), n as u64);
         }
     }
 
@@ -1333,13 +1337,17 @@ mod tests {
     /// any work counter but the strides.
     #[test]
     fn the_record_layout_changes_no_byte_of_a_faulted_run() {
-        let ((on_lane, work, _), run) = faulted_run(noisy(), |_| {});
-        let ((in_id_order, unlaid, _), unlaid_run) =
+        let ((on_lane, work), run) = faulted_run(noisy(), |_| {});
+        let ((in_id_order, unlaid), unlaid_run) =
             faulted_run(noisy(), |w| w.records_in_id_order = true);
         assert_eq!((on_lane, run), (in_id_order, unlaid_run));
-        let strides = |w: SensingWork| SensingWork { strides: 0, ..w };
-        assert_eq!(strides(work), strides(unlaid));
-        assert!(work.strides * 20 < unlaid.strides, "{work:?} {unlaid:?}");
+        let but_strides = |w: &Work| {
+            let counts = w.iter().filter(|&(name, _)| name != "sense_strides");
+            counts.collect::<Vec<_>>()
+        };
+        assert_eq!(but_strides(&work), but_strides(&unlaid));
+        let strides = |w: &Work| w.get("sense_strides");
+        assert!(strides(&work) * 20 < strides(&unlaid), "{work:?} {unlaid:?}");
     }
 
     /// On a field of nominal clocks a sensing period reads the records front
@@ -1356,17 +1364,18 @@ mod tests {
             engine.world_mut().ticks_every_period = true;
             hook(engine.world_mut());
             engine.run_until(Timestamp::from_secs(10));
-            engine.world().sensing_work()
+            let work = work_of(engine.world());
+            (work.get("sense_ticks"), work.get("sense_strides"))
         };
-        let laid_out = run(|_| {});
-        let periods = laid_out.ticks.div_ceil(900);
-        assert!(periods >= 49, "{laid_out:?}");
-        assert!(laid_out.strides <= periods, "{laid_out:?}");
-        let in_id_order = run(|w| w.records_in_id_order = true);
-        assert_eq!(in_id_order.ticks, laid_out.ticks);
+        let (ticks, strides) = run(|_| {});
+        let periods = ticks.div_ceil(900);
+        assert!(periods >= 49, "{ticks} ticks");
+        assert!(strides <= periods, "{strides} strides in {periods} periods");
+        let (id_order_ticks, id_order_strides) = run(|w| w.records_in_id_order = true);
+        assert_eq!(id_order_ticks, ticks);
         assert!(
-            in_id_order.strides * 10 > in_id_order.ticks * 9,
-            "{in_id_order:?}"
+            id_order_strides * 10 > id_order_ticks * 9,
+            "{id_order_strides} strides in {id_order_ticks} ticks"
         );
     }
 
@@ -1392,13 +1401,15 @@ mod tests {
         // Every tick on the lane, none parked.
         engine.world_mut().ticks_every_period = true;
         engine.run_until(Timestamp::from_secs(10));
-        let work = engine.kernel().event_work();
-        let ticks = engine.world().sensing_work().ticks;
-        assert_eq!(work.lane_pops, ticks, "no clock is skewed");
+        let mut work = work_of(engine.world());
+        engine.kernel().work(&mut work);
+        let ticks = work.get("sense_ticks");
+        assert_eq!(work.get("lane_pops"), ticks, "no clock is skewed");
         assert!(engine.world().net_stats().sum(|k| k.tx) > 500, "{work:?}");
-        let heap_path = work.inline_scheduled + work.boxed_scheduled;
-        assert!(work.heap_pops <= heap_path && heap_path > 5_000, "{work:?}");
-        assert!(work.boxed_scheduled * 20 <= heap_path, "{work:?}");
+        let boxed = work.get("boxed_events");
+        let heap_path = work.get("inline_events") + boxed;
+        assert!(work.get("heap_pops") <= heap_path && heap_path > 5_000, "{work:?}");
+        assert!(boxed * 20 <= heap_path, "{work:?}");
     }
 
     #[test]

@@ -19,11 +19,11 @@ use envirotrack_node::cpu::{costs, MoteCpu};
 use envirotrack_node::energy::EnergyMeter;
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
+use envirotrack_telemetry::Work;
 use envirotrack_world::field::NodeId;
 use envirotrack_world::geometry::Point;
 
 use super::dir::{self, DirState};
-use super::heap::HeapBytes;
 use super::link::LinkState;
 use crate::api::Program;
 use crate::context::ContextTypeId;
@@ -515,23 +515,38 @@ impl Layers {
         self.engaged().count()
     }
 
-    /// Adds what the records hold to `bytes`, tier by tier: the slot
-    /// table, each record with its machines and link tables, its MTP
-    /// routing tables, MTP endpoint and directory state, and what its
-    /// machines hold because they lead.
-    pub(super) fn heap_bytes(&self, bytes: &mut HeapBytes) {
-        let slots = self.records.capacity() * size_of::<Option<Box<Engaged>>>();
-        bytes.engaged += slots as u64;
+    /// Adds what the records hold to `work`, tier by tier, each summed over
+    /// the records first:
+    /// - `heap_engaged`: the slot table, each record with its group
+    ///   machines and link tables;
+    /// - `heap_mtp`: the records' MTP last-known-leader and forwarding
+    ///   tables;
+    /// - `heap_endpoints`: MTP endpoints, boxes made on a node's first
+    ///   end-to-end send, park or delivery, with their tables;
+    /// - `heap_directory`: directory state, boxes made on a node's first
+    ///   use of the directory, with their stores and queries;
+    /// - `heap_leaders`: what the machines hold because they lead — the
+    ///   boxed leader state, its windows, timers and directory view.
+    pub(super) fn heap_bytes(&self, work: &mut Work) {
+        let mut engaged = self.records.capacity() * size_of::<Option<Box<Engaged>>>();
+        let (mut mtp, mut endpoints, mut directory, mut leaders) = (0, 0, 0, 0);
         for (_, record) in self.engaged() {
             let (tables, endpoint) = record.mtp.heap_bytes();
-            let leaders = record.machines.iter().map(GroupMachine::heap_bytes);
-            let own =
+            engaged +=
                 size_of::<Engaged>() + size_of_val(&*record.machines) + record.link.heap_bytes();
-            bytes.engaged += own as u64;
-            bytes.mtp += tables as u64;
-            bytes.endpoints += endpoint as u64;
-            bytes.directory += record.dir.as_ref().map_or(0, |d| d.heap_bytes()) as u64;
-            bytes.leaders += leaders.sum::<usize>() as u64;
+            mtp += tables;
+            endpoints += endpoint;
+            directory += record.dir.as_ref().map_or(0, |d| d.heap_bytes());
+            leaders += record.machines.iter().map(GroupMachine::heap_bytes).sum::<usize>();
+        }
+        for (name, bytes) in [
+            ("heap_engaged", engaged),
+            ("heap_mtp", mtp),
+            ("heap_endpoints", endpoints),
+            ("heap_directory", directory),
+            ("heap_leaders", leaders),
+        ] {
+            work.add(name, bytes as u64);
         }
     }
 }

@@ -23,9 +23,9 @@
 //! the current event comes from the kernel ([`TickClock`]); DESIGN.md §12
 //! has the argument.
 //!
-//! The run-wide counts — `kernel.events` and `SensingWork::{ticks,
-//! admitted}` — are settled whenever a run call returns, from a bitset over
-//! hot-record slots: the records of the nodes a world drives sit in the
+//! The run-wide counts — `kernel.events` and the work counts `sense_ticks`
+//! and `sense_ticks_admitted` — are settled whenever a run call returns,
+//! from a bitset over hot-record slots: the records of the nodes a world drives sit in the
 //! order of their sensing phase, so the parked nodes whose tick falls in
 //! the part of a period since the last return are the set bits of a slot
 //! range or two, found through the phase of every 64th slot. That is about
@@ -38,6 +38,7 @@ use std::sync::Arc;
 use envirotrack_node::cpu::{costs, MoteCpu};
 use envirotrack_sim::engine::TickClock;
 use envirotrack_sim::time::{SimDuration, Timestamp};
+use envirotrack_telemetry::Work;
 use envirotrack_world::field::NodeId;
 use envirotrack_world::geometry::Point;
 use envirotrack_world::grid::Topology;
@@ -93,7 +94,6 @@ pub(super) struct Parking {
     credit: u64,
     extra: u64,
     parkings: u64,
-    settled: u64,
 }
 
 impl Parking {
@@ -113,15 +113,20 @@ impl Parking {
             credit: 0,
             extra: 0,
             parkings: 0,
-            settled: 0,
         }
     }
 
-    /// `(parkings, settled)`: how often a node parked, and how many ticks
-    /// were settled in closed form less the wake events run in their
-    /// stead — what the kernel counts as events it did not pop.
-    pub(super) fn work(&self) -> (u64, u64) {
-        (self.parkings, self.settled)
+    /// Adds how parking did its work to `work`:
+    /// - `sense_parked`: times a tick parked its node, its loop stopped
+    ///   re-arming;
+    /// - `sense_settled`: ticks of parked nodes settled in closed form, less
+    ///   the wake events that ran in their stead — what the kernel counts as
+    ///   events it did not pop, so that with the event list's pops it makes
+    ///   `kernel.events`.
+    pub(super) fn work(&self, work: &mut Work) {
+        work.add("sense_parked", self.parkings);
+        let settled = self.clock.as_ref().map_or(0, |c| c.settled.get());
+        work.add("sense_settled", settled);
     }
 
     /// The heap bytes of the bitset, the phase index, the wake tables and
@@ -301,7 +306,6 @@ impl SensorNetwork {
         self.sensing.ticks += n;
         self.sensing.admitted += n;
         let park = &mut self.park;
-        park.settled = park.settled.wrapping_add(n);
         park.report(n);
         (park.since, park.credit, park.extra) = (now, 0, 0);
     }
@@ -407,7 +411,6 @@ impl SensorNetwork {
     /// earlier, or due again later, is passed over. The event is none of
     /// the simulation, so it takes itself off the count of settled ticks.
     fn wake_cells(&mut self, k: &mut K, at: u64) {
-        self.park.settled = self.park.settled.wrapping_sub(1);
         self.park.report(u64::MAX);
         debug_assert_eq!(k.now().as_micros(), at);
         let at = k.now();

@@ -16,9 +16,11 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use envirotrack_telemetry::Work;
 use envirotrack_world::target::Channel;
 use testkit::prelude::*;
 
+use super::tests::work_of;
 use super::*;
 use crate::context::SensePredicate;
 use crate::report::telemetry_to_jsonl;
@@ -59,8 +61,8 @@ fn run(draw: &WorldDraw, hook: fn(&mut SensorNetwork)) -> Seen {
     run_with_work(draw, hook).0
 }
 
-/// [`run`], and how the sensing was done.
-fn run_with_work(draw: &WorldDraw, hook: fn(&mut SensorNetwork)) -> (Seen, SensingWork) {
+/// [`run`], and how the world did its work.
+fn run_with_work(draw: &WorldDraw, hook: fn(&mut SensorNetwork)) -> (Seen, Work) {
     let world = draw.build();
     let mut config = NetworkConfig::default();
     config.radio = config.radio.with_comm_radius(world.radius);
@@ -114,11 +116,11 @@ fn run_with_work(draw: &WorldDraw, hook: fn(&mut SensorNetwork)) -> (Seen, Sensi
         let at = Timestamp::from_micros(world.horizon.as_micros() * part / 3);
         engine.run_until(at);
         let w = engine.world();
-        let work = w.sensing_work();
+        let work = work_of(w);
         pauses.push((
             w.telemetry().counter("kernel.events"),
-            work.ticks,
-            work.admitted,
+            work.get("sense_ticks"),
+            work.get("sense_ticks_admitted"),
             w.cpu_totals(),
             w.energy_totals().total_millijoules().to_bits(),
         ));
@@ -131,7 +133,7 @@ fn run_with_work(draw: &WorldDraw, hook: fn(&mut SensorNetwork)) -> (Seen, Sensi
         log: format!("{:#?}", w.events().entries()),
         jsonl: telemetry_to_jsonl(w.telemetry()),
     };
-    (seen, w.sensing_work())
+    (seen, work_of(w))
 }
 
 /// The first place two runs part, as text.
@@ -212,9 +214,9 @@ fn random_worlds_park_and_settle() {
         };
         let (_, work) = run_with_work(&draw, |_| {});
         (parked, settled, ticks) = (
-            parked + work.parked,
-            settled + work.settled,
-            ticks + work.ticks,
+            parked + work.get("sense_parked"),
+            settled + work.get("sense_settled"),
+            ticks + work.get("sense_ticks"),
         );
     }
     // Small fields under fast targets: nodes park often, for a few ticks.

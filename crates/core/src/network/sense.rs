@@ -16,45 +16,12 @@ use envirotrack_node::cpu::costs;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::Point;
-use envirotrack_world::sensing::{Coverage, CoverageWork, Environment};
+use envirotrack_telemetry::Work;
+use envirotrack_world::sensing::{Coverage, Environment};
 
 use super::{SensorNetwork, K};
 use crate::api::Program;
 use crate::group::GroupMachine;
-
-/// How the sensing driver has done its work so far. Like
-/// [`Kernel::recurring_len`](envirotrack_sim::engine::Kernel::recurring_len)
-/// it says how the work was done, not what the simulation did: it belongs
-/// in no run record, and a shard's world counts only its own nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SensingWork {
-    /// Sensing ticks fired, dead and overloaded nodes included.
-    pub ticks: u64,
-    /// Ticks the node's CPU admitted.
-    pub admitted: u64,
-    /// Ticks whose node's hot record is not in the slot right after the
-    /// previous tick's: how often the driver jumped in memory instead of
-    /// reading on. With the records laid out in firing order, once per
-    /// sensing period, plus two for each tick of a node off the lane (there
-    /// and back).
-    pub strides: u64,
-    /// Of the samples a quiescent node's tick took itself: how many the
-    /// coverage answered, how many walked the targets, and how often the
-    /// coverage was rebuilt. A tick that enters a group machine samples
-    /// through `GroupCtx::sample` and shows in none of them.
-    pub coverage: CoverageWork,
-    /// Of the samples the coverage answered, how many were settled by the
-    /// ambient verdict — one per (tick, context type) — and so never built:
-    /// the field is noiseless, the cell clear, and the ambient levels do
-    /// not activate the type.
-    pub verdicts: u64,
-    /// Times a tick parked its node: its loop stopped re-arming (`park.rs`).
-    pub parked: u64,
-    /// Ticks of parked nodes settled in closed form, less the wake events
-    /// that ran in their stead (`park.rs`): with the event list's pops it
-    /// makes `kernel.events`. `ticks` and `admitted` count settled ticks.
-    pub settled: u64,
-}
 
 /// What the driver keeps between ticks.
 pub(super) struct Sensing {
@@ -113,16 +80,29 @@ impl Sensing {
         self.idle
     }
 
-    pub(super) fn work(&self, (parked, settled): (u64, u64)) -> SensingWork {
-        SensingWork {
-            ticks: self.ticks,
-            admitted: self.admitted,
-            strides: self.strides,
-            coverage: self.coverage.work(),
-            verdicts: self.verdicts,
-            parked,
-            settled,
-        }
+    /// Adds how the driver has done its work to `work` (a shard's world
+    /// counts only its own nodes):
+    /// - `sense_ticks`: sensing ticks fired, dead and overloaded nodes and
+    ///   parked nodes' settled ticks included;
+    /// - `sense_ticks_admitted`: of those, ticks the node's CPU admitted;
+    /// - `sense_strides`: ticks whose node's hot record is not in the slot
+    ///   right after the previous tick's — how often the driver jumped in
+    ///   memory instead of reading on: with the records laid out in firing
+    ///   order, once per sensing period, plus two for each tick of a node
+    ///   off the lane (there and back);
+    /// - the coverage's counts ([`Coverage::work`]), of the samples a
+    ///   quiescent node's tick took itself (a tick that enters a group
+    ///   machine samples through `GroupCtx::sample` and shows in none);
+    /// - `sense_verdicts`: of the samples the coverage answered, those the
+    ///   ambient verdict settled — one per (tick, context type) — and so
+    ///   never built: the field is noiseless, the cell clear, and the
+    ///   ambient levels do not activate the type.
+    pub(super) fn work(&self, work: &mut Work) {
+        work.add("sense_ticks", self.ticks);
+        work.add("sense_ticks_admitted", self.admitted);
+        work.add("sense_strides", self.strides);
+        self.coverage.work(work);
+        work.add("sense_verdicts", self.verdicts);
     }
 }
 

@@ -12,6 +12,7 @@
 use envirotrack_node::cpu::costs;
 use envirotrack_node::timer::TimerToken;
 use envirotrack_sim::time::{SimDuration, Timestamp};
+use envirotrack_telemetry::Work;
 use envirotrack_world::field::NodeId;
 
 use super::{words, SensorNetwork, K};
@@ -20,21 +21,15 @@ use crate::group::GroupTimer;
 
 /// How the group timers that fired were handled, per timer key: indexed
 /// heartbeat, receive, report, formation, directory, and every object
-/// method timer in the last entry. Like [`super::SensingWork`] it says how
-/// the work was done, not what the simulation did: it belongs in no run
-/// record, and a shard's world counts only its own nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TimerWork {
-    /// Firings the CPU took whose arming was live: the machine ran.
-    pub live: [u64; 6],
-    /// Firings the CPU took whose arming had been superseded or called off:
-    /// charged, then dropped before the machine.
-    pub stale: [u64; 6],
-    /// Firings the CPU turned away, each queued again past its busy period.
-    pub retried: [u64; 6],
+/// method timer in the last entry (`entry`).
+#[derive(Default)]
+pub(super) struct Timers {
+    live: [u64; 6],
+    stale: [u64; 6],
+    retried: [u64; 6],
 }
 
-/// Where `key` is counted in [`TimerWork`].
+/// Where `key` is counted in [`Timers`].
 fn entry(key: GroupTimer) -> usize {
     match key {
         GroupTimer::Heartbeat => 0,
@@ -43,6 +38,57 @@ fn entry(key: GroupTimer) -> usize {
         GroupTimer::Formation => 3,
         GroupTimer::Directory => 4,
         GroupTimer::Method(_) => 5,
+    }
+}
+
+impl Timers {
+    /// Adds how the group timers that fired were handled to `work`, as
+    /// sums and then per timer key (`timer_live_heartbeat`, …,
+    /// `timer_retries_method`; a shard's world counts only its own nodes):
+    /// - `timer_live`: firings the CPU took whose arming was live, so the
+    ///   machine ran;
+    /// - `timer_stale`: firings the CPU took whose arming had been
+    ///   superseded or called off: charged, then dropped before the machine;
+    /// - `timer_retries`: firings the CPU turned away, each queued again
+    ///   past its busy period.
+    pub(super) fn work(&self, work: &mut Work) {
+        const NAMES: [[&str; 7]; 3] = [
+            [
+                "timer_live",
+                "timer_live_heartbeat",
+                "timer_live_receive",
+                "timer_live_report",
+                "timer_live_formation",
+                "timer_live_directory",
+                "timer_live_method",
+            ],
+            [
+                "timer_stale",
+                "timer_stale_heartbeat",
+                "timer_stale_receive",
+                "timer_stale_report",
+                "timer_stale_formation",
+                "timer_stale_directory",
+                "timer_stale_method",
+            ],
+            [
+                "timer_retries",
+                "timer_retries_heartbeat",
+                "timer_retries_receive",
+                "timer_retries_report",
+                "timer_retries_formation",
+                "timer_retries_directory",
+                "timer_retries_method",
+            ],
+        ];
+        for (names, counts) in NAMES.iter().zip([&self.live, &self.stale, &self.retried]) {
+            work.add(names[0], counts.iter().sum());
+        }
+        for (names, counts) in NAMES.iter().zip([&self.live, &self.stale, &self.retried]) {
+            for (&name, &count) in names[1..].iter().zip(counts) {
+                work.add(name, count);
+            }
+        }
     }
 }
 

@@ -270,7 +270,7 @@ pub struct ShardedRun {
     /// every shard's receiver side.
     pub net: NetStats,
     /// Per shard, the nodes whose protocol-layer state its replica created
-    /// (`SensorNetwork::cold_engaged`), in id order: how the run was
+    /// (`cold_engaged` in `SensorNetwork::work`), in id order: how the run was
     /// stored, not what it did, so no part of the compared output.
     pub engaged: Vec<Vec<NodeId>>,
 }

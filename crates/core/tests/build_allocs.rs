@@ -16,6 +16,7 @@ use envirotrack_core::api::Program;
 use envirotrack_core::context::SensePredicate;
 use envirotrack_core::network::{NetworkConfig, SensorNetwork};
 use envirotrack_sim::time::SimDuration;
+use envirotrack_telemetry::Work;
 use envirotrack_world::grid::Topology;
 use envirotrack_world::scenario::{ScaleScenario, Scenario};
 use envirotrack_world::target::Channel;
@@ -88,7 +89,9 @@ fn a_world_holds_at_most_200_bytes_a_node_at_4000_nodes() {
     let (deployment, environment) = (scenario.deployment, scenario.environment);
     let (world, _, bytes) =
         measure(|| SensorNetwork::new(program, deployment, environment, config, 1));
-    assert_eq!(world.cold_engaged(), 0, "a built world has engaged nobody");
+    let mut work = Work::default();
+    world.work(&mut work);
+    assert_eq!(work.get("cold_engaged"), 0, "a built world has engaged nobody");
     let per_node = bytes / i64::from(nodes);
     assert!(per_node <= 200, "{bytes} live bytes, {per_node} a node");
 }

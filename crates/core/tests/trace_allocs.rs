@@ -15,7 +15,7 @@ use envirotrack_core::network::{NetworkConfig, SensorNetwork};
 use envirotrack_core::report::telemetry_to_jsonl;
 use envirotrack_core::trace::SITES;
 use envirotrack_sim::time::Timestamp;
-use envirotrack_telemetry::{Telemetry, DEFAULT_TRACE_CAPACITY};
+use envirotrack_telemetry::{Telemetry, Work, DEFAULT_TRACE_CAPACITY};
 use envirotrack_world::scenario::TankScenario;
 use envirotrack_world::target::Channel;
 use testkit::alloc::{measure, Counting};
@@ -33,7 +33,7 @@ fn appending_to_a_full_ring_allocates_nothing() {
     for at in 0..DEFAULT_TRACE_CAPACITY as u64 {
         t.trace(at, 3, label, SITES[0], [0; 3]);
     }
-    assert_eq!(t.trace_work().dropped, 0);
+    assert_eq!(dropped(&t), 0);
     let ((), appended, _) = measure(|| {
         for (at, site) in (0..4_096).zip(SITES.iter().cycle()) {
             let label = t.intern_keyed(7, || unreachable!("key 7 is interned"));
@@ -42,7 +42,14 @@ fn appending_to_a_full_ring_allocates_nothing() {
     });
     assert_eq!(appended, 0);
     assert_eq!(t.trace_len(), DEFAULT_TRACE_CAPACITY);
-    assert_eq!(t.trace_work().dropped, 4_096);
+    assert_eq!(dropped(&t), 4_096);
+}
+
+/// The records the ring has dropped (`trace_dropped`).
+fn dropped(t: &Telemetry) -> u64 {
+    let mut work = Work::default();
+    t.work(&mut work);
+    work.get("trace_dropped")
 }
 
 /// The export is measured first and written into one allocation of its

@@ -72,7 +72,7 @@ use std::cell::Cell;
 use std::cmp::Ordering;
 use std::rc::Rc;
 
-use envirotrack_telemetry::{CounterHandle, Telemetry};
+use envirotrack_telemetry::{CounterHandle, Telemetry, Work};
 
 use crate::queue::EventQueue;
 use crate::rng::SimRng;
@@ -118,23 +118,6 @@ impl<W> From<LaneEvent<W>> for Event<W> {
     fn from(LaneEvent(handler, arg): LaneEvent<W>) -> Self {
         Event::Recurring(handler, arg)
     }
-}
-
-/// How the kernel's event list has done its work so far. Like
-/// [`Kernel::recurring_len`] it says how events were stored and taken, not
-/// what the simulation did: it belongs in no run record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EventWork {
-    /// Events popped off the recurring lane.
-    pub lane_pops: u64,
-    /// Events popped out of the heap (inline, boxed, and recurring ones
-    /// that were scheduled out of order).
-    pub heap_pops: u64,
-    /// One-shot events scheduled inline ([`Kernel::schedule_inline_at`]).
-    pub inline_scheduled: u64,
-    /// One-shot events scheduled as boxed closures ([`Kernel::schedule_at`],
-    /// [`Kernel::schedule_in`]): one allocation each.
-    pub boxed_scheduled: u64,
 }
 
 /// What a world that skips ticks shares with the kernel
@@ -408,24 +391,30 @@ impl<W> Kernel<W> {
         self.queue.recurring_len()
     }
 
-    /// The event list's work counters (see [`EventWork`]). Like
-    /// [`Kernel::recurring_len`], for tests and tools: it says how the work
-    /// was done, not what the simulation did, and belongs in no run record.
-    #[must_use]
-    pub fn event_work(&self) -> EventWork {
+    /// Adds the event list's work to `work`. Like
+    /// [`Kernel::recurring_len`], for tests and tools:
+    /// - `popped_events`: events popped, off the lane and out of the heap;
+    /// - `lane_pops`: events popped off the recurring lane;
+    /// - `heap_pops`: events popped out of the heap (inline, boxed, and
+    ///   recurring ones that were scheduled out of order);
+    /// - `inline_events`: one-shot events scheduled inline
+    ///   ([`Kernel::schedule_inline_at`]);
+    /// - `boxed_events`: one-shot events scheduled as boxed closures
+    ///   ([`Kernel::schedule_at`], [`Kernel::schedule_in`]), one allocation
+    ///   each.
+    pub fn work(&self, work: &mut Work) {
         let (lane_pops, heap_pops) = self.queue.pops();
-        EventWork {
-            lane_pops,
-            heap_pops,
-            inline_scheduled: self.inline_scheduled,
-            boxed_scheduled: self.boxed_scheduled,
-        }
+        work.add("popped_events", lane_pops + heap_pops);
+        work.add("lane_pops", lane_pops);
+        work.add("heap_pops", heap_pops);
+        work.add("inline_events", self.inline_scheduled);
+        work.add("boxed_events", self.boxed_scheduled);
     }
 
     /// The heap bytes the event list holds — its heap, recurring lane and
     /// slab, and each pending boxed closure — and what it keeps for skipped
     /// ticks, worked out from their capacities when asked. Like
-    /// [`Kernel::event_work`], for tests and tools.
+    /// [`Kernel::work`], for tests and tools.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let ties = self.ties.as_deref().map_or(0, |t| {
@@ -836,13 +825,16 @@ mod tests {
                 (1_000_000, "once"),
             ]
         );
-        let expected = EventWork {
-            lane_pops: 1,
-            heap_pops: 5,
-            inline_scheduled: 3,
-            boxed_scheduled: 2,
-        };
-        assert_eq!(e.kernel().event_work(), expected);
+        let mut work = Work::default();
+        e.kernel().work(&mut work);
+        let expected = [
+            ("popped_events", 6),
+            ("lane_pops", 1),
+            ("heap_pops", 5),
+            ("inline_events", 3),
+            ("boxed_events", 2),
+        ];
+        assert_eq!(work.iter().collect::<Vec<_>>(), expected);
     }
 
     #[test]

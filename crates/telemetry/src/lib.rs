@@ -300,16 +300,47 @@ impl Strings {
     }
 }
 
-/// What the trace ring did: records appended, records the bound dropped,
-/// and the heap bytes its slots take. Exact; no part of any export.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceWork {
-    /// Records appended over the registry's life.
-    pub records: u64,
-    /// Of those, the oldest the ring dropped to stay within its bound.
-    pub dropped: u64,
-    /// The ring's slots, in bytes: its capacity times the record size.
-    pub ring_bytes: u64,
+/// How a run did its work, by name: an ordered list of counts that each
+/// owner — the kernel, the world's layers, the coverage, the trace ring,
+/// the heap census — adds its own to, in one place, for tests and tools.
+/// It says how the work was done, not what the simulation did: it is no
+/// [`Registry`] entry and belongs in no run record.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Work(Vec<(&'static str, u64)>);
+
+impl Work {
+    /// Adds `name`'s count. An owner adds a name once, so it sums its own
+    /// parts before it adds them.
+    ///
+    /// # Panics
+    ///
+    /// When `name` was added before.
+    pub fn add(&mut self, name: &'static str, count: u64) {
+        assert!(
+            self.0.iter().all(|&(n, _)| n != name),
+            "work count {name} added twice"
+        );
+        self.0.push((name, count));
+    }
+
+    /// `name`'s count.
+    ///
+    /// # Panics
+    ///
+    /// When no owner added `name`, so that a renamed count fails its
+    /// readers loudly.
+    #[must_use]
+    pub fn get(&self, name: &str) -> u64 {
+        match self.0.iter().find(|&&(n, _)| n == name) {
+            Some(&(_, count)) => count,
+            None => panic!("no work count {name}"),
+        }
+    }
+
+    /// Every count, in the order it was added.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.0.iter().copied()
+    }
 }
 
 /// What an `Rc` allocates for its value: the two counts beside it.
@@ -659,15 +690,18 @@ impl Telemetry {
         self.inner.borrow().trace.len()
     }
 
-    /// What the trace ring did so far (see [`TraceWork`]).
-    #[must_use]
-    pub fn trace_work(&self) -> TraceWork {
+    /// Adds the trace ring's work to `work`:
+    /// - `trace_records`: records appended over the registry's life;
+    /// - `trace_dropped`: of those, the oldest the ring dropped to stay
+    ///   within its bound;
+    /// - `trace_ring_bytes`: the ring's slots, its capacity times the
+    ///   record size.
+    pub fn work(&self, work: &mut Work) {
         let r = self.inner.borrow();
-        TraceWork {
-            records: r.trace_appended,
-            dropped: r.trace_dropped,
-            ring_bytes: (r.trace.capacity() * std::mem::size_of::<TraceEvent>()) as u64,
-        }
+        work.add("trace_records", r.trace_appended);
+        work.add("trace_dropped", r.trace_dropped);
+        let ring = r.trace.capacity() * std::mem::size_of::<TraceEvent>();
+        work.add("trace_ring_bytes", ring as u64);
     }
 
     /// The heap bytes the registry holds: the trace ring at its capacity,
@@ -902,10 +936,11 @@ mod tests {
             let seqs: Vec<u32> = r.trace_events().map(|e| e.args[0]).collect();
             assert_eq!(seqs, vec![2, 3, 4]);
         });
-        let work = t.trace_work();
-        assert_eq!((work.records, work.dropped), (5, 2));
+        let mut work = Work::default();
+        t.work(&mut work);
+        assert_eq!((work.get("trace_records"), work.get("trace_dropped")), (5, 2));
         assert_eq!(
-            work.ring_bytes,
+            work.get("trace_ring_bytes"),
             3 * std::mem::size_of::<TraceEvent>() as u64
         );
     }
@@ -925,10 +960,37 @@ mod tests {
                 "{slots} slots for {len}"
             );
         }
+        let mut work = Work::default();
+        t.work(&mut work);
         assert_eq!(
-            t.trace_work().ring_bytes,
+            work.get("trace_ring_bytes"),
             (bound * std::mem::size_of::<TraceEvent>()) as u64
         );
+    }
+
+    #[test]
+    fn work_counts_read_back_by_name_in_the_order_added() {
+        let mut work = Work::default();
+        work.add("b", 2);
+        work.add("a", 1);
+        assert_eq!(work.get("a"), 1);
+        assert_eq!(work.iter().collect::<Vec<_>>(), [("b", 2), ("a", 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no work count c")]
+    fn a_work_count_never_added_panics() {
+        let mut work = Work::default();
+        work.add("a", 1);
+        let _ = work.get("c");
+    }
+
+    #[test]
+    #[should_panic(expected = "work count a added twice")]
+    fn a_work_count_added_twice_panics() {
+        let mut work = Work::default();
+        work.add("a", 1);
+        work.add("a", 1);
     }
 
     #[test]

@@ -27,6 +27,7 @@
 
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
+use envirotrack_telemetry::Work;
 
 use crate::geometry::{Aabb, Point};
 use crate::target::{Channel, Target, TargetId};
@@ -108,18 +109,6 @@ impl NoiseModel {
     }
 }
 
-/// How a [`Coverage`] has answered so far. It says how the sampling was
-/// done, not what was sampled: it belongs in no run record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CoverageWork {
-    /// Samples answered "ambient" from a clear cell, no target looked at.
-    pub answered: u64,
-    /// Samples that took the exact walk over every target.
-    pub walked: u64,
-    /// Times the bitmap was rebuilt for a new window.
-    pub rebuilds: u64,
-}
-
 /// Windows last at most this many times their floor.
 const WINDOW_CAP: u64 = 64;
 
@@ -154,7 +143,10 @@ pub struct Coverage {
     /// targets are only ever added, so the count tells a stale bitmap.
     targets: usize,
     floor: SimDuration,
-    work: CoverageWork,
+    /// How it has answered so far ([`Coverage::work`]).
+    answered: u64,
+    walked: u64,
+    rebuilds: u64,
 }
 
 impl Coverage {
@@ -188,14 +180,23 @@ impl Coverage {
             last: Timestamp::ZERO,
             targets: 0,
             floor: floor.max(SimDuration::from_micros(1)),
-            work: CoverageWork::default(),
+            answered: 0,
+            walked: 0,
+            rebuilds: 0,
         }
     }
 
-    /// The work counters.
-    #[must_use]
-    pub fn work(&self) -> CoverageWork {
-        self.work
+    /// Adds how the coverage has answered so far to `work`. It says how
+    /// the sampling was done, not what was sampled:
+    /// - `samples_covered`: samples answered "ambient" from a clear cell,
+    ///   no target looked at;
+    /// - `samples_walked`: samples that took the exact walk over every
+    ///   target;
+    /// - `coverage_rebuilds`: times the bitmap was rebuilt for a new window.
+    pub fn work(&self, work: &mut Work) {
+        work.add("samples_covered", self.answered);
+        work.add("samples_walked", self.walked);
+        work.add("coverage_rebuilds", self.rebuilds);
     }
 
     /// The window the bitmap was last built for, first and last instant;
@@ -245,7 +246,7 @@ impl Coverage {
 
     /// Rebuilds the bitmap for the window that starts at `t`.
     fn rebuild(&mut self, targets: &[Target], t: Timestamp) {
-        self.work.rebuilds += 1;
+        self.rebuilds += 1;
         let fastest = targets
             .iter()
             .map(|target| target.trajectory().speed())
@@ -404,7 +405,7 @@ impl Environment {
             "{pos} is not in cell {cell}"
         );
         if self.clear_at(coverage, cell, t) {
-            coverage.work.answered += 1;
+            coverage.answered += 1;
             debug_assert_eq!(
                 self.sample(pos, t).values.map(f64::to_bits),
                 self.ambient.values.map(f64::to_bits),
@@ -412,7 +413,7 @@ impl Environment {
             );
             return self.noise.perturb(self.ambient, rng);
         }
-        coverage.work.walked += 1;
+        coverage.walked += 1;
         self.sample_noisy(pos, t, rng)
     }
 
@@ -429,7 +430,7 @@ impl Environment {
         if self.noise.noisy || !self.clear_at(coverage, cell, t) {
             return false;
         }
-        coverage.work.answered += 1;
+        coverage.answered += 1;
         true
     }
 
@@ -528,6 +529,12 @@ impl Environment {
 mod tests {
     use super::*;
     use crate::target::{Emission, Falloff, Trajectory};
+
+    fn work_of(coverage: &Coverage) -> Work {
+        let mut work = Work::default();
+        coverage.work(&mut work);
+        work
+    }
 
     fn disk_target(id: u32, at: Point, radius: f64) -> Target {
         Target::new(
@@ -690,11 +697,12 @@ mod tests {
             (3_974_990..3_975_000).contains(&last.as_micros()),
             "{last:?}"
         );
-        let work = coverage.work();
-        assert_eq!(work.rebuilds, 1);
-        assert_eq!(work.answered + work.walked, 5 * 1_600);
+        let work = work_of(&coverage);
+        assert_eq!(work.get("coverage_rebuilds"), 1);
+        let walked = work.get("samples_walked");
+        assert_eq!(work.get("samples_covered") + walked, 5 * 1_600);
         // Reach 1 + one cell of travel either side: a handful of cells.
-        assert!(work.walked <= 5 * 30, "{work:?}");
+        assert!(walked <= 5 * 30, "{work:?}");
         // The next window is built by the first sample past this one, and a
         // step back in time builds one too.
         let _ = covered(
@@ -704,7 +712,7 @@ mod tests {
             Timestamp::from_secs(4),
             &mut rng,
         );
-        assert_eq!(coverage.work().rebuilds, 2);
+        assert_eq!(work_of(&coverage).get("coverage_rebuilds"), 2);
         let _ = covered(
             &env,
             &mut coverage,
@@ -712,7 +720,7 @@ mod tests {
             Timestamp::from_secs(1),
             &mut rng,
         );
-        assert_eq!(coverage.work().rebuilds, 3);
+        assert_eq!(work_of(&coverage).get("coverage_rebuilds"), 3);
     }
 
     #[test]
@@ -752,7 +760,7 @@ mod tests {
         env.add_target(disk_target(1, probe, 0.5));
         let after = covered(&env, &mut coverage, probe, t, &mut rng);
         assert_eq!(after.get(Channel::Magnetic), 1.0);
-        assert_eq!(coverage.work().rebuilds, 2);
+        assert_eq!(work_of(&coverage).get("coverage_rebuilds"), 2);
     }
 
     #[test]
@@ -785,6 +793,7 @@ mod tests {
             (early.get(Channel::Magnetic), late.get(Channel::Magnetic)),
             (1.0, 0.0)
         );
-        assert_eq!((c.work().walked, c.work().answered), (1, 1));
+        let work = work_of(&c);
+        assert_eq!((work.get("samples_walked"), work.get("samples_covered")), (1, 1));
     }
 }

@@ -2,6 +2,7 @@
 
 use envirotrack_sim::rng::{splitmix64, SimRng};
 use envirotrack_sim::time::{SimDuration, Timestamp};
+use envirotrack_telemetry::Work;
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::{Aabb, Point};
 use envirotrack_world::grid::{
@@ -458,8 +459,9 @@ prop_test! {
                 }
             }
         }
-        let work = coverage.work();
-        prop_assert_eq!(work.answered + work.walked, samples);
+        let mut work = Work::default();
+        coverage.work(&mut work);
+        prop_assert_eq!(work.get("samples_covered") + work.get("samples_walked"), samples);
     }
 
     /// Every falloff is non-increasing with distance.
