@@ -165,10 +165,11 @@ impl Parking {
         ((d - 1) / self.period + u64::from(after && d % self.period == 0)) as i64
     }
 
-    /// The clock's instant and whether a tick at it has run.
-    fn now(&self) -> (Timestamp, bool) {
+    /// The clock's instant and whether the tick at it of the node in
+    /// `slot`, its rank, has run.
+    fn now(&self, slot: u32) -> (Timestamp, bool) {
         self.clock.as_ref().map_or((Timestamp::ZERO, true), |c| {
-            (c.now.get(), c.after.get())
+            (c.now.get(), c.ran(slot))
         })
     }
 
@@ -455,7 +456,7 @@ impl SensorNetwork {
     fn unpark(&mut self, node: NodeId) {
         let slot = self.sense.slot(node);
         let park = &mut self.park;
-        let now = park.now();
+        let now = park.now(slot);
         let cpu = &mut self.sense.at_mut(slot).cpu;
         let last = last_tick(cpu.busy_until());
         let n = park.pending(last, now);
@@ -492,7 +493,7 @@ impl SensorNetwork {
             return 0;
         }
         let last = last_tick(self.sense.at(slot).cpu.busy_until());
-        self.park.pending(last, self.park.now())
+        self.park.pending(last, self.park.now(slot))
     }
 
     /// Adds a target to the running world: every grid cell it can reach
@@ -500,7 +501,7 @@ impl SensorNetwork {
     /// to a running world but tests.
     #[cfg(test)]
     pub(super) fn add_target(&mut self, target: envirotrack_world::target::Target) {
-        let (now, _) = self.park.now();
+        let (now, _) = self.park.now(0);
         let mut reach = envirotrack_world::sensing::Environment::new();
         reach.add_target(target.clone());
         self.environment.add_target(target);

@@ -91,7 +91,11 @@ fn a_world_holds_at_most_200_bytes_a_node_at_4000_nodes() {
         measure(|| SensorNetwork::new(program, deployment, environment, config, 1));
     let mut work = Work::default();
     world.work(&mut work);
-    assert_eq!(work.get("cold_engaged"), 0, "a built world has engaged nobody");
+    assert_eq!(
+        work.get("cold_engaged"),
+        0,
+        "a built world has engaged nobody"
+    );
     let per_node = bytes / i64::from(nodes);
     assert!(per_node <= 200, "{bytes} live bytes, {per_node} a node");
 }

@@ -126,9 +126,9 @@ impl<W> From<LaneEvent<W>> for Event<W> {
 pub struct TickClock {
     /// The current instant.
     pub now: Cell<Timestamp>,
-    /// Whether a skipped tick at `now` has run before the current event:
-    /// the event is of class 2, or none is running.
-    pub after: Cell<bool>,
+    /// The class and rank of the running event; class 2 when none is
+    /// running ([`TickClock::ran`]).
+    running: Cell<u64>,
     /// Whether the current event, a recurring one, sits at the tick
     /// boundary — nothing runs between it and a skipped tick at its
     /// instant — so that its loop may stop re-arming here.
@@ -140,6 +140,20 @@ pub struct TickClock {
     /// a tick-by-tick run has not (wrapping): the kernel counts them among
     /// its events.
     pub settled: Cell<u64>,
+}
+
+impl TickClock {
+    /// Whether the skipped tick at `now` of the loop re-armed at `rank`
+    /// ([`Kernel::schedule_tick_at`]) has run before the current event: the
+    /// event is of class 2, or none is running; or it is of class 1 at a
+    /// higher rank, since the ticks at one boundary run in rank order. An
+    /// event at the loop's own rank is a one-shot armed exactly a period on
+    /// by the loop's lineage, and runs before the tick its arming event
+    /// would have re-armed afterwards.
+    #[must_use]
+    pub fn ran(&self, rank: u32) -> bool {
+        BOUNDARY | u64::from(rank) << SEQ_BITS < self.running.get()
+    }
 }
 
 /// What the kernel keeps for a world that skips ticks (see the [module
@@ -214,7 +228,7 @@ impl<W> Kernel<W> {
     ) -> Rc<TickClock> {
         let clock = Rc::new(TickClock::default());
         clock.now.set(self.now);
-        clock.after.set(true);
+        clock.running.set(AFTER);
         self.ties = Some(Box::new(Ties {
             period: period.as_micros().max(1),
             instant: self.now,
@@ -541,7 +555,7 @@ impl<W> Engine<W> {
             };
         ties.open &= !after;
         ties.running = key & !SEQ;
-        ties.clock.after.set(after);
+        ties.clock.running.set(ties.running);
         ties.clock.at_boundary.set(at_boundary);
         match event {
             Event::Once(f) => f(&mut self.world, &mut self.kernel),
@@ -568,7 +582,7 @@ impl<W> Engine<W> {
         if let Some(ties) = kernel.ties.as_deref_mut() {
             (ties.instant, ties.open, ties.running) = (kernel.now, false, AFTER);
             ties.clock.now.set(kernel.now);
-            ties.clock.after.set(true);
+            ties.clock.running.set(AFTER);
             ties.clock.at_boundary.set(false);
             // The kernel cancels nothing: every push has run or is pending.
             let pushes = kernel.events_processed + kernel.queue.len() as u64;

@@ -46,7 +46,7 @@ struct Toy {
     loops: Vec<Loop>,
     clock: Option<Rc<TickClock>>,
     /// Every event a tick-by-tick run has, but idle ticks: its instant, its
-    /// identity, and the tick count it read (`u64::MAX`: none).
+    /// identity, and the tick count it read.
     log: Vec<(u64, u64, u64)>,
     /// Loops to arm again after the current event: `(at, loop)`.
     rearm: Vec<(u64, usize)>,
@@ -74,11 +74,11 @@ fn delay(draw: u64) -> u64 {
 }
 
 /// Ticks at `last + j·P`, `j ≥ 1`, that have run by instant `now`: one at
-/// `now` when a skipped tick at it precedes the current event (`after`).
-fn pending(last: u64, now: u64, after: bool) -> u64 {
+/// `now` when a skipped tick at it precedes the current event (`ran`).
+fn pending(last: u64, now: u64, ran: bool) -> u64 {
     match now - last {
         0 => 0,
-        d => (d - 1) / P + u64::from(after && d % P == 0),
+        d => (d - 1) / P + u64::from(ran && d % P == 0),
     }
 }
 
@@ -93,18 +93,18 @@ impl Toy {
         (id, id.is_multiple_of(4))
     }
 
-    /// Whether a skipped tick at the clock's instant precedes the current
-    /// event.
-    fn after(&self) -> bool {
-        self.clock.as_ref().is_none_or(|c| c.after.get())
+    /// Whether loop `l`'s skipped tick at the clock's instant precedes the
+    /// current event.
+    fn ran(&self, l: usize) -> bool {
+        self.clock.as_ref().is_none_or(|c| c.ran(l as u32))
     }
 
     /// Loop `l`'s ticks so far by the clock.
-    fn count(&self, l: usize, now: u64, after: bool) -> u64 {
+    fn count(&self, l: usize, now: u64) -> u64 {
         let lp = &self.loops[l];
         lp.ticks
             + if lp.parked {
-                pending(lp.last, now, after)
+                pending(lp.last, now, self.ran(l))
             } else {
                 0
             }
@@ -113,12 +113,12 @@ impl Toy {
     /// Re-arms loop `l` if it is parked, after the ticks that precede the
     /// current event.
     fn touch(&mut self, l: usize, now: u64) {
-        let after = self.after();
+        let ran = self.ran(l);
         let lp = &mut self.loops[l];
         if !lp.parked {
             return;
         }
-        let n = pending(lp.last, now, after);
+        let n = pending(lp.last, now, ran);
         (lp.ticks, lp.last, lp.parked) = (lp.ticks + n, lp.last + n * P, false);
         self.settled += n;
         self.rearm.push((lp.last + P, l));
@@ -126,8 +126,8 @@ impl Toy {
     }
 }
 
-fn arm(k: &mut Kernel<Toy>, at: u64, id: u64, tainted: bool, depth: u64) {
-    k.schedule_inline_at(ts(at), once, [id, u64::from(tainted) | depth << 1]);
+fn arm(k: &mut Kernel<Toy>, at: u64, id: u64, depth: u64) {
+    k.schedule_inline_at(ts(at), once, [id, depth]);
 }
 
 fn tick(w: &mut Toy, k: &mut Kernel<Toy>, l: u64) {
@@ -139,12 +139,9 @@ fn tick(w: &mut Toy, k: &mut Kernel<Toy>, l: u64) {
     if busy {
         w.log.push((now, id, w.loops[l].ticks));
         for j in 0..mix(id, 1) % 3 {
-            let d = delay(mix(id, 10 + j));
-            // A tick's one-shot exactly a period on runs right after the
-            // tick's successor, among the ticks of its phase; a skipped
-            // tick of another loop there may or may not precede it, which
-            // one flag cannot say, so it is *tainted* and reads no count.
-            arm(k, now + d, mix(id, 20 + j), d == P, 1);
+            // One exactly a period on runs among the ticks of its phase:
+            // after those of lower rank, skipped or not.
+            arm(k, now + delay(mix(id, 10 + j)), mix(id, 20 + j), 1);
         }
     } else if w.mode == Mode::Skipping
         && w.clock.as_ref().is_some_and(|c| c.at_boundary.get())
@@ -163,23 +160,16 @@ fn tick(w: &mut Toy, k: &mut Kernel<Toy>, l: u64) {
     k.schedule_recurring_at(ts(now + P), tick, l as u64);
 }
 
-fn once(w: &mut Toy, k: &mut Kernel<Toy>, [id, flags]: [u64; 2]) {
+fn once(w: &mut Toy, k: &mut Kernel<Toy>, [id, depth]: [u64; 2]) {
     let now = k.now().as_micros();
-    let (tainted, depth) = (flags & 1 != 0, flags >> 1);
     let l = (mix(id, 1) % w.loops.len() as u64) as usize;
-    let read = if tainted {
-        u64::MAX
-    } else {
-        w.count(l, now, w.after())
-    };
-    w.log.push((now, id, read));
-    if !tainted && mix(id, 2).is_multiple_of(3) {
+    w.log.push((now, id, w.count(l, now)));
+    if mix(id, 2).is_multiple_of(3) {
         w.touch(l, now);
     }
     if depth < 3 {
         for j in 0..mix(id, 3) % 3 {
-            let d = delay(mix(id, 10 + j));
-            arm(k, now + d, mix(id, 20 + j), tainted && d == P, depth + 1);
+            arm(k, now + delay(mix(id, 10 + j)), mix(id, 20 + j), depth + 1);
         }
     }
 }
@@ -241,14 +231,14 @@ fn run_toy(seed: u64, phases: &[u64], roots: &[u64], pauses: &[u64], mode: Mode)
     // Roots armed before ticks may be skipped, and after.
     let (early, late) = roots.split_at(roots.len() / 2);
     for (i, &at) in early.iter().enumerate() {
-        arm(e.kernel_mut(), at, mix(seed, 100 + i as u64), false, 0);
+        arm(e.kernel_mut(), at, mix(seed, 100 + i as u64), 0);
     }
     if mode != Mode::Reference {
         let clock = e.kernel_mut().park_ticks(SimDuration::from_micros(P), hook);
         e.world_mut().clock = Some(clock);
     }
     for (i, &at) in late.iter().enumerate() {
-        arm(e.kernel_mut(), at, mix(seed, 200 + i as u64), false, 0);
+        arm(e.kernel_mut(), at, mix(seed, 200 + i as u64), 0);
     }
     let mut pauses = pauses.to_vec();
     pauses.sort_unstable();
@@ -256,9 +246,7 @@ fn run_toy(seed: u64, phases: &[u64], roots: &[u64], pauses: &[u64], mode: Mode)
     let mut seen = Vec::new();
     for &h in &pauses {
         e.run_until(ts(h));
-        let counts = (0..phases.len())
-            .map(|l| e.world().count(l, h, true))
-            .collect();
+        let counts = (0..phases.len()).map(|l| e.world().count(l, h)).collect();
         seen.push((e.kernel().events_processed(), counts));
     }
     (std::mem::take(&mut e.world_mut().log), seen)

@@ -938,7 +938,10 @@ mod tests {
         });
         let mut work = Work::default();
         t.work(&mut work);
-        assert_eq!((work.get("trace_records"), work.get("trace_dropped")), (5, 2));
+        assert_eq!(
+            (work.get("trace_records"), work.get("trace_dropped")),
+            (5, 2)
+        );
         assert_eq!(
             work.get("trace_ring_bytes"),
             3 * std::mem::size_of::<TraceEvent>() as u64

@@ -794,6 +794,9 @@ mod tests {
             (1.0, 0.0)
         );
         let work = work_of(&c);
-        assert_eq!((work.get("samples_walked"), work.get("samples_covered")), (1, 1));
+        assert_eq!(
+            (work.get("samples_walked"), work.get("samples_covered")),
+            (1, 1)
+        );
     }
 }
