@@ -146,10 +146,11 @@ impl TickClock {
     /// Whether the skipped tick at `now` of the loop re-armed at `rank`
     /// ([`Kernel::schedule_tick_at`]) has run before the current event: the
     /// event is of class 2, or none is running; or it is of class 1 at a
-    /// higher rank, since the ticks at one boundary run in rank order. An
-    /// event at the loop's own rank is a one-shot armed exactly a period on
-    /// by the loop's lineage, and runs before the tick its arming event
-    /// would have re-armed afterwards.
+    /// higher rank, since the ticks at one boundary run in rank order. At
+    /// the loop's own rank the event is a one-shot of the loop's lineage,
+    /// armed exactly a period on, and counted before the tick — exact for
+    /// a world that arms a tick's one-shots before it re-arms the loop, as
+    /// [`Kernel::schedule_tick_at`]'s placement assumes.
     #[must_use]
     pub fn ran(&self, rank: u32) -> bool {
         BOUNDARY | u64::from(rank) << SEQ_BITS < self.running.get()
