@@ -25,11 +25,12 @@
 //!
 //! The run-wide counts — `kernel.events` and the work counts `sense_ticks`
 //! and `sense_ticks_admitted` — are settled whenever a run call returns,
-//! from a bitset over hot-record slots: the records of the nodes a world drives sit in the
-//! order of their sensing phase, so the parked nodes whose tick falls in
-//! the part of a period since the last return are the set bits of a slot
-//! range or two, found through the phase of every 64th slot. That is about
-//! one word operation per 64 parked nodes, and no walk over the nodes.
+//! from a bitset over hot-record slots: the records of the nodes a world
+//! drives sit in the order of their sensing phase, so the parked nodes
+//! whose tick falls in the part of a period since the last return are the
+//! set bits of a slot range or two, found through the phase of every 64th
+//! slot. That is about one word operation per 64 parked nodes, and no walk
+//! over the nodes.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;

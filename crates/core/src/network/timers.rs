@@ -42,8 +42,8 @@ fn entry(key: GroupTimer) -> usize {
 }
 
 impl Timers {
-    /// Adds how the group timers that fired were handled to `work`, as
-    /// sums and then per timer key (`timer_live_heartbeat`, …,
+    /// Adds how the group timers that fired were handled to `work`, each
+    /// as a sum and then per timer key (`timer_live_heartbeat`, …,
     /// `timer_retries_method`; a shard's world counts only its own nodes):
     /// - `timer_live`: firings the CPU took whose arming was live, so the
     ///   machine ran;
@@ -83,8 +83,6 @@ impl Timers {
         ];
         for (names, counts) in NAMES.iter().zip([&self.live, &self.stale, &self.retried]) {
             work.add(names[0], counts.iter().sum());
-        }
-        for (names, counts) in NAMES.iter().zip([&self.live, &self.stale, &self.retried]) {
             for (&name, &count) in names[1..].iter().zip(counts) {
                 work.add(name, count);
             }

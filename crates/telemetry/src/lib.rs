@@ -23,6 +23,10 @@
 //! appending a record is a copy into the ring, and once the ring is full it
 //! allocates nothing.
 //!
+//! Beside the registry, not in it, [`Work`] is a snapshot of how a run did
+//! its work — counts by name that the kernel and the world's layers add
+//! when asked, for tests and tools, in no export.
+//!
 //! The [`Telemetry`] handle is a cheap `Rc<RefCell<..>>` clone, mirroring
 //! the single-threaded simulation kernel it instruments: every layer of
 //! the stack (kernel, radio medium, transport, directory, group

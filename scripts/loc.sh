@@ -19,6 +19,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 mapfile -t all < <(git ls-files -co --exclude-standard -- '*.rs' | sort)
+[ ${#all[@]} -gt 0 ] || { echo "loc.sh: no .rs files (not a git checkout?)" >&2; exit 1; }
 if [ $# -gt 0 ]; then
   files=("$@")
   by=file
