@@ -169,7 +169,9 @@ impl SensorNetwork {
         if period == nominal && self.park_tick(k, slot, node, now) {
             return;
         }
-        // Reschedule first: the loop survives any processing below. A skewed
+        // Reschedule first: the loop survives any processing below, and the
+        // kernel places a parked loop's skipped ticks by this order (a
+        // one-shot armed a period on runs after the tick). A skewed
         // node stays off the lane: a slow clock's later deadline would become
         // the lane's tail and send every other node's tick to the heap until
         // it fired.

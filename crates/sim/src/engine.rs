@@ -61,9 +61,13 @@
 //! Class 1 is the boundary itself. A loop re-armed with
 //! [`Kernel::schedule_tick_at`] takes it, with a *rank* that orders the
 //! loops stopped at one boundary, and its ticks hand it on by the rule
-//! above. A key is `class (2 bits) | rank (24 bits) | seq (38 bits)`, with
-//! `seq` the queue's; the queue's `(at, key)` order does the rest. Pushes
-//! made before [`Kernel::park_ticks`] are class 0. A loop may stop only at
+//! above, as does a one-shot armed exactly a period on — but a one-shot
+//! sorts *later* than its rank's tick: a loop's tick re-arms the loop
+//! before it arms anything else, so the tick at `t` was pushed before every
+//! event of its rank a period earlier pushed. A key is `class (2 bits) |
+//! rank (24 bits) | later (1 bit) | seq (37 bits)`, with `seq` the queue's;
+//! the queue's `(at, key)` order does the rest. Pushes made before
+//! [`Kernel::park_ticks`] are class 0. A loop may stop only at
 //! a tick that sits at the boundary, with nothing run between the two, so
 //! its skipped successor sits at the boundary one period on, and so on by
 //! induction. DESIGN.md §10 has the argument.
@@ -79,15 +83,17 @@ use crate::rng::SimRng;
 use crate::time::{SimDuration, Timestamp};
 
 /// The key layout of a world that skips ticks (see the [module
-/// docs](self)): the queue's sequence number in the low 38 bits, a rank
-/// above it, and a class above that — before the boundary of its instant,
-/// at it, or after it.
-const SEQ_BITS: u32 = 38;
+/// docs](self)): the queue's sequence number in the low 37 bits, the
+/// `LATER` bit of a class-1 one-shot above it, a rank above that, and a
+/// class on top — before the boundary of its instant, at it, or after it.
+const SEQ_BITS: u32 = 37;
 const RANK_BITS: u32 = 24;
 const SEQ: u64 = (1 << SEQ_BITS) - 1;
+const LATER: u64 = 1 << SEQ_BITS;
+const RANK_SHIFT: u32 = SEQ_BITS + 1;
 const BEFORE: u64 = 0;
-const BOUNDARY: u64 = 1 << (SEQ_BITS + RANK_BITS);
-const AFTER: u64 = 2 << (SEQ_BITS + RANK_BITS);
+const BOUNDARY: u64 = 1 << (RANK_SHIFT + RANK_BITS);
+const AFTER: u64 = 2 << (RANK_SHIFT + RANK_BITS);
 
 /// A scheduled event: a one-shot closure over the world and the kernel.
 pub(crate) type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Kernel<W>)>;
@@ -145,15 +151,12 @@ pub struct TickClock {
 impl TickClock {
     /// Whether the skipped tick at `now` of the loop re-armed at `rank`
     /// ([`Kernel::schedule_tick_at`]) has run before the current event: the
-    /// event is of class 2, or none is running; or it is of class 1 at a
-    /// higher rank, since the ticks at one boundary run in rank order. At
-    /// the loop's own rank the event is a one-shot of the loop's lineage,
-    /// armed exactly a period on, and counted before the tick — exact for
-    /// a world that arms a tick's one-shots before it re-arms the loop, as
-    /// [`Kernel::schedule_tick_at`]'s placement assumes.
+    /// event is of class 2, or none is running; or it is of class 1 at the
+    /// same or a higher rank, since the ticks at one boundary run in rank
+    /// order and a class-1 one-shot after its rank's tick.
     #[must_use]
     pub fn ran(&self, rank: u32) -> bool {
-        BOUNDARY | u64::from(rank) << SEQ_BITS < self.running.get()
+        BOUNDARY | u64::from(rank) << RANK_SHIFT <= self.running.get()
     }
 }
 
@@ -263,9 +266,9 @@ impl<W> Kernel<W> {
         self.assert_not_past(at);
         assert!(rank < 1 << RANK_BITS, "tick rank {rank} out of range");
         assert!(self.ties.is_some(), "park_ticks first");
-        let tag = match self.tag(at) {
+        let tag = match self.tag(at, 0) {
             BEFORE => BEFORE,
-            _ => BOUNDARY | u64::from(rank) << SEQ_BITS,
+            _ => BOUNDARY | u64::from(rank) << RANK_SHIFT,
         };
         let event = Event::Recurring(handler, arg);
         self.queue.push_tagged(at, tag, event);
@@ -274,20 +277,22 @@ impl<W> Kernel<W> {
     /// Pushes a one-shot `event` for `at`, classed by the rule.
     #[inline]
     fn push(&mut self, at: Timestamp, event: Event<W>) {
-        let tag = self.tag(at);
+        let tag = self.tag(at, LATER);
         self.queue.push_tagged(at, tag, event);
     }
 
     /// The class and rank a push for `at` takes (see the [module
-    /// docs](self)).
+    /// docs](self)), with `later` (`LATER` for a one-shot, 0 for a tick)
+    /// where that is class 1.
     #[inline]
-    fn tag(&self, at: Timestamp) -> u64 {
+    fn tag(&self, at: Timestamp, later: u64) -> u64 {
         let Some(ties) = self.ties.as_deref() else {
             return BEFORE;
         };
         match (at.as_micros() - self.now.as_micros()).cmp(&ties.period) {
             Ordering::Greater => BEFORE,
             Ordering::Less => AFTER,
+            Ordering::Equal if (BOUNDARY..AFTER).contains(&ties.running) => ties.running | later,
             Ordering::Equal => ties.running,
         }
     }
@@ -356,7 +361,7 @@ impl<W> Kernel<W> {
     /// Panics if `at` is in the past, like [`Kernel::schedule_at`].
     pub fn schedule_recurring_at(&mut self, at: Timestamp, handler: RecurringFn<W>, arg: u64) {
         self.assert_not_past(at);
-        let tag = self.tag(at);
+        let tag = self.tag(at, 0);
         self.queue.push_recurring_tagged(at, tag, LaneEvent(handler, arg));
     }
 
@@ -555,7 +560,7 @@ impl<W> Engine<W> {
                 key >= BOUNDARY || queue.peek_key().is_none_or(|(t, k)| t > at || k >= AFTER)
             };
         ties.open &= !after;
-        ties.running = key & !SEQ;
+        ties.running = key & !(SEQ | LATER);
         ties.clock.running.set(ties.running);
         ties.clock.at_boundary.set(at_boundary);
         match event {

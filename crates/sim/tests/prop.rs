@@ -136,14 +136,8 @@ fn tick(w: &mut Toy, k: &mut Kernel<Toy>, l: u64) {
     (lp.ticks, lp.last) = (lp.ticks + 1, now);
     let (phase, n) = (lp.phase, (now - lp.phase) / P);
     let (id, busy) = w.tick_id(l, n);
-    if busy {
-        w.log.push((now, id, w.loops[l].ticks));
-        for j in 0..mix(id, 1) % 3 {
-            // One exactly a period on runs among the ticks of its phase:
-            // after those of lower rank, skipped or not.
-            arm(k, now + delay(mix(id, 10 + j)), mix(id, 20 + j), 1);
-        }
-    } else if w.mode == Mode::Skipping
+    if w.mode == Mode::Skipping
+        && !busy
         && w.clock.as_ref().is_some_and(|c| c.at_boundary.get())
         && mix(id, 2).is_multiple_of(2)
     {
@@ -157,7 +151,15 @@ fn tick(w: &mut Toy, k: &mut Kernel<Toy>, l: u64) {
         k.schedule_inline_at(ts(at), wake, [l as u64, lp.wake]);
         return;
     }
+    // Re-arm first, as a sensor's tick does: a one-shot this tick arms
+    // exactly a period on runs after its successor.
     k.schedule_recurring_at(ts(now + P), tick, l as u64);
+    if busy {
+        w.log.push((now, id, w.loops[l].ticks));
+        for j in 0..mix(id, 1) % 3 {
+            arm(k, now + delay(mix(id, 10 + j)), mix(id, 20 + j), 1);
+        }
+    }
 }
 
 fn once(w: &mut Toy, k: &mut Kernel<Toy>, [id, depth]: [u64; 2]) {

@@ -134,14 +134,15 @@ for seed in 1 2 3; do
   TESTKIT_SEED=$seed cargo test -q --offline -p envirotrack-bench --test shard_random_worlds
 done
 
-# Mutants: every patch in mutants/ still applies to this tree, and the three
-# kernel mutants fail the kernel's skipped-tick property (≈ 5 s cold, 3 s
+# Mutants: every patch in mutants/ still applies to this tree, and the four
+# kernel mutants fail the kernel's skipped-tick property (≈ 9 s cold, 6 s
 # warm on the 2-vCPU host). `scripts/mutants.sh --all` runs every one.
 for patch in mutants/*.patch; do
   git apply --check "$patch" \
     || { echo "verify: $patch no longer applies" >&2; exit 1; }
 done
-scripts/mutants.sh period-push-by-delay boundary-seq-before-rank class-one-reads-no-tick >&2
+scripts/mutants.sh period-push-by-delay boundary-seq-before-rank class-one-reads-no-tick \
+  one-shot-before-its-tick >&2
 
 # Telemetry smoke: the flagship storm must emit the summary table and a
 # non-empty trace, byte-identically across two runs of the same seed.
