@@ -219,14 +219,15 @@ fn main() -> ExitCode {
         };
         let p = run_scale(&cfg, heap);
         eprintln!(
-            "scale: {nodes} nodes → build {:.3}s ({} allocations), run {:.3}s, {} events ({:.0}/s), {} bytes on air",
-            p.build_wall_s, p.build_allocs, p.run_wall_s, p.events, p.events_per_sec, p.bytes_on_air
+            "scale: {nodes} nodes → build {:.3}s ({} allocations), bootstrap {:.4}s, run {:.3}s, {} events ({:.0}/s), {} bytes on air",
+            p.build_wall_s, p.build_allocs, p.bootstrap_wall_s, p.run_wall_s, p.events, p.events_per_sec, p.bytes_on_air
         );
         let row = JsonObject::new()
             .field_u64("nodes", u64::from(p.nodes))
             .field_f64("build_wall_s", p.build_wall_s)
             .field_u64("build_allocs", p.build_allocs)
             .field_u64("build_heap_bytes", p.build_heap_bytes)
+            .field_f64("bootstrap_wall_s", p.bootstrap_wall_s)
             .field_f64("run_wall_s", p.run_wall_s)
             .field_u64("events", p.events)
             .field_f64("events_per_sec", p.events_per_sec)

@@ -8,7 +8,7 @@ use envirotrack_sim::engine::Engine;
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::Telemetry;
-use envirotrack_world::field::{Deployment, NodeId};
+use envirotrack_world::field::{sort_by_phase, Deployment, NodeId};
 use envirotrack_world::grid::Topology;
 use envirotrack_world::sensing::Environment;
 
@@ -186,7 +186,10 @@ impl SensorNetwork {
             }
         }
         let period = self.config.middleware.sense_period;
-        let mut starts = Vec::with_capacity(self.nodes.len());
+        let span = period.as_micros().max(1);
+        // Each driven node's phase, by id, and the driven nodes in id order.
+        let mut phases = vec![0; self.nodes.len()];
+        let mut order = Vec::with_capacity(self.nodes.len());
         for id in self.deployment.ids() {
             // Sharded worlds start only their owned nodes' loops. Each
             // node's phase comes from its own forked RNG stream, so
@@ -194,25 +197,26 @@ impl SensorNetwork {
             if !self.owns(id) {
                 continue;
             }
-            let phase = self.nodes.draw_phase(id, period.as_micros().max(1));
+            let phase = self.nodes.draw_phase(id, span);
             #[cfg(test)]
             let phase = phase - phase % self.phase_quantum.max(1);
-            starts.push((SimDuration::from_micros(phase), id));
+            phases[id.index()] = phase;
+            order.push(id.0);
         }
-        self.nodes.phases_drawn(period.as_micros().max(1));
+        self.nodes.phases_drawn(span);
         // Armed in firing order — id order among equal phases, the order
         // arming by id gave them — every loop goes straight onto the kernel's
         // recurring lane and the heap never holds one entry per node. The
         // hot records are laid out in the same order, so a sensing period
         // reads them front to back; the nodes this world does not drive go
         // after them.
-        starts.sort_unstable();
-        let order = starts.iter().map(|&(_, id)| id);
+        sort_by_phase(&mut order, span, |id| phases[id as usize]);
+        let ids = order.iter().map(|&id| NodeId(id));
         #[cfg(test)]
         let in_id_order = self.records_in_id_order;
         #[cfg(test)]
-        let order = order.filter(|_| !in_id_order);
-        self.sense.lay_out(order);
+        let ids = ids.filter(|_| !in_id_order);
+        self.sense.lay_out(ids);
         // A loop that would only charge its node's CPU until a target comes
         // near is parked from the start (`park.rs`): not armed at all. The
         // pinned objects' hosts lead from the start, and are armed.
@@ -221,19 +225,21 @@ impl SensorNetwork {
         let hosts: Vec<(ContextTypeId, NodeId)> = pinned
             .map(|tid| (tid, self.deployment.nearest(program.spec(tid).pinned.expect("pinned"))))
             .collect();
-        let mut armed = starts;
-        if self.start_parking(k, &armed) {
-            let hosts: Vec<NodeId> = hosts.iter().map(|&(_, host)| host).collect();
-            let starts = std::mem::take(&mut armed);
-            for group in starts.chunk_by(|a, b| a.0 == b.0) {
-                let hosted = group.iter().any(|(_, id)| hosts.contains(id));
-                if hosted || !self.park_at_birth(k, group) {
-                    armed.extend_from_slice(group);
+        if let Some(cells) = self.start_parking(k, &order, &phases) {
+            let starts = std::mem::take(&mut order);
+            let mut from = 0;
+            for group in starts.chunk_by(|&a, &b| phases[a as usize] == phases[b as usize]) {
+                let (phase, to) = (phases[group[0] as usize], from + group.len());
+                let hosted = group.iter().any(|&id| hosts.iter().any(|&(_, h)| h.0 == id));
+                if hosted || !self.park_at_birth(k, phase, group, &cells[from..to]) {
+                    order.extend_from_slice(group);
                 }
+                from = to;
             }
         }
-        k.reserve_recurring(armed.len());
-        for (phase, id) in armed {
+        k.reserve_recurring(order.len());
+        for id in order {
+            let (phase, id) = (SimDuration::from_micros(phases[id as usize]), NodeId(id));
             let word = sense::lane_word(self.sense.slot(id), id);
             self.arm_sense_tick(k, k.now() + phase, word, true);
         }

@@ -43,7 +43,7 @@ use envirotrack_telemetry::Work;
 use envirotrack_world::field::NodeId;
 use envirotrack_world::geometry::Point;
 use envirotrack_world::grid::Topology;
-use envirotrack_world::sensing::Coverage;
+use envirotrack_world::sensing::{Coverage, Sweeps};
 
 use super::{sense, FaultEvent, SensorNetwork, K};
 
@@ -84,8 +84,13 @@ pub(super) struct Parking {
     /// Per grid cell, until when no node there tries to park: a target was
     /// near when one last tried.
     shun: Vec<Timestamp>,
-    /// Per pending wake event, a node of each cell due then.
+    /// Per pending wake event, the cells due then.
     due: BTreeMap<Timestamp, Vec<u32>>,
+    /// The target sweeps of the instant cells were last proven at, kept
+    /// for every cell proven then.
+    sweeps: Sweeps,
+    /// Cells proven, quiet or not.
+    proofs: u64,
     /// Loops to arm again after the current event: `(at, lane word)`.
     rearm: Vec<(Timestamp, u64)>,
     /// When the run-wide counts were last settled.
@@ -109,6 +114,8 @@ impl Parking {
             wakes: Vec::new(),
             shun: Vec::new(),
             due: BTreeMap::new(),
+            sweeps: Sweeps::default(),
+            proofs: 0,
             rearm: Vec::new(),
             since: Timestamp::ZERO,
             credit: 0,
@@ -123,15 +130,22 @@ impl Parking {
     /// - `sense_settled`: ticks of parked nodes settled in closed form, less
     ///   the wake events that ran in their stead — what the kernel counts as
     ///   events it did not pop, so that with the event list's pops it makes
-    ///   `kernel.events`.
+    ///   `kernel.events`;
+    /// - `park_proofs`: grid cells proven quiet or not, by a box test
+    ///   against the targets' sweeps;
+    /// - `park_sweeps`: target sweeps those proofs worked out, once a
+    ///   window and target for all the cells proven at one instant.
     pub(super) fn work(&self, work: &mut Work) {
         work.add("sense_parked", self.parkings);
         let settled = self.clock.as_ref().map_or(0, |c| c.settled.get());
         work.add("sense_settled", settled);
+        work.add("park_proofs", self.proofs);
+        work.add("park_sweeps", self.sweeps.computed());
     }
 
-    /// The heap bytes of the bitset, the phase index, the wake tables and
-    /// the re-arm list (a pending wake counted at its key, value and list).
+    /// The heap bytes of the bitset, the phase index, the wake tables, the
+    /// kept sweeps and the re-arm list (a pending wake counted at its key,
+    /// value and list).
     pub(super) fn heap_bytes(&self) -> usize {
         let due = self
             .due
@@ -141,6 +155,7 @@ impl Parking {
             + self.word_phase.capacity() * 8
             + (self.wakes.capacity() + self.shun.capacity()) * size_of::<Timestamp>()
             + due.sum::<usize>()
+            + self.sweeps.heap_bytes()
             + self.rearm.capacity() * size_of::<(Timestamp, u64)>()
     }
 
@@ -197,65 +212,90 @@ fn last_tick(cpu_busy_until: Timestamp) -> Timestamp {
 }
 
 impl SensorNetwork {
-    /// Lets the nodes of `starts` — every driven node's phase, in slot
-    /// order — park, if any node of this world ever can. Called by the
-    /// bootstrap, once the loops are armed.
-    pub(super) fn start_parking(&mut self, k: &mut K, starts: &[(SimDuration, NodeId)]) -> bool {
+    /// Lets the nodes of `order` — every driven node, in slot order; their
+    /// phases in µs by id in `phases` — park, if any node of this world
+    /// ever can, and says in which grid cell each would, by slot. Called
+    /// by the bootstrap, once the records are laid out.
+    pub(super) fn start_parking(
+        &mut self,
+        k: &mut K,
+        order: &[u32],
+        phases: &[u64],
+    ) -> Option<Vec<u32>> {
         let period = self.config.middleware.sense_period;
         // Settling reads phases off the slot order, and a re-armed loop
         // keeps its place through the lane: records left in id order, and
         // loops kept off the lane, park nothing.
         #[cfg(test)]
         if self.ticks_every_period || self.records_in_id_order || self.sense_loops_on_heap {
-            return false;
+            return None;
         }
         // A slot is a re-armed tick's rank (`Kernel::schedule_tick_at`).
         let ranked = self.sense.len() < (1 << 24) - 1;
         if period <= costs::SENSE || !self.sensing.ambient_is_idle() || !ranked {
-            return false;
+            return None;
         }
         // Unit tests park any field, to check parking on small worlds.
         #[cfg(not(test))]
         if self.deployment.len() < PARK_MIN_NODES {
-            return false;
+            return None;
+        }
+        // Each driven slot's cell, from a walk over the grid's cells: the
+        // records of `order` fill the first slots, in its order.
+        let topology = Arc::clone(&self.park.topology);
+        let (mut cells, mut cell) = (vec![0; order.len()], 0);
+        while let Some(members) = topology.bucket(cell) {
+            for &m in members {
+                let slot = self.sense.slot(NodeId(m)) as usize;
+                if let Some(at) = cells.get_mut(slot) {
+                    debug_assert_eq!(order[slot], m, "records out of slot order");
+                    *at = cell as u32;
+                }
+            }
+            cell += 1;
         }
         let park = &mut self.park;
         park.period = period.as_micros();
         park.bits = vec![0; self.sense.len().div_ceil(64)];
-        park.word_phase = starts
-            .iter()
-            .step_by(64)
-            .map(|&(phase, _)| phase.as_micros())
-            .collect();
+        park.word_phase = order.iter().step_by(64).map(|&id| phases[id as usize]).collect();
+        park.wakes = vec![Timestamp::ZERO; cell];
+        park.shun = vec![Timestamp::ZERO; cell];
         park.clock = Some(k.park_ticks(period, |w, k, pause| w.tick_hook(k, pause)));
-        true
+        Some(cells)
     }
 
-    /// Parks from the start the nodes of `starts` — driven nodes whose
-    /// first ticks fall at one instant, in slot order — if every one of
+    /// Parks from the start the driven `nodes` in grid `cells` whose first
+    /// ticks all fall `phase` µs from now — in slot order — if every one of
     /// them would park at that tick, and says whether it did: their loops
     /// are then never armed. A skipped first tick sits among the first
     /// ticks in slot order, so it stands for its place only if no first tick
     /// at its instant runs. Each first tick is applied to the CPU now, ahead
     /// of its instant — readers take it back until then
     /// ([`Parking::pending`]), as does a touch that comes first.
-    pub(super) fn park_at_birth(&mut self, k: &mut K, starts: &[(SimDuration, NodeId)]) -> bool {
+    pub(super) fn park_at_birth(
+        &mut self,
+        k: &mut K,
+        phase: u64,
+        nodes: &[u32],
+        cells: &[u32],
+    ) -> bool {
         if self.park.clock.is_none() {
             return false;
         }
-        let mut may = |w: &mut Self, &(phase, node): &(SimDuration, NodeId)| {
-            let first = k.now() + phase;
-            let hot = &w.sense[node];
+        let first = k.now() + SimDuration::from_micros(phase);
+        let mut may = |w: &mut Self, (&node, &cell): (&u32, &u32)| {
+            let hot = &w.sense[NodeId(node)];
             let idle = hot.alive && hot.quiescent && hot.clock_nominal && !hot.skewed;
+            let period = SimDuration::from_micros(w.park.period);
             idle && hot.cpu.busy_until() <= first
                 && hot.cell != Coverage::OFF_FIELD
-                && w.quiet_cell(k, node, k.now()) > first + SimDuration::from_micros(w.park.period)
+                && w.quiet_cell(k, cell as usize, k.now()) > first + period
         };
-        if !starts.iter().all(|start| may(self, start)) {
+        if !nodes.iter().zip(cells).all(|start| may(self, start)) {
             return false;
         }
-        for &(phase, node) in starts {
-            let (slot, first) = (self.sense.slot(node), k.now() + phase);
+        for &node in nodes {
+            let slot = self.sense.slot(NodeId(node));
             self.sense.at_mut(slot).cpu.settle(1, first, costs::SENSE);
             let park = &mut self.park;
             park.bits[slot as usize / 64] |= 1 << (slot % 64);
@@ -350,7 +390,8 @@ impl SensorNetwork {
         {
             return false;
         }
-        let wake = self.quiet_cell(k, node, now);
+        let (cell, _) = self.park.topology.bucket_of(node);
+        let wake = self.quiet_cell(k, cell, now);
         let park = &mut self.park;
         if wake <= now + SimDuration::from_micros(park.period) {
             return false;
@@ -365,25 +406,22 @@ impl SensorNetwork {
         true
     }
 
-    /// The instant the grid cell of `node` may first be reached by a target
-    /// — its wake, armed now if it has none pending. Wakes fall on whole
-    /// sensing periods, so the cells that wake at one instant share an
-    /// event.
-    fn quiet_cell(&mut self, k: &mut K, node: NodeId, now: Timestamp) -> Timestamp {
+    /// The instant grid cell `cell` may first be reached by a target — its
+    /// wake, armed now if it has none pending. Wakes fall on whole sensing
+    /// periods, so the cells that wake at one instant share an event. The
+    /// cells proven at one instant share one set of target sweeps.
+    fn quiet_cell(&mut self, k: &mut K, cell: usize, now: Timestamp) -> Timestamp {
         let park = &mut self.park;
-        let (cell, members) = park.topology.bucket_of(node);
-        if park.wakes.len() <= cell {
-            park.wakes.resize(cell + 1, Timestamp::ZERO);
-            park.shun.resize(cell + 1, Timestamp::ZERO);
-        }
         if park.wakes[cell] > now {
             return park.wakes[cell];
         }
         if park.shun[cell] > now {
             return now;
         }
+        let members = park.topology.bucket(cell).expect("a cell of the grid");
         let positions = self.deployment.positions();
-        let (mut lo, mut hi) = (positions[node.index()], positions[node.index()]);
+        let first = positions[members[0] as usize];
+        let (mut lo, mut hi) = (first, first);
         for &m in members {
             let p = positions[m as usize];
             lo = Point::new(lo.x.min(p.x), lo.y.min(p.y));
@@ -391,7 +429,10 @@ impl SensorNetwork {
         }
         let period = SimDuration::from_micros(park.period);
         let cap = period * QUIET_PERIODS;
-        let quiet = self.environment.quiet_until(lo, hi, now, period * 2, cap);
+        park.proofs += 1;
+        let quiet = self
+            .environment
+            .quiet_until(&mut park.sweeps, lo, hi, now, period * 2, cap);
         let wake = Timestamp::from_micros(quiet.as_micros() / park.period * park.period);
         if wake <= now + period {
             // Not quiet for long: the cell is not asked again for a while.
@@ -404,7 +445,7 @@ impl SensorNetwork {
         if cells.is_empty() {
             k.schedule_tick_at(wake, Self::wake_cells, wake.as_micros(), 0);
         }
-        cells.push(node.0);
+        cells.push(cell as u32);
         wake
     }
 
@@ -418,13 +459,13 @@ impl SensorNetwork {
         let at = k.now();
         let cells = self.park.due.remove(&at).unwrap_or_default();
         let topology = Arc::clone(&self.park.topology);
-        for node in cells {
-            let (cell, members) = topology.bucket_of(NodeId(node));
+        for cell in cells {
+            let cell = cell as usize;
             if self.park.wakes[cell] != at {
                 continue;
             }
             self.park.wakes[cell] = Timestamp::ZERO;
-            for &m in members {
+            for &m in topology.bucket(cell).expect("a cell of the grid") {
                 self.touch(NodeId(m));
             }
         }
@@ -520,7 +561,7 @@ impl SensorNetwork {
                 .unwrap_or(Timestamp::ZERO);
             if wake > now && !woken.contains(&cell) {
                 let floor = wake.saturating_since(now);
-                if reach.quiet_until(pos, pos, now, floor, floor) < wake {
+                if reach.quiet_until(&mut Sweeps::default(), pos, pos, now, floor, floor) < wake {
                     woken.push(cell);
                 }
             }

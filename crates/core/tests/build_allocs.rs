@@ -2,7 +2,8 @@
 //! and `Topology::new` allocate as often on a 4 000-node field as on a
 //! 1 000-node one. Per-node state lives in a few flat arrays, and a node's
 //! protocol layers, group machines and neighbour list are made when it first
-//! uses them, so a built world holds under two hundred bytes a node.
+//! uses them, so a built world holds under two hundred bytes a node, and
+//! its bootstrap holds at most 21 more while it runs.
 //!
 //! This file is its own test binary so that the counting global allocator
 //! it declares (`testkit::alloc::Counting`) sees nothing but these tests;
@@ -15,12 +16,12 @@ use envirotrack_core::aggregate::{AggregateFn, AggregateInput};
 use envirotrack_core::api::Program;
 use envirotrack_core::context::SensePredicate;
 use envirotrack_core::network::{NetworkConfig, SensorNetwork};
-use envirotrack_sim::time::SimDuration;
+use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::Work;
 use envirotrack_world::grid::Topology;
 use envirotrack_world::scenario::{ScaleScenario, Scenario};
 use envirotrack_world::target::Channel;
-use testkit::alloc::{measure, Counting};
+use testkit::alloc::{heap, measure, peak, reset_peak, Counting};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -111,4 +112,33 @@ fn a_topology_takes_two_allocations_whatever_its_size() {
         assert!(std::ptr::eq(topology.positions(), deployment.positions()));
         assert_eq!(allocations, 2, "{nodes} nodes");
     }
+}
+
+/// What the first run call — the bootstrap at time zero — holds at its
+/// peak beyond what the built world held, on a 4 096-node field whose every
+/// node parks from the start: the phases by id (8 B a node), the driven
+/// nodes in firing order (4 B), and one more `u32` a node at a time — the
+/// radix sort's second buffer, the layout's permutation, then each node's
+/// parking cell — beside the parking tables the world keeps. Sorting
+/// 16-byte `(phase, id)` pairs in place with the layout's permutation
+/// beside them held 85 984 B here (20.99 a node); a radix pass over those
+/// pairs would have needed a second 16 B a node.
+#[test]
+fn the_bootstrap_holds_at_most_21_bytes_a_node_beyond_the_built_world() {
+    let nodes = 4_096;
+    let (program, scenario, config) = (figure_2(), field(nodes), config());
+    let (deployment, environment) = (scenario.deployment, scenario.environment);
+    let mut engine = SensorNetwork::build_engine(program, deployment, environment, config, 1);
+    let before = heap().1;
+    reset_peak();
+    engine.run_until(Timestamp::from_micros(1));
+    let held = peak() - before;
+    let mut work = Work::default();
+    engine.world().work(&mut work);
+    assert_eq!(work.get("sense_parked"), u64::from(nodes), "every node parks");
+    let per_node = held as f64 / f64::from(nodes);
+    assert!(
+        held <= 21 * i64::from(nodes),
+        "{held} B at the peak, {per_node:.2} a node"
+    );
 }

@@ -338,6 +338,16 @@ impl Topology {
         (cell, &self.ids[from as usize..to as usize])
     }
 
+    /// Every node of grid cell `cell` in id order, `None` past the last
+    /// cell; cells are numbered row-major from zero. Walking the cells from
+    /// zero meets every node once, and tells each its cell with no
+    /// arithmetic on its position.
+    #[must_use]
+    pub fn bucket(&self, cell: usize) -> Option<&[u32]> {
+        let to = *self.starts.get(cell + 1)?;
+        Some(&self.ids[self.starts[cell] as usize..to as usize])
+    }
+
     /// Calls `f` with every node within the radius of `node`, itself
     /// excluded: the candidates of the 9-cell stencil around it that pass
     /// the distance test, row by row. A row's three cells are adjacent in

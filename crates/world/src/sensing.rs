@@ -287,6 +287,94 @@ impl Coverage {
     }
 }
 
+/// The target sweeps [`Environment::quiet_until`] tests boxes against: for
+/// one instant, one floor and one cap, each window it tries and each
+/// target's sweep over that window (`Target::sweep`). A window's sweeps are
+/// worked out the first time a box is tested against it and kept for every
+/// later box at the same instant; a call at another instant or with another
+/// floor or cap starts afresh, and so does one after a target was added.
+/// A caller that proves many boxes at one instant keeps one set for all of
+/// them and pays a window's sweeps once, not once a box.
+#[derive(Debug, Clone, Default)]
+pub struct Sweeps {
+    /// What the sweeps were worked out for: `(from, floor, cap, targets)`.
+    key: Option<(Timestamp, SimDuration, SimDuration, usize)>,
+    /// The windows tried, `floor` doubling up to `cap`, the last.
+    windows: Vec<SimDuration>,
+    /// Per window, whether its sweeps are known.
+    known: Vec<bool>,
+    /// Per window, one entry a target: where the target is at `from` and
+    /// how far from there it can reach a sensor during the window; `None`
+    /// for a target absent throughout.
+    reach: Vec<Option<(Point, f64)>>,
+    computed: u64,
+}
+
+impl Sweeps {
+    /// How many target sweeps the set has worked out, over every instant
+    /// it was used at.
+    #[must_use]
+    pub fn computed(&self) -> u64 {
+        self.computed
+    }
+
+    /// The heap bytes of the windows and their sweeps.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.windows.capacity() * size_of::<SimDuration>()
+            + self.known.capacity()
+            + self.reach.capacity() * size_of::<Option<(Point, f64)>>()
+    }
+
+    /// Makes the set speak for `from`, `floor`, `cap` and `targets`
+    /// targets, forgetting every window's sweeps if it spoke for anything
+    /// else.
+    fn start(&mut self, from: Timestamp, floor: SimDuration, cap: SimDuration, targets: usize) {
+        if self.key == Some((from, floor, cap, targets)) {
+            return;
+        }
+        if !matches!(self.key, Some((_, f, c, _)) if (f, c) == (floor, cap)) {
+            let mut window = floor.max(SimDuration::from_micros(1));
+            let cap = cap.max(window);
+            self.windows.clear();
+            self.windows.push(window);
+            while window < cap {
+                window = (window * 2).min(cap);
+                self.windows.push(window);
+            }
+        }
+        self.key = Some((from, floor, cap, targets));
+        self.known.clear();
+        self.known.resize(self.windows.len(), false);
+        self.reach.clear();
+        self.reach.resize(self.windows.len() * targets, None);
+    }
+
+    /// Whether a target can pass the exact cull of [`Environment::sample`]
+    /// for a position in `[lo, hi]` during window `w`, its sweeps worked
+    /// out from `targets` first if they are not known yet.
+    fn reaches(&mut self, targets: &[Target], w: usize, lo: Point, hi: Point) -> bool {
+        let (from, ..) = self.key.expect("started");
+        let reach = &mut self.reach[w * targets.len()..(w + 1) * targets.len()];
+        if !self.known[w] {
+            let last = from.saturating_add(self.windows[w] - SimDuration::from_micros(1));
+            for (slot, target) in reach.iter_mut().zip(targets) {
+                *slot = target.sweep(from, last);
+            }
+            self.known[w] = true;
+            self.computed += targets.len() as u64;
+        }
+        reach.iter().flatten().any(|&(at, half)| {
+            let ordinary = half.is_finite() && at.x.is_finite() && at.y.is_finite();
+            !ordinary
+                || !(at.x + half < lo.x
+                    || at.x - half > hi.x
+                    || at.y + half < lo.y
+                    || at.y - half > hi.y)
+        })
+    }
+}
+
 /// The physical environment: ambient conditions plus a set of targets.
 ///
 /// This is the ground truth of a simulation. The middleware never reads it
@@ -443,9 +531,14 @@ impl Environment {
     /// window). `from` itself when the sensors are noisy, or the first
     /// window is not quiet. A target that is not present yet counts from
     /// the instant it appears; one added later is not seen.
+    ///
+    /// The sweeps come from `sweeps`, worked out there for this instant,
+    /// floor, cap and target count if it does not hold them yet: a fresh
+    /// [`Sweeps`] answers one box, a kept one every box asked at one instant.
     #[must_use]
     pub fn quiet_until(
         &self,
+        sweeps: &mut Sweeps,
         lo: Point,
         hi: Point,
         from: Timestamp,
@@ -455,36 +548,20 @@ impl Environment {
         if self.noise.noisy {
             return from;
         }
-        let reaches = |last: Timestamp| {
-            self.targets.iter().any(|target| {
-                let Some((at, half)) = target.sweep(from, last) else {
-                    return false;
-                };
-                let ordinary = half.is_finite() && at.x.is_finite() && at.y.is_finite();
-                !ordinary
-                    || !(at.x + half < lo.x
-                        || at.x - half > hi.x
-                        || at.y + half < lo.y
-                        || at.y - half > hi.y)
-            })
-        };
-        let (floor, cap) = (floor.max(SimDuration::from_micros(1)), cap.max(floor));
+        sweeps.start(from, floor, cap, self.targets.len());
         // Far from every target the whole cap is quiet: one look at each.
-        let until = |window: SimDuration| from.saturating_add(window - SimDuration::from_micros(1));
-        if !reaches(until(cap)) {
-            return from.saturating_add(cap);
+        let cap = sweeps.windows.len() - 1;
+        if !sweeps.reaches(&self.targets, cap, lo, hi) {
+            return from.saturating_add(sweeps.windows[cap]);
         }
-        let (mut quiet, mut window) = (from, floor);
-        loop {
-            if reaches(until(window)) {
+        let mut quiet = from;
+        for w in 0..cap {
+            if sweeps.reaches(&self.targets, w, lo, hi) {
                 return quiet;
             }
-            quiet = from.saturating_add(window);
-            if window >= cap {
-                return quiet;
-            }
-            window = (window * 2).min(cap);
+            quiet = from.saturating_add(sweeps.windows[w]);
         }
+        quiet
     }
 
     /// Whether `cell` is clear in the window of `coverage` that holds `t`,

@@ -3,12 +3,12 @@
 use envirotrack_sim::rng::{splitmix64, SimRng};
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::Work;
-use envirotrack_world::field::{Deployment, NodeId};
+use envirotrack_world::field::{sort_by_phase, Deployment, NodeId};
 use envirotrack_world::geometry::{Aabb, Point};
 use envirotrack_world::grid::{
     neighbor_lists_with, shard_assignment, shard_interest_ranges, NeighborStrategy, Topology,
 };
-use envirotrack_world::sensing::{Coverage, Environment, NoiseModel, SensorSample};
+use envirotrack_world::sensing::{Coverage, Environment, NoiseModel, SensorSample, Sweeps};
 use envirotrack_world::target::{Channel, Emission, Falloff, Target, TargetId, Trajectory};
 use testkit::prelude::*;
 
@@ -464,6 +464,117 @@ prop_test! {
         prop_assert_eq!(work.get("samples_covered") + work.get("samples_walked"), samples);
     }
 
+    /// A sweep set kept across boxes answers every box as a fresh one does,
+    /// on fields of parked, linear, looped and late-appearing targets:
+    /// across instants, floors and caps, and after a target is added to an
+    /// environment whose sweeps it already holds. It works each window's
+    /// sweeps out once an instant, so what it computes is bounded by
+    /// windows × targets per instant, however many boxes it answers.
+    #[test]
+    fn a_kept_sweep_set_answers_every_box_as_a_fresh_one(seed: u64, n_targets in 0usize..6) {
+        let mut rng = SimRng::seed_from(seed);
+        let us = Timestamp::from_micros;
+        let new_target = |rng: &mut SimRng, id: usize| {
+            let emissions = (0..1 + rng.below(3)).map(|_| random_emission(rng)).collect();
+            let mut target = Target::new(TargetId(id as u32), random_trajectory(rng), emissions);
+            if rng.chance(0.4) {
+                let from = rng.below(30_000_000);
+                target = target.active_between(us(from), us(from + 1 + rng.below(30_000_000)));
+            }
+            target
+        };
+        let mut env = Environment::new();
+        if rng.chance(0.1) {
+            env = env.with_noise(NoiseModel::none().with_channel(Channel::Magnetic, 1.0));
+        }
+        for id in 0..n_targets {
+            env.add_target(new_target(&mut rng, id));
+        }
+        let mut kept = Sweeps::default();
+        for _ in 0..6 {
+            let from = us(match rng.below(4) {
+                0 => 0,
+                1 => u64::MAX - rng.below(2_000_000),
+                _ => rng.below(40_000_000),
+            });
+            let (floor, cap) = match rng.below(3) {
+                0 => (SimDuration::from_millis(400), SimDuration::from_millis(12_800)),
+                1 => (SimDuration::from_micros(rng.below(3)), SimDuration::from_micros(1 + rng.below(3))),
+                _ => (
+                    SimDuration::from_micros(1 + rng.below(3_000_000)),
+                    SimDuration::from_micros(rng.below(60_000_000)),
+                ),
+            };
+            // The windows a set tries: `floor` doubling up to `cap`.
+            let mut window = floor.max(SimDuration::from_micros(1));
+            let mut windows = 1;
+            while window < cap {
+                window = (window * 2).min(cap);
+                windows += 1;
+            }
+            for round in 0..2 {
+                let before = kept.computed();
+                for _ in 0..10 {
+                    let corner = match rng.choose(env.targets()) {
+                        Some(target) if rng.chance(0.6) => {
+                            let at = target.position_at(from);
+                            let r = RADII[rng.below(4) as usize] + rng.uniform_range(-0.5, 8.0);
+                            Point::new(at.x + r * rng.uniform_range(-1.5, 1.5), at.y - r)
+                        }
+                        _ => Point::new(rng.uniform_range(-30.0, 30.0), rng.uniform_range(-30.0, 30.0)),
+                    };
+                    let size = if rng.chance(0.2) { 0.0 } else { rng.uniform_range(0.0, 6.0) };
+                    let (lo, hi) = (corner, Point::new(corner.x + size, corner.y + size * 0.5));
+                    let fresh = env.quiet_until(&mut Sweeps::default(), lo, hi, from, floor, cap);
+                    let got = env.quiet_until(&mut kept, lo, hi, from, floor, cap);
+                    prop_assert_eq!(got, fresh, "box {} {} from {:?} floor {:?} cap {:?}", lo, hi, from, floor, cap);
+                }
+                let computed = kept.computed() - before;
+                prop_assert!(
+                    computed <= (windows * env.targets().len()) as u64,
+                    "{} sweeps for {} windows of {} targets", computed, windows, env.targets().len()
+                );
+                // A target added under a set that holds this instant's sweeps.
+                if round == 0 && rng.chance(0.5) {
+                    env.add_target(new_target(&mut rng, env.targets().len()));
+                }
+            }
+        }
+    }
+
+    /// Phases placed by radix passes come out in `sort_unstable`'s order of
+    /// the `(phase, id)` pairs: ascending ids with gaps, as a shard's
+    /// nodes; ties, phase 0 and `period - 1`; periods of one microsecond to
+    /// nearly 2^64; lists on both sides of the length below which the
+    /// placement hands over to `sort_unstable`.
+    #[test]
+    fn phases_placed_by_radix_are_in_sort_unstable_order(seed: u64) {
+        let mut rng = SimRng::seed_from(seed);
+        let period = match rng.below(4) {
+            0 => 1 + rng.below(3),
+            1 => 200_000,
+            2 => 1 + rng.below(1 << 40),
+            _ => u64::MAX - rng.below(1 << 20),
+        };
+        let n = match rng.below(3) {
+            0 => rng.below(256),
+            1 => 252 + rng.below(8),
+            _ => rng.below(6_000),
+        };
+        let mut id = 0;
+        let mut ids: Vec<u32> = (0..n).map(|_| { id += 1 + rng.below(3) as u32; id }).collect();
+        let menu = [0, period - 1, rng.below(period), rng.below(period)];
+        let phases: Vec<u64> = (0..=id)
+            .map(|_| if rng.chance(0.3) { menu[rng.below(4) as usize] } else { rng.below(period) })
+            .collect();
+        let pair = |&id: &u32| (phases[id as usize], id);
+        let mut want: Vec<(u64, u32)> = ids.iter().map(pair).collect();
+        want.sort_unstable();
+        sort_by_phase(&mut ids, period, |id| phases[id as usize]);
+        let got: Vec<(u64, u32)> = ids.iter().map(pair).collect();
+        prop_assert_eq!(got, want, "period {}, {} ids", period, n);
+    }
+
     /// Every falloff is non-increasing with distance.
     #[test]
     fn falloffs_are_monotone_decreasing(
@@ -505,21 +616,14 @@ prop_test! {
         }
     }
 
-    /// `nodes_within` agrees with a brute-force distance check, and
     /// `nearest` really is the closest node.
     #[test]
     fn deployment_queries_match_brute_force(
         cols in 1u32..8,
         rows in 1u32..8,
         probe in arb_point(),
-        radius in 0.0..10.0f64,
     ) {
         let d = Deployment::grid(cols, rows, 1.0);
-        let within = d.nodes_within(probe, radius);
-        for (id, pos) in d.iter() {
-            let inside = pos.distance_to(probe) <= radius;
-            prop_assert_eq!(within.contains(&id), inside);
-        }
         let nearest = d.nearest(probe);
         let best = d.iter().map(|(_, p)| p.distance_to(probe)).fold(f64::INFINITY, f64::min);
         prop_assert!((d.position(nearest).distance_to(probe) - best).abs() < 1e-12);

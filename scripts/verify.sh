@@ -175,7 +175,8 @@ for f in "$tmp/scale.json" BENCH_scale.json; do
              '"events_per_sec":' '"sweep":' '"merged_outputs_identical":true' \
              '"bytes_on_air":' '"sense_ticks":' '"sense_ticks_admitted":' '"sense_strides":' \
              '"samples_covered":' '"samples_walked":' '"coverage_rebuilds":' '"sense_verdicts":' \
-             '"sense_parked":' '"sense_settled":' '"popped_events":' \
+             '"sense_parked":' '"sense_settled":' '"park_proofs":' '"park_sweeps":' \
+             '"popped_events":' '"bootstrap_wall_s":' \
              '"lane_pops":' '"heap_pops":' '"inline_events":' '"boxed_events":' \
              '"build_allocs":' '"build_heap_bytes":' \
              '"timer_live":' '"timer_stale":' '"timer_retries":' '"cold_engaged":' \
