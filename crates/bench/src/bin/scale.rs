@@ -220,7 +220,8 @@ fn main() -> ExitCode {
         let p = run_scale(&cfg, heap);
         eprintln!(
             "scale: {nodes} nodes → build {:.3}s ({} allocations), bootstrap {:.4}s, run {:.3}s, {} events ({:.0}/s), {} bytes on air",
-            p.build_wall_s, p.build_allocs, p.bootstrap_wall_s, p.run_wall_s, p.events, p.events_per_sec, p.bytes_on_air
+            p.build_wall_s, p.build_allocs, p.bootstrap_wall_s, p.run_wall_s,
+            p.events, p.events_per_sec, p.bytes_on_air
         );
         let row = JsonObject::new()
             .field_u64("nodes", u64::from(p.nodes))
