@@ -135,7 +135,11 @@ fn the_bootstrap_holds_at_most_21_bytes_a_node_beyond_the_built_world() {
     let held = peak() - before;
     let mut work = Work::default();
     engine.world().work(&mut work);
-    assert_eq!(work.get("sense_parked"), u64::from(nodes), "every node parks");
+    assert_eq!(
+        work.get("sense_parked"),
+        u64::from(nodes),
+        "every node parks"
+    );
     let per_node = held as f64 / f64::from(nodes);
     assert!(
         held <= 21 * i64::from(nodes),
