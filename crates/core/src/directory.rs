@@ -40,8 +40,8 @@ pub fn hash_point(type_name: &str, bounds: Aabb) -> Point {
     let fx = f64::from(hx) / f64::from(u32::MAX);
     let fy = f64::from(hy) / f64::from(u32::MAX);
     Point::new(
-        bounds.min.x + fx * (bounds.max.x - bounds.min.x),
-        bounds.min.y + fy * (bounds.max.y - bounds.min.y),
+        bounds.min.x + fx * bounds.width(),
+        bounds.min.y + fy * bounds.height(),
     )
 }
 

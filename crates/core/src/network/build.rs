@@ -8,7 +8,7 @@ use envirotrack_sim::engine::Engine;
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::Telemetry;
-use envirotrack_world::field::{sort_by_phase, Deployment, NodeId};
+use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::grid::Topology;
 use envirotrack_world::sensing::Environment;
 
@@ -225,13 +225,14 @@ impl SensorNetwork {
         let hosts: Vec<(ContextTypeId, NodeId)> = pinned
             .map(|tid| (tid, self.deployment.nearest(program.spec(tid).pinned.expect("pinned"))))
             .collect();
-        if let Some(cells) = self.start_parking(k, &order, &phases) {
+        if self.start_parking(k, &order, &phases) {
+            // The records of `order` fill the first slots, in its order.
             let starts = std::mem::take(&mut order);
             let mut from = 0;
             for group in starts.chunk_by(|&a, &b| phases[a as usize] == phases[b as usize]) {
-                let (phase, to) = (phases[group[0] as usize], from + group.len());
+                let (phase, to) = (phases[group[0] as usize], from + group.len() as u32);
                 let hosted = group.iter().any(|&id| hosts.iter().any(|&(_, h)| h.0 == id));
-                if hosted || !self.park_at_birth(k, phase, group, &cells[from..to]) {
+                if hosted || !self.park_at_birth(k, phase, from..to) {
                     order.extend_from_slice(group);
                 }
                 from = to;
@@ -277,6 +278,107 @@ impl SensorNetwork {
                 let phase = period.mul_f64((i + 1) as f64 / (k_len + 1) as f64);
                 k.schedule_at(k.now() + phase, move |w, k| w.gossip_tick(k, node, tid));
             }
+        }
+    }
+}
+
+/// The fewest ids [`sort_by_phase`] sorts by radix; a shorter list goes to
+/// `sort_unstable_by_key` whole. At a 200 ms period the two cost the same
+/// at about 64 ids (≈ 0.57 µs; 0.12 µs for the sort at 16 ids, 0.46 for
+/// the radix's bucket arrays), and the radix is 2.8× faster at 256
+/// (EXPERIMENTS.md "Bootstrap — before/after").
+const PHASE_RADIX_MIN: usize = 64;
+
+/// The most bits of a phase one radix pass places by (2 048 buckets). A
+/// 200 ms period's 18 bits take two passes of 9 bits; three passes of 6
+/// bits took 1.3–1.6× as long on 4 096 and 20 000 ids, one pass of 18 bits
+/// (a 1 MiB bucket array) 1.7× to 70×.
+const PHASE_DIGIT_BITS: u32 = 11;
+
+/// Sorts `ids` — distinct and ascending — by `phase(id)`, a phase below
+/// `period`, ties in id order: the order `sort_unstable` gives the
+/// `(phase, id)` pairs. A list of 64 ids or more (`PHASE_RADIX_MIN`) takes
+/// stable radix passes over the phase's bits, low digit first, each a
+/// counting placement into a second buffer of ids, so the ids' own order
+/// settles ties; a shorter one is sorted outright. Linear in the id count,
+/// and it holds one more `u32` an id while it runs.
+fn sort_by_phase(ids: &mut Vec<u32>, period: u64, phase: impl Fn(u32) -> u64) {
+    if ids.len() < PHASE_RADIX_MIN {
+        ids.sort_unstable_by_key(|&id| (phase(id), id));
+        return;
+    }
+    debug_assert!(ids.is_sorted(), "ids out of order");
+    let bits = u64::BITS - period.saturating_sub(1).leading_zeros();
+    let passes = bits.div_ceil(PHASE_DIGIT_BITS).max(1);
+    let digit = bits.div_ceil(passes);
+    let (buckets, mask) = (1usize << digit, (1u64 << digit) - 1);
+    // Every pass's bucket sizes at once: they do not depend on the order.
+    let mut starts = vec![0u32; passes as usize * buckets];
+    for &id in ids.iter() {
+        let p = phase(id);
+        debug_assert!(p < period.max(1), "phase {p} of {id} not below {period}");
+        for (pass, sizes) in starts.chunks_exact_mut(buckets).enumerate() {
+            sizes[(p >> (pass as u32 * digit) & mask) as usize] += 1;
+        }
+    }
+    let mut placed = vec![0u32; ids.len()];
+    for (pass, next) in starts.chunks_exact_mut(buckets).enumerate() {
+        let mut at = 0;
+        for size in next.iter_mut() {
+            (*size, at) = (at, at + *size);
+        }
+        let shift = pass as u32 * digit;
+        for &id in ids.iter() {
+            let next = &mut next[(phase(id) >> shift & mask) as usize];
+            placed[*next as usize] = id;
+            *next += 1;
+        }
+        std::mem::swap(ids, &mut placed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use testkit::prelude::*;
+
+    prop_test! {
+        /// Phases placed by radix passes come out in `sort_unstable`'s
+        /// order of the `(phase, id)` pairs: ascending ids with gaps, as a
+        /// shard's nodes; ties, phase 0 and `period - 1`; periods of one
+        /// microsecond to nearly 2^64; lists on both sides of the length
+        /// below which the placement hands over to `sort_unstable`.
+        #[test]
+        fn phases_placed_by_radix_are_in_sort_unstable_order(seed: u64) {
+            let mut rng = SimRng::seed_from(seed);
+            let period = match rng.below(4) {
+                0 => 1 + rng.below(3),
+                1 => 200_000,
+                2 => 1 + rng.below(1 << 40),
+                _ => u64::MAX - rng.below(1 << 20),
+            };
+            let n = match rng.below(3) {
+                0 => rng.below(PHASE_RADIX_MIN as u64),
+                1 => PHASE_RADIX_MIN as u64 - 4 + rng.below(8),
+                _ => rng.below(6_000),
+            };
+            let mut id = 0;
+            let mut ids: Vec<u32> = (0..n)
+                .map(|_| {
+                    id += 1 + rng.below(3) as u32;
+                    id
+                })
+                .collect();
+            let menu = [0, period - 1, rng.below(period), rng.below(period)];
+            let phases: Vec<u64> = (0..=id)
+                .map(|_| if rng.chance(0.3) { menu[rng.below(4) as usize] } else { rng.below(period) })
+                .collect();
+            let pair = |&id: &u32| (phases[id as usize], id);
+            let mut want: Vec<(u64, u32)> = ids.iter().map(pair).collect();
+            want.sort_unstable();
+            sort_by_phase(&mut ids, period, |id| phases[id as usize]);
+            let got: Vec<(u64, u32)> = ids.iter().map(pair).collect();
+            prop_assert_eq!(got, want, "period {}, {} ids", period, n);
         }
     }
 }

@@ -14,9 +14,9 @@ impl SensorNetwork {
     /// Adds what this world and `kernel`, the kernel it runs under, hold in
     /// heap bytes to `work`, one `heap_<layer>` count per layer. Like
     /// [`Self::work`] it says how the run was stored, not what it did. What
-    /// is not counted is small: the program, the environment's targets, the
-    /// sensing coverage, a pending boxed event's captures and payloads
-    /// shared with a frame on the air.
+    /// is not counted is small: the program, the environment's targets and
+    /// the parking's kept sweeps of them, the sensing coverage, a pending
+    /// boxed event's captures and payloads shared with a frame on the air.
     /// - `heap_kernel`: the event list — heap, recurring lane and slab, and
     ///   each pending boxed closure;
     /// - `heap_medium`: the radio medium with its grid and the neighbour

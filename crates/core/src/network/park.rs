@@ -33,6 +33,7 @@
 //! over the nodes.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -72,6 +73,8 @@ pub(super) struct Parking {
     period: u64,
     /// The world's grid: a cell of it is a parking cell.
     topology: Arc<Topology>,
+    /// Per driven slot, the grid cell its node parks in.
+    cells: Vec<u32>,
     /// One bit per hot-record slot: parked.
     bits: Vec<u64>,
     count: u64,
@@ -108,6 +111,7 @@ impl Parking {
             clock: None,
             period: 0,
             topology,
+            cells: Vec::new(),
             bits: Vec::new(),
             count: 0,
             word_phase: Vec::new(),
@@ -143,19 +147,20 @@ impl Parking {
         work.add("park_sweeps", self.sweeps.computed());
     }
 
-    /// The heap bytes of the bitset, the phase index, the wake tables, the
-    /// kept sweeps and the re-arm list (a pending wake counted at its key,
-    /// value and list).
+    /// The heap bytes of the cell table, the bitset, the phase index, the
+    /// wake tables and the re-arm list (a pending wake counted at its key,
+    /// value and list). The kept sweeps are not counted: a few windows'
+    /// worth per target, they are as small as the targets themselves.
     pub(super) fn heap_bytes(&self) -> usize {
         let due = self
             .due
             .values()
             .map(|cells| size_of::<(Timestamp, Vec<u32>)>() + cells.capacity() * size_of::<u32>());
-        self.bits.capacity() * 8
+        self.cells.capacity() * size_of::<u32>()
+            + self.bits.capacity() * 8
             + self.word_phase.capacity() * 8
             + (self.wakes.capacity() + self.shun.capacity()) * size_of::<Timestamp>()
             + due.sum::<usize>()
-            + self.sweeps.heap_bytes()
             + self.rearm.capacity() * size_of::<(Timestamp, u64)>()
     }
 
@@ -214,31 +219,26 @@ fn last_tick(cpu_busy_until: Timestamp) -> Timestamp {
 impl SensorNetwork {
     /// Lets the nodes of `order` — every driven node, in slot order; their
     /// phases in µs by id in `phases` — park, if any node of this world
-    /// ever can, and says in which grid cell each would, by slot. Called
-    /// by the bootstrap, once the records are laid out.
-    pub(super) fn start_parking(
-        &mut self,
-        k: &mut K,
-        order: &[u32],
-        phases: &[u64],
-    ) -> Option<Vec<u32>> {
+    /// ever can, and says whether they may. Called by the bootstrap, once
+    /// the records are laid out.
+    pub(super) fn start_parking(&mut self, k: &mut K, order: &[u32], phases: &[u64]) -> bool {
         let period = self.config.middleware.sense_period;
         // Settling reads phases off the slot order, and a re-armed loop
         // keeps its place through the lane: records left in id order, and
         // loops kept off the lane, park nothing.
         #[cfg(test)]
         if self.ticks_every_period || self.records_in_id_order || self.sense_loops_on_heap {
-            return None;
+            return false;
         }
         // A slot is a re-armed tick's rank (`Kernel::schedule_tick_at`).
         let ranked = self.sense.len() < (1 << 24) - 1;
         if period <= costs::SENSE || !self.sensing.ambient_is_idle() || !ranked {
-            return None;
+            return false;
         }
         // Unit tests park any field, to check parking on small worlds.
         #[cfg(not(test))]
         if self.deployment.len() < PARK_MIN_NODES {
-            return None;
+            return false;
         }
         // Each driven slot's cell, from a walk over the grid's cells: the
         // records of `order` fill the first slots, in its order.
@@ -260,42 +260,37 @@ impl SensorNetwork {
         park.word_phase = order.iter().step_by(64).map(|&id| phases[id as usize]).collect();
         park.wakes = vec![Timestamp::ZERO; cell];
         park.shun = vec![Timestamp::ZERO; cell];
+        park.cells = cells;
         park.clock = Some(k.park_ticks(period, |w, k, pause| w.tick_hook(k, pause)));
-        Some(cells)
+        true
     }
 
-    /// Parks from the start the driven `nodes` in grid `cells` whose first
-    /// ticks all fall `phase` µs from now — in slot order — if every one of
-    /// them would park at that tick, and says whether it did: their loops
-    /// are then never armed. A skipped first tick sits among the first
-    /// ticks in slot order, so it stands for its place only if no first tick
-    /// at its instant runs. Each first tick is applied to the CPU now, ahead
-    /// of its instant — readers take it back until then
-    /// ([`Parking::pending`]), as does a touch that comes first.
-    pub(super) fn park_at_birth(
-        &mut self,
-        k: &mut K,
-        phase: u64,
-        nodes: &[u32],
-        cells: &[u32],
-    ) -> bool {
+    /// Parks from the start the driven nodes in `slots` whose first ticks
+    /// all fall `phase` µs from now if every one of them would park at that
+    /// tick, and says whether it did: their loops are then never armed. A
+    /// skipped first tick sits among the first ticks in slot order, so it
+    /// stands for its place only if no first tick at its instant runs. Each
+    /// first tick is applied to the CPU now, ahead of its instant — readers
+    /// take it back until then ([`Parking::pending`]), as does a touch that
+    /// comes first.
+    pub(super) fn park_at_birth(&mut self, k: &mut K, phase: u64, slots: Range<u32>) -> bool {
         if self.park.clock.is_none() {
             return false;
         }
         let first = k.now() + SimDuration::from_micros(phase);
-        let mut may = |w: &mut Self, (&node, &cell): (&u32, &u32)| {
-            let hot = &w.sense[NodeId(node)];
+        let mut may = |w: &mut Self, slot: u32| {
+            let hot = w.sense.at(slot);
             let idle = hot.alive && hot.quiescent && hot.clock_nominal && !hot.skewed;
+            let cell = w.park.cells[slot as usize] as usize;
             let period = SimDuration::from_micros(w.park.period);
             idle && hot.cpu.busy_until() <= first
                 && hot.cell != Coverage::OFF_FIELD
-                && w.quiet_cell(k, cell as usize, k.now()) > first + period
+                && w.quiet_cell(k, cell, k.now()) > first + period
         };
-        if !nodes.iter().zip(cells).all(|start| may(self, start)) {
+        if !slots.clone().all(|slot| may(self, slot)) {
             return false;
         }
-        for &node in nodes {
-            let slot = self.sense.slot(NodeId(node));
+        for slot in slots {
             self.sense.at_mut(slot).cpu.settle(1, first, costs::SENSE);
             let park = &mut self.park;
             park.bits[slot as usize / 64] |= 1 << (slot % 64);
@@ -377,7 +372,7 @@ impl SensorNetwork {
     /// Parks the node of the tick at `now` in `slot` if it may (see the
     /// [module docs](self)), settling this tick itself: its loop is then not
     /// re-armed. Only a tick that sits at the kernel's tick boundary may.
-    pub(super) fn park_tick(&mut self, k: &mut K, slot: u32, node: NodeId, now: Timestamp) -> bool {
+    pub(super) fn park_tick(&mut self, k: &mut K, slot: u32, now: Timestamp) -> bool {
         let Some(clock) = &self.park.clock else {
             return false;
         };
@@ -390,7 +385,7 @@ impl SensorNetwork {
         {
             return false;
         }
-        let (cell, _) = self.park.topology.bucket_of(node);
+        let cell = self.park.cells[slot as usize] as usize;
         let wake = self.quiet_cell(k, cell, now);
         let park = &mut self.park;
         if wake <= now + SimDuration::from_micros(park.period) {
@@ -550,31 +545,25 @@ impl SensorNetwork {
         if self.park.count == 0 {
             return;
         }
-        let mut woken = Vec::new();
-        for (id, pos) in self.deployment.iter() {
-            let (cell, _) = self.park.topology.bucket_of(id);
-            let wake = self
-                .park
-                .wakes
-                .get(cell)
-                .copied()
-                .unwrap_or(Timestamp::ZERO);
-            if wake > now && !woken.contains(&cell) {
-                let floor = wake.saturating_since(now);
-                if reach.quiet_until(&mut Sweeps::default(), pos, pos, now, floor, floor) < wake {
-                    woken.push(cell);
-                }
+        let (topology, positions) = (Arc::clone(&self.park.topology), self.deployment.positions());
+        let mut touched = Vec::new();
+        for (cell, wake) in self.park.wakes.iter_mut().enumerate() {
+            let members = topology.bucket(cell).expect("a cell of the grid");
+            let floor = wake.saturating_since(now);
+            let reached = |&m: &u32| {
+                let pos = positions[m as usize];
+                reach.quiet_until(&mut Sweeps::default(), pos, pos, now, floor, floor) < *wake
+            };
+            // Its wake was proven without the target: the wake event finds
+            // it moved and passes the cell over.
+            if *wake > now && members.iter().any(reached) {
+                *wake = Timestamp::ZERO;
+                touched.extend_from_slice(members);
             }
         }
-        // Their wakes were proven without the target: the wake events
-        // find these cells' wakes moved and pass them over.
-        for &cell in &woken {
-            self.park.wakes[cell] = Timestamp::ZERO;
-        }
-        for id in self.deployment.ids() {
-            if woken.contains(&self.park.topology.bucket_of(id).0) {
-                self.touch(id);
-            }
+        touched.sort_unstable();
+        for m in touched {
+            self.touch(NodeId(m));
         }
     }
 }

@@ -3,7 +3,7 @@
 //! 1 000-node one. Per-node state lives in a few flat arrays, and a node's
 //! protocol layers, group machines and neighbour list are made when it first
 //! uses them, so a built world holds under two hundred bytes a node, and
-//! its bootstrap holds at most 21 more while it runs.
+//! its bootstrap holds no more than sorting `(phase, id)` pairs did.
 //!
 //! This file is its own test binary so that the counting global allocator
 //! it declares (`testkit::alloc::Counting`) sees nothing but these tests;
@@ -114,17 +114,21 @@ fn a_topology_takes_two_allocations_whatever_its_size() {
     }
 }
 
-/// What the first run call — the bootstrap at time zero — holds at its
-/// peak beyond what the built world held, on a 4 096-node field whose every
-/// node parks from the start: the phases by id (8 B a node), the driven
-/// nodes in firing order (4 B), and one more `u32` a node at a time — the
-/// radix sort's second buffer, the layout's permutation, then each node's
-/// parking cell — beside the parking tables the world keeps. Sorting
-/// 16-byte `(phase, id)` pairs in place with the layout's permutation
-/// beside them held 85 984 B here (20.99 a node); a radix pass over those
-/// pairs would have needed a second 16 B a node.
+/// What the first run call — the bootstrap at time zero — held at its peak
+/// beyond the built world on the field below when it sorted 16-byte
+/// `(phase, id)` pairs in place, with the layout's permutation beside them
+/// (20.99 B a node). A radix pass over those pairs would have needed a
+/// second 16 B a node.
+const PAIR_SORT_PEAK: i64 = 85_984;
+
+/// What the bootstrap holds at its peak beyond what the built world held,
+/// on a 4 096-node field whose every node parks from the start: the phases
+/// by id (8 B a node), the driven nodes in firing order (4 B), and one more
+/// `u32` a node at a time — the radix sort's second buffer, the layout's
+/// permutation, then each node's parking cell, which parking keeps —
+/// beside the parking tables. It is no more than sorting the pairs held.
 #[test]
-fn the_bootstrap_holds_at_most_21_bytes_a_node_beyond_the_built_world() {
+fn the_bootstrap_holds_no_more_than_sorting_pairs_did() {
     let nodes = 4_096;
     let (program, scenario, config) = (figure_2(), field(nodes), config());
     let (deployment, environment) = (scenario.deployment, scenario.environment);
@@ -142,7 +146,7 @@ fn the_bootstrap_holds_at_most_21_bytes_a_node_beyond_the_built_world() {
     );
     let per_node = held as f64 / f64::from(nodes);
     assert!(
-        held <= 21 * i64::from(nodes),
+        held <= PAIR_SORT_PEAK,
         "{held} B at the peak, {per_node:.2} a node"
     );
 }

@@ -9,8 +9,8 @@
 //!
 //! let field = Deployment::grid(10, 2, 1.0);
 //! assert_eq!(field.len(), 20);
-//! let corner = field.nearest(envirotrack_world::geometry::Point::new(9.2, 0.9));
-//! assert_eq!(field.position(corner).x, 9.0); // (9, 1), id 19
+//! let near_origin = field.nodes_within(envirotrack_world::geometry::Point::ORIGIN, 1.5);
+//! assert_eq!(near_origin.len(), 4); // (0,0), (1,0), (0,1), (1,1)
 //! ```
 
 use std::sync::Arc;
@@ -200,54 +200,15 @@ impl Deployment {
         }
         best
     }
-}
 
-/// The fewest ids [`sort_by_phase`] sorts by radix; a shorter list goes to
-/// `sort_unstable_by_key` whole.
-const PHASE_RADIX_MIN: usize = 256;
-
-/// The most bits of a phase one radix pass places by (2 048 buckets).
-const PHASE_DIGIT_BITS: u32 = 11;
-
-/// Sorts `ids` — distinct and ascending — by `phase(id)`, a phase below
-/// `period`, ties in id order: the order `sort_unstable` gives the
-/// `(phase, id)` pairs. A list of 256 ids or more (`PHASE_RADIX_MIN`) takes
-/// stable radix passes over the phase's bits, low digit first, each a
-/// counting placement into a second buffer of ids, so the ids' own order
-/// settles ties; a shorter one is sorted outright. Linear in the id count,
-/// and it holds one more `u32` an id while it runs.
-pub fn sort_by_phase(ids: &mut Vec<u32>, period: u64, phase: impl Fn(u32) -> u64) {
-    if ids.len() < PHASE_RADIX_MIN {
-        ids.sort_unstable_by_key(|&id| (phase(id), id));
-        return;
-    }
-    debug_assert!(ids.is_sorted(), "ids out of order");
-    let bits = u64::BITS - period.saturating_sub(1).leading_zeros();
-    let passes = bits.div_ceil(PHASE_DIGIT_BITS).max(1);
-    let digit = bits.div_ceil(passes);
-    let (buckets, mask) = (1usize << digit, (1u64 << digit) - 1);
-    // Every pass's bucket sizes at once: they do not depend on the order.
-    let mut starts = vec![0u32; passes as usize * buckets];
-    for &id in ids.iter() {
-        let p = phase(id);
-        debug_assert!(p < period.max(1), "phase {p} of {id} not below {period}");
-        for (pass, sizes) in starts.chunks_exact_mut(buckets).enumerate() {
-            sizes[(p >> (pass as u32 * digit) & mask) as usize] += 1;
-        }
-    }
-    let mut placed = vec![0u32; ids.len()];
-    for (pass, next) in starts.chunks_exact_mut(buckets).enumerate() {
-        let mut at = 0;
-        for size in next.iter_mut() {
-            (*size, at) = (at, at + *size);
-        }
-        let shift = pass as u32 * digit;
-        for &id in ids.iter() {
-            let next = &mut next[(phase(id) >> shift & mask) as usize];
-            placed[*next as usize] = id;
-            *next += 1;
-        }
-        std::mem::swap(ids, &mut placed);
+    /// Ids of all nodes within `radius` of `p` (inclusive), in id order.
+    #[must_use]
+    pub fn nodes_within(&self, p: Point, radius: f64) -> Vec<NodeId> {
+        let r2 = radius * radius;
+        self.iter()
+            .filter(|(_, pos)| pos.distance_sq_to(p) <= r2)
+            .map(|(id, _)| id)
+            .collect()
     }
 }
 
@@ -270,6 +231,16 @@ mod tests {
         let d = Deployment::grid(5, 5, 1.0);
         assert_eq!(d.nearest(Point::new(2.2, 3.4)), NodeId(2 + 3 * 5));
         assert_eq!(d.nearest(Point::new(-10.0, -10.0)), NodeId(0));
+    }
+
+    #[test]
+    fn nodes_within_is_inclusive_and_ordered() {
+        let d = Deployment::grid(3, 3, 1.0);
+        let ids = d.nodes_within(Point::new(1.0, 1.0), 1.0);
+        assert_eq!(
+            ids,
+            vec![NodeId(1), NodeId(3), NodeId(4), NodeId(5), NodeId(7)]
+        );
     }
 
     #[test]

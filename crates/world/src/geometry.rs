@@ -171,13 +171,13 @@ impl Aabb {
 
     /// The width along x.
     #[must_use]
-    pub(crate) fn width(&self) -> f64 {
+    pub fn width(&self) -> f64 {
         self.max.x - self.min.x
     }
 
     /// The height along y.
     #[must_use]
-    pub(crate) fn height(&self) -> f64 {
+    pub fn height(&self) -> f64 {
         self.max.y - self.min.y
     }
 }

@@ -328,20 +328,11 @@ impl Topology {
         &self.positions
     }
 
-    /// The cell `node` is bucketed in, and every node of that cell in id
-    /// order. A world groups its nodes by these cells where it needs blocks
-    /// of neighbours, and finds a block's nodes without a table of its own.
-    #[must_use]
-    pub fn bucket_of(&self, node: NodeId) -> (usize, &[u32]) {
-        let cell = self.cells.index_of(self.positions[node.index()]);
-        let (from, to) = (self.starts[cell], self.starts[cell + 1]);
-        (cell, &self.ids[from as usize..to as usize])
-    }
-
     /// Every node of grid cell `cell` in id order, `None` past the last
-    /// cell; cells are numbered row-major from zero. Walking the cells from
-    /// zero meets every node once, and tells each its cell with no
-    /// arithmetic on its position.
+    /// cell; cells are numbered row-major from zero. A world groups its
+    /// nodes by these cells where it needs blocks of neighbours; walking
+    /// the cells from zero meets every node once, and tells each its cell
+    /// with no arithmetic on its position.
     #[must_use]
     pub fn bucket(&self, cell: usize) -> Option<&[u32]> {
         let to = *self.starts.get(cell + 1)?;

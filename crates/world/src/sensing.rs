@@ -318,14 +318,6 @@ impl Sweeps {
         self.computed
     }
 
-    /// The heap bytes of the windows and their sweeps.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.windows.capacity() * size_of::<SimDuration>()
-            + self.known.capacity()
-            + self.reach.capacity() * size_of::<Option<(Point, f64)>>()
-    }
-
     /// Makes the set speak for `from`, `floor`, `cap` and `targets`
     /// targets, forgetting every window's sweeps if it spoke for anything
     /// else.

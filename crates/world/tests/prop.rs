@@ -3,7 +3,7 @@
 use envirotrack_sim::rng::{splitmix64, SimRng};
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::Work;
-use envirotrack_world::field::{sort_by_phase, Deployment, NodeId};
+use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::{Aabb, Point};
 use envirotrack_world::grid::{
     neighbor_lists_with, shard_assignment, shard_interest_ranges, NeighborStrategy, Topology,
@@ -542,39 +542,6 @@ prop_test! {
         }
     }
 
-    /// Phases placed by radix passes come out in `sort_unstable`'s order of
-    /// the `(phase, id)` pairs: ascending ids with gaps, as a shard's
-    /// nodes; ties, phase 0 and `period - 1`; periods of one microsecond to
-    /// nearly 2^64; lists on both sides of the length below which the
-    /// placement hands over to `sort_unstable`.
-    #[test]
-    fn phases_placed_by_radix_are_in_sort_unstable_order(seed: u64) {
-        let mut rng = SimRng::seed_from(seed);
-        let period = match rng.below(4) {
-            0 => 1 + rng.below(3),
-            1 => 200_000,
-            2 => 1 + rng.below(1 << 40),
-            _ => u64::MAX - rng.below(1 << 20),
-        };
-        let n = match rng.below(3) {
-            0 => rng.below(256),
-            1 => 252 + rng.below(8),
-            _ => rng.below(6_000),
-        };
-        let mut id = 0;
-        let mut ids: Vec<u32> = (0..n).map(|_| { id += 1 + rng.below(3) as u32; id }).collect();
-        let menu = [0, period - 1, rng.below(period), rng.below(period)];
-        let phases: Vec<u64> = (0..=id)
-            .map(|_| if rng.chance(0.3) { menu[rng.below(4) as usize] } else { rng.below(period) })
-            .collect();
-        let pair = |&id: &u32| (phases[id as usize], id);
-        let mut want: Vec<(u64, u32)> = ids.iter().map(pair).collect();
-        want.sort_unstable();
-        sort_by_phase(&mut ids, period, |id| phases[id as usize]);
-        let got: Vec<(u64, u32)> = ids.iter().map(pair).collect();
-        prop_assert_eq!(got, want, "period {}, {} ids", period, n);
-    }
-
     /// Every falloff is non-increasing with distance.
     #[test]
     fn falloffs_are_monotone_decreasing(
@@ -616,14 +583,21 @@ prop_test! {
         }
     }
 
+    /// `nodes_within` agrees with a brute-force distance check, and
     /// `nearest` really is the closest node.
     #[test]
     fn deployment_queries_match_brute_force(
         cols in 1u32..8,
         rows in 1u32..8,
         probe in arb_point(),
+        radius in 0.0..10.0f64,
     ) {
         let d = Deployment::grid(cols, rows, 1.0);
+        let within = d.nodes_within(probe, radius);
+        for (id, pos) in d.iter() {
+            let inside = pos.distance_to(probe) <= radius;
+            prop_assert_eq!(within.contains(&id), inside);
+        }
         let nearest = d.nearest(probe);
         let best = d.iter().map(|(_, p)| p.distance_to(probe)).fold(f64::INFINITY, f64::min);
         prop_assert!((d.position(nearest).distance_to(probe) - best).abs() < 1e-12);
