@@ -231,7 +231,9 @@ impl SensorNetwork {
             let mut from = 0;
             for group in starts.chunk_by(|&a, &b| phases[a as usize] == phases[b as usize]) {
                 let (phase, to) = (phases[group[0] as usize], from + group.len() as u32);
-                let hosted = group.iter().any(|&id| hosts.iter().any(|&(_, h)| h.0 == id));
+                let hosted = group
+                    .iter()
+                    .any(|&id| hosts.iter().any(|&(_, h)| h.0 == id));
                 if hosted || !self.park_at_birth(k, phase, from..to) {
                     order.extend_from_slice(group);
                 }
