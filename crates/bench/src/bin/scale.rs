@@ -55,14 +55,16 @@
 //!
 //! [`ScaleScenario`]: envirotrack_world::scenario::ScaleScenario
 
+use std::num::ParseIntError;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use envirotrack_bench::experiments::scale::{
     crosscheck_dump, print, run_scale, run_scale_sharded, ScaleRun,
 };
-use envirotrack_bench::sweep::cells::scale_cells;
-use envirotrack_bench::sweep::run_sweep;
+use envirotrack_bench::sweep::{scale_cells, scale_workers};
+use envirotrack_bench::Flags;
 use envirotrack_core::report::json::JsonObject;
 use envirotrack_sim::time::SimDuration;
 use testkit::alloc::{heap, Counting};
@@ -85,7 +87,7 @@ struct Args {
     out: PathBuf,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     let mut args = Args {
         nodes: vec![1_000, 2_000, 5_000, 10_000, 100_000],
         horizon_ms: 10_000,
@@ -97,57 +99,22 @@ fn parse_args() -> Result<Args, String> {
         crosscheck: None,
         out: PathBuf::from("BENCH_scale.json"),
     };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < raw.len() {
-        let value = |i: usize| -> Result<&str, String> {
-            raw.get(i + 1)
-                .map(String::as_str)
-                .filter(|v| !v.starts_with("--"))
-                .ok_or_else(|| format!("{} requires a value", raw[i]))
-        };
-        match raw[i].as_str() {
-            "--nodes" => {
-                args.nodes = value(i)?
-                    .split(',')
-                    .map(|v| v.parse().map_err(|e| format!("--nodes: {e}")))
-                    .collect::<Result<_, _>>()?;
-                i += 2;
-            }
-            "--horizon-ms" => {
-                args.horizon_ms = value(i)?.parse().map_err(|e| format!("--horizon-ms: {e}"))?;
-                i += 2;
-            }
-            "--seed" => {
-                args.seed = value(i)?.parse().map_err(|e| format!("--seed: {e}"))?;
-                i += 2;
-            }
-            "--out" => {
-                args.out = PathBuf::from(value(i)?);
-                i += 2;
-            }
-            "--crosscheck" => {
-                args.crosscheck = Some(PathBuf::from(value(i)?));
-                i += 2;
-            }
-            "--shards" => {
-                args.shards = Some(
-                    value(i)?
-                        .split(',')
-                        .map(|v| v.parse().map_err(|e| format!("--shards: {e}")))
-                        .collect::<Result<_, _>>()?,
-                );
-                i += 2;
-            }
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
+            "--nodes" => args.nodes = counts(flags, &flag)?,
+            "--horizon-ms" => args.horizon_ms = flags.value(&flag)?,
+            "--seed" => args.seed = flags.value(&flag)?,
+            "--out" => args.out = flags.value(&flag)?,
+            "--crosscheck" => args.crosscheck = Some(flags.value(&flag)?),
+            "--shards" => args.shards = Some(counts(flags, &flag)?),
             "--smoke" => {
                 args.nodes = vec![1_000, 2_000];
                 args.horizon_ms = 2_000;
                 args.sweep_cells = 2;
                 args.sweep_nodes = 200;
                 args.shard_nodes = Vec::new();
-                i += 1;
             }
-            other => return Err(format!("unknown argument {other}")),
+            other => return Flags::unknown(other),
         }
     }
     if args.nodes.is_empty() {
@@ -161,14 +128,18 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// The comma-separated counts after `flag`.
+fn counts<T: FromStr<Err = ParseIntError>>(
+    flags: &mut Flags,
+    flag: &str,
+) -> Result<Vec<T>, String> {
+    let list: String = flags.value(flag)?;
+    let count = |v: &str| v.parse().map_err(|e| format!("{flag}: {e}"));
+    list.split(',').map(count).collect()
+}
+
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("scale: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let args = Flags::read("scale", parse_args);
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // Cross-check dump mode: one scale point's full observable output,
@@ -249,40 +220,17 @@ fn main() -> ExitCode {
     // Section 2: worker scaling over a homogeneous scale-cell set, with
     // the sweep engine's byte-identical-merge guarantee cross-checked.
     let cells = scale_cells(args.sweep_cells, args.sweep_nodes, args.seed);
-    let mut baseline: Option<String> = None;
-    let mut baseline_rps = 0.0;
-    let mut sweep_rows = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let report = run_sweep(&cells, workers);
-        match &baseline {
-            None => {
-                baseline = Some(report.merged_jsonl.clone());
-                baseline_rps = report.runs_per_sec();
-            }
-            Some(b) => assert_eq!(
-                *b, report.merged_jsonl,
-                "merged output changed with worker count — determinism bug"
-            ),
-        }
-        let speedup = if baseline_rps > 0.0 {
-            report.runs_per_sec() / baseline_rps
-        } else {
-            0.0
-        };
-        eprintln!(
-            "scale sweep: {workers} workers → {:.2}s wall, {:.1} runs/s ({speedup:.2}x vs 1)",
-            report.run_wall.as_secs_f64(),
-            report.runs_per_sec(),
-        );
-        sweep_rows.push(
+    let sweep_rows: Vec<String> = scale_workers(&cells, "scale sweep")
+        .iter()
+        .map(|(report, speedup)| {
             JsonObject::new()
-                .field_u64("workers", workers as u64)
+                .field_u64("workers", report.workers as u64)
                 .field_f64("run_wall_s", report.run_wall.as_secs_f64())
                 .field_f64("runs_per_sec", report.runs_per_sec())
-                .field_f64("speedup_vs_1", speedup)
-                .finish(),
-        );
-    }
+                .field_f64("speedup_vs_1", *speedup)
+                .finish()
+        })
+        .collect();
 
     // Section 3: the lock-step sharded kernel on the smallest field and
     // the larger shard fields, with each field's merged output

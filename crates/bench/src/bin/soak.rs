@@ -22,6 +22,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use envirotrack_bench::soak::{run_soak, SoakConfig};
+use envirotrack_bench::Flags;
 
 struct Args {
     seed: u64,
@@ -29,48 +30,25 @@ struct Args {
     out: PathBuf,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     let mut args = Args {
         seed: 1,
         smoke: false,
         out: PathBuf::from("BENCH_soak.json"),
     };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < raw.len() {
-        let value = |i: usize| -> Result<&str, String> {
-            raw.get(i + 1)
-                .map(String::as_str)
-                .filter(|v| !v.starts_with("--"))
-                .ok_or_else(|| format!("{} requires a value", raw[i]))
-        };
-        match raw[i].as_str() {
-            "--seed" => {
-                args.seed = value(i)?.parse().map_err(|e| format!("--seed: {e}"))?;
-                i += 2;
-            }
-            "--out" => {
-                args.out = PathBuf::from(value(i)?);
-                i += 2;
-            }
-            "--smoke" => {
-                args.smoke = true;
-                i += 1;
-            }
-            other => return Err(format!("unknown argument {other}")),
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
+            "--seed" => args.seed = flags.value(&flag)?,
+            "--out" => args.out = flags.value(&flag)?,
+            "--smoke" => args.smoke = true,
+            other => return Flags::unknown(other),
         }
     }
     Ok(args)
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("soak: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let args = Flags::read("soak", parse_args);
     let cfg = if args.smoke {
         SoakConfig::smoke(args.seed)
     } else {

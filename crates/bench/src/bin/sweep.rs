@@ -16,8 +16,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use envirotrack_bench::sweep::cells::default_cells;
-use envirotrack_bench::sweep::run_sweep;
+use envirotrack_bench::sweep::{default_cells, run_sweep, scale_workers};
+use envirotrack_bench::Flags;
 use envirotrack_core::report::json::JsonObject;
 
 struct Args {
@@ -29,7 +29,7 @@ struct Args {
     bench_out: PathBuf,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     let mut args = Args {
         workers: 1,
         cells: 8,
@@ -38,41 +38,15 @@ fn parse_args() -> Result<Args, String> {
         bench: false,
         bench_out: PathBuf::from("BENCH_sweep.json"),
     };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < raw.len() {
-        let value = |i: usize| -> Result<&str, String> {
-            raw.get(i + 1)
-                .map(String::as_str)
-                .filter(|v| !v.starts_with("--"))
-                .ok_or_else(|| format!("{} requires a value", raw[i]))
-        };
-        match raw[i].as_str() {
-            "--workers" => {
-                args.workers = value(i)?.parse().map_err(|e| format!("--workers: {e}"))?;
-                i += 2;
-            }
-            "--cells" => {
-                args.cells = value(i)?.parse().map_err(|e| format!("--cells: {e}"))?;
-                i += 2;
-            }
-            "--seed" => {
-                args.seed = value(i)?.parse().map_err(|e| format!("--seed: {e}"))?;
-                i += 2;
-            }
-            "--out" => {
-                args.out = Some(PathBuf::from(value(i)?));
-                i += 2;
-            }
-            "--bench-out" => {
-                args.bench_out = PathBuf::from(value(i)?);
-                i += 2;
-            }
-            "--bench" => {
-                args.bench = true;
-                i += 1;
-            }
-            other => return Err(format!("unknown argument {other}")),
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
+            "--workers" => args.workers = flags.value(&flag)?,
+            "--cells" => args.cells = flags.value(&flag)?,
+            "--seed" => args.seed = flags.value(&flag)?,
+            "--out" => args.out = Some(flags.value(&flag)?),
+            "--bench-out" => args.bench_out = flags.value(&flag)?,
+            "--bench" => args.bench = true,
+            other => return Flags::unknown(other),
         }
     }
     if args.workers == 0 {
@@ -85,23 +59,15 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("sweep: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let cells = default_cells(args.cells, args.seed);
+    let args = Flags::read("sweep", parse_args);
     if args.bench {
-        return bench(&args, &cells);
+        return bench(&args);
     }
-    let report = run_sweep(&cells, args.workers);
+    let report = run_sweep(&default_cells(args.cells, args.seed), args.workers);
     eprintln!(
-        "sweep: {} cells, {} workers, {} steals, run {:.3}s ({:.1} runs/s), merge {:.6}s",
+        "sweep: {} cells, {} workers, run {:.3}s ({:.1} runs/s), merge {:.6}s",
         report.cells_run,
         args.workers,
-        report.steals,
         report.run_wall.as_secs_f64(),
         report.runs_per_sec(),
         report.merge_wall.as_secs_f64(),
@@ -120,52 +86,26 @@ fn main() -> ExitCode {
 
 /// Runs the cell set at 1, 2, 4 and 8 workers, checks all four merges are
 /// byte-identical, and writes the profile JSON.
-fn bench(args: &Args, cells: &[envirotrack_bench::sweep::SweepCell]) -> ExitCode {
+fn bench(args: &Args) -> ExitCode {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut baseline: Option<String> = None;
-    let mut baseline_rps = 0.0;
-    let mut rows = Vec::new();
-    let mut speedup_8v1 = 0.0;
-    for workers in [1usize, 2, 4, 8] {
-        let report = run_sweep(cells, workers);
-        match &baseline {
-            None => {
-                baseline = Some(report.merged_jsonl.clone());
-                baseline_rps = report.runs_per_sec();
-            }
-            Some(b) => assert_eq!(
-                *b, report.merged_jsonl,
-                "merged output changed with worker count — determinism bug"
-            ),
-        }
-        let speedup = if baseline_rps > 0.0 {
-            report.runs_per_sec() / baseline_rps
-        } else {
-            0.0
-        };
-        if workers == 8 {
-            speedup_8v1 = speedup;
-        }
-        eprintln!(
-            "sweep bench: {workers} workers → {:.2}s wall, {:.1} runs/s ({speedup:.2}x vs 1)",
-            report.run_wall.as_secs_f64(),
-            report.runs_per_sec(),
-        );
-        rows.push(
+    let scaling = scale_workers(&default_cells(args.cells, args.seed), "sweep bench");
+    let rows: Vec<String> = scaling
+        .iter()
+        .map(|(report, speedup)| {
             JsonObject::new()
-                .field_u64("workers", workers as u64)
+                .field_u64("workers", report.workers as u64)
                 .field_f64("run_wall_s", report.run_wall.as_secs_f64())
                 .field_f64("merge_wall_s", report.merge_wall.as_secs_f64())
                 .field_f64("runs_per_sec", report.runs_per_sec())
-                .field_f64("speedup_vs_1", speedup)
-                .field_u64("steals", report.steals)
-                .finish(),
-        );
-    }
+                .field_f64("speedup_vs_1", *speedup)
+                .finish()
+        })
+        .collect();
+    let speedup_8v1 = scaling.last().map_or(0.0, |(_, speedup)| *speedup);
     let head = JsonObject::new()
         .field_str("bench", "sweep")
         .field_u64("host_cpus", host_cpus as u64)
-        .field_u64("cells", cells.len() as u64)
+        .field_u64("cells", args.cells as u64)
         .field_u64("seed", args.seed)
         .field_bool("merged_outputs_identical", true)
         .field_f64("speedup_8_vs_1", speedup_8v1)

@@ -13,7 +13,7 @@ use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::scenario::TankScenario;
 
 use crate::harness::{run_tracking, tracker_program, TrackingRun, COOLDOWN, TRACKER};
-use crate::sweep::parallel_map;
+use crate::sweep::{host_cpus, parallel_map};
 
 /// One ablation row: a named variant and its metrics.
 #[derive(Debug, Clone)]
@@ -113,7 +113,7 @@ pub fn run(seeds: u64) -> Ablations {
             }),
         ),
     ];
-    let mut rows = parallel_map(variants, |(name, make)| measure(name, seeds, make));
+    let mut rows = parallel_map(&variants, host_cpus(), |(name, make)| measure(name, seeds, make));
     rows.push(wait_timer_row(seeds));
     rows.push(link_reliability_row(seeds));
     Ablations { rows }

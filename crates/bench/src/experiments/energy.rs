@@ -13,7 +13,7 @@ use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::scenario::TankScenario;
 
 use crate::harness::tracker_program;
-use crate::sweep::parallel_map;
+use crate::sweep::{host_cpus, parallel_map};
 
 /// One row of the sweep.
 #[derive(Debug, Clone)]
@@ -44,7 +44,7 @@ pub struct EnergySweep {
 pub fn run() -> EnergySweep {
     let periods = [0.125, 0.25, 0.5, 1.0, 2.0];
     let horizon = Timestamp::from_secs(180);
-    let rows = parallel_map(periods.to_vec(), |&p| {
+    let rows = parallel_map(&periods, host_cpus(), |&p| {
         let scenario = TankScenario::default().with_speed_kmh(33.0).build();
         let mut cfg = NetworkConfig::default();
         cfg.middleware = cfg

@@ -12,7 +12,7 @@
 //! experiment at a testbed-like communication radius of 1.6 grids.
 
 use crate::harness::{run_tracking, TrackingRun};
-use crate::sweep::parallel_map;
+use crate::sweep::{host_cpus, parallel_map};
 use envirotrack_world::scenario::kmh_to_hops_per_s;
 
 /// One bar of the figure.
@@ -41,7 +41,7 @@ pub struct Fig4 {
 #[must_use]
 pub fn run(seeds: u64) -> Fig4 {
     let combos: Vec<(f64, u8)> = vec![(33.0, 1), (50.0, 1), (33.0, 0), (50.0, 0)];
-    let bars = parallel_map(combos, |&(kmh, ttl)| {
+    let bars = parallel_map(&combos, host_cpus(), |&(kmh, ttl)| {
         let mut handovers = 0usize;
         let mut failures = 0usize;
         let mut pct_sum = 0.0;

@@ -17,7 +17,7 @@
 use envirotrack_sim::time::SimDuration;
 
 use crate::harness::TrackingRun;
-use crate::sweep::{max_trackable_speed, parallel_map};
+use crate::sweep::{host_cpus, max_trackable_speed, parallel_map};
 
 /// One measured point.
 #[derive(Debug, Clone)]
@@ -74,7 +74,7 @@ pub fn run(votes: u32, resolution: f64) -> Fig5 {
             combos.push((p, r));
         }
     }
-    let points = parallel_map(combos, |&(p, r)| {
+    let points = parallel_map(&combos, host_cpus(), |&(p, r)| {
         let template = takeover_template(SimDuration::from_secs_f64(p), r, 42);
         Fig5Point {
             heartbeat_secs: p,
@@ -82,7 +82,7 @@ pub fn run(votes: u32, resolution: f64) -> Fig5 {
             takeover_speed: max_trackable_speed(&template, votes, resolution),
         }
     });
-    let relinquish_reference = parallel_map(radii.to_vec(), |&r| {
+    let relinquish_reference = parallel_map(&radii, host_cpus(), |&r| {
         let template = TrackingRun {
             relinquish: true,
             ..takeover_template(SimDuration::from_millis(500), r, 42)

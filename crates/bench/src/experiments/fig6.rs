@@ -12,7 +12,7 @@
 use envirotrack_sim::time::SimDuration;
 
 use crate::harness::TrackingRun;
-use crate::sweep::{max_trackable_speed, parallel_map};
+use crate::sweep::{host_cpus, max_trackable_speed, parallel_map};
 
 /// One measured point.
 #[derive(Debug, Clone)]
@@ -61,7 +61,7 @@ pub fn run(votes: u32, resolution: f64) -> Fig6 {
             combos.push((sr, ratio));
         }
     }
-    let points = parallel_map(combos, |&(sr, ratio)| {
+    let points = parallel_map(&combos, host_cpus(), |&(sr, ratio)| {
         let cr = sr * ratio;
         Fig6Point {
             cr_sr_ratio: ratio,

@@ -14,7 +14,7 @@
 //! (4) utilisation grows only slightly with speed.
 
 use crate::harness::{run_tracking, TrackingRun};
-use crate::sweep::parallel_map;
+use crate::sweep::{host_cpus, parallel_map};
 use envirotrack_world::scenario::kmh_to_hops_per_s;
 
 /// One row of the table.
@@ -42,7 +42,7 @@ pub struct Table1 {
 /// Runs the experiment, averaging over `seeds` runs per row (paper: 3).
 #[must_use]
 pub fn run(seeds: u64) -> Table1 {
-    let rows = parallel_map(vec![33.0, 50.0], |&kmh| {
+    let rows = parallel_map(&[33.0, 50.0], host_cpus(), |&kmh| {
         let mut hb = 0.0;
         let mut msg = 0.0;
         let mut util = 0.0;

@@ -18,8 +18,11 @@
 //! side-by-side record.
 
 pub mod experiments;
+mod flags;
 pub mod harness;
 pub mod plot;
 pub mod soak;
 pub mod storm;
 pub mod sweep;
+
+pub use flags::Flags;

@@ -43,6 +43,10 @@ const PONG: Port = Port(11);
 const TRACKER: ContextTypeId = ContextTypeId(0);
 const WATCHER: ContextTypeId = ContextTypeId(1);
 const BEACON: ContextTypeId = ContextTypeId(2);
+/// Directory replication factor (≥ 2 so anti-entropy has peers).
+const REPLICAS: usize = 2;
+/// Anti-entropy gossip period.
+const GOSSIP_PERIOD: SimDuration = SimDuration::from_secs(5);
 
 /// One soak run specification. Everything downstream — world, fault
 /// schedule, oracles — derives deterministically from these fields.
@@ -57,12 +61,6 @@ pub struct SoakConfig {
     /// Simulation seed (radio fading, backoff, jitter — the fault plan
     /// itself is seed-free).
     pub seed: u64,
-    /// Directory replication factor (≥ 2 so anti-entropy has peers).
-    pub replicas: usize,
-    /// Anti-entropy gossip period.
-    pub gossip_period: SimDuration,
-    /// The link-fault profile active for the bulk of the run.
-    pub link_faults: LinkFaults,
     /// Partition/heal cycles (the partition splits the grid into left and
     /// right halves).
     pub partition_cycles: u32,
@@ -81,9 +79,6 @@ impl SoakConfig {
             rows: 5,
             horizon: SimDuration::from_secs(600),
             seed,
-            replicas: 2,
-            gossip_period: SimDuration::from_secs(5),
-            link_faults: LinkFaults::default(),
             partition_cycles: 2,
             crash_reboots: 3,
         }
@@ -98,9 +93,6 @@ impl SoakConfig {
             rows: 3,
             horizon: SimDuration::from_secs(60),
             seed,
-            replicas: 2,
-            gossip_period: SimDuration::from_secs(5),
-            link_faults: LinkFaults::default(),
             partition_cycles: 1,
             crash_reboots: 1,
         }
@@ -257,9 +249,9 @@ fn build_world(cfg: &SoakConfig) -> (Arc<Program>, Deployment, Environment, Netw
     config.middleware = config
         .middleware
         .with_directory(true)
-        .with_directory_replicas(cfg.replicas)
-        .with_directory_gossip(cfg.replicas > 1)
-        .with_directory_gossip_period(cfg.gossip_period);
+        .with_directory_replicas(REPLICAS)
+        .with_directory_gossip(true)
+        .with_directory_gossip_period(GOSSIP_PERIOD);
     config.middleware.directory_update_period = SimDuration::from_secs(4);
     (program, deployment, environment, config)
 }
@@ -276,7 +268,7 @@ fn build_world(cfg: &SoakConfig) -> (Arc<Program>, Deployment, Environment, Netw
 fn build_plan(cfg: &SoakConfig, deployment: &Deployment) -> FaultPlan {
     let n = deployment.len();
     let mut plan = FaultPlan::new()
-        .at(cfg.frac(2), FaultEvent::LinkFaultsOn(cfg.link_faults))
+        .at(cfg.frac(2), FaultEvent::LinkFaultsOn(LinkFaults::default()))
         .at(cfg.frac(15), FaultEvent::BurstLossOn(GilbertElliott::default()))
         .at(cfg.frac(30), FaultEvent::BurstLossOff)
         .at(cfg.frac(90), FaultEvent::LinkFaultsOff);

@@ -1,21 +1,18 @@
-//! The sweep engine: a work-stealing pool of cells with a deterministic
-//! ordered reduction.
+//! The sweep engine: cells run on the order-keeping executor and merged in
+//! cell-id order.
 //!
-//! Cells are dealt round-robin into per-worker queues; a worker drains its
-//! own queue from the front and, once empty, steals from the back of the
-//! longest remaining queue. Each worker streams its finished JSON lines
-//! into a private shard — no cross-worker ordering exists anywhere in the
-//! run phase. The reducer then merges shards by *cell id*, never arrival
-//! order, which together with per-cell RNG isolation (see
-//! [`super::cells`]) makes the merged output byte-identical at any worker
-//! count.
+//! [`run_sweep`] hands its cells to [`parallel_map`], whose workers take
+//! the next cell off a shared cursor. The merge then orders the lines by
+//! *cell id* — never by the caller's list order or by when a cell finished
+//! — which together with per-cell RNG isolation (see [`super::cells`])
+//! makes the merged output byte-identical at any worker count.
+//! [`scale_workers`] runs one cell set at 1, 2, 4 and 8 workers and checks
+//! exactly that.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use super::cells::SweepCell;
+use super::parallel_map;
 
 /// The merged result of one sweep plus its execution profile.
 #[derive(Debug, Clone)]
@@ -24,13 +21,11 @@ pub struct SweepReport {
     pub merged_jsonl: String,
     /// Cells executed.
     pub cells_run: usize,
-    /// Cells each worker ended up executing (length = worker count).
-    pub per_worker_cells: Vec<usize>,
-    /// Cross-queue steals performed.
-    pub steals: u64,
+    /// Worker threads the sweep was given.
+    pub workers: usize,
     /// Wall-clock spent running cells (the parallel phase).
     pub run_wall: Duration,
-    /// Wall-clock spent merging shards (the reduction phase).
+    /// Wall-clock spent ordering and joining the lines (the merge).
     pub merge_wall: Duration,
 }
 
@@ -47,12 +42,7 @@ impl SweepReport {
     }
 }
 
-/// One worker's queue: cells it owns, stealable from the back.
-struct WorkerQueue {
-    cells: Mutex<VecDeque<usize>>,
-}
-
-/// Runs every cell across `workers` threads and reduces the shards.
+/// Runs every cell across `workers` threads and merges their lines.
 ///
 /// # Panics
 ///
@@ -60,7 +50,6 @@ struct WorkerQueue {
 /// key must identify a cell uniquely).
 #[must_use]
 pub fn run_sweep(cells: &[SweepCell], workers: usize) -> SweepReport {
-    assert!(workers > 0, "a sweep needs at least one worker");
     {
         let mut ids: Vec<&str> = cells.iter().map(|c| c.id.as_str()).collect();
         ids.sort_unstable();
@@ -70,71 +59,15 @@ pub fn run_sweep(cells: &[SweepCell], workers: usize) -> SweepReport {
         );
     }
 
-    // Deal the cells round-robin so every queue starts balanced.
-    let queues: Vec<WorkerQueue> = (0..workers)
-        .map(|w| WorkerQueue {
-            cells: Mutex::new(
-                (w..cells.len())
-                    .step_by(workers)
-                    .collect::<VecDeque<usize>>(),
-            ),
-        })
-        .collect();
-    let steals = AtomicU64::new(0);
-
     let run_start = Instant::now();
-    let mut shards: Vec<Vec<(usize, String)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let queues = &queues;
-                let steals = &steals;
-                s.spawn(move || {
-                    let mut shard: Vec<(usize, String)> = Vec::new();
-                    loop {
-                        // Own work first, front-to-back.
-                        let mine = queues[w].cells.lock().expect("queue lock").pop_front();
-                        let idx = match mine {
-                            Some(i) => i,
-                            None => {
-                                // Steal from the back of the fullest queue.
-                                let victim = match steal_target(queues, w) {
-                                    Some(v) => v,
-                                    None => break,
-                                };
-                                match queues[victim]
-                                    .cells
-                                    .lock()
-                                    .expect("queue lock")
-                                    .pop_back()
-                                {
-                                    Some(i) => {
-                                        steals.fetch_add(1, Ordering::Relaxed);
-                                        i
-                                    }
-                                    // Raced with the victim; rescan.
-                                    None => continue,
-                                }
-                            }
-                        };
-                        shard.push((idx, cells[idx].run()));
-                    }
-                    shard
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
+    let lines = parallel_map(cells, workers, SweepCell::run);
     let run_wall = run_start.elapsed();
 
     let merge_start = Instant::now();
-    let per_worker_cells: Vec<usize> = shards.iter().map(Vec::len).collect();
-    let mut lines: Vec<(usize, String)> = shards.drain(..).flatten().collect();
-    // Reduce in cell-id order — never arrival order — so the merged bytes
-    // are independent of scheduling.
-    lines.sort_by(|(a, _), (b, _)| cells[*a].id.cmp(&cells[*b].id));
+    let mut lines: Vec<(&str, String)> = cells.iter().map(|c| c.id.as_str()).zip(lines).collect();
+    // Reduce in cell-id order so the merged bytes depend on the cell set
+    // alone.
+    lines.sort_unstable_by_key(|&(id, _)| id);
     let mut merged_jsonl = String::new();
     for (_, line) in &lines {
         merged_jsonl.push_str(line);
@@ -145,27 +78,45 @@ pub fn run_sweep(cells: &[SweepCell], workers: usize) -> SweepReport {
     SweepReport {
         merged_jsonl,
         cells_run: lines.len(),
-        per_worker_cells,
-        steals: steals.load(Ordering::Relaxed),
+        workers,
         run_wall,
         merge_wall,
     }
 }
 
-/// The index of the non-empty queue (other than `me`) with the most work
-/// left, or `None` when everything is drained.
-fn steal_target(queues: &[WorkerQueue], me: usize) -> Option<usize> {
-    let mut best: Option<(usize, usize)> = None;
-    for (i, q) in queues.iter().enumerate() {
-        if i == me {
-            continue;
-        }
-        let len = q.cells.lock().expect("queue lock").len();
-        if len > 0 && best.is_none_or(|(_, b)| len > b) {
-            best = Some((i, len));
-        }
-    }
-    best.map(|(i, _)| i)
+/// Runs `cells` at 1, 2, 4 and 8 workers and returns each run's report
+/// with its runs per second against the 1-worker run's, printing one line
+/// a run to stderr after `label`.
+///
+/// # Panics
+///
+/// Panics when a merge differs from the 1-worker merge: the worker count
+/// reached the output.
+#[must_use]
+pub fn scale_workers(cells: &[SweepCell], label: &str) -> Vec<(SweepReport, f64)> {
+    let reports: Vec<SweepReport> = [1, 2, 4, 8].map(|w| run_sweep(cells, w)).into();
+    let one = reports[0].clone();
+    reports
+        .into_iter()
+        .map(|report| {
+            assert_eq!(
+                one.merged_jsonl, report.merged_jsonl,
+                "merged output changed with worker count — determinism bug"
+            );
+            let speedup = if one.runs_per_sec() > 0.0 {
+                report.runs_per_sec() / one.runs_per_sec()
+            } else {
+                0.0
+            };
+            eprintln!(
+                "{label}: {} workers → {:.2}s wall, {:.1} runs/s ({speedup:.2}x vs 1)",
+                report.workers,
+                report.run_wall.as_secs_f64(),
+                report.runs_per_sec(),
+            );
+            (report, speedup)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -179,11 +130,6 @@ mod tests {
         for workers in [1, 3, 8] {
             let report = run_sweep(&cells, workers);
             assert_eq!(report.cells_run, cells.len());
-            assert_eq!(report.per_worker_cells.len(), workers);
-            assert_eq!(
-                report.per_worker_cells.iter().sum::<usize>(),
-                cells.len()
-            );
             assert_eq!(report.merged_jsonl.lines().count(), cells.len());
         }
     }
@@ -215,5 +161,14 @@ mod tests {
         let cells = default_cells(2, 77);
         let report = run_sweep(&cells, 8);
         assert_eq!(report.cells_run, 2);
+    }
+
+    #[test]
+    fn every_worker_count_merges_the_same_bytes() {
+        let cells = default_cells(4, 3);
+        let rows = scale_workers(&cells, "test");
+        let workers: Vec<usize> = rows.iter().map(|(r, _)| r.workers).collect();
+        assert_eq!(workers, [1, 2, 4, 8]);
+        assert_eq!(rows[0].1, 1.0, "one worker against itself");
     }
 }

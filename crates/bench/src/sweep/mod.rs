@@ -1,57 +1,60 @@
-//! Parameter sweeps: parallel execution, the scenario sweep engine, and
-//! max-trackable-speed search.
+//! Parameter sweeps: the one order-keeping executor, the scenario sweep
+//! engine on top of it, and max-trackable-speed search.
 //!
-//! `parallel_map` is the light primitive the figure experiments use;
-//! [`engine`] is the full sweep engine — a work-stealing pool of
-//! `(scenario, seed)` [`cells`] whose merged JSON-lines output is
-//! byte-identical at any worker count (see DESIGN.md §10).
+//! `parallel_map` runs a function over its inputs on a given number of
+//! workers fed by an atomic cursor and returns the outputs in input order;
+//! the figure experiments give it the host's CPU count. The sweep engine
+//! ([`run_sweep`]) runs `(scenario, seed)` cells on it and merges their
+//! JSON lines by cell id, so the merged bytes are the same at any worker
+//! count (see DESIGN.md §10).
 
-pub mod cells;
-pub mod engine;
+mod cells;
+mod engine;
 
-pub use cells::SweepCell;
-pub use engine::run_sweep;
+pub use cells::{default_cells, scale_cells};
+pub use engine::{run_sweep, scale_workers};
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::harness::{run_tracking, TrackingRun};
 
-/// Runs `f` over `inputs` in parallel (a worker pool bounded by available
-/// parallelism, fed by an atomic cursor), preserving input order in the
-/// output. Pure `std`: scoped threads + an mpsc channel for results.
-pub(crate) fn parallel_map<I, O, F>(inputs: Vec<I>, f: F) -> Vec<O>
+/// The worker count the figure experiments run at: the host's CPUs.
+pub(crate) fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(4, |n| n.get())
+}
+
+/// Runs `f` over `inputs` on at most `workers` scoped threads, each taking
+/// the next input off a shared cursor, and returns the outputs in input
+/// order.
+///
+/// # Panics
+///
+/// Panics when `workers == 0` or when `f` panics.
+pub(crate) fn parallel_map<I, O, F>(inputs: &[I], workers: usize, f: F) -> Vec<O>
 where
-    I: Send + Sync,
+    I: Sync,
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    let n = inputs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = std::thread::available_parallelism()
-        .map_or(4, |w| w.get())
-        .min(n);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, O)>();
-    let inputs_ref = &inputs;
-    let f_ref = &f;
-    let next_ref = &next;
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            s.spawn(move || loop {
-                let i = next_ref.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = f_ref(&inputs_ref[i]);
-                tx.send((i, out)).expect("result channel open");
-            });
-        }
+    assert!(workers > 0, "a sweep needs at least one worker");
+    let next = AtomicUsize::new(0);
+    // A worker's step: claim the next input and map it. The cursor
+    // publishes no data (outputs come back through `join`): `Relaxed`.
+    let step = || {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        inputs.get(i).map(|input| (i, f(input)))
+    };
+    let mut done: Vec<(usize, O)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers.min(inputs.len()))
+            .map(|_| s.spawn(|| std::iter::from_fn(step).collect::<Vec<_>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("sweep worker panicked"))
+            .collect()
     });
-    drop(tx);
-    let mut indexed: Vec<(usize, O)> = rx.into_iter().collect();
-    indexed.sort_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, o)| o).collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, o)| o).collect()
 }
 
 /// Finds the maximum trackable speed (in hops/s) for a run template by
@@ -107,18 +110,28 @@ pub fn max_trackable_speed(template: &TrackingRun, votes: u32, resolution: f64) 
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
+    use testkit::prelude::*;
+
     use super::*;
 
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..50).collect(), |x: &i32| x * 2);
-        assert_eq!(out, (0..50).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_handles_empty_input() {
-        let out: Vec<i32> = parallel_map(Vec::<i32>::new(), |x| *x);
-        assert!(out.is_empty());
+    prop_test! {
+        /// The executor returns the sequential map's output at any input
+        /// length and worker count, and runs on no more threads than it
+        /// was given.
+        #[test]
+        fn parallel_map_is_the_sequential_map(
+            inputs in prop::collection::vec(any::<u32>(), 0..201),
+            workers in 1usize..9,
+        ) {
+            let square = |x: &u32| u64::from(*x) * u64::from(*x);
+            let out = parallel_map(&inputs, workers, |x| (square(x), std::thread::current().id()));
+            let values: Vec<u64> = out.iter().map(|&(v, _)| v).collect();
+            prop_assert_eq!(values, inputs.iter().map(square).collect::<Vec<_>>());
+            let threads: HashSet<_> = out.iter().map(|&(_, t)| t).collect();
+            prop_assert!(threads.len() <= workers, "{} threads for {workers} workers", threads.len());
+        }
     }
 
     #[test]

@@ -232,7 +232,9 @@ impl SensorNetwork {
         }
         // A slot is a re-armed tick's rank (`Kernel::schedule_tick_at`).
         let ranked = self.sense.len() < (1 << 24) - 1;
-        if period <= costs::SENSE || !self.sensing.ambient_is_idle() || !ranked {
+        // No cell of a noisy field is ever quiet (`Environment::quiet_until`).
+        let quiet = !self.environment.is_noisy() && self.sensing.ambient_is_idle();
+        if period <= costs::SENSE || !quiet || !ranked {
             return false;
         }
         // Unit tests park any field, to check parking on small worlds.

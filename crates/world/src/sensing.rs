@@ -413,6 +413,14 @@ impl Environment {
         self.ambient
     }
 
+    /// Whether the sensors are noisy: a sample then draws, and no box is
+    /// ever quiet ([`Environment::quiet_until`]). Fixed when the
+    /// environment is built.
+    #[must_use]
+    pub fn is_noisy(&self) -> bool {
+        self.noise.noisy
+    }
+
     /// All targets.
     #[must_use]
     pub fn targets(&self) -> &[Target] {

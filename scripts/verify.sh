@@ -78,6 +78,16 @@ if git grep -n '"t", "counter"\|"t", "hist"\|"t", "gauge"' -- '*.rs' \
   echo "verify: a telemetry exporter outside core::report" >&2; exit 1
 fi
 
+# One-executor gate: the harness runs work in parallel through
+# bench::sweep::parallel_map alone (scoped threads on an atomic cursor,
+# outputs in input order); the sweep engine and the figure experiments
+# both call it. A second `thread::scope` under crates/bench/src is a
+# second executor.
+scopes="$(grep -rn 'thread::scope' crates/bench/src || true)"
+[ "$(grep -c . <<< "$scopes")" -eq 1 ] \
+  || { echo "verify: crates/bench/src must hold exactly one thread::scope:" >&2
+       echo "$scopes" >&2; exit 1; }
+
 # Chaos smoke: randomized fault plans (crashes, reboots, partitions, burst
 # loss, clock skew) must leave every invariant intact. CHAOS_CASES scales
 # the sweep; the workspace pass above already ran it at the testkit
