@@ -61,9 +61,9 @@ use std::process::ExitCode;
 use std::str::FromStr;
 
 use envirotrack_bench::experiments::scale::{
-    crosscheck_dump, print, run_scale, run_scale_sharded, ScaleRun,
+    crosscheck_dump, run_scale, run_scale_sharded, ScalePoint, ScaleRun,
 };
-use envirotrack_bench::sweep::{scale_cells, scale_workers};
+use envirotrack_bench::sweep::{host_cpus, scale_cells, scale_workers};
 use envirotrack_bench::Flags;
 use envirotrack_core::report::json::JsonObject;
 use envirotrack_sim::time::SimDuration;
@@ -128,6 +128,32 @@ fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     Ok(args)
 }
 
+/// Prints the trajectory as an aligned table.
+fn print(points: &[ScalePoint]) {
+    println!(
+        "BENCH scale — {} targets, {:.1} comm radius, grid medium",
+        ScaleRun::default().targets,
+        ScaleRun::default().comm_radius
+    );
+    println!(
+        "  {:>7}  {:>9}  {:>9}  {:>10}  {:>12}  {:>6}  {:>9}  {:>12}",
+        "nodes", "build s", "run s", "events", "events/s", "labels", "handovers", "bytes on air"
+    );
+    for p in points {
+        println!(
+            "  {:>7}  {:>9.3}  {:>9.3}  {:>10}  {:>12.0}  {:>6}  {:>9}  {:>12}",
+            p.nodes,
+            p.build_wall_s,
+            p.run_wall_s,
+            p.events,
+            p.events_per_sec,
+            p.labels_created,
+            p.handovers,
+            p.bytes_on_air
+        );
+    }
+}
+
 /// The comma-separated counts after `flag`.
 fn counts<T: FromStr<Err = ParseIntError>>(
     flags: &mut Flags,
@@ -140,7 +166,6 @@ fn counts<T: FromStr<Err = ParseIntError>>(
 
 fn main() -> ExitCode {
     let args = Flags::read("scale", parse_args);
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // Cross-check dump mode: one scale point's full observable output,
     // for a byte-for-byte diff across commits — or, with `--shards N`,
@@ -285,7 +310,7 @@ fn main() -> ExitCode {
 
     let head = JsonObject::new()
         .field_str("bench", "scale")
-        .field_u64("host_cpus", host_cpus as u64)
+        .field_u64("host_cpus", host_cpus() as u64)
         .field_u64("seed", args.seed)
         .field_f64("sim_horizon_s", args.horizon_ms as f64 / 1e3)
         .field_u64("sweep_cells", cells.len() as u64)

@@ -16,7 +16,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use envirotrack_bench::sweep::{default_cells, run_sweep, scale_workers};
+use envirotrack_bench::sweep::{default_cells, host_cpus, run_sweep, scale_workers};
 use envirotrack_bench::Flags;
 use envirotrack_core::report::json::JsonObject;
 
@@ -87,7 +87,6 @@ fn main() -> ExitCode {
 /// Runs the cell set at 1, 2, 4 and 8 workers, checks all four merges are
 /// byte-identical, and writes the profile JSON.
 fn bench(args: &Args) -> ExitCode {
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let scaling = scale_workers(&default_cells(args.cells, args.seed), "sweep bench");
     let rows: Vec<String> = scaling
         .iter()
@@ -104,7 +103,7 @@ fn bench(args: &Args) -> ExitCode {
     let speedup_8v1 = scaling.last().map_or(0.0, |(_, speedup)| *speedup);
     let head = JsonObject::new()
         .field_str("bench", "sweep")
-        .field_u64("host_cpus", host_cpus as u64)
+        .field_u64("host_cpus", host_cpus() as u64)
         .field_u64("cells", args.cells as u64)
         .field_u64("seed", args.seed)
         .field_bool("merged_outputs_identical", true)

@@ -276,32 +276,6 @@ pub fn run_scale_sharded(cfg: &ScaleRun, shards: usize) -> ShardScalePoint {
     }
 }
 
-/// Prints the trajectory as an aligned table.
-pub fn print(points: &[ScalePoint]) {
-    println!(
-        "BENCH scale — {} targets, {:.1} comm radius, grid medium",
-        ScaleRun::default().targets,
-        ScaleRun::default().comm_radius
-    );
-    println!(
-        "  {:>7}  {:>9}  {:>9}  {:>10}  {:>12}  {:>6}  {:>9}  {:>12}",
-        "nodes", "build s", "run s", "events", "events/s", "labels", "handovers", "bytes on air"
-    );
-    for p in points {
-        println!(
-            "  {:>7}  {:>9.3}  {:>9.3}  {:>10}  {:>12.0}  {:>6}  {:>9}  {:>12}",
-            p.nodes,
-            p.build_wall_s,
-            p.run_wall_s,
-            p.events,
-            p.events_per_sec,
-            p.labels_created,
-            p.handovers,
-            p.bytes_on_air
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,13 +6,14 @@ use std::str::FromStr;
 
 /// The arguments after the program name, not yet read. Iterating yields
 /// the next flag.
-pub struct Flags(Box<dyn Iterator<Item = String>>);
+pub struct Flags(std::vec::IntoIter<String>);
 
 impl Flags {
     /// `parse` applied to this process's arguments; on an error it prints
     /// `{bin}: {error}` and exits with status 2.
     pub fn read<A>(bin: &str, parse: impl FnOnce(&mut Flags) -> Result<A, String>) -> A {
-        parse(&mut Flags(Box::new(std::env::args().skip(1)))).unwrap_or_else(|e| {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        parse(&mut Flags(args.into_iter())).unwrap_or_else(|e| {
             eprintln!("{bin}: {e}");
             std::process::exit(2)
         })
@@ -58,7 +59,7 @@ mod tests {
     /// A binary's parser in miniature: `--seed N`, `--out PATH`, `--smoke`.
     fn parse(args: &[&str]) -> Result<(u64, String, bool), String> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        let mut flags = Flags(Box::new(args.into_iter()));
+        let mut flags = Flags(args.into_iter());
         let (mut seed, mut out, mut smoke) = (1, "out.json".to_string(), false);
         while let Some(flag) = flags.next() {
             match flag.as_str() {

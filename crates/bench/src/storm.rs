@@ -572,7 +572,7 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
         events_dropped: metrics.events_dropped.load(Ordering::Relaxed),
         protocol_errors: metrics.protocol_errors.load(Ordering::Relaxed),
         panics: metrics.panics.load(Ordering::Relaxed),
-        host_cpus: thread::available_parallelism().map_or(1, |n| n.get() as u64),
+        host_cpus: crate::sweep::host_cpus() as u64,
         events_sent,
         hub_ticks: tick_work.count(),
         hub_ticks_late: metrics.hub_ticks_late.load(Ordering::Relaxed),

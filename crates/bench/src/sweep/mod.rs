@@ -11,16 +11,19 @@
 mod cells;
 mod engine;
 
-pub use cells::{default_cells, scale_cells};
-pub use engine::{run_sweep, scale_workers};
+pub use cells::{default_cells, scale_cells, CellSpec, SweepCell};
+pub use engine::{run_sweep, scale_workers, SweepReport};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::harness::{run_tracking, TrackingRun};
 
-/// The worker count the figure experiments run at: the host's CPUs.
-pub(crate) fn host_cpus() -> usize {
-    std::thread::available_parallelism().map_or(4, |n| n.get())
+/// The host's CPU count: the worker count of the figure experiments and
+/// the `host_cpus` of every BENCH report. 1 when the host does not say, so
+/// a report never claims CPUs that may not be there.
+#[must_use]
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Runs `f` over `inputs` on at most `workers` scoped threads, each taking
@@ -132,6 +135,11 @@ mod tests {
             let threads: HashSet<_> = out.iter().map(|&(_, t)| t).collect();
             prop_assert!(threads.len() <= workers, "{} threads for {workers} workers", threads.len());
         }
+    }
+
+    #[test]
+    fn parallel_map_handles_empty_input() {
+        assert!(parallel_map(&[] as &[u32], 3, |x| *x).is_empty());
     }
 
     #[test]
