@@ -16,36 +16,41 @@ use std::path::{Path, PathBuf};
 
 use envirotrack_bench::experiments::{ablations, energy, fig3, fig4, fig5, fig6, table1};
 use envirotrack_bench::plot::{write_csv, Series, SvgPlot};
+use envirotrack_bench::Flags;
+
+struct Args {
+    quick: bool,
+    out_dir: Option<PathBuf>,
+    wanted: Vec<String>,
+}
+
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
+    let mut args = Args {
+        quick: false,
+        out_dir: None,
+        wanted: Vec::new(),
+    };
+    while let Some(arg) = flags.next() {
+        match arg.as_str() {
+            "--quick" => args.quick = true,
+            "--out" => args.out_dir = Some(flags.value(&arg)?),
+            flag if flag.starts_with("--") => return Flags::unknown(flag),
+            _ => args.wanted.push(arg),
+        }
+    }
+    Ok(args)
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_dir: Option<PathBuf> = match args.iter().position(|a| a == "--out") {
-        Some(i) => match args.get(i + 1) {
-            Some(dir) if !dir.starts_with("--") => Some(PathBuf::from(dir)),
-            _ => {
-                eprintln!("--out requires a directory argument");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
+    let Args {
+        quick,
+        out_dir,
+        wanted,
+    } = Flags::read("repro", parse_args);
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).expect("create output directory");
     }
-    let mut wanted: Vec<&str> = Vec::new();
-    let mut skip_next = false;
-    for a in &args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--out" {
-            skip_next = true;
-        } else if !a.starts_with("--") {
-            wanted.push(a);
-        }
-    }
+    let mut wanted: Vec<&str> = wanted.iter().map(String::as_str).collect();
     if wanted.is_empty() || wanted.contains(&"all") {
         wanted = vec![
             "fig3",

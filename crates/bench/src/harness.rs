@@ -3,7 +3,7 @@
 //! Every table and figure in the paper's evaluation (§6) is a sweep over
 //! the same primitive: run the Figure-2 tracking application on a tank
 //! crossing a grid, then audit the protocol event log. [`TrackingRun`]
-//! is that primitive; [`TrackingOutcome`] carries the audited metrics.
+//! is that primitive; `TrackingOutcome` carries the audited metrics.
 //!
 //! ## Handover audit (Fig. 4's metric)
 //!
@@ -123,7 +123,7 @@ impl Default for TrackingRun {
 
 /// The audited result of one tracking run.
 #[derive(Debug, Clone)]
-pub struct TrackingOutcome {
+pub(crate) struct TrackingOutcome {
     /// Context labels minted for the tank.
     pub labels_created: usize,
     /// Labels deleted as spurious by the weight rule.
@@ -143,14 +143,10 @@ pub struct TrackingOutcome {
     pub hb_tx: u64,
     /// Per-receiver heartbeat loss ratio.
     pub hb_loss: f64,
-    /// Member-report transmissions.
-    pub report_tx: u64,
     /// Per-receiver member-report loss ratio.
     pub report_loss: f64,
     /// Worst-case broadcast link utilisation over the run.
     pub link_utilization: f64,
-    /// Mote CPU tasks (admitted, dropped) summed over nodes.
-    pub cpu: (u64, u64),
     /// Virtual duration of the run.
     pub elapsed: SimDuration,
 }
@@ -176,7 +172,7 @@ impl TrackingOutcome {
     /// as 1.0, but a run that never minted a label tracked nothing and
     /// scores 0.0 — previously both collapsed to a perfect score.
     #[must_use]
-    pub fn handover_success_ratio(&self) -> f64 {
+    pub(crate) fn handover_success_ratio(&self) -> f64 {
         let attempts = self.handovers + self.failed_handovers();
         if attempts == 0 {
             if self.labels_created == 0 { 0.0 } else { 1.0 }
@@ -189,14 +185,25 @@ impl TrackingOutcome {
     /// that a label existed at all — a run with zero labels never formed
     /// the abstraction, so it cannot be coherent.
     #[must_use]
-    pub fn coherent(&self) -> bool {
+    pub(crate) fn coherent(&self) -> bool {
         self.labels_created >= 1 && self.failed_handovers() == 0 && self.tracked_fraction >= 0.7
     }
 }
 
 /// Executes one tracking run and audits it.
 #[must_use]
-pub fn run_tracking(cfg: &TrackingRun) -> TrackingOutcome {
+pub(crate) fn run_tracking(cfg: &TrackingRun) -> TrackingOutcome {
+    run_tracking_with(cfg, |_| {})
+}
+
+/// [`run_tracking`] with `adjust` applied to the network configuration
+/// last, for the settings a [`TrackingRun`] does not carry (the
+/// ablations' timer factors and link ACKs).
+#[must_use]
+pub(crate) fn run_tracking_with(
+    cfg: &TrackingRun,
+    adjust: impl FnOnce(&mut NetworkConfig),
+) -> TrackingOutcome {
     let scenario = TankScenario {
         cols: cfg.cols,
         rows: cfg.rows,
@@ -232,6 +239,7 @@ pub fn run_tracking(cfg: &TrackingRun) -> TrackingOutcome {
     if let Some(p) = cfg.sense_period {
         net_cfg.middleware.sense_period = p;
     }
+    adjust(&mut net_cfg);
 
     let mut engine = SensorNetwork::build_engine(
         tracker_program(),
@@ -310,143 +318,15 @@ pub fn run_tracking(cfg: &TrackingRun) -> TrackingOutcome {
         mean_error,
         hb_tx: hb.tx,
         hb_loss: hb.pair_loss_ratio(),
-        report_tx: rpt.tx,
         report_loss: rpt.pair_loss_ratio(),
         link_utilization: stats.link_utilization(elapsed),
-        cpu: world.cpu_totals(),
         elapsed,
     }
-}
-
-/// One measured benchmark case from [`measure`]: wall-clock statistics over
-/// batched iterations.
-#[derive(Debug, Clone)]
-pub struct BenchMeasurement {
-    /// Case name as printed.
-    pub name: String,
-    /// Total timed iterations (excluding warmup).
-    pub iters: u64,
-    /// Mean wall time per iteration, in nanoseconds.
-    pub mean_ns: f64,
-    /// Fastest per-iteration batch mean, in nanoseconds.
-    pub min_ns: f64,
-    /// Slowest per-iteration batch mean, in nanoseconds.
-    pub max_ns: f64,
-}
-
-/// Renders nanoseconds with a readable unit.
-#[must_use]
-pub fn format_ns(ns: f64) -> String {
-    if ns < 1_000.0 {
-        format!("{ns:8.1} ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:8.2} µs", ns / 1_000.0)
-    } else if ns < 1_000_000_000.0 {
-        format!("{:8.2} ms", ns / 1_000_000.0)
-    } else {
-        format!("{:8.3} s ", ns / 1_000_000_000.0)
-    }
-}
-
-impl BenchMeasurement {
-    /// One aligned report line for the bench tables.
-    #[must_use]
-    pub fn report(&self) -> String {
-        format!(
-            "{:<44} {} /iter   ({} iters, min {}, max {})",
-            self.name,
-            format_ns(self.mean_ns),
-            self.iters,
-            format_ns(self.min_ns).trim_start(),
-            format_ns(self.max_ns).trim_start(),
-        )
-    }
-}
-
-/// The timing loop behind the workspace's `cargo bench` targets (the
-/// benches are plain `harness = false` binaries; no external bench crate).
-///
-/// Warms up for `warmup`, sizes batches to roughly 10 ms from the warmup's
-/// per-iteration estimate, then measures batches until `target` wall time
-/// has elapsed (at least three batches). Returns per-iteration statistics.
-pub fn measure_with<R>(
-    name: &str,
-    warmup: std::time::Duration,
-    target: std::time::Duration,
-    mut f: impl FnMut() -> R,
-) -> BenchMeasurement {
-    use std::time::Instant;
-
-    // Warmup: run until the budget elapses (at least once) and estimate
-    // the per-iteration cost.
-    let warm_start = Instant::now();
-    let mut warm_iters = 0u64;
-    loop {
-        std::hint::black_box(f());
-        warm_iters += 1;
-        if warm_start.elapsed() >= warmup {
-            break;
-        }
-    }
-    let est_ns = (warm_start.elapsed().as_nanos() as f64 / warm_iters as f64).max(1.0);
-    let batch = ((10_000_000.0 / est_ns) as u64).max(1);
-
-    let mut iters = 0u64;
-    let mut total_ns = 0.0f64;
-    let mut min_ns = f64::INFINITY;
-    let mut max_ns = 0.0f64;
-    let mut batches = 0u32;
-    let run_start = Instant::now();
-    while batches < 3 || run_start.elapsed() < target {
-        let t0 = Instant::now();
-        for _ in 0..batch {
-            std::hint::black_box(f());
-        }
-        let batch_ns = t0.elapsed().as_nanos() as f64;
-        let per_iter = batch_ns / batch as f64;
-        total_ns += batch_ns;
-        iters += batch;
-        min_ns = min_ns.min(per_iter);
-        max_ns = max_ns.max(per_iter);
-        batches += 1;
-    }
-
-    BenchMeasurement {
-        name: name.to_string(),
-        iters,
-        mean_ns: total_ns / iters as f64,
-        min_ns,
-        max_ns,
-    }
-}
-
-/// [`measure_with`] under default budgets (100 ms warmup, 500 ms timed).
-pub fn measure<R>(name: &str, f: impl FnMut() -> R) -> BenchMeasurement {
-    measure_with(
-        name,
-        std::time::Duration::from_millis(100),
-        std::time::Duration::from_millis(500),
-        f,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn measure_reports_sane_statistics() {
-        let m = measure_with(
-            "spin",
-            std::time::Duration::from_millis(1),
-            std::time::Duration::from_millis(5),
-            || std::hint::black_box((0..100u64).sum::<u64>()),
-        );
-        assert!(m.iters >= 3);
-        assert!(m.mean_ns > 0.0);
-        assert!(m.min_ns <= m.mean_ns && m.mean_ns <= m.max_ns + 1e-9);
-        assert!(m.report().contains("spin"));
-    }
 
     #[test]
     fn default_run_is_coherent_and_accurate() {

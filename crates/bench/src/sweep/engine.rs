@@ -86,7 +86,9 @@ pub fn run_sweep(cells: &[SweepCell], workers: usize) -> SweepReport {
 
 /// Runs `cells` at 1, 2, 4 and 8 workers and returns each run's report
 /// with its runs per second against the 1-worker run's, printing one line
-/// a run to stderr after `label`.
+/// a run to stderr after `label`. One untimed 1-worker pass goes first, so
+/// the 1-worker run is timed as warm as the others and the ratio is the
+/// parallel speedup, not the first run's warm-up.
 ///
 /// # Panics
 ///
@@ -94,6 +96,7 @@ pub fn run_sweep(cells: &[SweepCell], workers: usize) -> SweepReport {
 /// reached the output.
 #[must_use]
 pub fn scale_workers(cells: &[SweepCell], label: &str) -> Vec<(SweepReport, f64)> {
+    let _ = run_sweep(cells, 1);
     let reports: Vec<SweepReport> = [1, 2, 4, 8].map(|w| run_sweep(cells, w)).into();
     let one = reports[0].clone();
     reports

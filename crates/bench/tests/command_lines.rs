@@ -1,6 +1,6 @@
-//! The harness binaries that read flags reject a bad command line before
-//! they run anything: the reason on stderr after the binary's name, and
-//! exit status 2.
+//! The harness binaries reject a bad command line before they run
+//! anything: the reason on stderr after the binary's name, and exit
+//! status 2.
 
 use std::process::Command;
 
@@ -61,5 +61,23 @@ fn out_of_range_counts_are_rejected() {
         assert_eq!(out.status.code(), Some(2), "{name} {args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(stderr, format!("{name}: {reason}\n"), "{name} {args:?}");
+    }
+}
+
+#[test]
+fn repro_rejects_a_flag_it_does_not_know() {
+    let cases: [(&[&str], &str); 2] = [
+        (&["--qiuck", "fig3"], "unknown argument --qiuck"),
+        (&["fig3", "--out"], "--out requires a value"),
+    ];
+    for (args, reason) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "repro {args:?}: {stderr}");
+        assert_eq!(stderr, format!("repro: {reason}\n"), "repro {args:?}");
+        assert!(out.stdout.is_empty(), "repro {args:?} ran something");
     }
 }

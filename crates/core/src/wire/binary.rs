@@ -26,7 +26,7 @@ use envirotrack_sim::time::Timestamp;
 use envirotrack_world::field::NodeId;
 use envirotrack_world::geometry::Point;
 
-use super::varint::{get_f64, get_uvarint, put_f64, put_uvarint};
+use super::varint::{get_f64, get_u16v, get_u32v, get_u8v, get_uvarint, put_f64, put_uvarint};
 use super::{
     BaseReport, DecodeError, DirQuery, DirRegister, DirResponse, DirSync, GeoForward, Heartbeat,
     Message, MessageType, MtpAck, MtpSegment, Relinquish, Report,
@@ -420,22 +420,4 @@ fn get_u8_raw(buf: &mut &[u8]) -> Result<u8, DecodeError> {
     };
     *buf = rest;
     Ok(b)
-}
-
-fn get_u8v(buf: &mut &[u8]) -> Result<u8, DecodeError> {
-    u8::try_from(get_uvarint(buf)?).map_err(|_| DecodeError::Malformed {
-        what: "varint exceeds u8 field",
-    })
-}
-
-fn get_u16v(buf: &mut &[u8]) -> Result<u16, DecodeError> {
-    u16::try_from(get_uvarint(buf)?).map_err(|_| DecodeError::Malformed {
-        what: "varint exceeds u16 field",
-    })
-}
-
-fn get_u32v(buf: &mut &[u8]) -> Result<u32, DecodeError> {
-    u32::try_from(get_uvarint(buf)?).map_err(|_| DecodeError::Malformed {
-        what: "varint exceeds u32 field",
-    })
 }

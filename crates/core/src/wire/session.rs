@@ -41,7 +41,9 @@ use envirotrack_sim::time::Timestamp;
 use envirotrack_world::field::NodeId;
 use envirotrack_world::geometry::Point;
 
-use super::varint::{get_f64, get_uvarint, put_f64, put_uvarint, MAX_UVARINT_BYTES};
+use super::varint::{
+    get_f64, get_u16v, get_u32v, get_u8v, get_uvarint, put_f64, put_uvarint, MAX_UVARINT_BYTES,
+};
 use super::DecodeError;
 use crate::context::{ContextLabel, ContextTypeId};
 
@@ -437,24 +439,6 @@ fn get_flag(buf: &mut &[u8]) -> Result<bool, DecodeError> {
             what: "flag must be 0 or 1",
         }),
     }
-}
-
-fn get_u8v(buf: &mut &[u8]) -> Result<u8, DecodeError> {
-    u8::try_from(get_uvarint(buf)?).map_err(|_| DecodeError::Malformed {
-        what: "varint exceeds u8 field",
-    })
-}
-
-fn get_u16v(buf: &mut &[u8]) -> Result<u16, DecodeError> {
-    u16::try_from(get_uvarint(buf)?).map_err(|_| DecodeError::Malformed {
-        what: "varint exceeds u16 field",
-    })
-}
-
-fn get_u32v(buf: &mut &[u8]) -> Result<u32, DecodeError> {
-    u32::try_from(get_uvarint(buf)?).map_err(|_| DecodeError::Malformed {
-        what: "varint exceeds u32 field",
-    })
 }
 
 #[cfg(test)]

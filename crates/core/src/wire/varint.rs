@@ -81,6 +81,35 @@ pub fn get_uvarint(buf: &mut &[u8]) -> Result<u64, DecodeError> {
     Err(DecodeError::VarintOverflow)
 }
 
+/// Reads a varint into a `u8` field.
+///
+/// # Errors
+///
+/// The [`get_uvarint`] errors, and [`DecodeError::Malformed`] when the
+/// value does not fit.
+#[inline]
+pub(crate) fn get_u8v(buf: &mut &[u8]) -> Result<u8, DecodeError> {
+    u8::try_from(get_uvarint(buf)?).map_err(|_| DecodeError::Malformed {
+        what: "varint exceeds u8 field",
+    })
+}
+
+/// Reads a varint into a `u16` field; errors as [`get_u8v`].
+#[inline]
+pub(crate) fn get_u16v(buf: &mut &[u8]) -> Result<u16, DecodeError> {
+    u16::try_from(get_uvarint(buf)?).map_err(|_| DecodeError::Malformed {
+        what: "varint exceeds u16 field",
+    })
+}
+
+/// Reads a varint into a `u32` field; errors as [`get_u8v`].
+#[inline]
+pub(crate) fn get_u32v(buf: &mut &[u8]) -> Result<u32, DecodeError> {
+    u32::try_from(get_uvarint(buf)?).map_err(|_| DecodeError::Malformed {
+        what: "varint exceeds u32 field",
+    })
+}
+
 /// Zigzag-maps a signed integer to an unsigned one, interleaving signs so
 /// small magnitudes encode short: `0, -1, 1, -2, …` → `0, 1, 2, 3, …`.
 #[must_use]

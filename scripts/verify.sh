@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
-cargo clippy -q --workspace --offline -- -D warnings
+cargo clippy -q --workspace --all-targets --offline -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps
 
 # File-size gate: `SensorNetwork` is split into one file per layer under
