@@ -144,6 +144,14 @@ for seed in 1 2 3; do
   TESTKIT_SEED=$seed cargo test -q --offline -p envirotrack-bench --test shard_random_worlds
 done
 
+# Locality cut: a world just under the size floor parking starts at, and
+# its twin with an inert block of nodes added out of everyone's reach,
+# which crosses the floor and parks. The event log, the run record, every
+# original node's energy must agree, and the twin's extra events and CPU
+# work must be exactly its block's own sensing ticks. An integration test,
+# so the library's `cfg(test)` hooks are off and the floor is live (≈ 1 s).
+cargo test -q --offline -p envirotrack-core --test locality
+
 # Mutants: every patch in mutants/ still applies to this tree, and the four
 # kernel mutants fail the kernel's skipped-tick property (≈ 9 s cold, 6 s
 # warm on the 2-vCPU host). `scripts/mutants.sh --all` runs every one.
