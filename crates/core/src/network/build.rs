@@ -84,27 +84,24 @@ impl SensorNetwork {
             .expect("invalid middleware configuration");
         let master = SimRng::seed_from(seed);
         let telemetry = Telemetry::new();
-        let park = Parking::new(Arc::clone(&topology));
-        let mut medium = Medium::with_topology(topology, config.radio.clone(), &master);
+        let mut medium = Medium::with_topology(topology.clone(), config.radio.clone(), &master);
         medium.attach_telemetry(telemetry.clone());
         let period = config.middleware.sense_period;
         let sensing = Sensing::new(&deployment, period, &program, &environment);
-        let sense = deployment
-            .iter()
-            .map(|(_, pos)| SenseState::new(pos, sensing.cell(pos)))
-            .collect();
+        let nodes = deployment.len();
         SensorNetwork {
-            nodes: Nodes::new(deployment.len(), &master),
+            nodes: Nodes::new(nodes, &master),
             clocks: Clocks::default(),
-            layers: Layers::new(deployment.len(), &master, &program),
+            layers: Layers::new(nodes, &master, &program),
             program,
             config,
             deployment,
             environment,
             medium,
-            sense: HotRecords::new(sense),
+            sense: HotRecords::new(nodes),
             sensing,
-            park,
+            park: Parking::default(),
+            topology,
             timers: timers::Timers::default(),
             rec: Recorder::new(telemetry),
             base_log: BaseStationLog::default(),
@@ -206,38 +203,47 @@ impl SensorNetwork {
         self.nodes.phases_drawn(span);
         // Armed in firing order — id order among equal phases, the order
         // arming by id gave them — every loop goes straight onto the kernel's
-        // recurring lane and the heap never holds one entry per node. The
-        // hot records are laid out in the same order, so a sensing period
-        // reads them front to back; the nodes this world does not drive go
-        // after them.
+        // recurring lane and the heap never holds one entry per node.
         sort_by_phase(&mut order, span, |id| phases[id as usize]);
-        let ids = order.iter().map(|&id| NodeId(id));
-        #[cfg(test)]
-        let in_id_order = self.records_in_id_order;
-        #[cfg(test)]
-        let ids = ids.filter(|_| !in_id_order);
-        self.sense.lay_out(ids);
         // A loop that would only charge its node's CPU until a target comes
-        // near is parked from the start (`park.rs`): not armed at all. The
-        // pinned objects' hosts lead from the start, and are armed.
+        // near is parked from the start (`park.rs`): not armed at all, and
+        // its node gets no record until something touches it. The pinned
+        // objects' hosts lead from the start, and are armed.
         let program = Arc::clone(&self.program);
         let pinned = program.type_ids().filter(|&tid| program.spec(tid).pinned.is_some());
         let hosts: Vec<(ContextTypeId, NodeId)> = pinned
             .map(|tid| (tid, self.deployment.nearest(program.spec(tid).pinned.expect("pinned"))))
             .collect();
-        if self.start_parking(k, &order, &phases) {
-            // The records of `order` fill the first slots, in its order.
-            let starts = std::mem::take(&mut order);
-            let mut from = 0;
-            for group in starts.chunk_by(|&a, &b| phases[a as usize] == phases[b as usize]) {
-                let (phase, to) = (phases[group[0] as usize], from + group.len() as u32);
-                let hosted = group
-                    .iter()
-                    .any(|&id| hosts.iter().any(|&(_, h)| h.0 == id));
-                if hosted || !self.park_at_birth(k, phase, from..to) {
-                    order.extend_from_slice(group);
-                }
-                from = to;
+        let parking = self.start_parking(k);
+        if parking {
+            let hosted = |id: u32| hosts.iter().any(|&(_, h)| h.0 == id);
+            order = self.park_at_birth(k, order, &phases, hosted);
+        }
+        // The hot records are laid out in firing order, so a sensing period
+        // reads them front to back; the nodes this world does not drive go
+        // after them, in id order.
+        let others: Vec<u32> = (0..self.nodes.len() as u32)
+            .filter(|&id| !self.owns(NodeId(id)))
+            .collect();
+        let ids = order.iter().chain(&others).map(|&id| NodeId(id));
+        #[cfg(test)]
+        let ids: Box<dyn Iterator<Item = NodeId>> = if self.records_in_id_order {
+            Box::new(self.deployment.ids())
+        } else {
+            Box::new(ids)
+        };
+        let (deployment, sensing) = (&self.deployment, &self.sensing);
+        let laid = order.len() + others.len();
+        self.sense.lay_out(ids, laid, parking, |id| {
+            let pos = deployment.position(id);
+            SenseState::new(pos, sensing.cell(pos))
+        });
+        // The hook that makes every record up front makes these too.
+        #[cfg(test)]
+        for node in self.deployment.ids().filter(|_| self.cold_records_up_front) {
+            if let super::node::Slot::Unmade(rank) = self.sense.find(node) {
+                let record = self.record_from_start(node, rank);
+                self.sense.make(node, record);
             }
         }
         k.reserve_recurring(order.len());

@@ -2,7 +2,6 @@
 //! and the experiment harness look at. Nothing here changes any state.
 
 use envirotrack_net::medium::NetStats;
-use envirotrack_node::cpu::costs;
 use envirotrack_node::energy::EnergyMeter;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::{Telemetry, Work};
@@ -75,7 +74,7 @@ impl SensorNetwork {
         let live = self
             .layers
             .engaged()
-            .filter(|(id, _)| self.sense[*id].alive);
+            .filter(|(id, _)| self.sense.alive(*id));
         live.map(move |(_, rt)| &rt.machines[usize::from(tid.0)])
     }
 
@@ -172,9 +171,9 @@ impl SensorNetwork {
     /// Aggregate CPU statistics: `(admitted, dropped)` over all nodes.
     #[must_use]
     pub fn cpu_totals(&self) -> (u64, u64) {
-        self.sense.in_id_order().fold((0, 0), |(a, d), (id, hot)| {
-            let s = hot.cpu.stats();
-            (a + s.admitted.wrapping_add_signed(self.pending_ticks(id)), d + s.dropped)
+        self.deployment.ids().fold((0, 0), |(a, d), id| {
+            let s = self.cpu_stats(id);
+            (a + s.admitted, d + s.dropped)
         })
     }
 
@@ -194,6 +193,7 @@ impl SensorNetwork {
         self.park.work(work);
         self.timers.work(work);
         work.add("cold_engaged", self.layers.len() as u64);
+        work.add("hot_made", self.sense.made() as u64);
         work.add("neighbor_lists", self.medium.neighbor_lists() as u64);
         self.rec.telemetry.work(work);
     }
@@ -206,7 +206,7 @@ impl SensorNetwork {
     /// Whether a node is alive.
     #[must_use]
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.sense[node].alive
+        self.sense.alive(node)
     }
 
     /// A node's local clock reading at global instant `now`.
@@ -225,13 +225,7 @@ impl SensorNetwork {
     #[must_use]
     pub fn energy_at(&self, node: NodeId) -> EnergyMeter {
         let mut m = self.nodes.get(node).map_or_else(EnergyMeter::new, |s| s.energy);
-        let busy = self.sense[node].cpu.stats().busy;
-        let pending = self.pending_ticks(node);
-        let busy = if pending < 0 {
-            busy - costs::SENSE
-        } else {
-            busy + costs::SENSE * pending as u64
-        };
+        let busy = self.cpu_stats(node).busy;
         m.charge_cpu(busy);
         m
     }
@@ -291,7 +285,7 @@ impl SensorNetwork {
         view: impl Fn(&DirState) -> V,
     ) -> bool {
         let replicas = self.directory_replicas_of(type_id);
-        let live = replicas.iter().filter(|&&n| self.sense[n].alive);
+        let live = replicas.iter().filter(|&&n| self.sense.alive(n));
         let dir = |n: NodeId| self.layers.get(n).map_or(&dir::EMPTY, Engaged::dir);
         let views: Vec<V> = live.map(|&n| view(dir(n))).collect();
         views.windows(2).all(|pair| pair[0] == pair[1])

@@ -77,6 +77,7 @@ use envirotrack_sim::engine::Kernel;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::Point;
+use envirotrack_world::grid::Topology;
 use envirotrack_world::sensing::Environment;
 
 pub use self::build::NetworkConfig;
@@ -114,8 +115,10 @@ pub struct SensorNetwork {
     layers: Layers,
     /// The sensing driver's coverage of `environment` and its work counters.
     sensing: sense::Sensing,
-    /// The nodes whose sensing loops are parked (`park.rs`).
+    /// The nodes whose sensing loops are parked (`park.rs`), by the cells of
+    /// the world's grid.
     park: park::Parking,
+    topology: Arc<Topology>,
     /// How the group timers that fired were handled.
     timers: timers::Timers,
     /// Event log, telemetry handle and label cache, lent to whichever
@@ -223,7 +226,7 @@ impl SensorNetwork {
     pub fn kick_directory_gossip(&mut self, k: &mut Kernel<SensorNetwork>) {
         for tid in self.program.type_ids() {
             for node in self.directory_replicas_of(tid) {
-                if self.sense[node].alive {
+                if self.sense.alive(node) {
                     self.push_dir_sync(k, node, tid);
                 }
             }
@@ -344,7 +347,7 @@ impl SensorNetwork {
     ) {
         let now = k.now();
         for action in actions {
-            let pos = self.sense[node].pos;
+            let pos = self.deployment.position(node);
             match action {
                 GroupAction::Broadcast(msg) => self.send_message(k, node, None, &msg),
                 GroupAction::ArmTimer { key, at, token } => {
@@ -597,7 +600,7 @@ impl SensorNetwork {
         target_type: ContextTypeId,
         replica: Option<NodeId>,
     ) {
-        let msg = dir::query(query_id, target_type, node, self.sense[node].pos);
+        let msg = dir::query(query_id, target_type, node, self.deployment.position(node));
         match replica {
             Some(target) => self.send_to_node(k, node, target, msg),
             None => self.send_geo(k, node, self.directory_home(target_type), None, msg),
@@ -613,7 +616,7 @@ impl SensorNetwork {
     /// fails it — dropping any MTP sends parked on it — once the replica
     /// set is exhausted.
     fn query_failover(&mut self, k: &mut K, node: NodeId, query_id: u32) {
-        if !self.sense[node].alive {
+        if !self.sense.alive(node) {
             return;
         }
         let rt = self.layers.engage(node);
@@ -711,7 +714,7 @@ impl SensorNetwork {
             dst_label,
             dst_port,
             src_leader: node,
-            src_leader_pos: self.sense[node].pos,
+            src_leader_pos: self.deployment.position(node),
             chain_hops: 0,
             seq: 0,
             payload,
@@ -745,7 +748,7 @@ impl SensorNetwork {
     }
 
     fn mtp_retry(&mut self, k: &mut K, node: NodeId, seq: u32) {
-        if !self.sense[node].alive {
+        if !self.sense.alive(node) {
             return;
         }
         let mtp = &mut self.layers.engage(node).mtp;
@@ -760,7 +763,7 @@ impl SensorNetwork {
     }
 
     fn mtp_resend(&mut self, k: &mut K, node: NodeId, out: Outstanding) {
-        if !self.sense[node].alive {
+        if !self.sense.alive(node) {
             return;
         }
         let mtp = &mut self.layers.engage(node).mtp;
@@ -782,7 +785,7 @@ impl SensorNetwork {
         });
         let here = LeaderLoc {
             node,
-            pos: self.sense[node].pos,
+            pos: self.deployment.position(node),
         };
         let retx = mw.mtp_retx_enabled.then_some(retx);
         let arrival = mtp::arrive(&mut rt.mtp, retx, seg, here, leads, now, &mut self.rec);
@@ -864,7 +867,7 @@ impl SensorNetwork {
     /// (which decorrelates it from whatever collided with the last copy),
     /// or gives up after [`link::MAX_ATTEMPTS`].
     fn link_retry(&mut self, k: &mut K, node: NodeId, seq: u32) {
-        if !self.sense[node].alive {
+        if !self.sense.alive(node) {
             return;
         }
         let Some(frame) = self.layers.engage(node).link.retry(link::MAX_ATTEMPTS, seq) else {
@@ -1433,8 +1436,8 @@ mod tests {
             5,
         );
         let busy = |w: &SensorNetwork| {
-            let mut records = w.sense.in_id_order();
-            records.find(|(_, hot)| !hot.quiescent).map(|(id, _)| id)
+            let busy = |&id: &NodeId| w.sense.get(id).is_some_and(|h| !h.quiescent);
+            w.deployment.ids().find(busy)
         };
         // Event by event up to the tick that first senses the tank.
         while busy(engine.world()).is_none() {

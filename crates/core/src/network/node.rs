@@ -10,7 +10,9 @@
 //!
 //! A node holds only its dense state until it uses a layer: the world is a
 //! fixed number of arrays plus one record per engaged node, and a layer's
-//! own tables start empty and grow on first use.
+//! own tables start empty and grow on first use. The hot records themselves
+//! are made at the bootstrap, and a node parked from the start gets its own
+//! only when something touches it (`park.rs`).
 
 use std::collections::BTreeMap;
 use std::ops::{Index, IndexMut};
@@ -123,33 +125,53 @@ impl SenseState {
     }
 }
 
-/// Every node's hot record, stored in *slot* order, plus each node's slot.
+/// Every node's hot record that has been made, plus where each node's is.
 /// `bootstrap` lays the records out in the order the recurring lane fires
 /// them, so one sensing period reads the array front to back; a tick finds
 /// its record by the slot its lane word carries, everything else by node
 /// id through the table. Which record sits where changes no byte of a run.
+/// A node parked from the start (`park.rs`) gets no record until something
+/// touches it: then its record is made at the end of the array. Where
+/// nodes park, each record also keeps its node's *rank*, its place in
+/// firing order; a node without a record keeps it in the table.
 pub(super) struct HotRecords {
     records: Vec<SenseState>,
-    /// `slots[id]` is where node `id`'s record is.
+    /// `slots[id]` is where node `id`'s record is, or [`UNMADE`] with its
+    /// rank in the low bits.
     slots: Vec<u32>,
+    /// The rank of the record in each slot, where nodes park.
+    ranks: Vec<u32>,
 }
 
+/// Marks a node that has no record yet.
+const UNMADE: u32 = 1 << 31;
+
 /// Marks a slot [`HotRecords::lay_out`] has already handed out.
-const PLACED: u32 = 1 << 31;
+const PLACED: u32 = 1 << 30;
+
+/// Where a node's record is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Slot {
+    /// In this slot.
+    Made(u32),
+    /// Not made yet; the node's rank.
+    Unmade(u32),
+}
 
 impl HotRecords {
-    /// `records` in id order, each in its own id's slot.
-    pub(super) fn new(records: Vec<SenseState>) -> Self {
-        let n = u32::try_from(records.len()).expect("node ids are u32");
+    /// No record yet for any of `nodes` nodes.
+    pub(super) fn new(nodes: usize) -> Self {
+        let n = u32::try_from(nodes).expect("node ids are u32");
         assert!(n < PLACED, "more nodes than slots");
         HotRecords {
-            records,
-            slots: (0..n).collect(),
+            records: Vec::new(),
+            slots: vec![UNMADE; nodes],
+            ranks: Vec::new(),
         }
     }
 
-    /// How many records there are.
-    pub(super) fn len(&self) -> usize {
+    /// How many records have been made: none is ever dropped.
+    pub(super) fn made(&self) -> usize {
         self.records.len()
     }
 
@@ -165,62 +187,111 @@ impl HotRecords {
         &mut self.records[slot as usize]
     }
 
-    /// Where `node`'s record is.
+    /// Where `node`'s record is, or its rank if it has none.
+    #[inline]
+    pub(super) fn find(&self, node: NodeId) -> Slot {
+        match self.slots[node.index()] {
+            slot if slot & UNMADE != 0 => Slot::Unmade(slot & !UNMADE),
+            slot => Slot::Made(slot),
+        }
+    }
+
+    /// Where `node`'s record is; it has one.
     #[inline]
     pub(super) fn slot(&self, node: NodeId) -> u32 {
-        self.slots[node.index()]
+        match self.find(node) {
+            Slot::Made(slot) => slot,
+            Slot::Unmade(_) => panic!("{node} has no record"),
+        }
     }
 
-    /// The heap bytes of the records and the slot table.
+    /// The rank of the record in `slot`; `u32::MAX` for none.
+    #[inline]
+    pub(super) fn rank(&self, slot: u32) -> u32 {
+        self.ranks.get(slot as usize).copied().unwrap_or(u32::MAX)
+    }
+
+    /// `node`'s record, if it has one.
+    #[inline]
+    pub(super) fn get(&self, node: NodeId) -> Option<&SenseState> {
+        match self.find(node) {
+            Slot::Made(slot) => Some(&self.records[slot as usize]),
+            Slot::Unmade(_) => None,
+        }
+    }
+
+    /// Whether `node` is up: a node without a record is.
+    #[inline]
+    pub(super) fn alive(&self, node: NodeId) -> bool {
+        self.get(node).is_none_or(|hot| hot.alive)
+    }
+
+    /// Gives `node` the rank `rank`.
+    pub(super) fn set_rank(&mut self, node: NodeId, rank: u32) {
+        match self.find(node) {
+            Slot::Made(slot) => self.ranks[slot as usize] = rank,
+            Slot::Unmade(_) => self.slots[node.index()] = UNMADE | rank,
+        }
+    }
+
+    /// Makes `record` `node`'s, which has none, at the end of the array,
+    /// with the rank it had; returns its slot.
+    #[cold]
+    pub(super) fn make(&mut self, node: NodeId, record: SenseState) -> u32 {
+        let Slot::Unmade(rank) = self.find(node) else {
+            panic!("{node} has a record");
+        };
+        let slot = self.records.len();
+        self.records.push(record);
+        self.ranks.resize(slot, u32::MAX);
+        self.ranks.push(rank);
+        self.slots[node.index()] = slot as u32;
+        slot as u32
+    }
+
+    /// The heap bytes of the records, the slot table and the ranks.
     pub(super) fn heap_bytes(&self) -> usize {
-        self.records.capacity() * size_of::<SenseState>() + self.slots.capacity() * size_of::<u32>()
+        self.records.capacity() * size_of::<SenseState>()
+            + (self.slots.capacity() + self.ranks.capacity()) * size_of::<u32>()
     }
 
-    /// Every record with its node, in id order.
-    pub(super) fn in_id_order(&self) -> impl Iterator<Item = (NodeId, &SenseState)> {
-        let ids = (0..).map(NodeId);
-        ids.zip(&self.slots)
-            .map(|(id, &slot)| (id, &self.records[slot as usize]))
-    }
-
-    /// Moves the records of `order` to the first slots, in that order, and
-    /// every other record after them in id order. Permutes in place, by
-    /// walking each cycle of the permutation with swaps: the only copy is
-    /// one `u32` per node, for as long as the call.
+    /// Gives the `count` nodes of `order` the first slots, in that order:
+    /// a node that has a record takes it along, any other gets `fresh(id)`;
+    /// where `ranked`, each keeps its rank. Every other node is left
+    /// without a record.
     ///
     /// # Panics
     ///
-    /// Panics if `order` names a node twice or one that has no record.
-    pub(super) fn lay_out(&mut self, order: impl IntoIterator<Item = NodeId>) {
-        // `from[slot]`: the slot the record that goes to `slot` is in now.
-        let mut from = Vec::with_capacity(self.records.len());
+    /// Panics if `order` names a node twice.
+    pub(super) fn lay_out(
+        &mut self,
+        order: impl IntoIterator<Item = NodeId>,
+        count: usize,
+        ranked: bool,
+        mut fresh: impl FnMut(NodeId) -> SenseState,
+    ) {
+        let mut old = std::mem::take(&mut self.records);
+        let old_ranks = std::mem::take(&mut self.ranks);
+        self.records.reserve_exact(count);
         for id in order {
             let slot = &mut self.slots[id.index()];
             assert!(*slot & PLACED == 0, "{id} laid out twice");
-            from.push(*slot);
-            *slot = (from.len() as u32 - 1) | PLACED;
+            let (record, rank) = if *slot & UNMADE == 0 {
+                let blank = SenseState::new(Point::ORIGIN, 0);
+                let rank = old_ranks.get(*slot as usize).copied().unwrap_or(u32::MAX);
+                (std::mem::replace(&mut old[*slot as usize], blank), rank)
+            } else {
+                (fresh(id), *slot & !UNMADE)
+            };
+            *slot = self.records.len() as u32 | PLACED;
+            self.records.push(record);
+            if ranked {
+                self.ranks.push(rank);
+            }
         }
         for slot in &mut self.slots {
-            if *slot & PLACED == 0 {
-                from.push(*slot);
-                *slot = from.len() as u32 - 1;
-            }
+            assert!(*slot & (PLACED | UNMADE) != 0, "a record left out of the layout");
             *slot &= !PLACED;
-        }
-        // Each cycle `j → from[j] → …` back to its start: the swap brings
-        // `j` its record and carries `j`'s old one on to the next member.
-        // A visited slot is marked by pointing at itself.
-        for start in 0..from.len() {
-            let mut j = start;
-            loop {
-                let next = from[j] as usize;
-                from[j] = j as u32;
-                if next == start {
-                    break;
-                }
-                self.records.swap(j, next);
-                j = next;
-            }
         }
     }
 }
@@ -230,14 +301,15 @@ impl Index<NodeId> for HotRecords {
 
     #[inline]
     fn index(&self, node: NodeId) -> &SenseState {
-        &self.records[self.slots[node.index()] as usize]
+        &self.records[self.slot(node) as usize]
     }
 }
 
 impl IndexMut<NodeId> for HotRecords {
     #[inline]
     fn index_mut(&mut self, node: NodeId) -> &mut SenseState {
-        &mut self.records[self.slots[node.index()] as usize]
+        let slot = self.slot(node);
+        &mut self.records[slot as usize]
     }
 }
 
@@ -310,6 +382,11 @@ impl Nodes {
             || self.main.indexed(u64::from(node.0)).below(period),
             |state| state.rng.clone().below(period),
         )
+    }
+
+    /// Whether any node has its state.
+    pub(super) fn any_made(&self) -> bool {
+        self.made > 0
     }
 
     /// Notes that the bootstrap drew the phases of the nodes it drives over
@@ -578,11 +655,10 @@ mod tests {
     use super::*;
     use testkit::prelude::*;
 
-    /// `n` records in id order, each tagged with its node's id in both its
-    /// position and its cell, so a record says whose it is.
-    fn tagged(n: u32) -> HotRecords {
-        let record = |i: u32| SenseState::new(Point::new(f64::from(i), 0.0), i);
-        HotRecords::new((0..n).map(record).collect())
+    /// A fresh record tagged with its node's id in both its position and
+    /// its cell, so a record says whose it is.
+    fn tagged(id: NodeId) -> SenseState {
+        SenseState::new(Point::new(f64::from(id.0), 0.0), id.0)
     }
 
     /// A random order of all of `n` nodes, or of a random share of them —
@@ -600,28 +676,56 @@ mod tests {
 
     prop_test! {
         /// However the records are laid out — in a full order or a partial
-        /// one, once or over an earlier layout — the order's nodes hold the
-        /// first slots in that order and the others follow in id order,
-        /// every node's record is still its own, and `in_id_order` walks
-        /// the ids ascending.
+        /// one, once or over records made before — the order's nodes hold
+        /// the first slots in that order, each with its own record and
+        /// rank (the record it had, if it had one); every other node has
+        /// none until it is made, at the end, keeping its rank.
         #[test]
         fn a_laid_out_record_is_still_its_nodes(seed: u64, n in 0u32..300, layouts in 1usize..3) {
             let mut rng = SimRng::seed_from(seed);
-            let mut hot = tagged(n);
+            let mut hot = HotRecords::new(n as usize);
             for _ in 0..layouts {
-                let order = some_order(&mut rng, n);
-                hot.lay_out(order.iter().copied());
-                let rest = (0..n).map(NodeId).filter(|id| !order.contains(id));
-                for (slot, id) in order.iter().copied().chain(rest).enumerate() {
-                    prop_assert_eq!(hot.slot(id), slot as u32);
+                // Records made before the layout, one in three marked dead.
+                for id in (0..n).map(NodeId) {
+                    if let Some(record) = hot.get(id) {
+                        prop_assert!(record.alive);
+                        if rng.chance(0.3) {
+                            hot[id].alive = false;
+                        }
+                    }
+                }
+                let dead: Vec<NodeId> = (0..n).map(NodeId).filter(|&id| !hot.alive(id)).collect();
+                // Every node is ranked by id; a record made before is laid
+                // out again, and takes its state and rank along.
+                for id in (0..n).map(NodeId) {
+                    hot.set_rank(id, id.0);
+                }
+                let mut order = some_order(&mut rng, n);
+                let made = |id: &NodeId| hot.get(*id).is_some() && !order.contains(id);
+                let made: Vec<NodeId> = (0..n).map(NodeId).filter(made).collect();
+                order.extend(made);
+                hot.lay_out(order.iter().copied(), order.len(), true, tagged);
+                for (slot, &id) in order.iter().enumerate() {
+                    prop_assert_eq!(hot.find(id), Slot::Made(slot as u32));
+                    prop_assert_eq!(hot.rank(slot as u32), id.0);
+                    prop_assert_eq!(hot.alive(id), !dead.contains(&id));
+                }
+                let mut next = order.len() as u32;
+                for id in (0..n).map(NodeId).filter(|id| !order.contains(id)) {
+                    prop_assert_eq!(hot.find(id), Slot::Unmade(id.0));
+                    if rng.chance(0.5) {
+                        prop_assert_eq!(hot.make(id, tagged(id)), next);
+                        prop_assert_eq!(hot.rank(next), id.0);
+                        next += 1;
+                    }
                 }
             }
             for id in (0..n).map(NodeId) {
-                prop_assert_eq!(hot[id].pos.x, f64::from(id.0));
-                prop_assert_eq!(hot.at(hot.slot(id)).cell, id.0);
+                if let Some(record) = hot.get(id) {
+                    prop_assert_eq!(record.pos.x, f64::from(id.0));
+                    prop_assert_eq!(hot.at(hot.slot(id)).cell, id.0);
+                }
             }
-            let walked: Vec<(NodeId, u32)> = hot.in_id_order().map(|(id, r)| (id, r.cell)).collect();
-            prop_assert_eq!(walked, (0..n).map(|i| (NodeId(i), i)).collect::<Vec<_>>());
         }
     }
 
@@ -639,6 +743,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "laid out twice")]
     fn a_node_laid_out_twice_is_refused() {
-        tagged(4).lay_out([NodeId(2), NodeId(0), NodeId(2)]);
+        HotRecords::new(4).lay_out([NodeId(2), NodeId(0), NodeId(2)], 3, false, tagged);
     }
 }

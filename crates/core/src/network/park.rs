@@ -5,52 +5,54 @@
 //! bootstrap, for a first tick — may *park* its node when the node is
 //! quiescent, alive, on a nominal clock it never left, with an idle CPU, in
 //! a noiseless field whose ambient levels activate no type, and in a grid
-//! cell no target can reach for more than a period
-//! ([`Environment::quiet_until`](envirotrack_world::sensing::Environment::quiet_until)).
-//! Every tick of such a node up to that instant would do exactly one
-//! thing: admit [`costs::SENSE`] on an idle CPU. So the loop stops, the
-//! node's bit is set, and at the whole period before a target might first
-//! reach the cell, one event for every cell due then re-arms the loops of
-//! their parked nodes, each on its own phase.
+//! cell no target can reach for more than a period. That is proven from
+//! the targets' side: for each aligned window of 2, 4, …, 64 periods a
+//! proof asks about, the cells a target's sweep can reach are listed once
+//! ([`Environment::reach_cells`]), and a proof looks its cell up. Every
+//! tick of such a node up to the window's end would do exactly one thing:
+//! admit [`costs::SENSE`] on an idle CPU. So the loop stops, the node's bit
+//! is set, and at the window's end one event for every cell due then
+//! re-arms the loops of their parked nodes, each on its own phase.
 //!
 //! Anything that reaches a parked node first — a reception, a timer, a
 //! transmission, a fault, a target added mid-run — *unparks* it: the ticks
 //! that precede it are applied to the CPU in closed form
 //! ([`MoteCpu::settle`](envirotrack_node::cpu::MoteCpu::settle)), and its
 //! next tick is armed where the skipped one would have run
-//! ([`Kernel::schedule_tick_at`]). Readers — CPU and energy totals, one
-//! node's energy — add the pending ticks as they read. Which ticks precede
-//! the current event comes from the kernel ([`TickClock`]); DESIGN.md §12
-//! has the argument.
+//! ([`Kernel::schedule_tick_at`]). A node parked at the bootstrap has no
+//! hot record until then: it is made, the node's first tick applied, when
+//! the node is first touched. Readers — CPU and energy totals, one node's
+//! energy — add the pending ticks as they read. Which ticks precede the
+//! current event comes from the kernel ([`TickClock`]); DESIGN.md §12 has
+//! the argument.
 //!
 //! The run-wide counts — `kernel.events` and the work counts `sense_ticks`
 //! and `sense_ticks_admitted` — are settled whenever a run call returns,
-//! from a bitset over hot-record slots: the records of the nodes a world
-//! drives sit in the order of their sensing phase, so the parked nodes
-//! whose tick falls in the part of a period since the last return are the
-//! set bits of a slot range or two, found through the phase of every 64th
-//! slot. That is about one word operation per 64 parked nodes, and no walk
-//! over the nodes.
+//! from a bitset over *ranks*, the driven nodes' places in the order of
+//! their sensing phase: the parked nodes whose tick falls in the part of a
+//! period since the last return are the set bits of a rank range or two,
+//! found by a binary search of the phases by rank. That is about one word
+//! operation per 64 parked nodes, and no walk over the nodes.
 
 use std::collections::BTreeMap;
-use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use envirotrack_node::cpu::{costs, MoteCpu};
+use envirotrack_node::cpu::{costs, CpuStats, MoteCpu};
 use envirotrack_sim::engine::TickClock;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::Work;
 use envirotrack_world::field::NodeId;
-use envirotrack_world::geometry::Point;
 use envirotrack_world::grid::Topology;
-use envirotrack_world::sensing::{Coverage, Sweeps};
+use envirotrack_world::sensing::{Coverage, Environment};
 
+use super::node::{SenseState, Slot};
 use super::{sense, FaultEvent, SensorNetwork, K};
 
-/// How far ahead a cell's quiet is proven: a cell no target nears wakes
-/// once every this many sensing periods and parks again at its next tick.
-const QUIET_PERIODS: u64 = 64;
+/// How many window lengths a proof tries: aligned runs of 2, 4, …, 64
+/// sensing periods. A cell no target nears wakes at the end of its
+/// 64-period window and parks again at its next tick.
+const LEVELS: u32 = 6;
 
 /// How long a cell a target was near goes untried, in sensing periods.
 const SHUN_PERIODS: u64 = 4;
@@ -64,23 +66,32 @@ const SHUN_PERIODS: u64 = 4;
 #[cfg_attr(test, allow(dead_code))]
 const PARK_MIN_NODES: usize = 4_096;
 
+/// The lists of one window length: the aligned window last asked for — its
+/// index plus one (zero: none yet) and the target count — and one bit per
+/// grid cell a target can reach during it.
+struct Lists {
+    key: (u64, usize),
+    reached: Vec<u64>,
+}
+
 /// What the world keeps about its parked nodes.
+#[derive(Default)]
 pub(super) struct Parking {
     /// Shared with the kernel; `None` where no node can park (noise, a
     /// type the ambient levels activate, a period no longer than a tick's
     /// cost) or before the bootstrap.
     clock: Option<Rc<TickClock>>,
     period: u64,
-    /// The world's grid: a cell of it is a parking cell.
-    topology: Arc<Topology>,
-    /// Per driven slot, the grid cell its node parks in.
-    cells: Vec<u32>,
-    /// One bit per hot-record slot: parked.
+    /// Per grid cell, the box of its nodes' positions, worked out once.
+    boxes: Vec<[f32; 4]>,
+    /// Per window length, two periods doubling up to 64.
+    lists: Vec<Lists>,
+    /// One bit per rank — a driven node's place in firing order: parked.
     bits: Vec<u64>,
     count: u64,
-    /// The sensing phase, in microseconds, of the first slot of every word
-    /// of `bits` that holds driven nodes.
-    word_phase: Vec<u64>,
+    /// Per rank, the node's sensing phase in µs, ascending: a parked
+    /// node's never changes.
+    phases: Vec<u32>,
     /// Per grid cell, the instant it wakes at, zero if none, or one no
     /// more than a period ahead until which nothing parks there.
     wakes: Vec<Timestamp>,
@@ -89,13 +100,13 @@ pub(super) struct Parking {
     shun: Vec<Timestamp>,
     /// Per pending wake event, the cells due then.
     due: BTreeMap<Timestamp, Vec<u32>>,
-    /// The target sweeps of the instant cells were last proven at, kept
-    /// for every cell proven then.
-    sweeps: Sweeps,
-    /// Cells proven, quiet or not.
+    /// Cells proven, quiet or not; target sweeps worked out, and cells put
+    /// on a list, for the windows listed.
     proofs: u64,
-    /// Loops to arm again after the current event: `(at, lane word)`.
-    rearm: Vec<(Timestamp, u64)>,
+    sweeps: u64,
+    listed: u64,
+    /// Loops to arm again after the current event: `(at, lane word, rank)`.
+    rearm: Vec<(Timestamp, u64, u32)>,
     /// When the run-wide counts were last settled.
     since: Timestamp,
     /// Ticks that the next settling counts over the parked set but that
@@ -106,76 +117,67 @@ pub(super) struct Parking {
 }
 
 impl Parking {
-    pub(super) fn new(topology: Arc<Topology>) -> Self {
-        Parking {
-            clock: None,
-            period: 0,
-            topology,
-            cells: Vec::new(),
-            bits: Vec::new(),
-            count: 0,
-            word_phase: Vec::new(),
-            wakes: Vec::new(),
-            shun: Vec::new(),
-            due: BTreeMap::new(),
-            sweeps: Sweeps::default(),
-            proofs: 0,
-            rearm: Vec::new(),
-            since: Timestamp::ZERO,
-            credit: 0,
-            extra: 0,
-            parkings: 0,
-        }
-    }
-
     /// Adds how parking did its work to `work`:
     /// - `sense_parked`: times a tick parked its node, its loop stopped
-    ///   re-arming;
+    ///   re-arming, the nodes parked from the start included;
     /// - `sense_settled`: ticks of parked nodes settled in closed form, less
     ///   the wake events that ran in their stead — what the kernel counts as
     ///   events it did not pop, so that with the event list's pops it makes
     ///   `kernel.events`;
-    /// - `park_proofs`: grid cells proven quiet or not, by a box test
-    ///   against the targets' sweeps;
-    /// - `park_sweeps`: target sweeps those proofs worked out, once a
-    ///   window and target for all the cells proven at one instant.
+    /// - `park_proofs`: grid cells proven quiet or not, each a lookup in the
+    ///   lists of its aligned windows;
+    /// - `park_sweeps`: target sweeps those lists took, one a window and
+    ///   target for all the cells proven in that window;
+    /// - `park_listed`: cells those sweeps put on a list.
     pub(super) fn work(&self, work: &mut Work) {
         work.add("sense_parked", self.parkings);
         let settled = self.clock.as_ref().map_or(0, |c| c.settled.get());
         work.add("sense_settled", settled);
         work.add("park_proofs", self.proofs);
-        work.add("park_sweeps", self.sweeps.computed());
+        work.add("park_sweeps", self.sweeps);
+        work.add("park_listed", self.listed);
     }
 
-    /// The heap bytes of the cell table, the bitset, the phase index, the
-    /// wake tables and the re-arm list (a pending wake counted at its key,
-    /// value and list). The kept sweeps are not counted: a few windows'
-    /// worth per target, they are as small as the targets themselves.
+    /// The heap bytes of the cell boxes and lists, the bitset, the phases,
+    /// the wake tables and the re-arm list (a pending wake counted at its
+    /// key, value and list).
     pub(super) fn heap_bytes(&self) -> usize {
         let due = self
             .due
             .values()
             .map(|cells| size_of::<(Timestamp, Vec<u32>)>() + cells.capacity() * size_of::<u32>());
-        self.cells.capacity() * size_of::<u32>()
+        let lists = self.lists.iter().map(|l| l.reached.capacity() * 8);
+        self.boxes.capacity() * size_of::<[f32; 4]>()
+            + self.lists.capacity() * size_of::<Lists>()
+            + lists.sum::<usize>()
             + self.bits.capacity() * 8
-            + self.word_phase.capacity() * 8
+            + self.phases.capacity() * size_of::<u32>()
             + (self.wakes.capacity() + self.shun.capacity()) * size_of::<Timestamp>()
             + due.sum::<usize>()
-            + self.rearm.capacity() * size_of::<(Timestamp, u64)>()
+            + self.rearm.capacity() * size_of::<(Timestamp, u64, u32)>()
     }
 
     #[inline]
-    fn is_parked(&self, slot: u32) -> bool {
-        let slot = slot as usize;
+    fn is_parked(&self, rank: u32) -> bool {
+        let rank = rank as usize;
         self.bits
-            .get(slot / 64)
-            .is_some_and(|w| w & (1 << (slot % 64)) != 0)
+            .get(rank / 64)
+            .is_some_and(|w| w & (1 << (rank % 64)) != 0)
+    }
+
+    /// Flips the bit of `rank` to `parked`, and counts it.
+    fn set_parked(&mut self, rank: u32, parked: bool) {
+        let (word, bit) = (&mut self.bits[rank as usize / 64], 1 << (rank % 64));
+        debug_assert_eq!(*word & bit == 0, parked, "rank {rank} parked twice, or never");
+        *word ^= bit;
+        self.count = if parked { self.count + 1 } else { self.count - 1 };
     }
 
     /// Ticks at `last + k·period`, `k ≥ 1`, that have run by the clock: the
     /// ones before its instant, and one at it if the current event follows
     /// the tick boundary. Minus one while a tick applied ahead of its
-    /// instant, `last` itself, is still to run ([`SensorNetwork::park_at_birth`]).
+    /// instant, `last` itself, is still to run (a node parked from the
+    /// start).
     fn pending(&self, last: Timestamp, (now, after): (Timestamp, bool)) -> i64 {
         let Some(d) = now.as_micros().checked_sub(last.as_micros()) else {
             return -1;
@@ -186,11 +188,11 @@ impl Parking {
         ((d - 1) / self.period + u64::from(after && d % self.period == 0)) as i64
     }
 
-    /// The clock's instant and whether the tick at it of the node in
-    /// `slot`, its rank, has run.
-    fn now(&self, slot: u32) -> (Timestamp, bool) {
+    /// The clock's instant and whether the tick at it of the node of rank
+    /// `rank` has run.
+    fn now(&self, rank: u32) -> (Timestamp, bool) {
         self.clock.as_ref().map_or((Timestamp::ZERO, true), |c| {
-            (c.now.get(), c.ran(slot))
+            (c.now.get(), c.ran(rank))
         })
     }
 
@@ -207,6 +209,30 @@ impl Parking {
             c.settled.set(c.settled.get().wrapping_add(n));
         }
     }
+
+    /// One bit per cell of `grid`: whether a target of `env` can reach it
+    /// during aligned window `window` of `2^(level + 1)` periods, listed
+    /// now if the level's lists are another window's.
+    fn listed(&mut self, env: &Environment, grid: &Topology, level: u32, window: u64) -> &[u64] {
+        let span = self.period << (level + 1);
+        let lists = &mut self.lists[level as usize];
+        let key = (window + 1, env.targets().len());
+        if lists.key != key {
+            lists.key = key;
+            lists.reached.fill(0);
+            let from = Timestamp::from_micros(window.saturating_mul(span));
+            let last = from.saturating_add(SimDuration::from_micros(span - 1));
+            let (reached, mut listed) = (&mut lists.reached, 0);
+            let boxes = &self.boxes;
+            self.sweeps += env.reach_cells(grid, boxes, from, last, |c| {
+                let (word, bit) = (c / 64, 1u64 << (c % 64));
+                listed += u64::from(reached[word] & bit == 0);
+                reached[word] |= bit;
+            });
+            self.listed += listed;
+        }
+        &lists.reached
+    }
 }
 
 /// The last tick a parked record has had applied: the one its CPU's busy
@@ -217,22 +243,22 @@ fn last_tick(cpu_busy_until: Timestamp) -> Timestamp {
 }
 
 impl SensorNetwork {
-    /// Lets the nodes of `order` — every driven node, in slot order; their
-    /// phases in µs by id in `phases` — park, if any node of this world
-    /// ever can, and says whether they may. Called by the bootstrap, once
-    /// the records are laid out.
-    pub(super) fn start_parking(&mut self, k: &mut K, order: &[u32], phases: &[u64]) -> bool {
+    /// Sets parking up, if any node of this world ever can park, and says
+    /// whether it did. Called by the bootstrap, before the records are laid
+    /// out.
+    pub(super) fn start_parking(&mut self, k: &mut K) -> bool {
         let period = self.config.middleware.sense_period;
-        // Settling reads phases off the slot order, and a re-armed loop
+        // Settling reads phases off the rank order, and a re-armed loop
         // keeps its place through the lane: records left in id order, and
         // loops kept off the lane, park nothing.
         #[cfg(test)]
         if self.ticks_every_period || self.records_in_id_order || self.sense_loops_on_heap {
             return false;
         }
-        // A slot is a re-armed tick's rank (`Kernel::schedule_tick_at`).
-        let ranked = self.sense.len() < (1 << 24) - 1;
-        // No cell of a noisy field is ever quiet (`Environment::quiet_until`).
+        // A rank is a re-armed tick's (`Kernel::schedule_tick_at`); the
+        // parked run starts on a fresh word, and keeps its phases in 32 bits.
+        let ranked = self.nodes.len() + 64 < (1 << 24) && period.as_micros() <= 1 << 32;
+        // No cell of a noisy field is ever quiet (`Environment::reach_cells`).
         let quiet = !self.environment.is_noisy() && self.sensing.ambient_is_idle();
         if period <= costs::SENSE || !quiet || !ranked {
             return false;
@@ -242,69 +268,103 @@ impl SensorNetwork {
         if self.deployment.len() < PARK_MIN_NODES {
             return false;
         }
-        // Each driven slot's cell, from a walk over the grid's cells: the
-        // records of `order` fill the first slots, in its order.
-        let topology = Arc::clone(&self.park.topology);
-        let (mut cells, mut cell) = (vec![0; order.len()], 0);
-        while let Some(members) = topology.bucket(cell) {
-            for &m in members {
-                let slot = self.sense.slot(NodeId(m)) as usize;
-                if let Some(at) = cells.get_mut(slot) {
-                    debug_assert_eq!(order[slot], m, "records out of slot order");
-                    *at = cell as u32;
-                }
-            }
-            cell += 1;
-        }
         let park = &mut self.park;
         park.period = period.as_micros();
-        park.bits = vec![0; self.sense.len().div_ceil(64)];
-        park.word_phase = order.iter().step_by(64).map(|&id| phases[id as usize]).collect();
-        park.wakes = vec![Timestamp::ZERO; cell];
-        park.shun = vec![Timestamp::ZERO; cell];
-        park.cells = cells;
+        park.boxes = self.topology.member_boxes();
+        let cells = park.boxes.len();
+        park.lists = (0..LEVELS)
+            .map(|_| Lists {
+                key: (0, 0),
+                reached: vec![0; cells.div_ceil(64)],
+            })
+            .collect();
+        park.wakes = vec![Timestamp::ZERO; cells];
+        park.shun = vec![Timestamp::ZERO; cells];
         park.clock = Some(k.park_ticks(period, |w, k, pause| w.tick_hook(k, pause)));
         true
     }
 
-    /// Parks from the start the driven nodes in `slots` whose first ticks
-    /// all fall `phase` µs from now if every one of them would park at that
-    /// tick, and says whether it did: their loops are then never armed. A
-    /// skipped first tick sits among the first ticks in slot order, so it
-    /// stands for its place only if no first tick at its instant runs. Each
-    /// first tick is applied to the CPU now, ahead of its instant — readers
-    /// take it back until then ([`Parking::pending`]), as does a touch that
-    /// comes first.
-    pub(super) fn park_at_birth(&mut self, k: &mut K, phase: u64, slots: Range<u32>) -> bool {
-        if self.park.clock.is_none() {
-            return false;
+    /// Parks from the start the driven nodes of `order` — in firing order,
+    /// a node's rank its place there; phases by id in `phases` — that would
+    /// park at their first tick, and returns the others, in firing order.
+    /// Nodes whose first ticks share an instant park together or not at
+    /// all, and a pinned object's host (`hosted`) never: a skipped first
+    /// tick stands for its place only if no first tick at its instant runs.
+    /// Every node is fresh at time zero (one touched before is not), so
+    /// whether it would park is its cell's: quiet for two periods. A parked
+    /// node gets its bit and its rank in the slot table, and no record.
+    pub(super) fn park_at_birth(
+        &mut self,
+        k: &mut K,
+        mut order: Vec<u32>,
+        phases: &[u64],
+        hosted: impl Fn(u32) -> bool,
+    ) -> Vec<u32> {
+        let now = k.now();
+        let first = now + SimDuration::from_micros(self.park.period);
+        // Most cells are quiet: a bit a node, set, cleared for the nodes
+        // of the cells that are not and for those not fresh.
+        let mut quiet = vec![!0u64; self.nodes.len().div_ceil(64)];
+        let mut unset = |id: u32| quiet[id as usize / 64] &= !(1 << (id % 64));
+        let topology = Arc::clone(&self.topology);
+        let mut cell = 0;
+        while let Some(members) = topology.bucket(cell) {
+            if self.quiet_cell(k, cell, now) <= first {
+                members.iter().for_each(|&m| unset(m));
+            }
+            cell += 1;
         }
-        let first = k.now() + SimDuration::from_micros(phase);
-        let mut may = |w: &mut Self, slot: u32| {
-            let hot = w.sense.at(slot);
-            let idle = hot.alive && hot.quiescent && hot.clock_nominal && !hot.skewed;
-            let cell = w.park.cells[slot as usize] as usize;
-            let period = SimDuration::from_micros(w.park.period);
-            idle && hot.cpu.busy_until() <= first
-                && hot.cell != Coverage::OFF_FIELD
-                && w.quiet_cell(k, cell, k.now()) > first + period
-        };
-        if !slots.clone().all(|slot| may(self, slot)) {
-            return false;
-        }
-        for slot in slots {
-            self.sense.at_mut(slot).cpu.settle(1, first, costs::SENSE);
-            let park = &mut self.park;
-            park.bits[slot as usize / 64] |= 1 << (slot % 64);
-            park.count += 1;
-            park.parkings += 1;
-            // Settling counts the ticks after `since`: one at it is counted
-            // here.
-            if first == park.since {
-                park.extra += 1;
+        if self.sense.made() > 0 || self.nodes.any_made() {
+            for id in self.deployment.ids() {
+                if self.sense.get(id).is_some() || self.nodes.get(id).is_some() {
+                    unset(id.0);
+                }
             }
         }
-        true
+        let may = |id: u32| quiet[id as usize / 64] & (1 << (id % 64)) != 0 && !hosted(id);
+        let (mut armed, mut from) = (Vec::new(), 0);
+        self.park.bits = vec![0; order.len().div_ceil(64)];
+        while from < order.len() {
+            let phase = phases[order[from] as usize];
+            let same = |&&id: &&u32| phases[id as usize] == phase;
+            let to = from + order[from..].iter().take_while(same).count();
+            let parks = order[from..to].iter().all(|&id| may(id));
+            for (rank, &id) in (from..to).zip(&order[from..to]) {
+                self.sense.set_rank(NodeId(id), rank as u32);
+                if parks {
+                    self.park.set_parked(rank as u32, true);
+                } else {
+                    armed.push(id);
+                }
+            }
+            // Settling counts the ticks after `since`, zero: one at it is
+            // counted here.
+            if parks && phase == 0 {
+                self.park.extra += (to - from) as u64;
+            }
+            from = to;
+        }
+        let park = &mut self.park;
+        park.parkings = park.count;
+        // The ids give way to their phases, in place: below the period,
+        // which fits 32 bits where parking started.
+        for id in &mut order {
+            *id = phases[*id as usize] as u32;
+        }
+        park.phases = order;
+        armed
+    }
+
+    /// The record the node of rank `rank` parked from the start is made
+    /// with: a fresh one, its first tick applied ahead of its instant —
+    /// readers take it back until then ([`Parking::pending`]), as does a
+    /// touch that comes first.
+    pub(super) fn record_from_start(&self, node: NodeId, rank: u32) -> SenseState {
+        let pos = self.deployment.position(node);
+        let mut record = SenseState::new(pos, self.sensing.cell(pos));
+        let first = Timestamp::from_micros(self.park.phases[rank as usize].into());
+        record.cpu.settle(1, first, costs::SENSE);
+        record
     }
 
     /// The kernel's hook: arm the loops of unparked nodes again, and when a
@@ -314,9 +374,8 @@ impl SensorNetwork {
         if let Some(clock) = &park.clock {
             clock.rearm.set(false);
         }
-        for (at, word) in park.rearm.drain(..) {
-            // Truncating: the slot half of the lane word.
-            k.schedule_tick_at(at, Self::sense_tick, word, (word >> 32) as u32);
+        for (at, word, rank) in park.rearm.drain(..) {
+            k.schedule_tick_at(at, Self::sense_tick, word, rank);
         }
         if pause {
             self.settle_parked(k.now());
@@ -349,32 +408,21 @@ impl SensorNetwork {
         (park.since, park.credit, park.extra) = (now, 0, 0);
     }
 
-    /// How many parked nodes have a sensing phase of at most `phase` µs.
+    /// How many parked nodes have a sensing phase of at most `phase` µs:
+    /// the parked ranks below the first whose phase is above it.
     fn parked_phases_upto(&self, phase: u64) -> u64 {
         let park = &self.park;
-        let words = park.word_phase.partition_point(|&f| f <= phase);
-        let Some(last) = words.checked_sub(1) else {
-            return 0;
-        };
-        let full: u64 = park.bits[..last]
-            .iter()
-            .map(|w| u64::from(w.count_ones()))
-            .sum();
-        let mut bits = park.bits[last];
-        let mut partial = 0;
-        while bits != 0 {
-            let slot = (last * 64 + bits.trailing_zeros() as usize) as u32;
-            bits &= bits - 1;
-            let tick = last_tick(self.sense.at(slot).cpu.busy_until());
-            partial += u64::from(tick.as_micros() % park.period <= phase);
-        }
-        full + partial
+        let ranks = park.phases.partition_point(|&f| u64::from(f) <= phase);
+        let (words, rest) = (ranks / 64, ranks % 64);
+        let full: u32 = park.bits[..words].iter().map(|w| w.count_ones()).sum();
+        let partial = park.bits.get(words).map_or(0, |w| (w & ((1 << rest) - 1)).count_ones());
+        u64::from(full + partial)
     }
 
     /// Parks the node of the tick at `now` in `slot` if it may (see the
     /// [module docs](self)), settling this tick itself: its loop is then not
     /// re-armed. Only a tick that sits at the kernel's tick boundary may.
-    pub(super) fn park_tick(&mut self, k: &mut K, slot: u32, now: Timestamp) -> bool {
+    pub(super) fn park_tick(&mut self, k: &mut K, slot: u32, node: NodeId, now: Timestamp) -> bool {
         let Some(clock) = &self.park.clock else {
             return false;
         };
@@ -387,26 +435,28 @@ impl SensorNetwork {
         {
             return false;
         }
-        let cell = self.park.cells[slot as usize] as usize;
+        let cell = self.topology.cell_of(node);
         let wake = self.quiet_cell(k, cell, now);
-        let park = &mut self.park;
-        if wake <= now + SimDuration::from_micros(park.period) {
+        if wake <= now + SimDuration::from_micros(self.park.period) {
             return false;
         }
         let admitted = self.sense.at_mut(slot).admit(now, costs::SENSE);
         debug_assert!(admitted, "an idle CPU turned the sensing task away");
         self.sensing.admitted += 1;
-        park.bits[slot as usize / 64] |= 1 << (slot % 64);
-        park.count += 1;
+        let park = &mut self.park;
+        park.set_parked(self.sense.rank(slot), true);
         park.parkings += 1;
         park.credit += park.since(now);
         true
     }
 
     /// The instant grid cell `cell` may first be reached by a target — its
-    /// wake, armed now if it has none pending. Wakes fall on whole sensing
-    /// periods, so the cells that wake at one instant share an event. The
-    /// cells proven at one instant share one set of target sweeps.
+    /// wake, armed now if it has none pending: the end of the longest
+    /// aligned window holding `now`, two periods doubling up to 64, on no
+    /// list of which the cell is. The part of the window from `now` on is
+    /// quiet, so the proof is sound; it proves no more than a window as
+    /// long from `now` would. Window ends fall on whole sensing periods,
+    /// and the cells that wake at one instant share an event.
     fn quiet_cell(&mut self, k: &mut K, cell: usize, now: Timestamp) -> Timestamp {
         let park = &mut self.park;
         if park.wakes[cell] > now {
@@ -415,22 +465,18 @@ impl SensorNetwork {
         if park.shun[cell] > now {
             return now;
         }
-        let members = park.topology.bucket(cell).expect("a cell of the grid");
-        let positions = self.deployment.positions();
-        let first = positions[members[0] as usize];
-        let (mut lo, mut hi) = (first, first);
-        for &m in members {
-            let p = positions[m as usize];
-            lo = Point::new(lo.x.min(p.x), lo.y.min(p.y));
-            hi = Point::new(hi.x.max(p.x), hi.y.max(p.y));
+        park.proofs += 1;
+        let mut wake = now;
+        for level in (0..LEVELS).rev() {
+            let span = park.period << (level + 1);
+            let window = now.as_micros() / span;
+            let listed = park.listed(&self.environment, &self.topology, level, window);
+            if listed[cell / 64] & (1 << (cell % 64)) == 0 {
+                wake = Timestamp::from_micros((window + 1).saturating_mul(span));
+                break;
+            }
         }
         let period = SimDuration::from_micros(park.period);
-        let cap = period * QUIET_PERIODS;
-        park.proofs += 1;
-        let quiet = self
-            .environment
-            .quiet_until(&mut park.sweeps, lo, hi, now, period * 2, cap);
-        let wake = Timestamp::from_micros(quiet.as_micros() / park.period * park.period);
         if wake <= now + period {
             // Not quiet for long: the cell is not asked again for a while.
             park.wakes[cell] = now + period;
@@ -455,7 +501,7 @@ impl SensorNetwork {
         debug_assert_eq!(k.now().as_micros(), at);
         let at = k.now();
         let cells = self.park.due.remove(&at).unwrap_or_default();
-        let topology = Arc::clone(&self.park.topology);
+        let topology = Arc::clone(&self.topology);
         for cell in cells {
             let cell = cell as usize;
             if self.park.wakes[cell] != at {
@@ -468,13 +514,31 @@ impl SensorNetwork {
         }
     }
 
-    /// Unparks `node` if it is parked: what reaches a node goes through
-    /// here first.
+    /// Unparks `node` if it is parked, making its record first if it has
+    /// none: what reaches a node goes through here first.
     #[inline]
     pub(super) fn touch(&mut self, node: NodeId) {
-        if self.park.count != 0 && self.park.is_parked(self.sense.slot(node)) {
-            self.unpark(node);
+        match self.sense.find(node) {
+            Slot::Made(_) if self.park.count == 0 => {}
+            Slot::Made(slot) if self.park.is_parked(self.sense.rank(slot)) => self.unpark(node),
+            Slot::Made(_) => {}
+            Slot::Unmade(rank) => self.make_record(node, rank),
         }
+    }
+
+    /// Makes the record of `node`, which has none: a fresh one before the
+    /// bootstrap, and after it, for a node parked from the start, the one
+    /// it was parked with, then unparked.
+    #[cold]
+    fn make_record(&mut self, node: NodeId, rank: u32) {
+        if self.park.clock.is_none() {
+            let pos = self.deployment.position(node);
+            self.sense.make(node, SenseState::new(pos, self.sensing.cell(pos)));
+            return;
+        }
+        let record = self.record_from_start(node, rank);
+        self.sense.make(node, record);
+        self.unpark(node);
     }
 
     /// Unparks the node a node fault hits, if this world drives it.
@@ -494,8 +558,9 @@ impl SensorNetwork {
     #[cold]
     fn unpark(&mut self, node: NodeId) {
         let slot = self.sense.slot(node);
+        let rank = self.sense.rank(slot);
         let park = &mut self.park;
-        let now = park.now(slot);
+        let now = park.now(rank);
         let cpu = &mut self.sense.at_mut(slot).cpu;
         let last = last_tick(cpu.busy_until());
         let n = park.pending(last, now);
@@ -517,50 +582,49 @@ impl SensorNetwork {
             park.extra += park.since(settled);
             settled + SimDuration::from_micros(park.period)
         };
-        park.bits[slot as usize / 64] &= !(1 << (slot % 64));
-        park.count -= 1;
-        park.rearm.push((next, sense::lane_word(slot, node)));
+        park.set_parked(rank, false);
+        park.rearm.push((next, sense::lane_word(slot, node), rank));
         park.clock.as_ref().expect("a node parked").rearm.set(true);
     }
 
-    /// The sensing ticks a node has skipped that have run by the kernel's
-    /// clock, less one applied ahead that has not: zero unless it is
-    /// parked.
-    pub(super) fn pending_ticks(&self, node: NodeId) -> i64 {
-        let slot = self.sense.slot(node);
-        if !self.park.is_parked(slot) {
-            return 0;
+    /// `node`'s CPU statistics as a reader sees them by the kernel's clock:
+    /// its record's with the ticks it skipped parked that have run, less one
+    /// applied ahead that has not; for a node with no record, the record it
+    /// will be made with, read the same way.
+    pub(super) fn cpu_stats(&self, node: NodeId) -> CpuStats {
+        let (cpu, rank) = match self.sense.find(node) {
+            Slot::Made(slot) => (self.sense.at(slot).cpu.clone(), self.sense.rank(slot)),
+            Slot::Unmade(rank) if self.park.clock.is_some() => {
+                (self.record_from_start(node, rank).cpu, rank)
+            }
+            Slot::Unmade(_) => return CpuStats::default(),
+        };
+        let mut stats = cpu.stats();
+        if self.park.is_parked(rank) {
+            let n = self.park.pending(last_tick(cpu.busy_until()), self.park.now(rank));
+            stats.admitted = stats.admitted.wrapping_add_signed(n);
+            stats.busy = if n < 0 {
+                stats.busy - costs::SENSE
+            } else {
+                stats.busy + costs::SENSE * n as u64
+            };
         }
-        let last = last_tick(self.sense.at(slot).cpu.busy_until());
-        self.park.pending(last, self.park.now(slot))
+        stats
     }
 
-    /// Adds a target to the running world: every grid cell it can reach
-    /// before the wake proven without it wakes now. Nothing adds a target
-    /// to a running world but tests.
+    /// Adds a target to the running world. Every wake pending was proven
+    /// without it, so every cell with one wakes now; the wake event finds
+    /// the cell moved and passes it over. Nothing adds a target to a
+    /// running world but tests.
     #[cfg(test)]
     pub(super) fn add_target(&mut self, target: envirotrack_world::target::Target) {
-        let (now, _) = self.park.now(0);
-        let mut reach = envirotrack_world::sensing::Environment::new();
-        reach.add_target(target.clone());
         self.environment.add_target(target);
-        if self.park.count == 0 {
-            return;
-        }
-        let (topology, positions) = (Arc::clone(&self.park.topology), self.deployment.positions());
+        let (now, _) = self.park.now(0);
         let mut touched = Vec::new();
         for (cell, wake) in self.park.wakes.iter_mut().enumerate() {
-            let members = topology.bucket(cell).expect("a cell of the grid");
-            let floor = wake.saturating_since(now);
-            let reached = |&m: &u32| {
-                let pos = positions[m as usize];
-                reach.quiet_until(&mut Sweeps::default(), pos, pos, now, floor, floor) < *wake
-            };
-            // Its wake was proven without the target: the wake event finds
-            // it moved and passes the cell over.
-            if *wake > now && members.iter().any(reached) {
+            if *wake > now {
                 *wake = Timestamp::ZERO;
-                touched.extend_from_slice(members);
+                touched.extend_from_slice(self.topology.bucket(cell).expect("a cell of the grid"));
             }
         }
         touched.sort_unstable();

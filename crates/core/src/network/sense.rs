@@ -166,7 +166,7 @@ impl SensorNetwork {
         } else {
             self.clocks.get(node).global_delay(nominal)
         };
-        if period == nominal && self.park_tick(k, slot, now) {
+        if period == nominal && self.park_tick(k, slot, node, now) {
             return;
         }
         // Reschedule first: the loop survives any processing below, and the

@@ -102,8 +102,11 @@ impl Cells {
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let clamp = |v: f64, cells: usize| -> usize {
             // Positions sit inside the bounds by construction; the clamp
-            // only absorbs float round-off at the far edge.
-            (((v / self.cell).floor()).max(0.0) as usize).min(cells - 1)
+            // only absorbs float round-off at the far edge. The cast
+            // truncates toward zero and saturates, so it is the floor
+            // clamped at zero — anything below one, and NaN, goes to zero —
+            // without a call to `floor`.
+            ((v / self.cell) as usize).min(cells - 1)
         };
         (
             clamp(pos.x - self.origin.x, self.cols),
@@ -337,6 +340,67 @@ impl Topology {
     pub fn bucket(&self, cell: usize) -> Option<&[u32]> {
         let to = *self.starts.get(cell + 1)?;
         Some(&self.ids[self.starts[cell] as usize..to as usize])
+    }
+
+    /// The grid cell `node` is in: the bucket that lists it.
+    #[must_use]
+    #[inline]
+    pub fn cell_of(&self, node: NodeId) -> usize {
+        self.cells.index_of(self.positions[node.index()])
+    }
+
+    /// Per grid cell, the smallest box that holds its nodes' positions, as
+    /// `[lo.x, lo.y, hi.x, hi.y]` with each side rounded outward to `f32`,
+    /// so that it holds them still; a cell with no node gets a box that
+    /// holds no point. A node never moves, so a holder works them out once.
+    #[must_use]
+    pub fn member_boxes(&self) -> Vec<[f32; 4]> {
+        // The nearest `f32` at or below `v`, and at or above it.
+        let down = |v: f64| {
+            let f = v as f32;
+            if f64::from(f) > v {
+                f.next_down()
+            } else {
+                f
+            }
+        };
+        let up = |v: f64| {
+            let f = v as f32;
+            if f64::from(f) < v {
+                f.next_up()
+            } else {
+                f
+            }
+        };
+        let cells = self.starts.len() - 1;
+        (0..cells)
+            .map(|cell| {
+                let members = self.bucket(cell).expect("a cell of the grid");
+                let empty = (
+                    Point::new(f64::INFINITY, f64::INFINITY),
+                    Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+                );
+                let (lo, hi) = members.iter().fold(empty, |(lo, hi), &m| {
+                    let p = self.positions[m as usize];
+                    (
+                        Point::new(lo.x.min(p.x), lo.y.min(p.y)),
+                        Point::new(hi.x.max(p.x), hi.y.max(p.y)),
+                    )
+                });
+                [down(lo.x), down(lo.y), up(hi.x), up(hi.y)]
+            })
+            .collect()
+    }
+
+    /// Every grid cell that can hold a node inside the box `[lo, hi]`, row by
+    /// row: the cells from `lo`'s to `hi`'s along each axis. A cell is found
+    /// by the function that buckets the nodes, which never decreases along
+    /// either axis, so a node inside the box lands in one of them whatever
+    /// the rounding. The corners must be finite.
+    pub(crate) fn cells_within(&self, lo: Point, hi: Point) -> impl Iterator<Item = usize> + '_ {
+        let ((x0, y0), (x1, y1)) = (self.cells.cell_of(lo), self.cells.cell_of(hi));
+        let cols = self.cells.cols;
+        (y0..=y1).flat_map(move |y| y * cols + x0..=y * cols + x1)
     }
 
     /// Calls `f` with every node within the radius of `node`, itself

@@ -30,6 +30,7 @@ use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::Work;
 
 use crate::geometry::{Aabb, Point};
+use crate::grid::Topology;
 use crate::target::{Channel, Target, TargetId};
 
 /// One multi-channel sensor reading.
@@ -287,86 +288,6 @@ impl Coverage {
     }
 }
 
-/// The target sweeps [`Environment::quiet_until`] tests boxes against: for
-/// one instant, one floor and one cap, each window it tries and each
-/// target's sweep over that window (`Target::sweep`). A window's sweeps are
-/// worked out the first time a box is tested against it and kept for every
-/// later box at the same instant; a call at another instant or with another
-/// floor or cap starts afresh, and so does one after a target was added.
-/// A caller that proves many boxes at one instant keeps one set for all of
-/// them and pays a window's sweeps once, not once a box.
-#[derive(Debug, Clone, Default)]
-pub struct Sweeps {
-    /// What the sweeps were worked out for: `(from, floor, cap, targets)`.
-    key: Option<(Timestamp, SimDuration, SimDuration, usize)>,
-    /// The windows tried, `floor` doubling up to `cap`, the last.
-    windows: Vec<SimDuration>,
-    /// Per window, whether its sweeps are known.
-    known: Vec<bool>,
-    /// Per window, one entry a target: where the target is at `from` and
-    /// how far from there it can reach a sensor during the window; `None`
-    /// for a target absent throughout.
-    reach: Vec<Option<(Point, f64)>>,
-    computed: u64,
-}
-
-impl Sweeps {
-    /// How many target sweeps the set has worked out, over every instant
-    /// it was used at.
-    #[must_use]
-    pub fn computed(&self) -> u64 {
-        self.computed
-    }
-
-    /// Makes the set speak for `from`, `floor`, `cap` and `targets`
-    /// targets, forgetting every window's sweeps if it spoke for anything
-    /// else.
-    fn start(&mut self, from: Timestamp, floor: SimDuration, cap: SimDuration, targets: usize) {
-        if self.key == Some((from, floor, cap, targets)) {
-            return;
-        }
-        if !matches!(self.key, Some((_, f, c, _)) if (f, c) == (floor, cap)) {
-            let mut window = floor.max(SimDuration::from_micros(1));
-            let cap = cap.max(window);
-            self.windows.clear();
-            self.windows.push(window);
-            while window < cap {
-                window = (window * 2).min(cap);
-                self.windows.push(window);
-            }
-        }
-        self.key = Some((from, floor, cap, targets));
-        self.known.clear();
-        self.known.resize(self.windows.len(), false);
-        self.reach.clear();
-        self.reach.resize(self.windows.len() * targets, None);
-    }
-
-    /// Whether a target can pass the exact cull of [`Environment::sample`]
-    /// for a position in `[lo, hi]` during window `w`, its sweeps worked
-    /// out from `targets` first if they are not known yet.
-    fn reaches(&mut self, targets: &[Target], w: usize, lo: Point, hi: Point) -> bool {
-        let (from, ..) = self.key.expect("started");
-        let reach = &mut self.reach[w * targets.len()..(w + 1) * targets.len()];
-        if !self.known[w] {
-            let last = from.saturating_add(self.windows[w] - SimDuration::from_micros(1));
-            for (slot, target) in reach.iter_mut().zip(targets) {
-                *slot = target.sweep(from, last);
-            }
-            self.known[w] = true;
-            self.computed += targets.len() as u64;
-        }
-        reach.iter().flatten().any(|&(at, half)| {
-            let ordinary = half.is_finite() && at.x.is_finite() && at.y.is_finite();
-            !ordinary
-                || !(at.x + half < lo.x
-                    || at.x - half > hi.x
-                    || at.y + half < lo.y
-                    || at.y - half > hi.y)
-        })
-    }
-}
-
 /// The physical environment: ambient conditions plus a set of targets.
 ///
 /// This is the ground truth of a simulation. The middleware never reads it
@@ -413,8 +334,8 @@ impl Environment {
         self.ambient
     }
 
-    /// Whether the sensors are noisy: a sample then draws, and no box is
-    /// ever quiet ([`Environment::quiet_until`]). Fixed when the
+    /// Whether the sensors are noisy: a sample then draws, and no cell is
+    /// ever quiet ([`Environment::reach_cells`]). Fixed when the
     /// environment is built.
     #[must_use]
     pub fn is_noisy(&self) -> bool {
@@ -522,46 +443,52 @@ impl Environment {
         true
     }
 
-    /// How long, from `from`, every sensor inside the box `[lo, hi]` reads
-    /// exactly the ambient levels with nothing drawn: the end of the
-    /// longest window `[from, end)` tried — `cap` long, or else `floor` long
-    /// and doubling up to `cap` — over which no target can pass the exact cull of
-    /// [`Environment::sample`] for a position in the box (`Target::sweep`,
-    /// the argument behind the [`Coverage`] windows, over the whole
-    /// window). `from` itself when the sensors are noisy, or the first
-    /// window is not quiet. A target that is not present yet counts from
-    /// the instant it appears; one added later is not seen.
-    ///
-    /// The sweeps come from `sweeps`, worked out there for this instant,
-    /// floor, cap and target count if it does not hold them yet: a fresh
-    /// [`Sweeps`] answers one box, a kept one every box asked at one instant.
-    #[must_use]
-    pub fn quiet_until(
+    /// Calls `reached` with every cell of `topology` whose box in `boxes` —
+    /// one a cell, holding the positions of its nodes
+    /// ([`Topology::member_boxes`]) — a target
+    /// can reach during `[from, last]`: where the target can pass the exact
+    /// cull of [`Environment::sample`] for a position in the box
+    /// (`Target::sweep`, the argument behind the [`Coverage`] windows, over
+    /// the whole interval). Every other cell's sensors read exactly the
+    /// ambient levels, with nothing drawn, throughout the interval. A cell
+    /// two targets reach is named twice; with noise on, or a target whose
+    /// reach or path is no ordinary number, every cell is. A target that is
+    /// not present yet counts from the instant it appears; one added later
+    /// is not seen. Returns how many target sweeps it worked out: one a
+    /// target.
+    pub fn reach_cells(
         &self,
-        sweeps: &mut Sweeps,
-        lo: Point,
-        hi: Point,
+        topology: &Topology,
+        boxes: &[[f32; 4]],
         from: Timestamp,
-        floor: SimDuration,
-        cap: SimDuration,
-    ) -> Timestamp {
+        last: Timestamp,
+        mut reached: impl FnMut(usize),
+    ) -> u64 {
+        let every = |reached: &mut dyn FnMut(usize)| (0..boxes.len()).for_each(reached);
         if self.noise.noisy {
-            return from;
+            every(&mut reached);
+            return 0;
         }
-        sweeps.start(from, floor, cap, self.targets.len());
-        // Far from every target the whole cap is quiet: one look at each.
-        let cap = sweeps.windows.len() - 1;
-        if !sweeps.reaches(&self.targets, cap, lo, hi) {
-            return from.saturating_add(sweeps.windows[cap]);
-        }
-        let mut quiet = from;
-        for w in 0..cap {
-            if sweeps.reaches(&self.targets, w, lo, hi) {
-                return quiet;
+        for target in &self.targets {
+            let Some((at, half)) = target.sweep(from, last) else {
+                continue;
+            };
+            let (lo, hi) = (
+                Point::new(at.x - half, at.y - half),
+                Point::new(at.x + half, at.y + half),
+            );
+            if ![lo.x, lo.y, hi.x, hi.y].iter().all(|v| v.is_finite()) {
+                every(&mut reached);
+                continue;
             }
-            quiet = from.saturating_add(sweeps.windows[w]);
+            for cell in topology.cells_within(lo, hi) {
+                let [x0, y0, x1, y1] = boxes[cell].map(f64::from);
+                if !(at.x + half < x0 || at.x - half > x1 || at.y + half < y0 || at.y - half > y1) {
+                    reached(cell);
+                }
+            }
         }
-        quiet
+        self.targets.len() as u64
     }
 
     /// Whether `cell` is clear in the window of `coverage` that holds `t`,

@@ -8,7 +8,7 @@ use envirotrack_world::geometry::{Aabb, Point};
 use envirotrack_world::grid::{
     neighbor_lists_with, shard_assignment, shard_interest_ranges, NeighborStrategy, Topology,
 };
-use envirotrack_world::sensing::{Coverage, Environment, NoiseModel, SensorSample, Sweeps};
+use envirotrack_world::sensing::{Coverage, Environment, NoiseModel, SensorSample};
 use envirotrack_world::target::{Channel, Emission, Falloff, Target, TargetId, Trajectory};
 use testkit::prelude::*;
 
@@ -464,79 +464,66 @@ prop_test! {
         prop_assert_eq!(work.get("samples_covered") + work.get("samples_walked"), samples);
     }
 
-    /// A sweep set kept across boxes answers every box as a fresh one does,
-    /// on fields of parked, linear, looped and late-appearing targets:
-    /// across instants, floors and caps, and after a target is added to an
-    /// environment whose sweeps it already holds. It works each window's
-    /// sweeps out once an instant, so what it computes is bounded by
-    /// windows × targets per instant, however many boxes it answers.
+    /// The cells a window's targets can reach hold every sensor a target
+    /// reaches in it: at the window's first and last instant and between,
+    /// on drawn fields under every radio range, every node whose noiseless
+    /// sample is not the ambient levels is in a cell named. Targets are parked,
+    /// linear, looped or late, cross the field slowly or fast, and now and
+    /// then reach no ordinary distance; windows start at zero, mid-run or
+    /// near the end of time. One sweep a target is worked out.
     #[test]
-    fn a_kept_sweep_set_answers_every_box_as_a_fresh_one(seed: u64, n_targets in 0usize..6) {
+    fn reached_cells_hold_every_sensor_a_target_reaches(
+        draw in arb_field(),
+        seed: u64,
+        n_targets in 0usize..4,
+    ) {
+        let (deployment, radius) = draw.build();
+        let topology = Topology::new(&deployment, radius);
+        let (positions, boxes) = (deployment.positions(), topology.member_boxes());
         let mut rng = SimRng::seed_from(seed);
         let us = Timestamp::from_micros;
-        let new_target = |rng: &mut SimRng, id: usize| {
-            let emissions = (0..1 + rng.below(3)).map(|_| random_emission(rng)).collect();
-            let mut target = Target::new(TargetId(id as u32), random_trajectory(rng), emissions);
-            if rng.chance(0.4) {
-                let from = rng.below(30_000_000);
-                target = target.active_between(us(from), us(from + 1 + rng.below(30_000_000)));
-            }
-            target
-        };
         let mut env = Environment::new();
-        if rng.chance(0.1) {
-            env = env.with_noise(NoiseModel::none().with_channel(Channel::Magnetic, 1.0));
-        }
         for id in 0..n_targets {
-            env.add_target(new_target(&mut rng, id));
+            let near = |rng: &mut SimRng| {
+                let p = positions[rng.below(positions.len() as u64) as usize];
+                Point::new(p.x + rng.uniform_range(-3.0, 3.0), p.y + rng.uniform_range(-3.0, 3.0))
+            };
+            let trajectory = match rng.below(4) {
+                0 => Trajectory::stationary(near(&mut rng)),
+                k => {
+                    let points = (0..2 + rng.below(3)).map(|_| near(&mut rng)).collect();
+                    let speed = if rng.chance(0.3) { rng.uniform_range(5.0, 40.0) } else { rng.uniform_range(0.05, 3.0) };
+                    let path = Trajectory::waypoints(points, speed);
+                    let path = if k == 1 { path.looped() } else { path };
+                    path.starting_at(us(rng.below(3_000_000)))
+                }
+            };
+            let emissions = (0..1 + rng.below(2)).map(|_| random_emission(&mut rng)).collect();
+            let mut target = Target::new(TargetId(id as u32), trajectory, emissions);
+            if rng.chance(0.3) {
+                let from = rng.below(6_000_000);
+                target = target.active_between(us(from), us(from + 1 + rng.below(6_000_000)));
+            }
+            env.add_target(target);
         }
-        let mut kept = Sweeps::default();
-        for _ in 0..6 {
-            let from = us(match rng.below(4) {
+        for _ in 0..4 {
+            let from = match rng.below(4) {
                 0 => 0,
                 1 => u64::MAX - rng.below(2_000_000),
-                _ => rng.below(40_000_000),
-            });
-            let (floor, cap) = match rng.below(3) {
-                0 => (SimDuration::from_millis(400), SimDuration::from_millis(12_800)),
-                1 => (SimDuration::from_micros(rng.below(3)), SimDuration::from_micros(1 + rng.below(3))),
-                _ => (
-                    SimDuration::from_micros(1 + rng.below(3_000_000)),
-                    SimDuration::from_micros(rng.below(60_000_000)),
-                ),
+                _ => rng.below(8_000_000),
             };
-            // The windows a set tries: `floor` doubling up to `cap`.
-            let mut window = floor.max(SimDuration::from_micros(1));
-            let mut windows = 1;
-            while window < cap {
-                window = (window * 2).min(cap);
-                windows += 1;
-            }
-            for round in 0..2 {
-                let before = kept.computed();
-                for _ in 0..10 {
-                    let corner = match rng.choose(env.targets()) {
-                        Some(target) if rng.chance(0.6) => {
-                            let at = target.position_at(from);
-                            let r = RADII[rng.below(4) as usize] + rng.uniform_range(-0.5, 8.0);
-                            Point::new(at.x + r * rng.uniform_range(-1.5, 1.5), at.y - r)
-                        }
-                        _ => Point::new(rng.uniform_range(-30.0, 30.0), rng.uniform_range(-30.0, 30.0)),
-                    };
-                    let size = if rng.chance(0.2) { 0.0 } else { rng.uniform_range(0.0, 6.0) };
-                    let (lo, hi) = (corner, Point::new(corner.x + size, corner.y + size * 0.5));
-                    let fresh = env.quiet_until(&mut Sweeps::default(), lo, hi, from, floor, cap);
-                    let got = env.quiet_until(&mut kept, lo, hi, from, floor, cap);
-                    prop_assert_eq!(got, fresh, "box {} {} from {:?} floor {:?} cap {:?}", lo, hi, from, floor, cap);
-                }
-                let computed = kept.computed() - before;
-                prop_assert!(
-                    computed <= (windows * env.targets().len()) as u64,
-                    "{} sweeps for {} windows of {} targets", computed, windows, env.targets().len()
-                );
-                // A target added under a set that holds this instant's sweeps.
-                if round == 0 && rng.chance(0.5) {
-                    env.add_target(new_target(&mut rng, env.targets().len()));
+            let last = from.saturating_add(rng.below(4_000_000));
+            let mut named = vec![false; boxes.len()];
+            let sweeps = env.reach_cells(&topology, &boxes, us(from), us(last), |cell| named[cell] = true);
+            prop_assert_eq!(sweeps, env.targets().len() as u64);
+            let bits = |s: SensorSample| Channel::ALL.map(|ch| s.get(ch).to_bits());
+            let ambient = bits(env.ambient());
+            for t in [from, last, from + (last - from) / 2, from + rng.below(last - from + 1)] {
+                for (id, &pos) in (0u32..).zip(positions) {
+                    if bits(env.sample(pos, us(t))) != ambient {
+                        let cell = topology.cell_of(NodeId(id));
+                        prop_assert!(named[cell], "node {} at {} in cell {} sensed at {:?}, not named", id, pos, cell, us(t));
+                    }
                 }
             }
         }
