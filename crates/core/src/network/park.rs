@@ -520,7 +520,9 @@ impl SensorNetwork {
     pub(super) fn touch(&mut self, node: NodeId) {
         match self.sense.find(node) {
             Slot::Made(_) if self.park.count == 0 => {}
-            Slot::Made(slot) if self.park.is_parked(self.sense.rank(slot)) => self.unpark(node),
+            Slot::Made(slot) if self.park.is_parked(self.sense.rank(slot)) => {
+                self.unpark(node, self.park.now(self.sense.rank(slot)));
+            }
             Slot::Made(_) => {}
             Slot::Unmade(rank) => self.make_record(node, rank),
         }
@@ -538,7 +540,7 @@ impl SensorNetwork {
         }
         let record = self.record_from_start(node, rank);
         self.sense.make(node, record);
-        self.unpark(node);
+        self.unpark(node, self.park.now(rank));
     }
 
     /// Unparks the node a node fault hits, if this world drives it.
@@ -553,14 +555,14 @@ impl SensorNetwork {
         }
     }
 
-    /// Applies the ticks `node` skipped that precede the current event, and
-    /// arms its next tick where the skipped one would have run.
+    /// Applies the ticks `node` skipped that precede the current event —
+    /// `now`, by the clock: its instant, and whether the node's tick at it
+    /// has run — and arms its next tick where the skipped one would have run.
     #[cold]
-    fn unpark(&mut self, node: NodeId) {
+    fn unpark(&mut self, node: NodeId, now: (Timestamp, bool)) {
         let slot = self.sense.slot(node);
         let rank = self.sense.rank(slot);
         let park = &mut self.park;
-        let now = park.now(rank);
         let cpu = &mut self.sense.at_mut(slot).cpu;
         let last = last_tick(cpu.busy_until());
         let n = park.pending(last, now);

@@ -17,7 +17,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use envirotrack_telemetry::Work;
-use envirotrack_world::target::Channel;
+use envirotrack_sim::engine::Engine;
+use envirotrack_world::target::{Channel, Emission, Falloff, Target, TargetId, Trajectory};
 use testkit::prelude::*;
 
 use super::tests::work_of;
@@ -222,6 +223,76 @@ fn random_worlds_park_and_settle() {
     // Small fields under fast targets: nodes park often, for a few ticks.
     assert!(settled * 20 > ticks, "{settled} of {ticks} ticks settled");
     assert!(parked * 40 > ticks, "{parked} parkings in {ticks} ticks");
+}
+
+/// What a run of `env` over a 10 × 10 grid put out by `until`, with
+/// `hook` set and `arm` run on the engine first: `kernel.events`, CPU
+/// totals, the fleet's energy bits and the event log; and how many hot
+/// records were made.
+fn grid_run(
+    env: Environment,
+    until: Timestamp,
+    hook: fn(&mut SensorNetwork),
+    arm: impl FnOnce(&mut Engine<SensorNetwork>),
+) -> ((u64, (u64, u64), u64, String), u64) {
+    let field = Deployment::grid(10, 10, 1.0);
+    let mut engine = SensorNetwork::build_engine(tracker(), field, env, NetworkConfig::default(), 3);
+    hook(engine.world_mut());
+    arm(&mut engine);
+    engine.run_until(until);
+    let w = engine.world();
+    let energy = w.energy_totals().total_millijoules().to_bits();
+    let log = format!("{:#?}", w.events().entries());
+    let seen = (w.telemetry().counter("kernel.events"), w.cpu_totals(), energy, log);
+    (seen, work_of(w).get("hot_made"))
+}
+
+/// A node parked from the start that something reaches just after its own
+/// tick at that instant gets a record that holds that tick: the tick that
+/// follows is armed at the nominal period before the fault skews the
+/// clock. The random worlds arm their faults before the bootstrap, so a
+/// first touch at a tick instant comes before the tick there; this one is
+/// armed mid-run, under a period ahead, and so after.
+#[test]
+fn a_record_made_after_its_tick_holds_it() {
+    let node = NodeId(37);
+    let period = NetworkConfig::default().middleware.sense_period;
+    let at = |w: &SensorNetwork| tick_instant(w, node, 5);
+    let arm = |engine: &mut Engine<SensorNetwork>| {
+        let at = at(engine.world());
+        let half = Timestamp::from_micros(at.as_micros() - period.as_micros() / 2);
+        engine.kernel_mut().schedule_at(half, move |_, k| {
+            let skew = FaultEvent::ClockRate { node, rate: 2.0 };
+            k.schedule_at(at, move |w, k| w.apply_fault(k.now(), &skew));
+        });
+    };
+    let until = Timestamp::from_secs(3);
+    let (parked, made) = grid_run(Environment::new(), until, |_| {}, arm);
+    let (every, _) = grid_run(Environment::new(), until, |w| w.ticks_every_period = true, arm);
+    assert_eq!(made, 1, "the node touched is the one record made");
+    assert_eq!(parked, every);
+}
+
+/// A target present only in the last period of an aligned window, near
+/// nodes whose first ticks come before it: the window's lists name their
+/// cell, so those nodes are not parked from the start, and sense it.
+#[test]
+fn a_target_in_a_windows_last_period_is_seen() {
+    let env = || {
+        let (from, until) = (Timestamp::from_millis(200), Timestamp::from_millis(400));
+        let disk = Falloff::Disk { radius: 2.5 };
+        let emission = Emission { channel: Channel::Magnetic, strength: 1.0, falloff: disk };
+        let trajectory = Trajectory::stationary(Point::new(4.5, 4.5));
+        let target = Target::new(TargetId(0), trajectory, vec![emission]);
+        let mut env = Environment::new();
+        env.add_target(target.active_between(from, until));
+        env
+    };
+    let until = Timestamp::from_secs(2);
+    let (parked, _) = grid_run(env(), until, |_| {}, |_| {});
+    let (every, _) = grid_run(env(), until, |w| w.ticks_every_period = true, |_| {});
+    assert!(every.3.contains("LabelCreated"), "the target was never sensed");
+    assert_eq!(parked, every);
 }
 
 /// The first world the random comparison shrank a failure to. A node with a

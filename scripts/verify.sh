@@ -152,15 +152,18 @@ done
 # so the library's `cfg(test)` hooks are off and the floor is live (≈ 1 s).
 cargo test -q --offline -p envirotrack-core --test locality
 
-# Mutants: every patch in mutants/ still applies to this tree, and the four
-# kernel mutants fail the kernel's skipped-tick property (≈ 9 s cold, 6 s
-# warm on the 2-vCPU host). `scripts/mutants.sh --all` runs every one.
+# Mutants: every patch in mutants/ still applies to this tree, the four
+# kernel mutants fail the kernel's skipped-tick property, and the four
+# parking-proof and lazy-record mutants fail the random-world tests at seed
+# 1 (≈ 25 s warm on the 2-vCPU host). `scripts/mutants.sh --all` runs
+# every one.
 for patch in mutants/*.patch; do
   git apply --check "$patch" \
     || { echo "verify: $patch no longer applies" >&2; exit 1; }
 done
 scripts/mutants.sh period-push-by-delay boundary-seq-before-rank class-one-reads-no-tick \
-  one-shot-before-its-tick >&2
+  one-shot-before-its-tick park-lookup-neighbour-cell window-grid-off-by-one-period \
+  lazy-record-misses-tick-at-now lists-kept-across-windows >&2
 
 # Telemetry smoke: the flagship storm must emit the summary table and a
 # non-empty trace, byte-identically across two runs of the same seed.
@@ -194,6 +197,7 @@ for f in "$tmp/scale.json" BENCH_scale.json; do
              '"bytes_on_air":' '"sense_ticks":' '"sense_ticks_admitted":' '"sense_strides":' \
              '"samples_covered":' '"samples_walked":' '"coverage_rebuilds":' '"sense_verdicts":' \
              '"sense_parked":' '"sense_settled":' '"park_proofs":' '"park_sweeps":' \
+             '"park_listed":' '"hot_made":' \
              '"popped_events":' '"bootstrap_wall_s":' \
              '"lane_pops":' '"heap_pops":' '"inline_events":' '"boxed_events":' \
              '"build_allocs":' '"build_heap_bytes":' \
