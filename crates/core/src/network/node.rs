@@ -149,6 +149,10 @@ const UNMADE: u32 = 1 << 31;
 /// Marks a slot [`HotRecords::lay_out`] has already handed out.
 const PLACED: u32 = 1 << 30;
 
+/// The rank of a node nothing ranked — one this world does not drive —
+/// which no parked bit is ever at.
+const NO_RANK: u32 = PLACED - 1;
+
 /// Where a node's record is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Slot {
@@ -165,7 +169,7 @@ impl HotRecords {
         assert!(n < PLACED, "more nodes than slots");
         HotRecords {
             records: Vec::new(),
-            slots: vec![UNMADE; nodes],
+            slots: vec![UNMADE | NO_RANK; nodes],
             ranks: Vec::new(),
         }
     }
@@ -205,10 +209,10 @@ impl HotRecords {
         }
     }
 
-    /// The rank of the record in `slot`; `u32::MAX` for none.
+    /// The rank of the record in `slot`.
     #[inline]
     pub(super) fn rank(&self, slot: u32) -> u32 {
-        self.ranks.get(slot as usize).copied().unwrap_or(u32::MAX)
+        self.ranks.get(slot as usize).copied().unwrap_or(NO_RANK)
     }
 
     /// `node`'s record, if it has one.
@@ -243,7 +247,7 @@ impl HotRecords {
         };
         let slot = self.records.len();
         self.records.push(record);
-        self.ranks.resize(slot, u32::MAX);
+        self.ranks.resize(slot, NO_RANK);
         self.ranks.push(rank);
         self.slots[node.index()] = slot as u32;
         slot as u32
@@ -278,7 +282,7 @@ impl HotRecords {
             assert!(*slot & PLACED == 0, "{id} laid out twice");
             let (record, rank) = if *slot & UNMADE == 0 {
                 let blank = SenseState::new(Point::ORIGIN, 0);
-                let rank = old_ranks.get(*slot as usize).copied().unwrap_or(u32::MAX);
+                let rank = old_ranks.get(*slot as usize).copied().unwrap_or(NO_RANK);
                 (std::mem::replace(&mut old[*slot as usize], blank), rank)
             } else {
                 (fresh(id), *slot & !UNMADE)

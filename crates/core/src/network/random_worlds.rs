@@ -295,6 +295,29 @@ fn a_target_in_a_windows_last_period_is_seen() {
     assert_eq!(parked, every);
 }
 
+/// A shard's replica proves and wakes the cells of the whole grid, and a
+/// woken cell's nodes include some the replica does not drive: touching
+/// one of those, which has a record but no rank, leaves every parked node
+/// as it was.
+#[test]
+fn a_replica_wakes_no_node_it_does_not_drive() {
+    let field = Deployment::grid(10, 10, 1.0);
+    let config = NetworkConfig::default();
+    let topology = Arc::new(Topology::new(&field, config.radio.comm_radius));
+    let owned: Vec<bool> = field.iter().map(|(_, p)| p.x < 5.0).collect();
+    let disk = Falloff::Disk { radius: 1.5 };
+    let emission = Emission { channel: Channel::Magnetic, strength: 1.0, falloff: disk };
+    let target = Target::new(TargetId(0), Trajectory::stationary(Point::new(7.5, 4.5)), vec![emission]);
+    let mut env = Environment::new();
+    env.add_target(target.active_between(Timestamp::from_millis(400), Timestamp::from_millis(600)));
+    let mut engine =
+        SensorNetwork::build_engine_sharded(tracker(), field, env, config, 3, topology, owned);
+    engine.run_until(Timestamp::from_secs(1));
+    let work = work_of(engine.world());
+    assert!(work.get("sense_parked") > 0, "nothing parked");
+    assert_eq!(work.get("sense_ticks"), 50 * 5, "the driven nodes' ticks, every one");
+}
+
 /// The first world the random comparison shrank a failure to. A node with a
 /// formation timer pending reboots; its next formation jitter used to take
 /// that old timer's token, so the old firing ended the new jitter early —
