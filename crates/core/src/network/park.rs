@@ -58,11 +58,11 @@ const LEVELS: u32 = 6;
 const SHUN_PERIODS: u64 = 4;
 
 /// The fewest nodes a field parks at. Parking pays where idle loops are
-/// most of a period's work; on a smaller field its fixed costs — the
-/// kernel's boundary record on every event, a proof per cell, the re-arm
-/// churn — cost more than the ticks it saves (`traffic_dense`, 2 500
-/// nodes: −8.3 % `ops_per_s` with it, −5.6 % without; `paper_sweep`'s 12-
-/// and 20-node cells: −26 % in a pair, −4.7 % without).
+/// most of a period's work; on a small field its fixed costs — the
+/// kernel's boundary record on every event, the proofs and their lists,
+/// the re-arm churn — cost more than the ticks it saves: without the floor
+/// `paper_sweep`'s 12- and 20-node cells read −29 % `ops_per_s`, and
+/// `traffic_dense` (2 500 nodes) +6.4 % but +9.8 % `peak_heap_mb`.
 #[cfg_attr(test, allow(dead_code))]
 const PARK_MIN_NODES: usize = 4_096;
 
