@@ -255,9 +255,9 @@ impl SensorNetwork {
         if self.ticks_every_period || self.records_in_id_order || self.sense_loops_on_heap {
             return false;
         }
-        // A rank is a re-armed tick's (`Kernel::schedule_tick_at`); the
-        // parked run starts on a fresh word, and keeps its phases in 32 bits.
-        let ranked = self.nodes.len() + 64 < (1 << 24) && period.as_micros() <= 1 << 32;
+        // A rank is a re-armed tick's (`Kernel::schedule_tick_at`), and a
+        // phase is kept by rank in 32 bits.
+        let ranked = self.nodes.len() < (1 << 24) - 1 && period.as_micros() <= 1 << 32;
         // No cell of a noisy field is ever quiet (`Environment::reach_cells`).
         let quiet = !self.environment.is_noisy() && self.sensing.ambient_is_idle();
         if period <= costs::SENSE || !quiet || !ranked {
