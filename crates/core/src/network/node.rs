@@ -130,10 +130,9 @@ impl SenseState {
 /// them, so one sensing period reads the array front to back; a tick finds
 /// its record by the slot its lane word carries, everything else by node
 /// id through the table. Which record sits where changes no byte of a run.
-/// A node parked from the start (`park.rs`) gets no record until something
-/// touches it: then its record is made at the end of the array. Where
-/// nodes park, each record also keeps its node's *rank*, its place in
-/// firing order; a node without a record keeps it in the table.
+/// A node parked from the start (`park.rs`) gets its record, at the end,
+/// when something touches it; until then the table keeps its *rank*, its
+/// place in firing order, which a record keeps beside the array.
 pub(super) struct HotRecords {
     records: Vec<SenseState>,
     /// `slots[id]` is where node `id`'s record is, or [`UNMADE`] with its
@@ -153,12 +152,10 @@ const PLACED: u32 = 1 << 30;
 /// which no parked bit is ever at.
 const NO_RANK: u32 = PLACED - 1;
 
-/// Where a node's record is.
+/// Where a node's record is: in a slot, or not made yet, with its rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Slot {
-    /// In this slot.
     Made(u32),
-    /// Not made yet; the node's rank.
     Unmade(u32),
 }
 
@@ -203,10 +200,9 @@ impl HotRecords {
     /// Where `node`'s record is; it has one.
     #[inline]
     pub(super) fn slot(&self, node: NodeId) -> u32 {
-        match self.find(node) {
-            Slot::Made(slot) => slot,
-            Slot::Unmade(_) => panic!("{node} has no record"),
-        }
+        let slot = self.slots[node.index()];
+        debug_assert!(slot & UNMADE == 0, "{node} has no record");
+        slot
     }
 
     /// The rank of the record in `slot`.

@@ -355,10 +355,9 @@ impl SensorNetwork {
         armed
     }
 
-    /// The record the node of rank `rank` parked from the start is made
-    /// with: a fresh one, its first tick applied ahead of its instant —
-    /// readers take it back until then ([`Parking::pending`]), as does a
-    /// touch that comes first.
+    /// The record the node of rank `rank`, parked from the start, is made
+    /// with: its first tick applied ahead of its instant, which readers and
+    /// a touch that come first take back ([`Parking::pending`]).
     pub(super) fn record_from_start(&self, node: NodeId, rank: u32) -> SenseState {
         let pos = self.deployment.position(node);
         let mut record = SenseState::new(pos, self.sensing.cell(pos));
@@ -518,8 +517,10 @@ impl SensorNetwork {
     /// none: what reaches a node goes through here first.
     #[inline]
     pub(super) fn touch(&mut self, node: NodeId) {
+        if self.park.count == 0 && self.sense.made() == self.nodes.len() {
+            return;
+        }
         match self.sense.find(node) {
-            Slot::Made(_) if self.park.count == 0 => {}
             Slot::Made(slot) if self.park.is_parked(self.sense.rank(slot)) => {
                 self.unpark(node, self.park.now(self.sense.rank(slot)));
             }
@@ -529,8 +530,7 @@ impl SensorNetwork {
     }
 
     /// Makes the record of `node`, which has none: a fresh one before the
-    /// bootstrap, and after it, for a node parked from the start, the one
-    /// it was parked with, then unparked.
+    /// bootstrap, and after it the one it was parked with, then unparked.
     #[cold]
     fn make_record(&mut self, node: NodeId, rank: u32) {
         if self.park.clock.is_none() {
