@@ -7,12 +7,17 @@
 //! shard, byte for byte. A field of 4 096 nodes or more parks its quiet
 //! sensing loops; a shard parks and settles only its own nodes, and pauses
 //! at every epoch barrier, so every barrier is a point at which its settled
-//! counts must already be right. The second property draws such fields.
+//! counts must already be right. The second property draws such fields,
+//! with one more target that crosses the whole field during the run: every
+//! replica then wakes cells of a stripe it does not drive while its own
+//! nodes are parked, and touches nodes there that it holds but never ranks.
 
 use envirotrack_bench::harness::tracker_program;
 use envirotrack_core::network::{FaultEvent, NetworkConfig};
 use envirotrack_core::shard::{run_sharded, MediumMode};
 use envirotrack_sim::time::Timestamp;
+use envirotrack_world::geometry::Point;
+use envirotrack_world::target::{Channel, Emission, Falloff, Target, TargetId, Trajectory};
 use testkit::prelude::*;
 
 #[path = "../../world/tests/support/random_world.rs"]
@@ -21,11 +26,22 @@ use random_world::{arb_world, Fault, When, WorldDraw};
 
 /// The run's merged telemetry and run record at `shards` shards. A target
 /// that appears mid-run is present from the start with its late
-/// appearance: a sharded run takes no closures.
-fn sharded(draw: &WorldDraw, shards: usize) -> (String, String) {
+/// appearance: a sharded run takes no closures. Where `cross`, one more
+/// target runs along the middle row from the field's left edge to its
+/// right edge over the horizon, through every stripe.
+fn sharded(draw: &WorldDraw, shards: usize, cross: bool) -> (String, String) {
     let mut world = draw.build();
     if let Some((_, target)) = world.late.take() {
         world.environment.add_target(target);
+    }
+    if cross {
+        let b = world.deployment.bounds();
+        let y = (b.min.y + b.max.y) / 2.0;
+        let speed = b.width().max(1.0) / world.horizon.as_secs_f64().max(0.1);
+        let path = Trajectory::line(Point::new(b.min.x, y), Point::new(b.max.x, y), speed);
+        let falloff = Falloff::Disk { radius: 1.5 };
+        let emission = Emission { channel: Channel::Magnetic, strength: 1.0, falloff };
+        world.environment.add_target(Target::new(TargetId(9), path, vec![emission]));
     }
     let faults: Vec<(Timestamp, FaultEvent)> = world
         .faults
@@ -59,12 +75,12 @@ fn sharded(draw: &WorldDraw, shards: usize) -> (String, String) {
     (run.telemetry_jsonl, run.record.to_json())
 }
 
-/// 2, 4 and 8 shards against one on `draw`: the first differing line, if
-/// any.
-fn shard_counts_agree(draw: &WorldDraw) -> Result<(), String> {
-    let one = sharded(draw, 1);
+/// 2, 4 and 8 shards against one on `draw` (with a crossing target where
+/// `cross`): the first differing line, if any.
+fn shard_counts_agree(draw: &WorldDraw, cross: bool) -> Result<(), String> {
+    let one = sharded(draw, 1, cross);
     for shards in [2, 4, 8] {
-        let many = sharded(draw, shards);
+        let many = sharded(draw, shards, cross);
         if many != one {
             let (a, b) = (one.0.lines(), many.0.lines());
             let first = a.zip(b).find(|(l, r)| l != r);
@@ -80,7 +96,7 @@ prop_test! {
     /// 2, 4 and 8 shards against one, on a random world with its faults.
     #[test]
     fn a_random_world_is_byte_identical_at_1_2_4_and_8_shards(draw in arb_world()) {
-        let agree = shard_counts_agree(&draw);
+        let agree = shard_counts_agree(&draw, false);
         prop_assert!(agree.is_ok(), "{}", agree.unwrap_err());
     }
 }
@@ -88,7 +104,8 @@ prop_test! {
 prop_test! {
     #![config(Config::with_cases(4))]
 
-    /// The same on a field large enough to park, over a shorter horizon.
+    /// The same on a field large enough to park, over a shorter horizon,
+    /// with a target that crosses every stripe.
     #[test]
     fn a_parked_random_world_is_byte_identical_at_1_2_4_and_8_shards(draw in arb_world()) {
         let draw = WorldDraw {
@@ -96,7 +113,7 @@ prop_test! {
             horizon_ms: draw.horizon_ms.min(1_500),
             ..draw
         };
-        let agree = shard_counts_agree(&draw);
+        let agree = shard_counts_agree(&draw, true);
         prop_assert!(agree.is_ok(), "{}", agree.unwrap_err());
     }
 }

@@ -453,7 +453,7 @@ impl SensorNetwork {
         if !frame.link_dst.accepts(node) {
             return;
         }
-        self.touch(node);
+        self.touch_received(node);
         let hot = &mut self.sense[node];
         // The radio spent the airtime decoding the frame whatever the CPU
         // does next; an overloaded one drops it (receive overflow).

@@ -12,19 +12,20 @@
 //! tick of such a node up to the window's end would do exactly one thing:
 //! admit [`costs::SENSE`] on an idle CPU. So the loop stops, the node's bit
 //! is set, and at the window's end one event for every cell due then
-//! re-arms the loops of their parked nodes, each on its own phase.
+//! proves each again, and re-arms the loops of the parked nodes of those a
+//! target is near, each on its own phase.
 //!
 //! Anything that reaches a parked node first — a reception, a timer, a
 //! transmission, a fault, a target added mid-run — *unparks* it: the ticks
 //! that precede it are applied to the CPU in closed form
 //! ([`MoteCpu::settle`](envirotrack_node::cpu::MoteCpu::settle)), and its
 //! next tick is armed where the skipped one would have run
-//! ([`Kernel::schedule_tick_at`]). A node parked at the bootstrap has no
-//! hot record until then: it is made, the node's first tick applied, when
-//! the node is first touched. Readers — CPU and energy totals, one node's
-//! energy — add the pending ticks as they read. Which ticks precede the
-//! current event comes from the kernel ([`TickClock`]); DESIGN.md §12 has
-//! the argument.
+//! ([`Kernel::schedule_tick_at`]), unless that tick would park it again. A
+//! node parked at the bootstrap has no hot record until then: it is made,
+//! the node's first tick applied, when the node is first touched. Readers —
+//! CPU and energy totals, one node's energy — add the pending ticks as they
+//! read. Which ticks precede the current event comes from the kernel
+//! ([`TickClock`]); DESIGN.md §12 has the argument.
 //!
 //! The run-wide counts — `kernel.events` and the work counts `sense_ticks`
 //! and `sense_ticks_admitted` — are settled whenever a run call returns,
@@ -114,6 +115,12 @@ pub(super) struct Parking {
     credit: u64,
     extra: u64,
     parkings: u64,
+    /// Cells a wake proved quiet again; nodes a wake unparked; parked
+    /// nodes a reception reached; nodes an event touched and left parked.
+    kept: u64,
+    woken: u64,
+    received: u64,
+    stayed: u64,
 }
 
 impl Parking {
@@ -128,7 +135,10 @@ impl Parking {
     ///   lists of its aligned windows;
     /// - `park_sweeps`: target sweeps those lists took, one a window and
     ///   target for all the cells proven in that window;
-    /// - `park_listed`: cells those sweeps put on a list.
+    /// - `park_listed`: cells those sweeps put on a list;
+    /// - `park_kept`: cells a wake proved quiet again, their nodes left parked;
+    ///   `park_woken`: parked nodes the other wakes unparked; `park_received`:
+    ///   parked nodes a reception reached; `park_stayed`: touched, left parked.
     pub(super) fn work(&self, work: &mut Work) {
         work.add("sense_parked", self.parkings);
         let settled = self.clock.as_ref().map_or(0, |c| c.settled.get());
@@ -136,6 +146,10 @@ impl Parking {
         work.add("park_proofs", self.proofs);
         work.add("park_sweeps", self.sweeps);
         work.add("park_listed", self.listed);
+        work.add("park_kept", self.kept);
+        work.add("park_woken", self.woken);
+        work.add("park_received", self.received);
+        work.add("park_stayed", self.stayed);
     }
 
     /// The heap bytes of the cell boxes and lists, the bitset, the phases,
@@ -196,6 +210,14 @@ impl Parking {
         })
     }
 
+    /// The last tick a parked record of rank `rank` holds: the latest at its
+    /// phase before `busy_until`, which a parked CPU reaches by the next.
+    fn last_tick(&self, rank: u32, busy_until: Timestamp) -> Timestamp {
+        let phase = u64::from(self.phases[rank as usize]);
+        let since = busy_until.as_micros() - 1 - phase;
+        Timestamp::from_micros(phase + since - since % self.period)
+    }
+
     /// Ticks of phase `last mod period` in `(since, last]`.
     fn since(&self, last: Timestamp) -> u64 {
         let d = last.as_micros().saturating_sub(self.since.as_micros());
@@ -233,13 +255,6 @@ impl Parking {
         }
         &lists.reached
     }
-}
-
-/// The last tick a parked record has had applied: the one its CPU's busy
-/// period started at.
-#[inline]
-fn last_tick(cpu_busy_until: Timestamp) -> Timestamp {
-    Timestamp::from_micros(cpu_busy_until.as_micros() - costs::SENSE.as_micros())
 }
 
 impl SensorNetwork {
@@ -291,8 +306,9 @@ impl SensorNetwork {
     /// all, and a pinned object's host (`hosted`) never: a skipped first
     /// tick stands for its place only if no first tick at its instant runs.
     /// Every node is fresh at time zero (one touched before is not), so
-    /// whether it would park is its cell's: quiet for two periods. A parked
-    /// node gets its bit and its rank in the slot table, and no record.
+    /// whether it would park is its cell's: quiet for two periods, proven
+    /// for the cells that hold a node this world drives. A parked node gets
+    /// its bit and its rank in the slot table, and no record.
     pub(super) fn park_at_birth(
         &mut self,
         k: &mut K,
@@ -309,7 +325,8 @@ impl SensorNetwork {
         let topology = Arc::clone(&self.topology);
         let mut cell = 0;
         while let Some(members) = topology.bucket(cell) {
-            if self.quiet_cell(k, cell, now) <= first {
+            let driven = members.iter().any(|&m| self.owns(NodeId(m)));
+            if driven && self.quiet_cell(k, cell, now) <= first {
                 members.iter().for_each(|&m| unset(m));
             }
             cell += 1;
@@ -366,16 +383,19 @@ impl SensorNetwork {
         record
     }
 
-    /// The kernel's hook: arm the loops of unparked nodes again, and when a
-    /// run call returns, settle the run-wide counts.
+    /// The kernel's hook: arm the loops of unparked nodes again, or park
+    /// them again, and when a run call returns, settle the run-wide counts.
     fn tick_hook(&mut self, k: &mut K, pause: bool) {
-        let park = &mut self.park;
-        if let Some(clock) = &park.clock {
+        if let Some(clock) = &self.park.clock {
             clock.rearm.set(false);
         }
-        for (at, word, rank) in park.rearm.drain(..) {
-            k.schedule_tick_at(at, Self::sense_tick, word, rank);
+        for i in 0..self.park.rearm.len() {
+            let (at, word, rank) = self.park.rearm[i];
+            if !self.repark(k, at, word, rank) {
+                k.schedule_tick_at(at, Self::sense_tick, word, rank);
+            }
         }
+        self.park.rearm.clear();
         if pause {
             self.settle_parked(k.now());
         }
@@ -425,18 +445,8 @@ impl SensorNetwork {
         let Some(clock) = &self.park.clock else {
             return false;
         };
-        let hot = self.sense.at(slot);
-        let idle = hot.alive && hot.quiescent && hot.clock_nominal && !hot.skewed;
-        if !(clock.at_boundary.get()
-            && idle
-            && hot.cpu.busy_until() <= now
-            && hot.cell != Coverage::OFF_FIELD)
-        {
-            return false;
-        }
-        let cell = self.topology.cell_of(node);
-        let wake = self.quiet_cell(k, cell, now);
-        if wake <= now + SimDuration::from_micros(self.park.period) {
+        let drained = self.sense.at(slot).cpu.busy_until() <= now;
+        if !(clock.at_boundary.get() && drained && self.may_park(k, slot, node, now)) {
             return false;
         }
         let admitted = self.sense.at_mut(slot).admit(now, costs::SENSE);
@@ -446,6 +456,39 @@ impl SensorNetwork {
         park.set_parked(self.sense.rank(slot), true);
         park.parkings += 1;
         park.credit += park.since(now);
+        true
+    }
+
+    /// Whether the node of `slot` would park at its tick at `tick`, its CPU
+    /// idle then: alive, quiescent, on a nominal clock it never left, on
+    /// the field, and in a cell proven now to be quiet past a period on.
+    fn may_park(&mut self, k: &mut K, slot: u32, node: NodeId, tick: Timestamp) -> bool {
+        let hot = self.sense.at(slot);
+        let idle = hot.alive && hot.quiescent && hot.clock_nominal && !hot.skewed;
+        if !idle || hot.cell == Coverage::OFF_FIELD {
+            return false;
+        }
+        let cell = self.topology.cell_of(node);
+        self.quiet_cell(k, cell, k.now()) > tick + SimDuration::from_micros(self.park.period)
+    }
+
+    /// Parks again the node of loop `word` that the event just run
+    /// unparked, if its next tick, at `at`, would park it: nothing reaches
+    /// the node before that tick without touching it, so the tick would
+    /// find the node, its CPU and its cell's wake as they are now. A first
+    /// tick still to run follows no tick applied, and is armed.
+    fn repark(&mut self, k: &mut K, at: Timestamp, word: u64, rank: u32) -> bool {
+        let (slot, node) = ((word >> 32) as u32, NodeId(word as u32));
+        let (period, busy_until) = (self.park.period, self.sense.at(slot).cpu.busy_until());
+        if at.as_micros() < period || busy_until > at || !self.may_park(k, slot, node, at) {
+            return false;
+        }
+        let (park, last) = (&mut self.park, at - SimDuration::from_micros(period));
+        debug_assert_eq!(park.last_tick(rank, busy_until), last);
+        park.set_parked(rank, true);
+        // The unpark counted the ticks up to `last` as run for real.
+        park.credit += park.since(last);
+        park.stayed += 1;
         true
     }
 
@@ -491,25 +534,34 @@ impl SensorNetwork {
         wake
     }
 
-    /// The wake event of the grid cells whose wakes are due at `at`: every
-    /// parked node of each ticks again from its next tick on. A cell woken
-    /// earlier, or due again later, is passed over. The event is none of
-    /// the simulation, so it takes itself off the count of settled ticks.
+    /// The wake event of the grid cells due at `at`, each proven again. One
+    /// still quiet past a period on keeps its nodes parked: a wake falls on
+    /// a multiple of two periods, so their next ticks would park on this
+    /// proof. The parked nodes of any other tick again from their next tick
+    /// on. A cell woken earlier, or due again later, is passed over. The
+    /// event is none of the simulation: it takes itself off the settled count.
     fn wake_cells(&mut self, k: &mut K, at: u64) {
         self.park.report(u64::MAX);
         debug_assert_eq!(k.now().as_micros(), at);
         let at = k.now();
         let cells = self.park.due.remove(&at).unwrap_or_default();
         let topology = Arc::clone(&self.topology);
+        let period = SimDuration::from_micros(self.park.period);
         for cell in cells {
             let cell = cell as usize;
             if self.park.wakes[cell] != at {
                 continue;
             }
             self.park.wakes[cell] = Timestamp::ZERO;
+            if self.quiet_cell(k, cell, at) > at + period {
+                self.park.kept += 1;
+                continue;
+            }
+            let parked = self.park.count;
             for &m in topology.bucket(cell).expect("a cell of the grid") {
                 self.touch(NodeId(m));
             }
+            self.park.woken += parked - self.park.count;
         }
     }
 
@@ -543,6 +595,13 @@ impl SensorNetwork {
         self.unpark(node, self.park.now(rank));
     }
 
+    /// [`touch`](Self::touch) for a frame `node` receives, counted.
+    pub(super) fn touch_received(&mut self, node: NodeId) {
+        let parked = self.park.count;
+        self.touch(node);
+        self.park.received += parked - self.park.count;
+    }
+
     /// Unparks the node a node fault hits, if this world drives it.
     pub(super) fn touch_faulted(&mut self, fault: &FaultEvent) {
         if let FaultEvent::Crash(node)
@@ -564,7 +623,7 @@ impl SensorNetwork {
         let rank = self.sense.rank(slot);
         let park = &mut self.park;
         let cpu = &mut self.sense.at_mut(slot).cpu;
-        let last = last_tick(cpu.busy_until());
+        let last = park.last_tick(rank, cpu.busy_until());
         let n = park.pending(last, now);
         let next = if n < 0 {
             // A first tick applied ahead has not run: the CPU is as it
@@ -603,7 +662,8 @@ impl SensorNetwork {
         };
         let mut stats = cpu.stats();
         if self.park.is_parked(rank) {
-            let n = self.park.pending(last_tick(cpu.busy_until()), self.park.now(rank));
+            let last = self.park.last_tick(rank, cpu.busy_until());
+            let n = self.park.pending(last, self.park.now(rank));
             stats.admitted = stats.admitted.wrapping_add_signed(n);
             stats.busy = if n < 0 {
                 stats.busy - costs::SENSE
@@ -613,12 +673,14 @@ impl SensorNetwork {
         }
         stats
     }
+}
 
+#[cfg(test)]
+impl SensorNetwork {
     /// Adds a target to the running world. Every wake pending was proven
     /// without it, so every cell with one wakes now; the wake event finds
     /// the cell moved and passes it over. Nothing adds a target to a
     /// running world but tests.
-    #[cfg(test)]
     pub(super) fn add_target(&mut self, target: envirotrack_world::target::Target) {
         self.environment.add_target(target);
         let (now, _) = self.park.now(0);

@@ -199,10 +199,15 @@ prop_test! {
 
 /// The comparison means something only if the worlds park: over a fixed
 /// set of noiseless worlds with targets and faults, nodes park, ticks are
-/// settled in closed form, and parked nodes are woken and touched.
+/// settled in closed form, and parked nodes are reached: cells proven
+/// quiet again at their wake keep their nodes parked, the other wakes and
+/// receptions unpark nodes, and events leave some of the nodes they
+/// touched parked.
 #[test]
 fn random_worlds_park_and_settle() {
-    let (mut parked, mut settled, mut ticks) = (0, 0, 0);
+    let (mut settled, mut ticks) = (0, 0);
+    let mut reached = [0; 4];
+    let names = ["park_kept", "park_woken", "park_received", "park_stayed"];
     for seed in 0..24 {
         let draw = WorldDraw {
             nodes: 20 + seed as u32 * 5,
@@ -214,27 +219,27 @@ fn random_worlds_park_and_settle() {
             seed,
         };
         let (_, work) = run_with_work(&draw, |_| {});
-        (parked, settled, ticks) = (
-            parked + work.get("sense_parked"),
-            settled + work.get("sense_settled"),
-            ticks + work.get("sense_ticks"),
-        );
+        settled += work.get("sense_settled");
+        ticks += work.get("sense_ticks");
+        for (count, name) in reached.iter_mut().zip(names) {
+            *count += work.get(name);
+        }
     }
     // Small fields under fast targets: nodes park often, for a few ticks.
     assert!(settled * 20 > ticks, "{settled} of {ticks} ticks settled");
-    assert!(parked * 40 > ticks, "{parked} parkings in {ticks} ticks");
+    assert!(reached.iter().all(|&n| n > 0), "{names:?}: {reached:?}");
 }
 
 /// What a run of `env` over a 10 × 10 grid put out by `until`, with
 /// `hook` set and `arm` run on the engine first: `kernel.events`, CPU
-/// totals, the fleet's energy bits and the event log; and how many hot
-/// records were made.
+/// totals, the fleet's energy bits and the event log; and how the world
+/// did its work.
 fn grid_run(
     env: Environment,
     until: Timestamp,
     hook: fn(&mut SensorNetwork),
     arm: impl FnOnce(&mut Engine<SensorNetwork>),
-) -> ((u64, (u64, u64), u64, String), u64) {
+) -> ((u64, (u64, u64), u64, String), Work) {
     let field = Deployment::grid(10, 10, 1.0);
     let mut engine = SensorNetwork::build_engine(tracker(), field, env, NetworkConfig::default(), 3);
     hook(engine.world_mut());
@@ -244,7 +249,7 @@ fn grid_run(
     let energy = w.energy_totals().total_millijoules().to_bits();
     let log = format!("{:#?}", w.events().entries());
     let seen = (w.telemetry().counter("kernel.events"), w.cpu_totals(), energy, log);
-    (seen, work_of(w).get("hot_made"))
+    (seen, work_of(w))
 }
 
 /// A node parked from the start that something reaches just after its own
@@ -267,10 +272,35 @@ fn a_record_made_after_its_tick_holds_it() {
         });
     };
     let until = Timestamp::from_secs(3);
-    let (parked, made) = grid_run(Environment::new(), until, |_| {}, arm);
+    let (parked, work) = grid_run(Environment::new(), until, |_| {}, arm);
     let (every, _) = grid_run(Environment::new(), until, |w| w.ticks_every_period = true, arm);
-    assert_eq!(made, 1, "the node touched is the one record made");
+    assert_eq!(work.get("hot_made"), 1, "the node touched is the one record made");
     assert_eq!(parked, every);
+}
+
+/// A frame reaches a parked node of a field no target nears. The first
+/// comes early in a period: the node's CPU drains before its next tick,
+/// which would park it again, so it stays parked. The second comes within
+/// `RX_HANDLE` of a tick, which finds the CPU busy and runs for real. Both
+/// against every tick run.
+#[test]
+fn a_reception_leaves_a_node_parked_only_if_its_cpu_drains_by_its_tick() {
+    let node = NodeId(37);
+    let arm = |engine: &mut Engine<SensorNetwork>| {
+        for (tick, early) in [(5, 150), (9, 5)] {
+            let at = tick_instant(engine.world(), node, tick) - SimDuration::from_millis(early);
+            let frame = Frame::broadcast(NodeId(36), kinds::HEARTBEAT, Bytes::from(vec![0xFF; 8]));
+            engine
+                .kernel_mut()
+                .schedule_at(at, move |w: &mut SensorNetwork, k| w.inject_frame(k, node, frame));
+        }
+    };
+    let until = Timestamp::from_secs(3);
+    let (parked, work) = grid_run(Environment::new(), until, |_| {}, arm);
+    let (every, _) = grid_run(Environment::new(), until, |w| w.ticks_every_period = true, arm);
+    assert_eq!(parked, every);
+    let reached = [work.get("park_received"), work.get("park_stayed")];
+    assert_eq!(reached, [2, 1], "two receptions at a parked node, one left it parked");
 }
 
 /// A target present only in the last period of an aligned window, near

@@ -874,4 +874,24 @@ mod tests {
             }
         }
     }
+
+    /// A pass answers its waker before it scans: every ring before the
+    /// answer is read off the waker, so it wakes no later wait, and a ring
+    /// after it finds the flag clear and writes the byte that wakes the
+    /// next one. A pass that read the waker only after its scan would take
+    /// a ring made during the scan off the waker with its flag still set,
+    /// and every later ring would be swallowed.
+    #[test]
+    fn an_answer_reads_every_ring_before_it_and_none_after() {
+        let bell = Bell::new().expect("a socket pair");
+        let mut byte = [0u8; 1];
+        bell.waker.wake();
+        bell.waker.wake();
+        bell.answer();
+        let left = (&bell.rx).read(&mut byte);
+        assert!(left.is_err(), "an answered ring left {left:?} on the waker");
+        bell.waker.wake();
+        let rung = (&bell.rx).read(&mut byte);
+        assert!(matches!(rung, Ok(1)), "a ring after the answer wrote {rung:?}");
+    }
 }

@@ -154,16 +154,18 @@ cargo test -q --offline -p envirotrack-core --test locality
 
 # Mutants: every patch in mutants/ still applies to this tree, the four
 # kernel mutants fail the kernel's skipped-tick property, and the four
-# parking-proof and lazy-record mutants fail the random-world tests at seed
-# 1 (≈ 25 s warm on the 2-vCPU host). `scripts/mutants.sh --all` runs
-# every one.
+# parking-proof and lazy-record mutants and the two that park without a
+# reason (a wake that proves nothing, a touch that parks a busy CPU again)
+# fail the random-world tests at seed 1 (≈ 15 s warm on the 2-vCPU host).
+# `scripts/mutants.sh --all` runs every one.
 for patch in mutants/*.patch; do
   git apply --check "$patch" \
     || { echo "verify: $patch no longer applies" >&2; exit 1; }
 done
 scripts/mutants.sh period-push-by-delay boundary-seq-before-rank class-one-reads-no-tick \
   one-shot-before-its-tick park-lookup-neighbour-cell window-grid-off-by-one-period \
-  lazy-record-misses-tick-at-now lists-kept-across-windows >&2
+  lazy-record-misses-tick-at-now lists-kept-across-windows \
+  wake-keeps-parked-unproven rx-repark-before-drain >&2
 
 # Telemetry smoke: the flagship storm must emit the summary table and a
 # non-empty trace, byte-identically across two runs of the same seed.
@@ -197,7 +199,8 @@ for f in "$tmp/scale.json" BENCH_scale.json; do
              '"bytes_on_air":' '"sense_ticks":' '"sense_ticks_admitted":' '"sense_strides":' \
              '"samples_covered":' '"samples_walked":' '"coverage_rebuilds":' '"sense_verdicts":' \
              '"sense_parked":' '"sense_settled":' '"park_proofs":' '"park_sweeps":' \
-             '"park_listed":' '"hot_made":' \
+             '"park_listed":' '"hot_made":' '"park_kept":' '"park_woken":' \
+             '"park_received":' '"park_stayed":' \
              '"popped_events":' '"bootstrap_wall_s":' \
              '"lane_pops":' '"heap_pops":' '"inline_events":' '"boxed_events":' \
              '"build_allocs":' '"build_heap_bytes":' \
@@ -250,6 +253,18 @@ paste -d ' ' \
   NF != 3 { bad = 1 } $1 >= 4096 { big++; if ($3 * 3 > $2) { print "verify: " $3 " lane pops for " $2 " sensing ticks on " $1 " nodes (limit a third)"; bad = 1 } }
   END { exit bad || big == 0 }' >&2 \
   || { echo "verify: a BENCH_scale.json row pops the ticks of loops that could park" >&2; exit 1; }
+# A node gets a hot record when something reaches it, and a wake or a touch
+# that would only park it again leaves it parked without one: on the 5k, 10k
+# and 100k rows of BENCH_scale.json at most twice as many nodes have a
+# record as hold protocol state (288 / 268, 270 / 270 and 270 / 260; 923,
+# 1 300 and 1 534 records when every wake unparked its cells' nodes).
+paste -d ' ' \
+  <(grep -o '"nodes":[0-9]*,"build_wall_s"' BENCH_scale.json | tr -dc '0-9\n') \
+  <(grep -o '"hot_made":[0-9]*' BENCH_scale.json | tr -dc '0-9\n') \
+  <(grep -o '"cold_engaged":[0-9]*' BENCH_scale.json | tr -dc '0-9\n') | awk '
+  NF != 3 { bad = 1 } $1 >= 4096 { big++; if ($2 > 2 * $3) { print "verify: " $2 " hot records for " $3 " engaged nodes on " $1 " nodes (limit twice)"; bad = 1 } }
+  END { exit bad || big == 0 }' >&2 \
+  || { echo "verify: a parked BENCH_scale.json row makes records for nodes that only park again" >&2; exit 1; }
 # A trace record is plain data (40 bytes, its text made only at export) in
 # a ring that grows by an eighth: each smoke row's ring keeps at most 48
 # heap bytes per record it retains.
