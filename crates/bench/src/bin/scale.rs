@@ -11,14 +11,16 @@
 //! 1. `results` — the Figure-2 tracking program on 1k/2k/5k/10k/100k-node
 //!    [`ScaleScenario`] fields for a fixed virtual horizon: wall time,
 //!    kernel events, events per wall-second, bytes on air, the world
-//!    build's allocations and the heap bytes it left live (counted by
-//!    `testkit::alloc::Counting`, this binary's global allocator), then
+//!    build's allocations and the heap bytes it left live, and the same for
+//!    the scenario built before it (counted by `testkit::alloc::Counting`,
+//!    this binary's global allocator), then
 //!    every count of the run's work snapshot (`ScalePoint::work`) under
 //!    its own name: the event list's (lane and heap pops, one-shot events
 //!    scheduled inline and boxed), the sensing driver's (ticks fired and
-//!    admitted, strides between hot records, idle samples the coverage
-//!    answered or walked, coverage rebuilds, answered samples settled by
-//!    the ambient verdict, parkings and settled ticks), the group timers'
+//!    admitted, strides between hot records, idle samples answered
+//!    "ambient" or walked, answered samples settled by the ambient verdict,
+//!    parkings and settled ticks), the reach's (windows listed, target
+//!    sweeps and cells listed), the group timers'
 //!    (firings that were live, stale, or retried past a busy CPU, in sum
 //!    and per timer key), how many nodes hold protocol-layer state at the
 //!    horizon (`cold_engaged`) and had their neighbours listed
@@ -224,6 +226,8 @@ fn main() -> ExitCode {
             .field_f64("build_wall_s", p.build_wall_s)
             .field_u64("build_allocs", p.build_allocs)
             .field_u64("build_heap_bytes", p.build_heap_bytes)
+            .field_u64("scenario_allocs", p.scenario_allocs)
+            .field_u64("scenario_heap_bytes", p.scenario_heap_bytes)
             .field_f64("bootstrap_wall_s", p.bootstrap_wall_s)
             .field_f64("run_wall_s", p.run_wall_s)
             .field_u64("events", p.events)

@@ -71,6 +71,11 @@ pub struct ScalePoint {
     pub build_allocs: u64,
     /// See `build_allocs`.
     pub build_heap_bytes: u64,
+    /// The same for the field's scenario ([`ScaleScenario::build`]):
+    /// deployment, grid of positions and targets, made before the build.
+    pub scenario_allocs: u64,
+    /// See `scenario_allocs`.
+    pub scenario_heap_bytes: u64,
     /// Wall seconds of the first run call, to 1 µs: the bootstrap event
     /// at time zero, which draws the phases, lays the records out and
     /// parks the idle loops. Advisory, like every wall-clock column.
@@ -106,30 +111,42 @@ pub struct ScalePoint {
 /// The field and network configuration every flavour of a scale point
 /// runs on.
 fn field(cfg: &ScaleRun) -> (Scenario, NetworkConfig) {
-    let scenario = ScaleScenario {
+    (scenario(cfg), net_config(cfg))
+}
+
+/// The field of a scale point.
+fn scenario(cfg: &ScaleRun) -> Scenario {
+    ScaleScenario {
         nodes: cfg.nodes,
         targets: cfg.targets,
         speed_hops_per_s: cfg.speed_hops_per_s,
         seed: cfg.seed,
         ..ScaleScenario::default()
     }
-    .build();
+    .build()
+}
+
+/// The network configuration of a scale point.
+fn net_config(cfg: &ScaleRun) -> NetworkConfig {
     let mut net_cfg = NetworkConfig::default();
     net_cfg.radio = net_cfg.radio.with_comm_radius(cfg.comm_radius);
     // Same footprint coupling as the tracking harness: cross-label
     // proximity only matters within one stimulus's reach.
     net_cfg.middleware.proximity_radius = 3.0;
-    (scenario, net_cfg)
+    net_cfg
 }
 
 /// Runs one scale point and audits it. `heap` reads the calling thread's
 /// allocation counter — allocations so far and heap bytes live — around
-/// the build; a caller that counts nothing passes `|| (0, 0)`.
+/// the scenario and the build; a caller that counts nothing passes
+/// `|| (0, 0)`.
 #[must_use]
 pub fn run_scale(cfg: &ScaleRun, heap: impl Fn() -> (u64, i64)) -> ScalePoint {
     let program = tracker_program();
     let start = heap();
-    let (scenario, net_cfg) = field(cfg);
+    let scenario = scenario(cfg);
+    let built = heap();
+    let net_cfg = net_config(cfg);
 
     let before = heap();
     let build_start = Instant::now();
@@ -166,6 +183,8 @@ pub fn run_scale(cfg: &ScaleRun, heap: impl Fn() -> (u64, i64)) -> ScalePoint {
         build_wall_s,
         build_allocs: after.0 - before.0,
         build_heap_bytes: u64::try_from(after.1 - before.1).expect("the world is live"),
+        scenario_allocs: built.0 - start.0,
+        scenario_heap_bytes: u64::try_from(built.1 - start.1).expect("the field is live"),
         bootstrap_wall_s,
         run_wall_s,
         events,

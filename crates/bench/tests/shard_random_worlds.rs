@@ -11,6 +11,8 @@
 //! with one more target that crosses the whole field during the run: every
 //! replica then wakes cells of a stripe it does not drive while its own
 //! nodes are parked, and touches nodes there that it holds but never ranks.
+//! A target parked on the middle stripe boundary makes frames cross
+//! stripes, which the property checks (`routed > resolved`).
 
 use envirotrack_bench::harness::tracker_program;
 use envirotrack_core::network::{FaultEvent, NetworkConfig};
@@ -24,12 +26,16 @@ use testkit::prelude::*;
 mod random_world;
 use random_world::{arb_world, Fault, When, WorldDraw};
 
-/// The run's merged telemetry and run record at `shards` shards. A target
-/// that appears mid-run is present from the start with its late
-/// appearance: a sharded run takes no closures. Where `cross`, one more
-/// target runs along the middle row from the field's left edge to its
-/// right edge over the horizon, through every stripe.
-fn sharded(draw: &WorldDraw, shards: usize, cross: bool) -> (String, String) {
+/// The run's merged telemetry and run record at `shards` shards, and its
+/// routed and resolved transmissions. A target that appears mid-run is
+/// present from the start with its late appearance: a sharded run takes no
+/// closures. Where `cross`, one more target runs along the middle row from
+/// the field's left edge to its right edge over the horizon, through every
+/// stripe, and another sits at the middle of that row, on the boundary
+/// between the middle stripes at 2, 4 and 8 shards: the crossing one is too
+/// fast for a group to form behind it, so the frames that cross a stripe
+/// are the parked one's group's.
+fn sharded(draw: &WorldDraw, shards: usize, cross: bool) -> ((String, String), (u64, u64)) {
     let mut world = draw.build();
     if let Some((_, target)) = world.late.take() {
         world.environment.add_target(target);
@@ -42,6 +48,8 @@ fn sharded(draw: &WorldDraw, shards: usize, cross: bool) -> (String, String) {
         let falloff = Falloff::Disk { radius: 1.5 };
         let emission = Emission { channel: Channel::Magnetic, strength: 1.0, falloff };
         world.environment.add_target(Target::new(TargetId(9), path, vec![emission]));
+        let still = Trajectory::stationary(Point::new((b.min.x + b.max.x) / 2.0, y));
+        world.environment.add_target(Target::new(TargetId(10), still, vec![emission]));
     }
     let faults: Vec<(Timestamp, FaultEvent)> = world
         .faults
@@ -72,15 +80,22 @@ fn sharded(draw: &WorldDraw, shards: usize, cross: bool) -> (String, String) {
         &faults,
         MediumMode::Partitioned,
     );
-    (run.telemetry_jsonl, run.record.to_json())
+    let routing = (run.intents.routed, run.intents.resolved);
+    ((run.telemetry_jsonl, run.record.to_json()), routing)
 }
 
 /// 2, 4 and 8 shards against one on `draw` (with a crossing target where
-/// `cross`): the first differing line, if any.
+/// `cross`): the first differing line, if any. Where `cross`, traffic must
+/// have crossed a stripe at every count above one: some transmission was
+/// routed to more than one shard.
 fn shard_counts_agree(draw: &WorldDraw, cross: bool) -> Result<(), String> {
-    let one = sharded(draw, 1, cross);
+    let (one, _) = sharded(draw, 1, cross);
     for shards in [2, 4, 8] {
-        let many = sharded(draw, shards, cross);
+        let (many, (routed, resolved)) = sharded(draw, shards, cross);
+        if cross && routed <= resolved {
+            let crossed = format!("{routed} routed for {resolved} resolved");
+            return Err(format!("{shards} shards on {draw:?}: {crossed}"));
+        }
         if many != one {
             let (a, b) = (one.0.lines(), many.0.lines());
             let first = a.zip(b).find(|(l, r)| l != r);

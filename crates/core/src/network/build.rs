@@ -87,7 +87,7 @@ impl SensorNetwork {
         let mut medium = Medium::with_topology(topology.clone(), config.radio.clone(), &master);
         medium.attach_telemetry(telemetry.clone());
         let period = config.middleware.sense_period;
-        let sensing = Sensing::new(&deployment, period, &program, &environment);
+        let sensing = Sensing::new(&topology, period, &program, &environment);
         let nodes = deployment.len();
         SensorNetwork {
             nodes: Nodes::new(nodes, &master),
@@ -232,11 +232,10 @@ impl SensorNetwork {
         } else {
             Box::new(ids)
         };
-        let (deployment, sensing) = (&self.deployment, &self.sensing);
         let laid = order.len() + others.len();
+        let (deployment, topology) = (&self.deployment, &self.topology);
         self.sense.lay_out(ids, laid, parking, |id| {
-            let pos = deployment.position(id);
-            SenseState::new(pos, sensing.cell(pos))
+            SenseState::new(deployment.position(id), topology.cell_of(id) as u32)
         });
         // The hook that makes every record up front makes these too.
         #[cfg(test)]

@@ -14,17 +14,17 @@ impl SensorNetwork {
     /// Adds what this world and `kernel`, the kernel it runs under, hold in
     /// heap bytes to `work`, one `heap_<layer>` count per layer. Like
     /// [`Self::work`] it says how the run was stored, not what it did. What
-    /// is not counted is small: the program, the environment's targets and
-    /// the parking's kept sweeps of them, the sensing coverage, a pending
-    /// boxed event's captures and payloads shared with a frame on the air.
+    /// is not counted is small: the program, the environment's targets, a
+    /// pending boxed event's captures and payloads shared with a frame on
+    /// the air.
     /// - `heap_kernel`: the event list — heap, recurring lane and slab, and
     ///   each pending boxed closure;
     /// - `heap_medium`: the radio medium with its grid and the neighbour
     ///   lists it made;
     /// - `heap_deployment`: the node positions, which the grid and every
     ///   shard replica share;
-    /// - `heap_hot`: every node's hot record and its slot, and which are
-    ///   parked;
+    /// - `heap_hot`: every node's hot record and its slot, which are
+    ///   parked, and the reach's cell boxes and lists;
     /// - `heap_nodes`: every node's slot of cold state, the cold states
     ///   made — main stream, energy — and the clocks whose rate was set;
     /// - the engaged records' tiers (`Layers::heap_bytes`);
@@ -41,7 +41,8 @@ impl SensorNetwork {
         work.add("heap_kernel", bytes(kernel.heap_bytes()));
         work.add("heap_medium", bytes(self.medium.heap_bytes()));
         work.add("heap_deployment", bytes(self.deployment.heap_bytes()));
-        work.add("heap_hot", bytes(self.sense.heap_bytes() + self.park.heap_bytes()));
+        let hot = self.sense.heap_bytes() + self.park.heap_bytes();
+        work.add("heap_hot", bytes(hot + self.sensing.reach.heap_bytes()));
         work.add("heap_nodes", bytes(self.nodes.heap_bytes() + self.clocks.heap_bytes()));
         self.layers.heap_bytes(work);
         work.add("heap_telemetry", bytes(self.rec.telemetry.heap_bytes()));

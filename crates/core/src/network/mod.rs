@@ -113,7 +113,7 @@ pub struct SensorNetwork {
     nodes: Nodes,
     clocks: Clocks,
     layers: Layers,
-    /// The sensing driver's coverage of `environment` and its work counters.
+    /// The sensing driver's reach over `environment` and its work counters.
     sensing: sense::Sensing,
     /// The nodes whose sensing loops are parked (`park.rs`), by the cells of
     /// the world's grid.
@@ -1089,9 +1089,9 @@ mod tests {
     /// Every label of the run starts on a quiescent node whose reading the
     /// driver took and handed to the machine; with the hook the machine
     /// takes every reading itself, noise and all. The driver samples
-    /// through the coverage and the machine walks the targets, so this
-    /// also pins coverage against walk over a noisy run in which the tank
-    /// crosses a cell, and so a coverage window, about every 0.48 s.
+    /// through the reach and the machine walks the targets, so this also
+    /// pins the reach against the walk over a noisy run in which the tank
+    /// moves 0.8 units a 400 ms window.
     #[test]
     fn the_quiescent_test_changes_no_byte_of_a_faulted_run() {
         let ((_, work), run) = faulted_run(noisy(), |_| {});
@@ -1099,12 +1099,14 @@ mod tests {
         let (ticks, admitted) = (work.get("sense_ticks"), work.get("sense_ticks_admitted"));
         assert!(admitted <= ticks && answered + walked <= admitted);
         assert!(answered > 9 * walked, "{work:?}");
-        assert!((10..=12).contains(&work.get("coverage_rebuilds")), "{work:?}");
+        // One level-0 window of two 200 ms periods listed per 400 ms of
+        // the 5 s run, 0 – 0.4 s to 4.8 – 5.2 s: every one holds ticks.
+        assert_eq!(work.get("reach_windows"), 13, "{work:?}");
         let ((_, hooked), through_machines) =
             faulted_run(noisy(), |w| w.ticks_enter_machines = true);
         assert_eq!(run, through_machines);
-        let coverage = ["samples_covered", "samples_walked", "coverage_rebuilds"];
-        assert_eq!(coverage.map(|c| hooked.get(c)), [0; 3], "every sample walked");
+        let reach = ["samples_covered", "samples_walked", "reach_windows"];
+        assert_eq!(reach.map(|c| hooked.get(c)), [0; 3], "every sample walked");
         let ticks = |w: &Work| (w.get("sense_ticks"), w.get("sense_ticks_admitted"));
         assert_eq!(ticks(&hooked), ticks(&work));
     }

@@ -97,8 +97,8 @@ pub(super) struct SenseState {
     /// ticks no longer keep the phase its record's slot was laid out by:
     /// it never parks (`park.rs`).
     pub(super) skewed: bool,
-    /// The coverage cell `pos` lies in
-    /// ([`Coverage::cell_index`](envirotrack_world::sensing::Coverage::cell_index)),
+    /// The grid cell the node is in
+    /// ([`Topology::cell_of`](envirotrack_world::grid::Topology::cell_of)),
     /// worked out once: a node never moves.
     pub(super) cell: u32,
 }

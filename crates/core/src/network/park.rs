@@ -8,7 +8,8 @@
 //! cell no target can reach for more than a period. That is proven from
 //! the targets' side: for each aligned window of 2, 4, …, 64 periods a
 //! proof asks about, the cells a target's sweep can reach are listed once
-//! ([`Environment::reach_cells`]), and a proof looks its cell up. Every
+//! ([`Reach::quiet_until`](envirotrack_world::sensing::Reach::quiet_until),
+//! the lists the sensing verdict reads), and a proof looks its cell up. Every
 //! tick of such a node up to the window's end would do exactly one thing:
 //! admit [`costs::SENSE`] on an idle CPU. So the loop stops, the node's bit
 //! is set, and at the window's end one event for every cell due then
@@ -44,16 +45,9 @@ use envirotrack_sim::engine::TickClock;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::Work;
 use envirotrack_world::field::NodeId;
-use envirotrack_world::grid::Topology;
-use envirotrack_world::sensing::{Coverage, Environment};
 
 use super::node::{SenseState, Slot};
 use super::{sense, FaultEvent, SensorNetwork, K};
-
-/// How many window lengths a proof tries: aligned runs of 2, 4, …, 64
-/// sensing periods. A cell no target nears wakes at the end of its
-/// 64-period window and parks again at its next tick.
-const LEVELS: u32 = 6;
 
 /// How long a cell a target was near goes untried, in sensing periods.
 const SHUN_PERIODS: u64 = 4;
@@ -67,14 +61,6 @@ const SHUN_PERIODS: u64 = 4;
 #[cfg_attr(test, allow(dead_code))]
 const PARK_MIN_NODES: usize = 4_096;
 
-/// The lists of one window length: the aligned window last asked for — its
-/// index plus one (zero: none yet) and the target count — and one bit per
-/// grid cell a target can reach during it.
-struct Lists {
-    key: (u64, usize),
-    reached: Vec<u64>,
-}
-
 /// What the world keeps about its parked nodes.
 #[derive(Default)]
 pub(super) struct Parking {
@@ -83,10 +69,6 @@ pub(super) struct Parking {
     /// cost) or before the bootstrap.
     clock: Option<Rc<TickClock>>,
     period: u64,
-    /// Per grid cell, the box of its nodes' positions, worked out once.
-    boxes: Vec<[f32; 4]>,
-    /// Per window length, two periods doubling up to 64.
-    lists: Vec<Lists>,
     /// One bit per rank — a driven node's place in firing order: parked.
     bits: Vec<u64>,
     count: u64,
@@ -101,11 +83,8 @@ pub(super) struct Parking {
     shun: Vec<Timestamp>,
     /// Per pending wake event, the cells due then.
     due: BTreeMap<Timestamp, Vec<u32>>,
-    /// Cells proven, quiet or not; target sweeps worked out, and cells put
-    /// on a list, for the windows listed.
+    /// Cells proven, quiet or not.
     proofs: u64,
-    sweeps: u64,
-    listed: u64,
     /// Loops to arm again after the current event: `(at, lane word, rank)`.
     rearm: Vec<(Timestamp, u64, u32)>,
     /// When the run-wide counts were last settled.
@@ -132,10 +111,7 @@ impl Parking {
     ///   events it did not pop, so that with the event list's pops it makes
     ///   `kernel.events`;
     /// - `park_proofs`: grid cells proven quiet or not, each a lookup in the
-    ///   lists of its aligned windows;
-    /// - `park_sweeps`: target sweeps those lists took, one a window and
-    ///   target for all the cells proven in that window;
-    /// - `park_listed`: cells those sweeps put on a list;
+    ///   reach's lists of its aligned windows (whose work the reach counts);
     /// - `park_kept`: cells a wake proved quiet again, their nodes left parked;
     ///   `park_woken`: parked nodes the other wakes unparked; `park_received`:
     ///   parked nodes a reception reached; `park_stayed`: touched, left parked.
@@ -144,27 +120,20 @@ impl Parking {
         let settled = self.clock.as_ref().map_or(0, |c| c.settled.get());
         work.add("sense_settled", settled);
         work.add("park_proofs", self.proofs);
-        work.add("park_sweeps", self.sweeps);
-        work.add("park_listed", self.listed);
         work.add("park_kept", self.kept);
         work.add("park_woken", self.woken);
         work.add("park_received", self.received);
         work.add("park_stayed", self.stayed);
     }
 
-    /// The heap bytes of the cell boxes and lists, the bitset, the phases,
-    /// the wake tables and the re-arm list (a pending wake counted at its
-    /// key, value and list).
+    /// The heap bytes of the bitset, the phases, the wake tables and the
+    /// re-arm list (a pending wake counted at its key, value and list).
     pub(super) fn heap_bytes(&self) -> usize {
         let due = self
             .due
             .values()
             .map(|cells| size_of::<(Timestamp, Vec<u32>)>() + cells.capacity() * size_of::<u32>());
-        let lists = self.lists.iter().map(|l| l.reached.capacity() * 8);
-        self.boxes.capacity() * size_of::<[f32; 4]>()
-            + self.lists.capacity() * size_of::<Lists>()
-            + lists.sum::<usize>()
-            + self.bits.capacity() * 8
+        self.bits.capacity() * 8
             + self.phases.capacity() * size_of::<u32>()
             + (self.wakes.capacity() + self.shun.capacity()) * size_of::<Timestamp>()
             + due.sum::<usize>()
@@ -231,30 +200,6 @@ impl Parking {
             c.settled.set(c.settled.get().wrapping_add(n));
         }
     }
-
-    /// One bit per cell of `grid`: whether a target of `env` can reach it
-    /// during aligned window `window` of `2^(level + 1)` periods, listed
-    /// now if the level's lists are another window's.
-    fn listed(&mut self, env: &Environment, grid: &Topology, level: u32, window: u64) -> &[u64] {
-        let span = self.period << (level + 1);
-        let lists = &mut self.lists[level as usize];
-        let key = (window + 1, env.targets().len());
-        if lists.key != key {
-            lists.key = key;
-            lists.reached.fill(0);
-            let from = Timestamp::from_micros(window.saturating_mul(span));
-            let last = from.saturating_add(SimDuration::from_micros(span - 1));
-            let (reached, mut listed) = (&mut lists.reached, 0);
-            let boxes = &self.boxes;
-            self.sweeps += env.reach_cells(grid, boxes, from, last, |c| {
-                let (word, bit) = (c / 64, 1u64 << (c % 64));
-                listed += u64::from(reached[word] & bit == 0);
-                reached[word] |= bit;
-            });
-            self.listed += listed;
-        }
-        &lists.reached
-    }
 }
 
 impl SensorNetwork {
@@ -273,7 +218,7 @@ impl SensorNetwork {
         // A rank is a re-armed tick's (`Kernel::schedule_tick_at`), and a
         // phase is kept by rank in 32 bits.
         let ranked = self.nodes.len() < (1 << 24) - 1 && period.as_micros() <= 1 << 32;
-        // No cell of a noisy field is ever quiet (`Environment::reach_cells`).
+        // A noisy sample draws, even where no target reaches.
         let quiet = !self.environment.is_noisy() && self.sensing.ambient_is_idle();
         if period <= costs::SENSE || !quiet || !ranked {
             return false;
@@ -283,16 +228,8 @@ impl SensorNetwork {
         if self.deployment.len() < PARK_MIN_NODES {
             return false;
         }
-        let park = &mut self.park;
+        let (park, cells) = (&mut self.park, self.topology.cells());
         park.period = period.as_micros();
-        park.boxes = self.topology.member_boxes();
-        let cells = park.boxes.len();
-        park.lists = (0..LEVELS)
-            .map(|_| Lists {
-                key: (0, 0),
-                reached: vec![0; cells.div_ceil(64)],
-            })
-            .collect();
         park.wakes = vec![Timestamp::ZERO; cells];
         park.shun = vec![Timestamp::ZERO; cells];
         park.clock = Some(k.park_ticks(period, |w, k, pause| w.tick_hook(k, pause)));
@@ -372,12 +309,17 @@ impl SensorNetwork {
         armed
     }
 
+    /// A fresh hot record of `node`: its position and grid cell.
+    pub(super) fn fresh_record(&self, node: NodeId) -> SenseState {
+        let cell = self.topology.cell_of(node) as u32;
+        SenseState::new(self.deployment.position(node), cell)
+    }
+
     /// The record the node of rank `rank`, parked from the start, is made
     /// with: its first tick applied ahead of its instant, which readers and
     /// a touch that come first take back ([`Parking::pending`]).
     pub(super) fn record_from_start(&self, node: NodeId, rank: u32) -> SenseState {
-        let pos = self.deployment.position(node);
-        let mut record = SenseState::new(pos, self.sensing.cell(pos));
+        let mut record = self.fresh_record(node);
         let first = Timestamp::from_micros(self.park.phases[rank as usize].into());
         record.cpu.settle(1, first, costs::SENSE);
         record
@@ -441,12 +383,12 @@ impl SensorNetwork {
     /// Parks the node of the tick at `now` in `slot` if it may (see the
     /// [module docs](self)), settling this tick itself: its loop is then not
     /// re-armed. Only a tick that sits at the kernel's tick boundary may.
-    pub(super) fn park_tick(&mut self, k: &mut K, slot: u32, node: NodeId, now: Timestamp) -> bool {
+    pub(super) fn park_tick(&mut self, k: &mut K, slot: u32, now: Timestamp) -> bool {
         let Some(clock) = &self.park.clock else {
             return false;
         };
         let drained = self.sense.at(slot).cpu.busy_until() <= now;
-        if !(clock.at_boundary.get() && drained && self.may_park(k, slot, node, now)) {
+        if !(clock.at_boundary.get() && drained && self.may_park(k, slot, now)) {
             return false;
         }
         let admitted = self.sense.at_mut(slot).admit(now, costs::SENSE);
@@ -460,16 +402,13 @@ impl SensorNetwork {
     }
 
     /// Whether the node of `slot` would park at its tick at `tick`, its CPU
-    /// idle then: alive, quiescent, on a nominal clock it never left, on
-    /// the field, and in a cell proven now to be quiet past a period on.
-    fn may_park(&mut self, k: &mut K, slot: u32, node: NodeId, tick: Timestamp) -> bool {
+    /// idle then: alive, quiescent, on a nominal clock it never left, and
+    /// in a cell proven now to be quiet past a period on.
+    fn may_park(&mut self, k: &mut K, slot: u32, tick: Timestamp) -> bool {
         let hot = self.sense.at(slot);
         let idle = hot.alive && hot.quiescent && hot.clock_nominal && !hot.skewed;
-        if !idle || hot.cell == Coverage::OFF_FIELD {
-            return false;
-        }
-        let cell = self.topology.cell_of(node);
-        self.quiet_cell(k, cell, k.now()) > tick + SimDuration::from_micros(self.park.period)
+        let (cell, period) = (hot.cell as usize, SimDuration::from_micros(self.park.period));
+        idle && self.quiet_cell(k, cell, k.now()) > tick + period
     }
 
     /// Parks again the node of loop `word` that the event just run
@@ -478,9 +417,9 @@ impl SensorNetwork {
     /// find the node, its CPU and its cell's wake as they are now. A first
     /// tick still to run follows no tick applied, and is armed.
     fn repark(&mut self, k: &mut K, at: Timestamp, word: u64, rank: u32) -> bool {
-        let (slot, node) = ((word >> 32) as u32, NodeId(word as u32));
+        let slot = (word >> 32) as u32;
         let (period, busy_until) = (self.park.period, self.sense.at(slot).cpu.busy_until());
-        if at.as_micros() < period || busy_until > at || !self.may_park(k, slot, node, at) {
+        if at.as_micros() < period || busy_until > at || !self.may_park(k, slot, at) {
             return false;
         }
         let (park, last) = (&mut self.park, at - SimDuration::from_micros(period));
@@ -508,16 +447,7 @@ impl SensorNetwork {
             return now;
         }
         park.proofs += 1;
-        let mut wake = now;
-        for level in (0..LEVELS).rev() {
-            let span = park.period << (level + 1);
-            let window = now.as_micros() / span;
-            let listed = park.listed(&self.environment, &self.topology, level, window);
-            if listed[cell / 64] & (1 << (cell % 64)) == 0 {
-                wake = Timestamp::from_micros((window + 1).saturating_mul(span));
-                break;
-            }
-        }
+        let wake = self.sensing.reach.quiet_until(&self.environment, now, cell).unwrap_or(now);
         let period = SimDuration::from_micros(park.period);
         if wake <= now + period {
             // Not quiet for long: the cell is not asked again for a while.
@@ -586,8 +516,8 @@ impl SensorNetwork {
     #[cold]
     fn make_record(&mut self, node: NodeId, rank: u32) {
         if self.park.clock.is_none() {
-            let pos = self.deployment.position(node);
-            self.sense.make(node, SenseState::new(pos, self.sensing.cell(pos)));
+            let record = self.fresh_record(node);
+            self.sense.make(node, record);
             return;
         }
         let record = self.record_from_start(node, rank);

@@ -6,18 +6,20 @@
 //! not activate its context type with no action and no state change, so the
 //! tick evaluates the activation condition itself and enters the machine —
 //! handing over the reading it took — only when that holds. In a noiseless
-//! field most such ticks take no reading at all: in a coverage cell no
-//! target reaches, the reading is the ambient levels, and whether those
-//! activate each type is worked out once, when the world is built.
+//! field most such ticks take no reading at all: where no target reaches
+//! the node ([`Reach`]), the reading is the ambient levels, and whether
+//! those activate each type is worked out once, when the world is built.
 //! DESIGN.md §12 has the argument; `group::tests` pins it against
 //! `on_sense_tick`.
 
+use std::sync::Arc;
+
 use envirotrack_node::cpu::costs;
 use envirotrack_sim::time::{SimDuration, Timestamp};
-use envirotrack_world::field::{Deployment, NodeId};
-use envirotrack_world::geometry::Point;
 use envirotrack_telemetry::Work;
-use envirotrack_world::sensing::{Coverage, Environment};
+use envirotrack_world::field::NodeId;
+use envirotrack_world::grid::Topology;
+use envirotrack_world::sensing::{Environment, Reach};
 
 use super::{SensorNetwork, K};
 use crate::api::Program;
@@ -25,9 +27,10 @@ use crate::group::GroupMachine;
 
 /// What the driver keeps between ticks.
 pub(super) struct Sensing {
-    /// Where the targets can be sensed for now, so an idle tick far from
-    /// all of them reads the ambient levels without asking each where it is.
-    coverage: Coverage,
+    /// Where the targets can be sensed, window by window, so an idle tick
+    /// far from all of them reads the ambient levels without asking each
+    /// where it is; parking's proofs read it too.
+    pub(super) reach: Reach,
     /// Per context type, whether the ambient levels leave it inactive. An
     /// environment's ambient levels and noise are fixed when it is built
     /// (only targets are added later), so this is worked out once.
@@ -45,7 +48,7 @@ pub(super) struct Sensing {
 
 impl Sensing {
     pub(super) fn new(
-        field: &Deployment,
+        topology: &Arc<Topology>,
         sense_period: SimDuration,
         program: &Program,
         environment: &Environment,
@@ -57,7 +60,7 @@ impl Sensing {
             .collect();
         let reads = |tid: &crate::context::ContextTypeId| program.spec(*tid).pinned.is_none();
         Sensing {
-            coverage: Coverage::new(field.bounds(), field.len(), sense_period),
+            reach: Reach::new(Arc::clone(topology), sense_period),
             idle: program.type_ids().filter(reads).all(|tid| quiet[usize::from(tid.0)]),
             quiet,
             ticks: 0,
@@ -67,11 +70,6 @@ impl Sensing {
             // So that a first tick in slot 0 reads on.
             last_slot: u32::MAX,
         }
-    }
-
-    /// The coverage cell a sensor at `pos` samples from, for its hot record.
-    pub(super) fn cell(&self, pos: Point) -> u32 {
-        self.coverage.cell_index(pos)
     }
 
     /// Whether a quiescent tick that reads the ambient levels acts on
@@ -90,18 +88,19 @@ impl Sensing {
     ///   memory instead of reading on: with the records laid out in firing
     ///   order, once per sensing period, plus two for each tick of a node
     ///   off the lane (there and back);
-    /// - the coverage's counts ([`Coverage::work`]), of the samples a
-    ///   quiescent node's tick took itself (a tick that enters a group
-    ///   machine samples through `GroupCtx::sample` and shows in none);
-    /// - `sense_verdicts`: of the samples the coverage answered, those the
+    /// - the reach's counts ([`Reach::work`]): its windows, for sampling
+    ///   and parking alike, and the samples a quiescent node's tick took
+    ///   itself (a tick that enters a group machine samples through
+    ///   `GroupCtx::sample` and shows in none);
+    /// - `sense_verdicts`: of the samples the reach answered, those the
     ///   ambient verdict settled — one per (tick, context type) — and so
-    ///   never built: the field is noiseless, the cell clear, and the
-    ///   ambient levels do not activate the type.
+    ///   never built: the field is noiseless, no target reaches the node,
+    ///   and the ambient levels do not activate the type.
     pub(super) fn work(&self, work: &mut Work) {
         work.add("sense_ticks", self.ticks);
         work.add("sense_ticks_admitted", self.admitted);
         work.add("sense_strides", self.strides);
-        self.coverage.work(work);
+        self.reach.work(work);
         work.add("sense_verdicts", self.verdicts);
     }
 }
@@ -166,7 +165,7 @@ impl SensorNetwork {
         } else {
             self.clocks.get(node).global_delay(nominal)
         };
-        if period == nominal && self.park_tick(k, slot, node, now) {
+        if period == nominal && self.park_tick(k, slot, now) {
             return;
         }
         // Reschedule first: the loop survives any processing below, and the
@@ -197,14 +196,11 @@ impl SensorNetwork {
                 }
                 let (cell, pos) = (hot.cell, hot.pos);
                 let sensing = &mut self.sensing;
-                // A noiseless sample in a clear cell is the ambient levels,
-                // which leave this type inactive: the verdict is known, and
-                // the tick builds no sample and draws nothing.
-                if sensing.quiet[usize::from(tid.0)]
-                    && self
-                        .environment
-                        .reads_ambient(&mut sensing.coverage, cell, now)
-                {
+                // A noiseless sample no target reaches is the ambient
+                // levels, which leave this type inactive: the verdict is
+                // known, and the tick builds no sample and draws nothing.
+                let (quiet, env) = (sensing.quiet[usize::from(tid.0)], &self.environment);
+                if quiet && env.reads_ambient(&mut sensing.reach, cell, pos, now) {
                     sensing.verdicts += 1;
                     debug_assert!(
                         !spec.senses(&self.environment.sample(pos, now), false),
@@ -214,11 +210,9 @@ impl SensorNetwork {
                 }
                 // Taken where the machine would take it, so any noise comes
                 // off the node's stream at the same point; through the
-                // coverage, which returns what the machine's walk would.
-                let (coverage, rng) = (&mut sensing.coverage, &mut self.nodes.get_mut(node, true).rng);
-                let taken = self
-                    .environment
-                    .sample_covered(coverage, cell, pos, now, rng);
+                // reach, which returns what the machine's walk would.
+                let (reach, rng) = (&mut sensing.reach, &mut self.nodes.get_mut(node, true).rng);
+                let taken = self.environment.sample_covered(reach, cell, pos, now, rng);
                 if !spec.senses(&taken, false) {
                     continue;
                 }

@@ -331,6 +331,12 @@ impl Topology {
         &self.positions
     }
 
+    /// How many grid cells there are.
+    #[must_use]
+    pub fn cells(&self) -> usize {
+        self.starts.len() - 1
+    }
+
     /// Every node of grid cell `cell` in id order, `None` past the last
     /// cell; cells are numbered row-major from zero. A world groups its
     /// nodes by these cells where it needs blocks of neighbours; walking
@@ -354,7 +360,7 @@ impl Topology {
     /// so that it holds them still; a cell with no node gets a box that
     /// holds no point. A node never moves, so a holder works them out once.
     #[must_use]
-    pub fn member_boxes(&self) -> Vec<[f32; 4]> {
+    pub(crate) fn member_boxes(&self) -> Vec<[f32; 4]> {
         // The nearest `f32` at or below `v`, and at or above it.
         let down = |v: f64| {
             let f = v as f32;
@@ -372,8 +378,7 @@ impl Topology {
                 f
             }
         };
-        let cells = self.starts.len() - 1;
-        (0..cells)
+        (0..self.cells())
             .map(|cell| {
                 let members = self.bucket(cell).expect("a cell of the grid");
                 let empty = (

@@ -25,11 +25,13 @@
 //! assert_eq!(far.get(Channel::Magnetic), 0.0);
 //! ```
 
+use std::sync::Arc;
+
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::Work;
 
-use crate::geometry::{Aabb, Point};
+use crate::geometry::Point;
 use crate::grid::Topology;
 use crate::target::{Channel, Target, TargetId};
 
@@ -110,181 +112,220 @@ impl NoiseModel {
     }
 }
 
-/// Windows last at most this many times their floor.
-const WINDOW_CAP: u64 = 64;
+/// How many window lengths a [`Reach`] lists: aligned runs of 2, 4, …, 64
+/// sensing periods. A cell no target nears for 64 periods is proven quiet
+/// to the end of its 64-period window.
+const LEVELS: u32 = 6;
 
-/// Where the targets of one [`Environment`] can be sensed during one
-/// window of virtual time: a bitmap over square cells of a field's bounds
-/// in which a cell is set if some target that exists at an instant of the
-/// window could, at that instant, pass the exact cull of
-/// [`Environment::sample`] for a sensor in the cell (`Target::sweep`).
-/// A sensor in a clear cell therefore reads the ambient levels throughout
-/// the window. Positions and box corners go through one cell function that
-/// never decreases along either axis, so a position inside a box always
-/// lands in a cell the box set, whatever the rounding.
+/// Which sensors the targets of an [`Environment`] can reach, window by
+/// window: what the sensing verdict ([`Environment::sample_covered`],
+/// [`Environment::reads_ambient`]) and the parking proofs
+/// ([`Reach::quiet_until`]) both read.
 ///
-/// Nothing here is configured. A cell is about one node's share of the
-/// field; a window is the time the fastest target needs to cross a cell, no
-/// shorter than `floor` (the sensing period: a shorter window would be
-/// rebuilt more often than a node samples) and no longer than
-/// `WINDOW_CAP` floors. Windows start where they are first needed, so
-/// under a clock that only moves forward each is built once.
-#[derive(Debug, Clone)]
-pub struct Coverage {
-    bounds: Aabb,
-    /// Cells per unit length; zero when one cell spans the field.
-    per_unit: f64,
-    cols: usize,
-    rows: usize,
-    bits: Vec<u64>,
-    /// The window, both ends included; empty until the first rebuild.
-    from: Timestamp,
-    last: Timestamp,
-    /// How many targets the environment had when the window was built:
-    /// targets are only ever added, so the count tells a stale bitmap.
-    targets: usize,
-    floor: SimDuration,
-    /// How it has answered so far ([`Coverage::work`]).
-    answered: u64,
+/// A window of level `l < LEVELS` is an aligned run of `2^(l + 1)` sensing
+/// periods: window `w` holds the instants `w · span` to `(w + 1) · span − 1`
+/// µs. Each level keeps the window it was last asked about, keyed by the window
+/// and the environment's target count (targets are only ever added, so the
+/// count tells a stale list). For each target present in the window it
+/// keeps the box the target can pass the exact cull of
+/// [`Environment::sample`] in (`Target::sweep`), and it sets one bit per
+/// cell of a [`Topology`] whose nodes' box (`Topology::member_boxes`) one
+/// of those boxes meets. A node in an unlisted cell, or outside every box,
+/// reads exactly the ambient levels throughout the window. A box that is no
+/// ordinary numbers lists every cell and holds every position. Nothing is
+/// built until the first question.
+pub struct Reach {
+    topology: Arc<Topology>,
+    /// The sensing period in µs, at least one.
+    period: u64,
+    /// Per grid cell, the box of its nodes' positions.
+    boxes: Vec<[f32; 4]>,
+    levels: Vec<Level>,
+    /// Windows listed, the target sweeps they took and the cells they
+    /// listed; samples answered "ambient" and samples walked.
+    windows: u64,
+    sweeps: u64,
+    listed: u64,
+    covered: u64,
     walked: u64,
-    rebuilds: u64,
 }
 
-impl Coverage {
-    /// The cell of a position no cell speaks for: it is always walked.
-    pub const OFF_FIELD: u32 = u32::MAX;
+/// The window one level of a [`Reach`] was last asked about.
+#[derive(Default)]
+struct Level {
+    /// The window's index plus one (zero: none yet) and the target count.
+    key: (u64, usize),
+    /// The window's first and last instant, in µs.
+    from: u64,
+    last: u64,
+    cells: Vec<u64>,
+    /// Per target present, its box as `[lo.x, lo.y, hi.x, hi.y]`.
+    swept: Vec<[f64; 4]>,
+}
 
-    /// An empty coverage for `nodes` sensors spread over `bounds`, whose
-    /// windows last at least `floor`.
-    #[must_use]
-    pub fn new(bounds: Aabb, nodes: usize, floor: SimDuration) -> Self {
-        let (w, h) = (bounds.width(), bounds.height());
-        let n = nodes.max(1) as f64;
-        // The side of one node's share of the area, or of the length when
-        // the field is a line: at most `3 n + 1` cells either way. A field
-        // that is a point, or too large to square, is one cell.
-        let cell = (w * h / n).sqrt().max(w.max(h) / n);
-        let per_unit = if cell > 0.0 && cell.is_finite() {
-            1.0 / cell
-        } else {
-            0.0
-        };
-        let cols = (w * per_unit) as usize + 1;
-        let rows = (h * per_unit) as usize + 1;
-        Coverage {
-            bounds,
-            per_unit,
-            cols,
-            rows,
-            bits: vec![0; (cols * rows).div_ceil(64)],
-            from: Timestamp::MAX,
-            last: Timestamp::ZERO,
-            targets: 0,
-            floor: floor.max(SimDuration::from_micros(1)),
-            answered: 0,
-            walked: 0,
-            rebuilds: 0,
-        }
-    }
-
-    /// Adds how the coverage has answered so far to `work`. It says how
-    /// the sampling was done, not what was sampled:
-    /// - `samples_covered`: samples answered "ambient" from a clear cell,
-    ///   no target looked at;
-    /// - `samples_walked`: samples that took the exact walk over every
-    ///   target;
-    /// - `coverage_rebuilds`: times the bitmap was rebuilt for a new window.
-    pub fn work(&self, work: &mut Work) {
-        work.add("samples_covered", self.answered);
-        work.add("samples_walked", self.walked);
-        work.add("coverage_rebuilds", self.rebuilds);
-    }
-
-    /// The window the bitmap was last built for, first and last instant;
-    /// `None` before the first sample.
-    #[must_use]
-    pub fn window(&self) -> Option<(Timestamp, Timestamp)> {
-        (self.from <= self.last).then_some((self.from, self.last))
-    }
-
-    /// Whether the bitmap speaks for instant `t` of an environment that
-    /// has `targets` targets.
+impl Level {
+    /// Whether grid cell `cell` is on the grid and unlisted.
     #[inline]
-    fn holds(&self, t: Timestamp, targets: usize) -> bool {
-        self.from <= t && t <= self.last && self.targets == targets
-    }
-
-    /// The cell of `p` as `(column, row)`; a point off the field lands in
-    /// the nearest edge cell.
-    #[inline]
-    fn cell_of(&self, p: Point) -> (usize, usize) {
-        // A float-to-integer cast saturates, and sends NaN to zero.
-        let col = ((p.x - self.bounds.min.x) * self.per_unit) as usize;
-        let row = ((p.y - self.bounds.min.y) * self.per_unit) as usize;
-        (col.min(self.cols - 1), row.min(self.rows - 1))
-    }
-
-    /// The cell a sensor at `pos` samples from, for
-    /// [`Environment::sample_covered`]: which cell it is depends on the
-    /// field alone, never on a window, so a sensor that does not move works
-    /// it out once. A position off the field gets [`Coverage::OFF_FIELD`].
-    #[must_use]
-    pub fn cell_index(&self, pos: Point) -> u32 {
-        if !self.bounds.contains(pos) {
-            return Self::OFF_FIELD;
-        }
-        let (col, row) = self.cell_of(pos);
-        // A grid too large to number in 32 bits is walked from every cell.
-        u32::try_from(row * self.cols + col).unwrap_or(Self::OFF_FIELD)
-    }
-
-    /// Whether `cell` is on the field and no target reaches it.
-    #[inline]
-    fn is_clear(&self, cell: u32) -> bool {
+    fn unlisted(&self, cell: u32) -> bool {
         let bit = cell as usize;
-        cell != Self::OFF_FIELD && self.bits[bit / 64] & (1 << (bit % 64)) == 0
+        self.cells
+            .get(bit / 64)
+            .is_some_and(|w| w & (1 << (bit % 64)) == 0)
+    }
+}
+
+impl Reach {
+    /// The reach of the nodes of `topology` that sample every `period`.
+    #[must_use]
+    pub fn new(topology: Arc<Topology>, period: SimDuration) -> Self {
+        Reach {
+            topology,
+            period: period.as_micros().max(1),
+            boxes: Vec::new(),
+            levels: Vec::new(),
+            windows: 0,
+            sweeps: 0,
+            listed: 0,
+            covered: 0,
+            walked: 0,
+        }
     }
 
-    /// Rebuilds the bitmap for the window that starts at `t`.
-    fn rebuild(&mut self, targets: &[Target], t: Timestamp) {
-        self.rebuilds += 1;
-        let fastest = targets
-            .iter()
-            .map(|target| target.trajectory().speed())
-            .fold(0.0, f64::max);
-        let cap = self.floor.as_micros().saturating_mul(WINDOW_CAP);
-        // Saturates at the cap for a field of stationary targets.
-        let crossing = (1e6 / (self.per_unit * fastest)) as u64;
-        let window = crossing.clamp(self.floor.as_micros(), cap);
-        self.from = t;
-        self.last = t.saturating_add(SimDuration::from_micros(window - 1));
-        self.targets = targets.len();
-        self.bits.fill(0);
-        let Aabb { min, max } = self.bounds;
-        for target in targets {
-            let Some((at, half)) = target.sweep(self.from, self.last) else {
+    /// Adds how it has answered so far to `work`. It says how the work was
+    /// done, not what was sampled:
+    /// - `reach_windows`: windows listed, a level asked about a window it
+    ///   did not hold;
+    /// - `reach_sweeps`: target sweeps those windows took, one a target;
+    /// - `reach_listed`: cells those sweeps listed;
+    /// - `samples_covered`: samples answered "ambient", no target looked at;
+    /// - `samples_walked`: samples that took the exact walk over every
+    ///   target.
+    pub fn work(&self, work: &mut Work) {
+        work.add("reach_windows", self.windows);
+        work.add("reach_sweeps", self.sweeps);
+        work.add("reach_listed", self.listed);
+        work.add("samples_covered", self.covered);
+        work.add("samples_walked", self.walked);
+    }
+
+    /// The heap bytes of the cell boxes and the levels' lists.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        let levels = self.levels.iter().map(|l| {
+            l.cells.capacity() * size_of::<u64>() + l.swept.capacity() * size_of::<[f64; 4]>()
+        });
+        self.boxes.capacity() * size_of::<[f32; 4]>()
+            + self.levels.capacity() * size_of::<Level>()
+            + levels.sum::<usize>()
+    }
+
+    /// The end of the longest aligned window holding `t`, two periods
+    /// doubling up to 64, in which no target of `env` can reach a node of
+    /// grid cell `cell` — the instant after its last — and `None` if a
+    /// target can in the two periods that hold `t`.
+    pub fn quiet_until(
+        &mut self,
+        env: &Environment,
+        t: Timestamp,
+        cell: usize,
+    ) -> Option<Timestamp> {
+        (0..LEVELS).rev().find_map(|level| {
+            let span = self.span(level);
+            let window = t.as_micros() / span;
+            let end = Timestamp::from_micros((window + 1).saturating_mul(span));
+            let listed = self.list(env, level, window);
+            listed.unlisted(cell as u32).then_some(end)
+        })
+    }
+
+    /// Whether a node at `pos` in grid cell `cell` reads the ambient levels
+    /// of `env` at `t`, noise aside: its cell is unlisted in the level-0
+    /// window that holds `t`, or it is outside every box. A cell past the
+    /// grid's last is listed, so a position in none is tested alone; one
+    /// that is not a number is inside every box. The common answer — the
+    /// window held holds `t`, asked by its ends with no division, and the
+    /// cell is unlisted — is inlined into the caller's tick.
+    #[inline]
+    fn clear(&mut self, env: &Environment, cell: u32, pos: Point, t: Timestamp) -> bool {
+        let t = t.as_micros();
+        let held = |l: &Level| l.from <= t && t <= l.last && l.key.1 == env.targets.len();
+        let quick = |l: &Level| held(l) && l.unlisted(cell);
+        self.levels.first().is_some_and(quick) || self.clear_listed(env, cell, pos, t)
+    }
+
+    /// [`Reach::clear`] past its common answer, at `t` µs.
+    #[inline(never)]
+    fn clear_listed(&mut self, env: &Environment, cell: u32, pos: Point, t: u64) -> bool {
+        let level = self.list(env, 0, t / self.span(0));
+        let outside =
+            |&[x0, y0, x1, y1]: &[f64; 4]| pos.x < x0 || pos.y < y0 || pos.x > x1 || pos.y > y1;
+        level.unlisted(cell) || level.swept.iter().all(outside)
+    }
+
+    /// The lists of `level` for window `window`, listed now if the level
+    /// holds another window or fewer targets.
+    #[inline]
+    fn list(&mut self, env: &Environment, level: u32, window: u64) -> &Level {
+        let key = (window + 1, env.targets.len());
+        let at = level as usize;
+        if self.levels.get(at).is_none_or(|l| l.key != key) {
+            self.relist(env, level, window);
+            self.levels[at].key = key;
+        }
+        &self.levels[at]
+    }
+
+    /// How many µs a window of level `level` lasts.
+    fn span(&self, level: u32) -> u64 {
+        self.period.saturating_mul(2 << level)
+    }
+
+    #[cold]
+    fn relist(&mut self, env: &Environment, level: u32, window: u64) {
+        if self.levels.is_empty() {
+            self.boxes = self.topology.member_boxes();
+            self.levels.resize_with(LEVELS as usize, Level::default);
+        }
+        let at = level as usize;
+        let span = self.span(level);
+        let from = Timestamp::from_micros(window.saturating_mul(span));
+        let last = from.saturating_add(SimDuration::from_micros(span - 1));
+        let level = &mut self.levels[at];
+        (level.from, level.last) = (from.as_micros(), last.as_micros());
+        let Level { cells, swept, .. } = level;
+        cells.clear();
+        cells.resize(self.boxes.len().div_ceil(64), 0);
+        swept.clear();
+        let mut listed = 0;
+        let mut set = |cell: usize| {
+            let (word, bit) = (&mut cells[cell / 64], 1 << (cell % 64));
+            listed += u64::from(*word & bit == 0);
+            *word |= bit;
+        };
+        for target in &env.targets {
+            let Some((at, half)) = target.sweep(from, last) else {
                 continue;
             };
-            if !(half.is_finite() && at.x.is_finite() && at.y.is_finite()) {
-                // Unbounded reach, or a path through no ordinary point:
-                // every sample takes the walk.
-                self.bits.fill(!0);
-                return;
-            }
             let (lo, hi) = (
                 Point::new(at.x - half, at.y - half),
                 Point::new(at.x + half, at.y + half),
             );
-            if hi.x < min.x || lo.x > max.x || hi.y < min.y || lo.y > max.y {
+            if ![lo.x, lo.y, hi.x, hi.y].iter().all(|v| v.is_finite()) {
+                (0..self.boxes.len()).for_each(&mut set);
+                swept.push([-f64::INFINITY, -f64::INFINITY, f64::INFINITY, f64::INFINITY]);
                 continue;
             }
-            let ((col0, row0), (col1, row1)) = (self.cell_of(lo), self.cell_of(hi));
-            for row in row0..=row1 {
-                for bit in row * self.cols + col0..=row * self.cols + col1 {
-                    self.bits[bit / 64] |= 1 << (bit % 64);
+            swept.push([lo.x, lo.y, hi.x, hi.y]);
+            for cell in self.topology.cells_within(lo, hi) {
+                let [x0, y0, x1, y1] = self.boxes[cell].map(f64::from);
+                if !(hi.x < x0 || lo.x > x1 || hi.y < y0 || lo.y > y1) {
+                    set(cell);
                 }
             }
         }
+        self.windows += 1;
+        self.sweeps += env.targets.len() as u64;
+        self.listed += listed;
     }
 }
 
@@ -334,9 +375,8 @@ impl Environment {
         self.ambient
     }
 
-    /// Whether the sensors are noisy: a sample then draws, and no cell is
-    /// ever quiet ([`Environment::reach_cells`]). Fixed when the
-    /// environment is built.
+    /// Whether the sensors are noisy: a sample then draws, even where no
+    /// target reaches ([`Reach`]). Fixed when the environment is built.
     #[must_use]
     pub fn is_noisy(&self) -> bool {
         self.noise.noisy
@@ -392,113 +432,47 @@ impl Environment {
     }
 
     /// [`Environment::sample_noisy`] at `pos`, bit for bit and draw for
-    /// draw, for a caller that keeps a [`Coverage`] of this environment and
-    /// knows `pos`'s cell in it ([`Coverage::cell_index`]): a sensor in a
-    /// cell no target can reach during the coverage's window reads the
+    /// draw, for a node at `pos` in grid cell `cell` of `reach`'s topology:
+    /// where [`Reach`] says no target reaches the node at `t`, it reads the
     /// ambient levels (plus noise) without a look at any trajectory;
-    /// anything else takes the exact walk. The first sample outside the
-    /// window rebuilds the coverage around its own instant.
+    /// anything else takes the exact walk.
     #[inline]
     #[must_use]
     pub fn sample_covered(
         &self,
-        coverage: &mut Coverage,
+        reach: &mut Reach,
         cell: u32,
         pos: Point,
         t: Timestamp,
         rng: &mut SimRng,
     ) -> SensorSample {
-        debug_assert_eq!(
-            cell,
-            coverage.cell_index(pos),
-            "{pos} is not in cell {cell}"
-        );
-        if self.clear_at(coverage, cell, t) {
-            coverage.answered += 1;
+        if reach.clear(self, cell, pos, t) {
+            reach.covered += 1;
             debug_assert_eq!(
                 self.sample(pos, t).values.map(f64::to_bits),
                 self.ambient.values.map(f64::to_bits),
-                "coverage skipped a target at {pos}, {t:?}"
+                "the reach skipped a target at {pos}, {t:?}"
             );
             return self.noise.perturb(self.ambient, rng);
         }
-        coverage.walked += 1;
+        reach.walked += 1;
         self.sample_noisy(pos, t, rng)
     }
 
-    /// Whether [`Environment::sample_covered`] in `cell` at `t` would
-    /// return [`Environment::ambient`] bit for bit and draw nothing: the
-    /// environment is noiseless and no target reaches the cell during the
-    /// coverage's window. Counted as an answered sample when it is, so a
-    /// caller that takes `true` for that sample leaves the coverage's work
-    /// where the sample would have; with noise on it is `false` without a
-    /// look at the coverage.
+    /// Whether [`Environment::sample_covered`] would return
+    /// [`Environment::ambient`] bit for bit and draw nothing: the
+    /// environment is noiseless and no target reaches the node. Counted as
+    /// an answered sample when it is, so a caller that takes `true` for that
+    /// sample leaves the reach's work where the sample would have; with
+    /// noise on it is `false` without a look at the reach.
     #[inline]
     #[must_use]
-    pub fn reads_ambient(&self, coverage: &mut Coverage, cell: u32, t: Timestamp) -> bool {
-        if self.noise.noisy || !self.clear_at(coverage, cell, t) {
+    pub fn reads_ambient(&self, reach: &mut Reach, cell: u32, pos: Point, t: Timestamp) -> bool {
+        if self.noise.noisy || !reach.clear(self, cell, pos, t) {
             return false;
         }
-        coverage.answered += 1;
+        reach.covered += 1;
         true
-    }
-
-    /// Calls `reached` with every cell of `topology` whose box in `boxes` —
-    /// one a cell, holding the positions of its nodes
-    /// ([`Topology::member_boxes`]) — a target
-    /// can reach during `[from, last]`: where the target can pass the exact
-    /// cull of [`Environment::sample`] for a position in the box
-    /// (`Target::sweep`, the argument behind the [`Coverage`] windows, over
-    /// the whole interval). Every other cell's sensors read exactly the
-    /// ambient levels, with nothing drawn, throughout the interval. A cell
-    /// two targets reach is named twice; with noise on, or a target whose
-    /// reach or path is no ordinary number, every cell is. A target that is
-    /// not present yet counts from the instant it appears; one added later
-    /// is not seen. Returns how many target sweeps it worked out: one a
-    /// target.
-    pub fn reach_cells(
-        &self,
-        topology: &Topology,
-        boxes: &[[f32; 4]],
-        from: Timestamp,
-        last: Timestamp,
-        mut reached: impl FnMut(usize),
-    ) -> u64 {
-        let every = |reached: &mut dyn FnMut(usize)| (0..boxes.len()).for_each(reached);
-        if self.noise.noisy {
-            every(&mut reached);
-            return 0;
-        }
-        for target in &self.targets {
-            let Some((at, half)) = target.sweep(from, last) else {
-                continue;
-            };
-            let (lo, hi) = (
-                Point::new(at.x - half, at.y - half),
-                Point::new(at.x + half, at.y + half),
-            );
-            if ![lo.x, lo.y, hi.x, hi.y].iter().all(|v| v.is_finite()) {
-                every(&mut reached);
-                continue;
-            }
-            for cell in topology.cells_within(lo, hi) {
-                let [x0, y0, x1, y1] = boxes[cell].map(f64::from);
-                if !(at.x + half < x0 || at.x - half > x1 || at.y + half < y0 || at.y - half > y1) {
-                    reached(cell);
-                }
-            }
-        }
-        self.targets.len() as u64
-    }
-
-    /// Whether `cell` is clear in the window of `coverage` that holds `t`,
-    /// rebuilt around `t` first if the one it has does not.
-    #[inline]
-    fn clear_at(&self, coverage: &mut Coverage, cell: u32, t: Timestamp) -> bool {
-        if !coverage.holds(t, self.targets.len()) {
-            coverage.rebuild(&self.targets, t);
-        }
-        coverage.is_clear(cell)
     }
 
     /// Ground truth `Se(t)`: the positions among `candidates` at which a
@@ -534,9 +508,9 @@ mod tests {
     use super::*;
     use crate::target::{Emission, Falloff, Trajectory};
 
-    fn work_of(coverage: &Coverage) -> Work {
+    fn work_of(reach: &Reach) -> Work {
         let mut work = Work::default();
-        coverage.work(&mut work);
+        reach.work(&mut work);
         work
     }
 
@@ -651,20 +625,10 @@ mod tests {
         assert!((mean - 100.0).abs() < 0.25, "noisy mean {mean}");
     }
 
-    /// [`Environment::sample_covered`] at `pos`, its cell worked out here.
-    fn covered(
-        env: &Environment,
-        coverage: &mut Coverage,
-        pos: Point,
-        t: Timestamp,
-        rng: &mut SimRng,
-    ) -> SensorSample {
-        let cell = coverage.cell_index(pos);
-        env.sample_covered(coverage, cell, pos, t, rng)
-    }
-
-    /// A tank-like disk target crossing a 40 × 40 unit grid of 1 600 nodes.
-    fn crossing(speed: f64) -> (Environment, Coverage, Vec<Point>) {
+    /// A tank-like disk target crossing a 40 × 40 unit grid of 1 600 nodes
+    /// at `speed`, and the field's reach under radius 2.5 and a 200 ms
+    /// sensing period.
+    fn crossing(speed: f64) -> (Environment, Reach, Vec<Point>) {
         let mut env = Environment::new().with_ambient(Channel::Temperature, 20.0);
         env.add_target(Target::new(
             TargetId(0),
@@ -676,131 +640,100 @@ mod tests {
             }],
         ));
         let field = crate::field::Deployment::grid(40, 40, 1.0);
-        let coverage = Coverage::new(field.bounds(), field.len(), SimDuration::from_millis(200));
-        (env, coverage, field.positions().to_vec())
+        let topology = Arc::new(Topology::new(&field, 2.5));
+        let reach = Reach::new(topology, SimDuration::from_millis(200));
+        (env, reach, field.positions().to_vec())
+    }
+
+    /// Every node of the field sampled at `t`, each against the walk.
+    fn sample_all(env: &Environment, reach: &mut Reach, nodes: &[Point], t: Timestamp) {
+        let mut rng = SimRng::seed_from(1);
+        for (id, &pos) in (0u32..).zip(nodes) {
+            let cell = reach.topology.cell_of(crate::field::NodeId(id)) as u32;
+            assert_eq!(
+                env.sample_covered(reach, cell, pos, t, &mut rng),
+                env.sample(pos, t)
+            );
+        }
     }
 
     #[test]
-    fn coverage_answers_the_idle_field_and_rebuilds_once_per_window() {
-        let (env, mut coverage, nodes) = crossing(1.0);
-        // 39 × 39 units among 1 600 nodes: cells 0.975 units a side.
-        assert_eq!((coverage.cols, coverage.rows), (41, 41));
-        let mut rng = SimRng::seed_from(1);
-        // Five rounds of the whole field, 200 ms apart: one window, as the
-        // target needs 0.975 s to cross a cell.
+    fn reach_answers_the_idle_field_and_lists_once_per_window() {
+        let (env, mut reach, nodes) = crossing(1.0);
+        assert_eq!(work_of(&reach).get("reach_windows"), 0, "nothing built yet");
+        // Five rounds of the whole field, 200 ms apart, over three aligned
+        // 400 ms windows: 2.8 – 3.2 s, 3.2 – 3.6 s and 3.6 – 4 s.
         for round in 0..5 {
-            let t = Timestamp::from_millis(3_000 + 200 * round);
-            for &pos in &nodes {
-                let got = covered(&env, &mut coverage, pos, t, &mut rng);
-                assert_eq!(got, env.sample(pos, t));
-            }
+            sample_all(
+                &env,
+                &mut reach,
+                &nodes,
+                Timestamp::from_millis(3_000 + 200 * round),
+            );
         }
-        let (from, last) = coverage.window().expect("built");
-        assert_eq!(from, Timestamp::from_millis(3_000));
-        assert!(
-            (3_974_990..3_975_000).contains(&last.as_micros()),
-            "{last:?}"
+        let work = work_of(&reach);
+        assert_eq!(
+            [work.get("reach_windows"), work.get("reach_sweeps")],
+            [3, 3]
         );
-        let work = work_of(&coverage);
-        assert_eq!(work.get("coverage_rebuilds"), 1);
         let walked = work.get("samples_walked");
         assert_eq!(work.get("samples_covered") + walked, 5 * 1_600);
-        // Reach 1 + one cell of travel either side: a handful of cells.
-        assert!(walked <= 5 * 30, "{work:?}");
-        // The next window is built by the first sample past this one, and a
-        // step back in time builds one too.
-        let _ = covered(
-            &env,
-            &mut coverage,
-            nodes[0],
-            Timestamp::from_secs(4),
-            &mut rng,
-        );
-        assert_eq!(work_of(&coverage).get("coverage_rebuilds"), 2);
-        let _ = covered(
-            &env,
-            &mut coverage,
-            nodes[0],
-            Timestamp::from_secs(1),
-            &mut rng,
-        );
-        assert_eq!(work_of(&coverage).get("coverage_rebuilds"), 3);
+        // Reach 1 and 0.4 units of travel either side: the nodes inside a
+        // box 2.8 units wide, though its cells hold some 150.
+        assert!(walked <= 5 * 9, "{work:?}");
+        assert!(work.get("reach_listed") >= 3, "{work:?}");
+        // A step back in time lists its window again.
+        sample_all(&env, &mut reach, &nodes[..1], Timestamp::from_secs(1));
+        assert_eq!(work_of(&reach).get("reach_windows"), 4);
     }
 
     #[test]
-    fn coverage_windows_follow_the_fastest_target_between_floor_and_cap() {
-        let length = |speed: f64| {
-            let (env, mut coverage, nodes) = crossing(speed);
-            let mut rng = SimRng::seed_from(1);
-            let _ = covered(&env, &mut coverage, nodes[0], Timestamp::ZERO, &mut rng);
-            coverage.window().expect("built").1.as_micros() + 1
-        };
-        assert!((1_949_990..=1_950_000).contains(&length(0.5)));
-        assert_eq!(length(30.0), 200_000, "never shorter than the floor");
-        assert_eq!(length(0.001), 64 * 200_000, "never longer than the cap");
-        // Nothing moves: the cap.
-        let env = Environment::new();
-        let mut coverage = crossing(1.0).1;
-        let _ = covered(
-            &env,
-            &mut coverage,
-            Point::ORIGIN,
-            Timestamp::ZERO,
-            &mut SimRng::seed_from(1),
-        );
-        assert_eq!(
-            coverage.window().expect("built").1.as_micros() + 1,
-            64 * 200_000
-        );
+    fn reach_notices_a_target_added_mid_window() {
+        let (mut env, mut reach, nodes) = crossing(1.0);
+        let t = Timestamp::from_secs(2);
+        sample_all(&env, &mut reach, &nodes, t);
+        env.add_target(disk_target(1, nodes[5], 0.5));
+        sample_all(&env, &mut reach, &nodes, t);
+        let work = work_of(&reach);
+        assert_eq!(work.get("reach_windows"), 2);
+        assert!(work.get("samples_walked") > 0, "{work:?}");
     }
 
     #[test]
-    fn coverage_notices_a_target_added_mid_window() {
-        let (mut env, mut coverage, _) = crossing(1.0);
-        let (probe, t) = (Point::new(30.0, 5.0), Timestamp::from_secs(2));
-        let mut rng = SimRng::seed_from(1);
-        let before = covered(&env, &mut coverage, probe, t, &mut rng);
-        assert_eq!(before.get(Channel::Magnetic), 0.0);
-        env.add_target(disk_target(1, probe, 0.5));
-        let after = covered(&env, &mut coverage, probe, t, &mut rng);
-        assert_eq!(after.get(Channel::Magnetic), 1.0);
-        assert_eq!(work_of(&coverage).get("coverage_rebuilds"), 2);
-    }
-
-    #[test]
-    fn coverage_grids_degenerate_fields_without_dividing_by_zero() {
-        let floor = SimDuration::from_millis(200);
-        let at = Point::new(3.0, 3.0);
-        // One node; many nodes on one spot; a line of nodes; an extent
-        // whose area overflows.
-        let point = Aabb::new(at, at);
-        for nodes in [0, 1, 50] {
-            let c = Coverage::new(point, nodes, floor);
-            assert_eq!((c.cols, c.rows, c.bits.len()), (1, 1, 1));
-        }
-        let line = Coverage::new(Aabb::new(Point::ORIGIN, Point::new(99.0, 0.0)), 100, floor);
-        assert_eq!((line.cols, line.rows), (101, 1));
-        let huge = Aabb::new(Point::new(-1e200, -1e200), Point::new(1e200, 1e200));
-        let c = Coverage::new(huge, 10, floor);
-        assert_eq!((c.cols, c.rows), (1, 1));
-        // A sensor on the lone node still reads a target that reaches it,
-        // and ambient once the target has gone.
-        let mut env = Environment::new();
+    fn a_window_of_each_level_holds_its_own_instants() {
+        let (mut env, mut reach, _) = crossing(1.0);
+        // Present from 12.7 s on, over cell 0.
         env.add_target(
-            disk_target(0, Point::new(3.5, 3.0), 1.0)
-                .active_between(Timestamp::ZERO, Timestamp::from_secs(1)),
+            disk_target(1, Point::ORIGIN, 0.5)
+                .active_between(Timestamp::from_millis(12_700), Timestamp::MAX),
         );
-        let (mut c, mut rng) = (Coverage::new(point, 1, floor), SimRng::seed_from(1));
-        let early = covered(&env, &mut c, at, Timestamp::ZERO, &mut rng);
-        let late = covered(&env, &mut c, at, Timestamp::from_secs(30), &mut rng);
-        assert_eq!(
-            (early.get(Channel::Magnetic), late.get(Channel::Magnetic)),
-            (1.0, 0.0)
-        );
-        let work = work_of(&c);
-        assert_eq!(
-            (work.get("samples_walked"), work.get("samples_covered")),
-            (1, 1)
-        );
+        let at = Timestamp::from_millis;
+        let mut quiet_until = |t| reach.quiet_until(&env, t, 0);
+        // 0 – 12.8 s holds its appearance; 0 – 6.4 s does not.
+        assert_eq!(quiet_until(at(300)), Some(at(6_400)));
+        // 6.4 – 12.8 s holds it too; 6.4 – 9.6 s does not.
+        assert_eq!(quiet_until(at(6_400)), Some(at(9_600)));
+        // So do 12.4 – 12.8 s and every longer window around 12.5 s.
+        assert_eq!(quiet_until(at(12_500)), None);
+        // Levels 5 and 4 at 0.3 s, 4 and 3 at 6.4 s, 3 down to 0 at 12.5 s.
+        assert_eq!(work_of(&reach).get("reach_windows"), 2 + 2 + 4);
+    }
+
+    #[test]
+    fn a_target_of_no_ordinary_reach_lists_every_cell_and_every_position() {
+        let (mut env, mut reach, nodes) = crossing(1.0);
+        env.add_target(Target::new(
+            TargetId(1),
+            Trajectory::stationary(Point::ORIGIN),
+            vec![Emission {
+                channel: Channel::Light,
+                strength: 1.0,
+                falloff: Falloff::InverseSquare { floor: f64::NAN },
+            }],
+        ));
+        sample_all(&env, &mut reach, &nodes, Timestamp::ZERO);
+        let work = work_of(&reach);
+        assert_eq!(work.get("samples_walked"), 1_600, "{work:?}");
+        assert_eq!(work.get("reach_listed"), reach.boxes.len() as u64);
     }
 }

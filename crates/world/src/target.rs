@@ -139,12 +139,6 @@ impl Trajectory {
         self
     }
 
-    /// The speed in grid units per second (zero for stationary).
-    #[must_use]
-    pub(crate) fn speed(&self) -> f64 {
-        self.speed
-    }
-
     /// Total path length of one pass over the waypoints, in grid units.
     #[must_use]
     pub fn path_length(&self) -> f64 {

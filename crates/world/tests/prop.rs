@@ -1,5 +1,7 @@
 //! Property-based tests for the physical-environment substrate.
 
+use std::sync::Arc;
+
 use envirotrack_sim::rng::{splitmix64, SimRng};
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::Work;
@@ -8,7 +10,7 @@ use envirotrack_world::geometry::{Aabb, Point};
 use envirotrack_world::grid::{
     neighbor_lists_with, shard_assignment, shard_interest_ranges, NeighborStrategy, Topology,
 };
-use envirotrack_world::sensing::{Coverage, Environment, NoiseModel, SensorSample};
+use envirotrack_world::sensing::{Environment, NoiseModel, Reach, SensorSample};
 use envirotrack_world::target::{Channel, Emission, Falloff, Target, TargetId, Trajectory};
 use testkit::prelude::*;
 
@@ -96,6 +98,10 @@ fn reference_sample(
 /// The short menu emission radii are drawn from, so several emissions
 /// share a boundary and probes can sit exactly on one.
 const RADII: [f64; 4] = [0.0, 1.0, 2.5, 6.0];
+
+/// A cell no grid has: a sample there is tested against the swept boxes
+/// alone.
+const NO_CELL: u32 = u32::MAX;
 
 /// One random falloff of any of the five kinds.
 fn random_falloff(rng: &mut SimRng) -> Falloff {
@@ -325,18 +331,19 @@ prop_test! {
         }
     }
 
-    /// A sample through a `Coverage` is `sample_noisy`, bit for bit on all
+    /// A sample through a `Reach` is `sample_noisy`, bit for bit on all
     /// five channels and draw for draw on the node's stream: parked
     /// targets, lines, tours and loops, slow ones and ones that cross
     /// several cells per window, delayed departures, lifetimes that open
-    /// or close inside a coverage window, every falloff kind (unbounded
-    /// and NaN reaches, non-finite strengths, a NaN waypoint among them),
-    /// with and without noise; sensors inside, on the edge of and off the
-    /// field (whose cell is `OFF_FIELD`), at the targets' reach, and ones
-    /// that stay put with the cell they were given before the first window;
-    /// instants in no order, at both edges of the window just built and up
-    /// against `Timestamp::MAX`. Where `reads_ambient` says a sample is the
-    /// ambient levels with nothing to draw, so it is.
+    /// or close inside a window, every falloff kind (unbounded and NaN
+    /// reaches, non-finite strengths, a NaN waypoint among them), with and
+    /// without noise; nodes inside and on the edge of a field under any
+    /// radio range, their cells worked out before the first window, and
+    /// positions in no cell, tested against the swept boxes alone: at the
+    /// targets' reach, around and off the field, and NaN, which walks
+    /// whenever a target is present; instants in no order, at both edges of
+    /// their window and up against `Timestamp::MAX`. Where `reads_ambient`
+    /// says a sample is the ambient levels with nothing to draw, so it is.
     #[test]
     fn covered_sample_is_bit_identical_to_the_walk(seed: u64, n_targets in 0usize..8) {
         let mut rng = SimRng::seed_from(seed);
@@ -350,9 +357,9 @@ prop_test! {
             let ch = Channel::ALL[rng.below(5) as usize];
             env = env.with_noise(NoiseModel::none().with_channel(ch, rng.uniform_range(0.0, 2.0)));
         }
-        // Pairs of instants: the first starts a window (whatever came
-        // before it is almost surely far away), the second falls inside
-        // it. One pair either side of each end of every lifetime.
+        // Pairs of instants: the first is anywhere in its window, the
+        // second falls inside it or the next. One pair either side of each
+        // end of every lifetime.
         let mut script: Vec<[u64; 2]> = Vec::new();
         for id in 0..n_targets {
             let emissions = (0..1 + rng.below(3)).map(|_| random_emission(&mut rng)).collect();
@@ -380,65 +387,67 @@ prop_test! {
             script.push([t, t.saturating_add(rng.below(400_000))]);
         }
         script.push([u64::MAX, u64::MAX - 1]);
-        // A field of up to a few hundred nodes, a square or nearly a line.
+        // A field of up to a few hundred nodes, a square or nearly a line,
+        // with two on its edge.
         let half = Point::new(rng.uniform_range(3.0, 12.0), rng.uniform_range(0.0, 12.0));
-        let bounds = Aabb::new(Point::new(-half.x, -half.y), half);
-        let floor = SimDuration::from_millis(50 + rng.below(450));
-        let mut coverage = Coverage::new(bounds, 1 + rng.below(400) as usize, floor);
-        let (mut drawn, mut reference) = (rng.fork("covered"), rng.fork("covered"));
-        let mut samples = 0;
         let roam = |rng: &mut SimRng, by: f64| {
             Point::new(
                 rng.uniform_range(-half.x * by, half.x * by),
                 rng.uniform_range(-half.y * by, half.y * by),
             )
         };
-        // Sensors that stay put, their cells worked out once before any
-        // window exists, as a node's hot record keeps its cell.
-        let sensors: Vec<(Point, u32)> = (0..8)
-            .map(|i| roam(&mut rng, if i < 6 { 1.0 } else { 3.0 }))
-            .map(|pos| (pos, coverage.cell_index(pos)))
-            .collect();
+        let mut positions: Vec<Point> = (0..1 + rng.below(400)).map(|_| roam(&mut rng, 1.0)).collect();
+        positions.extend([Point::new(half.x, roam(&mut rng, 1.0).y), Point::new(-half.x, half.y)]);
+        let deployment = Deployment::from_positions(positions);
+        let topology = Arc::new(Topology::new(&deployment, RADII[1 + rng.below(3) as usize]));
+        let cells: Vec<u32> = deployment.ids().map(|id| topology.cell_of(id) as u32).collect();
+        let period = SimDuration::from_millis(50 + rng.below(450));
+        let span = 2 * period.as_micros();
+        let mut reach = Reach::new(topology, period);
+        let (mut drawn, mut reference) = (rng.fork("covered"), rng.fork("covered"));
+        let mut samples = 0;
+        let walked = |reach: &Reach| {
+            let mut work = Work::default();
+            reach.work(&mut work);
+            work.get("samples_walked")
+        };
 
         while !script.is_empty() {
             let pair = script.swap_remove(rng.below(script.len() as u64) as usize);
             for (i, t) in pair.into_iter().enumerate() {
                 let t = Timestamp::from_micros(t);
                 for _ in 0..6 {
-                    let pos = match (rng.below(8), rng.choose(env.targets())) {
+                    let node = rng.below(cells.len() as u64) as usize;
+                    let (pos, cell) = match (rng.below(8), rng.choose(env.targets())) {
                         // At a target's reach along an axis, where it is now.
                         (0..=3, Some(target)) => {
                             let r = RADII[rng.below(4) as usize];
                             let r = if rng.chance(0.5) { r } else { -r };
                             let c = target.position_at(t);
                             if rng.chance(0.5) {
-                                Point::new(c.x + r, c.y)
+                                (Point::new(c.x + r, c.y), NO_CELL)
                             } else {
-                                Point::new(c.x, c.y + r)
+                                (Point::new(c.x, c.y + r), NO_CELL)
                             }
                         }
-                        // On the field's edge; around and off the field; nowhere.
-                        (4, _) => Point::new(half.x, roam(&mut rng, 1.0).y),
-                        (5, _) => roam(&mut rng, 3.0),
-                        (6, _) if rng.chance(0.1) => Point::new(f64::NAN, 0.0),
-                        (6, _) => sensors[rng.below(8) as usize].0,
-                        _ => roam(&mut rng, 1.0),
+                        // Around and off the field; nowhere.
+                        (5, _) => (roam(&mut rng, 3.0), NO_CELL),
+                        (6, _) => (Point::new(f64::NAN, f64::NAN), NO_CELL),
+                        // A node; one on the field's edge.
+                        (7, _) => (deployment.position(NodeId(cells.len() as u32 - 2)), cells[cells.len() - 2]),
+                        _ => (deployment.position(NodeId(node as u32)), cells[node]),
                     };
-                    let cell = match sensors.iter().find(|(at, _)| at.x == pos.x && at.y == pos.y) {
-                        Some(&(_, cell)) => cell,
-                        None => coverage.cell_index(pos),
-                    };
-                    // Off the field means no cell: that sample is walked.
-                    if !bounds.contains(pos) {
-                        prop_assert_eq!(cell, Coverage::OFF_FIELD, "{} is off the field", pos);
-                    }
+                    let before = walked(&reach);
                     // Half the samples ask first whether they are the
                     // ambient levels, and take them without a draw if so.
-                    let got = if rng.chance(0.5) && env.reads_ambient(&mut coverage, cell, t) {
+                    let got = if rng.chance(0.5) && env.reads_ambient(&mut reach, cell, pos, t) {
                         env.ambient()
                     } else {
-                        env.sample_covered(&mut coverage, cell, pos, t, &mut drawn)
+                        env.sample_covered(&mut reach, cell, pos, t, &mut drawn)
                     };
+                    if pos.x.is_nan() && env.targets().iter().any(|target| target.active_at(t)) {
+                        prop_assert_eq!(walked(&reach), before + 1, "NaN read ambient at {:?}", t);
+                    }
                     let want = env.sample_noisy(pos, t, &mut reference);
                     samples += 1;
                     for ch in Channel::ALL {
@@ -453,24 +462,27 @@ prop_test! {
                 // Now and then go on to the edges of the window the first
                 // of the pair is in: its last instant, and the one after.
                 if i == 0 && rng.chance(0.3) {
-                    let (_, last) = coverage.window().expect("built by the samples above");
-                    let last = last.as_micros();
+                    let last = (t.as_micros() / span).saturating_add(1).saturating_mul(span) - 1;
                     script.push([last, last.saturating_add(1)]);
                 }
             }
         }
         let mut work = Work::default();
-        coverage.work(&mut work);
+        reach.work(&mut work);
         prop_assert_eq!(work.get("samples_covered") + work.get("samples_walked"), samples);
     }
 
-    /// The cells a window's targets can reach hold every sensor a target
-    /// reaches in it: at the window's first and last instant and between,
-    /// on drawn fields under every radio range, every node whose noiseless
-    /// sample is not the ambient levels is in a cell named. Targets are parked,
-    /// linear, looped or late, cross the field slowly or fast, and now and
-    /// then reach no ordinary distance; windows start at zero, mid-run or
-    /// near the end of time. One sweep a target is worked out.
+    /// A cell proven quiet holds no sensor a target reaches: on drawn
+    /// fields under every radio range, for a drawn instant `t` and every
+    /// cell, `quiet_until(t, cell) = Some(end)` means that every node of the
+    /// cell reads the ambient levels at `t`, at `end − 1`, between, and at
+    /// any other instant before `end`; and no node whose noiseless sample is
+    /// not the ambient levels, at those instants or up to 64 periods on, is
+    /// ever told "ambient". Targets are parked, linear, looped or late,
+    /// cross the field slowly or fast, and now and then reach no ordinary
+    /// distance; periods run from 1 µs to 1 s, and `t` is zero, mid-run or
+    /// near the end of time. Each level lists one window, one sweep a
+    /// target.
     #[test]
     fn reached_cells_hold_every_sensor_a_target_reaches(
         draw in arb_field(),
@@ -478,8 +490,8 @@ prop_test! {
         n_targets in 0usize..4,
     ) {
         let (deployment, radius) = draw.build();
-        let topology = Topology::new(&deployment, radius);
-        let (positions, boxes) = (deployment.positions(), topology.member_boxes());
+        let topology = Arc::new(Topology::new(&deployment, radius));
+        let positions = deployment.positions();
         let mut rng = SimRng::seed_from(seed);
         let us = Timestamp::from_micros;
         let mut env = Environment::new();
@@ -507,22 +519,32 @@ prop_test! {
             env.add_target(target);
         }
         for _ in 0..4 {
-            let from = match rng.below(4) {
+            let period = 1 + rng.below(1_000_000);
+            let t = match rng.below(4) {
                 0 => 0,
                 1 => u64::MAX - rng.below(2_000_000),
                 _ => rng.below(8_000_000),
             };
-            let last = from.saturating_add(rng.below(4_000_000));
-            let mut named = vec![false; boxes.len()];
-            let sweeps = env.reach_cells(&topology, &boxes, us(from), us(last), |cell| named[cell] = true);
-            prop_assert_eq!(sweeps, env.targets().len() as u64);
+            let mut reach = Reach::new(Arc::clone(&topology), SimDuration::from_micros(period));
+            let ends: Vec<Option<Timestamp>> =
+                (0..topology.cells()).map(|cell| reach.quiet_until(&env, us(t), cell)).collect();
+            let mut work = Work::default();
+            reach.work(&mut work);
+            let windows = work.get("reach_windows");
+            prop_assert!((1..=6).contains(&windows), "{} windows listed", windows);
+            prop_assert_eq!(work.get("reach_sweeps"), windows * env.targets().len() as u64);
             let bits = |s: SensorSample| Channel::ALL.map(|ch| s.get(ch).to_bits());
             let ambient = bits(env.ambient());
-            for t in [from, last, from + (last - from) / 2, from + rng.below(last - from + 1)] {
-                for (id, &pos) in (0u32..).zip(positions) {
-                    if bits(env.sample(pos, us(t))) != ambient {
-                        let cell = topology.cell_of(NodeId(id));
-                        prop_assert!(named[cell], "node {} at {} in cell {} sensed at {:?}, not named", id, pos, cell, us(t));
+            let far = t.saturating_add(64 * period);
+            for (id, &pos) in (0u32..).zip(positions) {
+                let cell = topology.cell_of(NodeId(id));
+                let end = ends[cell].map_or(far, Timestamp::as_micros);
+                let inside = [t, end.saturating_sub(1).max(t), t + (end - t) / 2, t + rng.below(end - t + 1)];
+                for s in inside.into_iter().chain([t + rng.below(far - t + 1)]) {
+                    if bits(env.sample(pos, us(s))) != ambient {
+                        let quiet = ends[cell].is_some_and(|end| s < end.as_micros());
+                        prop_assert!(!quiet, "node {} at {} in cell {} sensed at {:?}, proven quiet until {:?}", id, pos, cell, us(s), ends[cell]);
+                        prop_assert!(!env.reads_ambient(&mut reach, cell as u32, pos, us(s)), "node {} told ambient at {:?}", id, us(s));
                     }
                 }
             }

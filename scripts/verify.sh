@@ -115,7 +115,7 @@ TESTKIT_CASES="${TESTKIT_CASES:-512}" \
 # that licenses it (such a machine answers nothing and changes nothing,
 # over random walks through every role) re-runs here by name at 512 cases
 # unless TESTKIT_CASES is exported. So does the property that licenses the
-# driver's sample through the coverage: bit for bit and draw for draw what
+# driver's sample through the reach: bit for bit and draw for draw what
 # the walk over every target returns, and, where the ambient verdict
 # settles a tick instead, the ambient levels with nothing drawn. And so
 # does the one that says the predicate the driver evaluates means what the
@@ -153,11 +153,13 @@ done
 cargo test -q --offline -p envirotrack-core --test locality
 
 # Mutants: every patch in mutants/ still applies to this tree, the four
-# kernel mutants fail the kernel's skipped-tick property, and the four
+# kernel mutants fail the kernel's skipped-tick property, the four
 # parking-proof and lazy-record mutants and the two that park without a
 # reason (a wake that proves nothing, a touch that parks a busy CPU again)
-# fail the random-world tests at seed 1 (≈ 15 s warm on the 2-vCPU host).
-# `scripts/mutants.sh --all` runs every one.
+# fail the random-world tests at seed 1, and the two sensing-verdict
+# mutants (a verdict read from the window before, a swept box half as wide)
+# fail the world's sampling property at seed 1 (≈ 20 s warm on the 2-vCPU
+# host). `scripts/mutants.sh --all` runs every one.
 for patch in mutants/*.patch; do
   git apply --check "$patch" \
     || { echo "verify: $patch no longer applies" >&2; exit 1; }
@@ -165,7 +167,8 @@ done
 scripts/mutants.sh period-push-by-delay boundary-seq-before-rank class-one-reads-no-tick \
   one-shot-before-its-tick park-lookup-neighbour-cell window-grid-off-by-one-period \
   lazy-record-misses-tick-at-now lists-kept-across-windows \
-  wake-keeps-parked-unproven rx-repark-before-drain >&2
+  wake-keeps-parked-unproven rx-repark-before-drain \
+  reach-verdict-window-before reach-box-half-shrunk >&2
 
 # Telemetry smoke: the flagship storm must emit the summary table and a
 # non-empty trace, byte-identically across two runs of the same seed.
@@ -197,13 +200,15 @@ for f in "$tmp/scale.json" BENCH_scale.json; do
   for key in '"bench":"scale"' '"results":' \
              '"events_per_sec":' '"sweep":' '"merged_outputs_identical":true' \
              '"bytes_on_air":' '"sense_ticks":' '"sense_ticks_admitted":' '"sense_strides":' \
-             '"samples_covered":' '"samples_walked":' '"coverage_rebuilds":' '"sense_verdicts":' \
-             '"sense_parked":' '"sense_settled":' '"park_proofs":' '"park_sweeps":' \
-             '"park_listed":' '"hot_made":' '"park_kept":' '"park_woken":' \
+             '"samples_covered":' '"samples_walked":' '"sense_verdicts":' \
+             '"reach_windows":' '"reach_sweeps":' '"reach_listed":' \
+             '"sense_parked":' '"sense_settled":' '"park_proofs":' \
+             '"hot_made":' '"park_kept":' '"park_woken":' \
              '"park_received":' '"park_stayed":' \
              '"popped_events":' '"bootstrap_wall_s":' \
              '"lane_pops":' '"heap_pops":' '"inline_events":' '"boxed_events":' \
              '"build_allocs":' '"build_heap_bytes":' \
+             '"scenario_allocs":' '"scenario_heap_bytes":' \
              '"timer_live":' '"timer_stale":' '"timer_retries":' '"cold_engaged":' \
              '"neighbor_lists":' \
              '"trace_records":' '"trace_dropped":' '"trace_ring_bytes":' \
