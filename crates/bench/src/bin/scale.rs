@@ -15,8 +15,10 @@
 //!    the scenario built before it (counted by `testkit::alloc::Counting`,
 //!    this binary's global allocator), then
 //!    every count of the run's work snapshot (`ScalePoint::work`) under
-//!    its own name: the event list's (lane and heap pops, one-shot events
-//!    scheduled inline and boxed), the sensing driver's (ticks fired and
+//!    its own name: the event list's (lane and heap pops, the heap's
+//!    pushes into its near and far tiers, far entries moved, near refills
+//!    and spills, one-shot events scheduled inline and boxed), the sensing
+//!    driver's (ticks fired and
 //!    admitted, strides between hot records, idle samples answered
 //!    "ambient" or walked, answered samples settled by the ambient verdict,
 //!    parkings and settled ticks), the reach's (windows listed, target

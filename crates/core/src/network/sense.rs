@@ -199,8 +199,10 @@ impl SensorNetwork {
                 // A noiseless sample no target reaches is the ambient
                 // levels, which leave this type inactive: the verdict is
                 // known, and the tick builds no sample and draws nothing.
-                let (quiet, env) = (sensing.quiet[usize::from(tid.0)], &self.environment);
-                if quiet && env.reads_ambient(&mut sensing.reach, cell, pos, now) {
+                // A "no" is the walk's: the reach is asked once.
+                let env = &self.environment;
+                let asked = sensing.quiet[usize::from(tid.0)] && !env.is_noisy();
+                if asked && env.reads_ambient(&mut sensing.reach, cell, pos, now) {
                     sensing.verdicts += 1;
                     debug_assert!(
                         !spec.senses(&self.environment.sample(pos, now), false),
@@ -212,7 +214,11 @@ impl SensorNetwork {
                 // off the node's stream at the same point; through the
                 // reach, which returns what the machine's walk would.
                 let (reach, rng) = (&mut sensing.reach, &mut self.nodes.get_mut(node, true).rng);
-                let taken = self.environment.sample_covered(reach, cell, pos, now, rng);
+                let taken = if asked {
+                    self.environment.sample_walked(reach, pos, now, rng)
+                } else {
+                    self.environment.sample_covered(reach, cell, pos, now, rng)
+                };
                 if !spec.senses(&taken, false) {
                     continue;
                 }

@@ -417,22 +417,25 @@ impl<W> Kernel<W> {
     /// - `lane_pops`: events popped off the recurring lane;
     /// - `heap_pops`: events popped out of the heap (inline, boxed, and
     ///   recurring ones that were scheduled out of order);
+    /// - `queue_near_pushes`: heap pushes into the near tier;
+    /// - `queue_far_pushes`: heap pushes into a far bucket;
+    /// - `queue_moves`: entries moved into the far tier, between its
+    ///   buckets, or out of it into near;
+    /// - `queue_advances`: refills of the near tier from the far one;
+    /// - `queue_spills`: times the far tier was made;
     /// - `inline_events`: one-shot events scheduled inline
     ///   ([`Kernel::schedule_inline_at`]);
     /// - `boxed_events`: one-shot events scheduled as boxed closures
     ///   ([`Kernel::schedule_at`], [`Kernel::schedule_in`]), one allocation
     ///   each.
     pub fn work(&self, work: &mut Work) {
-        let (lane_pops, heap_pops) = self.queue.pops();
-        work.add("popped_events", lane_pops + heap_pops);
-        work.add("lane_pops", lane_pops);
-        work.add("heap_pops", heap_pops);
+        self.queue.work(work);
         work.add("inline_events", self.inline_scheduled);
         work.add("boxed_events", self.boxed_scheduled);
     }
 
-    /// The heap bytes the event list holds — its heap, recurring lane and
-    /// slab, and each pending boxed closure — and what it keeps for skipped
+    /// The heap bytes the event list holds — its two tiers, recurring lane
+    /// and slab, and each pending boxed closure — and what it keeps for skipped
     /// ticks, worked out from their capacities when asked. Like
     /// [`Kernel::work`], for tests and tools.
     #[must_use]
@@ -851,6 +854,11 @@ mod tests {
             ("popped_events", 6),
             ("lane_pops", 1),
             ("heap_pops", 5),
+            ("queue_near_pushes", 5),
+            ("queue_far_pushes", 0),
+            ("queue_moves", 0),
+            ("queue_advances", 0),
+            ("queue_spills", 0),
             ("inline_events", 3),
             ("boxed_events", 2),
         ];

@@ -22,18 +22,55 @@
 //!
 //! ## Storage: slot slab + free-list
 //!
-//! Items live in a *slab* of slots; the heap orders lightweight
+//! Items live in a *slab* of slots; the tiers below order lightweight
 //! `(time, key, slot, generation)` entries that point into it. Popped and
 //! cancelled slots go onto a free-list and are reused by later pushes, so a
 //! steady-state simulation recycles a bounded working set of slots instead
 //! of growing (or repeatedly reallocating) per event. The indirection is
-//! also what makes O(log n) cancellation possible:
+//! also what makes cheap cancellation possible:
 //!
 //! * [`EventQueue::push_keyed`] returns an [`EventKey`];
 //! * [`EventQueue::cancel`] retires that key's item immediately (the stale
-//!   heap entry is skipped lazily when it surfaces);
+//!   entry is skipped lazily when it surfaces, or dropped when the far tier
+//!   moves it);
 //! * generations disambiguate a reused slot from the key of its previous
 //!   occupant, so a stale key can never cancel somebody else's event.
+//!
+//! ## Two tiers: a near heap and far radix buckets
+//!
+//! The entries are split at an instant, the *edge*. **Near** is a binary
+//! heap over `(time, key)` holding every entry at or before the edge;
+//! **far** holds every entry after it, in radix buckets: bucket *i* holds
+//! the entries whose time first differs from a *base* instant at bit
+//! *i − 1* (bucket 0: equal to it), and every far time is at or after the
+//! base (a monotone radix heap). A push at or before the edge goes into
+//! near, any later one is dropped into its bucket in O(1). Until near has
+//! held more than `SPILL` entries there is no far tier and no edge (it
+//! is [`Timestamp::MAX`]): a small queue is exactly a binary heap, and
+//! constructing one allocates nothing. The first push past that *spills*:
+//! the far tier is made, behind a `Box`, with its base and the edge at
+//! near's earliest time, and every later entry moves into it.
+//!
+//! When near runs out, its next entries are the far tier's lowest bucket:
+//! every entry of a higher bucket is later than every one of it. The
+//! lowest buckets move into near whole, as many as fit in `MOVE` entries
+//! together (bucket 0, all at one instant, always fits), and the edge
+//! becomes the latest time moved. A lowest bucket too large for that is
+//! first redistributed around its earliest time, which becomes the base,
+//! into strictly lower buckets. A heap of thousands of timers then sifts
+//! each pop through a few dozen entries, and each far entry is moved a few
+//! times on its way in.
+//!
+//! *Any push order is safe*: a push goes to near or far by its time alone,
+//! so near always holds every entry up to the edge and far every entry
+//! after it, and the base is never after the edge, so a far push is never
+//! before the base. A push into the past of the far tier — behind a time a
+//! [`EventQueue::pop_due`] has peeked, or before the base — lands in near
+//! and needs no rebuild. *The pop order is the single heap's*: near's top
+//! is the earliest `(time, key)` of near, every far entry is later than
+//! every near entry, and entries of one instant are never split between the
+//! tiers, so they are ordered by key in near's heap alone. Cancelled
+//! entries a bucket move meets are dropped there, and count for nothing.
 //!
 //! ## The recurring lane
 //!
@@ -66,7 +103,26 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
+use envirotrack_telemetry::Work;
+
 use crate::time::Timestamp;
+
+/// Near's size past which the first push makes the far tier (see the
+/// [module docs](self)).
+const SPILL: usize = 256;
+
+/// The most entries a refill moves into near, the lowest far buckets whole;
+/// a lowest bucket larger than this is redistributed first.
+const MOVE: usize = 64;
+
+/// The largest buffer an emptied far bucket keeps: the bucket that holds
+/// the bulk of the far future changes as the base moves, and every bucket
+/// that once held it would otherwise keep room for all of it.
+const KEEP: usize = 256;
+
+/// Far buckets: one for the base instant, one per bit a time may first
+/// differ from it at.
+const BUCKETS: usize = 1 + u64::BITS as usize;
 
 /// A handle to one scheduled event, returned by [`EventQueue::push_keyed`].
 ///
@@ -82,6 +138,7 @@ pub struct EventKey {
 /// One heap entry: ordering metadata plus a pointer into the slab. Ordered
 /// so that the binary heap (a max-heap) pops the earliest time first, then
 /// the lowest key (see the [module docs](self)).
+#[derive(Clone, Copy)]
 struct Entry {
     at: Timestamp,
     key: u64,
@@ -110,6 +167,43 @@ impl Ord for Entry {
     }
 }
 
+/// The far tier: radix buckets over every entry after the edge (see the
+/// [module docs](self)).
+struct Far {
+    /// No far entry is before it; the buckets are relative to it.
+    base: u64,
+    /// Bit *i* is set when bucket *i* holds an entry.
+    occupied: u128,
+    buckets: [Vec<Entry>; BUCKETS],
+}
+
+impl Far {
+    fn new(base: Timestamp) -> Box<Self> {
+        Box::new(Far {
+            base: base.as_micros(),
+            occupied: 0,
+            buckets: std::array::from_fn(|_| Vec::new()),
+        })
+    }
+
+    /// Drops `entry` into the bucket of the first bit its time differs from
+    /// the base at.
+    #[inline]
+    fn push(&mut self, entry: Entry) {
+        let i = (u64::BITS - (entry.at.as_micros() ^ self.base).leading_zeros()) as usize;
+        self.occupied |= 1 << i;
+        self.buckets[i].push(entry);
+    }
+
+    /// Returns bucket `i`'s emptied buffer to it, unless it is larger than
+    /// [`KEEP`] entries.
+    fn put_back(&mut self, i: usize, buffer: Vec<Entry>) {
+        if buffer.capacity() <= KEEP {
+            self.buckets[i] = buffer;
+        }
+    }
+}
+
 /// One slab slot. `generation` advances every time the occupant leaves
 /// (pop or cancel), invalidating outstanding keys and stale heap entries.
 struct Slot<E> {
@@ -124,7 +218,12 @@ struct Slot<E> {
 /// The queue never reorders same-time events, so a simulation driven from it
 /// is a pure function of its inputs and RNG seed.
 pub struct EventQueue<E, L = E> {
-    heap: BinaryHeap<Entry>,
+    /// Every heap-side entry at or before `edge`.
+    near: BinaryHeap<Entry>,
+    /// Near's last instant: [`Timestamp::MAX`] until the far tier is made.
+    edge: Timestamp,
+    /// Every entry after `edge`, once near has spilled.
+    far: Option<Box<Far>>,
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
     /// The recurring lane, sorted by `(time, key)` because a push is only
@@ -135,6 +234,11 @@ pub struct EventQueue<E, L = E> {
     live: usize,
     lane_pops: u64,
     heap_pops: u64,
+    near_pushes: u64,
+    far_pushes: u64,
+    moves: u64,
+    advances: u64,
+    spills: u64,
 }
 
 impl<E> EventQueue<E> {
@@ -211,14 +315,92 @@ impl<E, L: Into<E>> EventQueue<E, L> {
             }
         };
         let generation = self.slots[slot as usize].generation;
-        self.heap.push(Entry {
+        let entry = Entry {
             at,
             key,
             slot,
             generation,
-        });
+        };
+        if at <= self.edge {
+            self.near_pushes += 1;
+            self.near.push(entry);
+            if self.near.len() > SPILL && self.far.is_none() {
+                self.spill();
+            }
+        } else {
+            self.far_pushes += 1;
+            let far = self.far.as_deref_mut();
+            far.expect("a far tier past the edge").push(entry);
+        }
         self.live += 1;
         EventKey { slot, generation }
+    }
+
+    /// Makes the far tier, with near's earliest time as its base and the
+    /// edge, and moves every later entry into it.
+    #[cold]
+    #[inline(never)]
+    fn spill(&mut self) {
+        let Self {
+            near, slots, edge, ..
+        } = self;
+        *edge = near.peek().expect("near is past its size").at;
+        let mut far = Far::new(*edge);
+        near.retain(|e| {
+            let live = slots[e.slot as usize].generation == e.generation;
+            if live && e.at > *edge {
+                far.push(*e);
+            }
+            live && e.at <= *edge
+        });
+        self.moves += far.buckets.iter().map(|b| b.len() as u64).sum::<u64>();
+        self.spills += 1;
+        self.far = Some(far);
+    }
+
+    /// Refills an empty near from the far tier's lowest buckets (see the
+    /// [module docs](self)); `false` when the far tier holds no live entry.
+    #[inline(never)]
+    fn advance(&mut self) -> bool {
+        let Self {
+            near,
+            edge,
+            far,
+            slots,
+            moves,
+            advances,
+            ..
+        } = self;
+        let far = far.as_deref_mut().expect("a far tier to advance from");
+        let live = |e: &Entry| slots[e.slot as usize].generation == e.generation;
+        let mut heap = std::mem::take(near).into_vec();
+        while far.occupied != 0 {
+            let i = far.occupied.trailing_zeros() as usize;
+            let len = far.buckets[i].len();
+            if !heap.is_empty() && heap.len() + len > MOVE {
+                break;
+            }
+            far.occupied &= !(1 << i);
+            let mut bucket = std::mem::take(&mut far.buckets[i]);
+            *moves += len as u64;
+            if i == 0 || len <= MOVE {
+                heap.extend(bucket.drain(..).filter(live));
+            } else {
+                // Around its earliest time, into strictly lower buckets.
+                let base = bucket.iter().map(|e| e.at).min();
+                far.base = base.expect("a large bucket").as_micros();
+                for e in bucket.drain(..) {
+                    far.push(e);
+                }
+            }
+            far.put_back(i, bucket);
+        }
+        if let Some(last) = heap.iter().map(|e| e.at).max() {
+            *edge = last;
+            *advances += 1;
+        }
+        *near = BinaryHeap::from(heap);
+        !near.is_empty()
     }
 
     /// Cancels a pending event, returning its item, or `None` when the key
@@ -267,7 +449,7 @@ impl<E, L: Into<E>> EventQueue<E, L> {
             self.lane.pop_front().expect("the lane has a head").2.into()
         } else {
             self.heap_pops += 1;
-            let entry = self.heap.pop().expect("the heap has a live top");
+            let entry = self.near.pop().expect("the heap has a live top");
             let item = self.slots[entry.slot as usize].item.take();
             self.retire(entry.slot);
             item.expect("live generation implies an occupied slot")
@@ -284,15 +466,22 @@ impl<E, L: Into<E>> EventQueue<E, L> {
         }
     }
 
-    /// The `(time, key)` of the heap's earliest live entry. Discards any
-    /// cancelled entries sitting on top of the heap, so the answer is exact.
+    /// The `(time, key)` of the heap's earliest live entry, near's top,
+    /// refilling an empty near from the far tier. Discards any cancelled
+    /// entries sitting on top of near, so the answer is exact.
+    #[inline]
     fn live_top(&mut self) -> Option<(Timestamp, u64)> {
         loop {
-            let entry = self.heap.peek()?;
+            let Some(entry) = self.near.peek() else {
+                if self.far.is_some() && self.advance() {
+                    continue;
+                }
+                return None;
+            };
             if self.slots[entry.slot as usize].generation == entry.generation {
                 return Some((entry.at, entry.key));
             }
-            let _ = self.heap.pop();
+            let _ = self.near.pop();
         }
     }
 
@@ -333,30 +522,53 @@ impl<E, L: Into<E>> EventQueue<E, L> {
         self.lane.len()
     }
 
-    /// The heap bytes the queue holds: its heap, slab, free list and lane
-    /// at their capacities, and `item_heap` of every pending slab item.
+    /// The heap bytes the queue holds: its near heap, far tier (the box
+    /// and its buckets), slab, free list and lane at their capacities, and
+    /// `item_heap` of every pending slab item.
     pub(crate) fn heap_bytes(&self, item_heap: impl Fn(&E) -> usize) -> usize {
         let items = self.slots.iter().filter_map(|s| s.item.as_ref());
-        self.heap.capacity() * size_of::<Entry>()
+        let far = self.far.as_deref().map_or(0, |far| {
+            let entries: usize = far.buckets.iter().map(Vec::capacity).sum();
+            size_of::<Far>() + entries * size_of::<Entry>()
+        });
+        far + self.near.capacity() * size_of::<Entry>()
             + self.slots.capacity() * size_of::<Slot<E>>()
             + self.free.capacity() * size_of::<u32>()
             + self.lane.capacity() * size_of::<(Timestamp, u64, L)>()
             + items.map(item_heap).sum::<usize>()
     }
 
-    /// How many events [`EventQueue::pop`] and [`EventQueue::pop_due`] have
-    /// taken off the recurring lane and out of the heap, as `(lane, heap)`.
-    /// Cancelled entries discarded on the way count for neither.
-    #[must_use]
-    pub(crate) fn pops(&self) -> (u64, u64) {
-        (self.lane_pops, self.heap_pops)
+    /// Adds how the queue did its work to `work`:
+    /// - `popped_events`: events popped, off the lane and out of the heap;
+    /// - `lane_pops`: events popped off the recurring lane;
+    /// - `heap_pops`: events popped out of the heap (cancelled entries
+    ///   discarded on the way count for neither);
+    /// - `queue_near_pushes`: heap pushes at or before the edge, into near;
+    /// - `queue_far_pushes`: heap pushes after it, into a far bucket;
+    /// - `queue_moves`: entries a spill or a refill moved: into far, from
+    ///   one bucket to a lower one, or from a bucket into near;
+    /// - `queue_advances`: refills of an empty near from the far tier;
+    /// - `queue_spills`: times near passed its size and made the far tier.
+    ///
+    /// See the [module docs](self) for the tiers.
+    pub fn work(&self, work: &mut Work) {
+        work.add("popped_events", self.lane_pops + self.heap_pops);
+        work.add("lane_pops", self.lane_pops);
+        work.add("heap_pops", self.heap_pops);
+        work.add("queue_near_pushes", self.near_pushes);
+        work.add("queue_far_pushes", self.far_pushes);
+        work.add("queue_moves", self.moves);
+        work.add("queue_advances", self.advances);
+        work.add("queue_spills", self.spills);
     }
 
     /// Drops all pending events. Outstanding keys go stale (their slots'
     /// generations advance, so they can never match a later occupant); the
-    /// slab itself is retained for reuse.
+    /// slab itself is retained for reuse, and the far tier is dropped until
+    /// near spills again.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.near.clear();
+        (self.edge, self.far) = (Timestamp::MAX, None);
         self.lane.clear();
         self.free.clear();
         for (i, s) in self.slots.iter_mut().enumerate() {
@@ -373,7 +585,9 @@ impl<E, L: Into<E>> EventQueue<E, L> {
 impl<E, L> Default for EventQueue<E, L> {
     fn default() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            near: BinaryHeap::new(),
+            edge: Timestamp::MAX,
+            far: None,
             slots: Vec::new(),
             free: Vec::new(),
             lane: VecDeque::new(),
@@ -381,6 +595,11 @@ impl<E, L> Default for EventQueue<E, L> {
             live: 0,
             lane_pops: 0,
             heap_pops: 0,
+            near_pushes: 0,
+            far_pushes: 0,
+            moves: 0,
+            advances: 0,
+            spills: 0,
         }
     }
 }

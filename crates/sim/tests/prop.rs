@@ -3,9 +3,10 @@
 use std::rc::Rc;
 
 use envirotrack_sim::engine::{Engine, Kernel, TickClock};
-use envirotrack_sim::queue::EventQueue;
+use envirotrack_sim::queue::{EventKey, EventQueue};
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
+use envirotrack_telemetry::Work;
 use testkit::prelude::*;
 
 /// The toy world's loop period in µs: short, so that ticks, one-shots and
@@ -264,6 +265,47 @@ impl From<Narrow> for usize {
     }
 }
 
+/// The reference model's pop: its pending `(at, seq, item)` scanned for the
+/// least `(at, seq)`, taken if it is due by `horizon`.
+fn take_min(
+    model: &mut Vec<(Timestamp, u64, usize)>,
+    horizon: Timestamp,
+) -> Option<(Timestamp, usize)> {
+    let min = (0..model.len()).min_by_key(|&i| (model[i].0, model[i].1))?;
+    let due = model[min].0 <= horizon;
+    due.then(|| model.remove(min))
+        .map(|(at, _, item)| (at, item))
+}
+
+/// A queue beside its reference model, with the keys of its keyed pushes.
+#[derive(Default)]
+struct Twin {
+    q: EventQueue<usize, Narrow>,
+    model: Vec<(Timestamp, u64, usize)>,
+    keys: Vec<(EventKey, usize)>,
+    /// Pushes so far: the next push's sequence number and item.
+    pushes: usize,
+}
+
+impl Twin {
+    /// Pushes the next item at `at` onto both, by `how`: plainly, keyed,
+    /// or as a recurring event (onto the lane when not before its tail,
+    /// through to the heap otherwise).
+    fn push(&mut self, how: u8, at: Timestamp) {
+        let item = self.pushes;
+        match how % 3 {
+            0 => self.q.push(at, item),
+            1 => self.keys.push((self.q.push_keyed(at, item), item)),
+            _ => {
+                let narrow = Narrow(u16::try_from(item).expect("under 2^16 items"));
+                self.q.push_recurring(at, narrow);
+            }
+        }
+        self.model.push((at, item as u64, item));
+        self.pushes += 1;
+    }
+}
+
 prop_test! {
     /// Popping the queue yields items sorted by time, and FIFO among equal
     /// times (tracked via the insertion index).
@@ -305,10 +347,6 @@ prop_test! {
         let mut keys = Vec::new();
         let mut lane_tail = 0u64;
         let (mut next_seq, mut next_item) = (0u64, 0usize);
-        let take_min = |model: &mut Vec<(Timestamp, u64, usize)>, horizon: Timestamp| {
-            let min = (0..model.len()).min_by_key(|&i| (model[i].0, model[i].1))?;
-            (model[min].0 <= horizon).then(|| model.remove(min)).map(|(at, _, item)| (at, item))
-        };
         for &(op, t) in &ops {
             let at = Timestamp::from_micros(t);
             match op {
@@ -352,6 +390,85 @@ prop_test! {
                 break;
             }
         }
+    }
+
+    /// The same model past the spill, where the queue makes its far tier:
+    /// each case first pushes more entries than near holds, at times spread
+    /// to 2^21 µs, then interleaves pushes, cancels, pops and due-pops at
+    /// times drawn around the latest pop — a few µs on, so that entries tie
+    /// at and just past the edge; up to 2^21 µs on; or anywhere, before the
+    /// edge and the base included. A due-pop stops below the top it peeks
+    /// and is followed by pushes below that top; cancels take keys in
+    /// either tier; a `clear` is followed by a fresh spill. Every case must
+    /// have made the far tier and refilled near from it.
+    #[test]
+    fn queue_past_the_spill_matches_reference_model(
+        fill in 300usize..700,
+        ops in prop::collection::vec((0u8..16, any::<u64>()), 1..1500),
+    ) {
+        const SPREAD: u64 = 1 << 21;
+        let mut t = Twin::default();
+        // Half the fill on 64 µs, so that consecutive instants hold entries
+        // and a refill's edge is followed by a far entry one µs on.
+        let refill = |t: &mut Twin, w: u64| {
+            for i in 0..fill as u64 {
+                let spread = if i % 2 == 0 { 64 } else { SPREAD };
+                t.push(i as u8, Timestamp::from_micros(mix(w, i) % spread));
+            }
+        };
+        refill(&mut t, 0);
+        let mut now = 0;
+        for &(op, w) in &ops {
+            let d = w >> 2;
+            let at = Timestamp::from_micros(match w % 4 {
+                0 => now + d % 8,
+                1 => now + d % 64,
+                2 => now + d % SPREAD,
+                _ => d % SPREAD,
+            });
+            match op {
+                0..=6 => t.push(op, at),
+                7 | 8 if !t.keys.is_empty() => {
+                    let (key, item) = t.keys[d as usize % t.keys.len()];
+                    let held = t.model.iter().position(|e| e.2 == item).map(|i| t.model.remove(i).2);
+                    prop_assert_eq!(t.q.cancel(key), held, "cancel diverged");
+                }
+                9 => {
+                    let horizon = Timestamp::from_micros(now + d % 16);
+                    let popped = t.q.pop_due(horizon);
+                    prop_assert_eq!(popped, take_min(&mut t.model, horizon), "pop_due diverged");
+                    if popped.is_none() {
+                        for j in 0..w % 4 {
+                            t.push(op + j as u8, horizon + SimDuration::from_micros(j));
+                        }
+                    }
+                }
+                10 if d % 16 == 0 => {
+                    t.q.clear();
+                    t.model.clear();
+                    t.keys.clear();
+                    refill(&mut t, w);
+                }
+                _ => {
+                    let popped = t.q.pop();
+                    prop_assert_eq!(popped, take_min(&mut t.model, Timestamp::MAX), "pop diverged");
+                    now = popped.map_or(now, |(at, _)| at.as_micros());
+                }
+            }
+            prop_assert_eq!(t.q.len(), t.model.len());
+            prop_assert_eq!(t.q.peek_time(), t.model.iter().map(|e| e.0).min());
+        }
+        loop {
+            let (a, b) = (t.q.pop(), take_min(&mut t.model, Timestamp::MAX));
+            prop_assert_eq!(a, b, "drain diverged");
+            if a.is_none() {
+                break;
+            }
+        }
+        let mut work = Work::default();
+        t.q.work(&mut work);
+        let far = work.get("queue_spills") >= 1 && work.get("queue_advances") >= 1;
+        prop_assert!(far, "the case never entered the far tier: {:?}", work);
     }
 
     /// A world that stops idle loops at boundary ticks and counts their

@@ -455,6 +455,22 @@ impl Environment {
             );
             return self.noise.perturb(self.ambient, rng);
         }
+        self.sample_walked(reach, pos, t, rng)
+    }
+
+    /// [`Environment::sample_covered`] where the reach has already said no:
+    /// the exact walk, counted as one. For a caller whose
+    /// [`Environment::reads_ambient`] was `false` in a noiseless
+    /// environment, which asked the reach the same question.
+    #[inline]
+    #[must_use]
+    pub fn sample_walked(
+        &self,
+        reach: &mut Reach,
+        pos: Point,
+        t: Timestamp,
+        rng: &mut SimRng,
+    ) -> SensorSample {
         reach.walked += 1;
         self.sample_noisy(pos, t, rng)
     }

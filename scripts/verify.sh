@@ -100,12 +100,14 @@ TESTKIT_CASES="${CHAOS_CASES:-128}" \
 # for its minimum) under random interleavings of push, in-order and
 # out-of-order recurring push, keyed push, cancel, pop, due-pop, peek and
 # clear, re-run here by name at 512 cases unless TESTKIT_CASES is exported
-# (its lane holds a narrower item than its heap, as the engine's does). So
-# does the property behind the inline timer events: every node, type, timer
-# and token comes back out of the two words it rides the heap in.
+# (its lane holds a narrower item than its heap, as the engine's does), and
+# again past the spill, where every case makes the far tier and refills
+# near from it (≈ 10 s in debug). So does the property behind the inline
+# timer events: every node, type, timer and token comes back out of the
+# two words it rides the heap in.
 TESTKIT_CASES="${TESTKIT_CASES:-512}" \
   cargo test -q --offline -p envirotrack-sim --test prop \
-  -- queue_matches_reference_model
+  -- queue_matches_reference_model queue_past_the_spill_matches_reference_model
 TESTKIT_CASES="${TESTKIT_CASES:-512}" \
   cargo test -q --offline -p envirotrack-core --lib \
   -- a_group_timer_survives_its_words
@@ -158,8 +160,10 @@ cargo test -q --offline -p envirotrack-core --test locality
 # reason (a wake that proves nothing, a touch that parks a busy CPU again)
 # fail the random-world tests at seed 1, and the two sensing-verdict
 # mutants (a verdict read from the window before, a swept box half as wide)
-# fail the world's sampling property at seed 1 (≈ 20 s warm on the 2-vCPU
-# host). `scripts/mutants.sh --all` runs every one.
+# fail the world's sampling property at seed 1, and the two event-list
+# mutants (a push one µs past the edge taken into near, ties broken by
+# slot) fail the queue's reference-model properties at seed 1 (≈ 30 s warm
+# on the 2-vCPU host). `scripts/mutants.sh --all` runs every one.
 for patch in mutants/*.patch; do
   git apply --check "$patch" \
     || { echo "verify: $patch no longer applies" >&2; exit 1; }
@@ -168,7 +172,8 @@ scripts/mutants.sh period-push-by-delay boundary-seq-before-rank class-one-reads
   one-shot-before-its-tick park-lookup-neighbour-cell window-grid-off-by-one-period \
   lazy-record-misses-tick-at-now lists-kept-across-windows \
   wake-keeps-parked-unproven rx-repark-before-drain \
-  reach-verdict-window-before reach-box-half-shrunk >&2
+  reach-verdict-window-before reach-box-half-shrunk \
+  queue-edge-inclusive queue-ties-by-slot >&2
 
 # Telemetry smoke: the flagship storm must emit the summary table and a
 # non-empty trace, byte-identically across two runs of the same seed.
