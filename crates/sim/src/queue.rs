@@ -190,17 +190,13 @@ impl Far {
     /// the base at.
     #[inline]
     fn push(&mut self, entry: Entry) {
+        debug_assert!(
+            entry.at.as_micros() >= self.base,
+            "a far entry before the base"
+        );
         let i = (u64::BITS - (entry.at.as_micros() ^ self.base).leading_zeros()) as usize;
         self.occupied |= 1 << i;
         self.buckets[i].push(entry);
-    }
-
-    /// Returns bucket `i`'s emptied buffer to it, unless it is larger than
-    /// [`KEEP`] entries.
-    fn put_back(&mut self, i: usize, buffer: Vec<Entry>) {
-        if buffer.capacity() <= KEEP {
-            self.buckets[i] = buffer;
-        }
     }
 }
 
@@ -393,11 +389,18 @@ impl<E, L: Into<E>> EventQueue<E, L> {
                     far.push(e);
                 }
             }
-            far.put_back(i, bucket);
+            if bucket.capacity() <= KEEP {
+                far.buckets[i] = bucket;
+            }
         }
         if let Some(last) = heap.iter().map(|e| e.at).max() {
             *edge = last;
             *advances += 1;
+        } else {
+            // Every entry met was cancelled and far is empty, its base
+            // perhaps redistributed past the edge: bring it back, so that
+            // a push after the edge is not before the base.
+            far.base = edge.as_micros();
         }
         *near = BinaryHeap::from(heap);
         !near.is_empty()
@@ -774,5 +777,37 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![0, 2, 4, 6, 8]);
+    }
+
+    /// A refill that redistributes a large bucket moves the base up to its
+    /// earliest entry; when every entry it then meets is cancelled, the far
+    /// tier is left empty with its base past the edge. A later push between
+    /// the two is still after the edge, and must pop before a later push
+    /// that lands in a lower bucket.
+    #[test]
+    fn a_refill_of_cancelled_entries_leaves_the_far_tier_usable() {
+        let mut q = EventQueue::new();
+        let us = Timestamp::from_micros;
+        q.push(us(0), 0);
+        // One far bucket past `MOVE` entries, all cancelled.
+        let keys: Vec<EventKey> = (0..SPILL as u64)
+            .map(|t| q.push_keyed(us(1024 + t), 1))
+            .collect();
+        assert!(q.far.is_some(), "the push past `SPILL` spills");
+        for key in keys {
+            assert_eq!(q.cancel(key), Some(1));
+        }
+        assert_eq!(q.pop(), Some((us(0), 0)));
+        assert_eq!(q.pop(), None, "every far entry was cancelled");
+        // Between the edge and the far tier's old earliest entry...
+        for t in 0..MOVE as u64 {
+            q.push(us(500 + t), 2);
+        }
+        // ... and just past it.
+        q.push(us(1025), 3);
+        let order: Vec<u64> =
+            std::iter::from_fn(|| q.pop().map(|(at, _)| at.as_micros())).collect();
+        let expected: Vec<u64> = (500..500 + MOVE as u64).chain([1025]).collect();
+        assert_eq!(order, expected);
     }
 }

@@ -304,6 +304,13 @@ impl Twin {
         self.model.push((at, item as u64, item));
         self.pushes += 1;
     }
+
+    /// Cancels a keyed push in both: what the queue returned, and what the
+    /// model held.
+    fn cancel(&mut self, (key, item): (EventKey, usize)) -> (Option<usize>, Option<usize>) {
+        let held = self.model.iter().position(|e| e.2 == item);
+        (self.q.cancel(key), held.map(|i| self.model.remove(i).2))
+    }
 }
 
 prop_test! {
@@ -399,21 +406,24 @@ prop_test! {
     /// at and just past the edge; up to 2^21 µs on; or anywhere, before the
     /// edge and the base included. A due-pop stops below the top it peeks
     /// and is followed by pushes below that top; cancels take keys in
-    /// either tier; a `clear` is followed by a fresh spill. Every case must
-    /// have made the far tier and refilled near from it.
+    /// either tier, or every key at once, which in a case of keyed pushes
+    /// alone leaves a far tier of cancelled entries; a `clear` is followed
+    /// by a fresh spill. Every case must have made the far tier and
+    /// refilled near from it.
     #[test]
     fn queue_past_the_spill_matches_reference_model(
         fill in 300usize..700,
         ops in prop::collection::vec((0u8..16, any::<u64>()), 1..1500),
     ) {
         const SPREAD: u64 = 1 << 21;
+        let how = |op: u8| if fill % 4 == 0 { 1 } else { op };
         let mut t = Twin::default();
         // Half the fill on 64 µs, so that consecutive instants hold entries
         // and a refill's edge is followed by a far entry one µs on.
         let refill = |t: &mut Twin, w: u64| {
             for i in 0..fill as u64 {
                 let spread = if i % 2 == 0 { 64 } else { SPREAD };
-                t.push(i as u8, Timestamp::from_micros(mix(w, i) % spread));
+                t.push(how(i as u8), Timestamp::from_micros(mix(w, i) % spread));
             }
         };
         refill(&mut t, 0);
@@ -427,11 +437,10 @@ prop_test! {
                 _ => d % SPREAD,
             });
             match op {
-                0..=6 => t.push(op, at),
+                0..=6 => t.push(how(op), at),
                 7 | 8 if !t.keys.is_empty() => {
-                    let (key, item) = t.keys[d as usize % t.keys.len()];
-                    let held = t.model.iter().position(|e| e.2 == item).map(|i| t.model.remove(i).2);
-                    prop_assert_eq!(t.q.cancel(key), held, "cancel diverged");
+                    let (cancelled, held) = t.cancel(t.keys[d as usize % t.keys.len()]);
+                    prop_assert_eq!(cancelled, held, "cancel diverged");
                 }
                 9 => {
                     let horizon = Timestamp::from_micros(now + d % 16);
@@ -439,7 +448,7 @@ prop_test! {
                     prop_assert_eq!(popped, take_min(&mut t.model, horizon), "pop_due diverged");
                     if popped.is_none() {
                         for j in 0..w % 4 {
-                            t.push(op + j as u8, horizon + SimDuration::from_micros(j));
+                            t.push(how(op + j as u8), horizon + SimDuration::from_micros(j));
                         }
                     }
                 }
@@ -448,6 +457,12 @@ prop_test! {
                     t.model.clear();
                     t.keys.clear();
                     refill(&mut t, w);
+                }
+                10 if d % 16 == 1 => {
+                    for keyed in std::mem::take(&mut t.keys) {
+                        let (cancelled, held) = t.cancel(keyed);
+                        prop_assert_eq!(cancelled, held, "cancel diverged");
+                    }
                 }
                 _ => {
                     let popped = t.q.pop();

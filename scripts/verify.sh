@@ -160,9 +160,10 @@ cargo test -q --offline -p envirotrack-core --test locality
 # reason (a wake that proves nothing, a touch that parks a busy CPU again)
 # fail the random-world tests at seed 1, and the two sensing-verdict
 # mutants (a verdict read from the window before, a swept box half as wide)
-# fail the world's sampling property at seed 1, and the two event-list
+# fail the world's sampling property at seed 1, and the three event-list
 # mutants (a push one µs past the edge taken into near, ties broken by
-# slot) fail the queue's reference-model properties at seed 1 (≈ 30 s warm
+# slot, a far base left past the edge by a refill of cancelled entries)
+# fail the queue's reference-model properties at seed 1 (≈ 30 s warm
 # on the 2-vCPU host). `scripts/mutants.sh --all` runs every one.
 for patch in mutants/*.patch; do
   git apply --check "$patch" \
@@ -173,7 +174,7 @@ scripts/mutants.sh period-push-by-delay boundary-seq-before-rank class-one-reads
   lazy-record-misses-tick-at-now lists-kept-across-windows \
   wake-keeps-parked-unproven rx-repark-before-drain \
   reach-verdict-window-before reach-box-half-shrunk \
-  queue-edge-inclusive queue-ties-by-slot >&2
+  queue-edge-inclusive queue-ties-by-slot queue-refill-keeps-base >&2
 
 # Telemetry smoke: the flagship storm must emit the summary table and a
 # non-empty trace, byte-identically across two runs of the same seed.
